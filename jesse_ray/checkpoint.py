@@ -26,7 +26,7 @@ from typing import Any, Optional, Sequence
 
 import pyarrow as pa
 
-from jesse_ray.compiler import CompiledSpec, compile_spec, empty_violations
+from jesse_ray.compiler import CompiledSpec, compile_spec
 from jesse_ray.engine import ValidationEngine
 from jesse_ray.spec import TableSpec
 
@@ -122,11 +122,16 @@ def run_validation(
     src/jesse_cli.erl:80-87 — but we process ALL partitions instead of
     halting at the first failure, recording each verdict).
 
-    Key uniqueness is CORPUS-scoped: one column-pruned
-    ``duplicate_keys_hashed`` pass over ALL input files runs after the
-    partition loop (a per-partition check would miss keys duplicated
-    across partitions).  It reruns on every invocation — including
-    resumes — because it reads only the key column.
+    Key uniqueness is CORPUS-scoped: one column-pruned pass over ALL
+    input files runs after the partition loop (a per-partition check
+    would miss keys duplicated across partitions).  It takes the
+    engine's two exact routes (``engine.uniqueness_check``): a streaming
+    driver merge of per-batch key counts while the merged state stays
+    under ``UNIQ_DRIVER_CAP_BYTES``, the hash-bucket shuffle above it.
+    The route report (``uniqueness.route``, ``.partial_rows``,
+    ``.merged_bytes``, ``.dup_keys``) goes into the summary.  The pass
+    reruns on every invocation — including resumes — because it reads
+    only the key columns.
 
     With ``sketch``/``drift_reference`` the drift sketch is accumulated
     INSIDE the fused validation pass (SketchingFusedValidator), so each
@@ -137,11 +142,7 @@ def run_validation(
     """
     import ray.data
 
-    from jesse_ray.engine import (
-        VIOLATION_SCHEMA,
-        fused_sketch_violations,
-        uniqueness_violations,
-    )
+    from jesse_ray.engine import fused_sketch_violations, uniqueness_check
 
     compiled = spec if isinstance(spec, CompiledSpec) else compile_spec(spec)
     eng = engine or ValidationEngine()
@@ -266,14 +267,8 @@ def run_validation(
         import pyarrow.parquet as pq
 
         all_files = sorted(str(p) for p in input_paths)
-        uniq_parts = []
-        for key in uk:
-            uv = uniqueness_violations(_read(all_files, input_format, [key]), key)
-            if uv.num_rows:
-                uniq_parts.append(uv)
-        uniq_tbl = (
-            pa.concat_tables(uniq_parts) if uniq_parts else empty_violations()
-        )
+        uniq_tbl, uniq_metrics = uniqueness_check(_read(all_files, input_format, list(uk)), list(uk))
+        summary.update(uniq_metrics)
         n_unique_viol = uniq_tbl.num_rows
         pq.write_table(uniq_tbl, out / "unique_violations.parquet")
     summary["unique_violations"] = int(n_unique_viol)

@@ -4,14 +4,16 @@ Pipeline shape (SURVEY §3.4): ``read_parquet`` → ONE fused
 ``map_batches`` pass (zero-copy Arrow) running every row-level keyword
 check plus the referential broadcast-dimension checks (task mode with
 lazily-resolved ``ray.put`` state — broadcast-once per worker) →
-hash-bucket shuffle for corpus-level key uniqueness → violations
+corpus-level key uniqueness (capped driver merge of per-batch key
+counts, hash-bucket shuffle above the cap) → violations
 ``Dataset`` + per-run metrics.
 
 This replaces the reference's per-document recursive walk
 (reference: src/jesse_schema_validator.erl:82-98) with a streaming,
 block-parallel execution; the reference's single-threaded design has
 nothing to parallelize (SURVEY §4.1), so the distribution strategy here
-is original: hash-shuffles only where semantics demand (uniqueness),
+is original: hash-shuffles only where semantics demand (uniqueness
+above a driver byte cap),
 broadcast instead of shuffle for small dimensions, partial aggregation
 before every groupby.
 """
@@ -194,6 +196,20 @@ def migration_report(
 # shuffle, defusing duplicate-heavy hot keys — SURVEY §7.3)
 
 
+def _key_count_partials(ds: Dataset, key: str, batch_size: Optional[int]) -> Dataset:
+    """Exact per-batch ``(key, partial_cnt)`` rows — the map-side
+    combiner shared by both uniqueness routes."""
+
+    def partial(batch: pa.Table) -> pa.Table:
+        # NULL keys are excluded: absence is missing_required_property
+        # territory, not uniqueness (presence semantics, SURVEY §2.3)
+        t = batch.select([key]).filter(pc.is_valid(batch[key]))
+        g = t.group_by(key).aggregate([([], "count_all")])
+        return g.rename_columns([key, "partial_cnt"])
+
+    return ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
+
+
 def duplicate_keys(ds: Dataset, key: str, *, batch_size: Optional[int] = None) -> Dataset:
     """Distinct key values appearing more than once, with counts.
 
@@ -203,14 +219,7 @@ def duplicate_keys(ds: Dataset, key: str, *, batch_size: Optional[int] = None) -
     Phase 2: hash groupby over the partials, sum, filter > 1.
     """
 
-    def partial(batch: pa.Table) -> pa.Table:
-        # NULL keys are excluded: absence is missing_required_property
-        # territory, not uniqueness (presence semantics, SURVEY §2.3)
-        t = batch.select([key]).filter(pc.is_valid(batch[key]))
-        g = t.group_by(key).aggregate([([], "count_all")])
-        return g.rename_columns([key, "partial_cnt"])
-
-    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
+    partials = _key_count_partials(ds, key, batch_size)
     counts = partials.groupby(key).aggregate(Sum("partial_cnt", alias_name="cnt"))
 
     def only_dups(batch: pa.Table) -> pa.Table:
@@ -222,7 +231,9 @@ def duplicate_keys(ds: Dataset, key: str, *, batch_size: Optional[int] = None) -
 def duplicate_keys_hashed(
     ds: Dataset, key: str, *, batch_size: Optional[int] = None, n_buckets: int = 64
 ) -> pa.Table:
-    """Exact duplicate keys via a HASH-weight bucket shuffle (fast path).
+    """Exact duplicate keys via a HASH-weight bucket shuffle — the
+    distributed route ``uniqueness_check`` falls back to when the driver
+    merge passes ``UNIQ_DRIVER_CAP_BYTES``.
 
     The plain groupby sort-merges the raw key strings through Ray's
     row-oriented Aggregate (~76k rows/s measured — the bottleneck of the
@@ -311,19 +322,120 @@ def _hash64(arr: pa.Array) -> np.ndarray:
     return hash64_strings(arr)
 
 
+#: byte cap on the driver's merged ``(key, count)`` state in the streaming
+#: uniqueness route; past it the exact hash shuffle takes over
+UNIQ_DRIVER_CAP_BYTES = 64 << 20
+
+
+def _sum_key_counts(parts: list[pa.Table], key: str) -> pa.Table:
+    t = parts[0] if len(parts) == 1 else pa.concat_tables(parts)
+    g = t.group_by(key).aggregate([("partial_cnt", "sum")])
+    return g.rename_columns([key, "partial_cnt"])
+
+
+def duplicate_keys_streamed(
+    ds: Dataset, key: str, *, batch_size: Optional[int] = None
+) -> tuple[Optional[pa.Table], dict[str, int]]:
+    """Exact duplicate keys from ONE Ray Data execution, merged on the
+    driver under a byte cap.
+
+    The workers emit per-batch ``(key, partial_cnt)`` rows (the
+    ``duplicate_keys`` combiner); the driver streams them and merges
+    with Arrow ``group_by(...).sum``, compacting whenever the pending
+    partials outgrow twice the merged state, so driver memory follows
+    the number of distinct keys, not of partial rows.  No hash, no
+    confirm pass, no shuffle — exact by construction.
+
+    When a compaction leaves the merged state above
+    ``UNIQ_DRIVER_CAP_BYTES`` the stream is abandoned (which ends the
+    execution) and the table is ``None``: the caller falls back to the
+    distributed ``duplicate_keys_hashed``.  The driver so holds at most
+    the capped state plus pending partials of twice its size; the final
+    merge of the stream's tail is kept even above the cap, because the
+    exact answer is then already on the driver.
+    Returns ``(table (key, cnt) sorted by key | None, stats)`` with
+    stats ``partial_rows`` and ``merged_bytes`` (the state at the end or
+    at the trip).
+    """
+    cap = UNIQ_DRIVER_CAP_BYTES
+    merged: list[pa.Table] = []
+    pending: list[pa.Table] = []
+    pending_bytes = merged_bytes = partial_rows = 0
+    batches = iter(
+        _key_count_partials(ds, key, batch_size).iter_batches(batch_format="pyarrow", batch_size=None)
+    )
+    try:
+        for b in batches:
+            if not b.num_rows:
+                continue
+            pending.append(b)
+            pending_bytes += b.nbytes
+            partial_rows += b.num_rows
+            if pending_bytes > 2 * merged_bytes:
+                merged = [_sum_key_counts(merged + pending, key)]
+                pending, pending_bytes, merged_bytes = [], 0, merged[0].nbytes
+                if merged_bytes > cap:
+                    return None, {"partial_rows": partial_rows, "merged_bytes": merged_bytes}
+    finally:
+        batches.close()  # shuts the streaming execution down on a trip
+    if pending:
+        merged = [_sum_key_counts(merged + pending, key)]
+        merged_bytes = merged[0].nbytes
+    stats = {"partial_rows": partial_rows, "merged_bytes": merged_bytes}
+    if not merged:
+        return pa.table({key: pa.array([], type=pa.string()), "cnt": pa.array([], type=pa.int64())}), stats
+    g = merged[0].rename_columns([key, "cnt"])
+    return g.filter(pc.greater(g["cnt"], 1)).sort_by(key), stats
+
+
 def uniqueness_violations(ds: Dataset, key: str) -> pa.Table:
-    """Corpus-level `not_unique` violations — one row per duplicated key.
+    """Corpus-level `not_unique` violations — one row per duplicated
+    key, sorted by key.
 
     Corpus analogue of ``uniqueItems`` (src/jesse_validator_draft4.erl:831-873)
-    lifted from within-array to across-table, using the hash-bucket
-    shuffle (see duplicate_keys_hashed).  The duplicate set is assumed
-    small relative to the corpus (violations are rare); it is
-    materialized as a table, not the corpus.
+    lifted from within-array to across-table.  Two exact routes
+    (``uniqueness_check``): a streaming driver merge of per-batch key
+    counts while its state stays under ``UNIQ_DRIVER_CAP_BYTES``, and
+    above that cap the hash-bucket shuffle.  Only the duplicate set is
+    materialized as a table, never the corpus.
     """
-    tbl = duplicate_keys_hashed(ds, key)
+    return uniqueness_check(ds, [key])[0]
+
+
+def uniqueness_check(ds: Dataset, keys: list[str]) -> tuple[pa.Table, dict[str, Any]]:
+    """``not_unique`` violations for every key in ``keys``, each key's
+    rows sorted by key, plus the route report
+    ``uniqueness.{route, partial_rows, merged_bytes, dup_keys}``.
+
+    Each key takes the driver merge (``duplicate_keys_streamed``) unless
+    its state passes ``UNIQ_DRIVER_CAP_BYTES``, then the hash shuffle
+    (``duplicate_keys_hashed``); both are exact and give the same table.
+    The counts are summed over keys; the route is ``shuffle`` if any key
+    fell back, else ``driver_merge``."""
+    parts = []
+    metrics: dict[str, Any] = {
+        "uniqueness.route": "driver_merge",
+        "uniqueness.partial_rows": 0,
+        "uniqueness.merged_bytes": 0,
+        "uniqueness.dup_keys": 0,
+    }
+    for key in keys:
+        tbl, stats = duplicate_keys_streamed(ds, key)
+        if tbl is None:  # the driver state passed the cap
+            metrics["uniqueness.route"] = "shuffle"
+            tbl = duplicate_keys_hashed(ds, key)
+        metrics["uniqueness.partial_rows"] += stats["partial_rows"]
+        metrics["uniqueness.merged_bytes"] += stats["merged_bytes"]
+        metrics["uniqueness.dup_keys"] += tbl.num_rows
+        if tbl.num_rows:
+            parts.append(_not_unique_rows(tbl, key))
+    if not parts:
+        return empty_violations(), metrics
+    return (parts[0] if len(parts) == 1 else pa.concat_tables(parts)), metrics
+
+
+def _not_unique_rows(tbl: pa.Table, key: str) -> pa.Table:
     n = tbl.num_rows
-    if n == 0:
-        return empty_violations()
     keys = tbl[key].to_pylist()
     cnts = tbl["cnt"].to_pylist()
     frag = json.dumps({"uniqueKeys": [key]}, separators=(",", ":"))
@@ -725,9 +837,10 @@ class ValidationResult:
     """Violations + metrics for one validation run.
 
     ``unique_violations`` may be computed on a background driver thread
-    (overlapping the uniqueness shuffle with the fused row/referential
+    (overlapping the uniqueness pass with the fused row/referential
     pass — two independent Ray Data executions pipeline against each
-    other); the property joins the thread on first access.
+    other); the property joins the thread on first access and adds the
+    uniqueness route report (``uniqueness_check``) to ``metrics``.
     """
 
     violations: Dataset
@@ -741,7 +854,8 @@ class ValidationResult:
     def unique_violations(self) -> pa.Table:
         if self._uniq is None:
             if self._uniq_future is not None:
-                self._uniq = self._uniq_future.result()
+                self._uniq, uniq_metrics = self._uniq_future.result()
+                self.metrics.update(uniq_metrics)
                 self._uniq_future = None
             else:
                 self._uniq = empty_violations()
@@ -1031,23 +1145,13 @@ class ValidationEngine:
         if check_unique and spec.unique_keys:
             # narrow pass: callers reading parquet should pass ``key_ds``
             # as a column-pruned read so only the key column's pages move.
-            # Runs on a driver thread so the shuffle overlaps the fused
-            # pass (consumed later by the caller) instead of serializing.
+            # Runs on a driver thread so it overlaps the fused pass
+            # (consumed later by the caller) instead of serializing.
             import concurrent.futures
 
             uds = key_ds if key_ds is not None else ds
-            keys = list(spec.unique_keys)
-
-            def _run_uniq() -> pa.Table:
-                uniq = empty_violations()
-                for key in keys:
-                    uv = uniqueness_violations(uds, key)
-                    if uv.num_rows:
-                        uniq = pa.concat_tables([uniq, uv]) if uniq.num_rows else uv
-                return uniq
-
             pool = concurrent.futures.ThreadPoolExecutor(max_workers=1)
-            uniq_future = pool.submit(_run_uniq)
+            uniq_future = pool.submit(uniqueness_check, uds, list(spec.unique_keys))
             pool.shutdown(wait=False)
 
         return ValidationResult(

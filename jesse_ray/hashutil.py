@@ -89,7 +89,8 @@ def hash_partition_pandas(df, cols: list[str], n_parts: int = 64, out_col: str =
     coarse-shuffle stage (pair dedup, grouped lag, curation dedup)."""
     import pandas as pd
 
-    assert n_parts & (n_parts - 1) == 0, "n_parts must be a power of two (mask partitioning)"
+    if n_parts < 1 or n_parts & (n_parts - 1):
+        raise ValueError(f"n_parts must be a power of two (mask partitioning), got {n_parts}")
     sel = df[cols] if len(cols) > 1 else df[cols[0]]
     h = pd.util.hash_pandas_object(sel, index=False).to_numpy(dtype=np.uint64)
     df = df.copy()

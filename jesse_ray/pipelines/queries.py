@@ -6326,7 +6326,8 @@ def _merge_waves(base: dict, idx: int) -> dict:
     for w in [_wave2, _wave3, _wave4, _wave5, _wave6, _wave7, _wave8, _wave9, _wave10, _wave11, _wave12, _wave13, _wave14, _wave15, _wave16, _wave17, _wave18, _wave19, _wave20, _wave21, _wave22, _wave23, _wave24, _wave25, _wave26, _wave27, _wave28, _wave29, _wave30, _wave31, _wave32, _wave33, _wave34, _wave35, _wave36, _wave37, _wave38, _wave39, _wave40, _wave41]:
         d = w()[idx]
         clash = out.keys() & d.keys()
-        assert not clash, f"catalog key collision from {w.__name__}: {sorted(clash)}"
+        if clash:
+            raise ValueError(f"catalog key collision from {w.__name__}: {sorted(clash)}")
         out.update(d)
     return out
 

@@ -45,6 +45,36 @@ KCORE_MINCNT = 8
 KCORE_ROUNDS = 8  # fixpoint budget; Ray asserts convergence within it
 
 
+def _adjacent_pair_counts(b: pa.Table) -> pa.Table:
+    """Per-batch counts of undirected adjacent token pairs ``(u, v, pn)``
+    (u < v, self-pairs dropped); pairs never span a row boundary, and
+    empty or null token lists contribute nothing."""
+    toks = b["tokens"]
+    if isinstance(toks, pa.ChunkedArray):
+        toks = toks.combine_chunks()
+    flat = pc.list_flatten(toks).to_numpy(zero_copy_only=False).astype(np.int64)
+    lens = pc.list_value_length(toks).fill_null(0).to_numpy(zero_copy_only=False).astype(np.int64)
+    if len(flat) == 0:
+        return pa.table({"u": pa.array([], type=pa.int64()),
+                         "v": pa.array([], type=pa.int64()),
+                         "pn": pa.array([], type=pa.int64())})
+    # adjacent pairs, excluding row boundaries: pair i is (flat[i],
+    # flat[i+1]), so the pair starting at a row's last element is cut.
+    # Row ends of 0 (leading empty rows) or len(flat) (trailing empty
+    # rows) have no such pair — unguarded, end 0 wraps to index -1.
+    ends = np.cumsum(lens)[:-1]
+    ends = ends[(ends > 0) & (ends < len(flat))]
+    a, b2 = flat[:-1], flat[1:]
+    boundary = np.zeros(len(flat) - 1, dtype=bool)
+    boundary[ends - 1] = True
+    m = (~boundary) & (a != b2)
+    u = np.minimum(a[m], b2[m])
+    v = np.maximum(a[m], b2[m])
+    t = pa.table({"u": pa.array(u), "v": pa.array(v)})
+    g = t.group_by(["u", "v"]).aggregate([([], "count_all")])
+    return g.rename_columns(["u", "v", "pn"])
+
+
 def q_seq_token_kcore(sf_dir: str) -> pd.DataFrame:
     """Distributed peel: the edge list is built from per-batch adjacent
     undirected pair partials (one groupby-sum shuffle, domain bounded
@@ -61,28 +91,6 @@ def q_seq_token_kcore(sf_dir: str) -> pd.DataFrame:
 
     ds = read_sequences(_seq_path(sf_dir), columns=["tokens"])
 
-    def pair_partial(b: pa.Table) -> pa.Table:
-        toks = b["tokens"]
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        flat = pc.list_flatten(toks).to_numpy(zero_copy_only=False).astype(np.int64)
-        lens = pc.list_value_length(toks).fill_null(0).to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(flat) == 0:
-            return pa.table({"u": pa.array([], type=pa.int64()),
-                             "v": pa.array([], type=pa.int64()),
-                             "pn": pa.array([], type=pa.int64())})
-        # adjacent pairs, excluding row boundaries
-        ends = np.cumsum(lens)
-        a, b2 = flat[:-1], flat[1:]
-        boundary = np.zeros(len(flat) - 1, dtype=bool)
-        boundary[ends[:-1] - 1] = True  # last element of each row pairs into the next row
-        m = (~boundary) & (a != b2)
-        u = np.minimum(a[m], b2[m])
-        v = np.maximum(a[m], b2[m])
-        t = pa.table({"u": pa.array(u), "v": pa.array(v)})
-        g = t.group_by(["u", "v"]).aggregate([([], "count_all")])
-        return g.rename_columns(["u", "v", "pn"])
-
     from jesse_ray.hashutil import hash_partition_pandas
 
     # coarse (u,v)-hash merge instead of Ray's native 2-key groupby
@@ -95,7 +103,7 @@ def q_seq_token_kcore(sf_dir: str) -> pd.DataFrame:
         m = g.groupby(["u", "v"], as_index=False)["pn"].sum()
         return m[m["pn"] >= KCORE_MINCNT].rename(columns={"pn": "n"})
 
-    edges = (ds.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
+    edges = (ds.map_batches(_adjacent_pair_counts, batch_format="pyarrow", zero_copy_batch=True)
              .map_batches(part, batch_format="pandas")
              .groupby("__part").map_groups(merge_edges, batch_format="pandas")
              ).materialize()

@@ -231,11 +231,12 @@ def test_sketch_merge_is_distribution_invariant(corpus_sf0001):
 
 
 def test_duplicate_keys_hashed_matches_plain(corpus_sf0001):
-    """The hash-weight shuffle scale path is exact (collisions confirmed
-    away), matching the plain string groupby."""
+    """Both exact uniqueness routes — the hash-weight shuffle
+    (collisions confirmed away) and the streaming driver merge — match
+    the plain string groupby."""
     import pyarrow as pa
 
-    from jesse_ray.engine import duplicate_keys, duplicate_keys_hashed
+    from jesse_ray.engine import duplicate_keys, duplicate_keys_hashed, duplicate_keys_streamed
     from jesse_ray.sources import read_sequences
     from jesse_ray import testgen
 
@@ -248,8 +249,11 @@ def test_duplicate_keys_hashed_matches_plain(corpus_sf0001):
         )
     ).sort_by("doc_id")
     hashed = duplicate_keys_hashed(read_sequences(path, columns=["doc_id"]), "doc_id")
-    assert plain["doc_id"].to_pylist() == hashed["doc_id"].to_pylist()
-    assert [int(x) for x in plain["cnt"].to_pylist()] == [int(x) for x in hashed["cnt"].to_pylist()]
+    streamed, _ = duplicate_keys_streamed(read_sequences(path, columns=["doc_id"]), "doc_id")
+    assert plain.num_rows > 0
+    for got in (hashed, streamed):
+        assert plain["doc_id"].to_pylist() == got["doc_id"].to_pylist()
+        assert [int(x) for x in plain["cnt"].to_pylist()] == [int(x) for x in got["cnt"].to_pylist()]
 
 
 def test_fused_matches_two_branch(corpus_sf0001):
@@ -311,16 +315,112 @@ def test_uniqueness_hot_key_skew(ray_session):
 
     import ray.data
 
-    from jesse_ray.engine import duplicate_keys_hashed
+    from jesse_ray.engine import duplicate_keys_hashed, duplicate_keys_streamed
 
     n = 60_000
     ids = np.array([f"doc-{i:08d}" for i in range(n)], dtype=object)
     ids[10_000:] = "doc-hot"  # 50k copies of one key
     ds = ray.data.from_arrow(pa.table({"doc_id": pa.array(ids, type=pa.string())}))
-    tbl = duplicate_keys_hashed(ds, "doc_id", batch_size=8192)
-    assert tbl.num_rows == 1
-    assert tbl["doc_id"][0].as_py() == "doc-hot"
-    assert tbl["cnt"][0].as_py() == 50_000
+    streamed, stats = duplicate_keys_streamed(ds, "doc_id", batch_size=8192)
+    # 10k distinct keys, then one hot-key partial row in each of the 7
+    # batches that hold any of its copies
+    assert stats["partial_rows"] == 10_000 + 7
+    for tbl in (duplicate_keys_hashed(ds, "doc_id", batch_size=8192), streamed):
+        assert tbl.num_rows == 1
+        assert tbl["doc_id"][0].as_py() == "doc-hot"
+        assert tbl["cnt"][0].as_py() == 50_000
+
+
+def _majority_duplicate_keys(n_rows=40_000, n_distinct=3_000, seed=7):
+    """Key column where most rows repeat a key and ~10% are null."""
+    rng = np.random.default_rng(seed)
+    keys = np.array([f"k{i:06d}" for i in rng.integers(0, n_distinct, n_rows)], dtype=object)
+    keys[rng.random(n_rows) < 0.1] = None
+    keys[:5] = ["solo-a", "solo-b", None, "solo-c", "solo-d"]  # some singletons
+    return keys
+
+
+def test_uniqueness_cap_trips_to_shuffle(ray_session, monkeypatch):
+    """A majority-duplicate corpus with null keys: under a tiny driver cap
+    the streaming merge stops early and the hash shuffle gives the same
+    violations table, byte for byte, as the uncapped driver route."""
+    import collections
+
+    from jesse_ray import engine
+
+    keys = _majority_duplicate_keys()
+    tbl = pa.table({"doc_id": pa.array(keys, type=pa.string())})
+    blocks = [tbl.slice(i, 5_000) for i in range(0, tbl.num_rows, 5_000)]
+    ds = ray.data.from_arrow(blocks)
+
+    exact = {k: c for k, c in collections.Counter(k for k in keys if k is not None).items() if c > 1}
+    driver_tbl, driver_m = engine.uniqueness_check(ds, ["doc_id"])
+    assert driver_m["uniqueness.route"] == "driver_merge"
+    assert driver_m["uniqueness.merged_bytes"] <= engine.UNIQ_DRIVER_CAP_BYTES
+    assert driver_m["uniqueness.dup_keys"] == len(exact) == driver_tbl.num_rows
+
+    monkeypatch.setattr(engine, "UNIQ_DRIVER_CAP_BYTES", 16 << 10)
+    shuffle_tbl, shuffle_m = engine.uniqueness_check(ds, ["doc_id"])
+    assert shuffle_m["uniqueness.route"] == "shuffle"
+    assert shuffle_m["uniqueness.merged_bytes"] > 16 << 10
+    # the trip ends the stream before every partial row reached the driver
+    assert shuffle_m["uniqueness.partial_rows"] < driver_m["uniqueness.partial_rows"]
+    assert shuffle_m["uniqueness.dup_keys"] == len(exact)
+
+    assert shuffle_tbl.equals(driver_tbl)
+    got = {json.loads(v)["value"]: json.loads(v)["count"] for v in driver_tbl["value_json"].to_pylist()}
+    assert got == exact
+    assert driver_tbl["doc_id"].to_pylist() == sorted(exact)
+
+
+def test_validation_metrics_report_uniqueness_route(tmp_path, corpus_path, spec):
+    """Both validation entry points report the uniqueness route with the
+    same schema: ``ValidationResult.metrics`` once the uniqueness future
+    resolves, and the ``run_validation`` summary."""
+    from jesse_ray.checkpoint import run_validation
+
+    want = {
+        "uniqueness.route": str,
+        "uniqueness.partial_rows": int,
+        "uniqueness.merged_bytes": int,
+        "uniqueness.dup_keys": int,
+    }
+
+    res = validate_dataset(
+        read_sequences(corpus_path), spec, key_ds=read_sequences(corpus_path, columns=["doc_id"])
+    )
+    n_dup = res.unique_violations.num_rows
+    summary = run_validation([corpus_path], spec, tmp_path / "out")
+    assert n_dup > 0
+    for m in (res.metrics, summary):
+        assert {k: type(m[k]) for k in want} == want
+        assert m["uniqueness.route"] == "driver_merge"
+        assert m["uniqueness.dup_keys"] == n_dup
+        assert m["uniqueness.partial_rows"] > 0 and m["uniqueness.merged_bytes"] > 0
+    assert summary["unique_violations"] == n_dup
+
+
+def test_merge_waves_refuses_name_collision():
+    """A catalog name registered twice is a data-contract error that
+    must survive ``python -O``: ValueError, not assert."""
+    from jesse_ray.pipelines import queries2
+    from jesse_ray.pipelines.queries import _merge_waves
+
+    clash = next(iter(queries2.QUERIES2))
+    with pytest.raises(ValueError, match=clash):
+        _merge_waves({clash: None}, 0)
+
+
+def test_hash_partition_rejects_non_power_of_two():
+    import pandas as pd
+
+    from jesse_ray.hashutil import hash_partition_pandas
+
+    df = pd.DataFrame({"u": [1, 2, 3]})
+    assert hash_partition_pandas(df, ["u"], 4)["__part"].between(0, 3).all()
+    for bad in (48, 0):
+        with pytest.raises(ValueError, match="power of two"):
+            hash_partition_pandas(df, ["u"], bad)
 
 
 def test_multimodal_plumbing(ray_session):

@@ -135,3 +135,21 @@ def test_kcore_distributed_on_constructed_graph(ray_session, tmp_path, monkeypat
     # clique nodes keep degree >= 64 in the final core
     clique_deg = out[out["token"] < 66]["core_deg"]
     assert (clique_deg >= 64).all()
+
+
+def test_adjacent_pair_counts_empty_rows_keep_every_pair():
+    """A batch whose first token list is empty used to mark pair -1 as a
+    row boundary and drop the batch's last adjacent pair; a trailing
+    empty list indexed past the pair array.  Every in-row pair counts,
+    and no pair spans two rows."""
+    from jesse_ray.pipelines.queries23 import _adjacent_pair_counts
+
+    def pairs(rows):
+        t = _adjacent_pair_counts(pa.table({"tokens": pa.array(rows, type=pa.list_(pa.int32()))}))
+        return sorted(zip(t["u"].to_pylist(), t["v"].to_pylist(), t["pn"].to_pylist()))
+
+    # lens = [0, 3, 2]
+    assert pairs([[], [1, 2, 3], [4, 5]]) == [(1, 2, 1), (2, 3, 1), (4, 5, 1)]
+    assert pairs([None, [1, 2, 3], [4, 5]]) == [(1, 2, 1), (2, 3, 1), (4, 5, 1)]
+    assert pairs([[1, 2, 3], [4, 5], []]) == [(1, 2, 1), (2, 3, 1), (4, 5, 1)]
+    assert pairs([[1, 2], [], [2, 1], [7]]) == [(1, 2, 2)]
