@@ -107,14 +107,31 @@ def _canon_key(x: Any):
     return ("s", x) if isinstance(x, str) else ("x", repr(x))
 
 
+class _NestedDecimal(Exception):
+    """A Decimal inside a list or struct value: json's default hook can
+    only return another object, never a raw numeric literal, so the
+    value is re-encoded by :func:`_json_exact`."""
+
+
 def _decimal_default(v: Any):
-    # containers can nest Decimals; json's default hook cannot emit a
-    # raw numeric literal, so nested bignums fall back to int (exact,
-    # scale-0 case) — top-level Decimals never reach here (_json_val
-    # formats them exactly below)
     if isinstance(v, decimal.Decimal):
-        return int(v) if v == v.to_integral_value() else float(v)
+        raise _NestedDecimal
     raise TypeError(f"not JSON serializable: {type(v)}")
+
+
+def _json_exact(v: Any) -> str:
+    """Compact JSON text with every Decimal, at any depth, printed as its
+    exact :func:`_decimal_literal` (a float round-trip would drop digits
+    past the 17th)."""
+    if isinstance(v, decimal.Decimal):
+        return _decimal_literal(v)
+    if isinstance(v, dict):
+        return "{" + ",".join(
+            json.dumps(k, ensure_ascii=False) + ":" + _json_exact(x) for k, x in v.items()
+        ) + "}"
+    if isinstance(v, (list, tuple)):
+        return "[" + ",".join(_json_exact(x) for x in v) + "]"
+    return json.dumps(v, ensure_ascii=False)
 
 
 def _decimal_literal(v: decimal.Decimal) -> str:
@@ -141,8 +158,24 @@ def _json_val(v: Any) -> str:
     if isinstance(v, float) and v.is_integer():
         # canonical: 3.0 prints as 3.0 (json default) — keep json default
         return json.dumps(v)
-    return json.dumps(v, ensure_ascii=False, separators=(",", ":"),
-                      default=_decimal_default)
+    try:
+        return json.dumps(v, ensure_ascii=False, separators=(",", ":"),
+                          default=_decimal_default)
+    except _NestedDecimal:
+        return _json_exact(v)
+
+
+def _item_positions(col: pa.Array, flat_idx: np.ndarray):
+    """(row, item index) of the given positions in ``pc.list_flatten(col)``.
+
+    Derived from the cumulative list lengths (NULL lists count as empty,
+    as in the flattened array) by a binary search per position, so the
+    cost scales with the number of positions asked for, not with the
+    number of elements."""
+    cnt = pc.fill_null(pc.list_value_length(col), 0).to_numpy(zero_copy_only=False)
+    ends = np.cumsum(cnt)
+    rows = np.searchsorted(ends, flat_idx, side="right")
+    return rows, flat_idx - (ends[rows] - cnt[rows])
 
 
 def _list_layout(col: pa.Array):
@@ -226,25 +259,60 @@ def _enum_mask(arr: pa.Array, values: list[Any]) -> np.ndarray:
         vs = pa.array([v for v in values if v is not None], type=arr.type)
         return _np_mask(pc.is_in(arr, value_set=vs), n)
     except (pa.ArrowInvalid, pa.ArrowTypeError, pa.ArrowNotImplementedError):
-        # mixed-type enum vs typed column: fall back per-distinct-value
-        pyvals = set()
-        for v in values:
-            try:
-                pyvals.add(v)
-            except TypeError:
-                pass
-        out = np.zeros(n, dtype=bool)
-        pl = arr.to_pylist()
-        for i, x in enumerate(pl):
-            out[i] = x in pyvals
-        return out
+        # mixed-type enum vs typed column, or a list/struct column Arrow
+        # has no is_in kernel for: per-value deep equality on canonical
+        # keys (src/jesse_lib.erl:148-197)
+        keyset = {_canon_key(v) for v in values}
+        return np.fromiter(
+            (_canon_key(x) in keyset for x in arr.to_pylist()), dtype=bool, count=n
+        )
+
+
+def _native_values(arr) -> Optional[np.ndarray]:
+    """Zero-copy numpy view of an integer array's value buffer (slice
+    offset applied; NULL slots hold unspecified values), or None for any
+    other array."""
+    if not isinstance(arr, pa.Array) or not pa.types.is_integer(arr.type):
+        return None
+    dt = np.dtype(arr.type.to_pandas_dtype())
+    if len(arr) == 0:
+        return np.empty(0, dtype=dt)
+    return np.frombuffer(arr.buffers()[1], dtype=dt, count=arr.offset + len(arr))[arr.offset:]
+
+
+def _native_bound(b, dt: np.dtype):
+    """Bound ``b`` as an integer ``dt`` scalar when that conversion is
+    exact, else None (a non-integral bound, a bound outside the dtype's
+    range, a bignum)."""
+    if isinstance(b, bool) or not isinstance(b, (int, float, decimal.Decimal)):
+        return None
+    try:
+        exact = Fraction(b)
+    except (ValueError, OverflowError):  # nan / inf bound
+        return None
+    info = np.iinfo(dt)
+    if exact.denominator == 1 and info.min <= exact <= info.max:
+        return dt.type(int(exact))
+    return None
 
 
 def _range_mask(arr: pa.Array, lo, lo_ex, hi, hi_ex) -> np.ndarray:
-    # Arrow-native comparisons: zero-copy on the typed array (the items
-    # check runs this over EVERY flattened token — a float64 round-trip
-    # here would allocate 8 bytes/token across the whole corpus).
-    # NaN/null compare false -> out of range; caller masks nulls.
+    # NaN compares false -> out of range.  NULL positions are
+    # unspecified (the native view reads whatever the value buffer
+    # holds); every caller masks them with the presence mask.
+    v = _native_values(arr)
+    if v is not None:
+        nlo = None if lo is None else _native_bound(lo, v.dtype)
+        nhi = None if hi is None else _native_bound(hi, v.dtype)
+        if (lo is None or nlo is not None) and (hi is None or nhi is not None):
+            # compare on the column's own dtype over its value buffer:
+            # the items check runs this over EVERY flattened token, and
+            # an Arrow compare against a python-int scalar first upcasts
+            # the whole array to int64 (over 10x slower on int32 tokens)
+            ok = np.ones(len(v), dtype=bool) if nlo is None else (v > nlo if lo_ex else v >= nlo)
+            if nhi is not None:
+                ok &= v < nhi if hi_ex else v <= nhi
+            return ok
     if pa.types.is_decimal(arr.type):
         # bignum column: Arrow can't compare decimals against plain
         # python-int bounds, and a float64 cast would round >2^53
@@ -265,6 +333,8 @@ def _range_mask(arr: pa.Array, lo, lo_ex, hi, hi_ex) -> np.ndarray:
                 ok = fx < fhi if hi_ex else fx <= fhi
             out[i] = ok
         return out
+    # a bound the dtype cannot hold: Arrow picks a common type for the
+    # compare (int32 vs 2**40 -> int64, int vs 0.5 -> float64)
     m = None
     if lo is not None:
         c = pc.greater(arr, lo) if lo_ex else pc.greater_equal(arr, lo)
@@ -543,10 +613,13 @@ class CompiledSpec:
     # -- mask evaluation for one ColumnSpec on one (possibly flat) array --
     def _spec_valid_mask(self, cs: ColumnSpec, arr: pa.Array) -> np.ndarray:
         """True where the value passes ALL keywords of ``cs`` (presence
-        handled by caller).  Used for combinator sub-schemas."""
+        handled by caller).  Used for combinator sub-schemas and list
+        items.  A primitive ``type`` the dtype satisfies passes every
+        value, so its mask is not built."""
         n = len(arr)
         ok = np.ones(n, dtype=bool)
-        if cs.type is not None or cs.type_schemas is not None:
+        statically_ok = cs.type is not None and _type_ok(cs.type, arr.type)
+        if (cs.type is not None or cs.type_schemas is not None) and not statically_ok:
             ok &= self._type_valid_mask(cs, arr)
             if not ok.any():
                 return ok
@@ -577,12 +650,7 @@ class CompiledSpec:
             dup_rows, _ = _unique_items_dups(arr)
             ok[dup_rows] = False
         if is_list and cs.items is not None:
-            flat, parent, _ii, _cnt = _list_layout(arr)
-            if len(parent):
-                item_ok = self._spec_valid_mask(cs.items, flat)
-                item_ok |= ~_np_mask(pc.is_valid(flat), len(flat))  # null elements vacuous
-                bad_rows = np.unique(parent[~item_ok])
-                ok[bad_rows] = False
+            ok[self._failing_item_rows(cs.items, arr)] = False
         if is_list and cs.items_positional is not None:
             bad_rows, _details, _flat = self._positional_bad_rows(cs, arr)
             ok[bad_rows] = False
@@ -616,6 +684,39 @@ class CompiledSpec:
         ):
             ok &= self._struct_props_mask(cs, arr)
         return ok
+
+    def _failing_items(self, sub: ColumnSpec, col: pa.Array):
+        """(flat, bad): the flattened elements of list array ``col`` and
+        the flat positions of the non-null elements failing ``sub`` (NULL
+        elements are vacuous, src/jesse_validator_draft4.erl:542-557)."""
+        flat = pc.list_flatten(col)
+        if len(flat) == 0:
+            return flat, np.array([], dtype=np.int64)
+        ok = self._spec_valid_mask(sub, flat)
+        if flat.null_count:
+            ok |= ~_np_mask(pc.is_valid(flat), len(flat))
+        # invert in place: one fewer element-sized temporary
+        return flat, np.flatnonzero(np.logical_not(ok, out=ok))
+
+    def _failing_item_rows(self, sub: ColumnSpec, col: pa.Array) -> np.ndarray:
+        """Rows of ``col`` holding at least one element failing ``sub``."""
+        _flat, bad = self._failing_items(sub, col)
+        return _item_positions(col, bad)[0] if len(bad) else bad
+
+    def _item_violations(self, sub: ColumnSpec, col: pa.Array, gate: np.ndarray,
+                         path: list[str]):
+        """Per-element violations of list array ``col`` against ``sub`` in
+        the rows where ``gate`` holds: (rows, value_json, paths), each
+        path gaining the element's 0-based index (src/jesse_error.erl:85-92)."""
+        flat, bad = self._failing_items(sub, col)
+        if len(bad) == 0:
+            return bad, [], []
+        rows, item = _item_positions(col, bad)
+        keep = gate[rows]
+        rows, item, bad = rows[keep], item[keep], bad[keep]
+        vals = flat.take(pa.array(bad, type=pa.int64())).to_pylist()
+        return (rows.astype(np.int64), [_json_val(v) for v in vals],
+                [path + [str(i)] for i in item.tolist()])
 
     def _struct_field(self, arr: pa.Array, name: str):
         """(field array, presence mask) for one struct field; a field
@@ -721,23 +822,17 @@ class CompiledSpec:
                 out[3].extend([atom] * len(idx))
         is_list = pa.types.is_list(arr.type) or pa.types.is_large_list(arr.type)
         if is_list and cs.items is not None:
-            flat, parent, item_idx, _cnt = _list_layout(arr)
-            if len(parent):
-                item_ok = self._spec_valid_mask(cs.items, flat)
-                item_ok |= ~_np_mask(pc.is_valid(flat), len(flat))
-                bad = np.flatnonzero(~item_ok)
-                bad = bad[gate[parent[bad]]]
-                if len(bad):
-                    atom = (
-                        E.NOT_IN_RANGE
-                        if (cs.items.minimum is not None or cs.items.maximum is not None)
-                        else E.NOT_SCHEMA_VALID
-                    )
-                    vals = flat.take(pa.array(bad, type=pa.int64())).to_pylist()
-                    out[0].append(parent[bad].astype(np.int64))
-                    out[1].extend([_json_val(v) for v in vals])
-                    out[2].extend([path + [str(int(item_idx[b]))] for b in bad])
-                    out[3].extend([atom] * len(bad))
+            rows, vals, paths = self._item_violations(cs.items, arr, gate, path)
+            if len(rows):
+                atom = (
+                    E.NOT_IN_RANGE
+                    if (cs.items.minimum is not None or cs.items.maximum is not None)
+                    else E.NOT_SCHEMA_VALID
+                )
+                out[0].append(rows)
+                out[1].extend(vals)
+                out[2].extend(paths)
+                out[3].extend([atom] * len(rows))
         if pa.types.is_struct(arr.type) and (
             cs.properties or cs.required_props or cs.pattern_props
             or not cs.additional_props_allowed
@@ -817,12 +912,8 @@ class CompiledSpec:
             ok[dup_rows] = False
             add(E.NOT_UNIQUE, ok)
         if is_list and cs.items is not None and not skip_items:
-            flat, parent, _ii, _cnt = _list_layout(arr)
             ok = np.ones(n, dtype=bool)
-            if len(parent):
-                item_ok = self._spec_valid_mask(cs.items, flat)
-                item_ok |= ~_np_mask(pc.is_valid(flat), len(flat))
-                ok[np.unique(parent[~item_ok])] = False
+            ok[self._failing_item_rows(cs.items, arr)] = False
             add(E.NOT_SCHEMA_VALID, ok)
         if is_list and cs.items_positional is not None:
             bad_rows, details, _flat = self._positional_bad_rows(cs, arr)
@@ -1169,29 +1260,8 @@ class CompiledSpec:
                 arr, present = self._col_ctx(tbl, col)
                 if arr is None or not (pa.types.is_list(arr.type) or pa.types.is_large_list(arr.type)):
                     return np.array([], dtype=np.int64), [], None
-                flat = pc.list_flatten(arr)
-                if len(flat) == 0:
-                    return np.array([], dtype=np.int64), [], None
-                # hot path: evaluate the element mask over the flattened
-                # values; positional bookkeeping (parent row, item index)
-                # is derived ONLY for violating elements — computing it
-                # eagerly costs ~1.4 s per 100M tokens for nothing when
-                # the corpus is clean
-                ok = self._spec_valid_mask(sub, flat)
-                ok |= ~_np_mask(pc.is_valid(flat), len(flat))  # null elements vacuous
-                bad = np.flatnonzero(~ok)
-                if len(bad) == 0:
-                    return np.array([], dtype=np.int64), [], None
-                parent = pc.list_parent_indices(arr).to_numpy(zero_copy_only=False)
-                cnt = pc.fill_null(pc.list_value_length(arr), 0).to_numpy(zero_copy_only=False)
-                starts = np.concatenate([[0], np.cumsum(cnt)])[:-1]
-                bad = bad[present[parent[bad]]]
-                if len(bad) == 0:
-                    return np.array([], dtype=np.int64), [], None
-                rows = parent[bad]
-                vals = flat.take(pa.array(bad, type=pa.int64())).to_pylist()
-                paths = [[col, str(int(b - starts[parent[b]]))] for b in bad]
-                return rows.astype(np.int64), [_json_val(v) for v in vals], paths
+                rows, vals, paths = self._item_violations(sub, arr, present, [col])
+                return rows, vals, paths or None
 
             self._add(f"items:{col}", E.NOT_IN_RANGE if (sub.minimum is not None or sub.maximum is not None) else E.NOT_SCHEMA_VALID, [col], {"items": sub_frag}, items_fn)
 

@@ -369,8 +369,13 @@ def grouped_cumsum(
     ``exact_decimals``: fixed-decimal values (2-decimal currency)
     accumulate in exact int64 units of 10^-d — a float running sum
     drifts by O(run length) ulps and splits bit-exact comparison.
+
+    ``order_cols`` must be unique within each key: rows tied on
+    ``(key, *order_cols)`` would take their running sums in shuffle
+    arrival order, so a tie raises ``ValueError``.
     """
     order_cols = list(order_cols)
+    sort_cols = [key, *order_cols]
 
     from jesse_ray.hashutil import hash_partition_pandas
 
@@ -378,7 +383,17 @@ def grouped_cumsum(
         return hash_partition_pandas(df, [key], n_parts)
 
     def cum_many(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key, *order_cols], kind="mergesort")
+        g = g.sort_values(sort_cols, kind="mergesort")
+        tied = np.ones(max(len(g) - 1, 0), dtype=bool)
+        for c in sort_cols:
+            v = g[c].to_numpy()
+            tied &= v[1:] == v[:-1]
+        if tied.any():
+            i = int(np.flatnonzero(tied)[0])
+            raise ValueError(
+                f"grouped_cumsum: order key {sort_cols} is not unique within its "
+                f"group: {tuple(g[sort_cols].iloc[i])} occurs more than once"
+            )
         vals = g[value_col].to_numpy(dtype=np.float64)
         new_key = g[key].ne(g[key].shift(1)).to_numpy()
         starts = np.flatnonzero(new_key)

@@ -6,6 +6,7 @@ test/jesse_tests_draft4_SUITE.erl) as Dataset-batch assertions per
 FIXTURES.md F3.
 """
 
+import decimal
 import json
 
 import numpy as np
@@ -244,3 +245,25 @@ def test_invalid_row_mask_matches_checks():
         }
     )
     assert c.invalid_row_mask(tbl).tolist() == [False, True]
+
+
+
+def test_nested_decimal_value_json_is_exact():
+    # a decimal128(38,20) element inside a list reaches value_json
+    # through enum / const violations; its 20 fractional digits must
+    # survive (a float round-trip keeps ~17 significant digits), and an
+    # integral element of scale > 0 prints as N.0, as a top-level one does
+    d = "0.12345678901234567891"
+    typ = pa.list_(pa.decimal128(38, 20))
+    c = compile_spec(from_json_schema(
+        {"properties": {"v": {"enum": [[1]]}, "w": {"const": [1]}}}, key_column=None
+    ))
+    tbl = pa.table({
+        "v": pa.array([[decimal.Decimal(d)]], type=typ),
+        "w": pa.array([[decimal.Decimal(d), decimal.Decimal("2.50"), decimal.Decimal("3.00")]],
+                      type=typ),
+    })
+    v = c.check_batch(tbl)
+    got = {p[0]: val for p, val in zip(v["path"].to_pylist(), v["value_json"].to_pylist())}
+    assert got == {"v": f"[{d}]", "w": f"[{d},2.5,3.0]"}
+    assert v["error"].to_pylist() == [E.NOT_IN_ENUM, E.NOT_IN_ENUM]

@@ -3366,6 +3366,20 @@ def test_watermark_late_filter(ray_session):
     assert out["late"].tolist() == [0, 0, 1, 0, 0, 1]
 
 
+def test_ivf_pq_cell_selection_ties_match_stable_argsort():
+    """Per-cell candidate selection on tie-heavy ADC rows (few distinct
+    distances, so most cuts fall inside a run of ties) equals the full
+    stable argsort, i.e. (dist, vec_id) order over the id-sorted cell."""
+    from jesse_ray.functions.similarity import _stable_smallest
+
+    rng = np.random.default_rng(11)
+    for n_distinct in (1, 2, 3, 7):
+        app = rng.integers(0, n_distinct, size=(9, 120)).astype(np.float64)
+        for c in (1, 5, 40, 119, 120, 200):
+            want = np.argsort(app, axis=1, kind="stable")[:, :c]
+            assert np.array_equal(_stable_smallest(app, c), want), (n_distinct, c)
+
+
 def test_ivf_pq_search_recall_and_packing(ray_session):
     """The packed-codes ANN path: pq_fit -> pq_encode_packed (16 B/row
     scan payload, cell-stamped) -> ivf_pq_search ADC candidates ->

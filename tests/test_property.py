@@ -17,7 +17,25 @@ from jesse_ray.oracle import validate_row
 from jesse_ray.spec import ColumnSpec, ConsistencyRule, TableSpec
 
 
-def _spec() -> TableSpec:
+#: element dtypes of ``xs``: int64, the corpus's int32, a narrow and an
+#: unsigned width (the range kernel compares on the column's own dtype)
+XS_TYPES = [pa.int64(), pa.int32(), pa.int8(), pa.uint16()]
+#: ``xs`` items (minimum, exclusiveMinimum, maximum, exclusiveMaximum):
+#: the first three fit every XS_TYPES dtype; each later one holds a bound
+#: some dtype cannot represent (non-integral, beyond int32 or int8,
+#: negative on uint16)
+XS_BOUNDS = [
+    (0, False, 50, False),
+    (0, False, 50, True),
+    (2, True, 49, False),
+    (0.5, False, 50, False),
+    (0, False, 2**40, False),
+    (-1, False, 300, True),
+    (-200, False, 49.5, False),
+]
+
+
+def _spec(bounds: tuple) -> TableSpec:
     spec = TableSpec(key_column="doc_id")
     spec.columns["doc_id"] = ColumnSpec(type="string", required=True, pattern=r"^d-[0-9]+$")
     spec.columns["n"] = ColumnSpec(
@@ -28,46 +46,66 @@ def _spec() -> TableSpec:
         min_items=1,
         max_items=6,
         unique_items=True,
-        items=ColumnSpec(minimum=0, maximum=50),
+        items=ColumnSpec(minimum=bounds[0], exclusive_minimum=bounds[1],
+                         maximum=bounds[2], exclusive_maximum=bounds[3]),
     )
     spec.columns["m"] = ColumnSpec(divisible_by=3)
     spec.consistency.append(ConsistencyRule(kind="list_len_eq", left="xs", right="n_xs"))
     return spec
 
 
-SPEC = _spec()
-COMPILED = compile_spec(SPEC)
-
-row_st = st.fixed_dictionaries(
-    {
-        "doc_id": st.one_of(
-            st.none(),
-            st.from_regex(r"^d-[0-9]{1,4}$", fullmatch=True),
-            st.text(alphabet="xyz-", min_size=0, max_size=5),
-        ),
-        "n": st.one_of(st.none(), st.integers(min_value=-5, max_value=105)),
-        "s": st.one_of(st.none(), st.sampled_from(["a", "b", "c", "zz", "", "q"])),
-        "xs": st.one_of(
-            st.none(),
-            st.lists(st.integers(min_value=-3, max_value=55), min_size=0, max_size=8),
-        ),
-        "m": st.one_of(st.none(), st.integers(min_value=-9, max_value=9)),
-        "n_xs": st.one_of(st.none(), st.integers(min_value=0, max_value=8)),
-    }
-)
+SPECS = {b: _spec(b) for b in XS_BOUNDS}
+COMPILED = {b: compile_spec(spec) for b, spec in SPECS.items()}
 
 
-def _table(rows: list[dict]) -> pa.Table:
+def _row_st(elem):
+    return st.fixed_dictionaries(
+        {
+            "doc_id": st.one_of(
+                st.none(),
+                st.from_regex(r"^d-[0-9]{1,4}$", fullmatch=True),
+                st.text(alphabet="xyz-", min_size=0, max_size=5),
+            ),
+            "n": st.one_of(st.none(), st.integers(min_value=-5, max_value=105)),
+            "s": st.one_of(st.none(), st.sampled_from(["a", "b", "c", "zz", "", "q"])),
+            "xs": st.one_of(st.none(), st.lists(elem, min_size=0, max_size=8)),
+            "m": st.one_of(st.none(), st.integers(min_value=-9, max_value=9)),
+            "n_xs": st.one_of(st.none(), st.integers(min_value=0, max_value=8)),
+        }
+    )
+
+
+@st.composite
+def batch_st(draw, max_rows):
+    """(xs dtype, xs bounds, rows, pad): ``pad`` rows precede ``rows`` in
+    the built table and are sliced off, so the checked table (and its
+    flattened ``xs`` values) starts at a non-zero offset.  Null list
+    elements appear in about half the batches, leading rows may carry
+    empty or null ``xs`` lists."""
+    typ = draw(st.sampled_from(XS_TYPES))
+    bounds = draw(st.sampled_from(XS_BOUNDS))
+    elem = st.integers(min_value=0 if typ == pa.uint16() else -3, max_value=55)
+    if draw(st.booleans()):
+        elem = st.one_of(st.none(), elem)
+    rows = draw(st.lists(_row_st(elem), min_size=1, max_size=max_rows))
+    lead = draw(st.integers(min_value=0, max_value=min(3, len(rows))))
+    rows = [{**r, "xs": draw(st.sampled_from([None, []]))} for r in rows[:lead]] + rows[lead:]
+    pad = draw(st.lists(_row_st(elem), max_size=3))
+    return typ, bounds, rows, pad
+
+
+def _table(rows: list[dict], xs_type: pa.DataType, pad: list[dict]) -> pa.Table:
+    rows = pad + rows
     return pa.table(
         {
             "doc_id": pa.array([r["doc_id"] for r in rows], type=pa.string()),
             "n": pa.array([r["n"] for r in rows], type=pa.int64()),
             "s": pa.array([r["s"] for r in rows], type=pa.string()),
-            "xs": pa.array([r["xs"] for r in rows], type=pa.list_(pa.int64())),
+            "xs": pa.array([r["xs"] for r in rows], type=pa.list_(xs_type)),
             "m": pa.array([r["m"] for r in rows], type=pa.int64()),
             "n_xs": pa.array([r["n_xs"] for r in rows], type=pa.int64()),
         }
-    )
+    ).slice(len(pad))
 
 
 def _canon_engine(tbl: pa.Table) -> list[tuple]:
@@ -90,20 +128,22 @@ def _canon_oracle(recs: list[tuple]) -> list[tuple]:
     )
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(row_st, min_size=1, max_size=20))
-def test_engine_matches_oracle(rows):
-    got = _canon_engine(COMPILED.check_batch(_table(rows)))
-    want = _canon_oracle([rec for r in rows for rec in validate_row(SPEC, r)])
+@settings(max_examples=300, deadline=None)
+@given(batch_st(max_rows=20))
+def test_engine_matches_oracle(batch):
+    typ, bounds, rows, pad = batch
+    got = _canon_engine(COMPILED[bounds].check_batch(_table(rows, typ, pad)))
+    want = _canon_oracle([rec for r in rows for rec in validate_row(SPECS[bounds], r)])
     assert got == want
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(row_st, min_size=1, max_size=12))
-def test_invalid_row_mask_matches_oracle_verdicts(rows):
-    mask = COMPILED.invalid_row_mask(_table(rows))
+@settings(max_examples=150, deadline=None)
+@given(batch_st(max_rows=12))
+def test_invalid_row_mask_matches_oracle_verdicts(batch):
+    typ, bounds, rows, pad = batch
+    mask = COMPILED[bounds].invalid_row_mask(_table(rows, typ, pad))
     for i, r in enumerate(rows):
-        assert bool(mask[i]) == (len(validate_row(SPEC, r)) > 0)
+        assert bool(mask[i]) == (len(validate_row(SPECS[bounds], r)) > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,13 @@ that well-known two-entry document).  SKIP_FILES is empty — every
 conformance file in both extras dirs runs.
 """
 
+import http.client
 import http.server
 import json
 import threading
+import urllib.request
 from pathlib import Path
+from typing import Optional
 
 import pyarrow as pa
 import pytest
@@ -48,11 +51,30 @@ _SUB_SCHEMAS = {
 }
 
 
+def _uses_remote_ref(schema) -> bool:
+    return "localhost:1234" in json.dumps(schema)
+
+
+def _held_port_mismatch() -> Optional[str]:
+    """None when whatever already holds localhost:1234 serves the
+    expected subSchemas.json, else why its answers cannot be trusted."""
+    try:
+        with urllib.request.urlopen("http://127.0.0.1:1234/subSchemas.json", timeout=5) as r:
+            body = json.loads(r.read())
+    except (OSError, ValueError, http.client.HTTPException) as ex:
+        return f"localhost:1234 is held by another process; GET /subSchemas.json failed ({ex})"
+    if body != _SUB_SCHEMAS:
+        return "localhost:1234 is held by another process serving a different /subSchemas.json"
+    return None
+
+
 @pytest.fixture(scope="module", autouse=True)
 def _remote_ref_httpd():
     """Serve subSchemas.json on localhost:1234 for the remoteRefExtra
     cases (their $refs hardcode that origin, matching the reference's
-    inets httpd on port 1234)."""
+    inets httpd on port 1234).  Yields None when those cases can run,
+    else the reason to skip them: a process that already holds the port
+    is trusted only if it serves the same document."""
 
     class H(http.server.BaseHTTPRequestHandler):
         def do_GET(self):  # noqa: N802
@@ -71,16 +93,18 @@ def _remote_ref_httpd():
 
     try:
         srv = http.server.ThreadingHTTPServer(("127.0.0.1", 1234), H)
-    except OSError:  # port already bound by a parallel test session
-        yield
+    except OSError:  # port already bound, e.g. by a parallel test session
+        yield _held_port_mismatch()
         return
     t = threading.Thread(target=srv.serve_forever, daemon=True)
     t.start()
     try:
-        yield
+        yield None
     finally:
         srv.shutdown()
         srv.server_close()
+
+
 # Erlang bignums ride Arrow decimals (decimal128 to 38 digits,
 # decimal256 to 76 — see _instance_array); equality/enum/uniqueItems on
 # them is exact via the compiler's _canon_key Fraction canonicalization,
@@ -172,7 +196,9 @@ def _instance_array(data) -> pa.Array:
 
 
 @pytest.mark.parametrize("schema,dialect,data,valid", _cases())
-def test_reference_extra_case(schema, dialect, data, valid):
+def test_reference_extra_case(schema, dialect, data, valid, _remote_ref_httpd):
+    if _remote_ref_httpd and _uses_remote_ref(schema):
+        pytest.skip(_remote_ref_httpd)
     got_valid, atoms = _run(schema, data, dialect)
     if isinstance(valid, list):
         # harness form: `valid` is the exact expected error-atom list

@@ -5,6 +5,7 @@ edge cases the sf0.01 data can't)."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray
 
 from jesse_ray.pipelines.relational import grouped_cumsum
@@ -51,6 +52,14 @@ def test_grouped_cumsum_float_mode(ray_session):
                                   alias="rs"))
     out = out.sort_values(["k", "o"])
     assert out["rs"].tolist() == [1.5, 4.0, 10.0, 7.0]
+
+
+def test_grouped_cumsum_refuses_duplicate_order_key(ray_session):
+    """A tied (key, order) tuple would sum in shuffle arrival order."""
+    df = pd.DataFrame({"k": [1, 1, 1, 2], "o": [0, 1, 1, 0],
+                       "v": [1.0, 2.0, 3.0, 4.0]})
+    with pytest.raises(ValueError, match="not unique"):
+        _collect(grouped_cumsum(ray.data.from_pandas(df), "k", ["o"], "v"))
 
 
 def test_q13_histogram_conserves_customers(ray_session):

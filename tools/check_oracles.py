@@ -1,11 +1,17 @@
 """Mini-driver: run every queries() entry and its oracle_sql() twin at a
 given sf, compare row-count + column names + order-insensitive values.
 
-Usage: python tools/check_oracles.py [sf_dir] [query ...]
+Usage: python tools/check_oracles.py [--round N] [sf_dir] [query ...]
+
+With ``--round N`` the sweep is also written to ``SWEEP_r<NN>.json`` in
+the working directory: one record per entry with ``ok``, ``wall_s`` and
+``sf``.  Stdout is the same either way, ending in ``ALL OK`` or
+``<n> FAILURES``.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import time
@@ -79,7 +85,21 @@ def compare(name: str, got: pd.DataFrame, want: pd.DataFrame) -> list[str]:
     return problems
 
 
+def pop_round(argv: list[str]) -> int | None:
+    """Remove ``--round N`` from ``argv`` and return N (None if absent)."""
+    if "--round" not in argv:
+        return None
+    i = argv.index("--round")
+    try:
+        n = int(argv[i + 1])
+    except (IndexError, ValueError):
+        raise SystemExit("--round takes an integer round number") from None
+    del argv[i:i + 2]
+    return n
+
+
 def main() -> int:
+    sweep_round = pop_round(sys.argv)
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
 
@@ -126,6 +146,11 @@ def main() -> int:
             con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')")
 
     failures = 0
+    records: list[dict] = []
+
+    def record(name: str, ok: bool, wall_s: float) -> None:
+        records.append({"name": name, "ok": ok, "wall_s": round(wall_s, 3), "sf": _sf_here})
+
     for name, fn in qs.items():
         if only and name not in only:
             continue
@@ -142,16 +167,19 @@ def main() -> int:
             except Exception as e2:  # noqa: BLE001
                 print(f"FAIL {name}: query raised {type(e2).__name__}: {e2}")
                 failures += 1
+                record(name, False, time.time() - t0)
                 continue
         dt = time.time() - t0
         if name not in oracles:
             print(f"ok   {name}: rows={len(got)} ({dt:.1f}s) [rows-only]")
+            record(name, True, dt)
             continue
         try:
             want = con.execute(oracles[name]).df()
         except Exception as e:  # noqa: BLE001
             print(f"FAIL {name}: oracle raised {e}")
             failures += 1
+            record(name, False, dt)
             continue
         problems = compare(name, got, want)
         if problems:
@@ -159,7 +187,12 @@ def main() -> int:
             failures += 1
         else:
             print(f"ok   {name}: rows={len(got)} match ({dt:.1f}s)")
+        record(name, not problems, dt)
     ray.shutdown()
+    if sweep_round is not None:
+        with open(f"SWEEP_r{sweep_round:02d}.json", "w") as f:
+            json.dump({"sf": _sf_here, "failures": failures, "entries": records}, f, indent=1)
+            f.write("\n")
     print(f"{'ALL OK' if failures == 0 else f'{failures} FAILURES'}")
     return 1 if failures else 0
 
