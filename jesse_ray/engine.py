@@ -3,10 +3,12 @@
 Pipeline shape (SURVEY §3.4): ``read_parquet`` → ONE fused
 ``map_batches`` pass (zero-copy Arrow) running every row-level keyword
 check plus the referential broadcast-dimension checks (task mode with
-lazily-resolved ``ray.put`` state — broadcast-once per worker) →
-corpus-level key uniqueness (capped driver merge of per-batch key
-counts, hash-bucket shuffle above the cap) → violations
-``Dataset`` + per-run metrics.
+lazily-resolved ``ray.put`` state — broadcast-once per worker) and
+emitting each batch's exact key counts in-band → corpus-level key
+uniqueness (capped driver merge of those counts, hash-bucket shuffle
+over the key columns above the cap) → violations ``Dataset`` + per-run
+metrics.  A validation reads the corpus once: one Ray Data execution
+unless the cap trips.
 
 This replaces the reference's per-document recursive walk
 (reference: src/jesse_schema_validator.erl:82-98) with a streaming,
@@ -196,16 +198,19 @@ def migration_report(
 # shuffle, defusing duplicate-heavy hot keys — SURVEY §7.3)
 
 
-def _key_count_partials(ds: Dataset, key: str, batch_size: Optional[int]) -> Dataset:
-    """Exact per-batch ``(key, partial_cnt)`` rows — the map-side
-    combiner shared by both uniqueness routes."""
+def _batch_key_counts(batch: pa.Table, key: str) -> pa.Table:
+    """Exact ``(key, partial_cnt)`` rows of one batch — the map-side
+    combiner shared by both uniqueness routes and the fused pass."""
+    # NULL keys are excluded: absence is missing_required_property
+    # territory, not uniqueness (presence semantics, SURVEY §2.3)
+    t = batch.select([key]).filter(pc.is_valid(batch[key]))
+    g = t.group_by(key).aggregate([([], "count_all")])
+    return g.rename_columns([key, "partial_cnt"])
 
+
+def _key_count_partials(ds: Dataset, key: str, batch_size: Optional[int]) -> Dataset:
     def partial(batch: pa.Table) -> pa.Table:
-        # NULL keys are excluded: absence is missing_required_property
-        # territory, not uniqueness (presence semantics, SURVEY §2.3)
-        t = batch.select([key]).filter(pc.is_valid(batch[key]))
-        g = t.group_by(key).aggregate([([], "count_all")])
-        return g.rename_columns([key, "partial_cnt"])
+        return _batch_key_counts(batch, key)
 
     return ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
 
@@ -333,59 +338,94 @@ def _sum_key_counts(parts: list[pa.Table], key: str) -> pa.Table:
     return g.rename_columns([key, "partial_cnt"])
 
 
-def duplicate_keys_streamed(
-    ds: Dataset, key: str, *, batch_size: Optional[int] = None
-) -> tuple[Optional[pa.Table], dict[str, int]]:
-    """Exact duplicate keys from ONE Ray Data execution, merged on the
-    driver under a byte cap.
+class KeyCountMerge:
+    """The one exact-uniqueness accumulator: a driver merge of per-batch
+    ``(key, partial_cnt)`` tables under ``UNIQ_DRIVER_CAP_BYTES``.
 
-    The workers emit per-batch ``(key, partial_cnt)`` rows (the
-    ``duplicate_keys`` combiner); the driver streams them and merges
-    with Arrow ``group_by(...).sum``, compacting whenever the pending
-    partials outgrow twice the merged state, so driver memory follows
-    the number of distinct keys, not of partial rows.  No hash, no
-    confirm pass, no shuffle — exact by construction.
+    Fed by ``duplicate_keys_streamed`` (a key-only execution) and by
+    ``ValidationResult`` (the in-band key rows of the fused pass).  It
+    merges with Arrow ``group_by(...).sum``, compacting whenever the
+    pending partials outgrow twice the merged state, so driver memory
+    follows the number of distinct keys, not of partial rows.  No hash,
+    no confirm pass, no shuffle — exact by construction, and the same
+    answer in any arrival order.
 
-    When a compaction leaves the merged state above
-    ``UNIQ_DRIVER_CAP_BYTES`` the stream is abandoned (which ends the
-    execution) and the table is ``None``: the caller falls back to the
+    When a compaction leaves the merged state above the cap the merge
+    trips: it drops its state, ignores further partials, and
+    ``duplicates()`` is ``None`` — the caller falls back to the
     distributed ``duplicate_keys_hashed``.  The driver so holds at most
     the capped state plus pending partials of twice its size; the final
-    merge of the stream's tail is kept even above the cap, because the
-    exact answer is then already on the driver.
-    Returns ``(table (key, cnt) sorted by key | None, stats)`` with
-    stats ``partial_rows`` and ``merged_bytes`` (the state at the end or
-    at the trip).
+    merge of the tail is kept even above the cap, because the exact
+    answer is then already on the driver.
     """
-    cap = UNIQ_DRIVER_CAP_BYTES
-    merged: list[pa.Table] = []
-    pending: list[pa.Table] = []
-    pending_bytes = merged_bytes = partial_rows = 0
+
+    def __init__(self, key: str):
+        self.key = key
+        self.tripped = False
+        self.partial_rows = self.merged_bytes = 0
+        self._merged: list[pa.Table] = []
+        self._pending: list[pa.Table] = []
+        self._pending_bytes = 0
+
+    def add(self, part: pa.Table) -> None:
+        if self.tripped or not part.num_rows:
+            return
+        self._pending.append(part)
+        self._pending_bytes += part.nbytes
+        self.partial_rows += part.num_rows
+        if self._pending_bytes > 2 * self.merged_bytes:
+            self._compact()
+            if self.merged_bytes > UNIQ_DRIVER_CAP_BYTES:
+                self.tripped = True
+                self._merged = []
+
+    def _compact(self) -> None:
+        self._merged = [_sum_key_counts(self._merged + self._pending, self.key)]
+        self._pending, self._pending_bytes = [], 0
+        self.merged_bytes = self._merged[0].nbytes
+
+    def duplicates(self) -> Optional[pa.Table]:
+        """``(key, cnt)`` rows with ``cnt > 1`` sorted by key, or ``None``
+        once the merge has tripped."""
+        if self.tripped:
+            return None
+        if self._pending:
+            self._compact()
+        if not self._merged:
+            return pa.table({self.key: pa.array([], type=pa.string()), "cnt": pa.array([], type=pa.int64())})
+        g = self._merged[0].rename_columns([self.key, "cnt"])
+        return g.filter(pc.greater(g["cnt"], 1)).sort_by(self.key)
+
+
+def _stream_key_counts(ds: Dataset, key: str, batch_size: Optional[int]) -> KeyCountMerge:
+    merge = KeyCountMerge(key)
     batches = iter(
         _key_count_partials(ds, key, batch_size).iter_batches(batch_format="pyarrow", batch_size=None)
     )
     try:
         for b in batches:
-            if not b.num_rows:
-                continue
-            pending.append(b)
-            pending_bytes += b.nbytes
-            partial_rows += b.num_rows
-            if pending_bytes > 2 * merged_bytes:
-                merged = [_sum_key_counts(merged + pending, key)]
-                pending, pending_bytes, merged_bytes = [], 0, merged[0].nbytes
-                if merged_bytes > cap:
-                    return None, {"partial_rows": partial_rows, "merged_bytes": merged_bytes}
+            merge.add(b)
+            if merge.tripped:
+                break
     finally:
         batches.close()  # shuts the streaming execution down on a trip
-    if pending:
-        merged = [_sum_key_counts(merged + pending, key)]
-        merged_bytes = merged[0].nbytes
-    stats = {"partial_rows": partial_rows, "merged_bytes": merged_bytes}
-    if not merged:
-        return pa.table({key: pa.array([], type=pa.string()), "cnt": pa.array([], type=pa.int64())}), stats
-    g = merged[0].rename_columns([key, "cnt"])
-    return g.filter(pc.greater(g["cnt"], 1)).sort_by(key), stats
+    return merge
+
+
+def duplicate_keys_streamed(
+    ds: Dataset, key: str, *, batch_size: Optional[int] = None
+) -> tuple[Optional[pa.Table], dict[str, int]]:
+    """Exact duplicate keys from ONE key-only Ray Data execution: the
+    workers emit per-batch ``(key, partial_cnt)`` rows (the
+    ``duplicate_keys`` combiner), the driver streams them into a
+    ``KeyCountMerge``.  A trip of the cap ends the execution early and
+    the table is ``None``.
+    Returns ``(table (key, cnt) sorted by key | None, stats)`` with
+    stats ``partial_rows`` merged and ``merged_bytes`` (the state at the
+    end or at the trip).
+    """
+    merge = _stream_key_counts(ds, key, batch_size)
+    return merge.duplicates(), {"partial_rows": merge.partial_rows, "merged_bytes": merge.merged_bytes}
 
 
 def uniqueness_violations(ds: Dataset, key: str) -> pa.Table:
@@ -409,8 +449,14 @@ def uniqueness_check(ds: Dataset, keys: list[str]) -> tuple[pa.Table, dict[str, 
 
     Each key takes the driver merge (``duplicate_keys_streamed``) unless
     its state passes ``UNIQ_DRIVER_CAP_BYTES``, then the hash shuffle
-    (``duplicate_keys_hashed``); both are exact and give the same table.
-    The counts are summed over keys; the route is ``shuffle`` if any key
+    (``duplicate_keys_hashed``); both are exact and give the same table."""
+    return _uniqueness_report([_stream_key_counts(ds, key, None) for key in keys], ds)
+
+
+def _uniqueness_report(merges: list[KeyCountMerge], ds: Dataset) -> tuple[pa.Table, dict[str, Any]]:
+    """Violations and route report from one finished merge per key; a
+    tripped key reruns as ``duplicate_keys_hashed`` over ``ds``.  The
+    counts are summed over keys; the route is ``shuffle`` if any key
     fell back, else ``driver_merge``."""
     parts = []
     metrics: dict[str, Any] = {
@@ -419,16 +465,16 @@ def uniqueness_check(ds: Dataset, keys: list[str]) -> tuple[pa.Table, dict[str, 
         "uniqueness.merged_bytes": 0,
         "uniqueness.dup_keys": 0,
     }
-    for key in keys:
-        tbl, stats = duplicate_keys_streamed(ds, key)
+    for merge in merges:
+        tbl = merge.duplicates()
         if tbl is None:  # the driver state passed the cap
             metrics["uniqueness.route"] = "shuffle"
-            tbl = duplicate_keys_hashed(ds, key)
-        metrics["uniqueness.partial_rows"] += stats["partial_rows"]
-        metrics["uniqueness.merged_bytes"] += stats["merged_bytes"]
+            tbl = duplicate_keys_hashed(ds, merge.key)
+        metrics["uniqueness.partial_rows"] += merge.partial_rows
+        metrics["uniqueness.merged_bytes"] += merge.merged_bytes
         metrics["uniqueness.dup_keys"] += tbl.num_rows
         if tbl.num_rows:
-            parts.append(_not_unique_rows(tbl, key))
+            parts.append(_not_unique_rows(tbl, merge.key))
     if not parts:
         return empty_violations(), metrics
     return (parts[0] if len(parts) == 1 else pa.concat_tables(parts)), metrics
@@ -574,6 +620,10 @@ def referential_violations(
     )
 
 
+#: violations schema + an in-band key-count column (see FusedValidator)
+VIOLATION_KEYS_SCHEMA = VIOLATION_SCHEMA.append(pa.field("__keys", pa.large_binary()))
+
+
 class FusedValidator:
     """Actor-pool stage fusing ALL row-level keyword checks with the
     referential (broadcast-dimension) checks in ONE pass over the data.
@@ -584,15 +634,24 @@ class FusedValidator:
     compiled spec + the broadcast allowed-value sets) is fetched from
     the object store once per actor in ``__init__`` — never re-shipped
     per batch (SURVEY §7.2).
+
+    With ``unique_keys`` the stage also carries the corpus uniqueness
+    check's map side, so the key columns are not read a second time:
+    the output schema is VIOLATION_KEYS_SCHEMA, violation rows carry a
+    null ``__keys``, and each batch appends one row per key whose other
+    columns are null and whose ``__keys`` holds that batch's exact
+    ``(key, partial_cnt)`` table as an Arrow IPC stream (``KeyCountMerge``
+    merges them on the driver; see ``ValidationResult``).
     """
 
     def __init__(self, compiled_ref, rules_ref, key_column: Optional[str], allowed_errors=None,
-                 error_handler=None):
+                 error_handler=None, unique_keys: tuple[str, ...] = ()):
         self._compiled_ref = compiled_ref
         self._rules_ref = rules_ref
         self._key_column = key_column
         self.allowed_errors = allowed_errors
         self.error_handler = error_handler
+        self.unique_keys = tuple(dict.fromkeys(unique_keys))
         self._resolved = False
         self.compiled: Optional[CompiledSpec] = None
         self._ref: Optional[ReferentialChecker] = None
@@ -615,14 +674,35 @@ class FusedValidator:
         row = self.compiled.check_batch(
             batch, allowed_errors=self.allowed_errors, error_handler=self.error_handler
         )
-        if self._ref is None:
+        ref = self._ref(batch) if self._ref is not None else None
+        if ref is not None and ref.num_rows:
+            row = pa.concat_tables([row, ref]) if row.num_rows else ref
+        if not self.unique_keys:
             return row
-        ref = self._ref(batch)
-        if ref.num_rows == 0:
-            return row
-        if row.num_rows == 0:
-            return ref
-        return pa.concat_tables([row, ref])
+        parts = [_batch_key_counts(batch, k) for k in self.unique_keys if k in batch.column_names]
+        blobs = [_ipc_bytes(p) for p in parts if p.num_rows]
+        key_rows = {f.name: pa.nulls(len(blobs), f.type) for f in VIOLATION_SCHEMA}
+        key_rows["__keys"] = pa.array(blobs, type=pa.large_binary())
+        row = row.cast(VIOLATION_SCHEMA).append_column("__keys", pa.nulls(row.num_rows, pa.large_binary()))
+        return pa.concat_tables([row, pa.table(key_rows, schema=VIOLATION_KEYS_SCHEMA)])
+
+
+def _ipc_bytes(t: pa.Table) -> bytes:
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as w:
+        w.write_table(t)
+    return sink.getvalue().to_pybytes()
+
+
+def _violation_rows(t: pa.Table) -> pa.Table:
+    return t.filter(pc.is_null(t["__keys"])).drop_columns(["__keys"])
+
+
+@ray.remote(num_returns=2)
+def _split_block(t: pa.Table) -> tuple[pa.Table, pa.Table]:
+    """One materialized VIOLATION_KEYS_SCHEMA block → (violation rows,
+    key rows); a plain task, far cheaper than a Ray Data execution."""
+    return _violation_rows(t), t.filter(pc.is_valid(t["__keys"]))
 
 
 def fused_violations(
@@ -634,8 +714,11 @@ def fused_violations(
     allowed_errors: Optional[int] = None,
     error_handler=None,
     actor_pool: bool = False,
+    check_unique: bool = True,
 ) -> Dataset:
-    """Single-pass row + referential violations (see FusedValidator).
+    """Single-pass row + referential violations (see FusedValidator),
+    plus the in-band key-count rows of the spec's ``unique_keys`` unless
+    ``check_unique`` is false (VIOLATION_KEYS_SCHEMA when there are any).
 
     Default is TASK mode: the validator state (compiled spec + broadcast
     allowed-value sets) is ``ray.put`` once, the tiny ObjectRefs ride the
@@ -657,6 +740,7 @@ def fused_violations(
         if spec.referential
         else None
     )
+    keys = tuple(spec.unique_keys) if check_unique else ()
     if not actor_pool:
         # refs (not values) ride the closure; workers resolve lazily
         big = ray.is_initialized()
@@ -666,6 +750,7 @@ def fused_violations(
             spec.key_column,
             allowed_errors,
             error_handler,
+            keys,
         )
         return ds.map_batches(
             fv.__call__,
@@ -676,7 +761,7 @@ def fused_violations(
     return ds.map_batches(
         FusedValidator,
         fn_constructor_args=(ray.put(compiled), ray.put(rules), spec.key_column, allowed_errors,
-                             error_handler),
+                             error_handler, keys),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,
@@ -836,11 +921,20 @@ def column_stats(
 class ValidationResult:
     """Violations + metrics for one validation run.
 
-    ``unique_violations`` may be computed on a background driver thread
-    (overlapping the uniqueness pass with the fused row/referential
-    pass — two independent Ray Data executions pipeline against each
-    other); the property joins the thread on first access and adds the
-    uniqueness route report (``uniqueness_check``) to ``metrics``.
+    ``violations`` is always exactly VIOLATION_SCHEMA rows.  On the fused
+    path the corpus uniqueness check rides in-band: ``_pending`` is the
+    fused stream with the per-batch key-count rows (FusedValidator,
+    VIOLATION_KEYS_SCHEMA) until an entry point runs it — once.
+    ``all_violations_table`` (and ``counts_by_error`` / ``passed`` on the
+    lazy path) drains it on the driver, splitting violation rows from key
+    rows; ``materialize`` (and ``write_violations`` / ``unique_violations``)
+    pins it in the object store and fetches only the key rows to the
+    driver.  Each key's rows go into one ``KeyCountMerge``; a key whose
+    merge passes ``UNIQ_DRIVER_CAP_BYTES`` reruns as the hash shuffle over
+    ``_key_ds``.  Resolving adds the route report (``uniqueness_check``'s
+    keys) to ``metrics``.  Without in-band keys (``fused=False``)
+    ``unique_violations`` runs ``uniqueness_check`` over ``_key_ds`` on
+    first access.
     """
 
     violations: Dataset
@@ -848,15 +942,36 @@ class ValidationResult:
     metrics: dict[str, Any] = field(default_factory=dict)
     _cached: Optional[pa.Table] = None
     _uniq: Optional[pa.Table] = None
-    _uniq_future: Any = None
+    _pending: Optional[Dataset] = None
+    _unique_keys: tuple[str, ...] = ()
+    _key_ds: Optional[Dataset] = None
+
+    def _drain(self, batches) -> list[pa.Table]:
+        """Merge the key rows of ``batches`` (VIOLATION_KEYS_SCHEMA tables
+        of the pending stream), resolve the uniqueness result, and return
+        the violation rows."""
+        merges = {k: KeyCountMerge(k) for k in self._unique_keys}
+        rows = []
+        for b in batches:
+            for blob in b["__keys"].drop_null():
+                part = pa.ipc.open_stream(blob.as_buffer()).read_all()
+                merges[part.column_names[0]].add(part)
+            b = _violation_rows(b)
+            if b.num_rows:
+                rows.append(b)
+        self._pending = None
+        self._uniq, uniq_metrics = _uniqueness_report([merges[k] for k in self._unique_keys], self._key_ds)
+        self.metrics.update(uniq_metrics)
+        return rows
 
     @property
     def unique_violations(self) -> pa.Table:
         if self._uniq is None:
-            if self._uniq_future is not None:
-                self._uniq, uniq_metrics = self._uniq_future.result()
+            if self._pending is not None:
+                self.materialize()
+            elif self._unique_keys:
+                self._uniq, uniq_metrics = uniqueness_check(self._key_ds, list(self._unique_keys))
                 self.metrics.update(uniq_metrics)
-                self._uniq_future = None
             else:
                 self._uniq = empty_violations()
         return self._uniq
@@ -866,8 +981,15 @@ class ValidationResult:
         result blocks in the object store — NOT on the driver — so that
         subsequent writes/aggregations don't re-run the full validation.
         The corpus itself is never materialized; only violations are,
-        and violations are rare by assumption."""
-        self.violations = self.violations.materialize()
+        and violations are rare by assumption.  Only the in-band key
+        rows reach the driver, one block's at a time, never the
+        violation rows."""
+        if self._pending is None:
+            self.violations = self.violations.materialize()
+            return self
+        splits = [_split_block.remote(ref) for ref in self._pending.materialize().to_arrow_refs()]
+        self._drain(ray.get(keys) for _, keys in splits)
+        self.violations = ray.data.from_arrow_refs([viol for viol, _ in splits])
         return self
 
     def write_violations(self, out_dir: str) -> None:
@@ -879,6 +1001,8 @@ class ValidationResult:
 
         from pathlib import Path
 
+        if self._pending is not None:
+            self.materialize()
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         self.violations.write_parquet(str(out))
@@ -889,7 +1013,10 @@ class ValidationResult:
         # one execution of the violations pipeline; cached because the
         # violation set is small relative to the corpus by assumption
         if self._cached is None:
-            parts = [b for b in self.violations.iter_batches(batch_format="pyarrow")]
+            if self._pending is not None:
+                parts = self._drain(self._pending.iter_batches(batch_format="pyarrow", batch_size=None))
+            else:
+                parts = [b for b in self.violations.iter_batches(batch_format="pyarrow")]
             parts.append(self.unique_violations)
             self._cached = pa.concat_tables(
                 [p for p in parts if p.num_rows] or [empty_violations()]
@@ -920,9 +1047,8 @@ class ValidationResult:
     @property
     def passed(self) -> bool:
         # per-run verdict: jesse's {ok, Value} iff the error list is empty
-        # (src/jesse_schema_validator.erl:70-77)
-        if self.unique_violations.num_rows:
-            return False
+        # (src/jesse_schema_validator.erl:70-77); the table includes the
+        # uniqueness rows
         return self.all_violations_table().num_rows == 0
 
 
@@ -1128,6 +1254,7 @@ class ValidationEngine:
                 allowed_errors=allowed_errors,
                 error_handler=error_handler,
                 actor_pool=actor_pool and cpus >= 2,
+                check_unique=check_unique,
             )
         else:
             parts: list[Dataset] = [
@@ -1141,23 +1268,23 @@ class ValidationEngine:
                 parts.append(ref_ds)
             violations = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
 
-        uniq_future = None
-        if check_unique and spec.unique_keys:
-            # narrow pass: callers reading parquet should pass ``key_ds``
-            # as a column-pruned read so only the key column's pages move.
-            # Runs on a driver thread so it overlaps the fused pass
-            # (consumed later by the caller) instead of serializing.
-            import concurrent.futures
-
-            uds = key_ds if key_ds is not None else ds
-            pool = concurrent.futures.ThreadPoolExecutor(max_workers=1)
-            uniq_future = pool.submit(uniqueness_check, uds, list(spec.unique_keys))
-            pool.shutdown(wait=False)
-
+        keys = tuple(spec.unique_keys) if check_unique else ()
+        if keys and key_ds is None:
+            key_ds = ds.select_columns(list(dict.fromkeys(keys)))
+        pending = None
+        if keys and fused:
+            # the key partials ride in-band on the fused pass, so the
+            # corpus is read once; ``key_ds`` is read only by the hash
+            # shuffle above the driver cap.  The lazy ``violations`` view
+            # drops the key rows.
+            pending = violations
+            violations = pending.map_batches(_violation_rows, batch_format="pyarrow", zero_copy_batch=True)
         return ValidationResult(
             violations=violations,
             spec_version=compiled.version,
-            _uniq_future=uniq_future,
+            _pending=pending,
+            _unique_keys=keys,
+            _key_ds=key_ds,
         )
 
 

@@ -20,6 +20,7 @@ cast to int64/BIGINT so hashes are exact.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -4578,9 +4579,10 @@ def q_doc_fingerprints(sf_dir: str) -> pd.DataFrame:
 # Pinned golden (the rolling hash is pure wraparound uint64 arithmetic —
 # not SQL-expressible; tests/test_text.py re-derives a sample of rows
 # with an independent naive Python implementation to justify the pin).
-SQL_DOC_FINGERPRINTS = """
+_FINGERPRINTS_GOLDEN = Path(__file__).resolve().parents[2] / "tests" / "goldens" / "doc_fingerprints_sf0.01.parquet"
+SQL_DOC_FINGERPRINTS = f"""
 SELECT doc_id, fingerprint
-FROM read_parquet('/root/repo/tests/goldens/doc_fingerprints_sf0.01.parquet')
+FROM read_parquet('{_FINGERPRINTS_GOLDEN}')
 ORDER BY doc_id
 """
 

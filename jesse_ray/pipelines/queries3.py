@@ -1772,11 +1772,13 @@ def q_seq_val_exemplars(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(df.groupby("error", sort=False)
                                     .head(EXEMPLARS_K), preserve_index=False)
 
+    # resolving the uniqueness rows first pins the fused pass's output,
+    # so the map below reads violation blocks, not the corpus again
+    uniq = res.unique_violations
     parts = [
         _collect(res.violations.map_batches(local, batch_format="pyarrow",
                                             zero_copy_batch=True))
     ]
-    uniq = res.unique_violations
     if uniq.num_rows:
         parts.append(local(uniq))
     t = pa.concat_tables([p for p in parts if p is not None and p.num_rows])
@@ -2327,9 +2329,9 @@ def q_seq_val_errors_by_source(sf_dir: str) -> pd.DataFrame:
 
     import ray.data as rd
 
+    uniq = res.unique_violations  # first: pins the fused pass's output
     v = res.violations.map_batches(viol_rows, batch_format="pyarrow",
                                    zero_copy_batch=True)
-    uniq = res.unique_violations
     if uniq.num_rows:
         parts = [viol_rows(uniq)]
         v = v.union(rd.from_arrow(pa.concat_tables(parts)))

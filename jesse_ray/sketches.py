@@ -195,7 +195,11 @@ class CountMin:
         return est
 
     def merge(self, other: "CountMin") -> "CountMin":
-        assert self.w == other.w and self.d == other.d
+        # addition is a merge only over identical shapes and hashes
+        if (self.w, self.d) != (other.w, other.d):
+            raise ValueError(f"CountMin shapes differ: {self.d}x{self.w} vs {other.d}x{other.w}")
+        if not (np.array_equal(self.a, other.a) and np.array_equal(self.b, other.b)):
+            raise ValueError("CountMin hash seeds differ")
         self.table += other.table
         self.total += other.total
         return self

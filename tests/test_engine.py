@@ -7,6 +7,7 @@ record-for-record (SURVEY §5.2).
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
@@ -26,6 +27,7 @@ from jesse_ray.engine import (
     filter_valid,
     referential_violations,
     row_violations,
+    uniqueness_check,
     uniqueness_violations,
     validate_dataset,
 )
@@ -33,6 +35,9 @@ from jesse_ray.oracle import validate_row
 from jesse_ray.sources import read_sequences
 from jesse_ray.spec import sequences_spec
 from jesse_ray.stages import drift_check, sketch_dataset
+
+#: the checkout these tests run from (subprocesses import the same tree)
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -400,6 +405,159 @@ def test_validation_metrics_report_uniqueness_route(tmp_path, corpus_path, spec)
     assert summary["unique_violations"] == n_dup
 
 
+def _keyed_corpus(seed=7, n_blocks=8):
+    """Majority-duplicate ``doc_id`` (~10% null), a second key ``alt`` with
+    a few duplicates, and an ``n`` column with some out-of-range values,
+    as ``n_blocks`` blocks; plus the spec checking all of it."""
+    from jesse_ray.spec import ColumnSpec, TableSpec
+
+    keys = _majority_duplicate_keys(seed=seed)
+    n = len(keys)
+    alt = np.array([f"a{i % (n - 50)}" for i in range(n)], dtype=object)
+    tbl = pa.table({
+        "doc_id": pa.array(keys, type=pa.string()),
+        "alt": pa.array(alt, type=pa.string()),
+        "n": pa.array(np.arange(n) % 1_000, type=pa.int64()),
+    })
+    step = -(-n // n_blocks)
+    blocks = [tbl.slice(i, step) for i in range(0, n, step)]
+    spec = TableSpec(name="keyed", key_column="doc_id",
+                     columns={"n": ColumnSpec(type="integer", minimum=0, maximum=990)},
+                     unique_keys=["doc_id"])
+    return blocks, spec
+
+
+def _ipc(t: pa.Table) -> bytes:
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as w:
+        w.write_table(t)
+    return sink.getvalue().to_pybytes()
+
+
+def _row_set(t: pa.Table) -> list:
+    return sorted(zip([x or "" for x in t["doc_id"].to_pylist()], ["/".join(p) for p in t["path"].to_pylist()],
+                      t["error"].to_pylist(), t["value_json"].to_pylist(), t["schema_fragment"].to_pylist()))
+
+
+def test_validate_reads_each_block_once(ray_session, tmp_path):
+    """The uniqueness partials ride in-band on the fused pass: both sink
+    paths process every input row once, not once more for the keys."""
+    import uuid
+
+    blocks, spec = _keyed_corpus()
+    n = sum(b.num_rows for b in blocks)
+
+    def counted(log_dir):
+        log_dir.mkdir()
+
+        def count(batch: pa.Table) -> pa.Table:
+            (log_dir / uuid.uuid4().hex).write_text(str(batch.num_rows))
+            return batch
+
+        ds = ray.data.from_arrow(blocks).map_batches(count, batch_format="pyarrow", zero_copy_batch=True)
+        return ds, lambda: sum(int(p.read_text()) for p in log_dir.iterdir())
+
+    ds, seen = counted(tmp_path / "lazy")
+    res = validate_dataset(ds, spec)
+    res.all_violations_table()
+    assert res.unique_violations.num_rows and res.passed is False
+    assert seen() == n
+
+    ds, seen = counted(tmp_path / "mat")
+    res = validate_dataset(ds, spec).materialize()
+    res.write_violations(str(tmp_path / "out"))
+    assert res.counts_by_error()[E.NOT_UNIQUE] == res.unique_violations.num_rows
+    assert seen() == n
+
+
+def test_inband_uniqueness_matches_standalone(ray_session):
+    """In-band key partials give the standalone uniqueness table byte for
+    byte, in any block arrival order, with the route reported."""
+    blocks, spec = _keyed_corpus()
+    want = uniqueness_violations(ray.data.from_arrow(blocks), "doc_id")
+    assert want.num_rows > 1_000
+    order = np.random.default_rng(3).permutation(len(blocks))
+    for bs in (blocks, [blocks[i] for i in order]):
+        res = validate_dataset(ray.data.from_arrow(bs), spec)
+        got = res.unique_violations
+        assert _ipc(got) == _ipc(want)
+        assert res.metrics["uniqueness.route"] == "driver_merge"
+        assert res.metrics["uniqueness.dup_keys"] == want.num_rows
+        assert res.metrics["uniqueness.partial_rows"] > 0
+
+
+def test_inband_uniqueness_cap_trips_to_shuffle(ray_session, monkeypatch):
+    """Past the driver cap the in-band merge stops and the hash shuffle
+    over the key columns gives the same table; row violations are
+    unchanged."""
+    from jesse_ray import engine
+
+    blocks, spec = _keyed_corpus()
+    ds = ray.data.from_arrow(blocks)
+    base = validate_dataset(ds, spec)
+    base_all = base.all_violations_table()
+    base_rows = base_all.filter(pc.not_equal(base_all["error"], E.NOT_UNIQUE))
+    assert base.metrics["uniqueness.route"] == "driver_merge" and base_rows.num_rows
+
+    monkeypatch.setattr(engine, "UNIQ_DRIVER_CAP_BYTES", 16 << 10)
+    lazy = validate_dataset(ds, spec)
+    mat = validate_dataset(ds, spec).materialize()
+    for res, rows in ((lazy, lazy.all_violations_table()), (mat, mat.all_violations_table())):
+        assert res.metrics["uniqueness.route"] == "shuffle"
+        assert res.metrics["uniqueness.merged_bytes"] > 16 << 10
+        assert _ipc(res.unique_violations) == _ipc(base.unique_violations)
+        assert _row_set(rows.filter(pc.not_equal(rows["error"], E.NOT_UNIQUE))) == _row_set(base_rows)
+
+
+def test_inband_key_rows_never_leak(ray_session, tmp_path):
+    """``violations`` is exactly VIOLATION_SCHEMA rows on the lazy path,
+    after ``materialize()``, in ``counts_by_error()`` and in the
+    ``write_violations`` files — no ``__keys`` column, no key row (a key
+    row has a null ``error``)."""
+    from jesse_ray.compiler import VIOLATION_SCHEMA
+
+    blocks, spec = _keyed_corpus()
+
+    def exact(t: pa.Table) -> None:
+        assert t.schema.names == VIOLATION_SCHEMA.names
+        assert t.schema.types == VIOLATION_SCHEMA.types
+        assert t["error"].null_count == 0
+
+    lazy = validate_dataset(ray.data.from_arrow(blocks), spec)
+    exact(pa.concat_tables(list(lazy.violations.iter_batches(batch_format="pyarrow"))))
+    exact(lazy.all_violations_table())
+    assert None not in lazy.counts_by_error()
+
+    mat = validate_dataset(ray.data.from_arrow(blocks), spec).materialize()
+    exact(pa.concat_tables(list(mat.violations.iter_batches(batch_format="pyarrow"))))
+    counts = mat.counts_by_error()
+    assert None not in counts and counts == lazy.counts_by_error()
+    mat.write_violations(str(tmp_path / "out"))
+    written = [pq.read_table(p) for p in sorted((tmp_path / "out").glob("*.parquet"))]
+    for t in written:
+        exact(t)
+    assert sum(t.num_rows for t in written) == lazy.all_violations_table().num_rows
+
+
+def test_inband_uniqueness_two_keys(ray_session):
+    """Two unique keys: each key's rows as the standalone check gives them
+    (and the ``fused=False`` path), counts summed in the route report."""
+    import collections
+    from dataclasses import replace
+
+    blocks, spec = _keyed_corpus()
+    spec = replace(spec, unique_keys=["doc_id", "alt"])
+    ds = ray.data.from_arrow(blocks)
+    want, want_m = uniqueness_check(ds, ["doc_id", "alt"])
+    alt = [k for b in blocks for k in b["alt"].to_pylist()]
+    assert sum(c > 1 for c in collections.Counter(alt).values()) == 50
+    for fused in (True, False):
+        res = validate_dataset(ds, spec, fused=fused)
+        assert _ipc(res.unique_violations) == _ipc(want)
+        assert res.metrics["uniqueness.dup_keys"] == want_m["uniqueness.dup_keys"]
+    assert [p[0] for p in want["path"].to_pylist()].count("alt") == 50
+
+
 def test_merge_waves_refuses_name_collision():
     """A catalog name registered twice is a data-contract error that
     must survive ``python -O``: ValueError, not assert."""
@@ -499,7 +657,7 @@ def test_driver_entry_contract(ray_session):
     twin (the driver's correctness gate requires both)."""
     import sys
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, str(REPO_ROOT))
     import __ray_entry__ as e
 
     t = e.entry()
@@ -826,14 +984,14 @@ def test_sigkill_mid_run_resume_consistency(ray_session, tmp_path):
     out = tmp_path / "out"
     child_code = f"""
 import ray, sys
+sys.path.insert(0, {str(REPO_ROOT)!r})
 ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
-sys.path.insert(0, "/root/repo")
 from jesse_ray.checkpoint import run_validation
 from jesse_ray.pipelines.queries import _seq_spec
 run_validation({files!r}, _seq_spec(), {str(out)!r}, files_per_partition=1,
                drift_reference={ref_path!r}, fail_on_drift=True)
 """
-    child = subprocess.Popen([sys.executable, "-c", child_code],
+    child = subprocess.Popen([sys.executable, "-c", child_code], cwd=REPO_ROOT,
                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     manifest_path = out / "manifest.jsonl"
     deadline = _time.time() + 180

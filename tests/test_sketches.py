@@ -1,6 +1,7 @@
 """Sketch unit tests: accuracy, merge associativity, drift stats."""
 
 import numpy as np
+import pytest
 
 from jesse_ray.sketches import (
     CountMin,
@@ -65,6 +66,16 @@ def test_countmin_overestimates_only_and_merges():
     est = cm1.query(probe)
     assert np.all(est >= exact[probe])  # count-min never underestimates
     assert np.mean(est - exact[probe]) < 50  # and the error is modest
+
+
+def test_countmin_merge_refuses_mismatched_sketches():
+    cm = CountMin(width=1024, depth=4)
+    for other, msg in ((CountMin(width=2048, depth=4), "shapes differ"),
+                       (CountMin(width=1024, depth=3), "shapes differ"),
+                       (CountMin(width=1024, depth=4, seed=8), "seeds differ")):
+        with pytest.raises(ValueError, match=msg):
+            cm.merge(other)
+    assert cm.total == 0 and not cm.table.any()
 
 
 def test_freqvector_topk_and_merge():
