@@ -17,8 +17,8 @@ from typing import Any
 
 def entry() -> Any:
     """Flagship pipeline on /root/testdata/sf0.001: full corpus
-    validation (row checks + referential actor pool + uniqueness
-    shuffle) over the deterministic sequences corpus; returns the
+    validation (one fused pass of row + referential checks, plus key
+    uniqueness) over the deterministic sequences corpus; returns the
     violation rows (doc_id, path, error, value_json, schema_fragment)."""
     from jesse_ray import testgen
     from jesse_ray.engine import validate_dataset
@@ -27,7 +27,7 @@ def entry() -> Any:
 
     testgen.generate("sf0.001")
     ds = read_sequences(str(testgen.corpus_path("sf0.001")))
-    res = validate_dataset(ds, _seq_spec(), referential_concurrency=(1, 2))
+    res = validate_dataset(ds, _seq_spec())
     tbl = res.all_violations_table()
     # path is list<string>; flatten for a stable driver-friendly schema
     import pyarrow as pa

@@ -188,7 +188,6 @@ def run_bench() -> dict:
                 read_sequences(path),
                 _seq_spec(),
                 key_ds=read_sequences(path, columns=["doc_id"]),
-                referential_concurrency=(1, max(4, NUM_CPUS // 2)),
             )
             n_viol = res.all_violations_table().num_rows
         times.append(round(time.time() - t0, 3))

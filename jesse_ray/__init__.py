@@ -14,7 +14,7 @@ pyarrow predicates that run inside ``Dataset.map_batches`` over
 zero-copy Arrow batches.  Corpus-level checks (key uniqueness,
 referential integrity, distribution drift) that have no analogue in the
 single-document reference are expressed as Ray Data groupbys, broadcast
-lookups in stateful actor pools, and mergeable sketches.
+lookups inside the fused validation pass, and mergeable sketches.
 
 Error records keep field-for-field parity with jesse's
 ``{data_invalid, Schema, ErrorType, Value, Path}`` tuples

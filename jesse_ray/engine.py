@@ -99,10 +99,7 @@ def filter_valid(
     plain row filter needs no dimension load)."""
     rules_ref = None
     if include_referential and compiled.spec.referential:
-        rules = [
-            (r.column, _load_allowed_values(r), r.error_atom)
-            for r in compiled.spec.referential
-        ]
+        rules = _referential_rules(compiled.spec)
         rules_ref = ray.put(rules) if ray.is_initialized() else rules
 
     class _Keep:
@@ -501,7 +498,7 @@ def _not_unique_rows(tbl: pa.Table, key: str) -> pa.Table:
 
 
 # ---------------------------------------------------------------------------
-# referential checks (broadcast dimension → stateful actor pool)
+# referential checks (broadcast dimension membership)
 
 
 def _load_allowed_values(rule: ReferentialRule) -> frozenset:
@@ -518,13 +515,28 @@ def _load_allowed_values(rule: ReferentialRule) -> frozenset:
     return frozenset(dim[rule.dim_column].to_pylist())
 
 
+def _referential_rules(spec: TableSpec) -> list:
+    """``(column, allowed values, error atom)`` per referential rule —
+    the broadcast state of every membership check."""
+    return [(r.column, _load_allowed_values(r), r.error_atom) for r in spec.referential]
+
+
+def _sorted_values(values) -> list:
+    """Allowed values in sorted order; a set whose members do not
+    compare with each other (``[1, "a"]``) sorts as its string forms."""
+    try:
+        return sorted(values)
+    except TypeError:
+        return sorted(str(v) for v in values)
+
+
 def _rule_value_set(values) -> pa.Array:
     """Compile an allowed-values set into the Arrow value_set used by
     every referential membership check (fused validator, filter_valid).
     Type is INFERRED so integer dimension keys stay integers; mixed or
     unhashable sets fall back to their string forms."""
     try:
-        return pa.array(sorted(values))
+        return pa.array(_sorted_values(values))
     except (pa.ArrowInvalid, pa.ArrowTypeError, TypeError):
         return pa.array(sorted(str(v) for v in values), type=pa.string())
 
@@ -541,25 +553,22 @@ def _membership_bad_mask(batch: pa.Table, column: str, value_set: pa.Array) -> O
 
 
 class ReferentialChecker:
-    """Actor-pool stage: membership of a column against a broadcast
-    allowed-values dimension (semi/anti-join semantics; anti-join rows
-    become violations).
-
-    The dimension is put in the object store ONCE on the driver
-    (``ray.put``) and fetched ONCE per actor in ``__init__`` — never
-    re-shipped per batch.  This is the reference's ``enum``
+    """Per-batch membership of columns against allowed-values dimensions
+    (semi/anti-join semantics; anti-join rows become violations).
+    ``rules`` is ``_referential_rules``'s list; ``FusedValidator``
+    fetches it from the object store once per worker and runs this
+    checker on every batch.  This is the reference's ``enum``
     (src/jesse_validator_draft4.erl:960-970) against an external
     dimension, per the north star.
     """
 
-    def __init__(self, rules_ref, key_column: str):
-        rules = ray.get(rules_ref) if isinstance(rules_ref, ray.ObjectRef) else rules_ref
+    def __init__(self, rules, key_column: str):
         self.key_column = key_column
         # (column, pa.Array value_set, error_atom, fragment_json)
         self.compiled_rules = []
         for column, values, error_atom in rules:
             vs = _rule_value_set(values)
-            frag = json.dumps({"enum": sorted(values)}, separators=(",", ":"), default=str)
+            frag = json.dumps({"enum": _sorted_values(values)}, separators=(",", ":"), default=str)
             self.compiled_rules.append((column, vs, error_atom, frag))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -597,43 +606,20 @@ class ReferentialChecker:
         )
 
 
-def referential_violations(
-    ds: Dataset,
-    spec: TableSpec,
-    *,
-    concurrency: int | tuple[int, int] = (1, 4),
-    batch_size: Optional[int] = None,
-) -> Optional[Dataset]:
-    """Run all referential rules as ONE actor-pool stage."""
-    if not spec.referential:
-        return None
-    rules = [(r.column, _load_allowed_values(r), r.error_atom) for r in spec.referential]
-    rules_ref = ray.put(rules)
-    cols = [c for c in {spec.key_column, *(r.column for r in spec.referential)} if c]
-    return ds.select_columns(cols).map_batches(
-        ReferentialChecker,
-        fn_constructor_args=(rules_ref, spec.key_column),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
-
-
 #: violations schema + an in-band key-count column (see FusedValidator)
 VIOLATION_KEYS_SCHEMA = VIOLATION_SCHEMA.append(pa.field("__keys", pa.large_binary()))
 
 
 class FusedValidator:
-    """Actor-pool stage fusing ALL row-level keyword checks with the
+    """Task-mode stage fusing ALL row-level keyword checks with the
     referential (broadcast-dimension) checks in ONE pass over the data.
 
     At corpus scale the input read dominates: running row checks and
-    referential checks as separate branches reads every block twice and
-    unions two heavy streams.  This stage reads once.  State (the
-    compiled spec + the broadcast allowed-value sets) is fetched from
-    the object store once per actor in ``__init__`` — never re-shipped
-    per batch (SURVEY §7.2).
+    referential checks as separate branches would read every block
+    twice and union two heavy streams.  This stage reads once.  State
+    (the compiled spec + the broadcast allowed-value sets) is fetched
+    from the object store once per worker on the first batch — never
+    re-shipped per batch (SURVEY §7.2).
 
     With ``unique_keys`` the stage also carries the corpus uniqueness
     check's map side, so the key columns are not read a second time:
@@ -658,10 +644,9 @@ class FusedValidator:
 
     def _resolve(self) -> None:
         # Lazy broadcast fetch: the ObjectRefs ride the (tiny) serialized
-        # closure/constructor args; the actual state is fetched from the
-        # local plasma store ONCE per worker process on first call —
-        # Ray's per-worker function/actor cache keeps it resident, so
-        # task mode and actor mode both get broadcast-once semantics.
+        # closure; the actual state is fetched from the local plasma
+        # store ONCE per worker process on first call — Ray's per-worker
+        # function cache keeps it resident (broadcast-once semantics).
         compiled_ref, rules_ref = self._compiled_ref, self._rules_ref
         self.compiled = ray.get(compiled_ref) if isinstance(compiled_ref, ray.ObjectRef) else compiled_ref
         rules = ray.get(rules_ref) if isinstance(rules_ref, ray.ObjectRef) else rules_ref
@@ -680,11 +665,19 @@ class FusedValidator:
         if not self.unique_keys:
             return row
         parts = [_batch_key_counts(batch, k) for k in self.unique_keys if k in batch.column_names]
-        blobs = [_ipc_bytes(p) for p in parts if p.num_rows]
-        key_rows = {f.name: pa.nulls(len(blobs), f.type) for f in VIOLATION_SCHEMA}
-        key_rows["__keys"] = pa.array(blobs, type=pa.large_binary())
-        row = row.cast(VIOLATION_SCHEMA).append_column("__keys", pa.nulls(row.num_rows, pa.large_binary()))
-        return pa.concat_tables([row, pa.table(key_rows, schema=VIOLATION_KEYS_SCHEMA)])
+        return _append_inband(row, VIOLATION_KEYS_SCHEMA, [_ipc_bytes(p) for p in parts if p.num_rows])
+
+
+def _append_inband(viol: pa.Table, schema: pa.Schema, blobs: list[bytes]) -> pa.Table:
+    """``viol`` (VIOLATION_SCHEMA rows) plus one in-band row per blob, as
+    ``schema``: VIOLATION_SCHEMA plus a payload column (its last field)
+    that is null on the violation rows, and whose rows hold the blobs
+    with every violation column null."""
+    name = schema.names[-1]
+    payload = {f.name: pa.nulls(len(blobs), f.type) for f in VIOLATION_SCHEMA}
+    payload[name] = pa.array(blobs, type=pa.large_binary())
+    viol = viol.cast(VIOLATION_SCHEMA).append_column(name, pa.nulls(viol.num_rows, pa.large_binary()))
+    return pa.concat_tables([viol, pa.table(payload, schema=schema)])
 
 
 def _ipc_bytes(t: pa.Table) -> bytes:
@@ -705,68 +698,51 @@ def _split_block(t: pa.Table) -> tuple[pa.Table, pa.Table]:
     return _violation_rows(t), t.filter(pc.is_valid(t["__keys"]))
 
 
+def _fused_pass(ds: Dataset, validator_cls, compiled: CompiledSpec,
+                batch_size: Optional[int], *args, **kw) -> Dataset:
+    """Launch one ``validator_cls`` (a FusedValidator) pass in task mode.
+    The compiled spec and the referential rules are ``ray.put`` once
+    when Ray is up; the refs (not the values) ride the serialized
+    callable and each worker resolves them on its first batch."""
+    spec = compiled.spec
+    rules = _referential_rules(spec)
+    big = ray.is_initialized()
+    fv = validator_cls(
+        ray.put(compiled) if big else compiled,
+        ray.put(rules) if big else rules,
+        spec.key_column,
+        *args,
+        **kw,
+    )
+    return ds.map_batches(fv.__call__, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
+
+
 def fused_violations(
     ds: Dataset,
     compiled: CompiledSpec,
     *,
-    concurrency: int | tuple[int, int] = (1, 8),
     batch_size: Optional[int] = None,
     allowed_errors: Optional[int] = None,
     error_handler=None,
-    actor_pool: bool = False,
     check_unique: bool = True,
 ) -> Dataset:
     """Single-pass row + referential violations (see FusedValidator),
     plus the in-band key-count rows of the spec's ``unique_keys`` unless
     ``check_unique`` is false (VIOLATION_KEYS_SCHEMA when there are any).
 
-    Default is TASK mode: the validator state (compiled spec + broadcast
-    allowed-value sets) is ``ray.put`` once, the tiny ObjectRefs ride the
-    serialized closure, and each worker fetches + caches the state on its
-    first batch (Ray's per-worker function cache) — broadcast-once
-    semantics without per-run actor-pool startup.  Measured at sf0.1 /
-    32 CPUs, task mode is both faster and far more stable (8.3/5.7/6.9 s
-    across reps) than a fresh 16-actor pool per run (43.9/20.2/5.4 s):
-    a short job pays actor startup every run, and on a long-lived
-    cluster tasks reuse warm workers just the same.
-
-    ``actor_pool=True`` opts into an explicit actor pool — use it for
-    stages whose state must be MUTABLE or pinned (e.g. models too big
-    for the plasma-cache pattern).
+    The pass runs in TASK mode: the validator state (compiled spec +
+    broadcast allowed-value sets) is ``ray.put`` once, the tiny
+    ObjectRefs ride the serialized closure, and each worker fetches +
+    caches the state on its first batch (Ray's per-worker function
+    cache) — broadcast-once semantics without per-run actor-pool
+    startup.  Measured at sf0.1 / 32 CPUs, task mode is both faster and
+    far more stable (8.3/5.7/6.9 s across reps) than a fresh 16-actor
+    pool per run (43.9/20.2/5.4 s): a short job pays actor startup every
+    run, and on a long-lived cluster tasks reuse warm workers just the
+    same.
     """
-    spec = compiled.spec
-    rules = (
-        [(r.column, _load_allowed_values(r), r.error_atom) for r in spec.referential]
-        if spec.referential
-        else None
-    )
-    keys = tuple(spec.unique_keys) if check_unique else ()
-    if not actor_pool:
-        # refs (not values) ride the closure; workers resolve lazily
-        big = ray.is_initialized()
-        fv = FusedValidator(
-            ray.put(compiled) if big else compiled,
-            ray.put(rules) if big else rules,
-            spec.key_column,
-            allowed_errors,
-            error_handler,
-            keys,
-        )
-        return ds.map_batches(
-            fv.__call__,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-        )
-    return ds.map_batches(
-        FusedValidator,
-        fn_constructor_args=(ray.put(compiled), ray.put(rules), spec.key_column, allowed_errors,
-                             error_handler, keys),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    keys = tuple(compiled.spec.unique_keys) if check_unique else ()
+    return _fused_pass(ds, FusedValidator, compiled, batch_size, allowed_errors, error_handler, keys)
 
 
 #: violations schema + an in-band sketch column (see SketchingFusedValidator)
@@ -783,24 +759,8 @@ def fused_sketch_violations(
     vocab: int = 50_000,
 ) -> Dataset:
     """One-pass violations + in-band sketch rows (VIOLATION_SKETCH_SCHEMA)."""
-    spec = compiled.spec
-    rules = (
-        [(r.column, _load_allowed_values(r), r.error_atom) for r in spec.referential]
-        if spec.referential
-        else None
-    )
-    big = ray.is_initialized()
-    fv = SketchingFusedValidator(
-        ray.put(compiled) if big else compiled,
-        ray.put(rules) if big else rules,
-        spec.key_column,
-        allowed_errors,
-        error_handler,
-        vocab=vocab,
-    )
-    return ds.map_batches(
-        fv.__call__, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size
-    )
+    return _fused_pass(ds, SketchingFusedValidator, compiled, batch_size, allowed_errors,
+                       error_handler, vocab=vocab)
 
 
 class SketchingFusedValidator(FusedValidator):
@@ -836,21 +796,7 @@ class SketchingFusedValidator(FusedValidator):
         if self.tokens_col in batch.column_names:
             flat = pc.list_flatten(_combine(batch[self.tokens_col])).to_numpy(zero_copy_only=False)
         b.add_batch(n_tok, flat)
-        viol = viol.append_column(
-            "__sketch", pa.array([None] * viol.num_rows, type=pa.large_binary())
-        )
-        sk_row = pa.table(
-            {
-                "doc_id": pa.array([None], type=pa.string()),
-                "path": pa.array([None], type=pa.list_(pa.string())),
-                "error": pa.array([None], type=pa.string()),
-                "value_json": pa.array([None], type=pa.string()),
-                "schema_fragment": pa.array([None], type=pa.string()),
-                "__sketch": pa.array([b.to_bytes()], type=pa.large_binary()),
-            },
-            schema=VIOLATION_SKETCH_SCHEMA,
-        )
-        return pa.concat_tables([viol.cast(VIOLATION_SKETCH_SCHEMA), sk_row])
+        return _append_inband(viol, VIOLATION_SKETCH_SCHEMA, [b.to_bytes()])
 
 
 # ---------------------------------------------------------------------------
@@ -932,9 +878,7 @@ class ValidationResult:
     driver.  Each key's rows go into one ``KeyCountMerge``; a key whose
     merge passes ``UNIQ_DRIVER_CAP_BYTES`` reruns as the hash shuffle over
     ``_key_ds``.  Resolving adds the route report (``uniqueness_check``'s
-    keys) to ``metrics``.  Without in-band keys (``fused=False``)
-    ``unique_violations`` runs ``uniqueness_check`` over ``_key_ds`` on
-    first access.
+    keys) to ``metrics``.
     """
 
     violations: Dataset
@@ -969,9 +913,6 @@ class ValidationResult:
         if self._uniq is None:
             if self._pending is not None:
                 self.materialize()
-            elif self._unique_keys:
-                self._uniq, uniq_metrics = uniqueness_check(self._key_ds, list(self._unique_keys))
-                self.metrics.update(uniq_metrics)
             else:
                 self._uniq = empty_violations()
         return self._uniq
@@ -1213,13 +1154,10 @@ class ValidationEngine:
         spec_or_name: TableSpec | CompiledSpec | str,
         *,
         check_unique: bool = True,
-        referential_concurrency: int | tuple[int, int] = (1, 4),
         batch_size: Optional[int] = None,
         allowed_errors: Optional[int] = None,
         error_handler=None,
         key_ds: Optional[Dataset] = None,
-        fused: bool = True,
-        actor_pool: bool = False,
     ) -> ValidationResult:
         if isinstance(spec_or_name, str):
             compiled = self.get(spec_or_name)
@@ -1227,56 +1165,27 @@ class ValidationEngine:
             compiled = spec_or_name
         else:
             compiled = compile_spec(spec_or_name)
-        spec = compiled.spec
-
         compiled = prepare_compiled(compiled, ds)
-        spec = compiled.spec
 
-        if fused:
-            # ONE pass over the full-width data for row + referential
-            # checks — at 100 TB the read dominates, so the two-branch
-            # union (two full reads) is strictly worse.  Task mode by
-            # default (see fused_violations); when a caller opts into an
-            # actor pool, its size is capped at cluster_CPUs - 1 so the
-            # min-1 pool can never reserve every CPU and starve the
-            # upstream read (a 1-CPU slice would deadlock otherwise).
-            cpus = int(ray.cluster_resources().get("CPU", 2)) if ray.is_initialized() else 2
-            conc = referential_concurrency if spec.referential else (1, 8)
-            if isinstance(conc, tuple):
-                conc = (min(conc[0], max(1, cpus - 1)), min(conc[1], max(1, cpus - 1)))
-            else:
-                conc = min(conc, max(1, cpus - 1))
-            violations = fused_violations(
-                ds,
-                compiled,
-                concurrency=conc,
-                batch_size=batch_size,
-                allowed_errors=allowed_errors,
-                error_handler=error_handler,
-                actor_pool=actor_pool and cpus >= 2,
-                check_unique=check_unique,
-            )
-        else:
-            parts: list[Dataset] = [
-                row_violations(
-                    ds, compiled, batch_size=batch_size, allowed_errors=allowed_errors,
-                    error_handler=error_handler,
-                )
-            ]
-            ref_ds = referential_violations(ds, spec, concurrency=referential_concurrency)
-            if ref_ds is not None:
-                parts.append(ref_ds)
-            violations = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
-
-        keys = tuple(spec.unique_keys) if check_unique else ()
-        if keys and key_ds is None:
-            key_ds = ds.select_columns(list(dict.fromkeys(keys)))
+        # ONE pass over the full-width data for row + referential checks
+        # (and the key partials) — at 100 TB the read dominates.
+        violations = fused_violations(
+            ds,
+            compiled,
+            batch_size=batch_size,
+            allowed_errors=allowed_errors,
+            error_handler=error_handler,
+            check_unique=check_unique,
+        )
+        keys = tuple(compiled.spec.unique_keys) if check_unique else ()
         pending = None
-        if keys and fused:
+        if keys:
             # the key partials ride in-band on the fused pass, so the
             # corpus is read once; ``key_ds`` is read only by the hash
             # shuffle above the driver cap.  The lazy ``violations`` view
             # drops the key rows.
+            if key_ds is None:
+                key_ds = ds.select_columns(list(dict.fromkeys(keys)))
             pending = violations
             violations = pending.map_batches(_violation_rows, batch_format="pyarrow", zero_copy_batch=True)
         return ValidationResult(

@@ -36,7 +36,7 @@ from jesse_ray.compiler import compile_spec
 from jesse_ray.engine import (
     duplicate_keys,
     filter_valid,
-    referential_violations,
+    fused_violations,
     row_violations,
 )
 from jesse_ray.pipelines.relational import (
@@ -136,11 +136,11 @@ WHERE n_tok < 1 OR n_tok > 2048
 
 
 def q_seq_val_source_enum(sf_dir: str) -> pa.Table:
-    """Referential check through the broadcast-dimension actor pool."""
+    """Referential check alone: the fused pass over a referential-only
+    spec (zero row checks, no uniqueness) with the broadcast dimension."""
     ds = read_sequences(_seq_path(sf_dir), columns=["doc_id", "source"])
-    spec = _seq_spec()
-    rv = referential_violations(ds, spec, concurrency=(1, 2))
-    v = _collect(rv)
+    spec = TableSpec(key_column="doc_id", referential=_seq_spec().referential)
+    v = _collect(fused_violations(ds, compile_spec(spec), check_unique=False))
     if v is None or v.num_rows == 0:
         return pa.table(
             {"doc_id": pa.array([], type=pa.string()),
@@ -4700,7 +4700,7 @@ def q_seq_validation_full(sf_dir: str) -> pd.DataFrame:
     from jesse_ray.engine import validate_dataset
 
     ds = read_sequences(_seq_path(sf_dir))
-    res = validate_dataset(ds, _seq_spec(), referential_concurrency=(1, 2))
+    res = validate_dataset(ds, _seq_spec())
     counts = res.counts_by_error()
     rows = sorted(counts.items())
     return pd.DataFrame(

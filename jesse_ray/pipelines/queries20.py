@@ -26,7 +26,7 @@ _COOC_ERRORS = ["not_in_enum", "not_in_range", "wrong_size"]
 def q_seq_val_error_cooc(sf_dir: str) -> pd.DataFrame:
     """Pairwise document co-occurrence counts of the three SQL-
     expressible validation errors, computed from the REAL engine pass
-    (`validate_dataset` — row checks + referential actor pool), not a
+    (`validate_dataset` — one fused row + referential pass), not a
     re-implementation: violations are filtered to the three families,
     deduped per (doc, error), and paired.  Null doc ids carry no
     identity and are excluded; duplicate ids pool (a doc ID's error
@@ -36,7 +36,7 @@ def q_seq_val_error_cooc(sf_dir: str) -> pd.DataFrame:
     from jesse_ray.engine import validate_dataset
 
     ds = read_sequences(_seq_path(sf_dir))
-    res = validate_dataset(ds, _seq_spec(), referential_concurrency=(1, 2))
+    res = validate_dataset(ds, _seq_spec())
     v = res.all_violations_table()
     t = v.filter(pc.and_(pc.is_valid(v["doc_id"]),
                          pc.is_in(v["error"], value_set=pa.array(_COOC_ERRORS))))

@@ -1763,7 +1763,7 @@ def q_seq_val_exemplars(sf_dir: str) -> pd.DataFrame:
     from jesse_ray.pipelines.queries import _seq_spec
 
     ds = read_sequences(_seq_path(sf_dir))
-    res = validate_dataset(ds, _seq_spec(), referential_concurrency=(1, 2))
+    res = validate_dataset(ds, _seq_spec())
 
     def local(b: pa.Table) -> pa.Table:
         key = pc.coalesce(b["doc_id"], pa.scalar("", type=pa.string()))
@@ -2170,10 +2170,8 @@ def q_seq_val_regression(sf_dir: str) -> pd.DataFrame:
     testgen.generate(sf)
     base = read_sequences(str(testgen.corpus_dir(sf) / "sequences_clean.parquet"))
     cur = read_sequences(_seq_path(sf_dir))
-    c_base = validate_dataset(base, _seq_spec(),
-                              referential_concurrency=(1, 2)).counts_by_error()
-    c_cur = validate_dataset(cur, _seq_spec(),
-                             referential_concurrency=(1, 2)).counts_by_error()
+    c_base = validate_dataset(base, _seq_spec()).counts_by_error()
+    c_cur = validate_dataset(cur, _seq_spec()).counts_by_error()
     errs = sorted(set(c_base) | set(c_cur))
     rows = []
     for e in errs:
@@ -2321,7 +2319,7 @@ def q_seq_val_errors_by_source(sf_dir: str) -> pd.DataFrame:
     from jesse_ray.pipelines.relational import hash_join
 
     ds = read_sequences(_seq_path(sf_dir))
-    res = validate_dataset(ds, _seq_spec(), referential_concurrency=(1, 2))
+    res = validate_dataset(ds, _seq_spec())
 
     def viol_rows(b: pa.Table) -> pa.Table:
         t = pa.table({"doc_id": b["doc_id"], "error": b["error"]})

@@ -213,7 +213,7 @@ class ReferentialRule:
     This is the reference's ``enum`` keyword
     (src/jesse_validator_draft4.erl:960-970) applied against an *external*
     dimension table: the dimension is broadcast once (``ray.put``) and the
-    membership test runs inside a stateful validator actor pool.
+    membership test runs inside the fused validation pass.
     """
 
     column: str

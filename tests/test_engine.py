@@ -21,11 +21,12 @@ from jesse_ray import errors as E
 from jesse_ray import testgen
 from jesse_ray.compiler import compile_spec
 from jesse_ray.engine import (
+    ReferentialChecker,
     ValidationEngine,
     column_stats,
     duplicate_keys,
     filter_valid,
-    referential_violations,
+    fused_violations,
     row_violations,
     uniqueness_check,
     uniqueness_violations,
@@ -156,9 +157,14 @@ def test_uniqueness_two_phase(corpus_path, golden):
     assert set(uv["error"].to_pylist()) == {E.NOT_UNIQUE}
 
 
-def test_referential_actor_pool(corpus_path, spec, golden):
+def test_referential_only_fused_pass(corpus_path, spec, golden):
+    """A referential-only spec through the fused pass flags exactly the
+    rows whose source is outside the broadcast dimension."""
+    from jesse_ray.spec import TableSpec
+
     ds = read_sequences(corpus_path)
-    rv = referential_violations(ds, spec, concurrency=2)
+    ref_spec = TableSpec(key_column="doc_id", referential=spec.referential)
+    rv = fused_violations(ds, compile_spec(ref_spec), check_unique=False)
     v = pa.concat_tables(list(rv.iter_batches(batch_format="pyarrow")))
     bad_docs = {
         d
@@ -168,6 +174,31 @@ def test_referential_actor_pool(corpus_path, spec, golden):
     assert set(v["doc_id"].to_pylist()) == bad_docs
     assert set(v["error"].to_pylist()) == {E.NOT_IN_ENUM}
     assert set(json.loads(x) for x in v["value_json"].to_pylist()) == {testgen.BAD_SOURCE}
+
+
+def test_referential_mixed_type_values(ray_session):
+    """Allowed values that do not sort together (``[1, "a"]``) match as
+    their string forms: validate_dataset flags exactly the rows
+    filter_valid(include_referential=True) drops, and the fragment lists
+    the string forms.  A set that sorts keeps its own values."""
+    from jesse_ray.spec import ReferentialRule, TableSpec
+
+    tbl = pa.table({
+        "doc_id": [f"d{i}" for i in range(6)],
+        "source": ["1", "a", "b", None, "2", "a"],
+    })
+    spec = TableSpec(key_column="doc_id",
+                     referential=[ReferentialRule(column="source", values=[1, "a"])])
+    v = validate_dataset(ray.data.from_arrow(tbl), spec).all_violations_table()
+    kept = pa.concat_tables(list(filter_valid(
+        ray.data.from_arrow(tbl), compile_spec(spec), include_referential=True
+    ).iter_batches(batch_format="pyarrow")))
+    dropped = set(tbl["doc_id"].to_pylist()) - set(kept["doc_id"].to_pylist())
+    assert dropped == {"d2", "d4"}
+    assert sorted(v["doc_id"].to_pylist()) == sorted(dropped)
+    assert set(v["schema_fragment"].to_pylist()) == {'{"enum":["1","a"]}'}
+    checker = ReferentialChecker([("source", frozenset([1, 2.5]), E.NOT_IN_ENUM)], "doc_id")
+    assert checker.compiled_rules[0][3] == '{"enum":[1,2.5]}'
 
 
 def test_full_validate_and_counts(corpus_path, spec, golden):
@@ -261,33 +292,36 @@ def test_duplicate_keys_hashed_matches_plain(corpus_sf0001):
         assert [int(x) for x in plain["cnt"].to_pylist()] == [int(x) for x in got["cnt"].to_pylist()]
 
 
-def test_fused_matches_two_branch(corpus_sf0001):
-    """The fused single-pass stage emits exactly the same violation rows
-    as the separate row+referential branches."""
-    from jesse_ray.engine import validate_dataset
+def test_fused_matches_inprocess_reference(corpus_sf0001):
+    """validate_dataset emits exactly the rows of an in-process reference
+    over the whole table: the compiled row checks, the referential
+    checker and the standalone uniqueness check."""
     from jesse_ray.pipelines.queries import _seq_spec
-    from jesse_ray.sources import read_sequences
-    from jesse_ray import testgen
 
     path = str(testgen.corpus_path("sf0.001"))
+    spec = _seq_spec()
 
-    def canon(res):
-        t = res.all_violations_table()
-        rows = sorted(
+    def canon(t):
+        return sorted(
             zip(
                 [x or "" for x in t["doc_id"].to_pylist()],
                 ["/".join(p) for p in t["path"].to_pylist()],
                 t["error"].to_pylist(),
                 t["value_json"].to_pylist(),
+                t["schema_fragment"].to_pylist(),
             )
         )
-        return rows
 
-    fused = validate_dataset(read_sequences(path), _seq_spec(), referential_concurrency=(1, 2))
-    two = validate_dataset(
-        read_sequences(path), _seq_spec(), referential_concurrency=(1, 2), fused=False
+    whole = pa.concat_tables(list(read_sequences(path).iter_batches(batch_format="pyarrow")))
+    rules = [(r.column, frozenset(r.values), r.error_atom) for r in spec.referential]
+    want = (
+        canon(compile_spec(spec).check_batch(whole))
+        + canon(ReferentialChecker(rules, "doc_id")(whole))
+        + canon(uniqueness_violations(read_sequences(path), "doc_id"))
     )
-    assert canon(fused) == canon(two)
+    got = canon(validate_dataset(read_sequences(path), spec).all_violations_table())
+    assert got == sorted(want)
+    assert {e for _, _, e, _, _ in got} >= {E.NOT_IN_ENUM, E.NOT_UNIQUE}
 
 
 def test_load_specs_and_json_report(tmp_path, corpus_sf0001):
@@ -540,8 +574,8 @@ def test_inband_key_rows_never_leak(ray_session, tmp_path):
 
 
 def test_inband_uniqueness_two_keys(ray_session):
-    """Two unique keys: each key's rows as the standalone check gives them
-    (and the ``fused=False`` path), counts summed in the route report."""
+    """Two unique keys: each key's rows as the standalone check gives them,
+    counts summed in the route report."""
     import collections
     from dataclasses import replace
 
@@ -551,10 +585,9 @@ def test_inband_uniqueness_two_keys(ray_session):
     want, want_m = uniqueness_check(ds, ["doc_id", "alt"])
     alt = [k for b in blocks for k in b["alt"].to_pylist()]
     assert sum(c > 1 for c in collections.Counter(alt).values()) == 50
-    for fused in (True, False):
-        res = validate_dataset(ds, spec, fused=fused)
-        assert _ipc(res.unique_violations) == _ipc(want)
-        assert res.metrics["uniqueness.dup_keys"] == want_m["uniqueness.dup_keys"]
+    res = validate_dataset(ds, spec)
+    assert _ipc(res.unique_violations) == _ipc(want)
+    assert res.metrics["uniqueness.dup_keys"] == want_m["uniqueness.dup_keys"]
     assert [p[0] for p in want["path"].to_pylist()].count("alt") == 50
 
 
