@@ -3929,7 +3929,7 @@ def q_lineitem_pricing(sf_dir: str) -> pa.Table:
     ds = read_table(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "l_shipdate"],
-        filter=pads.field("l_shipdate") <= pads.scalar(np.datetime64("1998-09-02T00:00:00", "us")),
+        predicate=pads.field("l_shipdate") <= pads.scalar(np.datetime64("1998-09-02T00:00:00", "us")),
     )
 
     def prep(batch: pa.Table) -> pa.Table:

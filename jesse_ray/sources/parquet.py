@@ -1,132 +1,256 @@
 """Parquet source/sink helpers.
 
 The reference's I/O surface is a CLI file reader + JSON parse hook
-(src/jesse_cli.erl:90-106, src/jesse.erl:79).  Here the analogue is
-``ray.data.read_parquet`` with explicit column pruning — a validation
+(src/jesse_cli.erl:90-106, src/jesse.erl:79).  Here the analogue is a
+row-group parquet source with explicit column pruning — a validation
 run that only touches (doc_id, n_tok, source) must not lift the wide
 ``tokens`` lists off storage.
+
+Every :func:`read_sequences` / :func:`read_table` read runs one planner.
+The driver reads each file's footer once, and :func:`plan_read_tasks`
+packs whole row groups, contiguous and in file order, into read tasks
+balanced by decoded bytes.  Ray's own ``ParquetDatasource`` plans one
+task per FILE; asking it for more blocks than files split each task's
+output after the read (``ReadParquet->SplitBlocks``), which blocks
+read→map operator fusion and round-trips the corpus through the object
+store.  Here no task's estimate exceeds
+``DataContext.target_max_block_size`` and the block count is the task
+count, so Ray never adds a split: the first map stage always fuses into
+the read (``ReadParquet->MapBatches``).
 """
 
 from __future__ import annotations
 
+import functools
 import os
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import pyarrow as pa
+import pyarrow.dataset as pds
+import pyarrow.fs as pafs
 
 import ray.data
 from ray.data import Dataset
+from ray.data.block import BlockMetadata
+from ray.data.datasource import Datasource, ReadTask
 
 SEQUENCE_COLUMNS = ["doc_id", "tokens", "n_tok", "source"]
 
 
-def _row_group_blocks(path: str | Sequence[str]) -> Optional[int]:
-    """Block count aligned to the input's parquet row groups.
+def _pack(sizes: Sequence[int], cap: int) -> list[int]:
+    """Task boundaries of a greedy left-to-right packing: a new task starts
+    when the next row group would take the current one past ``cap``."""
+    bounds, acc = [0], 0
+    for i, s in enumerate(sizes):
+        if acc and acc + s > cap:
+            bounds.append(i)
+            acc = 0
+        acc += s
+    bounds.append(len(sizes))
+    return bounds
 
-    Left to its own defaults, Ray Data splits a big single-file read
-    into extra blocks AFTER the read task (``ReadParquet->SplitBlocks``),
-    which blocks read→map operator fusion and round-trips the full
-    decompressed corpus through the object store (measured: 2-3x wall
-    time on the identity pipeline).  One block per row group keeps the
-    read fused with the first map stage — each task reads its row
-    groups and checks them without materializing raw data to plasma.
+
+def plan_read_tasks(sizes: Sequence[int], cpus: int, target_max_block_size: int) -> list[range]:
+    """Pack row groups (their decoded bytes, in file order) into read tasks.
+
+    Returns one ``range`` of row-group positions per task; the ranges are
+    contiguous and cover every row group once.  There are
+    ``k = min(n_row_groups, max(cpus, ceil(total / target_max_block_size)))``
+    tasks, balanced by bytes (the smallest largest-task that packs into
+    ``k``), and a task holding more than one row group never exceeds
+    ``target_max_block_size`` — if whole row groups cannot meet that at
+    ``k`` tasks, the packing at the target decides and there are more.
     """
-    import pyarrow.parquet as pq
+    n = len(sizes)
+    if n == 0:
+        return []
+    total = sum(sizes)
+    k = min(n, max(cpus, -(-total // target_max_block_size)))
+    # greedy packing is monotone in its cap: bisect for the smallest cap
+    # that fits in k tasks
+    lo, hi = 1, max(1, total)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if len(_pack(sizes, mid)) - 1 <= k:
+            hi = mid
+        else:
+            lo = mid + 1
+    bounds = _pack(sizes, min(lo, target_max_block_size))
+    while len(bounds) - 1 < k:
+        # fewer tasks than asked for: halve (by bytes) the heaviest task
+        # that holds more than one row group
+        j = max((j for j in range(len(bounds) - 1) if bounds[j + 1] - bounds[j] > 1),
+                key=lambda j: sum(sizes[bounds[j]:bounds[j + 1]]))
+        a, b = bounds[j], bounds[j + 1]
+        half, acc, cut = sum(sizes[a:b]) / 2, 0, a + 1
+        for i in range(a, b - 1):
+            acc += sizes[i]
+            if acc > half:
+                break
+            cut = i + 1
+        bounds.insert(j + 1, cut)
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
-    paths = [path] if isinstance(path, (str, os.PathLike)) else list(path)
-    total = 0
-    for p in paths:
-        p = str(p)
-        if os.path.isdir(p):
-            # sharded corpus directory: sum row groups across shards so
-            # the read still gets one fused block per row group (losing
-            # the override here re-enables SplitBlocks, which breaks
-            # read→check fusion and round-trips the corpus via plasma)
-            files = [os.path.join(p, f) for f in sorted(os.listdir(p))
-                     if f.endswith(".parquet")]
-            if not files:
-                return None
-            sub = _row_group_blocks(files)
-            if sub is None:
-                return None
-            total += sub
+
+def _cluster_cpus() -> int:
+    """CPUs Ray reports; the host's count before ``ray.init``."""
+    if ray.is_initialized():
+        return max(1, int(ray.cluster_resources().get("CPU", 1)))
+    return os.cpu_count() or 1
+
+
+def _resolve(path: str | os.PathLike | Sequence[str | os.PathLike]) -> list[tuple[pafs.FileSystem, str]]:
+    """Expand the given files and directories to ``(filesystem, file)``
+    pairs, directories to their ``*.parquet`` files in sorted order
+    (entries under a ``.``- or ``_``-prefixed name skipped, as Ray does).
+    Anything this source cannot read exactly as given raises."""
+    items = [path] if isinstance(path, (str, os.PathLike)) else list(path)
+    if not items:
+        raise ValueError("no parquet path given")
+    out = []
+    for item in items:
+        uri = os.fspath(item)
+        fs, p = pafs.FileSystem.from_uri(uri if "://" in uri else os.path.abspath(uri))
+        info = fs.get_file_info(p)
+        if info.type == pafs.FileType.NotFound:
+            raise ValueError(f"parquet path not found: {uri}")
+        if info.type != pafs.FileType.Directory:
+            out.append((fs, p))
             continue
-        if not os.path.isfile(p):
-            return None  # remote globs: let Ray decide
-        try:
-            total += pq.ParquetFile(p).num_row_groups
-        except (OSError, ValueError):
-            return None
-    # clamp to ~4 tasks per CPU: row-group granularity preserves
-    # read→map fusion, but hundreds of tiny fused tasks put the DRIVER
-    # on the critical path (measured: 448 tasks over a 6M-row corpus at
-    # num_cpus=4 → 44% CPU utilization from per-task scheduling; 8 fat
-    # tasks → ~95%).  4×CPUs keeps pipelining + skew slack without
-    # drowning the scheduler; a real cluster raises the clamp with its
-    # CPU count.
-    # pre-init fallback is the HOST's CPU count, not a hardcoded 8 — a
-    # read planned before ray.init on a big node must not be
-    # under-parallelized (ADVICE r3)
-    fallback = os.cpu_count() or 8
-    try:
-        import ray as _ray
+        found = []
+        for f in fs.get_file_info(pafs.FileSelector(p, recursive=True)):
+            parts = f.path[len(p):].strip("/").split("/")
+            if f.type != pafs.FileType.File or not f.path.endswith(".parquet") \
+                    or any(s.startswith((".", "_")) for s in parts):
+                continue
+            if any("=" in s for s in parts[:-1]):
+                raise ValueError(
+                    f"{f.path}: hive-partitioned layout under {uri} — partition "
+                    "columns would be dropped; pass the files (or a flat directory)")
+            found.append(f.path)
+        if not found:
+            raise ValueError(f"no .parquet files under {uri}")
+        out.extend((fs, f) for f in sorted(found))
+    return out
 
-        ncpu = (int(_ray.cluster_resources().get("CPU", fallback))
-                if _ray.is_initialized() else fallback)
-    except Exception:
-        ncpu = fallback
-    return max(1, min(total, max(4 * ncpu, 16), 1024))
+
+def _read_row_groups(pieces: list[tuple[pafs.FileSystem, str, list[int]]],
+                     columns: Optional[list[str]], predicate, schema: pa.Schema) -> Iterator[pa.Table]:
+    """One read task: one table per row group, in order (an empty table
+    with the projected schema when nothing survives the predicate)."""
+    fmt = pds.ParquetFileFormat()
+    empty = True
+    for fs, path, ids in pieces:
+        for frag in fmt.make_fragment(path, filesystem=fs, row_groups=ids).split_by_row_group():
+            t = frag.to_table(columns=columns, filter=predicate, use_threads=False)
+            if t.num_rows:
+                empty = False
+                yield t
+    if empty:
+        yield schema.empty_table()
+
+
+class RowGroupParquetSource(Datasource):
+    """Parquet files read as whole row groups, planned on the driver from
+    the files' footers (see :func:`plan_read_tasks`).
+
+    Each read task carries its ``(path, row group ids)`` list, its decoded
+    bytes and its exact row count (unknown under a predicate).  A
+    ``predicate`` (``pyarrow.dataset`` expression) drops the row groups
+    whose statistics exclude it at plan time and filters rows in the task.
+    """
+
+    def __init__(self, path, *, columns: Optional[list[str]] = None, predicate=None):
+        fmt = pds.ParquetFileFormat()
+        groups = []  # (filesystem, path, row group id, rows, decoded bytes)
+        schema = first = None
+        for fs, p in _resolve(path):
+            frag = fmt.make_fragment(p, filesystem=fs)
+            frag.ensure_complete_metadata()
+            file_schema = frag.physical_schema
+            missing = [c for c in columns or () if c not in file_schema.names]
+            if missing:
+                raise ValueError(f"{p}: no column(s) {missing}")
+            proj = file_schema if columns is None else pa.schema(
+                [file_schema.field(c) for c in columns], metadata=file_schema.metadata)
+            if schema is None:
+                schema, first = proj, p
+            elif not proj.equals(schema):
+                raise ValueError(f"{p}: schema differs from {first}:\n{proj}\nvs\n{schema}")
+            if predicate is not None:
+                frag = frag.subset(filter=predicate)
+            groups.extend((fs, p, rg.id, rg.num_rows, rg.total_byte_size) for rg in frag.row_groups)
+        self._nbytes = sum(g[4] for g in groups)
+        plan = plan_read_tasks([g[4] for g in groups], _cluster_cpus(),
+                               ray.data.DataContext.get_current().target_max_block_size)
+        self._tasks = [_read_task([groups[i] for i in r], columns, predicate, schema)
+                       for r in plan] or [_read_task([], columns, predicate, schema)]
+
+    def get_name(self) -> str:
+        return "Parquet"  # the operator reads ``ReadParquet``, as Ray's own
+
+    def estimate_inmemory_data_size(self) -> Optional[int]:
+        return self._nbytes
+
+    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        return self._tasks  # planned from the footers, not from ``parallelism``
+
+
+def _read_task(groups: list, columns, predicate, schema: pa.Schema) -> ReadTask:
+    pieces: list[tuple[pafs.FileSystem, str, list[int]]] = []
+    for fs, p, rg, _, _ in groups:
+        if pieces and pieces[-1][1] == p:
+            pieces[-1][2].append(rg)
+        else:
+            pieces.append((fs, p, [rg]))
+    meta = BlockMetadata(
+        num_rows=None if predicate is not None else sum(g[3] for g in groups),
+        size_bytes=sum(g[4] for g in groups),
+        input_files=[p for _, p, _ in pieces],
+        exec_stats=None,
+    )
+    return ReadTask(functools.partial(_read_row_groups, pieces, columns, predicate, schema),
+                    meta, schema=schema)
+
+
+def _read(path, columns: Optional[list[str]], predicate) -> Dataset:
+    src = RowGroupParquetSource(path, columns=columns, predicate=predicate)
+    # ask for exactly the planned task count: SetReadParallelismRule then
+    # finds no shortfall to make up with a SplitBlocks factor
+    return ray.data.read_datasource(src, override_num_blocks=len(src.get_read_tasks(-1)))
 
 
 def read_sequences(
     path: str | Sequence[str],
     *,
     columns: Optional[list[str]] = None,
-    override_num_blocks: Optional[int] = None,
     predicate=None,
-    **kw,
 ) -> Dataset:
-    """Read a sequences corpus with column pruning.
+    """Read a sequences corpus (files and/or flat directories of
+    ``*.parquet``) with column pruning, planned by
+    :class:`RowGroupParquetSource`.
 
     ``columns=None`` reads the canonical 4-column shape (never side
     columns like the fixtures' ``expected_error`` golden answers).
-    Blocks default to one per parquet row group (see _row_group_blocks).
     ``predicate`` (a ``pyarrow.dataset`` expression) is pushed INTO the
     read — row groups whose column statistics exclude the predicate are
-    never fetched, and surviving fragments are filtered during the scan
-    (prune at the read, not after it).
+    never planned, and the surviving row groups are filtered during the
+    scan (prune at the read, not after it).
     """
-    if override_num_blocks is None:
-        override_num_blocks = _row_group_blocks(path)
-    if predicate is not None:
-        kw["filter"] = predicate
-    return ray.data.read_parquet(
-        path,
-        columns=columns if columns is not None else SEQUENCE_COLUMNS,
-        override_num_blocks=override_num_blocks,
-        **kw,
-    )
+    return _read(path, columns if columns is not None else SEQUENCE_COLUMNS, predicate)
 
 
 def read_table(
     path: str | Sequence[str],
     *,
     columns: Optional[list[str]] = None,
-    override_num_blocks: Optional[int] = None,
-    **kw,
+    predicate=None,
 ) -> Dataset:
-    """Generic pruned parquet read with row-group-aligned blocks — the
-    same SplitBlocks-fusion fix as :func:`read_sequences` for the side
-    tables (documents/events/embeddings/TPC-H).  An unfused
-    ``ReadParquet->SplitBlocks(64)`` read of a small table measured
-    5.4 s where the fused read takes ~0.1 s (it serializes the read into
-    one task and round-trips every downstream stage through 64 tiny
-    plasma blocks)."""
-    if override_num_blocks is None:
-        override_num_blocks = _row_group_blocks(path)
-    return ray.data.read_parquet(
-        path, columns=columns, override_num_blocks=override_num_blocks, **kw
-    )
+    """Generic pruned parquet read for the side tables
+    (documents/events/embeddings/TPC-H): the same row-group plan and
+    ``predicate`` pushdown as :func:`read_sequences`, with
+    ``columns=None`` meaning every column of the file."""
+    return _read(path, columns, predicate)
 
 
 def read_corpus(
