@@ -133,14 +133,11 @@ def run_bench() -> dict:
         key_ds=read_sequences(path, columns=["doc_id"]).limit(20_000),
     ).all_violations_table().num_rows
     if os.environ.get("GRAFT_SCALING_WORKLOAD", "validate") == "sketch":
-        # prime the sketch-fused pass too (its own classes/closures ship
-        # separately from the plain validate path)
-        from jesse_ray.compiler import compile_spec as _cs0
-        from jesse_ray.engine import fused_sketch_violations as _fsv0
-        from jesse_ray.engine import prepare_compiled as _prep0
-
-        _pds = read_sequences(path).limit(20_000)
-        _ = _fsv0(_pds, _prep0(_cs0(_seq_spec()), _pds)).count()
+        # prime the sketch-fused pass too (the in-band sketch path of the
+        # fused validator ships and imports separately)
+        _ = validate_dataset(
+            read_sequences(path).limit(20_000), _seq_spec(), check_unique=False, sketch=True
+        ).materialize()
 
     rows = read_sequences(path, columns=["doc_id"]).count()
     queries: dict[str, float] = {}
@@ -154,7 +151,8 @@ def run_bench() -> dict:
     # time on this shared, noisy box.
     # GRAFT_SCALING_WORKLOAD=sketch swaps in the FULL north-star pass —
     # validation with the drift sketch fused in-band (t-digest +
-    # count-min per batch + tree merge) — for scaling runs: the plain
+    # count-min per batch, folded in block order by the drain, as every
+    # checkpoint partition runs it) — for scaling runs: the plain
     # validate leg is so lean per byte that even 4 concurrent streams
     # saturate this box's single memory bus (343k rows/s at 4 CPUs ==
     # the 32-CPU plateau), at which point the ratio measures the bus,
@@ -165,24 +163,12 @@ def run_bench() -> dict:
     for _ in range(reps):
         t0 = time.time()
         if workload == "sketch":
-            from jesse_ray.compiler import compile_spec as _cs
-            from jesse_ray.engine import fused_sketch_violations, prepare_compiled
-            from jesse_ray.stages.drift import merge_sketch_rows
-
-            dsx = read_sequences(path)
-            combined = fused_sketch_violations(
-                dsx, prepare_compiled(_cs(_seq_spec()), dsx))
-            import pyarrow.compute as _pc2
-
-            def _sk(t):
-                keep = t.filter(_pc2.is_valid(t["__sketch"]))
-                import pyarrow as _pa2
-
-                return _pa2.table(
-                    {"sketch": keep["__sketch"].cast(_pa2.large_binary())})
-
-            _ = merge_sketch_rows(combined.map_batches(_sk, batch_format="pyarrow"))
-            n_viol = -1
+            # what checkpoint.run_validation runs per partition: one fused
+            # pass with the sketch in-band, drained by materialize()
+            res = validate_dataset(
+                read_sequences(path), _seq_spec(), check_unique=False, sketch=True
+            ).materialize()
+            n_viol = sum(res.counts_by_error().values())
         else:
             res = validate_dataset(
                 read_sequences(path),

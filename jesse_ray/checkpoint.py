@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-import pyarrow as pa
-
 from jesse_ray.compiler import CompiledSpec, compile_spec
-from jesse_ray.engine import ValidationEngine
+from jesse_ray.engine import ValidationEngine, uniqueness_check
+from jesse_ray.sketches import SketchBundle, drift_report
 from jesse_ray.spec import TableSpec
 
 
@@ -114,13 +113,20 @@ def run_validation(
 ) -> dict[str, Any]:
     """Validate a corpus partition-by-partition with checkpointing.
 
-    Each partition is one Ray Data pipeline (read → checks → write);
-    partitions run sequentially on the driver but each is internally
-    block-parallel across the cluster, and the unit of resume is the
-    partition.  Returns the overall summary (exit-code semantics mirror
-    the reference CLI: nonzero/fail if any partition fails,
-    src/jesse_cli.erl:80-87 — but we process ALL partitions instead of
-    halting at the first failure, recording each verdict).
+    Each fresh partition is one ``ValidationEngine.validate`` →
+    ``materialize()`` → ``write_violations()`` → manifest record: two Ray
+    Data executions, the fused pass and the sink.  Everything the record
+    needs rides in-band on the pass and is folded by the
+    ``ValidationResult`` drain — the per-error counts, the input row
+    count and, with ``sketch``/``drift_reference``, the drift sketch —
+    so each partition reads its files once, the wide ``tokens`` column
+    included, in any input format.  Partitions run sequentially on the
+    driver but each is internally block-parallel across the cluster, and
+    the unit of resume is the partition.  Returns the overall summary
+    (exit-code semantics mirror the reference CLI: nonzero/fail if any
+    partition fails, src/jesse_cli.erl:80-87 — but we process ALL
+    partitions instead of halting at the first failure, recording each
+    verdict).
 
     Key uniqueness is CORPUS-scoped: one column-pruned pass over ALL
     input files runs after the partition loop (a per-partition check
@@ -133,17 +139,10 @@ def run_validation(
     reruns on every invocation — including resumes — because it reads
     only the key columns.
 
-    With ``sketch``/``drift_reference`` the drift sketch is accumulated
-    INSIDE the fused validation pass (SketchingFusedValidator), so each
-    partition reads the wide ``tokens`` column exactly once.
     ``fail_on_drift=True`` makes a drifted partition's verdict "fail";
     the default records drift per-partition and in the summary without
     affecting the verdict (advisory gate).
     """
-    import ray.data
-
-    from jesse_ray.engine import fused_sketch_violations, uniqueness_check
-
     compiled = spec if isinstance(spec, CompiledSpec) else compile_spec(spec)
     eng = engine or ValidationEngine()
     out = Path(out_dir)
@@ -154,6 +153,7 @@ def run_validation(
     ref_bundle = None
     if drift_reference:
         ref_bundle = _load_reference_bundle(drift_reference)
+    want_sketch = bool(sketch or drift_reference)
 
     parts = plan_partitions(input_paths, files_per_partition)
     summary = {"partitions": len(parts), "skipped": 0, "failed": 0, "violations": 0,
@@ -175,67 +175,26 @@ def run_validation(
                 summary["failed"] += 1
             continue
 
-        ds = _read(frag, input_format, columns)
         part_out = out / pid
-        want_sketch = sketch or drift_reference
-        if want_sketch:
-            # same launch-time preparation as engine.validate (pattern
-            # resolution + schema gates) before the single fused pass:
-            # violations + in-band per-batch sketch rows
-            from jesse_ray.engine import prepare_compiled
-
-            combined = fused_sketch_violations(
-                ds, prepare_compiled(compiled, ds), allowed_errors=allowed_errors
-            ).materialize()
-
-            import pyarrow.compute as pc
-
-            def _viol_only(t: pa.Table) -> pa.Table:
-                return t.filter(pc.is_null(t["__sketch"])).drop_columns(["__sketch"])
-
-            def _sketch_only(t: pa.Table) -> pa.Table:
-                keep = t.filter(pc.is_valid(t["__sketch"]))
-                return pa.table({"sketch": keep["__sketch"].cast(pa.large_binary())})
-
-            viol_ds = combined.map_batches(_viol_only, batch_format="pyarrow")
-            from jesse_ray.stages.drift import merge_sketch_rows
-
-            bundle = merge_sketch_rows(
-                combined.map_batches(_sketch_only, batch_format="pyarrow")
-            )
-            (part_out / "violations").mkdir(parents=True, exist_ok=True)
-            viol_ds = viol_ds.materialize()
-            viol_ds.write_parquet(str(part_out / "violations"))
-            n_viol = viol_ds.count()
-            by_error = {}
-            for b in viol_ds.groupby("error").count().iter_batches(batch_format="pyarrow"):
-                for e, c in zip(b["error"].to_pylist(), b["count()"].to_pylist()):
-                    by_error[e] = by_error.get(e, 0) + int(c)
-        else:
-            res = eng.validate(ds, compiled, check_unique=False, allowed_errors=allowed_errors)
-            res.materialize()
-            res.write_violations(part_out / "violations")
-            n_viol = res.violations.count()
-            by_error = res.counts_by_error()
-            bundle = None
-
-        metrics = {
-            "rows": ds.count(),
-            "violations": int(n_viol),
-            "by_error": by_error,
-        }
+        res = eng.validate(
+            _read(frag, input_format, columns), compiled,
+            check_unique=False, sketch=want_sketch, allowed_errors=allowed_errors,
+        ).materialize()
+        res.write_violations(part_out / "violations")
+        by_error = res.counts_by_error()
+        n_viol = sum(by_error.values())
+        metrics = {"rows": res.metrics["rows"], "violations": n_viol, "by_error": by_error}
         drifted = False
-        if want_sketch and bundle is not None:
-            digest_path = part_out / "sketch.bin"
-            digest_path.write_bytes(bundle.to_bytes())
-            metrics["stats_digest"] = hashlib.sha256(bundle.to_bytes()).hexdigest()[:16]
+        if want_sketch:
+            bundle = res.sketch or SketchBundle.empty()
+            blob = bundle.to_bytes()
+            (part_out / "sketch.bin").write_bytes(blob)
+            metrics["stats_digest"] = hashlib.sha256(blob).hexdigest()[:16]
             if ref_bundle is not None:
                 # per-partition distribution-drift gate: KS on the n_tok
                 # digests + chi-square on top-k token frequencies vs a
                 # reference digest loaded ONCE per run (north-star drift
                 # detection at partition granularity)
-                from jesse_ray.sketches import drift_report
-
                 rep = drift_report(ref_bundle, bundle)
                 metrics["drift"] = {
                     k: rep[k]
@@ -256,7 +215,7 @@ def run_validation(
                 output_dir=str(part_out),
             )
         )
-        summary["violations"] += metrics["violations"]
+        summary["violations"] += n_viol
         if verdict == "fail":
             summary["failed"] += 1
 
@@ -293,8 +252,6 @@ def _read(paths, input_format: str, columns):
 def _load_reference_bundle(path: str):
     """Reference drift digest — loaded once per run_validation call (no
     cross-call cache: a digest rebuilt at the same path must be re-read)."""
-    from jesse_ray.sketches import SketchBundle
-
     return SketchBundle.from_bytes(Path(path).read_bytes())
 
 
@@ -309,9 +266,3 @@ def build_reference_digest(input_paths, out_path: str, *, columns=("n_tok", "tok
     Path(out_path).write_bytes(bundle.to_bytes())
     return out_path
 
-
-def _count_by_error(vtbl: pa.Table) -> dict[str, int]:
-    if vtbl.num_rows == 0:
-        return {}
-    g = vtbl.group_by("error").aggregate([([], "count_all")])
-    return dict(zip(g["error"].to_pylist(), g["count_all"].to_pylist()))

@@ -4,7 +4,8 @@ Pipeline shape (SURVEY §3.4): ``read_parquet`` → ONE fused
 ``map_batches`` pass (zero-copy Arrow) running every row-level keyword
 check plus the referential broadcast-dimension checks (task mode with
 lazily-resolved ``ray.put`` state — broadcast-once per worker) and
-emitting each batch's exact key counts in-band → corpus-level key
+emitting each batch's row count, exact key counts and (when asked) drift
+sketch in-band → corpus-level key
 uniqueness (capped driver merge of those counts, hash-bucket shuffle
 over the key columns above the cap) → violations ``Dataset`` + per-run
 metrics.  A validation reads the corpus once: one Ray Data execution
@@ -44,6 +45,7 @@ from jesse_ray.compiler import (
     _combine,
     _np_mask,
 )
+from jesse_ray.sketches import SketchBundle
 from jesse_ray.spec import ReferentialRule, TableSpec
 
 
@@ -340,7 +342,7 @@ class KeyCountMerge:
     ``(key, partial_cnt)`` tables under ``UNIQ_DRIVER_CAP_BYTES``.
 
     Fed by ``duplicate_keys_streamed`` (a key-only execution) and by
-    ``ValidationResult`` (the in-band key rows of the fused pass).  It
+    ``ValidationResult`` (the in-band key partials of the fused pass).  It
     merges with Arrow ``group_by(...).sum``, compacting whenever the
     pending partials outgrow twice the merged state, so driver memory
     follows the number of distinct keys, not of partial rows.  No hash,
@@ -606,8 +608,15 @@ class ReferentialChecker:
         )
 
 
-#: violations schema + an in-band key-count column (see FusedValidator)
-VIOLATION_KEYS_SCHEMA = VIOLATION_SCHEMA.append(pa.field("__keys", pa.large_binary()))
+#: the fused pass's output when it carries in-band payloads: the
+#: VIOLATION_SCHEMA rows with every in-band column null, plus ONE in-band
+#: row per batch whose violation columns are null (see FusedValidator)
+_INBAND_FIELDS = [
+    pa.field("__rows", pa.int64()),
+    pa.field("__keys", pa.list_(pa.large_binary())),
+    pa.field("__sketch", pa.large_binary()),
+]
+INBAND_SCHEMA = pa.schema(list(VIOLATION_SCHEMA) + _INBAND_FIELDS)
 
 
 class FusedValidator:
@@ -621,23 +630,28 @@ class FusedValidator:
     from the object store once per worker on the first batch — never
     re-shipped per batch (SURVEY §7.2).
 
-    With ``unique_keys`` the stage also carries the corpus uniqueness
-    check's map side, so the key columns are not read a second time:
-    the output schema is VIOLATION_KEYS_SCHEMA, violation rows carry a
-    null ``__keys``, and each batch appends one row per key whose other
-    columns are null and whose ``__keys`` holds that batch's exact
-    ``(key, partial_cnt)`` table as an Arrow IPC stream (``KeyCountMerge``
-    merges them on the driver; see ``ValidationResult``).
+    With ``unique_keys`` (a tuple, possibly empty) the output is
+    INBAND_SCHEMA: each batch appends one in-band row carrying what the
+    driver would otherwise need further executions for — ``__rows``, the
+    batch's input row count; ``__keys``, one Arrow IPC stream per key
+    holding the batch's exact ``(key, partial_cnt)`` table (the map side
+    of the corpus uniqueness check, so the key columns are not read a
+    second time); and with ``sketch`` the batch's drift ``SketchBundle``
+    in ``__sketch`` (null otherwise, and no bundle is built).
+    ``ValidationResult`` splits these rows off and merges them.  With
+    ``unique_keys=None`` the output is plain VIOLATION_SCHEMA rows.
     """
 
     def __init__(self, compiled_ref, rules_ref, key_column: Optional[str], allowed_errors=None,
-                 error_handler=None, unique_keys: tuple[str, ...] = ()):
+                 error_handler=None, unique_keys: Optional[tuple[str, ...]] = None,
+                 sketch: bool = False):
         self._compiled_ref = compiled_ref
         self._rules_ref = rules_ref
         self._key_column = key_column
         self.allowed_errors = allowed_errors
         self.error_handler = error_handler
-        self.unique_keys = tuple(dict.fromkeys(unique_keys))
+        self.unique_keys = None if unique_keys is None else tuple(dict.fromkeys(unique_keys))
+        self.sketch = sketch
         self._resolved = False
         self.compiled: Optional[CompiledSpec] = None
         self._ref: Optional[ReferentialChecker] = None
@@ -662,22 +676,26 @@ class FusedValidator:
         ref = self._ref(batch) if self._ref is not None else None
         if ref is not None and ref.num_rows:
             row = pa.concat_tables([row, ref]) if row.num_rows else ref
-        if not self.unique_keys:
+        if self.unique_keys is None:
             return row
         parts = [_batch_key_counts(batch, k) for k in self.unique_keys if k in batch.column_names]
-        return _append_inband(row, VIOLATION_KEYS_SCHEMA, [_ipc_bytes(p) for p in parts if p.num_rows])
+        sketch = None
+        if self.sketch:
+            from jesse_ray.stages.drift import batch_sketch
+
+            sketch = batch_sketch(batch).to_bytes()
+        return _append_inband(row, batch.num_rows, [_ipc_bytes(p) for p in parts if p.num_rows], sketch)
 
 
-def _append_inband(viol: pa.Table, schema: pa.Schema, blobs: list[bytes]) -> pa.Table:
-    """``viol`` (VIOLATION_SCHEMA rows) plus one in-band row per blob, as
-    ``schema``: VIOLATION_SCHEMA plus a payload column (its last field)
-    that is null on the violation rows, and whose rows hold the blobs
-    with every violation column null."""
-    name = schema.names[-1]
-    payload = {f.name: pa.nulls(len(blobs), f.type) for f in VIOLATION_SCHEMA}
-    payload[name] = pa.array(blobs, type=pa.large_binary())
-    viol = viol.cast(VIOLATION_SCHEMA).append_column(name, pa.nulls(viol.num_rows, pa.large_binary()))
-    return pa.concat_tables([viol, pa.table(payload, schema=schema)])
+def _append_inband(viol: pa.Table, rows: int, keys: list[bytes], sketch: Optional[bytes]) -> pa.Table:
+    """``viol`` (VIOLATION_SCHEMA rows) plus one in-band row, as
+    INBAND_SCHEMA."""
+    band = {f.name: pa.nulls(1, f.type) for f in VIOLATION_SCHEMA}
+    band.update(__rows=[rows], __keys=[keys], __sketch=[sketch])
+    viol = viol.cast(VIOLATION_SCHEMA)
+    for f in _INBAND_FIELDS:
+        viol = viol.append_column(f, pa.nulls(viol.num_rows, f.type))
+    return pa.concat_tables([viol, pa.table(band, schema=INBAND_SCHEMA)])
 
 
 def _ipc_bytes(t: pa.Table) -> bytes:
@@ -688,31 +706,44 @@ def _ipc_bytes(t: pa.Table) -> bytes:
 
 
 def _violation_rows(t: pa.Table) -> pa.Table:
-    return t.filter(pc.is_null(t["__keys"])).drop_columns(["__keys"])
+    return t.filter(pc.is_null(t["__rows"])).select(VIOLATION_SCHEMA.names)
 
 
-@ray.remote(num_returns=2)
-def _split_block(t: pa.Table) -> tuple[pa.Table, pa.Table]:
-    """One materialized VIOLATION_KEYS_SCHEMA block → (violation rows,
-    key rows); a plain task, far cheaper than a Ray Data execution."""
-    return _violation_rows(t), t.filter(pc.is_valid(t["__keys"]))
+def _tally(viol: pa.Table) -> dict[str, int]:
+    """``{error: count}`` of VIOLATION_SCHEMA rows."""
+    if not viol.num_rows:
+        return {}
+    g = viol.group_by("error").aggregate([([], "count_all")])
+    return dict(zip(g["error"].to_pylist(), g["count_all"].to_pylist()))
 
 
-def _fused_pass(ds: Dataset, validator_cls, compiled: CompiledSpec,
-                batch_size: Optional[int], *args, **kw) -> Dataset:
-    """Launch one ``validator_cls`` (a FusedValidator) pass in task mode.
+def _split(t: pa.Table) -> tuple[pa.Table, tuple[pa.Table, dict[str, int]]]:
+    """One INBAND_SCHEMA block → (violation rows, (in-band rows, the
+    violation rows' ``_tally``))."""
+    if not t.num_rows:  # Ray Data passes empty blocks on without a schema
+        t = INBAND_SCHEMA.empty_table()
+    viol = _violation_rows(t)
+    return viol, (t.filter(pc.is_valid(t["__rows"])), _tally(viol))
+
+
+#: ``_split`` as a plain task over a materialized block, far cheaper than a
+#: Ray Data execution; only the small second return reaches the driver
+_split_block = ray.remote(num_returns=2)(_split)
+
+
+def _fused_pass(ds: Dataset, compiled: CompiledSpec, batch_size: Optional[int], *args) -> Dataset:
+    """Launch one FusedValidator pass in task mode.
     The compiled spec and the referential rules are ``ray.put`` once
     when Ray is up; the refs (not the values) ride the serialized
     callable and each worker resolves them on its first batch."""
     spec = compiled.spec
     rules = _referential_rules(spec)
     big = ray.is_initialized()
-    fv = validator_cls(
+    fv = FusedValidator(
         ray.put(compiled) if big else compiled,
         ray.put(rules) if big else rules,
         spec.key_column,
         *args,
-        **kw,
     )
     return ds.map_batches(fv.__call__, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
 
@@ -727,8 +758,9 @@ def fused_violations(
     check_unique: bool = True,
 ) -> Dataset:
     """Single-pass row + referential violations (see FusedValidator),
-    plus the in-band key-count rows of the spec's ``unique_keys`` unless
-    ``check_unique`` is false (VIOLATION_KEYS_SCHEMA when there are any).
+    plus one in-band row per batch with the key-count partials of the
+    spec's ``unique_keys`` when it has any, unless ``check_unique`` is
+    false (INBAND_SCHEMA then; plain VIOLATION_SCHEMA otherwise).
 
     The pass runs in TASK mode: the validator state (compiled spec +
     broadcast allowed-value sets) is ``ray.put`` once, the tiny
@@ -741,62 +773,8 @@ def fused_violations(
     run, and on a long-lived cluster tasks reuse warm workers just the
     same.
     """
-    keys = tuple(compiled.spec.unique_keys) if check_unique else ()
-    return _fused_pass(ds, FusedValidator, compiled, batch_size, allowed_errors, error_handler, keys)
-
-
-#: violations schema + an in-band sketch column (see SketchingFusedValidator)
-VIOLATION_SKETCH_SCHEMA = VIOLATION_SCHEMA.append(pa.field("__sketch", pa.large_binary()))
-
-
-def fused_sketch_violations(
-    ds: Dataset,
-    compiled: CompiledSpec,
-    *,
-    batch_size: Optional[int] = None,
-    allowed_errors: Optional[int] = None,
-    error_handler=None,
-    vocab: int = 50_000,
-) -> Dataset:
-    """One-pass violations + in-band sketch rows (VIOLATION_SKETCH_SCHEMA)."""
-    return _fused_pass(ds, SketchingFusedValidator, compiled, batch_size, allowed_errors,
-                       error_handler, vocab=vocab)
-
-
-class SketchingFusedValidator(FusedValidator):
-    """FusedValidator that ALSO accumulates the drift sketch per batch —
-    so a checkpointed run with drift gating reads the wide ``tokens``
-    column ONCE instead of a second sketch-only pass.
-
-    Output schema is the violations schema plus ``__sketch``: violation
-    rows carry a null sketch; each batch appends ONE row whose other
-    columns are null and whose ``__sketch`` holds the serialized
-    :class:`SketchBundle`.  The caller splits the two streams and
-    tree-merges the sketch rows (jesse_ray.stages.merge_sketch_rows).
-    """
-
-    def __init__(self, compiled_ref, rules_ref, key_column, allowed_errors=None,
-                 error_handler=None, *, n_tok_col: str = "n_tok",
-                 tokens_col: str = "tokens", vocab: int = 50_000):
-        super().__init__(compiled_ref, rules_ref, key_column, allowed_errors, error_handler)
-        self.n_tok_col = n_tok_col
-        self.tokens_col = tokens_col
-        self.vocab = vocab
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from jesse_ray.sketches import SketchBundle
-
-        viol = super().__call__(batch)
-        b = SketchBundle.empty(self.vocab)
-        n_tok = np.empty(0, dtype=np.float64)
-        flat = np.empty(0, dtype=np.int64)
-        if self.n_tok_col in batch.column_names:
-            n_tok = _combine(batch[self.n_tok_col]).cast(pa.float64()).to_numpy(zero_copy_only=False)
-            n_tok = n_tok[~np.isnan(n_tok)]
-        if self.tokens_col in batch.column_names:
-            flat = pc.list_flatten(_combine(batch[self.tokens_col])).to_numpy(zero_copy_only=False)
-        b.add_batch(n_tok, flat)
-        return _append_inband(viol, VIOLATION_SKETCH_SCHEMA, [b.to_bytes()])
+    keys = tuple(compiled.spec.unique_keys) if check_unique and compiled.spec.unique_keys else None
+    return _fused_pass(ds, compiled, batch_size, allowed_errors, error_handler, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -867,70 +845,75 @@ def column_stats(
 class ValidationResult:
     """Violations + metrics for one validation run.
 
-    ``violations`` is always exactly VIOLATION_SCHEMA rows.  On the fused
-    path the corpus uniqueness check rides in-band: ``_pending`` is the
-    fused stream with the per-batch key-count rows (FusedValidator,
-    VIOLATION_KEYS_SCHEMA) until an entry point runs it — once.
-    ``all_violations_table`` (and ``counts_by_error`` / ``passed`` on the
-    lazy path) drains it on the driver, splitting violation rows from key
-    rows; ``materialize`` (and ``write_violations`` / ``unique_violations``)
-    pins it in the object store and fetches only the key rows to the
-    driver.  Each key's rows go into one ``KeyCountMerge``; a key whose
-    merge passes ``UNIQ_DRIVER_CAP_BYTES`` reruns as the hash shuffle over
-    ``_key_ds``.  Resolving adds the route report (``uniqueness_check``'s
-    keys) to ``metrics``.
+    ``violations`` is always exactly VIOLATION_SCHEMA rows.  Everything
+    else rides in-band on the one fused pass: ``_pending`` is its
+    INBAND_SCHEMA stream (see FusedValidator) until an entry point runs
+    it — once.  ``all_violations_table`` (and ``counts_by_error`` /
+    ``passed`` on the lazy path) drains it on the driver;
+    ``materialize`` (and ``write_violations`` / ``unique_violations``)
+    pins it in the object store and splits each block in a plain task,
+    so only the in-band rows and per-block ``{error: count}`` tallies
+    reach the driver, one block's at a time, never the violation rows.
+    The drain folds them in block order: the tallies into
+    ``counts_by_error``, ``__rows`` into ``metrics["rows"]``, each key's
+    partials into one ``KeyCountMerge`` (a key whose merge passes
+    ``UNIQ_DRIVER_CAP_BYTES`` reruns as the hash shuffle over
+    ``_key_ds``; the route report, ``uniqueness_check``'s keys, goes
+    into ``metrics``), and with ``validate(sketch=True)`` the per-batch
+    bundles into ``sketch``.  After ``materialize`` none of these
+    starts another execution.
     """
 
     violations: Dataset
     spec_version: str
     metrics: dict[str, Any] = field(default_factory=dict)
+    #: the drained drift sketch (``validate(sketch=True)``), else None
+    sketch: Optional[SketchBundle] = None
     _cached: Optional[pa.Table] = None
     _uniq: Optional[pa.Table] = None
+    _counts: Optional[dict[str, int]] = None
     _pending: Optional[Dataset] = None
     _unique_keys: tuple[str, ...] = ()
     _key_ds: Optional[Dataset] = None
 
-    def _drain(self, batches) -> list[pa.Table]:
-        """Merge the key rows of ``batches`` (VIOLATION_KEYS_SCHEMA tables
-        of the pending stream), resolve the uniqueness result, and return
-        the violation rows."""
+    def _drain(self, sides) -> None:
+        """Fold the ``(in-band rows, tally)`` pairs of ``_split``, in
+        block order, and resolve the uniqueness result."""
         merges = {k: KeyCountMerge(k) for k in self._unique_keys}
-        rows = []
-        for b in batches:
-            for blob in b["__keys"].drop_null():
+        counts: dict[str, int] = {}
+        rows = 0
+        for band, tally in sides:
+            rows += pc.sum(band["__rows"]).as_py() or 0
+            for blob in pc.list_flatten(band["__keys"]):
                 part = pa.ipc.open_stream(blob.as_buffer()).read_all()
                 merges[part.column_names[0]].add(part)
-            b = _violation_rows(b)
-            if b.num_rows:
-                rows.append(b)
+            for raw in band["__sketch"].drop_null():
+                b = SketchBundle.from_bytes(raw.as_py())
+                self.sketch = b if self.sketch is None else self.sketch.merge(b)
+            for e, c in tally.items():
+                counts[e] = counts.get(e, 0) + c
         self._pending = None
+        self._counts = counts
+        self.metrics["rows"] = rows
         self._uniq, uniq_metrics = _uniqueness_report([merges[k] for k in self._unique_keys], self._key_ds)
         self.metrics.update(uniq_metrics)
-        return rows
 
     @property
     def unique_violations(self) -> pa.Table:
         if self._uniq is None:
-            if self._pending is not None:
-                self.materialize()
-            else:
-                self._uniq = empty_violations()
+            self.materialize()
         return self._uniq
 
     def materialize(self) -> "ValidationResult":
-        """Execute the violations pipeline ONCE and pin the (small)
-        result blocks in the object store — NOT on the driver — so that
+        """Execute the fused pass ONCE and pin the (small) violation
+        blocks in the object store — NOT on the driver — so that
         subsequent writes/aggregations don't re-run the full validation.
         The corpus itself is never materialized; only violations are,
-        and violations are rare by assumption.  Only the in-band key
-        rows reach the driver, one block's at a time, never the
-        violation rows."""
-        if self._pending is None:
-            self.violations = self.violations.materialize()
-            return self
-        splits = [_split_block.remote(ref) for ref in self._pending.materialize().to_arrow_refs()]
-        self._drain(ray.get(keys) for _, keys in splits)
-        self.violations = ray.data.from_arrow_refs([viol for viol, _ in splits])
+        and violations are rare by assumption."""
+        if self._pending is not None:
+            splits = [_split_block.remote(ref) for ref in self._pending.materialize().to_arrow_refs()]
+            self._drain(ray.get(side) for _, side in splits)
+            self.violations = ray.data.from_arrow_refs([viol for viol, _ in splits])
         return self
 
     def write_violations(self, out_dir: str) -> None:
@@ -942,22 +925,28 @@ class ValidationResult:
 
         from pathlib import Path
 
-        if self._pending is not None:
-            self.materialize()
+        self.materialize()
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         self.violations.write_parquet(str(out))
-        extra = self.unique_violations if self.unique_violations.num_rows else empty_violations()
-        pq.write_table(extra, out / "unique_violations.parquet")
+        pq.write_table(self.unique_violations, out / "unique_violations.parquet")
 
     def all_violations_table(self) -> pa.Table:
         # one execution of the violations pipeline; cached because the
         # violation set is small relative to the corpus by assumption
         if self._cached is None:
             if self._pending is not None:
-                parts = self._drain(self._pending.iter_batches(batch_format="pyarrow", batch_size=None))
+                parts = []
+
+                def sides():
+                    for b in self._pending.iter_batches(batch_format="pyarrow", batch_size=None):
+                        viol, side = _split(b)
+                        parts.append(viol)
+                        yield side
+
+                self._drain(sides())
             else:
-                parts = [b for b in self.violations.iter_batches(batch_format="pyarrow")]
+                parts = list(self.violations.iter_batches(batch_format="pyarrow"))
             parts.append(self.unique_violations)
             self._cached = pa.concat_tables(
                 [p for p in parts if p.num_rows] or [empty_violations()]
@@ -965,32 +954,21 @@ class ValidationResult:
         return self._cached
 
     def counts_by_error(self) -> dict[str, int]:
-        if self._cached is None and isinstance(
-            self.violations, getattr(ray.data.dataset, "MaterializedDataset", ())
-        ):
-            # distributed aggregate over the materialized violation blocks
-            # — the driver sees only (error, count) pairs, never the rows
-            out: dict[str, int] = {}
-            for b in self.violations.groupby("error").count().iter_batches(batch_format="pyarrow"):
-                for e, c in zip(b["error"].to_pylist(), b["count()"].to_pylist()):
-                    out[e] = out.get(e, 0) + int(c)
-            if self.unique_violations.num_rows:
-                g = self.unique_violations.group_by("error").aggregate([([], "count_all")])
-                for e, c in zip(g["error"].to_pylist(), g["count_all"].to_pylist()):
-                    out[e] = out.get(e, 0) + int(c)
-            return out
-        tbl = self.all_violations_table()
-        if tbl.num_rows == 0:
-            return {}
-        g = tbl.group_by("error").aggregate([([], "count_all")])
-        return dict(zip(g["error"].to_pylist(), g["count_all"].to_pylist()))
+        """``{error: count}`` over every violation, uniqueness included;
+        from the drained tallies, never the violation rows."""
+        if self._counts is None:
+            self.all_violations_table()
+        out = dict(self._counts)
+        for e, c in _tally(self.unique_violations).items():
+            out[e] = out.get(e, 0) + c
+        return out
 
     @property
     def passed(self) -> bool:
         # per-run verdict: jesse's {ok, Value} iff the error list is empty
-        # (src/jesse_schema_validator.erl:70-77); the table includes the
+        # (src/jesse_schema_validator.erl:70-77); the counts include the
         # uniqueness rows
-        return self.all_violations_table().num_rows == 0
+        return not self.counts_by_error()
 
 
 def prepare_compiled(compiled: CompiledSpec, ds: Dataset) -> CompiledSpec:
@@ -1154,6 +1132,7 @@ class ValidationEngine:
         spec_or_name: TableSpec | CompiledSpec | str,
         *,
         check_unique: bool = True,
+        sketch: bool = False,
         batch_size: Optional[int] = None,
         allowed_errors: Optional[int] = None,
         error_handler=None,
@@ -1167,29 +1146,16 @@ class ValidationEngine:
             compiled = compile_spec(spec_or_name)
         compiled = prepare_compiled(compiled, ds)
 
-        # ONE pass over the full-width data for row + referential checks
-        # (and the key partials) — at 100 TB the read dominates.
-        violations = fused_violations(
-            ds,
-            compiled,
-            batch_size=batch_size,
-            allowed_errors=allowed_errors,
-            error_handler=error_handler,
-            check_unique=check_unique,
-        )
-        keys = tuple(compiled.spec.unique_keys) if check_unique else ()
-        pending = None
-        if keys:
-            # the key partials ride in-band on the fused pass, so the
-            # corpus is read once; ``key_ds`` is read only by the hash
-            # shuffle above the driver cap.  The lazy ``violations`` view
-            # drops the key rows.
-            if key_ds is None:
-                key_ds = ds.select_columns(list(dict.fromkeys(keys)))
-            pending = violations
-            violations = pending.map_batches(_violation_rows, batch_format="pyarrow", zero_copy_batch=True)
+        # ONE pass over the full-width data for row + referential checks,
+        # the key partials and the drift sketch — at 100 TB the read
+        # dominates.  The lazy ``violations`` view drops the in-band rows;
+        # ``key_ds`` is read only by the hash shuffle above the driver cap.
+        keys = tuple(dict.fromkeys(compiled.spec.unique_keys)) if check_unique else ()
+        pending = _fused_pass(ds, compiled, batch_size, allowed_errors, error_handler, keys, sketch)
+        if keys and key_ds is None:
+            key_ds = ds.select_columns(list(keys))
         return ValidationResult(
-            violations=violations,
+            violations=pending.map_batches(_violation_rows, batch_format="pyarrow", zero_copy_batch=True),
             spec_version=compiled.version,
             _pending=pending,
             _unique_keys=keys,

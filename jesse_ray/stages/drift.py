@@ -19,6 +19,8 @@ range-partition shuffle and converted them to pandas blocks.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -29,18 +31,28 @@ from jesse_ray.sketches import SketchBundle, drift_report
 _SKETCH_SCHEMA = pa.schema([pa.field("sketch", pa.large_binary())])
 
 
-def _build_sketch_fn(n_tok_col: str, tokens_col: str, vocab: int):
-    def build(batch: pa.Table) -> pa.Table:
-        b = SketchBundle.empty(vocab)
+def batch_sketch(batch: pa.Table, n_tok_col: str = "n_tok", tokens_col: str = "tokens",
+                 vocab: int = 50_000) -> SketchBundle:
+    """One batch's SketchBundle; an absent column contributes nothing.
+    The per-batch unit of both ``sketch_dataset`` and the fused
+    validation pass (``validate(sketch=True)``)."""
+    b = SketchBundle.empty(vocab)
+    n_tok = np.empty(0, dtype=np.float64)
+    flat = np.empty(0, dtype=np.int64)
+    if n_tok_col in batch.column_names:
         n_tok = batch[n_tok_col].cast(pa.float64()).to_numpy(zero_copy_only=False)
         n_tok = n_tok[~np.isnan(n_tok)]
-        col = batch[tokens_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        flat = pc.list_flatten(col).to_numpy(zero_copy_only=False)
-        b.add_batch(n_tok, flat)
+    if tokens_col in batch.column_names:
+        flat = pc.list_flatten(batch[tokens_col].combine_chunks()).to_numpy(zero_copy_only=False)
+    b.add_batch(n_tok, flat)
+    return b
+
+
+def _build_sketch_fn(n_tok_col: str, tokens_col: str, vocab: int):
+    def build(batch: pa.Table) -> pa.Table:
         return pa.table(
-            {"sketch": pa.array([b.to_bytes()], type=pa.large_binary())},
+            {"sketch": pa.array([batch_sketch(batch, n_tok_col, tokens_col, vocab).to_bytes()],
+                                type=pa.large_binary())},
             schema=_SKETCH_SCHEMA,
         )
 

@@ -266,6 +266,13 @@ def test_sketch_merge_is_distribution_invariant(corpus_sf0001):
     assert np.array_equal(b1.freq.counts, b2.freq.counts)
 
 
+def test_sketch_dataset_type_hints_resolve():
+    """The drift stage's annotations name only imported types."""
+    import typing
+
+    assert typing.get_type_hints(sketch_dataset)["batch_size"] == typing.Optional[int]
+
+
 def test_duplicate_keys_hashed_matches_plain(corpus_sf0001):
     """Both exact uniqueness routes — the hash-weight shuffle
     (collisions confirmed away) and the streaming driver merge — match
@@ -759,6 +766,93 @@ def test_checkpoint_drift_resume_and_fail_on_drift(tmp_path, corpus_sf0001):
         drift_reference=ref_path, fail_on_drift=True,
     )
     assert s3["failed"] == 1 and not s3["passed"]
+
+
+def _sf0001_shards(tmp_path, n=4):
+    """The sf0.001 corpus as ``n`` parquet shards plus jsonl twins."""
+    import json as _json
+
+    from jesse_ray import testgen
+
+    tbl = pq.read_table(str(testgen.corpus_path("sf0.001")), columns=["doc_id", "tokens", "n_tok", "source"])
+    step = -(-tbl.num_rows // n)
+    pfiles, jfiles = [], []
+    for i in range(n):
+        part = tbl.slice(i * step, step)
+        pfiles.append(str(tmp_path / f"shard-{i}.parquet"))
+        pq.write_table(part, pfiles[-1])
+        jfiles.append(str(tmp_path / f"shard-{i}.jsonl"))
+        with open(jfiles[-1], "w") as f:
+            f.writelines(_json.dumps(r) + "\n" for r in part.to_pylist())
+    return pfiles, jfiles
+
+
+def test_checkpoint_executions_per_partition(tmp_path, corpus_sf0001, monkeypatch):
+    """Each fresh checkpoint partition is the fused pass plus the sink —
+    at most two Ray Data executions — on parquet, with a drift
+    reference, and on jsonl; its counts, row count and sketch ride
+    in-band.  After ``materialize()``, ``counts_by_error()`` starts
+    none.  Counted as streaming executors started in-process."""
+    from ray.data._internal.plan import ExecutionPlan
+
+    from jesse_ray import checkpoint, testgen
+    from jesse_ray.pipelines.queries import _seq_spec
+
+    started = []
+    create = ExecutionPlan.create_executor
+    monkeypatch.setattr(ExecutionPlan, "create_executor",
+                        lambda self: started.append(1) or create(self))
+    per_partition = []
+    append = checkpoint.Manifest.append
+
+    def record(self, rec):
+        per_partition.append(len(started))
+        started.clear()
+        return append(self, rec)
+
+    monkeypatch.setattr(checkpoint.Manifest, "append", record)
+
+    pfiles, jfiles = _sf0001_shards(tmp_path)
+    ref_path = str(tmp_path / "ref.bin")
+    checkpoint.build_reference_digest([str(testgen.corpus_dir("sf0.001") / "drift_reference.parquet")], ref_path)
+    rows = pq.read_metadata(str(testgen.corpus_path("sf0.001"))).num_rows
+    for name, files, kw in (
+        ("parquet", pfiles, {}),
+        ("drift", pfiles, {"drift_reference": ref_path}),
+        ("jsonl", jfiles, {"input_format": "jsonl"}),
+    ):
+        per_partition.clear()
+        started.clear()
+        s = checkpoint.run_validation(files, _seq_spec(), tmp_path / name, files_per_partition=2, **kw)
+        assert s["partitions"] == 2 and s["violations"] > 0
+        assert per_partition == [2, 2], (name, per_partition)
+        records = checkpoint.Manifest(tmp_path / name / "manifest.jsonl").load().values()
+        assert sum(r.metrics["rows"] for r in records) == rows
+        assert all(("drift" in r.metrics) == ("drift_reference" in kw) for r in records)
+
+    res = validate_dataset(read_sequences(pfiles[0]), _seq_spec()).materialize()
+    started.clear()
+    counts = res.counts_by_error()
+    assert counts and not res.passed and res.metrics["rows"] > 0
+    assert started == []
+
+
+def test_partition_sketch_matches_standalone(tmp_path, corpus_sf0001, monkeypatch):
+    """The in-band partition sketch folded by the drain is the
+    standalone ``sketch_dataset`` bundle byte for byte.  The t-digest
+    merge is order-dependent, so both executions preserve block order."""
+    from ray.data import DataContext
+
+    from jesse_ray.checkpoint import run_validation
+    from jesse_ray.pipelines.queries import _seq_spec
+
+    monkeypatch.setattr(DataContext.get_current().execution_options, "preserve_order", True)
+    files, _ = _sf0001_shards(tmp_path)
+    run_validation(files, _seq_spec(), tmp_path / "out", files_per_partition=len(files), sketch=True)
+    (part,) = [p for p in (tmp_path / "out").iterdir() if p.is_dir()]
+    want = sketch_dataset(ray.data.read_parquet(files, columns=["n_tok", "tokens"]))
+    assert want.rows > 1_000
+    assert (part / "sketch.bin").read_bytes() == want.to_bytes()
 
 
 def test_jsonl_corpus_parity(tmp_path, corpus_sf0001):
