@@ -37,10 +37,12 @@ import pyarrow.compute as pc
 from jesse_ray import errors as E
 from jesse_ray.spec import ColumnSpec, ConsistencyRule, TableSpec
 
+_PATH_TYPE = pa.list_(pa.string())
+
 VIOLATION_SCHEMA = pa.schema(
     [
         ("doc_id", pa.string()),
-        ("path", pa.list_(pa.string())),
+        ("path", _PATH_TYPE),
         ("error", pa.string()),
         ("value_json", pa.string()),
         ("schema_fragment", pa.string()),
@@ -163,6 +165,118 @@ def _json_val(v: Any) -> str:
                           default=_decimal_default)
     except _NestedDecimal:
         return _json_exact(v)
+
+
+#: a character that JSON string quoting must escape
+_JSON_ESCAPE_RE = r'[\x00-\x1f"\\]'
+
+
+def _quoted(arr: pa.Array) -> pa.Array:
+    """``'"' + s + '"'`` per string value, no escaping."""
+    return pc.binary_join_element_wise('"', pc.cast(arr, pa.string()), '"', "")
+
+
+def _patched(text: pa.Array, rows: np.ndarray, render: Callable[[int], str]) -> pa.Array:
+    """``text`` with each position in ``rows`` replaced by ``render(pos)``."""
+    if len(rows) == 0:
+        return text
+    mask = np.zeros(len(text), dtype=bool)
+    mask[rows] = True
+    return pc.replace_with_mask(
+        text, pa.array(mask), pa.array([render(int(i)) for i in rows], type=pa.string())
+    )
+
+
+def _json_text(arr: pa.Array) -> pa.Array:
+    """The JSON text of every value of ``arr`` as one string array, equal
+    byte for byte to ``[_json_val(v) for v in arr.to_pylist()]``.
+
+    Integers are cast and strings with nothing to escape are quoted by
+    Arrow kernels; only the other values — strings needing escapes,
+    floats, bools, decimals, lists and structs — go through
+    :func:`_json_val` one at a time."""
+    t = arr.type
+    if pa.types.is_integer(t):
+        text, rows = pc.cast(arr, pa.string()), ()
+    elif pa.types.is_string(t) or pa.types.is_large_string(t):
+        text = _quoted(arr)
+        rows = np.flatnonzero(_np_mask(pc.match_substring_regex(arr, _JSON_ESCAPE_RE), len(arr)))
+    else:
+        return pa.array([_json_val(v) for v in arr.to_pylist()], type=pa.string())
+    if arr.null_count:
+        text = pc.fill_null(text, "null")
+    return _patched(text, rows, lambda i: _json_val(arr[i].as_py()))
+
+
+def _length_json(lengths: pa.Array) -> pa.Array:
+    """``{"length":n}`` per list length."""
+    return pc.binary_join_element_wise('{"length":', pc.cast(lengths, pa.string()), "}", "")
+
+
+def _repeat(value: str | list[str], n: int) -> pa.Array:
+    """``n`` copies of one string, or of one path: a take of a one-element
+    list array (``pa.repeat`` of a list scalar is slow)."""
+    if isinstance(value, str):
+        return pa.repeat(pa.scalar(value, type=pa.string()), n)
+    return pa.array([value], type=_PATH_TYPE).take(pa.array(np.zeros(n, dtype=np.int64)))
+
+
+def _out_add(out, idx: np.ndarray, vals: pa.Array, path, atom: str) -> None:
+    """Append one chunk of ``len(idx)`` violations to the nested walker's
+    ``out`` = (rows, value_json, paths, atoms) chunk lists; ``path`` is one
+    path for every row or a list array of per-row paths."""
+    n = len(idx)
+    out[0].append(idx)
+    out[1].append(vals)
+    out[2].append(_repeat(path, n) if isinstance(path, list) else path)
+    out[3].append(_repeat(atom, n))
+
+
+def _indexed_paths(path: list[str], item: np.ndarray) -> pa.Array:
+    """``path + [str(i)]`` for each ``i`` in ``item``, as a list array
+    built from offsets: every list is the ``path`` prefix followed by the
+    element index."""
+    n, m = len(item), len(path)
+    pool = pa.concat_arrays([
+        pa.array(path, type=pa.string()),
+        pc.cast(pa.array(item, type=pa.int64()), pa.string()),
+    ])
+    take = np.empty((n, m + 1), dtype=np.int64)
+    take[:, :m] = np.arange(m)
+    take[:, m] = m + np.arange(n)
+    offsets = pa.array(np.arange(0, (n + 1) * (m + 1), m + 1, dtype=np.int32))
+    return pa.ListArray.from_arrays(offsets, pool.take(pa.array(take.ravel())))
+
+
+def _doc_ids(key_arr: Optional[pa.Array], idx: np.ndarray) -> pa.Array:
+    """The ``doc_id`` column for rows ``idx``: ``str(key)``, cast by Arrow
+    for string and integer keys; null without a key column."""
+    if key_arr is None:
+        return pa.nulls(len(idx), type=pa.string())
+    docs = key_arr.take(pa.array(idx, type=pa.int64()))
+    t = docs.type
+    if pa.types.is_string(t) or pa.types.is_large_string(t) or pa.types.is_integer(t):
+        return pc.cast(docs, pa.string())
+    return pa.array([None if d is None else str(d) for d in docs.to_pylist()], type=pa.string())
+
+
+def _violations_table(doc, path, error, value, fragment) -> pa.Table:
+    """A VIOLATION_SCHEMA table from per-column lists of Arrow chunks."""
+    return pa.Table.from_arrays(
+        [pa.concat_arrays(c) if len(c) > 1 else c[0] for c in (doc, path, error, value, fragment)],
+        schema=VIOLATION_SCHEMA,
+    )
+
+
+def _occurrence_rank(idx: np.ndarray) -> np.ndarray:
+    """For each position, how many earlier positions hold the same value."""
+    order = np.argsort(idx, kind="stable")
+    s = idx[order]
+    pos = np.arange(len(s))
+    start = np.maximum.accumulate(np.where(np.r_[True, s[1:] != s[:-1]], pos, 0))
+    rank = np.empty(len(idx), dtype=np.int64)
+    rank[order] = pos - start
+    return rank
 
 
 def _item_positions(col: pa.Array, flat_idx: np.ndarray):
@@ -551,8 +665,14 @@ class _Emit:
     error: str
     path: list[str]
     fragment: str
-    #: (tbl) -> (row_idx ndarray, value_json list[str], path_override list|None)
-    fn: Callable[[pa.Table], tuple[np.ndarray, list[str], Optional[list[list[str]]]]]
+    #: (tbl) -> (row_idx ndarray, value_json pa string array,
+    #: path_override pa list<string> array | None); a ``__multi__`` emit
+    #: adds a 4th element, the per-violation error atoms (pa string array)
+    fn: Callable[[pa.Table], tuple[np.ndarray, pa.Array, Optional[pa.Array]]]
+
+
+#: an emit's result when it finds nothing
+_NO_VIOLATIONS = (np.array([], dtype=np.int64), pa.array([], type=pa.string()), None)
 
 
 class CompiledSpec:
@@ -710,13 +830,12 @@ class CompiledSpec:
         path gaining the element's 0-based index (src/jesse_error.erl:85-92)."""
         flat, bad = self._failing_items(sub, col)
         if len(bad) == 0:
-            return bad, [], []
+            return _NO_VIOLATIONS
         rows, item = _item_positions(col, bad)
         keep = gate[rows]
         rows, item, bad = rows[keep], item[keep], bad[keep]
-        vals = flat.take(pa.array(bad, type=pa.int64())).to_pylist()
-        return (rows.astype(np.int64), [_json_val(v) for v in vals],
-                [path + [str(i)] for i in item.tolist()])
+        return (rows.astype(np.int64), _json_text(flat.take(pa.array(bad, type=pa.int64()))),
+                _indexed_paths(path, item))
 
     def _struct_field(self, arr: pa.Array, name: str):
         """(field array, presence mask) for one struct field; a field
@@ -760,9 +879,9 @@ class CompiledSpec:
     def _walk_struct(self, arr: pa.Array, gate: np.ndarray, cs: ColumnSpec,
                      base_path: list[str], out) -> None:
         """Recursive nested-object violation emission: appends
-        (idx_array, value_json, path, atom) entries to ``out`` for every
-        violation under a struct value array.  ``gate`` marks rows whose
-        value (and every ancestor) is present."""
+        (idx_array, value_json, path, atom) chunks to ``out`` (see
+        :func:`_out_add`) for every violation under a struct value array.
+        ``gate`` marks rows whose value (and every ancestor) is present."""
         targets: list[tuple[str, ColumnSpec]] = list((cs.properties or {}).items())
         for pat, sub in (cs.pattern_props or {}).items():
             rx = re.compile(pat)
@@ -778,10 +897,8 @@ class CompiledSpec:
             _fa, fpresent = self._struct_field(arr, prop)
             idx = np.flatnonzero(gate & ~fpresent)
             if len(idx):
-                out[0].append(idx)
-                out[1].extend(["null"] * len(idx))
-                out[2].extend([base_path + [prop]] * len(idx))
-                out[3].extend([E.MISSING_REQUIRED_PROPERTY] * len(idx))
+                _out_add(out, idx, _repeat("null", len(idx)),
+                         base_path + [prop], E.MISSING_REQUIRED_PROPERTY)
         if not cs.additional_props_allowed:
             declared = set((cs.properties or {}).keys())
             pats = [re.compile(p) for p in (cs.pattern_props or {})]
@@ -796,16 +913,14 @@ class CompiledSpec:
                 bad = gate & self._struct_extra_props_mask(cs, arr)
                 idx = np.flatnonzero(bad)
                 if len(idx):
-                    out[0].append(idx)
                     # per-row: only the extras the row actually CARRIES
-                    out[1].extend(
+                    vals = pa.array([
                         _json_val({"extraProperties": sorted(
                             name for name in extra_fields if masks[name][i]
                         )})
                         for i in idx
-                    )
-                    out[2].extend([base_path] * len(idx))
-                    out[3].extend([E.NO_EXTRA_PROPERTIES_ALLOWED] * len(idx))
+                    ], type=pa.string())
+                    _out_add(out, idx, vals, base_path, E.NO_EXTRA_PROPERTIES_ALLOWED)
 
     def _emit_value_violations(self, arr: pa.Array, gate: np.ndarray, cs: ColumnSpec,
                                path: list[str], out) -> None:
@@ -816,10 +931,7 @@ class CompiledSpec:
         for atom, mask in self._spec_fail_atoms(cs, arr, skip_items=True, skip_struct=True):
             idx = np.flatnonzero(gate & mask)
             if len(idx):
-                out[0].append(idx)
-                out[1].extend(self._values_json(arr, idx))
-                out[2].extend([path] * len(idx))
-                out[3].extend([atom] * len(idx))
+                _out_add(out, idx, self._values_json(arr, idx), path, atom)
         is_list = pa.types.is_list(arr.type) or pa.types.is_large_list(arr.type)
         if is_list and cs.items is not None:
             rows, vals, paths = self._item_violations(cs.items, arr, gate, path)
@@ -829,10 +941,7 @@ class CompiledSpec:
                     if (cs.items.minimum is not None or cs.items.maximum is not None)
                     else E.NOT_SCHEMA_VALID
                 )
-                out[0].append(rows)
-                out[1].extend(vals)
-                out[2].extend(paths)
-                out[3].extend([atom] * len(rows))
+                _out_add(out, rows, vals, paths, atom)
         if pa.types.is_struct(arr.type) and (
             cs.properties or cs.required_props or cs.pattern_props
             or not cs.additional_props_allowed
@@ -1045,11 +1154,11 @@ class CompiledSpec:
             ok = np.asarray(cc.fn(tbl), dtype=bool)
             idx = np.flatnonzero(~ok)
             if len(idx) == 0:
-                return idx, [], None
+                return _NO_VIOLATIONS
             if col and col in tbl.column_names:
                 vals = self._values_json(_combine(tbl[col]), idx)
             else:
-                vals = ["null"] * len(idx)
+                vals = _repeat("null", len(idx))
             return idx, vals, None
 
         self._add(
@@ -1096,11 +1205,8 @@ class CompiledSpec:
         field evaluation yields several keyword atoms)."""
         self._add(name, "__multi__", path, fragment_obj, fn)
 
-    def _values_json(self, arr: pa.Array, idx: np.ndarray) -> list[str]:
-        if len(idx) == 0:
-            return []
-        vals = arr.take(pa.array(idx, type=pa.int64())).to_pylist()
-        return [_json_val(v) for v in vals]
+    def _values_json(self, arr: pa.Array, idx: np.ndarray) -> pa.Array:
+        return _json_text(arr.take(pa.array(idx, type=pa.int64())))
 
     def _build_column(self, col: str, cs: ColumnSpec) -> None:
         frag = cs.to_fragment()
@@ -1115,7 +1221,7 @@ class CompiledSpec:
                     idx = np.arange(n, dtype=np.int64)
                 else:
                     idx = np.flatnonzero(~present)
-                return idx, ["null"] * len(idx), None
+                return idx, _repeat("null", len(idx)), None
 
             self._add(f"required:{col}", E.MISSING_REQUIRED_PROPERTY, [col], {"required": [col]}, req_fn)
 
@@ -1123,7 +1229,7 @@ class CompiledSpec:
             def fn(tbl, col=col, mask_fn=mask_fn):
                 arr, present = self._col_ctx(tbl, col)
                 if arr is None:
-                    return np.array([], dtype=np.int64), [], None
+                    return _NO_VIOLATIONS
                 ok = mask_fn(arr)
                 idx = np.flatnonzero(present & ~ok)
                 return idx, self._values_json(arr, idx), None
@@ -1226,15 +1332,15 @@ class CompiledSpec:
             def items_len_fn(tbl, col=col, mask_fn=items_len_mask):
                 arr, present = self._col_ctx(tbl, col)
                 if arr is None:
-                    return np.array([], dtype=np.int64), [], None
+                    return _NO_VIOLATIONS
                 ok = mask_fn(arr)
                 idx = np.flatnonzero(present & ~ok)
                 if len(idx) == 0:
-                    return idx, [], None
+                    return _NO_VIOLATIONS
                 # Value = the offending array length context; the full token
                 # array can be huge — record its length, not the payload.
-                ln = pc.list_value_length(arr).take(pa.array(idx, type=pa.int64())).to_pylist()
-                return idx, [_json_val({"length": int(x)}) for x in ln], None
+                ln = pc.list_value_length(arr).take(pa.array(idx, type=pa.int64()))
+                return idx, _length_json(ln), None
 
             self._add(f"items_len:{col}", E.WRONG_SIZE, [col], it_frag, items_len_fn)
 
@@ -1242,10 +1348,10 @@ class CompiledSpec:
             def uniq_fn(tbl, col=col):
                 arr, present = self._col_ctx(tbl, col)
                 if arr is None or not (pa.types.is_list(arr.type) or pa.types.is_large_list(arr.type)):
-                    return np.array([], dtype=np.int64), [], None
+                    return _NO_VIOLATIONS
                 rows, vals = _unique_items_dups(arr)
                 rows = rows[present[rows]] if len(rows) else rows
-                return rows, [_json_val(v) for v in vals[: len(rows)]], None
+                return rows, pa.array([_json_val(v) for v in vals[: len(rows)]], type=pa.string()), None
 
             self._add(f"uniqueItems:{col}", E.NOT_UNIQUE, [col], {"uniqueItems": True}, uniq_fn)
 
@@ -1259,9 +1365,8 @@ class CompiledSpec:
             def items_fn(tbl, col=col, sub=sub):
                 arr, present = self._col_ctx(tbl, col)
                 if arr is None or not (pa.types.is_list(arr.type) or pa.types.is_large_list(arr.type)):
-                    return np.array([], dtype=np.int64), [], None
-                rows, vals, paths = self._item_violations(sub, arr, present, [col])
-                return rows, vals, paths or None
+                    return _NO_VIOLATIONS
+                return self._item_violations(sub, arr, present, [col])
 
             self._add(f"items:{col}", E.NOT_IN_RANGE if (sub.minimum is not None or sub.maximum is not None) else E.NOT_SCHEMA_VALID, [col], {"items": sub_frag}, items_fn)
 
@@ -1284,11 +1389,11 @@ class CompiledSpec:
                 def fn(tbl, col=col, cs=cs, atom=atom):
                     arr, present = self._col_ctx(tbl, col)
                     if arr is None or not (pa.types.is_list(arr.type) or pa.types.is_large_list(arr.type)):
-                        return np.array([], dtype=np.int64), [], None
+                        return _NO_VIOLATIONS
                     _rows, details, flat = self._positional_bad_rows(cs, arr)
                     details = [d for d in details if present[d[1]] and d[3] == atom]
                     if not details:
-                        return np.array([], dtype=np.int64), [], None
+                        return _NO_VIOLATIONS
                     rows = np.asarray([d[1] for d in details], dtype=np.int64)
                     ln = pc.list_value_length(arr)
                     vals = [
@@ -1298,7 +1403,7 @@ class CompiledSpec:
                     # item_idx -1 = whole-array error: path is the column
                     # itself (the reference's [] at instance root)
                     paths = [[col] if d[2] < 0 else [col, str(d[2])] for d in details]
-                    return rows, vals, paths
+                    return rows, pa.array(vals, type=pa.string()), pa.array(paths, type=_PATH_TYPE)
 
                 return fn
 
@@ -1313,7 +1418,7 @@ class CompiledSpec:
             def allof_fn(tbl, col=col, subs=cs.all_of):
                 arr, present = self._col_ctx(tbl, col)
                 if arr is None:
-                    return np.array([], dtype=np.int64), [], None
+                    return _NO_VIOLATIONS
                 ok = np.ones(len(arr), dtype=bool)
                 for s in subs:
                     ok &= self._spec_valid_mask(s, arr)
@@ -1326,13 +1431,13 @@ class CompiledSpec:
             def anyof_fn(tbl, col=col, subs=cs.any_of):
                 arr, present = self._col_ctx(tbl, col)
                 if arr is None:
-                    return np.array([], dtype=np.int64), [], None
+                    return _NO_VIOLATIONS
                 ok = np.zeros(len(arr), dtype=bool)
                 for s in subs:
                     ok |= self._spec_valid_mask(s, arr)
                 idx = np.flatnonzero(present & ~ok)
                 if len(idx) == 0:
-                    return idx, [], None
+                    return _NO_VIOLATIONS
                 # the reference reports the failing CHILD with the fewest
                 # errors alongside the atom ({any_schemas_not_valid,
                 # ShortestErrors}, src/jesse_validator_draft4.erl:1162-1179,
@@ -1358,27 +1463,17 @@ class CompiledSpec:
                             separators=(",", ":"),
                         )
                     )
-                return idx, vals, None
+                return idx, pa.array(vals, type=pa.string()), None
 
             self._add(f"anyOf:{col}", E.ANY_SCHEMAS_NOT_VALID, [col], {"anyOf": [s.to_fragment() for s in cs.any_of]}, anyof_fn)
 
         if cs.one_of:
-            def oneof_fn(tbl, col=col, subs=cs.one_of, error=None):
-                arr, present = self._col_ctx(tbl, col)
-                if arr is None:
-                    return np.array([], dtype=np.int64), [], None
-                cnt = np.zeros(len(arr), dtype=np.int32)
-                for s in subs:
-                    cnt += self._spec_valid_mask(s, arr).astype(np.int32)
-                idx = np.flatnonzero(present & (cnt != 1) if error is None else present & (cnt > 1))
-                return idx, self._values_json(arr, idx), None
-
             # two atoms: 0 valid -> not_one_schema_valid; >1 -> more_than_one
             # (src/jesse_validator_draft4.erl:1197-1223)
             def oneof_zero(tbl, col=col, subs=cs.one_of):
                 arr, present = self._col_ctx(tbl, col)
                 if arr is None:
-                    return np.array([], dtype=np.int64), [], None
+                    return _NO_VIOLATIONS
                 cnt = np.zeros(len(arr), dtype=np.int32)
                 for s in subs:
                     cnt += self._spec_valid_mask(s, arr).astype(np.int32)
@@ -1388,7 +1483,7 @@ class CompiledSpec:
             def oneof_many(tbl, col=col, subs=cs.one_of):
                 arr, present = self._col_ctx(tbl, col)
                 if arr is None:
-                    return np.array([], dtype=np.int64), [], None
+                    return _NO_VIOLATIONS
                 cnt = np.zeros(len(arr), dtype=np.int32)
                 for s in subs:
                     cnt += self._spec_valid_mask(s, arr).astype(np.int32)
@@ -1429,13 +1524,13 @@ class CompiledSpec:
             def contains_fn(tbl, col=col, sub=cs.contains):
                 arr, present = self._col_ctx(tbl, col)
                 if arr is None or not (pa.types.is_list(arr.type) or pa.types.is_large_list(arr.type)):
-                    return np.array([], dtype=np.int64), [], None
+                    return _NO_VIOLATIONS
                 ok = self._contains_mask(sub, arr)
                 idx = np.flatnonzero(present & ~ok)
                 if len(idx) == 0:
-                    return idx, [], None
-                ln = pc.list_value_length(arr).take(pa.array(idx, type=pa.int64())).to_pylist()
-                return idx, [_json_val({"length": int(x)}) for x in ln], None
+                    return _NO_VIOLATIONS
+                ln = pc.list_value_length(arr).take(pa.array(idx, type=pa.int64()))
+                return idx, _length_json(ln), None
 
             self._add(f"contains:{col}", E.DATA_INVALID, [col], {"contains": cs.contains.to_fragment()}, contains_fn)
 
@@ -1443,7 +1538,7 @@ class CompiledSpec:
             def not_fn(tbl, col=col, sub=cs.not_):
                 arr, present = self._col_ctx(tbl, col)
                 if arr is None:
-                    return np.array([], dtype=np.int64), [], None
+                    return _NO_VIOLATIONS
                 ok = ~self._spec_valid_mask(sub, arr)
                 idx = np.flatnonzero(present & ~ok)
                 return idx, self._values_json(arr, idx), None
@@ -1460,27 +1555,30 @@ class CompiledSpec:
             def nested_fn(tbl, col=col, cs=cs):
                 arr, present = self._col_ctx(tbl, col)
                 if arr is None or not pa.types.is_struct(arr.type):
-                    return np.array([], dtype=np.int64), [], None
+                    return _NO_VIOLATIONS
                 out = ([], [], [], [])
                 self._walk_struct(arr, present, cs, [col], out)
                 if not out[0]:
-                    return np.array([], dtype=np.int64), [], None
-                return np.concatenate(out[0]), out[1], out[2], out[3]
+                    return _NO_VIOLATIONS
+                return (np.concatenate(out[0]),
+                        *(pa.concat_arrays(chunks) for chunks in out[1:]))
 
             self._add_multi(f"nested:{col}", [col], frag, nested_fn)
 
     def _build_consistency(self, rule: ConsistencyRule) -> None:
         name = rule.name or f"{rule.kind}:{rule.left}~{rule.right}"
         frag_obj = {"consistency": {"kind": rule.kind, "left": rule.left, "right": rule.right}}
+        # value_json is '{"len":a,"<right>":b}', as _json_val renders the dict
+        right_key = "," + _json_val(rule.right) + ":"
 
-        def fn(tbl, rule=rule):
+        def fn(tbl, rule=rule, right_key=right_key):
             left, lp = self._col_ctx(tbl, rule.left)
             right, rp = self._col_ctx(tbl, rule.right)
             if left is None or right is None:
-                return np.array([], dtype=np.int64), [], None
+                return _NO_VIOLATIONS
             if rule.kind == "list_len_eq":
                 if not (pa.types.is_list(left.type) or pa.types.is_large_list(left.type)):
-                    return np.array([], dtype=np.int64), [], None
+                    return _NO_VIOLATIONS
                 ln = pc.fill_null(pc.list_value_length(left), -1).to_numpy(zero_copy_only=False)
             elif rule.kind == "str_len_eq":
                 ln = pc.fill_null(pc.utf8_length(left), -1).to_numpy(zero_copy_only=False)
@@ -1491,10 +1589,15 @@ class CompiledSpec:
                 bad = lp & rp & (ln.astype(np.float64) != rv)
             idx = np.flatnonzero(bad)
             if len(idx) == 0:
-                return idx, [], None
-            vals = [
-                _json_val({"len": int(ln[i]), rule.right: int(rv[i])}) for i in idx
-            ]
+                return _NO_VIOLATIONS
+            rv = rv[idx]
+            if np.all(np.abs(rv) < 2.0**63):
+                right_txt = pc.cast(pa.array(rv.astype(np.int64)), pa.string())
+            else:  # past int64 (or NaN, which raises): Python's exact int()
+                right_txt = pa.array([str(int(x)) for x in rv], type=pa.string())
+            vals = pc.binary_join_element_wise(
+                '{"len":', pc.cast(pa.array(ln[idx]), pa.string()), right_key, right_txt, "}", ""
+            )
             return idx, vals, None
 
         self._add(name, rule.error_atom, [rule.left], frag_obj, fn)
@@ -1538,7 +1641,7 @@ class CompiledSpec:
                     bad |= branch_mask & present & ~self._spec_valid_mask(sub, arr)
             idx = np.flatnonzero(bad)
             if len(idx) == 0:
-                return idx, [], None
+                return _NO_VIOLATIONS
             # value_json: the branch columns of each offending row
             cols = {}
             for col in branch_cols:
@@ -1549,7 +1652,7 @@ class CompiledSpec:
                 _json_val({c: v[i] for c, v in cols.items()})
                 for i in range(len(idx))
             ]
-            return idx, vals, None
+            return idx, pa.array(vals, type=pa.string()), None
 
         self._add(
             f"conditional:{rule.name}",
@@ -1565,7 +1668,7 @@ class CompiledSpec:
         def fn(tbl, col=col, needs=needs):
             arr, present = self._col_ctx(tbl, col)
             if arr is None:
-                return np.array([], dtype=np.int64), [], None
+                return _NO_VIOLATIONS
             bad = np.zeros(tbl.num_rows, dtype=bool)
             for dep in needs:
                 darr, dpresent = self._col_ctx(tbl, dep)
@@ -1635,6 +1738,13 @@ class CompiledSpec:
         Emission order is the spec's keyword order, so "first" is
         deterministic.
 
+        Rows are rendered column by column: each emit contributes Arrow
+        chunks (``doc_id`` a take of the key column, ``value_json`` from
+        :func:`_json_text`, the constant path, error and fragment a take
+        of a one-element array) and every column is concatenated once.
+        Only values that need escaping or are not integers or strings are
+        rendered one at a time.
+
         ``error_handler`` is the pluggable violation-sink hook — the
         batch analogue of jesse's per-error ``error_handler(Error,
         ErrorList, AllowedErrors)`` option (src/jesse.erl:61-66,
@@ -1648,58 +1758,35 @@ class CompiledSpec:
         key_arr = _combine(tbl[key]) if key and key in tbl.column_names else None
         cap = None if allowed_errors is None else (1 if allowed_errors == 0 else allowed_errors + 1)
         row_counts = np.zeros(tbl.num_rows, dtype=np.int32) if cap is not None else None
-        out_doc, out_path, out_err, out_val, out_frag = [], [], [], [], []
+        cols = ([], [], [], [], [])  # doc_id, path, error, value_json, schema_fragment chunks
         for em in self._emits:
             result = em.fn(tbl)
-            idx, vals, paths = result[0], result[1], result[2]
+            idx, vals, paths = np.asarray(result[0], dtype=np.int64), result[1], result[2]
             atoms = result[3] if len(result) > 3 else None
             if len(idx) == 0:
                 continue
             if cap is not None:
-                idx = np.asarray(idx, dtype=np.int64)
-                keep = np.flatnonzero(row_counts[idx] < cap)
-                if len(keep) == 0:
-                    continue
                 # within one emit, several violations can hit the same row
-                # (per-element items checks): honor the cap inside the emit
-                # by counting occurrences in order
-                sel = []
-                for k in keep:
-                    r = idx[k]
-                    if row_counts[r] < cap:
-                        row_counts[r] += 1
-                        sel.append(int(k))
-                idx = idx[sel]
-                vals = [vals[k] for k in sel]
-                if paths is not None:
-                    paths = [paths[k] for k in sel]
-                if atoms is not None:
-                    atoms = [atoms[k] for k in sel]
-                if len(idx) == 0:
+                # (per-element items checks): a violation is kept iff the
+                # row's count before this emit plus its earlier hits in
+                # this emit stay under the cap
+                sel = np.flatnonzero(row_counts[idx] + _occurrence_rank(idx) < cap)
+                if len(sel) == 0:
                     continue
-            if key_arr is not None:
-                docs = key_arr.take(pa.array(idx, type=pa.int64())).to_pylist()
-                docs = [d if d is None else str(d) for d in docs]
-            else:
-                docs = [None] * len(idx)
-            out_doc.extend(docs)
-            out_path.extend(paths if paths is not None else [em.path] * len(idx))
-            out_err.extend(atoms if atoms is not None else [em.error] * len(idx))
-            out_val.extend(vals)
-            out_frag.extend([em.fragment] * len(idx))
-        if not out_err:
-            result = empty_violations()
-        else:
-            result = pa.table(
-                {
-                    "doc_id": pa.array(out_doc, type=pa.string()),
-                    "path": pa.array(out_path, type=pa.list_(pa.string())),
-                    "error": pa.array(out_err, type=pa.string()),
-                    "value_json": pa.array(out_val, type=pa.string()),
-                    "schema_fragment": pa.array(out_frag, type=pa.string()),
-                },
-                schema=VIOLATION_SCHEMA,
-            )
+                np.add.at(row_counts, idx[sel], 1)
+                if len(sel) < len(idx):
+                    idx = idx[sel]
+                    sel = pa.array(sel)
+                    vals = vals.take(sel)
+                    paths = None if paths is None else paths.take(sel)
+                    atoms = None if atoms is None else atoms.take(sel)
+            n = len(idx)
+            cols[0].append(_doc_ids(key_arr, idx))
+            cols[1].append(_repeat(em.path, n) if paths is None else paths)
+            cols[2].append(_repeat(em.error, n) if atoms is None else atoms)
+            cols[3].append(vals)
+            cols[4].append(_repeat(em.fragment, n))
+        result = _violations_table(*cols) if cols[0] else empty_violations()
         # schema-form dependencies: rows where the trigger column is
         # present are validated against the dependent sub-spec, and the
         # CHILD's violations propagate as-is — mirroring the reference's

@@ -43,7 +43,13 @@ from jesse_ray.compiler import (
     compile_spec,
     empty_violations,
     _combine,
+    _doc_ids,
+    _json_text,
     _np_mask,
+    _patched,
+    _quoted,
+    _repeat,
+    _violations_table,
 )
 from jesse_ray.sketches import SketchBundle
 from jesse_ray.spec import ReferentialRule, TableSpec
@@ -479,23 +485,36 @@ def _uniqueness_report(merges: list[KeyCountMerge], ds: Dataset) -> tuple[pa.Tab
     return (parts[0] if len(parts) == 1 else pa.concat_tables(parts)), metrics
 
 
+def _ascii_json(arr: pa.Array) -> pa.Array:
+    """``json.dumps(v)`` of every value, with json's default
+    ``ensure_ascii`` (``é`` renders as ``\\u00e9`` and DEL as ``\\u007f``).
+    Integers are cast and strings of printable ASCII other than ``"`` and
+    ``\\`` are quoted by Arrow kernels; only the other values are dumped
+    one at a time."""
+    t = arr.type
+    if pa.types.is_integer(t):
+        return pc.cast(arr, pa.string())
+    if pa.types.is_string(t) or pa.types.is_large_string(t):
+        esc = np.flatnonzero(_np_mask(pc.match_substring_regex(arr, r'[^ -~]|["\\]'), len(arr)))
+        return _patched(_quoted(arr), esc, lambda i: json.dumps(arr[i].as_py()))
+    return pa.array([json.dumps(v) for v in arr.to_pylist()], type=pa.string())
+
+
 def _not_unique_rows(tbl: pa.Table, key: str) -> pa.Table:
+    """One ``not_unique`` violation per ``(key, cnt)`` row of ``tbl``:
+    ``doc_id`` is ``str(key)`` and ``value_json`` is
+    ``json.dumps({"value": key, "count": cnt})`` in compact form, joined
+    column-wise from the key's :func:`_ascii_json` text and the count."""
     n = tbl.num_rows
-    keys = tbl[key].to_pylist()
-    cnts = tbl["cnt"].to_pylist()
-    frag = json.dumps({"uniqueKeys": [key]}, separators=(",", ":"))
-    return pa.table(
-        {
-            "doc_id": pa.array([str(k) for k in keys], type=pa.string()),
-            "path": pa.array([[key]] * n, type=pa.list_(pa.string())),
-            "error": pa.array([E.NOT_UNIQUE] * n, type=pa.string()),
-            "value_json": pa.array(
-                [json.dumps({"value": k, "count": int(c)}, separators=(",", ":")) for k, c in zip(keys, cnts)],
-                type=pa.string(),
-            ),
-            "schema_fragment": pa.array([frag] * n, type=pa.string()),
-        },
-        schema=VIOLATION_SCHEMA,
+    keys, cnts = _combine(tbl[key]), _combine(tbl["cnt"])
+    doc = _doc_ids(keys, np.arange(n))
+    value = pc.binary_join_element_wise(
+        '{"value":', _ascii_json(keys), ',"count":', pc.cast(cnts, pa.string()), "}", ""
+    )
+    frag = '{"uniqueKeys":[' + _ascii_json(pa.array([key]))[0].as_py() + "]}"
+    return _violations_table(
+        [doc], [_repeat([key], n)], [_repeat(E.NOT_UNIQUE, n)],
+        [value], [_repeat(frag, n)],
     )
 
 
@@ -574,38 +593,26 @@ class ReferentialChecker:
             self.compiled_rules.append((column, vs, error_atom, frag))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out_doc, out_path, out_err, out_val, out_frag = [], [], [], [], []
+        """The batch's membership violations, rendered column by column
+        as ``CompiledSpec.check_batch`` renders its rows: ``doc_id`` from
+        the key column, ``value_json`` from ``_json_text`` and the
+        constant path, error and fragment from one-element arrays."""
+        cols = ([], [], [], [], [])  # doc_id, path, error, value_json, schema_fragment chunks
         key_arr = _combine(batch[self.key_column]) if self.key_column in batch.column_names else None
         for column, value_set, error_atom, frag in self.compiled_rules:
             bad = _membership_bad_mask(batch, column, value_set)
             if bad is None:
                 continue
-            arr = _combine(batch[column])
             idx = np.flatnonzero(bad)
             if len(idx) == 0:
                 continue
-            vals = arr.take(pa.array(idx, type=pa.int64())).to_pylist()
-            if key_arr is not None:
-                docs = key_arr.take(pa.array(idx, type=pa.int64())).to_pylist()
-            else:
-                docs = [None] * len(idx)
-            out_doc.extend([None if d is None else str(d) for d in docs])
-            out_path.extend([[column]] * len(idx))
-            out_err.extend([error_atom] * len(idx))
-            out_val.extend([json.dumps(v, ensure_ascii=False) for v in vals])
-            out_frag.extend([frag] * len(idx))
-        if not out_err:
-            return empty_violations()
-        return pa.table(
-            {
-                "doc_id": pa.array(out_doc, type=pa.string()),
-                "path": pa.array(out_path, type=pa.list_(pa.string())),
-                "error": pa.array(out_err, type=pa.string()),
-                "value_json": pa.array(out_val, type=pa.string()),
-                "schema_fragment": pa.array(out_frag, type=pa.string()),
-            },
-            schema=VIOLATION_SCHEMA,
-        )
+            n = len(idx)
+            cols[0].append(_doc_ids(key_arr, idx))
+            cols[1].append(_repeat([column], n))
+            cols[2].append(_repeat(error_atom, n))
+            cols[3].append(_json_text(_combine(batch[column]).take(pa.array(idx, type=pa.int64()))))
+            cols[4].append(_repeat(frag, n))
+        return _violations_table(*cols) if cols[0] else empty_violations()
 
 
 #: the fused pass's output when it carries in-band payloads: the

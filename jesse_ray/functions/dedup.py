@@ -499,7 +499,8 @@ def lsh_candidate_pairs(ds: Dataset, *, num_hashes: int = 64, bands: int = 16,
     no pairs for them) — the skew guard for adversarial corpora where
     one band value collects a huge fraction of documents.
     """
-    assert num_hashes % bands == 0
+    if bands < 1 or num_hashes % bands:
+        raise ValueError(f"num_hashes ({num_hashes}) must be a multiple of bands ({bands})")
     sigs = minhash_signatures(ds.select_columns([key_col, "text"]), num_hashes=num_hashes, **kw)
     return _lsh_pairs_from_sigs(sigs, num_hashes=num_hashes, bands=bands,
                                 key_col=key_col, bucket_cap=bucket_cap,
@@ -901,7 +902,10 @@ def simhash_near_dups(ds: Dataset, *, max_hamming: int = 3, key_col: str = "doc_
     above the cap emit nothing and increment ``drop_counter`` so the
     loss is visible, not silent.
     """
-    assert max_hamming < blocks, "pigeonhole completeness needs max_hamming < blocks"
+    if max_hamming >= blocks:
+        raise ValueError(
+            f"pigeonhole completeness needs max_hamming < blocks, got {max_hamming} >= {blocks}"
+        )
     from itertools import combinations
 
     from jesse_ray.hashutil import fmix64
@@ -1621,7 +1625,8 @@ def token_lsh_candidate_pairs(
     """Near-dup candidate pairs over PRE-TOKENIZED sequences: token-gram
     MinHash + LSH banding, same shuffle discipline as the text path
     (coarse bucket partitions, within-run pairs, distributed dedup)."""
-    assert num_hashes % bands == 0
+    if bands < 1 or num_hashes % bands:
+        raise ValueError(f"num_hashes ({num_hashes}) must be a multiple of bands ({bands})")
 
     def drop_null_keys(batch: pa.Table) -> pa.Table:
         # a row with a null key can't be reported as a pair member (the

@@ -205,7 +205,8 @@ def sliding_window(
     shuffle volume is k× the input by construction (the standard
     sliding-window cost); ``window_s`` must be a multiple of ``slide_s``.
     """
-    assert window_s % slide_s == 0, "window_s must be a multiple of slide_s"
+    if slide_s <= 0 or window_s % slide_s != 0:
+        raise ValueError(f"window_s ({window_s}) must be a positive multiple of slide_s ({slide_s})")
     k = window_s // slide_s
 
     def expand(batch: pa.Table) -> pa.Table:
@@ -315,12 +316,17 @@ def grouped_rolling(
         new_key = g[key].ne(g[key].shift(1)).to_numpy()
         run_id = np.cumsum(new_key) - 1
         if len(ts):
-            span = np.int64(ts.max() - ts.min()) + w + np.int64(2)
+            # Python ints: the guard itself must not wrap around
+            span = int(ts.max() - ts.min()) + int(w) + 2
             n_runs = int(run_id[-1]) + 1
             # banding must not overflow int64 (would need ~1e14 keys in
             # one part x multi-year span; coarse parts keep runs small)
-            assert span * n_runs < np.iinfo(np.int64).max // 2, "rolling band overflow"
-            adj = (ts - ts.min()) + run_id * span
+            if span * n_runs >= np.iinfo(np.int64).max // 2:
+                raise ValueError(
+                    f"rolling band overflow: {n_runs} key runs x span {span} us "
+                    "pass int64; raise n_parts or shrink window_us"
+                )
+            adj = (ts - ts.min()) + run_id * np.int64(span)
         else:
             adj = ts
         lo = np.searchsorted(adj, adj - w, side="left")
@@ -748,7 +754,8 @@ def top_k_elements(
     rows, not raw elements; shuffle on a coarse element-hash partition
     (≤``n_parts`` groups); driver sees only n_parts × k candidates.
     """
-    assert n_parts & (n_parts - 1) == 0, "n_parts must be a power of two"
+    if n_parts < 1 or n_parts & (n_parts - 1):
+        raise ValueError(f"n_parts must be a power of two, got {n_parts}")
 
     def partial(batch: pa.Table) -> pa.Table:
         col = batch[list_col]
@@ -1880,7 +1887,8 @@ def interval_count_join(
     - output is one row per point (LEFT-join semantics: zero-cover
       points included), never the cross product.
     """
-    assert n_parts & (n_parts - 1) == 0, "n_parts must be a power of two"
+    if n_parts < 1 or n_parts & (n_parts - 1):
+        raise ValueError(f"n_parts must be a power of two, got {n_parts}")
     g = np.int64(max_len_us)
     mask = np.uint64(n_parts - 1)
 
