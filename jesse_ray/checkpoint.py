@@ -130,10 +130,10 @@ def run_validation(
 
     Key uniqueness is CORPUS-scoped: one column-pruned pass over ALL
     input files runs after the partition loop (a per-partition check
-    would miss keys duplicated across partitions).  It takes the
-    engine's two exact routes (``engine.uniqueness_check``): a streaming
-    driver merge of per-batch key counts while the merged state stays
-    under ``UNIQ_DRIVER_CAP_BYTES``, the hash-bucket shuffle above it.
+    would miss keys duplicated across partitions).  It runs the engine's
+    one exact algorithm (``engine.uniqueness_check``): per-batch key
+    counts summed on the driver while the merged state stays under
+    ``UNIQ_DRIVER_CAP_BYTES``, per key bucket in tasks above it.
     The route report (``uniqueness.route``, ``.partial_rows``,
     ``.merged_bytes``, ``.dup_keys``) goes into the summary.  The pass
     reruns on every invocation — including resumes — because it reads

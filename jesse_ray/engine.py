@@ -6,8 +6,8 @@ check plus the referential broadcast-dimension checks (task mode with
 lazily-resolved ``ray.put`` state — broadcast-once per worker) and
 emitting each batch's row count, exact key counts and (when asked) drift
 sketch in-band → corpus-level key
-uniqueness (capped driver merge of those counts, hash-bucket shuffle
-over the key columns above the cap) → violations ``Dataset`` + per-run
+uniqueness (the same exact counts summed on the driver under a byte cap,
+per key bucket in tasks above it) → violations ``Dataset`` + per-run
 metrics.  A validation reads the corpus once: one Ray Data execution
 unless the cap trips.
 
@@ -34,7 +34,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 from ray.data import Dataset
-from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.aggregate import Max, Min, Sum
 
 from jesse_ray import errors as E
 from jesse_ray.compiler import (
@@ -51,6 +51,7 @@ from jesse_ray.compiler import (
     _repeat,
     _violations_table,
 )
+from jesse_ray.hashutil import hash64_strings
 from jesse_ray.sketches import SketchBundle
 from jesse_ray.spec import ReferentialRule, TableSpec
 
@@ -199,142 +200,22 @@ def migration_report(
 
 
 # ---------------------------------------------------------------------------
-# corpus-level uniqueness (two-phase count: batch-local combiner before the
-# shuffle, defusing duplicate-heavy hot keys — SURVEY §7.3)
+# corpus-level uniqueness: one exact algorithm at both scales.  Every route
+# sums the same per-batch ``(key, partial_cnt)`` partials (a map-side
+# combiner that collapses hot keys before anything moves, SURVEY §7.3) with
+# ``_sum_key_counts`` and keeps ``cnt > 1``; only where the sum runs
+# differs: on the driver under ``UNIQ_DRIVER_CAP_BYTES`` (``KeyCountMerge``),
+# per key bucket inside a task above it (``duplicate_keys``).
 
 
 def _batch_key_counts(batch: pa.Table, key: str) -> pa.Table:
     """Exact ``(key, partial_cnt)`` rows of one batch — the map-side
-    combiner shared by both uniqueness routes and the fused pass."""
+    combiner of every uniqueness route and of the fused pass."""
     # NULL keys are excluded: absence is missing_required_property
     # territory, not uniqueness (presence semantics, SURVEY §2.3)
     t = batch.select([key]).filter(pc.is_valid(batch[key]))
     g = t.group_by(key).aggregate([([], "count_all")])
     return g.rename_columns([key, "partial_cnt"])
-
-
-def _key_count_partials(ds: Dataset, key: str, batch_size: Optional[int]) -> Dataset:
-    def partial(batch: pa.Table) -> pa.Table:
-        return _batch_key_counts(batch, key)
-
-    return ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
-
-
-def duplicate_keys(ds: Dataset, key: str, *, batch_size: Optional[int] = None) -> Dataset:
-    """Distinct key values appearing more than once, with counts.
-
-    Phase 1 (map-side combiner): per-batch ``group_by(key).count`` —
-    collapses hot keys (100+ copies of one doc_id) to one partial row per
-    batch, so the shuffle moves per-batch distincts, not raw rows.
-    Phase 2: hash groupby over the partials, sum, filter > 1.
-    """
-
-    partials = _key_count_partials(ds, key, batch_size)
-    counts = partials.groupby(key).aggregate(Sum("partial_cnt", alias_name="cnt"))
-
-    def only_dups(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.greater(batch["cnt"], 1))
-
-    return counts.map_batches(only_dups, batch_format="pyarrow")
-
-
-def duplicate_keys_hashed(
-    ds: Dataset, key: str, *, batch_size: Optional[int] = None, n_buckets: int = 64
-) -> pa.Table:
-    """Exact duplicate keys via a HASH-weight bucket shuffle — the
-    distributed route ``uniqueness_check`` falls back to when the driver
-    merge passes ``UNIQ_DRIVER_CAP_BYTES``.
-
-    The plain groupby sort-merges the raw key strings through Ray's
-    row-oriented Aggregate (~76k rows/s measured — the bottleneck of the
-    whole validation run).  Here:
-
-    1. map side: per-batch partial counts keyed by a 64-bit hash of the
-       key, bucketed by ``hash % n_buckets`` — the all-to-all moves
-       ~16-byte int rows and the shuffle sort touches ONLY the tiny
-       ``part`` column (n_buckets distinct int32s), never the keys;
-    2. reduce side: ``groupby(part).map_groups`` merges each bucket with
-       one vectorized ``np.unique`` + ``bincount`` — no per-row Python;
-    3. confirm: the (rare) duplicated hashes are broadcast back into one
-       narrow filtered pass that fetches the actual key strings and
-       re-counts them exactly, so hash collisions drop out — the result
-       is exact, not approximate.
-
-    ~10x faster than the string groupby at sf0.1 (1.5 s vs 14.3 s merge
-    phase at num_cpus=32) and strictly lighter at 10^12-key scale.
-    ``n_buckets`` bounds reduce-side parallelism; hot duplicate keys are
-    already collapsed to one row per batch by the map-side combiner.
-    Returns an Arrow table (key, cnt) — small, because duplicate sets
-    are tiny by assumption.
-    """
-    import pandas as pd
-
-    P = n_buckets
-
-    def partial(batch: pa.Table) -> pa.Table:
-        arr = _combine(batch[key]).drop_null()
-        if len(arr) == 0:
-            return pa.table(
-                {
-                    "part": pa.array([], type=pa.int32()),
-                    "h": pa.array([], type=pa.uint64()),
-                    "cnt": pa.array([], type=pa.int64()),
-                }
-            )
-        h = _hash64(arr)
-        uniq, cnt = np.unique(h, return_counts=True)
-        return pa.table(
-            {
-                "part": pa.array((uniq & np.uint64(P - 1)).astype(np.int32)),
-                "h": pa.array(uniq, type=pa.uint64()),
-                "cnt": pa.array(cnt, type=pa.int64()),
-            }
-        )
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        h = g["h"].to_numpy(dtype=np.uint64)
-        c = g["cnt"].to_numpy()
-        uniq, inv = np.unique(h, return_inverse=True)
-        tot = np.bincount(inv, weights=c).astype(np.int64)
-        dup = tot > 1
-        return pd.DataFrame({"h": uniq[dup], "cnt": tot[dup]})
-
-    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
-    dups = partials.groupby("part").map_groups(merge, batch_format="pandas")
-    dup_pdf = dups.to_pandas()
-    if len(dup_pdf) == 0:
-        return pa.table({key: pa.array([], type=pa.string()), "cnt": pa.array([], type=pa.int64())})
-
-    hset = np.sort(dup_pdf["h"].to_numpy(dtype=np.uint64))
-
-    def confirm(batch: pa.Table) -> pa.Table:
-        arr = _combine(batch[key]).drop_null()
-        h = _hash64(arr)
-        hit = np.isin(h, hset)
-        t = pa.table({key: arr.filter(pa.array(hit))})
-        g = t.group_by(key).aggregate([([], "count_all")])
-        return g.rename_columns([key, "partial_cnt"])
-
-    confirmed = ds.map_batches(confirm, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
-    tbl = pa.concat_tables(list(confirmed.iter_batches(batch_format="pyarrow")))
-    if tbl.num_rows == 0:
-        return pa.table({key: pa.array([], type=pa.string()), "cnt": pa.array([], type=pa.int64())})
-    g = tbl.group_by(key).aggregate([("partial_cnt", "sum")])
-    g = g.rename_columns([key, "cnt"])
-    return g.filter(pc.greater(g["cnt"], 1)).sort_by(key)
-
-
-def _hash64(arr: pa.Array) -> np.ndarray:
-    """Vectorized 64-bit FNV-1a over the utf8 bytes of a string array
-    (shared implementation, jesse_ray/hashutil.py)."""
-    from jesse_ray.hashutil import hash64_strings
-
-    return hash64_strings(arr)
-
-
-#: byte cap on the driver's merged ``(key, count)`` state in the streaming
-#: uniqueness route; past it the exact hash shuffle takes over
-UNIQ_DRIVER_CAP_BYTES = 64 << 20
 
 
 def _sum_key_counts(parts: list[pa.Table], key: str) -> pa.Table:
@@ -343,25 +224,67 @@ def _sum_key_counts(parts: list[pa.Table], key: str) -> pa.Table:
     return g.rename_columns([key, "partial_cnt"])
 
 
-class KeyCountMerge:
-    """The one exact-uniqueness accumulator: a driver merge of per-batch
-    ``(key, partial_cnt)`` tables under ``UNIQ_DRIVER_CAP_BYTES``.
+def _only_dups(counts: pa.Table, key: str) -> pa.Table:
+    """Summed ``(key, partial_cnt)`` rows → ``(key, cnt)`` rows with
+    ``cnt > 1``."""
+    g = counts.rename_columns([key, "cnt"])
+    return g.filter(pc.greater(g["cnt"], 1))
 
-    Fed by ``duplicate_keys_streamed`` (a key-only execution) and by
+
+#: key buckets of the distributed sum (a power of two: the bucket is a mask)
+_KEY_BUCKETS = 64
+
+
+def duplicate_keys(ds: Dataset, key: str) -> Dataset:
+    """Distinct non-null ``key`` values occurring more than once in
+    ``ds``, as unordered ``(key, cnt)`` rows.
+
+    Each batch's exact ``(key, partial_cnt)`` partials are tagged with a
+    key bucket (64-bit FNV-1a of the key's string form, masked); the
+    shuffle groups them by bucket and each group sums its partials and
+    keeps ``cnt > 1`` inside a task.  The key itself travels with its
+    partial row, so the count is exact with no confirm pass and no second
+    read, and only the duplicate set leaves the tasks.
+    """
+
+    def partial(batch: pa.Table) -> pa.Table:
+        t = _batch_key_counts(batch, key)
+        k = t[key]
+        if not (pa.types.is_string(k.type) or pa.types.is_large_string(k.type)):
+            k = pc.cast(k, pa.string())
+        part = hash64_strings(k) & np.uint64(_KEY_BUCKETS - 1)
+        return t.append_column("__part", pa.array(part.astype(np.int32)))
+
+    def merge(group: pa.Table) -> pa.Table:
+        return _only_dups(_sum_key_counts([group.drop_columns(["__part"])], key), key)
+
+    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    return partials.groupby("__part").map_groups(merge, batch_format="pyarrow")
+
+
+#: byte cap on the driver's merged ``(key, count)`` state; past it the
+#: per-bucket sum of ``duplicate_keys`` takes over
+UNIQ_DRIVER_CAP_BYTES = 64 << 20
+
+
+class KeyCountMerge:
+    """The driver side of the one exact-uniqueness algorithm: a merge of
+    per-batch ``(key, partial_cnt)`` tables under ``UNIQ_DRIVER_CAP_BYTES``.
+
+    Fed by ``uniqueness_check`` (a key-only execution) and by
     ``ValidationResult`` (the in-band key partials of the fused pass).  It
-    merges with Arrow ``group_by(...).sum``, compacting whenever the
-    pending partials outgrow twice the merged state, so driver memory
-    follows the number of distinct keys, not of partial rows.  No hash,
-    no confirm pass, no shuffle — exact by construction, and the same
-    answer in any arrival order.
+    merges with ``_sum_key_counts``, compacting whenever the pending
+    partials outgrow twice the merged state, so driver memory follows the
+    number of distinct keys, not of partial rows.  No hash, no shuffle —
+    exact by construction, and the same answer in any arrival order.
 
     When a compaction leaves the merged state above the cap the merge
     trips: it drops its state, ignores further partials, and
-    ``duplicates()`` is ``None`` — the caller falls back to the
-    distributed ``duplicate_keys_hashed``.  The driver so holds at most
-    the capped state plus pending partials of twice its size; the final
-    merge of the tail is kept even above the cap, because the exact
-    answer is then already on the driver.
+    ``duplicates()`` is ``None`` — the caller falls back to
+    ``duplicate_keys``, which sums the same partials per key bucket.  The
+    driver so holds at most the capped state plus pending partials of
+    twice its size; the final merge of the tail is kept even above the
+    cap, because the exact answer is then already on the driver.
     """
 
     def __init__(self, key: str):
@@ -398,14 +321,20 @@ class KeyCountMerge:
             self._compact()
         if not self._merged:
             return pa.table({self.key: pa.array([], type=pa.string()), "cnt": pa.array([], type=pa.int64())})
-        g = self._merged[0].rename_columns([self.key, "cnt"])
-        return g.filter(pc.greater(g["cnt"], 1)).sort_by(self.key)
+        return _only_dups(self._merged[0], self.key).sort_by(self.key)
 
 
-def _stream_key_counts(ds: Dataset, key: str, batch_size: Optional[int]) -> KeyCountMerge:
+def _stream_key_counts(ds: Dataset, key: str) -> KeyCountMerge:
+    """One key-only execution streaming ``_batch_key_counts`` partials
+    into a ``KeyCountMerge``; a trip of the cap ends it early."""
+
+    def partial(batch: pa.Table) -> pa.Table:
+        return _batch_key_counts(batch, key)
+
     merge = KeyCountMerge(key)
     batches = iter(
-        _key_count_partials(ds, key, batch_size).iter_batches(batch_format="pyarrow", batch_size=None)
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+        .iter_batches(batch_format="pyarrow", batch_size=None)
     )
     try:
         for b in batches:
@@ -417,32 +346,13 @@ def _stream_key_counts(ds: Dataset, key: str, batch_size: Optional[int]) -> KeyC
     return merge
 
 
-def duplicate_keys_streamed(
-    ds: Dataset, key: str, *, batch_size: Optional[int] = None
-) -> tuple[Optional[pa.Table], dict[str, int]]:
-    """Exact duplicate keys from ONE key-only Ray Data execution: the
-    workers emit per-batch ``(key, partial_cnt)`` rows (the
-    ``duplicate_keys`` combiner), the driver streams them into a
-    ``KeyCountMerge``.  A trip of the cap ends the execution early and
-    the table is ``None``.
-    Returns ``(table (key, cnt) sorted by key | None, stats)`` with
-    stats ``partial_rows`` merged and ``merged_bytes`` (the state at the
-    end or at the trip).
-    """
-    merge = _stream_key_counts(ds, key, batch_size)
-    return merge.duplicates(), {"partial_rows": merge.partial_rows, "merged_bytes": merge.merged_bytes}
-
-
 def uniqueness_violations(ds: Dataset, key: str) -> pa.Table:
     """Corpus-level `not_unique` violations — one row per duplicated
     key, sorted by key.
 
     Corpus analogue of ``uniqueItems`` (src/jesse_validator_draft4.erl:831-873)
-    lifted from within-array to across-table.  Two exact routes
-    (``uniqueness_check``): a streaming driver merge of per-batch key
-    counts while its state stays under ``UNIQ_DRIVER_CAP_BYTES``, and
-    above that cap the hash-bucket shuffle.  Only the duplicate set is
-    materialized as a table, never the corpus.
+    lifted from within-array to across-table; see ``uniqueness_check``.
+    Only the duplicate set is materialized as a table, never the corpus.
     """
     return uniqueness_check(ds, [key])[0]
 
@@ -452,17 +362,18 @@ def uniqueness_check(ds: Dataset, keys: list[str]) -> tuple[pa.Table, dict[str, 
     rows sorted by key, plus the route report
     ``uniqueness.{route, partial_rows, merged_bytes, dup_keys}``.
 
-    Each key takes the driver merge (``duplicate_keys_streamed``) unless
-    its state passes ``UNIQ_DRIVER_CAP_BYTES``, then the hash shuffle
-    (``duplicate_keys_hashed``); both are exact and give the same table."""
-    return _uniqueness_report([_stream_key_counts(ds, key, None) for key in keys], ds)
+    Each key's exact partials are summed on the driver
+    (``KeyCountMerge``) unless its state passes ``UNIQ_DRIVER_CAP_BYTES``;
+    then they are summed per key bucket (``duplicate_keys``).  Both give
+    the same table."""
+    return _uniqueness_report([_stream_key_counts(ds, key) for key in keys], ds)
 
 
 def _uniqueness_report(merges: list[KeyCountMerge], ds: Dataset) -> tuple[pa.Table, dict[str, Any]]:
     """Violations and route report from one finished merge per key; a
-    tripped key reruns as ``duplicate_keys_hashed`` over ``ds``.  The
-    counts are summed over keys; the route is ``shuffle`` if any key
-    fell back, else ``driver_merge``."""
+    tripped key reruns as ``duplicate_keys`` over ``ds``.  The counts are
+    summed over keys; the route is ``shuffle`` if any key fell back, else
+    ``driver_merge``."""
     parts = []
     metrics: dict[str, Any] = {
         "uniqueness.route": "driver_merge",
@@ -474,11 +385,13 @@ def _uniqueness_report(merges: list[KeyCountMerge], ds: Dataset) -> tuple[pa.Tab
         tbl = merge.duplicates()
         if tbl is None:  # the driver state passed the cap
             metrics["uniqueness.route"] = "shuffle"
-            tbl = duplicate_keys_hashed(ds, merge.key)
+            dups = list(duplicate_keys(ds, merge.key).iter_batches(batch_format="pyarrow", batch_size=None))
+            tbl = pa.concat_tables(dups).sort_by(merge.key) if dups else None
+        n = tbl.num_rows if tbl is not None else 0
         metrics["uniqueness.partial_rows"] += merge.partial_rows
         metrics["uniqueness.merged_bytes"] += merge.merged_bytes
-        metrics["uniqueness.dup_keys"] += tbl.num_rows
-        if tbl.num_rows:
+        metrics["uniqueness.dup_keys"] += n
+        if n:
             parts.append(_not_unique_rows(tbl, merge.key))
     if not parts:
         return empty_violations(), metrics
@@ -864,7 +777,7 @@ class ValidationResult:
     The drain folds them in block order: the tallies into
     ``counts_by_error``, ``__rows`` into ``metrics["rows"]``, each key's
     partials into one ``KeyCountMerge`` (a key whose merge passes
-    ``UNIQ_DRIVER_CAP_BYTES`` reruns as the hash shuffle over
+    ``UNIQ_DRIVER_CAP_BYTES`` reruns as ``duplicate_keys`` over
     ``_key_ds``; the route report, ``uniqueness_check``'s keys, goes
     into ``metrics``), and with ``validate(sketch=True)`` the per-batch
     bundles into ``sketch``.  After ``materialize`` none of these
@@ -1156,7 +1069,7 @@ class ValidationEngine:
         # ONE pass over the full-width data for row + referential checks,
         # the key partials and the drift sketch — at 100 TB the read
         # dominates.  The lazy ``violations`` view drops the in-band rows;
-        # ``key_ds`` is read only by the hash shuffle above the driver cap.
+        # ``key_ds`` is read only by ``duplicate_keys`` above the driver cap.
         keys = tuple(dict.fromkeys(compiled.spec.unique_keys)) if check_unique else ()
         pending = _fused_pass(ds, compiled, batch_size, allowed_errors, error_handler, keys, sketch)
         if keys and key_ds is None:

@@ -48,8 +48,8 @@ def _by_coarse_part(ds: Dataset, bucket_col: str, n_parts: int = 64) -> "ray.dat
     (Python + pandas slice overhead per call — the dominant cost once
     buckets outnumber ~10k).  A coarse partition keys the shuffle on
     ≤``n_parts`` values; the UDF then handles many complete buckets per
-    call with one vectorized sort + run scan (same trick as the
-    engine's duplicate_keys_hashed)."""
+    call with one vectorized sort + run scan (the same coarse bucketing
+    as the engine's ``duplicate_keys``)."""
 
     def part(batch: pa.Table) -> pa.Table:
         b = batch[bucket_col].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -1088,7 +1088,7 @@ def embedding_near_dups(ds: Dataset, *, threshold: float = 0.95, key_col: str = 
 # line-level exact dedup (RefinedWeb / Falcon-style: drop lines that are
 # repeated across many documents — boilerplate headers, nav bars, cookie
 # banners).  Penedo et al. 2023 (RefinedWeb) §4.2; same two-phase
-# count-then-rewrite shape as the engine's duplicate_keys_hashed.
+# count-then-rewrite shape as the engine's duplicate_keys.
 
 
 def repeated_lines(

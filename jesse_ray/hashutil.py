@@ -1,8 +1,8 @@
 """Shared vectorized string hashing over Arrow buffers.
 
 One implementation of the FNV-1a-over-utf8-buffers walk, used by the
-engine's key-uniqueness shuffle and the dedup signature stages (the two
-previously carried copies of the offsets/slice handling)."""
+engine's key buckets (``engine.duplicate_keys``) and the dedup signature
+stages."""
 
 from __future__ import annotations
 

@@ -2464,6 +2464,64 @@ GROUP BY 1 ORDER BY 1
 """
 
 
+# Distributed position checksum of a global sort by (n_tok, doc_id) — the
+# sorted corpus NEVER lands on the driver.  Per block: (count, Σ
+# local_pos·n_tok, Σ n_tok) plus the block's first and last sort keys; the
+# checksum is invariant under permutation within equal-n_tok ties (pos·n_tok
+# sums the same), so folding block partials in first-key order with a prefix
+# offset reproduces the global Σ pos·n_tok exactly.  Integer-exact: int64
+# within a block, unbounded python ints in the O(blocks) driver fold.  Null
+# n_tok contributes 0 (SQL sum semantics) and sorts last on both sides.
+
+
+def _global_sort_block_partial(b: pa.Table) -> pa.Table:
+    """One sorted block's ``(fn, fid, ln, lid, cnt, local, ntsum)`` row."""
+    nt64 = b["n_tok"].cast(pa.int64())
+    if isinstance(nt64, pa.ChunkedArray):
+        nt64 = nt64.combine_chunks()
+    nt0 = pc.fill_null(nt64, 0).to_numpy(zero_copy_only=False)
+    pos = np.arange(b.num_rows, dtype=np.int64)
+    # the block's exact FIRST boundary key under the global
+    # sort([n_tok, doc_id]) order (null n_tok -> +inf sentinel, a null
+    # doc_id stays null and the fold sorts it last, as the sort does):
+    # block order on (fn, fid) is the true total order, with no reliance
+    # on stable tie-breaking over a (min, max) summary or on iter_batches
+    # order
+    if b.num_rows:
+        fn_v, ln_v = nt64[0].as_py(), nt64[-1].as_py()
+        fn = int(fn_v) if fn_v is not None else (1 << 62)
+        ln = int(ln_v) if ln_v is not None else (1 << 62)
+        fid = b["doc_id"][0].as_py()
+        lid = b["doc_id"][-1].as_py()
+    else:
+        fn, fid, ln, lid = (1 << 62), "", (1 << 62), ""
+    return pa.table({
+        "fn": pa.array([fn], type=pa.int64()),
+        "fid": pa.array([fid], type=pa.string()),
+        "ln": pa.array([ln], type=pa.int64()),
+        "lid": pa.array([lid], type=pa.string()),
+        "cnt": pa.array([b.num_rows], type=pa.int64()),
+        "local": pa.array([int((pos * nt0).sum())], type=pa.int64()),
+        "ntsum": pa.array([int(nt0.sum())], type=pa.int64()),
+    })
+
+
+def _fold_global_sort_partials(parts: pd.DataFrame) -> tuple[int, int]:
+    """``(n_rows, Σ pos·n_tok)`` from block partials in any order.
+
+    (fn, fid) is the true total order of block starts; (ln, lid) breaks
+    the one degenerate tie — an entire block being a single duplicated
+    (n_tok, doc_id) run — where remaining equal-first-key permutations
+    are checksum-invariant (same n_tok throughout)."""
+    parts = parts.sort_values(["fn", "fid", "ln", "lid"], na_position="last").reset_index(drop=True)
+    total, off, n = 0, 0, 0
+    for cnt, local, ntsum in zip(parts["cnt"], parts["local"], parts["ntsum"]):
+        total += int(local) + off * int(ntsum)
+        off += int(cnt)
+        n += int(cnt)
+    return n, total
+
+
 def q_seq_global_sort(sf_dir: str) -> pd.DataFrame:
     """Global sort as a first-class wide op: order the corpus by
     (n_tok, doc_id) with Ray's distributed sort and checksum the
@@ -2472,57 +2530,10 @@ def q_seq_global_sort(sf_dir: str) -> pd.DataFrame:
     last on both sides."""
     ds = read_sequences(_seq_path(sf_dir), columns=["doc_id", "n_tok"])
     srt = ds.sort(["n_tok", "doc_id"])
-
-    # Distributed position checksum — the sorted corpus NEVER lands on
-    # the driver.  Per block: (count, Σ local_pos·n_tok, Σ n_tok) plus
-    # the block's n_tok range; the checksum is invariant under
-    # permutation within equal-n_tok ties (pos·n_tok sums the same), so
-    # folding block partials in (min,max) n_tok order with a prefix
-    # offset reproduces the global Σ pos·n_tok exactly.  Integer-exact:
-    # int64 within a block, unbounded python ints in the O(blocks)
-    # driver fold.  Null n_tok contributes 0 (SQL sum semantics) and
-    # sorts last on both sides.
-    def _summarize(b: pa.Table) -> pa.Table:
-        nt64 = b["n_tok"].cast(pa.int64())
-        if isinstance(nt64, pa.ChunkedArray):
-            nt64 = nt64.combine_chunks()
-        nt0 = pc.fill_null(nt64, 0).to_numpy(zero_copy_only=False)
-        pos = np.arange(b.num_rows, dtype=np.int64)
-        # the block's exact FIRST boundary key under the global
-        # sort([n_tok, doc_id]) order (null n_tok -> +inf sentinel,
-        # nulls sort last): block order on (fn, fid) is the true total
-        # order, with no reliance on stable tie-breaking over a
-        # (min, max) summary or on iter_batches order (ADVICE r4)
-        if b.num_rows:
-            fn_v, ln_v = nt64[0].as_py(), nt64[-1].as_py()
-            fn = int(fn_v) if fn_v is not None else (1 << 62)
-            ln = int(ln_v) if ln_v is not None else (1 << 62)
-            fid = b["doc_id"][0].as_py() or ""
-            lid = b["doc_id"][-1].as_py() or ""
-        else:
-            fn, fid, ln, lid = (1 << 62), "", (1 << 62), ""
-        return pa.table({
-            "fn": pa.array([fn], type=pa.int64()),
-            "fid": pa.array([fid], type=pa.string()),
-            "ln": pa.array([ln], type=pa.int64()),
-            "lid": pa.array([lid], type=pa.string()),
-            "cnt": pa.array([b.num_rows], type=pa.int64()),
-            "local": pa.array([int((pos * nt0).sum())], type=pa.int64()),
-            "ntsum": pa.array([int(nt0.sum())], type=pa.int64()),
-        })
-
-    # (fn, fid) is the true total order of block starts; (ln, lid)
-    # breaks the one degenerate tie — an entire block being a single
-    # duplicated (n_tok, doc_id) run — where remaining equal-first-key
-    # permutations are checksum-invariant (same n_tok throughout)
     parts = _collect(
-        srt.map_batches(_summarize, batch_format="pyarrow", batch_size=None)
-    ).to_pandas().sort_values(["fn", "fid", "ln", "lid"]).reset_index(drop=True)
-    total, off, n = 0, 0, 0
-    for cnt, local, ntsum in zip(parts["cnt"], parts["local"], parts["ntsum"]):
-        total += int(local) + off * int(ntsum)
-        off += int(cnt)
-        n += int(cnt)
+        srt.map_batches(_global_sort_block_partial, batch_format="pyarrow", batch_size=None)
+    ).to_pandas()
+    n, total = _fold_global_sort_partials(parts)
     return pd.DataFrame({
         "n_rows": pd.array([n], dtype="int64"),
         "pos_checksum": pd.array([total], dtype="int64"),

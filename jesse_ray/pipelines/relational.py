@@ -999,7 +999,9 @@ def drop_duplicate_keys(ds: Dataset, key: str, *, n_parts: int = 64,
     ``ds``.  Null keys survive (uniqueness has presence semantics;
     ``duplicate_keys`` never emits them).
 
-    Scale shape, two-tier: duplicate keys are RARE by contract, so the
+    The dup-key set is ``engine.duplicate_keys``: the engine's exact
+    per-batch key counts, summed per key bucket inside tasks.  Scale
+    shape, two-tier: duplicate keys are RARE by contract, so the
     common case broadcasts the dup-key set (``ray.put`` once, one
     zero-shuffle ``pc.is_in`` filter pass over the corpus — the
     broadcast-small-side principle; measured: the anti-join cogroup it

@@ -273,30 +273,30 @@ def test_sketch_dataset_type_hints_resolve():
     assert typing.get_type_hints(sketch_dataset)["batch_size"] == typing.Optional[int]
 
 
-def test_duplicate_keys_hashed_matches_plain(corpus_sf0001):
-    """Both exact uniqueness routes — the hash-weight shuffle
-    (collisions confirmed away) and the streaming driver merge — match
-    the plain string groupby."""
-    import pyarrow as pa
+def _collected_dups(ds, key):
+    """``duplicate_keys(ds, key)`` on the driver, sorted by key."""
+    batches = list(duplicate_keys(ds, key).iter_batches(batch_format="pyarrow", batch_size=None))
+    return pa.concat_tables(batches).sort_by(key)
 
-    from jesse_ray.engine import duplicate_keys, duplicate_keys_hashed, duplicate_keys_streamed
-    from jesse_ray.sources import read_sequences
-    from jesse_ray import testgen
 
+def test_duplicate_keys_matches_group_by(corpus_sf0001):
+    """Both scales of the one exact uniqueness algorithm — the per-bucket
+    sum of ``duplicate_keys`` and the driver merge of ``uniqueness_check``
+    — match an in-process ``group_by`` over the whole ``doc_id`` column."""
     path = str(testgen.corpus_path("sf0.001"))
-    plain = pa.concat_tables(
-        list(
-            duplicate_keys(read_sequences(path, columns=["doc_id"]), "doc_id").iter_batches(
-                batch_format="pyarrow"
-            )
-        )
-    ).sort_by("doc_id")
-    hashed = duplicate_keys_hashed(read_sequences(path, columns=["doc_id"]), "doc_id")
-    streamed, _ = duplicate_keys_streamed(read_sequences(path, columns=["doc_id"]), "doc_id")
+    whole = pq.read_table(path, columns=["doc_id"])
+    g = whole.filter(pc.is_valid(whole["doc_id"])).group_by("doc_id").aggregate([([], "count_all")])
+    plain = g.filter(pc.greater(g["count_all"], 1)).sort_by("doc_id")
     assert plain.num_rows > 0
-    for got in (hashed, streamed):
-        assert plain["doc_id"].to_pylist() == got["doc_id"].to_pylist()
-        assert [int(x) for x in plain["cnt"].to_pylist()] == [int(x) for x in got["cnt"].to_pylist()]
+
+    dups = _collected_dups(read_sequences(path, columns=["doc_id"]), "doc_id")
+    assert dups["doc_id"].to_pylist() == plain["doc_id"].to_pylist()
+    assert dups["cnt"].to_pylist() == plain["count_all"].to_pylist()
+
+    driver, m = uniqueness_check(read_sequences(path, columns=["doc_id"]), ["doc_id"])
+    assert m["uniqueness.route"] == "driver_merge"
+    assert driver["doc_id"].to_pylist() == plain["doc_id"].to_pylist()
+    assert [json.loads(v)["count"] for v in driver["value_json"].to_pylist()] == plain["count_all"].to_pylist()
 
 
 def test_fused_matches_inprocess_reference(corpus_sf0001):
@@ -356,25 +356,21 @@ def test_uniqueness_hot_key_skew(ray_session):
     """Skew stressor: one doc_id with 50k copies must not blow up the
     shuffle — the map-side combiner collapses it to one row per batch
     before anything moves (SURVEY §7.3 skew defense)."""
-    import numpy as np
-    import pyarrow as pa
-
-    import ray.data
-
-    from jesse_ray.engine import duplicate_keys_hashed, duplicate_keys_streamed
-
     n = 60_000
     ids = np.array([f"doc-{i:08d}" for i in range(n)], dtype=object)
     ids[10_000:] = "doc-hot"  # 50k copies of one key
-    ds = ray.data.from_arrow(pa.table({"doc_id": pa.array(ids, type=pa.string())}))
-    streamed, stats = duplicate_keys_streamed(ds, "doc_id", batch_size=8192)
+    tbl = pa.table({"doc_id": pa.array(ids, type=pa.string())})
+    ds = ray.data.from_arrow([tbl.slice(i, 8192) for i in range(0, n, 8192)])
+    driver, m = uniqueness_check(ds, ["doc_id"])
     # 10k distinct keys, then one hot-key partial row in each of the 7
     # batches that hold any of its copies
-    assert stats["partial_rows"] == 10_000 + 7
-    for tbl in (duplicate_keys_hashed(ds, "doc_id", batch_size=8192), streamed):
-        assert tbl.num_rows == 1
-        assert tbl["doc_id"][0].as_py() == "doc-hot"
-        assert tbl["cnt"][0].as_py() == 50_000
+    assert m["uniqueness.partial_rows"] == 10_000 + 7
+    assert driver["doc_id"].to_pylist() == ["doc-hot"]
+    assert json.loads(driver["value_json"][0].as_py()) == {"value": "doc-hot", "count": 50_000}
+    dups = _collected_dups(ds, "doc_id")
+    assert dups.num_rows == 1
+    assert dups["doc_id"][0].as_py() == "doc-hot"
+    assert dups["cnt"][0].as_py() == 50_000
 
 
 def _majority_duplicate_keys(n_rows=40_000, n_distinct=3_000, seed=7):
@@ -386,16 +382,27 @@ def _majority_duplicate_keys(n_rows=40_000, n_distinct=3_000, seed=7):
     return keys
 
 
-def test_uniqueness_cap_trips_to_shuffle(ray_session, monkeypatch):
+def _int_keys(keys):
+    """The same key column as int64 values, nulls kept."""
+    ids = {k: 1_000 * i for i, k in enumerate(sorted({k for k in keys if k is not None}))}
+    return np.array([None if k is None else ids[k] for k in keys], dtype=object)
+
+
+@pytest.mark.parametrize("key_type", [pa.string(), pa.int64()], ids=["string", "int64"])
+def test_uniqueness_cap_trips_to_shuffle(ray_session, monkeypatch, key_type):
     """A majority-duplicate corpus with null keys: under a tiny driver cap
-    the streaming merge stops early and the hash shuffle gives the same
-    violations table, byte for byte, as the uncapped driver route."""
+    the streaming merge stops early and the per-bucket sum gives the same
+    violations table, byte for byte, as the uncapped driver route — for
+    string keys and for non-string keys, which are bucketed by their
+    string form."""
     import collections
 
     from jesse_ray import engine
 
     keys = _majority_duplicate_keys()
-    tbl = pa.table({"doc_id": pa.array(keys, type=pa.string())})
+    if key_type == pa.int64():
+        keys = _int_keys(keys)
+    tbl = pa.table({"doc_id": pa.array(keys, type=key_type)})
     blocks = [tbl.slice(i, 5_000) for i in range(0, tbl.num_rows, 5_000)]
     ds = ray.data.from_arrow(blocks)
 
@@ -416,7 +423,7 @@ def test_uniqueness_cap_trips_to_shuffle(ray_session, monkeypatch):
     assert shuffle_tbl.equals(driver_tbl)
     got = {json.loads(v)["value"]: json.loads(v)["count"] for v in driver_tbl["value_json"].to_pylist()}
     assert got == exact
-    assert driver_tbl["doc_id"].to_pylist() == sorted(exact)
+    assert driver_tbl["doc_id"].to_pylist() == [str(k) for k in sorted(exact)]
 
 
 def test_validation_metrics_report_uniqueness_route(tmp_path, corpus_path, spec):
@@ -548,6 +555,34 @@ def test_inband_uniqueness_cap_trips_to_shuffle(ray_session, monkeypatch):
         assert res.metrics["uniqueness.merged_bytes"] > 16 << 10
         assert _ipc(res.unique_violations) == _ipc(base.unique_violations)
         assert _row_set(rows.filter(pc.not_equal(rows["error"], E.NOT_UNIQUE))) == _row_set(base_rows)
+
+
+def test_uniqueness_fallback_reads_keys_once(ray_session, tmp_path, monkeypatch):
+    """Past the driver cap the fallback sums the key partials per bucket
+    in one pass over ``key_ds``: each key row is processed once, with no
+    second read to confirm the keys."""
+    import uuid
+
+    from jesse_ray import engine
+
+    blocks, spec = _keyed_corpus()
+    n = sum(b.num_rows for b in blocks)
+    log_dir = tmp_path / "keys"
+    log_dir.mkdir()
+
+    def count(batch: pa.Table) -> pa.Table:
+        (log_dir / uuid.uuid4().hex).write_text(str(batch.num_rows))
+        return batch
+
+    want = validate_dataset(ray.data.from_arrow(blocks), spec).unique_violations
+    monkeypatch.setattr(engine, "UNIQ_DRIVER_CAP_BYTES", 16 << 10)
+    key_ds = ray.data.from_arrow(blocks).select_columns(["doc_id"]).map_batches(
+        count, batch_format="pyarrow", zero_copy_batch=True
+    )
+    res = validate_dataset(ray.data.from_arrow(blocks), spec, key_ds=key_ds)
+    assert _ipc(res.unique_violations) == _ipc(want)
+    assert res.metrics["uniqueness.route"] == "shuffle"
+    assert sum(int(p.read_text()) for p in log_dir.iterdir()) == n
 
 
 def test_inband_key_rows_never_leak(ray_session, tmp_path):
