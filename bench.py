@@ -150,14 +150,15 @@ def run_bench() -> dict:
     # with BENCH_REPS>1, the MIN over reps estimates steady-state wall
     # time on this shared, noisy box.
     # GRAFT_SCALING_WORKLOAD=sketch swaps in the FULL north-star pass —
-    # validation with the drift sketch fused in-band (t-digest +
-    # count-min per batch, folded in block order by the drain, as every
+    # validation with the drift summary fused in-band (exact n_tok and
+    # token counts per batch, folded by the drain, as every
     # checkpoint partition runs it) — for scaling runs: the plain
     # validate leg is so lean per byte that even 4 concurrent streams
     # saturate this box's single memory bus (343k rows/s at 4 CPUs ==
     # the 32-CPU plateau), at which point the ratio measures the bus,
-    # not the engine; the sketch-fused pass has ~3× the arithmetic
-    # intensity and stays CPU-bound at the hi level.
+    # not the engine; the sketch-fused pass had ~3× the arithmetic
+    # intensity and stayed CPU-bound at the hi level (measured with the
+    # t-digest + count-min sketch; not re-measured with exact counts).
     workload = os.environ.get("GRAFT_SCALING_WORKLOAD", "validate")
     times = []
     for _ in range(reps):
@@ -212,7 +213,7 @@ def run_bench() -> dict:
     _ = uniqueness_violations(read_sequences(path, columns=["doc_id"]), "doc_id")
     queries["uniqueness"] = round(time.time() - t0, 3)
 
-    # drift sketching (t-digest + freq + count-min, tree merge)
+    # drift summary (exact n_tok and token counts, tree merge)
     t0 = time.time()
     _ = sketch_dataset(read_sequences(path, columns=["n_tok", "tokens"]))
     queries["sketch"] = round(time.time() - t0, 3)
@@ -457,13 +458,14 @@ def main() -> None:
         rounds = int(os.environ.get("GRAFT_SCALING_ROUNDS", "5"))
         os.environ["BENCH_REPS"] = os.environ.get("BENCH_REPS", "1")
         # official scaling workload: the FULL north-star pass (validation
-        # with the drift sketch fused in-band — t-digest + count-min per
-        # batch, tree merge).  The plain validate leg is so lean per byte
-        # that 4 concurrent streams saturate this single box's memory
-        # bus and the ratio measures the bus, not the engine (a real
-        # N→4N NODE cluster brings 4× the memory bandwidth); the
-        # sketch-fused pass has ~3× the arithmetic intensity and stays
-        # CPU-bound at the hi level.  Override with
+        # with the drift summary fused in-band — exact n_tok and token
+        # counts per batch, tree merge).  The plain validate leg is so
+        # lean per byte that 4 concurrent streams saturate this single
+        # box's memory bus and the ratio measures the bus, not the engine
+        # (a real N→4N NODE cluster brings 4× the memory bandwidth); the
+        # sketch-fused pass had ~3× the arithmetic intensity with the
+        # t-digest + count-min sketch (not re-measured with exact
+        # counts) and stayed CPU-bound at the hi level.  Override with
         # GRAFT_SCALING_WORKLOAD=validate for the lean-pass ratio.
         workload = os.environ.setdefault("GRAFT_SCALING_WORKLOAD", "sketch")
         runs: dict[int, list[dict]] = {lo: [], hi: []}

@@ -118,15 +118,17 @@ def run_validation(
     Data executions, the fused pass and the sink.  Everything the record
     needs rides in-band on the pass and is folded by the
     ``ValidationResult`` drain — the per-error counts, the input row
-    count and, with ``sketch``/``drift_reference``, the drift sketch —
+    count and, with ``sketch``/``drift_reference``, the drift summary —
     so each partition reads its files once, the wide ``tokens`` column
-    included, in any input format.  Partitions run sequentially on the
-    driver but each is internally block-parallel across the cluster, and
-    the unit of resume is the partition.  Returns the overall summary
-    (exit-code semantics mirror the reference CLI: nonzero/fail if any
-    partition fails, src/jesse_cli.erl:80-87 — but we process ALL
-    partitions instead of halting at the first failure, recording each
-    verdict).
+    included, in any input format.  The drift summary is exact value
+    counts merged by addition, so ``sketch.bin``, ``stats_digest`` and
+    the ``drift`` metrics do not depend on block arrival order.
+    Partitions run sequentially on the driver but each is internally
+    block-parallel across the cluster, and the unit of resume is the
+    partition.  Returns the overall summary (exit-code semantics mirror
+    the reference CLI: nonzero/fail if any partition fails,
+    src/jesse_cli.erl:80-87 — but we process ALL partitions instead of
+    halting at the first failure, recording each verdict).
 
     Key uniqueness is CORPUS-scoped: one column-pruned pass over ALL
     input files runs after the partition loop (a per-partition check
@@ -192,8 +194,8 @@ def run_validation(
             metrics["stats_digest"] = hashlib.sha256(blob).hexdigest()[:16]
             if ref_bundle is not None:
                 # per-partition distribution-drift gate: KS on the n_tok
-                # digests + chi-square on top-k token frequencies vs a
-                # reference digest loaded ONCE per run (north-star drift
+                # counts + chi-square on top-k token frequencies vs a
+                # reference summary loaded ONCE per run (north-star drift
                 # detection at partition granularity)
                 rep = drift_report(ref_bundle, bundle)
                 metrics["drift"] = {
@@ -240,29 +242,30 @@ def run_validation(
 def _read(paths, input_format: str, columns):
     """Format-dispatching partition read (one place for the
     parquet/jsonl branch; run.py's --input-format routes here)."""
-    import ray.data
+    from jesse_ray.sources import read_corpus, read_table
 
     if input_format == "parquet":
-        return ray.data.read_parquet(paths, columns=columns)
-    from jesse_ray.sources import read_corpus
-
+        return read_table(paths, columns=columns)
     return read_corpus(paths, format=input_format, columns=columns)
 
 
 def _load_reference_bundle(path: str):
-    """Reference drift digest — loaded once per run_validation call (no
-    cross-call cache: a digest rebuilt at the same path must be re-read)."""
-    return SketchBundle.from_bytes(Path(path).read_bytes())
+    """Reference drift summary — loaded once per run_validation call (no
+    cross-call cache: a summary rebuilt at the same path must be re-read)."""
+    try:
+        return SketchBundle.from_bytes(Path(path).read_bytes())
+    except ValueError as e:
+        raise ValueError(f"drift reference {path}: {e}; rebuild it (an older version's pickled "
+                         f"t-digest file, say) with jesse_ray.checkpoint.build_reference_digest") from None
 
 
 def build_reference_digest(input_paths, out_path: str, *, columns=("n_tok", "tokens")) -> str:
     """Build and save the corpus-level reference SketchBundle that
     per-partition drift gates compare against."""
-    import ray.data
-
+    from jesse_ray.sources import read_table
     from jesse_ray.stages import sketch_dataset
 
-    bundle = sketch_dataset(ray.data.read_parquet(list(input_paths), columns=list(columns)))
+    bundle = sketch_dataset(read_table(list(input_paths), columns=list(columns)))
     Path(out_path).write_bytes(bundle.to_bytes())
     return out_path
 

@@ -594,17 +594,20 @@ TDIGEST_QS = [0.25, 0.5, 0.75, 0.9, 0.99]
 
 
 def q_seq_tdigest_ntok(sf_dir: str) -> pd.DataFrame:
-    """t-digest quantile estimates over n_tok (mergeable tree partials,
-    Dunning's sketch as a first-class query, not just drift plumbing).
-    The twin holds the estimates to the sketch's actual guarantee — RANK
-    error: the true CDF at each estimate must be within ±0.02 of the
-    requested q (t-digest's edge-biased rank error is ≪ that at
-    compression 200) — and only then emits the sidecar estimates."""
+    """t-digest quantile estimates over n_tok (Dunning's sketch as a
+    first-class query), fed the drift summary's exact n_tok counts as
+    weights.  The twin holds the estimates to the sketch's actual
+    guarantee — RANK error: the true CDF at each estimate must be within
+    ±0.02 of the requested q (t-digest's edge-biased rank error is ≪
+    that at compression 200) — and only then emits the sidecar estimates."""
+    from jesse_ray.sketches import TDigest
     from jesse_ray.stages.drift import sketch_dataset
 
     ds = read_sequences(_seq_path(sf_dir), columns=["n_tok", "tokens"])
-    bundle = sketch_dataset(ds)
-    est = [float(bundle.digest.quantile(q)) for q in TDIGEST_QS]
+    counts = sketch_dataset(ds).n_tok
+    digest = TDigest()
+    digest.add(counts.keys, counts.counts)
+    est = [float(digest.quantile(q)) for q in TDIGEST_QS]
     t = pa.table(
         {
             "q": pa.array(TDIGEST_QS, type=pa.float64()),
@@ -635,16 +638,19 @@ CMS_PROBE_TOKENS = list(range(16))
 
 def q_seq_cms_tokens(sf_dir: str) -> pd.DataFrame:
     """Count-min point-frequency estimates for 16 probe token ids
-    (Cormode-Muthukrishnan sketch as a first-class query).  The twin
-    enforces the CMS guarantee in SQL — exact ≤ est ≤ exact + 2e/w·N
-    (w=16384, N = total token occurrences) — before emitting the
-    estimates."""
+    (Cormode-Muthukrishnan sketch as a first-class query), fed the drift
+    summary's exact token counts.  The twin enforces the CMS guarantee
+    in SQL — exact ≤ est ≤ exact + 2e/w·N (w=16384, N = total token
+    occurrences) — before emitting the estimates."""
+    from jesse_ray.sketches import CountMin
     from jesse_ray.stages.drift import sketch_dataset
 
     ds = read_sequences(_seq_path(sf_dir), columns=["n_tok", "tokens"])
-    bundle = sketch_dataset(ds)
+    counts = sketch_dataset(ds).tokens
+    cms = CountMin()
+    cms.add(counts.keys, counts.counts)
     keys = np.array(CMS_PROBE_TOKENS, dtype=np.int64)
-    est = bundle.cmin.query(keys).astype(np.int64)
+    est = cms.query(keys).astype(np.int64)
     t = pa.table(
         {
             "token": pa.array(keys, type=pa.int64()),
@@ -1089,8 +1095,8 @@ ORDER BY doc_id
 def q_seq_ks_by_source(sf_dir: str) -> pd.DataFrame:
     """Exact per-source KS drift of n_tok against the whole corpus
     (stages/drift.exact_ks_by_group — one bounded (group, value) count
-    shuffle, integer-cumsum ECDFs).  The deterministic twin of the
-    t-digest KS gate."""
+    shuffle, integer-cumsum ECDFs).  The per-source counterpart of the
+    corpus-level KS drift gate."""
     from jesse_ray.stages.drift import exact_ks_by_group
 
     ds = read_sequences(_seq_path(sf_dir), columns=["source", "n_tok"])
@@ -4118,11 +4124,10 @@ ORDER BY rank LIMIT 10
 def q_drift_report(sf_dir: str) -> pd.DataFrame:
     """Drift gate verdicts between the fixture corpora.
 
-    Only the DETERMINISTIC outputs are returned: the float KS/chi-square
-    statistics vary in the ~3rd decimal with t-digest merge order (which
-    depends on block arrival order), but the boolean verdicts and row
-    counts are stable — the fixtures sit far from the alpha thresholds
-    on both sides (drifted pair: p ≈ 0; self pair: p ≈ 1)."""
+    The statistics are exact and do not depend on block order, but only
+    the boolean verdicts and row counts are returned: the twin pins them
+    as literals, and the fixtures sit far from the alpha thresholds on
+    both sides (drifted pair: p ≈ 0; self pair: p ≈ 1)."""
     from jesse_ray.stages import drift_check
 
     sf = testgen.sf_name_of(sf_dir)

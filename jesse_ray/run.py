@@ -49,8 +49,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--drift-reference",
-        help="reference SketchBundle file (from jesse_ray.checkpoint."
-        "build_reference_digest); enables per-partition KS/chi-square drift gating",
+        help="reference drift summary (exact n_tok and token counts, written by "
+        "jesse_ray.checkpoint.build_reference_digest; a file from an older version "
+        "must be rebuilt with it); enables per-partition KS/chi-square drift gating",
     )
     p.add_argument(
         "--report",

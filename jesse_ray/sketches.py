@@ -1,15 +1,13 @@
-"""Mergeable distribution sketches + drift statistics (no scipy).
+"""Exact drift summaries, drift statistics (no scipy) and sketches.
 
 The reference has no distribution machinery (it validates one document at
-a time); these are the corpus-scale extension demanded by the north star:
-per-partition t-digest over ``n_tok`` and token-frequency sketches
-(exact bincount while the vocab is bounded; count-min as the unbounded
-scale path), merged via tree aggregation, then a two-sample KS test on
-the digests and a chi-square test on top-k token frequencies.
-
-All sketches are (a) built per Arrow batch with numpy kernels, (b)
-mergeable (associative + commutative), (c) serializable to plain numpy
-buffers so they ride the object store cheaply.
+a time); these are the corpus-scale extension demanded by the north star.
+A partition's drift summary (:class:`SketchBundle`) is exact counts of
+the ``n_tok`` values and of the token ids, two domains the sequences spec
+bounds.  Merging is addition, so the summary, its bytes and the KS, PSI
+and chi-square statistics derived from it do not depend on block arrival
+or merge order.  ``TDigest``, ``CountMin`` and ``HyperLogLog`` serve the
+catalog's sketch queries and the distinct-count stage.
 """
 
 from __future__ import annotations
@@ -20,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import pyarrow as pa
 
 
 # ---------------------------------------------------------------------------
@@ -44,10 +43,6 @@ class TDigest:
         self.count = 0.0
         self._buf: list[np.ndarray] = []
 
-    # -- scale function k1 and its inverse bound --
-    def _k(self, q: np.ndarray) -> np.ndarray:
-        return (self.compression / (2 * math.pi)) * np.arcsin(2 * np.clip(q, 0, 1) - 1)
-
     def _k1(self, q: float) -> float:
         # scalar fast path for the sequential merge loop: a numpy
         # round-trip per centroid costs 20x (measured 13.5s of a 19s
@@ -57,13 +52,13 @@ class TDigest:
 
     def add(self, values: np.ndarray, weights: Optional[np.ndarray] = None) -> None:
         values = np.asarray(values, dtype=np.float64)
-        values = values[~np.isnan(values)]
+        keep = ~np.isnan(values)
+        values = values[keep]
         if len(values) == 0:
             return
-        if weights is None:
-            weights = np.ones(len(values))
-        self._buf.append(np.stack([values, np.asarray(weights, dtype=np.float64)]))
-        self.count += float(weights.sum()) if weights is not None else len(values)
+        weights = np.ones(len(values)) if weights is None else np.asarray(weights, dtype=np.float64)[keep]
+        self._buf.append(np.stack([values, weights]))
+        self.count += float(weights.sum())
         if sum(b.shape[1] for b in self._buf) > 16 * self.compression:
             self._flush()
 
@@ -109,15 +104,6 @@ class TDigest:
             self._flush()
         return self
 
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        self._flush()
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if len(self.means) == 0:
-            return np.full(len(x), np.nan)
-        cum = np.cumsum(self.weights) - self.weights / 2.0
-        total = self.weights.sum()
-        return np.clip(np.interp(x, self.means, cum / total, left=0.0, right=1.0), 0, 1)
-
     def quantile(self, q: float) -> float:
         self._flush()
         if len(self.means) == 0:
@@ -142,7 +128,7 @@ class TDigest:
 
 
 # ---------------------------------------------------------------------------
-# count-min sketch (unbounded-vocab scale path for token frequencies)
+# count-min sketch (point frequencies of an unbounded key domain)
 
 
 _CM_P = (1 << 61) - 1  # Mersenne prime for universal hashing
@@ -150,8 +136,7 @@ _CM_P = (1 << 61) - 1  # Mersenne prime for universal hashing
 
 class CountMin:
     """Count-min sketch (Cormode & Muthukrishnan 2005): d rows of w
-    counters, universal hashes (a*x + b) mod p mod w with fixed seeds so
-    independently-built sketches are mergeable by elementwise addition."""
+    counters, universal hashes (a*x + b) mod p mod w with fixed seeds."""
 
     __slots__ = ("w", "d", "table", "a", "b", "total")
 
@@ -194,82 +179,65 @@ class CountMin:
             est = np.minimum(est, self.table[r][self._hash(keys, r)])
         return est
 
-    def merge(self, other: "CountMin") -> "CountMin":
-        # addition is a merge only over identical shapes and hashes
-        if (self.w, self.d) != (other.w, other.d):
-            raise ValueError(f"CountMin shapes differ: {self.d}x{self.w} vs {other.d}x{other.w}")
-        if not (np.array_equal(self.a, other.a) and np.array_equal(self.b, other.b)):
-            raise ValueError("CountMin hash seeds differ")
-        self.table += other.table
-        self.total += other.total
-        return self
 
-    def to_bytes(self) -> bytes:
-        return pickle.dumps({"w": self.w, "d": self.d, "t": self.table, "n": self.total}, protocol=4)
+# ---------------------------------------------------------------------------
+# exact value counts: the drift summary
+
+
+@dataclass(eq=False)
+class ValueCounts:
+    """Exact counts of a bounded domain: sorted distinct ``keys`` with
+    positive int64 ``counts``.  Merging is addition, so every merge
+    order gives the same keys and counts."""
+
+    keys: np.ndarray
+    counts: np.ndarray
 
     @classmethod
-    def from_bytes(cls, raw: bytes) -> "CountMin":
-        d = pickle.loads(raw)
-        cm = cls(d["w"], d["d"])
-        cm.table, cm.total = d["t"], d["n"]
-        return cm
+    def of(cls, values: np.ndarray) -> "ValueCounts":
+        keys, counts = np.unique(values, return_counts=True)
+        return cls(keys, counts.astype(np.int64))
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
+
+    def merge(self, other: "ValueCounts") -> "ValueCounts":
+        # add the counts of shared keys and insert the other keys where
+        # they sort (np.insert keeps equal positions in the given order)
+        a, b = self.keys, other.keys
+        pos = np.searchsorted(a, b)
+        hit = a[np.minimum(pos, len(a) - 1)] == b if len(a) else np.zeros(len(b), dtype=bool)
+        counts = self.counts.copy()
+        counts[pos[hit]] += other.counts[hit]
+        self.keys = np.insert(a, pos[~hit], b[~hit])
+        self.counts = np.insert(counts, pos[~hit], other.counts[~hit])
+        return self
+
+    def _below(self, x: np.ndarray, side: str) -> np.ndarray:
+        """How many counted values are < x (side "left") or <= x ("right")."""
+        return np.concatenate([[0], np.cumsum(self.counts)])[np.searchsorted(self.keys, x, side=side)]
+
+    def at(self, x: np.ndarray) -> np.ndarray:
+        """The count of each value of ``x`` (0 for one never counted)."""
+        return self._below(x, "right") - self._below(x, "left")
+
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        """Exact empirical CDF: the share of counted values ``<= x``."""
+        return self._below(x, "right") / self.total
 
 
 # ---------------------------------------------------------------------------
-# exact bounded-vocab frequency vector (mergeable; used while vocab fits)
-
-
-class FreqVector:
-    __slots__ = ("counts", "total")
-
-    def __init__(self, vocab: int):
-        self.counts = np.zeros(vocab, dtype=np.int64)
-        self.total = 0
-
-    def add(self, keys: np.ndarray) -> None:
-        keys = np.asarray(keys)
-        ok = (keys >= 0) & (keys < len(self.counts))
-        self.counts += np.bincount(keys[ok], minlength=len(self.counts))
-        self.total += int(ok.sum())
-
-    def merge(self, other: "FreqVector") -> "FreqVector":
-        self.counts += other.counts
-        self.total += other.total
-        return self
-
-    def topk(self, k: int) -> np.ndarray:
-        return np.argsort(self.counts)[::-1][:k]
-
-    def to_bytes(self) -> bytes:
-        return pickle.dumps({"c": self.counts, "n": self.total}, protocol=4)
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "FreqVector":
-        d = pickle.loads(raw)
-        fv = cls(len(d["c"]))
-        fv.counts, fv.total = d["c"], d["n"]
-        return fv
-
-
-# ---------------------------------------------------------------------------
-# statistics (hand-rolled, public formulas)
-
-
-def ks_statistic(d1: TDigest, d2: TDigest, grid: Optional[np.ndarray] = None) -> float:
-    """Two-sample KS statistic estimated from two digests: max |CDF1-CDF2|
-    over the union of centroid locations."""
-    d1._flush()
-    d2._flush()
-    if grid is None:
-        grid = np.unique(np.concatenate([d1.means, d2.means]))
-    if len(grid) == 0:
-        return 0.0
-    return float(np.max(np.abs(d1.cdf(grid) - d2.cdf(grid))))
+# statistics (hand-rolled, public formulas), exact over the counts; a side
+# with nothing counted scores 0 (p-value 1): no evidence of drift
 
 
 def ks_pvalue(d_stat: float, n1: float, n2: float) -> float:
     """Asymptotic two-sample KS p-value (Kolmogorov distribution,
-    Smirnov's approximation as in standard references)."""
+    Smirnov's approximation as in standard references); 1 when either
+    sample is empty."""
+    if n1 <= 0 or n2 <= 0:
+        return 1.0
     ne = n1 * n2 / (n1 + n2)
     lam = (math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)) * d_stat
     if lam < 1e-9:
@@ -331,140 +299,171 @@ def chi2_pvalue(stat: float, dof: int) -> float:
     return float(_gammainc_upper_reg(dof / 2.0, stat / 2.0))
 
 
-def chi2_topk(ref: FreqVector, new: FreqVector, k: int = 100) -> tuple[float, float]:
-    """Chi-square goodness-of-fit of the new corpus's token distribution
-    vs the reference's, over the reference's top-k tokens (+ tail bucket).
-    Returns (statistic, p_value)."""
-    top = ref.topk(k)
-    ref_top = ref.counts[top].astype(np.float64)
-    new_top = new.counts[top].astype(np.float64)
-    ref_tail = float(ref.total - ref_top.sum())
-    new_tail = float(new.total - new_top.sum())
-    obs = np.append(new_top, max(new_tail, 0.0))
-    exp_p = np.append(ref_top, max(ref_tail, 0.0))
-    exp_p = exp_p / max(exp_p.sum(), 1.0)
-    exp = exp_p * max(obs.sum(), 1.0)
-    keep = exp > 1e-9
-    stat = float(np.sum((obs[keep] - exp[keep]) ** 2 / exp[keep]))
-    dof = int(keep.sum()) - 1
-    return stat, chi2_pvalue(stat, dof)
+def ks_statistic(a: ValueCounts, b: ValueCounts) -> float:
+    """Two-sample KS statistic: max |F_a − F_b| over the union of the
+    observed values."""
+    if not a.total or not b.total:
+        return 0.0
+    grid = np.union1d(a.keys, b.keys)
+    return float(np.max(np.abs(a.cdf(grid) - b.cdf(grid))))
 
 
-# ---------------------------------------------------------------------------
-# combined per-partition sketch bundle
-
-
-@dataclass
-class SketchBundle:
-    """What one partition contributes to the drift check: a t-digest over
-    ``n_tok``, an exact token-frequency vector (bounded vocab) and a
-    count-min (the unbounded scale path)."""
-
-    digest: TDigest
-    freq: FreqVector
-    cmin: CountMin
-    rows: int = 0
-
-    @classmethod
-    def empty(cls, vocab: int = 50_000, compression: int = 200, cm_width: int = 16384) -> "SketchBundle":
-        return cls(TDigest(compression), FreqVector(vocab), CountMin(cm_width), 0)
-
-    def add_batch(self, n_tok: np.ndarray, flat_tokens: np.ndarray) -> None:
-        self.digest.add(n_tok)
-        # ONE bincount serves both the exact frequency vector and the
-        # count-min update (keys = the ≤vocab nonzero ids, not the raw
-        # token stream) — replaces a per-batch np.unique over millions
-        # of tokens, whose sort-allocations dominated the stage under
-        # this sandbox's cold-page tax
-        vocab = len(self.freq.counts)
-        ok = (flat_tokens >= 0) & (flat_tokens < vocab)
-        in_range = flat_tokens if ok.all() else flat_tokens[ok]
-        counts = np.bincount(in_range, minlength=vocab)
-        self.freq.counts += counts
-        self.freq.total += int(len(in_range))
-        nz = np.flatnonzero(counts)
-        if len(nz):
-            self.cmin.add(nz, counts[nz])
-        if len(in_range) != len(flat_tokens):
-            self.cmin.add(flat_tokens[~ok])  # out-of-range tokens are rare
-        self.rows += len(n_tok)
-
-    def merge(self, other: "SketchBundle") -> "SketchBundle":
-        self.digest.merge(other.digest)
-        self.freq.merge(other.freq)
-        self.cmin.merge(other.cmin)
-        self.rows += other.rows
-        return self
-
-    def to_bytes(self) -> bytes:
-        return pickle.dumps(
-            {
-                "d": self.digest.to_bytes(),
-                "f": self.freq.to_bytes(),
-                "c": self.cmin.to_bytes(),
-                "r": self.rows,
-            },
-            protocol=4,
-        )
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "SketchBundle":
-        d = pickle.loads(raw)
-        return cls(
-            TDigest.from_bytes(d["d"]),
-            FreqVector.from_bytes(d["f"]),
-            CountMin.from_bytes(d["c"]),
-            d["r"],
-        )
-
-
-def psi_deciles(ref: TDigest, new: TDigest, *, bins: int = 10,
+def psi_deciles(ref: ValueCounts, new: ValueCounts, *, bins: int = 10,
                 eps: float = 1e-6) -> float:
     """Population stability index over ``bins`` reference-quantile bins
     (the standard scorecard-monitoring drift metric: PSI = Σ (p−q)·ln(p/q);
     industry convention flags > 0.2 as a significant shift, 0.1–0.2 as
-    moderate).  Bin edges come from the REFERENCE digest's quantiles, so
-    the reference mass is ~1/bins per bin by construction and the new
-    corpus's mass per bin comes from its digest CDF at the same edges."""
-    edges = np.array([ref.quantile(i / bins) for i in range(1, bins)])
-    ref_cdf = np.concatenate([[0.0], ref.cdf(edges), [1.0]])
-    new_cdf = np.concatenate([[0.0], new.cdf(edges), [1.0]])
-    p = np.maximum(np.diff(ref_cdf), eps)
-    q = np.maximum(np.diff(new_cdf), eps)
+    moderate).  The edges are the reference's lower discrete quantiles
+    at i/bins (``sorted[ceil(i·n/bins) − 1]``); bin i is (edge_{i−1},
+    edge_i], and an empty bin's share clamps to ``eps``."""
+    if not ref.total or not new.total:
+        return 0.0
+    n = ref.total
+    ranks = [-(-i * n // bins) for i in range(1, bins)]  # integer ceil(i·n/bins)
+    edges = ref.keys[np.searchsorted(np.cumsum(ref.counts), ranks)]
+    p = np.maximum(np.diff(np.concatenate([[0.0], ref.cdf(edges), [1.0]])), eps)
+    q = np.maximum(np.diff(np.concatenate([[0.0], new.cdf(edges), [1.0]])), eps)
     p, q = p / p.sum(), q / q.sum()
     return float(np.sum((p - q) * np.log(p / q)))
 
 
-def psi_freq(ref: FreqVector, new: FreqVector, *, eps: float = 1e-9) -> float:
-    """PSI over the full token-frequency vectors (ids unseen on both
-    sides clamp to the same eps and contribute exactly 0)."""
-    p = ref.counts.astype(np.float64)
-    q = new.counts.astype(np.float64)
-    p = np.maximum(p / max(p.sum(), 1.0), eps)
-    q = np.maximum(q / max(q.sum(), 1.0), eps)
+def chi2_topk(ref: ValueCounts, new: ValueCounts, k: int = 100) -> tuple[float, float]:
+    """Chi-square goodness-of-fit (statistic, p_value) of the new token
+    distribution vs the reference's, over the reference's top-k tokens
+    (ties broken by the smaller token id) plus one tail bucket."""
+    if not ref.total or not new.total:
+        return 0.0, 1.0
+    top = np.argsort(-ref.counts, kind="stable")[:k]  # keys ascend: ties keep the smaller id
+    ref_top = ref.counts[top].astype(np.float64)
+    new_top = new.at(ref.keys[top]).astype(np.float64)
+    obs = np.append(new_top, new.total - new_top.sum())
+    exp = np.append(ref_top, ref.total - ref_top.sum()) * new.total / ref.total
+    keep = exp > 1e-9
+    stat = float(np.sum((obs[keep] - exp[keep]) ** 2 / exp[keep]))
+    return stat, chi2_pvalue(stat, int(keep.sum()) - 1)
+
+
+def psi_freq(ref: ValueCounts, new: ValueCounts, vocab: int, *, eps: float = 1e-9) -> float:
+    """PSI over the token-frequency vectors of all ``vocab`` ids, each
+    share clamped to ``eps`` and renormalised."""
+    if not ref.total or not new.total:
+        return 0.0
+    p, q = np.zeros(vocab), np.zeros(vocab)
+    p[ref.keys], q[new.keys] = ref.counts, new.counts
+    p, q = np.maximum(p / ref.total, eps), np.maximum(q / new.total, eps)
     p, q = p / p.sum(), q / q.sum()
     return float(np.sum((p - q) * np.log(p / q)))
 
 
-def drift_report(ref: SketchBundle, new: SketchBundle, *, topk: int = 100,
-                 ks_alpha: float = 0.01, chi2_alpha: float = 0.01,
-                 psi_threshold: float = 0.2) -> dict:
-    ks = ks_statistic(ref.digest, new.digest)
+# ---------------------------------------------------------------------------
+# combined per-partition drift summary
+
+
+#: the canonical byte layout of a SketchBundle: one Arrow IPC row
+_BUNDLE_SCHEMA = pa.schema([("vocab", pa.int64()), ("n_tok", pa.list_(pa.float64())),
+                            ("n_tok_count", pa.list_(pa.int64())), ("token", pa.list_(pa.int64())),
+                            ("token_count", pa.list_(pa.int64()))])
+
+
+def _one_list(values: np.ndarray) -> pa.ListArray:
+    return pa.ListArray.from_arrays(pa.array([0, len(values)], type=pa.int32()), pa.array(values))
+
+
+@dataclass
+class SketchBundle:
+    """What one partition contributes to the drift check: exact counts
+    of the ``n_tok`` values (any number; NaN is skipped) and of the
+    token ids in ``[0, vocab)`` (ids outside are not counted)."""
+
+    vocab: int
+    n_tok: ValueCounts
+    tokens: ValueCounts
+
+    @classmethod
+    def empty(cls, vocab: int = 50_000) -> "SketchBundle":
+        return cls(vocab, ValueCounts.of(np.empty(0, dtype=np.float64)),
+                   ValueCounts.of(np.empty(0, dtype=np.int64)))
+
+    @property
+    def rows(self) -> int:
+        """The number of ``n_tok`` values counted."""
+        return self.n_tok.total
+
+    def add_batch(self, n_tok: np.ndarray, flat_tokens: np.ndarray) -> None:
+        n_tok = np.asarray(n_tok, dtype=np.float64)
+        # + 0.0 turns -0.0 into 0.0, so the two zeros are one key
+        self.n_tok.merge(ValueCounts.of(n_tok[~np.isnan(n_tok)] + 0.0))
+        ok = (flat_tokens >= 0) & (flat_tokens < self.vocab)
+        counts = np.bincount(flat_tokens if ok.all() else flat_tokens[ok])
+        ids = np.flatnonzero(counts)
+        self.tokens.merge(ValueCounts(ids, counts[ids]))
+
+    def merge(self, other: "SketchBundle") -> "SketchBundle":
+        if other.vocab != self.vocab:
+            raise ValueError(f"drift summaries over different vocabularies: {self.vocab} vs {other.vocab}")
+        self.n_tok.merge(other.n_tok)
+        self.tokens.merge(other.tokens)
+        return self
+
+    def to_bytes(self) -> bytes:
+        """Arrow IPC of one row: the vocab and both sorted count lists.
+        Equal summaries give equal bytes."""
+        t = pa.Table.from_arrays(
+            [pa.array([self.vocab], type=pa.int64()),
+             _one_list(self.n_tok.keys), _one_list(self.n_tok.counts),
+             _one_list(self.tokens.keys), _one_list(self.tokens.counts)],
+            schema=_BUNDLE_SCHEMA,
+        )
+        sink = pa.BufferOutputStream()
+        with pa.ipc.new_stream(sink, _BUNDLE_SCHEMA) as w:
+            w.write_table(t)
+        return sink.getvalue().to_pybytes()
+
+    @classmethod
+    def from_bytes(cls, raw: bytes) -> "SketchBundle":
+        """Parse ``to_bytes`` output; anything else raises ValueError."""
+        try:
+            t = pa.ipc.open_stream(raw).read_all()
+        except pa.ArrowException as e:
+            raise ValueError(f"not an exact drift summary ({e})") from None
+        if t.schema != _BUNDLE_SCHEMA or t.num_rows != 1 or any(c.null_count for c in t.columns):
+            raise ValueError(f"not an exact drift summary (schema {t.schema}, {t.num_rows} rows)")
+        vocab = t["vocab"][0].as_py()
+        cols = [t[c].combine_chunks().flatten().to_numpy() for c in _BUNDLE_SCHEMA.names[1:]]
+        n_tok, tokens = ValueCounts(*cols[:2]), ValueCounts(*cols[2:])
+        for vc in (n_tok, tokens):
+            if len(vc.keys) != len(vc.counts) or np.any(vc.counts <= 0) or np.any(np.diff(vc.keys) <= 0):
+                raise ValueError("malformed drift summary: keys must be sorted and distinct, counts positive")
+        if len(tokens.keys) and (tokens.keys[0] < 0 or tokens.keys[-1] >= vocab):
+            raise ValueError(f"malformed drift summary: token ids outside [0, {vocab})")
+        return cls(vocab, n_tok, tokens)
+
+
+#: the drift gate: chi-square over the reference's top TOPK tokens; a
+#: p-value below ALPHA or a PSI above PSI_THRESHOLD flags drift
+TOPK, ALPHA, PSI_THRESHOLD = 100, 0.01, 0.2
+
+
+def drift_report(ref: SketchBundle, new: SketchBundle) -> dict:
+    """KS and PSI on the ``n_tok`` counts, chi-square over the reference's
+    top-k tokens and PSI over all token frequencies.  Every value is
+    exact and finite; a side with zero rows reports no drift."""
+    ks = ks_statistic(ref.n_tok, new.n_tok)
     ksp = ks_pvalue(ks, ref.rows, new.rows)
-    c2, c2p = chi2_topk(ref.freq, new.freq, k=topk)
-    psi = psi_deciles(ref.digest, new.digest)
-    psi_tok = psi_freq(ref.freq, new.freq)
+    c2, c2p = chi2_topk(ref.tokens, new.tokens, k=TOPK)
+    psi = psi_deciles(ref.n_tok, new.n_tok)
+    psi_tok = psi_freq(ref.tokens, new.tokens, ref.vocab)
     return {
         "ks_stat": ks,
         "ks_pvalue": ksp,
-        "ks_drifted": bool(ksp < ks_alpha),
+        "ks_drifted": bool(ksp < ALPHA),
         "chi2_stat": c2,
         "chi2_pvalue": c2p,
-        "chi2_drifted": bool(c2p < chi2_alpha),
+        "chi2_drifted": bool(c2p < ALPHA),
         "psi": psi,
-        "psi_drifted": bool(psi > psi_threshold),
+        "psi_drifted": bool(psi > PSI_THRESHOLD),
         "psi_tokens": psi_tok,
-        "psi_tokens_drifted": bool(psi_tok > psi_threshold),
+        "psi_tokens_drifted": bool(psi_tok > PSI_THRESHOLD),
         "rows_ref": ref.rows,
         "rows_new": new.rows,
     }

@@ -1,20 +1,16 @@
-"""Distribution-drift stage: per-batch sketches + shuffle-free tree merge.
+"""Distribution-drift stage: per-batch drift summaries + shuffle-free tree merge.
 
-Each input batch contributes one serialized :class:`SketchBundle`
-(t-digest over ``n_tok``, token-frequency vector, count-min).  Merging
-is associative and commutative, so no key-based shuffle is ever needed:
-the merge tree is built by letting ``map_batches`` COALESCE up to
-``fan_in`` single-row sketch blocks per task (Ray Data's batcher bundles
-consecutive blocks until ``batch_size`` rows — a streaming, sort-free
-operation), repeated for ``levels`` rounds.  A level applied to an
-already-small stream is one near-no-op task, so extra levels cost
-nothing; with the default ``fan_in=64`` and ``levels=3`` the driver
-never merges more than 64 sketches even for ~64^4 ≈ 16M input blocks
+Each input batch contributes one serialized :class:`SketchBundle` (exact
+counts of the ``n_tok`` values and of the token ids).  Merging is
+addition, so no key-based shuffle is ever needed and the merged summary
+does not depend on the order blocks arrive in: the merge tree is built by
+letting ``map_batches`` COALESCE up to ``_FAN_IN`` single-row summary
+blocks per task (Ray Data's batcher bundles consecutive blocks until
+``batch_size`` rows — a streaming, sort-free operation), repeated for
+``_LEVELS`` rounds.  A level applied to an already-small stream is one
+near-no-op task, so extra levels cost nothing; at 64 × 3 the driver
+never merges more than 64 summaries even for ~64^4 ≈ 16M input blocks
 (a 10^12-row corpus at 65k rows/block).
-
-This replaces the round-1 design (hash-bucket ``groupby().map_groups``)
-whose Sort all-to-all moved ~1 MB binary sketch rows through a
-range-partition shuffle and converted them to pandas blocks.
 """
 
 from __future__ import annotations
@@ -29,6 +25,7 @@ from ray.data import Dataset
 from jesse_ray.sketches import SketchBundle, drift_report
 
 _SKETCH_SCHEMA = pa.schema([pa.field("sketch", pa.large_binary())])
+_FAN_IN, _LEVELS = 64, 3
 
 
 def batch_sketch(batch: pa.Table, n_tok_col: str = "n_tok", tokens_col: str = "tokens",
@@ -41,7 +38,6 @@ def batch_sketch(batch: pa.Table, n_tok_col: str = "n_tok", tokens_col: str = "t
     flat = np.empty(0, dtype=np.int64)
     if n_tok_col in batch.column_names:
         n_tok = batch[n_tok_col].cast(pa.float64()).to_numpy(zero_copy_only=False)
-        n_tok = n_tok[~np.isnan(n_tok)]
     if tokens_col in batch.column_names:
         flat = pc.list_flatten(batch[tokens_col].combine_chunks()).to_numpy(zero_copy_only=False)
     b.add_batch(n_tok, flat)
@@ -59,34 +55,32 @@ def _build_sketch_fn(n_tok_col: str, tokens_col: str, vocab: int):
     return build
 
 
-def _merge_batch(batch: pa.Table) -> pa.Table:
+def _fold(blobs) -> Optional[SketchBundle]:
+    """The sum of serialized bundles (Arrow binary scalars); None for none."""
     merged = None
-    for raw in batch["sketch"]:
+    for raw in blobs:
         b = SketchBundle.from_bytes(raw.as_py())
         merged = b if merged is None else merged.merge(b)
-    if merged is None:
-        return pa.table({"sketch": pa.array([], type=pa.large_binary())}, schema=_SKETCH_SCHEMA)
-    return pa.table(
-        {"sketch": pa.array([merged.to_bytes()], type=pa.large_binary())},
-        schema=_SKETCH_SCHEMA,
-    )
+    return merged
 
 
-def merge_sketch_rows(sk: Dataset, *, fan_in: int = 64, levels: int = 3, vocab: int = 50_000) -> SketchBundle:
+def _merge_batch(batch: pa.Table) -> pa.Table:
+    merged = _fold(batch["sketch"])
+    return pa.table({"sketch": pa.array([] if merged is None else [merged.to_bytes()], type=pa.large_binary())},
+                    schema=_SKETCH_SCHEMA)
+
+
+def merge_sketch_rows(sk: Dataset, *, vocab: int = 50_000) -> SketchBundle:
     """Tree-merge a Dataset of one-sketch-per-row binary blocks down to a
     single :class:`SketchBundle` without any all-to-all shuffle."""
-    for _ in range(levels):
+    for _ in range(_LEVELS):
         sk = sk.map_batches(
             _merge_batch,
             batch_format="pyarrow",
             zero_copy_batch=True,
-            batch_size=fan_in,
+            batch_size=_FAN_IN,
         )
-    merged = None
-    for b in sk.iter_batches(batch_format="pyarrow"):
-        for raw in b["sketch"]:
-            sb = SketchBundle.from_bytes(raw.as_py())
-            merged = sb if merged is None else merged.merge(sb)
+    merged = _fold(raw for b in sk.iter_batches(batch_format="pyarrow") for raw in b["sketch"])
     return merged if merged is not None else SketchBundle.empty(vocab)
 
 
@@ -96,18 +90,17 @@ def sketch_dataset(
     n_tok_col: str = "n_tok",
     tokens_col: str = "tokens",
     vocab: int = 50_000,
-    fan_in: int = 64,
-    levels: int = 3,
     batch_size: Optional[int] = None,
 ) -> SketchBundle:
-    """Build one merged SketchBundle for a whole Dataset."""
+    """Build one merged SketchBundle for a whole Dataset; the result does
+    not depend on ``batch_size`` or block order."""
     sk = ds.select_columns([n_tok_col, tokens_col]).map_batches(
         _build_sketch_fn(n_tok_col, tokens_col, vocab),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,
     )
-    return merge_sketch_rows(sk, fan_in=fan_in, levels=levels, vocab=vocab)
+    return merge_sketch_rows(sk, vocab=vocab)
 
 
 def exact_psi_by_group(
@@ -126,9 +119,8 @@ def exact_psi_by_group(
 
         psi(g) = Σ_b (p_g,b − p_ref,b) · ln((p_g,b + eps)/(p_ref,b + eps))
 
-    This is the deterministic, oracle-checkable complement of the
-    sketch-based :func:`jesse_ray.sketches.psi_deciles` (which bins at
-    t-digest-approximated deciles): two small passes — exact corpus
+    This is the per-group counterpart of the corpus-level
+    :func:`jesse_ray.sketches.psi_deciles`: two small passes — exact corpus
     quantiles (bounded-cardinality two-phase) and a (group, bin) count
     shuffle of ≤ groups × bins × blocks combiner rows.  NULL values and
     NULL groups are excluded (SQL aggregate semantics)."""
@@ -182,21 +174,11 @@ def exact_psi_by_group(
     )
 
 
-def drift_check(
-    ref_ds: Dataset,
-    new_ds: Dataset,
-    *,
-    vocab: int = 50_000,
-    topk: int = 100,
-    ks_alpha: float = 0.01,
-    chi2_alpha: float = 0.01,
-    **kw,
-) -> dict:
-    """KS (n_tok digests) + chi-square (top-k token frequencies) drift
-    report between a reference corpus and a new corpus."""
-    ref = sketch_dataset(ref_ds, vocab=vocab, **kw)
-    new = sketch_dataset(new_ds, vocab=vocab, **kw)
-    return drift_report(ref, new, topk=topk, ks_alpha=ks_alpha, chi2_alpha=chi2_alpha)
+def drift_check(ref_ds: Dataset, new_ds: Dataset, **kw) -> dict:
+    """KS and PSI (exact ``n_tok`` counts) + chi-square and PSI (token
+    frequencies) drift report between a reference corpus and a new
+    corpus; ``kw`` goes to :func:`sketch_dataset`."""
+    return drift_report(sketch_dataset(ref_ds, **kw), sketch_dataset(new_ds, **kw))
 
 
 def exact_ks_by_group(
@@ -208,8 +190,8 @@ def exact_ks_by_group(
 ) -> "pa.Table":
     """EXACT Kolmogorov-Smirnov distance per group against the whole
     corpus: ``ks(g) = max_v |F_g(v) − F_all(v)|`` over the observed
-    value grid — the deterministic complement of the t-digest KS gate
-    (sketches.ks_distance), for bounded-cardinality value columns.
+    value grid — the per-group counterpart of the corpus-level KS gate
+    (sketches.ks_statistic), for bounded-cardinality value columns.
 
     One two-phase (group, value) count shuffle (combiner rows ≤ groups
     × distinct values × blocks); the driver evaluates both ECDFs on the

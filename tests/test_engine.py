@@ -33,6 +33,7 @@ from jesse_ray.engine import (
     validate_dataset,
 )
 from jesse_ray.oracle import validate_row
+from jesse_ray.sketches import drift_report
 from jesse_ray.sources import read_sequences
 from jesse_ray.spec import sequences_spec
 from jesse_ray.stages import drift_check, sketch_dataset
@@ -255,15 +256,26 @@ def test_drift_detects_shift_not_self(corpus_sf0001):
 
 def test_sketch_merge_is_distribution_invariant(corpus_sf0001):
     """Sketching the same data at different batch sizes gives the same
-    quantiles (merge associativity at the pipeline level)."""
-    path = str(corpus_sf0001 / "drift_reference.parquet")
-    ds = ray.data.read_parquet(path)
+    summary byte for byte and the same drift report (merge
+    associativity at the pipeline level), and the summary is the exact
+    value counts of the raw columns.  Three files, so 2048-row batches
+    make several bundles where 16384-row batches make one."""
+    files = [str(corpus_sf0001 / "drift_reference.parquet"), str(corpus_sf0001 / "drift_drifted.parquet"),
+             str(testgen.corpus_path("sf0.001"))]
+    ds = ray.data.read_parquet(files, columns=["n_tok", "tokens"])
     b1 = sketch_dataset(ds, batch_size=2048)
     b2 = sketch_dataset(ds, batch_size=16384)
     assert b1.rows == b2.rows
-    for q in (0.25, 0.5, 0.9):
-        assert abs(b1.digest.quantile(q) - b2.digest.quantile(q)) < 0.02 * b2.digest.quantile(q)
-    assert np.array_equal(b1.freq.counts, b2.freq.counts)
+    assert b1.to_bytes() == b2.to_bytes()
+    other = sketch_dataset(ray.data.read_parquet(str(corpus_sf0001 / "drift_drifted.parquet")))
+    assert drift_report(b1, other) == drift_report(b2, other)
+    raw = pa.concat_tables([pq.read_table(f, columns=["n_tok", "tokens"]) for f in files])
+    n_tok = raw["n_tok"].to_numpy().astype(np.float64)
+    keys, counts = np.unique(n_tok[~np.isnan(n_tok)], return_counts=True)
+    assert np.array_equal(b1.n_tok.keys, keys) and np.array_equal(b1.n_tok.counts, counts)
+    flat = pc.list_flatten(raw["tokens"]).to_numpy().astype(np.int64)
+    ids, counts = np.unique(flat[(flat >= 0) & (flat < b1.vocab)], return_counts=True)
+    assert np.array_equal(b1.tokens.keys, ids) and np.array_equal(b1.tokens.counts, counts)
 
 
 def test_sketch_dataset_type_hints_resolve():
@@ -726,6 +738,44 @@ def test_checkpoint_drift_gate(tmp_path, corpus_sf0001):
     assert s_drift["drifted_partitions"] == 1
 
 
+def test_checkpoint_drift_gate_on_a_zero_row_partition(tmp_path, corpus_sf0001):
+    """A partition with no rows gets a defined, JSON-valid, not-drifted
+    report against the reference: statistics 0, p-values 1."""
+    from jesse_ray import testgen
+    from jesse_ray.checkpoint import Manifest, build_reference_digest, run_validation
+    from jesse_ray.pipelines.queries import _seq_spec
+
+    d = testgen.corpus_dir("sf0.001")
+    ref_path = str(tmp_path / "ref.bin")
+    build_reference_digest([str(d / "drift_reference.parquet")], ref_path)
+    empty = tmp_path / "empty.parquet"
+    pq.write_table(pq.read_table(str(testgen.corpus_path("sf0.001")),
+                                 columns=["doc_id", "tokens", "n_tok", "source"]).slice(0, 0), empty)
+    s = run_validation([str(empty)], _seq_spec(), tmp_path / "out", drift_reference=ref_path)
+    assert s["partitions"] == 1 and s["drifted_partitions"] == 0 and s["passed"]
+    (rec,) = Manifest(tmp_path / "out" / "manifest.jsonl").load().values()
+    json.dumps(rec.metrics, allow_nan=False)
+    assert rec.metrics["rows"] == 0 and rec.metrics["drifted"] is False
+    assert rec.metrics["drift"] == {"ks_stat": 0.0, "ks_pvalue": 1.0, "ks_drifted": False,
+                                    "chi2_stat": 0.0, "chi2_pvalue": 1.0, "chi2_drifted": False}
+
+
+def test_drift_reference_in_an_older_format_names_the_file(tmp_path, corpus_sf0001):
+    """A pickled reference written by an older version is refused before
+    any partition runs, naming the file and how to rebuild it."""
+    import pickle
+
+    from jesse_ray.checkpoint import run_validation
+    from jesse_ray.pipelines.queries import _seq_spec
+
+    ref_path = tmp_path / "old.digest"
+    ref_path.write_bytes(pickle.dumps({"d": b"", "f": b"", "c": b"", "r": 0}, protocol=4))
+    with pytest.raises(ValueError, match=f"{ref_path}.*build_reference_digest"):
+        run_validation([str(testgen.corpus_path("sf0.001"))], _seq_spec(), tmp_path / "out",
+                       drift_reference=str(ref_path))
+    assert not (tmp_path / "out" / "manifest.jsonl").exists()
+
+
 def test_driver_entry_contract(ray_session):
     """__ray_entry__ contract: entry() runs the flagship pipeline at
     sf0.001 with a stable schema; every oracle_sql() key has a queries()
@@ -872,16 +922,13 @@ def test_checkpoint_executions_per_partition(tmp_path, corpus_sf0001, monkeypatc
     assert started == []
 
 
-def test_partition_sketch_matches_standalone(tmp_path, corpus_sf0001, monkeypatch):
+def test_partition_sketch_matches_standalone(tmp_path, corpus_sf0001):
     """The in-band partition sketch folded by the drain is the
-    standalone ``sketch_dataset`` bundle byte for byte.  The t-digest
-    merge is order-dependent, so both executions preserve block order."""
-    from ray.data import DataContext
-
+    standalone ``sketch_dataset`` bundle byte for byte, whatever order
+    the blocks arrive in."""
     from jesse_ray.checkpoint import run_validation
     from jesse_ray.pipelines.queries import _seq_spec
 
-    monkeypatch.setattr(DataContext.get_current().execution_options, "preserve_order", True)
     files, _ = _sf0001_shards(tmp_path)
     run_validation(files, _seq_spec(), tmp_path / "out", files_per_partition=len(files), sketch=True)
     (part,) = [p for p in (tmp_path / "out").iterdir() if p.is_dir()]
