@@ -15,11 +15,20 @@ corpus path).
 Float discipline: aggregate outputs that are sums of doubles are
 ``round(x, 2)`` on BOTH sides; counts/mins/maxes/sums of integers are
 cast to int64/BIGINT so hashes are exact.
+
+Registration: every entry is one ``@entry(name, sql=...)`` line on its
+function, in this module or in any other module of
+:mod:`jesse_ray.pipelines`.  :func:`queries` / :func:`oracle_sql` import
+every module of the package and return the registry's two views; this
+module imports none of them when it loads (they import :func:`entry`
+and helpers from here).
 """
 
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 from pathlib import Path
 from typing import Callable
 
@@ -71,10 +80,68 @@ def _collect(ds) -> pa.Table:
     return pa.concat_tables(batches) if batches else None
 
 
+# name -> (query function, DuckDB twin SQL)
+_CATALOG: dict[str, tuple[Callable, str]] = {}
+
+
+def entry(name: str, *, sql: str) -> Callable[[Callable], Callable]:
+    """Register the decorated function as catalog entry ``name`` with its
+    oracle ``sql`` and return the function unchanged.  A name that is
+    already registered raises ``ValueError``: no entry silently shadows
+    another."""
+    if not isinstance(sql, str) or not sql.strip():
+        raise ValueError(f"catalog entry {name!r}: sql must be a non-empty str")
+
+    def register(fn: Callable) -> Callable:
+        if name in _CATALOG:
+            prev = _CATALOG[name][0]
+            raise ValueError(
+                f"catalog entry {name!r} is already registered by "
+                f"{prev.__module__}.{prev.__qualname__}"
+            )
+        _CATALOG[name] = (fn, sql)
+        return fn
+
+    return register
+
+
+def _load_catalog() -> dict[str, tuple[Callable, str]]:
+    """Import every module of :mod:`jesse_ray.pipelines`, which runs
+    their ``@entry`` registrations, and return the registry."""
+    import jesse_ray.pipelines as pkg
+
+    for mod in pkgutil.iter_modules(pkg.__path__):
+        importlib.import_module(f"{pkg.__name__}.{mod.name}")
+    return _CATALOG
+
+
+def queries() -> dict[str, Callable]:
+    # ensure the corpora the driver's oracle SQL reads exist before any
+    # SQL runs (sf0.1 is generated lazily by bench.py only)
+    testgen.generate("sf0.001")
+    testgen.generate("sf0.01")
+    return {name: fn for name, (fn, _) in _load_catalog().items()}
+
+
+def oracle_sql() -> dict[str, str]:
+    return {name: sql for name, (_, sql) in _load_catalog().items()}
+
+
 # ---------------------------------------------------------------------------
 # sequences-corpus validation queries (engine ↔ SQL twins)
 
 
+SQL_SEQ_VAL_CONSISTENCY = f"""
+SELECT doc_id,
+       CAST(len(tokens) AS BIGINT) AS len_tokens,
+       CAST(n_tok AS BIGINT) AS n_tok,
+       'wrong_size' AS error
+FROM {SEQ_SQL}
+WHERE len(tokens) != n_tok
+"""
+
+
+@entry("seq_val_consistency", sql=SQL_SEQ_VAL_CONSISTENCY)
 def q_seq_val_consistency(sf_dir: str) -> pa.Table:
     """wrong_size rows: len(tokens) != n_tok (ConsistencyRule list_len_eq)."""
     ds = read_sequences(_seq_path(sf_dir))
@@ -100,16 +167,14 @@ def q_seq_val_consistency(sf_dir: str) -> pa.Table:
     return _collect(ds.map_batches(find, batch_format="pyarrow", zero_copy_batch=True))
 
 
-SQL_SEQ_VAL_CONSISTENCY = f"""
-SELECT doc_id,
-       CAST(len(tokens) AS BIGINT) AS len_tokens,
-       CAST(n_tok AS BIGINT) AS n_tok,
-       'wrong_size' AS error
+SQL_SEQ_VAL_NTOK_RANGE = f"""
+SELECT doc_id, CAST(n_tok AS BIGINT) AS n_tok, 'not_in_range' AS error
 FROM {SEQ_SQL}
-WHERE len(tokens) != n_tok
+WHERE n_tok < 1 OR n_tok > 2048
 """
 
 
+@entry("seq_val_ntok_range", sql=SQL_SEQ_VAL_NTOK_RANGE)
 def q_seq_val_ntok_range(sf_dir: str) -> pa.Table:
     ds = read_sequences(_seq_path(sf_dir), columns=["doc_id", "n_tok"])
 
@@ -128,13 +193,14 @@ def q_seq_val_ntok_range(sf_dir: str) -> pa.Table:
     return _collect(ds.map_batches(find, batch_format="pyarrow", zero_copy_batch=True))
 
 
-SQL_SEQ_VAL_NTOK_RANGE = f"""
-SELECT doc_id, CAST(n_tok AS BIGINT) AS n_tok, 'not_in_range' AS error
+SQL_SEQ_VAL_SOURCE_ENUM = f"""
+SELECT doc_id, source, 'not_in_enum' AS error
 FROM {SEQ_SQL}
-WHERE n_tok < 1 OR n_tok > 2048
+WHERE source NOT IN ({ALLOWED_SQL})
 """
 
 
+@entry("seq_val_source_enum", sql=SQL_SEQ_VAL_SOURCE_ENUM)
 def q_seq_val_source_enum(sf_dir: str) -> pa.Table:
     """Referential check alone: the fused pass over a referential-only
     spec (zero row checks, no uniqueness) with the broadcast dimension."""
@@ -151,13 +217,13 @@ def q_seq_val_source_enum(sf_dir: str) -> pa.Table:
     return pa.table({"doc_id": v["doc_id"], "source": src, "error": v["error"]})
 
 
-SQL_SEQ_VAL_SOURCE_ENUM = f"""
-SELECT doc_id, source, 'not_in_enum' AS error
-FROM {SEQ_SQL}
-WHERE source NOT IN ({ALLOWED_SQL})
+SQL_SEQ_VAL_REQUIRED = f"""
+SELECT 'missing_required_property' AS error, CAST(count(*) AS BIGINT) AS cnt
+FROM {SEQ_SQL} WHERE doc_id IS NULL
 """
 
 
+@entry("seq_val_required", sql=SQL_SEQ_VAL_REQUIRED)
 def q_seq_val_required(sf_dir: str) -> pd.DataFrame:
     ds = read_sequences(_seq_path(sf_dir), columns=["doc_id"])
 
@@ -172,12 +238,14 @@ def q_seq_val_required(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame({"error": ["missing_required_property"], "cnt": pd.array([total], dtype="int64")})
 
 
-SQL_SEQ_VAL_REQUIRED = f"""
-SELECT 'missing_required_property' AS error, CAST(count(*) AS BIGINT) AS cnt
-FROM {SEQ_SQL} WHERE doc_id IS NULL
+SQL_SEQ_VAL_PATTERN = f"""
+SELECT doc_id, 'no_match' AS error
+FROM {SEQ_SQL}
+WHERE doc_id IS NOT NULL AND NOT regexp_matches(doc_id, '^doc-[0-9]{{8}}$')
 """
 
 
+@entry("seq_val_pattern", sql=SQL_SEQ_VAL_PATTERN)
 def q_seq_val_pattern(sf_dir: str) -> pa.Table:
     ds = read_sequences(_seq_path(sf_dir), columns=["doc_id"])
 
@@ -193,13 +261,14 @@ def q_seq_val_pattern(sf_dir: str) -> pa.Table:
     return _collect(ds.map_batches(find, batch_format="pyarrow", zero_copy_batch=True))
 
 
-SQL_SEQ_VAL_PATTERN = f"""
-SELECT doc_id, 'no_match' AS error
-FROM {SEQ_SQL}
-WHERE doc_id IS NOT NULL AND NOT regexp_matches(doc_id, '^doc-[0-9]{{8}}$')
+SQL_SEQ_VAL_TOKEN_BOUNDS = f"""
+SELECT doc_id, CAST(t AS BIGINT) AS token, 'not_in_range' AS error
+FROM (SELECT doc_id, unnest(tokens) AS t FROM {SEQ_SQL})
+WHERE t < 0 OR t >= {testgen.VOCAB}
 """
 
 
+@entry("seq_val_token_bounds", sql=SQL_SEQ_VAL_TOKEN_BOUNDS)
 def q_seq_val_token_bounds(sf_dir: str) -> pa.Table:
     """Per-element bounds via the compiled items check (vectorized
     flatten + parent-index mapping)."""
@@ -220,13 +289,15 @@ def q_seq_val_token_bounds(sf_dir: str) -> pa.Table:
     return pa.table({"doc_id": v["doc_id"], "token": tok, "error": v["error"]})
 
 
-SQL_SEQ_VAL_TOKEN_BOUNDS = f"""
-SELECT doc_id, CAST(t AS BIGINT) AS token, 'not_in_range' AS error
-FROM (SELECT doc_id, unnest(tokens) AS t FROM {SEQ_SQL})
-WHERE t < 0 OR t >= {testgen.VOCAB}
+SQL_SEQ_VAL_DOCID_DUPS = f"""
+SELECT doc_id, CAST(count(*) AS BIGINT) AS cnt
+FROM {SEQ_SQL}
+WHERE doc_id IS NOT NULL
+GROUP BY doc_id HAVING count(*) > 1
 """
 
 
+@entry("seq_val_docid_dups", sql=SQL_SEQ_VAL_DOCID_DUPS)
 def q_seq_val_docid_dups(sf_dir: str) -> pa.Table:
     ds = read_sequences(_seq_path(sf_dir), columns=["doc_id"])
     dups = duplicate_keys(ds, "doc_id")
@@ -236,14 +307,17 @@ def q_seq_val_docid_dups(sf_dir: str) -> pa.Table:
     return pa.table({"doc_id": t["doc_id"], "cnt": t["cnt"].cast(pa.int64())})
 
 
-SQL_SEQ_VAL_DOCID_DUPS = f"""
-SELECT doc_id, CAST(count(*) AS BIGINT) AS cnt
-FROM {SEQ_SQL}
-WHERE doc_id IS NOT NULL
-GROUP BY doc_id HAVING count(*) > 1
+SQL_SEQ_STATS_BY_SOURCE = f"""
+SELECT source,
+       CAST(count(*) AS BIGINT) AS cnt,
+       CAST(min(n_tok) AS BIGINT) AS min_n_tok,
+       CAST(max(n_tok) AS BIGINT) AS max_n_tok,
+       CAST(sum(n_tok) AS BIGINT) AS sum_n_tok
+FROM {SEQ_SQL} GROUP BY source
 """
 
 
+@entry("seq_stats_by_source", sql=SQL_SEQ_STATS_BY_SOURCE)
 def q_seq_stats_by_source(sf_dir: str) -> pa.Table:
     ds = read_sequences(_seq_path(sf_dir), columns=["source", "n_tok"])
     out = grouped_agg(ds, ["source"], sums=["n_tok"], mins=["n_tok"], maxs=["n_tok"])
@@ -259,16 +333,20 @@ def q_seq_stats_by_source(sf_dir: str) -> pa.Table:
     )
 
 
-SQL_SEQ_STATS_BY_SOURCE = f"""
+SQL_SEQ_OOV = f"""
+WITH vocab AS (
+  SELECT DISTINCT unnest(tokens) AS t FROM {SEQ_SQL} WHERE source = 'books'
+),
+f AS (SELECT source, unnest(tokens) AS t FROM {SEQ_SQL})
 SELECT source,
-       CAST(count(*) AS BIGINT) AS cnt,
-       CAST(min(n_tok) AS BIGINT) AS min_n_tok,
-       CAST(max(n_tok) AS BIGINT) AS max_n_tok,
-       CAST(sum(n_tok) AS BIGINT) AS sum_n_tok
-FROM {SEQ_SQL} GROUP BY source
+       CAST(count(*) FILTER (WHERE v.t IS NULL) AS BIGINT) AS n_oov,
+       CAST(count(*) AS BIGINT) AS n_tok
+FROM f LEFT JOIN vocab v ON f.t = v.t
+GROUP BY source ORDER BY source
 """
 
 
+@entry("seq_oov", sql=SQL_SEQ_OOV)
 def q_seq_oov(sf_dir: str) -> pa.Table:
     """Vocabulary coverage: token occurrences outside the 'books'
     reference vocabulary, per source.  Vocab built distributedly
@@ -294,19 +372,14 @@ def q_seq_oov(sf_dir: str) -> pa.Table:
     ).sort_by("source")
 
 
-SQL_SEQ_OOV = f"""
-WITH vocab AS (
-  SELECT DISTINCT unnest(tokens) AS t FROM {SEQ_SQL} WHERE source = 'books'
-),
-f AS (SELECT source, unnest(tokens) AS t FROM {SEQ_SQL})
-SELECT source,
-       CAST(count(*) FILTER (WHERE v.t IS NULL) AS BIGINT) AS n_oov,
-       CAST(count(*) AS BIGINT) AS n_tok
-FROM f LEFT JOIN vocab v ON f.t = v.t
-GROUP BY source ORDER BY source
+SQL_SEQ_DISTINCT_TOKENS_BY_SOURCE = f"""
+SELECT source, CAST(count(DISTINCT t) AS BIGINT) AS n_distinct_tokens
+FROM (SELECT source, unnest(tokens) AS t FROM {SEQ_SQL})
+GROUP BY source
 """
 
 
+@entry("seq_distinct_tokens_by_source", sql=SQL_SEQ_DISTINCT_TOKENS_BY_SOURCE)
 def q_seq_distinct_tokens_by_source(sf_dir: str) -> pa.Table:
     """KVC @distinctUnionOfArrays analogue: distinct token ids per
     source (map-side flatten+unique, shuffle carries distinct pairs)."""
@@ -323,13 +396,17 @@ def q_seq_distinct_tokens_by_source(sf_dir: str) -> pa.Table:
     )
 
 
-SQL_SEQ_DISTINCT_TOKENS_BY_SOURCE = f"""
-SELECT source, CAST(count(DISTINCT t) AS BIGINT) AS n_distinct_tokens
-FROM (SELECT source, unnest(tokens) AS t FROM {SEQ_SQL})
-GROUP BY source
+SQL_SEQ_TOP_DOCS_BY_SOURCE = f"""
+SELECT source, doc_id, CAST(n_tok AS BIGINT) AS n_tok
+FROM (
+  SELECT source, doc_id, n_tok,
+         row_number() OVER (PARTITION BY source ORDER BY n_tok DESC, doc_id) AS rn
+  FROM {SEQ_SQL} WHERE doc_id IS NOT NULL
+) WHERE rn <= 2
 """
 
 
+@entry("seq_top_docs_by_source", sql=SQL_SEQ_TOP_DOCS_BY_SOURCE)
 def q_seq_top_docs_by_source(sf_dir: str) -> pa.Table:
     """Ranked-window analogue: the 2 longest documents per source
     (ROW_NUMBER over partition), deterministic via doc_id tie-break."""
@@ -354,16 +431,14 @@ def q_seq_top_docs_by_source(sf_dir: str) -> pa.Table:
     )
 
 
-SQL_SEQ_TOP_DOCS_BY_SOURCE = f"""
-SELECT source, doc_id, CAST(n_tok AS BIGINT) AS n_tok
-FROM (
-  SELECT source, doc_id, n_tok,
-         row_number() OVER (PARTITION BY source ORDER BY n_tok DESC, doc_id) AS rn
-  FROM {SEQ_SQL} WHERE doc_id IS NOT NULL
-) WHERE rn <= 2
+SQL_SEQ_DEDUP_EXACT = f"""
+SELECT CAST(count(*) AS BIGINT) AS dup_groups,
+       CAST(coalesce(sum(cnt), 0) AS BIGINT) AS dup_rows
+FROM (SELECT count(*) AS cnt FROM {SEQ_SQL} GROUP BY tokens HAVING count(*) > 1)
 """
 
 
+@entry("seq_dedup_exact", sql=SQL_SEQ_DEDUP_EXACT)
 def q_seq_dedup_exact(sf_dir: str) -> pd.DataFrame:
     """Exact dedup over the token payload: hash tokens per batch →
     two-phase group count → groups with >1 row."""
@@ -402,34 +477,6 @@ def q_seq_dedup_exact(sf_dir: str) -> pd.DataFrame:
     )
 
 
-SQL_SEQ_DEDUP_EXACT = f"""
-SELECT CAST(count(*) AS BIGINT) AS dup_groups,
-       CAST(coalesce(sum(cnt), 0) AS BIGINT) AS dup_rows
-FROM (SELECT count(*) AS cnt FROM {SEQ_SQL} GROUP BY tokens HAVING count(*) > 1)
-"""
-
-
-def q_seq_curated(sf_dir: str) -> pd.DataFrame:
-    """Flagship curation pipeline end-to-end: rows passing EVERY check
-    (row-level keywords AND the referential source dimension),
-    deduplicated to one row per distinct token payload (keep smallest
-    doc_id).  The SQL twin re-derives both counts AND a checksum of the
-    surviving doc_ids, so the validate→filter→dedup composition is
-    verified exactly."""
-    from jesse_ray.pipelines.curate import curate_sequences
-
-    ds = read_sequences(_seq_path(sf_dir))
-    curated = curate_sequences(ds, _seq_spec())
-    t = _collect(curated.select_columns(["doc_id"]))
-    ids = sorted(t["doc_id"].to_pylist())
-    import hashlib as _hl
-
-    digest = _hl.sha256("\n".join(ids).encode()).hexdigest()[:16]
-    return pd.DataFrame(
-        {"curated_rows": pd.array([len(ids)], dtype="int64"), "ids_sha": [digest]}
-    )
-
-
 # the clean-row predicate mirrors SQL_SEQ_VAL_CLEAN_COUNT; keep-first per
 # distinct token payload = min(doc_id) per tokens group
 SQL_SEQ_CURATED = f"""
@@ -452,6 +499,38 @@ FROM kept
 """
 
 
+@entry("seq_curated", sql=SQL_SEQ_CURATED)
+def q_seq_curated(sf_dir: str) -> pd.DataFrame:
+    """Flagship curation pipeline end-to-end: rows passing EVERY check
+    (row-level keywords AND the referential source dimension),
+    deduplicated to one row per distinct token payload (keep smallest
+    doc_id).  The SQL twin re-derives both counts AND a checksum of the
+    surviving doc_ids, so the validate→filter→dedup composition is
+    verified exactly."""
+    from jesse_ray.pipelines.curate import curate_sequences
+
+    ds = read_sequences(_seq_path(sf_dir))
+    curated = curate_sequences(ds, _seq_spec())
+    t = _collect(curated.select_columns(["doc_id"]))
+    ids = sorted(t["doc_id"].to_pylist())
+    import hashlib as _hl
+
+    digest = _hl.sha256("\n".join(ids).encode()).hexdigest()[:16]
+    return pd.DataFrame(
+        {"curated_rows": pd.array([len(ids)], dtype="int64"), "ids_sha": [digest]}
+    )
+
+
+SQL_SEQ_HASH_SPLIT = f"""
+WITH s AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/split_sigs_sf0.01.parquet'))
+SELECT split, CAST(count(*) AS BIGINT) AS cnt FROM s
+GROUP BY split
+HAVING (SELECT count(*) FROM s) = (SELECT count(*) FROM {SEQ_SQL})
+ORDER BY split
+"""
+
+
+@entry("seq_hash_split", sql=SQL_SEQ_HASH_SPLIT)
 def q_seq_hash_split(sf_dir: str) -> pd.DataFrame:
     """Deterministic hash split (80/10/10 on doc_id): the assignment
     parquet is written as a side input and the SQL twin re-derives the
@@ -469,35 +548,7 @@ def q_seq_hash_split(sf_dir: str) -> pd.DataFrame:
     return pdf
 
 
-SQL_SEQ_HASH_SPLIT = f"""
-WITH s AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/split_sigs_sf0.01.parquet'))
-SELECT split, CAST(count(*) AS BIGINT) AS cnt FROM s
-GROUP BY split
-HAVING (SELECT count(*) FROM s) = (SELECT count(*) FROM {SEQ_SQL})
-ORDER BY split
-"""
-
-
 SAMPLE_RATES = {"web": 0.2, "books": 0.5, "code": 0.25, "wiki": 1.0, "forums": 0.0}
-
-
-def q_seq_stratified_sample(sf_dir: str) -> pd.DataFrame:
-    """Deterministic per-source downsampling (corpus mixing): keep-rate
-    by stratum via the fmix64 hash threshold.  The SQL twin verifies the
-    sample is a true subset (every sampled (doc_id, source) exists in
-    the corpus), that the rate-1.0 stratum is kept in full and the
-    rate-0.0 stratum fully dropped, then re-derives per-source counts
-    from the assignment sidecar."""
-    from jesse_ray.functions.split import stratified_hash_sample
-
-    ds = read_sequences(_seq_path(sf_dir), columns=["doc_id", "source"])
-    out = stratified_hash_sample(ds, "doc_id", SAMPLE_RATES, strata_col="source")
-    t = _collect(out)
-    pq.write_table(t.sort_by("doc_id"), _sig_parquet_path(sf_dir, "strat_sample"))
-    g = t.group_by("source").aggregate([([], "count_all")]).rename_columns(["source", "cnt"])
-    pdf = g.to_pandas().sort_values("source").reset_index(drop=True)
-    pdf["cnt"] = pdf["cnt"].astype("int64")
-    return pdf
 
 
 SQL_SEQ_STRATIFIED_SAMPLE = f"""
@@ -518,19 +569,20 @@ ORDER BY source
 """
 
 
-def q_seq_temperature_sample(sf_dir: str) -> pd.DataFrame:
-    """Temperature-scaled corpus mixing (T=2, half-corpus budget): tiny
-    grouped count → driver rate derivation → shuffle-free hash-threshold
-    sample.  The twin re-derives the rates in SQL from the corpus
-    counts, checks the sample is a true subset AND that every stratum's
-    kept count adheres to its derived rate (±5% + 50), then re-counts
-    the sample sidecar per source."""
-    from jesse_ray.functions.split import mixture_sample
+@entry("seq_stratified_sample", sql=SQL_SEQ_STRATIFIED_SAMPLE)
+def q_seq_stratified_sample(sf_dir: str) -> pd.DataFrame:
+    """Deterministic per-source downsampling (corpus mixing): keep-rate
+    by stratum via the fmix64 hash threshold.  The SQL twin verifies the
+    sample is a true subset (every sampled (doc_id, source) exists in
+    the corpus), that the rate-1.0 stratum is kept in full and the
+    rate-0.0 stratum fully dropped, then re-derives per-source counts
+    from the assignment sidecar."""
+    from jesse_ray.functions.split import stratified_hash_sample
 
     ds = read_sequences(_seq_path(sf_dir), columns=["doc_id", "source"])
-    out, _rates = mixture_sample(ds, "doc_id", temperature=2.0, budget_frac=0.5)
+    out = stratified_hash_sample(ds, "doc_id", SAMPLE_RATES, strata_col="source")
     t = _collect(out)
-    pq.write_table(t.sort_by("doc_id"), _sig_parquet_path(sf_dir, "temp_sample"))
+    pq.write_table(t.sort_by("doc_id"), _sig_parquet_path(sf_dir, "strat_sample"))
     g = t.group_by("source").aggregate([([], "count_all")]).rename_columns(["source", "cnt"])
     pdf = g.to_pandas().sort_values("source").reset_index(drop=True)
     pdf["cnt"] = pdf["cnt"].astype("int64")
@@ -566,6 +618,35 @@ ORDER BY source
 """
 
 
+@entry("seq_temperature_sample", sql=SQL_SEQ_TEMPERATURE_SAMPLE)
+def q_seq_temperature_sample(sf_dir: str) -> pd.DataFrame:
+    """Temperature-scaled corpus mixing (T=2, half-corpus budget): tiny
+    grouped count → driver rate derivation → shuffle-free hash-threshold
+    sample.  The twin re-derives the rates in SQL from the corpus
+    counts, checks the sample is a true subset AND that every stratum's
+    kept count adheres to its derived rate (±5% + 50), then re-counts
+    the sample sidecar per source."""
+    from jesse_ray.functions.split import mixture_sample
+
+    ds = read_sequences(_seq_path(sf_dir), columns=["doc_id", "source"])
+    out, _rates = mixture_sample(ds, "doc_id", temperature=2.0, budget_frac=0.5)
+    t = _collect(out)
+    pq.write_table(t.sort_by("doc_id"), _sig_parquet_path(sf_dir, "temp_sample"))
+    g = t.group_by("source").aggregate([([], "count_all")]).rename_columns(["source", "cnt"])
+    pdf = g.to_pandas().sort_values("source").reset_index(drop=True)
+    pdf["cnt"] = pdf["cnt"].astype("int64")
+    return pdf
+
+
+SQL_SEQ_HLL_TOKENS = f"""
+WITH s AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/hll_tokens_sigs_sf0.01.parquet')),
+exact AS (SELECT count(DISTINCT t) AS d FROM (SELECT unnest(tokens) AS t FROM {SEQ_SQL}))
+SELECT CAST(est AS BIGINT) AS hll_distinct_tokens FROM s
+WHERE abs(CAST(est AS DOUBLE) / (SELECT d FROM exact) - 1.0) <= 0.05
+"""
+
+
+@entry("seq_hll_tokens", sql=SQL_SEQ_HLL_TOKENS)
 def q_seq_hll_tokens(sf_dir: str) -> pd.DataFrame:
     """Approximate distinct token ids corpus-wide (HyperLogLog p=12,
     shuffle-free mergeable partials).  The twin computes the EXACT
@@ -582,17 +663,25 @@ def q_seq_hll_tokens(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame({"hll_distinct_tokens": pd.array([est], dtype="int64")})
 
 
-SQL_SEQ_HLL_TOKENS = f"""
-WITH s AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/hll_tokens_sigs_sf0.01.parquet')),
-exact AS (SELECT count(DISTINCT t) AS d FROM (SELECT unnest(tokens) AS t FROM {SEQ_SQL}))
-SELECT CAST(est AS BIGINT) AS hll_distinct_tokens FROM s
-WHERE abs(CAST(est AS DOUBLE) / (SELECT d FROM exact) - 1.0) <= 0.05
-"""
-
-
 TDIGEST_QS = [0.25, 0.5, 0.75, 0.9, 0.99]
 
 
+SQL_SEQ_TDIGEST_NTOK = f"""
+WITH s AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/tdigest_ntok_sigs_sf0.01.parquet')),
+tot AS (SELECT CAST(count(*) AS DOUBLE) AS n FROM {SEQ_SQL} WHERE n_tok IS NOT NULL),
+chk AS (
+  SELECT bool_and(abs(
+           (SELECT count(*) FROM {SEQ_SQL} WHERE n_tok <= s.est) / (SELECT n FROM tot)
+           - s.q) <= 0.02) AS good
+  FROM s
+)
+SELECT q, round(est, 4) AS est FROM s
+WHERE (SELECT good FROM chk)
+ORDER BY q
+"""
+
+
+@entry("seq_tdigest_ntok", sql=SQL_SEQ_TDIGEST_NTOK)
 def q_seq_tdigest_ntok(sf_dir: str) -> pd.DataFrame:
     """t-digest quantile estimates over n_tok (Dunning's sketch as a
     first-class query), fed the drift summary's exact n_tok counts as
@@ -618,24 +707,29 @@ def q_seq_tdigest_ntok(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame({"q": TDIGEST_QS, "est": [round_half_away(e, 4) for e in est]})
 
 
-SQL_SEQ_TDIGEST_NTOK = f"""
-WITH s AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/tdigest_ntok_sigs_sf0.01.parquet')),
-tot AS (SELECT CAST(count(*) AS DOUBLE) AS n FROM {SEQ_SQL} WHERE n_tok IS NOT NULL),
-chk AS (
-  SELECT bool_and(abs(
-           (SELECT count(*) FROM {SEQ_SQL} WHERE n_tok <= s.est) / (SELECT n FROM tot)
-           - s.q) <= 0.02) AS good
-  FROM s
-)
-SELECT q, round(est, 4) AS est FROM s
-WHERE (SELECT good FROM chk)
-ORDER BY q
-"""
-
-
 CMS_PROBE_TOKENS = list(range(16))
 
 
+SQL_SEQ_CMS_TOKENS = f"""
+WITH s AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/cms_tokens_sigs_sf0.01.parquet')),
+flat AS (SELECT unnest(tokens) AS t FROM {SEQ_SQL}),
+n AS (SELECT CAST(count(*) AS DOUBLE) AS total FROM flat),
+ex AS (SELECT t AS token, CAST(count(*) AS BIGINT) AS cnt FROM flat
+       WHERE t BETWEEN 0 AND 15 GROUP BY t),
+j AS (SELECT s.token, s.est, coalesce(ex.cnt, 0) AS cnt
+      FROM s LEFT JOIN ex ON s.token = ex.token),
+chk AS (
+  SELECT bool_and(est >= cnt AND
+                  est <= cnt + 2 * 2.718281828 / 16384.0 * (SELECT total FROM n)) AS good
+  FROM j
+)
+SELECT token, CAST(est AS BIGINT) AS est FROM s
+WHERE (SELECT good FROM chk)
+ORDER BY token
+"""
+
+
+@entry("seq_cms_tokens", sql=SQL_SEQ_CMS_TOKENS)
 def q_seq_cms_tokens(sf_dir: str) -> pd.DataFrame:
     """Count-min point-frequency estimates for 16 probe token ids
     (Cormode-Muthukrishnan sketch as a first-class query), fed the drift
@@ -661,28 +755,29 @@ def q_seq_cms_tokens(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame({"token": keys, "est": est})
 
 
-SQL_SEQ_CMS_TOKENS = f"""
-WITH s AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/cms_tokens_sigs_sf0.01.parquet')),
-flat AS (SELECT unnest(tokens) AS t FROM {SEQ_SQL}),
-n AS (SELECT CAST(count(*) AS DOUBLE) AS total FROM flat),
-ex AS (SELECT t AS token, CAST(count(*) AS BIGINT) AS cnt FROM flat
-       WHERE t BETWEEN 0 AND 15 GROUP BY t),
-j AS (SELECT s.token, s.est, coalesce(ex.cnt, 0) AS cnt
-      FROM s LEFT JOIN ex ON s.token = ex.token),
-chk AS (
-  SELECT bool_and(est >= cnt AND
-                  est <= cnt + 2 * 2.718281828 / 16384.0 * (SELECT total FROM n)) AS good
-  FROM j
-)
-SELECT token, CAST(est AS BIGINT) AS est FROM s
-WHERE (SELECT good FROM chk)
-ORDER BY token
-"""
-
-
 KMEANS_K = 8
 
 
+SQL_EMB_KMEANS = """
+WITH a AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/kmeans_assign_sigs_sf0.01.parquet')),
+c AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/kmeans_cents_sigs_sf0.01.parquet')),
+d AS (
+  SELECT a.vec_id, a.cluster,
+         min(list_distance(CAST(e.embedding AS DOUBLE[]), CAST(c2.centroid AS DOUBLE[]))) AS mind,
+         min(CASE WHEN c2.cluster = a.cluster
+                  THEN list_distance(CAST(e.embedding AS DOUBLE[]), CAST(c2.centroid AS DOUBLE[])) END) AS own
+  FROM a JOIN embeddings e USING (vec_id) CROSS JOIN c c2
+  GROUP BY a.vec_id, a.cluster
+),
+ok AS (SELECT count(*) = 0 AS good FROM d WHERE own > mind + 1e-9)
+SELECT CAST(cluster AS BIGINT) AS cluster, CAST(count(*) AS BIGINT) AS size FROM a
+GROUP BY cluster
+HAVING (SELECT good FROM ok)
+ORDER BY cluster
+"""
+
+
+@entry("emb_kmeans", sql=SQL_EMB_KMEANS)
 def q_emb_kmeans(sf_dir: str) -> pd.DataFrame:
     """Distributed k-means (Lloyd, k=8, 5 iterations, deterministic
     min-key init) over the embeddings table.  Assignments + final
@@ -711,9 +806,12 @@ def q_emb_kmeans(sf_dir: str) -> pd.DataFrame:
     return pdf
 
 
-SQL_EMB_KMEANS = """
-WITH a AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/kmeans_assign_sigs_sf0.01.parquet')),
-c AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/kmeans_cents_sigs_sf0.01.parquet')),
+SEMDEDUP_THRESHOLD = 0.4
+
+
+SQL_EMB_SEMDEDUP = f"""
+WITH a AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/semdedup_assign_sigs_sf0.01.parquet')),
+c AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/semdedup_cents_sigs_sf0.01.parquet')),
 d AS (
   SELECT a.vec_id, a.cluster,
          min(list_distance(CAST(e.embedding AS DOUBLE[]), CAST(c2.centroid AS DOUBLE[]))) AS mind,
@@ -723,16 +821,18 @@ d AS (
   GROUP BY a.vec_id, a.cluster
 ),
 ok AS (SELECT count(*) = 0 AS good FROM d WHERE own > mind + 1e-9)
-SELECT CAST(cluster AS BIGINT) AS cluster, CAST(count(*) AS BIGINT) AS size FROM a
-GROUP BY cluster
-HAVING (SELECT good FROM ok)
-ORDER BY cluster
+SELECT la.vec_id AS "left", rb.vec_id AS "right",
+       round(CAST(list_cosine_similarity(el.embedding, er.embedding) AS DOUBLE), 4) AS cosine
+FROM a la JOIN a rb ON la.cluster = rb.cluster AND la.vec_id < rb.vec_id
+JOIN embeddings el ON el.vec_id = la.vec_id
+JOIN embeddings er ON er.vec_id = rb.vec_id
+WHERE list_cosine_similarity(el.embedding, er.embedding) >= {SEMDEDUP_THRESHOLD}
+  AND (SELECT good FROM ok)
+ORDER BY 1, 2
 """
 
 
-SEMDEDUP_THRESHOLD = 0.4
-
-
+@entry("emb_semdedup", sql=SQL_EMB_SEMDEDUP)
 def q_emb_semdedup(sf_dir: str) -> pd.DataFrame:
     """SemDeDup composite (cluster-then-exact-cosine within clusters):
     k-means over the embeddings, then exact near-dup pairs inside each
@@ -763,64 +863,7 @@ def q_emb_semdedup(sf_dir: str) -> pd.DataFrame:
     return pdf.sort_values(["left", "right"]).reset_index(drop=True)
 
 
-SQL_EMB_SEMDEDUP = f"""
-WITH a AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/semdedup_assign_sigs_sf0.01.parquet')),
-c AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/semdedup_cents_sigs_sf0.01.parquet')),
-d AS (
-  SELECT a.vec_id, a.cluster,
-         min(list_distance(CAST(e.embedding AS DOUBLE[]), CAST(c2.centroid AS DOUBLE[]))) AS mind,
-         min(CASE WHEN c2.cluster = a.cluster
-                  THEN list_distance(CAST(e.embedding AS DOUBLE[]), CAST(c2.centroid AS DOUBLE[])) END) AS own
-  FROM a JOIN embeddings e USING (vec_id) CROSS JOIN c c2
-  GROUP BY a.vec_id, a.cluster
-),
-ok AS (SELECT count(*) = 0 AS good FROM d WHERE own > mind + 1e-9)
-SELECT la.vec_id AS "left", rb.vec_id AS "right",
-       round(CAST(list_cosine_similarity(el.embedding, er.embedding) AS DOUBLE), 4) AS cosine
-FROM a la JOIN a rb ON la.cluster = rb.cluster AND la.vec_id < rb.vec_id
-JOIN embeddings el ON el.vec_id = la.vec_id
-JOIN embeddings er ON er.vec_id = rb.vec_id
-WHERE list_cosine_similarity(el.embedding, er.embedding) >= {SEMDEDUP_THRESHOLD}
-  AND (SELECT good FROM ok)
-ORDER BY 1, 2
-"""
-
-
-
 EPOCH_WEIGHTS = {"src0": 2.5, "src1": 0.0, "src2": 3.0, "src3": 0.25}
-
-
-def q_doc_epoch_upsample(sf_dir: str) -> pd.DataFrame:
-    """Deterministic non-integer-epoch upsampling (train high-quality
-    sources >1 epoch): each doc emitted floor(w) times + 1 more iff its
-    fmix64 u01 < frac(w), copy_idx tagging the copies.  Two sidecars —
-    the per-doc u01 assignment (weights≡1 run of the same op, same
-    salt) and the expanded output — let the twin re-derive EVERY copy
-    count exactly and check copy-index integrity; the query returns
-    per-source (n_docs, n_rows) of the expanded corpus."""
-    from jesse_ray.functions.split import epoch_upsample
-
-    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "source"])
-    assign = epoch_upsample(ds, "doc_id", {}, default_weight=1.0, u01_col="u01")
-    pq.write_table(
-        _collect(assign.select_columns(["doc_id", "source", "u01"])).sort_by("doc_id"),
-        _sig_parquet_path(sf_dir, "epoch_u01"),
-    )
-    up = epoch_upsample(ds, "doc_id", EPOCH_WEIGHTS, default_weight=1.0)
-    t = _collect(up)
-    pq.write_table(t.sort_by([("doc_id", "ascending"), ("copy_idx", "ascending")]),
-                   _sig_parquet_path(sf_dir, "epoch_up"))
-    pdf = (
-        t.group_by("source")
-        .aggregate([("doc_id", "count_distinct"), ([], "count_all")])
-        .rename_columns(["source", "n_docs", "n_rows"])
-        .to_pandas()
-        .sort_values("source")
-        .reset_index(drop=True)
-    )
-    pdf["n_docs"] = pdf["n_docs"].astype("int64")
-    pdf["n_rows"] = pdf["n_rows"].astype("int64")
-    return pdf
 
 
 _EPOCH_W_SQL = " ".join(f"WHEN '{k}' THEN {v}" for k, v in sorted(EPOCH_WEIGHTS.items()))
@@ -862,7 +905,79 @@ ORDER BY source
 """
 
 
+@entry("doc_epoch_upsample", sql=SQL_DOC_EPOCH_UPSAMPLE)
+def q_doc_epoch_upsample(sf_dir: str) -> pd.DataFrame:
+    """Deterministic non-integer-epoch upsampling (train high-quality
+    sources >1 epoch): each doc emitted floor(w) times + 1 more iff its
+    fmix64 u01 < frac(w), copy_idx tagging the copies.  Two sidecars —
+    the per-doc u01 assignment (weights≡1 run of the same op, same
+    salt) and the expanded output — let the twin re-derive EVERY copy
+    count exactly and check copy-index integrity; the query returns
+    per-source (n_docs, n_rows) of the expanded corpus."""
+    from jesse_ray.functions.split import epoch_upsample
 
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "source"])
+    assign = epoch_upsample(ds, "doc_id", {}, default_weight=1.0, u01_col="u01")
+    pq.write_table(
+        _collect(assign.select_columns(["doc_id", "source", "u01"])).sort_by("doc_id"),
+        _sig_parquet_path(sf_dir, "epoch_u01"),
+    )
+    up = epoch_upsample(ds, "doc_id", EPOCH_WEIGHTS, default_weight=1.0)
+    t = _collect(up)
+    pq.write_table(t.sort_by([("doc_id", "ascending"), ("copy_idx", "ascending")]),
+                   _sig_parquet_path(sf_dir, "epoch_up"))
+    pdf = (
+        t.group_by("source")
+        .aggregate([("doc_id", "count_distinct"), ([], "count_all")])
+        .rename_columns(["source", "n_docs", "n_rows"])
+        .to_pandas()
+        .sort_values("source")
+        .reset_index(drop=True)
+    )
+    pdf["n_docs"] = pdf["n_docs"].astype("int64")
+    pdf["n_rows"] = pdf["n_rows"].astype("int64")
+    return pdf
+
+
+SQL_SEQ_BPE_STEP = f"""
+WITH corpus AS (SELECT * FROM {SEQ_SQL}),
+idx0 AS (SELECT generate_subscripts(tokens, 1) AS i, tokens FROM corpus),
+pair AS (
+  SELECT tokens[i] AS a, tokens[i+1] AS b
+  FROM idx0
+  WHERE i < len(tokens) AND tokens[i] >= 0 AND tokens[i+1] >= 0
+    AND tokens[i] <> tokens[i+1]
+  GROUP BY 1, 2 ORDER BY count(*) DESC, a ASC, b ASC LIMIT 1
+),
+mx AS (SELECT max(t) + 1 AS new_id FROM (SELECT unnest(tokens) AS t FROM corpus)),
+rows_in AS (
+  SELECT row_number() OVER () AS rid, doc_id, tokens
+  FROM corpus WHERE tokens IS NOT NULL AND len(tokens) > 0
+),
+t AS (SELECT rid, doc_id, generate_subscripts(tokens, 1) AS i, tokens FROM rows_in),
+m AS (
+  SELECT rid, doc_id, i,
+         CASE WHEN tokens[i] = (SELECT a FROM pair) AND i < len(tokens)
+                   AND tokens[i+1] = (SELECT b FROM pair)
+              THEN (SELECT new_id FROM mx) ELSE tokens[i] END AS val,
+         (i > 1 AND tokens[i-1] = (SELECT a FROM pair)
+                AND tokens[i] = (SELECT b FROM pair)) AS is_follower
+  FROM t
+),
+sel AS (
+  SELECT rid, doc_id, val,
+         row_number() OVER (PARTITION BY rid ORDER BY i) - 1 AS pos
+  FROM m WHERE NOT is_follower
+)
+SELECT any_value(doc_id) AS doc_id,
+       CAST(count(*) AS BIGINT) AS n_tok_new,
+       CAST(sum(val) AS BIGINT) AS tok_sum,
+       CAST(sum(pos * val) AS BIGINT) AS tok_possum
+FROM sel GROUP BY rid
+"""
+
+
+@entry("seq_bpe_step", sql=SQL_SEQ_BPE_STEP)
 def q_seq_bpe_step(sf_dir: str) -> pa.Table:
     """One full BPE TRAINING iteration: count adjacent pairs, pick the
     most frequent pair with a != b (cnt desc, then (a, b) asc — a != b
@@ -922,56 +1037,6 @@ def q_seq_bpe_step(sf_dir: str) -> pa.Table:
     return _collect(merged.map_batches(summarize, batch_format="pyarrow", zero_copy_batch=True))
 
 
-SQL_SEQ_BPE_STEP = f"""
-WITH corpus AS (SELECT * FROM {SEQ_SQL}),
-idx0 AS (SELECT generate_subscripts(tokens, 1) AS i, tokens FROM corpus),
-pair AS (
-  SELECT tokens[i] AS a, tokens[i+1] AS b
-  FROM idx0
-  WHERE i < len(tokens) AND tokens[i] >= 0 AND tokens[i+1] >= 0
-    AND tokens[i] <> tokens[i+1]
-  GROUP BY 1, 2 ORDER BY count(*) DESC, a ASC, b ASC LIMIT 1
-),
-mx AS (SELECT max(t) + 1 AS new_id FROM (SELECT unnest(tokens) AS t FROM corpus)),
-rows_in AS (
-  SELECT row_number() OVER () AS rid, doc_id, tokens
-  FROM corpus WHERE tokens IS NOT NULL AND len(tokens) > 0
-),
-t AS (SELECT rid, doc_id, generate_subscripts(tokens, 1) AS i, tokens FROM rows_in),
-m AS (
-  SELECT rid, doc_id, i,
-         CASE WHEN tokens[i] = (SELECT a FROM pair) AND i < len(tokens)
-                   AND tokens[i+1] = (SELECT b FROM pair)
-              THEN (SELECT new_id FROM mx) ELSE tokens[i] END AS val,
-         (i > 1 AND tokens[i-1] = (SELECT a FROM pair)
-                AND tokens[i] = (SELECT b FROM pair)) AS is_follower
-  FROM t
-),
-sel AS (
-  SELECT rid, doc_id, val,
-         row_number() OVER (PARTITION BY rid ORDER BY i) - 1 AS pos
-  FROM m WHERE NOT is_follower
-)
-SELECT any_value(doc_id) AS doc_id,
-       CAST(count(*) AS BIGINT) AS n_tok_new,
-       CAST(sum(val) AS BIGINT) AS tok_sum,
-       CAST(sum(pos * val) AS BIGINT) AS tok_possum
-FROM sel GROUP BY rid
-"""
-
-
-
-def q_seq_length_buckets(sf_dir: str) -> pd.DataFrame:
-    """Length-bucketed batching plan: per power-of-two n_tok bucket, the
-    sequence count, token mass, and padding waste of a pad-to-bucket
-    batcher (seqops.length_bucket_stats — combiner + ≤32-row shuffle)."""
-    from jesse_ray.functions.seqops import length_bucket_stats
-
-    ds = read_sequences(_seq_path(sf_dir), columns=["n_tok"])
-    out = length_bucket_stats(ds).to_pandas()
-    return out.sort_values("bucket").reset_index(drop=True)
-
-
 SQL_SEQ_LENGTH_BUCKETS = f"""
 WITH b AS (
   SELECT CASE WHEN n_tok <= 1 THEN 1
@@ -986,10 +1051,35 @@ FROM b GROUP BY bucket ORDER BY bucket
 """
 
 
+@entry("seq_length_buckets", sql=SQL_SEQ_LENGTH_BUCKETS)
+def q_seq_length_buckets(sf_dir: str) -> pd.DataFrame:
+    """Length-bucketed batching plan: per power-of-two n_tok bucket, the
+    sequence count, token mass, and padding waste of a pad-to-bucket
+    batcher (seqops.length_bucket_stats — combiner + ≤32-row shuffle)."""
+    from jesse_ray.functions.seqops import length_bucket_stats
+
+    ds = read_sequences(_seq_path(sf_dir), columns=["n_tok"])
+    out = length_bucket_stats(ds).to_pandas()
+    return out.sort_values("bucket").reset_index(drop=True)
+
 
 PROJ_DIM = 8
 
 
+SQL_EMB_PROJECT = """
+WITH p AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/proj_matrix_sigs_sf0.01.parquet')),
+e AS (
+  SELECT vec_id, generate_subscripts(embedding, 1) AS i, embedding
+  FROM embeddings
+)
+SELECT e.vec_id, p.j, round(sum(CAST(e.embedding[e.i] AS DOUBLE) * p.p), 4) AS val
+FROM e JOIN p USING (i)
+GROUP BY e.vec_id, p.j
+ORDER BY e.vec_id, p.j
+"""
+
+
+@entry("emb_project", sql=SQL_EMB_PROJECT)
 def q_emb_project(sf_dir: str) -> pd.DataFrame:
     """Gaussian random projection (JL dim reduction, 64→8): seeded
     driver-drawn matrix broadcast once, one BLAS matmul per batch
@@ -1027,43 +1117,7 @@ def q_emb_project(sf_dir: str) -> pd.DataFrame:
     return _collect(out.map_batches(longform, batch_format="pyarrow", zero_copy_batch=True)).to_pandas()
 
 
-SQL_EMB_PROJECT = """
-WITH p AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/proj_matrix_sigs_sf0.01.parquet')),
-e AS (
-  SELECT vec_id, generate_subscripts(embedding, 1) AS i, embedding
-  FROM embeddings
-)
-SELECT e.vec_id, p.j, round(sum(CAST(e.embedding[e.i] AS DOUBLE) * p.p), 4) AS val
-FROM e JOIN p USING (i)
-GROUP BY e.vec_id, p.j
-ORDER BY e.vec_id, p.j
-"""
-
-
-
 ES_K = 50
-
-
-def q_doc_weighted_sample(sf_dir: str) -> pd.DataFrame:
-    """Deterministic Efraimidis-Spirakis weighted k-sample (weights =
-    n_chars): keep the 50 docs with the largest u^(1/w) keys
-    (split.weighted_sample_k — map-side local top-k, ≤ k×blocks rows
-    shuffled).  The u01 sidecar lets the twin re-derive every selection
-    key and the exact top-k in SQL."""
-    from jesse_ray.functions.split import weighted_sample_k
-
-    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "n_chars"])
-    # full-assignment sidecar (k >= corpus): every doc's u01 + ES key,
-    # so the twin re-derives the exact top-k itself
-    assign = weighted_sample_k(ds, "doc_id", "n_chars", 10**9,
-                               u01_col="u01", es_col="es_key")
-    pq.write_table(_collect(assign).sort_by("doc_id"),
-                   _sig_parquet_path(sf_dir, "es_assign"))
-    out = weighted_sample_k(ds, "doc_id", "n_chars", ES_K, u01_col="u01", es_col="es_key")
-    t = _collect(out)
-    pq.write_table(t.sort_by("doc_id"), _sig_parquet_path(sf_dir, "es_sample"))
-    pdf = t.select(["doc_id", "source", "n_chars"]).to_pandas()
-    return pdf.sort_values("doc_id").reset_index(drop=True)
 
 
 SQL_DOC_WEIGHTED_SAMPLE = f"""
@@ -1092,18 +1146,27 @@ ORDER BY doc_id
 """
 
 
-def q_seq_ks_by_source(sf_dir: str) -> pd.DataFrame:
-    """Exact per-source KS drift of n_tok against the whole corpus
-    (stages/drift.exact_ks_by_group — one bounded (group, value) count
-    shuffle, integer-cumsum ECDFs).  The per-source counterpart of the
-    corpus-level KS drift gate."""
-    from jesse_ray.stages.drift import exact_ks_by_group
+@entry("doc_weighted_sample", sql=SQL_DOC_WEIGHTED_SAMPLE)
+def q_doc_weighted_sample(sf_dir: str) -> pd.DataFrame:
+    """Deterministic Efraimidis-Spirakis weighted k-sample (weights =
+    n_chars): keep the 50 docs with the largest u^(1/w) keys
+    (split.weighted_sample_k — map-side local top-k, ≤ k×blocks rows
+    shuffled).  The u01 sidecar lets the twin re-derive every selection
+    key and the exact top-k in SQL."""
+    from jesse_ray.functions.split import weighted_sample_k
 
-    ds = read_sequences(_seq_path(sf_dir), columns=["source", "n_tok"])
-    t = exact_ks_by_group(ds, "source", "n_tok")
-    pdf = t.to_pandas()
-    pdf["ks"] = round_half_away(pdf["ks"], 6)
-    return pdf.sort_values("source").reset_index(drop=True)
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "n_chars"])
+    # full-assignment sidecar (k >= corpus): every doc's u01 + ES key,
+    # so the twin re-derives the exact top-k itself
+    assign = weighted_sample_k(ds, "doc_id", "n_chars", 10**9,
+                               u01_col="u01", es_col="es_key")
+    pq.write_table(_collect(assign).sort_by("doc_id"),
+                   _sig_parquet_path(sf_dir, "es_assign"))
+    out = weighted_sample_k(ds, "doc_id", "n_chars", ES_K, u01_col="u01", es_col="es_key")
+    t = _collect(out)
+    pq.write_table(t.sort_by("doc_id"), _sig_parquet_path(sf_dir, "es_sample"))
+    pdf = t.select(["doc_id", "source", "n_chars"]).to_pandas()
+    return pdf.sort_values("doc_id").reset_index(drop=True)
 
 
 SQL_SEQ_KS_BY_SOURCE = f"""
@@ -1136,17 +1199,18 @@ GROUP BY fg.source ORDER BY fg.source
 """
 
 
-
-def q_seq_mode_by_source(sf_dir: str) -> pd.DataFrame:
-    """Most frequent n_tok per source (grouped mode, ties to the
-    smallest value) — relational.grouped_mode two-phase combiner."""
-    from jesse_ray.pipelines.relational import grouped_mode
+@entry("seq_ks_by_source", sql=SQL_SEQ_KS_BY_SOURCE)
+def q_seq_ks_by_source(sf_dir: str) -> pd.DataFrame:
+    """Exact per-source KS drift of n_tok against the whole corpus
+    (stages/drift.exact_ks_by_group — one bounded (group, value) count
+    shuffle, integer-cumsum ECDFs).  The per-source counterpart of the
+    corpus-level KS drift gate."""
+    from jesse_ray.stages.drift import exact_ks_by_group
 
     ds = read_sequences(_seq_path(sf_dir), columns=["source", "n_tok"])
-    t = grouped_mode(ds, "source", "n_tok")
+    t = exact_ks_by_group(ds, "source", "n_tok")
     pdf = t.to_pandas()
-    pdf["mode"] = pdf["mode"].astype("int64")
-    pdf["cnt"] = pdf["cnt"].astype("int64")
+    pdf["ks"] = round_half_away(pdf["ks"], 6)
     return pdf.sort_values("source").reset_index(drop=True)
 
 
@@ -1166,18 +1230,17 @@ FROM r WHERE rn = 1 ORDER BY source
 """
 
 
-
-def q_seq_mad_by_source(sf_dir: str) -> pd.DataFrame:
-    """Per-source robust spread of n_tok: exact discrete median + MAD
-    (relational.grouped_mad — two exact-quantile passes with a
-    broadcast between).  quantile_disc parity on both levels."""
-    from jesse_ray.pipelines.relational import grouped_mad
+@entry("seq_mode_by_source", sql=SQL_SEQ_MODE_BY_SOURCE)
+def q_seq_mode_by_source(sf_dir: str) -> pd.DataFrame:
+    """Most frequent n_tok per source (grouped mode, ties to the
+    smallest value) — relational.grouped_mode two-phase combiner."""
+    from jesse_ray.pipelines.relational import grouped_mode
 
     ds = read_sequences(_seq_path(sf_dir), columns=["source", "n_tok"])
-    t = grouped_mad(ds, "source", "n_tok")
+    t = grouped_mode(ds, "source", "n_tok")
     pdf = t.to_pandas()
-    pdf["median"] = round_half_away(pdf["median"], 1)
-    pdf["mad"] = round_half_away(pdf["mad"], 1)
+    pdf["mode"] = pdf["mode"].astype("int64")
+    pdf["cnt"] = pdf["cnt"].astype("int64")
     return pdf.sort_values("source").reset_index(drop=True)
 
 
@@ -1199,25 +1262,22 @@ ORDER BY med.source
 """
 
 
+@entry("seq_mad_by_source", sql=SQL_SEQ_MAD_BY_SOURCE)
+def q_seq_mad_by_source(sf_dir: str) -> pd.DataFrame:
+    """Per-source robust spread of n_tok: exact discrete median + MAD
+    (relational.grouped_mad — two exact-quantile passes with a
+    broadcast between).  quantile_disc parity on both levels."""
+    from jesse_ray.pipelines.relational import grouped_mad
+
+    ds = read_sequences(_seq_path(sf_dir), columns=["source", "n_tok"])
+    t = grouped_mad(ds, "source", "n_tok")
+    pdf = t.to_pandas()
+    pdf["median"] = round_half_away(pdf["median"], 1)
+    pdf["mad"] = round_half_away(pdf["mad"], 1)
+    return pdf.sort_values("source").reset_index(drop=True)
+
 
 TDG_QS = [0.25, 0.5, 0.9]
-
-
-def q_events_value_tdigest(sf_dir: str) -> pd.DataFrame:
-    """Approximate per-type quantiles of the CONTINUOUS value column via
-    grouped t-digests (distinct.tdigest_quantiles_by_group — the scale
-    path where exact grouped quantiles' bounded-cardinality assumption
-    breaks).  Envelope twin: the true CDF at each estimate must be
-    within ±0.02 of the requested rank, per group."""
-    from jesse_ray.stages.distinct import tdigest_quantiles_by_group
-
-    ds = read_table(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
-    t = tdigest_quantiles_by_group(ds, "value", "event_type", TDG_QS)
-    pdf = t.to_pandas().sort_values(["event_type", "q"]).reset_index(drop=True)
-    pq.write_table(pa.Table.from_pandas(pdf, preserve_index=False),
-                   _sig_parquet_path(sf_dir, "tdg_events"))
-    pdf["est"] = round_half_away(pdf["est"], 4)
-    return pdf
 
 
 SQL_EVENTS_VALUE_TDIGEST = """
@@ -1235,19 +1295,22 @@ ORDER BY event_type, q
 """
 
 
+@entry("events_value_tdigest", sql=SQL_EVENTS_VALUE_TDIGEST)
+def q_events_value_tdigest(sf_dir: str) -> pd.DataFrame:
+    """Approximate per-type quantiles of the CONTINUOUS value column via
+    grouped t-digests (distinct.tdigest_quantiles_by_group — the scale
+    path where exact grouped quantiles' bounded-cardinality assumption
+    breaks).  Envelope twin: the true CDF at each estimate must be
+    within ±0.02 of the requested rank, per group."""
+    from jesse_ray.stages.distinct import tdigest_quantiles_by_group
 
-def q_seq_jsd_by_source(sf_dir: str) -> pd.DataFrame:
-    """Exact Jensen-Shannon divergence of each source's token
-    distribution vs the corpus (stages/drift.exact_jsd_by_group —
-    bounded (group, token) count shuffle + closed-form driver pass).
-    The twin evaluates the same closed form in SQL."""
-    from jesse_ray.stages.drift import exact_jsd_by_group
-
-    ds = read_sequences(_seq_path(sf_dir), columns=["source", "tokens"])
-    t = exact_jsd_by_group(ds, "source", "tokens")
-    pdf = t.to_pandas()
-    pdf["jsd"] = round_half_away(pdf["jsd"], 6)
-    return pdf.sort_values("source").reset_index(drop=True)
+    ds = read_table(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
+    t = tdigest_quantiles_by_group(ds, "value", "event_type", TDG_QS)
+    pdf = t.to_pandas().sort_values(["event_type", "q"]).reset_index(drop=True)
+    pq.write_table(pa.Table.from_pandas(pdf, preserve_index=False),
+                   _sig_parquet_path(sf_dir, "tdg_events"))
+    pdf["est"] = round_half_away(pdf["est"], 4)
+    return pdf
 
 
 SQL_SEQ_JSD_BY_SOURCE = f"""
@@ -1278,7 +1341,41 @@ FROM agg ORDER BY source
 """
 
 
+@entry("seq_jsd_by_source", sql=SQL_SEQ_JSD_BY_SOURCE)
+def q_seq_jsd_by_source(sf_dir: str) -> pd.DataFrame:
+    """Exact Jensen-Shannon divergence of each source's token
+    distribution vs the corpus (stages/drift.exact_jsd_by_group —
+    bounded (group, token) count shuffle + closed-form driver pass).
+    The twin evaluates the same closed form in SQL."""
+    from jesse_ray.stages.drift import exact_jsd_by_group
 
+    ds = read_sequences(_seq_path(sf_dir), columns=["source", "tokens"])
+    t = exact_jsd_by_group(ds, "source", "tokens")
+    pdf = t.to_pandas()
+    pdf["jsd"] = round_half_away(pdf["jsd"], 6)
+    return pdf.sort_values("source").reset_index(drop=True)
+
+
+SQL_SEQ_SOURCE_OVERLAP = f"""
+WITH v AS (
+  SELECT DISTINCT source, t
+  FROM (SELECT source, unnest(tokens) AS t FROM {SEQ_SQL} WHERE source IS NOT NULL)
+  WHERE t IS NOT NULL
+),
+sz AS (SELECT source, count(*) AS n FROM v GROUP BY 1),
+inter AS (
+  SELECT a.source AS src_a, b.source AS src_b, count(*) AS i
+  FROM v a JOIN v b ON a.t = b.t AND a.source < b.source
+  GROUP BY 1, 2
+)
+SELECT src_a, src_b, CAST(i AS BIGINT) AS inter,
+       CAST(sa.n + sb.n - i AS BIGINT) AS union_sz
+FROM inter JOIN sz sa ON sa.source = src_a JOIN sz sb ON sb.source = src_b
+ORDER BY src_a, src_b
+"""
+
+
+@entry("seq_source_overlap", sql=SQL_SEQ_SOURCE_OVERLAP)
 def q_seq_source_overlap(sf_dir: str) -> pd.DataFrame:
     """Corpus-similarity matrix: pairwise Jaccard of source token
     VOCABULARIES (which sources speak the same token space — the
@@ -1320,26 +1417,23 @@ def q_seq_source_overlap(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["src_a", "src_b"]).reset_index(drop=True)
 
 
-SQL_SEQ_SOURCE_OVERLAP = f"""
-WITH v AS (
-  SELECT DISTINCT source, t
-  FROM (SELECT source, unnest(tokens) AS t FROM {SEQ_SQL} WHERE source IS NOT NULL)
-  WHERE t IS NOT NULL
+SQL_EMB_QUANTIZE = """
+WITH n AS (
+  SELECT vec_id, sqrt(list_sum(list_transform(embedding,
+           x -> CAST(x AS DOUBLE) * CAST(x AS DOUBLE)))) AS nrm
+  FROM embeddings
 ),
-sz AS (SELECT source, count(*) AS n FROM v GROUP BY 1),
-inter AS (
-  SELECT a.source AS src_a, b.source AS src_b, count(*) AS i
-  FROM v a JOIN v b ON a.t = b.t AND a.source < b.source
-  GROUP BY 1, 2
+e AS (
+  SELECT vec_id, generate_subscripts(embedding, 1) AS i, embedding FROM embeddings
 )
-SELECT src_a, src_b, CAST(i AS BIGINT) AS inter,
-       CAST(sa.n + sb.n - i AS BIGINT) AS union_sz
-FROM inter JOIN sz sa ON sa.source = src_a JOIN sz sb ON sb.source = src_b
-ORDER BY src_a, src_b
+SELECT e.vec_id, e.i,
+       CAST(trunc(127.0 * CAST(e.embedding[e.i] AS DOUBLE) / greatest(n.nrm, 1e-30)) AS BIGINT) AS q
+FROM e JOIN n USING (vec_id)
+ORDER BY e.vec_id, e.i
 """
 
 
-
+@entry("emb_quantize", sql=SQL_EMB_QUANTIZE)
 def q_emb_quantize(sf_dir: str) -> pd.DataFrame:
     """Int8 embedding quantization (unit-norm + trunc(127·x/‖x‖)) in
     long form — every code re-derived in SQL from the raw embeddings
@@ -1369,30 +1463,6 @@ def q_emb_quantize(sf_dir: str) -> pd.DataFrame:
     return _collect(out.map_batches(longform, batch_format="pyarrow", zero_copy_batch=True)).to_pandas()
 
 
-SQL_EMB_QUANTIZE = """
-WITH n AS (
-  SELECT vec_id, sqrt(list_sum(list_transform(embedding,
-           x -> CAST(x AS DOUBLE) * CAST(x AS DOUBLE)))) AS nrm
-  FROM embeddings
-),
-e AS (
-  SELECT vec_id, generate_subscripts(embedding, 1) AS i, embedding FROM embeddings
-)
-SELECT e.vec_id, e.i,
-       CAST(trunc(127.0 * CAST(e.embedding[e.i] AS DOUBLE) / greatest(n.nrm, 1e-30)) AS BIGINT) AS q
-FROM e JOIN n USING (vec_id)
-ORDER BY e.vec_id, e.i
-"""
-
-
-def q_seq_val_clean_count(sf_dir: str) -> pd.DataFrame:
-    """Rows passing ALL row-level checks (filter_valid end-to-end)."""
-    ds = read_sequences(_seq_path(sf_dir))
-    compiled = compile_spec(_seq_spec())
-    n = filter_valid(ds, compiled).count()
-    return pd.DataFrame({"clean_rows": pd.array([n], dtype="int64")})
-
-
 SQL_SEQ_VAL_CLEAN_COUNT = f"""
 SELECT CAST(count(*) AS BIGINT) AS clean_rows
 FROM {SEQ_SQL}
@@ -1405,19 +1475,13 @@ WHERE doc_id IS NOT NULL
 """
 
 
-def q_seq_val_first_error(sf_dir: str) -> pd.DataFrame:
-    """allowed_errors=0 (jesse's default stop-at-first budget,
-    src/jesse_error.erl:71-78): per-error counts when each row reports
-    only its FIRST violation in compiled keyword order."""
+@entry("seq_val_clean_count", sql=SQL_SEQ_VAL_CLEAN_COUNT)
+def q_seq_val_clean_count(sf_dir: str) -> pd.DataFrame:
+    """Rows passing ALL row-level checks (filter_valid end-to-end)."""
     ds = read_sequences(_seq_path(sf_dir))
     compiled = compile_spec(_seq_spec())
-    v = _collect(row_violations(ds, compiled, allowed_errors=0))
-    if v is None or v.num_rows == 0:
-        return pd.DataFrame({"error": [], "cnt": pd.array([], dtype="int64")})
-    g = v.group_by("error").aggregate([([], "count_all")])
-    pdf = pd.DataFrame({"error": g["error"].to_pylist(), "cnt": g["count_all"].to_pylist()})
-    pdf["cnt"] = pdf["cnt"].astype("int64")
-    return pdf.sort_values("error").reset_index(drop=True)
+    n = filter_valid(ds, compiled).count()
+    return pd.DataFrame({"clean_rows": pd.array([n], dtype="int64")})
 
 
 # The CASE order mirrors the compiled emission order exactly:
@@ -1443,6 +1507,34 @@ FROM fe WHERE error IS NOT NULL GROUP BY error ORDER BY error
 """
 
 
+@entry("seq_val_first_error", sql=SQL_SEQ_VAL_FIRST_ERROR)
+def q_seq_val_first_error(sf_dir: str) -> pd.DataFrame:
+    """allowed_errors=0 (jesse's default stop-at-first budget,
+    src/jesse_error.erl:71-78): per-error counts when each row reports
+    only its FIRST violation in compiled keyword order."""
+    ds = read_sequences(_seq_path(sf_dir))
+    compiled = compile_spec(_seq_spec())
+    v = _collect(row_violations(ds, compiled, allowed_errors=0))
+    if v is None or v.num_rows == 0:
+        return pd.DataFrame({"error": [], "cnt": pd.array([], dtype="int64")})
+    g = v.group_by("error").aggregate([([], "count_all")])
+    pdf = pd.DataFrame({"error": g["error"].to_pylist(), "cnt": g["count_all"].to_pylist()})
+    pdf["cnt"] = pdf["cnt"].astype("int64")
+    return pdf.sort_values("error").reset_index(drop=True)
+
+
+SQL_SEQ_NTOK_STATS = f"""
+SELECT source,
+       CAST(count(*) AS BIGINT) AS cnt,
+       CAST(count(*) - count(n_tok) AS BIGINT) AS n_null,
+       CAST(min(n_tok) AS DOUBLE) AS vmin,
+       CAST(max(n_tok) AS DOUBLE) AS vmax,
+       round(avg(n_tok), 4) AS vmean
+FROM {SEQ_SQL} GROUP BY source ORDER BY source
+"""
+
+
+@entry("seq_ntok_stats", sql=SQL_SEQ_NTOK_STATS)
 def q_seq_ntok_stats(sf_dir: str) -> pa.Table:
     """column_stats over n_tok grouped by source: count / nulls / min /
     max / mean via the two-phase Arrow combiner (KVC @count/@min/@max/
@@ -1463,17 +1555,15 @@ def q_seq_ntok_stats(sf_dir: str) -> pa.Table:
     ).sort_by("source")
 
 
-SQL_SEQ_NTOK_STATS = f"""
-SELECT source,
-       CAST(count(*) AS BIGINT) AS cnt,
-       CAST(count(*) - count(n_tok) AS BIGINT) AS n_null,
-       CAST(min(n_tok) AS DOUBLE) AS vmin,
-       CAST(max(n_tok) AS DOUBLE) AS vmax,
-       round(avg(n_tok), 4) AS vmean
-FROM {SEQ_SQL} GROUP BY source ORDER BY source
+SQL_SEQ_VAL_DEPENDENCY = f"""
+SELECT doc_id, 'not_in_range' AS error
+FROM {SEQ_SQL}
+WHERE source IS NOT NULL AND n_tok IS NOT NULL AND n_tok > 2000
+ORDER BY doc_id
 """
 
 
+@entry("seq_val_dependency", sql=SQL_SEQ_VAL_DEPENDENCY)
 def q_seq_val_dependency(sf_dir: str) -> pa.Table:
     """Schema-form dependencies through the compiled engine
     (src/jesse_validator_draft4.erl:656-668): source present ⇒ the row
@@ -1496,14 +1586,18 @@ def q_seq_val_dependency(sf_dir: str) -> pa.Table:
     return pa.table({"doc_id": v["doc_id"], "error": v["error"]}).sort_by("doc_id")
 
 
-SQL_SEQ_VAL_DEPENDENCY = f"""
-SELECT doc_id, 'not_in_range' AS error
+SQL_SEQ_VAL_CONDITIONAL = f"""
+SELECT doc_id, 'conditional_not_valid' AS error
 FROM {SEQ_SQL}
-WHERE source IS NOT NULL AND n_tok IS NOT NULL AND n_tok > 2000
+WHERE n_tok IS NOT NULL
+  AND CASE WHEN source IS NOT NULL AND source = 'code'
+           THEN NOT (n_tok <= 1024)
+           ELSE NOT (n_tok >= 4) END
 ORDER BY doc_id
 """
 
 
+@entry("seq_val_conditional", sql=SQL_SEQ_VAL_CONDITIONAL)
 def q_seq_val_conditional(sf_dir: str) -> pa.Table:
     """Table-level if/then/else through the compiled engine (draft-7-
     STYLE extension beyond the reference's draft-6 ceiling; the
@@ -1531,17 +1625,29 @@ def q_seq_val_conditional(sf_dir: str) -> pa.Table:
     return pa.table({"doc_id": out["doc_id"], "error": out["error"]}).sort_by("doc_id")
 
 
-SQL_SEQ_VAL_CONDITIONAL = f"""
-SELECT doc_id, 'conditional_not_valid' AS error
-FROM {SEQ_SQL}
-WHERE n_tok IS NOT NULL
-  AND CASE WHEN source IS NOT NULL AND source = 'code'
-           THEN NOT (n_tok <= 1024)
-           ELSE NOT (n_tok >= 4) END
-ORDER BY doc_id
+SQL_SEQ_VAL_MIGRATE = f"""
+WITH flags AS (
+  SELECT
+    (doc_id IS NULL OR NOT regexp_matches(doc_id, '^doc-[0-9]{{8}}$')
+     OR (n_tok IS NOT NULL AND (n_tok < 1 OR n_tok > 2048))) AS bad_old,
+    (doc_id IS NULL OR NOT regexp_matches(doc_id, '^doc-[0-9]{{8}}$')
+     OR (n_tok IS NOT NULL AND (n_tok < 4 OR n_tok > 2500))
+     OR source IS NULL OR source NOT IN ({ALLOWED_SQL})) AS bad_new
+  FROM {SEQ_SQL}
+)
+SELECT status, CAST(count(*) AS BIGINT) AS n
+FROM (
+  SELECT CASE
+    WHEN NOT bad_old AND bad_new THEN 'broke_in_new'
+    WHEN NOT bad_old AND NOT bad_new THEN 'clean_both'
+    WHEN bad_old AND bad_new THEN 'dirty_both'
+    ELSE 'fixed_in_new' END AS status
+  FROM flags
+) GROUP BY status ORDER BY status
 """
 
 
+@entry("seq_val_migrate", sql=SQL_SEQ_VAL_MIGRATE)
 def q_seq_val_migrate(sf_dir: str) -> pa.Table:
     """Schema-migration impact audit (engine.migration_report): classify
     every row against spec v1 AND the tightened spec v2 in one corpus
@@ -1576,28 +1682,13 @@ def q_seq_val_migrate(sf_dir: str) -> pa.Table:
     return t.filter(pc.greater(t["n"], 0))
 
 
-SQL_SEQ_VAL_MIGRATE = f"""
-WITH flags AS (
-  SELECT
-    (doc_id IS NULL OR NOT regexp_matches(doc_id, '^doc-[0-9]{{8}}$')
-     OR (n_tok IS NOT NULL AND (n_tok < 1 OR n_tok > 2048))) AS bad_old,
-    (doc_id IS NULL OR NOT regexp_matches(doc_id, '^doc-[0-9]{{8}}$')
-     OR (n_tok IS NOT NULL AND (n_tok < 4 OR n_tok > 2500))
-     OR source IS NULL OR source NOT IN ({ALLOWED_SQL})) AS bad_new
-  FROM {SEQ_SQL}
-)
-SELECT status, CAST(count(*) AS BIGINT) AS n
-FROM (
-  SELECT CASE
-    WHEN NOT bad_old AND bad_new THEN 'broke_in_new'
-    WHEN NOT bad_old AND NOT bad_new THEN 'clean_both'
-    WHEN bad_old AND bad_new THEN 'dirty_both'
-    ELSE 'fixed_in_new' END AS status
-  FROM flags
-) GROUP BY status ORDER BY status
+SQL_EVENTS_USERS_PER_TYPE = """
+SELECT event_type, CAST(count(DISTINCT user_id) AS BIGINT) AS n_users
+FROM events GROUP BY event_type
 """
 
 
+@entry("events_users_per_type", sql=SQL_EVENTS_USERS_PER_TYPE)
 def q_events_users_per_type(sf_dir: str) -> pa.Table:
     """Exact grouped count-distinct (two-phase dedup shuffle)."""
     ds = read_table(f"{sf_dir}/events.parquet", columns=["event_type", "user_id"])
@@ -1608,16 +1699,16 @@ def q_events_users_per_type(sf_dir: str) -> pa.Table:
     )
 
 
-SQL_EVENTS_USERS_PER_TYPE = """
-SELECT event_type, CAST(count(DISTINCT user_id) AS BIGINT) AS n_users
-FROM events GROUP BY event_type
-"""
-
-
 # ---------------------------------------------------------------------------
 # documents / events / TPC-H-ish tables (driver-provided testdata)
 
 
+SQL_DOC_LANGS_BY_SOURCE = """
+SELECT source, lang FROM documents GROUP BY source, lang ORDER BY source, lang
+"""
+
+
+@entry("doc_langs_by_source", sql=SQL_DOC_LANGS_BY_SOURCE)
 def q_doc_langs_by_source(sf_dir: str) -> pa.Table:
     """KVC @distinctUnionOfObjects VALUE form (src/jesse_json_path.erl:173-209):
     the distinct (source, lang) pairs of the documents table."""
@@ -1628,11 +1719,14 @@ def q_doc_langs_by_source(sf_dir: str) -> pa.Table:
     return t.sort_by([("source", "ascending"), ("lang", "ascending")])
 
 
-SQL_DOC_LANGS_BY_SOURCE = """
-SELECT source, lang FROM documents GROUP BY source, lang ORDER BY source, lang
+SQL_SEQ_UNION_TOKENS_SMALL = f"""
+SELECT source, CAST(t AS BIGINT) AS token
+FROM (SELECT source, unnest(tokens) AS t FROM {SEQ_SQL} WHERE source = 'forums')
+GROUP BY source, t ORDER BY source, t
 """
 
 
+@entry("seq_union_tokens_small", sql=SQL_SEQ_UNION_TOKENS_SMALL)
 def q_seq_union_tokens_small(sf_dir: str) -> pa.Table:
     """KVC @distinctUnionOfArrays VALUE form: the distinct token ids of
     the 'forums' source (smallest group), as (source, token) rows."""
@@ -1653,13 +1747,12 @@ def q_seq_union_tokens_small(sf_dir: str) -> pa.Table:
     ).sort_by([("source", "ascending"), ("token", "ascending")])
 
 
-SQL_SEQ_UNION_TOKENS_SMALL = f"""
-SELECT source, CAST(t AS BIGINT) AS token
-FROM (SELECT source, unnest(tokens) AS t FROM {SEQ_SQL} WHERE source = 'forums')
-GROUP BY source, t ORDER BY source, t
+SQL_DOC_VAL_NCHARS = """
+SELECT doc_id, 'wrong_length' AS error FROM documents WHERE length(text) != n_chars
 """
 
 
+@entry("doc_val_nchars", sql=SQL_DOC_VAL_NCHARS)
 def q_doc_val_nchars(sf_dir: str) -> pa.Table:
     """Consistency rule n_chars == utf8_len(text) via the engine."""
     from jesse_ray import errors as E
@@ -1675,11 +1768,12 @@ def q_doc_val_nchars(sf_dir: str) -> pa.Table:
     return pa.table({"doc_id": v["doc_id"].cast(pa.int64()), "error": v["error"]})
 
 
-SQL_DOC_VAL_NCHARS = """
-SELECT doc_id, 'wrong_length' AS error FROM documents WHERE length(text) != n_chars
+SQL_DOC_LANG_ENUM = f"""
+SELECT doc_id, lang, 'not_in_enum' AS error FROM documents WHERE lang NOT IN ({DOC_LANGS_SQL})
 """
 
 
+@entry("doc_lang_enum", sql=SQL_DOC_LANG_ENUM)
 def q_doc_lang_enum(sf_dir: str) -> pa.Table:
     ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"])
     spec = TableSpec(key_column="doc_id")
@@ -1695,11 +1789,12 @@ def q_doc_lang_enum(sf_dir: str) -> pa.Table:
     return pa.table({"doc_id": v["doc_id"].cast(pa.int64()), "lang": lang, "error": v["error"]})
 
 
-SQL_DOC_LANG_ENUM = f"""
-SELECT doc_id, lang, 'not_in_enum' AS error FROM documents WHERE lang NOT IN ({DOC_LANGS_SQL})
+SQL_DOC_TOKEN_COUNTS = """
+SELECT doc_id, CAST(len(string_split(text, ' ')) AS BIGINT) AS n_words FROM documents
 """
 
 
+@entry("doc_token_counts", sql=SQL_DOC_TOKEN_COUNTS)
 def q_doc_token_counts(sf_dir: str) -> pa.Table:
     ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
@@ -1710,11 +1805,16 @@ def q_doc_token_counts(sf_dir: str) -> pa.Table:
     return _collect(ds.map_batches(count, batch_format="pyarrow", zero_copy_batch=True))
 
 
-SQL_DOC_TOKEN_COUNTS = """
-SELECT doc_id, CAST(len(string_split(text, ' ')) AS BIGINT) AS n_words FROM documents
+SQL_DOC_QUALITY_COUNTS = """
+SELECT doc_id,
+       CAST(length(text) AS BIGINT) AS q_len,
+       CAST(length(regexp_replace(text, '[^A-Za-z]', '', 'g')) AS BIGINT) AS n_alpha,
+       CAST(length(text) - length(replace(text, ' ', '')) AS BIGINT) AS n_space
+FROM documents
 """
 
 
+@entry("doc_quality_counts", sql=SQL_DOC_QUALITY_COUNTS)
 def q_doc_quality_counts(sf_dir: str) -> pa.Table:
     ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
@@ -1732,16 +1832,20 @@ def q_doc_quality_counts(sf_dir: str) -> pa.Table:
     return _collect(ds.map_batches(qual, batch_format="pyarrow", zero_copy_batch=True))
 
 
-SQL_DOC_QUALITY_COUNTS = """
-SELECT doc_id,
-       CAST(length(text) AS BIGINT) AS q_len,
-       CAST(length(regexp_replace(text, '[^A-Za-z]', '', 'g')) AS BIGINT) AS n_alpha,
-       CAST(length(text) - length(replace(text, ' ', '')) AS BIGINT) AS n_space
-FROM documents
+SQL_DOC_CHAR_ENTROPY = """
+WITH ch AS (
+  SELECT doc_id, unnest(string_split_regex(text, '')) AS c
+  FROM documents WHERE text <> ''
+),
+cnt AS (SELECT doc_id, c, count(*)::DOUBLE AS n FROM ch WHERE c <> '' GROUP BY 1, 2),
+tot AS (SELECT doc_id, sum(n) AS t FROM cnt GROUP BY 1)
+SELECT cnt.doc_id, round(-sum((n/t) * log2(n/t)), 6) AS char_entropy
+FROM cnt JOIN tot USING (doc_id)
+GROUP BY cnt.doc_id
 """
 
 
-
+@entry("doc_char_entropy", sql=SQL_DOC_CHAR_ENTROPY)
 def q_doc_char_entropy(sf_dir: str) -> pa.Table:
     """Per-document codepoint Shannon entropy (bits/char) — the cheap
     gibberish/boilerplate filter.  Engine decodes each batch's Arrow
@@ -1761,47 +1865,6 @@ def q_doc_char_entropy(sf_dir: str) -> pa.Table:
             {
                 "doc_id": b["doc_id"],
                 "char_entropy": pa.array(round_half_away(b["char_entropy"], 6), type=pa.float64()),
-            }
-        )
-
-    return _collect(scored.map_batches(out, batch_format="pyarrow", zero_copy_batch=True))
-
-
-SQL_DOC_CHAR_ENTROPY = """
-WITH ch AS (
-  SELECT doc_id, unnest(string_split_regex(text, '')) AS c
-  FROM documents WHERE text <> ''
-),
-cnt AS (SELECT doc_id, c, count(*)::DOUBLE AS n FROM ch WHERE c <> '' GROUP BY 1, 2),
-tot AS (SELECT doc_id, sum(n) AS t FROM cnt GROUP BY 1)
-SELECT cnt.doc_id, round(-sum((n/t) * log2(n/t)), 6) AS char_entropy
-FROM cnt JOIN tot USING (doc_id)
-GROUP BY cnt.doc_id
-"""
-
-
-
-def q_doc_dsir(sf_dir: str) -> pa.Table:
-    """DSIR importance weighting (data selection by importance
-    resampling): unigram importance model built from target = lang 'en'
-    docs vs source = the rest (two two-phase word-count shuffles +
-    bounded-vocab driver join), then every document scored with one
-    broadcast hash probe + weighted bincount.  The twin recomputes BOTH
-    the smoothed log-ratio model and the per-doc occurrence sums
-    entirely in SQL — no sidecars."""
-    from jesse_ray.functions.text import add_dsir_weight, dsir_log_ratio_model
-
-    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
-    target = ds.filter(expr="lang == 'en'")
-    source = ds.filter(expr="lang != 'en'")
-    model = dsir_log_ratio_model(target, source)
-    scored = add_dsir_weight(ds, model)
-
-    def out(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "dsir_lw": pa.array(round_half_away(batch["dsir_lw"], 4), type=pa.float64()),
             }
         )
 
@@ -1831,21 +1894,32 @@ GROUP BY w.doc_id
 """
 
 
+@entry("doc_dsir", sql=SQL_DOC_DSIR)
+def q_doc_dsir(sf_dir: str) -> pa.Table:
+    """DSIR importance weighting (data selection by importance
+    resampling): unigram importance model built from target = lang 'en'
+    docs vs source = the rest (two two-phase word-count shuffles +
+    bounded-vocab driver join), then every document scored with one
+    broadcast hash probe + weighted bincount.  The twin recomputes BOTH
+    the smoothed log-ratio model and the per-doc occurrence sums
+    entirely in SQL — no sidecars."""
+    from jesse_ray.functions.text import add_dsir_weight, dsir_log_ratio_model
 
-def q_doc_ngram_repetition(sf_dir: str) -> pa.Table:
-    """Gopher n-gram repetition features as exact integers: per doc,
-    the char coverage of the most frequent 2-gram (ties toward larger
-    coverage), the char coverage of all duplicated 5-grams, and the
-    codepoint length (the fraction denominator).  One space-split +
-    shifted-view n-gram join + Arrow group_by per batch; no shuffle
-    (the stats are per-document)."""
-    from jesse_ray.functions.text import add_ngram_repetition_stats
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
+    target = ds.filter(expr="lang == 'en'")
+    source = ds.filter(expr="lang != 'en'")
+    model = dsir_log_ratio_model(target, source)
+    scored = add_dsir_weight(ds, model)
 
-    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    rep = add_ngram_repetition_stats(ds, n_top=2, n_dup=5)
-    return _collect(
-        rep.select_columns(["doc_id", "n_chars", "top2_chars", "dup5_chars"])
-    ).sort_by("doc_id")
+    def out(batch: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "doc_id": batch["doc_id"],
+                "dsir_lw": pa.array(round_half_away(batch["dsir_lw"], 4), type=pa.float64()),
+            }
+        )
+
+    return _collect(scored.map_batches(out, batch_format="pyarrow", zero_copy_batch=True))
 
 
 SQL_DOC_NGRAM_REPETITION = """
@@ -1873,20 +1947,21 @@ ORDER BY doc_id
 """
 
 
-
-def q_doc_ngram_novelty(sf_dir: str) -> pd.DataFrame:
-    """Cross-document verbatim-overlap rate: per doc, total word
-    3-gram occurrences vs occurrences of 3-grams shared with ≥2
-    distinct docs (text.ngram_novelty_stats — gram-hash shuffle with
-    in-partition df join-back, NO broadcast: the n-gram space is not
-    vocabulary-bounded)."""
-    from jesse_ray.functions.text import ngram_novelty_stats
+@entry("doc_ngram_repetition", sql=SQL_DOC_NGRAM_REPETITION)
+def q_doc_ngram_repetition(sf_dir: str) -> pa.Table:
+    """Gopher n-gram repetition features as exact integers: per doc,
+    the char coverage of the most frequent 2-gram (ties toward larger
+    coverage), the char coverage of all duplicated 5-grams, and the
+    codepoint length (the fraction denominator).  One space-split +
+    shifted-view n-gram join + Arrow group_by per batch; no shuffle
+    (the stats are per-document)."""
+    from jesse_ray.functions.text import add_ngram_repetition_stats
 
     ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    out = ngram_novelty_stats(ds, n=3).to_pandas()
-    out["total_grams"] = out["total_grams"].astype("int64")
-    out["shared_grams"] = out["shared_grams"].astype("int64")
-    return out.sort_values("doc_id").reset_index(drop=True)
+    rep = add_ngram_repetition_stats(ds, n_top=2, n_dup=5)
+    return _collect(
+        rep.select_columns(["doc_id", "n_chars", "top2_chars", "dup5_chars"])
+    ).sort_by("doc_id")
 
 
 SQL_DOC_NGRAM_NOVELTY = """
@@ -1906,7 +1981,40 @@ ORDER BY g.doc_id
 """
 
 
+@entry("doc_ngram_novelty", sql=SQL_DOC_NGRAM_NOVELTY)
+def q_doc_ngram_novelty(sf_dir: str) -> pd.DataFrame:
+    """Cross-document verbatim-overlap rate: per doc, total word
+    3-gram occurrences vs occurrences of 3-grams shared with ≥2
+    distinct docs (text.ngram_novelty_stats — gram-hash shuffle with
+    in-partition df join-back, NO broadcast: the n-gram space is not
+    vocabulary-bounded)."""
+    from jesse_ray.functions.text import ngram_novelty_stats
 
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    out = ngram_novelty_stats(ds, n=3).to_pandas()
+    out["total_grams"] = out["total_grams"].astype("int64")
+    out["shared_grams"] = out["shared_grams"].astype("int64")
+    return out.sort_values("doc_id").reset_index(drop=True)
+
+
+SQL_DOC_SNAPSHOT_DIFF = """
+WITH old AS (
+  SELECT doc_id,
+         CASE WHEN doc_id % 5 = 0 THEN text || ' OLD' ELSE text END AS text
+  FROM documents WHERE doc_id < 400
+),
+new AS (SELECT doc_id, text FROM documents WHERE doc_id >= 100)
+SELECT coalesce(old.doc_id, new.doc_id) AS doc_id,
+       CASE WHEN new.doc_id IS NULL THEN 'removed'
+            WHEN old.doc_id IS NULL THEN 'added'
+            WHEN old.text = new.text THEN 'unchanged'
+            ELSE 'changed' END AS status
+FROM old FULL JOIN new USING (doc_id)
+ORDER BY doc_id
+"""
+
+
+@entry("doc_snapshot_diff", sql=SQL_DOC_SNAPSHOT_DIFF)
 def q_doc_snapshot_diff(sf_dir: str) -> pd.DataFrame:
     """Snapshot diff between two deterministic corpus versions (old =
     doc_id < 400 with every 5th text amended; new = doc_id >= 100
@@ -1939,24 +2047,15 @@ def q_doc_snapshot_diff(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
-SQL_DOC_SNAPSHOT_DIFF = """
-WITH old AS (
-  SELECT doc_id,
-         CASE WHEN doc_id % 5 = 0 THEN text || ' OLD' ELSE text END AS text
-  FROM documents WHERE doc_id < 400
-),
-new AS (SELECT doc_id, text FROM documents WHERE doc_id >= 100)
-SELECT coalesce(old.doc_id, new.doc_id) AS doc_id,
-       CASE WHEN new.doc_id IS NULL THEN 'removed'
-            WHEN old.doc_id IS NULL THEN 'added'
-            WHEN old.text = new.text THEN 'unchanged'
-            ELSE 'changed' END AS status
-FROM old FULL JOIN new USING (doc_id)
+SQL_DOC_PCT_RANK = """
+SELECT doc_id, source,
+       round(percent_rank() OVER (PARTITION BY source ORDER BY n_chars), 6) AS pct_rank
+FROM documents WHERE n_chars IS NOT NULL
 ORDER BY doc_id
 """
 
 
-
+@entry("doc_pct_rank", sql=SQL_DOC_PCT_RANK)
 def q_doc_pct_rank(sf_dir: str) -> pd.DataFrame:
     """Per-source percentile calibration of a raw per-doc feature
     (n_chars): SQL percent_rank parity incl. min-rank ties
@@ -1970,15 +2069,33 @@ def q_doc_pct_rank(sf_dir: str) -> pd.DataFrame:
     return out[["doc_id", "source", "pct_rank"]].sort_values("doc_id").reset_index(drop=True)
 
 
-SQL_DOC_PCT_RANK = """
-SELECT doc_id, source,
-       round(percent_rank() OVER (PARTITION BY source ORDER BY n_chars), 6) AS pct_rank
-FROM documents WHERE n_chars IS NOT NULL
-ORDER BY doc_id
+SQL_DOC_BACKOFF_LP = """
+WITH arr AS (SELECT doc_id, string_split(text, ' ') AS a FROM documents),
+pos AS (SELECT doc_id, a, generate_subscripts(a, 1) AS i FROM arr),
+bg AS (SELECT doc_id, a[i] AS w1, a[i+1] AS w2 FROM pos WHERE i < len(a)),
+bc AS (SELECT w1, w2, count(*)::DOUBLE AS c FROM bg WHERE doc_id % 2 = 0 GROUP BY 1, 2),
+pfx AS (SELECT w1, sum(c) AS t FROM bc GROUP BY 1),
+uc AS (
+  SELECT word, count(*)::DOUBLE AS c
+  FROM (SELECT doc_id, unnest(string_split(text, ' ')) AS word FROM documents)
+  WHERE doc_id % 2 = 0 GROUP BY 1
+),
+nt AS (SELECT sum(c) AS t FROM uc),
+sc AS (
+  SELECT bg.doc_id,
+         CASE WHEN bc.c IS NOT NULL THEN ln(bc.c / pfx.t)
+              WHEN u2.c IS NOT NULL THEN ln(0.4 * u2.c / (SELECT t FROM nt))
+              ELSE ln(0.4 / ((SELECT t FROM nt) + 1.0)) END AS lp
+  FROM bg
+  LEFT JOIN bc ON bc.w1 = bg.w1 AND bc.w2 = bg.w2
+  LEFT JOIN pfx ON pfx.w1 = bg.w1
+  LEFT JOIN uc u2 ON u2.word = bg.w2
+)
+SELECT doc_id, round(avg(lp), 2) AS mean_sb FROM sc GROUP BY doc_id
 """
 
 
-
+@entry("doc_backoff_lp", sql=SQL_DOC_BACKOFF_LP)
 def q_doc_backoff_lp(sf_dir: str) -> pa.Table:
     """Stupid-Backoff LM quality scoring: bigram+unigram models trained
     on the EVEN-doc_id half of the corpus, every document scored with
@@ -2009,46 +2126,6 @@ def q_doc_backoff_lp(sf_dir: str) -> pa.Table:
     return _collect(scored.map_batches(out, batch_format="pyarrow", zero_copy_batch=True))
 
 
-SQL_DOC_BACKOFF_LP = """
-WITH arr AS (SELECT doc_id, string_split(text, ' ') AS a FROM documents),
-pos AS (SELECT doc_id, a, generate_subscripts(a, 1) AS i FROM arr),
-bg AS (SELECT doc_id, a[i] AS w1, a[i+1] AS w2 FROM pos WHERE i < len(a)),
-bc AS (SELECT w1, w2, count(*)::DOUBLE AS c FROM bg WHERE doc_id % 2 = 0 GROUP BY 1, 2),
-pfx AS (SELECT w1, sum(c) AS t FROM bc GROUP BY 1),
-uc AS (
-  SELECT word, count(*)::DOUBLE AS c
-  FROM (SELECT doc_id, unnest(string_split(text, ' ')) AS word FROM documents)
-  WHERE doc_id % 2 = 0 GROUP BY 1
-),
-nt AS (SELECT sum(c) AS t FROM uc),
-sc AS (
-  SELECT bg.doc_id,
-         CASE WHEN bc.c IS NOT NULL THEN ln(bc.c / pfx.t)
-              WHEN u2.c IS NOT NULL THEN ln(0.4 * u2.c / (SELECT t FROM nt))
-              ELSE ln(0.4 / ((SELECT t FROM nt) + 1.0)) END AS lp
-  FROM bg
-  LEFT JOIN bc ON bc.w1 = bg.w1 AND bc.w2 = bg.w2
-  LEFT JOIN pfx ON pfx.w1 = bg.w1
-  LEFT JOIN uc u2 ON u2.word = bg.w2
-)
-SELECT doc_id, round(avg(lp), 2) AS mean_sb FROM sc GROUP BY doc_id
-"""
-
-
-def q_events_window(sf_dir: str) -> pa.Table:
-    ds = read_table(f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"])
-    out = tumbling_window(ds, "ts", window_s=3600, keys=["event_type"], sums=["value"])
-    t = _collect(out)
-    return pa.table(
-        {
-            "event_type": t["event_type"],
-            "window": t["window"].cast(pa.int64()),
-            "cnt": t["cnt"].cast(pa.int64()),
-            "sum_value": pa.array(round_half_away(t["sum_value"], 2), type=pa.float64()),
-        }
-    )
-
-
 SQL_EVENTS_WINDOW = """
 SELECT event_type,
        CAST(floor(epoch(ts) / 3600) AS BIGINT) AS window,
@@ -2058,13 +2135,10 @@ FROM events GROUP BY 1, 2
 """
 
 
-def q_events_sliding(sf_dir: str) -> pa.Table:
-    """Sliding windows (2h window, 1h slide): each event lands in 2
-    windows; per (event_type, window) count + value sum."""
-    from jesse_ray.pipelines.relational import sliding_window
-
+@entry("events_window", sql=SQL_EVENTS_WINDOW)
+def q_events_window(sf_dir: str) -> pa.Table:
     ds = read_table(f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"])
-    out = sliding_window(ds, "ts", window_s=7200, slide_s=3600, keys=["event_type"], sums=["value"])
+    out = tumbling_window(ds, "ts", window_s=3600, keys=["event_type"], sums=["value"])
     t = _collect(out)
     return pa.table(
         {
@@ -2089,6 +2163,35 @@ FROM w GROUP BY 1, 2
 """
 
 
+@entry("events_sliding", sql=SQL_EVENTS_SLIDING)
+def q_events_sliding(sf_dir: str) -> pa.Table:
+    """Sliding windows (2h window, 1h slide): each event lands in 2
+    windows; per (event_type, window) count + value sum."""
+    from jesse_ray.pipelines.relational import sliding_window
+
+    ds = read_table(f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"])
+    out = sliding_window(ds, "ts", window_s=7200, slide_s=3600, keys=["event_type"], sums=["value"])
+    t = _collect(out)
+    return pa.table(
+        {
+            "event_type": t["event_type"],
+            "window": t["window"].cast(pa.int64()),
+            "cnt": t["cnt"].cast(pa.int64()),
+            "sum_value": pa.array(round_half_away(t["sum_value"], 2), type=pa.float64()),
+        }
+    )
+
+
+SQL_EVENTS_LAG = """
+SELECT event_id, user_id,
+       CAST(COALESCE(
+         LAG(event_id) OVER (PARTITION BY user_id ORDER BY ts, event_id), -1
+       ) AS BIGINT) AS prev_event_id
+FROM events ORDER BY event_id
+"""
+
+
+@entry("events_lag", sql=SQL_EVENTS_LAG)
 def q_events_lag(sf_dir: str) -> pa.Table:
     """Per-user previous event (LAG over PARTITION BY user_id ORDER BY
     ts, event_id) via the coarse-partitioned grouped_lag operator."""
@@ -2106,15 +2209,20 @@ def q_events_lag(sf_dir: str) -> pa.Table:
     ).sort_by("event_id")
 
 
-SQL_EVENTS_LAG = """
+SQL_EVENTS_ROLLING = """
 SELECT event_id, user_id,
-       CAST(COALESCE(
-         LAG(event_id) OVER (PARTITION BY user_id ORDER BY ts, event_id), -1
-       ) AS BIGINT) AS prev_event_id
-FROM events ORDER BY event_id
+       SUM(CAST(round(value * 100) AS BIGINT)) OVER w / 100.0 AS roll_sum,
+       CAST(COUNT(*) OVER w AS BIGINT) AS roll_cnt
+FROM events
+WINDOW w AS (
+  PARTITION BY user_id ORDER BY ts
+  RANGE BETWEEN INTERVAL 1 HOUR PRECEDING AND CURRENT ROW
+)
+ORDER BY event_id
 """
 
 
+@entry("events_rolling", sql=SQL_EVENTS_ROLLING)
 def q_events_rolling(sf_dir: str) -> pa.Table:
     """Per-user trailing 1-hour rolling SUM/COUNT of event value (ANSI
     RANGE frame incl. equal-ts peers) via the coarse-partitioned
@@ -2138,39 +2246,7 @@ def q_events_rolling(sf_dir: str) -> pa.Table:
     ).sort_by("event_id")
 
 
-SQL_EVENTS_ROLLING = """
-SELECT event_id, user_id,
-       SUM(CAST(round(value * 100) AS BIGINT)) OVER w / 100.0 AS roll_sum,
-       CAST(COUNT(*) OVER w AS BIGINT) AS roll_cnt
-FROM events
-WINDOW w AS (
-  PARTITION BY user_id ORDER BY ts
-  RANGE BETWEEN INTERVAL 1 HOUR PRECEDING AND CURRENT ROW
-)
-ORDER BY event_id
-"""
-
-
 SESSION_GAP_S = 1800  # 30-minute inactivity gap
-
-
-def q_events_sessions(sf_dir: str) -> pa.Table:
-    """Inactivity-gap sessionization (30 min): one row per (user,
-    session) with event count and duration — coarse-partitioned
-    sessionize operator vs a LAG + windowed-SUM SQL twin."""
-    from jesse_ray.pipelines.relational import sessionize
-
-    ds = read_table(f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"])
-    out = sessionize(ds, "user_id", "ts", gap_s=SESSION_GAP_S, order_cols=["event_id"])
-    t = _collect(out)
-    return pa.table(
-        {
-            "user_id": t["user_id"].cast(pa.int64()),
-            "session_id": t["session_id"].cast(pa.int64()),
-            "n_events": t["n_events"].cast(pa.int64()),
-            "duration_us": t["duration_us"].cast(pa.int64()),
-        }
-    )
 
 
 SQL_EVENTS_SESSIONS = f"""
@@ -2191,21 +2267,24 @@ FROM s GROUP BY 1, 2
 """
 
 
+@entry("events_sessions", sql=SQL_EVENTS_SESSIONS)
+def q_events_sessions(sf_dir: str) -> pa.Table:
+    """Inactivity-gap sessionization (30 min): one row per (user,
+    session) with event count and duration — coarse-partitioned
+    sessionize operator vs a LAG + windowed-SUM SQL twin."""
+    from jesse_ray.pipelines.relational import sessionize
 
-def q_events_funnel(sf_dir: str) -> pa.Table:
-    """Two-step funnel (signup → purchase within 3 days): per user, the
-    first signup and the first purchase at-or-after it inside the
-    window; converted users only.  One coarse user-hash shuffle of the
-    filtered two-type event slice, per-part groupby-min + forward
-    merge_asof (relational.funnel_conversions)."""
-    from jesse_ray.pipelines.relational import funnel_conversions
-
-    ds = read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type"])
-    out = funnel_conversions(
-        ds, entity_col="user_id", ts_col="ts", type_col="event_type",
-        step_a="signup", step_b="purchase", within=pd.Timedelta(days=3),
+    ds = read_table(f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"])
+    out = sessionize(ds, "user_id", "ts", gap_s=SESSION_GAP_S, order_cols=["event_id"])
+    t = _collect(out)
+    return pa.table(
+        {
+            "user_id": t["user_id"].cast(pa.int64()),
+            "session_id": t["session_id"].cast(pa.int64()),
+            "n_events": t["n_events"].cast(pa.int64()),
+            "duration_us": t["duration_us"].cast(pa.int64()),
+        }
     )
-    return _collect(out).sort_by("user_id")
 
 
 SQL_EVENTS_FUNNEL = """
@@ -2223,7 +2302,36 @@ SELECT user_id, first_a, first_b FROM a JOIN b USING (user_id)
 """
 
 
+@entry("events_funnel", sql=SQL_EVENTS_FUNNEL)
+def q_events_funnel(sf_dir: str) -> pa.Table:
+    """Two-step funnel (signup → purchase within 3 days): per user, the
+    first signup and the first purchase at-or-after it inside the
+    window; converted users only.  One coarse user-hash shuffle of the
+    filtered two-type event slice, per-part groupby-min + forward
+    merge_asof (relational.funnel_conversions)."""
+    from jesse_ray.pipelines.relational import funnel_conversions
 
+    ds = read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type"])
+    out = funnel_conversions(
+        ds, entity_col="user_id", ts_col="ts", type_col="event_type",
+        step_a="signup", step_b="purchase", within=pd.Timedelta(days=3),
+    )
+    return _collect(out).sort_by("user_id")
+
+
+SQL_EVENTS_WINSORIZED = """
+WITH b AS (
+  SELECT event_type, quantile_disc(value, 0.05) AS lo, quantile_disc(value, 0.95) AS hi
+  FROM events GROUP BY 1
+)
+SELECT e.event_type, CAST(count(*) AS BIGINT) AS n,
+       round(sum(greatest(b.lo, least(e.value, b.hi))), 2) AS wsum
+FROM events e JOIN b USING (event_type)
+GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("events_winsorized", sql=SQL_EVENTS_WINSORIZED)
 def q_events_winsorized(sf_dir: str) -> pd.DataFrame:
     """Outlier-robust per-type aggregation: winsorize value at each
     event_type's exact [p5, p95] discrete quantiles, then sum/count per
@@ -2241,22 +2349,20 @@ def q_events_winsorized(sf_dir: str) -> pd.DataFrame:
     return pdf[["event_type", "n", "wsum"]]
 
 
-SQL_EVENTS_WINSORIZED = """
-WITH b AS (
-  SELECT event_type, quantile_disc(value, 0.05) AS lo, quantile_disc(value, 0.95) AS hi
-  FROM events GROUP BY 1
-)
-SELECT e.event_type, CAST(count(*) AS BIGINT) AS n,
-       round(sum(greatest(b.lo, least(e.value, b.hi))), 2) AS wsum
-FROM events e JOIN b USING (event_type)
-GROUP BY 1 ORDER BY 1
-"""
-
-
-
 DECAY_HALF_LIFE_S = 7 * 86400.0
 
 
+SQL_EVENTS_DECAYED_SUM = f"""
+WITH m AS (SELECT max(ts) AS tmax FROM events)
+SELECT event_type,
+       round(sum(value * exp(-ln(2) * epoch(tmax - ts) / {DECAY_HALF_LIFE_S})), 2) AS decayed_sum
+FROM events, m
+WHERE ts IS NOT NULL AND value IS NOT NULL
+GROUP BY event_type ORDER BY event_type
+"""
+
+
+@entry("events_decayed_sum", sql=SQL_EVENTS_DECAYED_SUM)
 def q_events_decayed_sum(sf_dir: str) -> pd.DataFrame:
     """Recency-weighted per-type value sum (exponential decay, 7-day
     half-life, anchored at the corpus max timestamp) —
@@ -2273,28 +2379,6 @@ def q_events_decayed_sum(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("event_type").reset_index(drop=True)
 
 
-SQL_EVENTS_DECAYED_SUM = f"""
-WITH m AS (SELECT max(ts) AS tmax FROM events)
-SELECT event_type,
-       round(sum(value * exp(-ln(2) * epoch(tmax - ts) / {DECAY_HALF_LIFE_S})), 2) AS decayed_sum
-FROM events, m
-WHERE ts IS NOT NULL AND value IS NOT NULL
-GROUP BY event_type ORDER BY event_type
-"""
-
-
-
-def q_events_zscore(sf_dir: str) -> pd.DataFrame:
-    """Per-type z-score outlier counts (|z| > 2.5 against the exact
-    group mean / population stddev) — relational.grouped_zscore_outliers
-    two-pass moments+probe."""
-    from jesse_ray.pipelines.relational import grouped_zscore_outliers
-
-    ds = read_table(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
-    t = grouped_zscore_outliers(ds, group_col="event_type", value_col="value", z=2.5)
-    return t.to_pandas().sort_values("event_type").reset_index(drop=True)
-
-
 SQL_EVENTS_ZSCORE = """
 WITH s AS (
   SELECT event_type, avg(value) AS mu, stddev_pop(value) AS sd
@@ -2308,7 +2392,32 @@ GROUP BY 1 ORDER BY 1
 """
 
 
+@entry("events_zscore", sql=SQL_EVENTS_ZSCORE)
+def q_events_zscore(sf_dir: str) -> pd.DataFrame:
+    """Per-type z-score outlier counts (|z| > 2.5 against the exact
+    group mean / population stddev) — relational.grouped_zscore_outliers
+    two-pass moments+probe."""
+    from jesse_ray.pipelines.relational import grouped_zscore_outliers
 
+    ds = read_table(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
+    t = grouped_zscore_outliers(ds, group_col="event_type", value_col="value", z=2.5)
+    return t.to_pandas().sort_values("event_type").reset_index(drop=True)
+
+
+SQL_EVENTS_WINDOW_DEDUP = """
+WITH x AS (
+  SELECT event_type,
+         ts - lag(ts) OVER (PARTITION BY user_id, event_type ORDER BY ts) AS gap
+  FROM events
+)
+SELECT event_type,
+       CAST(sum(CASE WHEN gap IS NULL OR gap > INTERVAL 30 MINUTE THEN 1 ELSE 0 END) AS BIGINT) AS n_kept,
+       CAST(count(*) AS BIGINT) AS n_total
+FROM x GROUP BY event_type ORDER BY event_type
+"""
+
+
+@entry("events_window_dedup", sql=SQL_EVENTS_WINDOW_DEDUP)
 def q_events_window_dedup(sf_dir: str) -> pd.DataFrame:
     """Event-stream debounce dedup: per (user, type) stream, drop
     repeats whose previous identical-key event is ≤ 30 minutes older
@@ -2327,20 +2436,19 @@ def q_events_window_dedup(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("event_type").reset_index(drop=True)
 
 
-SQL_EVENTS_WINDOW_DEDUP = """
-WITH x AS (
-  SELECT event_type,
-         ts - lag(ts) OVER (PARTITION BY user_id, event_type ORDER BY ts) AS gap
-  FROM events
+SQL_EVENTS_USERS_HLL = """
+WITH s AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/hll_users_sigs_sf0.01.parquet')),
+exact AS (
+  SELECT event_type, count(DISTINCT user_id) AS d FROM events GROUP BY 1
 )
-SELECT event_type,
-       CAST(sum(CASE WHEN gap IS NULL OR gap > INTERVAL 30 MINUTE THEN 1 ELSE 0 END) AS BIGINT) AS n_kept,
-       CAST(count(*) AS BIGINT) AS n_total
-FROM x GROUP BY event_type ORDER BY event_type
+SELECT s.event_type, CAST(s.est AS BIGINT) AS est
+FROM s JOIN exact USING (event_type)
+WHERE abs(CAST(s.est AS DOUBLE) / exact.d - 1.0) <= 0.05
+ORDER BY s.event_type
 """
 
 
-
+@entry("events_users_hll", sql=SQL_EVENTS_USERS_HLL)
 def q_events_users_hll(sf_dir: str) -> pd.DataFrame:
     """Approximate distinct users per event type (grouped HyperLogLog
     p=12 — ~4 KB mergeable blob per (group, block) instead of the exact
@@ -2359,19 +2467,22 @@ def q_events_users_hll(sf_dir: str) -> pd.DataFrame:
     return pdf
 
 
-SQL_EVENTS_USERS_HLL = """
-WITH s AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/hll_users_sigs_sf0.01.parquet')),
-exact AS (
-  SELECT event_type, count(DISTINCT user_id) AS d FROM events GROUP BY 1
+SQL_EVENTS_CAST_REPORT = """
+WITH d AS (
+  SELECT event_type,
+         CASE WHEN event_id % 7 = 0 THEN 'N/A'
+              ELSE CAST(CAST(trunc(value * 100.0) AS BIGINT) AS VARCHAR) END AS s
+  FROM events
 )
-SELECT s.event_type, CAST(s.est AS BIGINT) AS est
-FROM s JOIN exact USING (event_type)
-WHERE abs(CAST(s.est AS DOUBLE) / exact.d - 1.0) <= 0.05
-ORDER BY s.event_type
+SELECT event_type,
+       CAST(count(*) AS BIGINT) AS n_total,
+       CAST(sum(CASE WHEN TRY_CAST(s AS BIGINT) IS NULL THEN 1 ELSE 0 END) AS BIGINT) AS n_fail,
+       CAST(coalesce(sum(TRY_CAST(s AS BIGINT)), 0) AS BIGINT) AS sum_cast
+FROM d GROUP BY 1 ORDER BY 1
 """
 
 
-
+@entry("events_cast_report", sql=SQL_EVENTS_CAST_REPORT)
 def q_events_cast_report(sf_dir: str) -> pd.DataFrame:
     """TRY_CAST coercion audit before a typed migration: a string
     column derived deterministically from the corpus (every 7th event
@@ -2396,22 +2507,19 @@ def q_events_cast_report(sf_dir: str) -> pd.DataFrame:
     return t.to_pandas().sort_values("event_type").reset_index(drop=True)
 
 
-SQL_EVENTS_CAST_REPORT = """
-WITH d AS (
-  SELECT event_type,
-         CASE WHEN event_id % 7 = 0 THEN 'N/A'
-              ELSE CAST(CAST(trunc(value * 100.0) AS BIGINT) AS VARCHAR) END AS s
+SQL_EVENTS_TRANSITIONS = """
+WITH x AS (
+  SELECT user_id, event_type,
+         lead(event_type) OVER (PARTITION BY user_id ORDER BY ts, event_id) AS nxt
   FROM events
 )
-SELECT event_type,
-       CAST(count(*) AS BIGINT) AS n_total,
-       CAST(sum(CASE WHEN TRY_CAST(s AS BIGINT) IS NULL THEN 1 ELSE 0 END) AS BIGINT) AS n_fail,
-       CAST(coalesce(sum(TRY_CAST(s AS BIGINT)), 0) AS BIGINT) AS sum_cast
-FROM d GROUP BY 1 ORDER BY 1
+SELECT event_type AS from_type, nxt AS to_type, CAST(count(*) AS BIGINT) AS cnt
+FROM x WHERE nxt IS NOT NULL
+GROUP BY 1, 2 ORDER BY 1, 2
 """
 
 
-
+@entry("events_transitions", sql=SQL_EVENTS_TRANSITIONS)
 def q_events_transitions(sf_dir: str) -> pd.DataFrame:
     """Event-type transition matrix (user-journey Markov counts): per
     user timeline ordered by (ts, event_id), every adjacent type pair
@@ -2426,19 +2534,15 @@ def q_events_transitions(sf_dir: str) -> pd.DataFrame:
     return t.to_pandas().sort_values(["from_type", "to_type"]).reset_index(drop=True)
 
 
-SQL_EVENTS_TRANSITIONS = """
-WITH x AS (
-  SELECT user_id, event_type,
-         lead(event_type) OVER (PARTITION BY user_id ORDER BY ts, event_id) AS nxt
-  FROM events
-)
-SELECT event_type AS from_type, nxt AS to_type, CAST(count(*) AS BIGINT) AS cnt
-FROM x WHERE nxt IS NOT NULL
-GROUP BY 1, 2 ORDER BY 1, 2
+SQL_EVENTS_CORR = """
+SELECT event_type,
+       round(corr(epoch(ts - TIMESTAMP '2024-01-01') / 86400.0, value), 5) AS corr
+FROM events WHERE ts IS NOT NULL AND value IS NOT NULL
+GROUP BY 1 ORDER BY 1
 """
 
 
-
+@entry("events_corr", sql=SQL_EVENTS_CORR)
 def q_events_corr(sf_dir: str) -> pd.DataFrame:
     """Pearson correlation of value vs time-of-corpus (days since
     2024-01-01) per event type, in one combiner pass
@@ -2460,14 +2564,6 @@ def q_events_corr(sf_dir: str) -> pd.DataFrame:
     pdf = t.to_pandas()
     pdf["corr"] = round_half_away(pdf["corr"], 5)
     return pdf.sort_values("event_type").reset_index(drop=True)
-
-
-SQL_EVENTS_CORR = """
-SELECT event_type,
-       round(corr(epoch(ts - TIMESTAMP '2024-01-01') / 86400.0, value), 5) AS corr
-FROM events WHERE ts IS NOT NULL AND value IS NOT NULL
-GROUP BY 1 ORDER BY 1
-"""
 
 
 # Distributed position checksum of a global sort by (n_tok, doc_id) — the
@@ -2528,6 +2624,18 @@ def _fold_global_sort_partials(parts: pd.DataFrame) -> tuple[int, int]:
     return n, total
 
 
+SQL_SEQ_GLOBAL_SORT = f"""
+WITH s AS (
+  SELECT n_tok, row_number() OVER (ORDER BY n_tok ASC NULLS LAST, doc_id ASC NULLS LAST) - 1 AS pos
+  FROM {SEQ_SQL}
+)
+SELECT CAST(count(*) AS BIGINT) AS n_rows,
+       CAST(sum(pos * n_tok) AS BIGINT) AS pos_checksum
+FROM s
+"""
+
+
+@entry("seq_global_sort", sql=SQL_SEQ_GLOBAL_SORT)
 def q_seq_global_sort(sf_dir: str) -> pd.DataFrame:
     """Global sort as a first-class wide op: order the corpus by
     (n_tok, doc_id) with Ray's distributed sort and checksum the
@@ -2546,18 +2654,15 @@ def q_seq_global_sort(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_SEQ_GLOBAL_SORT = f"""
-WITH s AS (
-  SELECT n_tok, row_number() OVER (ORDER BY n_tok ASC NULLS LAST, doc_id ASC NULLS LAST) - 1 AS pos
-  FROM {SEQ_SQL}
-)
-SELECT CAST(count(*) AS BIGINT) AS n_rows,
-       CAST(sum(pos * n_tok) AS BIGINT) AS pos_checksum
-FROM s
+SQL_DOC_TTR_BY_SOURCE = """
+SELECT source, CAST(count(DISTINCT w) AS BIGINT) AS n_types,
+       CAST(count(*) AS BIGINT) AS n_tokens
+FROM (SELECT source, unnest(string_split(text, ' ')) AS w FROM documents)
+GROUP BY source ORDER BY source
 """
 
 
-
+@entry("doc_ttr_by_source", sql=SQL_DOC_TTR_BY_SOURCE)
 def q_doc_ttr_by_source(sf_dir: str) -> pd.DataFrame:
     """Lexical diversity per source (type-token ratio ingredients):
     distinct words vs total word occurrences, integer-exact.  Distinct
@@ -2589,14 +2694,15 @@ def q_doc_ttr_by_source(sf_dir: str) -> pd.DataFrame:
     return pdf.sort_values("source").reset_index(drop=True)
 
 
-SQL_DOC_TTR_BY_SOURCE = """
-SELECT source, CAST(count(DISTINCT w) AS BIGINT) AS n_types,
-       CAST(count(*) AS BIGINT) AS n_tokens
-FROM (SELECT source, unnest(string_split(text, ' ')) AS w FROM documents)
-GROUP BY source ORDER BY source
+SQL_EVENTS_HOURLY = """
+SELECT CAST(date_part('hour', ts) AS BIGINT) AS hour,
+       CAST(count(*) AS BIGINT) AS n,
+       round(sum(value), 2) AS value_sum
+FROM events GROUP BY 1 ORDER BY 1
 """
 
 
+@entry("events_hourly", sql=SQL_EVENTS_HOURLY)
 def q_events_hourly(sf_dir: str) -> pd.DataFrame:
     """Temporal seasonality profile: event counts and value sums per
     hour of day — vectorized hour extraction + the grouped_agg combiner
@@ -2616,18 +2722,19 @@ def q_events_hourly(sf_dir: str) -> pd.DataFrame:
     return out[["hour", "n", "value_sum"]].sort_values("hour").reset_index(drop=True)
 
 
-SQL_EVENTS_HOURLY = """
-SELECT CAST(date_part('hour', ts) AS BIGINT) AS hour,
-       CAST(count(*) AS BIGINT) AS n,
-       round(sum(value), 2) AS value_sum
-FROM events GROUP BY 1 ORDER BY 1
-"""
-
-
-
 HIST_LO, HIST_HI, HIST_BINS = 0.0, 500.0, 20
 
 
+SQL_EVENTS_HISTOGRAM = f"""
+SELECT CAST(least(greatest(floor((value - {HIST_LO}) / {(HIST_HI - HIST_LO) / HIST_BINS}), 0),
+                  {HIST_BINS - 1}) AS BIGINT) AS bin,
+       CAST(count(*) AS BIGINT) AS n
+FROM events WHERE value IS NOT NULL
+GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("events_histogram", sql=SQL_EVENTS_HISTOGRAM)
 def q_events_histogram(sf_dir: str) -> pd.DataFrame:
     """Fixed-width histogram of value (profiling primitive): 20 bins
     over [0, 500), out-of-range clamped to the edge bins — one
@@ -2649,15 +2756,14 @@ def q_events_histogram(sf_dir: str) -> pd.DataFrame:
     return out[["bin", "n"]].sort_values("bin").reset_index(drop=True)
 
 
-SQL_EVENTS_HISTOGRAM = f"""
-SELECT CAST(least(greatest(floor((value - {HIST_LO}) / {(HIST_HI - HIST_LO) / HIST_BINS}), 0),
-                  {HIST_BINS - 1}) AS BIGINT) AS bin,
-       CAST(count(*) AS BIGINT) AS n
-FROM events WHERE value IS NOT NULL
-GROUP BY 1 ORDER BY 1
+SQL_SEQ_TOP_TOKENS = f"""
+SELECT CAST(t AS BIGINT) AS token, CAST(count(*) AS BIGINT) AS cnt
+FROM (SELECT unnest(tokens) AS t FROM {SEQ_SQL})
+GROUP BY 1 ORDER BY cnt DESC, token ASC LIMIT 20
 """
 
 
+@entry("seq_top_tokens", sql=SQL_SEQ_TOP_TOKENS)
 def q_seq_top_tokens(sf_dir: str) -> pa.Table:
     """Exact corpus-wide top-20 token frequencies (heavy hitters) over
     the tokenized sequences — two-phase combiner + coarse element-hash
@@ -2674,13 +2780,21 @@ def q_seq_top_tokens(sf_dir: str) -> pa.Table:
     )
 
 
-SQL_SEQ_TOP_TOKENS = f"""
-SELECT CAST(t AS BIGINT) AS token, CAST(count(*) AS BIGINT) AS cnt
-FROM (SELECT unnest(tokens) AS t FROM {SEQ_SQL})
-GROUP BY 1 ORDER BY cnt DESC, token ASC LIMIT 20
+SQL_SEQ_BPE_PAIRS = f"""
+WITH idx AS (
+  SELECT generate_subscripts(tokens, 1) AS i, tokens FROM {SEQ_SQL}
+)
+SELECT CAST(tokens[i] AS BIGINT) AS a, CAST(tokens[i+1] AS BIGINT) AS b,
+       CAST(count(*) AS BIGINT) AS cnt
+FROM idx
+WHERE i < len(tokens) AND tokens[i] >= 0 AND tokens[i+1] >= 0
+GROUP BY 1, 2
+ORDER BY cnt DESC, a ASC, b ASC
+LIMIT 20
 """
 
 
+@entry("seq_bpe_pairs", sql=SQL_SEQ_BPE_PAIRS)
 def q_seq_bpe_pairs(sf_dir: str) -> pa.Table:
     """One BPE merge iteration: exact top-20 adjacent token-pair counts
     across the corpus (tokenizer-training inner loop).  Map side packs
@@ -2700,33 +2814,6 @@ def q_seq_bpe_pairs(sf_dir: str) -> pa.Table:
             "cnt": top["cnt"],
         }
     )
-
-
-SQL_SEQ_BPE_PAIRS = f"""
-WITH idx AS (
-  SELECT generate_subscripts(tokens, 1) AS i, tokens FROM {SEQ_SQL}
-)
-SELECT CAST(tokens[i] AS BIGINT) AS a, CAST(tokens[i+1] AS BIGINT) AS b,
-       CAST(count(*) AS BIGINT) AS cnt
-FROM idx
-WHERE i < len(tokens) AND tokens[i] >= 0 AND tokens[i+1] >= 0
-GROUP BY 1, 2
-ORDER BY cnt DESC, a ASC, b ASC
-LIMIT 20
-"""
-
-
-
-def q_seq_pmi_pairs(sf_dir: str) -> pa.Table:
-    """Collocation mining: top-20 adjacent token pairs by PMI among
-    pairs with count ≥ 5 (seqops.token_pmi_topk).  Ranking uses the
-    raw IEEE division c_ab/(c_a·c_b) — exactly rounded from integers on
-    both engines, so order matches bit-for-bit; PMI itself is rounded
-    for display."""
-    from jesse_ray.functions.seqops import token_pmi_topk
-
-    ds = read_sequences(_seq_path(sf_dir), columns=["tokens"])
-    return token_pmi_topk(ds, k=20, min_count=5)
 
 
 SQL_SEQ_PMI_PAIRS = f"""
@@ -2755,18 +2842,20 @@ FROM sel ORDER BY ratio DESC, a ASC, b ASC LIMIT 20
 """
 
 
-
-VOCAB_KS = [100, 1000, 10000]
-
-
-def q_seq_vocab_coverage(sf_dir: str) -> pd.DataFrame:
-    """Vocab-sizing curve: token occurrences covered by the top-k most
-    frequent ids, k in {100, 1k, 10k} (seqops.vocab_coverage_curve —
-    bounded-vocab two-phase counts, integer-exact)."""
-    from jesse_ray.functions.seqops import vocab_coverage_curve
+@entry("seq_pmi_pairs", sql=SQL_SEQ_PMI_PAIRS)
+def q_seq_pmi_pairs(sf_dir: str) -> pa.Table:
+    """Collocation mining: top-20 adjacent token pairs by PMI among
+    pairs with count ≥ 5 (seqops.token_pmi_topk).  Ranking uses the
+    raw IEEE division c_ab/(c_a·c_b) — exactly rounded from integers on
+    both engines, so order matches bit-for-bit; PMI itself is rounded
+    for display."""
+    from jesse_ray.functions.seqops import token_pmi_topk
 
     ds = read_sequences(_seq_path(sf_dir), columns=["tokens"])
-    return vocab_coverage_curve(ds, VOCAB_KS).to_pandas()
+    return token_pmi_topk(ds, k=20, min_count=5)
+
+
+VOCAB_KS = [100, 1000, 10000]
 
 
 SQL_SEQ_VOCAB_COVERAGE = f"""
@@ -2783,9 +2872,31 @@ FROM ks ORDER BY k
 """
 
 
+@entry("seq_vocab_coverage", sql=SQL_SEQ_VOCAB_COVERAGE)
+def q_seq_vocab_coverage(sf_dir: str) -> pd.DataFrame:
+    """Vocab-sizing curve: token occurrences covered by the top-k most
+    frequent ids, k in {100, 1k, 10k} (seqops.vocab_coverage_curve —
+    bounded-vocab two-phase counts, integer-exact)."""
+    from jesse_ray.functions.seqops import vocab_coverage_curve
+
+    ds = read_sequences(_seq_path(sf_dir), columns=["tokens"])
+    return vocab_coverage_curve(ds, VOCAB_KS).to_pandas()
+
+
 NTOK_QS = [0.25, 0.5, 0.75, 0.9, 0.99]
 
 
+SQL_SEQ_NTOK_PERCENTILES = f"""
+WITH v AS (
+  SELECT quantile_disc(n_tok, [{", ".join(str(q) for q in NTOK_QS)}]) AS a FROM {SEQ_SQL}
+)
+SELECT unnest([{", ".join(str(q) for q in NTOK_QS)}]) AS q,
+       CAST(unnest(a) AS BIGINT) AS n_tok_q
+FROM v
+"""
+
+
+@entry("seq_ntok_percentiles", sql=SQL_SEQ_NTOK_PERCENTILES)
 def q_seq_ntok_percentiles(sf_dir: str) -> pa.Table:
     """Exact discrete quantiles of n_tok (quantile_disc parity) via the
     bounded-cardinality two-phase value-count operator."""
@@ -2801,16 +2912,16 @@ def q_seq_ntok_percentiles(sf_dir: str) -> pa.Table:
     )
 
 
-SQL_SEQ_NTOK_PERCENTILES = f"""
-WITH v AS (
-  SELECT quantile_disc(n_tok, [{", ".join(str(q) for q in NTOK_QS)}]) AS a FROM {SEQ_SQL}
-)
-SELECT unnest([{", ".join(str(q) for q in NTOK_QS)}]) AS q,
-       CAST(unnest(a) AS BIGINT) AS n_tok_q
-FROM v
+SQL_DOC_DF_TOPK = r"""
+SELECT word, CAST(count(*) AS BIGINT) AS df FROM (
+  SELECT DISTINCT doc_id, w AS word FROM (
+    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '\W+')) AS w FROM documents
+  ) WHERE w <> ''
+) GROUP BY 1 ORDER BY df DESC, word ASC LIMIT 20
 """
 
 
+@entry("doc_df_topk", sql=SQL_DOC_DF_TOPK)
 def q_doc_df_topk(sf_dir: str) -> pa.Table:
     """Top-20 words by DOCUMENT frequency (the IDF denominator):
     vectorized RE2 tokenization + per-batch distinct-(doc, word) +
@@ -2823,15 +2934,23 @@ def q_doc_df_topk(sf_dir: str) -> pa.Table:
     return pa.table({"word": top["word"], "df": top["df"].cast(pa.int64())})
 
 
-SQL_DOC_DF_TOPK = r"""
-SELECT word, CAST(count(*) AS BIGINT) AS df FROM (
-  SELECT DISTINCT doc_id, w AS word FROM (
-    SELECT doc_id, unnest(regexp_split_to_array(lower(text), '\W+')) AS w FROM documents
-  ) WHERE w <> ''
-) GROUP BY 1 ORDER BY df DESC, word ASC LIMIT 20
+SQL_DOC_DECONTAM = """
+WITH bench AS (
+  SELECT DISTINCT array_to_string((string_split(text,' '))[1:3],' ') AS probe
+  FROM documents WHERE doc_id % 17 = 3
+),
+w AS (SELECT doc_id, string_split(text,' ') AS ws FROM documents WHERE doc_id % 17 != 3),
+grams AS (
+  SELECT doc_id, array_to_string(ws[i:i+2],' ') AS gram
+  FROM (SELECT doc_id, ws, unnest(generate_series(1, len(ws)-2)) AS i FROM w)
+)
+SELECT doc_id, CAST(count(DISTINCT g.gram) AS BIGINT) AS n_probes
+FROM grams g JOIN bench b ON g.gram = b.probe
+GROUP BY doc_id
 """
 
 
+@entry("doc_decontam", sql=SQL_DOC_DECONTAM)
 def q_doc_decontam(sf_dir: str) -> pa.Table:
     """Benchmark decontamination: documents sharing any 3-gram with the
     deterministic pseudo-benchmark (docs with doc_id % 17 == 3; their
@@ -2862,25 +2981,21 @@ def q_doc_decontam(sf_dir: str) -> pa.Table:
     return _collect(flagged.map_batches(hits, batch_format="pyarrow", zero_copy_batch=True))
 
 
-SQL_DOC_DECONTAM = """
-WITH bench AS (
-  SELECT DISTINCT array_to_string((string_split(text,' '))[1:3],' ') AS probe
-  FROM documents WHERE doc_id % 17 = 3
-),
-w AS (SELECT doc_id, string_split(text,' ') AS ws FROM documents WHERE doc_id % 17 != 3),
-grams AS (
-  SELECT doc_id, array_to_string(ws[i:i+2],' ') AS gram
-  FROM (SELECT doc_id, ws, unnest(generate_series(1, len(ws)-2)) AS i FROM w)
-)
-SELECT doc_id, CAST(count(DISTINCT g.gram) AS BIGINT) AS n_probes
-FROM grams g JOIN bench b ON g.gram = b.probe
-GROUP BY doc_id
-"""
-
-
 REPETITION_PCT = 12  # Gopher-style gate: top word covers >= 12% of the doc
 
 
+SQL_DOC_REPETITION = f"""
+WITH w AS (SELECT doc_id, unnest(string_split(text,' ')) AS word FROM documents),
+c AS (SELECT doc_id, word, count(*) AS cnt FROM w GROUP BY 1, 2),
+agg AS (SELECT doc_id, max(cnt) AS mx, CAST(sum(cnt) AS BIGINT) AS n, count(*) AS nd
+        FROM c GROUP BY 1)
+SELECT doc_id, CAST(mx AS BIGINT) AS top_word_cnt, n AS n_words,
+       CAST(nd AS BIGINT) AS n_distinct_words
+FROM agg WHERE 100 * mx >= {REPETITION_PCT} * n
+"""
+
+
+@entry("doc_repetition", sql=SQL_DOC_REPETITION)
 def q_doc_repetition(sf_dir: str) -> pa.Table:
     """Repetition quality gate (Gopher rule): documents whose most
     frequent word covers >= 12% of all words.  Integer columns only —
@@ -2909,41 +3024,8 @@ def q_doc_repetition(sf_dir: str) -> pa.Table:
     return _collect(rep.map_batches(gate, batch_format="pyarrow", zero_copy_batch=True))
 
 
-SQL_DOC_REPETITION = f"""
-WITH w AS (SELECT doc_id, unnest(string_split(text,' ')) AS word FROM documents),
-c AS (SELECT doc_id, word, count(*) AS cnt FROM w GROUP BY 1, 2),
-agg AS (SELECT doc_id, max(cnt) AS mx, CAST(sum(cnt) AS BIGINT) AS n, count(*) AS nd
-        FROM c GROUP BY 1)
-SELECT doc_id, CAST(mx AS BIGINT) AS top_word_cnt, n AS n_words,
-       CAST(nd AS BIGINT) AS n_distinct_words
-FROM agg WHERE 100 * mx >= {REPETITION_PCT} * n
-"""
-
-
 LINE_DEDUP_PCT = 78  # drop "lines" present in >= 78% of distinct docs
 LINE_DEDUP_MIN_CHARS = 4
-
-
-def q_doc_line_dedup(sf_dir: str) -> pa.Table:
-    """Cross-document repeated-line removal (RefinedWeb/Falcon-style
-    boilerplate scrub; Penedo et al. 2023 §4.2): drop every line that
-    appears in >= LINE_DEDUP_PCT % of distinct documents, preserving
-    line order.  The corpus text is single-line, so the catalog query
-    runs the operator at word granularity (sep=" ") — the semantics and
-    both phases (coarse-partition exact count, broadcast rewrite) are
-    identical to the newline case the API defaults to.  Integer-exact
-    threshold: 100*n_docs(line) >= PCT*n_docs."""
-    from jesse_ray.functions.dedup import dedup_lines
-
-    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    n = ds.count()  # parquet metadata count — no scan
-    min_docs = -(-LINE_DEDUP_PCT * n // 100)  # smallest k with 100k >= PCT*n
-    out = dedup_lines(ds, sep=" ", min_chars=LINE_DEDUP_MIN_CHARS, min_docs=min_docs)
-
-    def pick(batch: pa.Table) -> pa.Table:
-        return batch.select(["doc_id", "text_dedup", "n_removed"])
-
-    return _collect(out.map_batches(pick, batch_format="pyarrow", zero_copy_batch=True))
 
 
 SQL_DOC_LINE_DEDUP = f"""
@@ -2966,6 +3048,40 @@ GROUP BY li.doc_id
 """
 
 
+@entry("doc_line_dedup", sql=SQL_DOC_LINE_DEDUP)
+def q_doc_line_dedup(sf_dir: str) -> pa.Table:
+    """Cross-document repeated-line removal (RefinedWeb/Falcon-style
+    boilerplate scrub; Penedo et al. 2023 §4.2): drop every line that
+    appears in >= LINE_DEDUP_PCT % of distinct documents, preserving
+    line order.  The corpus text is single-line, so the catalog query
+    runs the operator at word granularity (sep=" ") — the semantics and
+    both phases (coarse-partition exact count, broadcast rewrite) are
+    identical to the newline case the API defaults to.  Integer-exact
+    threshold: 100*n_docs(line) >= PCT*n_docs."""
+    from jesse_ray.functions.dedup import dedup_lines
+
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    n = ds.count()  # parquet metadata count — no scan
+    min_docs = -(-LINE_DEDUP_PCT * n // 100)  # smallest k with 100k >= PCT*n
+    out = dedup_lines(ds, sep=" ", min_chars=LINE_DEDUP_MIN_CHARS, min_docs=min_docs)
+
+    def pick(batch: pa.Table) -> pa.Table:
+        return batch.select(["doc_id", "text_dedup", "n_removed"])
+
+    return _collect(out.map_batches(pick, batch_format="pyarrow", zero_copy_batch=True))
+
+
+SQL_DOC_NORMALIZE = """
+WITH n AS (
+  SELECT doc_id,
+         trim(regexp_replace(regexp_replace(lower(coalesce(text,'')), '[^a-z0-9 ]', ' ', 'g'), ' +', ' ', 'g'), ' ') AS text_norm
+  FROM documents
+)
+SELECT doc_id, text_norm, CAST(length(text_norm) AS BIGINT) AS n_chars_norm FROM n
+"""
+
+
+@entry("doc_normalize", sql=SQL_DOC_NORMALIZE)
 def q_doc_normalize(sf_dir: str) -> pa.Table:
     """Canonical normalization (lowercase, punct→space, collapse
     spaces, trim) — the standard pre-hash step of a dedup pipeline
@@ -2991,19 +3107,31 @@ def q_doc_normalize(sf_dir: str) -> pa.Table:
     return _collect(out.map_batches(pick, batch_format="pyarrow", zero_copy_batch=True))
 
 
-SQL_DOC_NORMALIZE = """
-WITH n AS (
-  SELECT doc_id,
-         trim(regexp_replace(regexp_replace(lower(coalesce(text,'')), '[^a-z0-9 ]', ' ', 'g'), ' +', ' ', 'g'), ' ') AS text_norm
-  FROM documents
-)
-SELECT doc_id, text_norm, CAST(length(text_norm) AS BIGINT) AS n_chars_norm FROM n
-"""
-
-
 SHUFFLE_SALT = "epoch-0"
 
 
+SQL_SEQ_SHUFFLE = f"""
+WITH s AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/shuffle_sigs_sf0.01.parquet')),
+ordered AS (SELECT shuffle_hash, rank, lag(shuffle_hash) OVER (ORDER BY rank) AS prev FROM s),
+uniq AS (
+  SELECT doc_id FROM {SEQ_SQL} WHERE doc_id IS NOT NULL
+  GROUP BY doc_id HAVING count(*) = 1
+),
+m AS (
+  SELECT CAST((SELECT count(*) FROM s) AS BIGINT) AS n,
+         CAST((SELECT count(DISTINCT doc_id) FROM s) AS BIGINT) AS n_docs,
+         CAST((SELECT sum(rank) FROM s) AS BIGINT) AS rank_sum,
+         CAST((SELECT count(*) FROM ordered WHERE prev IS NOT NULL AND prev > shuffle_hash) AS BIGINT) AS inversions
+)
+SELECT n, n_docs, rank_sum, inversions FROM m
+WHERE n = (SELECT count(*) FROM uniq)
+  AND n_docs = n
+  AND rank_sum = n * (n - 1) // 2
+  AND NOT EXISTS (SELECT 1 FROM s LEFT JOIN uniq USING (doc_id) WHERE uniq.doc_id IS NULL)
+"""
+
+
+@entry("seq_shuffle", sql=SQL_SEQ_SHUFFLE)
 def q_seq_shuffle(sf_dir: str) -> pa.Table:
     """Deterministic global shuffle (reproducible training order):
     order = fmix64(hash64(doc_id) ^ salt), executed as one
@@ -3051,31 +3179,19 @@ def q_seq_shuffle(sf_dir: str) -> pa.Table:
     )
 
 
-SQL_SEQ_SHUFFLE = f"""
-WITH s AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/shuffle_sigs_sf0.01.parquet')),
-ordered AS (SELECT shuffle_hash, rank, lag(shuffle_hash) OVER (ORDER BY rank) AS prev FROM s),
-uniq AS (
-  SELECT doc_id FROM {SEQ_SQL} WHERE doc_id IS NOT NULL
-  GROUP BY doc_id HAVING count(*) = 1
-),
-m AS (
-  SELECT CAST((SELECT count(*) FROM s) AS BIGINT) AS n,
-         CAST((SELECT count(DISTINCT doc_id) FROM s) AS BIGINT) AS n_docs,
-         CAST((SELECT sum(rank) FROM s) AS BIGINT) AS rank_sum,
-         CAST((SELECT count(*) FROM ordered WHERE prev IS NOT NULL AND prev > shuffle_hash) AS BIGINT) AS inversions
-)
-SELECT n, n_docs, rank_sum, inversions FROM m
-WHERE n = (SELECT count(*) FROM uniq)
-  AND n_docs = n
-  AND rank_sum = n * (n - 1) // 2
-  AND NOT EXISTS (SELECT 1 FROM s LEFT JOIN uniq USING (doc_id) WHERE uniq.doc_id IS NULL)
-"""
-
-
 TRUNC_MAX_LEN = 128
 EOS_TOKEN = 50256
 
 
+SQL_SEQ_TRUNCATE_EOS = f"""
+SELECT doc_id,
+       CAST(least(coalesce(len(tokens), 0), {TRUNC_MAX_LEN}) + 1 AS BIGINT) AS n_tok_new,
+       CAST(coalesce(list_aggregate(tokens[1:{TRUNC_MAX_LEN}], 'sum'), 0) + {EOS_TOKEN} AS BIGINT) AS tok_sum
+FROM {SEQ_SQL}
+"""
+
+
+@entry("seq_truncate_eos", sql=SQL_SEQ_TRUNCATE_EOS)
 def q_seq_truncate_eos(sf_dir: str) -> pa.Table:
     """Pre-packing sequence shaping: clip every token list to
     TRUNC_MAX_LEN and terminate with EOS (functions/seqops.py — pure
@@ -3104,17 +3220,22 @@ def q_seq_truncate_eos(sf_dir: str) -> pa.Table:
     return _collect(shaped.map_batches(summarize, batch_format="pyarrow", zero_copy_batch=True))
 
 
-SQL_SEQ_TRUNCATE_EOS = f"""
-SELECT doc_id,
-       CAST(least(coalesce(len(tokens), 0), {TRUNC_MAX_LEN}) + 1 AS BIGINT) AS n_tok_new,
-       CAST(coalesce(list_aggregate(tokens[1:{TRUNC_MAX_LEN}], 'sum'), 0) + {EOS_TOKEN} AS BIGINT) AS tok_sum
-FROM {SEQ_SQL}
-"""
-
-
 PREFIX_KEY_WORDS = 3
 
 
+SQL_DOC_INCREMENTAL_DEDUP = f"""
+WITH keyed AS (
+  SELECT doc_id,
+         array_to_string(string_split(coalesce(text,''), ' ')[1:{PREFIX_KEY_WORDS}], ' ') AS key
+  FROM documents
+)
+SELECT d.doc_id, d.key FROM keyed d
+WHERE d.doc_id % 2 = 1
+  AND EXISTS (SELECT 1 FROM keyed s WHERE s.doc_id % 2 = 0 AND s.key = d.key)
+"""
+
+
+@entry("doc_incremental_dedup", sql=SQL_DOC_INCREMENTAL_DEDUP)
 def q_doc_incremental_dedup(sf_dir: str) -> pa.Table:
     """Incremental dedup of a new batch against a prior corpus snapshot
     (bloom-filter prefilter + exact confirm — functions/bloom.py).
@@ -3147,21 +3268,18 @@ def q_doc_incremental_dedup(sf_dir: str) -> pa.Table:
     return _collect(members)
 
 
-SQL_DOC_INCREMENTAL_DEDUP = f"""
-WITH keyed AS (
-  SELECT doc_id,
-         array_to_string(string_split(coalesce(text,''), ' ')[1:{PREFIX_KEY_WORDS}], ' ') AS key
-  FROM documents
-)
-SELECT d.doc_id, d.key FROM keyed d
-WHERE d.doc_id % 2 = 1
-  AND EXISTS (SELECT 1 FROM keyed s WHERE s.doc_id % 2 = 0 AND s.key = d.key)
-"""
-
-
 SCRUB_BLOCKLIST = r"\b(spark|merge|sort)\b"
 
 
+SQL_DOC_SCRUB = rf"""
+SELECT source,
+       CAST(sum(len(regexp_extract_all(text, '{SCRUB_BLOCKLIST}'))) AS BIGINT) AS total_hits,
+       CAST(sum(CASE WHEN regexp_matches(text, '{SCRUB_BLOCKLIST}') THEN 1 ELSE 0 END) AS BIGINT) AS docs_changed
+FROM documents GROUP BY source
+"""
+
+
+@entry("doc_scrub", sql=SQL_DOC_SCRUB)
 def q_doc_scrub(sf_dir: str) -> pa.Table:
     """Redaction stage over a term blocklist (the PII-scrub machinery
     with a blocklist bank — the corpus has no synthetic PII, so the
@@ -3192,17 +3310,30 @@ def q_doc_scrub(sf_dir: str) -> pa.Table:
     return pdf[["source", "total_hits", "docs_changed"]]
 
 
-SQL_DOC_SCRUB = rf"""
-SELECT source,
-       CAST(sum(len(regexp_extract_all(text, '{SCRUB_BLOCKLIST}'))) AS BIGINT) AS total_hits,
-       CAST(sum(CASE WHEN regexp_matches(text, '{SCRUB_BLOCKLIST}') THEN 1 ELSE 0 END) AS BIGINT) AS docs_changed
-FROM documents GROUP BY source
-"""
-
-
 PACK_CHUNK = 4096
 
 
+SQL_SEQ_PACK_OFFSETS = f"""
+WITH uniq AS (
+  SELECT doc_id, n_tok FROM {SEQ_SQL}
+  WHERE doc_id IS NOT NULL AND n_tok > 0
+    AND doc_id NOT IN (SELECT doc_id FROM {SEQ_SQL} WHERE doc_id IS NOT NULL
+                       GROUP BY doc_id HAVING count(*) > 1)
+),
+s AS (
+  SELECT doc_id, n_tok,
+         CAST(coalesce(sum(n_tok) OVER (ORDER BY doc_id
+              ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS BIGINT) AS off
+  FROM uniq
+)
+SELECT doc_id, off AS "offset",
+       CAST(off // {PACK_CHUNK} AS BIGINT) AS first_chunk,
+       CAST((off + n_tok - 1) // {PACK_CHUNK} AS BIGINT) AS last_chunk
+FROM s
+"""
+
+
+@entry("seq_pack_offsets", sql=SQL_SEQ_PACK_OFFSETS)
 def q_seq_pack_offsets(sf_dir: str) -> pa.Table:
     """Sequence packing (concat-then-chunk): every unique valid document
     gets its global token offset and chunk span in the packed stream
@@ -3233,69 +3364,8 @@ def q_seq_pack_offsets(sf_dir: str) -> pa.Table:
     return _collect(packed.map_batches(out, batch_format="pyarrow", zero_copy_batch=True))
 
 
-SQL_SEQ_PACK_OFFSETS = f"""
-WITH uniq AS (
-  SELECT doc_id, n_tok FROM {SEQ_SQL}
-  WHERE doc_id IS NOT NULL AND n_tok > 0
-    AND doc_id NOT IN (SELECT doc_id FROM {SEQ_SQL} WHERE doc_id IS NOT NULL
-                       GROUP BY doc_id HAVING count(*) > 1)
-),
-s AS (
-  SELECT doc_id, n_tok,
-         CAST(coalesce(sum(n_tok) OVER (ORDER BY doc_id
-              ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS BIGINT) AS off
-  FROM uniq
-)
-SELECT doc_id, off AS "offset",
-       CAST(off // {PACK_CHUNK} AS BIGINT) AS first_chunk,
-       CAST((off + n_tok - 1) // {PACK_CHUNK} AS BIGINT) AS last_chunk
-FROM s
-"""
-
-
-
 E2E_MAX_LEN = 128
 E2E_EOS = testgen.VOCAB  # one past the valid id range
-
-
-def q_seq_e2e_pipeline(sf_dir: str) -> pa.Table:
-    """END-TO-END training-data prep, one oracle-checked composite:
-    validate (row + referential) → payload exact-dedup (curate) →
-    key-dedup (drop colliding doc_ids entirely) → truncate to 128 +
-    EOS-append → deterministic 80/10/10 hash split, keep train →
-    concat-then-chunk packing offsets.  Every stage is one of the
-    catalog's primitives; the twin re-derives the WHOLE chain in SQL
-    (split assignment via the exported sidecar) and compares the final
-    per-document pack layout."""
-    from jesse_ray.functions.pack import pack_offsets
-    from jesse_ray.functions.seqops import append_eos, truncate_sequences
-    from jesse_ray.functions.split import add_hash_split
-    from jesse_ray.pipelines.curate import curate_sequences
-
-    from jesse_ray.pipelines.relational import drop_duplicate_keys
-
-    ds = read_sequences(_seq_path(sf_dir))
-    curated = drop_duplicate_keys(curate_sequences(ds, _seq_spec()), "doc_id")
-
-    shaped = append_eos(truncate_sequences(curated, max_len=E2E_MAX_LEN), eos=E2E_EOS)
-    split = add_hash_split(shaped, "doc_id", {"train": 0.8, "val": 0.1, "test": 0.1})
-    assign = _collect(split.select_columns(["doc_id", "split"]))
-    pq.write_table(assign.sort_by("doc_id"), _sig_parquet_path(sf_dir, "e2e_split"))
-    train = split.filter(expr="split == 'train'").select_columns(["doc_id", "n_tok"])
-    packed = pack_offsets(train, chunk_len=PACK_CHUNK)
-
-    def out(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "n_tok_new": batch["n_tok"].cast(pa.int64()),
-                "offset": batch["offset"],
-                "first_chunk": batch["first_chunk"],
-                "last_chunk": batch["last_chunk"],
-            }
-        )
-
-    return _collect(packed.map_batches(out, batch_format="pyarrow", zero_copy_batch=True))
 
 
 SQL_SEQ_E2E_PIPELINE = f"""
@@ -3339,6 +3409,57 @@ FROM s
 """
 
 
+@entry("seq_e2e_pipeline", sql=SQL_SEQ_E2E_PIPELINE)
+def q_seq_e2e_pipeline(sf_dir: str) -> pa.Table:
+    """END-TO-END training-data prep, one oracle-checked composite:
+    validate (row + referential) → payload exact-dedup (curate) →
+    key-dedup (drop colliding doc_ids entirely) → truncate to 128 +
+    EOS-append → deterministic 80/10/10 hash split, keep train →
+    concat-then-chunk packing offsets.  Every stage is one of the
+    catalog's primitives; the twin re-derives the WHOLE chain in SQL
+    (split assignment via the exported sidecar) and compares the final
+    per-document pack layout."""
+    from jesse_ray.functions.pack import pack_offsets
+    from jesse_ray.functions.seqops import append_eos, truncate_sequences
+    from jesse_ray.functions.split import add_hash_split
+    from jesse_ray.pipelines.curate import curate_sequences
+
+    from jesse_ray.pipelines.relational import drop_duplicate_keys
+
+    ds = read_sequences(_seq_path(sf_dir))
+    curated = drop_duplicate_keys(curate_sequences(ds, _seq_spec()), "doc_id")
+
+    shaped = append_eos(truncate_sequences(curated, max_len=E2E_MAX_LEN), eos=E2E_EOS)
+    split = add_hash_split(shaped, "doc_id", {"train": 0.8, "val": 0.1, "test": 0.1})
+    assign = _collect(split.select_columns(["doc_id", "split"]))
+    pq.write_table(assign.sort_by("doc_id"), _sig_parquet_path(sf_dir, "e2e_split"))
+    train = split.filter(expr="split == 'train'").select_columns(["doc_id", "n_tok"])
+    packed = pack_offsets(train, chunk_len=PACK_CHUNK)
+
+    def out(batch: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "doc_id": batch["doc_id"],
+                "n_tok_new": batch["n_tok"].cast(pa.int64()),
+                "offset": batch["offset"],
+                "first_chunk": batch["first_chunk"],
+                "last_chunk": batch["last_chunk"],
+            }
+        )
+
+    return _collect(packed.map_batches(out, batch_format="pyarrow", zero_copy_batch=True))
+
+
+SQL_ORDERS_LINEITEM_JOIN = """
+SELECT o_orderpriority,
+       CAST(count(*) AS BIGINT) AS cnt,
+       round(sum(l_extendedprice * (1 - l_discount)), 2) AS revenue
+FROM lineitem JOIN orders ON l_orderkey = o_orderkey
+GROUP BY o_orderpriority
+"""
+
+
+@entry("orders_lineitem_join", sql=SQL_ORDERS_LINEITEM_JOIN)
 def q_orders_lineitem_join(sf_dir: str) -> pd.DataFrame:
     """Large x large repartition join (neither side broadcastable at
     scale): lineitem ⋈ orders on orderkey through the coarse-partition
@@ -3368,15 +3489,15 @@ def q_orders_lineitem_join(sf_dir: str) -> pd.DataFrame:
     return pdf[["o_orderpriority", "cnt", "revenue"]]
 
 
-SQL_ORDERS_LINEITEM_JOIN = """
-SELECT o_orderpriority,
-       CAST(count(*) AS BIGINT) AS cnt,
-       round(sum(l_extendedprice * (1 - l_discount)), 2) AS revenue
-FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-GROUP BY o_orderpriority
+SQL_EVENTS_ASOF_LOGIN = """
+SELECT l.event_id, l.user_id, r.ts AS last_signup_ts
+FROM (SELECT * FROM events WHERE event_type != 'signup') l
+ASOF LEFT JOIN (SELECT * FROM events WHERE event_type = 'signup') r
+  ON l.user_id = r.user_id AND l.ts >= r.ts
 """
 
 
+@entry("events_asof_login", sql=SQL_EVENTS_ASOF_LOGIN)
 def q_events_asof_login(sf_dir: str) -> pa.Table:
     """AS-OF join: every non-signup event picks the user's most recent
     signup at-or-before its timestamp (backward inclusive).  DuckDB's
@@ -3410,14 +3531,18 @@ def q_events_asof_login(sf_dir: str) -> pa.Table:
     return _collect(joined.map_batches(out, batch_format="pyarrow", zero_copy_batch=True))
 
 
-SQL_EVENTS_ASOF_LOGIN = """
-SELECT l.event_id, l.user_id, r.ts AS last_signup_ts
-FROM (SELECT * FROM events WHERE event_type != 'signup') l
-ASOF LEFT JOIN (SELECT * FROM events WHERE event_type = 'signup') r
-  ON l.user_id = r.user_id AND l.ts >= r.ts
+SQL_DOC_UNIGRAM_LP = """
+WITH w AS (SELECT doc_id, unnest(string_split(text,' ')) AS word FROM documents),
+cnt AS (SELECT word, count(*) AS c FROM w GROUP BY 1),
+tot AS (SELECT sum(c) AS t FROM cnt),
+lp AS (SELECT word, ln(CAST(c AS DOUBLE) / (SELECT t FROM tot)) AS l FROM cnt)
+SELECT w.doc_id, round(avg(l), 2) AS mean_lp
+FROM w JOIN lp USING (word)
+GROUP BY w.doc_id
 """
 
 
+@entry("doc_unigram_lp", sql=SQL_DOC_UNIGRAM_LP)
 def q_doc_unigram_lp(sf_dir: str) -> pa.Table:
     """CCNet-style LM quality scoring with a unigram model: phase 1
     builds the corpus word-count model (combiner + coarse word-hash
@@ -3441,17 +3566,23 @@ def q_doc_unigram_lp(sf_dir: str) -> pa.Table:
     return _collect(scored.map_batches(out, batch_format="pyarrow", zero_copy_batch=True))
 
 
-SQL_DOC_UNIGRAM_LP = """
-WITH w AS (SELECT doc_id, unnest(string_split(text,' ')) AS word FROM documents),
-cnt AS (SELECT word, count(*) AS c FROM w GROUP BY 1),
-tot AS (SELECT sum(c) AS t FROM cnt),
-lp AS (SELECT word, ln(CAST(c AS DOUBLE) / (SELECT t FROM tot)) AS l FROM cnt)
-SELECT w.doc_id, round(avg(l), 2) AS mean_lp
-FROM w JOIN lp USING (word)
-GROUP BY w.doc_id
+SQL_DOC_BIGRAM_LP = """
+WITH w AS (SELECT doc_id, string_split(coalesce(text, ''), ' ') AS ws FROM documents),
+pos AS (SELECT doc_id, unnest(ws) AS word, generate_subscripts(ws, 1) AS i FROM w),
+bg AS (
+  SELECT p1.doc_id, p1.word AS w1, p2.word AS w2
+  FROM pos p1 JOIN pos p2 ON p1.doc_id = p2.doc_id AND p2.i = p1.i + 1
+),
+cnt AS (SELECT w1, w2, count(*) AS c FROM bg GROUP BY 1, 2),
+pfx AS (SELECT w1, sum(c) AS p FROM cnt GROUP BY 1),
+lp AS (SELECT w1, w2, ln(CAST(c AS DOUBLE) / p) AS l FROM cnt JOIN pfx USING (w1)),
+sc AS (SELECT bg.doc_id, avg(l) AS m FROM bg JOIN lp USING (w1, w2) GROUP BY 1)
+SELECT d.doc_id, round(coalesce(sc.m, 0.0), 2) AS mean_lp2
+FROM documents d LEFT JOIN sc USING (doc_id)
 """
 
 
+@entry("doc_bigram_lp", sql=SQL_DOC_BIGRAM_LP)
 def q_doc_bigram_lp(sf_dir: str) -> pa.Table:
     """Bigram-LM quality scoring (KenLM-shaped, n=2 so it stays exactly
     SQL-checkable): phase 1 builds the corpus bigram-count model
@@ -3474,40 +3605,6 @@ def q_doc_bigram_lp(sf_dir: str) -> pa.Table:
         )
 
     return _collect(scored.map_batches(out, batch_format="pyarrow", zero_copy_batch=True))
-
-
-SQL_DOC_BIGRAM_LP = """
-WITH w AS (SELECT doc_id, string_split(coalesce(text, ''), ' ') AS ws FROM documents),
-pos AS (SELECT doc_id, unnest(ws) AS word, generate_subscripts(ws, 1) AS i FROM w),
-bg AS (
-  SELECT p1.doc_id, p1.word AS w1, p2.word AS w2
-  FROM pos p1 JOIN pos p2 ON p1.doc_id = p2.doc_id AND p2.i = p1.i + 1
-),
-cnt AS (SELECT w1, w2, count(*) AS c FROM bg GROUP BY 1, 2),
-pfx AS (SELECT w1, sum(c) AS p FROM cnt GROUP BY 1),
-lp AS (SELECT w1, w2, ln(CAST(c AS DOUBLE) / p) AS l FROM cnt JOIN pfx USING (w1)),
-sc AS (SELECT bg.doc_id, avg(l) AS m FROM bg JOIN lp USING (w1, w2) GROUP BY 1)
-SELECT d.doc_id, round(coalesce(sc.m, 0.0), 2) AS mean_lp2
-FROM documents d LEFT JOIN sc USING (doc_id)
-"""
-
-
-def q_doc_tfidf_top(sf_dir: str) -> pd.DataFrame:
-    """Top TF-IDF term per document: phase 1 builds the full (word, df)
-    model (distinct-per-doc combiner + coarse word-hash merge), phase 2
-    broadcasts idf = ln(N/df) and takes each document's argmax of
-    tf·idf (score rounded to 6 decimals before ranking on BOTH sides;
-    ties break by word).  The twin recomputes df, idf, tf and the
-    ranked pick entirely in SQL with the identical RE2 tokenization."""
-    from jesse_ray.functions.text import add_tfidf_top_term, document_frequencies
-
-    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    df_table = document_frequencies(ds)
-    n_docs = ds.count()
-    out = add_tfidf_top_term(ds, df_table, n_docs)
-    pdf = _collect(out).to_pandas().sort_values("doc_id").reset_index(drop=True)
-    pdf["score"] = round_half_away(pdf["score"], 6)
-    return pdf
 
 
 SQL_DOC_TFIDF_TOP = r"""
@@ -3534,6 +3631,51 @@ SELECT doc_id, word AS top_word, score FROM r WHERE rn = 1
 """
 
 
+@entry("doc_tfidf_top", sql=SQL_DOC_TFIDF_TOP)
+def q_doc_tfidf_top(sf_dir: str) -> pd.DataFrame:
+    """Top TF-IDF term per document: phase 1 builds the full (word, df)
+    model (distinct-per-doc combiner + coarse word-hash merge), phase 2
+    broadcasts idf = ln(N/df) and takes each document's argmax of
+    tf·idf (score rounded to 6 decimals before ranking on BOTH sides;
+    ties break by word).  The twin recomputes df, idf, tf and the
+    ranked pick entirely in SQL with the identical RE2 tokenization."""
+    from jesse_ray.functions.text import add_tfidf_top_term, document_frequencies
+
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    df_table = document_frequencies(ds)
+    n_docs = ds.count()
+    out = add_tfidf_top_term(ds, df_table, n_docs)
+    pdf = _collect(out).to_pandas().sort_values("doc_id").reset_index(drop=True)
+    pdf["score"] = round_half_away(pdf["score"], 6)
+    return pdf
+
+
+SQL_DOC_CCNET_BUCKETS = """
+WITH w AS (SELECT doc_id, unnest(string_split(text,' ')) AS word FROM documents),
+cnt AS (SELECT word, count(*) AS c FROM w GROUP BY 1),
+tot AS (SELECT sum(c) AS t FROM cnt),
+lp AS (SELECT word, ln(CAST(c AS DOUBLE) / (SELECT t FROM tot)) AS l FROM cnt),
+doc AS (
+  SELECT w.doc_id, CAST(round(avg(l) * 1000) AS BIGINT) AS lp_m
+  FROM w JOIN lp USING (word) GROUP BY w.doc_id
+),
+cuts AS (
+  SELECT quantile_disc(lp_m, [0.3333333333333333, 0.6666666666666666]) AS c FROM doc
+),
+b AS (
+  SELECT d.doc_id,
+         CASE WHEN d.lp_m > c[2] THEN 'head'
+              WHEN d.lp_m > c[1] THEN 'middle'
+              ELSE 'tail' END AS bucket
+  FROM doc d, cuts
+)
+SELECT s.source, b.bucket, CAST(count(*) AS BIGINT) AS cnt
+FROM b JOIN documents s USING (doc_id)
+GROUP BY 1, 2 ORDER BY 1, 2
+"""
+
+
+@entry("doc_ccnet_buckets", sql=SQL_DOC_CCNET_BUCKETS)
 def q_doc_ccnet_buckets(sf_dir: str) -> pa.Table:
     """CCNet-style quality bucketing (Wenzek et al. 2020): score every
     document with the corpus unigram LM, cut the score distribution at
@@ -3578,34 +3720,20 @@ def q_doc_ccnet_buckets(sf_dir: str) -> pa.Table:
     ).sort_by([("source", "ascending"), ("bucket", "ascending")])
 
 
-SQL_DOC_CCNET_BUCKETS = """
-WITH w AS (SELECT doc_id, unnest(string_split(text,' ')) AS word FROM documents),
-cnt AS (SELECT word, count(*) AS c FROM w GROUP BY 1),
-tot AS (SELECT sum(c) AS t FROM cnt),
-lp AS (SELECT word, ln(CAST(c AS DOUBLE) / (SELECT t FROM tot)) AS l FROM cnt),
-doc AS (
-  SELECT w.doc_id, CAST(round(avg(l) * 1000) AS BIGINT) AS lp_m
-  FROM w JOIN lp USING (word) GROUP BY w.doc_id
-),
-cuts AS (
-  SELECT quantile_disc(lp_m, [0.3333333333333333, 0.6666666666666666]) AS c FROM doc
-),
-b AS (
-  SELECT d.doc_id,
-         CASE WHEN d.lp_m > c[2] THEN 'head'
-              WHEN d.lp_m > c[1] THEN 'middle'
-              ELSE 'tail' END AS bucket
-  FROM doc d, cuts
-)
-SELECT s.source, b.bucket, CAST(count(*) AS BIGINT) AS cnt
-FROM b JOIN documents s USING (doc_id)
-GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-
 VALUE_TIERS = [(0.0, 10.0, "low"), (10.0, 50.0, "mid"), (50.0, 1e9, "high")]
 
 
+SQL_EVENTS_VALUE_TIERS = """
+WITH tiers(lo, hi, tier) AS (VALUES (0.0, 10.0, 'low'), (10.0, 50.0, 'mid'), (50.0, 1e9, 'high'))
+SELECT e.event_type, t.tier,
+       CAST(count(*) AS BIGINT) AS cnt,
+       round(sum(e.value), 2) AS sum_value
+FROM events e JOIN tiers t ON e.value >= t.lo AND e.value < t.hi
+GROUP BY 1, 2
+"""
+
+
+@entry("events_value_tiers", sql=SQL_EVENTS_VALUE_TIERS)
 def q_events_value_tiers(sf_dir: str) -> pa.Table:
     """Broadcast RANGE JOIN: each event joins the value tier with
     lo <= value < hi (vectorized searchsorted probe, no shuffle), then a
@@ -3628,16 +3756,18 @@ def q_events_value_tiers(sf_dir: str) -> pa.Table:
     )
 
 
-SQL_EVENTS_VALUE_TIERS = """
-WITH tiers(lo, hi, tier) AS (VALUES (0.0, 10.0, 'low'), (10.0, 50.0, 'mid'), (50.0, 1e9, 'high'))
-SELECT e.event_type, t.tier,
-       CAST(count(*) AS BIGINT) AS cnt,
-       round(sum(e.value), 2) AS sum_value
-FROM events e JOIN tiers t ON e.value >= t.lo AND e.value < t.hi
-GROUP BY 1, 2
+SQL_EVENTS_NESTED_STRUCT = """
+SELECT event_id, 'evt/value' AS path, 'not_in_range' AS error
+FROM events WHERE value > 100
+UNION ALL
+SELECT event_id, 'evt/user_id', 'not_in_range' FROM events WHERE user_id < 0
+UNION ALL
+SELECT event_id, 'evt/user_id', 'missing_required_property' FROM events WHERE user_id IS NULL
+ORDER BY event_id, path
 """
 
 
+@entry("events_nested_struct", sql=SQL_EVENTS_NESTED_STRUCT)
 def q_events_nested_struct(sf_dir: str) -> pa.Table:
     """Nested STRUCT validation through the engine: events packed into a
     struct column {user_id, value}, validated against a nested object
@@ -3684,17 +3814,15 @@ def q_events_nested_struct(sf_dir: str) -> pa.Table:
     ).sort_by([("event_id", "ascending"), ("path", "ascending")])
 
 
-SQL_EVENTS_NESTED_STRUCT = """
-SELECT event_id, 'evt/value' AS path, 'not_in_range' AS error
-FROM events WHERE value > 100
-UNION ALL
-SELECT event_id, 'evt/user_id', 'not_in_range' FROM events WHERE user_id < 0
-UNION ALL
-SELECT event_id, 'evt/user_id', 'missing_required_property' FROM events WHERE user_id IS NULL
-ORDER BY event_id, path
+SQL_EVENTS_PROPS_SUM = """
+SELECT event_type,
+       CAST(count(*) AS BIGINT) AS cnt,
+       CAST(sum(CAST(json_extract_string(props, '$.k') AS BIGINT)) AS BIGINT) AS sum_k
+FROM events GROUP BY event_type
 """
 
 
+@entry("events_props_sum", sql=SQL_EVENTS_PROPS_SUM)
 def q_events_props_sum(sf_dir: str) -> pa.Table:
     """parser_fun analogue (src/jesse.erl:79): a pluggable decode stage
     ahead of the aggregation — here a VECTORIZED JSON-field extraction
@@ -3718,18 +3846,26 @@ def q_events_props_sum(sf_dir: str) -> pa.Table:
     )
 
 
-SQL_EVENTS_PROPS_SUM = """
-SELECT event_type,
-       CAST(count(*) AS BIGINT) AS cnt,
-       CAST(sum(CAST(json_extract_string(props, '$.k') AS BIGINT)) AS BIGINT) AS sum_k
-FROM events GROUP BY event_type
-"""
-
-
-
 Q3_CUTOFF = "1998-06-01"
 
 
+SQL_TPCH_Q3ISH = f"""
+SELECT l_orderkey,
+       round(sum(l_extendedprice * (1.0 - l_discount)), 2) AS revenue,
+       o_orderdate, o_orderpriority
+FROM customer
+JOIN orders ON c_custkey = o_custkey
+JOIN lineitem ON l_orderkey = o_orderkey
+WHERE c_mktsegment = 'BUILDING'
+  AND o_orderdate < TIMESTAMP '{Q3_CUTOFF}'
+  AND l_shipdate > TIMESTAMP '{Q3_CUTOFF}'
+GROUP BY l_orderkey, o_orderdate, o_orderpriority
+ORDER BY revenue DESC, o_orderdate ASC, l_orderkey ASC
+LIMIT 10
+"""
+
+
+@entry("tpch_q3ish", sql=SQL_TPCH_Q3ISH)
 def q_tpch_q3ish(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q3-shaped composite (shipping-priority top-10): filter the
     BUILDING segment, two large-x-large hash joins
@@ -3800,25 +3936,24 @@ def q_tpch_q3ish(sf_dir: str) -> pd.DataFrame:
     return out[["l_orderkey", "revenue", "o_orderdate", "o_orderpriority"]]
 
 
-SQL_TPCH_Q3ISH = f"""
-SELECT l_orderkey,
-       round(sum(l_extendedprice * (1.0 - l_discount)), 2) AS revenue,
-       o_orderdate, o_orderpriority
-FROM customer
-JOIN orders ON c_custkey = o_custkey
-JOIN lineitem ON l_orderkey = o_orderkey
-WHERE c_mktsegment = 'BUILDING'
-  AND o_orderdate < TIMESTAMP '{Q3_CUTOFF}'
-  AND l_shipdate > TIMESTAMP '{Q3_CUTOFF}'
-GROUP BY l_orderkey, o_orderdate, o_orderpriority
-ORDER BY revenue DESC, o_orderdate ASC, l_orderkey ASC
-LIMIT 10
-"""
-
-
 Q18_QTY = 250.0
 
 
+SQL_TPCH_Q18ISH = f"""
+WITH big AS (
+  SELECT l_orderkey, CAST(sum(l_quantity) AS BIGINT) AS total_qty
+  FROM lineitem GROUP BY l_orderkey HAVING sum(l_quantity) > {Q18_QTY}
+)
+SELECT c.c_custkey, c.c_name, o.o_orderkey, o.o_orderdate, o.o_totalprice, b.total_qty
+FROM big b
+JOIN orders o ON o.o_orderkey = b.l_orderkey
+JOIN customer c ON c.c_custkey = o.o_custkey
+ORDER BY o.o_totalprice DESC, o.o_orderkey
+LIMIT 100
+"""
+
+
+@entry("tpch_q18ish", sql=SQL_TPCH_Q18ISH)
 def q_tpch_q18ish(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q18-shaped composite (large-volume customers): a
     high-cardinality groupby-HAVING over lineitem (per-batch Arrow
@@ -3865,20 +4000,17 @@ def q_tpch_q18ish(sf_dir: str) -> pd.DataFrame:
     return out[["c_custkey", "c_name", "o_orderkey", "o_orderdate", "o_totalprice", "total_qty"]]
 
 
-SQL_TPCH_Q18ISH = f"""
-WITH big AS (
-  SELECT l_orderkey, CAST(sum(l_quantity) AS BIGINT) AS total_qty
-  FROM lineitem GROUP BY l_orderkey HAVING sum(l_quantity) > {Q18_QTY}
-)
-SELECT c.c_custkey, c.c_name, o.o_orderkey, o.o_orderdate, o.o_totalprice, b.total_qty
-FROM big b
-JOIN orders o ON o.o_orderkey = b.l_orderkey
-JOIN customer c ON c.c_custkey = o.o_custkey
-ORDER BY o.o_totalprice DESC, o.o_orderkey
-LIMIT 100
+SQL_LINEITEM_ROLLUP = """
+SELECT l_returnflag, l_linestatus,
+       CAST(count(*) AS BIGINT) AS n,
+       CAST(sum(l_quantity) AS BIGINT) AS sum_qty
+FROM lineitem
+GROUP BY ROLLUP (l_returnflag, l_linestatus)
+ORDER BY l_returnflag NULLS LAST, l_linestatus NULLS LAST
 """
 
 
+@entry("lineitem_rollup", sql=SQL_LINEITEM_ROLLUP)
 def q_lineitem_rollup(sf_dir: str) -> pd.DataFrame:
     """GROUP BY ROLLUP parity: (returnflag, linestatus) leaf sums, per-
     returnflag subtotals, and the grand total — three combiner-shuffled
@@ -3903,16 +4035,16 @@ def q_lineitem_rollup(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["l_returnflag", "l_linestatus"], na_position="last").reset_index(drop=True)
 
 
-SQL_LINEITEM_ROLLUP = """
-SELECT l_returnflag, l_linestatus,
-       CAST(count(*) AS BIGINT) AS n,
-       CAST(sum(l_quantity) AS BIGINT) AS sum_qty
-FROM lineitem
-GROUP BY ROLLUP (l_returnflag, l_linestatus)
-ORDER BY l_returnflag NULLS LAST, l_linestatus NULLS LAST
+SQL_ORDERS_BY_SEGMENT = """
+SELECT c.c_mktsegment,
+       CAST(count(*) AS BIGINT) AS n_orders,
+       round(sum(o.o_totalprice), 2) AS total_price
+FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
+GROUP BY c.c_mktsegment
 """
 
 
+@entry("orders_by_segment", sql=SQL_ORDERS_BY_SEGMENT)
 def q_orders_by_segment(sf_dir: str) -> pa.Table:
     orders = read_table(f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"])
     cust = pq.read_table(
@@ -3930,15 +4062,19 @@ def q_orders_by_segment(sf_dir: str) -> pa.Table:
     )
 
 
-SQL_ORDERS_BY_SEGMENT = """
-SELECT c.c_mktsegment,
-       CAST(count(*) AS BIGINT) AS n_orders,
-       round(sum(o.o_totalprice), 2) AS total_price
-FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
-GROUP BY c.c_mktsegment
+SQL_LINEITEM_PRICING = """
+SELECT l_returnflag, l_linestatus,
+       CAST(sum(l_quantity) AS BIGINT) AS sum_qty,
+       round(sum(l_extendedprice), 2) AS sum_base_price,
+       round(sum(l_extendedprice * (1 - l_discount)), 2) AS sum_disc_price,
+       CAST(count(*) AS BIGINT) AS cnt
+FROM lineitem
+WHERE l_shipdate <= TIMESTAMP '1998-09-02'
+GROUP BY l_returnflag, l_linestatus
 """
 
 
+@entry("lineitem_pricing", sql=SQL_LINEITEM_PRICING)
 def q_lineitem_pricing(sf_dir: str) -> pa.Table:
     """TPC-H Q1-style wide aggregate with a pushed-down date filter."""
     import pyarrow.dataset as pads
@@ -3978,18 +4114,13 @@ def q_lineitem_pricing(sf_dir: str) -> pa.Table:
     )
 
 
-SQL_LINEITEM_PRICING = """
-SELECT l_returnflag, l_linestatus,
-       CAST(sum(l_quantity) AS BIGINT) AS sum_qty,
-       round(sum(l_extendedprice), 2) AS sum_base_price,
-       round(sum(l_extendedprice * (1 - l_discount)), 2) AS sum_disc_price,
-       CAST(count(*) AS BIGINT) AS cnt
-FROM lineitem
-WHERE l_shipdate <= TIMESTAMP '1998-09-02'
-GROUP BY l_returnflag, l_linestatus
+SQL_ORDERS_TOP10 = """
+SELECT o_orderkey, round(o_totalprice, 2) AS o_totalprice
+FROM orders ORDER BY o_totalprice DESC, o_orderkey LIMIT 10
 """
 
 
+@entry("orders_top10", sql=SQL_ORDERS_TOP10)
 def q_orders_top10(sf_dir: str) -> pa.Table:
     """Distributed sort + limit (ds.sort is a range-partitioned shuffle;
     the limit consumes only the first partitions)."""
@@ -4006,12 +4137,6 @@ def q_orders_top10(sf_dir: str) -> pa.Table:
     )
 
 
-SQL_ORDERS_TOP10 = """
-SELECT o_orderkey, round(o_totalprice, 2) AS o_totalprice
-FROM orders ORDER BY o_totalprice DESC, o_orderkey LIMIT 10
-"""
-
-
 def _emb_finite_check(tbl: pa.Table) -> "np.ndarray":
     """external_validator hook: every embedding element is finite."""
     col = tbl["embedding"]
@@ -4026,6 +4151,15 @@ def _emb_finite_check(tbl: pa.Table) -> "np.ndarray":
     return ok
 
 
+SQL_EMB_VALIDATE = """
+SELECT CAST(count(*) AS BIGINT) AS checked_rows,
+       CAST(sum(CASE WHEN len(embedding) != 64 THEN 1 ELSE 0 END) AS BIGINT) AS dim_violations,
+       CAST(sum(CASE WHEN len(list_filter(embedding, x -> isnan(x) OR isinf(x))) > 0 THEN 1 ELSE 0 END) AS BIGINT) AS nonfinite_rows
+FROM embeddings
+"""
+
+
+@entry("emb_validate", sql=SQL_EMB_VALIDATE)
 def q_emb_validate(sf_dir: str) -> pd.DataFrame:
     """Validation over the embeddings modality: fixed dimension via
     min/maxItems + finiteness via the external-validator hook, both
@@ -4050,14 +4184,17 @@ def q_emb_validate(sf_dir: str) -> pd.DataFrame:
     )
 
 
-SQL_EMB_VALIDATE = """
-SELECT CAST(count(*) AS BIGINT) AS checked_rows,
-       CAST(sum(CASE WHEN len(embedding) != 64 THEN 1 ELSE 0 END) AS BIGINT) AS dim_violations,
-       CAST(sum(CASE WHEN len(list_filter(embedding, x -> isnan(x) OR isinf(x))) > 0 THEN 1 ELSE 0 END) AS BIGINT) AS nonfinite_rows
-FROM embeddings
+SQL_EMB_TOPK = """
+SELECT CAST(row_number() OVER (
+           ORDER BY list_cosine_similarity(e.embedding, q.embedding) DESC, e.vec_id
+       ) AS BIGINT) AS rank,
+       e.vec_id
+FROM embeddings e, (SELECT embedding FROM embeddings WHERE vec_id = 0) q
+ORDER BY rank LIMIT 10
 """
 
 
+@entry("emb_topk", sql=SQL_EMB_TOPK)
 def q_emb_topk(sf_dir: str) -> pd.DataFrame:
     """Brute-force cosine top-10 for the query vector vec_id=0."""
     from jesse_ray.functions.similarity import cosine_topk
@@ -4077,6 +4214,21 @@ def q_emb_topk(sf_dir: str) -> pd.DataFrame:
     )
 
 
+SQL_EMB_KNN_GRAPH = """
+SELECT vec_id, rank, neighbor_id FROM (
+  SELECT a.vec_id, b.vec_id AS neighbor_id,
+         CAST(row_number() OVER (
+             PARTITION BY a.vec_id
+             ORDER BY list_cosine_similarity(a.embedding, b.embedding) DESC,
+                      b.vec_id
+         ) AS BIGINT) AS rank
+  FROM embeddings a JOIN embeddings b ON a.vec_id <> b.vec_id
+) WHERE rank <= 5
+ORDER BY vec_id, rank
+"""
+
+
+@entry("emb_knn_graph", sql=SQL_EMB_KNN_GRAPH)
 def q_emb_knn_graph(sf_dir: str) -> pd.DataFrame:
     """Exact cosine 5-NN graph over the embeddings table — the all-pairs
     baseline behind SemDeDup / graph-ANN indexes (similarity.knn_graph:
@@ -4093,34 +4245,30 @@ def q_emb_knn_graph(sf_dir: str) -> pd.DataFrame:
     return pdf
 
 
-SQL_EMB_KNN_GRAPH = """
-SELECT vec_id, rank, neighbor_id FROM (
-  SELECT a.vec_id, b.vec_id AS neighbor_id,
-         CAST(row_number() OVER (
-             PARTITION BY a.vec_id
-             ORDER BY list_cosine_similarity(a.embedding, b.embedding) DESC,
-                      b.vec_id
-         ) AS BIGINT) AS rank
-  FROM embeddings a JOIN embeddings b ON a.vec_id <> b.vec_id
-) WHERE rank <= 5
-ORDER BY vec_id, rank
-"""
-
-
-SQL_EMB_TOPK = """
-SELECT CAST(row_number() OVER (
-           ORDER BY list_cosine_similarity(e.embedding, q.embedding) DESC, e.vec_id
-       ) AS BIGINT) AS rank,
-       e.vec_id
-FROM embeddings e, (SELECT embedding FROM embeddings WHERE vec_id = 0) q
-ORDER BY rank LIMIT 10
-"""
-
-
 # ---------------------------------------------------------------------------
-# non-SQL-expressible operators (driver records rows-only checks)
+# operators SQL cannot recompute directly: their twins read pinned
+# verdicts, golden files or side-input parquet the query writes
 
 
+# The drifted fixture shifts the n_tok lognormal mean 5.0→5.6 and the
+# token zipf 1.3→1.05 — both far past the 0.01 alphas, so the expected
+# verdicts are pinned literals; the row counts come from the parquet.
+DRIFT_SQL = "read_parquet('/tmp/jesse_ray_data/sf0.01/drift_reference.parquet')"
+SQL_DRIFT_REPORT = f"""
+SELECT 'ref_vs_drifted' AS pair,
+       (SELECT count(*) FROM {DRIFT_SQL})::BIGINT AS rows_ref,
+       (SELECT count(*) FROM read_parquet('/tmp/jesse_ray_data/sf0.01/drift_drifted.parquet'))::BIGINT AS rows_new,
+       TRUE AS ks_drifted, TRUE AS chi2_drifted,
+       TRUE AS psi_drifted, TRUE AS psi_tokens_drifted
+UNION ALL
+SELECT 'ref_vs_self',
+       (SELECT count(*) FROM {DRIFT_SQL})::BIGINT,
+       (SELECT count(*) FROM {DRIFT_SQL})::BIGINT,
+       FALSE, FALSE, FALSE, FALSE
+"""
+
+
+@entry("drift_report", sql=SQL_DRIFT_REPORT)
 def q_drift_report(sf_dir: str) -> pd.DataFrame:
     """Drift gate verdicts between the fixture corpora.
 
@@ -4147,33 +4295,6 @@ def q_drift_report(sf_dir: str) -> pd.DataFrame:
              "psi_drifted": rep_self["psi_drifted"], "psi_tokens_drifted": rep_self["psi_tokens_drifted"]},
         ]
     ).astype({"rows_ref": "int64", "rows_new": "int64"})
-
-
-# The drifted fixture shifts the n_tok lognormal mean 5.0→5.6 and the
-# token zipf 1.3→1.05 — both far past the 0.01 alphas, so the expected
-# verdicts are pinned literals; the row counts come from the parquet.
-DRIFT_SQL = "read_parquet('/tmp/jesse_ray_data/sf0.01/drift_reference.parquet')"
-SQL_DRIFT_REPORT = f"""
-SELECT 'ref_vs_drifted' AS pair,
-       (SELECT count(*) FROM {DRIFT_SQL})::BIGINT AS rows_ref,
-       (SELECT count(*) FROM read_parquet('/tmp/jesse_ray_data/sf0.01/drift_drifted.parquet'))::BIGINT AS rows_new,
-       TRUE AS ks_drifted, TRUE AS chi2_drifted,
-       TRUE AS psi_drifted, TRUE AS psi_tokens_drifted
-UNION ALL
-SELECT 'ref_vs_self',
-       (SELECT count(*) FROM {DRIFT_SQL})::BIGINT,
-       (SELECT count(*) FROM {DRIFT_SQL})::BIGINT,
-       FALSE, FALSE, FALSE, FALSE
-"""
-
-
-def q_doc_langid(sf_dir: str) -> pd.DataFrame:
-    from jesse_ray.functions.text import LangId
-
-    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    out = LangId.apply(ds, concurrency=(1, 2))
-    pdf = out.to_pandas()[["doc_id", "lang_pred"]]
-    return pdf.sort_values("doc_id").reset_index(drop=True)
 
 
 def _langid_sql() -> str:
@@ -4205,6 +4326,16 @@ FROM scored ORDER BY doc_id
 """
 
 
+@entry("doc_langid", sql=_langid_sql())
+def q_doc_langid(sf_dir: str) -> pd.DataFrame:
+    from jesse_ray.functions.text import LangId
+
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    out = LangId.apply(ds, concurrency=(1, 2))
+    pdf = out.to_pandas()[["doc_id", "lang_pred"]]
+    return pdf.sort_values("doc_id").reset_index(drop=True)
+
+
 def _sig_parquet_path(sf_dir: str, kind: str) -> str:
     import os
 
@@ -4213,6 +4344,21 @@ def _sig_parquet_path(sf_dir: str, kind: str) -> str:
     return f"/tmp/jesse_ray_data/{kind}_sigs_{base}.parquet"
 
 
+SQL_SEQ_MINHASH_PAIRS = """
+WITH sig AS (
+  SELECT doc_id, minhash
+  FROM read_parquet('/tmp/jesse_ray_data/tokmh_sigs_sf0.01.parquet')
+), bands AS (
+  SELECT doc_id, b, list_slice(minhash, b*4 + 1, b*4 + 4) AS band
+  FROM sig, generate_series(0, 15) t(b)
+)
+SELECT a.doc_id AS "left", b.doc_id AS "right"
+FROM bands a JOIN bands b ON a.b = b.b AND a.band = b.band AND a.doc_id < b.doc_id
+GROUP BY 1, 2 ORDER BY 1, 2
+"""
+
+
+@entry("seq_minhash_pairs", sql=SQL_SEQ_MINHASH_PAIRS)
 def q_seq_minhash_pairs(sf_dir: str) -> pd.DataFrame:
     """Near-dup candidate pairs over the PRE-TOKENIZED sequences corpus
     (token-gram MinHash + LSH banding, no text anywhere — the
@@ -4261,10 +4407,10 @@ def q_seq_minhash_pairs(sf_dir: str) -> pd.DataFrame:
     return pdf[["left", "right"]].sort_values(["left", "right"]).reset_index(drop=True)
 
 
-SQL_SEQ_MINHASH_PAIRS = """
+SQL_DOC_MINHASH_PAIRS = """
 WITH sig AS (
   SELECT doc_id, minhash
-  FROM read_parquet('/tmp/jesse_ray_data/tokmh_sigs_sf0.01.parquet')
+  FROM read_parquet('/tmp/jesse_ray_data/minhash_sigs_sf0.01.parquet')
 ), bands AS (
   SELECT doc_id, b, list_slice(minhash, b*4 + 1, b*4 + 4) AS band
   FROM sig, generate_series(0, 15) t(b)
@@ -4275,6 +4421,7 @@ GROUP BY 1, 2 ORDER BY 1, 2
 """
 
 
+@entry("doc_minhash_pairs", sql=SQL_DOC_MINHASH_PAIRS)
 def q_doc_minhash_pairs(sf_dir: str) -> pd.DataFrame:
     """LSH candidate pairs, plus a signatures parquet the oracle reads:
     the SQL twin re-derives the banding from the SAME signatures (unnest
@@ -4297,20 +4444,19 @@ def q_doc_minhash_pairs(sf_dir: str) -> pd.DataFrame:
     return pdf.sort_values(["left", "right"]).reset_index(drop=True)
 
 
-SQL_DOC_MINHASH_PAIRS = """
-WITH sig AS (
-  SELECT doc_id, minhash
-  FROM read_parquet('/tmp/jesse_ray_data/minhash_sigs_sf0.01.parquet')
-), bands AS (
-  SELECT doc_id, b, list_slice(minhash, b*4 + 1, b*4 + 4) AS band
-  FROM sig, generate_series(0, 15) t(b)
+SQL_DOC_SIMHASH_PAIRS = """
+WITH s AS (
+  SELECT doc_id, simhash FROM read_parquet('/tmp/jesse_ray_data/simhash_sigs_sf0.01.parquet')
 )
-SELECT a.doc_id AS "left", b.doc_id AS "right"
-FROM bands a JOIN bands b ON a.b = b.b AND a.band = b.band AND a.doc_id < b.doc_id
-GROUP BY 1, 2 ORDER BY 1, 2
+SELECT a.doc_id AS "left", b.doc_id AS "right",
+       CAST(bit_count(xor(a.simhash, b.simhash)) AS BIGINT) AS hamming
+FROM s a JOIN s b ON a.doc_id < b.doc_id
+WHERE bit_count(xor(a.simhash, b.simhash)) <= 3
+ORDER BY 1, 2
 """
 
 
+@entry("doc_simhash_pairs", sql=SQL_DOC_SIMHASH_PAIRS)
 def q_doc_simhash_pairs(sf_dir: str) -> pd.DataFrame:
     """SimHash near-dup pairs; the oracle recomputes ALL-pairs hamming
     distance from the signatures parquet (bit_count(xor(...)) <= 3) —
@@ -4330,18 +4476,27 @@ def q_doc_simhash_pairs(sf_dir: str) -> pd.DataFrame:
     return pdf.sort_values(["left", "right"]).reset_index(drop=True)
 
 
-SQL_DOC_SIMHASH_PAIRS = """
+SQL_DOC_NGRAM_JACCARD = """
 WITH s AS (
-  SELECT doc_id, simhash FROM read_parquet('/tmp/jesse_ray_data/simhash_sigs_sf0.01.parquet')
+  SELECT doc_id, shingles FROM read_parquet('/tmp/jesse_ray_data/shingles_sigs_sf0.01.parquet')
+), sz AS (
+  SELECT doc_id, len(shingles) AS n FROM s
+), e AS (
+  SELECT doc_id, unnest(shingles) AS sh FROM s
+), p AS (
+  SELECT a.doc_id AS l, b.doc_id AS r, count(*) AS inter
+  FROM e a JOIN e b ON a.sh = b.sh AND a.doc_id < b.doc_id
+  GROUP BY 1, 2
 )
-SELECT a.doc_id AS "left", b.doc_id AS "right",
-       CAST(bit_count(xor(a.simhash, b.simhash)) AS BIGINT) AS hamming
-FROM s a JOIN s b ON a.doc_id < b.doc_id
-WHERE bit_count(xor(a.simhash, b.simhash)) <= 3
+SELECT l AS "left", r AS "right", CAST(inter AS BIGINT) AS inter,
+       CAST(sa.n + sb.n - inter AS BIGINT) AS union_sz
+FROM p JOIN sz sa ON sa.doc_id = p.l JOIN sz sb ON sb.doc_id = p.r
+WHERE inter * 1.0 / (sa.n + sb.n - inter) >= 0.5
 ORDER BY 1, 2
 """
 
 
+@entry("doc_ngram_jaccard", sql=SQL_DOC_NGRAM_JACCARD)
 def q_doc_ngram_jaccard(sf_dir: str) -> pd.DataFrame:
     """n-gram Jaccard near-dup pairs (LSH-pruned candidates + exact
     shingle-Jaccard verify) vs an exact all-pairs SQL twin computed from
@@ -4380,9 +4535,9 @@ def q_doc_ngram_jaccard(sf_dir: str) -> pd.DataFrame:
             .sort_values(["left", "right"]).reset_index(drop=True))
 
 
-SQL_DOC_NGRAM_JACCARD = """
+SQL_DOC_CROSS_DECONTAM = """
 WITH s AS (
-  SELECT doc_id, shingles FROM read_parquet('/tmp/jesse_ray_data/shingles_sigs_sf0.01.parquet')
+  SELECT doc_id, shingles FROM read_parquet('/tmp/jesse_ray_data/shinglesx_sigs_sf0.01.parquet')
 ), sz AS (
   SELECT doc_id, len(shingles) AS n FROM s
 ), e AS (
@@ -4391,16 +4546,19 @@ WITH s AS (
   SELECT a.doc_id AS l, b.doc_id AS r, count(*) AS inter
   FROM e a JOIN e b ON a.sh = b.sh AND a.doc_id < b.doc_id
   GROUP BY 1, 2
+), j AS (
+  SELECT l, r, inter * 1.0 / (sa.n + sb.n - inter) AS jac
+  FROM p JOIN sz sa ON sa.doc_id = p.l JOIN sz sb ON sb.doc_id = p.r
+  WHERE inter * 1.0 / (sa.n + sb.n - inter) >= 0.5 AND (l % 2) <> (r % 2)
 )
-SELECT l AS "left", r AS "right", CAST(inter AS BIGINT) AS inter,
-       CAST(sa.n + sb.n - inter AS BIGINT) AS union_sz
-FROM p JOIN sz sa ON sa.doc_id = p.l JOIN sz sb ON sb.doc_id = p.r
-WHERE inter * 1.0 / (sa.n + sb.n - inter) >= 0.5
-ORDER BY 1, 2
+SELECT CASE WHEN l % 2 = 1 THEN l ELSE r END AS eval_doc,
+       CASE WHEN l % 2 = 1 THEN r ELSE l END AS train_doc,
+       round(jac, 4) AS jaccard
+FROM j ORDER BY 1, 2
 """
 
 
-
+@entry("doc_cross_decontam", sql=SQL_DOC_CROSS_DECONTAM)
 def q_doc_cross_decontam(sf_dir: str) -> pd.DataFrame:
     """Near-dup DECONTAMINATION between splits (the GPT-3-style
     train-eval overlap scrub): train = even doc_ids, eval = odd; the
@@ -4437,29 +4595,24 @@ def q_doc_cross_decontam(sf_dir: str) -> pd.DataFrame:
             .sort_values(["eval_doc", "train_doc"]).reset_index(drop=True))
 
 
-SQL_DOC_CROSS_DECONTAM = """
-WITH s AS (
-  SELECT doc_id, shingles FROM read_parquet('/tmp/jesse_ray_data/shinglesx_sigs_sf0.01.parquet')
-), sz AS (
-  SELECT doc_id, len(shingles) AS n FROM s
-), e AS (
-  SELECT doc_id, unnest(shingles) AS sh FROM s
-), p AS (
-  SELECT a.doc_id AS l, b.doc_id AS r, count(*) AS inter
-  FROM e a JOIN e b ON a.sh = b.sh AND a.doc_id < b.doc_id
-  GROUP BY 1, 2
-), j AS (
-  SELECT l, r, inter * 1.0 / (sa.n + sb.n - inter) AS jac
-  FROM p JOIN sz sa ON sa.doc_id = p.l JOIN sz sb ON sb.doc_id = p.r
-  WHERE inter * 1.0 / (sa.n + sb.n - inter) >= 0.5 AND (l % 2) <> (r % 2)
+SQL_DOC_DUP_CLUSTERS = """
+WITH RECURSIVE
+e AS (
+  SELECT "left" AS u, "right" AS v
+  FROM read_parquet('/tmp/jesse_ray_data/ccpairs_sigs_sf0.01.parquet')
+),
+sym AS (SELECT u, v FROM e UNION SELECT v AS u, u AS v FROM e),
+nodes AS (SELECT DISTINCT u AS n FROM sym),
+reach(node, r) AS (
+  SELECT n, n FROM nodes
+  UNION
+  SELECT reach.node, sym.v FROM reach JOIN sym ON sym.u = reach.r
 )
-SELECT CASE WHEN l % 2 = 1 THEN l ELSE r END AS eval_doc,
-       CASE WHEN l % 2 = 1 THEN r ELSE l END AS train_doc,
-       round(jac, 4) AS jaccard
-FROM j ORDER BY 1, 2
+SELECT node, min(r) AS component FROM reach GROUP BY node ORDER BY node
 """
 
 
+@entry("doc_dup_clusters", sql=SQL_DOC_DUP_CLUSTERS)
 def q_doc_dup_clusters(sf_dir: str) -> pd.DataFrame:
     """Connected components over the verified near-dup pair graph
     (min-label propagation, functions/graph.py) — the transitive-closure
@@ -4485,23 +4638,20 @@ def q_doc_dup_clusters(sf_dir: str) -> pd.DataFrame:
     return pdf.sort_values("node").reset_index(drop=True)
 
 
-SQL_DOC_DUP_CLUSTERS = """
-WITH RECURSIVE
-e AS (
-  SELECT "left" AS u, "right" AS v
-  FROM read_parquet('/tmp/jesse_ray_data/ccpairs_sigs_sf0.01.parquet')
-),
-sym AS (SELECT u, v FROM e UNION SELECT v AS u, u AS v FROM e),
-nodes AS (SELECT DISTINCT u AS n FROM sym),
-reach(node, r) AS (
-  SELECT n, n FROM nodes
-  UNION
-  SELECT reach.node, sym.v FROM reach JOIN sym ON sym.u = reach.r
+SQL_DOC_SUBSTRING_DUPS = """
+WITH w AS (SELECT doc_id, string_split(text, ' ') AS ws FROM documents),
+g AS (
+  SELECT DISTINCT doc_id, array_to_string(ws[i:i+7], ' ') AS gram
+  FROM (SELECT doc_id, ws, unnest(generate_series(1, len(ws) - 7)) AS i FROM w)
 )
-SELECT node, min(r) AS component FROM reach GROUP BY node ORDER BY node
+SELECT a.doc_id AS "left", b.doc_id AS "right"
+FROM g a JOIN g b ON a.gram = b.gram AND a.doc_id < b.doc_id
+GROUP BY 1, 2
+ORDER BY 1, 2
 """
 
 
+@entry("doc_substring_dups", sql=SQL_DOC_SUBSTRING_DUPS)
 def q_doc_substring_dups(sf_dir: str) -> pd.DataFrame:
     """Exact substring-match dedup (ExactSubstr, Lee et al. 2022): every
     document pair sharing a verbatim 8-word window.  The SQL twin is
@@ -4516,39 +4666,6 @@ def q_doc_substring_dups(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"left": pd.array([], dtype="int64"),
                              "right": pd.array([], dtype="int64")})
     return pdf.sort_values(["left", "right"]).reset_index(drop=True)
-
-
-SQL_DOC_SUBSTRING_DUPS = """
-WITH w AS (SELECT doc_id, string_split(text, ' ') AS ws FROM documents),
-g AS (
-  SELECT DISTINCT doc_id, array_to_string(ws[i:i+7], ' ') AS gram
-  FROM (SELECT doc_id, ws, unnest(generate_series(1, len(ws) - 7)) AS i FROM w)
-)
-SELECT a.doc_id AS "left", b.doc_id AS "right"
-FROM g a JOIN g b ON a.gram = b.gram AND a.doc_id < b.doc_id
-GROUP BY 1, 2
-ORDER BY 1, 2
-"""
-
-
-def q_doc_span_scrub(sf_dir: str) -> pa.Table:
-    """ExactSubstr REMOVAL (Lee et al. 2022 §3): rewrite every document
-    with its cross-document duplicated 8-word spans removed (keeper =
-    min doc id).  The twin re-derives keeper assignment, per-position
-    span coverage, and the word-level rewrite entirely in SQL from the
-    raw documents view."""
-    from jesse_ray.functions.dedup import remove_dup_spans
-
-    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    out = remove_dup_spans(ds, k=8)
-    t = _collect(out.select_columns(["doc_id", "text_scrubbed", "n_removed"]))
-    return pa.table(
-        {
-            "doc_id": t["doc_id"].cast(pa.int64()),
-            "text_scrubbed": t["text_scrubbed"],
-            "n_removed": t["n_removed"].cast(pa.int64()),
-        }
-    ).sort_by("doc_id")
 
 
 SQL_DOC_SPAN_SCRUB = """
@@ -4583,13 +4700,25 @@ SELECT doc_id, text_scrubbed, n_removed FROM kept ORDER BY doc_id
 """
 
 
-def q_doc_fingerprints(sf_dir: str) -> pd.DataFrame:
-    from jesse_ray.functions.text import add_fingerprints
+@entry("doc_span_scrub", sql=SQL_DOC_SPAN_SCRUB)
+def q_doc_span_scrub(sf_dir: str) -> pa.Table:
+    """ExactSubstr REMOVAL (Lee et al. 2022 §3): rewrite every document
+    with its cross-document duplicated 8-word spans removed (keeper =
+    min doc id).  The twin re-derives keeper assignment, per-position
+    span coverage, and the word-level rewrite entirely in SQL from the
+    raw documents view."""
+    from jesse_ray.functions.dedup import remove_dup_spans
 
     ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    out = add_fingerprints(ds).to_pandas()[["doc_id", "fingerprint"]]
-    out["fingerprint"] = out["fingerprint"].astype("uint64")
-    return out.sort_values("doc_id").reset_index(drop=True)
+    out = remove_dup_spans(ds, k=8)
+    t = _collect(out.select_columns(["doc_id", "text_scrubbed", "n_removed"]))
+    return pa.table(
+        {
+            "doc_id": t["doc_id"].cast(pa.int64()),
+            "text_scrubbed": t["text_scrubbed"],
+            "n_removed": t["n_removed"].cast(pa.int64()),
+        }
+    ).sort_by("doc_id")
 
 
 # Pinned golden (the rolling hash is pure wraparound uint64 arithmetic —
@@ -4603,6 +4732,26 @@ ORDER BY doc_id
 """
 
 
+@entry("doc_fingerprints", sql=SQL_DOC_FINGERPRINTS)
+def q_doc_fingerprints(sf_dir: str) -> pd.DataFrame:
+    from jesse_ray.functions.text import add_fingerprints
+
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    out = add_fingerprints(ds).to_pandas()[["doc_id", "fingerprint"]]
+    out["fingerprint"] = out["fingerprint"].astype("uint64")
+    return out.sort_values("doc_id").reset_index(drop=True)
+
+
+SQL_EMB_NEAR_DUPS = """
+SELECT a.vec_id AS "left", b.vec_id AS "right",
+       round(CAST(list_cosine_similarity(a.embedding, b.embedding) AS DOUBLE), 4) AS cosine
+FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
+WHERE list_cosine_similarity(a.embedding, b.embedding) >= 0.5
+ORDER BY 1, 2
+"""
+
+
+@entry("emb_near_dups", sql=SQL_EMB_NEAR_DUPS)
 def q_emb_near_dups(sf_dir: str) -> pd.DataFrame:
     """Banded multi-table hyperplane-LSH near-dup pairs vs an EXACT
     brute-force SQL twin.  Threshold 0.5 is the test-scale choice (the
@@ -4619,15 +4768,10 @@ def q_emb_near_dups(sf_dir: str) -> pd.DataFrame:
     return pdf.sort_values(["left", "right"]).reset_index(drop=True)
 
 
-SQL_EMB_NEAR_DUPS = """
-SELECT a.vec_id AS "left", b.vec_id AS "right",
-       round(CAST(list_cosine_similarity(a.embedding, b.embedding) AS DOUBLE), 4) AS cosine
-FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
-WHERE list_cosine_similarity(a.embedding, b.embedding) >= 0.5
-ORDER BY 1, 2
-"""
+SQL_EMB_IVF_TOPK = SQL_EMB_TOPK
 
 
+@entry("emb_ivf_topk", sql=SQL_EMB_IVF_TOPK)
 def q_emb_ivf_topk(sf_dir: str) -> pd.DataFrame:
     """IVF top-10 vs the exact SQL twin.  n_probe=6 of 8 cells is the
     test-scale setting that recovers the exact top-10 on this corpus
@@ -4649,9 +4793,6 @@ def q_emb_ivf_topk(sf_dir: str) -> pd.DataFrame:
     )
 
 
-SQL_EMB_IVF_TOPK = SQL_EMB_TOPK
-
-
 MEDIA_PARQUET = "/tmp/jesse_ray_data/media_64.parquet"
 
 
@@ -4666,6 +4807,15 @@ def _ensure_media_parquet() -> str:
     return MEDIA_PARQUET
 
 
+SQL_MEDIA_FEATURES = f"""
+SELECT media_id, mime,
+       CAST(width AS BIGINT) AS width, CAST(height AS BIGINT) AS height,
+       CAST(8 AS BIGINT) AS n_feat, CAST(4 AS BIGINT) AS n_frames
+FROM read_parquet('{MEDIA_PARQUET}') ORDER BY media_id
+"""
+
+
+@entry("media_features", sql=SQL_MEDIA_FEATURES)
 def q_media_features(sf_dir: str) -> pd.DataFrame:
     """Multimodal plumbing end-to-end over the deterministic fake corpus:
     binary payloads → actor-pool fake decode (8-float feature vector) →
@@ -4702,28 +4852,6 @@ def q_media_features(sf_dir: str) -> pd.DataFrame:
     return pdf.sort_values("media_id").reset_index(drop=True)
 
 
-SQL_MEDIA_FEATURES = f"""
-SELECT media_id, mime,
-       CAST(width AS BIGINT) AS width, CAST(height AS BIGINT) AS height,
-       CAST(8 AS BIGINT) AS n_feat, CAST(4 AS BIGINT) AS n_frames
-FROM read_parquet('{MEDIA_PARQUET}') ORDER BY media_id
-"""
-
-
-def q_seq_validation_full(sf_dir: str) -> pd.DataFrame:
-    """Flagship: full engine run (row + referential + uniqueness) →
-    per-error counts."""
-    from jesse_ray.engine import validate_dataset
-
-    ds = read_sequences(_seq_path(sf_dir))
-    res = validate_dataset(ds, _seq_spec())
-    counts = res.counts_by_error()
-    rows = sorted(counts.items())
-    return pd.DataFrame(
-        {"error": [r[0] for r in rows], "cnt": pd.array([r[1] for r in rows], dtype="int64")}
-    )
-
-
 SQL_SEQ_VALIDATION_FULL = f"""
 WITH v AS (
   SELECT 'wrong_size' AS error, count(*)::BIGINT AS cnt FROM {SEQ_SQL} WHERE len(tokens) != n_tok
@@ -4748,6 +4876,33 @@ SELECT error, cnt FROM v WHERE cnt > 0 ORDER BY error
 """
 
 
+@entry("seq_validation_full", sql=SQL_SEQ_VALIDATION_FULL)
+def q_seq_validation_full(sf_dir: str) -> pd.DataFrame:
+    """Flagship: full engine run (row + referential + uniqueness) →
+    per-error counts."""
+    from jesse_ray.engine import validate_dataset
+
+    ds = read_sequences(_seq_path(sf_dir))
+    res = validate_dataset(ds, _seq_spec())
+    counts = res.counts_by_error()
+    rows = sorted(counts.items())
+    return pd.DataFrame(
+        {"error": [r[0] for r in rows], "cnt": pd.array([r[1] for r in rows], dtype="int64")}
+    )
+
+
+SQL_SEQ_NTOK_QUANTILES_BY_SOURCE = f"""
+SELECT source,
+       CAST(quantile_disc(n_tok, 0.50) AS BIGINT) AS p50,
+       CAST(quantile_disc(n_tok, 0.90) AS BIGINT) AS p90,
+       CAST(quantile_disc(n_tok, 0.99) AS BIGINT) AS p99
+FROM {SEQ_SQL}
+GROUP BY source
+ORDER BY source
+"""
+
+
+@entry("seq_ntok_quantiles_by_source", sql=SQL_SEQ_NTOK_QUANTILES_BY_SOURCE)
 def q_seq_ntok_quantiles_by_source(sf_dir: str) -> pd.DataFrame:
     """Exact PER-GROUP discrete quantiles (p50/p90/p99 of n_tok per
     source) — the grouped analogue of seq_ntok_percentiles, two-phase
@@ -4763,17 +4918,19 @@ def q_seq_ntok_quantiles_by_source(sf_dir: str) -> pd.DataFrame:
     return pdf.sort_values("source").reset_index(drop=True)
 
 
-SQL_SEQ_NTOK_QUANTILES_BY_SOURCE = f"""
-SELECT source,
-       CAST(quantile_disc(n_tok, 0.50) AS BIGINT) AS p50,
-       CAST(quantile_disc(n_tok, 0.90) AS BIGINT) AS p90,
-       CAST(quantile_disc(n_tok, 0.99) AS BIGINT) AS p99
-FROM {SEQ_SQL}
-GROUP BY source
-ORDER BY source
+SQL_ORDERS_NO_RECENT_LINEITEM = """
+SELECT o_orderpriority, CAST(count(*) AS BIGINT) AS cnt
+FROM orders o
+WHERE NOT EXISTS (
+  SELECT 1 FROM lineitem l
+  WHERE l.l_orderkey = o.o_orderkey AND l.l_shipdate >= TIMESTAMP '1995-06-01'
+)
+GROUP BY o_orderpriority
+ORDER BY o_orderpriority
 """
 
 
+@entry("orders_no_recent_lineitem", sql=SQL_ORDERS_NO_RECENT_LINEITEM)
 def q_orders_no_recent_lineitem(sf_dir: str) -> pd.DataFrame:
     """ANTI join through the large×large repartition cogroup: orders
     with NO lineitem shipped on/after 1995-06-01, counted per priority
@@ -4799,33 +4956,6 @@ def q_orders_no_recent_lineitem(sf_dir: str) -> pd.DataFrame:
     pdf = g.to_pandas().sort_values("o_orderpriority").reset_index(drop=True)
     pdf["cnt"] = pdf["cnt"].astype("int64")
     return pdf[["o_orderpriority", "cnt"]]
-
-
-SQL_ORDERS_NO_RECENT_LINEITEM = """
-SELECT o_orderpriority, CAST(count(*) AS BIGINT) AS cnt
-FROM orders o
-WHERE NOT EXISTS (
-  SELECT 1 FROM lineitem l
-  WHERE l.l_orderkey = o.o_orderkey AND l.l_shipdate >= TIMESTAMP '1995-06-01'
-)
-GROUP BY o_orderpriority
-ORDER BY o_orderpriority
-"""
-
-
-def q_doc_gopher_rules(sf_dir: str) -> pd.DataFrame:
-    """Gopher document-quality rule set (Rae et al. 2021 §A1.1) as
-    integer-exact per-document stats + the combined pass gate; the twin
-    recomputes every rule in SQL from the raw text (same space-split and
-    RE2 semantics)."""
-    from jesse_ray.functions.text import add_gopher_stats
-
-    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    out = add_gopher_stats(ds)
-    cols = ["doc_id", "n_words", "sum_word_len", "n_alpha_words",
-            "n_stop_words", "n_sym", "gopher_pass"]
-    pdf = _collect(out.select_columns(cols)).to_pandas()
-    return pdf.sort_values("doc_id").reset_index(drop=True)
 
 
 SQL_DOC_GOPHER_RULES = """
@@ -4856,16 +4986,18 @@ ORDER BY doc_id
 """
 
 
-def q_doc_dup_line_stats(sf_dir: str) -> pd.DataFrame:
-    """Within-document duplicate-line repetition stats (Gopher
-    'fraction of characters in duplicate lines' rule; word granularity
-    because the corpus text is single-line) — exact integers + the
-    integer-predicate gate, fully re-derived in SQL."""
-    from jesse_ray.functions.text import add_dup_line_stats
+@entry("doc_gopher_rules", sql=SQL_DOC_GOPHER_RULES)
+def q_doc_gopher_rules(sf_dir: str) -> pd.DataFrame:
+    """Gopher document-quality rule set (Rae et al. 2021 §A1.1) as
+    integer-exact per-document stats + the combined pass gate; the twin
+    recomputes every rule in SQL from the raw text (same space-split and
+    RE2 semantics)."""
+    from jesse_ray.functions.text import add_gopher_stats
 
     ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    out = add_dup_line_stats(ds, sep=" ")
-    cols = ["doc_id", "n_lines", "n_dup_lines", "chars_total", "chars_dup", "dup_line_pass"]
+    out = add_gopher_stats(ds)
+    cols = ["doc_id", "n_words", "sum_word_len", "n_alpha_words",
+            "n_stop_words", "n_sym", "gopher_pass"]
     pdf = _collect(out.select_columns(cols)).to_pandas()
     return pdf.sort_values("doc_id").reset_index(drop=True)
 
@@ -4890,18 +5022,19 @@ ORDER BY doc_id
 """
 
 
-def q_seq_psi_by_source(sf_dir: str) -> pd.DataFrame:
-    """EXACT per-source PSI drift of n_tok against the whole corpus
-    (deciles at exact discrete quantiles, eps=1e-9 guard) — the
-    oracle-checkable complement of the sketch-based drift_report.  The
-    twin re-derives cuts, bins, and the PSI sum entirely in SQL."""
-    from jesse_ray.stages.drift import exact_psi_by_group
+@entry("doc_dup_line_stats", sql=SQL_DOC_DUP_LINE_STATS)
+def q_doc_dup_line_stats(sf_dir: str) -> pd.DataFrame:
+    """Within-document duplicate-line repetition stats (Gopher
+    'fraction of characters in duplicate lines' rule; word granularity
+    because the corpus text is single-line) — exact integers + the
+    integer-predicate gate, fully re-derived in SQL."""
+    from jesse_ray.functions.text import add_dup_line_stats
 
-    ds = read_sequences(_seq_path(sf_dir), columns=["source", "n_tok"])
-    t = exact_psi_by_group(ds, "source", "n_tok", bins=10)
-    pdf = t.to_pandas()
-    pdf["psi"] = round_half_away(pdf["psi"], 4)
-    return pdf.sort_values("source").reset_index(drop=True)
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    out = add_dup_line_stats(ds, sep=" ")
+    cols = ["doc_id", "n_lines", "n_dup_lines", "chars_total", "chars_dup", "dup_line_pass"]
+    pdf = _collect(out.select_columns(cols)).to_pandas()
+    return pdf.sort_values("doc_id").reset_index(drop=True)
 
 
 SQL_SEQ_PSI_BY_SOURCE = f"""
@@ -4933,9 +5066,50 @@ FROM p GROUP BY source ORDER BY source
 """
 
 
+@entry("seq_psi_by_source", sql=SQL_SEQ_PSI_BY_SOURCE)
+def q_seq_psi_by_source(sf_dir: str) -> pd.DataFrame:
+    """EXACT per-source PSI drift of n_tok against the whole corpus
+    (deciles at exact discrete quantiles, eps=1e-9 guard) — the
+    oracle-checkable complement of the sketch-based drift_report.  The
+    twin re-derives cuts, bins, and the PSI sum entirely in SQL."""
+    from jesse_ray.stages.drift import exact_psi_by_group
+
+    ds = read_sequences(_seq_path(sf_dir), columns=["source", "n_tok"])
+    t = exact_psi_by_group(ds, "source", "n_tok", bins=10)
+    pdf = t.to_pandas()
+    pdf["psi"] = round_half_away(pdf["psi"], 4)
+    return pdf.sort_values("source").reset_index(drop=True)
+
+
 CHUNK_MAX_LEN, CHUNK_STRIDE = 512, 384
 
 
+SQL_SEQ_CHUNKS = f"""
+WITH s AS (
+  SELECT doc_id, tokens, len(tokens) AS n FROM {SEQ_SQL}
+  WHERE tokens IS NOT NULL AND len(tokens) > 0
+),
+st AS (
+  SELECT doc_id, tokens, n,
+         unnest(range(0, CAST(n AS BIGINT), {CHUNK_STRIDE})) AS s
+  FROM s
+),
+c AS (
+  SELECT doc_id,
+         s // {CHUNK_STRIDE} AS chunk_id,
+         tokens[s + 1 : least(s + {CHUNK_MAX_LEN}, n)] AS chunk
+  FROM st
+)
+SELECT doc_id, chunk_id,
+       CAST(len(chunk) AS BIGINT) AS n_tok,
+       CAST(list_sum(chunk) AS BIGINT) AS tok_sum,
+       CAST(chunk[1] AS BIGINT) AS first_tok,
+       CAST(chunk[len(chunk)] AS BIGINT) AS last_tok
+FROM c
+"""
+
+
+@entry("seq_chunks", sql=SQL_SEQ_CHUNKS)
 def q_seq_chunks(sf_dir: str) -> pd.DataFrame:
     """Context-window chunking (max_len=512, stride=384 — overlapping
     windows, the long-document training prep): every sequence explodes
@@ -4972,34 +5146,31 @@ def q_seq_chunks(sf_dir: str) -> pd.DataFrame:
     return pdf.sort_values(["doc_id", "chunk_id"]).reset_index(drop=True)
 
 
-SQL_SEQ_CHUNKS = f"""
-WITH s AS (
-  SELECT doc_id, tokens, len(tokens) AS n FROM {SEQ_SQL}
-  WHERE tokens IS NOT NULL AND len(tokens) > 0
-),
-st AS (
-  SELECT doc_id, tokens, n,
-         unnest(range(0, CAST(n AS BIGINT), {CHUNK_STRIDE})) AS s
-  FROM s
-),
-c AS (
-  SELECT doc_id,
-         s // {CHUNK_STRIDE} AS chunk_id,
-         tokens[s + 1 : least(s + {CHUNK_MAX_LEN}, n)] AS chunk
-  FROM st
-)
-SELECT doc_id, chunk_id,
-       CAST(len(chunk) AS BIGINT) AS n_tok,
-       CAST(list_sum(chunk) AS BIGINT) AS tok_sum,
-       CAST(chunk[1] AS BIGINT) AS first_tok,
-       CAST(chunk[len(chunk)] AS BIGINT) AS last_tok
-FROM c
-"""
-
-
 FIXED_SAMPLE_K = 50
 
 
+SQL_SEQ_FIXED_SAMPLE = f"""
+WITH allh AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/fixed_all_sigs_sf0.01.parquet')),
+sel AS (
+  SELECT doc_id, source FROM (
+    SELECT doc_id, source,
+           row_number() OVER (PARTITION BY source ORDER BY h, doc_id) AS rn
+    FROM allh
+  ) WHERE rn <= {FIXED_SAMPLE_K}
+),
+eng AS (SELECT doc_id, source FROM read_parquet('/tmp/jesse_ray_data/fixed_sel_sigs_sf0.01.parquet')),
+chk AS (
+  SELECT (SELECT count(*) FROM (SELECT * FROM sel EXCEPT SELECT * FROM eng)) = 0
+     AND (SELECT count(*) FROM (SELECT * FROM eng EXCEPT SELECT * FROM sel)) = 0
+     AND (SELECT count(*) FROM allh) = (SELECT count(*) FROM {SEQ_SQL}) AS good
+)
+SELECT source, CAST(count(*) AS BIGINT) AS cnt FROM eng GROUP BY source
+HAVING (SELECT good FROM chk)
+ORDER BY source
+"""
+
+
+@entry("seq_fixed_sample", sql=SQL_SEQ_FIXED_SAMPLE)
 def q_seq_fixed_sample(sf_dir: str) -> pd.DataFrame:
     """Deterministic FIXED-COUNT per-source sample (bottom-k by fmix64
     hash — a deterministic reservoir).  The engine writes BOTH the
@@ -5027,27 +5198,17 @@ def q_seq_fixed_sample(sf_dir: str) -> pd.DataFrame:
     return pdf
 
 
-SQL_SEQ_FIXED_SAMPLE = f"""
-WITH allh AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/fixed_all_sigs_sf0.01.parquet')),
-sel AS (
-  SELECT doc_id, source FROM (
-    SELECT doc_id, source,
-           row_number() OVER (PARTITION BY source ORDER BY h, doc_id) AS rn
-    FROM allh
-  ) WHERE rn <= {FIXED_SAMPLE_K}
-),
-eng AS (SELECT doc_id, source FROM read_parquet('/tmp/jesse_ray_data/fixed_sel_sigs_sf0.01.parquet')),
-chk AS (
-  SELECT (SELECT count(*) FROM (SELECT * FROM sel EXCEPT SELECT * FROM eng)) = 0
-     AND (SELECT count(*) FROM (SELECT * FROM eng EXCEPT SELECT * FROM sel)) = 0
-     AND (SELECT count(*) FROM allh) = (SELECT count(*) FROM {SEQ_SQL}) AS good
-)
-SELECT source, CAST(count(*) AS BIGINT) AS cnt FROM eng GROUP BY source
-HAVING (SELECT good FROM chk)
-ORDER BY source
+SQL_EVENTS_CLICK_ATTRIBUTION = """
+SELECT p.event_id, CAST(count(c.event_id) AS BIGINT) AS n_clicks_30m
+FROM events p LEFT JOIN events c
+  ON c.event_type = 'click' AND c.ts <= p.ts AND p.ts < c.ts + INTERVAL 30 MINUTE
+WHERE p.event_type = 'purchase'
+GROUP BY p.event_id
+ORDER BY p.event_id
 """
 
 
+@entry("events_click_attribution", sql=SQL_EVENTS_CLICK_ATTRIBUTION)
 def q_events_click_attribution(sf_dir: str) -> pa.Table:
     """Distributed NON-EQUI interval join (no shared key between the
     sides): every purchase event joins the count of click events whose
@@ -5082,16 +5243,17 @@ def q_events_click_attribution(sf_dir: str) -> pa.Table:
     return _collect(out).sort_by("event_id")
 
 
-SQL_EVENTS_CLICK_ATTRIBUTION = """
-SELECT p.event_id, CAST(count(c.event_id) AS BIGINT) AS n_clicks_30m
-FROM events p LEFT JOIN events c
-  ON c.event_type = 'click' AND c.ts <= p.ts AND p.ts < c.ts + INTERVAL 30 MINUTE
-WHERE p.event_type = 'purchase'
-GROUP BY p.event_id
-ORDER BY p.event_id
+SQL_EVENTS_LATEST_STATE = """
+SELECT user_id, ts, event_type, value FROM (
+  SELECT user_id, ts, event_type, value,
+         row_number() OVER (PARTITION BY user_id ORDER BY ts DESC, event_id DESC) AS rn
+  FROM events
+) WHERE rn = 1
+ORDER BY user_id
 """
 
 
+@entry("events_latest_state", sql=SQL_EVENTS_LATEST_STATE)
 def q_events_latest_state(sf_dir: str) -> pa.Table:
     """CDC latest-state compaction (upsert / merge-on-read): the current
     row per user after applying the event stream as a changelog —
@@ -5110,16 +5272,15 @@ def q_events_latest_state(sf_dir: str) -> pa.Table:
     )
 
 
-SQL_EVENTS_LATEST_STATE = """
-SELECT user_id, ts, event_type, value FROM (
-  SELECT user_id, ts, event_type, value,
-         row_number() OVER (PARTITION BY user_id ORDER BY ts DESC, event_id DESC) AS rn
-  FROM events
-) WHERE rn = 1
-ORDER BY user_id
+SQL_EVENTS_SCD2 = """
+SELECT event_id, user_id, ts, event_type,
+       lead(ts) OVER (PARTITION BY user_id ORDER BY ts, event_id) AS valid_to
+FROM events
+ORDER BY event_id
 """
 
 
+@entry("events_scd2", sql=SQL_EVENTS_SCD2)
 def q_events_scd2(sf_dir: str) -> pa.Table:
     """SCD type-2 intervalization: the event stream as a per-user version
     history with half-open validity windows — valid_to is the NEXT
@@ -5136,26 +5297,7 @@ def q_events_scd2(sf_dir: str) -> pa.Table:
     return _collect(out).sort_by("event_id")
 
 
-SQL_EVENTS_SCD2 = """
-SELECT event_id, user_id, ts, event_type,
-       lead(ts) OVER (PARTITION BY user_id ORDER BY ts, event_id) AS valid_to
-FROM events
-ORDER BY event_id
-"""
-
-
 SEARCH_TERMS = ("sort", "vector", "stream")
-
-
-def q_doc_search(sf_dir: str) -> pa.Table:
-    """Conjunctive (AND) full-text search over the documents corpus,
-    top 20 by summed term frequency (text.conjunctive_search — one
-    vectorized streaming scan, per-batch top-k partials, zero shuffle;
-    the driver merges k × n_blocks candidate rows only)."""
-    from jesse_ray.functions.text import conjunctive_search
-
-    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return conjunctive_search(ds, SEARCH_TERMS, k=20)
 
 
 SQL_DOC_SEARCH = f"""
@@ -5176,35 +5318,16 @@ SELECT doc_id, score FROM hits ORDER BY score DESC, doc_id LIMIT 20
 """
 
 
-def q_seq_fim_split(sf_dir: str) -> pd.DataFrame:
-    """Fill-in-the-middle preprocessing over the tokenized corpus:
-    deterministic uniform cut points (seeded fmix64 u01 draws — the
-    sidecar lets the twin re-derive EVERY cut exactly), SPM reorder
-    suffix‖prefix‖middle, per-source span-length sums + an integer
-    position-weighted checksum of the reordered sequences — any doc
-    split at the wrong point or reordered wrongly changes the sum
-    (seqops.fim_split — one vectorized pass over the flat token buffer,
-    exact int64 reduceat per batch, no shuffle)."""
-    from jesse_ray.functions.seqops import fim_split
+@entry("doc_search", sql=SQL_DOC_SEARCH)
+def q_doc_search(sf_dir: str) -> pa.Table:
+    """Conjunctive (AND) full-text search over the documents corpus,
+    top 20 by summed term frequency (text.conjunctive_search — one
+    vectorized streaming scan, per-batch top-k partials, zero shuffle;
+    the driver merges k × n_blocks candidate rows only)."""
+    from jesse_ray.functions.text import conjunctive_search
 
-    ds = read_sequences(_seq_path(sf_dir), columns=["doc_id", "tokens", "source"])
-    per_doc = _collect(fim_split(ds))
-    sidecar = per_doc.select(["doc_id", "u1", "u2"])
-    # nulls → '' so the twin's join keeps null-keyed rows (the engine's
-    # u draw already hashes a null doc_id as the empty string)
-    sidecar = sidecar.set_column(0, "doc_id", pc.fill_null(sidecar["doc_id"], ""))
-    pq.write_table(sidecar.sort_by("doc_id"), _sig_parquet_path(sf_dir, "fim_u"))
-    agg = (
-        per_doc.group_by("source")
-        .aggregate([([], "count_all"), ("n_prefix", "sum"), ("n_middle", "sum"),
-                    ("n_suffix", "sum"), ("spm_checksum", "sum")])
-        .rename_columns(["source", "n_docs", "prefix_toks", "middle_toks",
-                         "suffix_toks", "checksum"])
-    )
-    pdf = agg.to_pandas().sort_values("source").reset_index(drop=True)
-    for c in ["n_docs", "prefix_toks", "middle_toks", "suffix_toks", "checksum"]:
-        pdf[c] = pdf[c].astype("int64")
-    return pdf
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    return conjunctive_search(ds, SEARCH_TERMS, k=20)
 
 
 SQL_SEQ_FIM_SPLIT = f"""
@@ -5251,9 +5374,50 @@ FROM per_doc GROUP BY source ORDER BY source
 """
 
 
+@entry("seq_fim_split", sql=SQL_SEQ_FIM_SPLIT)
+def q_seq_fim_split(sf_dir: str) -> pd.DataFrame:
+    """Fill-in-the-middle preprocessing over the tokenized corpus:
+    deterministic uniform cut points (seeded fmix64 u01 draws — the
+    sidecar lets the twin re-derive EVERY cut exactly), SPM reorder
+    suffix‖prefix‖middle, per-source span-length sums + an integer
+    position-weighted checksum of the reordered sequences — any doc
+    split at the wrong point or reordered wrongly changes the sum
+    (seqops.fim_split — one vectorized pass over the flat token buffer,
+    exact int64 reduceat per batch, no shuffle)."""
+    from jesse_ray.functions.seqops import fim_split
+
+    ds = read_sequences(_seq_path(sf_dir), columns=["doc_id", "tokens", "source"])
+    per_doc = _collect(fim_split(ds))
+    sidecar = per_doc.select(["doc_id", "u1", "u2"])
+    # nulls → '' so the twin's join keeps null-keyed rows (the engine's
+    # u draw already hashes a null doc_id as the empty string)
+    sidecar = sidecar.set_column(0, "doc_id", pc.fill_null(sidecar["doc_id"], ""))
+    pq.write_table(sidecar.sort_by("doc_id"), _sig_parquet_path(sf_dir, "fim_u"))
+    agg = (
+        per_doc.group_by("source")
+        .aggregate([([], "count_all"), ("n_prefix", "sum"), ("n_middle", "sum"),
+                    ("n_suffix", "sum"), ("spm_checksum", "sum")])
+        .rename_columns(["source", "n_docs", "prefix_toks", "middle_toks",
+                         "suffix_toks", "checksum"])
+    )
+    pdf = agg.to_pandas().sort_values("source").reset_index(drop=True)
+    for c in ["n_docs", "prefix_toks", "middle_toks", "suffix_toks", "checksum"]:
+        pdf[c] = pdf[c].astype("int64")
+    return pdf
+
+
 PROFILE_COLS = ("event_id", "user_id", "ts", "event_type", "value")
 
 
+SQL_EVENTS_PROFILE = "\nUNION ALL\n".join(
+    f"SELECT '{c}' AS column, CAST(count(*) AS BIGINT) AS n_rows, "
+    f"CAST(count(*) - count({c}) AS BIGINT) AS n_null, "
+    f"CAST(count(DISTINCT {c}) AS BIGINT) AS n_distinct FROM events"
+    for c in PROFILE_COLS
+)
+
+
+@entry("events_profile", sql=SQL_EVENTS_PROFILE)
 def q_events_profile(sf_dir: str) -> pa.Table:
     """Deequ-style data-quality profile of the events table: per column,
     exact (n_rows, n_null, n_distinct) — one narrow column-pruned read
@@ -5265,14 +5429,25 @@ def q_events_profile(sf_dir: str) -> pa.Table:
     return column_profile(f"{sf_dir}/events.parquet", PROFILE_COLS)
 
 
-SQL_EVENTS_PROFILE = "\nUNION ALL\n".join(
-    f"SELECT '{c}' AS column, CAST(count(*) AS BIGINT) AS n_rows, "
-    f"CAST(count(*) - count({c}) AS BIGINT) AS n_null, "
-    f"CAST(count(DISTINCT {c}) AS BIGINT) AS n_distinct FROM events"
-    for c in PROFILE_COLS
+SQL_SEQ_PARTITIONED_WRITE = f"""
+WITH terms AS (
+  SELECT source, generate_subscripts(tokens, 1) AS i, tokens
+  FROM {SEQ_SQL}
+),
+cs AS (
+  SELECT source, CAST(sum(CAST(i AS BIGINT) * CAST(tokens[i] AS BIGINT)) AS BIGINT) AS checksum
+  FROM terms GROUP BY source
 )
+SELECT s.source, CAST(count(*) AS BIGINT) AS n_rows,
+       CAST(min(s.n_tok) AS BIGINT) AS min_ntok,
+       CAST(max(s.n_tok) AS BIGINT) AS max_ntok,
+       COALESCE(any_value(cs.checksum), 0) AS checksum
+FROM {SEQ_SQL} s LEFT JOIN cs ON cs.source = s.source
+GROUP BY s.source ORDER BY s.source
+"""
 
 
+@entry("seq_partitioned_write", sql=SQL_SEQ_PARTITIONED_WRITE)
 def q_seq_partitioned_write(sf_dir: str) -> pd.DataFrame:
     """Resumable partitioned-sink round-trip: write the sequences corpus
     hive-partitioned by source with a stats manifest
@@ -5301,29 +5476,12 @@ def q_seq_partitioned_write(sf_dir: str) -> pd.DataFrame:
         starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
         pos = np.arange(len(vals), dtype=np.int64) - np.repeat(starts, lengths)
         checksum = int(((pos + 1) * vals).sum())
-        assert meta["n_rows"] == len(back), "manifest/readback row drift"
+        if meta["n_rows"] != len(back):
+            raise RuntimeError("manifest/readback row drift")
         rows.append({"source": part, "n_rows": len(back),
                      "min_ntok": int(meta["lo"]), "max_ntok": int(meta["hi"]),
                      "checksum": checksum})
     return pd.DataFrame(rows).sort_values("source").reset_index(drop=True)
-
-
-SQL_SEQ_PARTITIONED_WRITE = f"""
-WITH terms AS (
-  SELECT source, generate_subscripts(tokens, 1) AS i, tokens
-  FROM {SEQ_SQL}
-),
-cs AS (
-  SELECT source, CAST(sum(CAST(i AS BIGINT) * CAST(tokens[i] AS BIGINT)) AS BIGINT) AS checksum
-  FROM terms GROUP BY source
-)
-SELECT s.source, CAST(count(*) AS BIGINT) AS n_rows,
-       CAST(min(s.n_tok) AS BIGINT) AS min_ntok,
-       CAST(max(s.n_tok) AS BIGINT) AS max_ntok,
-       COALESCE(any_value(cs.checksum), 0) AS checksum
-FROM {SEQ_SQL} s LEFT JOIN cs ON cs.source = s.source
-GROUP BY s.source ORDER BY s.source
-"""
 
 
 def _zorder_term_sql(col: str, odd: bool) -> str:
@@ -5332,6 +5490,23 @@ def _zorder_term_sql(col: str, odd: bool) -> str:
     )
 
 
+SQL_EVENTS_ZORDER = f"""
+WITH base AS (
+  SELECT event_id,
+         user_id & 65535 AS a,
+         (CAST(date_part('epoch', ts) AS BIGINT) // 60) & 65535 AS b
+  FROM events
+),
+keys AS (
+  SELECT event_id,
+         CAST(({_zorder_term_sql('a', False)}) | ({_zorder_term_sql('b', True)}) AS BIGINT) AS z
+  FROM base
+)
+SELECT event_id, z FROM keys ORDER BY z, event_id LIMIT 50
+"""
+
+
+@entry("events_zorder", sql=SQL_EVENTS_ZORDER)
 def q_events_zorder(sf_dir: str) -> pa.Table:
     """Z-order (Morton) layout clustering over (user_id, event minute):
     bit-interleaved sort keys make min/max file stats prune BOTH columns
@@ -5354,26 +5529,29 @@ def q_events_zorder(sf_dir: str) -> pa.Table:
     return zorder_bottomk(ev, a_col="user_id", b_col="ts_min", id_col="event_id", k=50)
 
 
-SQL_EVENTS_ZORDER = f"""
-WITH base AS (
-  SELECT event_id,
-         user_id & 65535 AS a,
-         (CAST(date_part('epoch', ts) AS BIGINT) // 60) & 65535 AS b
-  FROM events
-),
-keys AS (
-  SELECT event_id,
-         CAST(({_zorder_term_sql('a', False)}) | ({_zorder_term_sql('b', True)}) AS BIGINT) AS z
-  FROM base
-)
-SELECT event_id, z FROM keys ORDER BY z, event_id LIMIT 50
-"""
-
-
 DECON_N = 8
 DECON_EVAL_SOURCE = "crawl-x"
 
 
+SQL_SEQ_NGRAM_DECONTAM = f"""
+WITH ev AS (
+  SELECT DISTINCT array_to_string(tokens[i:i+{DECON_N - 1}], ',') AS g
+  FROM (SELECT tokens, unnest(range(1, len(tokens) - {DECON_N - 2})) AS i
+        FROM {SEQ_SQL} WHERE source = '{DECON_EVAL_SOURCE}')
+),
+tr AS (
+  SELECT COALESCE(doc_id, '') AS doc_id, source,
+         array_to_string(tokens[i:i+{DECON_N - 1}], ',') AS g
+  FROM (SELECT doc_id, source, tokens, unnest(range(1, len(tokens) - {DECON_N - 2})) AS i
+        FROM {SEQ_SQL} WHERE source <> '{DECON_EVAL_SOURCE}')
+),
+fl AS (SELECT DISTINCT doc_id, source FROM tr JOIN ev USING (g))
+SELECT source, CAST(count(*) AS BIGINT) AS n_flagged
+FROM fl GROUP BY source ORDER BY source
+"""
+
+
+@entry("seq_ngram_decontam", sql=SQL_SEQ_NGRAM_DECONTAM)
 def q_seq_ngram_decontam(sf_dir: str) -> pd.DataFrame:
     """Token-level benchmark decontamination (GPT-3 appendix C recipe at
     token granularity): the small 'crawl-x' slice plays the eval set;
@@ -5405,36 +5583,6 @@ def q_seq_ngram_decontam(sf_dir: str) -> pd.DataFrame:
     return out
 
 
-SQL_SEQ_NGRAM_DECONTAM = f"""
-WITH ev AS (
-  SELECT DISTINCT array_to_string(tokens[i:i+{DECON_N - 1}], ',') AS g
-  FROM (SELECT tokens, unnest(range(1, len(tokens) - {DECON_N - 2})) AS i
-        FROM {SEQ_SQL} WHERE source = '{DECON_EVAL_SOURCE}')
-),
-tr AS (
-  SELECT COALESCE(doc_id, '') AS doc_id, source,
-         array_to_string(tokens[i:i+{DECON_N - 1}], ',') AS g
-  FROM (SELECT doc_id, source, tokens, unnest(range(1, len(tokens) - {DECON_N - 2})) AS i
-        FROM {SEQ_SQL} WHERE source <> '{DECON_EVAL_SOURCE}')
-),
-fl AS (SELECT DISTINCT doc_id, source FROM tr JOIN ev USING (g))
-SELECT source, CAST(count(*) AS BIGINT) AS n_flagged
-FROM fl GROUP BY source ORDER BY source
-"""
-
-
-def q_events_equidepth(sf_dir: str) -> pa.Table:
-    """Per-type equi-depth (quartile) histogram of the value column —
-    boundaries are exact discrete quantiles, bucket = 1 + #{boundaries
-    < v} (relational.equidepth_histogram: exact grouped-quantile pass →
-    broadcast boundaries → per-batch vectorized bucket counts; the
-    shuffle carries ≤ groups × 4 combiner rows per block)."""
-    from jesse_ray.pipelines.relational import equidepth_histogram
-
-    ds = read_table(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
-    return equidepth_histogram(ds, "event_type", "value")
-
-
 SQL_EVENTS_EQUIDEPTH = """
 WITH b AS (
   SELECT event_type,
@@ -5452,9 +5600,33 @@ GROUP BY 1, 2 ORDER BY 1, 2
 """
 
 
+@entry("events_equidepth", sql=SQL_EVENTS_EQUIDEPTH)
+def q_events_equidepth(sf_dir: str) -> pa.Table:
+    """Per-type equi-depth (quartile) histogram of the value column —
+    boundaries are exact discrete quantiles, bucket = 1 + #{boundaries
+    < v} (relational.equidepth_histogram: exact grouped-quantile pass →
+    broadcast boundaries → per-batch vectorized bucket counts; the
+    shuffle carries ≤ groups × 4 combiner rows per block)."""
+    from jesse_ray.pipelines.relational import equidepth_histogram
+
+    ds = read_table(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
+    return equidepth_histogram(ds, "event_type", "value")
+
+
 KANON_K = 10
 
 
+SQL_EVENTS_KANON = f"""
+SELECT event_type, CAST(date_part('hour', ts) AS BIGINT) AS hour,
+       CAST(date_part('dow', ts) AS BIGINT) AS dow,
+       CAST(count(*) AS BIGINT) AS cnt
+FROM events
+GROUP BY 1, 2, 3 HAVING count(*) < {KANON_K}
+ORDER BY 1, 2, 3
+"""
+
+
+@entry("events_kanon", sql=SQL_EVENTS_KANON)
 def q_events_kanon(sf_dir: str) -> pa.Table:
     """k-anonymity audit over the quasi-identifier (event_type,
     hour-of-day, day-of-week): any combination observed fewer than K=10
@@ -5485,28 +5657,6 @@ def q_events_kanon(sf_dir: str) -> pa.Table:
                           ("dow", "ascending")])
 
 
-SQL_EVENTS_KANON = f"""
-SELECT event_type, CAST(date_part('hour', ts) AS BIGINT) AS hour,
-       CAST(date_part('dow', ts) AS BIGINT) AS dow,
-       CAST(count(*) AS BIGINT) AS cnt
-FROM events
-GROUP BY 1, 2, 3 HAVING count(*) < {KANON_K}
-ORDER BY 1, 2, 3
-"""
-
-
-def q_seq_top_tokens_by_source(sf_dir: str) -> pa.Table:
-    """Exact per-source top-3 token ids (grouped heavy hitters — the
-    per-group form of seq_top_tokens; relational.grouped_top_k_elements:
-    (group, element) combiner counts, element-hash-only shuffle so each
-    element's per-group counts land whole in one part, per-part grouped
-    top-k, ≤ parts × groups × k candidate rows on the driver)."""
-    from jesse_ray.pipelines.relational import grouped_top_k_elements
-
-    ds = read_sequences(_seq_path(sf_dir), columns=["tokens", "source"])
-    return grouped_top_k_elements(ds, "tokens", "source", k=3)
-
-
 SQL_SEQ_TOP_TOKENS_BY_SOURCE = f"""
 WITH c AS (
   SELECT source, t AS elem, count(*) AS cnt
@@ -5523,33 +5673,17 @@ ORDER BY source, cnt DESC, elem
 """
 
 
-def q_seq_infer_spec(sf_dir: str) -> pa.Table:
-    """Spec inference (profile → propose → verify): one streaming pass
-    over the CLEAN corpus derives the tightest draft-04 constraints it
-    satisfies (required / numeric + item bounds / length + item-count
-    bounds / capped enum — jesse_ray.infer.infer_spec, per-batch Arrow
-    partials, small rows to the driver, never a distinct shuffle), then
-    the inferred spec is compiled and the corpus re-validated against
-    it — the final row proves zero violations, and the doc_id
-    uniqueness HYPOTHESIS is confirmed by the engine's duplicate pass.
-    The twin re-derives every constraint value in SQL."""
-    from jesse_ray.engine import duplicate_keys, row_violations
-    from jesse_ray.infer import infer_spec
+@entry("seq_top_tokens_by_source", sql=SQL_SEQ_TOP_TOKENS_BY_SOURCE)
+def q_seq_top_tokens_by_source(sf_dir: str) -> pa.Table:
+    """Exact per-source top-3 token ids (grouped heavy hitters — the
+    per-group form of seq_top_tokens; relational.grouped_top_k_elements:
+    (group, element) combiner counts, element-hash-only shuffle so each
+    element's per-group counts land whole in one part, per-part grouped
+    top-k, ≤ parts × groups × k candidate rows on the driver)."""
+    from jesse_ray.pipelines.relational import grouped_top_k_elements
 
-    sf = testgen.sf_name_of(sf_dir)
-    testgen.generate(sf)
-    clean = str(testgen.corpus_dir(sf) / "sequences_clean.parquet")
-    ds = read_sequences(clean)
-    spec, constraints = infer_spec(ds, key_column="doc_id")
-    compiled = compile_spec(spec)
-    n_viol = row_violations(read_sequences(clean), compiled).count()
-    n_dups = duplicate_keys(read_sequences(clean), "doc_id").count() if spec.unique_keys else -1
-    tail = pa.table({
-        "column": ["_engine", "_engine"],
-        "constraint": ["violations_on_inferred_spec", "duplicate_keys_confirmed"],
-        "value": [str(n_viol), str(n_dups)],
-    })
-    return pa.concat_tables([constraints, tail])
+    ds = read_sequences(_seq_path(sf_dir), columns=["tokens", "source"])
+    return grouped_top_k_elements(ds, "tokens", "source", k=3)
 
 
 _CLEAN_SQL = "read_parquet('/tmp/jesse_ray_data/sf0.01/sequences_clean.parquet')"
@@ -5583,33 +5717,37 @@ ORDER BY "column", "constraint", value
 """
 
 
+@entry("seq_infer_spec", sql=SQL_SEQ_INFER_SPEC)
+def q_seq_infer_spec(sf_dir: str) -> pa.Table:
+    """Spec inference (profile → propose → verify): one streaming pass
+    over the CLEAN corpus derives the tightest draft-04 constraints it
+    satisfies (required / numeric + item bounds / length + item-count
+    bounds / capped enum — jesse_ray.infer.infer_spec, per-batch Arrow
+    partials, small rows to the driver, never a distinct shuffle), then
+    the inferred spec is compiled and the corpus re-validated against
+    it — the final row proves zero violations, and the doc_id
+    uniqueness HYPOTHESIS is confirmed by the engine's duplicate pass.
+    The twin re-derives every constraint value in SQL."""
+    from jesse_ray.engine import duplicate_keys, row_violations
+    from jesse_ray.infer import infer_spec
+
+    sf = testgen.sf_name_of(sf_dir)
+    testgen.generate(sf)
+    clean = str(testgen.corpus_dir(sf) / "sequences_clean.parquet")
+    ds = read_sequences(clean)
+    spec, constraints = infer_spec(ds, key_column="doc_id")
+    compiled = compile_spec(spec)
+    n_viol = row_violations(read_sequences(clean), compiled).count()
+    n_dups = duplicate_keys(read_sequences(clean), "doc_id").count() if spec.unique_keys else -1
+    tail = pa.table({
+        "column": ["_engine", "_engine"],
+        "constraint": ["violations_on_inferred_spec", "duplicate_keys_confirmed"],
+        "value": [str(n_viol), str(n_dups)],
+    })
+    return pa.concat_tables([constraints, tail])
+
+
 SEP_TOKEN = 13
-
-
-def q_seq_loss_mask(sf_dir: str) -> pd.DataFrame:
-    """Instruction-tuning loss masking: prompt = everything up to and
-    including the first SEP token (token id 13), completion trains.
-    Per-source masked/trainable token sums + an integer
-    position-weighted checksum of the TRAINABLE spans — a mask boundary
-    off by one token on any row changes the sum
-    (seqops.loss_mask_split — equality mask + minimum.reduceat
-    first-occurrence + masked int64 reduceat, no shuffle)."""
-    from jesse_ray.functions.seqops import loss_mask_split
-
-    ds = read_sequences(_seq_path(sf_dir), columns=["doc_id", "tokens", "source"])
-    t = _collect(loss_mask_split(ds, sep=SEP_TOKEN))
-    pdf = (
-        t.group_by("source")
-        .aggregate([([], "count_all"), ("masked_toks", "sum"),
-                    ("train_toks", "sum"), ("train_checksum", "sum")])
-        .rename_columns(["source", "n_docs", "masked_toks", "train_toks", "checksum"])
-        .to_pandas()
-        .sort_values("source")
-        .reset_index(drop=True)
-    )
-    for c in ["n_docs", "masked_toks", "train_toks", "checksum"]:
-        pdf[c] = pdf[c].astype("int64")
-    return pdf
 
 
 SQL_SEQ_LOSS_MASK = f"""
@@ -5637,25 +5775,31 @@ ORDER BY c.source
 """
 
 
-def q_seq_remap_tokens(sf_dir: str) -> pa.Table:
-    """Vocabulary compaction: rank every token id by global frequency
-    (ties → smaller id) and remap the whole corpus old-id → rank;
-    negative sentinel ids pass through.  The embedding-table compaction
-    step before training.  Evidence is integer-exact per-source
-    position-weighted checksums of the REMAPPED sequences — any
-    misranked or misapplied token changes the sum
-    (seqops.token_frequency_remap + remap_checksums_by_group:
-    combiner-partial counts, driver merge bounded by vocab size,
-    broadcast-once remap, one searchsorted per batch)."""
-    from jesse_ray.functions.seqops import (
-        remap_checksums_by_group,
-        token_frequency_remap,
-    )
+@entry("seq_loss_mask", sql=SQL_SEQ_LOSS_MASK)
+def q_seq_loss_mask(sf_dir: str) -> pd.DataFrame:
+    """Instruction-tuning loss masking: prompt = everything up to and
+    including the first SEP token (token id 13), completion trains.
+    Per-source masked/trainable token sums + an integer
+    position-weighted checksum of the TRAINABLE spans — a mask boundary
+    off by one token on any row changes the sum
+    (seqops.loss_mask_split — equality mask + minimum.reduceat
+    first-occurrence + masked int64 reduceat, no shuffle)."""
+    from jesse_ray.functions.seqops import loss_mask_split
 
-    ds = read_sequences(_seq_path(sf_dir), columns=["tokens", "source"])
-    tok, new = token_frequency_remap(ds, tokens_col="tokens")
-    ref = ray.put((tok, new)) if ray.is_initialized() else (tok, new)
-    return remap_checksums_by_group(ds, ref, tokens_col="tokens", group_col="source")
+    ds = read_sequences(_seq_path(sf_dir), columns=["doc_id", "tokens", "source"])
+    t = _collect(loss_mask_split(ds, sep=SEP_TOKEN))
+    pdf = (
+        t.group_by("source")
+        .aggregate([([], "count_all"), ("masked_toks", "sum"),
+                    ("train_toks", "sum"), ("train_checksum", "sum")])
+        .rename_columns(["source", "n_docs", "masked_toks", "train_toks", "checksum"])
+        .to_pandas()
+        .sort_values("source")
+        .reset_index(drop=True)
+    )
+    for c in ["n_docs", "masked_toks", "train_toks", "checksum"]:
+        pdf[c] = pdf[c].astype("int64")
+    return pdf
 
 
 SQL_SEQ_REMAP_TOKENS = f"""
@@ -5687,24 +5831,26 @@ ORDER BY d.source
 """
 
 
-def q_emb_outliers(sf_dir: str) -> pa.Table:
-    """Embedding QC: the 5 vectors furthest from their own label's
-    centroid, per label (mislabel / noisy-embedding screen).  Exact
-    centroids from combiner partials, broadcast once; per-batch partial
-    top-k keeps the driver merge at n_blocks × n_labels × k rows
-    (clustering.centroid_outliers).  Output is ids + ranks only —
-    integer-exact for the hash compare."""
-    from jesse_ray.functions.clustering import centroid_outliers
+@entry("seq_remap_tokens", sql=SQL_SEQ_REMAP_TOKENS)
+def q_seq_remap_tokens(sf_dir: str) -> pa.Table:
+    """Vocabulary compaction: rank every token id by global frequency
+    (ties → smaller id) and remap the whole corpus old-id → rank;
+    negative sentinel ids pass through.  The embedding-table compaction
+    step before training.  Evidence is integer-exact per-source
+    position-weighted checksums of the REMAPPED sequences — any
+    misranked or misapplied token changes the sum
+    (seqops.token_frequency_remap + remap_checksums_by_group:
+    combiner-partial counts, driver merge bounded by vocab size,
+    broadcast-once remap, one searchsorted per batch)."""
+    from jesse_ray.functions.seqops import (
+        remap_checksums_by_group,
+        token_frequency_remap,
+    )
 
-    ds = read_table(f"{sf_dir}/embeddings.parquet",
-                    columns=["vec_id", "embedding", "label"])
-    out = centroid_outliers(ds, vec_col="embedding", label_col="label",
-                            id_col="vec_id", k=5)
-    return pa.table({
-        "label": out["label"].cast(pa.int64()),
-        "rnk": out["rnk"],
-        "vec_id": out["vec_id"],
-    })
+    ds = read_sequences(_seq_path(sf_dir), columns=["tokens", "source"])
+    tok, new = token_frequency_remap(ds, tokens_col="tokens")
+    ref = ray.put((tok, new)) if ray.is_initialized() else (tok, new)
+    return remap_checksums_by_group(ds, ref, tokens_col="tokens", group_col="source")
 
 
 SQL_EMB_OUTLIERS = """
@@ -5728,9 +5874,46 @@ ORDER BY label, rnk
 """
 
 
+@entry("emb_outliers", sql=SQL_EMB_OUTLIERS)
+def q_emb_outliers(sf_dir: str) -> pa.Table:
+    """Embedding QC: the 5 vectors furthest from their own label's
+    centroid, per label (mislabel / noisy-embedding screen).  Exact
+    centroids from combiner partials, broadcast once; per-batch partial
+    top-k keeps the driver merge at n_blocks × n_labels × k rows
+    (clustering.centroid_outliers).  Output is ids + ranks only —
+    integer-exact for the hash compare."""
+    from jesse_ray.functions.clustering import centroid_outliers
+
+    ds = read_table(f"{sf_dir}/embeddings.parquet",
+                    columns=["vec_id", "embedding", "label"])
+    out = centroid_outliers(ds, vec_col="embedding", label_col="label",
+                            id_col="vec_id", k=5)
+    return pa.table({
+        "label": out["label"].cast(pa.int64()),
+        "rnk": out["rnk"],
+        "vec_id": out["vec_id"],
+    })
+
+
 Q5_LO, Q5_HI = "1996-01-01", "1997-01-01"
 
 
+SQL_TPCH_Q5ISH = f"""
+SELECT n_name, round(sum(l_extendedprice * (1.0 - l_discount)), 2) AS revenue
+FROM customer
+JOIN orders ON c_custkey = o_custkey
+JOIN lineitem ON l_orderkey = o_orderkey
+JOIN supplier ON l_suppkey = s_suppkey AND c_nationkey = s_nationkey
+JOIN nation ON s_nationkey = n_nationkey
+JOIN region ON n_regionkey = r_regionkey
+WHERE r_name = 'ASIA'
+  AND o_orderdate >= TIMESTAMP '{Q5_LO}' AND o_orderdate < TIMESTAMP '{Q5_HI}'
+GROUP BY n_name
+ORDER BY revenue DESC, n_name
+"""
+
+
+@entry("tpch_q5ish", sql=SQL_TPCH_Q5ISH)
 def q_tpch_q5ish(sf_dir: str) -> pa.Table:
     """TPC-H Q5-shaped six-table composite (local-supplier revenue by
     nation): two large-x-large hash joins for the fact chain
@@ -5808,21 +5991,25 @@ def q_tpch_q5ish(sf_dir: str) -> pa.Table:
     }).sort_by([("revenue", "descending"), ("n_name", "ascending")])
 
 
-SQL_TPCH_Q5ISH = f"""
-SELECT n_name, round(sum(l_extendedprice * (1.0 - l_discount)), 2) AS revenue
-FROM customer
-JOIN orders ON c_custkey = o_custkey
-JOIN lineitem ON l_orderkey = o_orderkey
-JOIN supplier ON l_suppkey = s_suppkey AND c_nationkey = s_nationkey
-JOIN nation ON s_nationkey = n_nationkey
-JOIN region ON n_regionkey = r_regionkey
-WHERE r_name = 'ASIA'
-  AND o_orderdate >= TIMESTAMP '{Q5_LO}' AND o_orderdate < TIMESTAMP '{Q5_HI}'
-GROUP BY n_name
-ORDER BY revenue DESC, n_name
+SQL_TPCH_Q14ISH = """
+SELECT CAST(year(l_shipdate) * 100 + month(l_shipdate) AS BIGINT) AS ym,
+       round(100.0 * CAST(sum(CASE WHEN p_type = 'PROMO'
+                              THEN CAST(round(l_extendedprice * 100) AS BIGINT)
+                                   * (100 - CAST(round(l_discount * 100) AS BIGINT))
+                              ELSE 0 END) AS DOUBLE)
+             / CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
+                        * (100 - CAST(round(l_discount * 100) AS BIGINT))) AS DOUBLE),
+             6) AS promo_share,
+       round(CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
+                      * (100 - CAST(round(l_discount * 100) AS BIGINT))) AS DOUBLE)
+             / 10000.0, 2) AS revenue
+FROM lineitem JOIN part ON l_partkey = p_partkey
+GROUP BY ym
+ORDER BY ym
 """
 
 
+@entry("tpch_q14ish", sql=SQL_TPCH_Q14ISH)
 def q_tpch_q14ish(sf_dir: str) -> pa.Table:
     """TPC-H Q14-shaped promo-revenue share per ship month: one
     large-x-medium hash join (lineitem⋈part — part is 1/30 of lineitem
@@ -5878,27 +6065,27 @@ def q_tpch_q14ish(sf_dir: str) -> pa.Table:
     }).sort_by("ym")
 
 
-SQL_TPCH_Q14ISH = """
-SELECT CAST(year(l_shipdate) * 100 + month(l_shipdate) AS BIGINT) AS ym,
-       round(100.0 * CAST(sum(CASE WHEN p_type = 'PROMO'
-                              THEN CAST(round(l_extendedprice * 100) AS BIGINT)
-                                   * (100 - CAST(round(l_discount * 100) AS BIGINT))
-                              ELSE 0 END) AS DOUBLE)
-             / CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
-                        * (100 - CAST(round(l_discount * 100) AS BIGINT))) AS DOUBLE),
-             6) AS promo_share,
-       round(CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
-                      * (100 - CAST(round(l_discount * 100) AS BIGINT))) AS DOUBLE)
-             / 10000.0, 2) AS revenue
-FROM lineitem JOIN part ON l_partkey = p_partkey
-GROUP BY ym
-ORDER BY ym
-"""
-
-
 _WEEK_US = 7 * 24 * 3600 * 1_000_000
 
 
+SQL_EVENTS_COHORT_RETENTION = f"""
+WITH firsts AS (
+  SELECT user_id,
+         CAST(floor(epoch_us(min(ts)) / {_WEEK_US}.0) AS BIGINT) AS cohort_w
+  FROM events GROUP BY user_id
+),
+j AS (
+  SELECT e.user_id, f.cohort_w,
+         CAST(floor(epoch_us(e.ts) / {_WEEK_US}.0) AS BIGINT) - f.cohort_w AS offset_w
+  FROM events e JOIN firsts f USING (user_id)
+)
+SELECT cohort_w, offset_w, CAST(count(DISTINCT user_id) AS BIGINT) AS n_users
+FROM j GROUP BY cohort_w, offset_w
+ORDER BY cohort_w, offset_w
+"""
+
+
+@entry("events_cohort_retention", sql=SQL_EVENTS_COHORT_RETENTION)
 def q_events_cohort_retention(sf_dir: str) -> pa.Table:
     """Weekly cohort retention matrix: users are anchored to the week
     of their FIRST event (relational.latest_by_key keep='first' — the
@@ -5950,26 +6137,40 @@ def q_events_cohort_retention(sf_dir: str) -> pa.Table:
     }).sort_by([("cohort_w", "ascending"), ("offset_w", "ascending")])
 
 
-SQL_EVENTS_COHORT_RETENTION = f"""
-WITH firsts AS (
-  SELECT user_id,
-         CAST(floor(epoch_us(min(ts)) / {_WEEK_US}.0) AS BIGINT) AS cohort_w
-  FROM events GROUP BY user_id
-),
-j AS (
-  SELECT e.user_id, f.cohort_w,
-         CAST(floor(epoch_us(e.ts) / {_WEEK_US}.0) AS BIGINT) - f.cohort_w AS offset_w
-  FROM events e JOIN firsts f USING (user_id)
-)
-SELECT cohort_w, offset_w, CAST(count(DISTINCT user_id) AS BIGINT) AS n_users
-FROM j GROUP BY cohort_w, offset_w
-ORDER BY cohort_w, offset_w
-"""
-
-
 PQ_M, PQ_K = 8, 16
 
 
+SQL_EMB_PQ = """
+WITH codes AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/pq_codes_sigs_sf0.01.parquet')),
+cents AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/pq_cents_sigs_sf0.01.parquet')),
+dims AS (
+  SELECT vec_id, generate_subscripts(embedding, 1) AS i,
+         CAST(unnest(embedding) AS DOUBLE) AS x
+  FROM embeddings
+),
+dist AS (
+  SELECT d.vec_id, c.j, c.c, sum((d.x - c.v) * (d.x - c.v)) AS d2
+  FROM dims d JOIN cents c ON c.i = d.i
+  GROUP BY d.vec_id, c.j, c.c
+),
+best AS (SELECT vec_id, j, min(d2) AS mind FROM dist GROUP BY vec_id, j),
+own AS (
+  SELECT dist.vec_id, dist.j, dist.d2 AS ownd
+  FROM dist JOIN codes ON codes.vec_id = dist.vec_id
+                      AND codes.j = dist.j AND codes.code = dist.c
+),
+ok AS (
+  SELECT count(*) = 0 AS good
+  FROM own JOIN best USING (vec_id, j) WHERE ownd > mind + 1e-9
+)
+SELECT j, code, CAST(count(*) AS BIGINT) AS n FROM codes
+GROUP BY j, code
+HAVING (SELECT good FROM ok)
+ORDER BY j, code
+"""
+
+
+@entry("emb_pq", sql=SQL_EMB_PQ)
 def q_emb_pq(sf_dir: str) -> pa.Table:
     """Product-quantization encode (Jegou et al., TPAMI 2011 — the
     memory-compression step for billion-scale ANN): train m=8 × k=16
@@ -6008,39 +6209,28 @@ def q_emb_pq(sf_dir: str) -> pa.Table:
     }).sort_by([("j", "ascending"), ("code", "ascending")])
 
 
-SQL_EMB_PQ = """
-WITH codes AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/pq_codes_sigs_sf0.01.parquet')),
-cents AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/pq_cents_sigs_sf0.01.parquet')),
-dims AS (
+PCA_DIM = 8
+
+
+SQL_EMB_PCA = """
+WITH m AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/pca_mean_sigs_sf0.01.parquet')),
+w AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/pca_comp_sigs_sf0.01.parquet')),
+e AS (
   SELECT vec_id, generate_subscripts(embedding, 1) AS i,
          CAST(unnest(embedding) AS DOUBLE) AS x
   FROM embeddings
 ),
-dist AS (
-  SELECT d.vec_id, c.j, c.c, sum((d.x - c.v) * (d.x - c.v)) AS d2
-  FROM dims d JOIN cents c ON c.i = d.i
-  GROUP BY d.vec_id, c.j, c.c
-),
-best AS (SELECT vec_id, j, min(d2) AS mind FROM dist GROUP BY vec_id, j),
-own AS (
-  SELECT dist.vec_id, dist.j, dist.d2 AS ownd
-  FROM dist JOIN codes ON codes.vec_id = dist.vec_id
-                      AND codes.j = dist.j AND codes.code = dist.c
-),
-ok AS (
-  SELECT count(*) = 0 AS good
-  FROM own JOIN best USING (vec_id, j) WHERE ownd > mind + 1e-9
+centered AS (
+  SELECT e.vec_id, e.i, e.x - m.mu AS xc FROM e JOIN m USING (i)
 )
-SELECT j, code, CAST(count(*) AS BIGINT) AS n FROM codes
-GROUP BY j, code
-HAVING (SELECT good FROM ok)
-ORDER BY j, code
+SELECT c.vec_id, w.j, round(sum(c.xc * w.w), 4) AS val
+FROM centered c JOIN w ON w.i = c.i
+GROUP BY c.vec_id, w.j
+ORDER BY c.vec_id, w.j
 """
 
 
-PCA_DIM = 8
-
-
+@entry("emb_pca", sql=SQL_EMB_PCA)
 def q_emb_pca(sf_dir: str) -> pa.Table:
     """Exact distributed PCA (64→8): one streaming moment-partials pass
     (n, Σx, Σxxᵀ per block — driver merge bounded by n_blocks × dim²),
@@ -6088,24 +6278,6 @@ def q_emb_pca(sf_dir: str) -> pa.Table:
     return _collect(out.map_batches(longform, batch_format="pyarrow", zero_copy_batch=True))
 
 
-SQL_EMB_PCA = """
-WITH m AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/pca_mean_sigs_sf0.01.parquet')),
-w AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/pca_comp_sigs_sf0.01.parquet')),
-e AS (
-  SELECT vec_id, generate_subscripts(embedding, 1) AS i,
-         CAST(unnest(embedding) AS DOUBLE) AS x
-  FROM embeddings
-),
-centered AS (
-  SELECT e.vec_id, e.i, e.x - m.mu AS xc FROM e JOIN m USING (i)
-)
-SELECT c.vec_id, w.j, round(sum(c.xc * w.w), 4) AS val
-FROM centered c JOIN w ON w.i = c.i
-GROUP BY c.vec_id, w.j
-ORDER BY c.vec_id, w.j
-"""
-
-
 def _lr_features(batch: pa.Table) -> np.ndarray:
     """Design matrix for the quality classifier — integer counts the
     SQL twin reproduces exactly, turned into ratios by SINGLE divisions
@@ -6129,6 +6301,31 @@ def _lr_features(batch: pa.Table) -> np.ndarray:
     ])
 
 
+SQL_DOC_LR_QUALITY = """
+WITH w AS (
+  SELECT max(CASE WHEN k = 0 THEN w END) AS w0,
+         max(CASE WHEN k = 1 THEN w END) AS w1,
+         max(CASE WHEN k = 2 THEN w END) AS w2,
+         max(CASE WHEN k = 3 THEN w END) AS w3
+  FROM read_parquet('/tmp/jesse_ray_data/lr_weights_sigs_sf0.01.parquet')
+),
+f AS (
+  SELECT doc_id,
+         CAST(length(text) AS BIGINT) AS q_len,
+         CAST(length(regexp_replace(text, '[^A-Za-z]', '', 'g')) AS BIGINT) AS n_alpha,
+         CAST(length(text) - length(replace(text, ' ', '')) AS BIGINT) AS n_space
+  FROM documents
+)
+SELECT doc_id,
+       round(((w.w0 + w.w1 * (CAST(q_len AS DOUBLE) / 1000.0))
+              + w.w2 * (CAST(n_alpha AS DOUBLE) / CAST(greatest(q_len, 1) AS DOUBLE)))
+              + w.w3 * (CAST(n_space AS DOUBLE) / CAST(greatest(q_len, 1) AS DOUBLE)), 6) AS logit
+FROM f, w
+ORDER BY doc_id
+"""
+
+
+@entry("doc_lr_quality", sql=SQL_DOC_LR_QUALITY)
 def q_doc_lr_quality(sf_dir: str) -> pa.Table:
     """Fasttext-style linear quality classifier trained DISTRIBUTED
     (functions.linear.logreg_fit: each GD step is one streaming pass of
@@ -6172,42 +6369,6 @@ def q_doc_lr_quality(sf_dir: str) -> pa.Table:
     return _collect(ds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True))
 
 
-SQL_DOC_LR_QUALITY = """
-WITH w AS (
-  SELECT max(CASE WHEN k = 0 THEN w END) AS w0,
-         max(CASE WHEN k = 1 THEN w END) AS w1,
-         max(CASE WHEN k = 2 THEN w END) AS w2,
-         max(CASE WHEN k = 3 THEN w END) AS w3
-  FROM read_parquet('/tmp/jesse_ray_data/lr_weights_sigs_sf0.01.parquet')
-),
-f AS (
-  SELECT doc_id,
-         CAST(length(text) AS BIGINT) AS q_len,
-         CAST(length(regexp_replace(text, '[^A-Za-z]', '', 'g')) AS BIGINT) AS n_alpha,
-         CAST(length(text) - length(replace(text, ' ', '')) AS BIGINT) AS n_space
-  FROM documents
-)
-SELECT doc_id,
-       round(((w.w0 + w.w1 * (CAST(q_len AS DOUBLE) / 1000.0))
-              + w.w2 * (CAST(n_alpha AS DOUBLE) / CAST(greatest(q_len, 1) AS DOUBLE)))
-              + w.w3 * (CAST(n_space AS DOUBLE) / CAST(greatest(q_len, 1) AS DOUBLE)), 6) AS logit
-FROM f, w
-ORDER BY doc_id
-"""
-
-
-def q_doc_bm25(sf_dir: str) -> pa.Table:
-    """Disjunctive BM25 top-20 over documents (text.bm25_search): a
-    corpus-stats streaming pass (N, avgdl, per-term df via one-row-per-
-    batch partials), then the scoring scan with per-batch top-k
-    partials — no shuffle, driver merges k × n_blocks rows.  Scores
-    rounded to 6 dp on BOTH sides before ranking."""
-    from jesse_ray.functions.text import bm25_search
-
-    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return bm25_search(ds, SEARCH_TERMS, k=20)
-
-
 _BM25_TERMS_SQL = ", ".join(f"'{t}'" for t in SEARCH_TERMS)
 SQL_DOC_BM25 = f"""
 WITH w AS (SELECT doc_id, unnest(string_split(text, ' ')) AS word FROM documents),
@@ -6234,6 +6395,30 @@ SELECT doc_id, score FROM scored ORDER BY score DESC, doc_id LIMIT 20
 """
 
 
+@entry("doc_bm25", sql=SQL_DOC_BM25)
+def q_doc_bm25(sf_dir: str) -> pa.Table:
+    """Disjunctive BM25 top-20 over documents (text.bm25_search): a
+    corpus-stats streaming pass (N, avgdl, per-term df via one-row-per-
+    batch partials), then the scoring scan with per-batch top-k
+    partials — no shuffle, driver merges k × n_blocks rows.  Scores
+    rounded to 6 dp on BOTH sides before ranking."""
+    from jesse_ray.functions.text import bm25_search
+
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    return bm25_search(ds, SEARCH_TERMS, k=20)
+
+
+SQL_EVENTS_PIVOT = (
+    "SELECT event_type, "
+    + ", ".join(
+        f"CAST(count(*) FILTER (WHERE extract(hour FROM ts) = {i}) AS BIGINT) AS h{i:02d}"
+        for i in range(24)
+    )
+    + " FROM events GROUP BY event_type ORDER BY event_type"
+)
+
+
+@entry("events_pivot", sql=SQL_EVENTS_PIVOT)
 def q_events_pivot(sf_dir: str) -> pa.Table:
     """Hour-of-day × event-type crosstab (relational.pivot_counts):
     per-batch one dictionary_encode + one 2-D np.bincount combiner
@@ -6254,16 +6439,23 @@ def q_events_pivot(sf_dir: str) -> pa.Table:
     return pivot_counts(hds, "event_type", "hour", 24, prefix="h")
 
 
-SQL_EVENTS_PIVOT = (
-    "SELECT event_type, "
-    + ", ".join(
-        f"CAST(count(*) FILTER (WHERE extract(hour FROM ts) = {i}) AS BIGINT) AS h{i:02d}"
-        for i in range(24)
-    )
-    + " FROM events GROUP BY event_type ORDER BY event_type"
+SQL_SEQ_FIXITY_MANIFEST = f"""
+WITH per_doc AS (
+  SELECT source, n_tok,
+         (SELECT coalesce(sum(CAST(u.tok AS BIGINT) * u.pos), 0) % 2147483647
+          FROM (SELECT unnest(tokens) AS tok,
+                       generate_subscripts(tokens, 1) AS pos) u) AS ck
+  FROM {SEQ_SQL}
 )
+SELECT source,
+       CAST(count(*) AS BIGINT) AS cnt,
+       CAST(sum(n_tok) AS BIGINT) AS sum_n_tok,
+       CAST(sum(ck) AS BIGINT) AS checksum
+FROM per_doc GROUP BY source
+"""
 
 
+@entry("seq_fixity_manifest", sql=SQL_SEQ_FIXITY_MANIFEST)
 def q_seq_fixity_manifest(sf_dir: str) -> pa.Table:
     """Per-shard fixity manifest — the ingest-integrity record a
     resumable 100 TB run keeps per input shard: row count, token
@@ -6284,35 +6476,6 @@ def q_seq_fixity_manifest(sf_dir: str) -> pa.Table:
     })
 
 
-SQL_SEQ_FIXITY_MANIFEST = f"""
-WITH per_doc AS (
-  SELECT source, n_tok,
-         (SELECT coalesce(sum(CAST(u.tok AS BIGINT) * u.pos), 0) % 2147483647
-          FROM (SELECT unnest(tokens) AS tok,
-                       generate_subscripts(tokens, 1) AS pos) u) AS ck
-  FROM {SEQ_SQL}
-)
-SELECT source,
-       CAST(count(*) AS BIGINT) AS cnt,
-       CAST(sum(n_tok) AS BIGINT) AS sum_n_tok,
-       CAST(sum(ck) AS BIGINT) AS checksum
-FROM per_doc GROUP BY source
-"""
-
-
-def q_emb_hard_negatives(sf_dir: str) -> pa.Table:
-    """Hard-negative mining for the first 16 vectors: top-5 most
-    cosine-similar vectors with a DIFFERENT label per anchor
-    (similarity.hard_negatives — anchors broadcast once, corpus
-    streamed, per-batch |A|×|B| matmul + label mask + partial top-k;
-    rank-only output so the twin hashes exactly)."""
-    from jesse_ray.functions.similarity import hard_negatives
-
-    ds = read_table(f"{sf_dir}/embeddings.parquet",
-                    columns=["vec_id", "embedding", "label"])
-    return hard_negatives(ds, list(range(16)), k=5, batch_size=2048)
-
-
 SQL_EMB_HARD_NEGATIVES = """
 WITH a AS (SELECT vec_id AS anchor_id, label AS alabel, embedding AS avec
            FROM embeddings WHERE vec_id < 16),
@@ -6331,622 +6494,16 @@ ORDER BY anchor_id, rank
 """
 
 
-# ---------------------------------------------------------------------------
-# registry
+@entry("emb_hard_negatives", sql=SQL_EMB_HARD_NEGATIVES)
+def q_emb_hard_negatives(sf_dir: str) -> pa.Table:
+    """Hard-negative mining for the first 16 vectors: top-5 most
+    cosine-similar vectors with a DIFFERENT label per anchor
+    (similarity.hard_negatives — anchors broadcast once, corpus
+    streamed, per-batch |A|×|B| matmul + label mask + partial top-k;
+    rank-only output so the twin hashes exactly)."""
+    from jesse_ray.functions.similarity import hard_negatives
+
+    ds = read_table(f"{sf_dir}/embeddings.parquet",
+                    columns=["vec_id", "embedding", "label"])
+    return hard_negatives(ds, list(range(16)), k=5, batch_size=2048)
 
-
-
-def _merge_waves(base: dict, idx: int) -> dict:
-    """Fold every wave dict into ``base``, REFUSING silent shadowing —
-    the dict-union chain this replaces hid two distinct operators for
-    rounds because a later wave reused their names (round-5 audit)."""
-    out = dict(base)
-    for w in [_wave2, _wave3, _wave4, _wave5, _wave6, _wave7, _wave8, _wave9, _wave10, _wave11, _wave12, _wave13, _wave14, _wave15, _wave16, _wave17, _wave18, _wave19, _wave20, _wave21, _wave22, _wave23, _wave24, _wave25, _wave26, _wave27, _wave28, _wave29, _wave30, _wave31, _wave32, _wave33, _wave34, _wave35, _wave36, _wave37, _wave38, _wave39, _wave40, _wave41]:
-        d = w()[idx]
-        clash = out.keys() & d.keys()
-        if clash:
-            raise ValueError(f"catalog key collision from {w.__name__}: {sorted(clash)}")
-        out.update(d)
-    return out
-
-
-def queries() -> dict[str, Callable]:
-    # ensure the corpora the driver's oracle SQL reads exist before any
-    # SQL runs (sf0.1 is generated lazily by bench.py only)
-    testgen.generate("sf0.001")
-    testgen.generate("sf0.01")
-    return _merge_waves({
-        "seq_val_consistency": q_seq_val_consistency,
-        "seq_val_ntok_range": q_seq_val_ntok_range,
-        "seq_val_source_enum": q_seq_val_source_enum,
-        "seq_val_required": q_seq_val_required,
-        "seq_val_pattern": q_seq_val_pattern,
-        "seq_val_conditional": q_seq_val_conditional,
-        "seq_val_migrate": q_seq_val_migrate,
-        "seq_val_token_bounds": q_seq_val_token_bounds,
-        "seq_val_docid_dups": q_seq_val_docid_dups,
-        "seq_stats_by_source": q_seq_stats_by_source,
-        "seq_distinct_tokens_by_source": q_seq_distinct_tokens_by_source,
-        "seq_top_docs_by_source": q_seq_top_docs_by_source,
-        "seq_dedup_exact": q_seq_dedup_exact,
-        "seq_curated": q_seq_curated,
-        "seq_hash_split": q_seq_hash_split,
-        "seq_stratified_sample": q_seq_stratified_sample,
-        "seq_hll_tokens": q_seq_hll_tokens,
-        "seq_pack_offsets": q_seq_pack_offsets,
-        "seq_e2e_pipeline": q_seq_e2e_pipeline,
-        "doc_line_dedup": q_doc_line_dedup,
-        "doc_incremental_dedup": q_doc_incremental_dedup,
-        "seq_truncate_eos": q_seq_truncate_eos,
-        "seq_shuffle": q_seq_shuffle,
-        "doc_normalize": q_doc_normalize,
-        "doc_dup_clusters": q_doc_dup_clusters,
-        "doc_substring_dups": q_doc_substring_dups,
-        "events_rolling": q_events_rolling,
-        "seq_oov": q_seq_oov,
-        "doc_ccnet_buckets": q_doc_ccnet_buckets,
-        "doc_span_scrub": q_doc_span_scrub,
-        "seq_minhash_pairs": q_seq_minhash_pairs,
-        "seq_temperature_sample": q_seq_temperature_sample,
-        "emb_kmeans": q_emb_kmeans,
-        "emb_semdedup": q_emb_semdedup,
-        "emb_project": q_emb_project,
-        "emb_quantize": q_emb_quantize,
-        "seq_val_clean_count": q_seq_val_clean_count,
-        "seq_val_first_error": q_seq_val_first_error,
-        "seq_val_dependency": q_seq_val_dependency,
-        "seq_ntok_stats": q_seq_ntok_stats,
-        "seq_validation_full": q_seq_validation_full,
-        "events_users_per_type": q_events_users_per_type,
-        "doc_langs_by_source": q_doc_langs_by_source,
-        "seq_union_tokens_small": q_seq_union_tokens_small,
-        "doc_val_nchars": q_doc_val_nchars,
-        "doc_lang_enum": q_doc_lang_enum,
-        "doc_token_counts": q_doc_token_counts,
-        "doc_quality_counts": q_doc_quality_counts,
-        "doc_char_entropy": q_doc_char_entropy,
-        "doc_dsir": q_doc_dsir,
-        "doc_epoch_upsample": q_doc_epoch_upsample,
-        "doc_weighted_sample": q_doc_weighted_sample,
-        "doc_ngram_repetition": q_doc_ngram_repetition,
-        "doc_ngram_novelty": q_doc_ngram_novelty,
-        "doc_snapshot_diff": q_doc_snapshot_diff,
-        "doc_pct_rank": q_doc_pct_rank,
-        "events_window": q_events_window,
-        "events_sliding": q_events_sliding,
-        "events_lag": q_events_lag,
-        "events_sessions": q_events_sessions,
-        "events_funnel": q_events_funnel,
-        "events_winsorized": q_events_winsorized,
-        "events_decayed_sum": q_events_decayed_sum,
-        "events_zscore": q_events_zscore,
-        "events_window_dedup": q_events_window_dedup,
-        "events_users_hll": q_events_users_hll,
-        "events_value_tdigest": q_events_value_tdigest,
-        "events_cast_report": q_events_cast_report,
-        "events_transitions": q_events_transitions,
-        "events_hourly": q_events_hourly,
-        "events_histogram": q_events_histogram,
-        "events_click_attribution": q_events_click_attribution,
-        "events_latest_state": q_events_latest_state,
-        "events_scd2": q_events_scd2,
-        "doc_search": q_doc_search,
-        "seq_fim_split": q_seq_fim_split,
-        "seq_loss_mask": q_seq_loss_mask,
-        "emb_knn_graph": q_emb_knn_graph,
-        "events_profile": q_events_profile,
-        "seq_partitioned_write": q_seq_partitioned_write,
-        "events_zorder": q_events_zorder,
-        "seq_ngram_decontam": q_seq_ngram_decontam,
-        "events_equidepth": q_events_equidepth,
-        "events_kanon": q_events_kanon,
-        "seq_top_tokens_by_source": q_seq_top_tokens_by_source,
-        "seq_infer_spec": q_seq_infer_spec,
-        "seq_remap_tokens": q_seq_remap_tokens,
-        "emb_outliers": q_emb_outliers,
-        "tpch_q5ish": q_tpch_q5ish,
-        "tpch_q14ish": q_tpch_q14ish,
-        "events_cohort_retention": q_events_cohort_retention,
-        "emb_pq": q_emb_pq,
-        "emb_pca": q_emb_pca,
-        "doc_lr_quality": q_doc_lr_quality,
-        "doc_ttr_by_source": q_doc_ttr_by_source,
-        "events_corr": q_events_corr,
-        "seq_global_sort": q_seq_global_sort,
-        "seq_top_tokens": q_seq_top_tokens,
-        "seq_bpe_pairs": q_seq_bpe_pairs,
-        "seq_bpe_step": q_seq_bpe_step,
-        "seq_length_buckets": q_seq_length_buckets,
-        "seq_pmi_pairs": q_seq_pmi_pairs,
-        "seq_vocab_coverage": q_seq_vocab_coverage,
-        "seq_ntok_percentiles": q_seq_ntok_percentiles,
-        "seq_ntok_quantiles_by_source": q_seq_ntok_quantiles_by_source,
-        "orders_no_recent_lineitem": q_orders_no_recent_lineitem,
-        "seq_fixed_sample": q_seq_fixed_sample,
-        "doc_gopher_rules": q_doc_gopher_rules,
-        "seq_tdigest_ntok": q_seq_tdigest_ntok,
-        "seq_cms_tokens": q_seq_cms_tokens,
-        "doc_df_topk": q_doc_df_topk,
-        "doc_decontam": q_doc_decontam,
-        "doc_repetition": q_doc_repetition,
-        "doc_scrub": q_doc_scrub,
-        "doc_unigram_lp": q_doc_unigram_lp,
-        "doc_bigram_lp": q_doc_bigram_lp,
-        "doc_backoff_lp": q_doc_backoff_lp,
-        "doc_tfidf_top": q_doc_tfidf_top,
-        "doc_dup_line_stats": q_doc_dup_line_stats,
-        "seq_chunks": q_seq_chunks,
-        "seq_psi_by_source": q_seq_psi_by_source,
-        "seq_ks_by_source": q_seq_ks_by_source,
-        "seq_jsd_by_source": q_seq_jsd_by_source,
-        "seq_source_overlap": q_seq_source_overlap,
-        "seq_mode_by_source": q_seq_mode_by_source,
-        "seq_mad_by_source": q_seq_mad_by_source,
-        "orders_lineitem_join": q_orders_lineitem_join,
-        "tpch_q3ish": q_tpch_q3ish,
-        "tpch_q18ish": q_tpch_q18ish,
-        "lineitem_rollup": q_lineitem_rollup,
-        "events_asof_login": q_events_asof_login,
-        "events_value_tiers": q_events_value_tiers,
-        "events_nested_struct": q_events_nested_struct,
-        "events_props_sum": q_events_props_sum,
-        "orders_by_segment": q_orders_by_segment,
-        "orders_top10": q_orders_top10,
-        "lineitem_pricing": q_lineitem_pricing,
-        "emb_validate": q_emb_validate,
-        "emb_topk": q_emb_topk,
-        # non-SQL-expressible (rows-only checks)
-        "drift_report": q_drift_report,
-        "doc_langid": q_doc_langid,
-        "doc_minhash_pairs": q_doc_minhash_pairs,
-        "doc_ngram_jaccard": q_doc_ngram_jaccard,
-        "doc_cross_decontam": q_doc_cross_decontam,
-        "doc_simhash_pairs": q_doc_simhash_pairs,
-        "doc_fingerprints": q_doc_fingerprints,
-        "emb_near_dups": q_emb_near_dups,
-        "emb_ivf_topk": q_emb_ivf_topk,
-        "doc_bm25": q_doc_bm25,
-        "events_pivot": q_events_pivot,
-        "seq_fixity_manifest": q_seq_fixity_manifest,
-        "emb_hard_negatives": q_emb_hard_negatives,
-        "media_features": q_media_features,
-    }, 0)
-
-
-def oracle_sql() -> dict[str, str]:
-    return _merge_waves({
-        "seq_val_consistency": SQL_SEQ_VAL_CONSISTENCY,
-        "seq_val_ntok_range": SQL_SEQ_VAL_NTOK_RANGE,
-        "seq_val_source_enum": SQL_SEQ_VAL_SOURCE_ENUM,
-        "seq_val_required": SQL_SEQ_VAL_REQUIRED,
-        "seq_val_pattern": SQL_SEQ_VAL_PATTERN,
-        "seq_val_conditional": SQL_SEQ_VAL_CONDITIONAL,
-        "seq_val_migrate": SQL_SEQ_VAL_MIGRATE,
-        "seq_val_token_bounds": SQL_SEQ_VAL_TOKEN_BOUNDS,
-        "seq_val_docid_dups": SQL_SEQ_VAL_DOCID_DUPS,
-        "seq_stats_by_source": SQL_SEQ_STATS_BY_SOURCE,
-        "seq_distinct_tokens_by_source": SQL_SEQ_DISTINCT_TOKENS_BY_SOURCE,
-        "seq_top_docs_by_source": SQL_SEQ_TOP_DOCS_BY_SOURCE,
-        "seq_dedup_exact": SQL_SEQ_DEDUP_EXACT,
-        "seq_curated": SQL_SEQ_CURATED,
-        "seq_hash_split": SQL_SEQ_HASH_SPLIT,
-        "seq_stratified_sample": SQL_SEQ_STRATIFIED_SAMPLE,
-        "seq_hll_tokens": SQL_SEQ_HLL_TOKENS,
-        "seq_pack_offsets": SQL_SEQ_PACK_OFFSETS,
-        "seq_e2e_pipeline": SQL_SEQ_E2E_PIPELINE,
-        "doc_line_dedup": SQL_DOC_LINE_DEDUP,
-        "doc_incremental_dedup": SQL_DOC_INCREMENTAL_DEDUP,
-        "seq_truncate_eos": SQL_SEQ_TRUNCATE_EOS,
-        "seq_shuffle": SQL_SEQ_SHUFFLE,
-        "doc_normalize": SQL_DOC_NORMALIZE,
-        "doc_dup_clusters": SQL_DOC_DUP_CLUSTERS,
-        "doc_substring_dups": SQL_DOC_SUBSTRING_DUPS,
-        "events_rolling": SQL_EVENTS_ROLLING,
-        "seq_oov": SQL_SEQ_OOV,
-        "doc_ccnet_buckets": SQL_DOC_CCNET_BUCKETS,
-        "doc_span_scrub": SQL_DOC_SPAN_SCRUB,
-        "seq_minhash_pairs": SQL_SEQ_MINHASH_PAIRS,
-        "seq_temperature_sample": SQL_SEQ_TEMPERATURE_SAMPLE,
-        "emb_kmeans": SQL_EMB_KMEANS,
-        "emb_semdedup": SQL_EMB_SEMDEDUP,
-        "emb_project": SQL_EMB_PROJECT,
-        "emb_quantize": SQL_EMB_QUANTIZE,
-        "seq_val_clean_count": SQL_SEQ_VAL_CLEAN_COUNT,
-        "seq_val_first_error": SQL_SEQ_VAL_FIRST_ERROR,
-        "seq_val_dependency": SQL_SEQ_VAL_DEPENDENCY,
-        "seq_ntok_stats": SQL_SEQ_NTOK_STATS,
-        "seq_validation_full": SQL_SEQ_VALIDATION_FULL,
-        "events_users_per_type": SQL_EVENTS_USERS_PER_TYPE,
-        "doc_langs_by_source": SQL_DOC_LANGS_BY_SOURCE,
-        "seq_union_tokens_small": SQL_SEQ_UNION_TOKENS_SMALL,
-        "doc_val_nchars": SQL_DOC_VAL_NCHARS,
-        "doc_lang_enum": SQL_DOC_LANG_ENUM,
-        "doc_token_counts": SQL_DOC_TOKEN_COUNTS,
-        "doc_quality_counts": SQL_DOC_QUALITY_COUNTS,
-        "doc_char_entropy": SQL_DOC_CHAR_ENTROPY,
-        "doc_dsir": SQL_DOC_DSIR,
-        "doc_epoch_upsample": SQL_DOC_EPOCH_UPSAMPLE,
-        "doc_weighted_sample": SQL_DOC_WEIGHTED_SAMPLE,
-        "doc_ngram_repetition": SQL_DOC_NGRAM_REPETITION,
-        "doc_ngram_novelty": SQL_DOC_NGRAM_NOVELTY,
-        "doc_snapshot_diff": SQL_DOC_SNAPSHOT_DIFF,
-        "doc_pct_rank": SQL_DOC_PCT_RANK,
-        "events_window": SQL_EVENTS_WINDOW,
-        "events_sliding": SQL_EVENTS_SLIDING,
-        "events_lag": SQL_EVENTS_LAG,
-        "events_sessions": SQL_EVENTS_SESSIONS,
-        "events_funnel": SQL_EVENTS_FUNNEL,
-        "events_winsorized": SQL_EVENTS_WINSORIZED,
-        "events_decayed_sum": SQL_EVENTS_DECAYED_SUM,
-        "events_zscore": SQL_EVENTS_ZSCORE,
-        "events_window_dedup": SQL_EVENTS_WINDOW_DEDUP,
-        "events_users_hll": SQL_EVENTS_USERS_HLL,
-        "events_value_tdigest": SQL_EVENTS_VALUE_TDIGEST,
-        "events_cast_report": SQL_EVENTS_CAST_REPORT,
-        "events_transitions": SQL_EVENTS_TRANSITIONS,
-        "events_hourly": SQL_EVENTS_HOURLY,
-        "events_histogram": SQL_EVENTS_HISTOGRAM,
-        "events_click_attribution": SQL_EVENTS_CLICK_ATTRIBUTION,
-        "events_latest_state": SQL_EVENTS_LATEST_STATE,
-        "events_scd2": SQL_EVENTS_SCD2,
-        "doc_search": SQL_DOC_SEARCH,
-        "seq_fim_split": SQL_SEQ_FIM_SPLIT,
-        "seq_loss_mask": SQL_SEQ_LOSS_MASK,
-        "emb_knn_graph": SQL_EMB_KNN_GRAPH,
-        "events_profile": SQL_EVENTS_PROFILE,
-        "seq_partitioned_write": SQL_SEQ_PARTITIONED_WRITE,
-        "events_zorder": SQL_EVENTS_ZORDER,
-        "seq_ngram_decontam": SQL_SEQ_NGRAM_DECONTAM,
-        "events_equidepth": SQL_EVENTS_EQUIDEPTH,
-        "events_kanon": SQL_EVENTS_KANON,
-        "seq_top_tokens_by_source": SQL_SEQ_TOP_TOKENS_BY_SOURCE,
-        "seq_infer_spec": SQL_SEQ_INFER_SPEC,
-        "seq_remap_tokens": SQL_SEQ_REMAP_TOKENS,
-        "emb_outliers": SQL_EMB_OUTLIERS,
-        "tpch_q5ish": SQL_TPCH_Q5ISH,
-        "tpch_q14ish": SQL_TPCH_Q14ISH,
-        "events_cohort_retention": SQL_EVENTS_COHORT_RETENTION,
-        "emb_pq": SQL_EMB_PQ,
-        "emb_pca": SQL_EMB_PCA,
-        "doc_lr_quality": SQL_DOC_LR_QUALITY,
-        "doc_ttr_by_source": SQL_DOC_TTR_BY_SOURCE,
-        "events_corr": SQL_EVENTS_CORR,
-        "seq_global_sort": SQL_SEQ_GLOBAL_SORT,
-        "seq_top_tokens": SQL_SEQ_TOP_TOKENS,
-        "seq_bpe_pairs": SQL_SEQ_BPE_PAIRS,
-        "seq_bpe_step": SQL_SEQ_BPE_STEP,
-        "seq_length_buckets": SQL_SEQ_LENGTH_BUCKETS,
-        "seq_pmi_pairs": SQL_SEQ_PMI_PAIRS,
-        "seq_vocab_coverage": SQL_SEQ_VOCAB_COVERAGE,
-        "seq_ntok_percentiles": SQL_SEQ_NTOK_PERCENTILES,
-        "seq_ntok_quantiles_by_source": SQL_SEQ_NTOK_QUANTILES_BY_SOURCE,
-        "orders_no_recent_lineitem": SQL_ORDERS_NO_RECENT_LINEITEM,
-        "seq_fixed_sample": SQL_SEQ_FIXED_SAMPLE,
-        "doc_gopher_rules": SQL_DOC_GOPHER_RULES,
-        "seq_tdigest_ntok": SQL_SEQ_TDIGEST_NTOK,
-        "seq_cms_tokens": SQL_SEQ_CMS_TOKENS,
-        "doc_df_topk": SQL_DOC_DF_TOPK,
-        "doc_decontam": SQL_DOC_DECONTAM,
-        "doc_repetition": SQL_DOC_REPETITION,
-        "doc_scrub": SQL_DOC_SCRUB,
-        "doc_unigram_lp": SQL_DOC_UNIGRAM_LP,
-        "doc_bigram_lp": SQL_DOC_BIGRAM_LP,
-        "doc_backoff_lp": SQL_DOC_BACKOFF_LP,
-        "doc_tfidf_top": SQL_DOC_TFIDF_TOP,
-        "doc_dup_line_stats": SQL_DOC_DUP_LINE_STATS,
-        "seq_chunks": SQL_SEQ_CHUNKS,
-        "seq_psi_by_source": SQL_SEQ_PSI_BY_SOURCE,
-        "seq_ks_by_source": SQL_SEQ_KS_BY_SOURCE,
-        "seq_jsd_by_source": SQL_SEQ_JSD_BY_SOURCE,
-        "seq_source_overlap": SQL_SEQ_SOURCE_OVERLAP,
-        "seq_mode_by_source": SQL_SEQ_MODE_BY_SOURCE,
-        "seq_mad_by_source": SQL_SEQ_MAD_BY_SOURCE,
-        "orders_lineitem_join": SQL_ORDERS_LINEITEM_JOIN,
-        "tpch_q3ish": SQL_TPCH_Q3ISH,
-        "tpch_q18ish": SQL_TPCH_Q18ISH,
-        "lineitem_rollup": SQL_LINEITEM_ROLLUP,
-        "events_asof_login": SQL_EVENTS_ASOF_LOGIN,
-        "events_value_tiers": SQL_EVENTS_VALUE_TIERS,
-        "events_nested_struct": SQL_EVENTS_NESTED_STRUCT,
-        "events_props_sum": SQL_EVENTS_PROPS_SUM,
-        "orders_by_segment": SQL_ORDERS_BY_SEGMENT,
-        "orders_top10": SQL_ORDERS_TOP10,
-        "lineitem_pricing": SQL_LINEITEM_PRICING,
-        "emb_validate": SQL_EMB_VALIDATE,
-        "emb_topk": SQL_EMB_TOPK,
-        "drift_report": SQL_DRIFT_REPORT,
-        "doc_langid": _langid_sql(),
-        "media_features": SQL_MEDIA_FEATURES,
-        "doc_fingerprints": SQL_DOC_FINGERPRINTS,
-        "doc_minhash_pairs": SQL_DOC_MINHASH_PAIRS,
-        "doc_ngram_jaccard": SQL_DOC_NGRAM_JACCARD,
-        "doc_cross_decontam": SQL_DOC_CROSS_DECONTAM,
-        "doc_simhash_pairs": SQL_DOC_SIMHASH_PAIRS,
-        "emb_near_dups": SQL_EMB_NEAR_DUPS,
-        "emb_ivf_topk": SQL_EMB_IVF_TOPK,
-        "doc_bm25": SQL_DOC_BM25,
-        "events_pivot": SQL_EVENTS_PIVOT,
-        "seq_fixity_manifest": SQL_SEQ_FIXITY_MANIFEST,
-        "emb_hard_negatives": SQL_EMB_HARD_NEGATIVES,
-    }, 1)
-
-
-def _wave2() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 2 (lazy import — queries2 imports helpers from this
-    module, so the import must not run at module-load time)."""
-    from jesse_ray.pipelines import queries2
-
-    return queries2.QUERIES2, queries2.ORACLES2
-
-
-def _wave3() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 3 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries3
-
-    return queries3.QUERIES3, queries3.ORACLES3
-
-
-def _wave4() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 4 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries4
-
-    return queries4.QUERIES4, queries4.ORACLES4
-
-
-def _wave5() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 5 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries5
-
-    return queries5.QUERIES5, queries5.ORACLES5
-
-
-def _wave6() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 6 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries6
-
-    return queries6.QUERIES6, queries6.ORACLES6
-
-
-def _wave7() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 7 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries7
-
-    return queries7.QUERIES7, queries7.ORACLES7
-
-
-def _wave8() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 8 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries8
-
-    return queries8.QUERIES8, queries8.ORACLES8
-
-
-def _wave9() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 9 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries9
-
-    return queries9.QUERIES9, queries9.ORACLES9
-
-
-def _wave10() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 10 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries10
-
-    return queries10.QUERIES10, queries10.ORACLES10
-
-
-def _wave11() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 11 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries11
-
-    return queries11.QUERIES11, queries11.ORACLES11
-
-
-def _wave12() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 12 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries12
-
-    return queries12.QUERIES12, queries12.ORACLES12
-
-
-def _wave13() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 13 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries13
-
-    return queries13.QUERIES13, queries13.ORACLES13
-
-
-def _wave14() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 14 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries14
-
-    return queries14.QUERIES14, queries14.ORACLES14
-
-
-def _wave15() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 15 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries15
-
-    return queries15.QUERIES15, queries15.ORACLES15
-
-
-def _wave16() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 16 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries16
-
-    return queries16.QUERIES16, queries16.ORACLES16
-
-
-def _wave17() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 17 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries17
-
-    return queries17.QUERIES17, queries17.ORACLES17
-
-
-def _wave18() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 18 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries18
-
-    return queries18.QUERIES18, queries18.ORACLES18
-
-
-def _wave19() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 19 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries19
-
-    return queries19.QUERIES19, queries19.ORACLES19
-
-
-def _wave20() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 20 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries20
-
-    return queries20.QUERIES20, queries20.ORACLES20
-
-
-def _wave21() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 21 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries21
-
-    return queries21.QUERIES21, queries21.ORACLES21
-
-
-def _wave22() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 22 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries22
-
-    return queries22.QUERIES22, queries22.ORACLES22
-
-
-def _wave23() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 23 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries23
-
-    return queries23.QUERIES23, queries23.ORACLES23
-
-
-def _wave24() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 24 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries24
-
-    return queries24.QUERIES24, queries24.ORACLES24
-
-
-def _wave25() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 25 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries25
-
-    return queries25.QUERIES25, queries25.ORACLES25
-
-
-def _wave26() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 26 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries26
-
-    return queries26.QUERIES26, queries26.ORACLES26
-
-
-def _wave27() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 27 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries27
-
-    return queries27.QUERIES27, queries27.ORACLES27
-
-
-def _wave28() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 28 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries28
-
-    return queries28.QUERIES28, queries28.ORACLES28
-
-
-def _wave29() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 29 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries29
-
-    return queries29.QUERIES29, queries29.ORACLES29
-
-
-def _wave30() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 30 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries30
-
-    return queries30.QUERIES30, queries30.ORACLES30
-
-
-def _wave31() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 31 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries31
-
-    return queries31.QUERIES31, queries31.ORACLES31
-
-
-def _wave32() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 32 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries32
-
-    return queries32.QUERIES32, queries32.ORACLES32
-
-
-def _wave33() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 33 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries33
-
-    return queries33.QUERIES33, queries33.ORACLES33
-
-
-def _wave34() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 34 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries34
-
-    return queries34.QUERIES34, queries34.ORACLES34
-
-
-def _wave35() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 35 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries35
-
-    return queries35.QUERIES35, queries35.ORACLES35
-
-
-def _wave36() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 36 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries36
-
-    return queries36.QUERIES36, queries36.ORACLES36
-
-
-def _wave37() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 37 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries37
-
-    return queries37.QUERIES37, queries37.ORACLES37
-
-
-def _wave38() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 38 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries38
-
-    return queries38.QUERIES38, queries38.ORACLES38
-
-
-def _wave39() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 39 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries39
-
-    return queries39.QUERIES39, queries39.ORACLES39
-
-
-def _wave40() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 40 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries40
-
-    return queries40.QUERIES40, queries40.ORACLES40
-
-
-def _wave41() -> tuple[dict[str, Callable], dict[str, str]]:
-    """Catalog wave 41 (lazy import, same acyclic-wiring rule as wave 2)."""
-    from jesse_ray.pipelines import queries41
-
-    return queries41.QUERIES41, queries41.ORACLES41

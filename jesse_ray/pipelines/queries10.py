@@ -18,12 +18,10 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from jesse_ray.hashutil import hash_partition_pandas
-from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, _sig_parquet_path
+from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, _sig_parquet_path, entry
 from jesse_ray.sources import read_sequences, read_table
 from jesse_ray.rounding import round_half_away
 
-QUERIES10: dict = {}
-ORACLES10: dict = {}
 
 _DAY_US = 86400000000
 
@@ -34,6 +32,22 @@ _DAY_US = 86400000000
 # for irregular series, where the plain mean over-weights bursts).
 
 
+SQL_EVENTS_TWAP = """
+WITH x AS (
+  SELECT event_type, ts, event_id, value FROM events WHERE value IS NOT NULL
+),
+w AS (
+  SELECT event_type, value,
+         epoch_us(lead(ts) OVER (PARTITION BY event_type ORDER BY ts, event_id) - ts) AS wus
+  FROM x
+)
+SELECT event_type, CAST(count(wus) AS BIGINT) AS n_gaps,
+       round(sum(value * wus) / sum(wus), 5) AS twap
+FROM w WHERE wus IS NOT NULL GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("events_twap", sql=SQL_EVENTS_TWAP)
 def q_events_twap(sf_dir: str) -> pd.DataFrame:
     """TWAP per type: Σ value·Δt / Σ Δt with Δt = gap to the next
     same-type non-null observation (last one carries no weight); ties
@@ -74,30 +88,29 @@ def q_events_twap(sf_dir: str) -> pd.DataFrame:
     }).reset_index(drop=True)
 
 
-SQL_EVENTS_TWAP = """
-WITH x AS (
-  SELECT event_type, ts, event_id, value FROM events WHERE value IS NOT NULL
-),
-w AS (
-  SELECT event_type, value,
-         epoch_us(lead(ts) OVER (PARTITION BY event_type ORDER BY ts, event_id) - ts) AS wus
-  FROM x
-)
-SELECT event_type, CAST(count(wus) AS BIGINT) AS n_gaps,
-       round(sum(value * wus) / sum(wus), 5) AS twap
-FROM w WHERE wus IS NOT NULL GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES10["events_twap"] = q_events_twap
-ORACLES10["events_twap"] = SQL_EVENTS_TWAP
-
-
 # ---------------------------------------------------------------------------
 # seq_hll_by_source — per-group sketch audit: the grouped HLL distinct-
 # token estimate must sit within the sketch's error envelope of the
 # EXACT per-source distinct count (which the twin computes in SQL).
 
 
+SQL_SEQ_HLL_BY_SOURCE = f"""
+WITH s AS (
+  SELECT source, est FROM read_parquet('/tmp/jesse_ray_data/hll_by_source_sigs_sf0.01.parquet')
+),
+exact AS (
+  SELECT source, CAST(count(DISTINCT t) AS BIGINT) AS d
+  FROM (SELECT source, unnest(tokens) AS t FROM {SEQ_SQL})
+  GROUP BY 1
+)
+SELECT s.source, CAST(s.est AS BIGINT) AS est
+FROM s JOIN exact ON exact.source = s.source
+WHERE abs(CAST(s.est AS DOUBLE) / exact.d - 1.0) <= 0.05
+ORDER BY s.source
+"""
+
+
+@entry("seq_hll_by_source", sql=SQL_SEQ_HLL_BY_SOURCE)
 def q_seq_hll_by_source(sf_dir: str) -> pd.DataFrame:
     """Grouped HLL (p=12) distinct token ids per source, audited: the
     twin recomputes the exact count and the row only survives when
@@ -120,25 +133,6 @@ def q_seq_hll_by_source(sf_dir: str) -> pd.DataFrame:
     return out
 
 
-SQL_SEQ_HLL_BY_SOURCE = f"""
-WITH s AS (
-  SELECT source, est FROM read_parquet('/tmp/jesse_ray_data/hll_by_source_sigs_sf0.01.parquet')
-),
-exact AS (
-  SELECT source, CAST(count(DISTINCT t) AS BIGINT) AS d
-  FROM (SELECT source, unnest(tokens) AS t FROM {SEQ_SQL})
-  GROUP BY 1
-)
-SELECT s.source, CAST(s.est AS BIGINT) AS est
-FROM s JOIN exact ON exact.source = s.source
-WHERE abs(CAST(s.est AS DOUBLE) / exact.d - 1.0) <= 0.05
-ORDER BY s.source
-"""
-
-QUERIES10["seq_hll_by_source"] = q_seq_hll_by_source
-ORACLES10["seq_hll_by_source"] = SQL_SEQ_HLL_BY_SOURCE
-
-
 # ---------------------------------------------------------------------------
 # lineitem_trimmed_mean — exact 10% trimmed mean of quantity per return
 # flag, computed over the bounded (flag × quantity) count grid (never a
@@ -147,6 +141,23 @@ ORACLES10["seq_hll_by_source"] = SQL_SEQ_HLL_BY_SOURCE
 _TRIM = 0.1
 
 
+SQL_LINEITEM_TRIMMED_MEAN = f"""
+WITH r AS (
+  SELECT l_returnflag, l_quantity,
+         row_number() OVER (PARTITION BY l_returnflag ORDER BY l_quantity) AS rn,
+         count(*) OVER (PARTITION BY l_returnflag) AS n
+  FROM lineitem
+)
+SELECT l_returnflag,
+       CAST(count(*) AS BIGINT) AS n_kept,
+       round(avg(l_quantity), 5) AS trimmed_mean
+FROM r
+WHERE rn > floor({_TRIM} * n) AND rn <= n - floor({_TRIM} * n)
+GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("lineitem_trimmed_mean", sql=SQL_LINEITEM_TRIMMED_MEAN)
 def q_lineitem_trimmed_mean(sf_dir: str) -> pd.DataFrame:
     """Trimmed mean: drop floor(0.1·n) observations from each end, mean
     the rest — the outlier-robust location estimator between mean and
@@ -181,30 +192,27 @@ def q_lineitem_trimmed_mean(sf_dir: str) -> pd.DataFrame:
                          "trimmed_mean": out_m})
 
 
-SQL_LINEITEM_TRIMMED_MEAN = f"""
-WITH r AS (
-  SELECT l_returnflag, l_quantity,
-         row_number() OVER (PARTITION BY l_returnflag ORDER BY l_quantity) AS rn,
-         count(*) OVER (PARTITION BY l_returnflag) AS n
-  FROM lineitem
-)
-SELECT l_returnflag,
-       CAST(count(*) AS BIGINT) AS n_kept,
-       round(avg(l_quantity), 5) AS trimmed_mean
-FROM r
-WHERE rn > floor({_TRIM} * n) AND rn <= n - floor({_TRIM} * n)
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES10["lineitem_trimmed_mean"] = q_lineitem_trimmed_mean
-ORACLES10["lineitem_trimmed_mean"] = SQL_LINEITEM_TRIMMED_MEAN
-
-
 # ---------------------------------------------------------------------------
 # orders_seasonality_strength — variance decomposition of daily order
 # volume: how much of the variance is explained by month-of-year?
 
 
+SQL_ORDERS_SEASONALITY_STRENGTH = f"""
+WITH d AS (
+  SELECT epoch_us(o_orderdate) // {_DAY_US} AS day, CAST(count(*) AS BIGINT) AS c
+  FROM orders GROUP BY 1
+),
+w AS (
+  SELECT c, c - avg(c) OVER (PARTITION BY month(make_timestamp(day * {_DAY_US}))) AS resid
+  FROM d
+)
+SELECT (SELECT CAST(count(*) AS BIGINT) FROM d) AS n_days,
+       round(greatest(0.0, 1.0 - var_pop(resid) / var_pop(c)), 5) AS strength
+FROM w
+"""
+
+
+@entry("orders_seasonality_strength", sql=SQL_ORDERS_SEASONALITY_STRENGTH)
 def q_orders_seasonality_strength(sf_dir: str) -> pd.DataFrame:
     """Seasonality strength = max(0, 1 − var(residual)/var(series))
     with residual = daily count − its month-of-year mean (STL-style
@@ -230,45 +238,9 @@ def q_orders_seasonality_strength(sf_dir: str) -> pd.DataFrame:
                          "strength": [round_half_away(float(strength), 5)]})
 
 
-SQL_ORDERS_SEASONALITY_STRENGTH = f"""
-WITH d AS (
-  SELECT epoch_us(o_orderdate) // {_DAY_US} AS day, CAST(count(*) AS BIGINT) AS c
-  FROM orders GROUP BY 1
-),
-w AS (
-  SELECT c, c - avg(c) OVER (PARTITION BY month(make_timestamp(day * {_DAY_US}))) AS resid
-  FROM d
-)
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM d) AS n_days,
-       round(greatest(0.0, 1.0 - var_pop(resid) / var_pop(c)), 5) AS strength
-FROM w
-"""
-
-QUERIES10["orders_seasonality_strength"] = q_orders_seasonality_strength
-ORACLES10["orders_seasonality_strength"] = SQL_ORDERS_SEASONALITY_STRENGTH
-
-
 # ---------------------------------------------------------------------------
 # events_peaks — local-maximum detection on the daily event-count
 # series with a median-based prominence floor.
-
-
-def q_events_peaks(sf_dir: str) -> pd.DataFrame:
-    """Days whose count strictly exceeds both neighbors AND 1.05× the
-    discrete median (quantile_disc rule) — the burst-day detector.
-    Scale shape: daily combiner grid, driver scan."""
-    from jesse_ray.pipelines.queries6 import _daily_value_partials
-
-    d = _daily_value_partials(sf_dir).to_pandas().sort_values("day")
-    day = d["day"].to_numpy(dtype=np.int64)
-    c = d["cnt"].to_numpy(dtype=np.int64)
-    srt = np.sort(c)
-    md = int(srt[max(int(np.ceil(0.5 * len(srt))) - 1, 0)])
-    is_peak = np.zeros(len(c), dtype=bool)
-    if len(c) >= 3:
-        is_peak[1:-1] = (c[1:-1] > c[:-2]) & (c[1:-1] > c[2:]) & (c[1:-1] > 1.05 * md)
-    return (pd.DataFrame({"day": day[is_peak], "n": c[is_peak]})
-            .astype({"day": "int64", "n": "int64"}).reset_index(drop=True))
 
 
 SQL_EVENTS_PEAKS = f"""
@@ -288,5 +260,22 @@ WHERE pc IS NOT NULL AND nc IS NOT NULL
 ORDER BY day
 """
 
-QUERIES10["events_peaks"] = q_events_peaks
-ORACLES10["events_peaks"] = SQL_EVENTS_PEAKS
+
+@entry("events_peaks", sql=SQL_EVENTS_PEAKS)
+def q_events_peaks(sf_dir: str) -> pd.DataFrame:
+    """Days whose count strictly exceeds both neighbors AND 1.05× the
+    discrete median (quantile_disc rule) — the burst-day detector.
+    Scale shape: daily combiner grid, driver scan."""
+    from jesse_ray.pipelines.queries6 import _daily_value_partials
+
+    d = _daily_value_partials(sf_dir).to_pandas().sort_values("day")
+    day = d["day"].to_numpy(dtype=np.int64)
+    c = d["cnt"].to_numpy(dtype=np.int64)
+    srt = np.sort(c)
+    md = int(srt[max(int(np.ceil(0.5 * len(srt))) - 1, 0)])
+    is_peak = np.zeros(len(c), dtype=bool)
+    if len(c) >= 3:
+        is_peak[1:-1] = (c[1:-1] > c[:-2]) & (c[1:-1] > c[2:]) & (c[1:-1] > 1.05 * md)
+    return (pd.DataFrame({"day": day[is_peak], "n": c[is_peak]})
+            .astype({"day": "int64", "n": "int64"}).reset_index(drop=True))
+

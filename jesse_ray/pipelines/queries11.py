@@ -13,13 +13,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path
+from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, entry
 from jesse_ray.pipelines.queries6 import _ts_day
 from jesse_ray.sources import read_sequences, read_table
 from jesse_ray.rounding import round_half_away
-
-QUERIES11: dict = {}
-ORACLES11: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -27,6 +24,20 @@ ORACLES11: dict = {}
 # factor (var/mean; 1 = Poisson) and Goh–Barabási B = (σ−μ)/(σ+μ).
 
 
+SQL_EVENTS_BURSTINESS = """
+WITH d AS (
+  SELECT event_type, epoch_us(ts) // 86400000000 AS day,
+         CAST(count(*) AS BIGINT) AS c
+  FROM events GROUP BY 1, 2
+)
+SELECT event_type, CAST(count(*) AS BIGINT) AS n_days,
+       round(var_pop(c) / avg(c), 5) AS fano,
+       round((sqrt(var_pop(c)) - avg(c)) / (sqrt(var_pop(c)) + avg(c)), 5) AS burstiness
+FROM d GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("events_burstiness", sql=SQL_EVENTS_BURSTINESS)
 def q_events_burstiness(sf_dir: str) -> pd.DataFrame:
     """Per-type daily-count dispersion: Fano = var_pop/mean and
     B = (σ−μ)/(σ+μ) ∈ (−1, 1) (B→−1 regular, 0 Poisson-ish, →1
@@ -55,22 +66,6 @@ def q_events_burstiness(sf_dir: str) -> pd.DataFrame:
                          "fano": out_f, "burstiness": out_b})
 
 
-SQL_EVENTS_BURSTINESS = """
-WITH d AS (
-  SELECT event_type, epoch_us(ts) // 86400000000 AS day,
-         CAST(count(*) AS BIGINT) AS c
-  FROM events GROUP BY 1, 2
-)
-SELECT event_type, CAST(count(*) AS BIGINT) AS n_days,
-       round(var_pop(c) / avg(c), 5) AS fano,
-       round((sqrt(var_pop(c)) - avg(c)) / (sqrt(var_pop(c)) + avg(c)), 5) AS burstiness
-FROM d GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES11["events_burstiness"] = q_events_burstiness
-ORACLES11["events_burstiness"] = SQL_EVENTS_BURSTINESS
-
-
 # ---------------------------------------------------------------------------
 # seq_position_entropy — token entropy by sequence position (first
 # tokens are usually far more predictable than the bulk — the
@@ -79,6 +74,21 @@ ORACLES11["events_burstiness"] = SQL_EVENTS_BURSTINESS
 _POS_CAP = 8  # positions 0..7 individually, 8 = "rest"
 
 
+SQL_SEQ_POSITION_ENTROPY = f"""
+WITH e AS (
+  SELECT unnest(tokens) AS tok,
+         least(generate_subscripts(tokens, 1) - 1, {_POS_CAP}) AS pos
+  FROM {SEQ_SQL}
+),
+g AS (SELECT pos, tok, count(*) AS c FROM e GROUP BY 1, 2),
+t AS (SELECT pos, sum(c) AS tot FROM g GROUP BY 1)
+SELECT CAST(g.pos AS BIGINT) AS pos,
+       round(-sum((c * 1.0 / tot) * ln(c * 1.0 / tot)), 5) AS entropy
+FROM g JOIN t ON t.pos = g.pos GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("seq_position_entropy", sql=SQL_SEQ_POSITION_ENTROPY)
 def q_seq_position_entropy(sf_dir: str) -> pd.DataFrame:
     """Shannon entropy (nats) of the token distribution at each
     sequence position 0..7, with position ≥ 8 pooled.  Scale shape: a
@@ -111,23 +121,6 @@ def q_seq_position_entropy(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame({"pos": pd.array(out_p, dtype="int64"), "entropy": out_e})
 
 
-SQL_SEQ_POSITION_ENTROPY = f"""
-WITH e AS (
-  SELECT unnest(tokens) AS tok,
-         least(generate_subscripts(tokens, 1) - 1, {_POS_CAP}) AS pos
-  FROM {SEQ_SQL}
-),
-g AS (SELECT pos, tok, count(*) AS c FROM e GROUP BY 1, 2),
-t AS (SELECT pos, sum(c) AS tot FROM g GROUP BY 1)
-SELECT CAST(g.pos AS BIGINT) AS pos,
-       round(-sum((c * 1.0 / tot) * ln(c * 1.0 / tot)), 5) AS entropy
-FROM g JOIN t ON t.pos = g.pos GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES11["seq_position_entropy"] = q_seq_position_entropy
-ORACLES11["seq_position_entropy"] = SQL_SEQ_POSITION_ENTROPY
-
-
 # ---------------------------------------------------------------------------
 # seq_token_dispersion — Church–Gale burstiness: collection frequency
 # vs document frequency for the heaviest tokens (cf/df ≫ 1 ⇒ the token
@@ -136,6 +129,20 @@ ORACLES11["seq_position_entropy"] = SQL_SEQ_POSITION_ENTROPY
 _DISP_TOPK = 20
 
 
+SQL_SEQ_TOKEN_DISPERSION = f"""
+WITH e AS (
+  SELECT CAST(substr(doc_id, 5) AS BIGINT) AS k, unnest(tokens) AS tok FROM {SEQ_SQL}
+),
+cf AS (
+  SELECT tok, CAST(count(*) AS BIGINT) AS cf, CAST(count(DISTINCT k) AS BIGINT) AS df
+  FROM e GROUP BY 1
+)
+SELECT CAST(tok AS BIGINT) AS tok, cf, df, round(cf * 1.0 / df, 5) AS cpd
+FROM cf ORDER BY cf DESC, tok LIMIT {_DISP_TOPK}
+"""
+
+
+@entry("seq_token_dispersion", sql=SQL_SEQ_TOKEN_DISPERSION)
 def q_seq_token_dispersion(sf_dir: str) -> pd.DataFrame:
     """Top-20 tokens by collection frequency with their document
     frequency and cf/df rate.  Scale shape: cf rides a vocab-bounded
@@ -198,18 +205,3 @@ def q_seq_token_dispersion(sf_dir: str) -> pd.DataFrame:
                         / m["df"].to_numpy(dtype=np.float64), 5),
     }).reset_index(drop=True)
 
-
-SQL_SEQ_TOKEN_DISPERSION = f"""
-WITH e AS (
-  SELECT CAST(substr(doc_id, 5) AS BIGINT) AS k, unnest(tokens) AS tok FROM {SEQ_SQL}
-),
-cf AS (
-  SELECT tok, CAST(count(*) AS BIGINT) AS cf, CAST(count(DISTINCT k) AS BIGINT) AS df
-  FROM e GROUP BY 1
-)
-SELECT CAST(tok AS BIGINT) AS tok, cf, df, round(cf * 1.0 / df, 5) AS cpd
-FROM cf ORDER BY cf DESC, tok LIMIT {_DISP_TOPK}
-"""
-
-QUERIES11["seq_token_dispersion"] = q_seq_token_dispersion
-ORACLES11["seq_token_dispersion"] = SQL_SEQ_TOKEN_DISPERSION

@@ -15,12 +15,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from jesse_ray.hashutil import hash_partition_pandas
-from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path
+from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, entry
 from jesse_ray.sources import read_sequences, read_table
 from jesse_ray.rounding import round_half_away
 
-QUERIES12: dict = {}
-ORACLES12: dict = {}
 
 _DAY_US = 86400000000
 
@@ -30,6 +28,27 @@ _DAY_US = 86400000000
 # variation of inter-order gaps, averaged over regular customers.
 
 
+SQL_ORDERS_INTERORDER_CV = f"""
+WITH o AS (
+  SELECT o_custkey, epoch_us(o_orderdate) // {_DAY_US} AS day FROM orders
+),
+g AS (
+  SELECT o_custkey,
+         day - lag(day) OVER (PARTITION BY o_custkey ORDER BY day) AS gap
+  FROM o
+),
+c AS (
+  SELECT o_custkey, count(gap) AS n, avg(gap) AS mu, stddev_pop(gap) AS sd
+  FROM g WHERE gap IS NOT NULL GROUP BY 1
+  HAVING count(gap) >= 3 AND avg(gap) > 0
+)
+SELECT CAST(count(*) AS BIGINT) AS n_customers,
+       round(avg(sd / mu), 5) AS mean_cv
+FROM c
+"""
+
+
+@entry("orders_interorder_cv", sql=SQL_ORDERS_INTERORDER_CV)
 def q_orders_interorder_cv(sf_dir: str) -> pd.DataFrame:
     """Mean CV (σ_pop/μ) of per-customer inter-order day gaps over
     customers with ≥ 3 gaps — CV ≈ 1 is memoryless ordering, < 1
@@ -67,29 +86,6 @@ def q_orders_interorder_cv(sf_dir: str) -> pd.DataFrame:
                          "mean_cv": [round_half_away(float(m["cv"].mean()), 5)]})
 
 
-SQL_ORDERS_INTERORDER_CV = f"""
-WITH o AS (
-  SELECT o_custkey, epoch_us(o_orderdate) // {_DAY_US} AS day FROM orders
-),
-g AS (
-  SELECT o_custkey,
-         day - lag(day) OVER (PARTITION BY o_custkey ORDER BY day) AS gap
-  FROM o
-),
-c AS (
-  SELECT o_custkey, count(gap) AS n, avg(gap) AS mu, stddev_pop(gap) AS sd
-  FROM g WHERE gap IS NOT NULL GROUP BY 1
-  HAVING count(gap) >= 3 AND avg(gap) > 0
-)
-SELECT CAST(count(*) AS BIGINT) AS n_customers,
-       round(avg(sd / mu), 5) AS mean_cv
-FROM c
-"""
-
-QUERIES12["orders_interorder_cv"] = q_orders_interorder_cv
-ORACLES12["orders_interorder_cv"] = SQL_ORDERS_INTERORDER_CV
-
-
 # ---------------------------------------------------------------------------
 # seq_heaps_curve — Heaps-law vocabulary growth: distinct tokens seen
 # within the first m documents, from a (token → first-doc) combiner.
@@ -98,6 +94,19 @@ _HEAPS_STEP = 2500
 _HEAPS_MAX = 20000
 
 
+SQL_SEQ_HEAPS_CURVE = f"""
+WITH e AS (
+  SELECT CAST(substr(doc_id, 5) AS BIGINT) AS k, unnest(tokens) AS tok
+  FROM {SEQ_SQL} WHERE doc_id IS NOT NULL
+),
+f AS (SELECT tok, min(k) AS first_doc FROM e GROUP BY 1)
+SELECT m, CAST(count(*) FILTER (WHERE first_doc < m) AS BIGINT) AS vocab
+FROM generate_series({_HEAPS_STEP}, {_HEAPS_MAX}, {_HEAPS_STEP}) t(m), f
+GROUP BY m ORDER BY m
+"""
+
+
+@entry("seq_heaps_curve", sql=SQL_SEQ_HEAPS_CURVE)
 def q_seq_heaps_curve(sf_dir: str) -> pd.DataFrame:
     """Vocabulary growth V(m) = #tokens whose FIRST document (by
     numeric id) precedes milestone m — the Heaps-law curve, whose
@@ -130,26 +139,25 @@ def q_seq_heaps_curve(sf_dir: str) -> pd.DataFrame:
                          "vocab": pd.array(vocab, dtype="int64")})
 
 
-SQL_SEQ_HEAPS_CURVE = f"""
-WITH e AS (
-  SELECT CAST(substr(doc_id, 5) AS BIGINT) AS k, unnest(tokens) AS tok
-  FROM {SEQ_SQL} WHERE doc_id IS NOT NULL
-),
-f AS (SELECT tok, min(k) AS first_doc FROM e GROUP BY 1)
-SELECT m, CAST(count(*) FILTER (WHERE first_doc < m) AS BIGINT) AS vocab
-FROM generate_series({_HEAPS_STEP}, {_HEAPS_MAX}, {_HEAPS_STEP}) t(m), f
-GROUP BY m ORDER BY m
-"""
-
-QUERIES12["seq_heaps_curve"] = q_seq_heaps_curve
-ORACLES12["seq_heaps_curve"] = SQL_SEQ_HEAPS_CURVE
-
-
 # ---------------------------------------------------------------------------
 # events_gumbel_maxima — extreme-value audit: method-of-moments Gumbel
 # fit to the daily block maxima of `value`.
 
 
+SQL_EVENTS_GUMBEL_MAXIMA = f"""
+WITH d AS (
+  SELECT epoch_us(ts) // {_DAY_US} AS day, max(value) AS mx
+  FROM events WHERE value IS NOT NULL GROUP BY 1
+),
+m AS (SELECT count(*) AS n, avg(mx) AS mu, stddev_samp(mx) AS sd FROM d)
+SELECT CAST(n AS BIGINT) AS n_days,
+       round(sd * sqrt(6) / pi(), 5) AS beta,
+       round(mu - 0.57721566490153286 * (sd * sqrt(6) / pi()), 5) AS loc
+FROM m
+"""
+
+
+@entry("events_gumbel_maxima", sql=SQL_EVENTS_GUMBEL_MAXIMA)
 def q_events_gumbel_maxima(sf_dir: str) -> pd.DataFrame:
     """Daily maxima of ``value`` fit to Gumbel(μ, β) by moments:
     β̂ = s·√6/π, μ̂ = x̄ − γ·β̂ (γ = Euler–Mascheroni) — the EVT screen
@@ -176,49 +184,11 @@ def q_events_gumbel_maxima(sf_dir: str) -> pd.DataFrame:
                          "loc": [round_half_away(float(loc), 5)]})
 
 
-SQL_EVENTS_GUMBEL_MAXIMA = f"""
-WITH d AS (
-  SELECT epoch_us(ts) // {_DAY_US} AS day, max(value) AS mx
-  FROM events WHERE value IS NOT NULL GROUP BY 1
-),
-m AS (SELECT count(*) AS n, avg(mx) AS mu, stddev_samp(mx) AS sd FROM d)
-SELECT CAST(n AS BIGINT) AS n_days,
-       round(sd * sqrt(6) / pi(), 5) AS beta,
-       round(mu - 0.57721566490153286 * (sd * sqrt(6) / pi()), 5) AS loc
-FROM m
-"""
-
-QUERIES12["events_gumbel_maxima"] = q_events_gumbel_maxima
-ORACLES12["events_gumbel_maxima"] = SQL_EVENTS_GUMBEL_MAXIMA
-
-
 # ---------------------------------------------------------------------------
 # emb_intrinsic_dim — TwoNN intrinsic dimension (Facco et al. 2017):
 # d̂ = n / Σ ln(r₂/r₁) over each vector's two nearest neighbors.  On
 # unit-normalized vectors r = √(2−2s), so ln(r₂/r₁) = ½·ln((1−s₂)/(1−s₁))
 # comes straight from the cosine k-NN graph.
-
-
-def q_emb_intrinsic_dim(sf_dir: str) -> pd.DataFrame:
-    """Manifold-dimension audit of the embedding cloud: the TwoNN MLE
-    from each vector's two nearest cosine neighbors (distributed exact
-    k-NN graph, `similarity.knn_graph(k=2, emit_sim=True)`; vectors
-    unit-normalized so cosine order == euclidean order).  Exact
-    duplicates (s₁ ≈ 1) are excluded on both engines with the same
-    guard.  Scale shape: the block-streaming k-NN (no O(n·d) driver
-    allocation); the Σln is a per-batch partial."""
-    from jesse_ray.functions.similarity import knn_graph
-
-    ds = read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    g = knn_graph(ds, k=2, emit_sim=True).to_pandas()
-    piv = g.pivot(index="vec_id", columns="rank", values="sim")
-    s1 = piv[1].to_numpy(dtype=np.float64)
-    s2 = piv[2].to_numpy(dtype=np.float64)
-    ok = s1 < 1.0 - 1e-9  # exclude exact-duplicate nearest neighbors
-    terms = 0.5 * np.log((1.0 - s2[ok]) / (1.0 - s1[ok]))
-    n = int(ok.sum())
-    return pd.DataFrame({"n": pd.array([n], dtype="int64"),
-                         "intrinsic_dim": [round_half_away(float(n / terms.sum()), 4)]})
 
 
 SQL_EMB_INTRINSIC_DIM = """
@@ -244,5 +214,26 @@ SELECT CAST(count(*) AS BIGINT) AS n,
 FROM p WHERE s1 < 1.0 - 1e-9
 """
 
-QUERIES12["emb_intrinsic_dim"] = q_emb_intrinsic_dim
-ORACLES12["emb_intrinsic_dim"] = SQL_EMB_INTRINSIC_DIM
+
+@entry("emb_intrinsic_dim", sql=SQL_EMB_INTRINSIC_DIM)
+def q_emb_intrinsic_dim(sf_dir: str) -> pd.DataFrame:
+    """Manifold-dimension audit of the embedding cloud: the TwoNN MLE
+    from each vector's two nearest cosine neighbors (distributed exact
+    k-NN graph, `similarity.knn_graph(k=2, emit_sim=True)`; vectors
+    unit-normalized so cosine order == euclidean order).  Exact
+    duplicates (s₁ ≈ 1) are excluded on both engines with the same
+    guard.  Scale shape: the block-streaming k-NN (no O(n·d) driver
+    allocation); the Σln is a per-batch partial."""
+    from jesse_ray.functions.similarity import knn_graph
+
+    ds = read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    g = knn_graph(ds, k=2, emit_sim=True).to_pandas()
+    piv = g.pivot(index="vec_id", columns="rank", values="sim")
+    s1 = piv[1].to_numpy(dtype=np.float64)
+    s2 = piv[2].to_numpy(dtype=np.float64)
+    ok = s1 < 1.0 - 1e-9  # exclude exact-duplicate nearest neighbors
+    terms = 0.5 * np.log((1.0 - s2[ok]) / (1.0 - s1[ok]))
+    n = int(ok.sum())
+    return pd.DataFrame({"n": pd.array([n], dtype="int64"),
+                         "intrinsic_dim": [round_half_away(float(n / terms.sum()), 4)]})
+

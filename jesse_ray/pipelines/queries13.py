@@ -15,12 +15,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from jesse_ray.hashutil import hash_partition_pandas
-from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path
+from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, entry
 from jesse_ray.sources import read_sequences, read_table
 from jesse_ray.rounding import round_half_away
-
-QUERIES13: dict = {}
-ORACLES13: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -28,6 +25,14 @@ ORACLES13: dict = {}
 # exact-duplicate cluster sizes over token content.
 
 
+SQL_SEQ_DUP_CLUSTER_HIST = f"""
+WITH g AS (SELECT tokens, count(*) AS sz FROM {SEQ_SQL} GROUP BY tokens)
+SELECT CAST(sz AS BIGINT) AS cluster_size, CAST(count(*) AS BIGINT) AS n_clusters
+FROM g GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("seq_dup_cluster_hist", sql=SQL_SEQ_DUP_CLUSTER_HIST)
 def q_seq_dup_cluster_hist(sf_dir: str) -> pd.DataFrame:
     """How many content clusters of each size does the corpus hold?
     (size 1 = unique rows; the planted hot keys surface as big
@@ -58,21 +63,27 @@ def q_seq_dup_cluster_hist(sf_dir: str) -> pd.DataFrame:
             .sort_values("cluster_size").reset_index(drop=True))
 
 
-SQL_SEQ_DUP_CLUSTER_HIST = f"""
-WITH g AS (SELECT tokens, count(*) AS sz FROM {SEQ_SQL} GROUP BY tokens)
-SELECT CAST(sz AS BIGINT) AS cluster_size, CAST(count(*) AS BIGINT) AS n_clusters
-FROM g GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES13["seq_dup_cluster_hist"] = q_seq_dup_cluster_hist
-ORACLES13["seq_dup_cluster_hist"] = SQL_SEQ_DUP_CLUSTER_HIST
-
-
 # ---------------------------------------------------------------------------
 # events_user_entropy — behavioral-diversity profile: Shannon entropy
 # of each user's event-type mix, summarized over users.
 
 
+SQL_EVENTS_USER_ENTROPY = """
+WITH c AS (SELECT user_id, event_type, count(*) AS n FROM events GROUP BY 1, 2),
+t AS (SELECT user_id, sum(n) AS tot FROM c GROUP BY 1),
+h AS (
+  SELECT c.user_id, -sum((n * 1.0 / tot) * ln(n * 1.0 / tot)) AS ent
+  FROM c JOIN t USING (user_id) GROUP BY 1
+)
+SELECT CAST(count(*) AS BIGINT) AS n_users,
+       round(avg(ent), 5) AS mean_entropy,
+       round(min(ent), 5) AS min_entropy,
+       round(max(ent), 5) AS max_entropy
+FROM h
+"""
+
+
+@entry("events_user_entropy", sql=SQL_EVENTS_USER_ENTROPY)
 def q_events_user_entropy(sf_dir: str) -> pd.DataFrame:
     """Per-user event-type entropy (nats), reported as (n_users, mean,
     min, max) — the single-note-user vs generalist profile.  Scale
@@ -118,24 +129,6 @@ def q_events_user_entropy(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_EVENTS_USER_ENTROPY = """
-WITH c AS (SELECT user_id, event_type, count(*) AS n FROM events GROUP BY 1, 2),
-t AS (SELECT user_id, sum(n) AS tot FROM c GROUP BY 1),
-h AS (
-  SELECT c.user_id, -sum((n * 1.0 / tot) * ln(n * 1.0 / tot)) AS ent
-  FROM c JOIN t USING (user_id) GROUP BY 1
-)
-SELECT CAST(count(*) AS BIGINT) AS n_users,
-       round(avg(ent), 5) AS mean_entropy,
-       round(min(ent), 5) AS min_entropy,
-       round(max(ent), 5) AS max_entropy
-FROM h
-"""
-
-QUERIES13["events_user_entropy"] = q_events_user_entropy
-ORACLES13["events_user_entropy"] = SQL_EVENTS_USER_ENTROPY
-
-
 # ---------------------------------------------------------------------------
 # events_type_share_wilson — Wilson 95% CI on each event type's share
 # (the right interval for proportions, unlike the Wald normal).
@@ -143,6 +136,20 @@ ORACLES13["events_user_entropy"] = SQL_EVENTS_USER_ENTROPY
 _WZ = 1.96
 
 
+SQL_EVENTS_TYPE_SHARE_WILSON = f"""
+WITH c AS (SELECT event_type, CAST(count(*) AS BIGINT) AS k FROM events GROUP BY 1),
+t AS (SELECT sum(k) AS n FROM c)
+SELECT event_type, k,
+       round(k * 1.0 / n, 5) AS share,
+       round((k + {_WZ}*{_WZ}/2) / (n + {_WZ}*{_WZ})
+             - {_WZ} / (n + {_WZ}*{_WZ}) * sqrt(k * 1.0 * (n - k) / n + {_WZ}*{_WZ}/4), 5) AS ci_lo,
+       round((k + {_WZ}*{_WZ}/2) / (n + {_WZ}*{_WZ})
+             + {_WZ} / (n + {_WZ}*{_WZ}) * sqrt(k * 1.0 * (n - k) / n + {_WZ}*{_WZ}/4), 5) AS ci_hi
+FROM c, t ORDER BY event_type
+"""
+
+
+@entry("events_type_share_wilson", sql=SQL_EVENTS_TYPE_SHARE_WILSON)
 def q_events_type_share_wilson(sf_dir: str) -> pd.DataFrame:
     """Share of each event type with the Wilson score interval:
     center (k + z²/2)/(n + z²), margin z/(n + z²)·√(k(n−k)/n + z²/4).
@@ -169,18 +176,3 @@ def q_events_type_share_wilson(sf_dir: str) -> pd.DataFrame:
         "ci_hi": round_half_away(center + margin, 5),
     })
 
-
-SQL_EVENTS_TYPE_SHARE_WILSON = f"""
-WITH c AS (SELECT event_type, CAST(count(*) AS BIGINT) AS k FROM events GROUP BY 1),
-t AS (SELECT sum(k) AS n FROM c)
-SELECT event_type, k,
-       round(k * 1.0 / n, 5) AS share,
-       round((k + {_WZ}*{_WZ}/2) / (n + {_WZ}*{_WZ})
-             - {_WZ} / (n + {_WZ}*{_WZ}) * sqrt(k * 1.0 * (n - k) / n + {_WZ}*{_WZ}/4), 5) AS ci_lo,
-       round((k + {_WZ}*{_WZ}/2) / (n + {_WZ}*{_WZ})
-             + {_WZ} / (n + {_WZ}*{_WZ}) * sqrt(k * 1.0 * (n - k) / n + {_WZ}*{_WZ}/4), 5) AS ci_hi
-FROM c, t ORDER BY event_type
-"""
-
-QUERIES13["events_type_share_wilson"] = q_events_type_share_wilson
-ORACLES13["events_type_share_wilson"] = SQL_EVENTS_TYPE_SHARE_WILSON

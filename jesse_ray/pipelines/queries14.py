@@ -14,12 +14,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from jesse_ray.hashutil import hash_partition_pandas
-from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path
+from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, entry
 from jesse_ray.sources import read_sequences, read_table
 from jesse_ray.rounding import round_half_away
 
-QUERIES14: dict = {}
-ORACLES14: dict = {}
 
 _DAY_US = 86400000000
 
@@ -29,6 +27,25 @@ _DAY_US = 86400000000
 # (user, day) entities, computed EXACTLY from a 2^k bitmask histogram.
 
 
+SQL_EVENTS_TYPE_COOC = f"""
+WITH ut AS (
+  SELECT DISTINCT user_id, epoch_us(ts) // {_DAY_US} AS day, event_type FROM events
+),
+p AS (
+  SELECT a.event_type AS ta, b.event_type AS tb, CAST(count(*) AS BIGINT) AS nb
+  FROM ut a JOIN ut b ON a.user_id = b.user_id AND a.day = b.day
+                     AND a.event_type < b.event_type
+  GROUP BY 1, 2
+),
+s AS (SELECT event_type, CAST(count(*) AS BIGINT) AS nu FROM ut GROUP BY 1)
+SELECT ta, tb, nb AS n_both,
+       round(nb * 1.0 / (sa.nu + sb.nu - nb), 5) AS jaccard
+FROM p JOIN s sa ON sa.event_type = p.ta JOIN s sb ON sb.event_type = p.tb
+ORDER BY 1, 2
+"""
+
+
+@entry("events_type_cooc", sql=SQL_EVENTS_TYPE_COOC)
 def q_events_type_cooc(sf_dir: str) -> pd.DataFrame:
     """For each type pair: entities (user-days) seeing both, and the
     Jaccard overlap of their audiences.  Scale shape: distinct
@@ -86,32 +103,25 @@ def q_events_type_cooc(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame(out, columns=["ta", "tb", "n_both", "jaccard"])
 
 
-SQL_EVENTS_TYPE_COOC = f"""
-WITH ut AS (
-  SELECT DISTINCT user_id, epoch_us(ts) // {_DAY_US} AS day, event_type FROM events
-),
-p AS (
-  SELECT a.event_type AS ta, b.event_type AS tb, CAST(count(*) AS BIGINT) AS nb
-  FROM ut a JOIN ut b ON a.user_id = b.user_id AND a.day = b.day
-                     AND a.event_type < b.event_type
-  GROUP BY 1, 2
-),
-s AS (SELECT event_type, CAST(count(*) AS BIGINT) AS nu FROM ut GROUP BY 1)
-SELECT ta, tb, nb AS n_both,
-       round(nb * 1.0 / (sa.nu + sb.nu - nb), 5) AS jaccard
-FROM p JOIN s sa ON sa.event_type = p.ta JOIN s sb ON sb.event_type = p.tb
-ORDER BY 1, 2
-"""
-
-QUERIES14["events_type_cooc"] = q_events_type_cooc
-ORACLES14["events_type_cooc"] = SQL_EVENTS_TYPE_COOC
-
-
 # ---------------------------------------------------------------------------
 # orders_newcust_trend — acquisition health: is the share of FIRST-TIME
 # customers per month rising or falling?
 
 
+SQL_ORDERS_NEWCUST_TREND = """
+WITH om AS (
+  SELECT o_custkey, year(o_orderdate) * 12 + month(o_orderdate) AS mo FROM orders
+),
+f AS (SELECT o_custkey, min(mo) AS fm FROM om GROUP BY 1),
+m AS (SELECT mo, CAST(count(DISTINCT o_custkey) AS BIGINT) AS nc FROM om GROUP BY 1),
+nw AS (SELECT fm AS mo, CAST(count(*) AS BIGINT) AS nn FROM f GROUP BY 1)
+SELECT CAST(count(*) AS BIGINT) AS n_months,
+       round(corr(m.mo, coalesce(nw.nn, 0) * 1.0 / m.nc), 5) AS trend_corr
+FROM m LEFT JOIN nw USING (mo)
+"""
+
+
+@entry("orders_newcust_trend", sql=SQL_ORDERS_NEWCUST_TREND)
 def q_orders_newcust_trend(sf_dir: str) -> pd.DataFrame:
     """Monthly new-customer share (first-ever-order customers / active
     customers) correlated against the month index — the acquisition
@@ -145,28 +155,24 @@ def q_orders_newcust_trend(sf_dir: str) -> pd.DataFrame:
                          "trend_corr": [round_half_away(r, 5)]})
 
 
-SQL_ORDERS_NEWCUST_TREND = """
-WITH om AS (
-  SELECT o_custkey, year(o_orderdate) * 12 + month(o_orderdate) AS mo FROM orders
-),
-f AS (SELECT o_custkey, min(mo) AS fm FROM om GROUP BY 1),
-m AS (SELECT mo, CAST(count(DISTINCT o_custkey) AS BIGINT) AS nc FROM om GROUP BY 1),
-nw AS (SELECT fm AS mo, CAST(count(*) AS BIGINT) AS nn FROM f GROUP BY 1)
-SELECT CAST(count(*) AS BIGINT) AS n_months,
-       round(corr(m.mo, coalesce(nw.nn, 0) * 1.0 / m.nc), 5) AS trend_corr
-FROM m LEFT JOIN nw USING (mo)
-"""
-
-QUERIES14["orders_newcust_trend"] = q_orders_newcust_trend
-ORACLES14["orders_newcust_trend"] = SQL_ORDERS_NEWCUST_TREND
-
-
 # ---------------------------------------------------------------------------
 # seq_ntok_bimodality — Sarle's bimodality coefficient of n_tok per
 # source: (g₁² + 1) / (g₂ + 3(n−1)²/((n−2)(n−3))); > 5/9 suggests a
 # bimodal/mixture length distribution (two templates mixed together).
 
 
+SQL_SEQ_NTOK_BIMODALITY = f"""
+SELECT source, CAST(count(*) AS BIGINT) AS n,
+       round((skewness(n_tok) * skewness(n_tok) + 1)
+             / (kurtosis(n_tok)
+                + 3.0 * (count(*) - 1) * (count(*) - 1)
+                  / ((count(*) - 2) * (count(*) - 3))), 5) AS bimodality
+FROM {SEQ_SQL} WHERE n_tok IS NOT NULL
+GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("seq_ntok_bimodality", sql=SQL_SEQ_NTOK_BIMODALITY)
 def q_seq_ntok_bimodality(sf_dir: str) -> pd.DataFrame:
     """Distribution-shape screen for mixture corpora, from the same
     one-pass (n, Σx..Σx⁴) power sums as events_skewkurt (so both
@@ -207,16 +213,3 @@ def q_seq_ntok_bimodality(sf_dir: str) -> pd.DataFrame:
                          "n": pd.array(n.astype(np.int64), dtype="int64"),
                          "bimodality": round_half_away(bc, 5)})
 
-
-SQL_SEQ_NTOK_BIMODALITY = f"""
-SELECT source, CAST(count(*) AS BIGINT) AS n,
-       round((skewness(n_tok) * skewness(n_tok) + 1)
-             / (kurtosis(n_tok)
-                + 3.0 * (count(*) - 1) * (count(*) - 1)
-                  / ((count(*) - 2) * (count(*) - 3))), 5) AS bimodality
-FROM {SEQ_SQL} WHERE n_tok IS NOT NULL
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES14["seq_ntok_bimodality"] = q_seq_ntok_bimodality
-ORACLES14["seq_ntok_bimodality"] = SQL_SEQ_NTOK_BIMODALITY

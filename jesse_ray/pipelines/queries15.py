@@ -14,12 +14,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from jesse_ray.hashutil import hash_partition_pandas
-from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path
+from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, entry
 from jesse_ray.sources import read_sequences, read_table
 from jesse_ray.rounding import round_half_away
 
-QUERIES15: dict = {}
-ORACLES15: dict = {}
 
 _DAY_US = 86400000000
 
@@ -29,6 +27,19 @@ _DAY_US = 86400000000
 # length?  (A generation artifact detector: shuffled corpora ≈ 0.)
 
 
+SQL_SEQ_LENGTH_ORDER_AUTOCORR = f"""
+WITH s AS (
+  SELECT CAST(substr(doc_id, 5) AS BIGINT) AS k, n_tok FROM {SEQ_SQL}
+  WHERE doc_id IS NOT NULL AND n_tok IS NOT NULL
+  QUALIFY count(*) OVER (PARTITION BY CAST(substr(doc_id, 5) AS BIGINT)) = 1
+)
+SELECT CAST(count(*) AS BIGINT) AS n_pairs,
+       round(corr(a.n_tok, b.n_tok), 5) AS acf1
+FROM s a JOIN s b ON b.k = a.k + 1
+"""
+
+
+@entry("seq_length_order_autocorr", sql=SQL_SEQ_LENGTH_ORDER_AUTOCORR)
 def q_seq_length_order_autocorr(sf_dir: str) -> pd.DataFrame:
     """corr(n_tok[k], n_tok[k+1]) over consecutive numeric doc ids —
     WITHOUT a global sort: rows with key k meet rows with key k+1
@@ -76,27 +87,26 @@ def q_seq_length_order_autocorr(sf_dir: str) -> pd.DataFrame:
                          "acf1": [round_half_away(float(cov / np.sqrt(vx * vy)), 5)]})
 
 
-SQL_SEQ_LENGTH_ORDER_AUTOCORR = f"""
-WITH s AS (
-  SELECT CAST(substr(doc_id, 5) AS BIGINT) AS k, n_tok FROM {SEQ_SQL}
-  WHERE doc_id IS NOT NULL AND n_tok IS NOT NULL
-  QUALIFY count(*) OVER (PARTITION BY CAST(substr(doc_id, 5) AS BIGINT)) = 1
-)
-SELECT CAST(count(*) AS BIGINT) AS n_pairs,
-       round(corr(a.n_tok, b.n_tok), 5) AS acf1
-FROM s a JOIN s b ON b.k = a.k + 1
-"""
-
-QUERIES15["seq_length_order_autocorr"] = q_seq_length_order_autocorr
-ORACLES15["seq_length_order_autocorr"] = SQL_SEQ_LENGTH_ORDER_AUTOCORR
-
-
 # ---------------------------------------------------------------------------
 # orders_dow_uniformity — χ² goodness-of-fit of order volume against
 # day-of-week uniformity (engine-independent dow = (epoch_day+4) % 7,
 # Sunday = 0).
 
 
+SQL_ORDERS_DOW_UNIFORMITY = f"""
+WITH d AS (
+  SELECT CAST((epoch_us(o_orderdate) // {_DAY_US} + 4) % 7 AS BIGINT) AS dw,
+         CAST(count(*) AS BIGINT) AS n
+  FROM orders GROUP BY 1
+),
+t AS (SELECT sum(n) AS tot, count(*) AS k FROM d)
+SELECT CAST(k AS BIGINT) AS k,
+       round(sum((n - tot * 1.0 / k) * (n - tot * 1.0 / k) / (tot * 1.0 / k)), 4) AS chi2
+FROM d, t GROUP BY k
+"""
+
+
+@entry("orders_dow_uniformity", sql=SQL_ORDERS_DOW_UNIFORMITY)
 def q_orders_dow_uniformity(sf_dir: str) -> pd.DataFrame:
     """Is ordering volume flat across the week?  χ² GOF against the
     uniform expectation n/7.  Scale shape: a 7-cell combiner; the χ²
@@ -118,18 +128,3 @@ def q_orders_dow_uniformity(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame({"k": pd.array([k], dtype="int64"),
                          "chi2": [round_half_away(chi2, 4)]})
 
-
-SQL_ORDERS_DOW_UNIFORMITY = f"""
-WITH d AS (
-  SELECT CAST((epoch_us(o_orderdate) // {_DAY_US} + 4) % 7 AS BIGINT) AS dw,
-         CAST(count(*) AS BIGINT) AS n
-  FROM orders GROUP BY 1
-),
-t AS (SELECT sum(n) AS tot, count(*) AS k FROM d)
-SELECT CAST(k AS BIGINT) AS k,
-       round(sum((n - tot * 1.0 / k) * (n - tot * 1.0 / k) / (tot * 1.0 / k)), 4) AS chi2
-FROM d, t GROUP BY k
-"""
-
-QUERIES15["orders_dow_uniformity"] = q_orders_dow_uniformity
-ORACLES15["orders_dow_uniformity"] = SQL_ORDERS_DOW_UNIFORMITY

@@ -13,12 +13,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from jesse_ray.hashutil import hash_partition_pandas
-from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path
+from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, entry
 from jesse_ray.sources import read_sequences, read_table
 from jesse_ray.rounding import round_half_away
-
-QUERIES16: dict = {}
-ORACLES16: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -28,6 +25,34 @@ ORACLES16: dict = {}
 _KNN_PURITY_K = 5
 
 
+SQL_EMB_KNN_PURITY = f"""
+WITH e AS (
+  SELECT vec_id, unnest(embedding) AS x, generate_subscripts(embedding, 1) AS i
+  FROM embeddings
+),
+nrm AS (SELECT vec_id, sqrt(sum(x * x)) AS nv FROM e GROUP BY 1),
+u AS (SELECT e.vec_id, e.i, e.x / nrm.nv AS x FROM e JOIN nrm USING (vec_id)),
+d AS (
+  SELECT a.vec_id AS va, b.vec_id AS vb, sum(a.x * b.x) AS s
+  FROM u a JOIN u b ON a.i = b.i AND a.vec_id <> b.vec_id
+  GROUP BY 1, 2
+),
+r AS (SELECT va, vb, row_number() OVER (PARTITION BY va ORDER BY s DESC, vb ASC) AS rn FROM d),
+n5 AS (SELECT va, vb FROM r WHERE rn <= {_KNN_PURITY_K}),
+lj AS (
+  SELECT n5.va, la.label AS own, lb.label AS nb
+  FROM n5 JOIN embeddings la ON la.vec_id = n5.va
+          JOIN embeddings lb ON lb.vec_id = n5.vb
+),
+pp AS (SELECT va, own, avg(CASE WHEN nb = own THEN 1.0 ELSE 0.0 END) AS pur
+       FROM lj GROUP BY 1, 2)
+SELECT CAST(own AS BIGINT) AS label, CAST(count(*) AS BIGINT) AS n,
+       round(avg(pur), 5) AS purity
+FROM pp GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("emb_knn_purity", sql=SQL_EMB_KNN_PURITY)
 def q_emb_knn_purity(sf_dir: str) -> pd.DataFrame:
     """Label-consistency audit of the embedding space: purity(v) =
     |{top-5 neighbors with label(v)}| / 5, averaged per label — random
@@ -67,42 +92,22 @@ def q_emb_knn_purity(sf_dir: str) -> pd.DataFrame:
                          "purity": round_half_away(m["s"] / m["n"], 5)}).reset_index(drop=True)
 
 
-SQL_EMB_KNN_PURITY = f"""
-WITH e AS (
-  SELECT vec_id, unnest(embedding) AS x, generate_subscripts(embedding, 1) AS i
-  FROM embeddings
-),
-nrm AS (SELECT vec_id, sqrt(sum(x * x)) AS nv FROM e GROUP BY 1),
-u AS (SELECT e.vec_id, e.i, e.x / nrm.nv AS x FROM e JOIN nrm USING (vec_id)),
-d AS (
-  SELECT a.vec_id AS va, b.vec_id AS vb, sum(a.x * b.x) AS s
-  FROM u a JOIN u b ON a.i = b.i AND a.vec_id <> b.vec_id
-  GROUP BY 1, 2
-),
-r AS (SELECT va, vb, row_number() OVER (PARTITION BY va ORDER BY s DESC, vb ASC) AS rn FROM d),
-n5 AS (SELECT va, vb FROM r WHERE rn <= {_KNN_PURITY_K}),
-lj AS (
-  SELECT n5.va, la.label AS own, lb.label AS nb
-  FROM n5 JOIN embeddings la ON la.vec_id = n5.va
-          JOIN embeddings lb ON lb.vec_id = n5.vb
-),
-pp AS (SELECT va, own, avg(CASE WHEN nb = own THEN 1.0 ELSE 0.0 END) AS pur
-       FROM lj GROUP BY 1, 2)
-SELECT CAST(own AS BIGINT) AS label, CAST(count(*) AS BIGINT) AS n,
-       round(avg(pur), 5) AS purity
-FROM pp GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES16["emb_knn_purity"] = q_emb_knn_purity
-ORACLES16["emb_knn_purity"] = SQL_EMB_KNN_PURITY
-
-
 # ---------------------------------------------------------------------------
 # seq_dup_mass_by_source — which sources carry the duplication?  Share
 # of each source's rows whose token content occurs ≥ 2 times WITHIN the
 # source.
 
 
+SQL_SEQ_DUP_MASS_BY_SOURCE = f"""
+WITH g AS (SELECT source, tokens, count(*) AS c FROM {SEQ_SQL} GROUP BY 1, 2)
+SELECT source, CAST(sum(c) AS BIGINT) AS n_rows,
+       CAST(sum(CASE WHEN c >= 2 THEN c ELSE 0 END) AS BIGINT) AS dup_rows,
+       round(sum(CASE WHEN c >= 2 THEN c ELSE 0 END) * 1.0 / sum(c), 5) AS dup_share
+FROM g GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("seq_dup_mass_by_source", sql=SQL_SEQ_DUP_MASS_BY_SOURCE)
 def q_seq_dup_mass_by_source(sf_dir: str) -> pd.DataFrame:
     """Per-source duplicate-row mass: rows in within-source content
     clusters of size ≥ 2, as count and share.  Scale shape: 128-bit
@@ -137,14 +142,3 @@ def q_seq_dup_mass_by_source(sf_dir: str) -> pd.DataFrame:
                               / m["n_rows"].to_numpy(dtype=np.float64), 5),
     }).reset_index(drop=True)
 
-
-SQL_SEQ_DUP_MASS_BY_SOURCE = f"""
-WITH g AS (SELECT source, tokens, count(*) AS c FROM {SEQ_SQL} GROUP BY 1, 2)
-SELECT source, CAST(sum(c) AS BIGINT) AS n_rows,
-       CAST(sum(CASE WHEN c >= 2 THEN c ELSE 0 END) AS BIGINT) AS dup_rows,
-       round(sum(CASE WHEN c >= 2 THEN c ELSE 0 END) * 1.0 / sum(c), 5) AS dup_share
-FROM g GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES16["seq_dup_mass_by_source"] = q_seq_dup_mass_by_source
-ORACLES16["seq_dup_mass_by_source"] = SQL_SEQ_DUP_MASS_BY_SOURCE

@@ -12,12 +12,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from jesse_ray.hashutil import hash_partition_pandas
-from jesse_ray.pipelines.queries import _collect
+from jesse_ray.pipelines.queries import _collect, entry
 from jesse_ray.sources import read_table
 from jesse_ray.rounding import round_half_away
-
-QUERIES17: dict = {}
-ORACLES17: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -25,6 +22,17 @@ ORACLES17: dict = {}
 # suppliers does each part ship from?
 
 
+SQL_PART_SUPPLIER_HIST = """
+WITH ps AS (
+  SELECT l_partkey, CAST(count(DISTINCT l_suppkey) AS BIGINT) AS ns
+  FROM lineitem GROUP BY 1
+)
+SELECT ns AS n_suppliers, CAST(count(*) AS BIGINT) AS n_parts
+FROM ps GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("part_supplier_hist", sql=SQL_PART_SUPPLIER_HIST)
 def q_part_supplier_hist(sf_dir: str) -> pd.DataFrame:
     """(distinct suppliers per part → #parts) histogram — the
     single-source-risk screen (a spike at 1 means fragile supply).
@@ -52,24 +60,21 @@ def q_part_supplier_hist(sf_dir: str) -> pd.DataFrame:
             .sort_values("n_suppliers").reset_index(drop=True))
 
 
-SQL_PART_SUPPLIER_HIST = """
-WITH ps AS (
-  SELECT l_partkey, CAST(count(DISTINCT l_suppkey) AS BIGINT) AS ns
-  FROM lineitem GROUP BY 1
-)
-SELECT ns AS n_suppliers, CAST(count(*) AS BIGINT) AS n_parts
-FROM ps GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES17["part_supplier_hist"] = q_part_supplier_hist
-ORACLES17["part_supplier_hist"] = SQL_PART_SUPPLIER_HIST
-
-
 # ---------------------------------------------------------------------------
 # orders_revenue_lorenz — revenue concentration: decile shares of total
 # revenue across customers (the Lorenz-curve table behind the Gini).
 
 
+SQL_ORDERS_REVENUE_LORENZ = """
+WITH c AS (SELECT o_custkey, sum(o_totalprice) AS rev FROM orders GROUP BY 1),
+r AS (SELECT o_custkey, rev, ntile(10) OVER (ORDER BY rev, o_custkey) AS dec FROM c)
+SELECT dec, CAST(count(*) AS BIGINT) AS n,
+       round(sum(rev) / (SELECT sum(rev) FROM c), 5) AS rev_share
+FROM r GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("orders_revenue_lorenz", sql=SQL_ORDERS_REVENUE_LORENZ)
 def q_orders_revenue_lorenz(sf_dir: str) -> pd.DataFrame:
     """Customers NTILE(10)-banded by total revenue (ties broken by
     custkey, DuckDB's first-(n%k)-tiles-bigger rule), each decile's
@@ -100,14 +105,3 @@ def q_orders_revenue_lorenz(sf_dir: str) -> pd.DataFrame:
                          "n": g["n"].astype("int64").to_numpy(),
                          "rev_share": round_half_away(g["s"].to_numpy() / tot, 5)})
 
-
-SQL_ORDERS_REVENUE_LORENZ = """
-WITH c AS (SELECT o_custkey, sum(o_totalprice) AS rev FROM orders GROUP BY 1),
-r AS (SELECT o_custkey, rev, ntile(10) OVER (ORDER BY rev, o_custkey) AS dec FROM c)
-SELECT dec, CAST(count(*) AS BIGINT) AS n,
-       round(sum(rev) / (SELECT sum(rev) FROM c), 5) AS rev_share
-FROM r GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES17["orders_revenue_lorenz"] = q_orders_revenue_lorenz
-ORACLES17["orders_revenue_lorenz"] = SQL_ORDERS_REVENUE_LORENZ

@@ -14,14 +14,24 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from jesse_ray.pipelines.queries import _collect, _sig_parquet_path
+from jesse_ray.pipelines.queries import _collect, _sig_parquet_path, entry
 from jesse_ray.sources import read_table
 from jesse_ray.rounding import round_half_away
 
-QUERIES18: dict = {}
-ORACLES18: dict = {}
+
+SQL_DOC_COMPRESSIBILITY = """
+WITH s AS (
+  SELECT source, zratio
+  FROM read_parquet('/tmp/jesse_ray_data/zratio_sigs_sf0.01.parquet')
+)
+SELECT source, CAST(count(*) AS BIGINT) AS n,
+       round(avg(zratio), 5) AS mean_zratio,
+       round(avg(CASE WHEN zratio < 0.3 THEN 1.0 ELSE 0.0 END), 5) AS low_share
+FROM s GROUP BY 1 ORDER BY 1
+"""
 
 
+@entry("doc_compressibility", sql=SQL_DOC_COMPRESSIBILITY)
 def q_doc_compressibility(sf_dir: str) -> pd.DataFrame:
     """Per-source mean zlib ratio + share of docs under 0.3 (the
     boilerplate flag).  Scale shape: the ratio rides one map pass; the
@@ -52,17 +62,3 @@ def q_doc_compressibility(sf_dir: str) -> pd.DataFrame:
         "low_share": round_half_away(m["lo_sum"] / m["n_sum"], 5),
     })
 
-
-SQL_DOC_COMPRESSIBILITY = """
-WITH s AS (
-  SELECT source, zratio
-  FROM read_parquet('/tmp/jesse_ray_data/zratio_sigs_sf0.01.parquet')
-)
-SELECT source, CAST(count(*) AS BIGINT) AS n,
-       round(avg(zratio), 5) AS mean_zratio,
-       round(avg(CASE WHEN zratio < 0.3 THEN 1.0 ELSE 0.0 END), 5) AS low_share
-FROM s GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES18["doc_compressibility"] = q_doc_compressibility
-ORACLES18["doc_compressibility"] = SQL_DOC_COMPRESSIBILITY

@@ -12,12 +12,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path
+from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, entry
 from jesse_ray.sources import read_sequences, read_table
 from jesse_ray.rounding import round_half_away
-
-QUERIES19: dict = {}
-ORACLES19: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -25,6 +22,15 @@ ORACLES19: dict = {}
 # xmin = 1): α̂ = 1 + n / Σ ln(x) over per-user activity counts.
 
 
+SQL_EVENTS_POWERLAW_ACTIVITY = """
+WITH u AS (SELECT user_id, CAST(count(*) AS BIGINT) AS x FROM events GROUP BY 1)
+SELECT CAST(count(*) AS BIGINT) AS n,
+       round(1.0 + count(*) / sum(ln(x)), 5) AS alpha
+FROM u WHERE x >= 1
+"""
+
+
+@entry("events_powerlaw_activity", sql=SQL_EVENTS_POWERLAW_ACTIVITY)
 def q_events_powerlaw_activity(sf_dir: str) -> pd.DataFrame:
     """Heavy-tail exponent of the user-activity distribution — the
     scalar behind 'a few users generate most events'.  Scale shape: a
@@ -45,22 +51,24 @@ def q_events_powerlaw_activity(sf_dir: str) -> pd.DataFrame:
                          "alpha": [round_half_away(float(alpha), 5)]})
 
 
-SQL_EVENTS_POWERLAW_ACTIVITY = """
-WITH u AS (SELECT user_id, CAST(count(*) AS BIGINT) AS x FROM events GROUP BY 1)
-SELECT CAST(count(*) AS BIGINT) AS n,
-       round(1.0 + count(*) / sum(ln(x)), 5) AS alpha
-FROM u WHERE x >= 1
-"""
-
-QUERIES19["events_powerlaw_activity"] = q_events_powerlaw_activity
-ORACLES19["events_powerlaw_activity"] = SQL_EVENTS_POWERLAW_ACTIVITY
-
-
 # ---------------------------------------------------------------------------
 # seq_stutter_rate — adjacent-token repeat rate: the decoder/template
 # stutter artifact screen over the pre-tokenized corpus.
 
 
+SQL_SEQ_STUTTER_RATE = f"""
+WITH t AS (SELECT row_number() OVER () AS rid, tokens FROM {SEQ_SQL}),
+e AS (
+  SELECT rid, unnest(tokens) AS tok, generate_subscripts(tokens, 1) AS i FROM t
+),
+w AS (SELECT tok, lag(tok) OVER (PARTITION BY rid ORDER BY i) AS prev FROM e)
+SELECT CAST(count(*) AS BIGINT) AS n_pairs,
+       CAST(count(*) FILTER (WHERE prev = tok) AS BIGINT) AS n_rep
+FROM w WHERE prev IS NOT NULL
+"""
+
+
+@entry("seq_stutter_rate", sql=SQL_SEQ_STUTTER_RATE)
 def q_seq_stutter_rate(sf_dir: str) -> pd.DataFrame:
     """Share of adjacent token pairs (within a sequence) that repeat
     the same token.  Scale shape: one flatten pass per batch with a
@@ -99,26 +107,25 @@ def q_seq_stutter_rate(sf_dir: str) -> pd.DataFrame:
                          "n_rep": pd.array([r], dtype="int64")})
 
 
-SQL_SEQ_STUTTER_RATE = f"""
-WITH t AS (SELECT row_number() OVER () AS rid, tokens FROM {SEQ_SQL}),
-e AS (
-  SELECT rid, unnest(tokens) AS tok, generate_subscripts(tokens, 1) AS i FROM t
-),
-w AS (SELECT tok, lag(tok) OVER (PARTITION BY rid ORDER BY i) AS prev FROM e)
-SELECT CAST(count(*) AS BIGINT) AS n_pairs,
-       CAST(count(*) FILTER (WHERE prev = tok) AS BIGINT) AS n_rep
-FROM w WHERE prev IS NOT NULL
-"""
-
-QUERIES19["seq_stutter_rate"] = q_seq_stutter_rate
-ORACLES19["seq_stutter_rate"] = SQL_SEQ_STUTTER_RATE
-
-
 # ---------------------------------------------------------------------------
 # lineitem_factorial_means — 2×2 factorial mean grid: discount × tax
 # on extended price (the interaction screen behind A/B×A/B designs).
 
 
+SQL_LINEITEM_FACTORIAL_MEANS = """
+WITH x AS (
+  SELECT CASE WHEN l_discount >= 0.05 THEN 1 ELSE 0 END AS hd,
+         CASE WHEN l_tax >= 0.04 THEN 1 ELSE 0 END AS ht,
+         l_extendedprice AS p
+  FROM lineitem
+)
+SELECT CAST(hd AS BIGINT) AS hd, CAST(ht AS BIGINT) AS ht,
+       CAST(count(*) AS BIGINT) AS n, round(avg(p), 4) AS mean_price
+FROM x GROUP BY 1, 2 ORDER BY 1, 2
+"""
+
+
+@entry("lineitem_factorial_means", sql=SQL_LINEITEM_FACTORIAL_MEANS)
 def q_lineitem_factorial_means(sf_dir: str) -> pd.DataFrame:
     """Mean price in the four (high-discount × high-tax) cells.  Scale
     shape: a 4-cell (n, Σ) combiner."""
@@ -144,18 +151,3 @@ def q_lineitem_factorial_means(sf_dir: str) -> pd.DataFrame:
         "mean_price": round_half_away(m["s_sum"] / m["n_sum"], 4),
     })
 
-
-SQL_LINEITEM_FACTORIAL_MEANS = """
-WITH x AS (
-  SELECT CASE WHEN l_discount >= 0.05 THEN 1 ELSE 0 END AS hd,
-         CASE WHEN l_tax >= 0.04 THEN 1 ELSE 0 END AS ht,
-         l_extendedprice AS p
-  FROM lineitem
-)
-SELECT CAST(hd AS BIGINT) AS hd, CAST(ht AS BIGINT) AS ht,
-       CAST(count(*) AS BIGINT) AS n, round(avg(p), 4) AS mean_price
-FROM x GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-QUERIES19["lineitem_factorial_means"] = q_lineitem_factorial_means
-ORACLES19["lineitem_factorial_means"] = SQL_LINEITEM_FACTORIAL_MEANS

@@ -14,9 +14,9 @@ import pyarrow.parquet as pq
 
 from jesse_ray.sources import read_sequences, read_table
 
-# shared helpers / constants from wave 1 (no circular import at module
-# load: .queries imports THIS module only lazily inside queries()).
-from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path
+# the registry and shared helpers / constants (.queries never imports
+# this module when it loads; its queries() imports every catalog module).
+from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, entry
 from jesse_ray.rounding import round_half_away
 
 
@@ -26,6 +26,24 @@ from jesse_ray.rounding import round_half_away
 Q10_START, Q10_END = "1997-01-01", "1997-04-01"
 
 
+SQL_TPCH_Q10ISH = f"""
+SELECT c_custkey, c_name,
+       round(sum(l_extendedprice * (1.0 - l_discount)), 2) AS revenue,
+       c_acctbal, n_name
+FROM customer
+JOIN orders   ON c_custkey = o_custkey
+JOIN lineitem ON l_orderkey = o_orderkey
+JOIN nation   ON c_nationkey = n_nationkey
+WHERE o_orderdate >= TIMESTAMP '{Q10_START}'
+  AND o_orderdate <  TIMESTAMP '{Q10_END}'
+  AND l_returnflag = 'R'
+GROUP BY c_custkey, c_name, c_acctbal, n_name
+ORDER BY revenue DESC, c_custkey ASC
+LIMIT 20
+"""
+
+
+@entry("tpch_q10ish", sql=SQL_TPCH_Q10ISH)
 def q_tpch_q10ish(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q10-shaped composite: revenue from RETURNED lineitems of a
     one-quarter order window, per customer, top 20.  Scale shape: both
@@ -92,29 +110,25 @@ def q_tpch_q10ish(sf_dir: str) -> pd.DataFrame:
     return out[["c_custkey", "c_name", "revenue", "c_acctbal", "n_name"]]
 
 
-SQL_TPCH_Q10ISH = f"""
-SELECT c_custkey, c_name,
-       round(sum(l_extendedprice * (1.0 - l_discount)), 2) AS revenue,
-       c_acctbal, n_name
-FROM customer
-JOIN orders   ON c_custkey = o_custkey
-JOIN lineitem ON l_orderkey = o_orderkey
-JOIN nation   ON c_nationkey = n_nationkey
-WHERE o_orderdate >= TIMESTAMP '{Q10_START}'
-  AND o_orderdate <  TIMESTAMP '{Q10_END}'
-  AND l_returnflag = 'R'
-GROUP BY c_custkey, c_name, c_acctbal, n_name
-ORDER BY revenue DESC, c_custkey ASC
-LIMIT 20
-"""
-
-
 # ---------------------------------------------------------------------------
 # tpch_q16ish — supplier-count per part group with exclusion subquery
 
 Q16_BRAND = "Brand#11"
 
 
+SQL_TPCH_Q16ISH = f"""
+SELECT p_brand, CAST(p_size AS BIGINT) AS p_size,
+       CAST(count(DISTINCT l_suppkey) AS BIGINT) AS supplier_cnt
+FROM (SELECT DISTINCT l_partkey, l_suppkey FROM lineitem) ps
+JOIN part ON p_partkey = l_partkey
+WHERE p_brand <> '{Q16_BRAND}'
+  AND l_suppkey NOT IN (SELECT s_suppkey FROM supplier WHERE s_acctbal < 0)
+GROUP BY p_brand, p_size
+ORDER BY supplier_cnt DESC, p_brand, p_size
+"""
+
+
+@entry("tpch_q16ish", sql=SQL_TPCH_Q16ISH)
 def q_tpch_q16ish(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q16-shaped composite: distinct suppliers per (brand, size),
     using distinct lineitem (partkey, suppkey) pairs as the partsupp
@@ -184,21 +198,25 @@ def q_tpch_q16ish(sf_dir: str) -> pd.DataFrame:
     return out
 
 
-SQL_TPCH_Q16ISH = f"""
-SELECT p_brand, CAST(p_size AS BIGINT) AS p_size,
-       CAST(count(DISTINCT l_suppkey) AS BIGINT) AS supplier_cnt
-FROM (SELECT DISTINCT l_partkey, l_suppkey FROM lineitem) ps
-JOIN part ON p_partkey = l_partkey
-WHERE p_brand <> '{Q16_BRAND}'
-  AND l_suppkey NOT IN (SELECT s_suppkey FROM supplier WHERE s_acctbal < 0)
-GROUP BY p_brand, p_size
-ORDER BY supplier_cnt DESC, p_brand, p_size
-"""
-
-
 # ---------------------------------------------------------------------------
 # orders_reconcile — cross-table aggregate reconciliation check
 
+SQL_ORDERS_RECONCILE = """
+WITH c AS (
+  SELECT l_orderkey, sum(l_extendedprice * (1.0 - l_discount)) AS comp
+  FROM lineitem GROUP BY l_orderkey
+)
+SELECT o_orderkey,
+       round(o_totalprice, 2) AS o_totalprice,
+       round(comp, 2) AS computed,
+       round(abs(comp - o_totalprice), 2) AS absdiff
+FROM orders JOIN c ON o_orderkey = l_orderkey
+ORDER BY absdiff DESC, o_orderkey ASC
+LIMIT 20
+"""
+
+
+@entry("orders_reconcile", sql=SQL_ORDERS_RECONCILE)
 def q_orders_reconcile(sf_dir: str) -> pd.DataFrame:
     """Cross-table reconciliation (the warehouse-audit analogue of the
     reference's referential checks): recompute each order's gross from
@@ -245,36 +263,8 @@ def q_orders_reconcile(sf_dir: str) -> pd.DataFrame:
     return out[["o_orderkey", "o_totalprice", "computed", "absdiff"]]
 
 
-SQL_ORDERS_RECONCILE = """
-WITH c AS (
-  SELECT l_orderkey, sum(l_extendedprice * (1.0 - l_discount)) AS comp
-  FROM lineitem GROUP BY l_orderkey
-)
-SELECT o_orderkey,
-       round(o_totalprice, 2) AS o_totalprice,
-       round(comp, 2) AS computed,
-       round(abs(comp - o_totalprice), 2) AS absdiff
-FROM orders JOIN c ON o_orderkey = l_orderkey
-ORDER BY absdiff DESC, o_orderkey ASC
-LIMIT 20
-"""
-
-
 # ---------------------------------------------------------------------------
 # events_streaks — gaps-and-islands consecutive-day engagement
-
-def q_events_streaks(sf_dir: str) -> pd.DataFrame:
-    """Longest consecutive-day activity streak + total active days per
-    user (relational.activity_streaks: map-side (user, day) dedup → one
-    coarse user-hash shuffle → vectorized island detection per part)."""
-    from jesse_ray.pipelines.relational import activity_streaks
-
-    ds = read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
-    out = activity_streaks(ds, entity_col="user_id", ts_col="ts")
-    pdf = _collect(out).to_pandas()
-    return pdf.sort_values("user_id").reset_index(drop=True).astype(
-        {"user_id": "int64", "active_days": "int64", "best_streak": "int64"})
-
 
 SQL_EVENTS_STREAKS = """
 WITH d AS (
@@ -293,36 +283,22 @@ FROM s GROUP BY user_id ORDER BY user_id
 """
 
 
+@entry("events_streaks", sql=SQL_EVENTS_STREAKS)
+def q_events_streaks(sf_dir: str) -> pd.DataFrame:
+    """Longest consecutive-day activity streak + total active days per
+    user (relational.activity_streaks: map-side (user, day) dedup → one
+    coarse user-hash shuffle → vectorized island detection per part)."""
+    from jesse_ray.pipelines.relational import activity_streaks
+
+    ds = read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
+    out = activity_streaks(ds, entity_col="user_id", ts_col="ts")
+    pdf = _collect(out).to_pandas()
+    return pdf.sort_values("user_id").reset_index(drop=True).astype(
+        {"user_id": "int64", "active_days": "int64", "best_streak": "int64"})
+
+
 # ---------------------------------------------------------------------------
 # seq_token_runs — run-length degeneracy stats on the token stream
-
-def q_seq_token_runs(sf_dir: str) -> pd.DataFrame:
-    """Per-sequence token run-length stats (seqops.token_run_stats) —
-    top 50 by longest run: the degenerate-repetition filter signal.
-    Twin re-derives runs with the lag/island window over a lockstep
-    unnest.  Sequences with a DUPLICATED doc_id are excluded on both
-    sides (the SQL window partitions by doc_id, so two sequences
-    sharing an id would interleave; the engine reports them through
-    seq_val_docid_dups instead) — removed with the distributed
-    anti-join (relational.drop_duplicate_keys), never a
-    driver-collected id set."""
-    from jesse_ray.functions.seqops import token_run_stats
-    from jesse_ray.pipelines.relational import drop_duplicate_keys
-
-    ds = drop_duplicate_keys(
-        read_sequences(_seq_path(sf_dir), columns=["doc_id", "tokens"]), "doc_id")
-    out = token_run_stats(ds)
-
-    def local_top(b: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(b, sort_keys=[("max_run", "descending"), ("doc_id", "ascending")])
-        return b.take(idx[:50])
-
-    cand = _collect(out.map_batches(local_top, batch_format="pyarrow")).to_pandas()
-    cand = cand[cand["doc_id"].notna()]
-    out_pdf = cand.sort_values(["max_run", "doc_id"], ascending=[False, True],
-                               kind="mergesort").head(50).reset_index(drop=True)
-    return out_pdf.astype({"doc_id": "string", "n_runs": "int64", "max_run": "int64"})
-
 
 SQL_SEQ_TOKEN_RUNS = f"""
 WITH s AS (
@@ -359,9 +335,55 @@ LIMIT 50
 """
 
 
+@entry("seq_token_runs", sql=SQL_SEQ_TOKEN_RUNS)
+def q_seq_token_runs(sf_dir: str) -> pd.DataFrame:
+    """Per-sequence token run-length stats (seqops.token_run_stats) —
+    top 50 by longest run: the degenerate-repetition filter signal.
+    Twin re-derives runs with the lag/island window over a lockstep
+    unnest.  Sequences with a DUPLICATED doc_id are excluded on both
+    sides (the SQL window partitions by doc_id, so two sequences
+    sharing an id would interleave; the engine reports them through
+    seq_val_docid_dups instead) — removed with the distributed
+    anti-join (relational.drop_duplicate_keys), never a
+    driver-collected id set."""
+    from jesse_ray.functions.seqops import token_run_stats
+    from jesse_ray.pipelines.relational import drop_duplicate_keys
+
+    ds = drop_duplicate_keys(
+        read_sequences(_seq_path(sf_dir), columns=["doc_id", "tokens"]), "doc_id")
+    out = token_run_stats(ds)
+
+    def local_top(b: pa.Table) -> pa.Table:
+        idx = pc.sort_indices(b, sort_keys=[("max_run", "descending"), ("doc_id", "ascending")])
+        return b.take(idx[:50])
+
+    cand = _collect(out.map_batches(local_top, batch_format="pyarrow")).to_pandas()
+    cand = cand[cand["doc_id"].notna()]
+    out_pdf = cand.sort_values(["max_run", "doc_id"], ascending=[False, True],
+                               kind="mergesort").head(50).reset_index(drop=True)
+    return out_pdf.astype({"doc_id": "string", "n_runs": "int64", "max_run": "int64"})
+
+
 # ---------------------------------------------------------------------------
 # doc_readability — Flesch-style readability scoring
 
+SQL_DOC_READABILITY = r"""
+WITH c AS (
+  SELECT doc_id,
+         CAST(len(regexp_extract_all(coalesce(text, ''), '\S+')) AS BIGINT) AS n_words,
+         CAST(len(regexp_extract_all(coalesce(text, ''), '[.!?]+')) AS BIGINT) AS n_sents,
+         CAST(len(regexp_extract_all(coalesce(text, ''), '[aeiouyAEIOUY]+')) AS BIGINT) AS n_syll
+  FROM documents
+)
+SELECT doc_id, n_words, n_sents, n_syll,
+       CAST(floor(CAST(n_syll AS DOUBLE) * 10000.0 / CAST(n_words AS DOUBLE)) AS BIGINT) AS spw_x10k
+FROM c
+WHERE n_words > 0
+ORDER BY doc_id
+"""
+
+
+@entry("doc_readability", sql=SQL_DOC_READABILITY)
 def q_doc_readability(sf_dir: str) -> pd.DataFrame:
     """Readability ingredients per document (text.add_readability, all
     RE2 kernel passes): word / sentence-terminator / vowel-group-
@@ -386,41 +408,6 @@ def q_doc_readability(sf_dir: str) -> pd.DataFrame:
         {"doc_id": "int64", "n_words": "int64", "n_sents": "int64", "n_syll": "int64"})
 
 
-SQL_DOC_READABILITY = r"""
-WITH c AS (
-  SELECT doc_id,
-         CAST(len(regexp_extract_all(coalesce(text, ''), '\S+')) AS BIGINT) AS n_words,
-         CAST(len(regexp_extract_all(coalesce(text, ''), '[.!?]+')) AS BIGINT) AS n_sents,
-         CAST(len(regexp_extract_all(coalesce(text, ''), '[aeiouyAEIOUY]+')) AS BIGINT) AS n_syll
-  FROM documents
-)
-SELECT doc_id, n_words, n_sents, n_syll,
-       CAST(floor(CAST(n_syll AS DOUBLE) * 10000.0 / CAST(n_words AS DOUBLE)) AS BIGINT) AS spw_x10k
-FROM c
-WHERE n_words > 0
-ORDER BY doc_id
-"""
-
-
-QUERIES2 = {
-    "tpch_q10ish": q_tpch_q10ish,
-    "tpch_q16ish": q_tpch_q16ish,
-    "orders_reconcile": q_orders_reconcile,
-    "events_streaks": q_events_streaks,
-    "seq_token_runs": q_seq_token_runs,
-    "doc_readability": q_doc_readability,
-}
-
-ORACLES2 = {
-    "tpch_q10ish": SQL_TPCH_Q10ISH,
-    "tpch_q16ish": SQL_TPCH_Q16ISH,
-    "orders_reconcile": SQL_ORDERS_RECONCILE,
-    "events_streaks": SQL_EVENTS_STREAKS,
-    "seq_token_runs": SQL_SEQ_TOKEN_RUNS,
-    "doc_readability": SQL_DOC_READABILITY,
-}
-
-
 # ---------------------------------------------------------------------------
 # media_decode_real / media_resize_real — REAL codec path (PPM P6)
 
@@ -433,30 +420,6 @@ def _ppm_ds():
     from jesse_ray.functions.multimodal import make_synthetic_ppm_table
 
     return ray.data.from_arrow(make_synthetic_ppm_table(N_PPM))
-
-
-def q_media_decode_real(sf_dir: str) -> pd.DataFrame:
-    """REAL image decode (no codec library): deterministic formula
-    pixels → PPM(P6) bytes → numpy header-parse + buffer decode in an
-    actor pool → exact int64 channel sums.  The twin NEVER sees the
-    bytes — it regenerates every pixel from the closed-form formula
-    with generate_series, so the byte round-trip is genuinely under
-    test."""
-    from jesse_ray.functions.multimodal import ppm_channel_sums
-
-    out = _collect(ppm_channel_sums(_ppm_ds())).to_pandas()
-    out = out.sort_values("media_id").reset_index(drop=True)
-    return out.astype({"width": "int64", "height": "int64"})
-
-
-def q_media_resize_real(sf_dir: str) -> pd.DataFrame:
-    """REAL nearest-neighbor resize to 16×16 after the real decode;
-    twin re-derives the floor source-index mapping in SQL."""
-    from jesse_ray.functions.multimodal import ppm_channel_sums
-
-    out = _collect(ppm_channel_sums(_ppm_ds(), resize_to=(16, 16))).to_pandas()
-    out = out.sort_values("media_id").reset_index(drop=True)
-    return out.astype({"width": "int64", "height": "int64"})
 
 
 _SQL_PPM_IMG = f"""
@@ -491,6 +454,22 @@ SELECT printf('ppm-%06d', i) AS media_id,
 FROM px GROUP BY i, w, h ORDER BY media_id
 """
 
+
+@entry("media_decode_real", sql=SQL_MEDIA_DECODE_REAL)
+def q_media_decode_real(sf_dir: str) -> pd.DataFrame:
+    """REAL image decode (no codec library): deterministic formula
+    pixels → PPM(P6) bytes → numpy header-parse + buffer decode in an
+    actor pool → exact int64 channel sums.  The twin NEVER sees the
+    bytes — it regenerates every pixel from the closed-form formula
+    with generate_series, so the byte round-trip is genuinely under
+    test."""
+    from jesse_ray.functions.multimodal import ppm_channel_sums
+
+    out = _collect(ppm_channel_sums(_ppm_ds())).to_pandas()
+    out = out.sort_values("media_id").reset_index(drop=True)
+    return out.astype({"width": "int64", "height": "int64"})
+
+
 SQL_MEDIA_RESIZE_REAL = f"""
 WITH {_SQL_PPM_IMG},
 xs AS (SELECT i, unnest(range(0, 16)) AS xo FROM img),
@@ -514,37 +493,22 @@ SELECT printf('ppm-%06d', i) AS media_id,
 FROM px GROUP BY i ORDER BY media_id
 """
 
-QUERIES2["media_decode_real"] = q_media_decode_real
-QUERIES2["media_resize_real"] = q_media_resize_real
-ORACLES2["media_decode_real"] = SQL_MEDIA_DECODE_REAL
-ORACLES2["media_resize_real"] = SQL_MEDIA_RESIZE_REAL
+
+@entry("media_resize_real", sql=SQL_MEDIA_RESIZE_REAL)
+def q_media_resize_real(sf_dir: str) -> pd.DataFrame:
+    """REAL nearest-neighbor resize to 16×16 after the real decode;
+    twin re-derives the floor source-index mapping in SQL."""
+    from jesse_ray.functions.multimodal import ppm_channel_sums
+
+    out = _collect(ppm_channel_sums(_ppm_ds(), resize_to=(16, 16))).to_pandas()
+    out = out.sort_values("media_id").reset_index(drop=True)
+    return out.astype({"width": "int64", "height": "int64"})
 
 
 # ---------------------------------------------------------------------------
 # media_png_real — REAL compressed-codec path (PNG, stdlib zlib + numpy)
 
 N_PNG = 40
-
-
-def q_media_png_real(sf_dir: str) -> pd.DataFrame:
-    """REAL PNG decode with NO codec library: deterministic formula
-    pixels → real PNG bytes (zlib-deflated IDAT, per-row rotation
-    through all five PNG filter types, CRC'd chunks) → stdlib-inflate +
-    numpy unfilter in an actor pool → exact int64 channel sums.  The
-    twin regenerates every pixel from the closed-form formula, so the
-    whole compressed round-trip (filter → deflate → inflate → unfilter)
-    is genuinely under test."""
-    import ray.data
-
-    from jesse_ray.functions.multimodal import (
-        make_synthetic_png_table,
-        png_channel_sums,
-    )
-
-    ds = ray.data.from_arrow(make_synthetic_png_table(N_PNG))
-    out = _collect(png_channel_sums(ds)).to_pandas()
-    out = out.sort_values("media_id").reset_index(drop=True)
-    return out.astype({"width": "int64", "height": "int64"})
 
 
 SQL_MEDIA_PNG_REAL = f"""
@@ -575,8 +539,27 @@ SELECT printf('png-%06d', i) AS media_id,
 FROM px GROUP BY i, w, h ORDER BY media_id
 """
 
-QUERIES2["media_png_real"] = q_media_png_real
-ORACLES2["media_png_real"] = SQL_MEDIA_PNG_REAL
+
+@entry("media_png_real", sql=SQL_MEDIA_PNG_REAL)
+def q_media_png_real(sf_dir: str) -> pd.DataFrame:
+    """REAL PNG decode with NO codec library: deterministic formula
+    pixels → real PNG bytes (zlib-deflated IDAT, per-row rotation
+    through all five PNG filter types, CRC'd chunks) → stdlib-inflate +
+    numpy unfilter in an actor pool → exact int64 channel sums.  The
+    twin regenerates every pixel from the closed-form formula, so the
+    whole compressed round-trip (filter → deflate → inflate → unfilter)
+    is genuinely under test."""
+    import ray.data
+
+    from jesse_ray.functions.multimodal import (
+        make_synthetic_png_table,
+        png_channel_sums,
+    )
+
+    ds = ray.data.from_arrow(make_synthetic_png_table(N_PNG))
+    out = _collect(png_channel_sums(ds)).to_pandas()
+    out = out.sort_values("media_id").reset_index(drop=True)
+    return out.astype({"width": "int64", "height": "int64"})
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +568,33 @@ ORACLES2["media_png_real"] = SQL_MEDIA_PNG_REAL
 _ENC_ART = " Ã©â€œ�x \x07junk"  # 2 mojibake hits, 1 U+FFFD, 1 C0 control
 
 
+SQL_DOC_ENCODING_AUDIT = """
+WITH t AS (
+  SELECT source,
+         coalesce(text, '') ||
+         CASE WHEN doc_id % 37 = 5
+              THEN ' Ã©â€œ' || chr(65533) || 'x ' || chr(7) || 'junk'
+              ELSE '' END AS tx
+  FROM documents
+),
+c AS (
+  SELECT source,
+         len(regexp_extract_all(tx, chr(65533))) AS nr,
+         len(regexp_extract_all(tx, '[\\x00-\\x08\\x0b\\x0c\\x0e-\\x1f\\x7f]|[\\x80-\\x9f]')) AS nc,
+         len(regexp_extract_all(tx, 'Ã[ -¿]|â€')) AS nm
+  FROM t
+)
+SELECT source,
+       CAST(count(*) AS BIGINT) AS n_docs,
+       CAST(sum(CASE WHEN nr = 0 AND nc = 0 AND nm = 0 THEN 0 ELSE 1 END) AS BIGINT) AS bad_docs,
+       CAST(sum(nr) AS BIGINT) AS sum_replacement,
+       CAST(sum(nc) AS BIGINT) AS sum_control,
+       CAST(sum(nm) AS BIGINT) AS sum_mojibake
+FROM c GROUP BY source ORDER BY source
+"""
+
+
+@entry("doc_encoding_audit", sql=SQL_DOC_ENCODING_AUDIT)
 def q_doc_encoding_audit(sf_dir: str) -> pd.DataFrame:
     """Encoding-quality audit (replacement chars, C0/C1 controls,
     UTF-8-as-Latin-1 mojibake) per source.  Artifacts are injected
@@ -633,35 +643,6 @@ def q_doc_encoding_audit(sf_dir: str) -> pd.DataFrame:
         {c: "int64" for c in out.columns if c != "source"})
 
 
-SQL_DOC_ENCODING_AUDIT = """
-WITH t AS (
-  SELECT source,
-         coalesce(text, '') ||
-         CASE WHEN doc_id % 37 = 5
-              THEN ' Ã©â€œ' || chr(65533) || 'x ' || chr(7) || 'junk'
-              ELSE '' END AS tx
-  FROM documents
-),
-c AS (
-  SELECT source,
-         len(regexp_extract_all(tx, chr(65533))) AS nr,
-         len(regexp_extract_all(tx, '[\\x00-\\x08\\x0b\\x0c\\x0e-\\x1f\\x7f]|[\\x80-\\x9f]')) AS nc,
-         len(regexp_extract_all(tx, 'Ã[ -¿]|â€')) AS nm
-  FROM t
-)
-SELECT source,
-       CAST(count(*) AS BIGINT) AS n_docs,
-       CAST(sum(CASE WHEN nr = 0 AND nc = 0 AND nm = 0 THEN 0 ELSE 1 END) AS BIGINT) AS bad_docs,
-       CAST(sum(nr) AS BIGINT) AS sum_replacement,
-       CAST(sum(nc) AS BIGINT) AS sum_control,
-       CAST(sum(nm) AS BIGINT) AS sum_mojibake
-FROM c GROUP BY source ORDER BY source
-"""
-
-QUERIES2["doc_encoding_audit"] = q_doc_encoding_audit
-ORACLES2["doc_encoding_audit"] = SQL_DOC_ENCODING_AUDIT
-
-
 # ---------------------------------------------------------------------------
 # doc_script_profile — Unicode-script mixing / contamination signal
 
@@ -672,6 +653,40 @@ _SCRIPT_INJECT = [
 ]
 
 
+def _script_profile_sql() -> str:
+    from jesse_ray.functions.text import SCRIPT_BLOCKS
+
+    cnt = ",\n         ".join(
+        f"len(regexp_extract_all(tx, '{pat}')) AS n_{name}"
+        for name, pat in SCRIPT_BLOCKS)
+    names = [n for n, _ in SCRIPT_BLOCKS]
+    ge_all = {n: " AND ".join(f"n_{n} >= n_{m}" for m in names if m != n)
+              for n in names}
+    dom = "CASE WHEN " + " + ".join(f"n_{n}" for n in names) + " = 0 THEN 'none' "
+    dom += " ".join(f"WHEN {ge_all[n]} THEN '{n}'" for n in names) + " END"
+    inj = " || ".join(
+        f"CASE WHEN doc_id % 23 = {mod} THEN '{art}' ELSE '' END"
+        for mod, art in _SCRIPT_INJECT)
+    sums = ", ".join(
+        [f"CAST(sum(n_{n}) AS BIGINT) AS n_{n}" for n in names]
+        + [f"CAST(sum(CASE WHEN dom = '{n}' THEN 1 ELSE 0 END) AS BIGINT) AS dom_{n}"
+           for n in ("latin", "cyrillic", "cjk", "arabic")])
+    return f"""
+WITH t AS (
+  SELECT source, coalesce(text, '') || {inj} AS tx FROM documents
+),
+c AS (
+  SELECT source,
+         {cnt}
+  FROM t
+),
+d AS (SELECT *, {dom} AS dom FROM c)
+SELECT source, CAST(count(*) AS BIGINT) AS n_docs, {sums}
+FROM d GROUP BY source ORDER BY source
+"""
+
+
+@entry("doc_script_profile", sql=_script_profile_sql())
 def q_doc_script_profile(sf_dir: str) -> pd.DataFrame:
     """Unicode-script profile per source: script codepoint sums + docs
     per dominant script.  Foreign-script spans are injected
@@ -720,62 +735,10 @@ def q_doc_script_profile(sf_dir: str) -> pd.DataFrame:
         {c: "int64" for c in sums})
 
 
-def _script_profile_sql() -> str:
-    from jesse_ray.functions.text import SCRIPT_BLOCKS
-
-    cnt = ",\n         ".join(
-        f"len(regexp_extract_all(tx, '{pat}')) AS n_{name}"
-        for name, pat in SCRIPT_BLOCKS)
-    names = [n for n, _ in SCRIPT_BLOCKS]
-    ge_all = {n: " AND ".join(f"n_{n} >= n_{m}" for m in names if m != n)
-              for n in names}
-    dom = "CASE WHEN " + " + ".join(f"n_{n}" for n in names) + " = 0 THEN 'none' "
-    dom += " ".join(f"WHEN {ge_all[n]} THEN '{n}'" for n in names) + " END"
-    inj = " || ".join(
-        f"CASE WHEN doc_id % 23 = {mod} THEN '{art}' ELSE '' END"
-        for mod, art in _SCRIPT_INJECT)
-    sums = ", ".join(
-        [f"CAST(sum(n_{n}) AS BIGINT) AS n_{n}" for n in names]
-        + [f"CAST(sum(CASE WHEN dom = '{n}' THEN 1 ELSE 0 END) AS BIGINT) AS dom_{n}"
-           for n in ("latin", "cyrillic", "cjk", "arabic")])
-    return f"""
-WITH t AS (
-  SELECT source, coalesce(text, '') || {inj} AS tx FROM documents
-),
-c AS (
-  SELECT source,
-         {cnt}
-  FROM t
-),
-d AS (SELECT *, {dom} AS dom FROM c)
-SELECT source, CAST(count(*) AS BIGINT) AS n_docs, {sums}
-FROM d GROUP BY source ORDER BY source
-"""
-
-
-QUERIES2["doc_script_profile"] = q_doc_script_profile
-ORACLES2["doc_script_profile"] = _script_profile_sql()
-
-
 # ---------------------------------------------------------------------------
 # doc_winnow_overlap — MOSS winnowing fingerprint overlap report
 
 WINNOW_K, WINNOW_W, WINNOW_MIN = 4, 4, 2
-
-
-def q_doc_winnow_overlap(sf_dir: str) -> pd.DataFrame:
-    """Winnowing (MOSS) overlap pairs: k-word grams, lexicographic
-    window-of-w minima as per-doc fingerprints, pairs sharing ≥2.  The
-    twin re-derives selection with MIN() OVER a shrinking window and
-    re-joins on the fingerprint STRING — selection, dedup, pairing and
-    multiplicity are all independently recomputed."""
-    from jesse_ray.functions.dedup import winnow_overlap_pairs
-
-    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    out = _collect(winnow_overlap_pairs(
-        ds, k=WINNOW_K, w=WINNOW_W, min_shared=WINNOW_MIN)).to_pandas()
-    out = out.sort_values(["left", "right"]).reset_index(drop=True)
-    return out.astype({"left": "int64", "right": "int64", "n_shared": "int64"})
 
 
 SQL_DOC_WINNOW_OVERLAP = f"""
@@ -798,14 +761,47 @@ GROUP BY 1, 2 HAVING count(*) >= {WINNOW_MIN}
 ORDER BY 1, 2
 """
 
-QUERIES2["doc_winnow_overlap"] = q_doc_winnow_overlap
-ORACLES2["doc_winnow_overlap"] = SQL_DOC_WINNOW_OVERLAP
+
+@entry("doc_winnow_overlap", sql=SQL_DOC_WINNOW_OVERLAP)
+def q_doc_winnow_overlap(sf_dir: str) -> pd.DataFrame:
+    """Winnowing (MOSS) overlap pairs: k-word grams, lexicographic
+    window-of-w minima as per-doc fingerprints, pairs sharing ≥2.  The
+    twin re-derives selection with MIN() OVER a shrinking window and
+    re-joins on the fingerprint STRING — selection, dedup, pairing and
+    multiplicity are all independently recomputed."""
+    from jesse_ray.functions.dedup import winnow_overlap_pairs
+
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    out = _collect(winnow_overlap_pairs(
+        ds, k=WINNOW_K, w=WINNOW_W, min_shared=WINNOW_MIN)).to_pandas()
+    out = out.sort_values(["left", "right"]).reset_index(drop=True)
+    return out.astype({"left": "int64", "right": "int64", "n_shared": "int64"})
 
 
 # ---------------------------------------------------------------------------
 # doc_bow_dedup — word-multiset (order-insensitive) duplicate clusters
 
 
+SQL_DOC_BOW_DEDUP = """
+WITH base AS (SELECT doc_id, coalesce(text, '') AS text FROM documents),
+inj AS (
+  SELECT b.doc_id,
+         CASE WHEN b.doc_id % 41 = 2 AND p.text IS NOT NULL
+              THEN array_to_string(list_reverse(string_split(p.text, ' ')), ' ')
+              ELSE b.text END AS text
+  FROM base b LEFT JOIN base p ON p.doc_id = b.doc_id - 1
+),
+c AS (
+  SELECT doc_id,
+         array_to_string(list_sort(string_split(text, ' ')), ' ') AS canon
+  FROM inj
+)
+SELECT CAST(min(doc_id) AS BIGINT) AS keeper, CAST(count(*) AS BIGINT) AS size
+FROM c GROUP BY canon HAVING count(*) > 1 ORDER BY keeper
+"""
+
+
+@entry("doc_bow_dedup", sql=SQL_DOC_BOW_DEDUP)
 def q_doc_bow_dedup(sf_dir: str) -> pd.DataFrame:
     """Bag-of-words dedup: clusters of documents whose word MULTISETS
     are identical (catches reordered boilerplate byte-exact dedup
@@ -845,28 +841,6 @@ def q_doc_bow_dedup(sf_dir: str) -> pd.DataFrame:
     return out.astype({"keeper": "int64", "size": "int64"})
 
 
-SQL_DOC_BOW_DEDUP = """
-WITH base AS (SELECT doc_id, coalesce(text, '') AS text FROM documents),
-inj AS (
-  SELECT b.doc_id,
-         CASE WHEN b.doc_id % 41 = 2 AND p.text IS NOT NULL
-              THEN array_to_string(list_reverse(string_split(p.text, ' ')), ' ')
-              ELSE b.text END AS text
-  FROM base b LEFT JOIN base p ON p.doc_id = b.doc_id - 1
-),
-c AS (
-  SELECT doc_id,
-         array_to_string(list_sort(string_split(text, ' ')), ' ') AS canon
-  FROM inj
-)
-SELECT CAST(min(doc_id) AS BIGINT) AS keeper, CAST(count(*) AS BIGINT) AS size
-FROM c GROUP BY canon HAVING count(*) > 1 ORDER BY keeper
-"""
-
-QUERIES2["doc_bow_dedup"] = q_doc_bow_dedup
-ORACLES2["doc_bow_dedup"] = SQL_DOC_BOW_DEDUP
-
-
 # ---------------------------------------------------------------------------
 # events_watermark_late — streaming watermark / allowed-lateness semantics
 
@@ -874,6 +848,26 @@ WM_LATENESS_S = 300
 WM_JITTER_MOD, WM_JITTER_STEP_S = 17, 90
 
 
+SQL_EVENTS_WATERMARK_LATE = f"""
+WITH j AS (
+  SELECT event_id, event_type,
+         ts - (event_id % {WM_JITTER_MOD}) * INTERVAL {WM_JITTER_STEP_S} SECOND AS ts
+  FROM events
+),
+w AS (
+  SELECT event_type, ts,
+         MAX(ts) OVER (ORDER BY event_id) AS wm
+  FROM j
+)
+SELECT event_type,
+       CAST(count(*) AS BIGINT) AS n_events,
+       CAST(sum(CASE WHEN ts < wm - INTERVAL {WM_LATENESS_S} SECOND
+                THEN 1 ELSE 0 END) AS BIGINT) AS n_late
+FROM w GROUP BY event_type ORDER BY event_type
+"""
+
+
+@entry("events_watermark_late", sql=SQL_EVENTS_WATERMARK_LATE)
 def q_events_watermark_late(sf_dir: str) -> pd.DataFrame:
     """Watermark late-event marking over a replayed log (arrival order =
     event_id, watermark = running max event time, allowed lateness
@@ -917,45 +911,10 @@ def q_events_watermark_late(sf_dir: str) -> pd.DataFrame:
         {"n_events": "int64", "n_late": "int64"})
 
 
-SQL_EVENTS_WATERMARK_LATE = f"""
-WITH j AS (
-  SELECT event_id, event_type,
-         ts - (event_id % {WM_JITTER_MOD}) * INTERVAL {WM_JITTER_STEP_S} SECOND AS ts
-  FROM events
-),
-w AS (
-  SELECT event_type, ts,
-         MAX(ts) OVER (ORDER BY event_id) AS wm
-  FROM j
-)
-SELECT event_type,
-       CAST(count(*) AS BIGINT) AS n_events,
-       CAST(sum(CASE WHEN ts < wm - INTERVAL {WM_LATENESS_S} SECOND
-                THEN 1 ELSE 0 END) AS BIGINT) AS n_late
-FROM w GROUP BY event_type ORDER BY event_type
-"""
-
-QUERIES2["events_watermark_late"] = q_events_watermark_late
-ORACLES2["events_watermark_late"] = SQL_EVENTS_WATERMARK_LATE
-
-
 # ---------------------------------------------------------------------------
 # media_audio_real / media_frames_real — REAL audio + frame sampling
 
 N_WAV, N_VID, VID_STRIDE = 32, 24, 2
-
-
-def q_media_audio_real(sf_dir: str) -> pd.DataFrame:
-    """REAL audio decode (RIFF/WAVE PCM16, no codec library): formula
-    samples → WAV bytes → chunk-walk decode in an actor pool → exact
-    integer features; twin regenerates every sample in SQL."""
-    import ray.data
-
-    from jesse_ray.functions.multimodal import make_synthetic_wav_table, wav_features
-
-    ds = ray.data.from_arrow(make_synthetic_wav_table(N_WAV))
-    out = _collect(wav_features(ds.drop_columns(["sample_rate", "n_samples"]))).to_pandas()
-    return out.sort_values("media_id").reset_index(drop=True)
 
 
 SQL_MEDIA_AUDIO_REAL = f"""
@@ -982,20 +941,18 @@ GROUP BY clip.i, clip.n, clip.rate ORDER BY media_id
 """
 
 
-def q_media_frames_real(sf_dir: str) -> pd.DataFrame:
-    """REAL video frame sampling (raw concatenated-PPM sequences):
-    exact frame-boundary walk, stride-2 sampling, per-frame decode +
-    channel sums; twin regenerates each sampled frame's pixels."""
+@entry("media_audio_real", sql=SQL_MEDIA_AUDIO_REAL)
+def q_media_audio_real(sf_dir: str) -> pd.DataFrame:
+    """REAL audio decode (RIFF/WAVE PCM16, no codec library): formula
+    samples → WAV bytes → chunk-walk decode in an actor pool → exact
+    integer features; twin regenerates every sample in SQL."""
     import ray.data
 
-    from jesse_ray.functions.multimodal import (
-        make_synthetic_ppm_video_table, sample_frames_real,
-    )
+    from jesse_ray.functions.multimodal import make_synthetic_wav_table, wav_features
 
-    ds = ray.data.from_arrow(make_synthetic_ppm_video_table(N_VID))
-    out = _collect(sample_frames_real(ds.drop_columns(["n_frames"]), stride=VID_STRIDE)).to_pandas()
-    out["frame"] = out["frame"].astype("int64")
-    return out.sort_values(["media_id", "frame"]).reset_index(drop=True)
+    ds = ray.data.from_arrow(make_synthetic_wav_table(N_WAV))
+    out = _collect(wav_features(ds.drop_columns(["sample_rate", "n_samples"]))).to_pandas()
+    return out.sort_values("media_id").reset_index(drop=True)
 
 
 SQL_MEDIA_FRAMES_REAL = f"""
@@ -1030,10 +987,22 @@ SELECT printf('vid-%06d', i) AS media_id,
 FROM px GROUP BY i, f ORDER BY media_id, frame
 """
 
-QUERIES2["media_audio_real"] = q_media_audio_real
-QUERIES2["media_frames_real"] = q_media_frames_real
-ORACLES2["media_audio_real"] = SQL_MEDIA_AUDIO_REAL
-ORACLES2["media_frames_real"] = SQL_MEDIA_FRAMES_REAL
+
+@entry("media_frames_real", sql=SQL_MEDIA_FRAMES_REAL)
+def q_media_frames_real(sf_dir: str) -> pd.DataFrame:
+    """REAL video frame sampling (raw concatenated-PPM sequences):
+    exact frame-boundary walk, stride-2 sampling, per-frame decode +
+    channel sums; twin regenerates each sampled frame's pixels."""
+    import ray.data
+
+    from jesse_ray.functions.multimodal import (
+        make_synthetic_ppm_video_table, sample_frames_real,
+    )
+
+    ds = ray.data.from_arrow(make_synthetic_ppm_video_table(N_VID))
+    out = _collect(sample_frames_real(ds.drop_columns(["n_frames"]), stride=VID_STRIDE)).to_pandas()
+    out["frame"] = out["frame"].astype("int64")
+    return out.sort_values(["media_id", "frame"]).reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1058,6 +1027,39 @@ def _merge_base(sf_dir: str):
 N_MERGE_INSERTS = 50
 
 
+SQL_SEQ_MERGE_UPSERT = f"""
+WITH dups AS (
+  SELECT doc_id FROM {SEQ_SQL} WHERE doc_id IS NOT NULL
+  GROUP BY doc_id HAVING count(*) > 1
+),
+base AS (
+  SELECT doc_id, source, n_tok FROM {SEQ_SQL}
+  WHERE doc_id IS NOT NULL AND doc_id NOT IN (SELECT doc_id FROM dups)
+),
+upserts AS (
+  SELECT doc_id, source, n_tok + 1000 AS n_tok
+  FROM base WHERE doc_id LIKE '%0' AND source = 'web'
+  UNION ALL
+  SELECT printf('new-%06d', i), 'wiki', 100 + i
+  FROM (SELECT unnest(range(0, {N_MERGE_INSERTS})) AS i)
+),
+dels AS (
+  SELECT doc_id FROM base WHERE doc_id LIKE '%7' AND source = 'books'
+),
+merged AS (
+  SELECT * FROM base
+  WHERE doc_id NOT IN (SELECT doc_id FROM upserts)
+    AND doc_id NOT IN (SELECT doc_id FROM dels)
+  UNION ALL
+  SELECT * FROM upserts
+)
+SELECT source, CAST(count(*) AS BIGINT) AS cnt,
+       CAST(sum(n_tok) AS BIGINT) AS n_tok_sum
+FROM merged GROUP BY source ORDER BY source
+"""
+
+
+@entry("seq_merge_upsert", sql=SQL_SEQ_MERGE_UPSERT)
 def q_seq_merge_upsert(sf_dir: str) -> pd.DataFrame:
     """Warehouse MERGE INTO over the corpus snapshot
     (relational.merge_upsert — one key-hash cogroup, no broadcast):
@@ -1110,41 +1112,37 @@ def q_seq_merge_upsert(sf_dir: str) -> pd.DataFrame:
     return out[["source", "cnt", "n_tok_sum"]]
 
 
-SQL_SEQ_MERGE_UPSERT = f"""
-WITH dups AS (
-  SELECT doc_id FROM {SEQ_SQL} WHERE doc_id IS NOT NULL
-  GROUP BY doc_id HAVING count(*) > 1
-),
-base AS (
-  SELECT doc_id, source, n_tok FROM {SEQ_SQL}
-  WHERE doc_id IS NOT NULL AND doc_id NOT IN (SELECT doc_id FROM dups)
-),
-upserts AS (
-  SELECT doc_id, source, n_tok + 1000 AS n_tok
-  FROM base WHERE doc_id LIKE '%0' AND source = 'web'
-  UNION ALL
-  SELECT printf('new-%06d', i), 'wiki', 100 + i
-  FROM (SELECT unnest(range(0, {N_MERGE_INSERTS})) AS i)
-),
-dels AS (
-  SELECT doc_id FROM base WHERE doc_id LIKE '%7' AND source = 'books'
-),
-merged AS (
-  SELECT * FROM base
-  WHERE doc_id NOT IN (SELECT doc_id FROM upserts)
-    AND doc_id NOT IN (SELECT doc_id FROM dels)
-  UNION ALL
-  SELECT * FROM upserts
-)
-SELECT source, CAST(count(*) AS BIGINT) AS cnt,
-       CAST(sum(n_tok) AS BIGINT) AS n_tok_sum
-FROM merged GROUP BY source ORDER BY source
-"""
-
-
 # ---------------------------------------------------------------------------
 # events_abtest — two-proportion z-test on hash-bucketed users
 
+SQL_EVENTS_ABTEST = """
+WITH u AS (
+  SELECT user_id,
+         CAST(user_id % 2 AS BIGINT) AS bucket,
+         max(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END) AS conv
+  FROM events GROUP BY user_id
+),
+b AS (
+  SELECT bucket, CAST(count(*) AS DOUBLE) AS n, CAST(sum(conv) AS DOUBLE) AS c
+  FROM u GROUP BY bucket
+),
+w AS (
+  SELECT max(CASE WHEN bucket = 0 THEN n END) AS n_a,
+         max(CASE WHEN bucket = 1 THEN n END) AS n_b,
+         max(CASE WHEN bucket = 0 THEN c END) AS c_a,
+         max(CASE WHEN bucket = 1 THEN c END) AS c_b
+  FROM b
+)
+SELECT CAST(n_a AS BIGINT) AS n_a, CAST(n_b AS BIGINT) AS n_b,
+       CAST(c_a AS BIGINT) AS conv_a, CAST(c_b AS BIGINT) AS conv_b,
+       round((c_a / n_a - c_b / n_b)
+             / sqrt(((c_a + c_b) / (n_a + n_b)) * (1.0 - (c_a + c_b) / (n_a + n_b))
+                    * (1.0 / n_a + 1.0 / n_b)), 4) AS z
+FROM w
+"""
+
+
+@entry("events_abtest", sql=SQL_EVENTS_ABTEST)
 def q_events_abtest(sf_dir: str) -> pd.DataFrame:
     """A/B test readout: users split by parity bucket, conversion = had
     at least one 'purchase' event, two-proportion pooled z statistic.
@@ -1185,38 +1183,6 @@ def q_events_abtest(sf_dir: str) -> pd.DataFrame:
         "conv_b": pd.array([int(c_b)], dtype="int64"),
         "z": [round_half_away(float(z), 4)],
     })
-
-
-SQL_EVENTS_ABTEST = """
-WITH u AS (
-  SELECT user_id,
-         CAST(user_id % 2 AS BIGINT) AS bucket,
-         max(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END) AS conv
-  FROM events GROUP BY user_id
-),
-b AS (
-  SELECT bucket, CAST(count(*) AS DOUBLE) AS n, CAST(sum(conv) AS DOUBLE) AS c
-  FROM u GROUP BY bucket
-),
-w AS (
-  SELECT max(CASE WHEN bucket = 0 THEN n END) AS n_a,
-         max(CASE WHEN bucket = 1 THEN n END) AS n_b,
-         max(CASE WHEN bucket = 0 THEN c END) AS c_a,
-         max(CASE WHEN bucket = 1 THEN c END) AS c_b
-  FROM b
-)
-SELECT CAST(n_a AS BIGINT) AS n_a, CAST(n_b AS BIGINT) AS n_b,
-       CAST(c_a AS BIGINT) AS conv_a, CAST(c_b AS BIGINT) AS conv_b,
-       round((c_a / n_a - c_b / n_b)
-             / sqrt(((c_a + c_b) / (n_a + n_b)) * (1.0 - (c_a + c_b) / (n_a + n_b))
-                    * (1.0 / n_a + 1.0 / n_b)), 4) AS z
-FROM w
-"""
-
-QUERIES2["seq_merge_upsert"] = q_seq_merge_upsert
-QUERIES2["events_abtest"] = q_events_abtest
-ORACLES2["seq_merge_upsert"] = SQL_SEQ_MERGE_UPSERT
-ORACLES2["events_abtest"] = SQL_EVENTS_ABTEST
 
 
 # ---------------------------------------------------------------------------
@@ -1268,20 +1234,6 @@ def _token_edges(sf_dir: str):
               .groupby("__part").map_groups(merge, batch_format="pandas"))
 
 
-def q_seq_token_pagerank(sf_dir: str) -> pd.DataFrame:
-    """Top-20 tokens by fixed-point PageRank over the corpus adjacency
-    graph (graph.pagerank_fixedpoint, 5 iterations).  Integer floor
-    arithmetic end to end → the unrolled-iteration SQL twin matches
-    EXACTLY, proving an iterative distributed algorithm against an
-    oracle with zero float tolerance."""
-    from jesse_ray.functions.graph import pagerank_fixedpoint
-
-    t = pagerank_fixedpoint(_token_edges(sf_dir), n_iters=PR_ITERS)
-    idx = pc.sort_indices(t, sort_keys=[("score", "descending"), ("node", "ascending")])
-    top = t.take(idx[:20]).rename_columns(["token", "score"])
-    return top.to_pandas()
-
-
 def _pagerank_sql() -> str:
     from jesse_ray import testgen
     from jesse_ray.functions.graph import PR_D_DEN, PR_D_NUM, PR_SCALE
@@ -1329,8 +1281,19 @@ ORDER BY score DESC, token ASC LIMIT 20
     return head + "".join(iters) + tail
 
 
-QUERIES2["seq_token_pagerank"] = q_seq_token_pagerank
-ORACLES2["seq_token_pagerank"] = _pagerank_sql()
+@entry("seq_token_pagerank", sql=_pagerank_sql())
+def q_seq_token_pagerank(sf_dir: str) -> pd.DataFrame:
+    """Top-20 tokens by fixed-point PageRank over the corpus adjacency
+    graph (graph.pagerank_fixedpoint, 5 iterations).  Integer floor
+    arithmetic end to end → the unrolled-iteration SQL twin matches
+    EXACTLY, proving an iterative distributed algorithm against an
+    oracle with zero float tolerance."""
+    from jesse_ray.functions.graph import pagerank_fixedpoint
+
+    t = pagerank_fixedpoint(_token_edges(sf_dir), n_iters=PR_ITERS)
+    idx = pc.sort_indices(t, sort_keys=[("score", "descending"), ("node", "ascending")])
+    top = t.take(idx[:20]).rename_columns(["token", "score"])
+    return top.to_pandas()
 
 
 # ---------------------------------------------------------------------------
@@ -1379,6 +1342,15 @@ def _format_checksum(ds) -> pd.DataFrame:
     return pdf.astype({"rows": "int64", "tok_sum": "int64", "ntok_sum": "int64"})
 
 
+SQL_SEQ_FORMAT_CHECKSUM = f"""
+SELECT CAST(count(*) AS BIGINT) AS rows,
+       CAST((SELECT sum(t) FROM (SELECT unnest(tokens) AS t FROM {SEQ_SQL})) AS BIGINT) AS tok_sum,
+       CAST(sum(n_tok) AS BIGINT) AS ntok_sum
+FROM {SEQ_SQL}
+"""
+
+
+@entry("seq_orc_read", sql=SQL_SEQ_FORMAT_CHECKSUM)
 def q_seq_orc_read(sf_dir: str) -> pd.DataFrame:
     """Stripe-parallel ORC read (sources.read_orc) of the converted
     corpus; whole-corpus row/token checksums must equal the parquet
@@ -1390,6 +1362,7 @@ def q_seq_orc_read(sf_dir: str) -> pd.DataFrame:
     return _format_checksum(ds)
 
 
+@entry("seq_feather_read", sql=SQL_SEQ_FORMAT_CHECKSUM)
 def q_seq_feather_read(sf_dir: str) -> pd.DataFrame:
     """Batch-range-parallel Arrow IPC / Feather read
     (sources.read_feather), same lossless-checksum contract."""
@@ -1400,25 +1373,62 @@ def q_seq_feather_read(sf_dir: str) -> pd.DataFrame:
     return _format_checksum(ds)
 
 
-SQL_SEQ_FORMAT_CHECKSUM = f"""
-SELECT CAST(count(*) AS BIGINT) AS rows,
-       CAST((SELECT sum(t) FROM (SELECT unnest(tokens) AS t FROM {SEQ_SQL})) AS BIGINT) AS tok_sum,
-       CAST(sum(n_tok) AS BIGINT) AS ntok_sum
-FROM {SEQ_SQL}
-"""
-
-QUERIES2["seq_orc_read"] = q_seq_orc_read
-QUERIES2["seq_feather_read"] = q_seq_feather_read
-ORACLES2["seq_orc_read"] = SQL_SEQ_FORMAT_CHECKSUM
-ORACLES2["seq_feather_read"] = SQL_SEQ_FORMAT_CHECKSUM
-
-
 # ---------------------------------------------------------------------------
 # doc_e2e_pipeline — flagship documents-curation composite
 
 DOC_E2E_LANGS = ["en", "de", "fr", "es"]
 
 
+SQL_DOC_E2E_PIPELINE = f"""
+WITH base AS (
+  SELECT doc_id, source, coalesce(text, '') AS t FROM documents
+  WHERE lang IN ({", ".join(f"'{x}'" for x in DOC_E2E_LANGS)})
+),
+stats AS (
+  SELECT doc_id,
+         CAST(len(string_split(t, ' ')) AS BIGINT) AS n_words,
+         CAST(length(t) - (len(string_split(t, ' ')) - 1) AS BIGINT) AS sum_word_len,
+         CAST(len(list_filter(string_split(t, ' '),
+                              w -> regexp_matches(w, '[A-Za-z]'))) AS BIGINT) AS n_alpha_words,
+         CAST(len(list_filter(string_split(t, ' '),
+                              w -> list_contains(['the','be','to','of','and','that','have','with'],
+                                                 lower(w)))) AS BIGINT) AS n_stop_words,
+         CAST((length(t) - length(replace(t, '#', '')))
+              + (length(t) - length(replace(t, '...', ''))) // 3 AS BIGINT) AS n_sym
+  FROM base
+),
+quality AS (
+  SELECT b.doc_id, b.source, b.t FROM base b JOIN stats s ON s.doc_id = b.doc_id
+  WHERE s.n_words BETWEEN 50 AND 100000
+    AND 3 * s.n_words <= s.sum_word_len AND s.sum_word_len <= 10 * s.n_words
+    AND 10 * s.n_sym <= s.n_words
+    AND 10 * s.n_alpha_words >= 8 * s.n_words
+    AND s.n_stop_words >= 2
+),
+norm AS (
+  SELECT doc_id, source,
+         trim(regexp_replace(regexp_replace(lower(t), '[^a-z0-9 ]', ' ', 'g'),
+                             ' +', ' ', 'g'), ' ') AS tn
+  FROM quality
+),
+ded AS (
+  SELECT doc_id, source, tn FROM norm n1
+  WHERE doc_id = (SELECT min(doc_id) FROM norm n2 WHERE n2.tn = n1.tn)
+),
+w AS (SELECT doc_id, string_split(tn, ' ') AS ws FROM ded),
+g AS (
+  SELECT DISTINCT doc_id, array_to_string(ws[i:i+7], ' ') AS gram
+  FROM (SELECT doc_id, ws, unnest(generate_series(1, len(ws) - 7)) AS i FROM w)
+),
+dropped AS (SELECT DISTINCT b.doc_id FROM g a JOIN g b ON a.gram = b.gram AND a.doc_id < b.doc_id),
+fin AS (SELECT * FROM ded WHERE doc_id NOT IN (SELECT doc_id FROM dropped))
+SELECT source, CAST(count(*) AS BIGINT) AS cnt,
+       CAST(sum(len(string_split(tn, ' '))) AS BIGINT) AS words_sum
+FROM fin GROUP BY source ORDER BY source
+"""
+
+
+@entry("doc_e2e_pipeline", sql=SQL_DOC_E2E_PIPELINE)
 def q_doc_e2e_pipeline(sf_dir: str) -> pd.DataFrame:
     """END-TO-END document curation, one oracle-checked composite
     (the documents twin of seq_e2e_pipeline): language filter → Gopher
@@ -1488,93 +1498,10 @@ def q_doc_e2e_pipeline(sf_dir: str) -> pd.DataFrame:
         {"cnt": "int64", "words_sum": "int64"})
 
 
-SQL_DOC_E2E_PIPELINE = f"""
-WITH base AS (
-  SELECT doc_id, source, coalesce(text, '') AS t FROM documents
-  WHERE lang IN ({", ".join(f"'{x}'" for x in DOC_E2E_LANGS)})
-),
-stats AS (
-  SELECT doc_id,
-         CAST(len(string_split(t, ' ')) AS BIGINT) AS n_words,
-         CAST(length(t) - (len(string_split(t, ' ')) - 1) AS BIGINT) AS sum_word_len,
-         CAST(len(list_filter(string_split(t, ' '),
-                              w -> regexp_matches(w, '[A-Za-z]'))) AS BIGINT) AS n_alpha_words,
-         CAST(len(list_filter(string_split(t, ' '),
-                              w -> list_contains(['the','be','to','of','and','that','have','with'],
-                                                 lower(w)))) AS BIGINT) AS n_stop_words,
-         CAST((length(t) - length(replace(t, '#', '')))
-              + (length(t) - length(replace(t, '...', ''))) // 3 AS BIGINT) AS n_sym
-  FROM base
-),
-quality AS (
-  SELECT b.doc_id, b.source, b.t FROM base b JOIN stats s ON s.doc_id = b.doc_id
-  WHERE s.n_words BETWEEN 50 AND 100000
-    AND 3 * s.n_words <= s.sum_word_len AND s.sum_word_len <= 10 * s.n_words
-    AND 10 * s.n_sym <= s.n_words
-    AND 10 * s.n_alpha_words >= 8 * s.n_words
-    AND s.n_stop_words >= 2
-),
-norm AS (
-  SELECT doc_id, source,
-         trim(regexp_replace(regexp_replace(lower(t), '[^a-z0-9 ]', ' ', 'g'),
-                             ' +', ' ', 'g'), ' ') AS tn
-  FROM quality
-),
-ded AS (
-  SELECT doc_id, source, tn FROM norm n1
-  WHERE doc_id = (SELECT min(doc_id) FROM norm n2 WHERE n2.tn = n1.tn)
-),
-w AS (SELECT doc_id, string_split(tn, ' ') AS ws FROM ded),
-g AS (
-  SELECT DISTINCT doc_id, array_to_string(ws[i:i+7], ' ') AS gram
-  FROM (SELECT doc_id, ws, unnest(generate_series(1, len(ws) - 7)) AS i FROM w)
-),
-dropped AS (SELECT DISTINCT b.doc_id FROM g a JOIN g b ON a.gram = b.gram AND a.doc_id < b.doc_id),
-fin AS (SELECT * FROM ded WHERE doc_id NOT IN (SELECT doc_id FROM dropped))
-SELECT source, CAST(count(*) AS BIGINT) AS cnt,
-       CAST(sum(len(string_split(tn, ' '))) AS BIGINT) AS words_sum
-FROM fin GROUP BY source ORDER BY source
-"""
-
-QUERIES2["doc_e2e_pipeline"] = q_doc_e2e_pipeline
-ORACLES2["doc_e2e_pipeline"] = SQL_DOC_E2E_PIPELINE
-
-
 # ---------------------------------------------------------------------------
 # seq_pack_bestfit — BFD whole-document bin packing
 
 BF_CAP = 2048
-
-
-def q_seq_pack_bestfit(sf_dir: str) -> pd.DataFrame:
-    """Best-fit-decreasing whole-document packing (pack.bestfit_pack)
-    at capacity 2048: per-part bins summary.  The twin verifies, from
-    the assignment sidecar, that (1) the assignment is a PARTITION of
-    exactly the eligible corpus (unique-keyed docs, 1 ≤ n_tok ≤ cap,
-    true lengths), (2) no bin exceeds capacity, and (3) the BFD quality
-    guarantee — at most ONE bin per part at most half full — then
-    re-derives the per-part summary."""
-    from jesse_ray.pipelines.queries import _sig_parquet_path
-    from jesse_ray.functions.pack import bestfit_pack
-    from jesse_ray.pipelines.relational import drop_duplicate_keys
-
-    ds = drop_duplicate_keys(
-        read_sequences(_seq_path(sf_dir), columns=["doc_id", "n_tok"]), "doc_id")
-    packed = bestfit_pack(ds, capacity=BF_CAP)
-    t = _collect(packed)
-    pq.write_table(t.sort_by("doc_id"), _sig_parquet_path(sf_dir, "bestfit"))
-
-    def summary(b: pa.Table) -> pa.Table:
-        g = b.group_by("part").aggregate([("bin", "max"), ("n_tok", "sum"), ([], "count_all")])
-        return g.rename_columns(["part", "max_bin", "fill_sum", "n_docs"])
-
-    out = _collect(packed.map_batches(summary, batch_format="pyarrow")).to_pandas()
-    agg = out.groupby("part", sort=True).agg(
-        n_bins=("max_bin", "max"), fill_sum=("fill_sum", "sum"),
-        n_docs=("n_docs", "sum")).reset_index()
-    agg["n_bins"] = agg["n_bins"].astype("int64") + 1
-    return agg[["part", "n_docs", "n_bins", "fill_sum"]].astype(
-        {"part": "int64", "n_docs": "int64", "fill_sum": "int64"})
 
 
 SQL_SEQ_PACK_BESTFIT = f"""
@@ -1608,8 +1535,37 @@ HAVING (SELECT good FROM gates)
 ORDER BY part
 """
 
-QUERIES2["seq_pack_bestfit"] = q_seq_pack_bestfit
-ORACLES2["seq_pack_bestfit"] = SQL_SEQ_PACK_BESTFIT
+
+@entry("seq_pack_bestfit", sql=SQL_SEQ_PACK_BESTFIT)
+def q_seq_pack_bestfit(sf_dir: str) -> pd.DataFrame:
+    """Best-fit-decreasing whole-document packing (pack.bestfit_pack)
+    at capacity 2048: per-part bins summary.  The twin verifies, from
+    the assignment sidecar, that (1) the assignment is a PARTITION of
+    exactly the eligible corpus (unique-keyed docs, 1 ≤ n_tok ≤ cap,
+    true lengths), (2) no bin exceeds capacity, and (3) the BFD quality
+    guarantee — at most ONE bin per part at most half full — then
+    re-derives the per-part summary."""
+    from jesse_ray.pipelines.queries import _sig_parquet_path
+    from jesse_ray.functions.pack import bestfit_pack
+    from jesse_ray.pipelines.relational import drop_duplicate_keys
+
+    ds = drop_duplicate_keys(
+        read_sequences(_seq_path(sf_dir), columns=["doc_id", "n_tok"]), "doc_id")
+    packed = bestfit_pack(ds, capacity=BF_CAP)
+    t = _collect(packed)
+    pq.write_table(t.sort_by("doc_id"), _sig_parquet_path(sf_dir, "bestfit"))
+
+    def summary(b: pa.Table) -> pa.Table:
+        g = b.group_by("part").aggregate([("bin", "max"), ("n_tok", "sum"), ([], "count_all")])
+        return g.rename_columns(["part", "max_bin", "fill_sum", "n_docs"])
+
+    out = _collect(packed.map_batches(summary, batch_format="pyarrow")).to_pandas()
+    agg = out.groupby("part", sort=True).agg(
+        n_bins=("max_bin", "max"), fill_sum=("fill_sum", "sum"),
+        n_docs=("n_docs", "sum")).reset_index()
+    agg["n_bins"] = agg["n_bins"].astype("int64") + 1
+    return agg[["part", "n_docs", "n_bins", "fill_sum"]].astype(
+        {"part": "int64", "n_docs": "int64", "fill_sum": "int64"})
 
 
 # ---------------------------------------------------------------------------
@@ -1619,6 +1575,20 @@ SKEW_PARTS = 64
 _GOLDEN_INT = 0x9E3779B97F4A7C15
 
 
+SQL_EVENTS_SKEW_REPORT = f"""
+WITH p AS (
+  SELECT CAST(((CAST(user_id AS HUGEINT) * {_GOLDEN_INT}) % 18446744073709551616)
+              // 8589934592 % {SKEW_PARTS} AS BIGINT) AS part,
+         user_id
+  FROM events
+)
+SELECT part, CAST(count(*) AS BIGINT) AS n_rows,
+       CAST(count(DISTINCT user_id) AS BIGINT) AS n_users
+FROM p GROUP BY part ORDER BY part
+"""
+
+
+@entry("events_skew_report", sql=SQL_EVENTS_SKEW_REPORT)
 def q_events_skew_report(sf_dir: str) -> pd.DataFrame:
     """Partition-balance report for the engine's OWN coarse hash
     partitioner (relational._element_parts multiply-shift): rows and
@@ -1655,22 +1625,29 @@ def q_events_skew_report(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("part").reset_index(drop=True)
 
 
-SQL_EVENTS_SKEW_REPORT = f"""
-WITH p AS (
-  SELECT CAST(((CAST(user_id AS HUGEINT) * {_GOLDEN_INT}) % 18446744073709551616)
-              // 8589934592 % {SKEW_PARTS} AS BIGINT) AS part,
-         user_id
-  FROM events
-)
-SELECT part, CAST(count(*) AS BIGINT) AS n_rows,
-       CAST(count(DISTINCT user_id) AS BIGINT) AS n_users
-FROM p GROUP BY part ORDER BY part
-"""
-
-
 # ---------------------------------------------------------------------------
 # events_chisq — chi-square independence test (event_type × user bucket)
 
+SQL_EVENTS_CHISQ = """
+WITH c AS (
+  SELECT event_type, CAST(user_id % 2 AS BIGINT) AS bucket,
+         CAST(count(*) AS DOUBLE) AS n
+  FROM events GROUP BY 1, 2
+),
+tot AS (SELECT sum(n) AS n FROM c),
+rt AS (SELECT event_type, sum(n) AS r FROM c GROUP BY 1),
+ct AS (SELECT bucket, sum(n) AS col FROM c GROUP BY 1),
+x AS (
+  SELECT c.n, rt.r * ct.col / (SELECT n FROM tot) AS e
+  FROM c JOIN rt ON rt.event_type = c.event_type JOIN ct ON ct.bucket = c.bucket
+)
+SELECT round(sum((n - e) * (n - e) / e), 4) AS chi2,
+       CAST(((SELECT count(*) FROM rt) - 1) * ((SELECT count(*) FROM ct) - 1) AS BIGINT) AS dof
+FROM x
+"""
+
+
+@entry("events_chisq", sql=SQL_EVENTS_CHISQ)
 def q_events_chisq(sf_dir: str) -> pd.DataFrame:
     """Pearson chi-square independence test between event_type and the
     parity user bucket: contingency counts from one bounded-cardinality
@@ -1698,36 +1675,44 @@ def q_events_chisq(sf_dir: str) -> pd.DataFrame:
                          "dof": pd.array([dof], dtype="int64")})
 
 
-SQL_EVENTS_CHISQ = """
-WITH c AS (
-  SELECT event_type, CAST(user_id % 2 AS BIGINT) AS bucket,
-         CAST(count(*) AS DOUBLE) AS n
-  FROM events GROUP BY 1, 2
-),
-tot AS (SELECT sum(n) AS n FROM c),
-rt AS (SELECT event_type, sum(n) AS r FROM c GROUP BY 1),
-ct AS (SELECT bucket, sum(n) AS col FROM c GROUP BY 1),
-x AS (
-  SELECT c.n, rt.r * ct.col / (SELECT n FROM tot) AS e
-  FROM c JOIN rt ON rt.event_type = c.event_type JOIN ct ON ct.bucket = c.bucket
-)
-SELECT round(sum((n - e) * (n - e) / e), 4) AS chi2,
-       CAST(((SELECT count(*) FROM rt) - 1) * ((SELECT count(*) FROM ct) - 1) AS BIGINT) AS dof
-FROM x
-"""
-
-QUERIES2["events_skew_report"] = q_events_skew_report
-QUERIES2["events_chisq"] = q_events_chisq
-ORACLES2["events_skew_report"] = SQL_EVENTS_SKEW_REPORT
-ORACLES2["events_chisq"] = SQL_EVENTS_CHISQ
-
-
 # ---------------------------------------------------------------------------
 # seq_mannwhitney — exact-integer Mann-Whitney U (n_tok: web vs books)
 
 MW_A, MW_B = "web", "books"
 
 
+SQL_SEQ_MANNWHITNEY = f"""
+WITH x AS (
+  SELECT n_tok, source FROM {SEQ_SQL}
+  WHERE source IN ('{MW_A}', '{MW_B}') AND n_tok IS NOT NULL
+),
+v AS (
+  SELECT n_tok,
+         CAST(count(*) AS BIGINT) AS c_all,
+         CAST(count(*) FILTER (WHERE source = '{MW_A}') AS BIGINT) AS c_a
+  FROM x GROUP BY n_tok
+),
+w AS (
+  SELECT n_tok, c_all, c_a,
+         CAST(coalesce(sum(c_all) OVER (ORDER BY n_tok
+              ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS BIGINT) AS L
+  FROM v
+),
+agg AS (
+  SELECT CAST(sum(c_a) AS BIGINT) AS n_a,
+         CAST(sum(c_all - c_a) AS BIGINT) AS n_b,
+         CAST(sum(c_a * (2 * L + c_all + 1)) AS BIGINT) AS r2_a
+  FROM w
+)
+SELECT n_a, n_b, r2_a,
+       r2_a - n_a * (n_a + 1) AS u2_a,
+       round((CAST(r2_a - n_a * (n_a + 1) AS DOUBLE) - CAST(n_a AS DOUBLE) * n_b)
+             / (sqrt(CAST(n_a AS DOUBLE) * n_b * (n_a + n_b + 1) / 12.0) * 2.0), 4) AS z
+FROM agg
+"""
+
+
+@entry("seq_mannwhitney", sql=SQL_SEQ_MANNWHITNEY)
 def q_seq_mannwhitney(sf_dir: str) -> pd.DataFrame:
     """Mann-Whitney U comparing n_tok distributions of two sources, in
     EXACT integer arithmetic: doubled tie-averaged rank sums satisfy
@@ -1770,43 +1755,31 @@ def q_seq_mannwhitney(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_SEQ_MANNWHITNEY = f"""
-WITH x AS (
-  SELECT n_tok, source FROM {SEQ_SQL}
-  WHERE source IN ('{MW_A}', '{MW_B}') AND n_tok IS NOT NULL
-),
-v AS (
-  SELECT n_tok,
-         CAST(count(*) AS BIGINT) AS c_all,
-         CAST(count(*) FILTER (WHERE source = '{MW_A}') AS BIGINT) AS c_a
-  FROM x GROUP BY n_tok
-),
-w AS (
-  SELECT n_tok, c_all, c_a,
-         CAST(coalesce(sum(c_all) OVER (ORDER BY n_tok
-              ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS BIGINT) AS L
-  FROM v
-),
-agg AS (
-  SELECT CAST(sum(c_a) AS BIGINT) AS n_a,
-         CAST(sum(c_all - c_a) AS BIGINT) AS n_b,
-         CAST(sum(c_a * (2 * L + c_all + 1)) AS BIGINT) AS r2_a
-  FROM w
-)
-SELECT n_a, n_b, r2_a,
-       r2_a - n_a * (n_a + 1) AS u2_a,
-       round((CAST(r2_a - n_a * (n_a + 1) AS DOUBLE) - CAST(n_a AS DOUBLE) * n_b)
-             / (sqrt(CAST(n_a AS DOUBLE) * n_b * (n_a + n_b + 1) / 12.0) * 2.0), 4) AS z
-FROM agg
-"""
-
-QUERIES2["seq_mannwhitney"] = q_seq_mannwhitney
-ORACLES2["seq_mannwhitney"] = SQL_SEQ_MANNWHITNEY
-
-
 # ---------------------------------------------------------------------------
 # events_forecast_mae — seasonal-naive backtest on the hourly series
 
+SQL_EVENTS_FORECAST_MAE = """
+WITH h AS (
+  SELECT epoch_us(ts) // 3600000000 AS hour, CAST(count(*) AS BIGINT) AS n
+  FROM events GROUP BY 1
+),
+spine AS (
+  SELECT unnest(range((SELECT min(hour) FROM h), (SELECT max(hour) FROM h) + 1)) AS hour
+),
+d AS (
+  SELECT spine.hour, coalesce(h.n, 0) AS n FROM spine LEFT JOIN h ON h.hour = spine.hour
+),
+l AS (
+  SELECT n, lag(n, 24) OVER (ORDER BY hour) AS p FROM d
+)
+SELECT CAST(count(*) AS BIGINT) AS n_eval,
+       CAST(sum(abs(n - p)) AS BIGINT) AS abs_err_sum,
+       round(CAST(sum(abs(n - p)) AS DOUBLE) / count(*), 4) AS mae
+FROM l WHERE p IS NOT NULL
+"""
+
+
+@entry("events_forecast_mae", sql=SQL_EVENTS_FORECAST_MAE)
 def q_events_forecast_mae(sf_dir: str) -> pd.DataFrame:
     """Seasonal-naive forecasting backtest (predict hour t with hour
     t-24; MAE over the dense hourly spine): tumbling-window counts from
@@ -1839,33 +1812,48 @@ def q_events_forecast_mae(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_EVENTS_FORECAST_MAE = """
-WITH h AS (
-  SELECT epoch_us(ts) // 3600000000 AS hour, CAST(count(*) AS BIGINT) AS n
-  FROM events GROUP BY 1
-),
-spine AS (
-  SELECT unnest(range((SELECT min(hour) FROM h), (SELECT max(hour) FROM h) + 1)) AS hour
-),
-d AS (
-  SELECT spine.hour, coalesce(h.n, 0) AS n FROM spine LEFT JOIN h ON h.hour = spine.hour
-),
-l AS (
-  SELECT n, lag(n, 24) OVER (ORDER BY hour) AS p FROM d
-)
-SELECT CAST(count(*) AS BIGINT) AS n_eval,
-       CAST(sum(abs(n - p)) AS BIGINT) AS abs_err_sum,
-       round(CAST(sum(abs(n - p)) AS DOUBLE) / count(*), 4) AS mae
-FROM l WHERE p IS NOT NULL
-"""
-
-
 # ---------------------------------------------------------------------------
 # seq_split_decontam — train→eval contamination after the hash split
 
 SPLIT_DECON_N = 8
 
 
+SQL_SEQ_SPLIT_DECONTAM = f"""
+WITH dups AS (
+  SELECT doc_id FROM {SEQ_SQL} WHERE doc_id IS NOT NULL
+  GROUP BY doc_id HAVING count(*) > 1
+),
+corpus AS (
+  SELECT doc_id, tokens FROM {SEQ_SQL}
+  WHERE doc_id IS NOT NULL AND doc_id NOT IN (SELECT doc_id FROM dups)
+),
+s AS (
+  SELECT a.split, c.doc_id, c.tokens
+  FROM read_parquet('/tmp/jesse_ray_data/sdecon_split_sigs_sf0.01.parquet') a
+  JOIN corpus c ON c.doc_id = a.doc_id
+),
+tr AS (
+  SELECT DISTINCT array_to_string(tokens[i:i+{SPLIT_DECON_N - 1}], ',') AS g
+  FROM (SELECT tokens, unnest(range(1, len(tokens) - {SPLIT_DECON_N - 2})) AS i
+        FROM s WHERE split = 'train')
+),
+ev AS (
+  SELECT split, doc_id,
+         array_to_string(tokens[i:i+{SPLIT_DECON_N - 1}], ',') AS g
+  FROM (SELECT split, doc_id, tokens, unnest(range(1, len(tokens) - {SPLIT_DECON_N - 2})) AS i
+        FROM s WHERE split <> 'train')
+),
+hit AS (SELECT DISTINCT split, doc_id FROM ev JOIN tr USING (g))
+SELECT s2.split,
+       CAST(count(*) AS BIGINT) AS n_docs,
+       CAST(count(*) FILTER (WHERE hit.doc_id IS NOT NULL) AS BIGINT) AS n_contaminated
+FROM (SELECT split, doc_id FROM s WHERE split <> 'train') s2
+LEFT JOIN hit ON hit.split = s2.split AND hit.doc_id = s2.doc_id
+GROUP BY s2.split ORDER BY s2.split
+"""
+
+
+@entry("seq_split_decontam", sql=SQL_SEQ_SPLIT_DECONTAM)
 def q_seq_split_decontam(sf_dir: str) -> pd.DataFrame:
     """Split hygiene: after the deterministic 80/10/10 hash split, how
     many val/test docs share an 8-token-gram with ANY train doc
@@ -1915,52 +1903,22 @@ def q_seq_split_decontam(sf_dir: str) -> pd.DataFrame:
     return out.astype({"n_docs": "int64", "n_contaminated": "int64"})
 
 
-SQL_SEQ_SPLIT_DECONTAM = f"""
-WITH dups AS (
-  SELECT doc_id FROM {SEQ_SQL} WHERE doc_id IS NOT NULL
-  GROUP BY doc_id HAVING count(*) > 1
-),
-corpus AS (
-  SELECT doc_id, tokens FROM {SEQ_SQL}
-  WHERE doc_id IS NOT NULL AND doc_id NOT IN (SELECT doc_id FROM dups)
-),
-s AS (
-  SELECT a.split, c.doc_id, c.tokens
-  FROM read_parquet('/tmp/jesse_ray_data/sdecon_split_sigs_sf0.01.parquet') a
-  JOIN corpus c ON c.doc_id = a.doc_id
-),
-tr AS (
-  SELECT DISTINCT array_to_string(tokens[i:i+{SPLIT_DECON_N - 1}], ',') AS g
-  FROM (SELECT tokens, unnest(range(1, len(tokens) - {SPLIT_DECON_N - 2})) AS i
-        FROM s WHERE split = 'train')
-),
-ev AS (
-  SELECT split, doc_id,
-         array_to_string(tokens[i:i+{SPLIT_DECON_N - 1}], ',') AS g
-  FROM (SELECT split, doc_id, tokens, unnest(range(1, len(tokens) - {SPLIT_DECON_N - 2})) AS i
-        FROM s WHERE split <> 'train')
-),
-hit AS (SELECT DISTINCT split, doc_id FROM ev JOIN tr USING (g))
-SELECT s2.split,
-       CAST(count(*) AS BIGINT) AS n_docs,
-       CAST(count(*) FILTER (WHERE hit.doc_id IS NOT NULL) AS BIGINT) AS n_contaminated
-FROM (SELECT split, doc_id FROM s WHERE split <> 'train') s2
-LEFT JOIN hit ON hit.split = s2.split AND hit.doc_id = s2.doc_id
-GROUP BY s2.split ORDER BY s2.split
-"""
-
-QUERIES2["events_forecast_mae"] = q_events_forecast_mae
-QUERIES2["seq_split_decontam"] = q_seq_split_decontam
-ORACLES2["events_forecast_mae"] = SQL_EVENTS_FORECAST_MAE
-ORACLES2["seq_split_decontam"] = SQL_SEQ_SPLIT_DECONTAM
-
-
 # ---------------------------------------------------------------------------
 # seq_pushdown_read — predicate pushed into the parquet scan
 
 PUSHDOWN_MIN_NTOK = 1900
 
 
+SQL_SEQ_PUSHDOWN_READ = f"""
+SELECT source, CAST(count(*) AS BIGINT) AS cnt,
+       CAST(sum(n_tok) AS BIGINT) AS ntok_sum
+FROM {SEQ_SQL}
+WHERE n_tok >= {PUSHDOWN_MIN_NTOK}
+GROUP BY source ORDER BY source NULLS FIRST
+"""
+
+
+@entry("seq_pushdown_read", sql=SQL_SEQ_PUSHDOWN_READ)
 def q_seq_pushdown_read(sf_dir: str) -> pd.DataFrame:
     """Predicate-pushdown read: the ``n_tok >= 1900`` filter rides into
     the parquet scan as a pyarrow.dataset expression (row groups whose
@@ -1981,34 +1939,8 @@ def q_seq_pushdown_read(sf_dir: str) -> pd.DataFrame:
     return out[["source", "cnt", "ntok_sum"]].astype({"cnt": "int64", "ntok_sum": "int64"})
 
 
-SQL_SEQ_PUSHDOWN_READ = f"""
-SELECT source, CAST(count(*) AS BIGINT) AS cnt,
-       CAST(sum(n_tok) AS BIGINT) AS ntok_sum
-FROM {SEQ_SQL}
-WHERE n_tok >= {PUSHDOWN_MIN_NTOK}
-GROUP BY source ORDER BY source NULLS FIRST
-"""
-
-QUERIES2["seq_pushdown_read"] = q_seq_pushdown_read
-ORACLES2["seq_pushdown_read"] = SQL_SEQ_PUSHDOWN_READ
-
-
 # ---------------------------------------------------------------------------
 # events_wau — rolling 7-day distinct users via interval-diff arrays
-
-def q_events_wau(sf_dir: str) -> pd.DataFrame:
-    """Rolling 7-day active users per day (WAU), computed exactly with
-    NO per-window set materialization: each user's active days merge
-    into coverage intervals, emitted as ±1 diff arrays per part and
-    prefix-summed on the day axis (relational.rolling_distinct_entities
-    — the scale path where per-window count-distinct would shuffle
-    every (window, user) pair)."""
-    from jesse_ray.pipelines.relational import rolling_distinct_entities
-
-    ds = read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
-    out = rolling_distinct_entities(ds, window_days=7)
-    return out.astype({"day": "int64", "rolling_distinct": "int64"})
-
 
 SQL_EVENTS_WAU = """
 WITH d AS (
@@ -2023,13 +1955,40 @@ FROM spine s LEFT JOIN d ON d.day BETWEEN s.day - 6 AND s.day
 GROUP BY s.day ORDER BY s.day
 """
 
-QUERIES2["events_wau"] = q_events_wau
-ORACLES2["events_wau"] = SQL_EVENTS_WAU
+
+@entry("events_wau", sql=SQL_EVENTS_WAU)
+def q_events_wau(sf_dir: str) -> pd.DataFrame:
+    """Rolling 7-day active users per day (WAU), computed exactly with
+    NO per-window set materialization: each user's active days merge
+    into coverage intervals, emitted as ±1 diff arrays per part and
+    prefix-summed on the day axis (relational.rolling_distinct_entities
+    — the scale path where per-window count-distinct would shuffle
+    every (window, user) pair)."""
+    from jesse_ray.pipelines.relational import rolling_distinct_entities
+
+    ds = read_table(f"{sf_dir}/events.parquet", columns=["user_id", "ts"])
+    out = rolling_distinct_entities(ds, window_days=7)
+    return out.astype({"day": "int64", "rolling_distinct": "int64"})
 
 
 # ---------------------------------------------------------------------------
 # customer_orders_outer — FULL OUTER join summary
 
+SQL_CUSTOMER_ORDERS_OUTER = """
+WITH oc AS (SELECT o_custkey, count(*) AS n FROM orders GROUP BY 1),
+j AS (
+  SELECT c.c_custkey AS ck, oc.o_custkey AS ok
+  FROM customer c FULL OUTER JOIN oc ON oc.o_custkey = c.c_custkey
+)
+SELECT CAST((SELECT count(*) FROM customer) AS BIGINT) AS n_customers,
+       CAST(count(*) FILTER (WHERE ck IS NOT NULL AND ok IS NOT NULL) AS BIGINT) AS with_orders,
+       CAST(count(*) FILTER (WHERE ck IS NOT NULL AND ok IS NULL) AS BIGINT) AS without_orders,
+       CAST(count(*) FILTER (WHERE ck IS NULL) AS BIGINT) AS orphan_orders
+FROM j
+"""
+
+
+@entry("customer_orders_outer", sql=SQL_CUSTOMER_ORDERS_OUTER)
 def q_customer_orders_outer(sf_dir: str) -> pd.DataFrame:
     """FULL OUTER hash join of customers against their order counts:
     one summary row — matched customers, customers with no orders,
@@ -2082,23 +2041,21 @@ def q_customer_orders_outer(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_CUSTOMER_ORDERS_OUTER = """
-WITH oc AS (SELECT o_custkey, count(*) AS n FROM orders GROUP BY 1),
-j AS (
-  SELECT c.c_custkey AS ck, oc.o_custkey AS ok
-  FROM customer c FULL OUTER JOIN oc ON oc.o_custkey = c.c_custkey
-)
-SELECT CAST((SELECT count(*) FROM customer) AS BIGINT) AS n_customers,
-       CAST(count(*) FILTER (WHERE ck IS NOT NULL AND ok IS NOT NULL) AS BIGINT) AS with_orders,
-       CAST(count(*) FILTER (WHERE ck IS NOT NULL AND ok IS NULL) AS BIGINT) AS without_orders,
-       CAST(count(*) FILTER (WHERE ck IS NULL) AS BIGINT) AS orphan_orders
-FROM j
-"""
-
-
 # ---------------------------------------------------------------------------
 # seq_fd_audit — functional-dependency audit (doc_id → source)
 
+SQL_SEQ_FD_AUDIT = f"""
+WITH pairs AS (
+  SELECT DISTINCT doc_id, source FROM {SEQ_SQL} WHERE doc_id IS NOT NULL
+),
+per_key AS (SELECT doc_id, count(*) AS c FROM pairs GROUP BY doc_id)
+SELECT CAST(count(*) AS BIGINT) AS n_keys,
+       CAST(count(*) FILTER (WHERE c > 1) AS BIGINT) AS n_violating
+FROM per_key
+"""
+
+
+@entry("seq_fd_audit", sql=SQL_SEQ_FD_AUDIT)
 def q_seq_fd_audit(sf_dir: str) -> pd.DataFrame:
     """Functional-dependency audit (Deequ-style data contract): does
     ``doc_id → source`` hold?  Two-phase distinct-pair counting — per
@@ -2128,25 +2085,39 @@ def q_seq_fd_audit(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_SEQ_FD_AUDIT = f"""
-WITH pairs AS (
-  SELECT DISTINCT doc_id, source FROM {SEQ_SQL} WHERE doc_id IS NOT NULL
-),
-per_key AS (SELECT doc_id, count(*) AS c FROM pairs GROUP BY doc_id)
-SELECT CAST(count(*) AS BIGINT) AS n_keys,
-       CAST(count(*) FILTER (WHERE c > 1) AS BIGINT) AS n_violating
-FROM per_key
-"""
-
-QUERIES2["customer_orders_outer"] = q_customer_orders_outer
-QUERIES2["seq_fd_audit"] = q_seq_fd_audit
-ORACLES2["customer_orders_outer"] = SQL_CUSTOMER_ORDERS_OUTER
-ORACLES2["seq_fd_audit"] = SQL_SEQ_FD_AUDIT
-
-
 # ---------------------------------------------------------------------------
 # seq_entropy_rate — bigram conditional entropy of the token stream
 
+SQL_SEQ_ENTROPY_RATE = f"""
+WITH s AS (
+  SELECT tokens FROM {SEQ_SQL} WHERE tokens IS NOT NULL AND len(tokens) > 1
+),
+u AS (
+  SELECT unnest(tokens[1:len(tokens) - 1]) AS a,
+         unnest(tokens[2:len(tokens)])     AS b
+  FROM s
+),
+e AS (
+  SELECT CAST(a AS BIGINT) AS a, CAST(b AS BIGINT) AS b,
+         CAST(count(*) AS DOUBLE) AS c
+  FROM u
+  WHERE a >= 0 AND a < {{V}} AND b >= 0 AND b < {{V}}
+  GROUP BY 1, 2
+),
+w AS (SELECT a, c, sum(c) OVER (PARTITION BY a) AS ca FROM e)
+SELECT CAST(sum(c) AS BIGINT) AS n_pairs,
+       round(-sum(c * log2(c / ca)) / sum(c), 4) AS h_bits
+FROM w
+"""
+
+
+def _entropy_sql() -> str:
+    from jesse_ray import testgen
+
+    return SQL_SEQ_ENTROPY_RATE.replace("{V}", str(testgen.VOCAB))
+
+
+@entry("seq_entropy_rate", sql=_entropy_sql())
 def q_seq_entropy_rate(sf_dir: str) -> pd.DataFrame:
     """Conditional bigram entropy H(b|a) of the corpus token stream in
     bits (the information-theoretic compressibility signal):
@@ -2200,41 +2171,30 @@ def q_seq_entropy_rate(sf_dir: str) -> pd.DataFrame:
                          "h_bits": [round_half_away(h, 4)]})
 
 
-SQL_SEQ_ENTROPY_RATE = f"""
-WITH s AS (
-  SELECT tokens FROM {SEQ_SQL} WHERE tokens IS NOT NULL AND len(tokens) > 1
-),
-u AS (
-  SELECT unnest(tokens[1:len(tokens) - 1]) AS a,
-         unnest(tokens[2:len(tokens)])     AS b
-  FROM s
-),
-e AS (
-  SELECT CAST(a AS BIGINT) AS a, CAST(b AS BIGINT) AS b,
-         CAST(count(*) AS DOUBLE) AS c
-  FROM u
-  WHERE a >= 0 AND a < {{V}} AND b >= 0 AND b < {{V}}
-  GROUP BY 1, 2
-),
-w AS (SELECT a, c, sum(c) OVER (PARTITION BY a) AS ca FROM e)
-SELECT CAST(sum(c) AS BIGINT) AS n_pairs,
-       round(-sum(c * log2(c / ca)) / sum(c), 4) AS h_bits
-FROM w
-"""
-
-
-def _entropy_sql() -> str:
-    from jesse_ray import testgen
-
-    return SQL_SEQ_ENTROPY_RATE.replace("{V}", str(testgen.VOCAB))
-
-
 # ---------------------------------------------------------------------------
 # seq_zipf_slope — OLS fit of the token frequency-rank power law
 
 ZIPF_TOPK = 1000
 
 
+SQL_SEQ_ZIPF_SLOPE = f"""
+WITH f AS (
+  SELECT t AS elem, CAST(count(*) AS BIGINT) AS cnt
+  FROM (SELECT unnest(tokens) AS t FROM {SEQ_SQL}) GROUP BY t
+),
+top AS (
+  SELECT cnt, row_number() OVER (ORDER BY cnt DESC, elem ASC) AS rank
+  FROM f ORDER BY cnt DESC, elem ASC LIMIT {ZIPF_TOPK}
+),
+v AS (SELECT ln(CAST(rank AS DOUBLE)) AS x, ln(CAST(cnt AS DOUBLE)) AS y FROM top)
+SELECT CAST(count(*) AS BIGINT) AS n_fit,
+       round((count(*) * sum(x * y) - sum(x) * sum(y))
+             / (count(*) * sum(x * x) - sum(x) * sum(x)), 4) AS slope
+FROM v
+"""
+
+
+@entry("seq_zipf_slope", sql=SQL_SEQ_ZIPF_SLOPE)
 def q_seq_zipf_slope(sf_dir: str) -> pd.DataFrame:
     """Zipf slope of the corpus: OLS fit of ln(freq) on ln(rank) over
     the exact top-1000 tokens (relational.top_k_elements heavy-hitters
@@ -2255,34 +2215,30 @@ def q_seq_zipf_slope(sf_dir: str) -> pd.DataFrame:
                          "slope": [round_half_away(slope, 4)]})
 
 
-SQL_SEQ_ZIPF_SLOPE = f"""
-WITH f AS (
-  SELECT t AS elem, CAST(count(*) AS BIGINT) AS cnt
-  FROM (SELECT unnest(tokens) AS t FROM {SEQ_SQL}) GROUP BY t
-),
-top AS (
-  SELECT cnt, row_number() OVER (ORDER BY cnt DESC, elem ASC) AS rank
-  FROM f ORDER BY cnt DESC, elem ASC LIMIT {ZIPF_TOPK}
-),
-v AS (SELECT ln(CAST(rank AS DOUBLE)) AS x, ln(CAST(cnt AS DOUBLE)) AS y FROM top)
-SELECT CAST(count(*) AS BIGINT) AS n_fit,
-       round((count(*) * sum(x * y) - sum(x) * sum(y))
-             / (count(*) * sum(x * x) - sum(x) * sum(x)), 4) AS slope
-FROM v
-"""
-
-QUERIES2["seq_entropy_rate"] = q_seq_entropy_rate
-QUERIES2["seq_zipf_slope"] = q_seq_zipf_slope
-ORACLES2["seq_entropy_rate"] = _entropy_sql()
-ORACLES2["seq_zipf_slope"] = SQL_SEQ_ZIPF_SLOPE
-
-
 # ---------------------------------------------------------------------------
 # tpch_q7ish — volume shipping between two nations
 
 Q7_N1, Q7_N2 = 0, 1  # nationkeys
 
 
+SQL_TPCH_Q7ISH = f"""
+SELECT sn.n_name AS supp_nation, cn.n_name AS cust_nation,
+       CAST(year(l_shipdate) AS BIGINT) AS l_year,
+       round(sum(l_extendedprice * (1.0 - l_discount)), 2) AS revenue
+FROM lineitem
+JOIN orders   ON o_orderkey = l_orderkey
+JOIN customer ON c_custkey = o_custkey
+JOIN supplier ON s_suppkey = l_suppkey
+JOIN nation cn ON cn.n_nationkey = c_nationkey
+JOIN nation sn ON sn.n_nationkey = s_nationkey
+WHERE c_nationkey IN ({Q7_N1}, {Q7_N2})
+  AND s_nationkey IN ({Q7_N1}, {Q7_N2})
+  AND s_nationkey <> c_nationkey
+GROUP BY 1, 2, 3 ORDER BY 1, 2, 3
+"""
+
+
+@entry("tpch_q7ish", sql=SQL_TPCH_Q7ISH)
 def q_tpch_q7ish(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q7-shaped composite: revenue between two nations per
     (supplier nation, customer nation, ship year), both directions.
@@ -2365,32 +2321,30 @@ def q_tpch_q7ish(sf_dir: str) -> pd.DataFrame:
     return out.astype({"l_year": "int64"})
 
 
-SQL_TPCH_Q7ISH = f"""
-SELECT sn.n_name AS supp_nation, cn.n_name AS cust_nation,
-       CAST(year(l_shipdate) AS BIGINT) AS l_year,
-       round(sum(l_extendedprice * (1.0 - l_discount)), 2) AS revenue
-FROM lineitem
-JOIN orders   ON o_orderkey = l_orderkey
-JOIN customer ON c_custkey = o_custkey
-JOIN supplier ON s_suppkey = l_suppkey
-JOIN nation cn ON cn.n_nationkey = c_nationkey
-JOIN nation sn ON sn.n_nationkey = s_nationkey
-WHERE c_nationkey IN ({Q7_N1}, {Q7_N2})
-  AND s_nationkey IN ({Q7_N1}, {Q7_N2})
-  AND s_nationkey <> c_nationkey
-GROUP BY 1, 2, 3 ORDER BY 1, 2, 3
-"""
-
-QUERIES2["tpch_q7ish"] = q_tpch_q7ish
-ORACLES2["tpch_q7ish"] = SQL_TPCH_Q7ISH
-
-
 # ---------------------------------------------------------------------------
 # tpch_q2ish — minimum-cost supplier per part (argmin through joins)
 
 Q2_SIZE = 15
 
 
+SQL_TPCH_Q2ISH = f"""
+WITH ps AS (SELECT DISTINCT l_partkey, l_suppkey FROM lineitem),
+x AS (
+  SELECT l_partkey, s_suppkey, s_acctbal, s_name,
+         row_number() OVER (PARTITION BY l_partkey
+                            ORDER BY s_acctbal ASC, s_suppkey ASC) AS rn
+  FROM ps JOIN supplier ON s_suppkey = l_suppkey
+)
+SELECT p_partkey, round(p_retailprice, 2) AS p_retailprice,
+       s_suppkey, s_name, round(s_acctbal, 2) AS s_acctbal
+FROM part JOIN x ON x.l_partkey = p_partkey AND x.rn = 1
+WHERE p_size = {Q2_SIZE}
+ORDER BY p_retailprice DESC, p_partkey ASC
+LIMIT 20
+"""
+
+
+@entry("tpch_q2ish", sql=SQL_TPCH_Q2ISH)
 def q_tpch_q2ish(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q2-shaped composite: for every size-15 part, the supplier
     with MINIMUM account balance among those supplying it (argmin per
@@ -2443,29 +2397,30 @@ def q_tpch_q2ish(sf_dir: str) -> pd.DataFrame:
     return out[["p_partkey", "p_retailprice", "s_suppkey", "s_name", "s_acctbal"]]
 
 
-SQL_TPCH_Q2ISH = f"""
-WITH ps AS (SELECT DISTINCT l_partkey, l_suppkey FROM lineitem),
-x AS (
-  SELECT l_partkey, s_suppkey, s_acctbal, s_name,
-         row_number() OVER (PARTITION BY l_partkey
-                            ORDER BY s_acctbal ASC, s_suppkey ASC) AS rn
-  FROM ps JOIN supplier ON s_suppkey = l_suppkey
-)
-SELECT p_partkey, round(p_retailprice, 2) AS p_retailprice,
-       s_suppkey, s_name, round(s_acctbal, 2) AS s_acctbal
-FROM part JOIN x ON x.l_partkey = p_partkey AND x.rn = 1
-WHERE p_size = {Q2_SIZE}
-ORDER BY p_retailprice DESC, p_partkey ASC
-LIMIT 20
-"""
-
-QUERIES2["tpch_q2ish"] = q_tpch_q2ish
-ORACLES2["tpch_q2ish"] = SQL_TPCH_Q2ISH
-
-
 # ---------------------------------------------------------------------------
 # doc_triangles — triangle count of the near-dup candidate graph
 
+SQL_DOC_TRIANGLES = """
+WITH sig AS (
+  SELECT doc_id, minhash
+  FROM read_parquet('/tmp/jesse_ray_data/tri_minhash_sigs_sf0.01.parquet')
+), bands AS (
+  SELECT doc_id, b, list_slice(minhash, b*4 + 1, b*4 + 4) AS band
+  FROM sig, generate_series(0, 15) t(b)
+), p AS (
+  SELECT a.doc_id AS l, b.doc_id AS r
+  FROM bands a JOIN bands b ON a.b = b.b AND a.band = b.band AND a.doc_id < b.doc_id
+  GROUP BY 1, 2
+)
+SELECT CAST((SELECT count(*) FROM p) AS BIGINT) AS n_edges,
+       CAST((SELECT count(*)
+             FROM p p1
+             JOIN p p2 ON p2.l = p1.l AND p2.r > p1.r
+             JOIN p p3 ON p3.l = p1.r AND p3.r = p2.r) AS BIGINT) AS n_triangles
+"""
+
+
+@entry("doc_triangles", sql=SQL_DOC_TRIANGLES)
 def q_doc_triangles(sf_dir: str) -> pd.DataFrame:
     """Triangle count of the MinHash-LSH candidate-pair graph (cluster
     density: triangle-rich dup graphs mean boilerplate families, not
@@ -2490,35 +2445,30 @@ def q_doc_triangles(sf_dir: str) -> pd.DataFrame:
                          "n_triangles": pd.array([int(n_tri)], dtype="int64")})
 
 
-SQL_DOC_TRIANGLES = """
-WITH sig AS (
-  SELECT doc_id, minhash
-  FROM read_parquet('/tmp/jesse_ray_data/tri_minhash_sigs_sf0.01.parquet')
-), bands AS (
-  SELECT doc_id, b, list_slice(minhash, b*4 + 1, b*4 + 4) AS band
-  FROM sig, generate_series(0, 15) t(b)
-), p AS (
-  SELECT a.doc_id AS l, b.doc_id AS r
-  FROM bands a JOIN bands b ON a.b = b.b AND a.band = b.band AND a.doc_id < b.doc_id
-  GROUP BY 1, 2
-)
-SELECT CAST((SELECT count(*) FROM p) AS BIGINT) AS n_edges,
-       CAST((SELECT count(*)
-             FROM p p1
-             JOIN p p2 ON p2.l = p1.l AND p2.r > p1.r
-             JOIN p p3 ON p3.l = p1.r AND p3.r = p2.r) AS BIGINT) AS n_triangles
-"""
-
-QUERIES2["doc_triangles"] = q_doc_triangles
-ORACLES2["doc_triangles"] = SQL_DOC_TRIANGLES
-
-
 # ---------------------------------------------------------------------------
 # seq_motif_search — exact token-subsequence (motif) matching
 
 MOTIF = [7, 7]  # adjacent token pattern to find
 
 
+SQL_SEQ_MOTIF_SEARCH = f"""
+WITH s AS (
+  SELECT doc_id, tokens FROM {SEQ_SQL}
+  WHERE doc_id IS NOT NULL AND tokens IS NOT NULL AND len(tokens) >= {len(MOTIF)}
+)
+SELECT doc_id,
+       CAST(len(list_filter(range(1, len(tokens) - {len(MOTIF) - 2}),
+            i -> {" AND ".join(f"tokens[i + {j}] = {v}" for j, v in enumerate(MOTIF))}))
+            AS BIGINT) AS hits
+FROM s
+WHERE len(list_filter(range(1, len(tokens) - {len(MOTIF) - 2}),
+      i -> {" AND ".join(f"tokens[i + {j}] = {v}" for j, v in enumerate(MOTIF))})) > 0
+ORDER BY hits DESC, doc_id ASC
+LIMIT 20
+"""
+
+
+@entry("seq_motif_search", sql=SQL_SEQ_MOTIF_SEARCH)
 def q_seq_motif_search(sf_dir: str) -> pd.DataFrame:
     """Exact adjacent-token motif search (the token-level grep of an
     inverted-index lookup): count occurrences of the pattern per
@@ -2566,26 +2516,31 @@ def q_seq_motif_search(sf_dir: str) -> pd.DataFrame:
                 .head(20).reset_index(drop=True).astype({"doc_id": "string", "hits": "int64"}))
 
 
-SQL_SEQ_MOTIF_SEARCH = f"""
-WITH s AS (
-  SELECT doc_id, tokens FROM {SEQ_SQL}
-  WHERE doc_id IS NOT NULL AND tokens IS NOT NULL AND len(tokens) >= {len(MOTIF)}
-)
-SELECT doc_id,
-       CAST(len(list_filter(range(1, len(tokens) - {len(MOTIF) - 2}),
-            i -> {" AND ".join(f"tokens[i + {j}] = {v}" for j, v in enumerate(MOTIF))}))
-            AS BIGINT) AS hits
-FROM s
-WHERE len(list_filter(range(1, len(tokens) - {len(MOTIF) - 2}),
-      i -> {" AND ".join(f"tokens[i + {j}] = {v}" for j, v in enumerate(MOTIF))})) > 0
-ORDER BY hits DESC, doc_id ASC
-LIMIT 20
-"""
-
-
 # ---------------------------------------------------------------------------
 # events_bursts — integer-exact burst detection on the hourly series
 
+SQL_EVENTS_BURSTS = """
+WITH h AS (
+  SELECT epoch_us(ts) // 3600000000 AS hour, CAST(count(*) AS BIGINT) AS n
+  FROM events GROUP BY 1
+),
+spine AS (
+  SELECT unnest(range((SELECT min(hour) FROM h), (SELECT max(hour) FROM h) + 1)) AS hour
+),
+d AS (SELECT spine.hour, coalesce(h.n, 0) AS n FROM spine LEFT JOIN h ON h.hour = spine.hour),
+w AS (
+  SELECT hour, n,
+         sum(n) OVER (ORDER BY hour ROWS BETWEEN 24 PRECEDING AND 1 PRECEDING) AS sum24,
+         row_number() OVER (ORDER BY hour) AS rn
+  FROM d
+)
+SELECT hour, n, CAST(sum24 AS BIGINT) AS sum24
+FROM w WHERE rn > 24 AND 24 * n > 2 * sum24
+ORDER BY hour
+"""
+
+
+@entry("events_bursts", sql=SQL_EVENTS_BURSTS)
 def q_events_bursts(sf_dir: str) -> pd.DataFrame:
     """Burst detection: hours whose event count exceeds 2× the trailing
     24-hour mean — the comparison stays in integers
@@ -2620,54 +2575,10 @@ def q_events_bursts(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_EVENTS_BURSTS = """
-WITH h AS (
-  SELECT epoch_us(ts) // 3600000000 AS hour, CAST(count(*) AS BIGINT) AS n
-  FROM events GROUP BY 1
-),
-spine AS (
-  SELECT unnest(range((SELECT min(hour) FROM h), (SELECT max(hour) FROM h) + 1)) AS hour
-),
-d AS (SELECT spine.hour, coalesce(h.n, 0) AS n FROM spine LEFT JOIN h ON h.hour = spine.hour),
-w AS (
-  SELECT hour, n,
-         sum(n) OVER (ORDER BY hour ROWS BETWEEN 24 PRECEDING AND 1 PRECEDING) AS sum24,
-         row_number() OVER (ORDER BY hour) AS rn
-  FROM d
-)
-SELECT hour, n, CAST(sum24 AS BIGINT) AS sum24
-FROM w WHERE rn > 24 AND 24 * n > 2 * sum24
-ORDER BY hour
-"""
-
-QUERIES2["seq_motif_search"] = q_seq_motif_search
-QUERIES2["events_bursts"] = q_events_bursts
-ORACLES2["seq_motif_search"] = SQL_SEQ_MOTIF_SEARCH
-ORACLES2["events_bursts"] = SQL_EVENTS_BURSTS
-
-
 # ---------------------------------------------------------------------------
 # doc_rake_keywords — RAKE corpus keyword scores
 
 RAKE_MIN_FREQ = 5
-
-
-def q_doc_rake_keywords(sf_dir: str) -> pd.DataFrame:
-    """RAKE keyword extraction (Rose et al. 2010) at corpus level: top
-    20 words by deg/freq over stopword-delimited phrases
-    (text.rake_word_scores — integer deg/freq basis, so the score is
-    the same IEEE division on both engines; min freq 5 screens
-    singleton-phrase noise)."""
-    from jesse_ray.functions.text import rake_word_scores
-
-    ds = read_table(f"{sf_dir}/documents.parquet", columns=["text"])
-    t = _collect(rake_word_scores(ds)).to_pandas()
-    t = t[t["freq"] >= RAKE_MIN_FREQ].copy()
-    t["score"] = t["deg"].to_numpy(dtype=np.float64) / t["freq"].to_numpy(dtype=np.float64)
-    out = t.sort_values(["score", "word"], ascending=[False, True],
-                        kind="mergesort").head(20).reset_index(drop=True)
-    return out[["word", "freq", "deg", "score"]].astype(
-        {"word": "string", "freq": "int64", "deg": "int64"})
 
 
 SQL_DOC_RAKE_KEYWORDS = f"""
@@ -2702,30 +2613,30 @@ FROM agg WHERE freq >= {RAKE_MIN_FREQ}
 ORDER BY score DESC, word ASC LIMIT 20
 """
 
-QUERIES2["doc_rake_keywords"] = q_doc_rake_keywords
-ORACLES2["doc_rake_keywords"] = SQL_DOC_RAKE_KEYWORDS
+
+@entry("doc_rake_keywords", sql=SQL_DOC_RAKE_KEYWORDS)
+def q_doc_rake_keywords(sf_dir: str) -> pd.DataFrame:
+    """RAKE keyword extraction (Rose et al. 2010) at corpus level: top
+    20 words by deg/freq over stopword-delimited phrases
+    (text.rake_word_scores — integer deg/freq basis, so the score is
+    the same IEEE division on both engines; min freq 5 screens
+    singleton-phrase noise)."""
+    from jesse_ray.functions.text import rake_word_scores
+
+    ds = read_table(f"{sf_dir}/documents.parquet", columns=["text"])
+    t = _collect(rake_word_scores(ds)).to_pandas()
+    t = t[t["freq"] >= RAKE_MIN_FREQ].copy()
+    t["score"] = t["deg"].to_numpy(dtype=np.float64) / t["freq"].to_numpy(dtype=np.float64)
+    out = t.sort_values(["score", "word"], ascending=[False, True],
+                        kind="mergesort").head(20).reset_index(drop=True)
+    return out[["word", "freq", "deg", "score"]].astype(
+        {"word": "string", "freq": "int64", "deg": "int64"})
 
 
 # ---------------------------------------------------------------------------
 # emb_mmr — diversity-aware retrieval (Maximal Marginal Relevance)
 
 MMR_K, MMR_LAM = 5, 0.7
-
-
-def q_emb_mmr(sf_dir: str) -> pd.DataFrame:
-    """MMR re-ranking for query vec_id=0 (similarity.mmr_select, λ=0.7,
-    k=5): each greedy step is one distributed argmax pass with the
-    selected set broadcast.  The twin unrolls the same greedy loop as
-    chained CTEs with correlated max-over-selected subqueries; ranks
-    only (the emb_topk float-discipline convention)."""
-    from jesse_ray.functions.similarity import mmr_select
-
-    qvec = (
-        pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-        .filter(pc.equal(pc.field("vec_id"), 0))["embedding"].to_pylist()[0]
-    )
-    ds = read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    return mmr_select(ds, np.asarray(qvec), k=MMR_K, lam=MMR_LAM, exclude_ids=(0,))
 
 
 def _mmr_sql() -> str:
@@ -2755,8 +2666,21 @@ def _mmr_sql() -> str:
     return ",\n".join(parts) + f"\nSELECT CAST(rank AS BIGINT) AS rank, vec_id FROM ({sel}) ORDER BY rank"
 
 
-QUERIES2["emb_mmr"] = q_emb_mmr
-ORACLES2["emb_mmr"] = _mmr_sql()
+@entry("emb_mmr", sql=_mmr_sql())
+def q_emb_mmr(sf_dir: str) -> pd.DataFrame:
+    """MMR re-ranking for query vec_id=0 (similarity.mmr_select, λ=0.7,
+    k=5): each greedy step is one distributed argmax pass with the
+    selected set broadcast.  The twin unrolls the same greedy loop as
+    chained CTEs with correlated max-over-selected subqueries; ranks
+    only (the emb_topk float-discipline convention)."""
+    from jesse_ray.functions.similarity import mmr_select
+
+    qvec = (
+        pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+        .filter(pc.equal(pc.field("vec_id"), 0))["embedding"].to_pylist()[0]
+    )
+    ds = read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    return mmr_select(ds, np.asarray(qvec), k=MMR_K, lam=MMR_LAM, exclude_ids=(0,))
 
 
 # ---------------------------------------------------------------------------
@@ -2764,39 +2688,6 @@ ORACLES2["emb_mmr"] = _mmr_sql()
 
 MK_SCALE = 10**12
 MK_ITERS = 10
-
-
-def q_events_markov_stationary(sf_dir: str) -> pd.DataFrame:
-    """Stationary distribution of the user-journey event-type Markov
-    chain: transition counts from the distributed cogroup pass
-    (relational.transition_counts), then 10 power-iteration steps in
-    EXACT int64 fixed point — ``π'_j = Σ_i (π_i · c_ij) // c_i`` — so
-    the unrolled SQL twin matches bit-for-bit (the PageRank discipline,
-    applied to a bounded state space)."""
-    from jesse_ray.pipelines.relational import transition_counts
-
-    ds = read_table(f"{sf_dir}/events.parquet",
-                    columns=["user_id", "event_type", "ts", "event_id"])
-    t = transition_counts(ds, entity_col="user_id", type_col="event_type",
-                          ts_col="ts", order_col="event_id").to_pandas()
-    states = sorted(set(t["from_type"]) | set(t["to_type"]))
-    idx = {s: i for i, s in enumerate(states)}
-    n = len(states)
-    C = np.zeros((n, n), dtype=np.int64)
-    for _, r in t.iterrows():
-        C[idx[r["from_type"]], idx[r["to_type"]]] = int(r["cnt"])
-    row = C.sum(axis=1)
-    pi = np.full(n, MK_SCALE // n, dtype=np.int64)
-    for _ in range(MK_ITERS):
-        nxt = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            if row[i]:
-                nxt += (pi[i] * C[i]) // row[i]
-            else:
-                nxt[i] += pi[i]  # absorbing state keeps its mass
-        pi = nxt
-    return pd.DataFrame({"event_type": pd.array(states, dtype="string"),
-                         "pi_fp": pd.array(pi, dtype="int64")})
 
 
 def _markov_sql() -> str:
@@ -2838,8 +2729,38 @@ FROM states st LEFT JOIN p{MK_ITERS} p ON p.s = st.s ORDER BY st.s
     return head + "".join(steps) + tail
 
 
-QUERIES2["events_markov_stationary"] = q_events_markov_stationary
-ORACLES2["events_markov_stationary"] = _markov_sql()
+@entry("events_markov_stationary", sql=_markov_sql())
+def q_events_markov_stationary(sf_dir: str) -> pd.DataFrame:
+    """Stationary distribution of the user-journey event-type Markov
+    chain: transition counts from the distributed cogroup pass
+    (relational.transition_counts), then 10 power-iteration steps in
+    EXACT int64 fixed point — ``π'_j = Σ_i (π_i · c_ij) // c_i`` — so
+    the unrolled SQL twin matches bit-for-bit (the PageRank discipline,
+    applied to a bounded state space)."""
+    from jesse_ray.pipelines.relational import transition_counts
+
+    ds = read_table(f"{sf_dir}/events.parquet",
+                    columns=["user_id", "event_type", "ts", "event_id"])
+    t = transition_counts(ds, entity_col="user_id", type_col="event_type",
+                          ts_col="ts", order_col="event_id").to_pandas()
+    states = sorted(set(t["from_type"]) | set(t["to_type"]))
+    idx = {s: i for i, s in enumerate(states)}
+    n = len(states)
+    C = np.zeros((n, n), dtype=np.int64)
+    for _, r in t.iterrows():
+        C[idx[r["from_type"]], idx[r["to_type"]]] = int(r["cnt"])
+    row = C.sum(axis=1)
+    pi = np.full(n, MK_SCALE // n, dtype=np.int64)
+    for _ in range(MK_ITERS):
+        nxt = np.zeros(n, dtype=np.int64)
+        for i in range(n):
+            if row[i]:
+                nxt += (pi[i] * C[i]) // row[i]
+            else:
+                nxt[i] += pi[i]  # absorbing state keeps its mass
+        pi = nxt
+    return pd.DataFrame({"event_type": pd.array(states, dtype="string"),
+                         "pi_fp": pd.array(pi, dtype="int64")})
 
 
 # ---------------------------------------------------------------------------
@@ -2851,6 +2772,56 @@ BOOT_CDF = (0.36787944117144233, 0.7357588823428847, 0.9196986029286058,
             0.9810118431238462, 0.9963401531726563)
 
 
+def _bootstrap_sql() -> str:
+    M = 1 << 64
+    c1, c2 = 0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53
+
+    def mul(e, c):
+        # (a*c) mod 2^64 without overflowing INT128: split c = hi·2^32+lo;
+        # a·lo ≤ 2^96 and a·hi mod 2^32 shifted both fit HUGEINT
+        c_hi, c_lo = c >> 32, c & 0xFFFFFFFF
+        return (f"CAST(((CAST({e} AS HUGEINT) * {c_lo})"
+                f" + ((CAST({e} AS HUGEINT) * {c_hi}) % 4294967296) * 4294967296)"
+                f" % {M} AS UBIGINT)")
+
+    def xsh(e):
+        return f"xor({e}, {e} >> 33)"
+
+    # fmix64((key*256 + b)) step by step, single-reference chain via a CTE
+    cdf = BOOT_CDF
+    case_w = ("CASE WHEN u < {0} THEN 0 WHEN u < {1} THEN 1 WHEN u < {2} THEN 2 "
+              "WHEN u < {3} THEN 3 WHEN u < {4} THEN 4 ELSE 5 END").format(*cdf)
+    return f"""
+WITH rows0 AS (
+  SELECT CAST(substr(doc_id, 5) AS UBIGINT) AS key, CAST(n_tok AS BIGINT) AS x
+  FROM {SEQ_SQL}
+  WHERE doc_id IS NOT NULL AND regexp_matches(doc_id, '^doc-[0-9]{{8}}$')
+    AND n_tok IS NOT NULL
+),
+reps AS (SELECT unnest(range(0, {BOOT_B})) AS b),
+h0 AS (
+  SELECT b, x, CAST((CAST(key AS HUGEINT) * 256 + b) % {M} AS UBIGINT) AS h
+  FROM rows0 CROSS JOIN reps
+),
+h1 AS (SELECT b, x, {mul(xsh('h'), c1)} AS h FROM h0),
+h2 AS (SELECT b, x, {mul(xsh('h'), c2)} AS h FROM h1),
+h3 AS (SELECT b, x, {xsh('h')} AS h FROM h2),
+w AS (
+  SELECT b, x, {case_w} AS w
+  FROM (SELECT b, x, CAST(h AS DOUBLE) / 18446744073709551616.0 AS u FROM h3)
+),
+means AS (
+  SELECT b, CAST(sum(w * x) AS DOUBLE) / CAST(sum(w) AS DOUBLE) AS m
+  FROM w GROUP BY b
+),
+ranked AS (SELECT m, row_number() OVER (ORDER BY m) AS rn FROM means)
+SELECT CAST({BOOT_B} AS BIGINT) AS n_reps,
+       round((SELECT m FROM ranked WHERE rn = {int(0.025 * BOOT_B) + 1}), 4) AS ci_lo,
+       round((SELECT m FROM ranked WHERE rn = {int(0.975 * BOOT_B) + 1}), 4) AS ci_hi
+"""
+
+
+@entry("seq_bootstrap_ci", sql=_bootstrap_sql())
 def q_seq_bootstrap_ci(sf_dir: str) -> pd.DataFrame:
     """Percentile-bootstrap CI for mean n_tok with DETERMINISTIC
     Poisson(1) resampling: replicate weights come from
@@ -2907,62 +2878,29 @@ def q_seq_bootstrap_ci(sf_dir: str) -> pd.DataFrame:
     })
 
 
-def _bootstrap_sql() -> str:
-    M = 1 << 64
-    c1, c2 = 0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53
-
-    def mul(e, c):
-        # (a*c) mod 2^64 without overflowing INT128: split c = hi·2^32+lo;
-        # a·lo ≤ 2^96 and a·hi mod 2^32 shifted both fit HUGEINT
-        c_hi, c_lo = c >> 32, c & 0xFFFFFFFF
-        return (f"CAST(((CAST({e} AS HUGEINT) * {c_lo})"
-                f" + ((CAST({e} AS HUGEINT) * {c_hi}) % 4294967296) * 4294967296)"
-                f" % {M} AS UBIGINT)")
-
-    def xsh(e):
-        return f"xor({e}, {e} >> 33)"
-
-    # fmix64((key*256 + b)) step by step, single-reference chain via a CTE
-    cdf = BOOT_CDF
-    case_w = ("CASE WHEN u < {0} THEN 0 WHEN u < {1} THEN 1 WHEN u < {2} THEN 2 "
-              "WHEN u < {3} THEN 3 WHEN u < {4} THEN 4 ELSE 5 END").format(*cdf)
-    return f"""
-WITH rows0 AS (
-  SELECT CAST(substr(doc_id, 5) AS UBIGINT) AS key, CAST(n_tok AS BIGINT) AS x
-  FROM {SEQ_SQL}
-  WHERE doc_id IS NOT NULL AND regexp_matches(doc_id, '^doc-[0-9]{{8}}$')
-    AND n_tok IS NOT NULL
-),
-reps AS (SELECT unnest(range(0, {BOOT_B})) AS b),
-h0 AS (
-  SELECT b, x, CAST((CAST(key AS HUGEINT) * 256 + b) % {M} AS UBIGINT) AS h
-  FROM rows0 CROSS JOIN reps
-),
-h1 AS (SELECT b, x, {mul(xsh('h'), c1)} AS h FROM h0),
-h2 AS (SELECT b, x, {mul(xsh('h'), c2)} AS h FROM h1),
-h3 AS (SELECT b, x, {xsh('h')} AS h FROM h2),
-w AS (
-  SELECT b, x, {case_w} AS w
-  FROM (SELECT b, x, CAST(h AS DOUBLE) / 18446744073709551616.0 AS u FROM h3)
-),
-means AS (
-  SELECT b, CAST(sum(w * x) AS DOUBLE) / CAST(sum(w) AS DOUBLE) AS m
-  FROM w GROUP BY b
-),
-ranked AS (SELECT m, row_number() OVER (ORDER BY m) AS rn FROM means)
-SELECT CAST({BOOT_B} AS BIGINT) AS n_reps,
-       round((SELECT m FROM ranked WHERE rn = {int(0.025 * BOOT_B) + 1}), 4) AS ci_lo,
-       round((SELECT m FROM ranked WHERE rn = {int(0.975 * BOOT_B) + 1}), 4) AS ci_hi
-"""
-
-
-QUERIES2["seq_bootstrap_ci"] = q_seq_bootstrap_ci
-ORACLES2["seq_bootstrap_ci"] = _bootstrap_sql()
-
-
 # ---------------------------------------------------------------------------
 # events_lift — market-basket lift between event types
 
+SQL_EVENTS_LIFT = """
+WITH d AS (SELECT DISTINCT user_id, event_type FROM events),
+nu AS (SELECT CAST(count(DISTINCT user_id) AS BIGINT) AS n FROM d),
+s AS (SELECT event_type, CAST(count(*) AS BIGINT) AS n FROM d GROUP BY 1),
+p AS (
+  SELECT a.event_type AS type_a, b.event_type AS type_b,
+         CAST(count(*) AS BIGINT) AS n_ab
+  FROM d a JOIN d b ON a.user_id = b.user_id AND a.event_type < b.event_type
+  GROUP BY 1, 2
+)
+SELECT p.type_a, p.type_b, p.n_ab,
+       round(CAST(p.n_ab * (SELECT n FROM nu) AS DOUBLE)
+             / CAST(sa.n * sb.n AS DOUBLE), 4) AS lift
+FROM p JOIN s sa ON sa.event_type = p.type_a
+       JOIN s sb ON sb.event_type = p.type_b
+ORDER BY p.type_a, p.type_b
+"""
+
+
+@entry("events_lift", sql=SQL_EVENTS_LIFT)
 def q_events_lift(sf_dir: str) -> pd.DataFrame:
     """Market-basket lift over per-user event-type baskets:
     ``lift(A,B) = n_ab·n_users / (n_a·n_b)`` — all counts exact
@@ -3012,31 +2950,24 @@ def q_events_lift(sf_dir: str) -> pd.DataFrame:
         {"type_a": "string", "type_b": "string", "n_ab": "int64"})
 
 
-SQL_EVENTS_LIFT = """
-WITH d AS (SELECT DISTINCT user_id, event_type FROM events),
-nu AS (SELECT CAST(count(DISTINCT user_id) AS BIGINT) AS n FROM d),
-s AS (SELECT event_type, CAST(count(*) AS BIGINT) AS n FROM d GROUP BY 1),
-p AS (
-  SELECT a.event_type AS type_a, b.event_type AS type_b,
-         CAST(count(*) AS BIGINT) AS n_ab
-  FROM d a JOIN d b ON a.user_id = b.user_id AND a.event_type < b.event_type
-  GROUP BY 1, 2
-)
-SELECT p.type_a, p.type_b, p.n_ab,
-       round(CAST(p.n_ab * (SELECT n FROM nu) AS DOUBLE)
-             / CAST(sa.n * sb.n AS DOUBLE), 4) AS lift
-FROM p JOIN s sa ON sa.event_type = p.type_a
-       JOIN s sb ON sb.event_type = p.type_b
-ORDER BY p.type_a, p.type_b
-"""
-
-QUERIES2["events_lift"] = q_events_lift
-ORACLES2["events_lift"] = SQL_EVENTS_LIFT
-
-
 # ---------------------------------------------------------------------------
 # seq_source_gini — data-mixture inequality over source token shares
 
+SQL_SEQ_SOURCE_GINI = f"""
+WITH s AS (
+  SELECT source, CAST(sum(n_tok) AS BIGINT) AS toks FROM {SEQ_SQL}
+  WHERE source IS NOT NULL GROUP BY source
+),
+r AS (SELECT toks, row_number() OVER (ORDER BY toks ASC) AS i FROM s),
+a AS (SELECT CAST(count(*) AS BIGINT) AS n, CAST(sum(toks) AS BIGINT) AS tot,
+             CAST(sum(i * toks) AS BIGINT) AS num FROM r)
+SELECT n AS n_sources, tot AS total_toks,
+       round((2.0 * num) / (n * tot) - CAST(n + 1 AS DOUBLE) / n, 6) AS gini
+FROM a
+"""
+
+
+@entry("seq_source_gini", sql=SQL_SEQ_SOURCE_GINI)
 def q_seq_source_gini(sf_dir: str) -> pd.DataFrame:
     """Gini coefficient of the corpus token-mass distribution across
     sources (the mixture-inequality dial a data-mixing pass turns):
@@ -3060,19 +2991,3 @@ def q_seq_source_gini(sf_dir: str) -> pd.DataFrame:
                          "total_toks": pd.array([tot], dtype="int64"),
                          "gini": [round_half_away(float(gini), 6)]})
 
-
-SQL_SEQ_SOURCE_GINI = f"""
-WITH s AS (
-  SELECT source, CAST(sum(n_tok) AS BIGINT) AS toks FROM {SEQ_SQL}
-  WHERE source IS NOT NULL GROUP BY source
-),
-r AS (SELECT toks, row_number() OVER (ORDER BY toks ASC) AS i FROM s),
-a AS (SELECT CAST(count(*) AS BIGINT) AS n, CAST(sum(toks) AS BIGINT) AS tot,
-             CAST(sum(i * toks) AS BIGINT) AS num FROM r)
-SELECT n AS n_sources, tot AS total_toks,
-       round((2.0 * num) / (n * tot) - CAST(n + 1 AS DOUBLE) / n, 6) AS gini
-FROM a
-"""
-
-QUERIES2["seq_source_gini"] = q_seq_source_gini
-ORACLES2["seq_source_gini"] = SQL_SEQ_SOURCE_GINI

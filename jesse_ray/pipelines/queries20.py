@@ -14,41 +14,11 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from jesse_ray.pipelines.queries import ALLOWED_SQL, SEQ_SQL, _seq_path, _seq_spec
+from jesse_ray.pipelines.queries import ALLOWED_SQL, SEQ_SQL, _seq_path, _seq_spec, entry
 from jesse_ray.sources import read_sequences
 
-QUERIES20: dict = {}
-ORACLES20: dict = {}
 
 _COOC_ERRORS = ["not_in_enum", "not_in_range", "wrong_size"]
-
-
-def q_seq_val_error_cooc(sf_dir: str) -> pd.DataFrame:
-    """Pairwise document co-occurrence counts of the three SQL-
-    expressible validation errors, computed from the REAL engine pass
-    (`validate_dataset` — one fused row + referential pass), not a
-    re-implementation: violations are filtered to the three families,
-    deduped per (doc, error), and paired.  Null doc ids carry no
-    identity and are excluded; duplicate ids pool (a doc ID's error
-    set is the union over its rows — the twin's DISTINCT does the
-    same).  Violations are rare by assumption (the engine's violation
-    stream), so the pairing grid is driver-side."""
-    from jesse_ray.engine import validate_dataset
-
-    ds = read_sequences(_seq_path(sf_dir))
-    res = validate_dataset(ds, _seq_spec())
-    v = res.all_violations_table()
-    t = v.filter(pc.and_(pc.is_valid(v["doc_id"]),
-                         pc.is_in(v["error"], value_set=pa.array(_COOC_ERRORS))))
-    pdf = pa.table({"doc_id": t["doc_id"], "error": t["error"]}).to_pandas() \
-        .drop_duplicates(["doc_id", "error"])
-    out = []
-    sets = {e: set(pdf[pdf["error"] == e]["doc_id"]) for e in _COOC_ERRORS}
-    for i in range(len(_COOC_ERRORS)):
-        for j in range(i + 1, len(_COOC_ERRORS)):
-            ea, eb = _COOC_ERRORS[i], _COOC_ERRORS[j]
-            out.append((ea, eb, len(sets[ea] & sets[eb])))
-    return pd.DataFrame(out, columns=["ea", "eb", "n_docs_both"])
 
 
 SQL_SEQ_VAL_ERROR_COOC = f"""
@@ -78,5 +48,32 @@ FROM pairs p LEFT JOIN cnt ON cnt.ea = p.ea AND cnt.eb = p.eb
 ORDER BY 1, 2
 """
 
-QUERIES20["seq_val_error_cooc"] = q_seq_val_error_cooc
-ORACLES20["seq_val_error_cooc"] = SQL_SEQ_VAL_ERROR_COOC
+
+@entry("seq_val_error_cooc", sql=SQL_SEQ_VAL_ERROR_COOC)
+def q_seq_val_error_cooc(sf_dir: str) -> pd.DataFrame:
+    """Pairwise document co-occurrence counts of the three SQL-
+    expressible validation errors, computed from the REAL engine pass
+    (`validate_dataset` — one fused row + referential pass), not a
+    re-implementation: violations are filtered to the three families,
+    deduped per (doc, error), and paired.  Null doc ids carry no
+    identity and are excluded; duplicate ids pool (a doc ID's error
+    set is the union over its rows — the twin's DISTINCT does the
+    same).  Violations are rare by assumption (the engine's violation
+    stream), so the pairing grid is driver-side."""
+    from jesse_ray.engine import validate_dataset
+
+    ds = read_sequences(_seq_path(sf_dir))
+    res = validate_dataset(ds, _seq_spec())
+    v = res.all_violations_table()
+    t = v.filter(pc.and_(pc.is_valid(v["doc_id"]),
+                         pc.is_in(v["error"], value_set=pa.array(_COOC_ERRORS))))
+    pdf = pa.table({"doc_id": t["doc_id"], "error": t["error"]}).to_pandas() \
+        .drop_duplicates(["doc_id", "error"])
+    out = []
+    sets = {e: set(pdf[pdf["error"] == e]["doc_id"]) for e in _COOC_ERRORS}
+    for i in range(len(_COOC_ERRORS)):
+        for j in range(i + 1, len(_COOC_ERRORS)):
+            ea, eb = _COOC_ERRORS[i], _COOC_ERRORS[j]
+            out.append((ea, eb, len(sets[ea] & sets[eb])))
+    return pd.DataFrame(out, columns=["ea", "eb", "n_docs_both"])
+

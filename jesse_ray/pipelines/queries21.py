@@ -21,10 +21,20 @@ import pyarrow.parquet as pq
 
 from jesse_ray.sources import read_table
 
-QUERIES21: dict = {}
-ORACLES21: dict = {}
+from jesse_ray.pipelines.queries import entry
 
 
+SQL_EMB_IVF_PQ_TOPK = """
+SELECT CAST(row_number() OVER (
+           ORDER BY list_cosine_similarity(e.embedding, q.embedding) DESC, e.vec_id
+       ) AS BIGINT) AS rank,
+       e.vec_id
+FROM embeddings e, (SELECT embedding FROM embeddings WHERE vec_id = 0) q
+ORDER BY rank LIMIT 10
+"""
+
+
+@entry("emb_ivf_pq_topk", sql=SQL_EMB_IVF_PQ_TOPK)
 def q_emb_ivf_pq_topk(sf_dir: str) -> pd.DataFrame:
     """Residual IVF-PQ (IVFADC) top-10 for query vec_id=0, exhaustive
     probe — equals the exact twin by construction (see module
@@ -74,7 +84,8 @@ def q_emb_ivf_pq_topk(sf_dir: str) -> pd.DataFrame:
     cand = ivf_pq_search(codes, books, qvec, k=10, refine=refine,
                          probe_cells=probe, cell_centroids=cents)
     cset = np.sort(np.unique(cand["vec_id"].to_numpy()))
-    assert len(cset) == n, (len(cset), n)  # plumbing gate: every row scanned once
+    if len(cset) != n:  # plumbing gate: every row scanned once
+        raise RuntimeError(f"exhaustive probe scanned {len(cset)} distinct rows of {n}")
 
     def keep(b: pa.Table) -> pa.Table:
         vid = b["vec_id"].to_numpy(zero_copy_only=False)
@@ -87,15 +98,3 @@ def q_emb_ivf_pq_topk(sf_dir: str) -> pd.DataFrame:
         "vec_id": out["vec_id"].astype("int64"),
     })
 
-
-SQL_EMB_IVF_PQ_TOPK = """
-SELECT CAST(row_number() OVER (
-           ORDER BY list_cosine_similarity(e.embedding, q.embedding) DESC, e.vec_id
-       ) AS BIGINT) AS rank,
-       e.vec_id
-FROM embeddings e, (SELECT embedding FROM embeddings WHERE vec_id = 0) q
-ORDER BY rank LIMIT 10
-"""
-
-QUERIES21["emb_ivf_pq_topk"] = q_emb_ivf_pq_topk
-ORACLES21["emb_ivf_pq_topk"] = SQL_EMB_IVF_PQ_TOPK

@@ -24,8 +24,7 @@ import pyarrow.compute as pc
 from jesse_ray.rounding import round_half_away
 from jesse_ray.sources import read_table
 
-QUERIES22: dict = {}
-ORACLES22: dict = {}
+from jesse_ray.pipelines.queries import entry
 
 
 def _collect(ds) -> pa.Table:
@@ -46,6 +45,18 @@ Q4_LO, Q4_HI = "1996-01-01", "1996-04-01"
 Q4_LATE_DAYS = 30
 
 
+SQL_TPCH_Q4ISH = f"""
+SELECT o_orderpriority, CAST(count(*) AS BIGINT) AS n_orders
+FROM orders
+WHERE o_orderdate >= TIMESTAMP '{Q4_LO}' AND o_orderdate < TIMESTAMP '{Q4_HI}'
+  AND EXISTS (SELECT 1 FROM lineitem
+              WHERE l_orderkey = o_orderkey
+                AND l_shipdate > o_orderdate + INTERVAL {Q4_LATE_DAYS} DAY)
+GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("tpch_q4ish", sql=SQL_TPCH_Q4ISH)
 def q_tpch_q4ish(sf_dir: str) -> pd.DataFrame:
     """Q4 shape: the EXISTS turns into an inner hash join (lineitem is
     the big side, the quarter's orders the small-but-not-broadcast
@@ -96,24 +107,22 @@ def q_tpch_q4ish(sf_dir: str) -> pd.DataFrame:
     return agg.sort_values("o_orderpriority").reset_index(drop=True)
 
 
-SQL_TPCH_Q4ISH = f"""
-SELECT o_orderpriority, CAST(count(*) AS BIGINT) AS n_orders
-FROM orders
-WHERE o_orderdate >= TIMESTAMP '{Q4_LO}' AND o_orderdate < TIMESTAMP '{Q4_HI}'
-  AND EXISTS (SELECT 1 FROM lineitem
-              WHERE l_orderkey = o_orderkey
-                AND l_shipdate > o_orderdate + INTERVAL {Q4_LATE_DAYS} DAY)
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES22["tpch_q4ish"] = q_tpch_q4ish
-ORACLES22["tpch_q4ish"] = SQL_TPCH_Q4ISH
-
-
 # ---------------------------------------------------------------------------
 # tpch_q12ish — shipping-delay buckets x order priority (Q12's
 # shipmode/priority pivot with delay buckets standing in for shipmode).
 
+SQL_TPCH_Q12ISH = """
+SELECT CASE WHEN d < 0 THEN 'early' WHEN d <= 30 THEN 'd00_30'
+            WHEN d <= 90 THEN 'd31_90' ELSE 'd90_plus' END AS bucket,
+       CAST(sum(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH') THEN 1 ELSE 0 END) AS BIGINT) AS high_lines,
+       CAST(sum(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH') THEN 0 ELSE 1 END) AS BIGINT) AS low_lines
+FROM (SELECT o_orderpriority, datediff('day', o_orderdate, l_shipdate) AS d
+      FROM lineitem JOIN orders ON l_orderkey = o_orderkey)
+GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("tpch_q12ish", sql=SQL_TPCH_Q12ISH)
 def q_tpch_q12ish(sf_dir: str) -> pd.DataFrame:
     """Q12 shape: lineitem joins the order header, the delay bucket is
     one vectorized timestamp diff, and the CASE-priority pivot is two
@@ -151,24 +160,22 @@ def q_tpch_q12ish(sf_dir: str) -> pd.DataFrame:
     return pdf.sort_values("bucket").reset_index(drop=True)
 
 
-SQL_TPCH_Q12ISH = """
-SELECT CASE WHEN d < 0 THEN 'early' WHEN d <= 30 THEN 'd00_30'
-            WHEN d <= 90 THEN 'd31_90' ELSE 'd90_plus' END AS bucket,
-       CAST(sum(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH') THEN 1 ELSE 0 END) AS BIGINT) AS high_lines,
-       CAST(sum(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH') THEN 0 ELSE 1 END) AS BIGINT) AS low_lines
-FROM (SELECT o_orderpriority, datediff('day', o_orderdate, l_shipdate) AS d
-      FROM lineitem JOIN orders ON l_orderkey = o_orderkey)
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES22["tpch_q12ish"] = q_tpch_q12ish
-ORACLES22["tpch_q12ish"] = SQL_TPCH_Q12ISH
-
-
 # ---------------------------------------------------------------------------
 # tpch_q13ish — customer order-count distribution (Q13's LEFT JOIN +
 # double aggregation), restricted to non-final orders.
 
+SQL_TPCH_Q13ISH = """
+SELECT c_count, CAST(count(*) AS BIGINT) AS custdist
+FROM (SELECT c_custkey, CAST(count(o_orderkey) AS BIGINT) AS c_count
+      FROM customer LEFT JOIN orders
+        ON c_custkey = o_custkey AND o_orderstatus <> 'F'
+      GROUP BY c_custkey)
+GROUP BY c_count
+ORDER BY custdist DESC, c_count DESC
+"""
+
+
+@entry("tpch_q13ish", sql=SQL_TPCH_Q13ISH)
 def q_tpch_q13ish(sf_dir: str) -> pd.DataFrame:
     """Q13 shape WITHOUT the outer join: per-customer order counts from
     one groupby over the filtered fact side; the zero-order bucket is
@@ -202,20 +209,6 @@ def q_tpch_q13ish(sf_dir: str) -> pd.DataFrame:
             .reset_index(drop=True).astype({"c_count": "int64", "custdist": "int64"}))
 
 
-SQL_TPCH_Q13ISH = """
-SELECT c_count, CAST(count(*) AS BIGINT) AS custdist
-FROM (SELECT c_custkey, CAST(count(o_orderkey) AS BIGINT) AS c_count
-      FROM customer LEFT JOIN orders
-        ON c_custkey = o_custkey AND o_orderstatus <> 'F'
-      GROUP BY c_custkey)
-GROUP BY c_count
-ORDER BY custdist DESC, c_count DESC
-"""
-
-QUERIES22["tpch_q13ish"] = q_tpch_q13ish
-ORACLES22["tpch_q13ish"] = SQL_TPCH_Q13ISH
-
-
 # ---------------------------------------------------------------------------
 # tpch_q17ish — small-quantity-order revenue (Q17's correlated per-part
 # average gate), integer-exact.
@@ -223,6 +216,22 @@ ORACLES22["tpch_q13ish"] = SQL_TPCH_Q13ISH
 Q17_BRAND = "Brand#11"
 
 
+SQL_TPCH_Q17ISH = f"""
+WITH b AS (
+  SELECT l_partkey, CAST(round(l_quantity) AS BIGINT) AS qi,
+         CAST(round(l_extendedprice * 100) AS BIGINT) AS cents
+  FROM lineitem JOIN part ON l_partkey = p_partkey AND p_brand = '{Q17_BRAND}'
+), a AS (
+  SELECT l_partkey, sum(qi) AS sq, CAST(count(*) AS BIGINT) AS cnt
+  FROM b GROUP BY 1
+)
+SELECT round(CAST(sum(b.cents) AS DOUBLE) / 700.0, 2) AS avg_yearly
+FROM b JOIN a USING (l_partkey)
+WHERE 5 * b.qi * a.cnt < a.sq
+"""
+
+
+@entry("tpch_q17ish", sql=SQL_TPCH_Q17ISH)
 def q_tpch_q17ish(sf_dir: str) -> pd.DataFrame:
     """Q17 shape: the correlated AVG subquery becomes one grouped_agg
     over the brand's lineitems (sum + count per part) joined back to
@@ -273,24 +282,6 @@ def q_tpch_q17ish(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame({"avg_yearly": pd.array([avg_yearly], dtype="float64")})
 
 
-SQL_TPCH_Q17ISH = f"""
-WITH b AS (
-  SELECT l_partkey, CAST(round(l_quantity) AS BIGINT) AS qi,
-         CAST(round(l_extendedprice * 100) AS BIGINT) AS cents
-  FROM lineitem JOIN part ON l_partkey = p_partkey AND p_brand = '{Q17_BRAND}'
-), a AS (
-  SELECT l_partkey, sum(qi) AS sq, CAST(count(*) AS BIGINT) AS cnt
-  FROM b GROUP BY 1
-)
-SELECT round(CAST(sum(b.cents) AS DOUBLE) / 700.0, 2) AS avg_yearly
-FROM b JOIN a USING (l_partkey)
-WHERE 5 * b.qi * a.cnt < a.sq
-"""
-
-QUERIES22["tpch_q17ish"] = q_tpch_q17ish
-ORACLES22["tpch_q17ish"] = SQL_TPCH_Q17ISH
-
-
 # ---------------------------------------------------------------------------
 # tpch_q21ish — suppliers who were the ONLY late shipper on
 # multi-supplier orders (Q21's EXISTS / NOT EXISTS pair).
@@ -299,6 +290,29 @@ Q21_LATE_DAYS = 45
 Q21_TOPK = 20
 
 
+SQL_TPCH_Q21ISH = f"""
+WITH pair AS (
+  SELECT l_orderkey, l_suppkey,
+         max(CASE WHEN l_shipdate > o_orderdate + INTERVAL {Q21_LATE_DAYS} DAY
+                  THEN 1 ELSE 0 END) AS late
+  FROM lineitem JOIN orders ON l_orderkey = o_orderkey
+  GROUP BY 1, 2
+), o AS (
+  SELECT l_orderkey, CAST(count(*) AS BIGINT) AS ns,
+         CAST(sum(late) AS BIGINT) AS nl,
+         max(CASE WHEN late = 1 THEN l_suppkey END) AS lsup
+  FROM pair GROUP BY 1
+)
+SELECT s_name, CAST(count(*) AS BIGINT) AS numwait
+FROM o JOIN supplier ON s_suppkey = lsup
+WHERE ns >= 2 AND nl = 1
+GROUP BY s_name
+ORDER BY numwait DESC, s_name
+LIMIT {Q21_TOPK}
+"""
+
+
+@entry("tpch_q21ish", sql=SQL_TPCH_Q21ISH)
 def q_tpch_q21ish(sf_dir: str) -> pd.DataFrame:
     """Q21 shape WITHOUT the triple self-join: one lineitem⋈orders hash
     join stamps lateness, then a single per-order aggregate computes
@@ -364,35 +378,21 @@ def q_tpch_q21ish(sf_dir: str) -> pd.DataFrame:
     return out.reset_index(drop=True)
 
 
-SQL_TPCH_Q21ISH = f"""
-WITH pair AS (
-  SELECT l_orderkey, l_suppkey,
-         max(CASE WHEN l_shipdate > o_orderdate + INTERVAL {Q21_LATE_DAYS} DAY
-                  THEN 1 ELSE 0 END) AS late
-  FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-  GROUP BY 1, 2
-), o AS (
-  SELECT l_orderkey, CAST(count(*) AS BIGINT) AS ns,
-         CAST(sum(late) AS BIGINT) AS nl,
-         max(CASE WHEN late = 1 THEN l_suppkey END) AS lsup
-  FROM pair GROUP BY 1
-)
-SELECT s_name, CAST(count(*) AS BIGINT) AS numwait
-FROM o JOIN supplier ON s_suppkey = lsup
-WHERE ns >= 2 AND nl = 1
-GROUP BY s_name
-ORDER BY numwait DESC, s_name
-LIMIT {Q21_TOPK}
-"""
-
-QUERIES22["tpch_q21ish"] = q_tpch_q21ish
-ORACLES22["tpch_q21ish"] = SQL_TPCH_Q21ISH
-
-
 # ---------------------------------------------------------------------------
 # events_running_balance — per-user cumulative value (ordered prefix
 # sum), the account running-balance window.
 
+SQL_EVENTS_RUNNING_BALANCE = """
+SELECT event_id, user_id,
+       SUM(CAST(round(coalesce(value, 0) * 100) AS BIGINT))
+         OVER (PARTITION BY user_id ORDER BY ts, event_id
+               ROWS UNBOUNDED PRECEDING) / 100.0 AS run_sum
+FROM events
+ORDER BY event_id
+"""
+
+
+@entry("events_running_balance", sql=SQL_EVENTS_RUNNING_BALANCE)
 def q_events_running_balance(sf_dir: str) -> pa.Table:
     """SUM(value) OVER (PARTITION BY user ORDER BY ts, event_id ROWS
     UNBOUNDED PRECEDING) via relational.grouped_cumsum — coarse
@@ -420,19 +420,6 @@ def q_events_running_balance(sf_dir: str) -> pa.Table:
     }).sort_by("event_id")
 
 
-SQL_EVENTS_RUNNING_BALANCE = """
-SELECT event_id, user_id,
-       SUM(CAST(round(coalesce(value, 0) * 100) AS BIGINT))
-         OVER (PARTITION BY user_id ORDER BY ts, event_id
-               ROWS UNBOUNDED PRECEDING) / 100.0 AS run_sum
-FROM events
-ORDER BY event_id
-"""
-
-QUERIES22["events_running_balance"] = q_events_running_balance
-ORACLES22["events_running_balance"] = SQL_EVENTS_RUNNING_BALANCE
-
-
 # ---------------------------------------------------------------------------
 # seq_neyman_alloc — Neyman-allocation stratified sampling plan:
 # n_h ∝ N_h * S_h (optimal variance for a fixed total sample budget).
@@ -440,6 +427,29 @@ ORACLES22["events_running_balance"] = SQL_EVENTS_RUNNING_BALANCE
 NEYMAN_TOTAL = 1000
 
 
+def _neyman_sql() -> str:
+    from jesse_ray.pipelines.queries import SEQ_SQL
+
+    return f"""
+WITH m AS (
+  SELECT source, CAST(count(*) AS BIGINT) AS n,
+         sum(CAST(n_tok AS BIGINT)) AS s,
+         sum(CAST(n_tok AS BIGINT) * CAST(n_tok AS BIGINT)) AS s2
+  FROM {SEQ_SQL} WHERE n_tok IS NOT NULL GROUP BY 1
+), d AS (
+  SELECT source, n,
+         sqrt((CAST(s2 AS DOUBLE) - CAST(s AS DOUBLE) * CAST(s AS DOUBLE) / CAST(n AS DOUBLE))
+              / (CAST(n AS DOUBLE) - 1.0)) AS sd
+  FROM m
+)
+SELECT source, n AS n_rows, round(sd, 6) AS stddev,
+       CAST(round({NEYMAN_TOTAL} * (CAST(n AS DOUBLE) * sd)
+                  / (SELECT sum(CAST(n AS DOUBLE) * sd) FROM d)) AS BIGINT) AS alloc_n
+FROM d ORDER BY source
+"""
+
+
+@entry("seq_neyman_alloc", sql=_neyman_sql())
 def q_seq_neyman_alloc(sf_dir: str) -> pd.DataFrame:
     """Per-source stratum size, n_tok dispersion and the Neyman
     allocation of a {NEYMAN_TOTAL}-row budget.  One combiner pass
@@ -486,28 +496,3 @@ def q_seq_neyman_alloc(sf_dir: str) -> pd.DataFrame:
         "alloc_n": alloc.astype("int64"),
     })
 
-
-def _neyman_sql() -> str:
-    from jesse_ray.pipelines.queries import SEQ_SQL
-
-    return f"""
-WITH m AS (
-  SELECT source, CAST(count(*) AS BIGINT) AS n,
-         sum(CAST(n_tok AS BIGINT)) AS s,
-         sum(CAST(n_tok AS BIGINT) * CAST(n_tok AS BIGINT)) AS s2
-  FROM {SEQ_SQL} WHERE n_tok IS NOT NULL GROUP BY 1
-), d AS (
-  SELECT source, n,
-         sqrt((CAST(s2 AS DOUBLE) - CAST(s AS DOUBLE) * CAST(s AS DOUBLE) / CAST(n AS DOUBLE))
-              / (CAST(n AS DOUBLE) - 1.0)) AS sd
-  FROM m
-)
-SELECT source, n AS n_rows, round(sd, 6) AS stddev,
-       CAST(round({NEYMAN_TOTAL} * (CAST(n AS DOUBLE) * sd)
-                  / (SELECT sum(CAST(n AS DOUBLE) * sd) FROM d)) AS BIGINT) AS alloc_n
-FROM d ORDER BY source
-"""
-
-
-QUERIES22["seq_neyman_alloc"] = q_seq_neyman_alloc
-ORACLES22["seq_neyman_alloc"] = _neyman_sql()

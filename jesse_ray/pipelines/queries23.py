@@ -25,8 +25,7 @@ import pyarrow.parquet as pq
 from jesse_ray.rounding import round_half_away
 from jesse_ray.sources import read_table
 
-QUERIES23: dict = {}
-ORACLES23: dict = {}
+from jesse_ray.pipelines.queries import entry
 
 
 def _collect(ds) -> pa.Table:
@@ -75,6 +74,36 @@ def _adjacent_pair_counts(b: pa.Table) -> pa.Table:
     return g.rename_columns(["u", "v", "pn"])
 
 
+def _kcore_sql() -> str:
+    from jesse_ray.pipelines.queries import SEQ_SQL
+
+    parts = [f"""WITH t AS (SELECT tokens FROM {SEQ_SQL} WHERE tokens IS NOT NULL),
+e0 AS MATERIALIZED (
+  SELECT LEAST(a, b) AS u, GREATEST(a, b) AS v FROM (
+    SELECT CAST(tokens[i] AS BIGINT) AS a, CAST(tokens[i+1] AS BIGINT) AS b
+    FROM (SELECT tokens, unnest(generate_series(1, len(tokens) - 1)) AS i FROM t))
+  WHERE a <> b
+  GROUP BY 1, 2 HAVING count(*) >= {KCORE_MINCNT}
+)"""]
+    prev = "e0"
+    for r in range(1, KCORE_ROUNDS + 1):
+        parts.append(f"""n{r} AS MATERIALIZED (
+  SELECT node FROM (SELECT u AS node FROM {prev} UNION ALL SELECT v FROM {prev})
+  GROUP BY 1 HAVING count(*) >= {KCORE_K}
+),
+e{r} AS MATERIALIZED (
+  SELECT u, v FROM {prev}
+  WHERE u IN (SELECT node FROM n{r}) AND v IN (SELECT node FROM n{r})
+)""")
+        prev = f"e{r}"
+    return ",\n".join(parts) + f"""
+SELECT node AS token, CAST(count(*) AS BIGINT) AS core_deg
+FROM (SELECT u AS node FROM {prev} UNION ALL SELECT v FROM {prev})
+GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("seq_token_kcore", sql=_kcore_sql())
 def q_seq_token_kcore(sf_dir: str) -> pd.DataFrame:
     """Distributed peel: the edge list is built from per-batch adjacent
     undirected pair partials (one groupby-sum shuffle, domain bounded
@@ -125,17 +154,19 @@ def q_seq_token_kcore(sf_dir: str) -> pd.DataFrame:
             return pd.DataFrame({"node": pd.array([], dtype="int64"),
                                  "pd": pd.array([], dtype="int64")})
         parts = pa.concat_tables(batches)
-        assert parts.num_rows <= _DEG_CAP, (
-            f"k-core degree partials exceed {_DEG_CAP} rows — node domain "
-            f"is not vocab-bounded; shard the degree merge")
+        if parts.num_rows > _DEG_CAP:
+            raise ValueError(
+                f"k-core degree partials exceed {_DEG_CAP} rows — node domain "
+                f"is not vocab-bounded; shard the degree merge")
         return parts.to_pandas().groupby("node", as_index=False)["pd"].sum()
 
     rounds = 0
     n_edges = edges.count()
     while True:
-        assert rounds <= KCORE_ROUNDS, (
-            f"k-core peel did not converge within {KCORE_ROUNDS} rounds — "
-            f"raise KCORE_ROUNDS (and the twin's unroll budget) together")
+        if rounds > KCORE_ROUNDS:
+            raise RuntimeError(
+                f"k-core peel did not converge within {KCORE_ROUNDS} rounds — "
+                f"raise KCORE_ROUNDS (and the twin's unroll budget) together")
         deg = _degrees(edges)
         keep = np.sort(deg.loc[deg["pd"] >= KCORE_K, "node"].to_numpy())
         kref = ray.put(keep) if ray.is_initialized() else keep
@@ -165,39 +196,6 @@ def q_seq_token_kcore(sf_dir: str) -> pd.DataFrame:
                          "core_deg": final["pd"].astype("int64")})
 
 
-def _kcore_sql() -> str:
-    from jesse_ray.pipelines.queries import SEQ_SQL
-
-    parts = [f"""WITH t AS (SELECT tokens FROM {SEQ_SQL} WHERE tokens IS NOT NULL),
-e0 AS MATERIALIZED (
-  SELECT LEAST(a, b) AS u, GREATEST(a, b) AS v FROM (
-    SELECT CAST(tokens[i] AS BIGINT) AS a, CAST(tokens[i+1] AS BIGINT) AS b
-    FROM (SELECT tokens, unnest(generate_series(1, len(tokens) - 1)) AS i FROM t))
-  WHERE a <> b
-  GROUP BY 1, 2 HAVING count(*) >= {KCORE_MINCNT}
-)"""]
-    prev = "e0"
-    for r in range(1, KCORE_ROUNDS + 1):
-        parts.append(f"""n{r} AS MATERIALIZED (
-  SELECT node FROM (SELECT u AS node FROM {prev} UNION ALL SELECT v FROM {prev})
-  GROUP BY 1 HAVING count(*) >= {KCORE_K}
-),
-e{r} AS MATERIALIZED (
-  SELECT u, v FROM {prev}
-  WHERE u IN (SELECT node FROM n{r}) AND v IN (SELECT node FROM n{r})
-)""")
-        prev = f"e{r}"
-    return ",\n".join(parts) + f"""
-SELECT node AS token, CAST(count(*) AS BIGINT) AS core_deg
-FROM (SELECT u AS node FROM {prev} UNION ALL SELECT v FROM {prev})
-GROUP BY 1 ORDER BY 1
-"""
-
-
-QUERIES23["seq_token_kcore"] = q_seq_token_kcore
-ORACLES23["seq_token_kcore"] = _kcore_sql()
-
-
 # ---------------------------------------------------------------------------
 # events_session_paths — top first-3-event journeys per session
 # (30-minute inactivity sessions, the same gap rule as events_sessions).
@@ -205,6 +203,35 @@ ORACLES23["seq_token_kcore"] = _kcore_sql()
 PATHS_TOPK = 10
 
 
+def _session_paths_sql() -> str:
+    from jesse_ray.pipelines.queries import SESSION_GAP_S
+
+    return f"""
+WITH o AS (
+  SELECT user_id, event_id, event_type, epoch_us(ts) AS e,
+         LAG(epoch_us(ts)) OVER (PARTITION BY user_id ORDER BY ts, event_id) AS pe
+  FROM events
+), s AS (
+  SELECT user_id, event_id, event_type, e,
+         SUM(CASE WHEN pe IS NULL OR e - pe > {SESSION_GAP_S * 1_000_000} THEN 1 ELSE 0 END)
+           OVER (PARTITION BY user_id ORDER BY e, event_id ROWS UNBOUNDED PRECEDING) AS sid
+  FROM o
+), r AS (
+  SELECT user_id, sid, event_type,
+         row_number() OVER (PARTITION BY user_id, sid ORDER BY e, event_id) AS rn
+  FROM s
+), p AS (
+  SELECT user_id, sid, string_agg(event_type, '>' ORDER BY rn) AS path
+  FROM r WHERE rn <= 3 GROUP BY 1, 2
+)
+SELECT path, CAST(count(*) AS BIGINT) AS n_sessions
+FROM p GROUP BY 1
+ORDER BY n_sessions DESC, path
+LIMIT {PATHS_TOPK}
+"""
+
+
+@entry("events_session_paths", sql=_session_paths_sql())
 def q_events_session_paths(sf_dir: str) -> pd.DataFrame:
     """Session path mining: one coarse user-hash shuffle, per-part
     mergesort by (user, ts, event_id), vectorized gap/session-boundary
@@ -253,38 +280,6 @@ def q_events_session_paths(sf_dir: str) -> pd.DataFrame:
     return merged.reset_index(drop=True)
 
 
-def _session_paths_sql() -> str:
-    from jesse_ray.pipelines.queries import SESSION_GAP_S
-
-    return f"""
-WITH o AS (
-  SELECT user_id, event_id, event_type, epoch_us(ts) AS e,
-         LAG(epoch_us(ts)) OVER (PARTITION BY user_id ORDER BY ts, event_id) AS pe
-  FROM events
-), s AS (
-  SELECT user_id, event_id, event_type, e,
-         SUM(CASE WHEN pe IS NULL OR e - pe > {SESSION_GAP_S * 1_000_000} THEN 1 ELSE 0 END)
-           OVER (PARTITION BY user_id ORDER BY e, event_id ROWS UNBOUNDED PRECEDING) AS sid
-  FROM o
-), r AS (
-  SELECT user_id, sid, event_type,
-         row_number() OVER (PARTITION BY user_id, sid ORDER BY e, event_id) AS rn
-  FROM s
-), p AS (
-  SELECT user_id, sid, string_agg(event_type, '>' ORDER BY rn) AS path
-  FROM r WHERE rn <= 3 GROUP BY 1, 2
-)
-SELECT path, CAST(count(*) AS BIGINT) AS n_sessions
-FROM p GROUP BY 1
-ORDER BY n_sessions DESC, path
-LIMIT {PATHS_TOPK}
-"""
-
-
-QUERIES23["events_session_paths"] = q_events_session_paths
-ORACLES23["events_session_paths"] = _session_paths_sql()
-
-
 # ---------------------------------------------------------------------------
 # events_funnel3 — strict three-step funnel signup → purchase → click,
 # conversion bounded by a 7-day window from the first signup.
@@ -292,6 +287,28 @@ ORACLES23["events_session_paths"] = _session_paths_sql()
 F3_WINDOW_DAYS = 7
 
 
+SQL_EVENTS_FUNNEL3 = f"""
+WITH s AS (
+  SELECT user_id, min(epoch_us(ts)) AS st FROM events
+  WHERE event_type = 'signup' GROUP BY 1
+), p AS (
+  SELECT e.user_id, min(epoch_us(e.ts)) AS pt, any_value(s.st) AS st
+  FROM events e JOIN s USING (user_id)
+  WHERE e.event_type = 'purchase' AND epoch_us(e.ts) >= s.st GROUP BY 1
+), c AS (
+  SELECT e.user_id, min(epoch_us(e.ts)) AS ct, any_value(p.st) AS st
+  FROM events e JOIN p USING (user_id)
+  WHERE e.event_type = 'click' AND epoch_us(e.ts) >= p.pt GROUP BY 1
+)
+SELECT (SELECT CAST(count(*) AS BIGINT) FROM s) AS n_signup,
+       (SELECT CAST(count(*) AS BIGINT) FROM p) AS n_purchase,
+       (SELECT CAST(count(*) AS BIGINT) FROM c) AS n_click,
+       (SELECT CAST(count(*) AS BIGINT) FROM c
+        WHERE ct - st <= {F3_WINDOW_DAYS * 86_400_000_000}) AS n_converted
+"""
+
+
+@entry("events_funnel3_windowed", sql=SQL_EVENTS_FUNNEL3)
 def q_events_funnel3(sf_dir: str) -> pd.DataFrame:
     """Per user: first signup s, first purchase at-or-after s, first
     click at-or-after that purchase; converted when click − signup ≤ 7
@@ -330,30 +347,6 @@ def q_events_funnel3(sf_dir: str) -> pd.DataFrame:
                          for k in ["n_signup", "n_purchase", "n_click", "n_converted"]})
 
 
-SQL_EVENTS_FUNNEL3 = f"""
-WITH s AS (
-  SELECT user_id, min(epoch_us(ts)) AS st FROM events
-  WHERE event_type = 'signup' GROUP BY 1
-), p AS (
-  SELECT e.user_id, min(epoch_us(e.ts)) AS pt, any_value(s.st) AS st
-  FROM events e JOIN s USING (user_id)
-  WHERE e.event_type = 'purchase' AND epoch_us(e.ts) >= s.st GROUP BY 1
-), c AS (
-  SELECT e.user_id, min(epoch_us(e.ts)) AS ct, any_value(p.st) AS st
-  FROM events e JOIN p USING (user_id)
-  WHERE e.event_type = 'click' AND epoch_us(e.ts) >= p.pt GROUP BY 1
-)
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM s) AS n_signup,
-       (SELECT CAST(count(*) AS BIGINT) FROM p) AS n_purchase,
-       (SELECT CAST(count(*) AS BIGINT) FROM c) AS n_click,
-       (SELECT CAST(count(*) AS BIGINT) FROM c
-        WHERE ct - st <= {F3_WINDOW_DAYS * 86_400_000_000}) AS n_converted
-"""
-
-QUERIES23["events_funnel3_windowed"] = q_events_funnel3
-ORACLES23["events_funnel3_windowed"] = SQL_EVENTS_FUNNEL3
-
-
 # ---------------------------------------------------------------------------
 # doc_hrw_shards — rendezvous (highest-random-weight) sharding:
 # owner(doc) = argmax over nodes of fmix64(hash(doc) ^ salt(node)).
@@ -364,6 +357,26 @@ ORACLES23["events_funnel3_windowed"] = SQL_EVENTS_FUNNEL3
 HRW_N = 8
 
 
+SQL_DOC_HRW_SHARDS = """
+WITH s AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/hrw_shards_sigs_sf0.01.parquet')),
+ok AS (
+  SELECT (SELECT count(*) FROM s) = (SELECT count(*) FROM documents)
+     AND (SELECT count(*) FROM s WHERE NOT EXISTS (
+            SELECT 1 FROM documents d WHERE d.doc_id = s.doc_id)) = 0
+     AND (SELECT count(DISTINCT doc_id) FROM s) = (SELECT count(*) FROM s)
+     AND (SELECT count(*) FROM s WHERE shard8 < 0 OR shard8 >= 8
+                                    OR shard9 < 0 OR shard9 >= 9) = 0
+     AND (SELECT count(*) FROM s WHERE shard9 <> shard8 AND shard9 <> 8) = 0 AS good
+)
+SELECT shard8, CAST(count(*) AS BIGINT) AS n_docs,
+       CAST(sum(CASE WHEN shard9 = 8 THEN 1 ELSE 0 END) AS BIGINT) AS relocated
+FROM s GROUP BY shard8
+HAVING (SELECT good FROM ok)
+ORDER BY shard8
+"""
+
+
+@entry("doc_hrw_shards", sql=SQL_DOC_HRW_SHARDS)
 def q_doc_hrw_shards(sf_dir: str) -> pd.DataFrame:
     """One map_batches pass computes both assignments (vectorized
     argmax over the N-column fmix64 weight matrix, no per-doc Python);
@@ -403,32 +416,33 @@ def q_doc_hrw_shards(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("shard8").reset_index(drop=True)
 
 
-SQL_DOC_HRW_SHARDS = """
-WITH s AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/hrw_shards_sigs_sf0.01.parquet')),
-ok AS (
-  SELECT (SELECT count(*) FROM s) = (SELECT count(*) FROM documents)
-     AND (SELECT count(*) FROM s WHERE NOT EXISTS (
-            SELECT 1 FROM documents d WHERE d.doc_id = s.doc_id)) = 0
-     AND (SELECT count(DISTINCT doc_id) FROM s) = (SELECT count(*) FROM s)
-     AND (SELECT count(*) FROM s WHERE shard8 < 0 OR shard8 >= 8
-                                    OR shard9 < 0 OR shard9 >= 9) = 0
-     AND (SELECT count(*) FROM s WHERE shard9 <> shard8 AND shard9 <> 8) = 0 AS good
-)
-SELECT shard8, CAST(count(*) AS BIGINT) AS n_docs,
-       CAST(sum(CASE WHEN shard9 = 8 THEN 1 ELSE 0 END) AS BIGINT) AS relocated
-FROM s GROUP BY shard8
-HAVING (SELECT good FROM ok)
-ORDER BY shard8
-"""
-
-QUERIES23["doc_hrw_shards"] = q_doc_hrw_shards
-ORACLES23["doc_hrw_shards"] = SQL_DOC_HRW_SHARDS
-
-
 # ---------------------------------------------------------------------------
 # events_ols_by_type — per-type OLS trend of purchase-value cents on
 # day number: slope/intercept from one int64-exact combiner pass.
 
+SQL_EVENTS_OLS_BY_TYPE = """
+WITH m AS (
+  SELECT event_type, CAST(count(*) AS BIGINT) AS n,
+         sum(x) AS sx, sum(y) AS sy, sum(x * y) AS sxy, sum(x * x) AS sxx
+  FROM (SELECT event_type,
+               CAST(floor((epoch_us(ts) - epoch_us(TIMESTAMP '2024-01-01')) / 86400000000.0) AS BIGINT) AS x,
+               CAST(round(value * 100) AS BIGINT) AS y
+        FROM events WHERE value IS NOT NULL)
+  GROUP BY 1
+)
+SELECT event_type, n,
+       round((CAST(n AS DOUBLE) * CAST(sxy AS DOUBLE) - CAST(sx AS DOUBLE) * CAST(sy AS DOUBLE))
+             / (CAST(n AS DOUBLE) * CAST(sxx AS DOUBLE) - CAST(sx AS DOUBLE) * CAST(sx AS DOUBLE)), 6)
+         AS slope_cents_per_day,
+       round((CAST(sy AS DOUBLE)
+              - ((CAST(n AS DOUBLE) * CAST(sxy AS DOUBLE) - CAST(sx AS DOUBLE) * CAST(sy AS DOUBLE))
+                 / (CAST(n AS DOUBLE) * CAST(sxx AS DOUBLE) - CAST(sx AS DOUBLE) * CAST(sx AS DOUBLE)))
+                * CAST(sx AS DOUBLE)) / CAST(n AS DOUBLE), 4) AS intercept_cents
+FROM m ORDER BY event_type
+"""
+
+
+@entry("events_ols_by_type", sql=SQL_EVENTS_OLS_BY_TYPE)
 def q_events_ols_by_type(sf_dir: str) -> pd.DataFrame:
     """Closed-form OLS per group from (n, Σx, Σy, Σxy, Σx²) — x is the
     integer day number since 2024-01-01, y integer cents, so every sum
@@ -478,31 +492,6 @@ def q_events_ols_by_type(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_EVENTS_OLS_BY_TYPE = """
-WITH m AS (
-  SELECT event_type, CAST(count(*) AS BIGINT) AS n,
-         sum(x) AS sx, sum(y) AS sy, sum(x * y) AS sxy, sum(x * x) AS sxx
-  FROM (SELECT event_type,
-               CAST(floor((epoch_us(ts) - epoch_us(TIMESTAMP '2024-01-01')) / 86400000000.0) AS BIGINT) AS x,
-               CAST(round(value * 100) AS BIGINT) AS y
-        FROM events WHERE value IS NOT NULL)
-  GROUP BY 1
-)
-SELECT event_type, n,
-       round((CAST(n AS DOUBLE) * CAST(sxy AS DOUBLE) - CAST(sx AS DOUBLE) * CAST(sy AS DOUBLE))
-             / (CAST(n AS DOUBLE) * CAST(sxx AS DOUBLE) - CAST(sx AS DOUBLE) * CAST(sx AS DOUBLE)), 6)
-         AS slope_cents_per_day,
-       round((CAST(sy AS DOUBLE)
-              - ((CAST(n AS DOUBLE) * CAST(sxy AS DOUBLE) - CAST(sx AS DOUBLE) * CAST(sy AS DOUBLE))
-                 / (CAST(n AS DOUBLE) * CAST(sxx AS DOUBLE) - CAST(sx AS DOUBLE) * CAST(sx AS DOUBLE)))
-                * CAST(sx AS DOUBLE)) / CAST(n AS DOUBLE), 4) AS intercept_cents
-FROM m ORDER BY event_type
-"""
-
-QUERIES23["events_ols_by_type"] = q_events_ols_by_type
-ORACLES23["events_ols_by_type"] = SQL_EVENTS_OLS_BY_TYPE
-
-
 # ---------------------------------------------------------------------------
 # seq_spacesaving_topk — bounded-memory heavy hitters: per-block
 # truncated summaries with a per-block dropped-mass ceiling, merged
@@ -514,6 +503,17 @@ SS_CAPACITY = 16384
 SS_K = 5
 
 
+def _spacesaving_sql() -> str:
+    from jesse_ray.pipelines.queries import SEQ_SQL
+
+    return f"""
+SELECT CAST(t AS BIGINT) AS token, CAST(count(*) AS BIGINT) AS cnt
+FROM (SELECT unnest(tokens) AS t FROM {SEQ_SQL} WHERE tokens IS NOT NULL)
+GROUP BY 1 ORDER BY cnt DESC, token LIMIT {SS_K}
+"""
+
+
+@entry("seq_spacesaving_topk", sql=_spacesaving_sql())
 def q_seq_spacesaving_topk(sf_dir: str) -> pd.DataFrame:
     """Each block keeps only its top-``SS_CAPACITY`` tokens by exact
     local count plus the max dropped count t_b; merging sums the kept
@@ -575,9 +575,10 @@ def q_seq_spacesaving_topk(sf_dir: str) -> pd.DataFrame:
     cand = merged.head(SS_K)
     kth_lower = int(cand["est"].iloc[-1])
     rest_upper = int(merged["upper"].iloc[SS_K:].max()) if len(merged) > SS_K else T
-    assert kth_lower > max(rest_upper, T), (
-        f"SpaceSaving certification failed: kth lower bound {kth_lower} does not "
-        f"dominate the residual upper bound {max(rest_upper, T)} — raise SS_CAPACITY")
+    if kth_lower <= max(rest_upper, T):
+        raise RuntimeError(
+            f"SpaceSaving certification failed: kth lower bound {kth_lower} does not "
+            f"dominate the residual upper bound {max(rest_upper, T)} — raise SS_CAPACITY")
 
     want = np.sort(cand["token"].to_numpy())
     wref = ray.put(want) if ray.is_initialized() else want
@@ -601,16 +602,3 @@ def q_seq_spacesaving_topk(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame({"token": exact["token"].astype("int64"),
                          "cnt": exact["cnt"].astype("int64")})
 
-
-def _spacesaving_sql() -> str:
-    from jesse_ray.pipelines.queries import SEQ_SQL
-
-    return f"""
-SELECT CAST(t AS BIGINT) AS token, CAST(count(*) AS BIGINT) AS cnt
-FROM (SELECT unnest(tokens) AS t FROM {SEQ_SQL} WHERE tokens IS NOT NULL)
-GROUP BY 1 ORDER BY cnt DESC, token LIMIT {SS_K}
-"""
-
-
-QUERIES23["seq_spacesaving_topk"] = q_seq_spacesaving_topk
-ORACLES23["seq_spacesaving_topk"] = _spacesaving_sql()

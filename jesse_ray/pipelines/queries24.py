@@ -20,8 +20,7 @@ import pyarrow.parquet as pq
 from jesse_ray.rounding import round_half_away
 from jesse_ray.sources import read_table
 
-QUERIES24: dict = {}
-ORACLES24: dict = {}
+from jesse_ray.pipelines.queries import entry
 
 
 def _collect(ds) -> pa.Table:
@@ -38,6 +37,34 @@ def _collect(ds) -> pa.Table:
 FOLD_K = 5
 
 
+SQL_DOC_GROUPAWARE_FOLDS = f"""
+WITH s AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/groupfolds_sigs_sf0.01.parquet')),
+j AS (SELECT s.doc_id, s.fold, s.naive_fold, d.text
+      FROM s JOIN documents d ON d.doc_id = s.doc_id),
+ok AS (
+  SELECT (SELECT count(*) FROM s) = (SELECT count(*) FROM documents)
+     AND (SELECT count(DISTINCT doc_id) FROM s) = (SELECT count(*) FROM s)
+     AND (SELECT count(*) FROM j) = (SELECT count(*) FROM s)
+     AND (SELECT count(*) FROM s WHERE fold < 0 OR fold >= {FOLD_K}
+                                    OR naive_fold < 0 OR naive_fold >= {FOLD_K}) = 0
+     AND (SELECT count(*) FROM (
+            SELECT coalesce(text, '') AS t FROM j GROUP BY 1
+            HAVING count(DISTINCT fold) > 1)) = 0 AS good
+),
+straddle AS (
+  SELECT CAST(count(*) AS BIGINT) AS n FROM (
+    SELECT coalesce(text, '') AS t FROM j GROUP BY 1
+    HAVING count(DISTINCT naive_fold) > 1)
+)
+SELECT fold, CAST(count(*) AS BIGINT) AS n_docs,
+       (SELECT n FROM straddle) AS naive_straddled_groups
+FROM s GROUP BY fold
+HAVING (SELECT good FROM ok)
+ORDER BY fold
+"""
+
+
+@entry("doc_groupaware_folds", sql=SQL_DOC_GROUPAWARE_FOLDS)
 def q_doc_groupaware_folds(sf_dir: str) -> pd.DataFrame:
     """Group-aware split: one (text-hash)-keyed coarse shuffle computes
     each group's representative (min doc_id) and size; the fold is
@@ -89,36 +116,6 @@ def q_doc_groupaware_folds(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("fold").reset_index(drop=True)
 
 
-SQL_DOC_GROUPAWARE_FOLDS = f"""
-WITH s AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/groupfolds_sigs_sf0.01.parquet')),
-j AS (SELECT s.doc_id, s.fold, s.naive_fold, d.text
-      FROM s JOIN documents d ON d.doc_id = s.doc_id),
-ok AS (
-  SELECT (SELECT count(*) FROM s) = (SELECT count(*) FROM documents)
-     AND (SELECT count(DISTINCT doc_id) FROM s) = (SELECT count(*) FROM s)
-     AND (SELECT count(*) FROM j) = (SELECT count(*) FROM s)
-     AND (SELECT count(*) FROM s WHERE fold < 0 OR fold >= {FOLD_K}
-                                    OR naive_fold < 0 OR naive_fold >= {FOLD_K}) = 0
-     AND (SELECT count(*) FROM (
-            SELECT coalesce(text, '') AS t FROM j GROUP BY 1
-            HAVING count(DISTINCT fold) > 1)) = 0 AS good
-),
-straddle AS (
-  SELECT CAST(count(*) AS BIGINT) AS n FROM (
-    SELECT coalesce(text, '') AS t FROM j GROUP BY 1
-    HAVING count(DISTINCT naive_fold) > 1)
-)
-SELECT fold, CAST(count(*) AS BIGINT) AS n_docs,
-       (SELECT n FROM straddle) AS naive_straddled_groups
-FROM s GROUP BY fold
-HAVING (SELECT good FROM ok)
-ORDER BY fold
-"""
-
-QUERIES24["doc_groupaware_folds"] = q_doc_groupaware_folds
-ORACLES24["doc_groupaware_folds"] = SQL_DOC_GROUPAWARE_FOLDS
-
-
 # ---------------------------------------------------------------------------
 # events_ams_f2 — second frequency moment of user activity (the AMS
 # sketch's target; Alon, Matias & Szegedy 1996).  The exact F2 is
@@ -130,6 +127,14 @@ ORACLES24["doc_groupaware_folds"] = SQL_DOC_GROUPAWARE_FOLDS
 AMS_R = 64
 
 
+SQL_EVENTS_AMS_F2 = """
+SELECT CAST(sum(c * c) AS BIGINT) AS f2,
+       CAST(count(*) AS BIGINT) AS n_users
+FROM (SELECT user_id, CAST(count(*) AS BIGINT) AS c FROM events GROUP BY 1)
+"""
+
+
+@entry("events_ams_f2", sql=SQL_EVENTS_AMS_F2)
 def q_events_ams_f2(sf_dir: str) -> pd.DataFrame:
     """Per-batch partials for BOTH paths in one pass: user-count grids
     (exact, entity-bounded) and the 64 AMS sign sums (Σ sign_j(u)·c_u —
@@ -169,20 +174,11 @@ def q_events_ams_f2(sf_dir: str) -> pd.DataFrame:
     sj = merged.loc[merged["kind"] == 1].sort_values("key")["v"].to_numpy(dtype=np.float64)
     means = (sj ** 2).reshape(4, AMS_R // 4).mean(axis=1)
     est = float(np.median(means))
-    assert abs(est - f2) <= 0.75 * f2, (
-        f"AMS estimate {est:.3e} outside the certified envelope of exact {f2:.3e}")
+    if abs(est - f2) > 0.75 * f2:
+        raise RuntimeError(
+            f"AMS estimate {est:.3e} outside the certified envelope of exact {f2:.3e}")
     return pd.DataFrame({"f2": pd.array([f2], dtype="int64"),
                          "n_users": pd.array([len(cnts)], dtype="int64")})
-
-
-SQL_EVENTS_AMS_F2 = """
-SELECT CAST(sum(c * c) AS BIGINT) AS f2,
-       CAST(count(*) AS BIGINT) AS n_users
-FROM (SELECT user_id, CAST(count(*) AS BIGINT) AS c FROM events GROUP BY 1)
-"""
-
-QUERIES24["events_ams_f2"] = q_events_ams_f2
-ORACLES24["events_ams_f2"] = SQL_EVENTS_AMS_F2
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +187,20 @@ ORACLES24["events_ams_f2"] = SQL_EVENTS_AMS_F2
 # (Wang et al., VLDB 2019).  B = Σ_{t1<t2} C(co(t1,t2), 2) where
 # co = #users active in both types.
 
+SQL_EVENTS_BUTTERFLIES = """
+WITH ut AS (SELECT DISTINCT user_id, event_type FROM events),
+co AS (
+  SELECT a.event_type AS t1, b.event_type AS t2, CAST(count(*) AS BIGINT) AS c
+  FROM ut a JOIN ut b ON a.user_id = b.user_id AND a.event_type < b.event_type
+  GROUP BY 1, 2
+)
+SELECT CAST(sum(c * (c - 1) / 2) AS BIGINT) AS butterflies,
+       CAST(count(*) AS BIGINT) AS type_pairs
+FROM co
+"""
+
+
+@entry("events_butterflies", sql=SQL_EVENTS_BUTTERFLIES)
 def q_events_butterflies(sf_dir: str) -> pd.DataFrame:
     """Distinct (user, type) collapse (one combiner + merge), per-user
     type SETS folded into per-type-pair co-occurrence counts inside
@@ -231,22 +241,6 @@ def q_events_butterflies(sf_dir: str) -> pd.DataFrame:
                          "type_pairs": pd.array([len(grid)], dtype="int64")})
 
 
-SQL_EVENTS_BUTTERFLIES = """
-WITH ut AS (SELECT DISTINCT user_id, event_type FROM events),
-co AS (
-  SELECT a.event_type AS t1, b.event_type AS t2, CAST(count(*) AS BIGINT) AS c
-  FROM ut a JOIN ut b ON a.user_id = b.user_id AND a.event_type < b.event_type
-  GROUP BY 1, 2
-)
-SELECT CAST(sum(c * (c - 1) / 2) AS BIGINT) AS butterflies,
-       CAST(count(*) AS BIGINT) AS type_pairs
-FROM co
-"""
-
-QUERIES24["events_butterflies"] = q_events_butterflies
-ORACLES24["events_butterflies"] = SQL_EVENTS_BUTTERFLIES
-
-
 # ---------------------------------------------------------------------------
 # tpch_q15ish — top supplier(s) by revenue in a quarter (the Q15 view +
 # argmax WITH ties).
@@ -254,6 +248,24 @@ ORACLES24["events_butterflies"] = SQL_EVENTS_BUTTERFLIES
 Q15_LO, Q15_HI = "1996-01-01", "1996-04-01"
 
 
+SQL_TPCH_Q15ISH = f"""
+WITH r AS (
+  SELECT l_suppkey,
+         sum(CAST(round(l_extendedprice * 100) AS BIGINT)
+             * (100 - CAST(round(l_discount * 100) AS BIGINT))) AS rev
+  FROM lineitem JOIN orders ON l_orderkey = o_orderkey
+  WHERE o_orderdate >= TIMESTAMP '{Q15_LO}' AND o_orderdate < TIMESTAMP '{Q15_HI}'
+  GROUP BY 1
+)
+SELECT s_suppkey, s_name,
+       round(CAST(rev AS DOUBLE) / 10000.0, 2) AS total_revenue
+FROM r JOIN supplier ON s_suppkey = l_suppkey
+WHERE rev = (SELECT max(rev) FROM r)
+ORDER BY s_suppkey
+"""
+
+
+@entry("tpch_q15ish", sql=SQL_TPCH_Q15ISH)
 def q_tpch_q15ish(sf_dir: str) -> pd.DataFrame:
     """Revenue per supplier over the quarter's lineitems in exact cents
     (grouped_agg combiners; the supplier grid is |supplier|-bounded),
@@ -298,26 +310,6 @@ def q_tpch_q15ish(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("s_suppkey").reset_index(drop=True)
 
 
-SQL_TPCH_Q15ISH = f"""
-WITH r AS (
-  SELECT l_suppkey,
-         sum(CAST(round(l_extendedprice * 100) AS BIGINT)
-             * (100 - CAST(round(l_discount * 100) AS BIGINT))) AS rev
-  FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-  WHERE o_orderdate >= TIMESTAMP '{Q15_LO}' AND o_orderdate < TIMESTAMP '{Q15_HI}'
-  GROUP BY 1
-)
-SELECT s_suppkey, s_name,
-       round(CAST(rev AS DOUBLE) / 10000.0, 2) AS total_revenue
-FROM r JOIN supplier ON s_suppkey = l_suppkey
-WHERE rev = (SELECT max(rev) FROM r)
-ORDER BY s_suppkey
-"""
-
-QUERIES24["tpch_q15ish"] = q_tpch_q15ish
-ORACLES24["tpch_q15ish"] = SQL_TPCH_Q15ISH
-
-
 # ---------------------------------------------------------------------------
 # tpch_q19ish — disjunctive multi-predicate revenue (Q19's OR-of-ANDs
 # brand x quantity bands).
@@ -325,6 +317,20 @@ ORACLES24["tpch_q15ish"] = SQL_TPCH_Q15ISH
 Q19_BANDS = [("Brand#12", 1, 11), ("Brand#23", 10, 20), ("Brand#34", 20, 30)]
 
 
+def _q19_sql() -> str:
+    conds = " OR ".join(
+        f"(p_brand = '{b}' AND CAST(round(l_quantity) AS BIGINT) BETWEEN {lo} AND {hi})"
+        for b, lo, hi in Q19_BANDS)
+    return f"""
+SELECT round(CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
+                     * (100 - CAST(round(l_discount * 100) AS BIGINT))) AS DOUBLE)
+             / 10000.0, 2) AS revenue
+FROM lineitem JOIN part ON l_partkey = p_partkey
+WHERE {conds}
+"""
+
+
+@entry("tpch_q19ish", sql=_q19_sql())
 def q_tpch_q19ish(sf_dir: str) -> pd.DataFrame:
     """One lineitem⋈part hash join (part pre-filtered to the three
     brands), the OR-of-ANDs evaluated as one vectorized boolean
@@ -364,19 +370,3 @@ def q_tpch_q19ish(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame({"revenue": pd.array(
         [round_half_away(float(total) / 10000.0, 2)], dtype="float64")})
 
-
-def _q19_sql() -> str:
-    conds = " OR ".join(
-        f"(p_brand = '{b}' AND CAST(round(l_quantity) AS BIGINT) BETWEEN {lo} AND {hi})"
-        for b, lo, hi in Q19_BANDS)
-    return f"""
-SELECT round(CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
-                     * (100 - CAST(round(l_discount * 100) AS BIGINT))) AS DOUBLE)
-             / 10000.0, 2) AS revenue
-FROM lineitem JOIN part ON l_partkey = p_partkey
-WHERE {conds}
-"""
-
-
-QUERIES24["tpch_q19ish"] = q_tpch_q19ish
-ORACLES24["tpch_q19ish"] = _q19_sql()

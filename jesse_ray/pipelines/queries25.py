@@ -16,8 +16,7 @@ import pyarrow.compute as pc
 from jesse_ray.rounding import round_half_away
 from jesse_ray.sources import read_table
 
-QUERIES25: dict = {}
-ORACLES25: dict = {}
+from jesse_ray.pipelines.queries import entry
 
 
 def _collect(ds) -> pa.Table:
@@ -30,17 +29,6 @@ def _collect(ds) -> pa.Table:
 # the emb_topk float-discipline convention).
 
 KC_K = 5
-
-
-def q_emb_kcenter_coreset(sf_dir: str) -> pd.DataFrame:
-    """similarity.kcenter_select: the selected set broadcasts once per
-    step, every batch emits a 1-row local farthest-point partial, the
-    driver reduces n_blocks rows.  The twin unrolls the same greedy
-    loop as chained CTEs with LEAST-over-selected min-distances."""
-    from jesse_ray.functions.similarity import kcenter_select
-
-    ds = read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    return kcenter_select(ds, k=KC_K, seed_id=0)
 
 
 def _kcenter_sql() -> str:
@@ -63,8 +51,16 @@ def _kcenter_sql() -> str:
         f"\nSELECT CAST(rank AS BIGINT) AS rank, vec_id FROM ({sel}) ORDER BY rank")
 
 
-QUERIES25["emb_kcenter_coreset"] = q_emb_kcenter_coreset
-ORACLES25["emb_kcenter_coreset"] = _kcenter_sql()
+@entry("emb_kcenter_coreset", sql=_kcenter_sql())
+def q_emb_kcenter_coreset(sf_dir: str) -> pd.DataFrame:
+    """similarity.kcenter_select: the selected set broadcasts once per
+    step, every batch emits a 1-row local farthest-point partial, the
+    driver reduces n_blocks rows.  The twin unrolls the same greedy
+    loop as chained CTEs with LEAST-over-selected min-distances."""
+    from jesse_ray.functions.similarity import kcenter_select
+
+    ds = read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    return kcenter_select(ds, k=KC_K, seed_id=0)
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +73,42 @@ RBO_P = 0.9
 RBO_DEPTH = 20
 
 
+def _rbo_sql() -> str:
+    from jesse_ray.pipelines.queries import SEARCH_TERMS, SQL_DOC_BM25
+
+    terms_sql = ", ".join(f"'{t}'" for t in SEARCH_TERMS)
+    bm25_body = SQL_DOC_BM25.strip().rstrip()
+    return f"""
+WITH a AS MATERIALIZED (
+  SELECT doc_id, row_number() OVER (ORDER BY score DESC, doc_id) AS ra
+  FROM ({bm25_body})
+),
+w AS (SELECT doc_id, unnest(string_split(text, ' ')) AS word FROM documents),
+btf AS (SELECT doc_id, CAST(count(*) AS BIGINT) AS tf FROM w
+        WHERE word IN ({terms_sql}) GROUP BY doc_id),
+b AS MATERIALIZED (
+  SELECT doc_id, row_number() OVER (ORDER BY tf DESC, doc_id) AS rb
+  FROM btf ORDER BY tf DESC, doc_id LIMIT {RBO_DEPTH}
+),
+m AS (SELECT greatest(a.ra, b.rb) AS first_depth
+      FROM a JOIN b USING (doc_id)),
+d AS (SELECT unnest(generate_series(1, {RBO_DEPTH})) AS depth),
+grid AS (
+  SELECT d.depth,
+         CAST((SELECT count(*) FROM m WHERE first_depth <= d.depth) AS BIGINT) AS inter
+  FROM d
+),
+rbo AS (
+  SELECT round((1.0 - {RBO_P}) * sum(power({RBO_P}, depth - 1) * inter / depth
+                                      ORDER BY depth), 6) AS v
+  FROM grid
+)
+SELECT depth, inter, (SELECT v FROM rbo) AS rbo_min
+FROM grid ORDER BY depth
+"""
+
+
+@entry("doc_rbo_rankers", sql=_rbo_sql())
 def q_doc_rbo_rankers(sf_dir: str) -> pd.DataFrame:
     """Both rankings run distributed (text.bm25_search and a sum-tf
     scorer with the same per-batch top-k partial shape); the RBO fold
@@ -131,45 +163,6 @@ def q_doc_rbo_rankers(sf_dir: str) -> pd.DataFrame:
     })
 
 
-def _rbo_sql() -> str:
-    from jesse_ray.pipelines.queries import SEARCH_TERMS, SQL_DOC_BM25
-
-    terms_sql = ", ".join(f"'{t}'" for t in SEARCH_TERMS)
-    bm25_body = SQL_DOC_BM25.strip().rstrip()
-    return f"""
-WITH a AS MATERIALIZED (
-  SELECT doc_id, row_number() OVER (ORDER BY score DESC, doc_id) AS ra
-  FROM ({bm25_body})
-),
-w AS (SELECT doc_id, unnest(string_split(text, ' ')) AS word FROM documents),
-btf AS (SELECT doc_id, CAST(count(*) AS BIGINT) AS tf FROM w
-        WHERE word IN ({terms_sql}) GROUP BY doc_id),
-b AS MATERIALIZED (
-  SELECT doc_id, row_number() OVER (ORDER BY tf DESC, doc_id) AS rb
-  FROM btf ORDER BY tf DESC, doc_id LIMIT {RBO_DEPTH}
-),
-m AS (SELECT greatest(a.ra, b.rb) AS first_depth
-      FROM a JOIN b USING (doc_id)),
-d AS (SELECT unnest(generate_series(1, {RBO_DEPTH})) AS depth),
-grid AS (
-  SELECT d.depth,
-         CAST((SELECT count(*) FROM m WHERE first_depth <= d.depth) AS BIGINT) AS inter
-  FROM d
-),
-rbo AS (
-  SELECT round((1.0 - {RBO_P}) * sum(power({RBO_P}, depth - 1) * inter / depth
-                                      ORDER BY depth), 6) AS v
-  FROM grid
-)
-SELECT depth, inter, (SELECT v FROM rbo) AS rbo_min
-FROM grid ORDER BY depth
-"""
-
-
-QUERIES25["doc_rbo_rankers"] = q_doc_rbo_rankers
-ORACLES25["doc_rbo_rankers"] = _rbo_sql()
-
-
 # ---------------------------------------------------------------------------
 # doc_weighted_jaccard — blocked exact WEIGHTED Jaccard pairs:
 # J_w(A,B) = Σ_w min(tf_A, tf_B) / Σ_w max(tf_A, tf_B), candidates
@@ -180,6 +173,49 @@ WJ_MIN_NUM = 1  # emit pairs with J_w >= 1/3 (3*inter >= union)
 WJ_MIN_DEN = 3
 
 
+SQL_DOC_WEIGHTED_JACCARD = f"""
+WITH tf AS MATERIALIZED (
+  SELECT doc_id, word, CAST(count(*) AS BIGINT) AS tf
+  FROM (SELECT doc_id, unnest(string_split(coalesce(text, ''), ' ')) AS word
+        FROM documents)
+  GROUP BY 1, 2
+),
+r AS (
+  SELECT doc_id, word,
+         row_number() OVER (PARTITION BY doc_id ORDER BY tf DESC, word) AS rn
+  FROM tf
+),
+k AS MATERIALIZED (
+  SELECT doc_id,
+         max(CASE WHEN rn = 1 THEN word END) || '|'
+           || coalesce(max(CASE WHEN rn = 2 THEN word END), '') AS block
+  FROM r WHERE rn <= 2 GROUP BY doc_id
+),
+cand AS MATERIALIZED (
+  SELECT a.doc_id AS l, b.doc_id AS r
+  FROM k a JOIN k b ON a.block = b.block AND a.doc_id < b.doc_id
+),
+inter AS (
+  SELECT c.l, c.r, sum(least(ta.tf, tb.tf)) AS iw
+  FROM cand c
+  JOIN tf ta ON ta.doc_id = c.l
+  JOIN tf tb ON tb.doc_id = c.r AND tb.word = ta.word
+  GROUP BY 1, 2
+),
+tot AS (SELECT doc_id, sum(tf) AS s FROM tf GROUP BY 1)
+SELECT c.l AS "left", c.r AS "right",
+       CAST(coalesce(i.iw, 0) AS BIGINT) AS inter_w,
+       CAST(tl.s + tr.s - coalesce(i.iw, 0) AS BIGINT) AS union_w
+FROM cand c
+LEFT JOIN inter i ON i.l = c.l AND i.r = c.r
+JOIN tot tl ON tl.doc_id = c.l
+JOIN tot tr ON tr.doc_id = c.r
+WHERE {WJ_MIN_DEN} * coalesce(i.iw, 0) >= {WJ_MIN_NUM} * (tl.s + tr.s - coalesce(i.iw, 0))
+ORDER BY 1, 2
+"""
+
+
+@entry("doc_weighted_jaccard", sql=SQL_DOC_WEIGHTED_JACCARD)
 def q_doc_weighted_jaccard(sf_dir: str) -> pd.DataFrame:
     """One (top-2 dominant words)-keyed coarse shuffle co-locates each
     block's docs with their tf vectors; inside a part the pair grid is
@@ -230,9 +266,10 @@ def q_doc_weighted_jaccard(sf_dir: str) -> pd.DataFrame:
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         key = g[["doc_id", "block"]].drop_duplicates()
         bmax = int(key.groupby("block").size().max()) if len(key) else 0
-        assert bmax <= 10_000, (
-            f"weighted-jaccard block of {bmax} docs exceeds the quadratic "
-            f"pair budget — refine the blocking key (add a second term)")
+        if bmax > 10_000:
+            raise ValueError(
+                f"weighted-jaccard block of {bmax} docs exceeds the quadratic "
+                f"pair budget — refine the blocking key (add a second term)")
         cand = key.merge(key, on="block")
         cand = cand[cand["doc_id_x"] < cand["doc_id_y"]][["doc_id_x", "doc_id_y"]]
         if cand.empty:
@@ -262,47 +299,3 @@ def q_doc_weighted_jaccard(sf_dir: str) -> pd.DataFrame:
         "union_w": out["union_w"].astype("int64"),
     })
 
-
-SQL_DOC_WEIGHTED_JACCARD = f"""
-WITH tf AS MATERIALIZED (
-  SELECT doc_id, word, CAST(count(*) AS BIGINT) AS tf
-  FROM (SELECT doc_id, unnest(string_split(coalesce(text, ''), ' ')) AS word
-        FROM documents)
-  GROUP BY 1, 2
-),
-r AS (
-  SELECT doc_id, word,
-         row_number() OVER (PARTITION BY doc_id ORDER BY tf DESC, word) AS rn
-  FROM tf
-),
-k AS MATERIALIZED (
-  SELECT doc_id,
-         max(CASE WHEN rn = 1 THEN word END) || '|'
-           || coalesce(max(CASE WHEN rn = 2 THEN word END), '') AS block
-  FROM r WHERE rn <= 2 GROUP BY doc_id
-),
-cand AS MATERIALIZED (
-  SELECT a.doc_id AS l, b.doc_id AS r
-  FROM k a JOIN k b ON a.block = b.block AND a.doc_id < b.doc_id
-),
-inter AS (
-  SELECT c.l, c.r, sum(least(ta.tf, tb.tf)) AS iw
-  FROM cand c
-  JOIN tf ta ON ta.doc_id = c.l
-  JOIN tf tb ON tb.doc_id = c.r AND tb.word = ta.word
-  GROUP BY 1, 2
-),
-tot AS (SELECT doc_id, sum(tf) AS s FROM tf GROUP BY 1)
-SELECT c.l AS "left", c.r AS "right",
-       CAST(coalesce(i.iw, 0) AS BIGINT) AS inter_w,
-       CAST(tl.s + tr.s - coalesce(i.iw, 0) AS BIGINT) AS union_w
-FROM cand c
-LEFT JOIN inter i ON i.l = c.l AND i.r = c.r
-JOIN tot tl ON tl.doc_id = c.l
-JOIN tot tr ON tr.doc_id = c.r
-WHERE {WJ_MIN_DEN} * coalesce(i.iw, 0) >= {WJ_MIN_NUM} * (tl.s + tr.s - coalesce(i.iw, 0))
-ORDER BY 1, 2
-"""
-
-QUERIES25["doc_weighted_jaccard"] = q_doc_weighted_jaccard
-ORACLES25["doc_weighted_jaccard"] = SQL_DOC_WEIGHTED_JACCARD

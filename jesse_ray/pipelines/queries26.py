@@ -16,8 +16,7 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 
-QUERIES26: dict = {}
-ORACLES26: dict = {}
+from jesse_ray.pipelines.queries import entry
 
 
 def _collect(ds) -> pa.Table:
@@ -25,23 +24,6 @@ def _collect(ds) -> pa.Table:
 
 
 N_GIF = 40
-
-
-def q_media_gif_real(sf_dir: str) -> pd.DataFrame:
-    """REAL GIF87a decode in an actor pool: formula pixels → GIF bytes
-    (LZW, images sized so the 9→10-bit widening fires) → real decode →
-    palette-mapped exact int64 channel sums."""
-    import ray.data
-
-    from jesse_ray.functions.multimodal import (
-        gif_channel_sums,
-        make_synthetic_gif_table,
-    )
-
-    ds = ray.data.from_arrow(make_synthetic_gif_table(N_GIF))
-    out = _collect(gif_channel_sums(ds)).to_pandas()
-    out = out.sort_values("media_id").reset_index(drop=True)
-    return out.astype({"width": "int64", "height": "int64"})
 
 
 SQL_MEDIA_GIF_REAL = f"""
@@ -70,5 +52,21 @@ SELECT printf('gif-%06d', i) AS media_id,
 FROM px GROUP BY i, w, h ORDER BY media_id
 """
 
-QUERIES26["media_gif_real"] = q_media_gif_real
-ORACLES26["media_gif_real"] = SQL_MEDIA_GIF_REAL
+
+@entry("media_gif_real", sql=SQL_MEDIA_GIF_REAL)
+def q_media_gif_real(sf_dir: str) -> pd.DataFrame:
+    """REAL GIF87a decode in an actor pool: formula pixels → GIF bytes
+    (LZW, images sized so the 9→10-bit widening fires) → real decode →
+    palette-mapped exact int64 channel sums."""
+    import ray.data
+
+    from jesse_ray.functions.multimodal import (
+        gif_channel_sums,
+        make_synthetic_gif_table,
+    )
+
+    ds = ray.data.from_arrow(make_synthetic_gif_table(N_GIF))
+    out = _collect(gif_channel_sums(ds)).to_pandas()
+    out = out.sort_values("media_id").reset_index(drop=True)
+    return out.astype({"width": "int64", "height": "int64"})
+

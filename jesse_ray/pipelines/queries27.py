@@ -14,8 +14,7 @@ import pyarrow.compute as pc
 
 from jesse_ray.sources import read_table
 
-QUERIES27: dict = {}
-ORACLES27: dict = {}
+from jesse_ray.pipelines.queries import entry
 
 
 def _collect(ds) -> pa.Table:
@@ -36,6 +35,38 @@ MMD_LABELS = (0, 1)
 MMD_SCALE = 10_000
 
 
+SQL_EMB_MMD_QUADRATIC = f"""
+WITH e AS (
+  SELECT vec_id, label, embedding FROM embeddings
+  WHERE label IN ({MMD_LABELS[0]}, {MMD_LABELS[1]})
+),
+u AS MATERIALIZED (
+  SELECT vec_id, label, i,
+         CAST(round(CAST(embedding[i] AS DOUBLE) * {MMD_SCALE}) AS BIGINT) AS v
+  FROM (SELECT vec_id, label, embedding,
+               unnest(generate_series(1, len(embedding))) AS i FROM e)
+),
+s AS MATERIALIZED (
+  SELECT a.label, a.i, b.i AS j, sum(CAST(a.v AS HUGEINT) * b.v) AS m
+  FROM u a JOIN u b ON a.vec_id = b.vec_id
+  GROUP BY 1, 2, 3
+),
+n AS (SELECT label, CAST(count(*) AS HUGEINT) AS c FROM e GROUP BY 1),
+d AS (
+  SELECT sa.i, sa.j,
+         (SELECT c FROM n WHERE label = {MMD_LABELS[1]}) * sa.m
+           - (SELECT c FROM n WHERE label = {MMD_LABELS[0]}) * sb.m AS diff
+  FROM (SELECT * FROM s WHERE label = {MMD_LABELS[0]}) sa
+  JOIN (SELECT * FROM s WHERE label = {MMD_LABELS[1]}) sb USING (i, j)
+)
+SELECT (SELECT CAST(c AS BIGINT) FROM n WHERE label = {MMD_LABELS[0]}) AS n_a,
+       (SELECT CAST(c AS BIGINT) FROM n WHERE label = {MMD_LABELS[1]}) AS n_b,
+       CAST(sum(diff * diff) AS DOUBLE) AS mmd_stat
+FROM d
+"""
+
+
+@entry("emb_mmd_quadratic", sql=SQL_EMB_MMD_QUADRATIC)
 def q_emb_mmd_quadratic(sf_dir: str) -> pd.DataFrame:
     """Per-batch int64 moment partials S = Σ v·vᵀ per label (dim² cells,
     32 KB at dim=64) merged on the driver; the cross-group statistic is
@@ -96,40 +127,6 @@ def q_emb_mmd_quadratic(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_EMB_MMD_QUADRATIC = f"""
-WITH e AS (
-  SELECT vec_id, label, embedding FROM embeddings
-  WHERE label IN ({MMD_LABELS[0]}, {MMD_LABELS[1]})
-),
-u AS MATERIALIZED (
-  SELECT vec_id, label, i,
-         CAST(round(CAST(embedding[i] AS DOUBLE) * {MMD_SCALE}) AS BIGINT) AS v
-  FROM (SELECT vec_id, label, embedding,
-               unnest(generate_series(1, len(embedding))) AS i FROM e)
-),
-s AS MATERIALIZED (
-  SELECT a.label, a.i, b.i AS j, sum(CAST(a.v AS HUGEINT) * b.v) AS m
-  FROM u a JOIN u b ON a.vec_id = b.vec_id
-  GROUP BY 1, 2, 3
-),
-n AS (SELECT label, CAST(count(*) AS HUGEINT) AS c FROM e GROUP BY 1),
-d AS (
-  SELECT sa.i, sa.j,
-         (SELECT c FROM n WHERE label = {MMD_LABELS[1]}) * sa.m
-           - (SELECT c FROM n WHERE label = {MMD_LABELS[0]}) * sb.m AS diff
-  FROM (SELECT * FROM s WHERE label = {MMD_LABELS[0]}) sa
-  JOIN (SELECT * FROM s WHERE label = {MMD_LABELS[1]}) sb USING (i, j)
-)
-SELECT (SELECT CAST(c AS BIGINT) FROM n WHERE label = {MMD_LABELS[0]}) AS n_a,
-       (SELECT CAST(c AS BIGINT) FROM n WHERE label = {MMD_LABELS[1]}) AS n_b,
-       CAST(sum(diff * diff) AS DOUBLE) AS mmd_stat
-FROM d
-"""
-
-QUERIES27["emb_mmd_quadratic"] = q_emb_mmd_quadratic
-ORACLES27["emb_mmd_quadratic"] = SQL_EMB_MMD_QUADRATIC
-
-
 # ---------------------------------------------------------------------------
 # events_interval_coverage — per-type union of [ts, ts + 5 min)
 # intervals: total covered microseconds and island count (the
@@ -138,6 +135,31 @@ ORACLES27["emb_mmd_quadratic"] = SQL_EMB_MMD_QUADRATIC
 COV_WIN_S = 300
 
 
+SQL_EVENTS_INTERVAL_COVERAGE = f"""
+WITH o AS (
+  SELECT event_type, epoch_us(ts) AS s, epoch_us(ts) + {COV_WIN_S * 1_000_000} AS e,
+         max(epoch_us(ts) + {COV_WIN_S * 1_000_000})
+           OVER (PARTITION BY event_type ORDER BY ts
+                 ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) AS pmax
+  FROM events
+),
+m AS (
+  SELECT event_type, s, e,
+         SUM(CASE WHEN pmax IS NULL OR s > pmax THEN 1 ELSE 0 END)
+           OVER (PARTITION BY event_type ORDER BY s
+                 ROWS UNBOUNDED PRECEDING) AS isl
+  FROM o
+)
+SELECT event_type,
+       CAST(sum(cov) AS BIGINT) AS covered_us,
+       CAST(count(*) AS BIGINT) AS n_islands
+FROM (SELECT event_type, isl, max(e) - min(s) AS cov
+      FROM m GROUP BY 1, 2)
+GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("events_interval_coverage", sql=SQL_EVENTS_INTERVAL_COVERAGE)
 def q_events_interval_coverage(sf_dir: str) -> pd.DataFrame:
     """Coarse type-hash shuffle, per-part mergesort by (type, ts), then
     ONE vectorized island pass: running cummax of interval ends, island
@@ -181,29 +203,3 @@ def q_events_interval_coverage(sf_dir: str) -> pd.DataFrame:
     out["n_islands"] = out["n_islands"].astype("int64")
     return out.sort_values("event_type").reset_index(drop=True)
 
-
-SQL_EVENTS_INTERVAL_COVERAGE = f"""
-WITH o AS (
-  SELECT event_type, epoch_us(ts) AS s, epoch_us(ts) + {COV_WIN_S * 1_000_000} AS e,
-         max(epoch_us(ts) + {COV_WIN_S * 1_000_000})
-           OVER (PARTITION BY event_type ORDER BY ts
-                 ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) AS pmax
-  FROM events
-),
-m AS (
-  SELECT event_type, s, e,
-         SUM(CASE WHEN pmax IS NULL OR s > pmax THEN 1 ELSE 0 END)
-           OVER (PARTITION BY event_type ORDER BY s
-                 ROWS UNBOUNDED PRECEDING) AS isl
-  FROM o
-)
-SELECT event_type,
-       CAST(sum(cov) AS BIGINT) AS covered_us,
-       CAST(count(*) AS BIGINT) AS n_islands
-FROM (SELECT event_type, isl, max(e) - min(s) AS cov
-      FROM m GROUP BY 1, 2)
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES27["events_interval_coverage"] = q_events_interval_coverage
-ORACLES27["events_interval_coverage"] = SQL_EVENTS_INTERVAL_COVERAGE

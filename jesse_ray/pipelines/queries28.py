@@ -19,44 +19,11 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 
-QUERIES28: dict = {}
-ORACLES28: dict = {}
+from jesse_ray.pipelines.queries import entry
 
 
 def _collect(ds) -> pa.Table:
     return pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow")))
-
-
-def q_seq_infer_crossval(sf_dir: str) -> pd.DataFrame:
-    """infer_spec on sequences_clean → compile_spec → row_violations +
-    duplicate_keys over the dirty corpus (the real validation path,
-    whole-block fused batches); one tiny groupby of the violation
-    stream by (first path segment, error)."""
-    from jesse_ray import testgen
-    from jesse_ray.compiler import compile_spec
-    from jesse_ray.engine import duplicate_keys, row_violations
-    from jesse_ray.infer import infer_spec
-    from jesse_ray.sources import read_sequences
-
-    sf = testgen.sf_name_of(sf_dir)
-    testgen.generate(sf)
-    clean = str(testgen.corpus_dir(sf) / "sequences_clean.parquet")
-    dirty = str(testgen.corpus_dir(sf) / "sequences.parquet")
-
-    spec, _constraints = infer_spec(read_sequences(clean), key_column="doc_id")
-    compiled = compile_spec(spec)
-
-    v = _collect(row_violations(read_sequences(dirty), compiled)).to_pandas()
-    v["col"] = v["path"].apply(lambda p: str(p[0]) if len(p) else "")
-    counts = (v.groupby(["col", "error"], as_index=False).size()
-              .rename(columns={"size": "cnt"}))
-    n_dups = duplicate_keys(read_sequences(dirty), "doc_id").count()
-    counts = pd.concat([counts, pd.DataFrame(
-        {"col": ["doc_id"], "error": ["not_unique"], "cnt": [n_dups]})],
-        ignore_index=True)
-    counts = counts[counts["cnt"] > 0]
-    counts["cnt"] = counts["cnt"].astype("int64")
-    return counts.sort_values(["col", "error"]).reset_index(drop=True)
 
 
 def _crossval_sql() -> str:
@@ -104,5 +71,35 @@ SELECT col, error, cnt FROM v WHERE cnt > 0 ORDER BY col, error
 """
 
 
-QUERIES28["seq_infer_crossval"] = q_seq_infer_crossval
-ORACLES28["seq_infer_crossval"] = _crossval_sql()
+@entry("seq_infer_crossval", sql=_crossval_sql())
+def q_seq_infer_crossval(sf_dir: str) -> pd.DataFrame:
+    """infer_spec on sequences_clean → compile_spec → row_violations +
+    duplicate_keys over the dirty corpus (the real validation path,
+    whole-block fused batches); one tiny groupby of the violation
+    stream by (first path segment, error)."""
+    from jesse_ray import testgen
+    from jesse_ray.compiler import compile_spec
+    from jesse_ray.engine import duplicate_keys, row_violations
+    from jesse_ray.infer import infer_spec
+    from jesse_ray.sources import read_sequences
+
+    sf = testgen.sf_name_of(sf_dir)
+    testgen.generate(sf)
+    clean = str(testgen.corpus_dir(sf) / "sequences_clean.parquet")
+    dirty = str(testgen.corpus_dir(sf) / "sequences.parquet")
+
+    spec, _constraints = infer_spec(read_sequences(clean), key_column="doc_id")
+    compiled = compile_spec(spec)
+
+    v = _collect(row_violations(read_sequences(dirty), compiled)).to_pandas()
+    v["col"] = v["path"].apply(lambda p: str(p[0]) if len(p) else "")
+    counts = (v.groupby(["col", "error"], as_index=False).size()
+              .rename(columns={"size": "cnt"}))
+    n_dups = duplicate_keys(read_sequences(dirty), "doc_id").count()
+    counts = pd.concat([counts, pd.DataFrame(
+        {"col": ["doc_id"], "error": ["not_unique"], "cnt": [n_dups]})],
+        ignore_index=True)
+    counts = counts[counts["cnt"] > 0]
+    counts["cnt"] = counts["cnt"].astype("int64")
+    return counts.sort_values(["col", "error"]).reset_index(drop=True)
+

@@ -18,8 +18,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-QUERIES29: dict = {}
-ORACLES29: dict = {}
+from jesse_ray.pipelines.queries import entry
 
 
 def _collect(ds) -> pa.Table:
@@ -29,6 +28,34 @@ def _collect(ds) -> pa.Table:
 MERKLE_PARTS = 16
 
 
+def _merkle_sql() -> str:
+    from jesse_ray.pipelines.queries import SEQ_SQL
+
+    return f"""
+WITH r AS MATERIALIZED (
+  SELECT coalesce(
+           CASE WHEN doc_id IS NOT NULL AND starts_with(doc_id, 'doc-')
+                THEN TRY_CAST(doc_id[5:] AS BIGINT) % {MERKLE_PARTS} END,
+           -1) AS p,
+         md5(coalesce(doc_id, '\\N') || '|'
+             || coalesce(CAST(n_tok AS VARCHAR), '\\N') || '|'
+             || coalesce(source, '\\N') || '|'
+             || CASE WHEN tokens IS NULL THEN '\\N'
+                     ELSE array_to_string(tokens, ',') END) AS rh
+  FROM {SEQ_SQL}
+),
+pd AS MATERIALIZED (
+  SELECT p, md5(string_agg(rh, '' ORDER BY rh)) AS digest,
+         CAST(count(*) AS BIGINT) AS n_rows
+  FROM r GROUP BY p
+),
+root AS (SELECT md5(string_agg(digest, '' ORDER BY p)) AS v FROM pd)
+SELECT p AS partition, digest, n_rows, (SELECT v FROM root) AS root
+FROM pd ORDER BY partition
+"""
+
+
+@entry("seq_merkle_manifest", sql=_merkle_sql())
 def q_seq_merkle_manifest(sf_dir: str) -> pd.DataFrame:
     """Two-level integrity digest of the (dirty) sequences corpus.
 
@@ -84,33 +111,3 @@ def q_seq_merkle_manifest(sf_dir: str) -> pd.DataFrame:
     pdf["partition"] = pdf["partition"].astype("int64")
     return pdf
 
-
-def _merkle_sql() -> str:
-    from jesse_ray.pipelines.queries import SEQ_SQL
-
-    return f"""
-WITH r AS MATERIALIZED (
-  SELECT coalesce(
-           CASE WHEN doc_id IS NOT NULL AND starts_with(doc_id, 'doc-')
-                THEN TRY_CAST(doc_id[5:] AS BIGINT) % {MERKLE_PARTS} END,
-           -1) AS p,
-         md5(coalesce(doc_id, '\\N') || '|'
-             || coalesce(CAST(n_tok AS VARCHAR), '\\N') || '|'
-             || coalesce(source, '\\N') || '|'
-             || CASE WHEN tokens IS NULL THEN '\\N'
-                     ELSE array_to_string(tokens, ',') END) AS rh
-  FROM {SEQ_SQL}
-),
-pd AS MATERIALIZED (
-  SELECT p, md5(string_agg(rh, '' ORDER BY rh)) AS digest,
-         CAST(count(*) AS BIGINT) AS n_rows
-  FROM r GROUP BY p
-),
-root AS (SELECT md5(string_agg(digest, '' ORDER BY p)) AS v FROM pd)
-SELECT p AS partition, digest, n_rows, (SELECT v FROM root) AS root
-FROM pd ORDER BY partition
-"""
-
-
-QUERIES29["seq_merkle_manifest"] = q_seq_merkle_manifest
-ORACLES29["seq_merkle_manifest"] = _merkle_sql()

@@ -15,13 +15,10 @@ import pyarrow.compute as pc
 from jesse_ray.hashutil import fmix64
 from jesse_ray.sources import read_sequences, read_table
 
-# shared helpers / constants from wave 1 (lazy wiring in .queries keeps
-# this import acyclic at module-load time, same as queries2)
-from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path
+# the registry and shared helpers / constants (.queries never imports
+# this module when it loads; its queries() imports every catalog module).
+from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, entry
 from jesse_ray.rounding import round_half_away
-
-QUERIES3: dict = {}
-ORACLES3: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +40,20 @@ def _skyline_mask(price: np.ndarray, size: np.ndarray) -> np.ndarray:
     return keep
 
 
+SQL_PART_SKYLINE = """
+SELECT p.p_partkey, CAST(p.p_size AS BIGINT) AS p_size,
+       round(p.p_retailprice, 2) AS price
+FROM part p
+WHERE NOT EXISTS (
+  SELECT 1 FROM part q
+  WHERE q.p_retailprice <= p.p_retailprice AND q.p_size >= p.p_size
+    AND (q.p_retailprice < p.p_retailprice OR q.p_size > p.p_size)
+)
+ORDER BY p.p_partkey
+"""
+
+
+@entry("part_skyline", sql=SQL_PART_SKYLINE)
 def q_part_skyline(sf_dir: str) -> pd.DataFrame:
     """Distributed skyline query (Börzsönyi et al., ICDE 2001): parts
     not dominated on (p_retailprice minimize, p_size maximize).  Scale
@@ -80,26 +91,22 @@ def q_part_skyline(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("p_partkey").reset_index(drop=True)
 
 
-SQL_PART_SKYLINE = """
-SELECT p.p_partkey, CAST(p.p_size AS BIGINT) AS p_size,
-       round(p.p_retailprice, 2) AS price
-FROM part p
-WHERE NOT EXISTS (
-  SELECT 1 FROM part q
-  WHERE q.p_retailprice <= p.p_retailprice AND q.p_size >= p.p_size
-    AND (q.p_retailprice < p.p_retailprice OR q.p_size > p.p_size)
-)
-ORDER BY p.p_partkey
-"""
-
-QUERIES3["part_skyline"] = q_part_skyline
-ORACLES3["part_skyline"] = SQL_PART_SKYLINE
-
-
 # ---------------------------------------------------------------------------
 # lineitem_cube — GROUP BY CUBE (all four grouping sets)
 
 
+SQL_LINEITEM_CUBE = """
+SELECT l_returnflag, l_linestatus,
+       CAST(count(*) AS BIGINT) AS n,
+       CAST(sum(l_quantity) AS BIGINT) AS sum_qty,
+       round(sum(l_extendedprice * (1 - l_discount)), 2) AS revenue
+FROM lineitem
+GROUP BY CUBE (l_returnflag, l_linestatus)
+ORDER BY l_returnflag NULLS LAST, l_linestatus NULLS LAST
+"""
+
+
+@entry("lineitem_cube", sql=SQL_LINEITEM_CUBE)
 def q_lineitem_cube(sf_dir: str) -> pd.DataFrame:
     """GROUP BY CUBE parity over (l_returnflag, l_linestatus): the four
     grouping sets — leaf, per-flag, per-status, grand total — each a
@@ -149,20 +156,6 @@ def q_lineitem_cube(sf_dir: str) -> pd.DataFrame:
                            na_position="last").reset_index(drop=True)
 
 
-SQL_LINEITEM_CUBE = """
-SELECT l_returnflag, l_linestatus,
-       CAST(count(*) AS BIGINT) AS n,
-       CAST(sum(l_quantity) AS BIGINT) AS sum_qty,
-       round(sum(l_extendedprice * (1 - l_discount)), 2) AS revenue
-FROM lineitem
-GROUP BY CUBE (l_returnflag, l_linestatus)
-ORDER BY l_returnflag NULLS LAST, l_linestatus NULLS LAST
-"""
-
-QUERIES3["lineitem_cube"] = q_lineitem_cube
-ORACLES3["lineitem_cube"] = SQL_LINEITEM_CUBE
-
-
 # ---------------------------------------------------------------------------
 # seq_kmv_distinct — KMV (k-minimum-values) distinct-token sketch
 
@@ -186,6 +179,28 @@ def _sql_xsh(e: str) -> str:
     return f"xor({e}, {e} >> 33)"
 
 
+def _kmv_sql() -> str:
+    return f"""
+WITH tok AS (
+  SELECT DISTINCT unnest(tokens) AS t FROM {SEQ_SQL}
+),
+h0 AS (
+  SELECT CAST(((CAST(t AS HUGEINT) % {_M64}) + {_M64}) % {_M64} AS UBIGINT) AS h
+  FROM tok
+),
+h1 AS (SELECT {_sql_mul(_sql_xsh('h'), _C1)} AS h FROM h0),
+h2 AS (SELECT {_sql_mul(_sql_xsh('h'), _C2)} AS h FROM h1),
+h3 AS (SELECT {_sql_xsh('h')} AS h FROM h2),
+bk AS (SELECT h FROM h3 ORDER BY h LIMIT {KMV_K}),
+a AS (SELECT CAST(count(*) AS BIGINT) AS k, max(h) AS hk FROM bk)
+SELECT k,
+       round((k - 1) * 18446744073709551616.0 / CAST(hk AS DOUBLE), 4)
+         AS est_distinct
+FROM a
+"""
+
+
+@entry("seq_kmv_distinct", sql=_kmv_sql())
 def q_seq_kmv_distinct(sf_dir: str) -> pd.DataFrame:
     """KMV / bottom-k distinct sketch (Bar-Yossef et al. 2002) over the
     corpus token vocabulary: hash every distinct token value with
@@ -221,58 +236,10 @@ def q_seq_kmv_distinct(sf_dir: str) -> pd.DataFrame:
                          "est_distinct": [round_half_away(est, 4)]})
 
 
-def _kmv_sql() -> str:
-    return f"""
-WITH tok AS (
-  SELECT DISTINCT unnest(tokens) AS t FROM {SEQ_SQL}
-),
-h0 AS (
-  SELECT CAST(((CAST(t AS HUGEINT) % {_M64}) + {_M64}) % {_M64} AS UBIGINT) AS h
-  FROM tok
-),
-h1 AS (SELECT {_sql_mul(_sql_xsh('h'), _C1)} AS h FROM h0),
-h2 AS (SELECT {_sql_mul(_sql_xsh('h'), _C2)} AS h FROM h1),
-h3 AS (SELECT {_sql_xsh('h')} AS h FROM h2),
-bk AS (SELECT h FROM h3 ORDER BY h LIMIT {KMV_K}),
-a AS (SELECT CAST(count(*) AS BIGINT) AS k, max(h) AS hk FROM bk)
-SELECT k,
-       round((k - 1) * 18446744073709551616.0 / CAST(hk AS DOUBLE), 4)
-         AS est_distinct
-FROM a
-"""
-
-
-QUERIES3["seq_kmv_distinct"] = q_seq_kmv_distinct
-ORACLES3["seq_kmv_distinct"] = _kmv_sql()
-
-
 # ---------------------------------------------------------------------------
 # events_quantile_cont — exact interpolated (type-7) per-group percentiles
 
 QC_QS = (0.25, 0.5, 0.75, 0.9)
-
-
-def q_events_quantile_cont(sf_dir: str) -> pd.DataFrame:
-    """Exact linearly-interpolated percentiles of event value per
-    event_type — the continuous (type-7) twin of the discrete grouped
-    quantiles in `relational.grouped_quantiles`.  Both engines evaluate
-    the SAME formula ``x[i] + g*(x[i+1]-x[i])`` with ``i+g = q*(n-1)``
-    (numpy's _lerp branches differ in the last bit, so the lerp is done
-    explicitly), making results bit-identical before rounding.  Scale
-    shape: the bounded (event_type × distinct-value) count grid
-    (relational.grouped_quantile_grid) — the two order statistics
-    around each target rank come from searchsorted over cumulative
-    counts, so no task ever sorts a whole group; the unbounded-domain
-    scale path is the t-digest sketch (`sketches.py`)."""
-    ds = read_table(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
-    from jesse_ray.pipelines.relational import grouped_quantile_grid
-
-    rows = [
-        (et, q, round_half_away(val, 6))
-        for et, q, val in grouped_quantile_grid(ds, "event_type", "value", QC_QS)
-    ]
-    return (pd.DataFrame(rows, columns=["event_type", "q", "val"])
-            .sort_values(["event_type", "q"]).reset_index(drop=True))
 
 
 SQL_EVENTS_QUANTILE_CONT = f"""
@@ -303,8 +270,29 @@ FROM lo JOIN hi ON hi.event_type = lo.event_type AND hi.q = lo.q
 ORDER BY lo.event_type, lo.q
 """
 
-QUERIES3["events_quantile_cont"] = q_events_quantile_cont
-ORACLES3["events_quantile_cont"] = SQL_EVENTS_QUANTILE_CONT
+
+@entry("events_quantile_cont", sql=SQL_EVENTS_QUANTILE_CONT)
+def q_events_quantile_cont(sf_dir: str) -> pd.DataFrame:
+    """Exact linearly-interpolated percentiles of event value per
+    event_type — the continuous (type-7) twin of the discrete grouped
+    quantiles in `relational.grouped_quantiles`.  Both engines evaluate
+    the SAME formula ``x[i] + g*(x[i+1]-x[i])`` with ``i+g = q*(n-1)``
+    (numpy's _lerp branches differ in the last bit, so the lerp is done
+    explicitly), making results bit-identical before rounding.  Scale
+    shape: the bounded (event_type × distinct-value) count grid
+    (relational.grouped_quantile_grid) — the two order statistics
+    around each target rank come from searchsorted over cumulative
+    counts, so no task ever sorts a whole group; the unbounded-domain
+    scale path is the t-digest sketch (`sketches.py`)."""
+    ds = read_table(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
+    from jesse_ray.pipelines.relational import grouped_quantile_grid
+
+    rows = [
+        (et, q, round_half_away(val, 6))
+        for et, q, val in grouped_quantile_grid(ds, "event_type", "value", QC_QS)
+    ]
+    return (pd.DataFrame(rows, columns=["event_type", "q", "val"])
+            .sort_values(["event_type", "q"]).reset_index(drop=True))
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +301,33 @@ ORACLES3["events_quantile_cont"] = SQL_EVENTS_QUANTILE_CONT
 SNM_KEYLEN, SNM_BLKLEN, SNM_WINDOW, SNM_MAXDIST = 24, 6, 2, 2
 
 
+SQL_DOC_SORTED_NEIGHBORHOOD = f"""
+WITH k AS (
+  SELECT doc_id,
+         substr(regexp_replace(lower(COALESCE(text, '')), '[^a-z0-9]', '', 'g'),
+                1, {SNM_KEYLEN}) AS key
+  FROM documents
+),
+b AS (SELECT doc_id, key, substr(key, 1, {SNM_BLKLEN}) AS blk FROM k),
+w AS (
+  SELECT doc_id, key,
+         lead(doc_id, 1) OVER win AS d1, lead(key, 1) OVER win AS k1,
+         lead(doc_id, 2) OVER win AS d2, lead(key, 2) OVER win AS k2
+  FROM b WINDOW win AS (PARTITION BY blk ORDER BY key, doc_id)
+),
+p AS (
+  SELECT doc_id AS doc_a, d1 AS doc_b, levenshtein(key, k1) AS dist
+  FROM w WHERE d1 IS NOT NULL
+  UNION ALL
+  SELECT doc_id, d2, levenshtein(key, k2) FROM w WHERE d2 IS NOT NULL
+)
+SELECT doc_a, doc_b, CAST(dist AS BIGINT) AS dist
+FROM p WHERE dist <= {SNM_MAXDIST}
+ORDER BY doc_a, doc_b
+"""
+
+
+@entry("doc_sorted_neighborhood", sql=SQL_DOC_SORTED_NEIGHBORHOOD)
 def q_doc_sorted_neighborhood(sf_dir: str) -> pd.DataFrame:
     """Sorted-neighborhood dedup (Hernández & Stolfo, SIGMOD 1995):
     normalize each document to a sort key (lower-alnum-squeezed 24-char
@@ -362,41 +377,36 @@ def q_doc_sorted_neighborhood(sf_dir: str) -> pd.DataFrame:
     return df.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
-SQL_DOC_SORTED_NEIGHBORHOOD = f"""
-WITH k AS (
-  SELECT doc_id,
-         substr(regexp_replace(lower(COALESCE(text, '')), '[^a-z0-9]', '', 'g'),
-                1, {SNM_KEYLEN}) AS key
-  FROM documents
-),
-b AS (SELECT doc_id, key, substr(key, 1, {SNM_BLKLEN}) AS blk FROM k),
-w AS (
-  SELECT doc_id, key,
-         lead(doc_id, 1) OVER win AS d1, lead(key, 1) OVER win AS k1,
-         lead(doc_id, 2) OVER win AS d2, lead(key, 2) OVER win AS k2
-  FROM b WINDOW win AS (PARTITION BY blk ORDER BY key, doc_id)
-),
-p AS (
-  SELECT doc_id AS doc_a, d1 AS doc_b, levenshtein(key, k1) AS dist
-  FROM w WHERE d1 IS NOT NULL
-  UNION ALL
-  SELECT doc_id, d2, levenshtein(key, k2) FROM w WHERE d2 IS NOT NULL
-)
-SELECT doc_a, doc_b, CAST(dist AS BIGINT) AS dist
-FROM p WHERE dist <= {SNM_MAXDIST}
-ORDER BY doc_a, doc_b
-"""
-
-QUERIES3["doc_sorted_neighborhood"] = q_doc_sorted_neighborhood
-ORACLES3["doc_sorted_neighborhood"] = SQL_DOC_SORTED_NEIGHBORHOOD
-
-
 # ---------------------------------------------------------------------------
 # seq_zonemap_plan — zone-map (min/max) pruning planner for a sorted layout
 
 ZM_ZONE, ZM_LO, ZM_HI = 2048, 100, 140
 
 
+SQL_SEQ_ZONEMAP_PLAN = f"""
+WITH r AS (
+  SELECT n_tok,
+         CAST(floor((row_number() OVER (ORDER BY n_tok) - 1) / {ZM_ZONE})
+              AS BIGINT) AS z
+  FROM {SEQ_SQL}
+),
+zs AS (SELECT z, min(n_tok) AS mn, max(n_tok) AS mx FROM r GROUP BY z),
+agg AS (
+  SELECT CAST(count(*) AS BIGINT) AS zones_total,
+         CAST(sum(CASE WHEN mx < {ZM_LO} OR mn > {ZM_HI} THEN 1 ELSE 0 END)
+              AS BIGINT) AS zones_pruned
+  FROM zs
+),
+m AS (
+  SELECT CAST(count(*) AS BIGINT) AS rows_matched,
+         CAST(COALESCE(sum(n_tok), 0) AS BIGINT) AS sum_ntok_matched
+  FROM {SEQ_SQL} WHERE n_tok BETWEEN {ZM_LO} AND {ZM_HI}
+)
+SELECT * FROM agg, m
+"""
+
+
+@entry("seq_zonemap_plan", sql=SQL_SEQ_ZONEMAP_PLAN)
 def q_seq_zonemap_plan(sf_dir: str) -> pd.DataFrame:
     """Zone-map pruning planner: if the corpus were laid out sorted by
     ``n_tok`` in fixed {ZM_ZONE}-row zones (parquet row groups), how
@@ -440,38 +450,55 @@ def q_seq_zonemap_plan(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_SEQ_ZONEMAP_PLAN = f"""
-WITH r AS (
-  SELECT n_tok,
-         CAST(floor((row_number() OVER (ORDER BY n_tok) - 1) / {ZM_ZONE})
-              AS BIGINT) AS z
-  FROM {SEQ_SQL}
-),
-zs AS (SELECT z, min(n_tok) AS mn, max(n_tok) AS mx FROM r GROUP BY z),
-agg AS (
-  SELECT CAST(count(*) AS BIGINT) AS zones_total,
-         CAST(sum(CASE WHEN mx < {ZM_LO} OR mn > {ZM_HI} THEN 1 ELSE 0 END)
-              AS BIGINT) AS zones_pruned
-  FROM zs
-),
-m AS (
-  SELECT CAST(count(*) AS BIGINT) AS rows_matched,
-         CAST(COALESCE(sum(n_tok), 0) AS BIGINT) AS sum_ntok_matched
-  FROM {SEQ_SQL} WHERE n_tok BETWEEN {ZM_LO} AND {ZM_HI}
-)
-SELECT * FROM agg, m
-"""
-
-QUERIES3["seq_zonemap_plan"] = q_seq_zonemap_plan
-ORACLES3["seq_zonemap_plan"] = SQL_SEQ_ZONEMAP_PLAN
-
-
 # ---------------------------------------------------------------------------
 # events_theta_intersect — theta-sketch set intersection across event types
 
 THETA_K = 64
 
 
+def _theta_sql() -> str:
+    return f"""
+WITH du AS (SELECT DISTINCT event_type, user_id FROM events),
+h0 AS (
+  SELECT event_type,
+         CAST(((CAST(user_id AS HUGEINT) % {_M64}) + {_M64}) % {_M64}
+              AS UBIGINT) AS h
+  FROM du
+),
+h1 AS (SELECT event_type, {_sql_mul(_sql_xsh('h'), _C1)} AS h FROM h0),
+h2 AS (SELECT event_type, {_sql_mul(_sql_xsh('h'), _C2)} AS h FROM h1),
+h3 AS (SELECT event_type, {_sql_xsh('h')} AS h FROM h2),
+rk AS (
+  SELECT event_type, h,
+         row_number() OVER (PARTITION BY event_type ORDER BY h) AS rn
+  FROM h3
+),
+sk AS (SELECT event_type, h FROM rk WHERE rn <= {THETA_K}),
+th AS (SELECT event_type, max(h) AS theta FROM sk GROUP BY event_type),
+pr AS (
+  SELECT a.event_type AS type_a, b.event_type AS type_b,
+         least(a.theta, b.theta) AS theta
+  FROM th a JOIN th b ON a.event_type < b.event_type
+),
+cm AS (
+  SELECT pr.type_a, pr.type_b, pr.theta,
+         CAST(count(*) AS BIGINT) AS common
+  FROM pr
+  LEFT JOIN sk sa ON sa.event_type = pr.type_a
+  JOIN sk sb ON sb.event_type = pr.type_b AND sb.h = sa.h
+  WHERE CAST(sa.h AS DOUBLE) <= CAST(pr.theta AS DOUBLE)
+  GROUP BY 1, 2, 3
+)
+SELECT pr.type_a, pr.type_b,
+       COALESCE(cm.common, 0) AS common,
+       round(COALESCE(cm.common, 0) * 18446744073709551616.0
+             / CAST(pr.theta AS DOUBLE), 2) AS est_inter
+FROM pr LEFT JOIN cm ON cm.type_a = pr.type_a AND cm.type_b = pr.type_b
+ORDER BY pr.type_a, pr.type_b
+"""
+
+
+@entry("events_theta_intersect", sql=_theta_sql())
 def q_events_theta_intersect(sf_dir: str) -> pd.DataFrame:
     """Theta-sketch set intersection (Dasgupta et al., KMV/theta
     framework): per event type keep the bottom-{THETA_K} fmix64 hashes
@@ -517,77 +544,10 @@ def q_events_theta_intersect(sf_dir: str) -> pd.DataFrame:
         .sort_values(["type_a", "type_b"]).reset_index(drop=True)
 
 
-def _theta_sql() -> str:
-    return f"""
-WITH du AS (SELECT DISTINCT event_type, user_id FROM events),
-h0 AS (
-  SELECT event_type,
-         CAST(((CAST(user_id AS HUGEINT) % {_M64}) + {_M64}) % {_M64}
-              AS UBIGINT) AS h
-  FROM du
-),
-h1 AS (SELECT event_type, {_sql_mul(_sql_xsh('h'), _C1)} AS h FROM h0),
-h2 AS (SELECT event_type, {_sql_mul(_sql_xsh('h'), _C2)} AS h FROM h1),
-h3 AS (SELECT event_type, {_sql_xsh('h')} AS h FROM h2),
-rk AS (
-  SELECT event_type, h,
-         row_number() OVER (PARTITION BY event_type ORDER BY h) AS rn
-  FROM h3
-),
-sk AS (SELECT event_type, h FROM rk WHERE rn <= {THETA_K}),
-th AS (SELECT event_type, max(h) AS theta FROM sk GROUP BY event_type),
-pr AS (
-  SELECT a.event_type AS type_a, b.event_type AS type_b,
-         least(a.theta, b.theta) AS theta
-  FROM th a JOIN th b ON a.event_type < b.event_type
-),
-cm AS (
-  SELECT pr.type_a, pr.type_b, pr.theta,
-         CAST(count(*) AS BIGINT) AS common
-  FROM pr
-  LEFT JOIN sk sa ON sa.event_type = pr.type_a
-  JOIN sk sb ON sb.event_type = pr.type_b AND sb.h = sa.h
-  WHERE CAST(sa.h AS DOUBLE) <= CAST(pr.theta AS DOUBLE)
-  GROUP BY 1, 2, 3
-)
-SELECT pr.type_a, pr.type_b,
-       COALESCE(cm.common, 0) AS common,
-       round(COALESCE(cm.common, 0) * 18446744073709551616.0
-             / CAST(pr.theta AS DOUBLE), 2) AS est_inter
-FROM pr LEFT JOIN cm ON cm.type_a = pr.type_a AND cm.type_b = pr.type_b
-ORDER BY pr.type_a, pr.type_b
-"""
-
-
-QUERIES3["events_theta_intersect"] = q_events_theta_intersect
-ORACLES3["events_theta_intersect"] = _theta_sql()
-
-
 # ---------------------------------------------------------------------------
 # seq_dup_gram_coverage — duplicated-n-gram token coverage (Lee et al. 2022)
 
 DGC_K = 8
-
-
-def q_seq_dup_gram_coverage(sf_dir: str) -> pd.DataFrame:
-    """What fraction of corpus tokens sit inside a duplicated
-    {DGC_K}-token gram (>= 2 occurrences corpus-wide)?  The headline
-    diagnostic from Lee et al. (ACL 2022) that motivates ExactSubstr
-    dedup.  Distributed shape in
-    `functions/dedup.py token_dup_gram_coverage`: rows collapse to
-    distinct-content rowkeys with multiplicities, windows shuffle once
-    by gram hash, dup starts shuffle once by rowkey, interval unions
-    are computed per part — integer partials only, nothing corpus-sized
-    on the driver."""
-    from jesse_ray.functions.dedup import token_dup_gram_coverage
-
-    ds = read_sequences(_seq_path(sf_dir), columns=["tokens"])
-    total, covered = token_dup_gram_coverage(ds, k=DGC_K)
-    return pd.DataFrame({
-        "total_tokens": pd.array([total], dtype="int64"),
-        "covered_tokens": pd.array([covered], dtype="int64"),
-        "frac": [round_half_away(covered / total, 6) if total else 0.0],
-    })
 
 
 SQL_SEQ_DUP_GRAM_COVERAGE = f"""
@@ -622,14 +582,53 @@ SELECT tot.total_tokens, cv.covered_tokens,
 FROM tot, cv
 """
 
-QUERIES3["seq_dup_gram_coverage"] = q_seq_dup_gram_coverage
-ORACLES3["seq_dup_gram_coverage"] = SQL_SEQ_DUP_GRAM_COVERAGE
+
+@entry("seq_dup_gram_coverage", sql=SQL_SEQ_DUP_GRAM_COVERAGE)
+def q_seq_dup_gram_coverage(sf_dir: str) -> pd.DataFrame:
+    """What fraction of corpus tokens sit inside a duplicated
+    {DGC_K}-token gram (>= 2 occurrences corpus-wide)?  The headline
+    diagnostic from Lee et al. (ACL 2022) that motivates ExactSubstr
+    dedup.  Distributed shape in
+    `functions/dedup.py token_dup_gram_coverage`: rows collapse to
+    distinct-content rowkeys with multiplicities, windows shuffle once
+    by gram hash, dup starts shuffle once by rowkey, interval unions
+    are computed per part — integer partials only, nothing corpus-sized
+    on the driver."""
+    from jesse_ray.functions.dedup import token_dup_gram_coverage
+
+    ds = read_sequences(_seq_path(sf_dir), columns=["tokens"])
+    total, covered = token_dup_gram_coverage(ds, k=DGC_K)
+    return pd.DataFrame({
+        "total_tokens": pd.array([total], dtype="int64"),
+        "covered_tokens": pd.array([covered], dtype="int64"),
+        "frac": [round_half_away(covered / total, 6) if total else 0.0],
+    })
 
 
 # ---------------------------------------------------------------------------
 # seq_cross_source_dup_matrix — which sources duplicate into which
 
 
+SQL_SEQ_CROSS_SOURCE_DUP_MATRIX = f"""
+WITH c AS (
+  SELECT tokens, source, CAST(count(*) AS BIGINT) AS cnt
+  FROM {SEQ_SQL} WHERE tokens IS NOT NULL GROUP BY 1, 2
+),
+x AS (
+  SELECT a.source AS source_a, b.source AS source_b,
+         CAST(sum(a.cnt * b.cnt) AS BIGINT) AS n_pairs
+  FROM c a JOIN c b ON a.tokens = b.tokens AND a.source < b.source
+  GROUP BY 1, 2
+  UNION ALL
+  SELECT source, source, CAST(sum(cnt * (cnt - 1) // 2) AS BIGINT)
+  FROM c GROUP BY source
+  HAVING sum(cnt * (cnt - 1) // 2) > 0
+)
+SELECT source_a, source_b, n_pairs FROM x ORDER BY source_a, source_b
+"""
+
+
+@entry("seq_cross_source_dup_matrix", sql=SQL_SEQ_CROSS_SOURCE_DUP_MATRIX)
 def q_seq_cross_source_dup_matrix(sf_dir: str) -> pd.DataFrame:
     """Curation diagnostic: the (source x source) matrix of exact
     duplicate PAIRS over token content — how much of each source is a
@@ -704,34 +703,36 @@ def q_seq_cross_source_dup_matrix(sf_dir: str) -> pd.DataFrame:
     return out
 
 
-SQL_SEQ_CROSS_SOURCE_DUP_MATRIX = f"""
-WITH c AS (
-  SELECT tokens, source, CAST(count(*) AS BIGINT) AS cnt
-  FROM {SEQ_SQL} WHERE tokens IS NOT NULL GROUP BY 1, 2
-),
-x AS (
-  SELECT a.source AS source_a, b.source AS source_b,
-         CAST(sum(a.cnt * b.cnt) AS BIGINT) AS n_pairs
-  FROM c a JOIN c b ON a.tokens = b.tokens AND a.source < b.source
-  GROUP BY 1, 2
-  UNION ALL
-  SELECT source, source, CAST(sum(cnt * (cnt - 1) // 2) AS BIGINT)
-  FROM c GROUP BY source
-  HAVING sum(cnt * (cnt - 1) // 2) > 0
-)
-SELECT source_a, source_b, n_pairs FROM x ORDER BY source_a, source_b
-"""
-
-QUERIES3["seq_cross_source_dup_matrix"] = q_seq_cross_source_dup_matrix
-ORACLES3["seq_cross_source_dup_matrix"] = SQL_SEQ_CROSS_SOURCE_DUP_MATRIX
-
-
 # ---------------------------------------------------------------------------
 # doc_dict_encoding_plan — storage-layout planner for string columns
 
 DICT_COLS = ("lang", "source")
 
 
+def _dict_plan_sql() -> str:
+    selects = []
+    for c in DICT_COLS:
+        selects.append(f"""
+SELECT '{c}' AS col,
+       CAST(count(*) AS BIGINT) AS n_rows,
+       CAST(count(DISTINCT {c}) AS BIGINT) AS n_distinct,
+       CAST(sum(strlen({c})) AS BIGINT) AS plain_bytes,
+       CAST((SELECT sum(strlen(v)) FROM
+               (SELECT DISTINCT {c} AS v FROM documents WHERE {c} IS NOT NULL))
+            + count(*) * (CASE WHEN count(DISTINCT {c}) <= 256 THEN 1
+                               WHEN count(DISTINCT {c}) <= 65536 THEN 2
+                               ELSE 4 END) AS BIGINT) AS dict_bytes,
+       (SELECT sum(strlen(v)) FROM
+          (SELECT DISTINCT {c} AS v FROM documents WHERE {c} IS NOT NULL))
+         + count(*) * (CASE WHEN count(DISTINCT {c}) <= 256 THEN 1
+                            WHEN count(DISTINCT {c}) <= 65536 THEN 2
+                            ELSE 4 END)
+         < sum(strlen({c})) AS use_dict
+FROM documents WHERE {c} IS NOT NULL""")
+    return " UNION ALL ".join(selects) + " ORDER BY col"
+
+
+@entry("doc_dict_encoding_plan", sql=_dict_plan_sql())
 def q_doc_dict_encoding_plan(sf_dir: str) -> pd.DataFrame:
     """Storage-optimizer planner: per string column, would dictionary
     encoding shrink it?  Exact byte accounting — plain = Σ octet
@@ -780,37 +781,32 @@ def q_doc_dict_encoding_plan(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("col").reset_index(drop=True)
 
 
-def _dict_plan_sql() -> str:
-    selects = []
-    for c in DICT_COLS:
-        selects.append(f"""
-SELECT '{c}' AS col,
-       CAST(count(*) AS BIGINT) AS n_rows,
-       CAST(count(DISTINCT {c}) AS BIGINT) AS n_distinct,
-       CAST(sum(strlen({c})) AS BIGINT) AS plain_bytes,
-       CAST((SELECT sum(strlen(v)) FROM
-               (SELECT DISTINCT {c} AS v FROM documents WHERE {c} IS NOT NULL))
-            + count(*) * (CASE WHEN count(DISTINCT {c}) <= 256 THEN 1
-                               WHEN count(DISTINCT {c}) <= 65536 THEN 2
-                               ELSE 4 END) AS BIGINT) AS dict_bytes,
-       (SELECT sum(strlen(v)) FROM
-          (SELECT DISTINCT {c} AS v FROM documents WHERE {c} IS NOT NULL))
-         + count(*) * (CASE WHEN count(DISTINCT {c}) <= 256 THEN 1
-                            WHEN count(DISTINCT {c}) <= 65536 THEN 2
-                            ELSE 4 END)
-         < sum(strlen({c})) AS use_dict
-FROM documents WHERE {c} IS NOT NULL""")
-    return " UNION ALL ".join(selects) + " ORDER BY col"
-
-
-QUERIES3["doc_dict_encoding_plan"] = q_doc_dict_encoding_plan
-ORACLES3["doc_dict_encoding_plan"] = _dict_plan_sql()
-
-
 # ---------------------------------------------------------------------------
 # doc_overlap_dups — overlap-coefficient (containment) all-pairs dedup
 
 
+SQL_DOC_OVERLAP_DUPS = """
+WITH s AS (
+  SELECT doc_id, shingles
+  FROM read_parquet('/tmp/jesse_ray_data/shinglesov_sigs_sf0.01.parquet')
+), sz AS (
+  SELECT doc_id, len(shingles) AS n FROM s
+), e AS (
+  SELECT doc_id, unnest(shingles) AS sh FROM s
+), p AS (
+  SELECT a.doc_id AS l, b.doc_id AS r, count(*) AS inter
+  FROM e a JOIN e b ON a.sh = b.sh AND a.doc_id < b.doc_id
+  GROUP BY 1, 2
+)
+SELECT l AS "left", r AS "right",
+       round(inter * 1.0 / least(sa.n, sb.n), 4) AS overlap
+FROM p JOIN sz sa ON sa.doc_id = p.l JOIN sz sb ON sb.doc_id = p.r
+WHERE inter * 1.0 / least(sa.n, sb.n) >= 0.8
+ORDER BY 1, 2
+"""
+
+
+@entry("doc_overlap_dups", sql=SQL_DOC_OVERLAP_DUPS)
 def q_doc_overlap_dups(sf_dir: str) -> pd.DataFrame:
     """Asymmetric-containment near-dup pairs: overlap coefficient
     ``|A∩B|/min(|A|,|B|) >= 0.8`` over 5-byte shingles — the
@@ -847,36 +843,31 @@ def q_doc_overlap_dups(sf_dir: str) -> pd.DataFrame:
     return pdf.sort_values(["left", "right"]).reset_index(drop=True)
 
 
-SQL_DOC_OVERLAP_DUPS = """
-WITH s AS (
-  SELECT doc_id, shingles
-  FROM read_parquet('/tmp/jesse_ray_data/shinglesov_sigs_sf0.01.parquet')
-), sz AS (
-  SELECT doc_id, len(shingles) AS n FROM s
-), e AS (
-  SELECT doc_id, unnest(shingles) AS sh FROM s
-), p AS (
-  SELECT a.doc_id AS l, b.doc_id AS r, count(*) AS inter
-  FROM e a JOIN e b ON a.sh = b.sh AND a.doc_id < b.doc_id
-  GROUP BY 1, 2
-)
-SELECT l AS "left", r AS "right",
-       round(inter * 1.0 / least(sa.n, sb.n), 4) AS overlap
-FROM p JOIN sz sa ON sa.doc_id = p.l JOIN sz sb ON sb.doc_id = p.r
-WHERE inter * 1.0 / least(sa.n, sb.n) >= 0.8
-ORDER BY 1, 2
-"""
-
-QUERIES3["doc_overlap_dups"] = q_doc_overlap_dups
-ORACLES3["doc_overlap_dups"] = SQL_DOC_OVERLAP_DUPS
-
-
 # ---------------------------------------------------------------------------
 # seq_boilerplate_prefixes — templated-prefix (boilerplate header) report
 
 BP_K, BP_TOP = 8, 10
 
 
+SQL_SEQ_BOILERPLATE_PREFIXES = f"""
+WITH d AS (
+  SELECT array_to_string(
+           list_transform(list_slice(tokens, 1, {BP_K}),
+                          x -> CAST(x AS VARCHAR)), '-') AS prefix,
+         source
+  FROM {SEQ_SQL} WHERE len(tokens) >= {BP_K}
+),
+g AS (
+  SELECT prefix, CAST(count(*) AS BIGINT) AS n_docs,
+         CAST(count(DISTINCT source) AS BIGINT) AS n_sources
+  FROM d GROUP BY prefix
+)
+SELECT prefix, n_docs, n_sources FROM g
+ORDER BY n_docs DESC, prefix LIMIT {BP_TOP}
+"""
+
+
+@entry("seq_boilerplate_prefixes", sql=SQL_SEQ_BOILERPLATE_PREFIXES)
 def q_seq_boilerplate_prefixes(sf_dir: str) -> pd.DataFrame:
     """Boilerplate detector: the top-{BP_TOP} most repeated first-
     {BP_K}-token prefixes (templated headers a cleaning pass should
@@ -937,51 +928,10 @@ def q_seq_boilerplate_prefixes(sf_dir: str) -> pd.DataFrame:
     return out[["prefix", "n_docs", "n_sources"]]
 
 
-SQL_SEQ_BOILERPLATE_PREFIXES = f"""
-WITH d AS (
-  SELECT array_to_string(
-           list_transform(list_slice(tokens, 1, {BP_K}),
-                          x -> CAST(x AS VARCHAR)), '-') AS prefix,
-         source
-  FROM {SEQ_SQL} WHERE len(tokens) >= {BP_K}
-),
-g AS (
-  SELECT prefix, CAST(count(*) AS BIGINT) AS n_docs,
-         CAST(count(DISTINCT source) AS BIGINT) AS n_sources
-  FROM d GROUP BY prefix
-)
-SELECT prefix, n_docs, n_sources FROM g
-ORDER BY n_docs DESC, prefix LIMIT {BP_TOP}
-"""
-
-QUERIES3["seq_boilerplate_prefixes"] = q_seq_boilerplate_prefixes
-ORACLES3["seq_boilerplate_prefixes"] = SQL_SEQ_BOILERPLATE_PREFIXES
-
-
 # ---------------------------------------------------------------------------
 # media_bmp_real — REAL BMP container decode (bottom-up, BGR, stride pad)
 
 N_BMP = 36
-
-
-def q_media_bmp_real(sf_dir: str) -> pd.DataFrame:
-    """REAL BMP decode with no codec library: formula pixels → real
-    24-bit BI_RGB container bytes (little-endian headers, BOTTOM-UP
-    rows, BGR order, 4-byte stride padding — every classic BMP decode
-    trap) → header-walk + numpy gather in an actor pool → exact int64
-    channel sums.  The twin regenerates each pixel from the closed
-    form, so a wrong flip/swap/stride shows up as a value mismatch."""
-    import ray.data
-
-    from jesse_ray.functions.multimodal import (
-        bmp_channel_sums,
-        make_synthetic_bmp_table,
-    )
-
-    ds = ray.data.from_arrow(make_synthetic_bmp_table(N_BMP))
-    out = _collect(bmp_channel_sums(ds)).to_pandas()
-    out = out.sort_values("media_id").reset_index(drop=True)
-    return out.astype({"width": "int64", "height": "int64"})
 
 
 SQL_MEDIA_BMP_REAL = f"""
@@ -1012,14 +962,52 @@ SELECT printf('bmp-%06d', i) AS media_id,
 FROM px GROUP BY i, w, h ORDER BY media_id
 """
 
-QUERIES3["media_bmp_real"] = q_media_bmp_real
-ORACLES3["media_bmp_real"] = SQL_MEDIA_BMP_REAL
+
+@entry("media_bmp_real", sql=SQL_MEDIA_BMP_REAL)
+def q_media_bmp_real(sf_dir: str) -> pd.DataFrame:
+    """REAL BMP decode with no codec library: formula pixels → real
+    24-bit BI_RGB container bytes (little-endian headers, BOTTOM-UP
+    rows, BGR order, 4-byte stride padding — every classic BMP decode
+    trap) → header-walk + numpy gather in an actor pool → exact int64
+    channel sums.  The twin regenerates each pixel from the closed
+    form, so a wrong flip/swap/stride shows up as a value mismatch."""
+    import ray.data
+
+    from jesse_ray.functions.multimodal import (
+        bmp_channel_sums,
+        make_synthetic_bmp_table,
+    )
+
+    ds = ray.data.from_arrow(make_synthetic_bmp_table(N_BMP))
+    out = _collect(bmp_channel_sums(ds)).to_pandas()
+    out = out.sort_values("media_id").reset_index(drop=True)
+    return out.astype({"width": "int64", "height": "int64"})
 
 
 # ---------------------------------------------------------------------------
 # tpch_q22ish — global-anti-join customer prospecting (TPC-H Q22 shape)
 
 
+SQL_TPCH_Q22ISH = """
+WITH avg_bal AS (
+  SELECT avg(c_acctbal) AS a FROM customer WHERE c_acctbal > 0
+)
+SELECT CAST(c.c_nationkey AS BIGINT) AS c_nationkey,
+       CAST(count(*) AS BIGINT) AS n_cust,
+       round(sum(c.c_acctbal), 2) AS total_bal
+FROM customer c, avg_bal
+WHERE c.c_acctbal > avg_bal.a
+  AND NOT EXISTS (
+    SELECT 1 FROM orders o
+    WHERE o.o_custkey = c.c_custkey
+      AND o.o_orderpriority = '1-URGENT'
+      AND o.o_orderdate >= TIMESTAMP '1997-06-01')
+GROUP BY c.c_nationkey
+ORDER BY c_nationkey
+"""
+
+
+@entry("tpch_q22ish", sql=SQL_TPCH_Q22ISH)
 def q_tpch_q22ish(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q22-shaped composite: per nation, count + balance sum of
     customers whose account balance exceeds the GLOBAL average positive
@@ -1077,32 +1065,30 @@ def q_tpch_q22ish(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("c_nationkey").reset_index(drop=True)
 
 
-SQL_TPCH_Q22ISH = """
-WITH avg_bal AS (
-  SELECT avg(c_acctbal) AS a FROM customer WHERE c_acctbal > 0
-)
-SELECT CAST(c.c_nationkey AS BIGINT) AS c_nationkey,
-       CAST(count(*) AS BIGINT) AS n_cust,
-       round(sum(c.c_acctbal), 2) AS total_bal
-FROM customer c, avg_bal
-WHERE c.c_acctbal > avg_bal.a
-  AND NOT EXISTS (
-    SELECT 1 FROM orders o
-    WHERE o.o_custkey = c.c_custkey
-      AND o.o_orderpriority = '1-URGENT'
-      AND o.o_orderdate >= TIMESTAMP '1997-06-01')
-GROUP BY c.c_nationkey
-ORDER BY c_nationkey
-"""
-
-QUERIES3["tpch_q22ish"] = q_tpch_q22ish
-ORACLES3["tpch_q22ish"] = SQL_TPCH_Q22ISH
-
-
 # ---------------------------------------------------------------------------
 # emb_truncation_audit — Matryoshka-style dimension-truncation quality
 
 
+SQL_EMB_TRUNCATION_AUDIT = """
+WITH v AS (
+  SELECT label,
+         CAST(list_sum(list_transform(embedding[1:16],
+              x -> CAST(x AS DOUBLE) * x)) AS DOUBLE) AS p16,
+         CAST(list_sum(list_transform(embedding[1:32],
+              x -> CAST(x AS DOUBLE) * x)) AS DOUBLE) AS p32,
+         CAST(list_sum(list_transform(embedding,
+              x -> CAST(x AS DOUBLE) * x)) AS DOUBLE) AS tot
+  FROM embeddings
+)
+SELECT CAST(label AS BIGINT) AS label,
+       CAST(count(*) AS BIGINT) AS n,
+       round(avg(sqrt(p16 / tot)), 6) AS mean_cos16,
+       round(avg(sqrt(p32 / tot)), 6) AS mean_cos32
+FROM v GROUP BY label ORDER BY label
+"""
+
+
+@entry("emb_truncation_audit", sql=SQL_EMB_TRUNCATION_AUDIT)
 def q_emb_truncation_audit(sf_dir: str) -> pd.DataFrame:
     """Embedding-compression audit: if vectors were truncated to their
     first 16 / 32 of 64 dims (the Matryoshka-representation deployment
@@ -1143,32 +1129,24 @@ def q_emb_truncation_audit(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_EMB_TRUNCATION_AUDIT = """
-WITH v AS (
-  SELECT label,
-         CAST(list_sum(list_transform(embedding[1:16],
-              x -> CAST(x AS DOUBLE) * x)) AS DOUBLE) AS p16,
-         CAST(list_sum(list_transform(embedding[1:32],
-              x -> CAST(x AS DOUBLE) * x)) AS DOUBLE) AS p32,
-         CAST(list_sum(list_transform(embedding,
-              x -> CAST(x AS DOUBLE) * x)) AS DOUBLE) AS tot
-  FROM embeddings
-)
-SELECT CAST(label AS BIGINT) AS label,
-       CAST(count(*) AS BIGINT) AS n,
-       round(avg(sqrt(p16 / tot)), 6) AS mean_cos16,
-       round(avg(sqrt(p32 / tot)), 6) AS mean_cos32
-FROM v GROUP BY label ORDER BY label
-"""
-
-QUERIES3["emb_truncation_audit"] = q_emb_truncation_audit
-ORACLES3["emb_truncation_audit"] = SQL_EMB_TRUNCATION_AUDIT
-
-
 # ---------------------------------------------------------------------------
 # orders_monthly_growth — month-over-month revenue growth report
 
 
+SQL_ORDERS_MONTHLY_GROWTH = """
+WITH m AS (
+  SELECT date_trunc('month', o_orderdate) AS month,
+         CAST(count(*) AS BIGINT) AS n_orders,
+         sum(o_totalprice) AS rev
+  FROM orders GROUP BY 1
+)
+SELECT month, n_orders, round(rev, 2) AS revenue,
+       round(rev / lag(rev) OVER (ORDER BY month) - 1.0, 6) AS growth
+FROM m ORDER BY month
+"""
+
+
+@entry("orders_monthly_growth", sql=SQL_ORDERS_MONTHLY_GROWTH)
 def q_orders_monthly_growth(sf_dir: str) -> pd.DataFrame:
     """Monthly revenue series with month-over-month growth: map-side
     Arrow month-sums (one combiner pass over the fact table), the tiny
@@ -1201,22 +1179,6 @@ def q_orders_monthly_growth(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_ORDERS_MONTHLY_GROWTH = """
-WITH m AS (
-  SELECT date_trunc('month', o_orderdate) AS month,
-         CAST(count(*) AS BIGINT) AS n_orders,
-         sum(o_totalprice) AS rev
-  FROM orders GROUP BY 1
-)
-SELECT month, n_orders, round(rev, 2) AS revenue,
-       round(rev / lag(rev) OVER (ORDER BY month) - 1.0, 6) AS growth
-FROM m ORDER BY month
-"""
-
-QUERIES3["orders_monthly_growth"] = q_orders_monthly_growth
-ORACLES3["orders_monthly_growth"] = SQL_ORDERS_MONTHLY_GROWTH
-
-
 # ---------------------------------------------------------------------------
 # events_transition_conformance — protocol / state-machine validation
 
@@ -1229,6 +1191,26 @@ ALLOWED_TRANSITIONS = (
 )
 
 
+def _transition_conformance_sql() -> str:
+    allowed = ", ".join(f"('{a}', '{b}')" for a, b in ALLOWED_TRANSITIONS)
+    return f"""
+WITH o AS (
+  SELECT user_id, event_type,
+         lag(event_type) OVER (PARTITION BY user_id
+                               ORDER BY ts, event_id) AS prev_type
+  FROM events
+)
+SELECT prev_type AS from_type, event_type AS to_type,
+       CAST(count(*) AS BIGINT) AS n
+FROM o
+WHERE prev_type IS NOT NULL
+  AND (prev_type, event_type) NOT IN ({allowed})
+GROUP BY 1, 2
+ORDER BY 1, 2
+"""
+
+
+@entry("events_transition_conformance", sql=_transition_conformance_sql())
 def q_events_transition_conformance(sf_dir: str) -> pd.DataFrame:
     """State-machine conformance validation over per-user event
     streams: every adjacent (prev_type, event_type) transition outside
@@ -1256,33 +1238,41 @@ def q_events_transition_conformance(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["from_type", "to_type"]).reset_index(drop=True)
 
 
-def _transition_conformance_sql() -> str:
-    allowed = ", ".join(f"('{a}', '{b}')" for a, b in ALLOWED_TRANSITIONS)
-    return f"""
-WITH o AS (
-  SELECT user_id, event_type,
-         lag(event_type) OVER (PARTITION BY user_id
-                               ORDER BY ts, event_id) AS prev_type
-  FROM events
-)
-SELECT prev_type AS from_type, event_type AS to_type,
-       CAST(count(*) AS BIGINT) AS n
-FROM o
-WHERE prev_type IS NOT NULL
-  AND (prev_type, event_type) NOT IN ({allowed})
-GROUP BY 1, 2
-ORDER BY 1, 2
-"""
-
-
-QUERIES3["events_transition_conformance"] = q_events_transition_conformance
-ORACLES3["events_transition_conformance"] = _transition_conformance_sql()
-
-
 # ---------------------------------------------------------------------------
 # doc_lr_calibration — reliability report for the distributed classifier
 
 
+SQL_DOC_LR_CALIBRATION = """
+WITH w AS (
+  SELECT max(CASE WHEN k = 0 THEN w END) AS w0,
+         max(CASE WHEN k = 1 THEN w END) AS w1,
+         max(CASE WHEN k = 2 THEN w END) AS w2,
+         max(CASE WHEN k = 3 THEN w END) AS w3
+  FROM read_parquet('/tmp/jesse_ray_data/lr_weights_cal_sigs_sf0.01.parquet')
+),
+f AS (
+  SELECT doc_id, lang,
+         CAST(length(text) AS BIGINT) AS q_len,
+         CAST(length(regexp_replace(text, '[^A-Za-z]', '', 'g')) AS BIGINT) AS n_alpha,
+         CAST(length(text) - length(replace(text, ' ', '')) AS BIGINT) AS n_space
+  FROM documents
+),
+s AS (
+  SELECT doc_id, CASE WHEN lang = 'en' THEN 1 ELSE 0 END AS y,
+         round(((w.w0 + w.w1 * (CAST(q_len AS DOUBLE) / 1000.0))
+                + w.w2 * (CAST(n_alpha AS DOUBLE) / CAST(greatest(q_len, 1) AS DOUBLE)))
+                + w.w3 * (CAST(n_space AS DOUBLE) / CAST(greatest(q_len, 1) AS DOUBLE)), 6) AS z
+  FROM f, w
+)
+SELECT CAST(floor(z * 200.0) AS BIGINT) AS bin,
+       CAST(count(*) AS BIGINT) AS n,
+       round(sum(z) / count(*), 6) AS mean_logit,
+       round(CAST(sum(y) AS DOUBLE) / count(*), 6) AS pos_rate
+FROM s GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("doc_lr_calibration", sql=SQL_DOC_LR_CALIBRATION)
 def q_doc_lr_calibration(sf_dir: str) -> pd.DataFrame:
     """Calibration / reliability report for the distributed linear
     quality classifier (`functions/linear.logreg_fit`): docs bucketed
@@ -1345,39 +1335,6 @@ def q_doc_lr_calibration(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_DOC_LR_CALIBRATION = """
-WITH w AS (
-  SELECT max(CASE WHEN k = 0 THEN w END) AS w0,
-         max(CASE WHEN k = 1 THEN w END) AS w1,
-         max(CASE WHEN k = 2 THEN w END) AS w2,
-         max(CASE WHEN k = 3 THEN w END) AS w3
-  FROM read_parquet('/tmp/jesse_ray_data/lr_weights_cal_sigs_sf0.01.parquet')
-),
-f AS (
-  SELECT doc_id, lang,
-         CAST(length(text) AS BIGINT) AS q_len,
-         CAST(length(regexp_replace(text, '[^A-Za-z]', '', 'g')) AS BIGINT) AS n_alpha,
-         CAST(length(text) - length(replace(text, ' ', '')) AS BIGINT) AS n_space
-  FROM documents
-),
-s AS (
-  SELECT doc_id, CASE WHEN lang = 'en' THEN 1 ELSE 0 END AS y,
-         round(((w.w0 + w.w1 * (CAST(q_len AS DOUBLE) / 1000.0))
-                + w.w2 * (CAST(n_alpha AS DOUBLE) / CAST(greatest(q_len, 1) AS DOUBLE)))
-                + w.w3 * (CAST(n_space AS DOUBLE) / CAST(greatest(q_len, 1) AS DOUBLE)), 6) AS z
-  FROM f, w
-)
-SELECT CAST(floor(z * 200.0) AS BIGINT) AS bin,
-       CAST(count(*) AS BIGINT) AS n,
-       round(sum(z) / count(*), 6) AS mean_logit,
-       round(CAST(sum(y) AS DOUBLE) / count(*), 6) AS pos_rate
-FROM s GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES3["doc_lr_calibration"] = q_doc_lr_calibration
-ORACLES3["doc_lr_calibration"] = SQL_DOC_LR_CALIBRATION
-
-
 # ---------------------------------------------------------------------------
 # seq_expectations — declarative table-level expectation suite in ONE pass
 
@@ -1399,6 +1356,46 @@ EXPECTATION_SUITE = [
 ]
 
 
+SQL_SEQ_EXPECTATIONS_T = """
+WITH a AS (
+  SELECT CAST(count(*) AS BIGINT) AS n,
+         CAST(sum(CASE WHEN doc_id IS NULL THEN 1 ELSE 0 END) AS BIGINT) AS null_doc,
+         CAST(sum(CASE WHEN n_tok IS NULL THEN 1 ELSE 0 END) AS BIGINT) AS null_nt,
+         CAST(count(n_tok) AS BIGINT) AS n_valid,
+         CAST(min(n_tok) AS BIGINT) AS mn,
+         CAST(max(n_tok) AS BIGINT) AS mx,
+         CAST(sum(n_tok) AS BIGINT) AS s,
+         CAST(sum(CASE WHEN source NOT IN ({allowed}) THEN 1 ELSE 0 END) AS BIGINT) AS bad_src
+  FROM {seq}
+)
+SELECT * FROM (
+  SELECT 'row_count_at_least_1' AS expectation, CAST(n AS DOUBLE) AS observed,
+         CAST(CASE WHEN n >= 1 THEN 1 ELSE 0 END AS BIGINT) AS passed FROM a
+  UNION ALL SELECT 'doc_id_null_count_is_0', CAST(null_doc AS DOUBLE),
+         CASE WHEN null_doc = 0 THEN 1 ELSE 0 END FROM a
+  UNION ALL SELECT 'n_tok_null_count_is_0', CAST(null_nt AS DOUBLE),
+         CASE WHEN null_nt = 0 THEN 1 ELSE 0 END FROM a
+  UNION ALL SELECT 'n_tok_min_at_least_1', CAST(mn AS DOUBLE),
+         CASE WHEN mn >= 1 THEN 1 ELSE 0 END FROM a
+  UNION ALL SELECT 'n_tok_max_at_most_8192', CAST(mx AS DOUBLE),
+         CASE WHEN mx <= 8192 THEN 1 ELSE 0 END FROM a
+  UNION ALL SELECT 'n_tok_mean_between_1_4096',
+         round(CAST(s AS DOUBLE) / n_valid, 6),
+         CASE WHEN round(CAST(s AS DOUBLE) / n_valid, 6) BETWEEN 1.0 AND 4096.0
+              THEN 1 ELSE 0 END FROM a
+  UNION ALL SELECT 'source_all_in_allowed', CAST(bad_src AS DOUBLE),
+         CASE WHEN bad_src = 0 THEN 1 ELSE 0 END FROM a
+) ORDER BY expectation
+"""
+
+
+def _sql_seq_expectations() -> str:
+    from jesse_ray.pipelines.queries import ALLOWED_SQL
+
+    return SQL_SEQ_EXPECTATIONS_T.format(seq=SEQ_SQL, allowed=ALLOWED_SQL)
+
+
+@entry("seq_expectations", sql=_sql_seq_expectations())
 def q_seq_expectations(sf_dir: str) -> pd.DataFrame:
     """Declarative expectation-suite runner (the table-level twin of the
     row-level schema engine; cf. reference `src/jesse.erl:117-175` where
@@ -1462,49 +1459,6 @@ def q_seq_expectations(sf_dir: str) -> pd.DataFrame:
     }).sort_values("expectation").reset_index(drop=True)
 
 
-SQL_SEQ_EXPECTATIONS_T = """
-WITH a AS (
-  SELECT CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(CASE WHEN doc_id IS NULL THEN 1 ELSE 0 END) AS BIGINT) AS null_doc,
-         CAST(sum(CASE WHEN n_tok IS NULL THEN 1 ELSE 0 END) AS BIGINT) AS null_nt,
-         CAST(count(n_tok) AS BIGINT) AS n_valid,
-         CAST(min(n_tok) AS BIGINT) AS mn,
-         CAST(max(n_tok) AS BIGINT) AS mx,
-         CAST(sum(n_tok) AS BIGINT) AS s,
-         CAST(sum(CASE WHEN source NOT IN ({allowed}) THEN 1 ELSE 0 END) AS BIGINT) AS bad_src
-  FROM {seq}
-)
-SELECT * FROM (
-  SELECT 'row_count_at_least_1' AS expectation, CAST(n AS DOUBLE) AS observed,
-         CAST(CASE WHEN n >= 1 THEN 1 ELSE 0 END AS BIGINT) AS passed FROM a
-  UNION ALL SELECT 'doc_id_null_count_is_0', CAST(null_doc AS DOUBLE),
-         CASE WHEN null_doc = 0 THEN 1 ELSE 0 END FROM a
-  UNION ALL SELECT 'n_tok_null_count_is_0', CAST(null_nt AS DOUBLE),
-         CASE WHEN null_nt = 0 THEN 1 ELSE 0 END FROM a
-  UNION ALL SELECT 'n_tok_min_at_least_1', CAST(mn AS DOUBLE),
-         CASE WHEN mn >= 1 THEN 1 ELSE 0 END FROM a
-  UNION ALL SELECT 'n_tok_max_at_most_8192', CAST(mx AS DOUBLE),
-         CASE WHEN mx <= 8192 THEN 1 ELSE 0 END FROM a
-  UNION ALL SELECT 'n_tok_mean_between_1_4096',
-         round(CAST(s AS DOUBLE) / n_valid, 6),
-         CASE WHEN round(CAST(s AS DOUBLE) / n_valid, 6) BETWEEN 1.0 AND 4096.0
-              THEN 1 ELSE 0 END FROM a
-  UNION ALL SELECT 'source_all_in_allowed', CAST(bad_src AS DOUBLE),
-         CASE WHEN bad_src = 0 THEN 1 ELSE 0 END FROM a
-) ORDER BY expectation
-"""
-
-
-def _sql_seq_expectations() -> str:
-    from jesse_ray.pipelines.queries import ALLOWED_SQL
-
-    return SQL_SEQ_EXPECTATIONS_T.format(seq=SEQ_SQL, allowed=ALLOWED_SQL)
-
-
-QUERIES3["seq_expectations"] = q_seq_expectations
-ORACLES3["seq_expectations"] = _sql_seq_expectations()
-
-
 # ---------------------------------------------------------------------------
 # orders_benford — Benford first-significant-digit audit
 
@@ -1517,6 +1471,22 @@ _BENFORD_P = {1: "0.30103", 2: "0.176091", 3: "0.124939", 4: "0.09691",
               9: "0.045757"}
 
 
+def _sql_orders_benford() -> str:
+    case = " ".join(f"WHEN {d} THEN {p}" for d, p in _BENFORD_P.items())
+    return f"""
+WITH d AS (
+  SELECT CAST(substring(CAST(CAST(abs(floor(o_totalprice * 100.0 + 0.5)) AS BIGINT)
+                             AS VARCHAR), 1, 1) AS BIGINT) AS digit
+  FROM orders
+)
+SELECT digit, CAST(count(*) AS BIGINT) AS n,
+       round(CAST(count(*) AS DOUBLE) / (SELECT count(*) FROM d), 6) AS share,
+       CASE digit {case} END AS benford_p
+FROM d GROUP BY digit ORDER BY digit
+"""
+
+
+@entry("orders_benford", sql=_sql_orders_benford())
 def q_orders_benford(sf_dir: str) -> pd.DataFrame:
     """Benford first-significant-digit audit over ``o_totalprice`` — the
     classic forensic data-quality check (Benford 1938; Nigrini 1996):
@@ -1553,25 +1523,6 @@ def q_orders_benford(sf_dir: str) -> pd.DataFrame:
     })
 
 
-def _sql_orders_benford() -> str:
-    case = " ".join(f"WHEN {d} THEN {p}" for d, p in _BENFORD_P.items())
-    return f"""
-WITH d AS (
-  SELECT CAST(substring(CAST(CAST(abs(floor(o_totalprice * 100.0 + 0.5)) AS BIGINT)
-                             AS VARCHAR), 1, 1) AS BIGINT) AS digit
-  FROM orders
-)
-SELECT digit, CAST(count(*) AS BIGINT) AS n,
-       round(CAST(count(*) AS DOUBLE) / (SELECT count(*) FROM d), 6) AS share,
-       CASE digit {case} END AS benford_p
-FROM d GROUP BY digit ORDER BY digit
-"""
-
-
-QUERIES3["orders_benford"] = q_orders_benford
-ORACLES3["orders_benford"] = _sql_orders_benford()
-
-
 # ---------------------------------------------------------------------------
 # events_freshness — per-partition staleness / freshness SLA audit
 
@@ -1579,6 +1530,20 @@ ORACLES3["orders_benford"] = _sql_orders_benford()
 FRESHNESS_SLA_S = 7 * 24 * 3600  # stale if > 7 days behind the corpus max
 
 
+SQL_EVENTS_FRESHNESS = f"""
+WITH g AS (
+  SELECT event_type, CAST(epoch_us(max(ts)) AS BIGINT) AS max_ts_us
+  FROM events GROUP BY 1
+)
+SELECT event_type, max_ts_us,
+       ((SELECT max(max_ts_us) FROM g) - max_ts_us) // 1000000 AS lag_s,
+       CAST(CASE WHEN ((SELECT max(max_ts_us) FROM g) - max_ts_us) // 1000000
+                      > {FRESHNESS_SLA_S} THEN 1 ELSE 0 END AS BIGINT) AS stale
+FROM g ORDER BY event_type
+"""
+
+
+@entry("events_freshness", sql=SQL_EVENTS_FRESHNESS)
 def q_events_freshness(sf_dir: str) -> pd.DataFrame:
     """Freshness / staleness audit per event_type: the ingestion-SLA
     check a validation engine runs before admitting a partition (is any
@@ -1610,22 +1575,6 @@ def q_events_freshness(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_EVENTS_FRESHNESS = f"""
-WITH g AS (
-  SELECT event_type, CAST(epoch_us(max(ts)) AS BIGINT) AS max_ts_us
-  FROM events GROUP BY 1
-)
-SELECT event_type, max_ts_us,
-       ((SELECT max(max_ts_us) FROM g) - max_ts_us) // 1000000 AS lag_s,
-       CAST(CASE WHEN ((SELECT max(max_ts_us) FROM g) - max_ts_us) // 1000000
-                      > {FRESHNESS_SLA_S} THEN 1 ELSE 0 END AS BIGINT) AS stale
-FROM g ORDER BY event_type
-"""
-
-QUERIES3["events_freshness"] = q_events_freshness
-ORACLES3["events_freshness"] = SQL_EVENTS_FRESHNESS
-
-
 # ---------------------------------------------------------------------------
 # doc_token_fertility — tokenizer fertility (subword tokens per word) by lang
 
@@ -1633,6 +1582,22 @@ ORACLES3["events_freshness"] = SQL_EVENTS_FRESHNESS
 FERTILITY_PAT = r"[A-Za-z]+|[0-9]|[^A-Za-z0-9 ]"
 
 
+SQL_DOC_TOKEN_FERTILITY = f"""
+WITH f AS (
+  SELECT lang,
+         CAST(len(string_split(text, ' ')) AS BIGINT) AS n_words,
+         CAST(len(regexp_extract_all(text, '{FERTILITY_PAT}')) AS BIGINT) AS n_subtok
+  FROM documents
+)
+SELECT lang, CAST(count(*) AS BIGINT) AS n_docs,
+       CAST(sum(n_words) AS BIGINT) AS n_words,
+       CAST(sum(n_subtok) AS BIGINT) AS n_subtok,
+       round(CAST(sum(n_subtok) AS DOUBLE) / sum(n_words), 6) AS fertility
+FROM f GROUP BY lang ORDER BY lang
+"""
+
+
+@entry("doc_token_fertility", sql=SQL_DOC_TOKEN_FERTILITY)
 def q_doc_token_fertility(sf_dir: str) -> pd.DataFrame:
     """Tokenizer fertility per language: subword-ish tokens per
     whitespace word (the standard multilingual-tokenizer diagnostic —
@@ -1669,28 +1634,27 @@ def q_doc_token_fertility(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_DOC_TOKEN_FERTILITY = f"""
-WITH f AS (
-  SELECT lang,
-         CAST(len(string_split(text, ' ')) AS BIGINT) AS n_words,
-         CAST(len(regexp_extract_all(text, '{FERTILITY_PAT}')) AS BIGINT) AS n_subtok
-  FROM documents
-)
-SELECT lang, CAST(count(*) AS BIGINT) AS n_docs,
-       CAST(sum(n_words) AS BIGINT) AS n_words,
-       CAST(sum(n_subtok) AS BIGINT) AS n_subtok,
-       round(CAST(sum(n_subtok) AS DOUBLE) / sum(n_words), 6) AS fertility
-FROM f GROUP BY lang ORDER BY lang
-"""
-
-QUERIES3["doc_token_fertility"] = q_doc_token_fertility
-ORACLES3["doc_token_fertility"] = SQL_DOC_TOKEN_FERTILITY
-
-
 # ---------------------------------------------------------------------------
 # events_unpivot — UNPIVOT / melt of a wide per-type aggregate to long form
 
 
+SQL_EVENTS_UNPIVOT = """
+WITH w AS (
+  SELECT event_type,
+         CAST(count(*) AS BIGINT) AS n_events,
+         CAST(sum(CAST(floor(value * 100.0 + 0.5) AS BIGINT)) AS BIGINT) AS sum_cents,
+         CAST(max(CAST(floor(value * 100.0 + 0.5) AS BIGINT)) AS BIGINT) AS max_cents
+  FROM events GROUP BY 1
+)
+SELECT event_type, metric, value FROM (
+  SELECT event_type, 'n_events' AS metric, n_events AS value FROM w
+  UNION ALL SELECT event_type, 'sum_cents', sum_cents FROM w
+  UNION ALL SELECT event_type, 'max_cents', max_cents FROM w
+) ORDER BY event_type, metric
+"""
+
+
+@entry("events_unpivot", sql=SQL_EVENTS_UNPIVOT)
 def q_events_unpivot(sf_dir: str) -> pd.DataFrame:
     """UNPIVOT (melt) relational shape: a wide per-event-type aggregate
     (n_events, sum_cents, max_cents) melted to long (event_type, metric,
@@ -1720,25 +1684,6 @@ def q_events_unpivot(sf_dir: str) -> pd.DataFrame:
     return long.sort_values(["event_type", "metric"]).reset_index(drop=True)
 
 
-SQL_EVENTS_UNPIVOT = """
-WITH w AS (
-  SELECT event_type,
-         CAST(count(*) AS BIGINT) AS n_events,
-         CAST(sum(CAST(floor(value * 100.0 + 0.5) AS BIGINT)) AS BIGINT) AS sum_cents,
-         CAST(max(CAST(floor(value * 100.0 + 0.5) AS BIGINT)) AS BIGINT) AS max_cents
-  FROM events GROUP BY 1
-)
-SELECT event_type, metric, value FROM (
-  SELECT event_type, 'n_events' AS metric, n_events AS value FROM w
-  UNION ALL SELECT event_type, 'sum_cents', sum_cents FROM w
-  UNION ALL SELECT event_type, 'max_cents', max_cents FROM w
-) ORDER BY event_type, metric
-"""
-
-QUERIES3["events_unpivot"] = q_events_unpivot
-ORACLES3["events_unpivot"] = SQL_EVENTS_UNPIVOT
-
-
 # ---------------------------------------------------------------------------
 # seq_val_exemplars — k distinct exemplar docs per error type
 
@@ -1746,6 +1691,43 @@ ORACLES3["events_unpivot"] = SQL_EVENTS_UNPIVOT
 EXEMPLARS_K = 3
 
 
+def _sql_seq_val_exemplars() -> str:
+    from jesse_ray import testgen
+    from jesse_ray.pipelines.queries import ALLOWED_SQL
+
+    return f"""
+WITH offenders AS (
+  SELECT 'wrong_size' AS error, coalesce(doc_id, '') AS doc_key
+  FROM {SEQ_SQL} WHERE len(tokens) != n_tok
+  UNION
+  SELECT 'not_in_range', coalesce(doc_id, '')
+  FROM {SEQ_SQL} WHERE n_tok < 1 OR n_tok > 2048
+  UNION
+  SELECT 'not_in_range', coalesce(doc_id, '')
+  FROM {SEQ_SQL} WHERE EXISTS (
+    SELECT 1 FROM unnest(tokens) AS u(t) WHERE t < 0 OR t >= {testgen.VOCAB})
+  UNION
+  SELECT 'missing_required_property', coalesce(doc_id, '')
+  FROM {SEQ_SQL} WHERE doc_id IS NULL
+  UNION
+  SELECT 'no_match', doc_id FROM {SEQ_SQL}
+  WHERE doc_id IS NOT NULL AND NOT regexp_matches(doc_id, '^doc-[0-9]{{8}}$')
+  UNION
+  SELECT 'not_in_enum', coalesce(doc_id, '') FROM {SEQ_SQL}
+  WHERE source NOT IN ({ALLOWED_SQL})
+  UNION
+  SELECT 'not_unique', doc_id FROM {SEQ_SQL}
+  WHERE doc_id IS NOT NULL GROUP BY doc_id HAVING count(*) > 1
+)
+SELECT error, rnk, doc_key FROM (
+  SELECT error, doc_key,
+         row_number() OVER (PARTITION BY error ORDER BY doc_key) AS rnk
+  FROM offenders
+) WHERE rnk <= {EXEMPLARS_K} ORDER BY error, rnk
+"""
+
+
+@entry("seq_val_exemplars", sql=_sql_seq_val_exemplars())
 def q_seq_val_exemplars(sf_dir: str) -> pd.DataFrame:
     """Stratified violation exemplars: the first K distinct offending
     doc keys per error type, drawn from the REAL engine run (row +
@@ -1788,50 +1770,36 @@ def q_seq_val_exemplars(sf_dir: str) -> pd.DataFrame:
     return out[["error", "rnk", "doc_key"]]
 
 
-def _sql_seq_val_exemplars() -> str:
-    from jesse_ray import testgen
-    from jesse_ray.pipelines.queries import ALLOWED_SQL
-
-    return f"""
-WITH offenders AS (
-  SELECT 'wrong_size' AS error, coalesce(doc_id, '') AS doc_key
-  FROM {SEQ_SQL} WHERE len(tokens) != n_tok
-  UNION
-  SELECT 'not_in_range', coalesce(doc_id, '')
-  FROM {SEQ_SQL} WHERE n_tok < 1 OR n_tok > 2048
-  UNION
-  SELECT 'not_in_range', coalesce(doc_id, '')
-  FROM {SEQ_SQL} WHERE EXISTS (
-    SELECT 1 FROM unnest(tokens) AS u(t) WHERE t < 0 OR t >= {testgen.VOCAB})
-  UNION
-  SELECT 'missing_required_property', coalesce(doc_id, '')
-  FROM {SEQ_SQL} WHERE doc_id IS NULL
-  UNION
-  SELECT 'no_match', doc_id FROM {SEQ_SQL}
-  WHERE doc_id IS NOT NULL AND NOT regexp_matches(doc_id, '^doc-[0-9]{{8}}$')
-  UNION
-  SELECT 'not_in_enum', coalesce(doc_id, '') FROM {SEQ_SQL}
-  WHERE source NOT IN ({ALLOWED_SQL})
-  UNION
-  SELECT 'not_unique', doc_id FROM {SEQ_SQL}
-  WHERE doc_id IS NOT NULL GROUP BY doc_id HAVING count(*) > 1
-)
-SELECT error, rnk, doc_key FROM (
-  SELECT error, doc_key,
-         row_number() OVER (PARTITION BY error ORDER BY doc_key) AS rnk
-  FROM offenders
-) WHERE rnk <= {EXEMPLARS_K} ORDER BY error, rnk
-"""
-
-
-QUERIES3["seq_val_exemplars"] = q_seq_val_exemplars
-ORACLES3["seq_val_exemplars"] = _sql_seq_val_exemplars()
-
-
 # ---------------------------------------------------------------------------
 # seq_expectations_by_source — the expectation suite scoped per group
 
 
+SQL_SEQ_EXPECTATIONS_BY_SOURCE = f"""
+WITH a AS (
+  SELECT source,
+         CAST(count(*) AS BIGINT) AS n,
+         CAST(sum(CASE WHEN doc_id IS NULL THEN 1 ELSE 0 END) AS BIGINT) AS null_doc,
+         CAST(count(n_tok) AS BIGINT) AS n_valid,
+         CAST(sum(n_tok) AS BIGINT) AS s
+  FROM {SEQ_SQL} GROUP BY source
+)
+SELECT source, expectation, observed, passed FROM (
+  SELECT source, 'doc_id_null_count_is_0' AS expectation,
+         CAST(null_doc AS DOUBLE) AS observed,
+         CAST(CASE WHEN null_doc = 0 THEN 1 ELSE 0 END AS BIGINT) AS passed FROM a
+  UNION ALL
+  SELECT source, 'n_tok_mean_between_1_4096',
+         round(CAST(s AS DOUBLE) / n_valid, 6),
+         CASE WHEN round(CAST(s AS DOUBLE) / n_valid, 6) BETWEEN 1.0 AND 4096.0
+              THEN 1 ELSE 0 END FROM a
+  UNION ALL
+  SELECT source, 'row_count_at_least_1', CAST(n AS DOUBLE),
+         CASE WHEN n >= 1 THEN 1 ELSE 0 END FROM a
+) ORDER BY source, expectation
+"""
+
+
+@entry("seq_expectations_by_source", sql=SQL_SEQ_EXPECTATIONS_BY_SOURCE)
 def q_seq_expectations_by_source(sf_dir: str) -> pd.DataFrame:
     """Group-scoped expectation suite: the same declarative-contract
     machinery as ``seq_expectations`` but evaluated PER SOURCE (per
@@ -1873,34 +1841,6 @@ def q_seq_expectations_by_source(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["source", "expectation"]).reset_index(drop=True)
 
 
-SQL_SEQ_EXPECTATIONS_BY_SOURCE = f"""
-WITH a AS (
-  SELECT source,
-         CAST(count(*) AS BIGINT) AS n,
-         CAST(sum(CASE WHEN doc_id IS NULL THEN 1 ELSE 0 END) AS BIGINT) AS null_doc,
-         CAST(count(n_tok) AS BIGINT) AS n_valid,
-         CAST(sum(n_tok) AS BIGINT) AS s
-  FROM {SEQ_SQL} GROUP BY source
-)
-SELECT source, expectation, observed, passed FROM (
-  SELECT source, 'doc_id_null_count_is_0' AS expectation,
-         CAST(null_doc AS DOUBLE) AS observed,
-         CAST(CASE WHEN null_doc = 0 THEN 1 ELSE 0 END AS BIGINT) AS passed FROM a
-  UNION ALL
-  SELECT source, 'n_tok_mean_between_1_4096',
-         round(CAST(s AS DOUBLE) / n_valid, 6),
-         CASE WHEN round(CAST(s AS DOUBLE) / n_valid, 6) BETWEEN 1.0 AND 4096.0
-              THEN 1 ELSE 0 END FROM a
-  UNION ALL
-  SELECT source, 'row_count_at_least_1', CAST(n AS DOUBLE),
-         CASE WHEN n >= 1 THEN 1 ELSE 0 END FROM a
-) ORDER BY source, expectation
-"""
-
-QUERIES3["seq_expectations_by_source"] = q_seq_expectations_by_source
-ORACLES3["seq_expectations_by_source"] = SQL_SEQ_EXPECTATIONS_BY_SOURCE
-
-
 # ---------------------------------------------------------------------------
 # ref_integrity_audit — FK orphan audit across every edge of the star schema
 
@@ -1923,6 +1863,22 @@ FK_EDGES = [
 ]
 
 
+def _sql_ref_integrity_audit() -> str:
+    parts = []
+    for edge, child, fk, parent, pk in FK_EDGES:
+        parts.append(f"""
+  SELECT '{edge}' AS edge,
+         CAST((SELECT count(*) FROM {child}) AS BIGINT) AS child_rows,
+         CAST((SELECT count(*) FROM {child} c
+               WHERE NOT EXISTS (SELECT 1 FROM {parent} p
+                                 WHERE p.{pk} = c.{fk})) AS BIGINT) AS orphan_rows""")
+    inner = "\n  UNION ALL".join(parts)
+    return (f"SELECT edge, child_rows, orphan_rows,\n"
+            f"       CAST(CASE WHEN orphan_rows = 0 THEN 1 ELSE 0 END AS BIGINT) AS ok\n"
+            f"FROM ({inner}\n) ORDER BY edge")
+
+
+@entry("ref_integrity_audit", sql=_sql_ref_integrity_audit())
 def q_ref_integrity_audit(sf_dir: str) -> pd.DataFrame:
     """Referential-integrity audit of EVERY foreign-key edge in the
     star schema — the whole-warehouse generalization of the engine's
@@ -1951,25 +1907,6 @@ def q_ref_integrity_audit(sf_dir: str) -> pd.DataFrame:
         .sort_values("edge").reset_index(drop=True)
 
 
-def _sql_ref_integrity_audit() -> str:
-    parts = []
-    for edge, child, fk, parent, pk in FK_EDGES:
-        parts.append(f"""
-  SELECT '{edge}' AS edge,
-         CAST((SELECT count(*) FROM {child}) AS BIGINT) AS child_rows,
-         CAST((SELECT count(*) FROM {child} c
-               WHERE NOT EXISTS (SELECT 1 FROM {parent} p
-                                 WHERE p.{pk} = c.{fk})) AS BIGINT) AS orphan_rows""")
-    inner = "\n  UNION ALL".join(parts)
-    return (f"SELECT edge, child_rows, orphan_rows,\n"
-            f"       CAST(CASE WHEN orphan_rows = 0 THEN 1 ELSE 0 END AS BIGINT) AS ok\n"
-            f"FROM ({inner}\n) ORDER BY edge")
-
-
-QUERIES3["ref_integrity_audit"] = q_ref_integrity_audit
-ORACLES3["ref_integrity_audit"] = _sql_ref_integrity_audit()
-
-
 # ---------------------------------------------------------------------------
 # emb_quality_audit — embedding-column QA (NaN / zero / dim conformance)
 
@@ -1977,6 +1914,28 @@ ORACLES3["ref_integrity_audit"] = _sql_ref_integrity_audit()
 EMB_EXPECT_DIM = 64
 
 
+SQL_EMB_QUALITY_AUDIT = f"""
+WITH v AS (
+  SELECT CAST(label AS BIGINT) AS label,
+         CASE WHEN len(list_filter(embedding, x -> isnan(x))) > 0
+              THEN 1 ELSE 0 END AS is_nan,
+         CASE WHEN len(embedding) > 0
+                   AND len(list_filter(embedding, x -> x = 0.0)) = len(embedding)
+              THEN 1 ELSE 0 END AS is_zero,
+         CASE WHEN len(embedding) != {EMB_EXPECT_DIM} THEN 1 ELSE 0 END AS wrong_dim
+  FROM embeddings
+)
+SELECT label, CAST(count(*) AS BIGINT) AS n_vecs,
+       CAST(sum(is_nan) AS BIGINT) AS n_nan,
+       CAST(sum(is_zero) AS BIGINT) AS n_zero,
+       CAST(sum(wrong_dim) AS BIGINT) AS n_wrong_dim,
+       CAST(CASE WHEN sum(is_nan) = 0 AND sum(is_zero) = 0
+                      AND sum(wrong_dim) = 0 THEN 1 ELSE 0 END AS BIGINT) AS ok
+FROM v GROUP BY label ORDER BY label
+"""
+
+
+@entry("emb_quality_audit", sql=SQL_EMB_QUALITY_AUDIT)
 def q_emb_quality_audit(sf_dir: str) -> pd.DataFrame:
     """Embedding-column quality audit per label: vector count, vectors
     containing any NaN, exact all-zero vectors, and wrong-dimension
@@ -2026,30 +1985,6 @@ def q_emb_quality_audit(sf_dir: str) -> pd.DataFrame:
     return out
 
 
-SQL_EMB_QUALITY_AUDIT = f"""
-WITH v AS (
-  SELECT CAST(label AS BIGINT) AS label,
-         CASE WHEN len(list_filter(embedding, x -> isnan(x))) > 0
-              THEN 1 ELSE 0 END AS is_nan,
-         CASE WHEN len(embedding) > 0
-                   AND len(list_filter(embedding, x -> x = 0.0)) = len(embedding)
-              THEN 1 ELSE 0 END AS is_zero,
-         CASE WHEN len(embedding) != {EMB_EXPECT_DIM} THEN 1 ELSE 0 END AS wrong_dim
-  FROM embeddings
-)
-SELECT label, CAST(count(*) AS BIGINT) AS n_vecs,
-       CAST(sum(is_nan) AS BIGINT) AS n_nan,
-       CAST(sum(is_zero) AS BIGINT) AS n_zero,
-       CAST(sum(wrong_dim) AS BIGINT) AS n_wrong_dim,
-       CAST(CASE WHEN sum(is_nan) = 0 AND sum(is_zero) = 0
-                      AND sum(wrong_dim) = 0 THEN 1 ELSE 0 END AS BIGINT) AS ok
-FROM v GROUP BY label ORDER BY label
-"""
-
-QUERIES3["emb_quality_audit"] = q_emb_quality_audit
-ORACLES3["emb_quality_audit"] = SQL_EMB_QUALITY_AUDIT
-
-
 # ---------------------------------------------------------------------------
 # seq_token_budget_sample — cap every source at a fixed token budget
 
@@ -2057,6 +1992,45 @@ ORACLES3["emb_quality_audit"] = SQL_EMB_QUALITY_AUDIT
 TOKEN_BUDGET = 20_000
 
 
+def _sql_token_budget() -> str:
+    M = 1 << 64
+    c1, c2 = 0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53
+
+    def mul(e, c):
+        c_hi, c_lo = c >> 32, c & 0xFFFFFFFF
+        return (f"CAST(((CAST({e} AS HUGEINT) * {c_lo})"
+                f" + ((CAST({e} AS HUGEINT) * {c_hi}) % 4294967296) * 4294967296)"
+                f" % {M} AS UBIGINT)")
+
+    def xsh(e):
+        return f"xor({e}, {e} >> 33)"
+
+    return f"""
+WITH rows0 AS (
+  SELECT source, CAST(n_tok AS BIGINT) AS n_tok,
+         CAST(substr(doc_id, 5) AS UBIGINT) AS h
+  FROM {SEQ_SQL}
+  WHERE doc_id IS NOT NULL AND regexp_matches(doc_id, '^doc-[0-9]{{8}}$')
+    AND n_tok IS NOT NULL
+),
+h1 AS (SELECT source, n_tok, {mul(xsh('h'), c1)} AS h FROM rows0),
+h2 AS (SELECT source, n_tok, {mul(xsh('h'), c2)} AS h FROM h1),
+h3 AS (SELECT source, n_tok, {xsh('h')} AS h FROM h2),
+s AS (
+  SELECT source, n_tok,
+         sum(n_tok) OVER (PARTITION BY source ORDER BY h) AS running
+  FROM h3
+)
+SELECT source,
+       CAST(count(*) AS BIGINT) AS total_rows,
+       CAST(sum(n_tok) AS BIGINT) AS total_tokens,
+       CAST(sum(CASE WHEN running <= {TOKEN_BUDGET} THEN 1 ELSE 0 END) AS BIGINT) AS kept_rows,
+       CAST(sum(CASE WHEN running <= {TOKEN_BUDGET} THEN n_tok ELSE 0 END) AS BIGINT) AS kept_tokens
+FROM s GROUP BY source ORDER BY source
+"""
+
+
+@entry("seq_token_budget_sample", sql=_sql_token_budget())
 def q_seq_token_budget_sample(sf_dir: str) -> pd.DataFrame:
     """Token-budget-capped mixing: every source keeps rows in
     fmix64(doc-key) order until its running token total exceeds the
@@ -2109,79 +2083,8 @@ def q_seq_token_budget_sample(sf_dir: str) -> pd.DataFrame:
     return out[["source", "total_rows", "total_tokens", "kept_rows", "kept_tokens"]]
 
 
-def _sql_token_budget() -> str:
-    M = 1 << 64
-    c1, c2 = 0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53
-
-    def mul(e, c):
-        c_hi, c_lo = c >> 32, c & 0xFFFFFFFF
-        return (f"CAST(((CAST({e} AS HUGEINT) * {c_lo})"
-                f" + ((CAST({e} AS HUGEINT) * {c_hi}) % 4294967296) * 4294967296)"
-                f" % {M} AS UBIGINT)")
-
-    def xsh(e):
-        return f"xor({e}, {e} >> 33)"
-
-    return f"""
-WITH rows0 AS (
-  SELECT source, CAST(n_tok AS BIGINT) AS n_tok,
-         CAST(substr(doc_id, 5) AS UBIGINT) AS h
-  FROM {SEQ_SQL}
-  WHERE doc_id IS NOT NULL AND regexp_matches(doc_id, '^doc-[0-9]{{8}}$')
-    AND n_tok IS NOT NULL
-),
-h1 AS (SELECT source, n_tok, {mul(xsh('h'), c1)} AS h FROM rows0),
-h2 AS (SELECT source, n_tok, {mul(xsh('h'), c2)} AS h FROM h1),
-h3 AS (SELECT source, n_tok, {xsh('h')} AS h FROM h2),
-s AS (
-  SELECT source, n_tok,
-         sum(n_tok) OVER (PARTITION BY source ORDER BY h) AS running
-  FROM h3
-)
-SELECT source,
-       CAST(count(*) AS BIGINT) AS total_rows,
-       CAST(sum(n_tok) AS BIGINT) AS total_tokens,
-       CAST(sum(CASE WHEN running <= {TOKEN_BUDGET} THEN 1 ELSE 0 END) AS BIGINT) AS kept_rows,
-       CAST(sum(CASE WHEN running <= {TOKEN_BUDGET} THEN n_tok ELSE 0 END) AS BIGINT) AS kept_tokens
-FROM s GROUP BY source ORDER BY source
-"""
-
-
-QUERIES3["seq_token_budget_sample"] = q_seq_token_budget_sample
-ORACLES3["seq_token_budget_sample"] = _sql_token_budget()
-
-
 # ---------------------------------------------------------------------------
 # seq_val_regression — validation regression diff between two snapshots
-
-
-def q_seq_val_regression(sf_dir: str) -> pd.DataFrame:
-    """Validation regression report between two corpus snapshots (the
-    nightly-vs-baseline gate: which error classes appeared, grew, or
-    were fixed after an ingest/transform change).  Runs the REAL engine
-    on both snapshots (dirty vs cleaned corpus), outer-merges the two
-    per-error count tables, and emits per-class deltas — the engine-run
-    cost is two validation passes; the diff is |error classes| rows."""
-    from jesse_ray import testgen
-    from jesse_ray.engine import validate_dataset
-    from jesse_ray.pipelines.queries import _seq_spec
-
-    sf = testgen.sf_name_of(sf_dir)
-    testgen.generate(sf)
-    base = read_sequences(str(testgen.corpus_dir(sf) / "sequences_clean.parquet"))
-    cur = read_sequences(_seq_path(sf_dir))
-    c_base = validate_dataset(base, _seq_spec()).counts_by_error()
-    c_cur = validate_dataset(cur, _seq_spec()).counts_by_error()
-    errs = sorted(set(c_base) | set(c_cur))
-    rows = []
-    for e in errs:
-        b, c = int(c_base.get(e, 0)), int(c_cur.get(e, 0))
-        status = ("new" if b == 0 and c > 0 else
-                  "fixed" if b > 0 and c == 0 else
-                  "grew" if c > b else "shrank" if c < b else "same")
-        rows.append((e, b, c, c - b, status))
-    return pd.DataFrame(rows, columns=["error", "baseline_cnt", "current_cnt",
-                                       "delta", "status"])
 
 
 def _sql_seq_val_regression() -> str:
@@ -2230,8 +2133,34 @@ FROM m WHERE baseline_cnt > 0 OR current_cnt > 0 ORDER BY error
 """
 
 
-QUERIES3["seq_val_regression"] = q_seq_val_regression
-ORACLES3["seq_val_regression"] = _sql_seq_val_regression()
+@entry("seq_val_regression", sql=_sql_seq_val_regression())
+def q_seq_val_regression(sf_dir: str) -> pd.DataFrame:
+    """Validation regression report between two corpus snapshots (the
+    nightly-vs-baseline gate: which error classes appeared, grew, or
+    were fixed after an ingest/transform change).  Runs the REAL engine
+    on both snapshots (dirty vs cleaned corpus), outer-merges the two
+    per-error count tables, and emits per-class deltas — the engine-run
+    cost is two validation passes; the diff is |error classes| rows."""
+    from jesse_ray import testgen
+    from jesse_ray.engine import validate_dataset
+    from jesse_ray.pipelines.queries import _seq_spec
+
+    sf = testgen.sf_name_of(sf_dir)
+    testgen.generate(sf)
+    base = read_sequences(str(testgen.corpus_dir(sf) / "sequences_clean.parquet"))
+    cur = read_sequences(_seq_path(sf_dir))
+    c_base = validate_dataset(base, _seq_spec()).counts_by_error()
+    c_cur = validate_dataset(cur, _seq_spec()).counts_by_error()
+    errs = sorted(set(c_base) | set(c_cur))
+    rows = []
+    for e in errs:
+        b, c = int(c_base.get(e, 0)), int(c_cur.get(e, 0))
+        status = ("new" if b == 0 and c > 0 else
+                  "fixed" if b > 0 and c == 0 else
+                  "grew" if c > b else "shrank" if c < b else "same")
+        rows.append((e, b, c, c - b, status))
+    return pd.DataFrame(rows, columns=["error", "baseline_cnt", "current_cnt",
+                                       "delta", "status"])
 
 
 # ---------------------------------------------------------------------------
@@ -2241,6 +2170,23 @@ ORACLES3["seq_val_regression"] = _sql_seq_val_regression()
 BAND_LO, BAND_HI = 0.1, 0.9
 
 
+SQL_SEQ_BAND_FILTER = f"""
+WITH b AS (
+  SELECT source,
+         CAST(quantile_disc(n_tok, {BAND_LO}) AS BIGINT) AS lo,
+         CAST(quantile_disc(n_tok, {BAND_HI}) AS BIGINT) AS hi
+  FROM {SEQ_SQL} GROUP BY source
+)
+SELECT s.source,
+       CAST(count(*) AS BIGINT) AS n,
+       CAST(sum(CASE WHEN s.n_tok BETWEEN b.lo AND b.hi THEN 1 ELSE 0 END) AS BIGINT) AS kept,
+       any_value(b.lo) AS lo, any_value(b.hi) AS hi
+FROM {SEQ_SQL} s JOIN b ON s.source = b.source
+GROUP BY s.source ORDER BY s.source
+"""
+
+
+@entry("seq_band_filter", sql=SQL_SEQ_BAND_FILTER)
 def q_seq_band_filter(sf_dir: str) -> pd.DataFrame:
     """Quantile-band curation gate: keep sequences whose n_tok lies
     within [p10, p90] of their OWN source (per-stream length trimming —
@@ -2281,29 +2227,44 @@ def q_seq_band_filter(sf_dir: str) -> pd.DataFrame:
     return out
 
 
-SQL_SEQ_BAND_FILTER = f"""
-WITH b AS (
-  SELECT source,
-         CAST(quantile_disc(n_tok, {BAND_LO}) AS BIGINT) AS lo,
-         CAST(quantile_disc(n_tok, {BAND_HI}) AS BIGINT) AS hi
-  FROM {SEQ_SQL} GROUP BY source
-)
-SELECT s.source,
-       CAST(count(*) AS BIGINT) AS n,
-       CAST(sum(CASE WHEN s.n_tok BETWEEN b.lo AND b.hi THEN 1 ELSE 0 END) AS BIGINT) AS kept,
-       any_value(b.lo) AS lo, any_value(b.hi) AS hi
-FROM {SEQ_SQL} s JOIN b ON s.source = b.source
-GROUP BY s.source ORDER BY s.source
-"""
-
-QUERIES3["seq_band_filter"] = q_seq_band_filter
-ORACLES3["seq_band_filter"] = SQL_SEQ_BAND_FILTER
-
-
 # ---------------------------------------------------------------------------
 # seq_val_errors_by_source — per-tenant attribution of engine violations
 
 
+def _sql_val_errors_by_source() -> str:
+    from jesse_ray import testgen
+    from jesse_ray.pipelines.queries import ALLOWED_SQL
+
+    return f"""
+WITH offenders AS (
+  SELECT 'wrong_size' AS error, doc_id FROM {SEQ_SQL}
+  WHERE doc_id IS NOT NULL AND len(tokens) != n_tok
+  UNION ALL
+  SELECT 'not_in_range', doc_id FROM {SEQ_SQL}
+  WHERE doc_id IS NOT NULL AND (n_tok < 1 OR n_tok > 2048)
+  UNION ALL
+  SELECT 'not_in_range', doc_id FROM {SEQ_SQL}
+  WHERE doc_id IS NOT NULL AND EXISTS (
+    SELECT 1 FROM unnest(tokens) AS u(t) WHERE t < 0 OR t >= {testgen.VOCAB})
+  UNION ALL
+  SELECT 'no_match', doc_id FROM {SEQ_SQL}
+  WHERE doc_id IS NOT NULL AND NOT regexp_matches(doc_id, '^doc-[0-9]{{8}}$')
+  UNION ALL
+  SELECT 'not_in_enum', doc_id FROM {SEQ_SQL}
+  WHERE doc_id IS NOT NULL AND source NOT IN ({ALLOWED_SQL})
+  UNION ALL
+  SELECT 'not_unique', doc_id FROM (
+      SELECT doc_id FROM {SEQ_SQL} WHERE doc_id IS NOT NULL
+      GROUP BY doc_id HAVING count(*) > 1
+  )
+)
+SELECT s.source, o.error, CAST(count(*) AS BIGINT) AS cnt
+FROM offenders o JOIN {SEQ_SQL} s ON o.doc_id = s.doc_id
+GROUP BY s.source, o.error ORDER BY s.source, o.error
+"""
+
+
+@entry("seq_val_errors_by_source", sql=_sql_val_errors_by_source())
 def q_seq_val_errors_by_source(sf_dir: str) -> pd.DataFrame:
     """Per-source attribution of the engine's violation rows: which
     tenant/stream produces which error class (the ownership view an
@@ -2350,47 +2311,25 @@ def q_seq_val_errors_by_source(sf_dir: str) -> pd.DataFrame:
     return g
 
 
-def _sql_val_errors_by_source() -> str:
-    from jesse_ray import testgen
-    from jesse_ray.pipelines.queries import ALLOWED_SQL
-
-    return f"""
-WITH offenders AS (
-  SELECT 'wrong_size' AS error, doc_id FROM {SEQ_SQL}
-  WHERE doc_id IS NOT NULL AND len(tokens) != n_tok
-  UNION ALL
-  SELECT 'not_in_range', doc_id FROM {SEQ_SQL}
-  WHERE doc_id IS NOT NULL AND (n_tok < 1 OR n_tok > 2048)
-  UNION ALL
-  SELECT 'not_in_range', doc_id FROM {SEQ_SQL}
-  WHERE doc_id IS NOT NULL AND EXISTS (
-    SELECT 1 FROM unnest(tokens) AS u(t) WHERE t < 0 OR t >= {testgen.VOCAB})
-  UNION ALL
-  SELECT 'no_match', doc_id FROM {SEQ_SQL}
-  WHERE doc_id IS NOT NULL AND NOT regexp_matches(doc_id, '^doc-[0-9]{{8}}$')
-  UNION ALL
-  SELECT 'not_in_enum', doc_id FROM {SEQ_SQL}
-  WHERE doc_id IS NOT NULL AND source NOT IN ({ALLOWED_SQL})
-  UNION ALL
-  SELECT 'not_unique', doc_id FROM (
-      SELECT doc_id FROM {SEQ_SQL} WHERE doc_id IS NOT NULL
-      GROUP BY doc_id HAVING count(*) > 1
-  )
-)
-SELECT s.source, o.error, CAST(count(*) AS BIGINT) AS cnt
-FROM offenders o JOIN {SEQ_SQL} s ON o.doc_id = s.doc_id
-GROUP BY s.source, o.error ORDER BY s.source, o.error
-"""
-
-
-QUERIES3["seq_val_errors_by_source"] = q_seq_val_errors_by_source
-ORACLES3["seq_val_errors_by_source"] = _sql_val_errors_by_source()
-
-
 # ---------------------------------------------------------------------------
 # emb_label_balance — training-set label-balance audit
 
 
+SQL_EMB_LABEL_BALANCE = """
+WITH g AS (
+  SELECT CAST(label AS BIGINT) AS label, CAST(count(*) AS BIGINT) AS n
+  FROM embeddings GROUP BY label
+)
+SELECT label, n,
+       round(CAST(n AS DOUBLE) / (SELECT sum(n) FROM g), 6) AS share,
+       round(CAST(n AS DOUBLE) / (SELECT max(n) FROM g), 6) AS majority_ratio,
+       CAST(CASE WHEN 4 * (SELECT count(*) FROM g) * n >= (SELECT sum(n) FROM g)
+                 THEN 1 ELSE 0 END AS BIGINT) AS ok
+FROM g ORDER BY label
+"""
+
+
+@entry("emb_label_balance", sql=SQL_EMB_LABEL_BALANCE)
 def q_emb_label_balance(sf_dir: str) -> pd.DataFrame:
     """Label-balance audit of a classifier training set: per-label
     counts, share, ratio to the majority class, and a pass flag
@@ -2422,19 +2361,3 @@ def q_emb_label_balance(sf_dir: str) -> pd.DataFrame:
         "ok": (4 * k * g["n"] >= total).astype("int64"),
     })
 
-
-SQL_EMB_LABEL_BALANCE = """
-WITH g AS (
-  SELECT CAST(label AS BIGINT) AS label, CAST(count(*) AS BIGINT) AS n
-  FROM embeddings GROUP BY label
-)
-SELECT label, n,
-       round(CAST(n AS DOUBLE) / (SELECT sum(n) FROM g), 6) AS share,
-       round(CAST(n AS DOUBLE) / (SELECT max(n) FROM g), 6) AS majority_ratio,
-       CAST(CASE WHEN 4 * (SELECT count(*) FROM g) * n >= (SELECT sum(n) FROM g)
-                 THEN 1 ELSE 0 END AS BIGINT) AS ok
-FROM g ORDER BY label
-"""
-
-QUERIES3["emb_label_balance"] = q_emb_label_balance
-ORACLES3["emb_label_balance"] = SQL_EMB_LABEL_BALANCE

@@ -14,8 +14,7 @@ import pyarrow.compute as pc
 from jesse_ray.rounding import round_half_away
 from jesse_ray.sources import read_table
 
-QUERIES30: dict = {}
-ORACLES30: dict = {}
+from jesse_ray.pipelines.queries import entry
 
 
 def _collect(ds) -> pa.Table:
@@ -30,6 +29,39 @@ def _collect(ds) -> pa.Table:
 NEAREST_TOL_S = 3600
 
 
+SQL_EVENTS_NEAREST_JOIN = f"""
+WITH s AS (
+  SELECT event_id, user_id, epoch_us(ts) AS e, event_type
+  FROM events WHERE event_type IN ('error', 'purchase')
+),
+w AS (
+  SELECT *,
+         lag(CASE WHEN event_type = 'purchase' THEN e END IGNORE NULLS)
+           OVER (PARTITION BY user_id ORDER BY e, event_id) AS pe,
+         lag(CASE WHEN event_type = 'purchase' THEN event_id END IGNORE NULLS)
+           OVER (PARTITION BY user_id ORDER BY e, event_id) AS pid,
+         lead(CASE WHEN event_type = 'purchase' THEN e END IGNORE NULLS)
+           OVER (PARTITION BY user_id ORDER BY e, event_id) AS ne,
+         lead(CASE WHEN event_type = 'purchase' THEN event_id END IGNORE NULLS)
+           OVER (PARTITION BY user_id ORDER BY e, event_id) AS nid
+  FROM s
+),
+j AS (
+  SELECT event_id,
+         CASE WHEN pe IS NOT NULL AND (ne IS NULL OR e - pe <= ne - e)
+              THEN pid ELSE nid END AS purchase_id,
+         CASE WHEN pe IS NOT NULL AND (ne IS NULL OR e - pe <= ne - e)
+              THEN e - pe ELSE ne - e END AS gap_us
+  FROM w WHERE event_type = 'error'
+)
+SELECT event_id, purchase_id, CAST(gap_us AS BIGINT) AS gap_us
+FROM j
+WHERE purchase_id IS NOT NULL AND gap_us <= {NEAREST_TOL_S * 1_000_000}
+ORDER BY event_id
+"""
+
+
+@entry("events_nearest_join", sql=SQL_EVENTS_NEAREST_JOIN)
 def q_events_nearest_join(sf_dir: str) -> pd.DataFrame:
     """One coarse user-hash shuffle of the two-type slice; per part the
     union is time-sorted once and each error row reads its previous and
@@ -103,41 +135,6 @@ def q_events_nearest_join(sf_dir: str) -> pd.DataFrame:
         {"event_id": "int64", "purchase_id": "int64", "gap_us": "int64"})
 
 
-SQL_EVENTS_NEAREST_JOIN = f"""
-WITH s AS (
-  SELECT event_id, user_id, epoch_us(ts) AS e, event_type
-  FROM events WHERE event_type IN ('error', 'purchase')
-),
-w AS (
-  SELECT *,
-         lag(CASE WHEN event_type = 'purchase' THEN e END IGNORE NULLS)
-           OVER (PARTITION BY user_id ORDER BY e, event_id) AS pe,
-         lag(CASE WHEN event_type = 'purchase' THEN event_id END IGNORE NULLS)
-           OVER (PARTITION BY user_id ORDER BY e, event_id) AS pid,
-         lead(CASE WHEN event_type = 'purchase' THEN e END IGNORE NULLS)
-           OVER (PARTITION BY user_id ORDER BY e, event_id) AS ne,
-         lead(CASE WHEN event_type = 'purchase' THEN event_id END IGNORE NULLS)
-           OVER (PARTITION BY user_id ORDER BY e, event_id) AS nid
-  FROM s
-),
-j AS (
-  SELECT event_id,
-         CASE WHEN pe IS NOT NULL AND (ne IS NULL OR e - pe <= ne - e)
-              THEN pid ELSE nid END AS purchase_id,
-         CASE WHEN pe IS NOT NULL AND (ne IS NULL OR e - pe <= ne - e)
-              THEN e - pe ELSE ne - e END AS gap_us
-  FROM w WHERE event_type = 'error'
-)
-SELECT event_id, purchase_id, CAST(gap_us AS BIGINT) AS gap_us
-FROM j
-WHERE purchase_id IS NOT NULL AND gap_us <= {NEAREST_TOL_S * 1_000_000}
-ORDER BY event_id
-"""
-
-QUERIES30["events_nearest_join"] = q_events_nearest_join
-ORACLES30["events_nearest_join"] = SQL_EVENTS_NEAREST_JOIN
-
-
 # ---------------------------------------------------------------------------
 # orders_pps_sample — deterministic SYSTEMATIC probability-proportional-
 # to-size sample of orders (size = o_totalprice cents) plus the
@@ -149,6 +146,35 @@ PPS_N = 100
 PPS_OFFSET_NUM, PPS_OFFSET_DEN = 1, 2  # systematic start at 0.5 steps
 
 
+def _pps_sql() -> str:
+    return f"""
+WITH o AS (
+  SELECT o_orderkey, CAST(round(o_totalprice * 100) AS BIGINT) AS w,
+         sum(CAST(round(o_totalprice * 100) AS BIGINT))
+           OVER (ORDER BY o_orderkey ROWS UNBOUNDED PRECEDING) AS cum
+  FROM orders
+),
+tot AS (SELECT CAST(sum(w) AS HUGEINT) AS W, CAST(count(*) AS BIGINT) AS n_all FROM o),
+k AS (SELECT unnest(generate_series(0, {PPS_N - 1})) AS k),
+sel AS (
+  SELECT DISTINCT (
+    SELECT min(o_orderkey) FROM o
+    WHERE 2 * {PPS_N} * CAST(cum AS HUGEINT) > (2 * k.k + 1) * (SELECT W FROM tot)
+  ) AS o_orderkey
+  FROM k
+),
+s AS (
+  SELECT o.o_orderkey, o.w FROM sel JOIN o USING (o_orderkey)
+)
+SELECT (SELECT CAST(count(*) AS BIGINT) FROM s) AS n_selected,
+       (SELECT round(sum(1.0 / least(1.0, {PPS_N} * CAST(w AS DOUBLE)
+                                          / CAST((SELECT W FROM tot) AS DOUBLE))
+                         ORDER BY o_orderkey), 4) FROM s) AS ht_count_estimate,
+       (SELECT n_all FROM tot) AS true_count
+"""
+
+
+@entry("orders_pps_sample", sql=_pps_sql())
 def q_orders_pps_sample(sf_dir: str) -> pd.DataFrame:
     """Systematic PPS: orders in o_orderkey order with cumulative cents
     C_i; the k-th selection is the first order whose cumulative range
@@ -241,34 +267,3 @@ def q_orders_pps_sample(sf_dir: str) -> pd.DataFrame:
         "true_count": pd.array([n_all], dtype="int64"),
     })
 
-
-def _pps_sql() -> str:
-    return f"""
-WITH o AS (
-  SELECT o_orderkey, CAST(round(o_totalprice * 100) AS BIGINT) AS w,
-         sum(CAST(round(o_totalprice * 100) AS BIGINT))
-           OVER (ORDER BY o_orderkey ROWS UNBOUNDED PRECEDING) AS cum
-  FROM orders
-),
-tot AS (SELECT CAST(sum(w) AS HUGEINT) AS W, CAST(count(*) AS BIGINT) AS n_all FROM o),
-k AS (SELECT unnest(generate_series(0, {PPS_N - 1})) AS k),
-sel AS (
-  SELECT DISTINCT (
-    SELECT min(o_orderkey) FROM o
-    WHERE 2 * {PPS_N} * CAST(cum AS HUGEINT) > (2 * k.k + 1) * (SELECT W FROM tot)
-  ) AS o_orderkey
-  FROM k
-),
-s AS (
-  SELECT o.o_orderkey, o.w FROM sel JOIN o USING (o_orderkey)
-)
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM s) AS n_selected,
-       (SELECT round(sum(1.0 / least(1.0, {PPS_N} * CAST(w AS DOUBLE)
-                                          / CAST((SELECT W FROM tot) AS DOUBLE))
-                         ORDER BY o_orderkey), 4) FROM s) AS ht_count_estimate,
-       (SELECT n_all FROM tot) AS true_count
-"""
-
-
-QUERIES30["orders_pps_sample"] = q_orders_pps_sample
-ORACLES30["orders_pps_sample"] = _pps_sql()

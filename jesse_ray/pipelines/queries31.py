@@ -20,8 +20,7 @@ import pyarrow.compute as pc
 from jesse_ray.rounding import round_half_away
 from jesse_ray.sources import read_table
 
-QUERIES31: dict = {}
-ORACLES31: dict = {}
+from jesse_ray.pipelines.queries import entry
 
 
 def _collect(ds) -> pa.Table:
@@ -39,6 +38,29 @@ def _c100(arr):
 Q1_CUTOFF = "2000-09-01"
 
 
+SQL_TPCH_Q1ISH = f"""
+WITH b AS (
+  SELECT l_returnflag, l_linestatus,
+         CAST(round(l_quantity) AS BIGINT) AS qi,
+         CAST(round(l_extendedprice * 100) AS BIGINT) AS ep,
+         CAST(round(l_discount * 100) AS BIGINT) AS dc,
+         CAST(round(l_tax * 100) AS BIGINT) AS tx
+  FROM lineitem WHERE l_shipdate <= TIMESTAMP '{Q1_CUTOFF}'
+)
+SELECT l_returnflag, l_linestatus,
+       sum(qi)::BIGINT AS sum_qty,
+       round(CAST(sum(ep) AS DOUBLE) / 100.0, 2) AS sum_base_price,
+       round(CAST(sum(ep * (100 - dc)) AS DOUBLE) / 10000.0, 2) AS sum_disc_price,
+       round(CAST(sum(ep * (100 - dc) * (100 + tx)) AS DOUBLE) / 1000000.0, 2) AS sum_charge,
+       round(CAST(sum(qi) AS DOUBLE) / count(*), 4) AS avg_qty,
+       round(CAST(sum(ep) AS DOUBLE) / 100.0 / count(*), 4) AS avg_price,
+       round(CAST(sum(dc) AS DOUBLE) / 100.0 / count(*), 6) AS avg_disc,
+       count(*)::BIGINT AS count_order
+FROM b GROUP BY 1, 2 ORDER BY 1, 2
+"""
+
+
+@entry("tpch_q1ish", sql=SQL_TPCH_Q1ISH)
 def q_tpch_q1ish(sf_dir: str) -> pd.DataFrame:
     """Q1 shape: one filtered scan, int64 combiner partials per
     (flag, status) cell — qty integral, base price in cents, discounted
@@ -84,35 +106,22 @@ def q_tpch_q1ish(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["l_returnflag", "l_linestatus"]).reset_index(drop=True)
 
 
-SQL_TPCH_Q1ISH = f"""
-WITH b AS (
-  SELECT l_returnflag, l_linestatus,
-         CAST(round(l_quantity) AS BIGINT) AS qi,
-         CAST(round(l_extendedprice * 100) AS BIGINT) AS ep,
-         CAST(round(l_discount * 100) AS BIGINT) AS dc,
-         CAST(round(l_tax * 100) AS BIGINT) AS tx
-  FROM lineitem WHERE l_shipdate <= TIMESTAMP '{Q1_CUTOFF}'
-)
-SELECT l_returnflag, l_linestatus,
-       sum(qi)::BIGINT AS sum_qty,
-       round(CAST(sum(ep) AS DOUBLE) / 100.0, 2) AS sum_base_price,
-       round(CAST(sum(ep * (100 - dc)) AS DOUBLE) / 10000.0, 2) AS sum_disc_price,
-       round(CAST(sum(ep * (100 - dc) * (100 + tx)) AS DOUBLE) / 1000000.0, 2) AS sum_charge,
-       round(CAST(sum(qi) AS DOUBLE) / count(*), 4) AS avg_qty,
-       round(CAST(sum(ep) AS DOUBLE) / 100.0 / count(*), 4) AS avg_price,
-       round(CAST(sum(dc) AS DOUBLE) / 100.0 / count(*), 6) AS avg_disc,
-       count(*)::BIGINT AS count_order
-FROM b GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-QUERIES31["tpch_q1ish"] = q_tpch_q1ish
-ORACLES31["tpch_q1ish"] = SQL_TPCH_Q1ISH
-
-
 # ---------------------------------------------------------------------------
 # tpch_q6ish — forecast-revenue predicate scan: shipped in 1996,
 # discount 5-7 cents, quantity < 24.
 
+SQL_TPCH_Q6ISH = """
+SELECT round(CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
+                     * CAST(round(l_discount * 100) AS BIGINT)) AS DOUBLE)
+             / 10000.0, 2) AS revenue
+FROM lineitem
+WHERE l_shipdate >= TIMESTAMP '1996-01-01' AND l_shipdate < TIMESTAMP '1997-01-01'
+  AND CAST(round(l_discount * 100) AS BIGINT) BETWEEN 5 AND 7
+  AND CAST(round(l_quantity) AS BIGINT) < 24
+"""
+
+
+@entry("tpch_q6ish", sql=SQL_TPCH_Q6ISH)
 def q_tpch_q6ish(sf_dir: str) -> pd.DataFrame:
     """Q6 shape: the pure predicate-pushdown scan — one vectorized
     filter + an exact 1e-4-unit revenue sum, no join, no shuffle."""
@@ -143,20 +152,6 @@ def q_tpch_q6ish(sf_dir: str) -> pd.DataFrame:
         [round_half_away(float(total) / 10000.0, 2)], dtype="float64")})
 
 
-SQL_TPCH_Q6ISH = """
-SELECT round(CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
-                     * CAST(round(l_discount * 100) AS BIGINT)) AS DOUBLE)
-             / 10000.0, 2) AS revenue
-FROM lineitem
-WHERE l_shipdate >= TIMESTAMP '1996-01-01' AND l_shipdate < TIMESTAMP '1997-01-01'
-  AND CAST(round(l_discount * 100) AS BIGINT) BETWEEN 5 AND 7
-  AND CAST(round(l_quantity) AS BIGINT) < 24
-"""
-
-QUERIES31["tpch_q6ish"] = q_tpch_q6ish
-ORACLES31["tpch_q6ish"] = SQL_TPCH_Q6ISH
-
-
 # ---------------------------------------------------------------------------
 # tpch_q8ish — nation market share: NATION_3 suppliers' share of
 # STANDARD-part revenue delivered to AMERICA-region customers, by
@@ -167,6 +162,25 @@ Q8_REGION = "AMERICA"
 Q8_PTYPE = "STANDARD"
 
 
+SQL_TPCH_Q8ISH = f"""
+SELECT CAST(year(o_orderdate) AS BIGINT) AS o_year,
+       sum(CASE WHEN s.s_nationkey = (SELECT n_nationkey FROM nation WHERE n_name = '{Q8_NATION}')
+                THEN CAST(round(l_extendedprice * 100) AS BIGINT)
+                     * (100 - CAST(round(l_discount * 100) AS BIGINT)) ELSE 0 END)::BIGINT AS num_e4,
+       sum(CAST(round(l_extendedprice * 100) AS BIGINT)
+           * (100 - CAST(round(l_discount * 100) AS BIGINT)))::BIGINT AS den_e4
+FROM lineitem
+JOIN orders ON l_orderkey = o_orderkey
+JOIN customer ON o_custkey = c_custkey
+JOIN nation cn ON c_nationkey = cn.n_nationkey
+JOIN region ON cn.n_regionkey = r_regionkey AND r_name = '{Q8_REGION}'
+JOIN part ON l_partkey = p_partkey AND p_type = '{Q8_PTYPE}'
+JOIN supplier s ON l_suppkey = s.s_suppkey
+GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("tpch_q8ish", sql=SQL_TPCH_Q8ISH)
 def q_tpch_q8ish(sf_dir: str) -> pd.DataFrame:
     """Q8 shape: the six-table join tree — part (type filter) and the
     customer-side region gate ride broadcast dimensions; the fact path
@@ -242,27 +256,6 @@ def q_tpch_q8ish(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("o_year").reset_index(drop=True)
 
 
-SQL_TPCH_Q8ISH = f"""
-SELECT CAST(year(o_orderdate) AS BIGINT) AS o_year,
-       sum(CASE WHEN s.s_nationkey = (SELECT n_nationkey FROM nation WHERE n_name = '{Q8_NATION}')
-                THEN CAST(round(l_extendedprice * 100) AS BIGINT)
-                     * (100 - CAST(round(l_discount * 100) AS BIGINT)) ELSE 0 END)::BIGINT AS num_e4,
-       sum(CAST(round(l_extendedprice * 100) AS BIGINT)
-           * (100 - CAST(round(l_discount * 100) AS BIGINT)))::BIGINT AS den_e4
-FROM lineitem
-JOIN orders ON l_orderkey = o_orderkey
-JOIN customer ON o_custkey = c_custkey
-JOIN nation cn ON c_nationkey = cn.n_nationkey
-JOIN region ON cn.n_regionkey = r_regionkey AND r_name = '{Q8_REGION}'
-JOIN part ON l_partkey = p_partkey AND p_type = '{Q8_PTYPE}'
-JOIN supplier s ON l_suppkey = s.s_suppkey
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES31["tpch_q8ish"] = q_tpch_q8ish
-ORACLES31["tpch_q8ish"] = SQL_TPCH_Q8ISH
-
-
 # ---------------------------------------------------------------------------
 # tpch_q9ish — profit-proxy by supplier nation × order year for parts
 # whose name contains a token (true Q9 needs partsupp's supplycost).
@@ -270,6 +263,21 @@ ORACLES31["tpch_q8ish"] = SQL_TPCH_Q8ISH
 Q9_TOKEN = "widget"
 
 
+SQL_TPCH_Q9ISH = f"""
+SELECT n_name AS nation, CAST(year(o_orderdate) AS BIGINT) AS o_year,
+       round(CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
+                      * (100 - CAST(round(l_discount * 100) AS BIGINT))) AS DOUBLE)
+             / 10000.0, 2) AS revenue
+FROM lineitem
+JOIN part ON l_partkey = p_partkey AND contains(p_name, '{Q9_TOKEN}')
+JOIN supplier ON l_suppkey = s_suppkey
+JOIN nation ON s_nationkey = n_nationkey
+JOIN orders ON l_orderkey = o_orderkey
+GROUP BY 1, 2 ORDER BY 1, 2 DESC
+"""
+
+
+@entry("tpch_q9ish", sql=SQL_TPCH_Q9ISH)
 def q_tpch_q9ish(sf_dir: str) -> pd.DataFrame:
     """Q9 shape minus partsupp: part-name filter broadcast, lineitem
     ⋈ orders cogroup for the year, supplier→nation via broadcast map,
@@ -326,19 +334,3 @@ def q_tpch_q9ish(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["nation", "o_year"],
                            ascending=[True, False]).reset_index(drop=True)
 
-
-SQL_TPCH_Q9ISH = f"""
-SELECT n_name AS nation, CAST(year(o_orderdate) AS BIGINT) AS o_year,
-       round(CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
-                      * (100 - CAST(round(l_discount * 100) AS BIGINT))) AS DOUBLE)
-             / 10000.0, 2) AS revenue
-FROM lineitem
-JOIN part ON l_partkey = p_partkey AND contains(p_name, '{Q9_TOKEN}')
-JOIN supplier ON l_suppkey = s_suppkey
-JOIN nation ON s_nationkey = n_nationkey
-JOIN orders ON l_orderkey = o_orderkey
-GROUP BY 1, 2 ORDER BY 1, 2 DESC
-"""
-
-QUERIES31["tpch_q9ish"] = q_tpch_q9ish
-ORACLES31["tpch_q9ish"] = SQL_TPCH_Q9ISH

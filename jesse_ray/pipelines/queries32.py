@@ -15,8 +15,7 @@ import pyarrow.compute as pc
 
 from jesse_ray.sources import read_table
 
-QUERIES32: dict = {}
-ORACLES32: dict = {}
+from jesse_ray.pipelines.queries import entry
 
 
 def _collect(ds) -> pa.Table:
@@ -47,6 +46,23 @@ def _bloom_positions(h: np.ndarray) -> np.ndarray:
                      for i in range(BLOOM_K)])
 
 
+def _bloom_sql() -> str:
+    clean = "read_parquet('/tmp/jesse_ray_data/sf0.01/sequences_clean.parquet')"
+    from jesse_ray.pipelines.queries import SEQ_SQL as dirty
+
+    return f"""
+WITH d AS (SELECT doc_id FROM {dirty} WHERE doc_id IS NOT NULL),
+c AS (SELECT DISTINCT doc_id FROM {clean})
+SELECT CAST(count(*) AS BIGINT) AS n_probes,
+       CAST(sum(CASE WHEN EXISTS (SELECT 1 FROM c WHERE c.doc_id = d.doc_id)
+                     THEN 1 ELSE 0 END) AS BIGINT) AS n_present,
+       CAST(sum(CASE WHEN EXISTS (SELECT 1 FROM c WHERE c.doc_id = d.doc_id)
+                     THEN 0 ELSE 1 END) AS BIGINT) AS n_absent
+FROM d
+"""
+
+
+@entry("seq_bloom_semijoin", sql=_bloom_sql())
 def q_seq_bloom_semijoin(sf_dir: str) -> pd.DataFrame:
     """Per-batch uint64 bitmaps OR-folded on the driver (O(blocks) ×
     128 KB); the probe pass broadcasts the final bitmap once.  Emitted
@@ -132,37 +148,18 @@ def q_seq_bloom_semijoin(sf_dir: str) -> pd.DataFrame:
                                         zero_copy_batch=True)).to_pandas().sum()
     n_probes, n_maybe = int(agg["probes"]), int(agg["maybe"])
     n_present, n_fneg = int(agg["present"]), int(agg["fneg"])
-    assert n_fneg == 0, f"Bloom filter produced {n_fneg} false negatives"
+    if n_fneg:
+        raise RuntimeError(f"Bloom filter produced {n_fneg} false negatives")
     fp = n_maybe - n_present
     neg = n_probes - n_present
     theo = (1.0 - np.exp(-BLOOM_K * n_clean / BLOOM_M)) ** BLOOM_K
-    assert neg == 0 or fp / neg <= max(2.0 * theo, 1e-3), (
-        f"observed FPR {fp}/{neg} exceeds 2x theoretical {theo:.2e}")
+    if neg and fp / neg > max(2.0 * theo, 1e-3):
+        raise RuntimeError(f"observed FPR {fp}/{neg} exceeds 2x theoretical {theo:.2e}")
     return pd.DataFrame({
         "n_probes": pd.array([n_probes], dtype="int64"),
         "n_present": pd.array([n_present], dtype="int64"),
         "n_absent": pd.array([n_probes - n_present], dtype="int64"),
     })
-
-
-def _bloom_sql() -> str:
-    clean = "read_parquet('/tmp/jesse_ray_data/sf0.01/sequences_clean.parquet')"
-    from jesse_ray.pipelines.queries import SEQ_SQL as dirty
-
-    return f"""
-WITH d AS (SELECT doc_id FROM {dirty} WHERE doc_id IS NOT NULL),
-c AS (SELECT DISTINCT doc_id FROM {clean})
-SELECT CAST(count(*) AS BIGINT) AS n_probes,
-       CAST(sum(CASE WHEN EXISTS (SELECT 1 FROM c WHERE c.doc_id = d.doc_id)
-                     THEN 1 ELSE 0 END) AS BIGINT) AS n_present,
-       CAST(sum(CASE WHEN EXISTS (SELECT 1 FROM c WHERE c.doc_id = d.doc_id)
-                     THEN 0 ELSE 1 END) AS BIGINT) AS n_absent
-FROM d
-"""
-
-
-QUERIES32["seq_bloom_semijoin"] = q_seq_bloom_semijoin
-ORACLES32["seq_bloom_semijoin"] = _bloom_sql()
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +172,16 @@ ORACLES32["seq_bloom_semijoin"] = _bloom_sql()
 LDIV_L = 3
 
 
+SQL_EVENTS_LDIVERSITY = f"""
+SELECT CAST(hour(ts) AS BIGINT) AS hour, event_type,
+       CAST(count(DISTINCT user_id) AS BIGINT) AS l_div,
+       count(DISTINCT user_id) < {LDIV_L} AS below_l
+FROM events
+GROUP BY 1, 2 ORDER BY 1, 2
+"""
+
+
+@entry("events_ldiversity", sql=SQL_EVENTS_LDIVERSITY)
 def q_events_ldiversity(sf_dir: str) -> pd.DataFrame:
     """grouped_count_distinct over the (hour, type) grid (two-phase
     distinct — per-batch pair dedup before anything moves), then the
@@ -198,14 +205,3 @@ def q_events_ldiversity(sf_dir: str) -> pd.DataFrame:
     out["below_l"] = (out["l_div"] < LDIV_L)
     return out.sort_values(["hour", "event_type"]).reset_index(drop=True)
 
-
-SQL_EVENTS_LDIVERSITY = f"""
-SELECT CAST(hour(ts) AS BIGINT) AS hour, event_type,
-       CAST(count(DISTINCT user_id) AS BIGINT) AS l_div,
-       count(DISTINCT user_id) < {LDIV_L} AS below_l
-FROM events
-GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-QUERIES32["events_ldiversity"] = q_events_ldiversity
-ORACLES32["events_ldiversity"] = SQL_EVENTS_LDIVERSITY

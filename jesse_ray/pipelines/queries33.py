@@ -15,8 +15,7 @@ import pyarrow.compute as pc
 from jesse_ray.rounding import round_half_away
 from jesse_ray.sources import read_table
 
-QUERIES33: dict = {}
-ORACLES33: dict = {}
+from jesse_ray.pipelines.queries import entry
 
 
 def _collect(ds) -> pa.Table:
@@ -32,6 +31,33 @@ def _collect(ds) -> pa.Table:
 WOE_BANDS = [(1, 10), (11, 20), (21, 30), (31, 40), (41, 50)]
 
 
+def _woe_sql() -> str:
+    cases = " ".join(
+        f"WHEN qi BETWEEN {lo} AND {hi} THEN {i}"
+        for i, (lo, hi) in enumerate(WOE_BANDS))
+    los = ", ".join(str(lo) for lo, _ in WOE_BANDS)
+    his = ", ".join(str(hi) for _, hi in WOE_BANDS)
+    return f"""
+WITH b AS (
+  SELECT CASE {cases} ELSE {len(WOE_BANDS) - 1} END AS band,
+         CASE WHEN l_returnflag = 'R' THEN 1 ELSE 0 END AS pos
+  FROM (SELECT CAST(round(l_quantity) AS BIGINT) AS qi, l_returnflag FROM lineitem)
+),
+g AS (
+  SELECT band, sum(pos)::BIGINT AS n_pos, sum(1 - pos)::BIGINT AS n_neg
+  FROM b GROUP BY 1
+),
+tot AS (SELECT CAST(sum(n_pos) AS DOUBLE) AS P, CAST(sum(n_neg) AS DOUBLE) AS N FROM g)
+SELECT ([{los}])[band + 1]::BIGINT AS band_lo,
+       ([{his}])[band + 1]::BIGINT AS band_hi,
+       n_pos, n_neg,
+       round(ln((CAST(n_pos AS DOUBLE) / (SELECT P FROM tot))
+                / (CAST(n_neg AS DOUBLE) / (SELECT N FROM tot))), 6) AS woe
+FROM g ORDER BY band
+"""
+
+
+@entry("lineitem_woe_quantity", sql=_woe_sql())
 def q_lineitem_woe_quantity(sf_dir: str) -> pd.DataFrame:
     """One filtered scan with a vectorized band digitize and two
     conditional int sums per band through combiner partials; the WOE
@@ -68,42 +94,28 @@ def q_lineitem_woe_quantity(sf_dir: str) -> pd.DataFrame:
     })
 
 
-def _woe_sql() -> str:
-    cases = " ".join(
-        f"WHEN qi BETWEEN {lo} AND {hi} THEN {i}"
-        for i, (lo, hi) in enumerate(WOE_BANDS))
-    los = ", ".join(str(lo) for lo, _ in WOE_BANDS)
-    his = ", ".join(str(hi) for _, hi in WOE_BANDS)
-    return f"""
-WITH b AS (
-  SELECT CASE {cases} ELSE {len(WOE_BANDS) - 1} END AS band,
-         CASE WHEN l_returnflag = 'R' THEN 1 ELSE 0 END AS pos
-  FROM (SELECT CAST(round(l_quantity) AS BIGINT) AS qi, l_returnflag FROM lineitem)
-),
-g AS (
-  SELECT band, sum(pos)::BIGINT AS n_pos, sum(1 - pos)::BIGINT AS n_neg
-  FROM b GROUP BY 1
-),
-tot AS (SELECT CAST(sum(n_pos) AS DOUBLE) AS P, CAST(sum(n_neg) AS DOUBLE) AS N FROM g)
-SELECT ([{los}])[band + 1]::BIGINT AS band_lo,
-       ([{his}])[band + 1]::BIGINT AS band_hi,
-       n_pos, n_neg,
-       round(ln((CAST(n_pos AS DOUBLE) / (SELECT P FROM tot))
-                / (CAST(n_neg AS DOUBLE) / (SELECT N FROM tot))), 6) AS woe
-FROM g ORDER BY band
-"""
-
-
-QUERIES33["lineitem_woe_quantity"] = q_lineitem_woe_quantity
-ORACLES33["lineitem_woe_quantity"] = _woe_sql()
-
-
 # ---------------------------------------------------------------------------
 # seq_loo_vocab_value — leave-one-source-out vocabulary valuation: the
 # tokens each source contributes EXCLUSIVELY (removing the source would
 # shrink the corpus vocabulary by exactly that many types) — the
 # cheapest exact data-valuation signal for mixing decisions.
 
+def _loo_sql() -> str:
+    from jesse_ray.pipelines.queries import SEQ_SQL
+
+    return f"""
+WITH p AS MATERIALIZED (
+  SELECT DISTINCT CAST(t AS BIGINT) AS token, coalesce(source, '\\N') AS source
+  FROM (SELECT unnest(tokens) AS t, source FROM {SEQ_SQL} WHERE tokens IS NOT NULL)
+),
+g AS (SELECT token, CAST(count(*) AS BIGINT) AS ns, max(source) AS owner FROM p GROUP BY 1)
+SELECT source, CAST(count(*) AS BIGINT) AS exclusive_types
+FROM (SELECT CASE WHEN ns = 1 THEN owner ELSE '*shared*' END AS source FROM g)
+GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("seq_loo_vocab_value", sql=_loo_sql())
 def q_seq_loo_vocab_value(sf_dir: str) -> pd.DataFrame:
     """Per-batch distinct (token, source) combiner, one grouped merge,
     then per-token source-count — tokens with exactly one source
@@ -149,21 +161,3 @@ def q_seq_loo_vocab_value(sf_dir: str) -> pd.DataFrame:
     m["exclusive_types"] = m["exclusive_types"].astype("int64")
     return m.sort_values("source").reset_index(drop=True)
 
-
-def _loo_sql() -> str:
-    from jesse_ray.pipelines.queries import SEQ_SQL
-
-    return f"""
-WITH p AS MATERIALIZED (
-  SELECT DISTINCT CAST(t AS BIGINT) AS token, coalesce(source, '\\N') AS source
-  FROM (SELECT unnest(tokens) AS t, source FROM {SEQ_SQL} WHERE tokens IS NOT NULL)
-),
-g AS (SELECT token, CAST(count(*) AS BIGINT) AS ns, max(source) AS owner FROM p GROUP BY 1)
-SELECT source, CAST(count(*) AS BIGINT) AS exclusive_types
-FROM (SELECT CASE WHEN ns = 1 THEN owner ELSE '*shared*' END AS source FROM g)
-GROUP BY 1 ORDER BY 1
-"""
-
-
-QUERIES33["seq_loo_vocab_value"] = q_seq_loo_vocab_value
-ORACLES33["seq_loo_vocab_value"] = _loo_sql()

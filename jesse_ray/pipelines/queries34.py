@@ -18,14 +18,45 @@ import pyarrow.compute as pc
 
 from jesse_ray.sources import read_table
 
-QUERIES34: dict = {}
-ORACLES34: dict = {}
+from jesse_ray.pipelines.queries import entry
 
 
 def _collect(ds) -> pa.Table:
     return pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow")))
 
 
+SQL_DOC_BLOCKING_QUALITY = """
+WITH tf AS MATERIALIZED (
+  SELECT doc_id, word, CAST(count(*) AS BIGINT) AS tf
+  FROM (SELECT doc_id, unnest(string_split(coalesce(text, ''), ' ')) AS word
+        FROM documents)
+  GROUP BY 1, 2
+),
+r AS (
+  SELECT doc_id, word,
+         row_number() OVER (PARTITION BY doc_id ORDER BY tf DESC, word) AS rn
+  FROM tf
+),
+k AS MATERIALIZED (
+  SELECT d.doc_id,
+         coalesce(r1.word, '') || '|' || coalesce(r2.word, '') AS block,
+         md5(coalesce(d.text, '')) AS th
+  FROM documents d
+  LEFT JOIN (SELECT doc_id, word FROM r WHERE rn = 1) r1 USING (doc_id)
+  LEFT JOIN (SELECT doc_id, word FROM r WHERE rn = 2) r2 USING (doc_id)
+),
+bs AS (SELECT block, CAST(count(*) AS BIGINT) AS c FROM k GROUP BY 1),
+gs AS (SELECT th, CAST(count(*) AS BIGINT) AS c FROM k GROUP BY 1),
+cs AS (SELECT block, th, CAST(count(*) AS BIGINT) AS c FROM k GROUP BY 1, 2)
+SELECT (SELECT CAST(count(*) AS BIGINT) FROM documents) AS n_docs,
+       (SELECT CAST(count(*) * (count(*) - 1) // 2 AS BIGINT) FROM documents) AS total_pairs,
+       (SELECT CAST(sum(c * (c - 1) // 2) AS BIGINT) FROM bs) AS candidate_pairs,
+       (SELECT CAST(sum(c * (c - 1) // 2) AS BIGINT) FROM gs) AS true_dup_pairs,
+       (SELECT CAST(sum(c * (c - 1) // 2) AS BIGINT) FROM cs) AS captured_dup_pairs
+"""
+
+
+@entry("doc_blocking_quality", sql=SQL_DOC_BLOCKING_QUALITY)
 def q_doc_blocking_quality(sf_dir: str) -> pd.DataFrame:
     """Candidate pairs = docs sharing the top-2-dominant-word key
     (Σ C(block,2) from a block-size grid — never materialized); true
@@ -72,7 +103,8 @@ def q_doc_blocking_quality(sf_dir: str) -> pd.DataFrame:
     # candidate; the grid identity below asserts that invariant
     cap = t.groupby(["block", "th"]).size().to_numpy()
     captured = int((cap * (cap - 1) // 2).sum())
-    assert captured == true_pairs, (captured, true_pairs)
+    if captured != true_pairs:
+        raise RuntimeError(f"blocking captured {captured} of {true_pairs} true pairs")
     total = n * (n - 1) // 2
     return pd.DataFrame({
         "n_docs": pd.array([n], dtype="int64"),
@@ -82,36 +114,3 @@ def q_doc_blocking_quality(sf_dir: str) -> pd.DataFrame:
         "captured_dup_pairs": pd.array([captured], dtype="int64"),
     })
 
-
-SQL_DOC_BLOCKING_QUALITY = """
-WITH tf AS MATERIALIZED (
-  SELECT doc_id, word, CAST(count(*) AS BIGINT) AS tf
-  FROM (SELECT doc_id, unnest(string_split(coalesce(text, ''), ' ')) AS word
-        FROM documents)
-  GROUP BY 1, 2
-),
-r AS (
-  SELECT doc_id, word,
-         row_number() OVER (PARTITION BY doc_id ORDER BY tf DESC, word) AS rn
-  FROM tf
-),
-k AS MATERIALIZED (
-  SELECT d.doc_id,
-         coalesce(r1.word, '') || '|' || coalesce(r2.word, '') AS block,
-         md5(coalesce(d.text, '')) AS th
-  FROM documents d
-  LEFT JOIN (SELECT doc_id, word FROM r WHERE rn = 1) r1 USING (doc_id)
-  LEFT JOIN (SELECT doc_id, word FROM r WHERE rn = 2) r2 USING (doc_id)
-),
-bs AS (SELECT block, CAST(count(*) AS BIGINT) AS c FROM k GROUP BY 1),
-gs AS (SELECT th, CAST(count(*) AS BIGINT) AS c FROM k GROUP BY 1),
-cs AS (SELECT block, th, CAST(count(*) AS BIGINT) AS c FROM k GROUP BY 1, 2)
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM documents) AS n_docs,
-       (SELECT CAST(count(*) * (count(*) - 1) // 2 AS BIGINT) FROM documents) AS total_pairs,
-       (SELECT CAST(sum(c * (c - 1) // 2) AS BIGINT) FROM bs) AS candidate_pairs,
-       (SELECT CAST(sum(c * (c - 1) // 2) AS BIGINT) FROM gs) AS true_dup_pairs,
-       (SELECT CAST(sum(c * (c - 1) // 2) AS BIGINT) FROM cs) AS captured_dup_pairs
-"""
-
-QUERIES34["doc_blocking_quality"] = q_doc_blocking_quality
-ORACLES34["doc_blocking_quality"] = SQL_DOC_BLOCKING_QUALITY

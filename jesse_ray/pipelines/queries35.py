@@ -21,8 +21,7 @@ import pyarrow.compute as pc
 from jesse_ray.rounding import round_half_away
 from jesse_ray.sources import read_table
 
-QUERIES35: dict = {}
-ORACLES35: dict = {}
+from jesse_ray.pipelines.queries import entry
 
 
 def _collect(ds) -> pa.Table:
@@ -39,6 +38,60 @@ def _v0() -> np.ndarray:
     return np.stack([np.ones(T), (np.arange(T, dtype=np.float64) + 1.0) / T], axis=1)
 
 
+def _als_sql() -> str:
+    T = len(ALS_TYPES)
+    vals = ", ".join(f"('{t}', {i}, 1.0, {(i + 1)}.0 / {T})"
+                     for i, t in enumerate(ALS_TYPES))
+    return f"""
+WITH v0(event_type, ti, v1, v2) AS (VALUES {vals}),
+r AS MATERIALIZED (
+  SELECT user_id, event_type, CAST(count(*) AS BIGINT) AS cnt
+  FROM events GROUP BY 1, 2
+),
+ru AS (
+  SELECT r.user_id,
+         sum(v0.v1 * v0.v1 ORDER BY v0.ti) + {ALS_LAM} AS a,
+         sum(v0.v1 * v0.v2 ORDER BY v0.ti) AS b,
+         sum(v0.v2 * v0.v2 ORDER BY v0.ti) + {ALS_LAM} AS c,
+         sum(CAST(r.cnt AS DOUBLE) * v0.v1 ORDER BY v0.ti) AS b1,
+         sum(CAST(r.cnt AS DOUBLE) * v0.v2 ORDER BY v0.ti) AS b2
+  FROM r JOIN v0 USING (event_type)
+  GROUP BY 1
+),
+x AS MATERIALIZED (
+  SELECT user_id,
+         CAST(round((c * b1 - b * b2) / (a * c - b * b) * {ALS_Q}) AS BIGINT) AS x1q,
+         CAST(round((a * b2 - b * b1) / (a * c - b * b) * {ALS_Q}) AS BIGINT) AS x2q
+  FROM ru
+),
+m AS (
+  SELECT v0.ti,
+         sum(x.x1q * x.x1q) AS sxx11,
+         sum(x.x1q * x.x2q) AS sxx12,
+         sum(x.x2q * x.x2q) AS sxx22,
+         sum(r.cnt * x.x1q) AS sb1,
+         sum(r.cnt * x.x2q) AS sb2
+  FROM r JOIN x USING (user_id) JOIN v0 USING (event_type)
+  GROUP BY 1
+),
+f AS (
+  SELECT ti,
+         CAST(sxx11 AS DOUBLE) / ({ALS_Q}.0 * {ALS_Q}.0) + {ALS_LAM} AS a,
+         CAST(sxx12 AS DOUBLE) / ({ALS_Q}.0 * {ALS_Q}.0) AS b,
+         CAST(sxx22 AS DOUBLE) / ({ALS_Q}.0 * {ALS_Q}.0) + {ALS_LAM} AS c,
+         CAST(sb1 AS DOUBLE) / {ALS_Q}.0 AS b1,
+         CAST(sb2 AS DOUBLE) / {ALS_Q}.0 AS b2
+  FROM m
+)
+SELECT v0.event_type,
+       round((f.c * f.b1 - f.b * f.b2) / (f.a * f.c - f.b * f.b), 6) AS v1,
+       round((f.a * f.b2 - f.b * f.b1) / (f.a * f.c - f.b * f.b), 6) AS v2
+FROM f JOIN v0 USING (ti)
+ORDER BY v0.ti
+"""
+
+
+@entry("events_als_step", sql=_als_sql())
 def q_events_als_step(sf_dir: str) -> pd.DataFrame:
     """User solves ride a coarse user-hash shuffle (each part solves
     its users vectorized — closed-form 2×2, no LAPACK); the item
@@ -118,59 +171,3 @@ def q_events_als_step(sf_dir: str) -> pd.DataFrame:
         "v2": round_half_away(w2, 6),
     })
 
-
-def _als_sql() -> str:
-    T = len(ALS_TYPES)
-    vals = ", ".join(f"('{t}', {i}, 1.0, {(i + 1)}.0 / {T})"
-                     for i, t in enumerate(ALS_TYPES))
-    return f"""
-WITH v0(event_type, ti, v1, v2) AS (VALUES {vals}),
-r AS MATERIALIZED (
-  SELECT user_id, event_type, CAST(count(*) AS BIGINT) AS cnt
-  FROM events GROUP BY 1, 2
-),
-ru AS (
-  SELECT r.user_id,
-         sum(v0.v1 * v0.v1 ORDER BY v0.ti) + {ALS_LAM} AS a,
-         sum(v0.v1 * v0.v2 ORDER BY v0.ti) AS b,
-         sum(v0.v2 * v0.v2 ORDER BY v0.ti) + {ALS_LAM} AS c,
-         sum(CAST(r.cnt AS DOUBLE) * v0.v1 ORDER BY v0.ti) AS b1,
-         sum(CAST(r.cnt AS DOUBLE) * v0.v2 ORDER BY v0.ti) AS b2
-  FROM r JOIN v0 USING (event_type)
-  GROUP BY 1
-),
-x AS MATERIALIZED (
-  SELECT user_id,
-         CAST(round((c * b1 - b * b2) / (a * c - b * b) * {ALS_Q}) AS BIGINT) AS x1q,
-         CAST(round((a * b2 - b * b1) / (a * c - b * b) * {ALS_Q}) AS BIGINT) AS x2q
-  FROM ru
-),
-m AS (
-  SELECT v0.ti,
-         sum(x.x1q * x.x1q) AS sxx11,
-         sum(x.x1q * x.x2q) AS sxx12,
-         sum(x.x2q * x.x2q) AS sxx22,
-         sum(r.cnt * x.x1q) AS sb1,
-         sum(r.cnt * x.x2q) AS sb2
-  FROM r JOIN x USING (user_id) JOIN v0 USING (event_type)
-  GROUP BY 1
-),
-f AS (
-  SELECT ti,
-         CAST(sxx11 AS DOUBLE) / ({ALS_Q}.0 * {ALS_Q}.0) + {ALS_LAM} AS a,
-         CAST(sxx12 AS DOUBLE) / ({ALS_Q}.0 * {ALS_Q}.0) AS b,
-         CAST(sxx22 AS DOUBLE) / ({ALS_Q}.0 * {ALS_Q}.0) + {ALS_LAM} AS c,
-         CAST(sb1 AS DOUBLE) / {ALS_Q}.0 AS b1,
-         CAST(sb2 AS DOUBLE) / {ALS_Q}.0 AS b2
-  FROM m
-)
-SELECT v0.event_type,
-       round((f.c * f.b1 - f.b * f.b2) / (f.a * f.c - f.b * f.b), 6) AS v1,
-       round((f.a * f.b2 - f.b * f.b1) / (f.a * f.c - f.b * f.b), 6) AS v2
-FROM f JOIN v0 USING (ti)
-ORDER BY v0.ti
-"""
-
-
-QUERIES35["events_als_step"] = q_events_als_step
-ORACLES35["events_als_step"] = _als_sql()

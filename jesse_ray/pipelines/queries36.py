@@ -15,8 +15,7 @@ import pyarrow.compute as pc
 
 from jesse_ray.sources import read_table
 
-QUERIES36: dict = {}
-ORACLES36: dict = {}
+from jesse_ray.pipelines.queries import entry
 
 
 def _collect(ds) -> pa.Table:
@@ -31,6 +30,46 @@ def _collect(ds) -> pa.Table:
 # optimal-transport member (KS = max of the same differences, already
 # covered by exact_ks_by_group).
 
+def _wasserstein_sql() -> str:
+    from jesse_ray.pipelines.queries import SEQ_SQL
+
+    return f"""
+WITH d AS MATERIALIZED (
+  SELECT source, CAST(n_tok AS BIGINT) AS v
+  FROM {SEQ_SQL} WHERE n_tok IS NOT NULL AND source IS NOT NULL
+),
+vals AS (SELECT DISTINCT v FROM d),
+srcs AS (SELECT DISTINCT source FROM d),
+g AS MATERIALIZED (SELECT source, v, CAST(count(*) AS BIGINT) AS a FROM d GROUP BY 1, 2),
+tv AS MATERIALIZED (SELECT v, CAST(count(*) AS BIGINT) AS c FROM d GROUP BY 1),
+cnt AS (
+  SELECT s.source, vals.v,
+         coalesce(g.a, 0) AS a,
+         tv.c - coalesce(g.a, 0) AS b
+  FROM srcs s CROSS JOIN vals
+  LEFT JOIN g ON g.source = s.source AND g.v = vals.v
+  JOIN tv ON tv.v = vals.v
+),
+cum AS (
+  SELECT source, v,
+         sum(a) OVER (PARTITION BY source ORDER BY v ROWS UNBOUNDED PRECEDING) AS ca,
+         sum(b) OVER (PARTITION BY source ORDER BY v ROWS UNBOUNDED PRECEDING) AS cb,
+         lead(v) OVER (PARTITION BY source ORDER BY v) AS nv
+  FROM cnt
+),
+tot AS (SELECT source, CAST(sum(a) AS BIGINT) AS na, CAST(sum(b) AS BIGINT) AS nb
+        FROM cnt GROUP BY 1)
+SELECT c.source,
+       CAST(sum(abs(c.ca * t.nb - c.cb * t.na) * (c.nv - c.v)) AS BIGINT) AS w1_num,
+       t.na, t.nb
+FROM cum c JOIN tot t USING (source)
+WHERE c.nv IS NOT NULL
+GROUP BY c.source, t.na, t.nb
+ORDER BY c.source
+"""
+
+
+@entry("seq_wasserstein_ntok", sql=_wasserstein_sql())
 def q_seq_wasserstein_ntok(sf_dir: str) -> pd.DataFrame:
     """One (source, n_tok) count-grid combiner (bounded by the value
     domain — the grouped_quantile_grid contract), then per-source
@@ -76,49 +115,6 @@ def q_seq_wasserstein_ntok(sf_dir: str) -> pd.DataFrame:
             .astype({"w1_num": "int64", "na": "int64", "nb": "int64"}))
 
 
-def _wasserstein_sql() -> str:
-    from jesse_ray.pipelines.queries import SEQ_SQL
-
-    return f"""
-WITH d AS MATERIALIZED (
-  SELECT source, CAST(n_tok AS BIGINT) AS v
-  FROM {SEQ_SQL} WHERE n_tok IS NOT NULL AND source IS NOT NULL
-),
-vals AS (SELECT DISTINCT v FROM d),
-srcs AS (SELECT DISTINCT source FROM d),
-g AS MATERIALIZED (SELECT source, v, CAST(count(*) AS BIGINT) AS a FROM d GROUP BY 1, 2),
-tv AS MATERIALIZED (SELECT v, CAST(count(*) AS BIGINT) AS c FROM d GROUP BY 1),
-cnt AS (
-  SELECT s.source, vals.v,
-         coalesce(g.a, 0) AS a,
-         tv.c - coalesce(g.a, 0) AS b
-  FROM srcs s CROSS JOIN vals
-  LEFT JOIN g ON g.source = s.source AND g.v = vals.v
-  JOIN tv ON tv.v = vals.v
-),
-cum AS (
-  SELECT source, v,
-         sum(a) OVER (PARTITION BY source ORDER BY v ROWS UNBOUNDED PRECEDING) AS ca,
-         sum(b) OVER (PARTITION BY source ORDER BY v ROWS UNBOUNDED PRECEDING) AS cb,
-         lead(v) OVER (PARTITION BY source ORDER BY v) AS nv
-  FROM cnt
-),
-tot AS (SELECT source, CAST(sum(a) AS BIGINT) AS na, CAST(sum(b) AS BIGINT) AS nb
-        FROM cnt GROUP BY 1)
-SELECT c.source,
-       CAST(sum(abs(c.ca * t.nb - c.cb * t.na) * (c.nv - c.v)) AS BIGINT) AS w1_num,
-       t.na, t.nb
-FROM cum c JOIN tot t USING (source)
-WHERE c.nv IS NOT NULL
-GROUP BY c.source, t.na, t.nb
-ORDER BY c.source
-"""
-
-
-QUERIES36["seq_wasserstein_ntok"] = q_seq_wasserstein_ntok
-ORACLES36["seq_wasserstein_ntok"] = _wasserstein_sql()
-
-
 # ---------------------------------------------------------------------------
 # doc_conformal_coverage — split-conformal calibration of a
 # deterministic quality score: the calibration half fixes the
@@ -130,6 +126,44 @@ ORACLES36["seq_wasserstein_ntok"] = _wasserstein_sql()
 CONF_ALPHA_NUM, CONF_ALPHA_DEN = 1, 10  # alpha = 1/10
 
 
+def _conformal_sql() -> str:
+    # the fmix64 hash split is not portable SQL, so the split rides a
+    # sidecar (invariant-gated: permutation of the corpus); the twin
+    # re-derives the ceil-rank threshold and the coverage count from
+    # the RAW corpus text + the assignment alone
+    return f"""
+WITH s AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/conformal_sigs_sf0.01.parquet')),
+ok AS (
+  SELECT (SELECT count(*) FROM s) = (SELECT count(*) FROM documents)
+     AND (SELECT count(*) FROM s WHERE NOT EXISTS (
+            SELECT 1 FROM documents d WHERE d.doc_id = s.doc_id)) = 0
+     AND (SELECT count(DISTINCT doc_id) FROM s) = (SELECT count(*) FROM s) AS good
+),
+j AS (
+  SELECT s.calib, len(string_split(coalesce(d.text, ''), ' ')) AS nw
+  FROM s JOIN documents d USING (doc_id)
+),
+cal AS (SELECT nw FROM j WHERE calib),
+n AS (SELECT CAST(count(*) AS BIGINT) AS n FROM cal),
+rank_ AS (
+  SELECT least((SELECT n FROM n),
+               CAST(ceil(((SELECT n FROM n) + 1) * {CONF_ALPHA_DEN - CONF_ALPHA_NUM}.0
+                         / {CONF_ALPHA_DEN}) AS BIGINT)) AS r
+),
+thr AS (
+  SELECT nw AS t FROM (SELECT nw, row_number() OVER (ORDER BY nw) AS rn FROM cal)
+  WHERE rn = (SELECT r FROM rank_)
+)
+SELECT (SELECT n FROM n) AS n_calib,
+       CAST((SELECT t FROM thr) AS BIGINT) AS threshold,
+       (SELECT CAST(count(*) AS BIGINT) FROM j WHERE NOT calib) AS n_eval,
+       (SELECT CAST(count(*) AS BIGINT) FROM j WHERE NOT calib
+          AND nw <= (SELECT t FROM thr)) AS n_covered
+HAVING (SELECT good FROM ok)
+"""
+
+
+@entry("doc_conformal_coverage", sql=_conformal_sql())
 def q_doc_conformal_coverage(sf_dir: str) -> pd.DataFrame:
     """Deterministic fmix64 hash split (calibration = even bucket),
     exact discrete-quantile threshold from the calibration half
@@ -178,43 +212,3 @@ def q_doc_conformal_coverage(sf_dir: str) -> pd.DataFrame:
         "n_covered": pd.array([covered], dtype="int64"),
     })
 
-
-def _conformal_sql() -> str:
-    # the fmix64 hash split is not portable SQL, so the split rides a
-    # sidecar (invariant-gated: permutation of the corpus); the twin
-    # re-derives the ceil-rank threshold and the coverage count from
-    # the RAW corpus text + the assignment alone
-    return f"""
-WITH s AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/conformal_sigs_sf0.01.parquet')),
-ok AS (
-  SELECT (SELECT count(*) FROM s) = (SELECT count(*) FROM documents)
-     AND (SELECT count(*) FROM s WHERE NOT EXISTS (
-            SELECT 1 FROM documents d WHERE d.doc_id = s.doc_id)) = 0
-     AND (SELECT count(DISTINCT doc_id) FROM s) = (SELECT count(*) FROM s) AS good
-),
-j AS (
-  SELECT s.calib, len(string_split(coalesce(d.text, ''), ' ')) AS nw
-  FROM s JOIN documents d USING (doc_id)
-),
-cal AS (SELECT nw FROM j WHERE calib),
-n AS (SELECT CAST(count(*) AS BIGINT) AS n FROM cal),
-rank_ AS (
-  SELECT least((SELECT n FROM n),
-               CAST(ceil(((SELECT n FROM n) + 1) * {CONF_ALPHA_DEN - CONF_ALPHA_NUM}.0
-                         / {CONF_ALPHA_DEN}) AS BIGINT)) AS r
-),
-thr AS (
-  SELECT nw AS t FROM (SELECT nw, row_number() OVER (ORDER BY nw) AS rn FROM cal)
-  WHERE rn = (SELECT r FROM rank_)
-)
-SELECT (SELECT n FROM n) AS n_calib,
-       CAST((SELECT t FROM thr) AS BIGINT) AS threshold,
-       (SELECT CAST(count(*) AS BIGINT) FROM j WHERE NOT calib) AS n_eval,
-       (SELECT CAST(count(*) AS BIGINT) FROM j WHERE NOT calib
-          AND nw <= (SELECT t FROM thr)) AS n_covered
-HAVING (SELECT good FROM ok)
-"""
-
-
-QUERIES36["doc_conformal_coverage"] = q_doc_conformal_coverage
-ORACLES36["doc_conformal_coverage"] = _conformal_sql()

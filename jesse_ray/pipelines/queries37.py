@@ -16,8 +16,7 @@ import pyarrow.compute as pc
 from jesse_ray.rounding import round_half_away
 from jesse_ray.sources import read_table
 
-QUERIES37: dict = {}
-ORACLES37: dict = {}
+from jesse_ray.pipelines.queries import entry
 
 
 def _collect(ds) -> pa.Table:
@@ -34,6 +33,24 @@ def _collect(ds) -> pa.Table:
 INTERLEAVE_K = 20
 
 
+def _interleave_sql() -> str:
+    return f"""
+WITH s AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/interleave_sigs_sf0.01.parquet')),
+r AS (
+  SELECT doc_id, source,
+         row_number() OVER (PARTITION BY source ORDER BY h, doc_id) - 1 AS rk,
+         dense_rank() OVER (ORDER BY source) - 1 AS si,
+         (SELECT count(DISTINCT source) FROM s) AS ns
+  FROM s
+)
+SELECT CAST(rk * ns + si AS BIGINT) AS pos, doc_id, source
+FROM r
+WHERE rk * ns + si < {INTERLEAVE_K}
+ORDER BY pos
+"""
+
+
+@entry("seq_interleave_plan", sql=_interleave_sql())
 def q_seq_interleave_plan(sf_dir: str) -> pd.DataFrame:
     """The within-source rank is a distributed sort by (source, h) +
     O(blocks) boundary offsets (the seq_global_sort discipline); only
@@ -128,33 +145,47 @@ def q_seq_interleave_plan(sf_dir: str) -> pd.DataFrame:
             .astype({"pos": "int64"}))
 
 
-def _interleave_sql() -> str:
-    return f"""
-WITH s AS (SELECT * FROM read_parquet('/tmp/jesse_ray_data/interleave_sigs_sf0.01.parquet')),
-r AS (
-  SELECT doc_id, source,
-         row_number() OVER (PARTITION BY source ORDER BY h, doc_id) - 1 AS rk,
-         dense_rank() OVER (ORDER BY source) - 1 AS si,
-         (SELECT count(DISTINCT source) FROM s) AS ns
-  FROM s
-)
-SELECT CAST(rk * ns + si AS BIGINT) AS pos, doc_id, source
-FROM r
-WHERE rk * ns + si < {INTERLEAVE_K}
-ORDER BY pos
-"""
-
-
-QUERIES37["seq_interleave_plan"] = q_seq_interleave_plan
-ORACLES37["seq_interleave_plan"] = _interleave_sql()
-
-
 # ---------------------------------------------------------------------------
 # lineitem_stump_grid — depth-1 decision stump over integer quantity
 # thresholds for the returnflag='R' outcome: the full split grid in
 # exact integers plus the Gini-argmin flag (float impurity in matched
 # op order, threshold-ascending tie-break).
 
+SQL_LINEITEM_STUMP_GRID = """
+WITH g AS (
+  SELECT CAST(round(l_quantity) AS BIGINT) AS q,
+         sum(CASE WHEN l_returnflag = 'R' THEN 1 ELSE 0 END)::BIGINT AS pos,
+         count(*)::BIGINT AS n
+  FROM lineitem GROUP BY 1
+),
+c AS (
+  SELECT q,
+         sum(pos) OVER (ORDER BY q ROWS UNBOUNDED PRECEDING) AS cpos,
+         sum(n) OVER (ORDER BY q ROWS UNBOUNDED PRECEDING) AS cn,
+         row_number() OVER (ORDER BY q DESC) AS rdesc
+  FROM g
+),
+tot AS (SELECT sum(pos)::BIGINT AS p, sum(n)::BIGINT AS t FROM g),
+grid AS (
+  SELECT q AS threshold,
+         CAST(cpos AS BIGINT) AS pos_left, CAST(cn AS BIGINT) AS n_left,
+         CAST((SELECT p FROM tot) - cpos AS BIGINT) AS pos_right,
+         CAST((SELECT t FROM tot) - cn AS BIGINT) AS n_right,
+         2.0 * (CAST(cpos AS DOUBLE) * (cn - cpos) / cn
+                + CAST((SELECT p FROM tot) - cpos AS DOUBLE)
+                  * (((SELECT t FROM tot) - cn) - ((SELECT p FROM tot) - cpos))
+                  / ((SELECT t FROM tot) - cn)) AS gini_raw
+  FROM c WHERE rdesc > 1
+),
+best AS (SELECT threshold FROM grid ORDER BY gini_raw, threshold LIMIT 1)
+SELECT threshold, pos_left, n_left, pos_right, n_right,
+       round(gini_raw, 6) AS gini,
+       threshold = (SELECT threshold FROM best) AS is_best
+FROM grid ORDER BY threshold
+"""
+
+
+@entry("lineitem_stump_grid", sql=SQL_LINEITEM_STUMP_GRID)
 def q_lineitem_stump_grid(sf_dir: str) -> pd.DataFrame:
     """One (quantity, outcome) count-grid combiner (domain ≤ 50), the
     cumulative split grid and the weighted-Gini argmin on the driver —
@@ -199,39 +230,3 @@ def q_lineitem_stump_grid(sf_dir: str) -> pd.DataFrame:
     out.loc[best, "is_best"] = True
     return out
 
-
-SQL_LINEITEM_STUMP_GRID = """
-WITH g AS (
-  SELECT CAST(round(l_quantity) AS BIGINT) AS q,
-         sum(CASE WHEN l_returnflag = 'R' THEN 1 ELSE 0 END)::BIGINT AS pos,
-         count(*)::BIGINT AS n
-  FROM lineitem GROUP BY 1
-),
-c AS (
-  SELECT q,
-         sum(pos) OVER (ORDER BY q ROWS UNBOUNDED PRECEDING) AS cpos,
-         sum(n) OVER (ORDER BY q ROWS UNBOUNDED PRECEDING) AS cn,
-         row_number() OVER (ORDER BY q DESC) AS rdesc
-  FROM g
-),
-tot AS (SELECT sum(pos)::BIGINT AS p, sum(n)::BIGINT AS t FROM g),
-grid AS (
-  SELECT q AS threshold,
-         CAST(cpos AS BIGINT) AS pos_left, CAST(cn AS BIGINT) AS n_left,
-         CAST((SELECT p FROM tot) - cpos AS BIGINT) AS pos_right,
-         CAST((SELECT t FROM tot) - cn AS BIGINT) AS n_right,
-         2.0 * (CAST(cpos AS DOUBLE) * (cn - cpos) / cn
-                + CAST((SELECT p FROM tot) - cpos AS DOUBLE)
-                  * (((SELECT t FROM tot) - cn) - ((SELECT p FROM tot) - cpos))
-                  / ((SELECT t FROM tot) - cn)) AS gini_raw
-  FROM c WHERE rdesc > 1
-),
-best AS (SELECT threshold FROM grid ORDER BY gini_raw, threshold LIMIT 1)
-SELECT threshold, pos_left, n_left, pos_right, n_right,
-       round(gini_raw, 6) AS gini,
-       threshold = (SELECT threshold FROM best) AS is_best
-FROM grid ORDER BY threshold
-"""
-
-QUERIES37["lineitem_stump_grid"] = q_lineitem_stump_grid
-ORACLES37["lineitem_stump_grid"] = SQL_LINEITEM_STUMP_GRID

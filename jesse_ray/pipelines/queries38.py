@@ -15,14 +15,37 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-QUERIES38: dict = {}
-ORACLES38: dict = {}
+from jesse_ray.pipelines.queries import entry
 
 
 def _collect(ds) -> pa.Table:
     return pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow")))
 
 
+def _datasheet_sql() -> str:
+    from jesse_ray.pipelines.queries import SEQ_SQL
+
+    return f"""
+WITH c AS MATERIALIZED (SELECT * FROM {SEQ_SQL})
+SELECT * FROM (
+  SELECT 'n_rows' AS metric, CAST(count(*) AS BIGINT) AS value FROM c
+  UNION ALL SELECT 'n_tokens', CAST(coalesce(sum(len(tokens)), 0) AS BIGINT) FROM c
+  UNION ALL SELECT 'vocab_size', CAST(count(DISTINCT t) AS BIGINT)
+    FROM (SELECT unnest(tokens) AS t FROM c)
+  UNION ALL SELECT 'n_sources', CAST(count(DISTINCT source) AS BIGINT) FROM c
+  UNION ALL SELECT 'null_doc_ids', CAST(count(*) - count(doc_id) AS BIGINT) FROM c
+  UNION ALL SELECT 'null_token_rows', CAST(sum(CASE WHEN tokens IS NULL THEN 1 ELSE 0 END) AS BIGINT) FROM c
+  UNION ALL SELECT 'duplicated_doc_ids', CAST(count(*) AS BIGINT) FROM (
+      SELECT doc_id FROM c WHERE doc_id IS NOT NULL
+      GROUP BY doc_id HAVING count(*) > 1)
+  UNION ALL SELECT 'p50_n_tok', CAST(quantile_disc(n_tok, 0.5) AS BIGINT) FROM c
+  UNION ALL SELECT 'p90_n_tok', CAST(quantile_disc(n_tok, 0.9) AS BIGINT) FROM c
+  UNION ALL SELECT 'p99_n_tok', CAST(quantile_disc(n_tok, 0.99) AS BIGINT) FROM c
+)
+"""
+
+
+@entry("seq_datasheet", sql=_datasheet_sql())
 def q_seq_datasheet(sf_dir: str) -> pd.DataFrame:
     """One map_batches pass emits a fixed partial-row per batch (counts,
     token mass, null tallies, per-batch distinct-token and dup-key
@@ -117,29 +140,3 @@ def q_seq_datasheet(sf_dir: str) -> pd.DataFrame:
     ]
     return pd.DataFrame(rows, columns=["metric", "value"]).astype({"value": "int64"})
 
-
-def _datasheet_sql() -> str:
-    from jesse_ray.pipelines.queries import SEQ_SQL
-
-    return f"""
-WITH c AS MATERIALIZED (SELECT * FROM {SEQ_SQL})
-SELECT * FROM (
-  SELECT 'n_rows' AS metric, CAST(count(*) AS BIGINT) AS value FROM c
-  UNION ALL SELECT 'n_tokens', CAST(coalesce(sum(len(tokens)), 0) AS BIGINT) FROM c
-  UNION ALL SELECT 'vocab_size', CAST(count(DISTINCT t) AS BIGINT)
-    FROM (SELECT unnest(tokens) AS t FROM c)
-  UNION ALL SELECT 'n_sources', CAST(count(DISTINCT source) AS BIGINT) FROM c
-  UNION ALL SELECT 'null_doc_ids', CAST(count(*) - count(doc_id) AS BIGINT) FROM c
-  UNION ALL SELECT 'null_token_rows', CAST(sum(CASE WHEN tokens IS NULL THEN 1 ELSE 0 END) AS BIGINT) FROM c
-  UNION ALL SELECT 'duplicated_doc_ids', CAST(count(*) AS BIGINT) FROM (
-      SELECT doc_id FROM c WHERE doc_id IS NOT NULL
-      GROUP BY doc_id HAVING count(*) > 1)
-  UNION ALL SELECT 'p50_n_tok', CAST(quantile_disc(n_tok, 0.5) AS BIGINT) FROM c
-  UNION ALL SELECT 'p90_n_tok', CAST(quantile_disc(n_tok, 0.9) AS BIGINT) FROM c
-  UNION ALL SELECT 'p99_n_tok', CAST(quantile_disc(n_tok, 0.99) AS BIGINT) FROM c
-)
-"""
-
-
-QUERIES38["seq_datasheet"] = q_seq_datasheet
-ORACLES38["seq_datasheet"] = _datasheet_sql()

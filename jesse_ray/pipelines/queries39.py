@@ -18,8 +18,7 @@ import pyarrow.compute as pc
 
 from jesse_ray.sources import read_table
 
-QUERIES39: dict = {}
-ORACLES39: dict = {}
+from jesse_ray.pipelines.queries import entry
 
 
 def _collect(ds) -> pa.Table:
@@ -33,41 +32,6 @@ def _collect(ds) -> pa.Table:
 
 N_PPM_DH = 48
 DH_ROWS, DH_COLS = 8, 9
-
-
-def q_media_ppm_dhash(sf_dir: str) -> pd.DataFrame:
-    """Actor-pool decode + the library's real resize_nearest; the hash
-    packs row-major with bit 0 = (row 0, col diff 0).  Emitted as
-    int64 (two's complement of the uint64 hash, the BIGINT convention)."""
-    import ray.data
-
-    from jesse_ray.functions.multimodal import (
-        decode_ppm,
-        make_synthetic_ppm_table,
-        resize_nearest,
-    )
-
-    ds = ray.data.from_arrow(make_synthetic_ppm_table(N_PPM_DH))
-
-    def dhash(b: pa.Table) -> pa.Table:
-        pays = b["payload"].to_pylist()
-        out = np.empty(len(pays), dtype=np.uint64)
-        for i, p in enumerate(pays):
-            px = decode_ppm(p)
-            small = resize_nearest(px, DH_ROWS, DH_COLS).astype(np.int64)
-            bright = small.sum(axis=2)  # r+g+b, exact ints
-            bits = (bright[:, 1:] > bright[:, :-1]).ravel()
-            h = np.uint64(0)
-            for j, bit in enumerate(bits):
-                if bit:
-                    h |= np.uint64(1) << np.uint64(j)
-            out[i] = h
-        return pa.table({"media_id": b["media_id"],
-                         "dhash": pa.array(out.view(np.int64))})
-
-    t = _collect(ds.map_batches(dhash, batch_format="pyarrow",
-                                zero_copy_batch=True, batch_size=16)).to_pandas()
-    return t.sort_values("media_id").reset_index(drop=True)
 
 
 def _dhash_sql() -> str:
@@ -119,8 +83,40 @@ FROM h ORDER BY media_id
 """
 
 
-QUERIES39["media_ppm_dhash"] = q_media_ppm_dhash
-ORACLES39["media_ppm_dhash"] = _dhash_sql()
+@entry("media_ppm_dhash", sql=_dhash_sql())
+def q_media_ppm_dhash(sf_dir: str) -> pd.DataFrame:
+    """Actor-pool decode + the library's real resize_nearest; the hash
+    packs row-major with bit 0 = (row 0, col diff 0).  Emitted as
+    int64 (two's complement of the uint64 hash, the BIGINT convention)."""
+    import ray.data
+
+    from jesse_ray.functions.multimodal import (
+        decode_ppm,
+        make_synthetic_ppm_table,
+        resize_nearest,
+    )
+
+    ds = ray.data.from_arrow(make_synthetic_ppm_table(N_PPM_DH))
+
+    def dhash(b: pa.Table) -> pa.Table:
+        pays = b["payload"].to_pylist()
+        out = np.empty(len(pays), dtype=np.uint64)
+        for i, p in enumerate(pays):
+            px = decode_ppm(p)
+            small = resize_nearest(px, DH_ROWS, DH_COLS).astype(np.int64)
+            bright = small.sum(axis=2)  # r+g+b, exact ints
+            bits = (bright[:, 1:] > bright[:, :-1]).ravel()
+            h = np.uint64(0)
+            for j, bit in enumerate(bits):
+                if bit:
+                    h |= np.uint64(1) << np.uint64(j)
+            out[i] = h
+        return pa.table({"media_id": b["media_id"],
+                         "dhash": pa.array(out.view(np.int64))})
+
+    t = _collect(ds.map_batches(dhash, batch_format="pyarrow",
+                                zero_copy_batch=True, batch_size=16)).to_pandas()
+    return t.sort_values("media_id").reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +127,22 @@ ORACLES39["media_ppm_dhash"] = _dhash_sql()
 CAP_N = 5
 
 
+SQL_EVENTS_PER_USER_CAP = f"""
+WITH r AS (
+  SELECT event_type,
+         row_number() OVER (PARTITION BY user_id ORDER BY ts, event_id) AS rn
+  FROM events
+),
+k AS (SELECT event_type, CAST(count(*) AS BIGINT) AS kept
+      FROM r WHERE rn <= {CAP_N} GROUP BY 1)
+SELECT event_type, kept,
+       (SELECT CAST(count(*) AS BIGINT) FROM events)
+         - (SELECT CAST(sum(kept) AS BIGINT) FROM k) AS dropped_total
+FROM k ORDER BY 1
+"""
+
+
+@entry("events_per_user_cap", sql=SQL_EVENTS_PER_USER_CAP)
 def q_events_per_user_cap(sf_dir: str) -> pd.DataFrame:
     """Coarse user-hash shuffle; per part one mergesort + a vectorized
     within-user rank (cumcount), cap filter, per-type partial counts."""
@@ -164,20 +176,3 @@ def q_events_per_user_cap(sf_dir: str) -> pd.DataFrame:
     agg["dropped_total"] = np.int64(dropped_total)
     return agg.sort_values("event_type").reset_index(drop=True)
 
-
-SQL_EVENTS_PER_USER_CAP = f"""
-WITH r AS (
-  SELECT event_type,
-         row_number() OVER (PARTITION BY user_id ORDER BY ts, event_id) AS rn
-  FROM events
-),
-k AS (SELECT event_type, CAST(count(*) AS BIGINT) AS kept
-      FROM r WHERE rn <= {CAP_N} GROUP BY 1)
-SELECT event_type, kept,
-       (SELECT CAST(count(*) AS BIGINT) FROM events)
-         - (SELECT CAST(sum(kept) AS BIGINT) FROM k) AS dropped_total
-FROM k ORDER BY 1
-"""
-
-QUERIES39["events_per_user_cap"] = q_events_per_user_cap
-ORACLES39["events_per_user_cap"] = SQL_EVENTS_PER_USER_CAP

@@ -19,12 +19,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from jesse_ray.hashutil import fmix64, hash64_strings, hash_partition_pandas
-from jesse_ray.pipelines.queries import SEQ_SQL, _collect
+from jesse_ray.pipelines.queries import SEQ_SQL, _collect, entry
 from jesse_ray.sources import read_table
 from jesse_ray.rounding import round_half_away
-
-QUERIES4: dict = {}
-ORACLES4: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +31,32 @@ ORACLES4: dict = {}
 SESSION_GAP_US = 6 * 3600 * 1_000_000  # 6h idle ⇒ new session
 
 
+SQL_EVENTS_SESSIONIZE = f"""
+WITH l AS (
+  SELECT user_id, ts, event_id,
+         lag(ts) OVER (PARTITION BY user_id ORDER BY ts, event_id) AS pts
+  FROM events),
+g AS (
+  SELECT user_id, ts, event_id,
+         CASE WHEN pts IS NULL
+                OR epoch_us(ts) - epoch_us(pts) > {SESSION_GAP_US}
+              THEN 1 ELSE 0 END AS ns
+  FROM l),
+s AS (
+  SELECT user_id,
+         sum(ns) OVER (PARTITION BY user_id ORDER BY ts, event_id
+                       ROWS UNBOUNDED PRECEDING) AS sid
+  FROM g),
+sz AS (SELECT user_id, sid, count(*) AS c FROM s GROUP BY 1, 2)
+SELECT CAST(user_id AS BIGINT) AS user_id,
+       CAST(count(*) AS BIGINT) AS n_sessions,
+       CAST(sum(c) AS BIGINT) AS n_events,
+       CAST(max(c) AS BIGINT) AS max_session_events
+FROM sz GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("events_sessionize", sql=SQL_EVENTS_SESSIONIZE)
 def q_events_sessionize(sf_dir: str) -> pd.DataFrame:
     """Per-user sessionization: sort each user's events by time and cut
     a new session at every idle gap > 6 h, then report per user the
@@ -86,34 +109,6 @@ def q_events_sessionize(sf_dir: str) -> pd.DataFrame:
     return pdf.sort_values("user_id").reset_index(drop=True)
 
 
-SQL_EVENTS_SESSIONIZE = f"""
-WITH l AS (
-  SELECT user_id, ts, event_id,
-         lag(ts) OVER (PARTITION BY user_id ORDER BY ts, event_id) AS pts
-  FROM events),
-g AS (
-  SELECT user_id, ts, event_id,
-         CASE WHEN pts IS NULL
-                OR epoch_us(ts) - epoch_us(pts) > {SESSION_GAP_US}
-              THEN 1 ELSE 0 END AS ns
-  FROM l),
-s AS (
-  SELECT user_id,
-         sum(ns) OVER (PARTITION BY user_id ORDER BY ts, event_id
-                       ROWS UNBOUNDED PRECEDING) AS sid
-  FROM g),
-sz AS (SELECT user_id, sid, count(*) AS c FROM s GROUP BY 1, 2)
-SELECT CAST(user_id AS BIGINT) AS user_id,
-       CAST(count(*) AS BIGINT) AS n_sessions,
-       CAST(sum(c) AS BIGINT) AS n_events,
-       CAST(max(c) AS BIGINT) AS max_session_events
-FROM sz GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES4["events_sessionize"] = q_events_sessionize
-ORACLES4["events_sessionize"] = SQL_EVENTS_SESSIONIZE
-
-
 # ---------------------------------------------------------------------------
 # doc_unit_dedup — fixed-window unit dedup (RefinedWeb-style paragraph
 # dedup re-expressed over word-stream documents: the dedup unit is each
@@ -123,6 +118,24 @@ ORACLES4["events_sessionize"] = SQL_EVENTS_SESSIONIZE
 UNIT_W = 10
 
 
+SQL_DOC_UNIT_DEDUP = f"""
+WITH w AS (SELECT source, str_split(text, ' ') AS ws FROM documents),
+e AS (SELECT source, ws,
+             unnest(generate_series(1, CAST(ceil(len(ws) / {UNIT_W}.0) AS BIGINT))) AS i
+      FROM w),
+u AS (SELECT source,
+             array_to_string(ws[(i - 1) * {UNIT_W} + 1 : LEAST(len(ws), i * {UNIT_W})], ' ') AS unit
+      FROM e),
+c AS (SELECT unit, count(*) AS c FROM u GROUP BY 1)
+SELECT u.source,
+       CAST(count(*) AS BIGINT) AS n_units,
+       CAST(count(*) FILTER (WHERE c.c >= 2) AS BIGINT) AS dup_units,
+       round(count(*) FILTER (WHERE c.c >= 2) * 1.0 / count(*), 4) AS dup_frac
+FROM u JOIN c USING (unit) GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("doc_unit_dedup", sql=SQL_DOC_UNIT_DEDUP)
 def q_doc_unit_dedup(sf_dir: str) -> pd.DataFrame:
     """Per-source duplicate-unit rate: split every document into
     consecutive ``UNIT_W``-word units (last unit may be short) and count
@@ -188,31 +201,33 @@ def q_doc_unit_dedup(sf_dir: str) -> pd.DataFrame:
     return agg.sort_values("source").reset_index(drop=True)
 
 
-SQL_DOC_UNIT_DEDUP = f"""
-WITH w AS (SELECT source, str_split(text, ' ') AS ws FROM documents),
-e AS (SELECT source, ws,
-             unnest(generate_series(1, CAST(ceil(len(ws) / {UNIT_W}.0) AS BIGINT))) AS i
-      FROM w),
-u AS (SELECT source,
-             array_to_string(ws[(i - 1) * {UNIT_W} + 1 : LEAST(len(ws), i * {UNIT_W})], ' ') AS unit
-      FROM e),
-c AS (SELECT unit, count(*) AS c FROM u GROUP BY 1)
-SELECT u.source,
-       CAST(count(*) AS BIGINT) AS n_units,
-       CAST(count(*) FILTER (WHERE c.c >= 2) AS BIGINT) AS dup_units,
-       round(count(*) FILTER (WHERE c.c >= 2) * 1.0 / count(*), 4) AS dup_frac
-FROM u JOIN c USING (unit) GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES4["doc_unit_dedup"] = q_doc_unit_dedup
-ORACLES4["doc_unit_dedup"] = SQL_DOC_UNIT_DEDUP
-
-
 # ---------------------------------------------------------------------------
 # events_rfm — RFM user segmentation with exact discrete-quantile
 # tercile thresholds (quantile_disc parity on both sides)
 
 
+SQL_EVENTS_RFM = """
+WITH pu AS (
+  SELECT user_id,
+         CAST((epoch_us((SELECT max(ts) FROM events)) - epoch_us(max(ts)))
+              // 86400000000 AS BIGINT) AS rec,
+         CAST(count(*) AS BIGINT) AS freq,
+         round(sum(CASE WHEN event_type = 'purchase' AND value IS NOT NULL
+                        THEN value ELSE 0 END), 6) AS mon
+  FROM events GROUP BY 1),
+t AS (SELECT quantile_disc(rec, 1.0/3) AS r1, quantile_disc(rec, 2.0/3) AS r2,
+             quantile_disc(freq, 1.0/3) AS f1, quantile_disc(freq, 2.0/3) AS f2,
+             quantile_disc(mon, 1.0/3) AS m1, quantile_disc(mon, 2.0/3) AS m2
+      FROM pu)
+SELECT CAST(100 * (1 + (rec > r1)::INT + (rec > r2)::INT)
+            + 10 * (1 + (freq > f1)::INT + (freq > f2)::INT)
+            + (1 + (mon > m1)::INT + (mon > m2)::INT) AS BIGINT) AS segment,
+       CAST(count(*) AS BIGINT) AS n_users
+FROM pu, t GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("events_rfm", sql=SQL_EVENTS_RFM)
 def q_events_rfm(sf_dir: str) -> pd.DataFrame:
     """RFM segmentation: per user compute Recency (whole days between
     the user's last event and the corpus max timestamp), Frequency
@@ -281,36 +296,22 @@ def q_events_rfm(sf_dir: str) -> pd.DataFrame:
     return out[["segment", "n_users"]].sort_values("segment").reset_index(drop=True)
 
 
-SQL_EVENTS_RFM = """
-WITH pu AS (
-  SELECT user_id,
-         CAST((epoch_us((SELECT max(ts) FROM events)) - epoch_us(max(ts)))
-              // 86400000000 AS BIGINT) AS rec,
-         CAST(count(*) AS BIGINT) AS freq,
-         round(sum(CASE WHEN event_type = 'purchase' AND value IS NOT NULL
-                        THEN value ELSE 0 END), 6) AS mon
-  FROM events GROUP BY 1),
-t AS (SELECT quantile_disc(rec, 1.0/3) AS r1, quantile_disc(rec, 2.0/3) AS r2,
-             quantile_disc(freq, 1.0/3) AS f1, quantile_disc(freq, 2.0/3) AS f2,
-             quantile_disc(mon, 1.0/3) AS m1, quantile_disc(mon, 2.0/3) AS m2
-      FROM pu)
-SELECT CAST(100 * (1 + (rec > r1)::INT + (rec > r2)::INT)
-            + 10 * (1 + (freq > f1)::INT + (freq > f2)::INT)
-            + (1 + (mon > m1)::INT + (mon > m2)::INT) AS BIGINT) AS segment,
-       CAST(count(*) AS BIGINT) AS n_users
-FROM pu, t GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES4["events_rfm"] = q_events_rfm
-ORACLES4["events_rfm"] = SQL_EVENTS_RFM
-
-
 # ---------------------------------------------------------------------------
 # events_bloom_semijoin — bloom-prefiltered exact semi-join (the 100-TB
 # pattern: a broadcast bitmap kills most of the big side BEFORE the
 # shuffle; the exact semi-join on survivors kills false positives)
 
 
+SQL_EVENTS_BLOOM_SEMIJOIN = """
+SELECT event_type, CAST(count(*) AS BIGINT) AS n
+FROM events
+WHERE user_id IN (SELECT user_id FROM events
+                  WHERE event_type = 'error' AND value > 150)
+GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("events_bloom_semijoin", sql=SQL_EVENTS_BLOOM_SEMIJOIN)
 def q_events_bloom_semijoin(sf_dir: str) -> pd.DataFrame:
     """Events of users who ever produced a high-value error
     (``event_type='error' AND value > 150``), counted per event type.
@@ -362,22 +363,30 @@ def q_events_bloom_semijoin(sf_dir: str) -> pd.DataFrame:
     return out[["event_type", "n"]].sort_values("event_type").reset_index(drop=True)
 
 
-SQL_EVENTS_BLOOM_SEMIJOIN = """
-SELECT event_type, CAST(count(*) AS BIGINT) AS n
-FROM events
-WHERE user_id IN (SELECT user_id FROM events
-                  WHERE event_type = 'error' AND value > 150)
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES4["events_bloom_semijoin"] = q_events_bloom_semijoin
-ORACLES4["events_bloom_semijoin"] = SQL_EVENTS_BLOOM_SEMIJOIN
-
-
 # ---------------------------------------------------------------------------
 # snapshot_union_by_name — schema-drift union + per-column null audit
 
 
+SQL_SNAPSHOT_UNION_BY_NAME = """
+WITH u AS (
+  SELECT CAST(doc_id AS BIGINT) AS doc_id, source, lang,
+         CAST(n_chars AS BIGINT) AS n_chars, NULL::BIGINT AS quality
+  FROM documents
+  UNION ALL
+  SELECT CAST(doc_id AS BIGINT) + 1000000, source, NULL, NULL,
+         CAST(n_chars AS BIGINT) * 2
+  FROM documents)
+SELECT * FROM (
+  SELECT 'doc_id' AS col_name, CAST(count(doc_id) AS BIGINT) AS n_nonnull FROM u
+  UNION ALL SELECT 'source', count(source) FROM u
+  UNION ALL SELECT 'lang', count(lang) FROM u
+  UNION ALL SELECT 'n_chars', count(n_chars) FROM u
+  UNION ALL SELECT 'quality', count(quality) FROM u
+) ORDER BY 1
+"""
+
+
+@entry("snapshot_union_by_name", sql=SQL_SNAPSHOT_UNION_BY_NAME)
 def q_snapshot_union_by_name(sf_dir: str) -> pd.DataFrame:
     """Schema-evolution audit: union a v1 snapshot (doc_id, source,
     lang, n_chars) with a drifted v2 (doc_id offset, lang dropped, new
@@ -429,34 +438,23 @@ def q_snapshot_union_by_name(sf_dir: str) -> pd.DataFrame:
     return out[["col_name", "n_nonnull"]].sort_values("col_name").reset_index(drop=True)
 
 
-SQL_SNAPSHOT_UNION_BY_NAME = """
-WITH u AS (
-  SELECT CAST(doc_id AS BIGINT) AS doc_id, source, lang,
-         CAST(n_chars AS BIGINT) AS n_chars, NULL::BIGINT AS quality
-  FROM documents
-  UNION ALL
-  SELECT CAST(doc_id AS BIGINT) + 1000000, source, NULL, NULL,
-         CAST(n_chars AS BIGINT) * 2
-  FROM documents)
-SELECT * FROM (
-  SELECT 'doc_id' AS col_name, CAST(count(doc_id) AS BIGINT) AS n_nonnull FROM u
-  UNION ALL SELECT 'source', count(source) FROM u
-  UNION ALL SELECT 'lang', count(lang) FROM u
-  UNION ALL SELECT 'n_chars', count(n_chars) FROM u
-  UNION ALL SELECT 'quality', count(quality) FROM u
-) ORDER BY 1
-"""
-
-QUERIES4["snapshot_union_by_name"] = q_snapshot_union_by_name
-ORACLES4["snapshot_union_by_name"] = SQL_SNAPSHOT_UNION_BY_NAME
-
-
 # ---------------------------------------------------------------------------
 # doc_hapax_by_source — hapax-legomena rate per source (the vocabulary-
 # health signal: a high hapax share means thin, noisy text; a collapsing
 # one means template spam)
 
 
+SQL_DOC_HAPAX_BY_SOURCE = """
+WITH w AS (SELECT source, unnest(str_split(text, ' ')) AS word FROM documents),
+c AS (SELECT source, word, count(*) AS c FROM w GROUP BY 1, 2)
+SELECT source, CAST(count(*) AS BIGINT) AS vocab,
+       CAST(count(*) FILTER (WHERE c = 1) AS BIGINT) AS hapax,
+       round(count(*) FILTER (WHERE c = 1) * 1.0 / count(*), 4) AS hapax_frac
+FROM c GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("doc_hapax_by_source", sql=SQL_DOC_HAPAX_BY_SOURCE)
 def q_doc_hapax_by_source(sf_dir: str) -> pd.DataFrame:
     """Per-source vocabulary size, hapax count (words occurring exactly
     once WITHIN the source) and hapax fraction.
@@ -500,24 +498,22 @@ def q_doc_hapax_by_source(sf_dir: str) -> pd.DataFrame:
     return agg.sort_values("source").reset_index(drop=True)
 
 
-SQL_DOC_HAPAX_BY_SOURCE = """
-WITH w AS (SELECT source, unnest(str_split(text, ' ')) AS word FROM documents),
-c AS (SELECT source, word, count(*) AS c FROM w GROUP BY 1, 2)
-SELECT source, CAST(count(*) AS BIGINT) AS vocab,
-       CAST(count(*) FILTER (WHERE c = 1) AS BIGINT) AS hapax,
-       round(count(*) FILTER (WHERE c = 1) * 1.0 / count(*), 4) AS hapax_frac
-FROM c GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES4["doc_hapax_by_source"] = q_doc_hapax_by_source
-ORACLES4["doc_hapax_by_source"] = SQL_DOC_HAPAX_BY_SOURCE
-
-
 # ---------------------------------------------------------------------------
 # seq_skew_join — the skew-aware join, exercised on the corpus's planted
 # hot doc_ids (testgen appends two 100-copy keys at sf >= 0.01)
 
 
+SQL_SEQ_SKEW_JOIN = f"""
+WITH f AS (SELECT doc_id, n_tok FROM {SEQ_SQL} WHERE doc_id IS NOT NULL),
+d AS (SELECT doc_id, min(source) AS min_source
+      FROM {SEQ_SQL} WHERE doc_id IS NOT NULL GROUP BY 1)
+SELECT min_source, CAST(count(*) AS BIGINT) AS n,
+       CAST(sum(n_tok) AS BIGINT) AS tok_sum
+FROM f JOIN d USING (doc_id) GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("seq_skew_join", sql=SQL_SEQ_SKEW_JOIN)
 def q_seq_skew_join(sf_dir: str) -> pd.DataFrame:
     """Fact-to-dimension enrichment over a skewed key: join every
     sequence row to its doc_id's first-seen (min) source and aggregate
@@ -560,40 +556,11 @@ def q_seq_skew_join(sf_dir: str) -> pd.DataFrame:
             .sort_values("min_source").reset_index(drop=True))
 
 
-SQL_SEQ_SKEW_JOIN = f"""
-WITH f AS (SELECT doc_id, n_tok FROM {SEQ_SQL} WHERE doc_id IS NOT NULL),
-d AS (SELECT doc_id, min(source) AS min_source
-      FROM {SEQ_SQL} WHERE doc_id IS NOT NULL GROUP BY 1)
-SELECT min_source, CAST(count(*) AS BIGINT) AS n,
-       CAST(sum(n_tok) AS BIGINT) AS tok_sum
-FROM f JOIN d USING (doc_id) GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES4["seq_skew_join"] = q_seq_skew_join
-ORACLES4["seq_skew_join"] = SQL_SEQ_SKEW_JOIN
-
-
 # ---------------------------------------------------------------------------
 # events_funnel3 — 3-step ordered funnel (chained first occurrences)
 
 
 FUNNEL3_STEPS = ["signup", "click", "purchase"]
-
-
-def q_events_funnel3(sf_dir: str) -> pd.DataFrame:
-    """K-step ordered funnel over the event stream: users reaching
-    signup → first click at-or-after it → first purchase at-or-after
-    that (``relational.funnel_steps`` — one coarse entity shuffle, k
-    vectorized groupby-min passes per part, ≤ parts × k partial rows)."""
-    from jesse_ray.pipelines.relational import funnel_steps
-
-    ds = read_table(f"{sf_dir}/events.parquet",
-                    columns=["user_id", "ts", "event_type"])
-    t = funnel_steps(ds, FUNNEL3_STEPS, entity_col="user_id",
-                     ts_col="ts", type_col="event_type")
-    out = t.to_pandas()
-    out["step_name"] = [FUNNEL3_STEPS[i - 1] for i in out["step"]]
-    return out[["step", "step_name", "n"]].sort_values("step").reset_index(drop=True)
 
 
 SQL_EVENTS_FUNNEL3 = """
@@ -611,14 +578,44 @@ SELECT * FROM (
 ) ORDER BY 1
 """
 
-QUERIES4["events_funnel3"] = q_events_funnel3
-ORACLES4["events_funnel3"] = SQL_EVENTS_FUNNEL3
+
+@entry("events_funnel3", sql=SQL_EVENTS_FUNNEL3)
+def q_events_funnel3(sf_dir: str) -> pd.DataFrame:
+    """K-step ordered funnel over the event stream: users reaching
+    signup → first click at-or-after it → first purchase at-or-after
+    that (``relational.funnel_steps`` — one coarse entity shuffle, k
+    vectorized groupby-min passes per part, ≤ parts × k partial rows)."""
+    from jesse_ray.pipelines.relational import funnel_steps
+
+    ds = read_table(f"{sf_dir}/events.parquet",
+                    columns=["user_id", "ts", "event_type"])
+    t = funnel_steps(ds, FUNNEL3_STEPS, entity_col="user_id",
+                     ts_col="ts", type_col="event_type")
+    out = t.to_pandas()
+    out["step_name"] = [FUNNEL3_STEPS[i - 1] for i in out["step"]]
+    return out[["step", "step_name", "n"]].sort_values("step").reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------------
 # events_conversion_latency — signup→purchase delay quantiles
 
 
+SQL_EVENTS_CONVERSION_LATENCY = """
+WITH a AS (SELECT user_id, min(ts) AS ta FROM events
+           WHERE event_type = 'signup' GROUP BY 1),
+b AS (SELECT e.user_id, min(e.ts) AS tb FROM events e JOIN a USING (user_id)
+      WHERE e.event_type = 'purchase' AND e.ts >= a.ta GROUP BY 1),
+d AS (SELECT (epoch_us(b.tb) - epoch_us(a.ta)) // 3600000000 AS h
+      FROM a JOIN b USING (user_id)
+      WHERE epoch_us(b.tb) - epoch_us(a.ta) <= 30 * 86400000000)
+SELECT CAST(count(*) AS BIGINT) AS n_converted,
+       CAST(quantile_disc(h, 0.5) AS BIGINT) AS p50_hours,
+       CAST(quantile_disc(h, 0.9) AS BIGINT) AS p90_hours
+FROM d
+"""
+
+
+@entry("events_conversion_latency", sql=SQL_EVENTS_CONVERSION_LATENCY)
 def q_events_conversion_latency(sf_dir: str) -> pd.DataFrame:
     """Conversion-latency distribution: for every user whose first
     purchase follows their first signup within 30 days
@@ -656,29 +653,26 @@ def q_events_conversion_latency(sf_dir: str) -> pd.DataFrame:
                          "p90_hours": pd.array([int(p90)], dtype="int64")})
 
 
-SQL_EVENTS_CONVERSION_LATENCY = """
-WITH a AS (SELECT user_id, min(ts) AS ta FROM events
-           WHERE event_type = 'signup' GROUP BY 1),
-b AS (SELECT e.user_id, min(e.ts) AS tb FROM events e JOIN a USING (user_id)
-      WHERE e.event_type = 'purchase' AND e.ts >= a.ta GROUP BY 1),
-d AS (SELECT (epoch_us(b.tb) - epoch_us(a.ta)) // 3600000000 AS h
-      FROM a JOIN b USING (user_id)
-      WHERE epoch_us(b.tb) - epoch_us(a.ta) <= 30 * 86400000000)
-SELECT CAST(count(*) AS BIGINT) AS n_converted,
-       CAST(quantile_disc(h, 0.5) AS BIGINT) AS p50_hours,
-       CAST(quantile_disc(h, 0.9) AS BIGINT) AS p90_hours
-FROM d
-"""
-
-QUERIES4["events_conversion_latency"] = q_events_conversion_latency
-ORACLES4["events_conversion_latency"] = SQL_EVENTS_CONVERSION_LATENCY
-
-
 # ---------------------------------------------------------------------------
 # events_mutual_info — mutual information between event type and
 # hour-of-day (feature-relevance audit over the contingency table)
 
 
+SQL_EVENTS_MUTUAL_INFO = """
+WITH c AS (SELECT event_type, CAST(date_part('hour', ts) AS BIGINT) AS hour,
+                  count(*) AS cxy
+           FROM events GROUP BY 1, 2),
+tot AS (SELECT sum(cxy) AS n FROM c),
+mx AS (SELECT event_type, sum(cxy) AS cx FROM c GROUP BY 1),
+my AS (SELECT hour, sum(cxy) AS cy FROM c GROUP BY 1)
+SELECT CAST(tot.n AS BIGINT) AS n,
+       round(sum((c.cxy * 1.0 / tot.n) * ln((c.cxy * 1.0 * tot.n) / (mx.cx * 1.0 * my.cy))), 9) AS mi_nats
+FROM c JOIN mx USING (event_type) JOIN my USING (hour) CROSS JOIN tot
+GROUP BY tot.n
+"""
+
+
+@entry("events_mutual_info", sql=SQL_EVENTS_MUTUAL_INFO)
 def q_events_mutual_info(sf_dir: str) -> pd.DataFrame:
     """Mutual information I(event_type; hour) in nats from the EXACT
     contingency table: one vectorized hour-extraction pass feeds the
@@ -706,19 +700,3 @@ def q_events_mutual_info(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame({"n": pd.array([n], dtype="int64"),
                          "mi_nats": [round_half_away(mi, 9)]})
 
-
-SQL_EVENTS_MUTUAL_INFO = """
-WITH c AS (SELECT event_type, CAST(date_part('hour', ts) AS BIGINT) AS hour,
-                  count(*) AS cxy
-           FROM events GROUP BY 1, 2),
-tot AS (SELECT sum(cxy) AS n FROM c),
-mx AS (SELECT event_type, sum(cxy) AS cx FROM c GROUP BY 1),
-my AS (SELECT hour, sum(cxy) AS cy FROM c GROUP BY 1)
-SELECT CAST(tot.n AS BIGINT) AS n,
-       round(sum((c.cxy * 1.0 / tot.n) * ln((c.cxy * 1.0 * tot.n) / (mx.cx * 1.0 * my.cy))), 9) AS mi_nats
-FROM c JOIN mx USING (event_type) JOIN my USING (hour) CROSS JOIN tot
-GROUP BY tot.n
-"""
-
-QUERIES4["events_mutual_info"] = q_events_mutual_info
-ORACLES4["events_mutual_info"] = SQL_EVENTS_MUTUAL_INFO

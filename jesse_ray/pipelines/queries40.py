@@ -15,14 +15,45 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-QUERIES40: dict = {}
-ORACLES40: dict = {}
+from jesse_ray.pipelines.queries import entry
 
 
 def _collect(ds) -> pa.Table:
     return pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow")))
 
 
+def _hl_sql() -> str:
+    from jesse_ray.pipelines.queries import SEQ_SQL
+
+    return f"""
+WITH g AS MATERIALIZED (
+  SELECT CAST(n_tok AS BIGINT) AS v, CAST(count(*) AS BIGINT) AS c
+  FROM {SEQ_SQL} WHERE n_tok IS NOT NULL GROUP BY 1
+),
+n AS (SELECT CAST(sum(c) AS BIGINT) AS n FROM g),
+conv AS (
+  SELECT a.v + b.v AS s, CAST(sum(a.c * b.c) AS BIGINT) AS ordered
+  FROM g a, g b GROUP BY 1
+),
+diag AS (SELECT 2 * v AS s, c FROM g),
+u AS (
+  SELECT conv.s, (conv.ordered + coalesce(diag.c, 0)) // 2 AS cnt
+  FROM conv LEFT JOIN diag USING (s)
+),
+t AS (SELECT (SELECT n FROM n) * ((SELECT n FROM n) + 1) // 2 AS T),
+k AS (SELECT ((SELECT T FROM t) + 1) // 2 AS k),
+cum AS (
+  SELECT s, sum(cnt) OVER (ORDER BY s ROWS UNBOUNDED PRECEDING) AS cc
+  FROM u
+)
+SELECT (SELECT n FROM n) AS n,
+       (SELECT T FROM t) AS total_pairs,
+       (SELECT k FROM k) AS median_rank,
+       CAST((SELECT min(s) FROM cum WHERE cc >= (SELECT k FROM k)) AS BIGINT) AS hl_sum_x2
+"""
+
+
+@entry("seq_hodges_lehmann", sql=_hl_sql())
 def q_seq_hodges_lehmann(sf_dir: str) -> pd.DataFrame:
     """One (value, count) grid combiner (bounded domain — the enforced
     quantile-grid contract), then the Walsh-sum distribution as ONE
@@ -69,37 +100,3 @@ def q_seq_hodges_lehmann(sf_dir: str) -> pd.DataFrame:
         "hl_sum_x2": pd.array([hl_sum], dtype="int64"),
     })
 
-
-def _hl_sql() -> str:
-    from jesse_ray.pipelines.queries import SEQ_SQL
-
-    return f"""
-WITH g AS MATERIALIZED (
-  SELECT CAST(n_tok AS BIGINT) AS v, CAST(count(*) AS BIGINT) AS c
-  FROM {SEQ_SQL} WHERE n_tok IS NOT NULL GROUP BY 1
-),
-n AS (SELECT CAST(sum(c) AS BIGINT) AS n FROM g),
-conv AS (
-  SELECT a.v + b.v AS s, CAST(sum(a.c * b.c) AS BIGINT) AS ordered
-  FROM g a, g b GROUP BY 1
-),
-diag AS (SELECT 2 * v AS s, c FROM g),
-u AS (
-  SELECT conv.s, (conv.ordered + coalesce(diag.c, 0)) // 2 AS cnt
-  FROM conv LEFT JOIN diag USING (s)
-),
-t AS (SELECT (SELECT n FROM n) * ((SELECT n FROM n) + 1) // 2 AS T),
-k AS (SELECT ((SELECT T FROM t) + 1) // 2 AS k),
-cum AS (
-  SELECT s, sum(cnt) OVER (ORDER BY s ROWS UNBOUNDED PRECEDING) AS cc
-  FROM u
-)
-SELECT (SELECT n FROM n) AS n,
-       (SELECT T FROM t) AS total_pairs,
-       (SELECT k FROM k) AS median_rank,
-       CAST((SELECT min(s) FROM cum WHERE cc >= (SELECT k FROM k)) AS BIGINT) AS hl_sum_x2
-"""
-
-
-QUERIES40["seq_hodges_lehmann"] = q_seq_hodges_lehmann
-ORACLES40["seq_hodges_lehmann"] = _hl_sql()

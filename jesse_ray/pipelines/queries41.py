@@ -18,8 +18,7 @@ import pyarrow.compute as pc
 
 from jesse_ray.sources import read_table
 
-QUERIES41: dict = {}
-ORACLES41: dict = {}
+from jesse_ray.pipelines.queries import entry
 
 
 def _collect(ds) -> pa.Table:
@@ -29,6 +28,29 @@ def _collect(ds) -> pa.Table:
 SKEW_TOPK = 10
 
 
+SQL_ORDERS_JOIN_SKEW_PROBE = f"""
+WITH l AS (SELECT l_orderkey AS k, CAST(count(*) AS BIGINT) AS cl
+           FROM lineitem GROUP BY 1),
+r AS (SELECT o_orderkey AS k, CAST(count(*) AS BIGINT) AS cr
+      FROM orders GROUP BY 1),
+m AS (SELECT l.k, l.cl, r.cr, l.cl * r.cr AS contrib
+      FROM l JOIN r USING (k)),
+top AS (
+  SELECT k AS key, cl AS left_rows, cr AS right_rows, contrib
+  FROM m ORDER BY contrib DESC, k LIMIT {SKEW_TOPK}
+),
+tot AS (
+  SELECT CAST(-1 AS BIGINT) AS key,
+         CAST(sum(cl) AS BIGINT) AS left_rows,
+         CAST(sum(cr) AS BIGINT) AS right_rows,
+         CAST(sum(contrib) AS BIGINT) AS contrib
+  FROM m
+)
+SELECT * FROM top UNION ALL SELECT * FROM tot
+"""
+
+
+@entry("orders_join_skew_probe", sql=SQL_ORDERS_JOIN_SKEW_PROBE)
 def q_orders_join_skew_probe(sf_dir: str) -> pd.DataFrame:
     """Two per-side key-count grids (combiner + merge, key-bounded), a
     driver merge of the two grids (entity-bounded), contribution =
@@ -74,27 +96,3 @@ def q_orders_join_skew_probe(sf_dir: str) -> pd.DataFrame:
         ignore_index=True)
     return out.reset_index(drop=True).astype({"key": "int64"})
 
-
-SQL_ORDERS_JOIN_SKEW_PROBE = f"""
-WITH l AS (SELECT l_orderkey AS k, CAST(count(*) AS BIGINT) AS cl
-           FROM lineitem GROUP BY 1),
-r AS (SELECT o_orderkey AS k, CAST(count(*) AS BIGINT) AS cr
-      FROM orders GROUP BY 1),
-m AS (SELECT l.k, l.cl, r.cr, l.cl * r.cr AS contrib
-      FROM l JOIN r USING (k)),
-top AS (
-  SELECT k AS key, cl AS left_rows, cr AS right_rows, contrib
-  FROM m ORDER BY contrib DESC, k LIMIT {SKEW_TOPK}
-),
-tot AS (
-  SELECT CAST(-1 AS BIGINT) AS key,
-         CAST(sum(cl) AS BIGINT) AS left_rows,
-         CAST(sum(cr) AS BIGINT) AS right_rows,
-         CAST(sum(contrib) AS BIGINT) AS contrib
-  FROM m
-)
-SELECT * FROM top UNION ALL SELECT * FROM tot
-"""
-
-QUERIES41["orders_join_skew_probe"] = q_orders_join_skew_probe
-ORACLES41["orders_join_skew_probe"] = SQL_ORDERS_JOIN_SKEW_PROBE

@@ -20,12 +20,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from jesse_ray.hashutil import hash_partition_pandas
-from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path
+from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, entry
 from jesse_ray.sources import read_sequences, read_table
 from jesse_ray.rounding import round_half_away
-
-QUERIES5: dict = {}
-ORACLES5: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +34,17 @@ ORACLES5: dict = {}
 # O(100)); center/scale first for wilder columns.
 
 
+SQL_EVENTS_SKEWKURT = """
+SELECT event_type,
+       CAST(count(value) AS BIGINT) AS n,
+       round(skewness(value), 5) AS skew,
+       round(kurtosis(value), 5) AS kurt
+FROM events WHERE value IS NOT NULL
+GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("events_skewkurt", sql=SQL_EVENTS_SKEWKURT)
 def q_events_skewkurt(sf_dir: str) -> pd.DataFrame:
     """Distribution-shape audit: bias-corrected sample skewness and
     excess kurtosis of ``value`` per event type.  Scale shape: per-batch
@@ -87,19 +95,6 @@ def q_events_skewkurt(sf_dir: str) -> pd.DataFrame:
     }).sort_values("event_type").reset_index(drop=True))
 
 
-SQL_EVENTS_SKEWKURT = """
-SELECT event_type,
-       CAST(count(value) AS BIGINT) AS n,
-       round(skewness(value), 5) AS skew,
-       round(kurtosis(value), 5) AS kurt
-FROM events WHERE value IS NOT NULL
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES5["events_skewkurt"] = q_events_skewkurt
-ORACLES5["events_skewkurt"] = SQL_EVENTS_SKEWKURT
-
-
 # ---------------------------------------------------------------------------
 # events_regr — grouped simple linear regression (the regr_* window of
 # SQL engines): slope/intercept/r² of value vs time-of-corpus per event
@@ -107,6 +102,17 @@ ORACLES5["events_skewkurt"] = SQL_EVENTS_SKEWKURT
 # grouped_corr.
 
 
+SQL_EVENTS_REGR = """
+SELECT event_type,
+       round(regr_slope(value, epoch(ts - TIMESTAMP '2024-01-01') / 86400.0), 5) AS slope,
+       round(regr_intercept(value, epoch(ts - TIMESTAMP '2024-01-01') / 86400.0), 5) AS intercept,
+       round(regr_r2(value, epoch(ts - TIMESTAMP '2024-01-01') / 86400.0), 5) AS r2
+FROM events WHERE ts IS NOT NULL AND value IS NOT NULL
+GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("events_regr", sql=SQL_EVENTS_REGR)
 def q_events_regr(sf_dir: str) -> pd.DataFrame:
     """OLS trend per event type: regress ``value`` on days-since-
     2024-01-01 (centered to day units for conditioning, the
@@ -135,25 +141,28 @@ def q_events_regr(sf_dir: str) -> pd.DataFrame:
     return pdf.sort_values("event_type").reset_index(drop=True)
 
 
-SQL_EVENTS_REGR = """
-SELECT event_type,
-       round(regr_slope(value, epoch(ts - TIMESTAMP '2024-01-01') / 86400.0), 5) AS slope,
-       round(regr_intercept(value, epoch(ts - TIMESTAMP '2024-01-01') / 86400.0), 5) AS intercept,
-       round(regr_r2(value, epoch(ts - TIMESTAMP '2024-01-01') / 86400.0), 5) AS r2
-FROM events WHERE ts IS NOT NULL AND value IS NOT NULL
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES5["events_regr"] = q_events_regr
-ORACLES5["events_regr"] = SQL_EVENTS_REGR
-
-
 # ---------------------------------------------------------------------------
 # orders_ntile — NTILE(4) price-quartile banding per order priority
 # (the classic windowed banding SQL ships natively; re-expressed as a
 # coarse shuffle + per-group vectorized tile assignment).
 
 
+SQL_ORDERS_NTILE = """
+WITH t AS (
+  SELECT o_orderpriority, o_totalprice,
+         ntile(4) OVER (PARTITION BY o_orderpriority
+                        ORDER BY o_totalprice, o_orderkey) AS tile
+  FROM orders
+)
+SELECT o_orderpriority, CAST(tile AS BIGINT) AS tile,
+       CAST(count(*) AS BIGINT) AS n,
+       round(min(o_totalprice), 2) AS lo,
+       round(max(o_totalprice), 2) AS hi
+FROM t GROUP BY 1, 2 ORDER BY 1, 2
+"""
+
+
+@entry("orders_ntile", sql=SQL_ORDERS_NTILE)
 def q_orders_ntile(sf_dir: str) -> pd.DataFrame:
     """Quartile bands of ``o_totalprice`` within each priority class:
     NTILE(4) ordered by (price, orderkey), reporting per band the row
@@ -204,24 +213,6 @@ def q_orders_ntile(sf_dir: str) -> pd.DataFrame:
             .reset_index(drop=True)[["o_orderpriority", "tile", "n", "lo", "hi"]])
 
 
-SQL_ORDERS_NTILE = """
-WITH t AS (
-  SELECT o_orderpriority, o_totalprice,
-         ntile(4) OVER (PARTITION BY o_orderpriority
-                        ORDER BY o_totalprice, o_orderkey) AS tile
-  FROM orders
-)
-SELECT o_orderpriority, CAST(tile AS BIGINT) AS tile,
-       CAST(count(*) AS BIGINT) AS n,
-       round(min(o_totalprice), 2) AS lo,
-       round(max(o_totalprice), 2) AS hi
-FROM t GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-QUERIES5["orders_ntile"] = q_orders_ntile
-ORACLES5["orders_ntile"] = SQL_ORDERS_NTILE
-
-
 # ---------------------------------------------------------------------------
 # emb_pairgeom — embedding-space geometry audit: the pairwise-cosine
 # distribution of a deterministic id sample (every 7th vec_id), the
@@ -231,6 +222,29 @@ ORACLES5["orders_ntile"] = SQL_ORDERS_NTILE
 # corpus analogue is emb_knn_graph / emb_semdedup.
 
 
+SQL_EMB_PAIRGEOM = """
+WITH s AS (
+  SELECT vec_id,
+         list_transform(embedding, x -> CAST(x AS DOUBLE)) AS e
+  FROM embeddings WHERE vec_id % 7 = 0
+),
+n AS (
+  SELECT vec_id, e, sqrt(list_sum(list_transform(e, x -> x * x))) AS nrm FROM s
+),
+p AS (
+  SELECT list_sum(list_transform(list_zip(a.e, b.e),
+                                 t -> t[1] * t[2])) / (a.nrm * b.nrm) AS cs
+  FROM n a JOIN n b ON a.vec_id < b.vec_id
+)
+SELECT CAST(count(*) AS BIGINT) AS n_pairs,
+       round(avg(cs), 5) AS mean_cos,
+       round(min(cs), 5) AS min_cos,
+       round(max(cs), 5) AS max_cos
+FROM p
+"""
+
+
+@entry("emb_pairgeom", sql=SQL_EMB_PAIRGEOM)
 def q_emb_pairgeom(sf_dir: str) -> pd.DataFrame:
     """Pairwise cosine similarity over the vec_id % 7 == 0 sample:
     global n_pairs / mean / min / max.  Scale shape: the stride filter
@@ -288,31 +302,6 @@ def q_emb_pairgeom(sf_dir: str) -> pd.DataFrame:
                          "max_cos": [round_half_away(hi, 5)]})
 
 
-SQL_EMB_PAIRGEOM = """
-WITH s AS (
-  SELECT vec_id,
-         list_transform(embedding, x -> CAST(x AS DOUBLE)) AS e
-  FROM embeddings WHERE vec_id % 7 = 0
-),
-n AS (
-  SELECT vec_id, e, sqrt(list_sum(list_transform(e, x -> x * x))) AS nrm FROM s
-),
-p AS (
-  SELECT list_sum(list_transform(list_zip(a.e, b.e),
-                                 t -> t[1] * t[2])) / (a.nrm * b.nrm) AS cs
-  FROM n a JOIN n b ON a.vec_id < b.vec_id
-)
-SELECT CAST(count(*) AS BIGINT) AS n_pairs,
-       round(avg(cs), 5) AS mean_cos,
-       round(min(cs), 5) AS min_cos,
-       round(max(cs), 5) AS max_cos
-FROM p
-"""
-
-QUERIES5["emb_pairgeom"] = q_emb_pairgeom
-ORACLES5["emb_pairgeom"] = SQL_EMB_PAIRGEOM
-
-
 # ---------------------------------------------------------------------------
 # seq_gmean_hmean — geometric + harmonic mean of sequence length per
 # source (DuckDB has no geomean/hmean built-in; the twin is the
@@ -321,6 +310,18 @@ ORACLES5["emb_pairgeom"] = SQL_EMB_PAIRGEOM
 # hmean the small-doc overhead.
 
 
+SQL_SEQ_GMEAN_HMEAN = f"""
+SELECT source,
+       CAST(count(*) AS BIGINT) AS n,
+       round(exp(avg(ln(n_tok))), 5) AS gmean,
+       round(count(*) / sum(1.0 / n_tok), 5) AS hmean
+FROM {SEQ_SQL}
+WHERE n_tok IS NOT NULL AND n_tok > 0
+GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("seq_gmean_hmean", sql=SQL_SEQ_GMEAN_HMEAN)
 def q_seq_gmean_hmean(sf_dir: str) -> pd.DataFrame:
     """Per-source geometric and harmonic mean of ``n_tok`` (> 0 rows
     only — both means are undefined at 0).  One combiner pass of
@@ -353,26 +354,29 @@ def q_seq_gmean_hmean(sf_dir: str) -> pd.DataFrame:
             .sort_values("source").reset_index(drop=True))
 
 
-SQL_SEQ_GMEAN_HMEAN = f"""
-SELECT source,
-       CAST(count(*) AS BIGINT) AS n,
-       round(exp(avg(ln(n_tok))), 5) AS gmean,
-       round(count(*) / sum(1.0 / n_tok), 5) AS hmean
-FROM {SEQ_SQL}
-WHERE n_tok IS NOT NULL AND n_tok > 0
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES5["seq_gmean_hmean"] = q_seq_gmean_hmean
-ORACLES5["seq_gmean_hmean"] = SQL_SEQ_GMEAN_HMEAN
-
-
 # ---------------------------------------------------------------------------
 # events_interarrival — per-type inter-arrival gap quantiles: the
 # event-stream health metric (burstiness / throughput per type), a LAG
 # diff feeding exact discrete quantiles.
 
 
+SQL_EVENTS_INTERARRIVAL = """
+WITH g AS (
+  SELECT event_type,
+         epoch(ts - lag(ts) OVER (PARTITION BY event_type
+                                  ORDER BY ts, event_id)) AS gap_s
+  FROM events
+)
+SELECT event_type,
+       CAST(count(gap_s) AS BIGINT) AS n_gaps,
+       round(quantile_disc(gap_s, 0.5), 5) AS p50_s,
+       round(quantile_disc(gap_s, 0.9), 5) AS p90_s
+FROM g WHERE gap_s IS NOT NULL
+GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("events_interarrival", sql=SQL_EVENTS_INTERARRIVAL)
 def q_events_interarrival(sf_dir: str) -> pd.DataFrame:
     """Median and p90 inter-arrival gap (seconds) between consecutive
     events of the same type, ordered by (ts, event_id).  Scale shape
@@ -477,25 +481,6 @@ def q_events_interarrival(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame(out, columns=["event_type", "n_gaps", "p50_s", "p90_s"])
 
 
-SQL_EVENTS_INTERARRIVAL = """
-WITH g AS (
-  SELECT event_type,
-         epoch(ts - lag(ts) OVER (PARTITION BY event_type
-                                  ORDER BY ts, event_id)) AS gap_s
-  FROM events
-)
-SELECT event_type,
-       CAST(count(gap_s) AS BIGINT) AS n_gaps,
-       round(quantile_disc(gap_s, 0.5), 5) AS p50_s,
-       round(quantile_disc(gap_s, 0.9), 5) AS p90_s
-FROM g WHERE gap_s IS NOT NULL
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES5["events_interarrival"] = q_events_interarrival
-ORACLES5["events_interarrival"] = SQL_EVENTS_INTERARRIVAL
-
-
 # ---------------------------------------------------------------------------
 # events_running_peak — per-entity running-total peak: the windowed
 # prefix-scan SQL expresses as SUM() OVER (... ROWS UNBOUNDED
@@ -503,6 +488,37 @@ ORACLES5["events_interarrival"] = SQL_EVENTS_INTERARRIVAL
 # peak is a real mid-stream extremum, not just the final total.
 
 
+SQL_EVENTS_RUNNING_PEAK = """
+WITH s AS (
+  SELECT user_id, event_id,
+         sum(CASE WHEN event_type = 'error' THEN -value ELSE value END)
+           OVER (PARTITION BY user_id ORDER BY ts, event_id
+                 ROWS UNBOUNDED PRECEDING) AS run,
+         row_number() OVER (PARTITION BY user_id ORDER BY ts, event_id) AS rn
+  FROM events
+),
+pk AS (
+  SELECT user_id, run, event_id,
+         row_number() OVER (PARTITION BY user_id ORDER BY run DESC, rn) AS r
+  FROM s
+),
+fin AS (
+  SELECT user_id, run,
+         row_number() OVER (PARTITION BY user_id ORDER BY rn DESC) AS r
+  FROM s
+)
+SELECT s.user_id,
+       round(any_value(fin.run), 5) AS final_total,
+       round(any_value(pk.run), 5) AS peak_total,
+       CAST(any_value(pk.event_id) AS BIGINT) AS peak_event_id
+FROM (SELECT DISTINCT user_id FROM s) s
+JOIN pk ON pk.user_id = s.user_id AND pk.r = 1
+JOIN fin ON fin.user_id = s.user_id AND fin.r = 1
+GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("events_running_peak", sql=SQL_EVENTS_RUNNING_PEAK)
 def q_events_running_peak(sf_dir: str) -> pd.DataFrame:
     """Per user, scan the signed value stream (error events negate) in
     (ts, event_id) order and report the final balance, the peak running
@@ -551,39 +567,6 @@ def q_events_running_peak(sf_dir: str) -> pd.DataFrame:
             [["user_id", "final_total", "peak_total", "peak_event_id"]])
 
 
-SQL_EVENTS_RUNNING_PEAK = """
-WITH s AS (
-  SELECT user_id, event_id,
-         sum(CASE WHEN event_type = 'error' THEN -value ELSE value END)
-           OVER (PARTITION BY user_id ORDER BY ts, event_id
-                 ROWS UNBOUNDED PRECEDING) AS run,
-         row_number() OVER (PARTITION BY user_id ORDER BY ts, event_id) AS rn
-  FROM events
-),
-pk AS (
-  SELECT user_id, run, event_id,
-         row_number() OVER (PARTITION BY user_id ORDER BY run DESC, rn) AS r
-  FROM s
-),
-fin AS (
-  SELECT user_id, run,
-         row_number() OVER (PARTITION BY user_id ORDER BY rn DESC) AS r
-  FROM s
-)
-SELECT s.user_id,
-       round(any_value(fin.run), 5) AS final_total,
-       round(any_value(pk.run), 5) AS peak_total,
-       CAST(any_value(pk.event_id) AS BIGINT) AS peak_event_id
-FROM (SELECT DISTINCT user_id FROM s) s
-JOIN pk ON pk.user_id = s.user_id AND pk.r = 1
-JOIN fin ON fin.user_id = s.user_id AND fin.r = 1
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES5["events_running_peak"] = q_events_running_peak
-ORACLES5["events_running_peak"] = SQL_EVENTS_RUNNING_PEAK
-
-
 # ---------------------------------------------------------------------------
 # lineitem_pareto — ABC / Pareto concentration analysis: how much of
 # revenue the top sellers hold.  The distributed part is the grouped
@@ -591,6 +574,28 @@ ORACLES5["events_running_peak"] = SQL_EVENTS_RUNNING_PEAK
 # the concentration scan runs over the DIMENSION-BOUNDED parts table.
 
 
+SQL_LINEITEM_PARETO = """
+WITH r AS (
+  SELECT l_partkey, sum(l_extendedprice * (1 - l_discount)) AS rev
+  FROM lineitem GROUP BY 1
+),
+c AS (
+  SELECT rev,
+         sum(rev) OVER (ORDER BY rev DESC, l_partkey
+                        ROWS UNBOUNDED PRECEDING) / sum(rev) OVER () AS cshare,
+         row_number() OVER (ORDER BY rev DESC, l_partkey) AS rn,
+         count(*) OVER () AS n
+  FROM r
+)
+SELECT CAST(any_value(n) AS BIGINT) AS n_parts,
+       CAST(min(CASE WHEN cshare >= 0.8 THEN rn END) AS BIGINT) AS parts_for_80pct,
+       round(max(CASE WHEN rn = CAST(greatest(ceil(0.2 * n), 1) AS BIGINT)
+                      THEN cshare END), 5) AS top20_share
+FROM c
+"""
+
+
+@entry("lineitem_pareto", sql=SQL_LINEITEM_PARETO)
 def q_lineitem_pareto(sf_dir: str) -> pd.DataFrame:
     """Revenue concentration across parts: revenue(part) =
     Σ extendedprice·(1−discount); report the part count, the number of
@@ -629,30 +634,6 @@ def q_lineitem_pareto(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_LINEITEM_PARETO = """
-WITH r AS (
-  SELECT l_partkey, sum(l_extendedprice * (1 - l_discount)) AS rev
-  FROM lineitem GROUP BY 1
-),
-c AS (
-  SELECT rev,
-         sum(rev) OVER (ORDER BY rev DESC, l_partkey
-                        ROWS UNBOUNDED PRECEDING) / sum(rev) OVER () AS cshare,
-         row_number() OVER (ORDER BY rev DESC, l_partkey) AS rn,
-         count(*) OVER () AS n
-  FROM r
-)
-SELECT CAST(any_value(n) AS BIGINT) AS n_parts,
-       CAST(min(CASE WHEN cshare >= 0.8 THEN rn END) AS BIGINT) AS parts_for_80pct,
-       round(max(CASE WHEN rn = CAST(greatest(ceil(0.2 * n), 1) AS BIGINT)
-                      THEN cshare END), 5) AS top20_share
-FROM c
-"""
-
-QUERIES5["lineitem_pareto"] = q_lineitem_pareto
-ORACLES5["lineitem_pareto"] = SQL_LINEITEM_PARETO
-
-
 # ---------------------------------------------------------------------------
 # emb_dispersion — per-label centroid cohesion: mean cosine of member
 # vectors to their label centroid, the compactness diagnostic for
@@ -661,6 +642,36 @@ ORACLES5["lineitem_pareto"] = SQL_LINEITEM_PARETO
 # centroids + cosine partials.
 
 
+SQL_EMB_DISPERSION = """
+WITH e AS (
+  SELECT CAST(label AS BIGINT) AS label,
+         list_transform(embedding, x -> CAST(x AS DOUBLE)) AS v
+  FROM embeddings
+),
+d AS (
+  SELECT label, u.dim, u.val
+  FROM e, LATERAL (SELECT unnest(v) AS val,
+                          generate_subscripts(v, 1) AS dim) u
+),
+cen AS (
+  SELECT label, list(avg_val ORDER BY dim) AS c
+  FROM (SELECT label, dim, avg(val) AS avg_val FROM d GROUP BY 1, 2)
+  GROUP BY 1
+),
+cs AS (
+  SELECT e.label,
+         list_sum(list_transform(list_zip(e.v, cen.c), t -> t[1] * t[2]))
+           / (sqrt(list_sum(list_transform(e.v, x -> x * x)))
+              * sqrt(list_sum(list_transform(cen.c, x -> x * x)))) AS cosv
+  FROM e JOIN cen USING (label)
+)
+SELECT label, CAST(count(*) AS BIGINT) AS n,
+       round(avg(cosv), 5) AS mean_cos
+FROM cs GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("emb_dispersion", sql=SQL_EMB_DISPERSION)
 def q_emb_dispersion(sf_dir: str) -> pd.DataFrame:
     """Per label: member count and mean cosine(member, label centroid),
     centroid = unnormalized mean vector.  Scale shape: pass 1 emits a
@@ -735,44 +746,27 @@ def q_emb_dispersion(sf_dir: str) -> pd.DataFrame:
             .sort_values("label").reset_index(drop=True))
 
 
-SQL_EMB_DISPERSION = """
-WITH e AS (
-  SELECT CAST(label AS BIGINT) AS label,
-         list_transform(embedding, x -> CAST(x AS DOUBLE)) AS v
-  FROM embeddings
-),
-d AS (
-  SELECT label, u.dim, u.val
-  FROM e, LATERAL (SELECT unnest(v) AS val,
-                          generate_subscripts(v, 1) AS dim) u
-),
-cen AS (
-  SELECT label, list(avg_val ORDER BY dim) AS c
-  FROM (SELECT label, dim, avg(val) AS avg_val FROM d GROUP BY 1, 2)
-  GROUP BY 1
-),
-cs AS (
-  SELECT e.label,
-         list_sum(list_transform(list_zip(e.v, cen.c), t -> t[1] * t[2]))
-           / (sqrt(list_sum(list_transform(e.v, x -> x * x)))
-              * sqrt(list_sum(list_transform(cen.c, x -> x * x)))) AS cosv
-  FROM e JOIN cen USING (label)
-)
-SELECT label, CAST(count(*) AS BIGINT) AS n,
-       round(avg(cosv), 5) AS mean_cos
-FROM cs GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES5["emb_dispersion"] = q_emb_dispersion
-ORACLES5["emb_dispersion"] = SQL_EMB_DISPERSION
-
-
 # ---------------------------------------------------------------------------
 # events_prior_state — point-in-time attribution: for every purchase,
 # the state (event type) the user was in IMMEDIATELY before it — the
 # LAG-based 1-row SCD lookup.
 
 
+SQL_EVENTS_PRIOR_STATE = """
+WITH s AS (
+  SELECT event_type,
+         coalesce(lag(event_type) OVER (PARTITION BY user_id
+                                        ORDER BY ts, event_id),
+                  'none') AS prior_state
+  FROM events
+)
+SELECT prior_state, CAST(count(*) AS BIGINT) AS n
+FROM s WHERE event_type = 'purchase'
+GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("events_prior_state", sql=SQL_EVENTS_PRIOR_STATE)
 def q_events_prior_state(sf_dir: str) -> pd.DataFrame:
     """Count purchases by the event type immediately preceding them for
     the same user in (ts, event_id) order ('none' when the purchase is
@@ -814,29 +808,24 @@ def q_events_prior_state(sf_dir: str) -> pd.DataFrame:
     return pdf.sort_values("prior_state").reset_index(drop=True)
 
 
-SQL_EVENTS_PRIOR_STATE = """
-WITH s AS (
-  SELECT event_type,
-         coalesce(lag(event_type) OVER (PARTITION BY user_id
-                                        ORDER BY ts, event_id),
-                  'none') AS prior_state
-  FROM events
-)
-SELECT prior_state, CAST(count(*) AS BIGINT) AS n
-FROM s WHERE event_type = 'purchase'
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES5["events_prior_state"] = q_events_prior_state
-ORACLES5["events_prior_state"] = SQL_EVENTS_PRIOR_STATE
-
-
 # ---------------------------------------------------------------------------
 # doc_lang_confusion — labeled-lang vs predicted-lang confusion matrix:
 # the quality audit for the lang-ID gate itself (which labels does the
 # heuristic misroute, and where do 'und' fallbacks concentrate).
 
 
+def _lang_confusion_sql() -> str:
+    from jesse_ray.pipelines.queries import _langid_sql
+
+    return f"""
+WITH pred AS ({_langid_sql()})
+SELECT d.lang, p.lang_pred, CAST(count(*) AS BIGINT) AS n
+FROM documents d JOIN pred p USING (doc_id)
+GROUP BY 1, 2 ORDER BY 1, 2
+"""
+
+
+@entry("doc_lang_confusion", sql=_lang_confusion_sql())
 def q_doc_lang_confusion(sf_dir: str) -> pd.DataFrame:
     """Confusion counts (lang label × LangId prediction).  Scale shape:
     the LangId actor pool scores batches in place (regex banks compiled
@@ -858,27 +847,30 @@ def q_doc_lang_confusion(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["lang", "lang_pred"]).reset_index(drop=True)
 
 
-def _lang_confusion_sql() -> str:
-    from jesse_ray.pipelines.queries import _langid_sql
-
-    return f"""
-WITH pred AS ({_langid_sql()})
-SELECT d.lang, p.lang_pred, CAST(count(*) AS BIGINT) AS n
-FROM documents d JOIN pred p USING (doc_id)
-GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-
-QUERIES5["doc_lang_confusion"] = q_doc_lang_confusion
-ORACLES5["doc_lang_confusion"] = _lang_confusion_sql()
-
-
 # ---------------------------------------------------------------------------
 # events_top_paths — funnel-path mining: the most common ordered
 # prefix of each user's first 5 event types, ranked by user count
 # (the "what do users actually do first" report).
 
 
+SQL_EVENTS_TOP_PATHS = """
+WITH s AS (
+  SELECT user_id, event_type,
+         row_number() OVER (PARTITION BY user_id ORDER BY ts, event_id) AS rn
+  FROM events
+),
+p AS (
+  SELECT user_id, string_agg(event_type, '>' ORDER BY rn) AS path
+  FROM s WHERE rn <= 5 GROUP BY 1
+)
+SELECT path, CAST(count(*) AS BIGINT) AS n_users
+FROM p GROUP BY 1
+ORDER BY n_users DESC, path
+LIMIT 10
+"""
+
+
+@entry("events_top_paths", sql=SQL_EVENTS_TOP_PATHS)
 def q_events_top_paths(sf_dir: str) -> pd.DataFrame:
     """Top 10 first-5-event paths ('a>b>c>d>e') by user count, ties
     broken by path.  Scale shape: one coarse user shuffle, per-part
@@ -918,32 +910,23 @@ def q_events_top_paths(sf_dir: str) -> pd.DataFrame:
             .head(10).reset_index(drop=True))
 
 
-SQL_EVENTS_TOP_PATHS = """
-WITH s AS (
-  SELECT user_id, event_type,
-         row_number() OVER (PARTITION BY user_id ORDER BY ts, event_id) AS rn
-  FROM events
-),
-p AS (
-  SELECT user_id, string_agg(event_type, '>' ORDER BY rn) AS path
-  FROM s WHERE rn <= 5 GROUP BY 1
-)
-SELECT path, CAST(count(*) AS BIGINT) AS n_users
-FROM p GROUP BY 1
-ORDER BY n_users DESC, path
-LIMIT 10
-"""
-
-QUERIES5["events_top_paths"] = q_events_top_paths
-ORACLES5["events_top_paths"] = SQL_EVENTS_TOP_PATHS
-
-
 # ---------------------------------------------------------------------------
 # orders_leadtime — ship-lag SLA report: order→ship lead time through a
 # distributed fact×fact equi-join feeding exact per-group quantiles
 # (the join + windowed-quantile composition every warehouse runs).
 
 
+SQL_ORDERS_LEADTIME = """
+SELECT o_orderpriority,
+       CAST(count(*) AS BIGINT) AS n,
+       quantile_disc(CAST(epoch(l_shipdate - o_orderdate) // 86400 AS BIGINT), 0.5) AS p50_days,
+       quantile_disc(CAST(epoch(l_shipdate - o_orderdate) // 86400 AS BIGINT), 0.9) AS p90_days
+FROM lineitem JOIN orders ON l_orderkey = o_orderkey
+GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("orders_leadtime", sql=SQL_ORDERS_LEADTIME)
 def q_orders_leadtime(sf_dir: str) -> pd.DataFrame:
     """Per order priority: lineitem count and p50/p90 lead time in whole
     days (l_shipdate − o_orderdate).  Scale shape: relational.hash_join
@@ -994,15 +977,3 @@ def q_orders_leadtime(sf_dir: str) -> pd.DataFrame:
     return (out[["o_orderpriority", "n", "p50_days", "p90_days"]]
             .sort_values("o_orderpriority").reset_index(drop=True))
 
-
-SQL_ORDERS_LEADTIME = """
-SELECT o_orderpriority,
-       CAST(count(*) AS BIGINT) AS n,
-       quantile_disc(CAST(epoch(l_shipdate - o_orderdate) // 86400 AS BIGINT), 0.5) AS p50_days,
-       quantile_disc(CAST(epoch(l_shipdate - o_orderdate) // 86400 AS BIGINT), 0.9) AS p90_days
-FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES5["orders_leadtime"] = q_orders_leadtime
-ORACLES5["orders_leadtime"] = SQL_ORDERS_LEADTIME

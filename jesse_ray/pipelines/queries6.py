@@ -24,12 +24,10 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from jesse_ray.hashutil import hash_partition_pandas
-from jesse_ray.pipelines.queries import _collect, _sig_parquet_path
+from jesse_ray.pipelines.queries import _collect, _sig_parquet_path, entry
 from jesse_ray.sources import read_table
 from jesse_ray.rounding import round_half_away
 
-QUERIES6: dict = {}
-ORACLES6: dict = {}
 
 _DAY_US = 86400000000  # epoch-microseconds per day
 
@@ -69,6 +67,20 @@ def _daily_value_partials(sf_dir: str, *, by_type: bool = False) -> pa.Table:
 # same per-group (n, Σx, Σx²) power sums both engines keep.
 
 
+SQL_EVENTS_ANOVA = """
+WITH g AS (
+  SELECT event_type, count(value) AS n, sum(value) AS s1, sum(value*value) AS s2
+  FROM events WHERE value IS NOT NULL GROUP BY 1
+),
+t AS (SELECT count(*) AS k, sum(n) AS nn, sum(s1) AS ts1, sum(s2) AS ts2,
+             sum(s1*s1/n) AS sb FROM g)
+SELECT CAST(k AS BIGINT) AS k, CAST(nn AS BIGINT) AS n,
+       round(((sb - ts1*ts1/nn) / (k-1)) / ((ts2 - sb) / (nn - k)), 4) AS f_stat
+FROM t
+"""
+
+
+@entry("events_anova", sql=SQL_EVENTS_ANOVA)
 def q_events_anova(sf_dir: str) -> pd.DataFrame:
     """Does mean ``value`` differ across event types?  One-way ANOVA
     from per-group power sums: SSB = Σ s₁ᵍ²/nᵍ − S₁²/N, SSW = ΣΣx² −
@@ -100,28 +112,33 @@ def q_events_anova(sf_dir: str) -> pd.DataFrame:
                          "f_stat": [round_half_away(f, 4)]})
 
 
-SQL_EVENTS_ANOVA = """
-WITH g AS (
-  SELECT event_type, count(value) AS n, sum(value) AS s1, sum(value*value) AS s2
-  FROM events WHERE value IS NOT NULL GROUP BY 1
-),
-t AS (SELECT count(*) AS k, sum(n) AS nn, sum(s1) AS ts1, sum(s2) AS ts2,
-             sum(s1*s1/n) AS sb FROM g)
-SELECT CAST(k AS BIGINT) AS k, CAST(nn AS BIGINT) AS n,
-       round(((sb - ts1*ts1/nn) / (k-1)) / ((ts2 - sb) / (nn - k)), 4) AS f_stat
-FROM t
-"""
-
-QUERIES6["events_anova"] = q_events_anova
-ORACLES6["events_anova"] = SQL_EVENTS_ANOVA
-
-
 # ---------------------------------------------------------------------------
 # emb_roc_auc — ROC-AUC of an integer score vs a binary label in EXACT
 # integer rank arithmetic (the Mann-Whitney identity AUC = U/(n₁n₀)):
 # doubled tie-averaged rank sums are exact int64 on both engines.
 
 
+SQL_EMB_ROC_AUC = """
+WITH x AS (
+  SELECT len(list_filter(embedding, x -> x > 0)) AS score,
+         CASE WHEN label < 5 THEN 1 ELSE 0 END AS pos
+  FROM embeddings
+),
+v AS (SELECT score, CAST(count(*) AS BIGINT) AS c_all,
+             CAST(sum(pos) AS BIGINT) AS c_pos FROM x GROUP BY 1),
+w AS (SELECT score, c_all, c_pos,
+             CAST(coalesce(sum(c_all) OVER (ORDER BY score
+                  ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS BIGINT) AS L
+      FROM v),
+a AS (SELECT CAST(sum(c_pos) AS BIGINT) AS np, CAST(sum(c_all - c_pos) AS BIGINT) AS nn,
+             CAST(sum(c_pos * (2*L + c_all + 1)) AS BIGINT) AS r2 FROM w)
+SELECT np AS n_pos, nn AS n_neg, r2 - np*(np+1) AS u2,
+       round(CAST(r2 - np*(np+1) AS DOUBLE) / (2.0 * np * nn), 6) AS auc
+FROM a
+"""
+
+
+@entry("emb_roc_auc", sql=SQL_EMB_ROC_AUC)
 def q_emb_roc_auc(sf_dir: str) -> pd.DataFrame:
     """AUC of score = #positive embedding components for the binary
     class label<5 — the separability audit for a quality-classifier
@@ -165,34 +182,24 @@ def q_emb_roc_auc(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_EMB_ROC_AUC = """
-WITH x AS (
-  SELECT len(list_filter(embedding, x -> x > 0)) AS score,
-         CASE WHEN label < 5 THEN 1 ELSE 0 END AS pos
-  FROM embeddings
-),
-v AS (SELECT score, CAST(count(*) AS BIGINT) AS c_all,
-             CAST(sum(pos) AS BIGINT) AS c_pos FROM x GROUP BY 1),
-w AS (SELECT score, c_all, c_pos,
-             CAST(coalesce(sum(c_all) OVER (ORDER BY score
-                  ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS BIGINT) AS L
-      FROM v),
-a AS (SELECT CAST(sum(c_pos) AS BIGINT) AS np, CAST(sum(c_all - c_pos) AS BIGINT) AS nn,
-             CAST(sum(c_pos * (2*L + c_all + 1)) AS BIGINT) AS r2 FROM w)
-SELECT np AS n_pos, nn AS n_neg, r2 - np*(np+1) AS u2,
-       round(CAST(r2 - np*(np+1) AS DOUBLE) / (2.0 * np * nn), 6) AS auc
-FROM a
-"""
-
-QUERIES6["emb_roc_auc"] = q_emb_roc_auc
-ORACLES6["emb_roc_auc"] = SQL_EMB_ROC_AUC
-
-
 # ---------------------------------------------------------------------------
 # events_autocorr — lag-1 autocorrelation of the daily event-count
 # series (ingest-volume seasonality audit).
 
 
+SQL_EVENTS_AUTOCORR = f"""
+WITH d AS (
+  SELECT epoch_us(ts) // {_DAY_US} AS day, CAST(count(*) AS BIGINT) AS c
+  FROM events GROUP BY 1
+),
+l AS (SELECT c, lag(c) OVER (ORDER BY day) AS pc FROM d)
+SELECT (SELECT CAST(count(*) AS BIGINT) FROM d) AS n_days,
+       round(corr(c, pc), 5) AS acf1
+FROM l WHERE pc IS NOT NULL
+"""
+
+
+@entry("events_autocorr", sql=SQL_EVENTS_AUTOCORR)
 def q_events_autocorr(sf_dir: str) -> pd.DataFrame:
     """Lag-1 Pearson autocorrelation of daily event counts.  Scale
     shape: the daily grid comes from the shared per-block combiner
@@ -207,21 +214,6 @@ def q_events_autocorr(sf_dir: str) -> pd.DataFrame:
                          "acf1": [round_half_away(r, 5)]})
 
 
-SQL_EVENTS_AUTOCORR = f"""
-WITH d AS (
-  SELECT epoch_us(ts) // {_DAY_US} AS day, CAST(count(*) AS BIGINT) AS c
-  FROM events GROUP BY 1
-),
-l AS (SELECT c, lag(c) OVER (ORDER BY day) AS pc FROM d)
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM d) AS n_days,
-       round(corr(c, pc), 5) AS acf1
-FROM l WHERE pc IS NOT NULL
-"""
-
-QUERIES6["events_autocorr"] = q_events_autocorr
-ORACLES6["events_autocorr"] = SQL_EVENTS_AUTOCORR
-
-
 # ---------------------------------------------------------------------------
 # events_ewma — exponentially-weighted moving average of daily mean
 # value per event type (α = 0.3), reported at the final day.  The twin
@@ -231,6 +223,25 @@ ORACLES6["events_autocorr"] = SQL_EVENTS_AUTOCORR
 _EWMA_ALPHA = 0.3
 
 
+SQL_EVENTS_EWMA = f"""
+WITH d AS (
+  SELECT event_type, epoch_us(ts) // {_DAY_US} AS day, avg(value) AS x
+  FROM events WHERE value IS NOT NULL GROUP BY 1, 2
+),
+r AS (
+  SELECT event_type, x,
+         row_number() OVER (PARTITION BY event_type ORDER BY day) AS rn,
+         count(*) OVER (PARTITION BY event_type) AS nd
+  FROM d
+)
+SELECT event_type, CAST(max(nd) AS BIGINT) AS n_days,
+       round(sum(CASE WHEN rn = 1 THEN power({1.0 - _EWMA_ALPHA}, nd - 1) * x
+                      ELSE {_EWMA_ALPHA} * power({1.0 - _EWMA_ALPHA}, nd - rn) * x END), 5) AS ewma
+FROM r GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("events_ewma", sql=SQL_EVENTS_EWMA)
 def q_events_ewma(sf_dir: str) -> pd.DataFrame:
     """Per-type EWMA level of daily mean ``value`` at the last observed
     day (drift-watch smoother).  Scale shape: the per-(type, day) grid
@@ -253,27 +264,6 @@ def q_events_ewma(sf_dir: str) -> pd.DataFrame:
                          "ewma": out_e})
 
 
-SQL_EVENTS_EWMA = f"""
-WITH d AS (
-  SELECT event_type, epoch_us(ts) // {_DAY_US} AS day, avg(value) AS x
-  FROM events WHERE value IS NOT NULL GROUP BY 1, 2
-),
-r AS (
-  SELECT event_type, x,
-         row_number() OVER (PARTITION BY event_type ORDER BY day) AS rn,
-         count(*) OVER (PARTITION BY event_type) AS nd
-  FROM d
-)
-SELECT event_type, CAST(max(nd) AS BIGINT) AS n_days,
-       round(sum(CASE WHEN rn = 1 THEN power({1.0 - _EWMA_ALPHA}, nd - 1) * x
-                      ELSE {_EWMA_ALPHA} * power({1.0 - _EWMA_ALPHA}, nd - rn) * x END), 5) AS ewma
-FROM r GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES6["events_ewma"] = q_events_ewma
-ORACLES6["events_ewma"] = SQL_EVENTS_EWMA
-
-
 # ---------------------------------------------------------------------------
 # doc_prefix_jaccard — AllPairs/PPJoin EXACT Jaccard similarity join
 # (functions/dedup.py prefix_jaccard_join): deterministic recall 1.0 by
@@ -281,6 +271,27 @@ ORACLES6["events_ewma"] = SQL_EVENTS_EWMA
 # twin over the same shingle sets (parquet sidecar).
 
 
+SQL_DOC_PREFIX_JACCARD = """
+WITH s AS (
+  SELECT doc_id, shingles FROM read_parquet('/tmp/jesse_ray_data/pfxjac_sigs_sf0.01.parquet')
+), sz AS (
+  SELECT doc_id, len(shingles) AS n FROM s
+), e AS (
+  SELECT doc_id, unnest(shingles) AS sh FROM s
+), p AS (
+  SELECT a.doc_id AS l, b.doc_id AS r, count(*) AS inter
+  FROM e a JOIN e b ON a.sh = b.sh AND a.doc_id < b.doc_id
+  GROUP BY 1, 2
+)
+SELECT l AS "left", r AS "right", CAST(inter AS BIGINT) AS inter,
+       CAST(sa.n + sb.n - inter AS BIGINT) AS union_sz
+FROM p JOIN sz sa ON sa.doc_id = p.l JOIN sz sb ON sb.doc_id = p.r
+WHERE inter * 1.0 / (sa.n + sb.n - inter) >= 0.4
+ORDER BY 1, 2
+"""
+
+
+@entry("doc_prefix_jaccard", sql=SQL_DOC_PREFIX_JACCARD)
 def q_doc_prefix_jaccard(sf_dir: str) -> pd.DataFrame:
     """Exact Jaccard ≥ 0.4 similarity self-join over 5-gram document
     shingles WITHOUT LSH: prefix filtering (Bayardo WWW'07) + exact
@@ -329,34 +340,25 @@ def q_doc_prefix_jaccard(sf_dir: str) -> pd.DataFrame:
             .sort_values(["left", "right"]).reset_index(drop=True))
 
 
-SQL_DOC_PREFIX_JACCARD = """
-WITH s AS (
-  SELECT doc_id, shingles FROM read_parquet('/tmp/jesse_ray_data/pfxjac_sigs_sf0.01.parquet')
-), sz AS (
-  SELECT doc_id, len(shingles) AS n FROM s
-), e AS (
-  SELECT doc_id, unnest(shingles) AS sh FROM s
-), p AS (
-  SELECT a.doc_id AS l, b.doc_id AS r, count(*) AS inter
-  FROM e a JOIN e b ON a.sh = b.sh AND a.doc_id < b.doc_id
-  GROUP BY 1, 2
-)
-SELECT l AS "left", r AS "right", CAST(inter AS BIGINT) AS inter,
-       CAST(sa.n + sb.n - inter AS BIGINT) AS union_sz
-FROM p JOIN sz sa ON sa.doc_id = p.l JOIN sz sb ON sb.doc_id = p.r
-WHERE inter * 1.0 / (sa.n + sb.n - inter) >= 0.4
-ORDER BY 1, 2
-"""
-
-QUERIES6["doc_prefix_jaccard"] = q_doc_prefix_jaccard
-ORACLES6["doc_prefix_jaccard"] = SQL_DOC_PREFIX_JACCARD
-
-
 # ---------------------------------------------------------------------------
 # events_cusum — CUSUM changepoint locator on the daily mean-value
 # series: argmax |Σ(xᵢ − x̄)| with the max standardized by σ√n.
 
 
+SQL_EVENTS_CUSUM = f"""
+WITH d AS (
+  SELECT epoch_us(ts) // {_DAY_US} AS day, avg(value) AS x
+  FROM events WHERE value IS NOT NULL GROUP BY 1
+),
+m AS (SELECT avg(x) AS mu, stddev_pop(x) AS sd, count(*) AS nd FROM d),
+s AS (SELECT day, sum(x - (SELECT mu FROM m)) OVER (ORDER BY day) AS cs FROM d)
+SELECT CAST(day AS BIGINT) AS cp_day,
+       round(abs(cs) / ((SELECT sd FROM m) * sqrt((SELECT nd FROM m))), 5) AS stat
+FROM s ORDER BY abs(cs) DESC, day ASC LIMIT 1
+"""
+
+
+@entry("events_cusum", sql=SQL_EVENTS_CUSUM)
 def q_events_cusum(sf_dir: str) -> pd.DataFrame:
     """Where does the daily mean ``value`` series most likely change
     level?  Classic CUSUM: Sₜ = Σ_{i≤t}(xᵢ−x̄); the changepoint is the
@@ -374,27 +376,26 @@ def q_events_cusum(sf_dir: str) -> pd.DataFrame:
                          "stat": [round_half_away(stat, 5)]})
 
 
-SQL_EVENTS_CUSUM = f"""
-WITH d AS (
-  SELECT epoch_us(ts) // {_DAY_US} AS day, avg(value) AS x
-  FROM events WHERE value IS NOT NULL GROUP BY 1
-),
-m AS (SELECT avg(x) AS mu, stddev_pop(x) AS sd, count(*) AS nd FROM d),
-s AS (SELECT day, sum(x - (SELECT mu FROM m)) OVER (ORDER BY day) AS cs FROM d)
-SELECT CAST(day AS BIGINT) AS cp_day,
-       round(abs(cs) / ((SELECT sd FROM m) * sqrt((SELECT nd FROM m))), 5) AS stat
-FROM s ORDER BY abs(cs) DESC, day ASC LIMIT 1
-"""
-
-QUERIES6["events_cusum"] = q_events_cusum
-ORACLES6["events_cusum"] = SQL_EVENTS_CUSUM
-
-
 # ---------------------------------------------------------------------------
 # events_gapfill — per-user calendar completeness: days missing between
 # each user's first and last activity day, aggregated per event type.
 
 
+SQL_EVENTS_GAPFILL = f"""
+WITH u AS (
+  SELECT event_type, user_id,
+         CAST(max(epoch_us(ts) // {_DAY_US}) - min(epoch_us(ts) // {_DAY_US}) + 1
+              - count(DISTINCT epoch_us(ts) // {_DAY_US}) AS BIGINT) AS miss
+  FROM events GROUP BY 1, 2
+)
+SELECT event_type,
+       CAST(count(*) FILTER (WHERE miss > 0) AS BIGINT) AS users_with_gaps,
+       CAST(sum(miss) AS BIGINT) AS missing_days
+FROM u GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("events_gapfill", sql=SQL_EVENTS_GAPFILL)
 def q_events_gapfill(sf_dir: str) -> pd.DataFrame:
     """Ingest-completeness audit: for each (event_type, user) the
     expected day span (max−min+1) minus observed distinct days =
@@ -430,23 +431,6 @@ def q_events_gapfill(sf_dir: str) -> pd.DataFrame:
             .sort_values("event_type").reset_index(drop=True))
 
 
-SQL_EVENTS_GAPFILL = f"""
-WITH u AS (
-  SELECT event_type, user_id,
-         CAST(max(epoch_us(ts) // {_DAY_US}) - min(epoch_us(ts) // {_DAY_US}) + 1
-              - count(DISTINCT epoch_us(ts) // {_DAY_US}) AS BIGINT) AS miss
-  FROM events GROUP BY 1, 2
-)
-SELECT event_type,
-       CAST(count(*) FILTER (WHERE miss > 0) AS BIGINT) AS users_with_gaps,
-       CAST(sum(miss) AS BIGINT) AS missing_days
-FROM u GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES6["events_gapfill"] = q_events_gapfill
-ORACLES6["events_gapfill"] = SQL_EVENTS_GAPFILL
-
-
 # ---------------------------------------------------------------------------
 # orders_candidate_keys — single-column candidate-key discovery over the
 # orders table: exact distinct count per column vs row count.
@@ -455,6 +439,22 @@ _CK_COLS = ["o_orderkey", "o_custkey", "o_orderstatus", "o_totalprice",
             "o_orderdate", "o_orderpriority"]
 
 
+SQL_ORDERS_CANDIDATE_KEYS = """
+SELECT col, n_distinct, n_rows, CAST(n_distinct = n_rows AS BIGINT) AS is_key
+FROM (
+  SELECT 'o_custkey' AS col, CAST(count(DISTINCT o_custkey) AS BIGINT) AS n_distinct,
+         CAST(count(*) AS BIGINT) AS n_rows FROM orders
+  UNION ALL SELECT 'o_orderdate', count(DISTINCT o_orderdate), count(*) FROM orders
+  UNION ALL SELECT 'o_orderkey', count(DISTINCT o_orderkey), count(*) FROM orders
+  UNION ALL SELECT 'o_orderpriority', count(DISTINCT o_orderpriority), count(*) FROM orders
+  UNION ALL SELECT 'o_orderstatus', count(DISTINCT o_orderstatus), count(*) FROM orders
+  UNION ALL SELECT 'o_totalprice', count(DISTINCT o_totalprice), count(*) FROM orders
+)
+ORDER BY col
+"""
+
+
+@entry("orders_candidate_keys", sql=SQL_ORDERS_CANDIDATE_KEYS)
 def q_orders_candidate_keys(sf_dir: str) -> pd.DataFrame:
     """Which columns could key the table?  Exact n_distinct per column
     via per-batch unique + ONE coarse shuffle on the value hash (a
@@ -491,44 +491,9 @@ def q_orders_candidate_keys(sf_dir: str) -> pd.DataFrame:
     }).reset_index(drop=True)
 
 
-SQL_ORDERS_CANDIDATE_KEYS = """
-SELECT col, n_distinct, n_rows, CAST(n_distinct = n_rows AS BIGINT) AS is_key
-FROM (
-  SELECT 'o_custkey' AS col, CAST(count(DISTINCT o_custkey) AS BIGINT) AS n_distinct,
-         CAST(count(*) AS BIGINT) AS n_rows FROM orders
-  UNION ALL SELECT 'o_orderdate', count(DISTINCT o_orderdate), count(*) FROM orders
-  UNION ALL SELECT 'o_orderkey', count(DISTINCT o_orderkey), count(*) FROM orders
-  UNION ALL SELECT 'o_orderpriority', count(DISTINCT o_orderpriority), count(*) FROM orders
-  UNION ALL SELECT 'o_orderstatus', count(DISTINCT o_orderstatus), count(*) FROM orders
-  UNION ALL SELECT 'o_totalprice', count(DISTINCT o_totalprice), count(*) FROM orders
-)
-ORDER BY col
-"""
-
-QUERIES6["orders_candidate_keys"] = q_orders_candidate_keys
-ORACLES6["orders_candidate_keys"] = SQL_ORDERS_CANDIDATE_KEYS
-
-
 # ---------------------------------------------------------------------------
 # events_spearman_daily — Spearman rank correlation between daily event
 # volume and daily mean value (tie-averaged ranks, the textbook ρ).
-
-
-def q_events_spearman_daily(sf_dir: str) -> pd.DataFrame:
-    """Does volume co-move with level?  Spearman ρ between the daily
-    count series and the daily mean-value series: average ranks
-    (rank() + (ties−1)/2, matching pandas rank(method='average')),
-    then Pearson on the ranks.  Scale shape: the grid is a combiner
-    output; ranking ≤ #days values happens on the driver."""
-    d = _daily_value_partials(sf_dir).to_pandas().sort_values("day")
-    d = d[d["nv"] > 0]
-    c = d["cnt"].astype("int64")
-    v = d["sv"] / d["nv"]
-    rc = c.rank(method="average").to_numpy(dtype=np.float64)
-    rv = v.rank(method="average").to_numpy(dtype=np.float64)
-    rho = float(np.corrcoef(rc, rv)[0, 1]) if len(rc) > 1 else float("nan")
-    return pd.DataFrame({"n_days": pd.array([len(rc)], dtype="int64"),
-                         "rho": [round_half_away(rho, 5)]})
 
 
 SQL_EVENTS_SPEARMAN_DAILY = f"""
@@ -547,8 +512,23 @@ SELECT (SELECT CAST(count(*) AS BIGINT) FROM d) AS n_days,
 FROM r
 """
 
-QUERIES6["events_spearman_daily"] = q_events_spearman_daily
-ORACLES6["events_spearman_daily"] = SQL_EVENTS_SPEARMAN_DAILY
+
+@entry("events_spearman_daily", sql=SQL_EVENTS_SPEARMAN_DAILY)
+def q_events_spearman_daily(sf_dir: str) -> pd.DataFrame:
+    """Does volume co-move with level?  Spearman ρ between the daily
+    count series and the daily mean-value series: average ranks
+    (rank() + (ties−1)/2, matching pandas rank(method='average')),
+    then Pearson on the ranks.  Scale shape: the grid is a combiner
+    output; ranking ≤ #days values happens on the driver."""
+    d = _daily_value_partials(sf_dir).to_pandas().sort_values("day")
+    d = d[d["nv"] > 0]
+    c = d["cnt"].astype("int64")
+    v = d["sv"] / d["nv"]
+    rc = c.rank(method="average").to_numpy(dtype=np.float64)
+    rv = v.rank(method="average").to_numpy(dtype=np.float64)
+    rho = float(np.corrcoef(rc, rv)[0, 1]) if len(rc) > 1 else float("nan")
+    return pd.DataFrame({"n_days": pd.array([len(rc)], dtype="int64"),
+                         "rho": [round_half_away(rho, 5)]})
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +540,18 @@ _Q4_LO, _Q4_HI = "1996-01-01", "1997-01-01"
 _Q4_LATE_DAYS = 30
 
 
+SQL_ORDERS_Q4ISH = f"""
+SELECT o_orderpriority, CAST(count(*) AS BIGINT) AS n_late
+FROM orders
+WHERE o_orderdate >= TIMESTAMP '{_Q4_LO}' AND o_orderdate < TIMESTAMP '{_Q4_HI}'
+  AND EXISTS (SELECT 1 FROM lineitem
+              WHERE l_orderkey = o_orderkey
+                AND l_shipdate > o_orderdate + INTERVAL {_Q4_LATE_DAYS} DAY)
+GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("orders_q4ish", sql=SQL_ORDERS_Q4ISH)
 def q_orders_q4ish(sf_dir: str) -> pd.DataFrame:
     """Orders placed in 1996 with any lineitem shipped > 30 days after
     the order date, counted by priority.  The predicate references BOTH
@@ -606,16 +598,3 @@ def q_orders_q4ish(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame({"o_orderpriority": agg["o_orderpriority"].to_numpy(),
                          "n_late": agg["n"].astype("int64").to_numpy()}).reset_index(drop=True)
 
-
-SQL_ORDERS_Q4ISH = f"""
-SELECT o_orderpriority, CAST(count(*) AS BIGINT) AS n_late
-FROM orders
-WHERE o_orderdate >= TIMESTAMP '{_Q4_LO}' AND o_orderdate < TIMESTAMP '{_Q4_HI}'
-  AND EXISTS (SELECT 1 FROM lineitem
-              WHERE l_orderkey = o_orderkey
-                AND l_shipdate > o_orderdate + INTERVAL {_Q4_LATE_DAYS} DAY)
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES6["orders_q4ish"] = q_orders_q4ish
-ORACLES6["orders_q4ish"] = SQL_ORDERS_Q4ISH

@@ -19,13 +19,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, _sig_parquet_path
+from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, _sig_parquet_path, entry
 from jesse_ray.pipelines.queries6 import _daily_value_partials
 from jesse_ray.sources import read_sequences, read_table
 from jesse_ray.rounding import round_half_away
-
-QUERIES7: dict = {}
-ORACLES7: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -33,6 +30,19 @@ ORACLES7: dict = {}
 # vs Benford's law (the classic numeric-fabrication screen).
 
 
+SQL_ORDERS_BENFORD = """
+WITH x AS (
+  SELECT CAST(floor(o_totalprice / power(10, floor(log10(o_totalprice)))) AS BIGINT) AS digit
+  FROM orders WHERE o_totalprice > 0
+)
+SELECT digit, CAST(count(*) AS BIGINT) AS n,
+       round(count(*) * 1.0 / (SELECT count(*) FROM x), 5) AS share,
+       round(log10(1 + 1.0 / digit), 5) AS benford
+FROM x GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("orders_benford_log10", sql=SQL_ORDERS_BENFORD)
 def q_orders_benford(sf_dir: str) -> pd.DataFrame:
     """First-digit histogram of ``o_totalprice`` with the Benford
     expectation log10(1+1/d) alongside.  Scale shape: the per-batch
@@ -60,26 +70,35 @@ def q_orders_benford(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_ORDERS_BENFORD = """
-WITH x AS (
-  SELECT CAST(floor(o_totalprice / power(10, floor(log10(o_totalprice)))) AS BIGINT) AS digit
-  FROM orders WHERE o_totalprice > 0
-)
-SELECT digit, CAST(count(*) AS BIGINT) AS n,
-       round(count(*) * 1.0 / (SELECT count(*) FROM x), 5) AS share,
-       round(log10(1 + 1.0 / digit), 5) AS benford
-FROM x GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES7["orders_benford_log10"] = q_orders_benford
-ORACLES7["orders_benford_log10"] = SQL_ORDERS_BENFORD
-
-
 # ---------------------------------------------------------------------------
 # events_kendall_daily — Kendall τ-b between daily volume and daily mean
 # value, exact integer concordant/discordant counts with tie correction.
 
 
+SQL_EVENTS_KENDALL_DAILY = """
+WITH d AS (
+  SELECT epoch_us(ts) // 86400000000 AS day, CAST(count(*) AS BIGINT) AS c,
+         avg(value) AS v
+  FROM events GROUP BY 1 HAVING count(value) > 0
+),
+p AS (
+  SELECT CAST(count(*) FILTER (WHERE sign(a.c - b.c) * sign(a.v - b.v) > 0) AS BIGINT) AS conc,
+         CAST(count(*) FILTER (WHERE sign(a.c - b.c) * sign(a.v - b.v) < 0) AS BIGINT) AS disc
+  FROM d a JOIN d b ON a.day < b.day
+),
+t AS (SELECT CAST(count(*) AS BIGINT) AS n FROM d),
+tc AS (SELECT CAST(coalesce(sum(ct * (ct - 1) // 2), 0) AS BIGINT) AS t_c
+       FROM (SELECT count(*) AS ct FROM d GROUP BY c)),
+tv AS (SELECT CAST(coalesce(sum(ct * (ct - 1) // 2), 0) AS BIGINT) AS t_v
+       FROM (SELECT count(*) AS ct FROM d GROUP BY v))
+SELECT n AS n_days, conc, disc,
+       round((conc - disc) / sqrt(CAST(n*(n-1)//2 - t_c AS DOUBLE)
+                                  * CAST(n*(n-1)//2 - t_v AS DOUBLE)), 5) AS tau_b
+FROM p, t, tc, tv
+"""
+
+
+@entry("events_kendall_daily", sql=SQL_EVENTS_KENDALL_DAILY)
 def q_events_kendall_daily(sf_dir: str) -> pd.DataFrame:
     """Rank-robust co-movement of daily count vs daily mean value:
     τ-b = (C−D)/√((n₀−t_c)(n₀−t_v)) with integer C, D, n₀ and tie
@@ -110,37 +129,27 @@ def q_events_kendall_daily(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_EVENTS_KENDALL_DAILY = """
-WITH d AS (
-  SELECT epoch_us(ts) // 86400000000 AS day, CAST(count(*) AS BIGINT) AS c,
-         avg(value) AS v
-  FROM events GROUP BY 1 HAVING count(value) > 0
-),
-p AS (
-  SELECT CAST(count(*) FILTER (WHERE sign(a.c - b.c) * sign(a.v - b.v) > 0) AS BIGINT) AS conc,
-         CAST(count(*) FILTER (WHERE sign(a.c - b.c) * sign(a.v - b.v) < 0) AS BIGINT) AS disc
-  FROM d a JOIN d b ON a.day < b.day
-),
-t AS (SELECT CAST(count(*) AS BIGINT) AS n FROM d),
-tc AS (SELECT CAST(coalesce(sum(ct * (ct - 1) // 2), 0) AS BIGINT) AS t_c
-       FROM (SELECT count(*) AS ct FROM d GROUP BY c)),
-tv AS (SELECT CAST(coalesce(sum(ct * (ct - 1) // 2), 0) AS BIGINT) AS t_v
-       FROM (SELECT count(*) AS ct FROM d GROUP BY v))
-SELECT n AS n_days, conc, disc,
-       round((conc - disc) / sqrt(CAST(n*(n-1)//2 - t_c AS DOUBLE)
-                                  * CAST(n*(n-1)//2 - t_v AS DOUBLE)), 5) AS tau_b
-FROM p, t, tc, tv
-"""
-
-QUERIES7["events_kendall_daily"] = q_events_kendall_daily
-ORACLES7["events_kendall_daily"] = SQL_EVENTS_KENDALL_DAILY
-
-
 # ---------------------------------------------------------------------------
 # events_theilsen_daily — Theil–Sen robust slope of daily count vs day:
 # the median of all pairwise slopes (outlier-immune trend).
 
 
+SQL_EVENTS_THEILSEN_DAILY = """
+WITH d AS (
+  SELECT epoch_us(ts) // 86400000000 AS day, CAST(count(*) AS BIGINT) AS c
+  FROM events GROUP BY 1
+),
+s AS (
+  SELECT (b.c - a.c) * 1.0 / (b.day - a.day) AS slope
+  FROM d a JOIN d b ON a.day < b.day
+)
+SELECT (SELECT CAST(count(*) AS BIGINT) FROM d) AS n_days,
+       round(median(slope), 5) AS slope
+FROM s
+"""
+
+
+@entry("events_theilsen_daily", sql=SQL_EVENTS_THEILSEN_DAILY)
 def q_events_theilsen_daily(sf_dir: str) -> pd.DataFrame:
     """Robust daily-volume trend: median of (c_j−c_i)/(day_j−day_i)
     over all day pairs.  Integer inputs ⇒ identical slope doubles on
@@ -158,24 +167,6 @@ def q_events_theilsen_daily(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_EVENTS_THEILSEN_DAILY = """
-WITH d AS (
-  SELECT epoch_us(ts) // 86400000000 AS day, CAST(count(*) AS BIGINT) AS c
-  FROM events GROUP BY 1
-),
-s AS (
-  SELECT (b.c - a.c) * 1.0 / (b.day - a.day) AS slope
-  FROM d a JOIN d b ON a.day < b.day
-)
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM d) AS n_days,
-       round(median(slope), 5) AS slope
-FROM s
-"""
-
-QUERIES7["events_theilsen_daily"] = q_events_theilsen_daily
-ORACLES7["events_theilsen_daily"] = SQL_EVENTS_THEILSEN_DAILY
-
-
 # ---------------------------------------------------------------------------
 # seq_welch_ttest — Welch's unequal-variance t-test comparing n_tok of
 # two sources, from exact-integer power sums (n_tok ≤ 2048 ⇒ Σx² is
@@ -184,6 +175,33 @@ ORACLES7["events_theilsen_daily"] = SQL_EVENTS_THEILSEN_DAILY
 _WT_A, _WT_B = "web", "books"
 
 
+SQL_SEQ_WELCH_TTEST = f"""
+WITH g AS (
+  SELECT source, CAST(count(*) AS BIGINT) AS n, CAST(sum(n_tok) AS BIGINT) AS s1,
+         CAST(sum(CAST(n_tok AS BIGINT) * n_tok) AS BIGINT) AS s2
+  FROM {SEQ_SQL}
+  WHERE source IN ('{_WT_A}', '{_WT_B}') AND n_tok IS NOT NULL
+  GROUP BY 1
+),
+v AS (
+  SELECT source, n, s1 * 1.0 / n AS mean,
+         (s2 - s1 * 1.0 * s1 / n) / (n - 1) AS var
+  FROM g
+),
+ab AS (
+  SELECT a.n AS n_a, b.n AS n_b, a.mean AS ma, b.mean AS mb,
+         a.var / a.n AS wa, b.var / b.n AS wb
+  FROM (SELECT * FROM v WHERE source = '{_WT_A}') a,
+       (SELECT * FROM v WHERE source = '{_WT_B}') b
+)
+SELECT n_a, n_b,
+       round((ma - mb) / sqrt(wa + wb), 4) AS t_stat,
+       round((wa + wb) * (wa + wb) / (wa*wa/(n_a-1) + wb*wb/(n_b-1)), 2) AS df
+FROM ab
+"""
+
+
+@entry("seq_welch_ttest", sql=SQL_SEQ_WELCH_TTEST)
 def q_seq_welch_ttest(sf_dir: str) -> pd.DataFrame:
     """Welch's t (and Welch–Satterthwaite df) for mean n_tok, web vs
     books — the drift test for unequal variances where the pooled t is
@@ -225,40 +243,21 @@ def q_seq_welch_ttest(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_SEQ_WELCH_TTEST = f"""
-WITH g AS (
-  SELECT source, CAST(count(*) AS BIGINT) AS n, CAST(sum(n_tok) AS BIGINT) AS s1,
-         CAST(sum(CAST(n_tok AS BIGINT) * n_tok) AS BIGINT) AS s2
-  FROM {SEQ_SQL}
-  WHERE source IN ('{_WT_A}', '{_WT_B}') AND n_tok IS NOT NULL
-  GROUP BY 1
-),
-v AS (
-  SELECT source, n, s1 * 1.0 / n AS mean,
-         (s2 - s1 * 1.0 * s1 / n) / (n - 1) AS var
-  FROM g
-),
-ab AS (
-  SELECT a.n AS n_a, b.n AS n_b, a.mean AS ma, b.mean AS mb,
-         a.var / a.n AS wa, b.var / b.n AS wb
-  FROM (SELECT * FROM v WHERE source = '{_WT_A}') a,
-       (SELECT * FROM v WHERE source = '{_WT_B}') b
-)
-SELECT n_a, n_b,
-       round((ma - mb) / sqrt(wa + wb), 4) AS t_stat,
-       round((wa + wb) * (wa + wb) / (wa*wa/(n_a-1) + wb*wb/(n_b-1)), 2) AS df
-FROM ab
-"""
-
-QUERIES7["seq_welch_ttest"] = q_seq_welch_ttest
-ORACLES7["seq_welch_ttest"] = SQL_SEQ_WELCH_TTEST
-
-
 # ---------------------------------------------------------------------------
 # events_gini — Gini coefficient of per-user event counts: how
 # concentrated is activity?  Exact sorted-index formula, tie-invariant.
 
 
+SQL_EVENTS_GINI = """
+WITH u AS (SELECT user_id, CAST(count(*) AS BIGINT) AS n FROM events GROUP BY 1),
+r AS (SELECT n, row_number() OVER (ORDER BY n) AS i FROM u)
+SELECT (SELECT CAST(count(*) AS BIGINT) FROM u) AS n_users,
+       round(2.0 * sum(i * n) / (count(*) * sum(n)) - (count(*) + 1.0) / count(*), 5) AS gini
+FROM r
+"""
+
+
+@entry("events_gini", sql=SQL_EVENTS_GINI)
 def q_events_gini(sf_dir: str) -> pd.DataFrame:
     """Activity-concentration audit: Gini of per-user total events,
     G = 2·Σ i·x₍ᵢ₎ / (n·Σx) − (n+1)/n over ascending counts (the
@@ -283,24 +282,23 @@ def q_events_gini(sf_dir: str) -> pd.DataFrame:
                          "gini": [round_half_away(float(gini), 5)]})
 
 
-SQL_EVENTS_GINI = """
-WITH u AS (SELECT user_id, CAST(count(*) AS BIGINT) AS n FROM events GROUP BY 1),
-r AS (SELECT n, row_number() OVER (ORDER BY n) AS i FROM u)
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM u) AS n_users,
-       round(2.0 * sum(i * n) / (count(*) * sum(n)) - (count(*) + 1.0) / count(*), 5) AS gini
-FROM r
-"""
-
-QUERIES7["events_gini"] = q_events_gini
-ORACLES7["events_gini"] = SQL_EVENTS_GINI
-
-
 # ---------------------------------------------------------------------------
 # doc_source_hhi — source-mix concentration: Herfindahl index + Shannon
 # entropy of the documents' source distribution (the mixing-health
 # scalar pair every curated-corpus report carries).
 
 
+SQL_DOC_SOURCE_HHI = """
+WITH g AS (SELECT source, CAST(count(*) AS BIGINT) AS n FROM documents GROUP BY 1),
+t AS (SELECT sum(n) AS tot FROM g)
+SELECT CAST(count(*) AS BIGINT) AS n_sources,
+       round(sum((n * 1.0 / tot) * (n * 1.0 / tot)), 5) AS hhi,
+       round(-sum((n * 1.0 / tot) * ln(n * 1.0 / tot)), 5) AS entropy
+FROM g, t GROUP BY tot
+"""
+
+
+@entry("doc_source_hhi", sql=SQL_DOC_SOURCE_HHI)
 def q_doc_source_hhi(sf_dir: str) -> pd.DataFrame:
     """HHI = Σ share² and H = −Σ share·ln(share) of the source mix.
     Scale shape: a ≤ #sources count combiner; scalars on the driver
@@ -322,24 +320,22 @@ def q_doc_source_hhi(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_DOC_SOURCE_HHI = """
-WITH g AS (SELECT source, CAST(count(*) AS BIGINT) AS n FROM documents GROUP BY 1),
-t AS (SELECT sum(n) AS tot FROM g)
-SELECT CAST(count(*) AS BIGINT) AS n_sources,
-       round(sum((n * 1.0 / tot) * (n * 1.0 / tot)), 5) AS hhi,
-       round(-sum((n * 1.0 / tot) * ln(n * 1.0 / tot)), 5) AS entropy
-FROM g, t GROUP BY tot
-"""
-
-QUERIES7["doc_source_hhi"] = q_doc_source_hhi
-ORACLES7["doc_source_hhi"] = SQL_DOC_SOURCE_HHI
-
-
 # ---------------------------------------------------------------------------
 # events_cube — GROUPING SETS cube over (event_type, hour): all four
 # aggregation levels from ONE combiner pass over the bounded grid.
 
 
+SQL_EVENTS_CUBE = """
+SELECT coalesce(event_type, 'ALL') AS event_type,
+       coalesce(hr, -1) AS hr,
+       CAST(count(*) AS BIGINT) AS n
+FROM (SELECT event_type, CAST(epoch_us(ts) // 3600000000 % 24 AS BIGINT) AS hr FROM events)
+GROUP BY GROUPING SETS ((event_type, hr), (event_type), (hr), ())
+ORDER BY 1, 2
+"""
+
+
+@entry("events_cube", sql=SQL_EVENTS_CUBE)
 def q_events_cube(sf_dir: str) -> pd.DataFrame:
     """CUBE(event_type, hour) counts — detail, both 1-D margins, and
     the grand total, with 'ALL' / −1 as the subtotal markers.  Scale
@@ -370,24 +366,29 @@ def q_events_cube(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["event_type", "hr"]).reset_index(drop=True)
 
 
-SQL_EVENTS_CUBE = """
-SELECT coalesce(event_type, 'ALL') AS event_type,
-       coalesce(hr, -1) AS hr,
-       CAST(count(*) AS BIGINT) AS n
-FROM (SELECT event_type, CAST(epoch_us(ts) // 3600000000 % 24 AS BIGINT) AS hr FROM events)
-GROUP BY GROUPING SETS ((event_type, hr), (event_type), (hr), ())
-ORDER BY 1, 2
-"""
-
-QUERIES7["events_cube"] = q_events_cube
-ORACLES7["events_cube"] = SQL_EVENTS_CUBE
-
-
 # ---------------------------------------------------------------------------
 # lineitem_weighted_median — revenue-weighted median quantity per
 # return flag: smallest q with 2·cumweight ≥ totalweight.
 
 
+SQL_LINEITEM_WEIGHTED_MEDIAN = """
+WITH g AS (
+  SELECT l_returnflag, l_quantity, sum(l_extendedprice) AS w
+  FROM lineitem GROUP BY 1, 2
+),
+c AS (
+  SELECT l_returnflag, l_quantity,
+         sum(w) OVER (PARTITION BY l_returnflag ORDER BY l_quantity) AS cw,
+         sum(w) OVER (PARTITION BY l_returnflag) AS tw
+  FROM g
+)
+SELECT l_returnflag, CAST(min(l_quantity) AS DOUBLE) AS wmedian_qty
+FROM c WHERE 2.0 * cw >= tw
+GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("lineitem_weighted_median", sql=SQL_LINEITEM_WEIGHTED_MEDIAN)
 def q_lineitem_weighted_median(sf_dir: str) -> pd.DataFrame:
     """Weighted (lower) median of l_quantity by l_extendedprice per
     l_returnflag — 'the quantity at which half the revenue sits'.
@@ -417,26 +418,6 @@ def q_lineitem_weighted_median(sf_dir: str) -> pd.DataFrame:
                          "wmedian_qty": np.asarray(out_q, dtype=np.float64)})
 
 
-SQL_LINEITEM_WEIGHTED_MEDIAN = """
-WITH g AS (
-  SELECT l_returnflag, l_quantity, sum(l_extendedprice) AS w
-  FROM lineitem GROUP BY 1, 2
-),
-c AS (
-  SELECT l_returnflag, l_quantity,
-         sum(w) OVER (PARTITION BY l_returnflag ORDER BY l_quantity) AS cw,
-         sum(w) OVER (PARTITION BY l_returnflag) AS tw
-  FROM g
-)
-SELECT l_returnflag, CAST(min(l_quantity) AS DOUBLE) AS wmedian_qty
-FROM c WHERE 2.0 * cw >= tw
-GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES7["lineitem_weighted_median"] = q_lineitem_weighted_median
-ORACLES7["lineitem_weighted_median"] = SQL_LINEITEM_WEIGHTED_MEDIAN
-
-
 # ---------------------------------------------------------------------------
 # doc_minhash_est_audit — sketch-quality audit: for every LSH candidate
 # pair, the MinHash-estimated Jaccard (matching signature positions /
@@ -445,6 +426,48 @@ ORACLES7["lineitem_weighted_median"] = SQL_LINEITEM_WEIGHTED_MEDIAN
 # path is pinned, not just the pair set.
 
 
+SQL_DOC_MINHASH_EST_AUDIT = """
+WITH sig AS (
+  SELECT doc_id, minhash FROM read_parquet('/tmp/jesse_ray_data/mhaudit_sigs_sf0.01.parquet')
+), sh AS (
+  SELECT doc_id, shingles FROM read_parquet('/tmp/jesse_ray_data/mhaudit_sh_sigs_sf0.01.parquet')
+), bands AS (
+  SELECT doc_id, b, list_slice(minhash, b*4 + 1, b*4 + 4) AS band
+  FROM sig, generate_series(0, 15) t(b)
+), pairs AS (
+  SELECT a.doc_id AS l, b.doc_id AS r
+  FROM bands a JOIN bands b ON a.b = b.b AND a.band = b.band AND a.doc_id < b.doc_id
+  GROUP BY 1, 2
+), pos AS (
+  SELECT doc_id, unnest(minhash) AS h, generate_subscripts(minhash, 1) AS i FROM sig
+), est AS (
+  SELECT p.l, p.r, count(*) FILTER (WHERE x.h = y.h) / 64.0 AS est
+  FROM pairs p
+  JOIN pos x ON x.doc_id = p.l
+  JOIN pos y ON y.doc_id = p.r AND y.i = x.i
+  GROUP BY 1, 2
+), se AS (
+  SELECT doc_id, unnest(shingles) AS g FROM sh
+), sz AS (
+  SELECT doc_id, len(shingles) AS n FROM sh
+), inter AS (
+  SELECT a.doc_id AS l, b.doc_id AS r, count(*) AS i
+  FROM se a JOIN se b ON a.g = b.g
+  JOIN pairs p ON p.l = a.doc_id AND p.r = b.doc_id
+  GROUP BY 1, 2
+)
+SELECT e.l AS "left", e.r AS "right", round(e.est, 6) AS est,
+       CAST(coalesce(i.i, 0) AS BIGINT) AS inter,
+       CAST(sa.n + sb.n - coalesce(i.i, 0) AS BIGINT) AS union_sz
+FROM est e
+LEFT JOIN inter i ON i.l = e.l AND i.r = e.r
+JOIN sz sa ON sa.doc_id = e.l
+JOIN sz sb ON sb.doc_id = e.r
+ORDER BY 1, 2
+"""
+
+
+@entry("doc_minhash_est_audit", sql=SQL_DOC_MINHASH_EST_AUDIT)
 def q_doc_minhash_est_audit(sf_dir: str) -> pd.DataFrame:
     """Per-candidate-pair MinHash estimate vs EXACT INTEGER
     intersection/union — the audit of the sketch the near-dup pipeline
@@ -523,55 +546,30 @@ def q_doc_minhash_est_audit(sf_dir: str) -> pd.DataFrame:
             .sort_values(["left", "right"]).reset_index(drop=True))
 
 
-SQL_DOC_MINHASH_EST_AUDIT = """
-WITH sig AS (
-  SELECT doc_id, minhash FROM read_parquet('/tmp/jesse_ray_data/mhaudit_sigs_sf0.01.parquet')
-), sh AS (
-  SELECT doc_id, shingles FROM read_parquet('/tmp/jesse_ray_data/mhaudit_sh_sigs_sf0.01.parquet')
-), bands AS (
-  SELECT doc_id, b, list_slice(minhash, b*4 + 1, b*4 + 4) AS band
-  FROM sig, generate_series(0, 15) t(b)
-), pairs AS (
-  SELECT a.doc_id AS l, b.doc_id AS r
-  FROM bands a JOIN bands b ON a.b = b.b AND a.band = b.band AND a.doc_id < b.doc_id
-  GROUP BY 1, 2
-), pos AS (
-  SELECT doc_id, unnest(minhash) AS h, generate_subscripts(minhash, 1) AS i FROM sig
-), est AS (
-  SELECT p.l, p.r, count(*) FILTER (WHERE x.h = y.h) / 64.0 AS est
-  FROM pairs p
-  JOIN pos x ON x.doc_id = p.l
-  JOIN pos y ON y.doc_id = p.r AND y.i = x.i
-  GROUP BY 1, 2
-), se AS (
-  SELECT doc_id, unnest(shingles) AS g FROM sh
-), sz AS (
-  SELECT doc_id, len(shingles) AS n FROM sh
-), inter AS (
-  SELECT a.doc_id AS l, b.doc_id AS r, count(*) AS i
-  FROM se a JOIN se b ON a.g = b.g
-  JOIN pairs p ON p.l = a.doc_id AND p.r = b.doc_id
-  GROUP BY 1, 2
-)
-SELECT e.l AS "left", e.r AS "right", round(e.est, 6) AS est,
-       CAST(coalesce(i.i, 0) AS BIGINT) AS inter,
-       CAST(sa.n + sb.n - coalesce(i.i, 0) AS BIGINT) AS union_sz
-FROM est e
-LEFT JOIN inter i ON i.l = e.l AND i.r = e.r
-JOIN sz sa ON sa.doc_id = e.l
-JOIN sz sb ON sb.doc_id = e.r
-ORDER BY 1, 2
-"""
-
-QUERIES7["doc_minhash_est_audit"] = q_doc_minhash_est_audit
-ORACLES7["doc_minhash_est_audit"] = SQL_DOC_MINHASH_EST_AUDIT
-
-
 # ---------------------------------------------------------------------------
 # lineitem_odds_ratio — 2×2 association audit: odds ratio (with Wald
 # 95% CI) of return flag 'R' vs line status 'F'.
 
 
+SQL_LINEITEM_ODDS_RATIO = """
+WITH t AS (
+  SELECT CAST(count(*) FILTER (WHERE l_returnflag = 'R' AND l_linestatus = 'F') AS BIGINT) AS a,
+         CAST(count(*) FILTER (WHERE l_returnflag = 'R' AND l_linestatus <> 'F') AS BIGINT) AS b,
+         CAST(count(*) FILTER (WHERE l_returnflag <> 'R' AND l_linestatus = 'F') AS BIGINT) AS c,
+         CAST(count(*) FILTER (WHERE l_returnflag <> 'R' AND l_linestatus <> 'F') AS BIGINT) AS d
+  FROM lineitem
+)
+SELECT a, b, c, d,
+       round((a * 1.0 * d) / (b * 1.0 * c), 4) AS odds_ratio,
+       round(exp(ln((a * 1.0 * d) / (b * 1.0 * c))
+                 - 1.96 * sqrt(1.0/a + 1.0/b + 1.0/c + 1.0/d)), 4) AS ci_lo,
+       round(exp(ln((a * 1.0 * d) / (b * 1.0 * c))
+                 + 1.96 * sqrt(1.0/a + 1.0/b + 1.0/c + 1.0/d)), 4) AS ci_hi
+FROM t
+"""
+
+
+@entry("lineitem_odds_ratio", sql=SQL_LINEITEM_ODDS_RATIO)
 def q_lineitem_odds_ratio(sf_dir: str) -> pd.DataFrame:
     """Odds ratio of (l_returnflag='R') × (l_linestatus='F') with the
     Wald log-normal 95% CI — the 2×2 dependence screen.  Scale shape:
@@ -606,23 +604,3 @@ def q_lineitem_odds_ratio(sf_dir: str) -> pd.DataFrame:
         "ci_lo": [round_half_away(lo, 4)], "ci_hi": [round_half_away(hi, 4)],
     })
 
-
-SQL_LINEITEM_ODDS_RATIO = """
-WITH t AS (
-  SELECT CAST(count(*) FILTER (WHERE l_returnflag = 'R' AND l_linestatus = 'F') AS BIGINT) AS a,
-         CAST(count(*) FILTER (WHERE l_returnflag = 'R' AND l_linestatus <> 'F') AS BIGINT) AS b,
-         CAST(count(*) FILTER (WHERE l_returnflag <> 'R' AND l_linestatus = 'F') AS BIGINT) AS c,
-         CAST(count(*) FILTER (WHERE l_returnflag <> 'R' AND l_linestatus <> 'F') AS BIGINT) AS d
-  FROM lineitem
-)
-SELECT a, b, c, d,
-       round((a * 1.0 * d) / (b * 1.0 * c), 4) AS odds_ratio,
-       round(exp(ln((a * 1.0 * d) / (b * 1.0 * c))
-                 - 1.96 * sqrt(1.0/a + 1.0/b + 1.0/c + 1.0/d)), 4) AS ci_lo,
-       round(exp(ln((a * 1.0 * d) / (b * 1.0 * c))
-                 + 1.96 * sqrt(1.0/a + 1.0/b + 1.0/c + 1.0/d)), 4) AS ci_hi
-FROM t
-"""
-
-QUERIES7["lineitem_odds_ratio"] = q_lineitem_odds_ratio
-ORACLES7["lineitem_odds_ratio"] = SQL_LINEITEM_ODDS_RATIO

@@ -20,13 +20,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from jesse_ray.hashutil import hash_partition_pandas
-from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path
+from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, entry
 from jesse_ray.pipelines.queries6 import _daily_value_partials, _ts_day
 from jesse_ray.sources import read_sequences, read_table
 from jesse_ray.rounding import round_half_away
 
-QUERIES8: dict = {}
-ORACLES8: dict = {}
 
 _DAY_US = 86400000000
 
@@ -46,30 +44,6 @@ _FK_EDGES = [
     ("orders.o_custkey->customer", "orders", "o_custkey", "customer", "c_custkey"),
     ("supplier.s_nationkey->nation", "supplier", "s_nationkey", "nation", "n_nationkey"),
 ]
-
-
-def q_fk_orphan_matrix(sf_dir: str) -> pd.DataFrame:
-    """Orphan-row count per FK edge via distributed ANTI joins
-    (`relational.hash_join(how="anti")` — the r2-verdict-approved
-    replacement for driver-collected key sets).  Scale shape: each
-    edge is one coarse hash cogroup; nothing key-sized ever reaches
-    the driver; output is 7 rows."""
-    from jesse_ray.pipelines.relational import hash_join
-
-    out_fk, out_n, out_o = [], [], []
-    for fk, child, ccol, parent, pcol in _FK_EDGES:
-        ch = read_table(f"{sf_dir}/{child}.parquet", columns=[ccol]).map_batches(
-            lambda b, c=ccol: pa.table({"key": b[c].cast(pa.int64())}),
-            batch_format="pyarrow", zero_copy_batch=True)
-        par = read_table(f"{sf_dir}/{parent}.parquet", columns=[pcol]).map_batches(
-            lambda b, c=pcol: pa.table({"key": b[c].cast(pa.int64())}),
-            batch_format="pyarrow", zero_copy_batch=True)
-        out_fk.append(fk)
-        out_n.append(ch.count())
-        out_o.append(hash_join(ch, par, on="key", how="anti").count())
-    return pd.DataFrame({"fk": out_fk,
-                         "n_child": pd.array(out_n, dtype="int64"),
-                         "n_orphans": pd.array(out_o, dtype="int64")})
 
 
 SQL_FK_ORPHAN_MATRIX = """
@@ -98,8 +72,30 @@ UNION ALL SELECT 'supplier.s_nationkey->nation', count(*),
 ORDER BY fk
 """
 
-QUERIES8["fk_orphan_matrix"] = q_fk_orphan_matrix
-ORACLES8["fk_orphan_matrix"] = SQL_FK_ORPHAN_MATRIX
+
+@entry("fk_orphan_matrix", sql=SQL_FK_ORPHAN_MATRIX)
+def q_fk_orphan_matrix(sf_dir: str) -> pd.DataFrame:
+    """Orphan-row count per FK edge via distributed ANTI joins
+    (`relational.hash_join(how="anti")` — the r2-verdict-approved
+    replacement for driver-collected key sets).  Scale shape: each
+    edge is one coarse hash cogroup; nothing key-sized ever reaches
+    the driver; output is 7 rows."""
+    from jesse_ray.pipelines.relational import hash_join
+
+    out_fk, out_n, out_o = [], [], []
+    for fk, child, ccol, parent, pcol in _FK_EDGES:
+        ch = read_table(f"{sf_dir}/{child}.parquet", columns=[ccol]).map_batches(
+            lambda b, c=ccol: pa.table({"key": b[c].cast(pa.int64())}),
+            batch_format="pyarrow", zero_copy_batch=True)
+        par = read_table(f"{sf_dir}/{parent}.parquet", columns=[pcol]).map_batches(
+            lambda b, c=pcol: pa.table({"key": b[c].cast(pa.int64())}),
+            batch_format="pyarrow", zero_copy_batch=True)
+        out_fk.append(fk)
+        out_n.append(ch.count())
+        out_o.append(hash_join(ch, par, on="key", how="anti").count())
+    return pd.DataFrame({"fk": out_fk,
+                         "n_child": pd.array(out_n, dtype="int64"),
+                         "n_orphans": pd.array(out_o, dtype="int64")})
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +106,23 @@ _XC_A, _XC_B = "click", "purchase"
 _XC_LAGS = 3
 
 
+SQL_EVENTS_CROSSCORR = f"""
+WITH a AS (
+  SELECT epoch_us(ts) // {_DAY_US} AS d, CAST(count(*) AS BIGINT) AS c
+  FROM events WHERE event_type = '{_XC_A}' GROUP BY 1
+),
+b AS (
+  SELECT epoch_us(ts) // {_DAY_US} AS d, CAST(count(*) AS BIGINT) AS c
+  FROM events WHERE event_type = '{_XC_B}' GROUP BY 1
+)
+SELECT k AS lag, CAST(count(*) AS BIGINT) AS n, round(corr(a.c, b.c), 5) AS xcorr
+FROM generate_series(-{_XC_LAGS}, {_XC_LAGS}) t(k)
+CROSS JOIN a JOIN b ON b.d = a.d + k
+GROUP BY k ORDER BY k
+"""
+
+
+@entry("events_crosscorr", sql=SQL_EVENTS_CROSSCORR)
 def q_events_crosscorr(sf_dir: str) -> pd.DataFrame:
     """Does purchase volume follow click volume?  corr(a[d], b[d+k])
     for k ∈ [−3, 3] over days where both series exist.  Scale shape:
@@ -143,49 +156,9 @@ def q_events_crosscorr(sf_dir: str) -> pd.DataFrame:
                          "xcorr": out_r})
 
 
-SQL_EVENTS_CROSSCORR = f"""
-WITH a AS (
-  SELECT epoch_us(ts) // {_DAY_US} AS d, CAST(count(*) AS BIGINT) AS c
-  FROM events WHERE event_type = '{_XC_A}' GROUP BY 1
-),
-b AS (
-  SELECT epoch_us(ts) // {_DAY_US} AS d, CAST(count(*) AS BIGINT) AS c
-  FROM events WHERE event_type = '{_XC_B}' GROUP BY 1
-)
-SELECT k AS lag, CAST(count(*) AS BIGINT) AS n, round(corr(a.c, b.c), 5) AS xcorr
-FROM generate_series(-{_XC_LAGS}, {_XC_LAGS}) t(k)
-CROSS JOIN a JOIN b ON b.d = a.d + k
-GROUP BY k ORDER BY k
-"""
-
-QUERIES8["events_crosscorr"] = q_events_crosscorr
-ORACLES8["events_crosscorr"] = SQL_EVENTS_CROSSCORR
-
-
 # ---------------------------------------------------------------------------
 # events_binseg — binary-segmentation changepoint: the split of the
 # daily mean-value series minimizing total two-segment SSE.
-
-
-def q_events_binseg(sf_dir: str) -> pd.DataFrame:
-    """First step of binary segmentation: over splits s (left = first
-    s days), SSE(s) = Σx²_L − (Σx_L)²/s + Σx²_R − (Σx_R)²/(n−s); the
-    changepoint is the argmin (earliest on ties), reported as the last
-    left day.  Scale shape: daily grid from the shared combiner; the
-    prefix-sum scan is ≤ #days on the driver."""
-    d = _daily_value_partials(sf_dir).to_pandas()
-    d = d[d["nv"] > 0].sort_values("day")
-    x = (d["sv"] / d["nv"]).to_numpy(dtype=np.float64)
-    days = d["day"].to_numpy(dtype=np.int64)
-    n = len(x)
-    cs = np.cumsum(x)
-    css = np.cumsum(x * x)
-    s = np.arange(1, n)
-    sse = (css[s - 1] - cs[s - 1] ** 2 / s) \
-        + ((css[-1] - css[s - 1]) - (cs[-1] - cs[s - 1]) ** 2 / (n - s))
-    k = int(np.argmin(sse))
-    return pd.DataFrame({"split_day": pd.array([int(days[k])], dtype="int64"),
-                         "sse": [round_half_away(float(sse[k]), 4)]})
 
 
 SQL_EVENTS_BINSEG = f"""
@@ -209,8 +182,27 @@ SELECT CAST(day AS BIGINT) AS split_day, round(sse, 4) AS sse
 FROM c ORDER BY sse ASC, day ASC LIMIT 1
 """
 
-QUERIES8["events_binseg"] = q_events_binseg
-ORACLES8["events_binseg"] = SQL_EVENTS_BINSEG
+
+@entry("events_binseg", sql=SQL_EVENTS_BINSEG)
+def q_events_binseg(sf_dir: str) -> pd.DataFrame:
+    """First step of binary segmentation: over splits s (left = first
+    s days), SSE(s) = Σx²_L − (Σx_L)²/s + Σx²_R − (Σx_R)²/(n−s); the
+    changepoint is the argmin (earliest on ties), reported as the last
+    left day.  Scale shape: daily grid from the shared combiner; the
+    prefix-sum scan is ≤ #days on the driver."""
+    d = _daily_value_partials(sf_dir).to_pandas()
+    d = d[d["nv"] > 0].sort_values("day")
+    x = (d["sv"] / d["nv"]).to_numpy(dtype=np.float64)
+    days = d["day"].to_numpy(dtype=np.int64)
+    n = len(x)
+    cs = np.cumsum(x)
+    css = np.cumsum(x * x)
+    s = np.arange(1, n)
+    sse = (css[s - 1] - cs[s - 1] ** 2 / s) \
+        + ((css[-1] - css[s - 1]) - (cs[-1] - cs[s - 1]) ** 2 / (n - s))
+    k = int(np.argmin(sse))
+    return pd.DataFrame({"split_day": pd.array([int(days[k])], dtype="int64"),
+                         "sse": [round_half_away(float(sse[k]), 4)]})
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +211,30 @@ ORACLES8["events_binseg"] = SQL_EVENTS_BINSEG
 # of the corpus (the activation-latency survival audit).
 
 
+SQL_EVENTS_SURVIVAL_KM = f"""
+WITH u AS (SELECT user_id, min(ts) AS t1 FROM events GROUP BY 1),
+u2 AS (SELECT e.user_id, min(e.ts) AS t2
+       FROM events e JOIN u ON u.user_id = e.user_id AND e.ts > u.t1 GROUP BY 1),
+mx AS (SELECT max(epoch_us(ts)) // {_DAY_US} AS mxd FROM events),
+obs AS (
+  SELECT u.user_id,
+         CASE WHEN u2.t2 IS NOT NULL
+              THEN epoch_us(u2.t2) // {_DAY_US} - epoch_us(u.t1) // {_DAY_US}
+              ELSE (SELECT mxd FROM mx) - epoch_us(u.t1) // {_DAY_US} END AS tt,
+         CASE WHEN u2.t2 IS NOT NULL THEN 1 ELSE 0 END AS ev
+  FROM u LEFT JOIN u2 ON u2.user_id = u.user_id
+),
+et AS (SELECT tt AS t, CAST(sum(ev) AS BIGINT) AS d FROM obs GROUP BY 1 HAVING sum(ev) > 0),
+rk AS (SELECT t, d, (SELECT CAST(count(*) AS BIGINT) FROM obs WHERE tt >= et.t) AS r FROM et)
+SELECT CAST(t AS BIGINT) AS t_day, r AS at_risk, d AS n_events,
+       round(CASE WHEN d = r THEN 0.0
+                  ELSE exp(sum(CASE WHEN d < r THEN ln(1.0 - d * 1.0 / r) ELSE 0.0 END)
+                           OVER (ORDER BY t)) END, 5) AS survival
+FROM rk ORDER BY t
+"""
+
+
+@entry("events_survival_km", sql=SQL_EVENTS_SURVIVAL_KM)
 def q_events_survival_km(sf_dir: str) -> pd.DataFrame:
     """S(t) = Π_{tᵢ≤t} (1 − dᵢ/rᵢ) over event gaps in days; users who
     never fire a second event are censored at (corpus max day − their
@@ -280,37 +296,23 @@ def q_events_survival_km(sf_dir: str) -> pd.DataFrame:
                          "survival": out_s})
 
 
-SQL_EVENTS_SURVIVAL_KM = f"""
-WITH u AS (SELECT user_id, min(ts) AS t1 FROM events GROUP BY 1),
-u2 AS (SELECT e.user_id, min(e.ts) AS t2
-       FROM events e JOIN u ON u.user_id = e.user_id AND e.ts > u.t1 GROUP BY 1),
-mx AS (SELECT max(epoch_us(ts)) // {_DAY_US} AS mxd FROM events),
-obs AS (
-  SELECT u.user_id,
-         CASE WHEN u2.t2 IS NOT NULL
-              THEN epoch_us(u2.t2) // {_DAY_US} - epoch_us(u.t1) // {_DAY_US}
-              ELSE (SELECT mxd FROM mx) - epoch_us(u.t1) // {_DAY_US} END AS tt,
-         CASE WHEN u2.t2 IS NOT NULL THEN 1 ELSE 0 END AS ev
-  FROM u LEFT JOIN u2 ON u2.user_id = u.user_id
-),
-et AS (SELECT tt AS t, CAST(sum(ev) AS BIGINT) AS d FROM obs GROUP BY 1 HAVING sum(ev) > 0),
-rk AS (SELECT t, d, (SELECT CAST(count(*) AS BIGINT) FROM obs WHERE tt >= et.t) AS r FROM et)
-SELECT CAST(t AS BIGINT) AS t_day, r AS at_risk, d AS n_events,
-       round(CASE WHEN d = r THEN 0.0
-                  ELSE exp(sum(CASE WHEN d < r THEN ln(1.0 - d * 1.0 / r) ELSE 0.0 END)
-                           OVER (ORDER BY t)) END, 5) AS survival
-FROM rk ORDER BY t
-"""
-
-QUERIES8["events_survival_km"] = q_events_survival_km
-ORACLES8["events_survival_km"] = SQL_EVENTS_SURVIVAL_KM
-
-
 # ---------------------------------------------------------------------------
 # seq_token_gini — vocabulary concentration: Gini of the token
 # frequency distribution over the tokenized corpus.
 
 
+SQL_SEQ_TOKEN_GINI = f"""
+WITH f AS (SELECT unnest(tokens) AS tok FROM {SEQ_SQL}),
+g AS (SELECT tok, CAST(count(*) AS BIGINT) AS n FROM f GROUP BY 1),
+r AS (SELECT n, row_number() OVER (ORDER BY n) AS i FROM g)
+SELECT (SELECT CAST(count(*) AS BIGINT) FROM g) AS vocab,
+       CAST(sum(n) AS BIGINT) AS total_tokens,
+       round(2.0 * sum(i * n) / (count(*) * sum(n)) - (count(*) + 1.0) / count(*), 5) AS gini
+FROM r
+"""
+
+
+@entry("seq_token_gini", sql=SQL_SEQ_TOKEN_GINI)
 def q_seq_token_gini(sf_dir: str) -> pd.DataFrame:
     """How concentrated is token mass?  Gini over per-token counts
     (rank-weighted identity).  Scale shape: per-batch flatten +
@@ -340,25 +342,35 @@ def q_seq_token_gini(sf_dir: str) -> pd.DataFrame:
                          "gini": [round_half_away(float(gini), 5)]})
 
 
-SQL_SEQ_TOKEN_GINI = f"""
-WITH f AS (SELECT unnest(tokens) AS tok FROM {SEQ_SQL}),
-g AS (SELECT tok, CAST(count(*) AS BIGINT) AS n FROM f GROUP BY 1),
-r AS (SELECT n, row_number() OVER (ORDER BY n) AS i FROM g)
-SELECT (SELECT CAST(count(*) AS BIGINT) FROM g) AS vocab,
-       CAST(sum(n) AS BIGINT) AS total_tokens,
-       round(2.0 * sum(i * n) / (count(*) * sum(n)) - (count(*) + 1.0) / count(*), 5) AS gini
-FROM r
-"""
-
-QUERIES8["seq_token_gini"] = q_seq_token_gini
-ORACLES8["seq_token_gini"] = SQL_SEQ_TOKEN_GINI
-
-
 # ---------------------------------------------------------------------------
 # orders_runs_test — Wald–Wolfowitz runs test for randomness of the
 # daily order-count series around its median.
 
 
+SQL_ORDERS_RUNS_TEST = f"""
+WITH d AS (
+  SELECT epoch_us(o_orderdate) // {_DAY_US} AS day, CAST(count(*) AS BIGINT) AS c
+  FROM orders GROUP BY 1
+),
+m AS (SELECT quantile_disc(c, 0.5) AS md FROM d),
+s AS (SELECT day, CASE WHEN c > (SELECT md FROM m) THEN 1 ELSE 0 END AS side
+      FROM d WHERE c <> (SELECT md FROM m)),
+r AS (SELECT side, lag(side) OVER (ORDER BY day) AS ps FROM s),
+agg AS (
+  SELECT CAST(count(*) FILTER (WHERE side = 1) AS BIGINT) AS n1,
+         CAST(count(*) FILTER (WHERE side = 0) AS BIGINT) AS n0,
+         CAST(1 + count(*) FILTER (WHERE ps IS NOT NULL AND side <> ps) AS BIGINT) AS runs
+  FROM r
+)
+SELECT n1 AS n_above, n0 AS n_below, runs,
+       round((runs - (2.0*n1*n0/(n1+n0) + 1.0))
+             / sqrt(2.0*n1*n0*(2.0*n1*n0 - n1 - n0)
+                    / ((n1+n0)*(n1+n0)*(n1+n0-1.0))), 4) AS z
+FROM agg
+"""
+
+
+@entry("orders_runs_test", sql=SQL_ORDERS_RUNS_TEST)
 def q_orders_runs_test(sf_dir: str) -> pd.DataFrame:
     """Is daily order volume serially random?  Runs of above/below the
     (discrete) median — ties at the median dropped, z against the
@@ -391,38 +403,37 @@ def q_orders_runs_test(sf_dir: str) -> pd.DataFrame:
                          "z": [round_half_away(float(z), 4)]})
 
 
-SQL_ORDERS_RUNS_TEST = f"""
-WITH d AS (
-  SELECT epoch_us(o_orderdate) // {_DAY_US} AS day, CAST(count(*) AS BIGINT) AS c
-  FROM orders GROUP BY 1
-),
-m AS (SELECT quantile_disc(c, 0.5) AS md FROM d),
-s AS (SELECT day, CASE WHEN c > (SELECT md FROM m) THEN 1 ELSE 0 END AS side
-      FROM d WHERE c <> (SELECT md FROM m)),
-r AS (SELECT side, lag(side) OVER (ORDER BY day) AS ps FROM s),
-agg AS (
-  SELECT CAST(count(*) FILTER (WHERE side = 1) AS BIGINT) AS n1,
-         CAST(count(*) FILTER (WHERE side = 0) AS BIGINT) AS n0,
-         CAST(1 + count(*) FILTER (WHERE ps IS NOT NULL AND side <> ps) AS BIGINT) AS runs
-  FROM r
-)
-SELECT n1 AS n_above, n0 AS n_below, runs,
-       round((runs - (2.0*n1*n0/(n1+n0) + 1.0))
-             / sqrt(2.0*n1*n0*(2.0*n1*n0 - n1 - n0)
-                    / ((n1+n0)*(n1+n0)*(n1+n0-1.0))), 4) AS z
-FROM agg
-"""
-
-QUERIES8["orders_runs_test"] = q_orders_runs_test
-ORACLES8["orders_runs_test"] = SQL_ORDERS_RUNS_TEST
-
-
 # ---------------------------------------------------------------------------
 # emb_silhouette — centroid-based (simplified) silhouette per label:
 # a = distance to own centroid, b = nearest other centroid,
 # s = (b − a) / max(a, b).
 
 
+SQL_EMB_SILHOUETTE = """
+WITH e AS (
+  SELECT vec_id, label, unnest(embedding) AS x,
+         generate_subscripts(embedding, 1) AS i
+  FROM embeddings
+),
+c AS (SELECT label AS cl, i, avg(x) AS cx FROM e GROUP BY 1, 2),
+d AS (
+  SELECT e.vec_id, e.label, c.cl, sqrt(sum((e.x - c.cx) * (e.x - c.cx))) AS dist
+  FROM e JOIN c ON c.i = e.i
+  GROUP BY 1, 2, 3
+),
+s AS (
+  SELECT vec_id, label,
+         min(CASE WHEN cl = label THEN dist END) AS a,
+         min(CASE WHEN cl <> label THEN dist END) AS b
+  FROM d GROUP BY 1, 2
+)
+SELECT CAST(label AS BIGINT) AS label, CAST(count(*) AS BIGINT) AS n,
+       round(avg((b - a) / greatest(a, b)), 5) AS silhouette
+FROM s GROUP BY 1 ORDER BY 1
+"""
+
+
+@entry("emb_silhouette", sql=SQL_EMB_SILHOUETTE)
 def q_emb_silhouette(sf_dir: str) -> pd.DataFrame:
     """Cluster-quality audit of the label partition: mean simplified
     silhouette per label.  Scale shape: pass 1 is a (label × dim)
@@ -496,58 +507,9 @@ def q_emb_silhouette(sf_dir: str) -> pd.DataFrame:
                          "silhouette": round_half_away(m2["ssum"] / m2["n"], 5)}).reset_index(drop=True)
 
 
-SQL_EMB_SILHOUETTE = """
-WITH e AS (
-  SELECT vec_id, label, unnest(embedding) AS x,
-         generate_subscripts(embedding, 1) AS i
-  FROM embeddings
-),
-c AS (SELECT label AS cl, i, avg(x) AS cx FROM e GROUP BY 1, 2),
-d AS (
-  SELECT e.vec_id, e.label, c.cl, sqrt(sum((e.x - c.cx) * (e.x - c.cx))) AS dist
-  FROM e JOIN c ON c.i = e.i
-  GROUP BY 1, 2, 3
-),
-s AS (
-  SELECT vec_id, label,
-         min(CASE WHEN cl = label THEN dist END) AS a,
-         min(CASE WHEN cl <> label THEN dist END) AS b
-  FROM d GROUP BY 1, 2
-)
-SELECT CAST(label AS BIGINT) AS label, CAST(count(*) AS BIGINT) AS n,
-       round(avg((b - a) / greatest(a, b)), 5) AS silhouette
-FROM s GROUP BY 1 ORDER BY 1
-"""
-
-QUERIES8["emb_silhouette"] = q_emb_silhouette
-ORACLES8["emb_silhouette"] = SQL_EMB_SILHOUETTE
-
-
 # ---------------------------------------------------------------------------
 # customer_cramers_v — strength of association between market segment
 # and nation (χ² normalized to [0,1]).
-
-
-def q_customer_cramers_v(sf_dir: str) -> pd.DataFrame:
-    """Cramér's V = √(χ²/(n·(min(r,c)−1))) over the segment × nation
-    contingency table.  Scale shape: a ≤ (segments × nations) count
-    combiner; the χ² double sum is driver-side over the grid."""
-    ds = read_table(f"{sf_dir}/customer.parquet", columns=["c_mktsegment", "c_nationkey"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        g = b.group_by(["c_mktsegment", "c_nationkey"]).aggregate([([], "count_all")])
-        return g.rename_columns(["seg", "nat", "n"])
-
-    m = _collect(ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)) \
-        .group_by(["seg", "nat"]).aggregate([("n", "sum")]).to_pandas()
-    piv = m.pivot(index="seg", columns="nat", values="n_sum").fillna(0).to_numpy(dtype=np.float64)
-    n = piv.sum()
-    e = piv.sum(axis=1, keepdims=True) @ piv.sum(axis=0, keepdims=True) / n
-    chi2 = float(((piv - e) ** 2 / e).sum())
-    v = np.sqrt(chi2 / (n * (min(piv.shape) - 1)))
-    return pd.DataFrame({"n": pd.array([int(n)], dtype="int64"),
-                         "chi2": [round_half_away(chi2, 4)],
-                         "cramers_v": [round_half_away(float(v), 5)]})
 
 
 SQL_CUSTOMER_CRAMERS_V = """
@@ -571,8 +533,28 @@ SELECT (SELECT CAST(tot AS BIGINT) FROM t) AS n,
 FROM cells
 """
 
-QUERIES8["customer_cramers_v"] = q_customer_cramers_v
-ORACLES8["customer_cramers_v"] = SQL_CUSTOMER_CRAMERS_V
+
+@entry("customer_cramers_v", sql=SQL_CUSTOMER_CRAMERS_V)
+def q_customer_cramers_v(sf_dir: str) -> pd.DataFrame:
+    """Cramér's V = √(χ²/(n·(min(r,c)−1))) over the segment × nation
+    contingency table.  Scale shape: a ≤ (segments × nations) count
+    combiner; the χ² double sum is driver-side over the grid."""
+    ds = read_table(f"{sf_dir}/customer.parquet", columns=["c_mktsegment", "c_nationkey"])
+
+    def partial(b: pa.Table) -> pa.Table:
+        g = b.group_by(["c_mktsegment", "c_nationkey"]).aggregate([([], "count_all")])
+        return g.rename_columns(["seg", "nat", "n"])
+
+    m = _collect(ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)) \
+        .group_by(["seg", "nat"]).aggregate([("n", "sum")]).to_pandas()
+    piv = m.pivot(index="seg", columns="nat", values="n_sum").fillna(0).to_numpy(dtype=np.float64)
+    n = piv.sum()
+    e = piv.sum(axis=1, keepdims=True) @ piv.sum(axis=0, keepdims=True) / n
+    chi2 = float(((piv - e) ** 2 / e).sum())
+    v = np.sqrt(chi2 / (n * (min(piv.shape) - 1)))
+    return pd.DataFrame({"n": pd.array([int(n)], dtype="int64"),
+                         "chi2": [round_half_away(chi2, 4)],
+                         "cramers_v": [round_half_away(float(v), 5)]})
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +562,19 @@ ORACLES8["customer_cramers_v"] = SQL_CUSTOMER_CRAMERS_V
 # moment matching on ln(n_chars): μ̂ = mean, σ̂ = sample std.
 
 
+SQL_DOC_LOGNORMAL_FIT = """
+WITH g AS (
+  SELECT source, CAST(count(*) AS BIGINT) AS n,
+         sum(ln(n_chars)) AS s1, sum(ln(n_chars) * ln(n_chars)) AS s2
+  FROM documents WHERE n_chars > 0 GROUP BY 1
+)
+SELECT source, n, round(s1 / n, 5) AS mu,
+       round(sqrt((s2 - s1 * s1 / n) / (n - 1)), 5) AS sigma
+FROM g ORDER BY source
+"""
+
+
+@entry("doc_lognormal_fit", sql=SQL_DOC_LOGNORMAL_FIT)
 def q_doc_lognormal_fit(sf_dir: str) -> pd.DataFrame:
     """Length-distribution parametric audit: documents' n_chars are
     classically lognormal-ish; fit (μ, σ) per source from (n, Σln x,
@@ -608,17 +603,3 @@ def q_doc_lognormal_fit(sf_dir: str) -> pd.DataFrame:
                          "mu": round_half_away(mu, 5),
                          "sigma": round_half_away(sigma, 5)})
 
-
-SQL_DOC_LOGNORMAL_FIT = """
-WITH g AS (
-  SELECT source, CAST(count(*) AS BIGINT) AS n,
-         sum(ln(n_chars)) AS s1, sum(ln(n_chars) * ln(n_chars)) AS s2
-  FROM documents WHERE n_chars > 0 GROUP BY 1
-)
-SELECT source, n, round(s1 / n, 5) AS mu,
-       round(sqrt((s2 - s1 * s1 / n) / (n - 1)), 5) AS sigma
-FROM g ORDER BY source
-"""
-
-QUERIES8["doc_lognormal_fit"] = q_doc_lognormal_fit
-ORACLES8["doc_lognormal_fit"] = SQL_DOC_LOGNORMAL_FIT

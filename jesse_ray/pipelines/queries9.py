@@ -14,12 +14,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path
+from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, entry
 from jesse_ray.sources import read_sequences, read_table
 from jesse_ray.rounding import round_half_away
-
-QUERIES9: dict = {}
-ORACLES9: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -30,6 +27,33 @@ ORACLES9: dict = {}
 _SPJ_MOD = 11  # deterministic slice: numeric doc id ≡ 0 (mod 11)
 
 
+SQL_SEQ_PREFIX_JACCARD = f"""
+WITH m AS (
+  SELECT {_SPJ_MOD} * GREATEST(1, ((SELECT count(*) FROM {SEQ_SQL}) + 30000) // 60000) AS mod
+),
+raw AS (
+  SELECT CAST(substr(doc_id, 5) AS BIGINT) AS k, tokens
+  FROM {SEQ_SQL}
+  WHERE CAST(substr(doc_id, 5) AS BIGINT) % (SELECT mod FROM m) = 0
+),
+uniq AS (SELECT k FROM raw GROUP BY k HAVING count(*) = 1),
+s AS (SELECT raw.k, list_distinct(tokens) AS ts FROM raw JOIN uniq ON uniq.k = raw.k),
+sz AS (SELECT k, len(ts) AS n FROM s),
+e AS (SELECT k, unnest(ts) AS tok FROM s),
+p AS (
+  SELECT a.k AS l, b.k AS r, CAST(count(*) AS BIGINT) AS inter
+  FROM e a JOIN e b ON a.tok = b.tok AND a.k < b.k
+  GROUP BY 1, 2
+)
+SELECT l AS "left", r AS "right", inter,
+       CAST(sa.n + sb.n - inter AS BIGINT) AS union_sz
+FROM p JOIN sz sa ON sa.k = p.l JOIN sz sb ON sb.k = p.r
+WHERE inter * 1.0 / (sa.n + sb.n - inter) >= 0.3
+ORDER BY 1, 2
+"""
+
+
+@entry("seq_prefix_jaccard", sql=SQL_SEQ_PREFIX_JACCARD)
 def q_seq_prefix_jaccard(sf_dir: str) -> pd.DataFrame:
     """Token-SET Jaccard ≥ 0.3 join over the tokenized sequences slice
     (`functions/dedup.py token_prefix_jaccard_join`): each row's
@@ -99,40 +123,26 @@ def q_seq_prefix_jaccard(sf_dir: str) -> pd.DataFrame:
             .sort_values(["left", "right"]).reset_index(drop=True))
 
 
-SQL_SEQ_PREFIX_JACCARD = f"""
-WITH m AS (
-  SELECT {_SPJ_MOD} * GREATEST(1, ((SELECT count(*) FROM {SEQ_SQL}) + 30000) // 60000) AS mod
-),
-raw AS (
-  SELECT CAST(substr(doc_id, 5) AS BIGINT) AS k, tokens
-  FROM {SEQ_SQL}
-  WHERE CAST(substr(doc_id, 5) AS BIGINT) % (SELECT mod FROM m) = 0
-),
-uniq AS (SELECT k FROM raw GROUP BY k HAVING count(*) = 1),
-s AS (SELECT raw.k, list_distinct(tokens) AS ts FROM raw JOIN uniq ON uniq.k = raw.k),
-sz AS (SELECT k, len(ts) AS n FROM s),
-e AS (SELECT k, unnest(ts) AS tok FROM s),
-p AS (
-  SELECT a.k AS l, b.k AS r, CAST(count(*) AS BIGINT) AS inter
-  FROM e a JOIN e b ON a.tok = b.tok AND a.k < b.k
-  GROUP BY 1, 2
-)
-SELECT l AS "left", r AS "right", inter,
-       CAST(sa.n + sb.n - inter AS BIGINT) AS union_sz
-FROM p JOIN sz sa ON sa.k = p.l JOIN sz sb ON sb.k = p.r
-WHERE inter * 1.0 / (sa.n + sb.n - inter) >= 0.3
-ORDER BY 1, 2
-"""
-
-QUERIES9["seq_prefix_jaccard"] = q_seq_prefix_jaccard
-ORACLES9["seq_prefix_jaccard"] = SQL_SEQ_PREFIX_JACCARD
-
-
 # ---------------------------------------------------------------------------
 # events_asof_forward — FORWARD as-of join: every click picks the
 # user's NEXT purchase (earliest purchase at ts >= click ts).
 
 
+SQL_EVENTS_ASOF_FORWARD = """
+WITH c AS (SELECT user_id, ts FROM events WHERE event_type = 'click'),
+p AS (SELECT user_id, ts FROM events WHERE event_type = 'purchase'),
+j AS (
+  SELECT c.user_id, c.ts, p.ts AS ts2
+  FROM c ASOF LEFT JOIN p ON c.user_id = p.user_id AND c.ts <= p.ts
+)
+SELECT CAST(count(*) AS BIGINT) AS n_clicks,
+       CAST(count(ts2) AS BIGINT) AS n_matched,
+       round(CAST(sum(epoch_us(ts2 - ts)) AS DOUBLE) / count(ts2) / 1e6, 3) AS avg_delay_s
+FROM j
+"""
+
+
+@entry("events_asof_forward", sql=SQL_EVENTS_ASOF_FORWARD)
 def q_events_asof_forward(sf_dir: str) -> pd.DataFrame:
     """Next-event attribution via `relational.asof_join(
     direction="forward")` (DuckDB ``ASOF LEFT JOIN ... ON l.ts <= r.ts``
@@ -176,23 +186,6 @@ def q_events_asof_forward(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_EVENTS_ASOF_FORWARD = """
-WITH c AS (SELECT user_id, ts FROM events WHERE event_type = 'click'),
-p AS (SELECT user_id, ts FROM events WHERE event_type = 'purchase'),
-j AS (
-  SELECT c.user_id, c.ts, p.ts AS ts2
-  FROM c ASOF LEFT JOIN p ON c.user_id = p.user_id AND c.ts <= p.ts
-)
-SELECT CAST(count(*) AS BIGINT) AS n_clicks,
-       CAST(count(ts2) AS BIGINT) AS n_matched,
-       round(CAST(sum(epoch_us(ts2 - ts)) AS DOUBLE) / count(ts2) / 1e6, 3) AS avg_delay_s
-FROM j
-"""
-
-QUERIES9["events_asof_forward"] = q_events_asof_forward
-ORACLES9["events_asof_forward"] = SQL_EVENTS_ASOF_FORWARD
-
-
 # ---------------------------------------------------------------------------
 # events_value_pctl_cont — exact INTERPOLATED per-type percentiles
 # (quantile_cont / numpy linear parity), complementing the exact
@@ -201,6 +194,22 @@ ORACLES9["events_asof_forward"] = SQL_EVENTS_ASOF_FORWARD
 _PCTL_QS = [0.5, 0.9, 0.99]
 
 
+SQL_EVENTS_VALUE_PCTL_CONT = """
+SELECT event_type, q, pctl FROM (
+  SELECT event_type, 0.5 AS q, round(quantile_cont(value, 0.5), 5) AS pctl
+  FROM events WHERE value IS NOT NULL GROUP BY 1
+  UNION ALL
+  SELECT event_type, 0.9, round(quantile_cont(value, 0.9), 5)
+  FROM events WHERE value IS NOT NULL GROUP BY 1
+  UNION ALL
+  SELECT event_type, 0.99, round(quantile_cont(value, 0.99), 5)
+  FROM events WHERE value IS NOT NULL GROUP BY 1
+)
+ORDER BY event_type, q
+"""
+
+
+@entry("events_value_pctl_cont", sql=SQL_EVENTS_VALUE_PCTL_CONT)
 def q_events_value_pctl_cont(sf_dir: str) -> pd.DataFrame:
     """quantile_cont(value, q) per event type for q ∈ {0.5, 0.9, 0.99}
     — the linear-interpolation rule (x[f] + frac·(x[c]−x[f]) at
@@ -219,20 +228,3 @@ def q_events_value_pctl_cont(sf_dir: str) -> pd.DataFrame:
     return (pd.DataFrame(rows, columns=["event_type", "q", "pctl"])
             .sort_values(["event_type", "q"]).reset_index(drop=True))
 
-
-SQL_EVENTS_VALUE_PCTL_CONT = """
-SELECT event_type, q, pctl FROM (
-  SELECT event_type, 0.5 AS q, round(quantile_cont(value, 0.5), 5) AS pctl
-  FROM events WHERE value IS NOT NULL GROUP BY 1
-  UNION ALL
-  SELECT event_type, 0.9, round(quantile_cont(value, 0.9), 5)
-  FROM events WHERE value IS NOT NULL GROUP BY 1
-  UNION ALL
-  SELECT event_type, 0.99, round(quantile_cont(value, 0.99), 5)
-  FROM events WHERE value IS NOT NULL GROUP BY 1
-)
-ORDER BY event_type, q
-"""
-
-QUERIES9["events_value_pctl_cont"] = q_events_value_pctl_cont
-ORACLES9["events_value_pctl_cont"] = SQL_EVENTS_VALUE_PCTL_CONT

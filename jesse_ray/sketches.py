@@ -327,29 +327,35 @@ def psi_deciles(ref: ValueCounts, new: ValueCounts, *, bins: int = 10,
     return float(np.sum((p - q) * np.log(p / q)))
 
 
+def _topk_bins(ref: ValueCounts, new: ValueCounts, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each side's token counts over k + 1 bins: the reference's top-k
+    token ids (ties broken by the smaller id) and one tail bin."""
+    top = np.argsort(-ref.counts, kind="stable")[:k]  # keys ascend: ties keep the smaller id
+    r, n = ref.counts[top], new.at(ref.keys[top])
+    return np.append(r, ref.total - r.sum()), np.append(n, new.total - n.sum())
+
+
 def chi2_topk(ref: ValueCounts, new: ValueCounts, k: int = 100) -> tuple[float, float]:
-    """Chi-square goodness-of-fit (statistic, p_value) of the new token
-    distribution vs the reference's, over the reference's top-k tokens
-    (ties broken by the smaller token id) plus one tail bucket."""
+    """Two-sample chi-square test of homogeneity (statistic, p_value):
+    the 2 × (k + 1) contingency table of both sides' counts over
+    :func:`_topk_bins`, with k degrees of freedom.  Both sides are
+    samples, so a reference of any size leaves a same-distribution
+    sample undrifted.  A bin empty on both sides is dropped."""
     if not ref.total or not new.total:
         return 0.0, 1.0
-    top = np.argsort(-ref.counts, kind="stable")[:k]  # keys ascend: ties keep the smaller id
-    ref_top = ref.counts[top].astype(np.float64)
-    new_top = new.at(ref.keys[top]).astype(np.float64)
-    obs = np.append(new_top, new.total - new_top.sum())
-    exp = np.append(ref_top, ref.total - ref_top.sum()) * new.total / ref.total
-    keep = exp > 1e-9
-    stat = float(np.sum((obs[keep] - exp[keep]) ** 2 / exp[keep]))
-    return stat, chi2_pvalue(stat, int(keep.sum()) - 1)
+    obs = np.vstack(_topk_bins(ref, new, k)).astype(np.float64)
+    obs = obs[:, obs.sum(axis=0) > 0]
+    exp = obs.sum(axis=1, keepdims=True) * obs.sum(axis=0) / obs.sum()
+    stat = float(np.sum((obs - exp) ** 2 / exp))
+    return stat, chi2_pvalue(stat, obs.shape[1] - 1)
 
 
-def psi_freq(ref: ValueCounts, new: ValueCounts, vocab: int, *, eps: float = 1e-9) -> float:
-    """PSI over the token-frequency vectors of all ``vocab`` ids, each
-    share clamped to ``eps`` and renormalised."""
+def psi_topk(ref: ValueCounts, new: ValueCounts, k: int = 100, *, eps: float = 1e-9) -> float:
+    """PSI over the same k + 1 bins as :func:`chi2_topk`, each share
+    clamped to ``eps`` and renormalised."""
     if not ref.total or not new.total:
         return 0.0
-    p, q = np.zeros(vocab), np.zeros(vocab)
-    p[ref.keys], q[new.keys] = ref.counts, new.counts
+    p, q = _topk_bins(ref, new, k)
     p, q = np.maximum(p / ref.total, eps), np.maximum(q / new.total, eps)
     p, q = p / p.sum(), q / q.sum()
     return float(np.sum((p - q) * np.log(p / q)))
@@ -439,20 +445,21 @@ class SketchBundle:
         return cls(vocab, n_tok, tokens)
 
 
-#: the drift gate: chi-square over the reference's top TOPK tokens; a
-#: p-value below ALPHA or a PSI above PSI_THRESHOLD flags drift
+#: the drift gate: chi-square and PSI over the reference's top TOPK
+#: tokens plus a tail bin; a p-value below ALPHA or a PSI above
+#: PSI_THRESHOLD flags drift
 TOPK, ALPHA, PSI_THRESHOLD = 100, 0.01, 0.2
 
 
 def drift_report(ref: SketchBundle, new: SketchBundle) -> dict:
-    """KS and PSI on the ``n_tok`` counts, chi-square over the reference's
-    top-k tokens and PSI over all token frequencies.  Every value is
+    """KS and PSI on the ``n_tok`` counts; two-sample chi-square and PSI
+    over the reference's top-k tokens plus a tail bin.  Every value is
     exact and finite; a side with zero rows reports no drift."""
     ks = ks_statistic(ref.n_tok, new.n_tok)
     ksp = ks_pvalue(ks, ref.rows, new.rows)
     c2, c2p = chi2_topk(ref.tokens, new.tokens, k=TOPK)
     psi = psi_deciles(ref.n_tok, new.n_tok)
-    psi_tok = psi_freq(ref.tokens, new.tokens, ref.vocab)
+    psi_tok = psi_topk(ref.tokens, new.tokens, k=TOPK)
     return {
         "ks_stat": ks,
         "ks_pvalue": ksp,

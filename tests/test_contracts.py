@@ -73,3 +73,21 @@ def test_token_lsh_candidate_pairs_rejects_uneven_bands(ray_session):
     ds = ray.data.from_arrow(pa.table({"doc_id": [0], "tokens": [[1, 2, 3]]}))
     with pytest.raises(ValueError, match="multiple of bands"):
         token_lsh_candidate_pairs(ds, num_hashes=64, bands=7)
+
+
+def test_no_assert_statements_in_library():
+    """``python -O`` strips ``assert``: no budget, self-check or input
+    contract in the library may rest on one."""
+    import ast
+    from pathlib import Path
+
+    import jesse_ray
+
+    pkg = Path(jesse_ray.__file__).resolve().parent
+    hits = [
+        f"{path.relative_to(pkg.parent)}:{node.lineno}"
+        for path in sorted(pkg.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert hits == []

@@ -645,17 +645,6 @@ def test_inband_uniqueness_two_keys(ray_session):
     assert [p[0] for p in want["path"].to_pylist()].count("alt") == 50
 
 
-def test_merge_waves_refuses_name_collision():
-    """A catalog name registered twice is a data-contract error that
-    must survive ``python -O``: ValueError, not assert."""
-    from jesse_ray.pipelines import queries2
-    from jesse_ray.pipelines.queries import _merge_waves
-
-    clash = next(iter(queries2.QUERIES2))
-    with pytest.raises(ValueError, match=clash):
-        _merge_waves({clash: None}, 0)
-
-
 def test_hash_partition_rejects_non_power_of_two():
     import pandas as pd
 
@@ -778,8 +767,8 @@ def test_drift_reference_in_an_older_format_names_the_file(tmp_path, corpus_sf00
 
 def test_driver_entry_contract(ray_session):
     """__ray_entry__ contract: entry() runs the flagship pipeline at
-    sf0.001 with a stable schema; every oracle_sql() key has a queries()
-    twin (the driver's correctness gate requires both)."""
+    sf0.001 with a stable schema; queries() and oracle_sql() name the
+    same entries (the driver's correctness gate requires both)."""
     import sys
 
     sys.path.insert(0, str(REPO_ROOT))
@@ -789,7 +778,7 @@ def test_driver_entry_contract(ray_session):
     assert t.num_rows > 0
     assert t.schema.names == ["doc_id", "path", "error", "value_json", "schema_fragment"]
     q, o = e.queries(), e.oracle_sql()
-    assert set(o) <= set(q)
+    assert set(o) == set(q)
     assert len(q) >= 30
 
 

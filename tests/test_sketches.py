@@ -19,7 +19,7 @@ from jesse_ray.sketches import (
     ks_pvalue,
     ks_statistic,
     psi_deciles,
-    psi_freq,
+    psi_topk,
 )
 
 
@@ -144,9 +144,30 @@ def test_chi2_topk_breaks_count_ties_by_token_id():
     # ids 7 and 3 tie on count 2; k=1 keeps the smaller id
     ref = _token_counts([7, 7, 3, 3, 9])
     new = _token_counts([3, 3, 3, 3, 7])
-    stat, _ = chi2_topk(ref, new, k=1)
-    # cells {3, tail}: observed (4, 1), expected 5 × (2/5, 3/5) = (2, 3)
-    assert stat == pytest.approx((4 - 2) ** 2 / 2 + (1 - 3) ** 2 / 3)
+    stat, p = chi2_topk(ref, new, k=1)
+    # bins {3, tail}: ref (2, 3), new (4, 1); both rows hold 5 and the
+    # columns 6 and 4, so every row expects (3, 2)
+    assert stat == pytest.approx(2 * ((2 - 3) ** 2 / 3 + (3 - 2) ** 2 / 2))
+    assert p == pytest.approx(chi2_pvalue(stat, 1))
+
+
+def test_token_gate_does_not_flag_same_distribution_samples():
+    """Two samples of one zipf(1.3) token distribution, of unequal sizes
+    (a small partition against a large reference and the reverse), are
+    flagged by the token chi-square or token PSI in at most 2 of 20
+    seeds: the reference is a sample too, not the population."""
+    vocab = 4096
+    sizes = [(50_000, 320_000), (320_000, 50_000), (20_000, 200_000), (200_000, 20_000)]
+    flagged = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n_ref, n_new = sizes[seed % len(sizes)]
+        ref, new = SketchBundle.empty(vocab), SketchBundle.empty(vocab)
+        ref.add_batch(np.ones(1), (rng.zipf(1.3, n_ref) - 1) % vocab)
+        new.add_batch(np.ones(1), (rng.zipf(1.3, n_new) - 1) % vocab)
+        rep = drift_report(ref, new)
+        flagged += rep["chi2_drifted"] or rep["psi_tokens_drifted"]
+    assert flagged <= 2
 
 
 def test_bundle_roundtrip_and_report():
@@ -174,7 +195,7 @@ def test_psi_metrics():
     assert rep["psi"] > 0.2 and rep["psi_tokens"] > 0.2
     # identity: PSI of a bundle against itself is exactly zero
     assert psi_deciles(a.n_tok, a.n_tok) == 0.0
-    assert psi_freq(a.tokens, a.tokens, a.vocab) == 0.0
+    assert psi_topk(a.tokens, a.tokens) == 0.0
     rep_self = drift_report(a, a)
     assert not rep_self["psi_drifted"] and not rep_self["psi_tokens_drifted"]
     # a small mean shift scores below the 0.2 significance bar but above 0
@@ -271,8 +292,11 @@ def test_drift_report_matches_brute_force():
     cx = np.bincount(tx[(tx >= 0) & (tx < vocab)], minlength=vocab)
     cy = np.bincount(ty[(ty >= 0) & (ty < vocab)], minlength=vocab)
     top = sorted(range(vocab), key=lambda t: (-cx[t], t))[:100]
-    obs = np.append(cy[top], cy.sum() - cy[top].sum()).astype(np.float64)
-    exp = np.append(cx[top], cx.sum() - cx[top].sum()) / cx.sum() * cy.sum()
+    bx = np.append(cx[top], cx.sum() - cx[top].sum())
+    by = np.append(cy[top], cy.sum() - cy[top].sum())
+    # 2 x 101 contingency table: expected = row total x column total / N
+    obs = np.array([bx, by], dtype=np.float64)
+    exp = np.outer(obs.sum(axis=1), obs.sum(axis=0)) / obs.sum()
     chi2 = float(np.sum((obs - exp) ** 2 / exp))
 
     assert rep["rows_ref"] == len(x) and rep["rows_new"] == len(y)
@@ -281,7 +305,7 @@ def test_drift_report_matches_brute_force():
     assert rep["psi"] == pytest.approx(psi, rel=1e-9)
     assert rep["chi2_stat"] == pytest.approx(chi2, rel=1e-9)
     assert rep["chi2_pvalue"] == pytest.approx(chi2_pvalue(chi2, 100), rel=1e-9)
-    assert rep["psi_tokens"] == pytest.approx(_brute_psi(cx, cy, 1e-9), rel=1e-9)
+    assert rep["psi_tokens"] == pytest.approx(_brute_psi(bx, by, 1e-9), rel=1e-9)
     assert rep["ks_stat"] > 0 and rep["psi"] > 0 and rep["chi2_stat"] > 0
 
 

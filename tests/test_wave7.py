@@ -70,7 +70,7 @@ def test_theilsen_exact_linear(tmp_path):
 
 @pytest.mark.usefixtures("ray_session")
 def test_roc_auc_perfect_separation(tmp_path):
-    from jesse_ray.pipelines.queries7 import QUERIES7  # noqa: F401 (module import)
+    import jesse_ray.pipelines.queries7  # noqa: F401 (module import)
     from jesse_ray.pipelines.queries6 import q_emb_roc_auc
 
     # positives (label<5) have MORE positive dims than every negative
