@@ -689,11 +689,12 @@ class CompiledSpec:
         ]
         self._build()
 
-    def __getstate__(self):
-        # never ship the per-batch memo (it pins an Arrow batch)
-        d = self.__dict__.copy()
-        d.pop("_ctx_cache", None)
-        return d
+    def __reduce__(self):
+        # ship the spec and rebuild: ``_build`` is deterministic, and
+        # pickling the emit closures by value costs far more (cloudpickle
+        # scans ``sys.modules`` once per closure); the per-batch memo
+        # (it pins an Arrow batch) is never shipped
+        return (CompiledSpec, (self.spec,))
 
     def _type_valid_mask(self, cs: ColumnSpec, arr: pa.Array) -> np.ndarray:
         """Value-level ``type`` mask: static primitive membership, the

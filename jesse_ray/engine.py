@@ -651,6 +651,19 @@ def _split(t: pa.Table) -> tuple[pa.Table, tuple[pa.Table, dict[str, int]]]:
 _split_block = ray.remote(num_returns=2)(_split)
 
 
+@ray.remote
+def _write_block(viol: pa.Table, path: str) -> tuple[int, int]:
+    """Write one block's violation rows to the parquet file ``path`` — a
+    plain task, like ``_split_block``; returns (rows, bytes) written."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    pq.write_table(viol, path)
+    return viol.num_rows, os.path.getsize(path)
+
+
 def _fused_pass(ds: Dataset, compiled: CompiledSpec, batch_size: Optional[int], *args) -> Dataset:
     """Launch one FusedValidator pass in task mode.
     The compiled spec and the referential rules are ``ray.put`` once
@@ -773,9 +786,12 @@ class ValidationResult:
     ``materialize`` (and ``write_violations`` / ``unique_violations``)
     pins it in the object store and splits each block in a plain task,
     so only the in-band rows and per-block ``{error: count}`` tallies
-    reach the driver, one block's at a time, never the violation rows.
+    reach the driver, one block's at a time, never the violation rows;
+    ``write_violations`` then writes those blocks with one plain task
+    each, so a materialized run is one Ray Data execution in all.
     The drain folds them in block order: the tallies into
-    ``counts_by_error``, ``__rows`` into ``metrics["rows"]``, each key's
+    ``counts_by_error`` (and each block's sum into its row count),
+    ``__rows`` into ``metrics["rows"]``, each key's
     partials into one ``KeyCountMerge`` (a key whose merge passes
     ``UNIQ_DRIVER_CAP_BYTES`` reruns as ``duplicate_keys`` over
     ``_key_ds``; the route report, ``uniqueness_check``'s keys, goes
@@ -795,6 +811,11 @@ class ValidationResult:
     _pending: Optional[Dataset] = None
     _unique_keys: tuple[str, ...] = ()
     _key_ds: Optional[Dataset] = None
+    #: per block, in block order: its violation rows — an object ref after
+    #: ``materialize``, the driver's table after a lazy drain — and their
+    #: count (the block's tally summed)
+    _blocks: Optional[list] = None
+    _block_rows: Optional[list[int]] = None
 
     def _drain(self, sides) -> None:
         """Fold the ``(in-band rows, tally)`` pairs of ``_split``, in
@@ -802,7 +823,9 @@ class ValidationResult:
         merges = {k: KeyCountMerge(k) for k in self._unique_keys}
         counts: dict[str, int] = {}
         rows = 0
+        self._block_rows = []
         for band, tally in sides:
+            self._block_rows.append(sum(tally.values()))
             rows += pc.sum(band["__rows"]).as_py() or 0
             for blob in pc.list_flatten(band["__keys"]):
                 part = pa.ipc.open_stream(blob.as_buffer()).read_all()
@@ -833,14 +856,25 @@ class ValidationResult:
         if self._pending is not None:
             splits = [_split_block.remote(ref) for ref in self._pending.materialize().to_arrow_refs()]
             self._drain(ray.get(side) for _, side in splits)
-            self.violations = ray.data.from_arrow_refs([viol for viol, _ in splits])
+            self._blocks = [viol for viol, _ in splits]
+            self.violations = ray.data.from_arrow_refs(self._blocks)
         return self
 
     def write_violations(self, out_dir: str) -> None:
-        """Stream violation rows to a directory of parquet part files
+        """Write the violation rows to a directory of parquet part files
         (never one giant file; never via the driver) — the scale-correct
-        sink.  ``unique_violations`` (already a small driver table) is
-        appended as one extra file."""
+        sink.  Each block with violation rows is written by one plain
+        task to ``part-{block index:05d}.parquet``; a block without
+        any gets no file.  No Ray Data execution starts, and only the
+        tasks' ``(rows, bytes)`` reach the driver, into
+        ``metrics["sink.files" / "sink.rows" / "sink.bytes"]`` (the part
+        files only).  The ``part-*.parquet`` files already in ``out_dir``
+        are removed first, so writing again — a checkpoint partition
+        redone on resume — leaves exactly this result's rows.
+        ``unique_violations`` (already a small driver table) is written
+        as one extra file, ``unique_violations.parquet``.  After a lazy
+        ``all_violations_table()`` the rows are on the driver already,
+        and the tasks take those tables as arguments."""
         import pyarrow.parquet as pq
 
         from pathlib import Path
@@ -848,7 +882,16 @@ class ValidationResult:
         self.materialize()
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        self.violations.write_parquet(str(out))
+        for stale in out.glob("part-*.parquet"):
+            stale.unlink()
+        written = ray.get([
+            _write_block.remote(block, str(out / f"part-{i:05d}.parquet"))
+            for i, (block, n) in enumerate(zip(self._blocks, self._block_rows))
+            if n
+        ])
+        self.metrics["sink.files"] = len(written)
+        self.metrics["sink.rows"] = sum(r for r, _ in written)
+        self.metrics["sink.bytes"] = sum(b for _, b in written)
         pq.write_table(self.unique_violations, out / "unique_violations.parquet")
 
     def all_violations_table(self) -> pa.Table:
@@ -865,6 +908,7 @@ class ValidationResult:
                         yield side
 
                 self._drain(sides())
+                self._blocks = list(parts)
             else:
                 parts = list(self.violations.iter_batches(batch_format="pyarrow"))
             parts.append(self.unique_violations)

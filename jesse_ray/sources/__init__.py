@@ -8,7 +8,6 @@ from jesse_ray.sources.parquet import (
     read_sequences,
     read_table,
     write_partitioned,
-    write_violations,
 )
 
 __all__ = [
@@ -18,5 +17,4 @@ __all__ = [
     "read_sequences",
     "read_table",
     "write_partitioned",
-    "write_violations",
 ]

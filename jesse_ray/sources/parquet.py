@@ -286,12 +286,6 @@ def read_corpus(
         f"unknown corpus format {format!r} (parquet|jsonl|csv|orc|feather)")
 
 
-def write_violations(ds: Dataset, out_dir: str, **kw) -> None:
-    """Violations sink: a directory of part files (never one giant file),
-    so output is resumable/parallel — SURVEY §2.2 sink mapping."""
-    ds.write_parquet(out_dir, **kw)
-
-
 def write_partitioned(
     ds: Dataset,
     out_dir: str,

@@ -861,21 +861,28 @@ def _sf0001_shards(tmp_path, n=4):
     return pfiles, jfiles
 
 
-def test_checkpoint_executions_per_partition(tmp_path, corpus_sf0001, monkeypatch):
-    """Each fresh checkpoint partition is the fused pass plus the sink —
-    at most two Ray Data executions — on parquet, with a drift
-    reference, and on jsonl; its counts, row count and sketch ride
-    in-band.  After ``materialize()``, ``counts_by_error()`` starts
-    none.  Counted as streaming executors started in-process."""
+def _count_executions(monkeypatch) -> list:
+    """A list that gets one item per streaming executor started in-process
+    (one per Ray Data execution)."""
     from ray.data._internal.plan import ExecutionPlan
-
-    from jesse_ray import checkpoint, testgen
-    from jesse_ray.pipelines.queries import _seq_spec
 
     started = []
     create = ExecutionPlan.create_executor
     monkeypatch.setattr(ExecutionPlan, "create_executor",
                         lambda self: started.append(1) or create(self))
+    return started
+
+
+def test_checkpoint_executions_per_partition(tmp_path, corpus_sf0001, monkeypatch):
+    """Each fresh checkpoint partition is one Ray Data execution, the
+    fused pass, plus plain write tasks — on parquet, with a drift
+    reference, and on jsonl; its counts, row count and sketch ride
+    in-band.  After ``materialize()``, ``counts_by_error()`` starts
+    none.  Counted as streaming executors started in-process."""
+    from jesse_ray import checkpoint, testgen
+    from jesse_ray.pipelines.queries import _seq_spec
+
+    started = _count_executions(monkeypatch)
     per_partition = []
     append = checkpoint.Manifest.append
 
@@ -899,7 +906,7 @@ def test_checkpoint_executions_per_partition(tmp_path, corpus_sf0001, monkeypatc
         started.clear()
         s = checkpoint.run_validation(files, _seq_spec(), tmp_path / name, files_per_partition=2, **kw)
         assert s["partitions"] == 2 and s["violations"] > 0
-        assert per_partition == [2, 2], (name, per_partition)
+        assert per_partition == [1, 1], (name, per_partition)
         records = checkpoint.Manifest(tmp_path / name / "manifest.jsonl").load().values()
         assert sum(r.metrics["rows"] for r in records) == rows
         assert all(("drift" in r.metrics) == ("drift_reference" in kw) for r in records)
@@ -909,6 +916,60 @@ def test_checkpoint_executions_per_partition(tmp_path, corpus_sf0001, monkeypatc
     counts = res.counts_by_error()
     assert counts and not res.passed and res.metrics["rows"] > 0
     assert started == []
+
+
+def test_write_violations_starts_no_execution(ray_session, tmp_path, monkeypatch):
+    """After ``materialize()``, ``write_violations`` writes the pinned
+    blocks with plain tasks: no Ray Data execution starts."""
+    blocks, spec = _keyed_corpus()
+    res = validate_dataset(ray.data.from_arrow(blocks), spec).materialize()
+    started = _count_executions(monkeypatch)
+    res.write_violations(str(tmp_path / "out"))
+    assert started == []
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        f"part-{i:05d}.parquet" for i in range(len(blocks))
+    ] + ["unique_violations.parquet"]
+
+
+def test_write_violations_sink_counters(ray_session, tmp_path):
+    """``metrics["sink.*"]`` count the part files, their rows and bytes;
+    with ``unique_violations`` the rows are every violation counted."""
+    blocks, spec = _keyed_corpus()
+    res = validate_dataset(ray.data.from_arrow(blocks), spec).materialize()
+    res.write_violations(str(tmp_path))
+    parts = sorted(tmp_path.glob("part-*.parquet"))
+    assert res.metrics["sink.files"] == len(parts) == len(blocks)
+    assert res.metrics["sink.rows"] == sum(pq.read_metadata(p).num_rows for p in parts)
+    assert res.metrics["sink.bytes"] == sum(p.stat().st_size for p in parts)
+    assert res.metrics["sink.rows"] + res.unique_violations.num_rows == sum(res.counts_by_error().values())
+
+
+def test_write_violations_replaces_part_files(ray_session, tmp_path):
+    """Writing into one directory again — from a result with fewer
+    non-empty blocks, and from a lazily drained one — leaves exactly the
+    last result's rows: its own part files replace the old ones, and
+    no other file is touched."""
+    import json as _json
+
+    blocks, spec = _keyed_corpus()
+
+    def rows(t: pa.Table) -> list:
+        return sorted(_json.dumps(r, sort_keys=True) for r in t.to_pylist())
+
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    for bs, lazy in ((blocks, False), (blocks, False), (blocks[:3], False), (blocks[:5], True)):
+        res = validate_dataset(ray.data.from_arrow(bs), spec)
+        if lazy:
+            want = res.all_violations_table()
+        else:
+            want = res.materialize().all_violations_table()
+        res.write_violations(str(out))
+        got = pa.concat_tables([pq.read_table(p) for p in sorted(out.glob("*.parquet"))])
+        assert rows(got) == rows(want)
+    assert sorted(p.name for p in out.glob("part-*.parquet")) == [f"part-{i:05d}.parquet" for i in range(5)]
+    assert (out / "notes.txt").read_text() == "kept"
 
 
 def test_partition_sketch_matches_standalone(tmp_path, corpus_sf0001):
