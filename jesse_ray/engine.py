@@ -7,7 +7,8 @@ lazily-resolved ``ray.put`` state — broadcast-once per worker) and
 emitting each batch's row count, exact key counts and (when asked) drift
 sketch in-band → corpus-level key
 uniqueness (the same exact counts summed on the driver under a byte cap,
-per key bucket in tasks above it) → violations ``Dataset`` + per-run
+per key bucket in tasks above it — ``hashutil.map_key_buckets``, the
+pandas hash of the key) → violations ``Dataset`` + per-run
 metrics.  A validation reads the corpus once: one Ray Data execution
 unless the cap trips.
 
@@ -51,7 +52,7 @@ from jesse_ray.compiler import (
     _repeat,
     _violations_table,
 )
-from jesse_ray.hashutil import hash64_strings
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.sketches import SketchBundle
 from jesse_ray.spec import ReferentialRule, TableSpec
 
@@ -231,35 +232,23 @@ def _only_dups(counts: pa.Table, key: str) -> pa.Table:
     return g.filter(pc.greater(g["cnt"], 1))
 
 
-#: key buckets of the distributed sum (a power of two: the bucket is a mask)
-_KEY_BUCKETS = 64
-
-
 def duplicate_keys(ds: Dataset, key: str) -> Dataset:
     """Distinct non-null ``key`` values occurring more than once in
     ``ds``, as unordered ``(key, cnt)`` rows.
 
-    Each batch's exact ``(key, partial_cnt)`` partials are tagged with a
-    key bucket (64-bit FNV-1a of the key's string form, masked); the
-    shuffle groups them by bucket and each group sums its partials and
-    keeps ``cnt > 1`` inside a task.  The key itself travels with its
-    partial row, so the count is exact with no confirm pass and no second
-    read, and only the duplicate set leaves the tasks.
+    Each batch's exact ``(key, partial_cnt)`` partials go through
+    ``hashutil.map_key_buckets`` (the pandas hash of the key, masked to
+    64 buckets); each bucket sums its partials and keeps ``cnt > 1``
+    inside a task.  The key itself travels with its partial row, so the
+    count is exact with no confirm pass and no second read, and only the
+    duplicate set leaves the tasks.
     """
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = _batch_key_counts(batch, key)
-        k = t[key]
-        if not (pa.types.is_string(k.type) or pa.types.is_large_string(k.type)):
-            k = pc.cast(k, pa.string())
-        part = hash64_strings(k) & np.uint64(_KEY_BUCKETS - 1)
-        return t.append_column("__part", pa.array(part.astype(np.int32)))
 
     def merge(group: pa.Table) -> pa.Table:
         return _only_dups(_sum_key_counts([group.drop_columns(["__part"])], key), key)
 
-    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    return partials.groupby("__part").map_groups(merge, batch_format="pyarrow")
+    partials = ds.map_batches(_batch_key_counts, fn_args=(key,), batch_format="pyarrow", zero_copy_batch=True)
+    return map_key_buckets(partials, [key], merge, batch_format="pyarrow")
 
 
 #: byte cap on the driver's merged ``(key, count)`` state; past it the
@@ -895,8 +884,10 @@ class ValidationResult:
         pq.write_table(self.unique_violations, out / "unique_violations.parquet")
 
     def all_violations_table(self) -> pa.Table:
-        # one execution of the violations pipeline; cached because the
-        # violation set is small relative to the corpus by assumption
+        # one execution of the violations pipeline, none after
+        # ``materialize`` (the pinned blocks are fetched as they are);
+        # cached because the violation set is small relative to the
+        # corpus by assumption
         if self._cached is None:
             if self._pending is not None:
                 parts = []
@@ -910,7 +901,7 @@ class ValidationResult:
                 self._drain(sides())
                 self._blocks = list(parts)
             else:
-                parts = list(self.violations.iter_batches(batch_format="pyarrow"))
+                parts = ray.get(self._blocks)
             parts.append(self.unique_violations)
             self._cached = pa.concat_tables(
                 [p for p in parts if p.num_rows] or [empty_violations()]

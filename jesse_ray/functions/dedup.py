@@ -30,6 +30,7 @@ from ray.data import Dataset
 
 from jesse_ray.hashutil import FNV_OFFSET as _FNV_OFFSET
 from jesse_ray.hashutil import hash64_strings as _hash64_strings
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.hashutil import string_buffers as _string_buffers
 
 _MERSENNE = (1 << 61) - 1
@@ -48,8 +49,9 @@ def _by_coarse_part(ds: Dataset, bucket_col: str, n_parts: int = 64) -> "ray.dat
     (Python + pandas slice overhead per call — the dominant cost once
     buckets outnumber ~10k).  A coarse partition keys the shuffle on
     ≤``n_parts`` values; the UDF then handles many complete buckets per
-    call with one vectorized sort + run scan (the same coarse bucketing
-    as the engine's ``duplicate_keys``)."""
+    call with one vectorized sort + run scan.  The bucket column is
+    already a hash, so a mask suffices; rows keyed by raw columns group
+    through ``hashutil.map_key_buckets`` instead."""
 
     def part(batch: pa.Table) -> pa.Table:
         b = batch[bucket_col].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -167,17 +169,10 @@ def _dedup_pairs(cand: Dataset, extra: str | None = None, n_parts: int = 64) -> 
     column to keep (identical across duplicates of a pair)."""
     cols = ["left", "right"] + ([extra] if extra else [])
 
-    from jesse_ray.hashutil import hash_partition_pandas
-
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        return hash_partition_pandas(df[cols], ["left", "right"], n_parts)
-
     def dd(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(subset=["left", "right"])[cols]
 
-    return cand.map_batches(part, batch_format="pandas").groupby("__part").map_groups(
-        dd, batch_format="pandas"
-    )
+    return map_key_buckets(cand.select_columns(cols), ["left", "right"], dd, n_parts=n_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -1382,18 +1377,11 @@ def substring_dup_docs(
 
     # a doc's windows land in many parts: one final coarse fold sums the
     # per-part counts (keyed on <=n_parts values, vectorized per part)
-    def fold_part(df: pd.DataFrame) -> pd.DataFrame:
-        from jesse_ray.hashutil import hash_partition_pandas
-
-        return hash_partition_pandas(df, ["doc_id"], n_parts)
-
     def fold(gdf: pd.DataFrame) -> pd.DataFrame:
         out = gdf.groupby("doc_id", as_index=False)["n_dup_grams"].sum()
         return out[["doc_id", "n_dup_grams"]]
 
-    return per_part.map_batches(fold_part, batch_format="pandas").groupby("__part").map_groups(
-        fold, batch_format="pandas"
-    )
+    return map_key_buckets(per_part, ["doc_id"], fold, n_parts=n_parts)
 
 
 def dup_span_grams(
@@ -1816,7 +1804,7 @@ def winnow_overlap_pairs(ds: Dataset, *, k: int = 4, w: int = 4,
     coarse fingerprint-hash shuffle → within-run pairs (one pair row
     per SHARED fingerprint) → coarse pair-hash shuffle counting
     multiplicity exactly.  Returns (left, right, n_shared)."""
-    from jesse_ray.hashutil import hash64_strings, hash_partition_pandas
+    from jesse_ray.hashutil import hash64_strings
 
     fps = winnow_fingerprints(ds, k=k, w=w, key_col=key_col, text_col=text_col)
 
@@ -1839,16 +1827,12 @@ def winnow_overlap_pairs(ds: Dataset, *, k: int = 4, w: int = 4,
         fps.map_batches(bucketed, batch_format="pyarrow", zero_copy_batch=True),
         "bucket", n_parts).map_groups(pairs_many, batch_format="pandas")
 
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        return hash_partition_pandas(df[["left", "right"]], ["left", "right"], n_parts)
-
     def count(g: pd.DataFrame) -> pd.DataFrame:
         c = (g.groupby(["left", "right"], sort=False).size()
               .reset_index(name="n_shared"))
         return c[c["n_shared"] >= min_shared]
 
-    return cand.map_batches(part, batch_format="pandas").groupby("__part").map_groups(
-        count, batch_format="pandas")
+    return map_key_buckets(cand, ["left", "right"], count, n_parts=n_parts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
-"""Shared vectorized string hashing over Arrow buffers.
+"""Shared hashing: the key-bucket shuffle and vectorized string hashes.
 
-One implementation of the FNV-1a-over-utf8-buffers walk, used by the
-engine's key buckets (``engine.duplicate_keys``) and the dedup signature
-stages."""
+- ``map_key_buckets`` is the one key-grouped shuffle.  It buckets rows by
+  the pandas hash of the key columns (``pd.util.hash_pandas_object``);
+  ``engine.duplicate_keys``, the relational window/dedup operators and
+  the catalog's per-key stages all group through it.
+- ``hash64_strings`` / ``hash64_strings_multi`` are one FNV-1a walk over
+  Arrow utf8 buffers, used where a hash is itself data: the dedup and
+  bloom signatures, split/shuffle assignment and the masks over an
+  already-hashed column (``dedup._by_coarse_part``); ``fmix64``
+  finalizes it where the low bits must be well mixed."""
 
 from __future__ import annotations
 
@@ -83,16 +89,29 @@ def fmix64_inplace(h: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return h
 
 
-def hash_partition_pandas(df, cols: list[str], n_parts: int = 64, out_col: str = "__part"):
-    """Append a coarse hash-partition column (power-of-two ``n_parts``,
-    masked — never the division unit) — the shared prologue of every
-    coarse-shuffle stage (pair dedup, grouped lag, curation dedup)."""
+def map_key_buckets(ds, cols: list[str], fn, *, batch_format: str = "pandas", n_parts: int = 64):
+    """The one key-grouped shuffle: ``fn`` over every key bucket of ``ds``.
+
+    Each whole block is tagged with ``__part``, the pandas hash of its
+    ``cols`` (``pd.util.hash_pandas_object`` of a Series for one column,
+    of a DataFrame for more) masked to a power-of-two ``n_parts`` — a
+    coarse bucket, never one group per key.  Only the key columns are
+    converted to pandas.  The tagged rows are then grouped on ``__part``
+    (Ray Data's sort shuffle) and ``fn`` sees each bucket once, with the
+    ``__part`` column, in ``batch_format``: every row of a key reaches
+    the same call.  A map-side combiner is a plain ``map_batches`` before
+    this call."""
     import pandas as pd
 
     if n_parts < 1 or n_parts & (n_parts - 1):
         raise ValueError(f"n_parts must be a power of two (mask partitioning), got {n_parts}")
-    sel = df[cols] if len(cols) > 1 else df[cols[0]]
-    h = pd.util.hash_pandas_object(sel, index=False).to_numpy(dtype=np.uint64)
-    df = df.copy()
-    df[out_col] = (h & np.uint64(n_parts - 1)).astype(np.int32)
-    return df
+    mask = np.uint64(n_parts - 1)
+
+    def tag(batch: pa.Table) -> pa.Table:
+        keys = batch.select(cols).to_pandas()
+        h = pd.util.hash_pandas_object(keys if len(cols) > 1 else keys[cols[0]], index=False)
+        part = (h.to_numpy(dtype=np.uint64) & mask).astype(np.int32)
+        return batch.append_column("__part", pa.array(part))
+
+    tagged = ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
+    return tagged.groupby("__part").map_groups(fn, batch_format=batch_format)

@@ -17,7 +17,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from jesse_ray.hashutil import hash_partition_pandas
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, _sig_parquet_path, entry
 from jesse_ray.sources import read_sequences, read_table
 from jesse_ray.rounding import round_half_away
@@ -76,10 +76,8 @@ def q_events_twap(sf_dir: str) -> pd.DataFrame:
             rows.append((et, float((v[:-1] * w).sum()), float(w.sum()), len(w)))
         return pd.DataFrame(rows, columns=["event_type", "sw", "tw", "n"])
 
-    rows = ds.map_batches(clean, batch_format="pyarrow", zero_copy_batch=True) \
-        .map_batches(lambda df: hash_partition_pandas(df, ["event_type"]),
-                     batch_format="pandas")
-    m = _collect(rows.groupby("__part").map_groups(per_part, batch_format="pandas")) \
+    rows = ds.map_batches(clean, batch_format="pyarrow", zero_copy_batch=True)
+    m = _collect(map_key_buckets(rows, ["event_type"], per_part)) \
         .to_pandas().groupby("event_type", as_index=False).sum().sort_values("event_type")
     return pd.DataFrame({
         "event_type": m["event_type"].to_numpy(),

@@ -14,7 +14,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from jesse_ray.hashutil import hash_partition_pandas
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, entry
 from jesse_ray.sources import read_sequences, read_table
 from jesse_ray.rounding import round_half_away
@@ -78,10 +78,8 @@ def q_orders_interorder_cv(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"cv": (out["sd"] / out["mu"]).to_numpy(),
                              "one": np.ones(len(out), dtype=np.int64)})
 
-    rows = ds.map_batches(to_day, batch_format="pyarrow", zero_copy_batch=True) \
-        .map_batches(lambda df: hash_partition_pandas(df, ["o_custkey"]),
-                     batch_format="pandas")
-    m = _collect(rows.groupby("__part").map_groups(per_part, batch_format="pandas")).to_pandas()
+    rows = ds.map_batches(to_day, batch_format="pyarrow", zero_copy_batch=True)
+    m = _collect(map_key_buckets(rows, ["o_custkey"], per_part)).to_pandas()
     return pd.DataFrame({"n_customers": pd.array([int(m["one"].sum())], dtype="int64"),
                          "mean_cv": [round_half_away(float(m["cv"].mean()), 5)]})
 

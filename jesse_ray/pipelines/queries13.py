@@ -14,7 +14,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from jesse_ray.hashutil import hash_partition_pandas
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, entry
 from jesse_ray.sources import read_sequences, read_table
 from jesse_ray.rounding import round_half_away
@@ -55,9 +55,7 @@ def q_seq_dup_cluster_hist(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"cluster_size": sz.astype("int64"),
                              "n_clusters": cnt.astype("int64")})
 
-    rows = hashed.map_batches(lambda df: hash_partition_pandas(df, ["__h"]),
-                              batch_format="pandas")
-    m = _collect(rows.groupby("__part").map_groups(per_part, batch_format="pandas")) \
+    m = _collect(map_key_buckets(hashed, ["__h"], per_part)) \
         .to_pandas().groupby("cluster_size", as_index=False)["n_clusters"].sum()
     return (m.astype({"cluster_size": "int64", "n_clusters": "int64"})
             .sort_values("cluster_size").reset_index(drop=True))
@@ -116,10 +114,8 @@ def q_events_user_entropy(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"n": [len(e)], "s": [e.sum()],
                              "mn": [e.min()], "mx": [e.max()]})
 
-    rows = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True) \
-        .map_batches(lambda df: hash_partition_pandas(df, ["user_id"]),
-                     batch_format="pandas")
-    m = _collect(rows.groupby("__part").map_groups(per_part, batch_format="pandas")).to_pandas()
+    rows = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    m = _collect(map_key_buckets(rows, ["user_id"], per_part)).to_pandas()
     n = int(m["n"].sum())
     return pd.DataFrame({
         "n_users": pd.array([n], dtype="int64"),

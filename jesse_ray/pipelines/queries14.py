@@ -13,7 +13,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from jesse_ray.hashutil import hash_partition_pandas
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, entry
 from jesse_ray.sources import read_sequences, read_table
 from jesse_ray.rounding import round_half_away
@@ -83,10 +83,8 @@ def q_events_type_cooc(sf_dir: str) -> pd.DataFrame:
         mv, mc = np.unique(folded, return_counts=True)
         return pd.DataFrame({"mask": mv.astype("int64"), "n": mc.astype("int64")})
 
-    rows = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True) \
-        .map_batches(lambda df: hash_partition_pandas(df, ["user_id", "day"]),
-                     batch_format="pandas")
-    hist = _collect(rows.groupby("__part").map_groups(per_part, batch_format="pandas")) \
+    rows = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    hist = _collect(map_key_buckets(rows, ["user_id", "day"], per_part)) \
         .to_pandas().groupby("mask", as_index=False)["n"].sum()
     masks = hist["mask"].to_numpy(dtype=np.int64)
     cnts = hist["n"].to_numpy(dtype=np.int64)
@@ -144,9 +142,8 @@ def q_orders_newcust_trend(sf_dir: str) -> pd.DataFrame:
         return act.merge(nw, on="mo", how="left").fillna({"nn": 0}).astype(
             {"mo": "int64", "nc": "int64", "nn": "int64"})
 
-    rows = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True) \
-        .map_batches(lambda df: hash_partition_pandas(df, ["cust"]), batch_format="pandas")
-    m = _collect(rows.groupby("__part").map_groups(per_part, batch_format="pandas")) \
+    rows = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    m = _collect(map_key_buckets(rows, ["cust"], per_part)) \
         .to_pandas().groupby("mo", as_index=False).sum().sort_values("mo")
     x = m["mo"].to_numpy(dtype=np.float64)
     y = m["nn"].to_numpy(dtype=np.float64) / m["nc"].to_numpy(dtype=np.float64)

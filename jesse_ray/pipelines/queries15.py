@@ -13,7 +13,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from jesse_ray.hashutil import hash_partition_pandas
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, entry
 from jesse_ray.sources import read_sequences, read_table
 from jesse_ray.rounding import round_half_away
@@ -59,9 +59,8 @@ def q_seq_length_order_autocorr(sf_dir: str) -> pd.DataFrame:
     def uniq_part(g: pd.DataFrame) -> pd.DataFrame:
         return g[~g["k"].duplicated(keep=False)].drop(columns="__part")
 
-    base = ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True) \
-        .map_batches(lambda df: hash_partition_pandas(df, ["k"]), batch_format="pandas") \
-        .groupby("__part").map_groups(uniq_part, batch_format="pandas")
+    keys = ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
+    base = map_key_buckets(keys, ["k"], uniq_part)
     left = base.map_batches(lambda b: pa.table({"k": b["k"], "x": b["n_tok"]}),
                             batch_format="pyarrow")
     right = base.map_batches(

@@ -12,7 +12,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from jesse_ray.hashutil import hash_partition_pandas
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, entry
 from jesse_ray.sources import read_sequences, read_table
 from jesse_ray.rounding import round_half_away
@@ -83,9 +83,7 @@ def q_emb_knn_purity(sf_dir: str) -> pd.DataFrame:
             s=("hit", "sum"), n=("hit", "count"))
         return out.astype({"label": "int64", "n": "int64"})
 
-    rows = both.map_batches(
-        lambda df: hash_partition_pandas(df, ["vec_id"]), batch_format="pandas")
-    m = _collect(rows.groupby("__part").map_groups(per_part, batch_format="pandas")) \
+    m = _collect(map_key_buckets(both, ["vec_id"], per_part)) \
         .to_pandas().groupby("label", as_index=False).sum().sort_values("label")
     return pd.DataFrame({"label": m["label"].astype("int64").to_numpy(),
                          "n": m["n"].astype("int64").to_numpy(),
@@ -130,9 +128,7 @@ def q_seq_dup_mass_by_source(sf_dir: str) -> pd.DataFrame:
         out = tot.merge(dups, on="source", how="left").fillna({"dup_rows": 0})
         return out.astype({"n_rows": "int64", "dup_rows": "int64"})
 
-    rows = hashed.map_batches(lambda df: hash_partition_pandas(df, ["source", "__h"]),
-                              batch_format="pandas")
-    m = _collect(rows.groupby("__part").map_groups(per_part, batch_format="pandas")) \
+    m = _collect(map_key_buckets(hashed, ["source", "__h"], per_part)) \
         .to_pandas().groupby("source", as_index=False).sum().sort_values("source")
     return pd.DataFrame({
         "source": m["source"].to_numpy(),

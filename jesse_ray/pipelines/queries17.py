@@ -11,7 +11,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from jesse_ray.hashutil import hash_partition_pandas
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.pipelines.queries import _collect, entry
 from jesse_ray.sources import read_table
 from jesse_ray.rounding import round_half_away
@@ -51,10 +51,8 @@ def q_part_supplier_hist(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"n_suppliers": v.astype("int64"),
                              "n_parts": c.astype("int64")})
 
-    rows = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True) \
-        .map_batches(lambda df: hash_partition_pandas(df, ["l_partkey"]),
-                     batch_format="pandas")
-    m = _collect(rows.groupby("__part").map_groups(per_part, batch_format="pandas")) \
+    rows = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    m = _collect(map_key_buckets(rows, ["l_partkey"], per_part)) \
         .to_pandas().groupby("n_suppliers", as_index=False)["n_parts"].sum()
     return (m.astype({"n_suppliers": "int64", "n_parts": "int64"})
             .sort_values("n_suppliers").reset_index(drop=True))

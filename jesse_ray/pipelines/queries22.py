@@ -21,6 +21,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.rounding import round_half_away
 from jesse_ray.sources import read_table
 
@@ -332,19 +333,16 @@ def q_tpch_q21ish(sf_dir: str) -> pd.DataFrame:
                     columns=["l_orderkey", "l_suppkey", "l_shipdate"])
     j = hash_join(li, orders_k, on="l_orderkey", how="inner")
 
-    def stamp(b: pa.Table) -> pd.DataFrame:
+    def stamp(b: pa.Table) -> pa.Table:
         cutoff = pc.add(b["o_orderdate"],
                         pa.scalar(Q21_LATE_DAYS * 86_400_000_000, type=pa.duration("us")))
         late = pc.greater(b["l_shipdate"], cutoff)
         t = pa.table({"l_orderkey": b["l_orderkey"], "l_suppkey": b["l_suppkey"],
                       "late": pc.cast(late, pa.int64())})
         # batch-local (order, supplier) collapse: max(late) per pair
-        g = (t.group_by(["l_orderkey", "l_suppkey"])
-             .aggregate([("late", "max")])
-             .rename_columns(["l_orderkey", "l_suppkey", "late"])).to_pandas()
-        from jesse_ray.hashutil import hash_partition_pandas
-
-        return hash_partition_pandas(g, ["l_orderkey"], 64)
+        return (t.group_by(["l_orderkey", "l_suppkey"])
+                .aggregate([("late", "max")])
+                .rename_columns(["l_orderkey", "l_suppkey", "late"]))
 
     # ONE coarse order-hash shuffle; inside a part both the global
     # (order, supplier) max-combine and the per-order (ns, nl, lsup)
@@ -362,10 +360,8 @@ def q_tpch_q21ish(sf_dir: str) -> pd.DataFrame:
         out = hit.groupby("lsup", as_index=False).size()
         return out.rename(columns={"lsup": "s_suppkey", "size": "pn"})
 
-    per_supp = _collect(
-        j.map_batches(stamp, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__part").map_groups(per_order, batch_format="pandas")
-    ).to_pandas().groupby("s_suppkey", as_index=False)["pn"].sum()
+    stamped = j.map_batches(stamp, batch_format="pyarrow", zero_copy_batch=True)
+    per_supp = _collect(map_key_buckets(stamped, ["l_orderkey"], per_order)).to_pandas().groupby("s_suppkey", as_index=False)["pn"].sum()
     per_supp = per_supp.rename(columns={"pn": "sum(one)"})
     per_supp["s_suppkey"] = per_supp["s_suppkey"].astype("int64")
     supp = read_table(f"{sf_dir}/supplier.parquet",

@@ -22,6 +22,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.rounding import round_half_away
 from jesse_ray.sources import read_table
 
@@ -120,22 +121,15 @@ def q_seq_token_kcore(sf_dir: str) -> pd.DataFrame:
 
     ds = read_sequences(_seq_path(sf_dir), columns=["tokens"])
 
-    from jesse_ray.hashutil import hash_partition_pandas
-
     # coarse (u,v)-hash merge instead of Ray's native 2-key groupby
     # (the native sort-based path measured 41 s on a 600k-row 2-key
     # stream; the coarse-part pattern is the repo discipline)
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        return hash_partition_pandas(df, ["u", "v"], 64)
-
     def merge_edges(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby(["u", "v"], as_index=False)["pn"].sum()
         return m[m["pn"] >= KCORE_MINCNT].rename(columns={"pn": "n"})
 
-    edges = (ds.map_batches(_adjacent_pair_counts, batch_format="pyarrow", zero_copy_batch=True)
-             .map_batches(part, batch_format="pandas")
-             .groupby("__part").map_groups(merge_edges, batch_format="pandas")
-             ).materialize()
+    pair_counts = ds.map_batches(_adjacent_pair_counts, batch_format="pyarrow", zero_copy_batch=True)
+    edges = map_key_buckets(pair_counts, ["u", "v"], merge_edges).materialize()
 
     def deg_partial(b: pa.Table) -> pa.Table:
         nodes = pa.concat_arrays([b["u"].combine_chunks() if isinstance(b["u"], pa.ChunkedArray) else b["u"],
@@ -238,15 +232,11 @@ def q_events_session_paths(sf_dir: str) -> pd.DataFrame:
     marks, then the first-3-type join per session via segment-head
     indexing — no per-session Python.  Global path counts fold through
     a tiny groupby; top-10 by (count desc, path asc)."""
-    from jesse_ray.hashutil import hash_partition_pandas
     from jesse_ray.pipelines.queries import SESSION_GAP_S
 
     ds = read_table(f"{sf_dir}/events.parquet",
                     columns=["event_id", "user_id", "ts", "event_type"])
     gap_us = np.int64(SESSION_GAP_S * 1_000_000)
-
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        return hash_partition_pandas(df, ["user_id"], 64)
 
     def paths(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -270,8 +260,7 @@ def q_events_session_paths(sf_dir: str) -> pd.DataFrame:
         out = pd.DataFrame({"path": path})
         return out.groupby("path", as_index=False).size().rename(columns={"size": "pn"})
 
-    parts = (ds.map_batches(part, batch_format="pandas")
-             .groupby("__part").map_groups(paths, batch_format="pandas"))
+    parts = map_key_buckets(ds, ["user_id"], paths)
     merged = _collect(parts).to_pandas().groupby("path", as_index=False)["pn"].sum()
     merged = merged.rename(columns={"pn": "n_sessions"})
     merged = merged.sort_values(["n_sessions", "path"],
@@ -315,15 +304,12 @@ def q_events_funnel3(sf_dir: str) -> pd.DataFrame:
     days.  One coarse user-hash shuffle of the three-type slice; inside
     a part each stage is a groupby-min + merge (users co-locate, so no
     cross-part state), partial stage counts fold to one global row."""
-    from jesse_ray.hashutil import hash_partition_pandas
-
     ds = read_table(f"{sf_dir}/events.parquet",
                     columns=["user_id", "ts", "event_type"])
     win_us = np.int64(F3_WINDOW_DAYS * 86_400_000_000)
 
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["event_type"].isin(["signup", "purchase", "click"])]
-        return hash_partition_pandas(df, ["user_id"], 64)
+    def three_types(b: pa.Table) -> pa.Table:
+        return b.filter(pc.is_in(b["event_type"], value_set=pa.array(["signup", "purchase", "click"])))
 
     def stage(g: pd.DataFrame) -> pd.DataFrame:
         e = g["ts"].to_numpy().astype("datetime64[us]").view(np.int64)
@@ -340,8 +326,8 @@ def q_events_funnel3(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"n_signup": [len(s)], "n_purchase": [len(p)],
                              "n_click": [len(c)], "n_converted": [len(conv)]})
 
-    parts = (ds.map_batches(part, batch_format="pandas")
-             .groupby("__part").map_groups(stage, batch_format="pandas"))
+    slim = ds.map_batches(three_types, batch_format="pyarrow", zero_copy_batch=True)
+    parts = map_key_buckets(slim, ["user_id"], stage)
     agg = _collect(parts).to_pandas().sum()
     return pd.DataFrame({k: pd.array([int(agg[k])], dtype="int64")
                          for k in ["n_signup", "n_purchase", "n_click", "n_converted"]})

@@ -17,6 +17,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.rounding import round_half_away
 from jesse_ray.sources import read_table
 
@@ -207,16 +208,11 @@ def q_events_butterflies(sf_dir: str) -> pd.DataFrame:
     coarse user-hash parts (each user contributes C(deg,2) pairs; the
     pair domain is |types|² — tiny), then the butterfly sum is
     closed-form from the co-occurrence grid."""
-    from jesse_ray.hashutil import hash_partition_pandas
-
     ds = read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
     def dedup(b: pa.Table) -> pa.Table:
         return (b.group_by(["user_id", "event_type"]).aggregate([])
                 .rename_columns(["user_id", "event_type"]))
-
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        return hash_partition_pandas(df, ["user_id"], 64)
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["user_id", "event_type"])[["user_id", "event_type"]]
@@ -230,11 +226,9 @@ def q_events_butterflies(sf_dir: str) -> pd.DataFrame:
         out["co"] = out["co"].astype(np.int64)
         return out
 
-    grid = (_collect(
-        ds.map_batches(dedup, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(part, batch_format="pandas")
-        .groupby("__part").map_groups(pairs, batch_format="pandas"))
-        .to_pandas().groupby(["t1", "t2"], as_index=False)["co"].sum())
+    deduped = ds.map_batches(dedup, batch_format="pyarrow", zero_copy_batch=True)
+    grid = (_collect(map_key_buckets(deduped, ["user_id"], pairs))
+            .to_pandas().groupby(["t1", "t2"], as_index=False)["co"].sum())
     co = grid["co"].to_numpy(dtype=np.int64)
     butterflies = int((co * (co - 1) // 2).sum())
     return pd.DataFrame({"butterflies": pd.array([butterflies], dtype="int64"),

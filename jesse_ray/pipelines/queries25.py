@@ -13,6 +13,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.rounding import round_half_away
 from jesse_ray.sources import read_table
 
@@ -233,8 +234,6 @@ def q_doc_weighted_jaccard(sf_dir: str) -> pd.DataFrame:
     raise-on-skew discipline as prefix_jaccard's skew cap).  Tighten the
     threshold or add a similarity-preserving sub-key to proceed on such
     corpora."""
-    from jesse_ray.hashutil import hash_partition_pandas
-
     ds = read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def tf_rows(b: pa.Table) -> pd.DataFrame:
@@ -260,8 +259,7 @@ def q_doc_weighted_jaccard(sf_dir: str) -> pd.DataFrame:
         w2 = top2[top2["rn"] == 1][["doc_id", "word"]].rename(columns={"word": "w2"})
         key = w1.merge(w2, on="doc_id", how="left")
         key["block"] = key["w1"] + "|" + key["w2"].fillna("")
-        g = g.merge(key[["doc_id", "block"]], on="doc_id")
-        return hash_partition_pandas(g, ["block"], 64)
+        return g.merge(key[["doc_id", "block"]], on="doc_id")
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         key = g[["doc_id", "block"]].drop_duplicates()
@@ -289,9 +287,8 @@ def q_doc_weighted_jaccard(sf_dir: str) -> pd.DataFrame:
         s = s[WJ_MIN_DEN * s["inter_w"] >= WJ_MIN_NUM * s["union_w"]]
         return s.rename(columns={"doc_id_x": "left", "doc_id_y": "right"})
 
-    out = _collect(ds.map_batches(tf_rows, batch_format="pyarrow")
-                   .groupby("__part").map_groups(pairs, batch_format="pandas")
-                   ).to_pandas()
+    rows = ds.map_batches(tf_rows, batch_format="pyarrow")
+    out = _collect(map_key_buckets(rows, ["block"], pairs)).to_pandas()
     out = out.sort_values(["left", "right"]).reset_index(drop=True)
     return pd.DataFrame({
         "left": out["left"], "right": out["right"],

@@ -12,6 +12,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.sources import read_table
 
 from jesse_ray.pipelines.queries import entry
@@ -165,13 +166,8 @@ def q_events_interval_coverage(sf_dir: str) -> pd.DataFrame:
     ONE vectorized island pass: running cummax of interval ends, island
     starts where ts exceeds the previous cummax, per-island coverage =
     last_end − first_start, all exact int64 microseconds."""
-    from jesse_ray.hashutil import hash_partition_pandas
-
     ds = read_table(f"{sf_dir}/events.parquet", columns=["event_type", "ts"])
     win_us = np.int64(COV_WIN_S * 1_000_000)
-
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        return hash_partition_pandas(df, ["event_type"], 16)
 
     def cover(g: pd.DataFrame) -> pd.DataFrame:
         if g.empty:
@@ -196,8 +192,7 @@ def q_events_interval_coverage(sf_dir: str) -> pd.DataFrame:
             rows.append((et[s0], int(cov.sum()), int(len(starts))))
         return pd.DataFrame(rows, columns=["event_type", "covered_us", "n_islands"])
 
-    out = (_collect(ds.map_batches(part, batch_format="pandas")
-                    .groupby("__part").map_groups(cover, batch_format="pandas"))
+    out = (_collect(map_key_buckets(ds, ["event_type"], cover, n_parts=16))
            .to_pandas().groupby("event_type", as_index=False).sum())
     out["covered_us"] = out["covered_us"].astype("int64")
     out["n_islands"] = out["n_islands"].astype("int64")

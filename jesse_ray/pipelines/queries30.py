@@ -11,6 +11,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.rounding import round_half_away
 from jesse_ray.sources import read_table
 
@@ -68,15 +69,12 @@ def q_events_nearest_join(sf_dir: str) -> pd.DataFrame:
     next purchase from two vectorized forward/backward fills — no
     per-row search.  Tie rule (equal gap → earlier purchase) and the
     tolerance are explicit."""
-    from jesse_ray.hashutil import hash_partition_pandas
-
     ds = read_table(f"{sf_dir}/events.parquet",
                     columns=["event_id", "user_id", "ts", "event_type"])
     tol_us = np.int64(NEAREST_TOL_S * 1_000_000)
 
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["event_type"].isin(["error", "purchase"])]
-        return hash_partition_pandas(df, ["user_id"], 64)
+    def two_types(b: pa.Table) -> pa.Table:
+        return b.filter(pc.is_in(b["event_type"], value_set=pa.array(["error", "purchase"])))
 
     def nearest(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -128,9 +126,8 @@ def q_events_nearest_join(sf_dir: str) -> pd.DataFrame:
             "gap_us": gap[ok].astype(np.int64),
         })
 
-    out = _collect(ds.map_batches(part, batch_format="pandas")
-                   .groupby("__part").map_groups(nearest, batch_format="pandas")
-                   ).to_pandas()
+    slim = ds.map_batches(two_types, batch_format="pyarrow", zero_copy_batch=True)
+    out = _collect(map_key_buckets(slim, ["user_id"], nearest)).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True).astype(
         {"event_id": "int64", "purchase_id": "int64", "gap_us": "int64"})
 

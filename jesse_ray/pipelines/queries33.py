@@ -12,6 +12,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.rounding import round_half_away
 from jesse_ray.sources import read_table
 
@@ -128,9 +129,7 @@ def q_seq_loo_vocab_value(sf_dir: str) -> pd.DataFrame:
 
     ds = read_sequences(_seq_path(sf_dir), columns=["tokens", "source"])
 
-    from jesse_ray.hashutil import hash_partition_pandas
-
-    def pairs(b: pa.Table) -> pd.DataFrame:
+    def pairs(b: pa.Table) -> pa.Table:
         toks = b["tokens"]
         if isinstance(toks, pa.ChunkedArray):
             toks = toks.combine_chunks()
@@ -141,9 +140,8 @@ def q_seq_loo_vocab_value(sf_dir: str) -> pd.DataFrame:
         parent = pc.list_parent_indices(toks)
         t = pa.table({"token": pc.cast(flat, pa.int64()),
                       "source": pc.fill_null(src, "\\N").take(parent)})
-        g = (t.group_by(["token", "source"]).aggregate([])
-             .rename_columns(["token", "source"])).to_pandas()
-        return hash_partition_pandas(g, ["token"], 64)
+        return (t.group_by(["token", "source"]).aggregate([])
+                .rename_columns(["token", "source"]))
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["token", "source"])
@@ -154,8 +152,8 @@ def q_seq_loo_vocab_value(sf_dir: str) -> pd.DataFrame:
         return (out.groupby("source", as_index=False).size()
                 .rename(columns={"size": "pn"}))
 
-    m = (_collect(ds.map_batches(pairs, batch_format="pyarrow")
-                  .groupby("__part").map_groups(per_part, batch_format="pandas"))
+    rows = ds.map_batches(pairs, batch_format="pyarrow")
+    m = (_collect(map_key_buckets(rows, ["token"], per_part))
          .to_pandas().groupby("source", as_index=False)["pn"].sum()
          .rename(columns={"pn": "exclusive_types"}))
     m["exclusive_types"] = m["exclusive_types"].astype("int64")

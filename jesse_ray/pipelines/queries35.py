@@ -18,6 +18,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.rounding import round_half_away
 from jesse_ray.sources import read_table
 
@@ -99,14 +100,9 @@ def q_events_als_step(sf_dir: str) -> pd.DataFrame:
     and 1e-12 units) through one tiny groupby.  Every float step is a
     stated closed form over integers, so the twin reproduces the
     factors bit-for-bit."""
-    from jesse_ray.hashutil import hash_partition_pandas
-
     ds = read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
     v0 = _v0()
     tidx = {t: i for i, t in enumerate(ALS_TYPES)}
-
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        return hash_partition_pandas(df, ["user_id"], 64)
 
     def solve_users(g: pd.DataFrame) -> pd.DataFrame:
         r = g.groupby(["user_id", "event_type"], as_index=False).size()
@@ -150,9 +146,7 @@ def q_events_als_step(sf_dir: str) -> pd.DataFrame:
             ["sxx11", "sxx12", "sxx22", "sb1", "sb2"]].sum()
         return out
 
-    parts = (_collect(ds.map_batches(part, batch_format="pandas")
-                      .groupby("__part").map_groups(solve_users,
-                                                    batch_format="pandas"))
+    parts = (_collect(map_key_buckets(ds, ["user_id"], solve_users))
              .to_pandas().groupby("ti", as_index=False).sum()
              .sort_values("ti").reset_index(drop=True))
     # item solve from exact integer sums (converted once to float64)

@@ -16,6 +16,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.sources import read_table
 
 from jesse_ray.pipelines.queries import entry
@@ -146,13 +147,8 @@ FROM k ORDER BY 1
 def q_events_per_user_cap(sf_dir: str) -> pd.DataFrame:
     """Coarse user-hash shuffle; per part one mergesort + a vectorized
     within-user rank (cumcount), cap filter, per-type partial counts."""
-    from jesse_ray.hashutil import hash_partition_pandas
-
     ds = read_table(f"{sf_dir}/events.parquet",
                     columns=["event_id", "user_id", "ts", "event_type"])
-
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        return hash_partition_pandas(df, ["user_id"], 64)
 
     def cap(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -166,9 +162,7 @@ def q_events_per_user_cap(sf_dir: str) -> pd.DataFrame:
                              "dropped": [len(g) - len(kept)]})
         return pd.concat([out, drop], ignore_index=True)
 
-    t = (_collect(ds.map_batches(part, batch_format="pandas")
-                  .groupby("__part").map_groups(cap, batch_format="pandas"))
-         .to_pandas())
+    t = _collect(map_key_buckets(ds, ["user_id"], cap)).to_pandas()
     dropped_total = int(t["dropped"].sum())
     agg = (t[t["event_type"] != "__dropped__"]
            .groupby("event_type", as_index=False)["kept"].sum())

@@ -18,7 +18,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from jesse_ray.hashutil import fmix64, hash64_strings, hash_partition_pandas
+from jesse_ray.hashutil import fmix64, hash64_strings, map_key_buckets
 from jesse_ray.pipelines.queries import SEQ_SQL, _collect, entry
 from jesse_ray.sources import read_table
 from jesse_ray.rounding import round_half_away
@@ -77,9 +77,6 @@ def q_events_sessionize(sf_dir: str) -> pd.DataFrame:
             "us": b["ts"].cast(pa.timestamp("us")).cast(pa.int64()),
         })
 
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        return hash_partition_pandas(df, ["user_id"], 64)
-
     def sessions(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "us", "event_id"], kind="mergesort")
         u = g["user_id"].to_numpy()
@@ -101,10 +98,8 @@ def q_events_sessionize(sf_dir: str) -> pd.DataFrame:
         return out.astype({"user_id": "int64", "n_sessions": "int64",
                            "n_events": "int64", "max_session_events": "int64"})
 
-    out = (ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-           .map_batches(part, batch_format="pandas")
-           .groupby("__part")
-           .map_groups(sessions, batch_format="pandas"))
+    prepped = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
+    out = map_key_buckets(prepped, ["user_id"], sessions)
     pdf = _collect(out).to_pandas()
     return pdf.sort_values("user_id").reset_index(drop=True)
 

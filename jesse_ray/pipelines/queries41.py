@@ -16,6 +16,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.sources import read_table
 
 from jesse_ray.pipelines.queries import entry
@@ -57,15 +58,12 @@ def q_orders_join_skew_probe(sf_dir: str) -> pd.DataFrame:
     cl × cr, top-10 by (contribution desc, key asc) plus one TOTAL row
     (key = -1) carrying the full join size — the exact number the
     optimizer needs, for the cost of two narrow scans."""
-    from jesse_ray.hashutil import hash_partition_pandas
-
     def side_counts(path: str, col: str) -> pd.DataFrame:
         ds = read_table(path, columns=[col])
 
-        def partial(b: pa.Table) -> pd.DataFrame:
-            g = (b.group_by(col).aggregate([([], "count_all")])
-                 .rename_columns(["k", "pn"])).to_pandas()
-            return hash_partition_pandas(g, ["k"], 64)
+        def partial(b: pa.Table) -> pa.Table:
+            return (b.group_by(col).aggregate([([], "count_all")])
+                    .rename_columns(["k", "pn"]))
 
         def merge(g: pd.DataFrame) -> pd.DataFrame:
             return (g.groupby("k", as_index=False)["pn"].sum()
@@ -73,9 +71,8 @@ def q_orders_join_skew_probe(sf_dir: str) -> pd.DataFrame:
 
         # coarse key-hash merge — Ray's native sort groupby on a 600k-key
         # stream measured ~20 s at sf0.1; the part pattern is ~1 s
-        return (_collect(ds.map_batches(partial, batch_format="pyarrow")
-                         .groupby("__part").map_groups(merge, batch_format="pandas"))
-                .to_pandas())
+        partials = ds.map_batches(partial, batch_format="pyarrow")
+        return _collect(map_key_buckets(partials, ["k"], merge)).to_pandas()
 
     left = side_counts(f"{sf_dir}/lineitem.parquet", "l_orderkey")
     right = side_counts(f"{sf_dir}/orders.parquet", "o_orderkey")

@@ -19,7 +19,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from jesse_ray.hashutil import hash_partition_pandas
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, entry
 from jesse_ray.sources import read_sequences, read_table
 from jesse_ray.rounding import round_half_away
@@ -174,9 +174,6 @@ def q_orders_ntile(sf_dir: str) -> pd.DataFrame:
     ds = read_table(f"{sf_dir}/orders.parquet",
                     columns=["o_orderkey", "o_orderpriority", "o_totalprice"])
 
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        return hash_partition_pandas(df, ["o_orderpriority"], 64)
-
     def tiles(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["o_orderpriority", "o_totalprice", "o_orderkey"],
                           kind="mergesort")
@@ -203,9 +200,7 @@ def q_orders_ntile(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame(out, columns=["o_orderpriority", "tile", "n",
                                           "lo", "hi"])
 
-    grouped = (ds.map_batches(part, batch_format="pandas")
-               .groupby("__part")
-               .map_groups(tiles, batch_format="pandas"))
+    grouped = map_key_buckets(ds, ["o_orderpriority"], tiles)
     pdf = grouped.to_pandas()
     pdf["lo"] = round_half_away(pdf["lo"], 2)
     pdf["hi"] = round_half_away(pdf["hi"], 2)
@@ -540,9 +535,6 @@ def q_events_running_peak(sf_dir: str) -> pd.DataFrame:
             "sv": sgn,
         })
 
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        return hash_partition_pandas(df, ["user_id"], 64)
-
     def scan(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "us", "event_id"], kind="mergesort")
         u = g["user_id"].to_numpy(dtype=np.int64)
@@ -559,10 +551,8 @@ def q_events_running_peak(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame(out, columns=["user_id", "final_total",
                                           "peak_total", "peak_event_id"])
 
-    grouped = (ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-               .map_batches(part, batch_format="pandas")
-               .groupby("__part")
-               .map_groups(scan, batch_format="pandas"))
+    prepped = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
+    grouped = map_key_buckets(prepped, ["user_id"], scan)
     return (grouped.to_pandas().sort_values("user_id").reset_index(drop=True)
             [["user_id", "final_total", "peak_total", "peak_event_id"]])
 
@@ -783,9 +773,6 @@ def q_events_prior_state(sf_dir: str) -> pd.DataFrame:
             "event_type": b["event_type"],
         })
 
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        return hash_partition_pandas(df, ["user_id"], 64)
-
     def prior(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "us", "event_id"], kind="mergesort")
         u = g["user_id"].to_numpy(dtype=np.int64)
@@ -799,10 +786,8 @@ def q_events_prior_state(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"prior_state": ulab,
                              "n": cnt.astype(np.int64)})
 
-    grouped = (ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-               .map_batches(part, batch_format="pandas")
-               .groupby("__part")
-               .map_groups(prior, batch_format="pandas"))
+    prepped = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
+    grouped = map_key_buckets(prepped, ["user_id"], prior)
     pdf = grouped.to_pandas().groupby("prior_state", as_index=False)["n"].sum()
     pdf["n"] = pdf["n"].astype("int64")
     return pdf.sort_values("prior_state").reset_index(drop=True)
@@ -889,9 +874,6 @@ def q_events_top_paths(sf_dir: str) -> pd.DataFrame:
             "event_type": b["event_type"],
         })
 
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        return hash_partition_pandas(df, ["user_id"], 64)
-
     def paths(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "us", "event_id"], kind="mergesort")
         head = g.groupby("user_id", sort=False).head(5)
@@ -900,10 +882,8 @@ def q_events_top_paths(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"path": cnt.index.to_numpy(),
                              "n_users": cnt.to_numpy(dtype=np.int64)})
 
-    grouped = (ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-               .map_batches(part, batch_format="pandas")
-               .groupby("__part")
-               .map_groups(paths, batch_format="pandas"))
+    prepped = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
+    grouped = map_key_buckets(prepped, ["user_id"], paths)
     pdf = grouped.to_pandas().groupby("path", as_index=False)["n_users"].sum()
     pdf["n_users"] = pdf["n_users"].astype("int64")
     return (pdf.sort_values(["n_users", "path"], ascending=[False, True])

@@ -23,7 +23,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from jesse_ray.hashutil import hash_partition_pandas
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.pipelines.queries import _collect, _sig_parquet_path, entry
 from jesse_ray.sources import read_table
 from jesse_ray.rounding import round_half_away
@@ -420,10 +420,8 @@ def q_events_gapfill(sf_dir: str) -> pd.DataFrame:
                             "missing_days": miss})
         return out.groupby("event_type", as_index=False).sum()
 
-    rows = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True) \
-        .map_batches(lambda df: hash_partition_pandas(df, ["event_type", "user_id"]),
-                     batch_format="pandas")
-    parts = _collect(rows.groupby("__part").map_groups(per_part, batch_format="pandas"))
+    rows = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    parts = _collect(map_key_buckets(rows, ["event_type", "user_id"], per_part))
     pdf = parts.to_pandas().groupby("event_type", as_index=False).sum()
     return (pd.DataFrame({"event_type": pdf["event_type"],
                           "users_with_gaps": pdf["gap_users"].astype("int64"),
@@ -479,9 +477,8 @@ def q_orders_candidate_keys(sf_dir: str) -> pd.DataFrame:
         d = g.drop_duplicates(["col", "v"]).groupby("col", as_index=False).size()
         return d.rename(columns={"size": "nd"})
 
-    rows = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True) \
-        .map_batches(lambda df: hash_partition_pandas(df, ["v"]), batch_format="pandas")
-    parts = _collect(rows.groupby("__part").map_groups(per_part, batch_format="pandas")).to_pandas()
+    rows = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    parts = _collect(map_key_buckets(rows, ["v"], per_part)).to_pandas()
     agg = parts.groupby("col", as_index=False)["nd"].sum().sort_values("col")
     return pd.DataFrame({
         "col": agg["col"].to_numpy(),
@@ -591,9 +588,8 @@ def q_orders_q4ish(sf_dir: str) -> pd.DataFrame:
         d = g.drop_duplicates(["o_orderkey"]).groupby("o_orderpriority", as_index=False).size()
         return d.rename(columns={"size": "n"})
 
-    rows = j.map_batches(late, batch_format="pyarrow", zero_copy_batch=True) \
-        .map_batches(lambda df: hash_partition_pandas(df, ["o_orderkey"]), batch_format="pandas")
-    parts = _collect(rows.groupby("__part").map_groups(per_part, batch_format="pandas")).to_pandas()
+    rows = j.map_batches(late, batch_format="pyarrow", zero_copy_batch=True)
+    parts = _collect(map_key_buckets(rows, ["o_orderkey"], per_part)).to_pandas()
     agg = parts.groupby("o_orderpriority", as_index=False)["n"].sum().sort_values("o_orderpriority")
     return pd.DataFrame({"o_orderpriority": agg["o_orderpriority"].to_numpy(),
                          "n_late": agg["n"].astype("int64").to_numpy()}).reset_index(drop=True)

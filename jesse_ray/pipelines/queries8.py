@@ -19,7 +19,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from jesse_ray.hashutil import hash_partition_pandas
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, entry
 from jesse_ray.pipelines.queries6 import _daily_value_partials, _ts_day
 from jesse_ray.sources import read_sequences, read_table
@@ -270,9 +270,8 @@ def q_events_survival_km(sf_dir: str) -> pd.DataFrame:
         tt = np.where(ev, t2 // _DAY_US - d1, 0)
         return pd.DataFrame({"d1": d1, "tt": tt, "ev": ev.astype("int64")})
 
-    rows = ds.map_batches(to_us, batch_format="pyarrow", zero_copy_batch=True) \
-        .map_batches(lambda df: hash_partition_pandas(df, ["user_id"]), batch_format="pandas")
-    obs = _collect(rows.groupby("__part").map_groups(per_part, batch_format="pandas")).to_pandas()
+    rows = ds.map_batches(to_us, batch_format="pyarrow", zero_copy_batch=True)
+    obs = _collect(map_key_buckets(rows, ["user_id"], per_part)).to_pandas()
     mxd = int(read_table(f"{sf_dir}/events.parquet", columns=["ts"]).map_batches(
         lambda b: pa.table({"m": pa.array([pc.max(b["ts"]).cast(pa.int64()).as_py()])}),
         batch_format="pyarrow").max("m")) // _DAY_US

@@ -24,6 +24,7 @@ from ray.data import Dataset
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from jesse_ray.compiler import _combine
+from jesse_ray.hashutil import map_key_buckets
 
 
 def grouped_agg(
@@ -231,23 +232,18 @@ def grouped_lag(
     alias: str = "lag",
     default: int = -1,
     n_parts: int = 64,
-    batch_size: int = 65536,
 ) -> Dataset:
     """Per-key previous value in event order — LAG() OVER (PARTITION BY
     key ORDER BY order_cols), the windowed building block of as-of
     self-joins (previous observation per entity).
 
-    Shuffles on a COARSE hash of the key (≤``n_parts`` groups — Ray's
-    per-group map_groups overhead makes one group per entity fatal at
-    corpus scale, see dedup._by_coarse_part), then one C-level
-    sort+shift per part handles all of its keys.
+    Shuffles on a COARSE hash of the key through
+    ``hashutil.map_key_buckets`` (≤``n_parts`` groups — Ray's per-group
+    map_groups overhead makes one group per entity fatal at corpus
+    scale), then one C-level sort+shift per part handles all of its
+    keys.
     """
     order_cols = list(order_cols)
-
-    from jesse_ray.hashutil import hash_partition_pandas
-
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        return hash_partition_pandas(df, [key], n_parts)
 
     def lag_many(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, *order_cols], kind="mergesort")
@@ -263,11 +259,7 @@ def grouped_lag(
         out[alias] = prev
         return out
 
-    return (
-        ds.map_batches(part, batch_format="pandas", batch_size=batch_size)
-        .groupby("__part")
-        .map_groups(lag_many, batch_format="pandas")
-    )
+    return map_key_buckets(ds, [key], lag_many, n_parts=n_parts)
 
 
 def grouped_rolling(
@@ -280,7 +272,6 @@ def grouped_rolling(
     sum_alias: str = "roll_sum",
     cnt_alias: str = "roll_cnt",
     n_parts: int = 64,
-    batch_size: int = 65536,
     exact_decimals: int | None = None,
 ) -> Dataset:
     """Per-key trailing-window aggregate: for every row, the SUM and
@@ -301,11 +292,6 @@ def grouped_rolling(
     units of 10^-d instead of float64 — the float prefix-sum otherwise
     carries O(n)-accumulated error (~1e-13 observed at 100k rows) that
     splits bit-exact comparison against an engine summing per-window."""
-
-    from jesse_ray.hashutil import hash_partition_pandas
-
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        return hash_partition_pandas(df, [key], n_parts)
 
     w = np.int64(window_us)
 
@@ -343,11 +329,7 @@ def grouped_rolling(
         out[cnt_alias] = (hi - lo).astype(np.int64)
         return out
 
-    return (
-        ds.map_batches(part, batch_format="pandas", batch_size=batch_size)
-        .groupby("__part")
-        .map_groups(roll_many, batch_format="pandas")
-    )
+    return map_key_buckets(ds, [key], roll_many, n_parts=n_parts)
 
 
 def grouped_cumsum(
@@ -358,7 +340,6 @@ def grouped_cumsum(
     *,
     alias: str = "run_sum",
     n_parts: int = 64,
-    batch_size: int = 65536,
     exact_decimals: int | None = None,
 ) -> Dataset:
     """Per-key running total in event order — ``SUM(v) OVER (PARTITION
@@ -382,11 +363,6 @@ def grouped_cumsum(
     """
     order_cols = list(order_cols)
     sort_cols = [key, *order_cols]
-
-    from jesse_ray.hashutil import hash_partition_pandas
-
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        return hash_partition_pandas(df, [key], n_parts)
 
     def cum_many(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(sort_cols, kind="mergesort")
@@ -418,11 +394,7 @@ def grouped_cumsum(
         out[alias] = run
         return out
 
-    return (
-        ds.map_batches(part, batch_format="pandas", batch_size=batch_size)
-        .groupby("__part")
-        .map_groups(cum_many, batch_format="pandas")
-    )
+    return map_key_buckets(ds, [key], cum_many, n_parts=n_parts)
 
 
 def grouped_count_distinct(
@@ -630,7 +602,6 @@ def sessionize(
     gap_s: float,
     order_cols: Sequence[str] = (),
     n_parts: int = 64,
-    batch_size: int = 65536,
 ) -> Dataset:
     """Inactivity-gap sessionization: events of one ``key`` sorted by
     event time belong to the same session until a gap larger than
@@ -650,11 +621,6 @@ def sessionize(
     """
     gap_us = int(round(gap_s * 1_000_000))
     order_cols = list(order_cols)
-
-    from jesse_ray.hashutil import hash_partition_pandas
-
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        return hash_partition_pandas(df, [key], n_parts)
 
     def sessions_many(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, ts_col, *order_cols], kind="mergesort")
@@ -684,11 +650,7 @@ def sessionize(
             }
         )
 
-    return (
-        ds.map_batches(part, batch_format="pandas", batch_size=batch_size)
-        .groupby("__part")
-        .map_groups(sessions_many, batch_format="pandas")
-    )
+    return map_key_buckets(ds, [key], sessions_many, n_parts=n_parts)
 
 
 def _element_parts(arr: pa.Array, n_parts: int) -> np.ndarray:
@@ -1984,7 +1946,6 @@ def latest_by_key(
     *,
     keep: str = "last",
     n_parts: int = 64,
-    batch_size: int = 65536,
 ) -> Dataset:
     """CDC-style latest-state compaction (upsert / merge-on-read): keep,
     per key, the single row that is greatest by ``order_cols`` (e.g.
@@ -2000,8 +1961,6 @@ def latest_by_key(
     sort + drop_duplicates per part.  Output types are restored to the
     input Arrow schema (the pandas round-trip must not upcast int keys
     — see hash_join's same fix)."""
-    from jesse_ray.hashutil import hash_partition_pandas
-
     if keep not in ("first", "last"):
         raise ValueError(f"keep must be 'first' or 'last', got {keep!r}")
     types = _arrow_types(ds)
@@ -2009,19 +1968,15 @@ def latest_by_key(
     sort_cols = [key, *order_cols]
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(sort_cols, kind="mergesort").drop_duplicates(subset=[key], keep=keep)
-        return hash_partition_pandas(df, [key], n_parts)
+        return df.sort_values(sort_cols, kind="mergesort").drop_duplicates(subset=[key], keep=keep)
 
     def final(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(sort_cols, kind="mergesort").drop_duplicates(subset=[key], keep=keep)
         arrs = {c: pa.Array.from_pandas(g[c], type=types[c]) for c in cols}
         return pa.table(arrs)
 
-    return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=batch_size)
-        .groupby("__part")
-        .map_groups(final, batch_format="pandas")
-    )
+    kept = ds.map_batches(partial, batch_format="pandas")
+    return map_key_buckets(kept, [key], final, n_parts=n_parts)
 
 
 def scd2_intervals(
@@ -2032,7 +1987,6 @@ def scd2_intervals(
     valid_from: str = "valid_from",
     valid_to: str = "valid_to",
     n_parts: int = 64,
-    batch_size: int = 65536,
 ) -> Dataset:
     """Slowly-changing-dimension type-2 intervalization: turn a changelog
     (one row per change event) into versioned rows with half-open
@@ -2051,15 +2005,10 @@ def scd2_intervals(
     versioned output needs before calling.  Output Arrow types are
     restored from the input schema; ``valid_to`` gets the event-time
     column's type (nullable)."""
-    from jesse_ray.hashutil import hash_partition_pandas
-
     ts_col = order_cols[0]
     types = _arrow_types(ds)
     cols = list(types.keys())
     sort_cols = [key, *order_cols]
-
-    def part(df: pd.DataFrame) -> pd.DataFrame:
-        return hash_partition_pandas(df, [key], n_parts)
 
     def intervalize(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(sort_cols, kind="mergesort")
@@ -2073,11 +2022,7 @@ def scd2_intervals(
             out = out.append_column(valid_from, out[ts_col])
         return out
 
-    return (
-        ds.map_batches(part, batch_format="pandas", batch_size=batch_size)
-        .groupby("__part")
-        .map_groups(intervalize, batch_format="pandas")
-    )
+    return map_key_buckets(ds, [key], intervalize, n_parts=n_parts)
 
 
 def column_profile(

@@ -645,16 +645,58 @@ def test_inband_uniqueness_two_keys(ray_session):
     assert [p[0] for p in want["path"].to_pylist()].count("alt") == 50
 
 
-def test_hash_partition_rejects_non_power_of_two():
-    import pandas as pd
+def test_map_key_buckets_rejects_non_power_of_two(ray_session):
+    from jesse_ray.hashutil import map_key_buckets
 
-    from jesse_ray.hashutil import hash_partition_pandas
-
-    df = pd.DataFrame({"u": [1, 2, 3]})
-    assert hash_partition_pandas(df, ["u"], 4)["__part"].between(0, 3).all()
+    ds = ray.data.from_arrow(pa.table({"u": [1, 2, 3]}))
+    parts = map_key_buckets(ds, ["u"], lambda g: g[["__part"]], n_parts=4).to_pandas()["__part"]
+    assert len(parts) == 3 and parts.between(0, 3).all()
     for bad in (48, 0):
         with pytest.raises(ValueError, match="power of two"):
-            hash_partition_pandas(df, ["u"], bad)
+            map_key_buckets(ds, ["u"], lambda g: g, n_parts=bad)
+
+
+_BUCKET_KEYS = {
+    "int64": pa.array([i % 37 - 18 for i in range(600)], type=pa.int64()),
+    "int32": pa.array([(i * 7) % 41 for i in range(600)], type=pa.int32()),
+    "string": pa.array([None if i % 11 == 0 else f"k{i % 29}é漢\u00ff" for i in range(600)]),
+    "float64": pa.array([float("nan") if i % 13 == 0 else (i % 31) / 4 for i in range(600)]),
+    "date32": pa.array([i % 43 for i in range(600)], type=pa.int32()).cast(pa.date32()),
+    "timestamp": pa.array([(i % 47) * 1_000_003 for i in range(600)], type=pa.int64()).cast(pa.timestamp("us")),
+}
+
+
+@pytest.mark.parametrize("key", [*_BUCKET_KEYS, "two_columns"])
+def test_map_key_buckets_keeps_each_key_in_one_call(ray_session, key):
+    """Every distinct key value, null and NaN included, reaches exactly
+    one ``fn`` call, and ``__part`` is the pandas hash of the key as the
+    Arrow column converts to pandas (a Series for one column) — the
+    buckets the catalog's per-key stages saw before the helper."""
+    import uuid
+
+    import pandas as pd
+
+    from jesse_ray.hashutil import map_key_buckets
+
+    if key == "two_columns":
+        cols = {"k0": _BUCKET_KEYS["string"], "k1": _BUCKET_KEYS["int32"]}
+    else:
+        cols = {"k0": _BUCKET_KEYS[key]}
+    tbl = pa.table({**cols, "row": pa.array(range(600), type=pa.int64())})
+    ds = ray.data.from_arrow([tbl.slice(i, 150) for i in range(0, 600, 150)])
+    keys = tbl.select(list(cols)).to_pandas()
+    want = pd.util.hash_pandas_object(keys if len(cols) > 1 else keys["k0"], index=False).to_numpy(np.uint64)
+
+    def tag_call(g):
+        return g.assign(call=uuid.uuid4().hex)
+
+    for n_parts in (1, 4, 64):
+        got = map_key_buckets(ds, list(cols), tag_call, n_parts=n_parts).to_pandas().sort_values("row")
+        assert got["row"].tolist() == list(range(600))
+        assert (got["__part"].to_numpy() == (want & np.uint64(n_parts - 1)).astype(np.int64)).all()
+        calls = got.groupby(list(cols), dropna=False)["call"].nunique()
+        assert len(calls) == len(keys.drop_duplicates()) and (calls == 1).all()
+        assert got["call"].nunique() <= n_parts
 
 
 def test_multimodal_plumbing(ray_session):
@@ -929,6 +971,19 @@ def test_write_violations_starts_no_execution(ray_session, tmp_path, monkeypatch
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         f"part-{i:05d}.parquet" for i in range(len(blocks))
     ] + ["unique_violations.parquet"]
+
+
+def test_all_violations_table_after_materialize_starts_no_execution(ray_session, monkeypatch):
+    """After ``materialize()``, ``all_violations_table()`` fetches the
+    pinned blocks: no Ray Data execution starts, and the table is the
+    lazy route's, byte for byte."""
+    blocks, spec = _keyed_corpus()
+    lazy = validate_dataset(ray.data.from_arrow(blocks), spec).all_violations_table()
+    res = validate_dataset(ray.data.from_arrow(blocks), spec).materialize()
+    started = _count_executions(monkeypatch)
+    pinned = res.all_violations_table()
+    assert started == []
+    assert pinned.num_rows > 0 and _ipc(pinned) == _ipc(lazy)
 
 
 def test_write_violations_sink_counters(ray_session, tmp_path):
