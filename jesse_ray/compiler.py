@@ -82,6 +82,14 @@ def _is_numeric(t: pa.DataType) -> bool:
     return pa.types.is_integer(t) or pa.types.is_floating(t) or pa.types.is_decimal(t)
 
 
+def _is_str(t: pa.DataType) -> bool:
+    return pa.types.is_string(t) or pa.types.is_large_string(t)
+
+
+def _is_list(t: pa.DataType) -> bool:
+    return pa.types.is_list(t) or pa.types.is_large_list(t)
+
+
 def _to_f64(arr: pa.Array) -> np.ndarray:
     return arr.cast(pa.float64()).to_numpy(zero_copy_only=False)
 
@@ -198,7 +206,7 @@ def _json_text(arr: pa.Array) -> pa.Array:
     t = arr.type
     if pa.types.is_integer(t):
         text, rows = pc.cast(arr, pa.string()), ()
-    elif pa.types.is_string(t) or pa.types.is_large_string(t):
+    elif _is_str(t):
         text = _quoted(arr)
         rows = np.flatnonzero(_np_mask(pc.match_substring_regex(arr, _JSON_ESCAPE_RE), len(arr)))
     else:
@@ -255,7 +263,7 @@ def _doc_ids(key_arr: Optional[pa.Array], idx: np.ndarray) -> pa.Array:
         return pa.nulls(len(idx), type=pa.string())
     docs = key_arr.take(pa.array(idx, type=pa.int64()))
     t = docs.type
-    if pa.types.is_string(t) or pa.types.is_large_string(t) or pa.types.is_integer(t):
+    if _is_str(t) or pa.types.is_integer(t):
         return pc.cast(docs, pa.string())
     return pa.array([None if d is None else str(d) for d in docs.to_pylist()], type=pa.string())
 
@@ -320,7 +328,7 @@ _ARROW_TYPE_OK: dict[str, Callable[[pa.DataType], bool]] = {
     # draft-04 primitive membership (src/jesse_validator_draft4.erl:306-318);
     # integer ⊂ number; draft-4 floats are NOT integers even with zero
     # fraction (contrast draft-6, src/jesse_validator_draft6.erl:344-355)
-    "string": lambda t: pa.types.is_string(t) or pa.types.is_large_string(t),
+    "string": _is_str,
     # scale-0 decimals are Erlang bignums (arbitrary-precision integers
     # beyond int64, src/jesse_lib.erl:219-261) — they hold ONLY integral
     # values, so they satisfy "integer"; scale>0 decimals are "number"
@@ -328,8 +336,7 @@ _ARROW_TYPE_OK: dict[str, Callable[[pa.DataType], bool]] = {
     or (pa.types.is_decimal(t) and t.scale == 0),
     "number": _is_numeric,
     "boolean": pa.types.is_boolean,
-    "array": lambda t: pa.types.is_list(t) or pa.types.is_large_list(t)
-    or pa.types.is_fixed_size_list(t),
+    "array": lambda t: _is_list(t) or pa.types.is_fixed_size_list(t),
     "object": pa.types.is_struct,
     "null": pa.types.is_null,
     "any": lambda t: True,
@@ -696,17 +703,17 @@ class CompiledSpec:
         # (it pins an Arrow batch) is never shipped
         return (CompiledSpec, (self.spec,))
 
-    def _type_valid_mask(self, cs: ColumnSpec, arr: pa.Array) -> np.ndarray:
+    def _type_valid_mask(self, cs: ColumnSpec, arr: pa.Array) -> Optional[np.ndarray]:
         """Value-level ``type`` mask: static primitive membership, the
         draft-6 ``integer`` leniency (floats with zero fraction pass,
         src/jesse_validator_draft6.erl:344-355), and draft-3 union
-        schema members (src/jesse_validator_draft3.erl:304-328)."""
-        n = len(arr)
-        prim_ok = _type_ok(cs.type, arr.type) if cs.type is not None else False
-        ok = np.full(n, prim_ok, dtype=bool)
+        schema members (src/jesse_validator_draft3.erl:304-328).  None
+        when a primitive type the dtype satisfies passes every value."""
+        if cs.type is not None and _type_ok(cs.type, arr.type):
+            return None
+        ok = np.zeros(len(arr), dtype=bool)
         if (
-            not prim_ok
-            and self.dialect == "draft6"
+            self.dialect == "draft6"
             and cs.type is not None
             and ("integer" in ([cs.type] if isinstance(cs.type, str) else cs.type))
             and pa.types.is_floating(arr.type)
@@ -714,9 +721,8 @@ class CompiledSpec:
             v = _to_f64(arr)
             with np.errstate(invalid="ignore"):
                 ok |= v == np.trunc(v)
-        if cs.type_schemas:
-            for sub in cs.type_schemas:
-                ok |= self._spec_valid_mask(sub, arr)
+        for sub in cs.type_schemas or ():
+            ok |= self._spec_valid_mask(sub, arr)
         return ok
 
     def _disallow_match_mask(self, cs: ColumnSpec, arr: pa.Array) -> np.ndarray:
@@ -734,76 +740,19 @@ class CompiledSpec:
     # -- mask evaluation for one ColumnSpec on one (possibly flat) array --
     def _spec_valid_mask(self, cs: ColumnSpec, arr: pa.Array) -> np.ndarray:
         """True where the value passes ALL keywords of ``cs`` (presence
-        handled by caller).  Used for combinator sub-schemas and list
-        items.  A primitive ``type`` the dtype satisfies passes every
-        value, so its mask is not built."""
-        n = len(arr)
-        ok = np.ones(n, dtype=bool)
-        statically_ok = cs.type is not None and _type_ok(cs.type, arr.type)
-        if (cs.type is not None or cs.type_schemas is not None) and not statically_ok:
-            ok &= self._type_valid_mask(cs, arr)
-            if not ok.any():
-                return ok
-        is_num = _is_numeric(arr.type)
-        is_str = pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type)
-        is_list = pa.types.is_list(arr.type) or pa.types.is_large_list(arr.type)
-        if cs.enum is not None:
-            ok &= _enum_mask(arr, cs.enum)
-        if cs.has_const:
-            ok &= _enum_mask(arr, [cs.const])
-        if (cs.minimum is not None or cs.maximum is not None) and is_num:
-            ok &= _range_mask(arr, cs.minimum, cs.exclusive_minimum, cs.maximum, cs.exclusive_maximum)
-        if cs.multiple_of is not None and is_num:
-            ok &= _multiple_of_mask(arr, cs.multiple_of)
-        if cs.pattern is not None and is_str:
-            ok &= _pattern_mask(arr, cs.pattern)
-        if (cs.min_length is not None or cs.max_length is not None) and is_str:
-            ok &= _strlen_mask(arr, cs.min_length, cs.max_length)
-        if cs.format is not None and is_str:
-            ok &= _format_mask(arr, cs.format)
-        if is_list and (cs.min_items is not None or cs.max_items is not None):
-            ln = pc.fill_null(pc.list_value_length(arr), 0).to_numpy(zero_copy_only=False)
-            if cs.min_items is not None:
-                ok &= ln >= cs.min_items
-            if cs.max_items is not None:
-                ok &= ln <= cs.max_items
-        if is_list and cs.unique_items:
-            dup_rows, _ = _unique_items_dups(arr)
-            ok[dup_rows] = False
-        if is_list and cs.items is not None:
-            ok[self._failing_item_rows(cs.items, arr)] = False
-        if is_list and cs.items_positional is not None:
-            bad_rows, _details, _flat = self._positional_bad_rows(cs, arr)
-            ok[bad_rows] = False
-        if cs.all_of:
-            for sub in cs.all_of:
-                ok &= self._spec_valid_mask(sub, arr)
-        if cs.any_of:
-            anyok = np.zeros(n, dtype=bool)
-            for sub in cs.any_of:
-                anyok |= self._spec_valid_mask(sub, arr)
-            ok &= anyok
-        if cs.one_of:
-            cnt = np.zeros(n, dtype=np.int32)
-            for sub in cs.one_of:
-                cnt += self._spec_valid_mask(sub, arr).astype(np.int32)
-            ok &= cnt == 1
-        if cs.not_ is not None:
-            ok &= ~self._spec_valid_mask(cs.not_, arr)
-        if cs.divisible_by is not None and is_num:
-            if cs.divisible_by == 0:
-                ok &= False  # divisor 0: every value not_divisible (draft-3)
-            else:
-                ok &= _multiple_of_mask(arr, cs.divisible_by)
-        if cs.disallow is not None or cs.disallow_schemas:
-            ok &= ~self._disallow_match_mask(cs, arr)
-        if is_list and cs.contains is not None:
-            ok &= self._contains_mask(cs.contains, arr)
-        if pa.types.is_struct(arr.type) and (
-            cs.properties or cs.required_props or cs.pattern_props
-            or not cs.additional_props_allowed
-        ):
-            ok &= self._struct_props_mask(cs, arr)
+        handled by caller): the AND of every :data:`_KEYWORDS` mask.
+        Used for combinator sub-schemas and list items.  A primitive
+        ``type`` the dtype satisfies passes every value, so its mask is
+        not built; no value of the right type ends the walk."""
+        ok = np.ones(len(arr), dtype=bool)
+        for kw in _KEYWORDS:
+            if not kw.applies(cs, arr.type):
+                continue
+            for _atom, m in kw.masks(self, cs, arr):
+                if m is not None:
+                    ok &= m
+                    if kw is _TYPE and not ok.any():
+                        return ok
         return ok
 
     def _failing_items(self, sub: ColumnSpec, col: pa.Array):
@@ -933,20 +882,11 @@ class CompiledSpec:
             idx = np.flatnonzero(gate & mask)
             if len(idx):
                 _out_add(out, idx, self._values_json(arr, idx), path, atom)
-        is_list = pa.types.is_list(arr.type) or pa.types.is_large_list(arr.type)
-        if is_list and cs.items is not None:
+        if _ITEMS.applies(cs, arr.type):
             rows, vals, paths = self._item_violations(cs.items, arr, gate, path)
             if len(rows):
-                atom = (
-                    E.NOT_IN_RANGE
-                    if (cs.items.minimum is not None or cs.items.maximum is not None)
-                    else E.NOT_SCHEMA_VALID
-                )
-                _out_add(out, rows, vals, paths, atom)
-        if pa.types.is_struct(arr.type) and (
-            cs.properties or cs.required_props or cs.pattern_props
-            or not cs.additional_props_allowed
-        ):
+                _out_add(out, rows, vals, paths, _items_atom(cs.items))
+        if _PROPERTIES.applies(cs, arr.type):
             self._walk_struct(arr, gate, cs, path, out)
 
     def _struct_extra_props_mask(self, cs: ColumnSpec, arr: pa.Array) -> np.ndarray:
@@ -973,106 +913,24 @@ class CompiledSpec:
         skip_items: bool = False,
         skip_struct: bool = False,
     ) -> list[tuple[str, np.ndarray]]:
-        """Per-keyword (error_atom, fail_mask) pairs for one sub-schema —
-        the vectorized analogue of the child error lists jesse collects
-        per anyOf attempt (src/jesse_validator_draft4.erl:1156-1179).
-        Keyword order mirrors _spec_valid_mask; combinator children are
-        reported as their single combinator atom.  ``skip_items`` /
+        """Per-keyword (error_atom, fail_mask) pairs for one sub-schema, in
+        :data:`_KEYWORDS` order — the vectorized analogue of the child
+        error lists jesse collects per anyOf attempt
+        (src/jesse_validator_draft4.erl:1156-1179).  Combinator children
+        are reported as their single combinator atom.  ``skip_items`` /
         ``skip_struct`` let the nested-struct walker handle those two
         keyword families itself with full per-element / per-property
         path descent instead of a coarse roll-up atom."""
-        n = len(arr)
+        skip = (_ITEMS if skip_items else None, _PROPERTIES if skip_struct else None)
         out: list[tuple[str, np.ndarray]] = []
-
-        def add(atom: str, ok: np.ndarray) -> None:
-            fail = ~ok
-            if fail.any():
-                out.append((atom, fail))
-
-        if cs.type is not None or cs.type_schemas is not None:
-            add(E.WRONG_TYPE, self._type_valid_mask(cs, arr))
-        is_num = _is_numeric(arr.type)
-        is_str = pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type)
-        is_list = pa.types.is_list(arr.type) or pa.types.is_large_list(arr.type)
-        if cs.enum is not None:
-            add(E.NOT_IN_ENUM, _enum_mask(arr, cs.enum))
-        if cs.has_const:
-            add(E.NOT_IN_ENUM, _enum_mask(arr, [cs.const]))
-        if (cs.minimum is not None or cs.maximum is not None) and is_num:
-            add(E.NOT_IN_RANGE, _range_mask(arr, cs.minimum, cs.exclusive_minimum, cs.maximum, cs.exclusive_maximum))
-        if cs.multiple_of is not None and is_num:
-            add(E.NOT_MULTIPLE_OF, _multiple_of_mask(arr, cs.multiple_of))
-        if cs.pattern is not None and is_str:
-            add(E.NO_MATCH, _pattern_mask(arr, cs.pattern))
-        if (cs.min_length is not None or cs.max_length is not None) and is_str:
-            add(E.WRONG_LENGTH, _strlen_mask(arr, cs.min_length, cs.max_length))
-        if cs.format is not None and is_str:
-            add(E.WRONG_FORMAT, _format_mask(arr, cs.format))
-        if is_list and (cs.min_items is not None or cs.max_items is not None):
-            ln = pc.fill_null(pc.list_value_length(arr), 0).to_numpy(zero_copy_only=False)
-            ok = np.ones(n, dtype=bool)
-            if cs.min_items is not None:
-                ok &= ln >= cs.min_items
-            if cs.max_items is not None:
-                ok &= ln <= cs.max_items
-            add(E.WRONG_SIZE, ok)
-        if is_list and cs.unique_items:
-            ok = np.ones(n, dtype=bool)
-            dup_rows, _ = _unique_items_dups(arr)
-            ok[dup_rows] = False
-            add(E.NOT_UNIQUE, ok)
-        if is_list and cs.items is not None and not skip_items:
-            ok = np.ones(n, dtype=bool)
-            ok[self._failing_item_rows(cs.items, arr)] = False
-            add(E.NOT_SCHEMA_VALID, ok)
-        if is_list and cs.items_positional is not None:
-            bad_rows, details, _flat = self._positional_bad_rows(cs, arr)
-            ok = np.ones(n, dtype=bool)
-            ok[bad_rows] = False
-            # report the dominant atom: no_extra_items_allowed rows keep
-            # their atom, the rest are not_schema_valid
-            extra_rows = {d[1] for d in details if d[3] == E.NO_EXTRA_ITEMS_ALLOWED}
-            if extra_rows:
-                ok_extra = np.ones(n, dtype=bool)
-                ok_extra[sorted(extra_rows)] = False
-                add(E.NO_EXTRA_ITEMS_ALLOWED, ok_extra)
-                ok2 = np.ones(n, dtype=bool)
-                ok2[[r for r in bad_rows if r not in extra_rows]] = False
-                add(E.NOT_SCHEMA_VALID, ok2)
-            else:
-                add(E.NOT_SCHEMA_VALID, ok)
-        if cs.all_of:
-            ok = np.ones(n, dtype=bool)
-            for sub in cs.all_of:
-                ok &= self._spec_valid_mask(sub, arr)
-            add(E.ALL_SCHEMAS_NOT_VALID, ok)
-        if cs.any_of:
-            ok = np.zeros(n, dtype=bool)
-            for sub in cs.any_of:
-                ok |= self._spec_valid_mask(sub, arr)
-            add(E.ANY_SCHEMAS_NOT_VALID, ok)
-        if cs.one_of:
-            cnt = np.zeros(n, dtype=np.int32)
-            for sub in cs.one_of:
-                cnt += self._spec_valid_mask(sub, arr).astype(np.int32)
-            add(E.NOT_ONE_SCHEMA_VALID, cnt >= 1)
-            add(E.MORE_THAN_ONE_SCHEMA_VALID, cnt <= 1)
-        if cs.not_ is not None:
-            add(E.NOT_SCHEMA_VALID, ~self._spec_valid_mask(cs.not_, arr))
-        if cs.divisible_by is not None and is_num:
-            ok = np.zeros(n, dtype=bool) if cs.divisible_by == 0 else _multiple_of_mask(arr, cs.divisible_by)
-            add(E.NOT_DIVISIBLE, ok)
-        if cs.disallow is not None or cs.disallow_schemas:
-            add(E.NOT_ALLOWED, ~self._disallow_match_mask(cs, arr))
-        if is_list and cs.contains is not None:
-            add(E.DATA_INVALID, self._contains_mask(cs.contains, arr))
-        if (
-            not skip_struct
-            and pa.types.is_struct(arr.type)
-            and (cs.properties or cs.required_props or cs.pattern_props
-                 or not cs.additional_props_allowed)
-        ):
-            add(E.NOT_SCHEMA_VALID, self._struct_props_mask(cs, arr))
+        for kw in _KEYWORDS:
+            if kw in skip or not kw.applies(cs, arr.type):
+                continue
+            for atom, ok in kw.masks(self, cs, arr):
+                if ok is not None:
+                    fail = ~ok
+                    if fail.any():
+                        out.append((atom, fail))
         return out
 
     def _positional_bad_rows(self, cs: ColumnSpec, arr: pa.Array):
@@ -1170,24 +1028,30 @@ class CompiledSpec:
             fn,
         )
 
-    def _col_ctx(self, tbl: pa.Table, col: str):
-        # per-batch memo: every emission unit asks for its column(s), so
-        # the same column would otherwise be re-combined and re-masked
-        # once per keyword.  Keyed on the table identity; one batch is
-        # in flight per worker at a time.
-        cache = getattr(self, "_ctx_cache", None)
+    def _memo(self, tbl: pa.Table, key, compute: Callable[[], Any]):
+        """``compute()`` once per batch: the emission units of one batch
+        share what they ask for twice (a column and its presence mask, a
+        keyword evaluation that several emits report).  Keyed on the
+        table identity; one batch is in flight per worker at a time."""
+        cache = getattr(self, "_batch_memo", None)
         if cache is None or cache[0] is not tbl:
             cache = (tbl, {})
-            self._ctx_cache = cache
-        if col in cache[1]:
-            return cache[1][col]
-        if col not in tbl.column_names:
-            out = (None, None)
-        else:
+            self._batch_memo = cache
+        if key not in cache[1]:
+            cache[1][key] = compute()
+        return cache[1][key]
+
+    def _col_ctx(self, tbl: pa.Table, col: str):
+        """(column array, presence mask), or (None, None) for a column the
+        batch lacks; combined and masked once per batch."""
+
+        def ctx():
+            if col not in tbl.column_names:
+                return None, None
             arr = _combine(tbl[col])
-            out = (arr, _np_mask(pc.is_valid(arr), len(arr)))
-        cache[1][col] = out
-        return out
+            return arr, _np_mask(pc.is_valid(arr), len(arr))
+
+        return self._memo(tbl, col, ctx)
 
     def _add(self, name, error, path, fragment_obj, fn):
         self._emits.append(
@@ -1210,8 +1074,6 @@ class CompiledSpec:
         return _json_text(arr.take(pa.array(idx, type=pa.int64())))
 
     def _build_column(self, col: str, cs: ColumnSpec) -> None:
-        frag = cs.to_fragment()
-
         if cs.required:
             # missing_required_property (src/jesse_validator_draft4.erl:1044-1058);
             # Value in the reference is the enclosing object — we record JSON null.
@@ -1226,345 +1088,136 @@ class CompiledSpec:
 
             self._add(f"required:{col}", E.MISSING_REQUIRED_PROPERTY, [col], {"required": [col]}, req_fn)
 
-        def simple(name, error, frag_obj, mask_fn, col=col):
-            def fn(tbl, col=col, mask_fn=mask_fn):
+        for kw in _KEYWORDS:
+            if kw.has(cs):
+                (kw.emit or CompiledSpec._plain_emits)(self, col, cs, kw)
+
+    def _plain_emits(self, col: str, cs: ColumnSpec, kw: "_Keyword") -> None:
+        """One emit per atom of ``kw``: the present rows its ok mask fails,
+        with their values (or ``kw.value``) as value_json."""
+        frag = kw.frag(cs)
+        for i, (name, atom) in enumerate(zip(kw.names, kw.atoms)):
+            def fn(tbl, i=i):
                 arr, present = self._col_ctx(tbl, col)
-                if arr is None:
+                if arr is None or not kw.dtype(arr.type):
                     return _NO_VIOLATIONS
-                ok = mask_fn(arr)
-                idx = np.flatnonzero(present & ~ok)
-                return idx, self._values_json(arr, idx), None
-
-            self._add(f"{name}:{col}", error, [col], frag_obj, fn)
-
-        if cs.type is not None or cs.type_schemas is not None:
-            # wrong_type (src/jesse_validator_draft4.erl:288-318).  For a
-            # pure-primitive draft-4 type the column's Arrow dtype is
-            # static (all-pass or all-fail); draft-6 integer leniency and
-            # draft-3 union schema members are value-level (_type_valid_mask).
-            type_frag = {"type": cs.type} if cs.type_schemas is None else {
-                "type": ([cs.type] if isinstance(cs.type, str) else (cs.type or []))
-                + [s.to_fragment() for s in cs.type_schemas]
-            }
-            simple("type", E.WRONG_TYPE, type_frag, lambda a, c=cs: self._type_valid_mask(c, a))
-
-        if cs.enum is not None:
-            simple("enum", E.NOT_IN_ENUM, {"enum": cs.enum}, lambda a, v=cs.enum: _enum_mask(a, v))
-        if cs.has_const:
-            simple("const", E.NOT_IN_ENUM, {"const": cs.const}, lambda a, v=cs.const: _enum_mask(a, [v]))
-
-        if cs.minimum is not None or cs.maximum is not None:
-            rng_frag = {
-                k: v
-                for k, v in (
-                    ("minimum", cs.minimum),
-                    ("exclusiveMinimum", cs.exclusive_minimum or None),
-                    ("maximum", cs.maximum),
-                    ("exclusiveMaximum", cs.exclusive_maximum or None),
-                )
-                if v is not None
-            }
-            simple(
-                "range",
-                E.NOT_IN_RANGE,
-                rng_frag,
-                lambda a, lo=cs.minimum, le=cs.exclusive_minimum, hi=cs.maximum, he=cs.exclusive_maximum: _range_mask(a, lo, le, hi, he)
-                if _is_numeric(a.type)
-                else np.ones(len(a), dtype=bool),
-            )
-
-        if cs.multiple_of is not None:
-            simple(
-                "multipleOf",
-                E.NOT_MULTIPLE_OF,
-                {"multipleOf": cs.multiple_of},
-                lambda a, m=cs.multiple_of: _multiple_of_mask(a, m) if _is_numeric(a.type) else np.ones(len(a), dtype=bool),
-            )
-
-        if cs.pattern is not None:
-            simple(
-                "pattern",
-                E.NO_MATCH,
-                {"pattern": cs.pattern},
-                lambda a, p=cs.pattern: _pattern_mask(a, p)
-                if pa.types.is_string(a.type) or pa.types.is_large_string(a.type)
-                else np.ones(len(a), dtype=bool),
-            )
-
-        if cs.min_length is not None or cs.max_length is not None:
-            ln_frag = {
-                k: v for k, v in (("minLength", cs.min_length), ("maxLength", cs.max_length)) if v is not None
-            }
-            simple(
-                "length",
-                E.WRONG_LENGTH,
-                ln_frag,
-                lambda a, lo=cs.min_length, hi=cs.max_length: _strlen_mask(a, lo, hi)
-                if pa.types.is_string(a.type) or pa.types.is_large_string(a.type)
-                else np.ones(len(a), dtype=bool),
-            )
-
-        if cs.format is not None:
-            simple(
-                "format",
-                E.WRONG_FORMAT,
-                {"format": cs.format},
-                lambda a, f=cs.format: _format_mask(a, f)
-                if pa.types.is_string(a.type) or pa.types.is_large_string(a.type)
-                else np.ones(len(a), dtype=bool),
-            )
-
-        if cs.min_items is not None or cs.max_items is not None:
-            it_frag = {
-                k: v for k, v in (("minItems", cs.min_items), ("maxItems", cs.max_items)) if v is not None
-            }
-
-            def items_len_mask(a, lo=cs.min_items, hi=cs.max_items):
-                if not (pa.types.is_list(a.type) or pa.types.is_large_list(a.type)):
-                    return np.ones(len(a), dtype=bool)
-                ln = pc.fill_null(pc.list_value_length(a), 0).to_numpy(zero_copy_only=False)
-                ok = np.ones(len(a), dtype=bool)
-                if lo is not None:
-                    ok &= ln >= lo
-                if hi is not None:
-                    ok &= ln <= hi
-                return ok
-
-            def items_len_fn(tbl, col=col, mask_fn=items_len_mask):
-                arr, present = self._col_ctx(tbl, col)
-                if arr is None:
+                if len(kw.atoms) == 1:
+                    ok = kw.ok(self, cs, arr)
+                else:  # one evaluation serves the emit of every atom
+                    ok = self._memo(tbl, (kw.names, col), lambda: kw.ok(self, cs, arr))[i]
+                if ok is None:
                     return _NO_VIOLATIONS
-                ok = mask_fn(arr)
                 idx = np.flatnonzero(present & ~ok)
                 if len(idx) == 0:
                     return _NO_VIOLATIONS
-                # Value = the offending array length context; the full token
-                # array can be huge — record its length, not the payload.
-                ln = pc.list_value_length(arr).take(pa.array(idx, type=pa.int64()))
-                return idx, _length_json(ln), None
+                vals = self._values_json(arr, idx) if kw.value is None else kw.value(self, cs, arr, idx)
+                return idx, vals, None
 
-            self._add(f"items_len:{col}", E.WRONG_SIZE, [col], it_frag, items_len_fn)
+            self._add(f"{name}:{col}", atom, [col], frag, fn)
 
-        if cs.unique_items:
-            def uniq_fn(tbl, col=col):
-                arr, present = self._col_ctx(tbl, col)
-                if arr is None or not (pa.types.is_list(arr.type) or pa.types.is_large_list(arr.type)):
-                    return _NO_VIOLATIONS
-                rows, vals = _unique_items_dups(arr)
-                rows = rows[present[rows]] if len(rows) else rows
-                return rows, pa.array([_json_val(v) for v in vals[: len(rows)]], type=pa.string()), None
-
-            self._add(f"uniqueItems:{col}", E.NOT_UNIQUE, [col], {"uniqueItems": True}, uniq_fn)
-
-        if cs.items is not None:
-            # per-element validation: path gains the 0-based index
-            # (src/jesse_validator_draft4.erl:542-557; path convention
-            # src/jesse_error.erl:85-92)
-            sub = cs.items
-            sub_frag = sub.to_fragment()
-
-            def items_fn(tbl, col=col, sub=sub):
-                arr, present = self._col_ctx(tbl, col)
-                if arr is None or not (pa.types.is_list(arr.type) or pa.types.is_large_list(arr.type)):
-                    return _NO_VIOLATIONS
-                return self._item_violations(sub, arr, present, [col])
-
-            self._add(f"items:{col}", E.NOT_IN_RANGE if (sub.minimum is not None or sub.maximum is not None) else E.NOT_SCHEMA_VALID, [col], {"items": sub_frag}, items_fn)
-
-        if cs.items_positional is not None:
-            # array-form items + additionalItems
-            # (src/jesse_validator_draft4.erl:558-603)
-            frag_pi = {
-                "items": [s.to_fragment() for s in cs.items_positional],
-            }
-            if cs.additional_items is not None:
-                frag_pi["additionalItems"] = (
-                    cs.additional_items.to_fragment()
-                    if isinstance(cs.additional_items, ColumnSpec)
-                    else cs.additional_items
+    def _any_of_json(self, cs: ColumnSpec, arr: pa.Array, idx: np.ndarray) -> pa.Array:
+        """anyOf's value_json: the value and the failing CHILD with the
+        fewest errors, as the reference reports it ({any_schemas_not_valid,
+        ShortestErrors}, src/jesse_validator_draft4.erl:1162-1179, ties
+        keep the earlier sub 1365-1373).  Evaluated over ONLY the failing
+        rows — violations are rare, so re-running every sub-keyword over
+        the whole batch would double the anyOf column's cost for nothing."""
+        taken = arr.take(pa.array(idx, type=pa.int64()))
+        sub_fails = [self._spec_fail_atoms(s, taken) for s in cs.any_of]
+        raw = taken.to_pylist()
+        vals = []
+        for pos in range(len(idx)):
+            best: Optional[list[str]] = None
+            for fails in sub_fails:
+                atoms = [atom for atom, mask in fails if mask[pos]]
+                if best is None or len(atoms) < len(best):
+                    best = atoms
+            vals.append(
+                json.dumps(
+                    {"value": raw[pos], "shortest_errors": best or []},
+                    ensure_ascii=False,
+                    separators=(",", ":"),
                 )
-
-            # two atoms can come out of one evaluation; split into two
-            # emission units sharing the evaluator
-            def pos_split(atom):
-                def fn(tbl, col=col, cs=cs, atom=atom):
-                    arr, present = self._col_ctx(tbl, col)
-                    if arr is None or not (pa.types.is_list(arr.type) or pa.types.is_large_list(arr.type)):
-                        return _NO_VIOLATIONS
-                    _rows, details, flat = self._positional_bad_rows(cs, arr)
-                    details = [d for d in details if present[d[1]] and d[3] == atom]
-                    if not details:
-                        return _NO_VIOLATIONS
-                    rows = np.asarray([d[1] for d in details], dtype=np.int64)
-                    ln = pc.list_value_length(arr)
-                    vals = [
-                        _json_val({"length": ln[d[1]].as_py()}) if d[2] < 0 else _json_val(flat[d[0]].as_py())
-                        for d in details
-                    ]
-                    # item_idx -1 = whole-array error: path is the column
-                    # itself (the reference's [] at instance root)
-                    paths = [[col] if d[2] < 0 else [col, str(d[2])] for d in details]
-                    return rows, pa.array(vals, type=pa.string()), pa.array(paths, type=_PATH_TYPE)
-
-                return fn
-
-            self._add(f"posItems:{col}", E.NOT_SCHEMA_VALID, [col], frag_pi, pos_split(E.NOT_SCHEMA_VALID))
-            if cs.additional_items is False:
-                self._add(
-                    f"addItems:{col}", E.NO_EXTRA_ITEMS_ALLOWED, [col], frag_pi, pos_split(E.NO_EXTRA_ITEMS_ALLOWED)
-                )
-
-        # combinators over the column value
-        if cs.all_of:
-            def allof_fn(tbl, col=col, subs=cs.all_of):
-                arr, present = self._col_ctx(tbl, col)
-                if arr is None:
-                    return _NO_VIOLATIONS
-                ok = np.ones(len(arr), dtype=bool)
-                for s in subs:
-                    ok &= self._spec_valid_mask(s, arr)
-                idx = np.flatnonzero(present & ~ok)
-                return idx, self._values_json(arr, idx), None
-
-            self._add(f"allOf:{col}", E.ALL_SCHEMAS_NOT_VALID, [col], {"allOf": [s.to_fragment() for s in cs.all_of]}, allof_fn)
-
-        if cs.any_of:
-            def anyof_fn(tbl, col=col, subs=cs.any_of):
-                arr, present = self._col_ctx(tbl, col)
-                if arr is None:
-                    return _NO_VIOLATIONS
-                ok = np.zeros(len(arr), dtype=bool)
-                for s in subs:
-                    ok |= self._spec_valid_mask(s, arr)
-                idx = np.flatnonzero(present & ~ok)
-                if len(idx) == 0:
-                    return _NO_VIOLATIONS
-                # the reference reports the failing CHILD with the fewest
-                # errors alongside the atom ({any_schemas_not_valid,
-                # ShortestErrors}, src/jesse_validator_draft4.erl:1162-1179,
-                # ties keep the earlier sub 1365-1373); value_json embeds
-                # that child error list per row.  Evaluated over ONLY the
-                # failing rows (arr.take) — violations are rare, so
-                # re-running every sub-keyword over the whole batch would
-                # double the anyOf column's cost for nothing.
-                taken = arr.take(pa.array(idx, type=pa.int64()))
-                sub_fails = [self._spec_fail_atoms(s, taken) for s in subs]
-                raw = taken.to_pylist()
-                vals = []
-                for pos in range(len(idx)):
-                    best: Optional[list[str]] = None
-                    for fails in sub_fails:
-                        atoms = [atom for atom, mask in fails if mask[pos]]
-                        if best is None or len(atoms) < len(best):
-                            best = atoms
-                    vals.append(
-                        json.dumps(
-                            {"value": raw[pos], "shortest_errors": best or []},
-                            ensure_ascii=False,
-                            separators=(",", ":"),
-                        )
-                    )
-                return idx, pa.array(vals, type=pa.string()), None
-
-            self._add(f"anyOf:{col}", E.ANY_SCHEMAS_NOT_VALID, [col], {"anyOf": [s.to_fragment() for s in cs.any_of]}, anyof_fn)
-
-        if cs.one_of:
-            # two atoms: 0 valid -> not_one_schema_valid; >1 -> more_than_one
-            # (src/jesse_validator_draft4.erl:1197-1223)
-            def oneof_zero(tbl, col=col, subs=cs.one_of):
-                arr, present = self._col_ctx(tbl, col)
-                if arr is None:
-                    return _NO_VIOLATIONS
-                cnt = np.zeros(len(arr), dtype=np.int32)
-                for s in subs:
-                    cnt += self._spec_valid_mask(s, arr).astype(np.int32)
-                idx = np.flatnonzero(present & (cnt == 0))
-                return idx, self._values_json(arr, idx), None
-
-            def oneof_many(tbl, col=col, subs=cs.one_of):
-                arr, present = self._col_ctx(tbl, col)
-                if arr is None:
-                    return _NO_VIOLATIONS
-                cnt = np.zeros(len(arr), dtype=np.int32)
-                for s in subs:
-                    cnt += self._spec_valid_mask(s, arr).astype(np.int32)
-                idx = np.flatnonzero(present & (cnt > 1))
-                return idx, self._values_json(arr, idx), None
-
-            frag_obj = {"oneOf": [s.to_fragment() for s in cs.one_of]}
-            self._add(f"oneOf0:{col}", E.NOT_ONE_SCHEMA_VALID, [col], frag_obj, oneof_zero)
-            self._add(f"oneOfN:{col}", E.MORE_THAN_ONE_SCHEMA_VALID, [col], frag_obj, oneof_many)
-
-        if cs.divisible_by is not None:
-            # draft-3 divisibleBy; divisor 0 ⇒ every present value fails
-            # with not_divisible (src/jesse_validator_draft3.erl:860-869)
-            simple(
-                "divisibleBy",
-                E.NOT_DIVISIBLE,
-                {"divisibleBy": cs.divisible_by},
-                lambda a, m=cs.divisible_by: (
-                    np.zeros(len(a), dtype=bool) if m == 0 else _multiple_of_mask(a, m)
-                )
-                if _is_numeric(a.type)
-                else np.ones(len(a), dtype=bool),
             )
+        return pa.array(vals, type=pa.string())
 
-        if cs.disallow is not None or cs.disallow_schemas:
-            # draft-3 disallow ⇒ not_allowed (src/jesse_validator_draft3.erl:878-889);
-            # union members may embed schemas (draft3.erl:304-328)
-            simple(
-                "disallow",
-                E.NOT_ALLOWED,
-                {"disallow": cs.to_fragment().get("disallow")},
-                lambda a, c=cs: ~self._disallow_match_mask(c, a),
-            )
+    def _unique_items_emit(self, col: str, cs: ColumnSpec, kw: "_Keyword") -> None:
+        """uniqueItems: value_json is the first duplicated element."""
+        def fn(tbl):
+            arr, _present = self._col_ctx(tbl, col)
+            if arr is None or not kw.dtype(arr.type):
+                return _NO_VIOLATIONS
+            # a null list has no elements, so every row found is present
+            rows, vals = _unique_items_dups(arr)
+            return rows, pa.array([_json_val(v) for v in vals], type=pa.string()), None
 
-        if cs.contains is not None:
-            # draft-6 contains; empty array fails; atom data_invalid
-            # (src/jesse_validator_draft6.erl:151-156,569-587)
-            def contains_fn(tbl, col=col, sub=cs.contains):
+        self._add(f"{kw.names[0]}:{col}", kw.atoms[0], [col], kw.frag(cs), fn)
+
+    def _items_emit(self, col: str, cs: ColumnSpec, kw: "_Keyword") -> None:
+        """Object-form items: one violation per failing element, its path
+        gaining the 0-based index (src/jesse_validator_draft4.erl:542-557;
+        path convention src/jesse_error.erl:85-92)."""
+        def fn(tbl):
+            arr, present = self._col_ctx(tbl, col)
+            if arr is None or not kw.dtype(arr.type):
+                return _NO_VIOLATIONS
+            return self._item_violations(cs.items, arr, present, [col])
+
+        self._add(f"{kw.names[0]}:{col}", _items_atom(cs.items), [col], kw.frag(cs), fn)
+
+    def _positional_emits(self, col: str, cs: ColumnSpec, kw: "_Keyword") -> None:
+        """Array-form items + additionalItems
+        (src/jesse_validator_draft4.erl:558-603): two atoms come out of
+        one evaluation per batch, split into two emission units."""
+        add_name, pos_name = kw.names
+
+        def split(atom):
+            def fn(tbl):
                 arr, present = self._col_ctx(tbl, col)
-                if arr is None or not (pa.types.is_list(arr.type) or pa.types.is_large_list(arr.type)):
+                if arr is None or not kw.dtype(arr.type):
                     return _NO_VIOLATIONS
-                ok = self._contains_mask(sub, arr)
-                idx = np.flatnonzero(present & ~ok)
-                if len(idx) == 0:
+                _rows, details, flat = self._memo(
+                    tbl, (pos_name, col), lambda: self._positional_bad_rows(cs, arr))
+                details = [d for d in details if present[d[1]] and d[3] == atom]
+                if not details:
                     return _NO_VIOLATIONS
-                ln = pc.list_value_length(arr).take(pa.array(idx, type=pa.int64()))
-                return idx, _length_json(ln), None
+                rows = np.asarray([d[1] for d in details], dtype=np.int64)
+                ln = pc.list_value_length(arr)
+                vals = [
+                    _json_val({"length": ln[d[1]].as_py()}) if d[2] < 0 else _json_val(flat[d[0]].as_py())
+                    for d in details
+                ]
+                # item_idx -1 = whole-array error: path is the column
+                # itself (the reference's [] at instance root)
+                paths = [[col] if d[2] < 0 else [col, str(d[2])] for d in details]
+                return rows, pa.array(vals, type=pa.string()), pa.array(paths, type=_PATH_TYPE)
 
-            self._add(f"contains:{col}", E.DATA_INVALID, [col], {"contains": cs.contains.to_fragment()}, contains_fn)
+            return fn
 
-        if cs.not_ is not None:
-            def not_fn(tbl, col=col, sub=cs.not_):
-                arr, present = self._col_ctx(tbl, col)
-                if arr is None:
-                    return _NO_VIOLATIONS
-                ok = ~self._spec_valid_mask(sub, arr)
-                idx = np.flatnonzero(present & ~ok)
-                return idx, self._values_json(arr, idx), None
+        frag = kw.frag(cs)
+        self._add(f"{pos_name}:{col}", E.NOT_SCHEMA_VALID, [col], frag, split(E.NOT_SCHEMA_VALID))
+        if cs.additional_items is False:
+            self._add(f"{add_name}:{col}", E.NO_EXTRA_ITEMS_ALLOWED, [col], frag,
+                      split(E.NO_EXTRA_ITEMS_ALLOWED))
 
-            self._add(f"not:{col}", E.NOT_SCHEMA_VALID, [col], {"not": cs.not_.to_fragment()}, not_fn)
+    def _nested_emit(self, col: str, cs: ColumnSpec, kw: "_Keyword") -> None:
+        """Nested object properties on a STRUCT column: ONE recursive
+        emission unit per column — the walker descends into nested structs
+        and list items with full path extension, mirroring the reference's
+        per-property recursion (src/jesse_validator_draft4.erl:380-400,
+        path convention src/jesse_error.erl:266-271)."""
+        def fn(tbl):
+            arr, present = self._col_ctx(tbl, col)
+            if arr is None or not kw.dtype(arr.type):
+                return _NO_VIOLATIONS
+            out = ([], [], [], [])
+            self._walk_struct(arr, present, cs, [col], out)
+            if not out[0]:
+                return _NO_VIOLATIONS
+            return (np.concatenate(out[0]),
+                    *(pa.concat_arrays(chunks) for chunks in out[1:]))
 
-        if cs.properties or cs.required_props or cs.pattern_props or not cs.additional_props_allowed:
-            # nested object properties on a STRUCT column: ONE recursive
-            # emission unit per column — the walker descends into nested
-            # structs and list items with full path extension, mirroring
-            # the reference's per-property recursion
-            # (src/jesse_validator_draft4.erl:380-400, path convention
-            # src/jesse_error.erl:266-271)
-            def nested_fn(tbl, col=col, cs=cs):
-                arr, present = self._col_ctx(tbl, col)
-                if arr is None or not pa.types.is_struct(arr.type):
-                    return _NO_VIOLATIONS
-                out = ([], [], [], [])
-                self._walk_struct(arr, present, cs, [col], out)
-                if not out[0]:
-                    return _NO_VIOLATIONS
-                return (np.concatenate(out[0]),
-                        *(pa.concat_arrays(chunks) for chunks in out[1:]))
-
-            self._add_multi(f"nested:{col}", [col], frag, nested_fn)
+        self._add_multi(f"{kw.names[0]}:{col}", [col], kw.frag(cs), fn)
 
     def _build_consistency(self, rule: ConsistencyRule) -> None:
         name = rule.name or f"{rule.kind}:{rule.left}~{rule.right}"
@@ -1578,7 +1231,7 @@ class CompiledSpec:
             if left is None or right is None:
                 return _NO_VIOLATIONS
             if rule.kind == "list_len_eq":
-                if not (pa.types.is_list(left.type) or pa.types.is_large_list(left.type)):
+                if not _is_list(left.type):
                     return _NO_VIOLATIONS
                 ln = pc.fill_null(pc.list_value_length(left), -1).to_numpy(zero_copy_only=False)
             elif rule.kind == "str_len_eq":
@@ -1829,6 +1482,220 @@ class CompiledSpec:
             child_bad = sub.invalid_row_mask(tbl.filter(pa.array(present)))
             bad[rows[child_bad]] = True
         return bad
+
+
+# ---------------------------------------------------------------------------
+# the keyword table: one row per JSON-Schema keyword, read by
+# ``_spec_valid_mask`` (the AND of every ok mask), ``_spec_fail_atoms``
+# (an (atom, ~ok) pair per failing atom) and ``_build_column`` (one emit
+# per atom).  Rows are in emission order, which decides the violation
+# ``allowed_errors=0`` keeps.
+
+
+def _any_dtype(_t: pa.DataType) -> bool:
+    return True
+
+
+def _items_atom(sub: ColumnSpec) -> str:
+    """The atom of a failing element of object-form items."""
+    return E.NOT_IN_RANGE if (sub.minimum is not None or sub.maximum is not None) else E.NOT_SCHEMA_VALID
+
+
+def _pick(*keys: str) -> Callable[[ColumnSpec], dict]:
+    """The emit fragment holding the ``to_fragment()`` entries ``keys``."""
+    def frag(cs: ColumnSpec) -> dict:
+        full = cs.to_fragment()
+        return {k: full[k] for k in keys if k in full}
+    return frag
+
+
+@dataclass(frozen=True, eq=False)
+class _Keyword:
+    """One row of :data:`_KEYWORDS`."""
+
+    #: emit name and error atom of each ok mask (oneOf and positional
+    #: items have two)
+    names: tuple[str, ...]
+    atoms: tuple[str, ...]
+    #: the emit's schema_fragment
+    frag: Callable[[ColumnSpec], dict]
+    #: the keyword is in the spec
+    has: Callable[[ColumnSpec], bool]
+    #: the Arrow dtypes it checks; a value of any other dtype passes
+    dtype: Callable[[pa.DataType], bool]
+    #: (compiled, spec, array) -> the ok mask, True where the value
+    #: passes (NULL positions are garbage), or None when every value
+    #: passes; a tuple of one mask per atom for a two-atom row
+    ok: Callable[[CompiledSpec, ColumnSpec, pa.Array], Any]
+    #: value_json of the failing rows of a column, for the plain emit
+    #: (default: the values themselves)
+    value: Optional[Callable[[CompiledSpec, ColumnSpec, pa.Array, np.ndarray], pa.Array]] = None
+    #: an emit builder for a keyword whose rows, values or paths come
+    #: from its own kernel rather than from the ok mask
+    emit: Optional[Callable[[CompiledSpec, str, ColumnSpec, "_Keyword"], None]] = None
+
+    def applies(self, cs: ColumnSpec, t: pa.DataType) -> bool:
+        return self.has(cs) and self.dtype(t)
+
+    def masks(self, c: CompiledSpec, cs: ColumnSpec, arr: pa.Array):
+        """(atom, ok mask or None) pairs of this keyword on ``arr``."""
+        m = self.ok(c, cs, arr)
+        return zip(self.atoms, m) if len(self.atoms) > 1 else ((self.atoms[0], m),)
+
+
+def _kw(names, atoms, frag, has, ok, *, dtype=_any_dtype, value=None, emit=None) -> _Keyword:
+    as_tuple = lambda x: (x,) if isinstance(x, str) else tuple(x)
+    return _Keyword(as_tuple(names), as_tuple(atoms), frag, has, dtype, ok, value, emit)
+
+
+def _type_frag(cs: ColumnSpec) -> dict:
+    if cs.type_schemas is None:
+        return {"type": cs.type}
+    prims = [cs.type] if isinstance(cs.type, str) else (cs.type or [])
+    return {"type": prims + [s.to_fragment() for s in cs.type_schemas]}
+
+
+def _range_frag(cs: ColumnSpec) -> dict:
+    return {
+        k: v
+        for k, v in (
+            ("minimum", cs.minimum),
+            ("exclusiveMinimum", cs.exclusive_minimum or None),
+            ("maximum", cs.maximum),
+            ("exclusiveMaximum", cs.exclusive_maximum or None),
+        )
+        if v is not None
+    }
+
+
+def _items_len_ok(c, cs: ColumnSpec, a: pa.Array) -> np.ndarray:
+    ln = pc.fill_null(pc.list_value_length(a), 0).to_numpy(zero_copy_only=False)
+    ok = np.ones(len(a), dtype=bool)
+    if cs.min_items is not None:
+        ok &= ln >= cs.min_items
+    if cs.max_items is not None:
+        ok &= ln <= cs.max_items
+    return ok
+
+
+def _rows_ok(n: int, bad_rows: np.ndarray) -> np.ndarray:
+    ok = np.ones(n, dtype=bool)
+    ok[bad_rows] = False
+    return ok
+
+
+def _positional_ok(c, cs: ColumnSpec, a: pa.Array):
+    """(no_extra_items_allowed ok, not_schema_valid ok): a row with extra
+    items keeps that atom, its other failing items are not reported."""
+    bad_rows, details, _flat = c._positional_bad_rows(cs, a)
+    extra = np.zeros(len(a), dtype=bool)
+    extra[[d[1] for d in details if d[3] == E.NO_EXTRA_ITEMS_ALLOWED]] = True
+    return ~extra, _rows_ok(len(a), bad_rows) | extra
+
+
+def _all_of_ok(c, cs: ColumnSpec, a: pa.Array) -> np.ndarray:
+    ok = np.ones(len(a), dtype=bool)
+    for sub in cs.all_of:
+        ok &= c._spec_valid_mask(sub, a)
+    return ok
+
+
+def _any_of_ok(c, cs: ColumnSpec, a: pa.Array) -> np.ndarray:
+    ok = np.zeros(len(a), dtype=bool)
+    for sub in cs.any_of:
+        ok |= c._spec_valid_mask(sub, a)
+    return ok
+
+
+def _one_of_ok(c, cs: ColumnSpec, a: pa.Array):
+    """(some member valid, at most one valid): 0 valid is
+    not_one_schema_valid, >1 more_than_one_schema_valid
+    (src/jesse_validator_draft4.erl:1197-1223)."""
+    cnt = np.zeros(len(a), dtype=np.int32)
+    for sub in cs.one_of:
+        cnt += c._spec_valid_mask(sub, a).astype(np.int32)
+    return cnt >= 1, cnt <= 1
+
+
+def _length_value(c, cs: ColumnSpec, a: pa.Array, idx: np.ndarray) -> pa.Array:
+    # the full token array can be huge — record its length, not the payload
+    return _length_json(pc.list_value_length(a).take(pa.array(idx, type=pa.int64())))
+
+
+_TYPE = _kw(
+    # wrong_type (src/jesse_validator_draft4.erl:288-318)
+    "type", E.WRONG_TYPE, _type_frag,
+    lambda cs: cs.type is not None or cs.type_schemas is not None,
+    lambda c, cs, a: c._type_valid_mask(cs, a),
+)
+_ITEMS = _kw(
+    "items", E.NOT_SCHEMA_VALID, lambda cs: {"items": cs.items.to_fragment()},
+    lambda cs: cs.items is not None,
+    lambda c, cs, a: _rows_ok(len(a), c._failing_item_rows(cs.items, a)),
+    dtype=_is_list, emit=CompiledSpec._items_emit,
+)
+_PROPERTIES = _kw(
+    "nested", E.NOT_SCHEMA_VALID, ColumnSpec.to_fragment,
+    lambda cs: bool(cs.properties or cs.required_props or cs.pattern_props
+                    or not cs.additional_props_allowed),
+    lambda c, cs, a: c._struct_props_mask(cs, a),
+    dtype=pa.types.is_struct, emit=CompiledSpec._nested_emit,
+)
+
+_KEYWORDS: tuple[_Keyword, ...] = (
+    _TYPE,
+    _kw("enum", E.NOT_IN_ENUM, _pick("enum"), lambda cs: cs.enum is not None,
+        lambda c, cs, a: _enum_mask(a, cs.enum)),
+    _kw("const", E.NOT_IN_ENUM, _pick("const"), lambda cs: cs.has_const,
+        lambda c, cs, a: _enum_mask(a, [cs.const])),
+    _kw("range", E.NOT_IN_RANGE, _range_frag,
+        lambda cs: cs.minimum is not None or cs.maximum is not None,
+        lambda c, cs, a: _range_mask(a, cs.minimum, cs.exclusive_minimum,
+                                     cs.maximum, cs.exclusive_maximum),
+        dtype=_is_numeric),
+    _kw("multipleOf", E.NOT_MULTIPLE_OF, _pick("multipleOf"), lambda cs: cs.multiple_of is not None,
+        lambda c, cs, a: _multiple_of_mask(a, cs.multiple_of), dtype=_is_numeric),
+    _kw("pattern", E.NO_MATCH, _pick("pattern"), lambda cs: cs.pattern is not None,
+        lambda c, cs, a: _pattern_mask(a, cs.pattern), dtype=_is_str),
+    _kw("length", E.WRONG_LENGTH, _pick("minLength", "maxLength"),
+        lambda cs: cs.min_length is not None or cs.max_length is not None,
+        lambda c, cs, a: _strlen_mask(a, cs.min_length, cs.max_length), dtype=_is_str),
+    _kw("format", E.WRONG_FORMAT, _pick("format"), lambda cs: cs.format is not None,
+        lambda c, cs, a: _format_mask(a, cs.format), dtype=_is_str),
+    _kw("items_len", E.WRONG_SIZE, _pick("minItems", "maxItems"),
+        lambda cs: cs.min_items is not None or cs.max_items is not None,
+        _items_len_ok, dtype=_is_list, value=_length_value),
+    _kw("uniqueItems", E.NOT_UNIQUE, _pick("uniqueItems"), lambda cs: cs.unique_items,
+        lambda c, cs, a: _rows_ok(len(a), _unique_items_dups(a)[0]),
+        dtype=_is_list, emit=CompiledSpec._unique_items_emit),
+    _ITEMS,
+    _kw(("addItems", "posItems"), (E.NO_EXTRA_ITEMS_ALLOWED, E.NOT_SCHEMA_VALID),
+        _pick("items", "additionalItems"), lambda cs: cs.items_positional is not None,
+        _positional_ok, dtype=_is_list, emit=CompiledSpec._positional_emits),
+    _kw("allOf", E.ALL_SCHEMAS_NOT_VALID, _pick("allOf"), lambda cs: bool(cs.all_of), _all_of_ok),
+    _kw("anyOf", E.ANY_SCHEMAS_NOT_VALID, _pick("anyOf"), lambda cs: bool(cs.any_of), _any_of_ok,
+        value=CompiledSpec._any_of_json),
+    _kw(("oneOf0", "oneOfN"), (E.NOT_ONE_SCHEMA_VALID, E.MORE_THAN_ONE_SCHEMA_VALID),
+        _pick("oneOf"), lambda cs: bool(cs.one_of), _one_of_ok),
+    # draft-3 divisibleBy; divisor 0 ⇒ every value fails with
+    # not_divisible (src/jesse_validator_draft3.erl:860-869)
+    _kw("divisibleBy", E.NOT_DIVISIBLE, _pick("divisibleBy"), lambda cs: cs.divisible_by is not None,
+        lambda c, cs, a: (np.zeros(len(a), dtype=bool) if cs.divisible_by == 0
+                          else _multiple_of_mask(a, cs.divisible_by)),
+        dtype=_is_numeric),
+    # draft-3 disallow ⇒ not_allowed (src/jesse_validator_draft3.erl:878-889);
+    # union members may embed schemas (draft3.erl:304-328)
+    _kw("disallow", E.NOT_ALLOWED, _pick("disallow"),
+        lambda cs: cs.disallow is not None or bool(cs.disallow_schemas),
+        lambda c, cs, a: ~c._disallow_match_mask(cs, a)),
+    # draft-6 contains; empty array fails; atom data_invalid
+    # (src/jesse_validator_draft6.erl:151-156,569-587)
+    _kw("contains", E.DATA_INVALID, _pick("contains"), lambda cs: cs.contains is not None,
+        lambda c, cs, a: c._contains_mask(cs.contains, a), dtype=_is_list, value=_length_value),
+    _kw("not", E.NOT_SCHEMA_VALID, _pick("not"), lambda cs: cs.not_ is not None,
+        lambda c, cs, a: ~c._spec_valid_mask(cs.not_, a)),
+    _PROPERTIES,
+)
 
 
 def compile_spec(spec: TableSpec) -> CompiledSpec:

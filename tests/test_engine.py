@@ -405,8 +405,8 @@ def test_uniqueness_cap_trips_to_shuffle(ray_session, monkeypatch, key_type):
     """A majority-duplicate corpus with null keys: under a tiny driver cap
     the streaming merge stops early and the per-bucket sum gives the same
     violations table, byte for byte, as the uncapped driver route — for
-    string keys and for non-string keys, which are bucketed by their
-    string form."""
+    string keys and for non-string keys, which ``map_key_buckets`` hashes
+    in their own dtype."""
     import collections
 
     from jesse_ray import engine
