@@ -114,10 +114,12 @@ def run_validation(
     """Validate a corpus partition-by-partition with checkpointing.
 
     Each fresh partition is one ``ValidationEngine.validate`` →
-    ``materialize()`` → ``write_violations()`` → manifest record: one
-    Ray Data execution, the fused pass, plus one plain write task per
-    block with violation rows.  A partition redone on resume replaces
-    its ``part-*.parquet`` files.  Everything the record
+    ``materialize()`` → ``write_violations()`` → manifest record: the
+    fused pass (on parquet one plain task per planned read task, no Ray
+    Data execution; on jsonl one execution, the pass fused into the
+    read, split on the driver), plus one plain write
+    task per block with violation rows.  A partition redone on resume
+    replaces its ``part-*.parquet`` files.  Everything the record
     needs rides in-band on the pass and is folded by the
     ``ValidationResult`` drain — the per-error counts, the input row
     count and, with ``sketch``/``drift_reference``, the drift summary —

@@ -1,16 +1,20 @@
 """The Ray Data validation engine.
 
-Pipeline shape (SURVEY §3.4): ``read_parquet`` → ONE fused
-``map_batches`` pass (zero-copy Arrow) running every row-level keyword
-check plus the referential broadcast-dimension checks (task mode with
-lazily-resolved ``ray.put`` state — broadcast-once per worker) and
-emitting each batch's row count, exact key counts and (when asked) drift
-sketch in-band → corpus-level key
+Pipeline shape (SURVEY §3.4): the planned parquet read → ONE fused pass
+(zero-copy Arrow) running every row-level keyword check plus the
+referential broadcast-dimension checks (``ray.put`` state resolved
+lazily in each task) and emitting each batch's row count, exact key
+counts and (when asked) drift sketch in-band → corpus-level key
 uniqueness (the same exact counts summed on the driver under a byte cap,
 per key bucket in tasks above it — ``hashutil.map_key_buckets``, the
-pandas hash of the key) → violations ``Dataset`` + per-run
-metrics.  A validation reads the corpus once: one Ray Data execution
-unless the cap trips.
+pandas hash of the key) → violation blocks + per-run metrics.  A
+validation reads the corpus once.  ``validate`` runs the fused pass as
+plain Ray tasks, one per read task the parquet source planned, so a
+planned read starts no Ray Data execution unless the uniqueness cap
+trips; an input already in the object store (``from_arrow``) goes to
+the same tasks block by block; any other input runs the pass as a Ray
+Data ``map_batches`` fused into its read, one execution.  ``fused_violations`` is that ``map_batches``
+as a Dataset.
 
 This replaces the reference's per-document recursive walk
 (reference: src/jesse_schema_validator.erl:82-98) with a streaming,
@@ -25,8 +29,9 @@ before every groupby.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 import numpy as np
 import pyarrow as pa
@@ -36,6 +41,8 @@ import ray
 import ray.data
 from ray.data import Dataset
 from ray.data.aggregate import Max, Min, Sum
+from ray.data.dataset import MaterializedDataset
+from ray.data.datasource import ReadTask
 
 from jesse_ray import errors as E
 from jesse_ray.compiler import (
@@ -54,6 +61,7 @@ from jesse_ray.compiler import (
 )
 from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.sketches import SketchBundle
+from jesse_ray.sources.parquet import cluster_cpus, planned_read_tasks
 from jesse_ray.spec import ReferentialRule, TableSpec
 
 
@@ -536,7 +544,7 @@ class FusedValidator:
     referential checks as separate branches would read every block
     twice and union two heavy streams.  This stage reads once.  State
     (the compiled spec + the broadcast allowed-value sets) is fetched
-    from the object store once per worker on the first batch — never
+    from the object store once per task on its first batch — never
     re-shipped per batch (SURVEY §7.2).
 
     With ``unique_keys`` (a tuple, possibly empty) the output is
@@ -567,9 +575,8 @@ class FusedValidator:
 
     def _resolve(self) -> None:
         # Lazy broadcast fetch: the ObjectRefs ride the (tiny) serialized
-        # closure; the actual state is fetched from the local plasma
-        # store ONCE per worker process on first call — Ray's per-worker
-        # function cache keeps it resident (broadcast-once semantics).
+        # validator; the actual state is fetched from the local plasma
+        # store once per task, on its first batch.
         compiled_ref, rules_ref = self._compiled_ref, self._rules_ref
         self.compiled = ray.get(compiled_ref) if isinstance(compiled_ref, ray.ObjectRef) else compiled_ref
         rules = ray.get(rules_ref) if isinstance(rules_ref, ray.ObjectRef) else rules_ref
@@ -614,10 +621,6 @@ def _ipc_bytes(t: pa.Table) -> bytes:
     return sink.getvalue().to_pybytes()
 
 
-def _violation_rows(t: pa.Table) -> pa.Table:
-    return t.filter(pc.is_null(t["__rows"])).select(VIOLATION_SCHEMA.names)
-
-
 def _tally(viol: pa.Table) -> dict[str, int]:
     """``{error: count}`` of VIOLATION_SCHEMA rows."""
     if not viol.num_rows:
@@ -629,21 +632,71 @@ def _tally(viol: pa.Table) -> dict[str, int]:
 def _split(t: pa.Table) -> tuple[pa.Table, tuple[pa.Table, dict[str, int]]]:
     """One INBAND_SCHEMA block → (violation rows, (in-band rows, the
     violation rows' ``_tally``))."""
-    if not t.num_rows:  # Ray Data passes empty blocks on without a schema
-        t = INBAND_SCHEMA.empty_table()
-    viol = _violation_rows(t)
+    viol = t.filter(pc.is_null(t["__rows"])).select(VIOLATION_SCHEMA.names)
     return viol, (t.filter(pc.is_valid(t["__rows"])), _tally(viol))
 
 
-#: ``_split`` as a plain task over a materialized block, far cheaper than a
-#: Ray Data execution; only the small second return reaches the driver
-_split_block = ray.remote(num_returns=2)(_split)
+@ray.remote(num_returns=2)
+def _validate_block(fv: FusedValidator, read_task: Optional[ReadTask], *blocks: pa.Table):
+    """One block of the fused pass as a plain task: ``fv`` over each row
+    group of a planned ``read_task`` as it is read (the tables a Ray Data
+    read fused with ``map_batches`` hands the map, so an ``error_handler``
+    sees the same calls), or over each input block, then ``_split`` of
+    their concatenation.  Empty tables are skipped, and a task with no
+    rows calls ``fv`` once on an empty table."""
+    outs = [fv(t) for t in (read_task() if read_task is not None else blocks) if t.num_rows]
+    outs = outs or [fv(pa.table({}))]
+    return _split(outs[0] if len(outs) == 1 else pa.concat_tables(outs))
+
+
+def _fused_blocks(
+    ds: Dataset, fv: FusedValidator
+) -> Iterator[tuple[ray.ObjectRef, tuple[pa.Table, dict[str, int]]]]:
+    """Run the fused pass over ``ds`` and yield, per block in order, the
+    ref to its violation rows and its ``(in-band rows, tally)``.
+
+    Three routes, by input:
+
+    * a Dataset ``read_sequences`` / ``read_table`` returned unchanged:
+      one ``_validate_block`` task per planned read task, so no Ray Data
+      execution starts and blocks follow the read plan;
+    * a ``MaterializedDataset`` (``from_arrow``, ``.materialize()``): its
+      blocks are in the object store already, one task per bundle;
+    * any other Dataset (``read_json``, ``.limit``, ``.select_columns``):
+      ``fv`` runs inside its Ray Data execution, fused into the read
+      (``_fused_map``), so only the small output blocks reach the object
+      store; the driver splits each and puts its violation rows back.
+
+    At most two tasks per cluster CPU are in flight; sides are fetched in
+    task order whatever order the tasks finish in."""
+    read_tasks = planned_read_tasks(ds)
+    if read_tasks is None and not isinstance(ds, MaterializedDataset):
+        for b in _fused_map(ds, fv).iter_internal_ref_bundles():
+            for ref in b.block_refs:
+                t = ray.get(ref)
+                # Ray Data passes empty blocks on without a schema
+                viol, side = _split(t if t.num_rows else INBAND_SCHEMA.empty_table())
+                yield ray.put(viol), side
+        return
+    if read_tasks is not None:
+        args = ((t,) for t in read_tasks)
+    else:
+        args = ((None, *b.block_refs) for b in ds.iter_internal_ref_bundles())
+    window = 2 * cluster_cpus()
+    running: deque = deque()
+    for a in args:
+        running.append(_validate_block.remote(fv, *a))
+        if len(running) == window:
+            viol, side = running.popleft()
+            yield viol, ray.get(side)
+    for viol, side in running:
+        yield viol, ray.get(side)
 
 
 @ray.remote
 def _write_block(viol: pa.Table, path: str) -> tuple[int, int]:
     """Write one block's violation rows to the parquet file ``path`` — a
-    plain task, like ``_split_block``; returns (rows, bytes) written."""
+    plain task, like ``_validate_block``; returns (rows, bytes) written."""
     import os
 
     import pyarrow.parquet as pq
@@ -653,20 +706,24 @@ def _write_block(viol: pa.Table, path: str) -> tuple[int, int]:
     return viol.num_rows, os.path.getsize(path)
 
 
-def _fused_pass(ds: Dataset, compiled: CompiledSpec, batch_size: Optional[int], *args) -> Dataset:
-    """Launch one FusedValidator pass in task mode.
-    The compiled spec and the referential rules are ``ray.put`` once
-    when Ray is up; the refs (not the values) ride the serialized
-    callable and each worker resolves them on its first batch."""
+def _fused_validator(compiled: CompiledSpec, *args) -> FusedValidator:
+    """A FusedValidator for ``compiled``.  The compiled spec and the
+    referential rules are ``ray.put`` once when Ray is up; the refs (not
+    the values) ride the serialized validator and each task resolves them
+    on its first batch."""
     spec = compiled.spec
     rules = _referential_rules(spec)
     big = ray.is_initialized()
-    fv = FusedValidator(
+    return FusedValidator(
         ray.put(compiled) if big else compiled,
         ray.put(rules) if big else rules,
         spec.key_column,
         *args,
     )
+
+
+def _fused_map(ds: Dataset, fv: FusedValidator, batch_size: Optional[int] = None) -> Dataset:
+    """``fv`` as a Ray Data ``map_batches`` in task mode."""
     return ds.map_batches(fv.__call__, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
 
 
@@ -679,10 +736,13 @@ def fused_violations(
     error_handler=None,
     check_unique: bool = True,
 ) -> Dataset:
-    """Single-pass row + referential violations (see FusedValidator),
-    plus one in-band row per batch with the key-count partials of the
-    spec's ``unique_keys`` when it has any, unless ``check_unique`` is
-    false (INBAND_SCHEMA then; plain VIOLATION_SCHEMA otherwise).
+    """Single-pass row + referential violations (see FusedValidator) as a
+    lazy Ray Data ``map_batches``, plus one in-band row per batch with the
+    key-count partials of the spec's ``unique_keys`` when it has any,
+    unless ``check_unique`` is false (INBAND_SCHEMA then; plain
+    VIOLATION_SCHEMA otherwise).  ``validate`` runs the same
+    ``map_batches`` only for inputs that are neither a planned read nor
+    materialized (``_fused_blocks``).
 
     The pass runs in TASK mode: the validator state (compiled spec +
     broadcast allowed-value sets) is ``ray.put`` once, the tiny
@@ -696,7 +756,7 @@ def fused_violations(
     same.
     """
     keys = tuple(compiled.spec.unique_keys) if check_unique and compiled.spec.unique_keys else None
-    return _fused_pass(ds, compiled, batch_size, allowed_errors, error_handler, keys)
+    return _fused_map(ds, _fused_validator(compiled, allowed_errors, error_handler, keys), batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -767,29 +827,31 @@ def column_stats(
 class ValidationResult:
     """Violations + metrics for one validation run.
 
-    ``violations`` is always exactly VIOLATION_SCHEMA rows.  Everything
-    else rides in-band on the one fused pass: ``_pending`` is its
-    INBAND_SCHEMA stream (see FusedValidator) until an entry point runs
-    it — once.  ``all_violations_table`` (and ``counts_by_error`` /
-    ``passed`` on the lazy path) drains it on the driver;
-    ``materialize`` (and ``write_violations`` / ``unique_violations``)
-    pins it in the object store and splits each block in a plain task,
-    so only the in-band rows and per-block ``{error: count}`` tallies
-    reach the driver, one block's at a time, never the violation rows;
-    ``write_violations`` then writes those blocks with one plain task
-    each, so a materialized run is one Ray Data execution in all.
-    The drain folds them in block order: the tallies into
-    ``counts_by_error`` (and each block's sum into its row count),
-    ``__rows`` into ``metrics["rows"]``, each key's
-    partials into one ``KeyCountMerge`` (a key whose merge passes
-    ``UNIQ_DRIVER_CAP_BYTES`` reruns as ``duplicate_keys`` over
-    ``_key_ds``; the route report, ``uniqueness_check``'s keys, goes
-    into ``metrics``), and with ``validate(sketch=True)`` the per-batch
-    bundles into ``sketch``.  After ``materialize`` none of these
-    starts another execution.
+    Everything rides in-band on the one fused pass (see FusedValidator),
+    which runs once, at the first entry point (``_fused_blocks``): one
+    plain Ray task per read task ``read_sequences`` / ``read_table``
+    planned or per bundle of a materialized input, or a Ray Data
+    ``map_batches`` for any other input.  Each block of the pass is
+    split into its violation rows, which stay in the object store, and
+    ``(in-band rows, {error: count})``, which the driver drains in task
+    order whatever order the tasks finish in: the read plan's order for a
+    planned read, Ray Data's bundle order otherwise.  A planned read so
+    starts no Ray Data execution at all, a materialized input at most one
+    that only lists its blocks, and any other input the one that runs the
+    pass.
+
+    The drain folds the tallies into ``counts_by_error`` (and each
+    block's sum into its row count), ``__rows`` into ``metrics["rows"]``,
+    each key's partials into one ``KeyCountMerge`` (a key whose merge
+    passes ``UNIQ_DRIVER_CAP_BYTES`` reruns as ``duplicate_keys`` over
+    ``_key_ds``; the route report, ``uniqueness_check``'s keys, goes into
+    ``metrics``), and with ``validate(sketch=True)`` the per-batch bundles
+    into ``sketch``.  ``counts_by_error`` / ``passed`` need only that
+    drain; ``all_violations_table`` fetches the pinned blocks;
+    ``write_violations`` writes them with one plain task each;
+    ``violations`` is a Dataset over them, exactly VIOLATION_SCHEMA rows.
     """
 
-    violations: Dataset
     spec_version: str
     metrics: dict[str, Any] = field(default_factory=dict)
     #: the drained drift sketch (``validate(sketch=True)``), else None
@@ -797,14 +859,16 @@ class ValidationResult:
     _cached: Optional[pa.Table] = None
     _uniq: Optional[pa.Table] = None
     _counts: Optional[dict[str, int]] = None
-    _pending: Optional[Dataset] = None
+    #: the input and the validator of the fused pass, until it has run
+    _ds: Optional[Dataset] = None
+    _validator: Optional[FusedValidator] = None
     _unique_keys: tuple[str, ...] = ()
     _key_ds: Optional[Dataset] = None
-    #: per block, in block order: its violation rows — an object ref after
-    #: ``materialize``, the driver's table after a lazy drain — and their
+    #: per block, in task order: the ref to its violation rows and their
     #: count (the block's tally summed)
     _blocks: Optional[list] = None
     _block_rows: Optional[list[int]] = None
+    _violations: Optional[Dataset] = None
 
     def _drain(self, sides) -> None:
         """Fold the ``(in-band rows, tally)`` pairs of ``_split``, in
@@ -824,7 +888,6 @@ class ValidationResult:
                 self.sketch = b if self.sketch is None else self.sketch.merge(b)
             for e, c in tally.items():
                 counts[e] = counts.get(e, 0) + c
-        self._pending = None
         self._counts = counts
         self.metrics["rows"] = rows
         self._uniq, uniq_metrics = _uniqueness_report([merges[k] for k in self._unique_keys], self._key_ds)
@@ -836,17 +899,32 @@ class ValidationResult:
             self.materialize()
         return self._uniq
 
+    @property
+    def violations(self) -> Dataset:
+        """The violation rows of the fused pass (not the uniqueness rows)
+        as a Dataset over the pinned blocks, one block per task."""
+        if self._violations is None:
+            self.materialize()
+            self._violations = ray.data.from_arrow_refs(self._blocks or [ray.put(empty_violations())])
+        return self._violations
+
     def materialize(self) -> "ValidationResult":
-        """Execute the fused pass ONCE and pin the (small) violation
-        blocks in the object store — NOT on the driver — so that
-        subsequent writes/aggregations don't re-run the full validation.
-        The corpus itself is never materialized; only violations are,
-        and violations are rare by assumption."""
-        if self._pending is not None:
-            splits = [_split_block.remote(ref) for ref in self._pending.materialize().to_arrow_refs()]
-            self._drain(ray.get(side) for _, side in splits)
-            self._blocks = [viol for viol, _ in splits]
-            self.violations = ray.data.from_arrow_refs(self._blocks)
+        """Run the fused pass ONCE and pin the (small) violation blocks in
+        the object store — NOT on the driver, except for the moment the
+        driver splits a block of the Ray Data route — so that subsequent
+        writes/aggregations don't re-run the full validation.  The corpus
+        itself is never materialized; only violations are, and violations
+        are rare by assumption."""
+        if self._ds is not None:
+            blocks = []
+
+            def sides():
+                for viol, side in _fused_blocks(self._ds, self._validator):
+                    blocks.append(viol)
+                    yield side
+
+            self._drain(sides())
+            self._blocks, self._ds, self._validator = blocks, None, None
         return self
 
     def write_violations(self, out_dir: str) -> None:
@@ -861,9 +939,7 @@ class ValidationResult:
         are removed first, so writing again — a checkpoint partition
         redone on resume — leaves exactly this result's rows.
         ``unique_violations`` (already a small driver table) is written
-        as one extra file, ``unique_violations.parquet``.  After a lazy
-        ``all_violations_table()`` the rows are on the driver already,
-        and the tasks take those tables as arguments."""
+        as one extra file, ``unique_violations.parquet``."""
         import pyarrow.parquet as pq
 
         from pathlib import Path
@@ -884,25 +960,12 @@ class ValidationResult:
         pq.write_table(self.unique_violations, out / "unique_violations.parquet")
 
     def all_violations_table(self) -> pa.Table:
-        # one execution of the violations pipeline, none after
-        # ``materialize`` (the pinned blocks are fetched as they are);
-        # cached because the violation set is small relative to the
-        # corpus by assumption
+        """Every violation row on the driver: the pinned blocks in block
+        order, then ``unique_violations``.  Cached, because the violation
+        set is small relative to the corpus by assumption."""
         if self._cached is None:
-            if self._pending is not None:
-                parts = []
-
-                def sides():
-                    for b in self._pending.iter_batches(batch_format="pyarrow", batch_size=None):
-                        viol, side = _split(b)
-                        parts.append(viol)
-                        yield side
-
-                self._drain(sides())
-                self._blocks = list(parts)
-            else:
-                parts = ray.get(self._blocks)
-            parts.append(self.unique_violations)
+            self.materialize()
+            parts = ray.get(self._blocks) + [self.unique_violations]
             self._cached = pa.concat_tables(
                 [p for p in parts if p.num_rows] or [empty_violations()]
             )
@@ -911,8 +974,7 @@ class ValidationResult:
     def counts_by_error(self) -> dict[str, int]:
         """``{error: count}`` over every violation, uniqueness included;
         from the drained tallies, never the violation rows."""
-        if self._counts is None:
-            self.all_violations_table()
+        self.materialize()
         out = dict(self._counts)
         for e, c in _tally(self.unique_violations).items():
             out[e] = out.get(e, 0) + c
@@ -1088,11 +1150,16 @@ class ValidationEngine:
         *,
         check_unique: bool = True,
         sketch: bool = False,
-        batch_size: Optional[int] = None,
         allowed_errors: Optional[int] = None,
         error_handler=None,
         key_ds: Optional[Dataset] = None,
     ) -> ValidationResult:
+        """Validate ``ds`` against a spec; nothing runs until the result's
+        first entry point.  ``error_handler`` (see
+        ``CompiledSpec.check_batch``) is called once per table the fused
+        pass checks: each row group of a planned read, each block of a
+        materialized input, each batch of the Ray Data map otherwise —
+        the tables a Ray Data ``map_batches`` over the same input gets."""
         if isinstance(spec_or_name, str):
             compiled = self.get(spec_or_name)
         elif isinstance(spec_or_name, CompiledSpec):
@@ -1103,16 +1170,15 @@ class ValidationEngine:
 
         # ONE pass over the full-width data for row + referential checks,
         # the key partials and the drift sketch — at 100 TB the read
-        # dominates.  The lazy ``violations`` view drops the in-band rows;
+        # dominates.  Nothing runs until the result's first entry point;
         # ``key_ds`` is read only by ``duplicate_keys`` above the driver cap.
         keys = tuple(dict.fromkeys(compiled.spec.unique_keys)) if check_unique else ()
-        pending = _fused_pass(ds, compiled, batch_size, allowed_errors, error_handler, keys, sketch)
         if keys and key_ds is None:
             key_ds = ds.select_columns(list(keys))
         return ValidationResult(
-            violations=pending.map_batches(_violation_rows, batch_format="pyarrow", zero_copy_batch=True),
             spec_version=compiled.version,
-            _pending=pending,
+            _ds=ds,
+            _validator=_fused_validator(compiled, allowed_errors, error_handler, keys, sketch),
             _unique_keys=keys,
             _key_ds=key_ds,
         )

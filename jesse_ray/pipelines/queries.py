@@ -45,8 +45,8 @@ from jesse_ray.compiler import compile_spec
 from jesse_ray.engine import (
     duplicate_keys,
     filter_valid,
-    fused_violations,
     row_violations,
+    validate_dataset,
 )
 from jesse_ray.pipelines.relational import (
     broadcast_join,
@@ -206,13 +206,7 @@ def q_seq_val_source_enum(sf_dir: str) -> pa.Table:
     spec (zero row checks, no uniqueness) with the broadcast dimension."""
     ds = read_sequences(_seq_path(sf_dir), columns=["doc_id", "source"])
     spec = TableSpec(key_column="doc_id", referential=_seq_spec().referential)
-    v = _collect(fused_violations(ds, compile_spec(spec), check_unique=False))
-    if v is None or v.num_rows == 0:
-        return pa.table(
-            {"doc_id": pa.array([], type=pa.string()),
-             "source": pa.array([], type=pa.string()),
-             "error": pa.array([], type=pa.string())}
-        )
+    v = validate_dataset(ds, spec, check_unique=False).all_violations_table()
     src = pa.array([json.loads(x) for x in v["value_json"].to_pylist()], type=pa.string())
     return pa.table({"doc_id": v["doc_id"], "source": src, "error": v["error"]})
 
@@ -4880,8 +4874,6 @@ SELECT error, cnt FROM v WHERE cnt > 0 ORDER BY error
 def q_seq_validation_full(sf_dir: str) -> pd.DataFrame:
     """Flagship: full engine run (row + referential + uniqueness) →
     per-error counts."""
-    from jesse_ray.engine import validate_dataset
-
     ds = read_sequences(_seq_path(sf_dir))
     res = validate_dataset(ds, _seq_spec())
     counts = res.counts_by_error()

@@ -17,12 +17,17 @@ store.  Here no task's estimate exceeds
 ``DataContext.target_max_block_size`` and the block count is the task
 count, so Ray never adds a split: the first map stage always fuses into
 the read (``ReadParquet->MapBatches``).
+
+:func:`planned_read_tasks` hands the same planned tasks to a caller that
+runs them itself (the validation engine runs one plain Ray task per read
+task).
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import weakref
 from typing import Iterator, Optional, Sequence
 
 import pyarrow as pa
@@ -92,7 +97,7 @@ def plan_read_tasks(sizes: Sequence[int], cpus: int, target_max_block_size: int)
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _cluster_cpus() -> int:
+def cluster_cpus() -> int:
     """CPUs Ray reports; the host's count before ``ray.init``."""
     if ray.is_initialized():
         return max(1, int(ray.cluster_resources().get("CPU", 1)))
@@ -181,7 +186,7 @@ class RowGroupParquetSource(Datasource):
                 frag = frag.subset(filter=predicate)
             groups.extend((fs, p, rg.id, rg.num_rows, rg.total_byte_size) for rg in frag.row_groups)
         self._nbytes = sum(g[4] for g in groups)
-        plan = plan_read_tasks([g[4] for g in groups], _cluster_cpus(),
+        plan = plan_read_tasks([g[4] for g in groups], cluster_cpus(),
                                ray.data.DataContext.get_current().target_max_block_size)
         self._tasks = [_read_task([groups[i] for i in r], columns, predicate, schema)
                        for r in plan] or [_read_task([], columns, predicate, schema)]
@@ -213,11 +218,27 @@ def _read_task(groups: list, columns, predicate, schema: pa.Schema) -> ReadTask:
                     meta, schema=schema)
 
 
+#: the planned read tasks of every Dataset :func:`_read` returned, for as
+#: long as that Dataset lives
+_PLANNED: "weakref.WeakKeyDictionary[Dataset, list[ReadTask]]" = weakref.WeakKeyDictionary()
+
+
+def planned_read_tasks(ds: Dataset) -> Optional[list[ReadTask]]:
+    """The read tasks :class:`RowGroupParquetSource` planned for ``ds`` when
+    ``ds`` is a Dataset returned by :func:`read_sequences` /
+    :func:`read_table` itself, in plan order; ``None`` for any other Dataset
+    (one derived from such a read included)."""
+    return _PLANNED.get(ds)
+
+
 def _read(path, columns: Optional[list[str]], predicate) -> Dataset:
     src = RowGroupParquetSource(path, columns=columns, predicate=predicate)
+    tasks = src.get_read_tasks(-1)
     # ask for exactly the planned task count: SetReadParallelismRule then
     # finds no shortfall to make up with a SplitBlocks factor
-    return ray.data.read_datasource(src, override_num_blocks=len(src.get_read_tasks(-1)))
+    ds = ray.data.read_datasource(src, override_num_blocks=len(tasks))
+    _PLANNED[ds] = tasks
+    return ds
 
 
 def read_sequences(

@@ -916,11 +916,13 @@ def _count_executions(monkeypatch) -> list:
 
 
 def test_checkpoint_executions_per_partition(tmp_path, corpus_sf0001, monkeypatch):
-    """Each fresh checkpoint partition is one Ray Data execution, the
-    fused pass, plus plain write tasks — on parquet, with a drift
-    reference, and on jsonl; its counts, row count and sketch ride
-    in-band.  After ``materialize()``, ``counts_by_error()`` starts
-    none.  Counted as streaming executors started in-process."""
+    """A fresh checkpoint partition is the fused pass plus plain write
+    tasks.  On parquet, with or without a drift reference, the fused pass
+    is plain tasks over the planned read and starts no Ray Data
+    execution; on jsonl it starts one, the pass fused into the read.
+    The counts, row count and sketch ride in-band.  After
+    ``materialize()``, ``counts_by_error()`` starts none.  Counted as
+    streaming executors started in-process."""
     from jesse_ray import checkpoint, testgen
     from jesse_ray.pipelines.queries import _seq_spec
 
@@ -939,16 +941,16 @@ def test_checkpoint_executions_per_partition(tmp_path, corpus_sf0001, monkeypatc
     ref_path = str(tmp_path / "ref.bin")
     checkpoint.build_reference_digest([str(testgen.corpus_dir("sf0.001") / "drift_reference.parquet")], ref_path)
     rows = pq.read_metadata(str(testgen.corpus_path("sf0.001"))).num_rows
-    for name, files, kw in (
-        ("parquet", pfiles, {}),
-        ("drift", pfiles, {"drift_reference": ref_path}),
-        ("jsonl", jfiles, {"input_format": "jsonl"}),
+    for name, files, kw, want in (
+        ("parquet", pfiles, {}, [0, 0]),
+        ("drift", pfiles, {"drift_reference": ref_path}, [0, 0]),
+        ("jsonl", jfiles, {"input_format": "jsonl"}, [1, 1]),
     ):
         per_partition.clear()
         started.clear()
         s = checkpoint.run_validation(files, _seq_spec(), tmp_path / name, files_per_partition=2, **kw)
         assert s["partitions"] == 2 and s["violations"] > 0
-        assert per_partition == [1, 1], (name, per_partition)
+        assert per_partition == want, (name, per_partition)
         records = checkpoint.Manifest(tmp_path / name / "manifest.jsonl").load().values()
         assert sum(r.metrics["rows"] for r in records) == rows
         assert all(("drift" in r.metrics) == ("drift_reference" in kw) for r in records)
@@ -997,6 +999,148 @@ def test_write_violations_sink_counters(ray_session, tmp_path):
     assert res.metrics["sink.rows"] == sum(pq.read_metadata(p).num_rows for p in parts)
     assert res.metrics["sink.bytes"] == sum(p.stat().st_size for p in parts)
     assert res.metrics["sink.rows"] + res.unique_violations.num_rows == sum(res.counts_by_error().values())
+
+
+def _row_group_file(tmp_path) -> str:
+    """The sf0.001 corpus rewritten with small row groups: 9 groups, which
+    the read planner packs into 4 read tasks at 4 CPUs."""
+    path = str(tmp_path / "row_groups.parquet")
+    pq.write_table(pq.read_table(str(testgen.corpus_path("sf0.001"))), path, row_group_size=250)
+    return path
+
+
+def test_validation_row_order_follows_read_plan(corpus_sf0001, tmp_path):
+    """At 4 CPUs the violation rows come in read-plan order whatever
+    order the tasks finish in: the lazy and the materialized
+    ``all_violations_table()`` are the same bytes, and two runs write the
+    same part files."""
+    from jesse_ray.pipelines.queries import _seq_spec
+    from jesse_ray.sources.parquet import planned_read_tasks
+
+    path = _row_group_file(tmp_path)
+    assert len(planned_read_tasks(read_sequences(path))) >= 4
+    written = []
+    for run in range(3):
+        lazy = validate_dataset(read_sequences(path), _seq_spec()).all_violations_table()
+        res = validate_dataset(read_sequences(path), _seq_spec()).materialize()
+        assert lazy.num_rows > 0 and _ipc(res.all_violations_table()) == _ipc(lazy), run
+        out = tmp_path / f"out{run}"
+        res.write_violations(str(out))
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(written[0]) > 2 and written[1] == written[0] and written[2] == written[0]
+
+
+def test_read_sequences_validation_starts_no_execution(corpus_sf0001, monkeypatch, tmp_path):
+    """A validation of a ``read_sequences`` Dataset runs plain tasks over
+    the planned read: the lazy ``all_violations_table()``,
+    ``materialize()`` + ``write_violations()`` and ``counts_by_error()``
+    each start no Ray Data execution."""
+    from jesse_ray.pipelines.queries import _seq_spec
+
+    path = str(testgen.corpus_path("sf0.001"))
+    started = _count_executions(monkeypatch)
+    assert validate_dataset(read_sequences(path), _seq_spec()).all_violations_table().num_rows > 0
+    res = validate_dataset(read_sequences(path), _seq_spec()).materialize()
+    res.write_violations(str(tmp_path / "out"))
+    assert res.metrics["sink.rows"] > 0
+    assert validate_dataset(read_sequences(path), _seq_spec()).counts_by_error()
+    assert started == []
+
+
+def test_counts_by_error_fetches_no_violation_block(corpus_sf0001, monkeypatch):
+    """``counts_by_error()`` on a fresh result drains only the tallies: the
+    same dict as the counted rows, and no violation block (no Arrow table)
+    reaches the driver."""
+    import collections
+
+    from jesse_ray.pipelines.queries import _seq_spec
+
+    path = str(testgen.corpus_path("sf0.001"))
+    rows = validate_dataset(read_sequences(path), _seq_spec()).all_violations_table()
+    want = dict(collections.Counter(rows["error"].to_pylist()))
+    fetched = []
+    get = ray.get
+    monkeypatch.setattr(ray, "get", lambda refs, **kw: fetched.append(get(refs, **kw)) or fetched[-1])
+    res = validate_dataset(read_sequences(path), _seq_spec())
+    assert res.counts_by_error() == want and not res.passed
+    assert fetched and not any(isinstance(x, pa.Table) for x in fetched)
+
+
+def test_planned_and_block_routes_agree(corpus_sf0001, tmp_path, monkeypatch):
+    """``read_sequences`` / ``read_table`` Datasets returned unchanged run
+    the planned read tasks and start no Ray Data execution; a
+    materialized input (``from_arrow``, ``.materialize()``) runs on its
+    blocks (listing them may start one execution, which runs no task);
+    any other input
+    (``.limit``, ``.select_columns``) runs the pass as one Ray Data map.
+    All give the same violations, counts, uniqueness rows and row count."""
+    from jesse_ray.pipelines.queries import _seq_spec
+    from jesse_ray.sources import read_table
+    from jesse_ray.sources.parquet import SEQUENCE_COLUMNS, planned_read_tasks
+    import pyarrow.dataset as pds
+
+    path = _row_group_file(tmp_path)
+    planned = {
+        "read_sequences": read_sequences(path),
+        # a predicate every row passes
+        "predicate": read_sequences(path, predicate=pds.field("doc_id").is_null() | pds.field("doc_id").is_valid()),
+        "read_table": read_table(path, columns=SEQUENCE_COLUMNS),
+        "from_arrow": ray.data.from_arrow(pq.read_table(path, columns=SEQUENCE_COLUMNS)),
+        "materialize": read_sequences(path).materialize(),
+    }
+    mapped = {
+        "limit": read_sequences(path).limit(10**9),
+        "select_columns": read_sequences(path).select_columns(SEQUENCE_COLUMNS),
+    }
+    assert [planned_read_tasks(ds) is not None for ds in planned.values()] == [True] * 3 + [False] * 2
+    assert all(planned_read_tasks(ds) is None for ds in mapped.values())
+
+    started = _count_executions(monkeypatch)
+
+    def outputs(ds):
+        started.clear()
+        res = validate_dataset(ds, _seq_spec())
+        return (_row_set(res.all_violations_table()), res.counts_by_error(),
+                _ipc(res.unique_violations), res.metrics["rows"], len(started))
+
+    want = outputs(planned["read_sequences"])
+    assert want[3] == pq.read_metadata(path).num_rows and want[1] and want[4] == 0
+    executions = {"from_arrow": {0, 1}, "materialize": {0, 1}, "limit": {1}, "select_columns": {1}}
+    for name, ds in {**planned, **mapped}.items():
+        *got, n = outputs(ds)
+        assert got == list(want[:4]) and n in executions.get(name, {0}), name
+
+
+def test_error_handler_runs_once_per_block(corpus_sf0001, tmp_path):
+    """``validate(error_handler=...)`` is called once per row group of a
+    planned read, not once per read task, as the map of a Ray Data read
+    is: a per-call cap keeps the rows ``fused_violations``' Ray Data map
+    keeps over the same read.  On any other input the pass is that map."""
+    import dataclasses
+
+    from jesse_ray.pipelines.queries import _seq_spec
+    from jesse_ray.sources.parquet import planned_read_tasks
+
+    # row checks only: the handler does not see the referential rows
+    spec = dataclasses.replace(_seq_spec(), referential=[])
+    path = _row_group_file(tmp_path)
+    tasks = len(planned_read_tasks(read_sequences(path)))
+    # keeps at most one violation per call (defined here: workers cannot
+    # import this module)
+    kw = {"error_handler": lambda viol, allowed: viol.slice(0, 1)}
+
+    def validated(ds):
+        return validate_dataset(ds, spec, check_unique=False, **kw).all_violations_table()
+
+    def mapped(ds):
+        refs = fused_violations(ds, compile_spec(spec), check_unique=False, **kw).materialize().to_arrow_refs()
+        return pa.concat_tables(ray.get(refs))
+
+    got = validated(read_sequences(path))
+    assert tasks < got.num_rows <= pq.read_metadata(path).num_row_groups
+    assert _row_set(got) == _row_set(mapped(read_sequences(path)))
+    limited = read_sequences(path).limit(10**9)
+    assert _row_set(validated(limited)) == _row_set(mapped(limited))
 
 
 def test_write_violations_replaces_part_files(ray_session, tmp_path):
