@@ -136,10 +136,13 @@ def run_validation(
 
     Key uniqueness is CORPUS-scoped: one column-pruned pass over ALL
     input files runs after the partition loop (a per-partition check
-    would miss keys duplicated across partitions).  It runs the engine's
-    one exact algorithm (``engine.uniqueness_check``): per-batch key
-    counts summed on the driver while the merged state stays under
-    ``UNIQ_DRIVER_CAP_BYTES``, per key bucket in tasks above it.
+    would miss keys duplicated across partitions).  It is
+    ``engine.uniqueness_check``, a key-only validation: on parquet plain
+    tasks over the planned read of the key columns (no Ray Data
+    execution), on jsonl one execution; the per-batch key counts are
+    summed on the driver while the merged state stays under
+    ``UNIQ_DRIVER_CAP_BYTES``, and above it the same partials are summed
+    per key bucket in tasks, so each key row is read once at any size.
     The route report (``uniqueness.route``, ``.partial_rows``,
     ``.merged_bytes``, ``.dup_keys``) goes into the summary.  The pass
     reruns on every invocation — including resumes — because it reads

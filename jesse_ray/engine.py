@@ -8,13 +8,16 @@ counts and (when asked) drift sketch in-band → corpus-level key
 uniqueness (the same exact counts summed on the driver under a byte cap,
 per key bucket in tasks above it — ``hashutil.map_key_buckets``, the
 pandas hash of the key) → violation blocks + per-run metrics.  A
-validation reads the corpus once.  ``validate`` runs the fused pass as
-plain Ray tasks, one per read task the parquet source planned, so a
-planned read starts no Ray Data execution unless the uniqueness cap
-trips; an input already in the object store (``from_arrow``) goes to
-the same tasks block by block; any other input runs the pass as a Ray
-Data ``map_batches`` fused into its read, one execution.  ``fused_violations`` is that ``map_batches``
-as a Dataset.
+validation reads the corpus once, at every size: above the cap the
+bucket sum takes the partials the pass already made, never the keys
+again.  ``validate`` runs the fused pass as plain Ray tasks, one per
+read task the parquet source planned, so a planned read starts no Ray
+Data execution (above the uniqueness cap, one: the bucket sum); an
+input already in the object store (``from_arrow``) goes to the same
+tasks block by block; any other input runs the pass as a Ray Data
+``map_batches`` fused into its read, one execution, its blocks in
+input order.  ``fused_violations`` is that ``map_batches`` as a
+Dataset.  ``uniqueness_check`` is a key-only validation.
 
 This replaces the reference's per-document recursive walk
 (reference: src/jesse_schema_validator.erl:82-98) with a streaming,
@@ -119,41 +122,14 @@ def filter_valid(
     if include_referential and compiled.spec.referential:
         rules = _referential_rules(compiled.spec)
         rules_ref = ray.put(rules) if ray.is_initialized() else rules
+    # only the compiled spec and the tiny rules ref ride the serialized
+    # callable; the validator fetches the dimension values once per worker
+    fv = FusedValidator(compiled, rules_ref, compiled.spec.key_column)
 
-    class _Keep:
-        """Closure state: ONLY the compiled spec + the tiny rules ref
-        ride the serialized callable; the dimension values are fetched
-        from plasma once per worker and precompiled to Arrow value
-        sets (the ReferentialChecker discipline)."""
+    def keep(batch: pa.Table) -> pa.Table:
+        return batch.filter(pa.array(~fv.invalid_row_mask(batch)))
 
-        def __init__(self, compiled, rules_ref):
-            self._compiled = compiled
-            self._rules_ref = rules_ref
-            self._sets = None  # resolved lazily per worker
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            bad = self._compiled.invalid_row_mask(batch)
-            if self._rules_ref is not None:
-                if self._sets is None:
-                    resolved = (
-                        ray.get(self._rules_ref)
-                        if isinstance(self._rules_ref, ray.ObjectRef)
-                        else self._rules_ref
-                    )
-                    self._sets = [
-                        (column, _rule_value_set(values))
-                        for column, values, _atom in resolved
-                    ]
-                for column, value_set in self._sets:
-                    ref_bad = _membership_bad_mask(batch, column, value_set)
-                    if ref_bad is not None:
-                        bad |= ref_bad
-            return batch.filter(pa.array(~bad))
-
-    return ds.map_batches(
-        _Keep(compiled, rules_ref),
-        batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size,
-    )
+    return ds.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
 
 
 MIGRATION_STATUSES = ["broke_in_new", "clean_both", "dirty_both", "fixed_in_new"]
@@ -214,7 +190,7 @@ def migration_report(
 # combiner that collapses hot keys before anything moves, SURVEY §7.3) with
 # ``_sum_key_counts`` and keeps ``cnt > 1``; only where the sum runs
 # differs: on the driver under ``UNIQ_DRIVER_CAP_BYTES`` (``KeyCountMerge``),
-# per key bucket inside a task above it (``duplicate_keys``).
+# per key bucket inside a task above it (``_bucket_dups``).
 
 
 def _batch_key_counts(batch: pa.Table, key: str) -> pa.Table:
@@ -240,27 +216,32 @@ def _only_dups(counts: pa.Table, key: str) -> pa.Table:
     return g.filter(pc.greater(g["cnt"], 1))
 
 
-def duplicate_keys(ds: Dataset, key: str) -> Dataset:
-    """Distinct non-null ``key`` values occurring more than once in
-    ``ds``, as unordered ``(key, cnt)`` rows.
-
-    Each batch's exact ``(key, partial_cnt)`` partials go through
-    ``hashutil.map_key_buckets`` (the pandas hash of the key, masked to
-    64 buckets); each bucket sums its partials and keeps ``cnt > 1``
-    inside a task.  The key itself travels with its partial row, so the
-    count is exact with no confirm pass and no second read, and only the
-    duplicate set leaves the tasks.
-    """
+def _bucket_dups(partials: Dataset, key: str) -> Dataset:
+    """Per key bucket (``hashutil.map_key_buckets``, the pandas hash of
+    the key masked to 64 buckets), the sum of ``partials``' ``(key,
+    partial_cnt)`` rows, kept where ``cnt > 1``, inside a task."""
 
     def merge(group: pa.Table) -> pa.Table:
         return _only_dups(_sum_key_counts([group.drop_columns(["__part"])], key), key)
 
-    partials = ds.map_batches(_batch_key_counts, fn_args=(key,), batch_format="pyarrow", zero_copy_batch=True)
     return map_key_buckets(partials, [key], merge, batch_format="pyarrow")
 
 
+def duplicate_keys(ds: Dataset, key: str) -> Dataset:
+    """Distinct non-null ``key`` values occurring more than once in
+    ``ds``, as unordered ``(key, cnt)`` rows.
+
+    Each batch's exact ``(key, partial_cnt)`` partials are summed per key
+    bucket (``_bucket_dups``).  The key itself travels with its partial
+    row, so the count is exact with no confirm pass and no second read,
+    and only the duplicate set leaves the tasks.
+    """
+    partials = ds.map_batches(_batch_key_counts, fn_args=(key,), batch_format="pyarrow", zero_copy_batch=True)
+    return _bucket_dups(partials, key)
+
+
 #: byte cap on the driver's merged ``(key, count)`` state; past it the
-#: per-bucket sum of ``duplicate_keys`` takes over
+#: partials are summed per key bucket in tasks (``_bucket_dups``)
 UNIQ_DRIVER_CAP_BYTES = 64 << 20
 
 
@@ -268,20 +249,21 @@ class KeyCountMerge:
     """The driver side of the one exact-uniqueness algorithm: a merge of
     per-batch ``(key, partial_cnt)`` tables under ``UNIQ_DRIVER_CAP_BYTES``.
 
-    Fed by ``uniqueness_check`` (a key-only execution) and by
-    ``ValidationResult`` (the in-band key partials of the fused pass).  It
+    Fed by ``ValidationResult``'s drain with the in-band key partials of
+    the fused pass (``uniqueness_check`` is such a validation).  It
     merges with ``_sum_key_counts``, compacting whenever the pending
     partials outgrow twice the merged state, so driver memory follows the
     number of distinct keys, not of partial rows.  No hash, no shuffle —
     exact by construction, and the same answer in any arrival order.
 
     When a compaction leaves the merged state above the cap the merge
-    trips: it drops its state, ignores further partials, and
-    ``duplicates()`` is ``None`` — the caller falls back to
-    ``duplicate_keys``, which sums the same partials per key bucket.  The
-    driver so holds at most the capped state plus pending partials of
-    twice its size; the final merge of the tail is kept even above the
-    cap, because the exact answer is then already on the driver.
+    trips: it ``ray.put``s the merged table and every later partial, so
+    the driver keeps only refs, and ``duplicates()`` sums them per key
+    bucket in tasks (``_bucket_dups``, the sum of ``duplicate_keys``).
+    Until the trip the driver holds at most the capped state plus pending
+    partials of twice its size; the final merge of the tail is kept even
+    above the cap, because the exact answer is then already on the
+    driver.
     """
 
     def __init__(self, key: str):
@@ -291,56 +273,41 @@ class KeyCountMerge:
         self._merged: list[pa.Table] = []
         self._pending: list[pa.Table] = []
         self._pending_bytes = 0
+        #: once tripped: refs to the merged state and every later partial
+        self._refs: list[ray.ObjectRef] = []
 
     def add(self, part: pa.Table) -> None:
-        if self.tripped or not part.num_rows:
+        if not part.num_rows:
+            return
+        self.partial_rows += part.num_rows
+        if self.tripped:
+            self._refs.append(ray.put(part))
             return
         self._pending.append(part)
         self._pending_bytes += part.nbytes
-        self.partial_rows += part.num_rows
         if self._pending_bytes > 2 * self.merged_bytes:
             self._compact()
             if self.merged_bytes > UNIQ_DRIVER_CAP_BYTES:
                 self.tripped = True
-                self._merged = []
+                self._refs, self._merged = [ray.put(self._merged[0])], []
 
     def _compact(self) -> None:
         self._merged = [_sum_key_counts(self._merged + self._pending, self.key)]
         self._pending, self._pending_bytes = [], 0
         self.merged_bytes = self._merged[0].nbytes
 
-    def duplicates(self) -> Optional[pa.Table]:
-        """``(key, cnt)`` rows with ``cnt > 1`` sorted by key, or ``None``
-        once the merge has tripped."""
+    def duplicates(self) -> pa.Table:
+        """``(key, cnt)`` rows with ``cnt > 1`` sorted by key."""
         if self.tripped:
-            return None
-        if self._pending:
+            dups = _bucket_dups(ray.data.from_arrow_refs(self._refs), self.key)
+            parts = list(dups.iter_batches(batch_format="pyarrow", batch_size=None))
+            if parts:
+                return pa.concat_tables(parts).sort_by(self.key)
+        elif self._pending:
             self._compact()
         if not self._merged:
             return pa.table({self.key: pa.array([], type=pa.string()), "cnt": pa.array([], type=pa.int64())})
         return _only_dups(self._merged[0], self.key).sort_by(self.key)
-
-
-def _stream_key_counts(ds: Dataset, key: str) -> KeyCountMerge:
-    """One key-only execution streaming ``_batch_key_counts`` partials
-    into a ``KeyCountMerge``; a trip of the cap ends it early."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        return _batch_key_counts(batch, key)
-
-    merge = KeyCountMerge(key)
-    batches = iter(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .iter_batches(batch_format="pyarrow", batch_size=None)
-    )
-    try:
-        for b in batches:
-            merge.add(b)
-            if merge.tripped:
-                break
-    finally:
-        batches.close()  # shuts the streaming execution down on a trip
-    return merge
 
 
 def uniqueness_violations(ds: Dataset, key: str) -> pa.Table:
@@ -359,18 +326,16 @@ def uniqueness_check(ds: Dataset, keys: list[str]) -> tuple[pa.Table, dict[str, 
     rows sorted by key, plus the route report
     ``uniqueness.{route, partial_rows, merged_bytes, dup_keys}``.
 
-    Each key's exact partials are summed on the driver
-    (``KeyCountMerge``) unless its state passes ``UNIQ_DRIVER_CAP_BYTES``;
-    then they are summed per key bucket (``duplicate_keys``).  Both give
-    the same table."""
-    return _uniqueness_report([_stream_key_counts(ds, key) for key in keys], ds)
+    A key-only validation: the fused pass reads ``ds`` once for all keys
+    and its drain sums the partials (see ``ValidationResult``)."""
+    res = validate_dataset(ds, TableSpec(unique_keys=list(keys))).materialize()
+    return res.unique_violations, {k: v for k, v in res.metrics.items() if k.startswith("uniqueness.")}
 
 
-def _uniqueness_report(merges: list[KeyCountMerge], ds: Dataset) -> tuple[pa.Table, dict[str, Any]]:
-    """Violations and route report from one finished merge per key; a
-    tripped key reruns as ``duplicate_keys`` over ``ds``.  The counts are
-    summed over keys; the route is ``shuffle`` if any key fell back, else
-    ``driver_merge``."""
+def _uniqueness_report(merges: list[KeyCountMerge]) -> tuple[pa.Table, dict[str, Any]]:
+    """Violations and route report from one finished merge per key.  The
+    counts are summed over keys; the route is ``shuffle`` if any key's
+    merge tripped, else ``driver_merge``."""
     parts = []
     metrics: dict[str, Any] = {
         "uniqueness.route": "driver_merge",
@@ -380,15 +345,12 @@ def _uniqueness_report(merges: list[KeyCountMerge], ds: Dataset) -> tuple[pa.Tab
     }
     for merge in merges:
         tbl = merge.duplicates()
-        if tbl is None:  # the driver state passed the cap
+        if merge.tripped:
             metrics["uniqueness.route"] = "shuffle"
-            dups = list(duplicate_keys(ds, merge.key).iter_batches(batch_format="pyarrow", batch_size=None))
-            tbl = pa.concat_tables(dups).sort_by(merge.key) if dups else None
-        n = tbl.num_rows if tbl is not None else 0
         metrics["uniqueness.partial_rows"] += merge.partial_rows
         metrics["uniqueness.merged_bytes"] += merge.merged_bytes
-        metrics["uniqueness.dup_keys"] += n
-        if n:
+        metrics["uniqueness.dup_keys"] += tbl.num_rows
+        if tbl.num_rows:
             parts.append(_not_unique_rows(tbl, merge.key))
     if not parts:
         return empty_violations(), metrics
@@ -462,8 +424,8 @@ def _sorted_values(values) -> list:
 
 
 def _rule_value_set(values) -> pa.Array:
-    """Compile an allowed-values set into the Arrow value_set used by
-    every referential membership check (fused validator, filter_valid).
+    """Compile an allowed-values set into the Arrow value_set of its
+    ``ReferentialChecker`` rule.
     Type is INFERRED so integer dimension keys stay integers; mixed or
     unhashable sets fall back to their string forms."""
     try:
@@ -472,23 +434,13 @@ def _rule_value_set(values) -> pa.Array:
         return pa.array(sorted(str(v) for v in values), type=pa.string())
 
 
-def _membership_bad_mask(batch: pa.Table, column: str, value_set: pa.Array) -> Optional[np.ndarray]:
-    """True where a PRESENT value is outside the dimension (anti-join
-    semantics); None when the column is absent from the batch."""
-    if column not in batch.column_names:
-        return None
-    arr = _combine(batch[column])
-    present = _np_mask(pc.is_valid(arr), len(arr))
-    ok = _np_mask(pc.is_in(arr, value_set=value_set), len(arr))
-    return present & ~ok
-
-
 class ReferentialChecker:
     """Per-batch membership of columns against allowed-values dimensions
     (semi/anti-join semantics; anti-join rows become violations).
     ``rules`` is ``_referential_rules``'s list; ``FusedValidator``
     fetches it from the object store once per worker and runs this
-    checker on every batch.  This is the reference's ``enum``
+    checker on every batch (``bad_rows`` for ``filter_valid``, the
+    violation rows otherwise).  This is the reference's ``enum``
     (src/jesse_validator_draft4.erl:960-970) against an external
     dimension, per the north star.
     """
@@ -502,6 +454,24 @@ class ReferentialChecker:
             frag = json.dumps({"enum": _sorted_values(values)}, separators=(",", ":"), default=str)
             self.compiled_rules.append((column, vs, error_atom, frag))
 
+    def _bad_masks(self, batch: pa.Table) -> Iterator[tuple[str, str, str, np.ndarray]]:
+        """``(column, error_atom, fragment, bad-row mask)`` per rule whose
+        column is in the batch; the mask is True where a PRESENT value is
+        outside the dimension (anti-join semantics)."""
+        for column, value_set, error_atom, frag in self.compiled_rules:
+            if column in batch.column_names:
+                arr = _combine(batch[column])
+                present = _np_mask(pc.is_valid(arr), len(arr))
+                ok = _np_mask(pc.is_in(arr, value_set=value_set), len(arr))
+                yield column, error_atom, frag, present & ~ok
+
+    def bad_rows(self, batch: pa.Table) -> np.ndarray:
+        """True where a row fails any rule (``filter_valid``'s mask)."""
+        out = np.zeros(batch.num_rows, dtype=bool)
+        for *_, bad in self._bad_masks(batch):
+            out |= bad
+        return out
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         """The batch's membership violations, rendered column by column
         as ``CompiledSpec.check_batch`` renders its rows: ``doc_id`` from
@@ -509,10 +479,7 @@ class ReferentialChecker:
         constant path, error and fragment from one-element arrays."""
         cols = ([], [], [], [], [])  # doc_id, path, error, value_json, schema_fragment chunks
         key_arr = _combine(batch[self.key_column]) if self.key_column in batch.column_names else None
-        for column, value_set, error_atom, frag in self.compiled_rules:
-            bad = _membership_bad_mask(batch, column, value_set)
-            if bad is None:
-                continue
+        for column, error_atom, frag, bad in self._bad_masks(batch):
             idx = np.flatnonzero(bad)
             if len(idx) == 0:
                 continue
@@ -582,6 +549,13 @@ class FusedValidator:
         rules = ray.get(rules_ref) if isinstance(rules_ref, ray.ObjectRef) else rules_ref
         self._ref = ReferentialChecker(rules, self._key_column) if rules else None
         self._resolved = True
+
+    def invalid_row_mask(self, batch: pa.Table) -> np.ndarray:
+        """True where a row fails a row-level or a referential check."""
+        if not self._resolved:
+            self._resolve()
+        bad = self.compiled.invalid_row_mask(batch)
+        return bad | self._ref.bad_rows(batch) if self._ref is not None else bad
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if not self._resolved:
@@ -666,17 +640,26 @@ def _fused_blocks(
       ``fv`` runs inside its Ray Data execution, fused into the read
       (``_fused_map``), so only the small output blocks reach the object
       store; the driver splits each and puts its violation rows back.
+      The execution preserves order, so blocks follow the input.
 
     At most two tasks per cluster CPU are in flight; sides are fetched in
     task order whatever order the tasks finish in."""
     read_tasks = planned_read_tasks(ds)
     if read_tasks is None and not isinstance(ds, MaterializedDataset):
-        for b in _fused_map(ds, fv).iter_internal_ref_bundles():
-            for ref in b.block_refs:
-                t = ray.get(ref)
-                # Ray Data passes empty blocks on without a schema
-                viol, side = _split(t if t.num_rows else INBAND_SCHEMA.empty_table())
-                yield ray.put(viol), side
+        mapped = _fused_map(ds, fv)
+        # the map shares its context with ``ds``: set the flag for this
+        # one execution and put it back after
+        opts = mapped.context.execution_options
+        preserve, opts.preserve_order = opts.preserve_order, True
+        try:
+            for b in mapped.iter_internal_ref_bundles():
+                for ref in b.block_refs:
+                    t = ray.get(ref)
+                    # Ray Data passes empty blocks on without a schema
+                    viol, side = _split(t if t.num_rows else INBAND_SCHEMA.empty_table())
+                    yield ray.put(viol), side
+        finally:
+            opts.preserve_order = preserve
         return
     if read_tasks is not None:
         args = ((t,) for t in read_tasks)
@@ -843,9 +826,10 @@ class ValidationResult:
     The drain folds the tallies into ``counts_by_error`` (and each
     block's sum into its row count), ``__rows`` into ``metrics["rows"]``,
     each key's partials into one ``KeyCountMerge`` (a key whose merge
-    passes ``UNIQ_DRIVER_CAP_BYTES`` reruns as ``duplicate_keys`` over
-    ``_key_ds``; the route report, ``uniqueness_check``'s keys, goes into
-    ``metrics``), and with ``validate(sketch=True)`` the per-batch bundles
+    passes ``UNIQ_DRIVER_CAP_BYTES`` sums the partials it was fed per key
+    bucket in tasks, so no key is read twice; the route report,
+    ``uniqueness_check``'s keys, goes into ``metrics``), and with
+    ``validate(sketch=True)`` the per-batch bundles
     into ``sketch``.  ``counts_by_error`` / ``passed`` need only that
     drain; ``all_violations_table`` fetches the pinned blocks;
     ``write_violations`` writes them with one plain task each;
@@ -863,7 +847,6 @@ class ValidationResult:
     _ds: Optional[Dataset] = None
     _validator: Optional[FusedValidator] = None
     _unique_keys: tuple[str, ...] = ()
-    _key_ds: Optional[Dataset] = None
     #: per block, in task order: the ref to its violation rows and their
     #: count (the block's tally summed)
     _blocks: Optional[list] = None
@@ -890,7 +873,7 @@ class ValidationResult:
                 counts[e] = counts.get(e, 0) + c
         self._counts = counts
         self.metrics["rows"] = rows
-        self._uniq, uniq_metrics = _uniqueness_report([merges[k] for k in self._unique_keys], self._key_ds)
+        self._uniq, uniq_metrics = _uniqueness_report([merges[k] for k in self._unique_keys])
         self.metrics.update(uniq_metrics)
 
     @property
@@ -1159,7 +1142,10 @@ class ValidationEngine:
         ``CompiledSpec.check_batch``) is called once per table the fused
         pass checks: each row group of a planned read, each block of a
         materialized input, each batch of the Ray Data map otherwise —
-        the tables a Ray Data ``map_batches`` over the same input gets."""
+        the tables a Ray Data ``map_batches`` over the same input gets.
+        ``key_ds`` is accepted and ignored (``perfbench`` still passes
+        it): the fused pass computes every key partial, so no key is read
+        from anywhere else."""
         if isinstance(spec_or_name, str):
             compiled = self.get(spec_or_name)
         elif isinstance(spec_or_name, CompiledSpec):
@@ -1170,17 +1156,13 @@ class ValidationEngine:
 
         # ONE pass over the full-width data for row + referential checks,
         # the key partials and the drift sketch — at 100 TB the read
-        # dominates.  Nothing runs until the result's first entry point;
-        # ``key_ds`` is read only by ``duplicate_keys`` above the driver cap.
+        # dominates.  Nothing runs until the result's first entry point.
         keys = tuple(dict.fromkeys(compiled.spec.unique_keys)) if check_unique else ()
-        if keys and key_ds is None:
-            key_ds = ds.select_columns(list(keys))
         return ValidationResult(
             spec_version=compiled.version,
             _ds=ds,
             _validator=_fused_validator(compiled, allowed_errors, error_handler, keys, sketch),
             _unique_keys=keys,
-            _key_ds=key_ds,
         )
 
 

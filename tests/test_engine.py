@@ -403,10 +403,10 @@ def _int_keys(keys):
 @pytest.mark.parametrize("key_type", [pa.string(), pa.int64()], ids=["string", "int64"])
 def test_uniqueness_cap_trips_to_shuffle(ray_session, monkeypatch, key_type):
     """A majority-duplicate corpus with null keys: under a tiny driver cap
-    the streaming merge stops early and the per-bucket sum gives the same
-    violations table, byte for byte, as the uncapped driver route — for
-    string keys and for non-string keys, which ``map_key_buckets`` hashes
-    in their own dtype."""
+    the merge trips, keeps every partial as a ref, and the per-bucket sum
+    gives the same violations table, byte for byte, as the uncapped driver
+    route — for string keys and for non-string keys, which
+    ``map_key_buckets`` hashes in their own dtype."""
     import collections
 
     from jesse_ray import engine
@@ -428,8 +428,8 @@ def test_uniqueness_cap_trips_to_shuffle(ray_session, monkeypatch, key_type):
     shuffle_tbl, shuffle_m = engine.uniqueness_check(ds, ["doc_id"])
     assert shuffle_m["uniqueness.route"] == "shuffle"
     assert shuffle_m["uniqueness.merged_bytes"] > 16 << 10
-    # the trip ends the stream before every partial row reached the driver
-    assert shuffle_m["uniqueness.partial_rows"] < driver_m["uniqueness.partial_rows"]
+    # the trip keeps every partial row, as refs
+    assert shuffle_m["uniqueness.partial_rows"] == driver_m["uniqueness.partial_rows"]
     assert shuffle_m["uniqueness.dup_keys"] == len(exact)
 
     assert shuffle_tbl.equals(driver_tbl)
@@ -451,9 +451,7 @@ def test_validation_metrics_report_uniqueness_route(tmp_path, corpus_path, spec)
         "uniqueness.dup_keys": int,
     }
 
-    res = validate_dataset(
-        read_sequences(corpus_path), spec, key_ds=read_sequences(corpus_path, columns=["doc_id"])
-    )
+    res = validate_dataset(read_sequences(corpus_path), spec)
     n_dup = res.unique_violations.num_rows
     summary = run_validation([corpus_path], spec, tmp_path / "out")
     assert n_dup > 0
@@ -499,31 +497,34 @@ def _row_set(t: pa.Table) -> list:
                       t["error"].to_pylist(), t["value_json"].to_pylist(), t["schema_fragment"].to_pylist()))
 
 
+def _counted(ds, log_dir):
+    """``ds`` behind a ``map_batches`` that logs each batch's row count to
+    a file in ``log_dir``, and a function summing the logged rows."""
+    import uuid
+
+    log_dir.mkdir()
+
+    def count(batch: pa.Table) -> pa.Table:
+        (log_dir / uuid.uuid4().hex).write_text(str(batch.num_rows))
+        return batch
+
+    mapped = ds.map_batches(count, batch_format="pyarrow", zero_copy_batch=True)
+    return mapped, lambda: sum(int(p.read_text()) for p in log_dir.iterdir())
+
+
 def test_validate_reads_each_block_once(ray_session, tmp_path):
     """The uniqueness partials ride in-band on the fused pass: both sink
     paths process every input row once, not once more for the keys."""
-    import uuid
-
     blocks, spec = _keyed_corpus()
     n = sum(b.num_rows for b in blocks)
 
-    def counted(log_dir):
-        log_dir.mkdir()
-
-        def count(batch: pa.Table) -> pa.Table:
-            (log_dir / uuid.uuid4().hex).write_text(str(batch.num_rows))
-            return batch
-
-        ds = ray.data.from_arrow(blocks).map_batches(count, batch_format="pyarrow", zero_copy_batch=True)
-        return ds, lambda: sum(int(p.read_text()) for p in log_dir.iterdir())
-
-    ds, seen = counted(tmp_path / "lazy")
+    ds, seen = _counted(ray.data.from_arrow(blocks), tmp_path / "lazy")
     res = validate_dataset(ds, spec)
     res.all_violations_table()
     assert res.unique_violations.num_rows and res.passed is False
     assert seen() == n
 
-    ds, seen = counted(tmp_path / "mat")
+    ds, seen = _counted(ray.data.from_arrow(blocks), tmp_path / "mat")
     res = validate_dataset(ds, spec).materialize()
     res.write_violations(str(tmp_path / "out"))
     assert res.counts_by_error()[E.NOT_UNIQUE] == res.unique_violations.num_rows
@@ -547,9 +548,8 @@ def test_inband_uniqueness_matches_standalone(ray_session):
 
 
 def test_inband_uniqueness_cap_trips_to_shuffle(ray_session, monkeypatch):
-    """Past the driver cap the in-band merge stops and the hash shuffle
-    over the key columns gives the same table; row violations are
-    unchanged."""
+    """Past the driver cap the in-band partials are summed per key bucket
+    and give the same table; row violations are unchanged."""
     from jesse_ray import engine
 
     blocks, spec = _keyed_corpus()
@@ -570,31 +570,33 @@ def test_inband_uniqueness_cap_trips_to_shuffle(ray_session, monkeypatch):
 
 
 def test_uniqueness_fallback_reads_keys_once(ray_session, tmp_path, monkeypatch):
-    """Past the driver cap the fallback sums the key partials per bucket
-    in one pass over ``key_ds``: each key row is processed once, with no
-    second read to confirm the keys."""
-    import uuid
-
+    """Keys are read once, by the fused pass, at every size: under the
+    default cap and past a forced 16 KiB cap a counting map on the input
+    sees each row once, and a ``key_ds`` passed in is never read."""
     from jesse_ray import engine
 
     blocks, spec = _keyed_corpus()
     n = sum(b.num_rows for b in blocks)
-    log_dir = tmp_path / "keys"
-    log_dir.mkdir()
-
-    def count(batch: pa.Table) -> pa.Table:
-        (log_dir / uuid.uuid4().hex).write_text(str(batch.num_rows))
-        return batch
-
     want = validate_dataset(ray.data.from_arrow(blocks), spec).unique_violations
-    monkeypatch.setattr(engine, "UNIQ_DRIVER_CAP_BYTES", 16 << 10)
-    key_ds = ray.data.from_arrow(blocks).select_columns(["doc_id"]).map_batches(
-        count, batch_format="pyarrow", zero_copy_batch=True
-    )
-    res = validate_dataset(ray.data.from_arrow(blocks), spec, key_ds=key_ds)
-    assert _ipc(res.unique_violations) == _ipc(want)
-    assert res.metrics["uniqueness.route"] == "shuffle"
-    assert sum(int(p.read_text()) for p in log_dir.iterdir()) == n
+    for cap, route in ((engine.UNIQ_DRIVER_CAP_BYTES, "driver_merge"), (16 << 10, "shuffle")):
+        monkeypatch.setattr(engine, "UNIQ_DRIVER_CAP_BYTES", cap)
+        ds, seen = _counted(ray.data.from_arrow(blocks), tmp_path / f"in-{cap}")
+        key_ds, key_seen = _counted(ray.data.from_arrow(blocks).select_columns(["doc_id"]), tmp_path / f"keys-{cap}")
+        res = validate_dataset(ds, spec, key_ds=key_ds)
+        assert _ipc(res.unique_violations) == _ipc(want)
+        assert res.metrics["uniqueness.route"] == route
+        assert (seen(), key_seen()) == (n, 0)
+
+
+def test_uniqueness_check_reads_input_once(ray_session, tmp_path):
+    """``uniqueness_check`` over two keys reads its input once: one
+    validation computes both keys' partials."""
+    blocks, _ = _keyed_corpus()
+    ds, seen = _counted(ray.data.from_arrow(blocks), tmp_path / "in")
+    got, m = uniqueness_check(ds, ["doc_id", "alt"])
+    assert seen() == sum(b.num_rows for b in blocks)
+    assert m["uniqueness.dup_keys"] == got.num_rows
+    assert [p[0] for p in got["path"].to_pylist()].count("alt") == 50
 
 
 def test_inband_key_rows_never_leak(ray_session, tmp_path):
@@ -919,7 +921,10 @@ def test_checkpoint_executions_per_partition(tmp_path, corpus_sf0001, monkeypatc
     """A fresh checkpoint partition is the fused pass plus plain write
     tasks.  On parquet, with or without a drift reference, the fused pass
     is plain tasks over the planned read and starts no Ray Data
-    execution; on jsonl it starts one, the pass fused into the read.
+    execution; on jsonl it starts one, the pass fused into the read.  The
+    corpus-wide uniqueness pass is a key-only validation of the same
+    kind, so a parquet run starts none in total and a jsonl run one per
+    partition plus one.
     The counts, row count and sketch ride in-band.  After
     ``materialize()``, ``counts_by_error()`` starts none.  Counted as
     streaming executors started in-process."""
@@ -941,16 +946,18 @@ def test_checkpoint_executions_per_partition(tmp_path, corpus_sf0001, monkeypatc
     ref_path = str(tmp_path / "ref.bin")
     checkpoint.build_reference_digest([str(testgen.corpus_dir("sf0.001") / "drift_reference.parquet")], ref_path)
     rows = pq.read_metadata(str(testgen.corpus_path("sf0.001"))).num_rows
-    for name, files, kw, want in (
-        ("parquet", pfiles, {}, [0, 0]),
-        ("drift", pfiles, {"drift_reference": ref_path}, [0, 0]),
-        ("jsonl", jfiles, {"input_format": "jsonl"}, [1, 1]),
+    for name, files, kw, want, uniq in (
+        ("parquet", pfiles, {}, [0, 0], 0),
+        ("drift", pfiles, {"drift_reference": ref_path}, [0, 0], 0),
+        ("jsonl", jfiles, {"input_format": "jsonl"}, [1, 1], 1),
     ):
         per_partition.clear()
         started.clear()
         s = checkpoint.run_validation(files, _seq_spec(), tmp_path / name, files_per_partition=2, **kw)
-        assert s["partitions"] == 2 and s["violations"] > 0
+        assert s["partitions"] == 2 and s["violations"] > 0 and s["unique_violations"] > 0
         assert per_partition == want, (name, per_partition)
+        # the corpus-wide uniqueness pass, after the last manifest append
+        assert len(started) == uniq, (name, len(started))
         records = checkpoint.Manifest(tmp_path / name / "manifest.jsonl").load().values()
         assert sum(r.metrics["rows"] for r in records) == rows
         assert all(("drift" in r.metrics) == ("drift_reference" in kw) for r in records)
@@ -1028,6 +1035,36 @@ def test_validation_row_order_follows_read_plan(corpus_sf0001, tmp_path):
         res.write_violations(str(out))
         written.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert len(written[0]) > 2 and written[1] == written[0] and written[2] == written[0]
+
+
+def test_ray_data_route_follows_input_order(ray_session, tmp_path):
+    """At 4 CPUs a multi-file ``read_json`` input (the Ray Data route)
+    gives its violation rows in file order even when the first file's
+    block finishes last: the rows are the per-file results concatenated
+    in file order."""
+    import time
+
+    blocks, spec = _keyed_corpus(n_blocks=4)
+    files = []
+    for i, b in enumerate(blocks):
+        files.append(str(tmp_path / f"part-{i}.jsonl"))
+        rows = b.append_column("file", pa.array([i] * b.num_rows)).to_pylist()
+        Path(files[-1]).write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+    def first_file_last(batch: pa.Table) -> pa.Table:
+        if batch.num_rows and batch["file"][0].as_py() == 0:
+            time.sleep(2)
+        return batch
+
+    def violations(paths):
+        ds = ray.data.read_json(paths, override_num_blocks=len(paths))
+        ds = ds.map_batches(first_file_last, batch_format="pyarrow", zero_copy_batch=True)
+        return validate_dataset(ds, spec, check_unique=False).all_violations_table()
+
+    want = pa.concat_tables([violations([f]) for f in files])
+    assert set(want["error"].to_pylist()) == {E.NOT_IN_RANGE}
+    assert violations(files).equals(want)
+    assert not ray.data.DataContext.get_current().execution_options.preserve_order
 
 
 def test_read_sequences_validation_starts_no_execution(corpus_sf0001, monkeypatch, tmp_path):
