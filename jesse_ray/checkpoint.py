@@ -120,7 +120,8 @@ def run_validation(
     read, split on the driver), plus one plain write
     task per block with violation rows.  A partition redone on resume
     replaces its ``part-*.parquet`` files.  Everything the record
-    needs rides in-band on the pass and is folded by the
+    needs comes back from the pass with the violation rows (the side of
+    each task, or the in-band rows of the jsonl map) and is folded by the
     ``ValidationResult`` drain — the per-error counts, the input row
     count and, with ``sketch``/``drift_reference``, the drift summary —
     so each partition reads its files once, the wide ``tokens`` column
@@ -139,8 +140,9 @@ def run_validation(
     would miss keys duplicated across partitions).  It is
     ``engine.uniqueness_check``, a key-only validation: on parquet plain
     tasks over the planned read of the key columns (no Ray Data
-    execution), on jsonl one execution; the per-batch key counts are
-    summed on the driver while the merged state stays under
+    execution), on jsonl one execution; the exact key counts (one
+    partial per plain task and key on parquet, one per batch on jsonl)
+    are summed on the driver while the merged state stays under
     ``UNIQ_DRIVER_CAP_BYTES``, and above it the same partials are summed
     per key bucket in tasks, so each key row is read once at any size.
     The route report (``uniqueness.route``, ``.partial_rows``,

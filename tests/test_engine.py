@@ -33,7 +33,7 @@ from jesse_ray.engine import (
     validate_dataset,
 )
 from jesse_ray.oracle import validate_row
-from jesse_ray.sketches import drift_report
+from jesse_ray.sketches import SketchBundle, drift_report
 from jesse_ray.sources import read_sequences
 from jesse_ray.spec import sequences_spec
 from jesse_ray.stages import drift_check, sketch_dataset
@@ -513,8 +513,8 @@ def _counted(ds, log_dir):
 
 
 def test_validate_reads_each_block_once(ray_session, tmp_path):
-    """The uniqueness partials ride in-band on the fused pass: both sink
-    paths process every input row once, not once more for the keys."""
+    """The uniqueness partials come from the fused pass: both sink paths
+    process every input row once, not once more for the keys."""
     blocks, spec = _keyed_corpus()
     n = sum(b.num_rows for b in blocks)
 
@@ -532,8 +532,8 @@ def test_validate_reads_each_block_once(ray_session, tmp_path):
 
 
 def test_inband_uniqueness_matches_standalone(ray_session):
-    """In-band key partials give the standalone uniqueness table byte for
-    byte, in any block arrival order, with the route reported."""
+    """The fused pass's key partials give the standalone uniqueness table
+    byte for byte, in any block arrival order, with the route reported."""
     blocks, spec = _keyed_corpus()
     want = uniqueness_violations(ray.data.from_arrow(blocks), "doc_id")
     assert want.num_rows > 1_000
@@ -548,8 +548,8 @@ def test_inband_uniqueness_matches_standalone(ray_session):
 
 
 def test_inband_uniqueness_cap_trips_to_shuffle(ray_session, monkeypatch):
-    """Past the driver cap the in-band partials are summed per key bucket
-    and give the same table; row violations are unchanged."""
+    """Past the driver cap the fused pass's partials are summed per key
+    bucket and give the same table; row violations are unchanged."""
     from jesse_ray import engine
 
     blocks, spec = _keyed_corpus()
@@ -597,6 +597,68 @@ def test_uniqueness_check_reads_input_once(ray_session, tmp_path):
     assert seen() == sum(b.num_rows for b in blocks)
     assert m["uniqueness.dup_keys"] == got.num_rows
     assert [p[0] for p in got["path"].to_pylist()].count("alt") == 50
+
+
+def _keyed_parquet(tmp_path) -> str:
+    """``_keyed_corpus()`` as one parquet file of 16 row groups."""
+    blocks, _ = _keyed_corpus()
+    path = str(tmp_path / "keyed.parquet")
+    pq.write_table(pa.concat_tables(blocks), path, row_group_size=2_500)
+    return path
+
+
+def test_key_partials_are_one_per_task(ray_session, tmp_path):
+    """On a planned read each fused task returns one key partial for all
+    its row groups: ``uniqueness.partial_rows`` is the sum, over the read
+    tasks, of the distinct non-null keys each task reads, and the
+    uniqueness rows are those of the same rows in memory."""
+    from jesse_ray.sources.parquet import planned_read_tasks
+
+    blocks, spec = _keyed_corpus()
+    path = _keyed_parquet(tmp_path)
+    ds = read_sequences(path, columns=["doc_id", "alt", "n"])
+    tasks = planned_read_tasks(ds)
+    assert 1 < len(tasks) < pq.read_metadata(path).num_row_groups
+    want_rows = sum(pc.count_distinct(pa.concat_tables(list(t()))["doc_id"]).as_py() for t in tasks)
+    res = validate_dataset(ds, spec).materialize()
+    assert res.metrics["uniqueness.partial_rows"] == want_rows
+    assert _ipc(res.unique_violations) == _ipc(validate_dataset(ray.data.from_arrow(blocks), spec).unique_violations)
+
+
+def test_tripped_merge_keeps_task_partials_in_the_object_store(ray_session, tmp_path, monkeypatch):
+    """Past a forced 16 KiB cap the drain passes each later task's key
+    partial on as the ref the task returned: the engine's ``ray.put``
+    runs once per tripped key (its merged state), and the uniqueness rows
+    are the default cap's, byte for byte."""
+    import sys
+
+    from jesse_ray import engine
+    from jesse_ray.sources.parquet import planned_read_tasks
+
+    _, spec = _keyed_corpus()
+    path = _keyed_parquet(tmp_path)
+
+    def read():
+        return read_sequences(path, columns=["doc_id", "alt", "n"])
+
+    assert len(planned_read_tasks(read())) > 1
+    want = validate_dataset(read(), spec).unique_violations
+    monkeypatch.setattr(engine, "UNIQ_DRIVER_CAP_BYTES", 16 << 10)
+    res = validate_dataset(read(), spec)
+    put, puts = engine.ray.put, []
+
+    def counted(value, **kw):
+        # Ray Data's own puts (the bucket sum's execution) are not counted
+        if sys._getframe(1).f_globals.get("__name__") == engine.__name__:
+            puts.append(value)
+        return put(value, **kw)
+
+    monkeypatch.setattr(engine.ray, "put", counted)
+    res.materialize()
+    monkeypatch.setattr(engine.ray, "put", put)
+    assert res.metrics["uniqueness.route"] == "shuffle"
+    assert len(puts) == 1 and puts[0].column_names == ["doc_id", "partial_cnt"]
+    assert _ipc(res.unique_violations) == _ipc(want)
 
 
 def test_inband_key_rows_never_leak(ray_session, tmp_path):
@@ -1086,8 +1148,9 @@ def test_read_sequences_validation_starts_no_execution(corpus_sf0001, monkeypatc
 
 def test_counts_by_error_fetches_no_violation_block(corpus_sf0001, monkeypatch):
     """``counts_by_error()`` on a fresh result drains only the tallies: the
-    same dict as the counted rows, and no violation block (no Arrow table)
-    reaches the driver."""
+    same dict as the counted rows, and no violation block reaches the
+    driver — the only Arrow tables fetched are the tasks' ``(doc_id,
+    partial_cnt)`` key partials, which the uniqueness merge sums."""
     import collections
 
     from jesse_ray.pipelines.queries import _seq_spec
@@ -1100,7 +1163,10 @@ def test_counts_by_error_fetches_no_violation_block(corpus_sf0001, monkeypatch):
     monkeypatch.setattr(ray, "get", lambda refs, **kw: fetched.append(get(refs, **kw)) or fetched[-1])
     res = validate_dataset(read_sequences(path), _seq_spec())
     assert res.counts_by_error() == want and not res.passed
-    assert fetched and not any(isinstance(x, pa.Table) for x in fetched)
+    flat = [y for x in fetched for y in (x if isinstance(x, (list, tuple)) else [x])]
+    tables = [x for x in flat if isinstance(x, pa.Table)]
+    assert fetched and tables
+    assert all(t.column_names == ["doc_id", "partial_cnt"] for t in tables)
 
 
 def test_planned_and_block_routes_agree(corpus_sf0001, tmp_path, monkeypatch):
@@ -1110,7 +1176,9 @@ def test_planned_and_block_routes_agree(corpus_sf0001, tmp_path, monkeypatch):
     blocks (listing them may start one execution, which runs no task);
     any other input
     (``.limit``, ``.select_columns``) runs the pass as one Ray Data map.
-    All give the same violations, counts, uniqueness rows and row count."""
+    All give the same violations, counts, uniqueness rows and row count,
+    and with ``sketch=True`` the same drift sketch bytes (built per task
+    on the plain-task routes, per batch in-band on the Ray Data one)."""
     from jesse_ray.pipelines.queries import _seq_spec
     from jesse_ray.sources import read_table
     from jesse_ray.sources.parquet import SEQUENCE_COLUMNS, planned_read_tasks
@@ -1137,15 +1205,19 @@ def test_planned_and_block_routes_agree(corpus_sf0001, tmp_path, monkeypatch):
     def outputs(ds):
         started.clear()
         res = validate_dataset(ds, _seq_spec())
-        return (_row_set(res.all_violations_table()), res.counts_by_error(),
-                _ipc(res.unique_violations), res.metrics["rows"], len(started))
+        got = (_row_set(res.all_violations_table()), res.counts_by_error(),
+               _ipc(res.unique_violations), res.metrics["rows"])
+        n = len(started)
+        sketch = validate_dataset(ds, _seq_spec(), sketch=True).materialize().sketch
+        return (*got, sketch.to_bytes(), n)
 
     want = outputs(planned["read_sequences"])
-    assert want[3] == pq.read_metadata(path).num_rows and want[1] and want[4] == 0
+    assert want[3] == pq.read_metadata(path).num_rows and want[1] and want[5] == 0
+    assert SketchBundle.from_bytes(want[4]).rows == want[3]
     executions = {"from_arrow": {0, 1}, "materialize": {0, 1}, "limit": {1}, "select_columns": {1}}
     for name, ds in {**planned, **mapped}.items():
         *got, n = outputs(ds)
-        assert got == list(want[:4]) and n in executions.get(name, {0}), name
+        assert got == list(want[:5]) and n in executions.get(name, {0}), name
 
 
 def test_error_handler_runs_once_per_block(corpus_sf0001, tmp_path):
@@ -1209,9 +1281,9 @@ def test_write_violations_replaces_part_files(ray_session, tmp_path):
 
 
 def test_partition_sketch_matches_standalone(tmp_path, corpus_sf0001):
-    """The in-band partition sketch folded by the drain is the
-    standalone ``sketch_dataset`` bundle byte for byte, whatever order
-    the blocks arrive in."""
+    """The partition sketch built in the fused pass and folded by the
+    drain is the standalone ``sketch_dataset`` bundle byte for byte,
+    whatever order the blocks arrive in."""
     from jesse_ray.checkpoint import run_validation
     from jesse_ray.pipelines.queries import _seq_spec
 
