@@ -6,7 +6,7 @@ referential broadcast-dimension checks (one ``ray.put`` state object
 resolved lazily in each task) and emitting each task's row count, exact
 key counts and (when asked) drift sketch → corpus-level key uniqueness
 (the same exact counts summed on the driver under a byte cap, per key
-bucket in tasks above it — ``hashutil.map_key_buckets``, the pandas hash
+bucket in tasks above it — ``hashutil.map_key_buckets``, ``key_parts``
 of the key) → violation blocks + per-run metrics.  A validation reads
 the corpus once, at every size: above the cap the bucket sum takes the
 partials the pass already made, never the keys again.  ``validate`` runs
@@ -219,12 +219,12 @@ def _only_dups(counts: pa.Table, key: str) -> pa.Table:
 
 
 def _bucket_dups(partials: Dataset, key: str) -> Dataset:
-    """Per key bucket (``hashutil.map_key_buckets``, the pandas hash of
-    the key masked to 64 buckets), the sum of ``partials``' ``(key,
+    """Per key bucket (``hashutil.map_key_buckets``: ``key_parts`` of the
+    key masked to 64 buckets), the sum of ``partials``' ``(key,
     partial_cnt)`` rows, kept where ``cnt > 1``, inside a task."""
 
     def merge(group: pa.Table) -> pa.Table:
-        return _only_dups(_sum_key_counts([group.drop_columns(["__part"])], key), key)
+        return _only_dups(_sum_key_counts([group], key), key)
 
     return map_key_buckets(partials, [key], merge, batch_format="pyarrow")
 
@@ -264,14 +264,17 @@ class KeyCountMerge:
     A partial comes as a table or as a ref to one (a plain fused task
     returns each key's partial as its own object); a ref is fetched only
     while the merge has not tripped.  When a compaction leaves the merged
-    state above the cap the merge trips: it ``ray.put``s the merged table
-    and keeps every later partial as a ref (a table is put, a ref is kept
-    as it is), so the driver holds no more key rows, and ``duplicates()``
-    sums them per key bucket in tasks (``_bucket_dups``, the sum of
-    ``duplicate_keys``).  Until the trip the driver holds at most the
-    capped state plus pending partials of twice its size; the final merge
-    of the tail is kept even above the cap, because the exact answer is
-    then already on the driver.
+    state above the cap the merge trips and fetches no more partials.
+    The first partial after the trip ``ray.put``s the merged state, and
+    that partial and every later one are kept as refs (a table is put, a
+    ref is kept as it is), so the driver holds no more key rows;
+    ``duplicates()`` then sums them per key bucket in tasks
+    (``_bucket_dups``, the sum of ``duplicate_keys``, ``shuffled`` is
+    true).  A merge that trips on its last partial (every call with one
+    fused task) holds the exact answer already and reads it off the
+    driver.  Until the trip the driver holds at most the capped state
+    plus pending partials of twice its size; the final merge of the tail
+    is kept even above the cap, for the same reason.
     """
 
     def __init__(self, key: str):
@@ -281,7 +284,7 @@ class KeyCountMerge:
         self._merged: list[pa.Table] = []
         self._pending: list[pa.Table] = []
         self._pending_bytes = 0
-        #: once tripped: refs to the merged state and every later partial
+        #: once a partial follows the trip: refs to the merged state and every later partial
         self._refs: list[ray.ObjectRef] = []
 
     def add(self, part, rows: int) -> None:
@@ -291,6 +294,8 @@ class KeyCountMerge:
             return
         self.partial_rows += rows
         if self.tripped:
+            if self._merged:  # a partial follows the trip: the state goes too
+                self._refs.append(ray.put(self._merged.pop()))
             self._refs.append(part if isinstance(part, ray.ObjectRef) else ray.put(part))
             return
         if isinstance(part, ray.ObjectRef):
@@ -299,9 +304,7 @@ class KeyCountMerge:
         self._pending_bytes += part.nbytes
         if self._pending_bytes > 2 * self.merged_bytes:
             self._compact()
-            if self.merged_bytes > UNIQ_DRIVER_CAP_BYTES:
-                self.tripped = True
-                self._refs, self._merged = [ray.put(self._merged[0])], []
+            self.tripped = self.merged_bytes > UNIQ_DRIVER_CAP_BYTES
 
     def _compact(self) -> None:
         parts = self._merged + self._pending
@@ -309,9 +312,14 @@ class KeyCountMerge:
         self._pending, self._pending_bytes = [], 0
         self.merged_bytes = self._merged[0].nbytes
 
+    @property
+    def shuffled(self) -> bool:
+        """Whether ``duplicates()`` sums per key bucket in tasks."""
+        return bool(self._refs)
+
     def duplicates(self) -> pa.Table:
         """``(key, cnt)`` rows with ``cnt > 1`` sorted by key."""
-        if self.tripped:
+        if self.shuffled:
             dups = _bucket_dups(ray.data.from_arrow_refs(self._refs), self.key)
             parts = list(dups.iter_batches(batch_format="pyarrow", batch_size=None))
             if parts:
@@ -348,7 +356,7 @@ def uniqueness_check(ds: Dataset, keys: list[str]) -> tuple[pa.Table, dict[str, 
 def _uniqueness_report(merges: list[KeyCountMerge]) -> tuple[pa.Table, dict[str, Any]]:
     """Violations and route report from one finished merge per key.  The
     counts are summed over keys; the route is ``shuffle`` if any key's
-    merge tripped, else ``driver_merge``."""
+    merge summed per key bucket, else ``driver_merge``."""
     parts = []
     metrics: dict[str, Any] = {
         "uniqueness.route": "driver_merge",
@@ -358,7 +366,7 @@ def _uniqueness_report(merges: list[KeyCountMerge]) -> tuple[pa.Table, dict[str,
     }
     for merge in merges:
         tbl = merge.duplicates()
-        if merge.tripped:
+        if merge.shuffled:
             metrics["uniqueness.route"] = "shuffle"
         metrics["uniqueness.partial_rows"] += merge.partial_rows
         metrics["uniqueness.merged_bytes"] += merge.merged_bytes

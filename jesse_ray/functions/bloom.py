@@ -26,7 +26,7 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
-from jesse_ray.hashutil import hash64_strings_multi
+from jesse_ray.hashutil import hash64_strings_multi, map_key_buckets
 
 # two independent vectorized FNV passes share one byte-walk
 _H_PARAMS = [
@@ -190,9 +190,9 @@ def incremental_members(
 
     No false negatives (bloom property) and no false positives (exact
     confirm), so the result equals an exact semi-join while only
-    candidate keys ever reach the confirm shuffle (a coarse
-    hash-partition cogroup of candidate keys vs snapshot keys — ≤
-    ``n_parts`` shuffle keys, vectorized per-part isin).  The confirmed
+    candidate keys ever reach the confirm shuffle (candidate and
+    snapshot keys unioned and bucketed by ``hashutil.map_key_buckets`` —
+    ≤ ``n_parts`` shuffle keys, vectorized per-bucket isin).  The confirmed
     key set — true incremental dups, rare by assumption — is the only
     thing broadcast back to filter the full-width new rows."""
     if n_parts & (n_parts - 1):
@@ -208,29 +208,16 @@ def incremental_members(
 
     cand_keys = flagged.map_batches(only_cand_keys, batch_format="pyarrow", zero_copy_batch=True)
 
-    from jesse_ray.hashutil import hash64_strings
-
-    mask = np.uint64(n_parts - 1)
-
-    def part(side: int):
+    def side(s: int):
         def f(batch: pa.Table) -> pa.Table:
-            col = batch[column]
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            h = hash64_strings(pc.fill_null(col, ""))
-            return pa.table(
-                {
-                    column: col,
-                    "__part": pa.array((h & mask).astype(np.int32)),
-                    "__side": pa.array(np.full(batch.num_rows, side, dtype=np.int8)),
-                }
-            )
+            return pa.table({column: batch[column],
+                             "__side": pa.array(np.full(batch.num_rows, s, dtype=np.int8))})
         return f
 
     snap = snapshot_keys.select_columns([column]).map_batches(
-        part(0), batch_format="pyarrow", zero_copy_batch=True
+        side(0), batch_format="pyarrow", zero_copy_batch=True
     )
-    cand_keyed = cand_keys.map_batches(part(1), batch_format="pyarrow", zero_copy_batch=True)
+    cand_keyed = cand_keys.map_batches(side(1), batch_format="pyarrow", zero_copy_batch=True)
 
     import pandas as pd
 
@@ -239,7 +226,7 @@ def incremental_members(
         mine = g.loc[g["__side"] == 1, column]
         return pd.DataFrame({column: mine[mine.isin(set(snap_set))].unique()})
 
-    confirmed = snap.union(cand_keyed).groupby("__part").map_groups(confirm, batch_format="pandas")
+    confirmed = map_key_buckets(snap.union(cand_keyed), [column], confirm, n_parts=n_parts)
     keys: list = []
     for b in confirmed.iter_batches(batch_format="pyarrow"):
         keys.extend(b[column].to_pylist())

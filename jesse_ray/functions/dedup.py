@@ -41,28 +41,6 @@ _PAIR_SCHEMA = pa.schema(
 )
 
 
-def _by_coarse_part(ds: Dataset, bucket_col: str, n_parts: int = 64) -> "ray.data.grouped_data.GroupedData":
-    """groupby on ``bucket % n_parts`` instead of the raw bucket value.
-
-    Hash-bucket LSH stages produce O(corpus) tiny buckets; grouping on
-    the raw bucket makes Ray call the map_groups UDF once per bucket
-    (Python + pandas slice overhead per call — the dominant cost once
-    buckets outnumber ~10k).  A coarse partition keys the shuffle on
-    ≤``n_parts`` values; the UDF then handles many complete buckets per
-    call with one vectorized sort + run scan.  The bucket column is
-    already a hash, so a mask suffices; rows keyed by raw columns group
-    through ``hashutil.map_key_buckets`` instead."""
-
-    def part(batch: pa.Table) -> pa.Table:
-        b = batch[bucket_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        # n_parts is a power of two: mask instead of the (slow) div unit
-        return batch.append_column(
-            "__part", pa.array((b & np.uint64(n_parts - 1)).astype(np.int32))
-        )
-
-    return ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True).groupby("__part")
-
-
 class DropStats:
     """Over-``bucket_cap`` skew-guard drops for one part — VERDICT r2
     finding #4: a dropped bucket must be REPORTED, never swallowed."""
@@ -548,7 +526,7 @@ def _lsh_pairs_from_sigs(sigs: Dataset, *, num_hashes: int, bands: int,
         _report_drops("lsh_candidate_pairs", stats, drop_counter)
         return pd.DataFrame({"left": out_l, "right": out_r})
 
-    cand = _by_coarse_part(exploded, "bucket").map_groups(pairs_many, batch_format="pandas")
+    cand = map_key_buckets(exploded, ["bucket"], pairs_many)
     return _dedup_pairs(cand)
 
 
@@ -722,34 +700,24 @@ def _verify_jaccard_shuffle(ds: Dataset, pairs: Dataset, *, threshold: float,
     never sees texts, blobs or pairs; every stage is a bounded
     (≤ n_parts) coarse shuffle, robust to skew because parts hold MANY
     keys each."""
-    from jesse_ray.hashutil import fmix64
-
     blobs = _shingle_blobs(ds, key_col, shingle_k)
-
-    def _part_of(vals: np.ndarray) -> np.ndarray:
-        return (fmix64(vals.astype(np.uint64)) & np.uint64(n_parts - 1)).astype(np.int32)
 
     def _attach(pair_ds: Dataset, side: str, out_col: str) -> Dataset:
         """Union pair rows (kind=1, keyed by `side`) with blob rows
-        (kind=0) on one coarse partition column, then per part build the
+        (kind=0) on one ``key`` column, then per key bucket build the
         key→blob lookup and annotate the pair rows."""
 
         def tag_blob(batch: pa.Table) -> pa.Table:
-            keys = batch["key"].to_numpy(zero_copy_only=False).astype(np.int64)
-            t = pa.table(
+            return pa.table(
                 {
-                    "__part": pa.array(_part_of(keys)),
-                    "kind": pa.array(np.zeros(len(keys), dtype=np.int8)),
+                    "kind": pa.array(np.zeros(batch.num_rows, dtype=np.int8)),
                     "key": batch["key"].cast(pa.int64()),
                     "blob": batch["blob"],
                 }
             )
-            return t
 
         def tag_pair(batch: pa.Table) -> pa.Table:
-            keys = batch[side].to_numpy(zero_copy_only=False).astype(np.int64)
             cols = {
-                "__part": pa.array(_part_of(keys)),
                 "kind": pa.array(np.ones(batch.num_rows, dtype=np.int8)),
                 "key": batch[side].cast(pa.int64()),
                 "blob": pa.nulls(batch.num_rows, type=pa.large_binary()),
@@ -783,7 +751,7 @@ def _verify_jaccard_shuffle(ds: Dataset, pairs: Dataset, *, threshold: float,
             keep = ["left", "right", out_col] + (["blob_left"] if with_prev else [])
             return p[keep]
 
-        return both.groupby("__part").map_groups(cogroup, batch_format="pandas")
+        return map_key_buckets(both, ["key"], cogroup, n_parts=n_parts)
 
     step1 = _attach(pairs, "left", "blob_left")
     step2 = _attach(step1, "right", "blob_right")
@@ -951,7 +919,7 @@ def simhash_near_dups(ds: Dataset, *, max_hamming: int = 3, key_col: str = "doc_
         return pd.DataFrame({"left": l[hit], "right": r[hit], "hamming": ham[hit]})
 
     exploded = sigs.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-    cand = _by_coarse_part(exploded, "bucket").map_groups(pairs_many, batch_format="pandas")
+    cand = map_key_buckets(exploded, ["bucket"], pairs_many)
     return _dedup_pairs(cand, extra="hamming")
 
 
@@ -1075,7 +1043,7 @@ def embedding_near_dups(ds: Dataset, *, threshold: float = 0.95, key_col: str = 
     assigned = ds.select_columns([key_col, vec_col]).map_batches(
         assign, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size
     )
-    cand = _by_coarse_part(assigned, "bucket").map_groups(verify_many, batch_format="pandas")
+    cand = map_key_buckets(assigned, ["bucket"], verify_many)
     return _dedup_pairs(cand, extra="cosine")
 
 
@@ -1125,9 +1093,7 @@ def repeated_lines(
         pairs = pa.table({"doc": doc.take(parent), "line": flat}).filter(cand)
         distinct = pairs.group_by(["line", "doc"]).aggregate([])
         g = distinct.select(["line"]).group_by("line").aggregate([([], "count_all")])
-        g = g.rename_columns(["line", "__pc"])
-        h = _hash64_strings(g["line"].combine_chunks() if isinstance(g["line"], pa.ChunkedArray) else g["line"])
-        return g.append_column("__part", pa.array((h & np.uint64(n_parts - 1)).astype(np.int32)))
+        return g.rename_columns(["line", "__pc"])
 
     partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
 
@@ -1136,7 +1102,7 @@ def repeated_lines(
         agg = agg[agg >= min_docs]
         return pd.DataFrame({"line": agg.index.to_numpy(), "n_docs": agg.to_numpy().astype(np.int64)})
 
-    out = partials.groupby("__part").map_groups(merge, batch_format="pandas")
+    out = map_key_buckets(partials, ["line"], merge, n_parts=n_parts)
     batches = list(out.iter_batches(batch_format="pyarrow"))
     if not batches:
         return pa.table({"line": pa.array([], type=pa.string()), "n_docs": pa.array([], type=pa.int64())})
@@ -1258,14 +1224,11 @@ def _gram_hashes128(
     return out
 
 
-def _substring_windows(
-    ds: Dataset, *, k: int, key_col: str, text_col: str, n_parts: int
-) -> Dataset:
-    """Shared explode stage: one ``(__part, g1, g2, doc)`` row per
-    DISTINCT in-document k-word window (per-document pre-dedup before
-    the shuffle — a window repeated inside one document ships once)."""
-
-    from jesse_ray.hashutil import fmix64
+def _substring_windows(ds: Dataset, *, k: int, key_col: str, text_col: str) -> Dataset:
+    """Shared explode stage: one ``(g1, g2, doc)`` row per DISTINCT
+    in-document k-word window (per-document pre-dedup before the
+    shuffle — a window repeated inside one document ships once); the
+    callers bucket it on ``g1``."""
 
     def windows(batch: pa.Table) -> pa.Table:
         g1, g2, parent = _gram_hashes128(batch[text_col], k)
@@ -1279,7 +1242,6 @@ def _substring_windows(
             g1, g2, docs = g1[keep], g2[keep], docs[keep]
         return pa.table(
             {
-                "__part": pa.array((fmix64(g1) & np.uint64(n_parts - 1)).astype(np.int32)),
                 "g1": pa.array(g1),
                 "g2": pa.array(g2),
                 "doc": pa.array(docs),
@@ -1335,8 +1297,8 @@ def substring_dup_pairs(
                                  "right": pd.array([], dtype="int64")})
         return pd.DataFrame({"left": np.concatenate(out_l), "right": np.concatenate(out_r)})
 
-    exploded = _substring_windows(ds, k=k, key_col=key_col, text_col=text_col, n_parts=n_parts)
-    cand = exploded.groupby("__part").map_groups(pairs_many, batch_format="pandas")
+    exploded = _substring_windows(ds, k=k, key_col=key_col, text_col=text_col)
+    cand = map_key_buckets(exploded, ["g1"], pairs_many, n_parts=n_parts)
     return _dedup_pairs(cand)
 
 
@@ -1372,8 +1334,8 @@ def substring_dup_docs(
         uniq, cnt = np.unique(dd, return_counts=True)
         return pd.DataFrame({"doc_id": uniq, "n_dup_grams": cnt.astype(np.int64)})
 
-    exploded = _substring_windows(ds, k=k, key_col=key_col, text_col=text_col, n_parts=n_parts)
-    per_part = exploded.groupby("__part").map_groups(flag_many, batch_format="pandas")
+    exploded = _substring_windows(ds, k=k, key_col=key_col, text_col=text_col)
+    per_part = map_key_buckets(exploded, ["g1"], flag_many, n_parts=n_parts)
 
     # a doc's windows land in many parts: one final coarse fold sums the
     # per-part counts (keyed on <=n_parts values, vectorized per part)
@@ -1417,8 +1379,8 @@ def dup_span_grams(
         # sorted by (g1, g2, doc): the first row of each run is min doc
         return pd.DataFrame({"g1": a[s], "g2": b[s], "keeper": d[s]})
 
-    exploded = _substring_windows(ds, k=k, key_col=key_col, text_col=text_col, n_parts=n_parts)
-    return exploded.groupby("__part").map_groups(keepers_many, batch_format="pandas")
+    exploded = _substring_windows(ds, k=k, key_col=key_col, text_col=text_col)
+    return map_key_buckets(exploded, ["g1"], keepers_many, n_parts=n_parts)
 
 
 def remove_dup_spans(
@@ -1823,9 +1785,9 @@ def winnow_overlap_pairs(ds: Dataset, *, k: int = 4, w: int = 4,
         _report_drops("winnow_overlap_pairs", stats, drop_counter)
         return pd.DataFrame({"left": out_l, "right": out_r})
 
-    cand = _by_coarse_part(
+    cand = map_key_buckets(
         fps.map_batches(bucketed, batch_format="pyarrow", zero_copy_batch=True),
-        "bucket", n_parts).map_groups(pairs_many, batch_format="pandas")
+        ["bucket"], pairs_many, n_parts=n_parts)
 
     def count(g: pd.DataFrame) -> pd.DataFrame:
         c = (g.groupby(["left", "right"], sort=False).size()
@@ -1879,20 +1841,13 @@ def bow_duplicate_clusters(ds: Dataset, *, text_col: str = "text",
     (per-batch min/count per canonical hash) → coarse 64-part shuffle →
     exact per-part reduce; ships one row per distinct canonical per
     block, never the texts."""
-    from jesse_ray.hashutil import fmix64, hash64_strings
-
     canoned = add_bow_canonical(ds.select_columns([key_col, text_col]),
                                 text_col=text_col, batch_size=batch_size)
 
     def partial(batch: pa.Table) -> pa.Table:
         g = (batch.select([key_col, "bow_canon"]).group_by("bow_canon")
              .aggregate([([key_col], "min"), ([], "count_all")]))
-        g = g.rename_columns(["bow_canon", "min_key", "partial_cnt"])
-        col = g["bow_canon"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        part = (fmix64(hash64_strings(col)) % np.uint64(n_parts)).astype(np.int64)
-        return g.append_column("__part", pa.array(part))
+        return g.rename_columns(["bow_canon", "min_key", "partial_cnt"])
 
     def reduce_part(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby("bow_canon", sort=False).agg(
@@ -1900,10 +1855,9 @@ def bow_duplicate_clusters(ds: Dataset, *, text_col: str = "text",
         agg = agg[agg["size"] > 1]
         return agg[["keeper", "size"]]
 
-    return (canoned.map_batches(partial, batch_format="pyarrow",
-                                zero_copy_batch=True, batch_size=batch_size)
-                   .groupby("__part")
-                   .map_groups(reduce_part, batch_format="pandas"))
+    return map_key_buckets(canoned.map_batches(partial, batch_format="pyarrow",
+                                               zero_copy_batch=True, batch_size=batch_size),
+                           ["bow_canon"], reduce_part, n_parts=n_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -1946,7 +1900,6 @@ def token_dup_gram_coverage(
     union rule; verified by the seq_dup_gram_coverage oracle and the
     unit suite at both scales).
     """
-    mask = np.uint64(n_parts - 1)
 
     def gram_partial(batch: pa.Table) -> pa.Table:
         col = batch[tokens_col]
@@ -1960,7 +1913,6 @@ def token_dup_gram_coverage(
         gk = g[np.repeat(valid, counts)]
         ug, cnt = np.unique(gk, return_counts=True)
         return pa.table({
-            "__part": pa.array((ug & mask).astype(np.int32)),
             "g": pa.array(ug.view(np.int64)),
             "cnt": pa.array(cnt.astype(np.int64)),
         })
@@ -1972,10 +1924,10 @@ def token_dup_gram_coverage(
         tot = np.bincount(inv, weights=c).astype(np.int64)
         return pd.DataFrame({"g": uniq[tot >= 2].view(np.int64)})
 
-    dup_parts = (ds.select_columns([tokens_col])
-                 .map_batches(gram_partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-                 .groupby("__part").map_groups(part_dups, batch_format="pandas"))
+    dup_parts = map_key_buckets(ds.select_columns([tokens_col])
+                                .map_batches(gram_partial, batch_format="pyarrow",
+                                             zero_copy_batch=True),
+                                ["g"], part_dups, n_parts=n_parts)
     dbatches = list(dup_parts.iter_batches(batch_format="pyarrow"))
     if dbatches:
         dup_arr = np.sort(pa.concat_tables(dbatches)["g"]
@@ -2064,8 +2016,6 @@ def _dup_gram_coverage_2shuffle(
        gap-clip at k) against the co-located multiplicities — integer
        partials only ever reach the driver.
     """
-    mask = np.uint64(n_parts - 1)
-
     hashed = add_token_hash(ds, tokens_col=tokens_col, out_col="__rk")
 
     def _rk_split(col) -> tuple[np.ndarray, np.ndarray]:
@@ -2096,11 +2046,9 @@ def _dup_gram_coverage_2shuffle(
             np.concatenate([[0], np.cumsum(n_win)])[:-1], n_win)
         nw, nr = len(gk), len(lens)
         return pa.table({
-            # window rows (p >= 0, m == 0) part by gram; stats rows
-            # (p == -1, m == 1) part by rowkey — find_dups forwards them
-            "__part": pa.array(np.concatenate([
-                (gk & mask).astype(np.int32),
-                (rk1 & mask).astype(np.int32)])),
+            # window rows (p >= 0, m == 0) bucket by gram; stats rows
+            # (p == -1, m == 1) by rowkey — find_dups forwards them
+            "bk": pa.array(np.concatenate([gk, rk1])),
             "g": pa.array(np.concatenate([gk, np.zeros(nr, np.uint64)])),
             "rk1": pa.array(np.concatenate([rk1[parent], rk1])),
             "rk2": pa.array(np.concatenate([rk2[parent], rk2])),
@@ -2133,7 +2081,6 @@ def _dup_gram_coverage_2shuffle(
         take = np.concatenate([widx, sidx])
         rk1 = grp["rk1"].to_numpy(dtype=np.uint64)[take]
         return pd.DataFrame({
-            "__p2": (rk1 & np.uint64(int(mask))).astype(np.int32),
             "rk1": rk1,
             "rk2": grp["rk2"].to_numpy(dtype=np.uint64)[take],
             "p": p[take].astype(np.int32),
@@ -2178,9 +2125,8 @@ def _dup_gram_coverage_2shuffle(
 
     stream = hashed.map_batches(windows_and_stats, batch_format="pyarrow",
                                 zero_copy_batch=True)
-    parts = (stream.groupby("__part").map_groups(find_dups, batch_format="pandas")
-             .groupby("__p2").map_groups(union_len, batch_format="pandas")
-             .to_pandas())
+    dups = map_key_buckets(stream, ["bk"], find_dups, n_parts=n_parts)
+    parts = map_key_buckets(dups, ["rk1"], union_len, n_parts=n_parts).to_pandas()
     return int(parts["total"].sum()), int(parts["covered"].sum())
 
 
@@ -2218,7 +2164,6 @@ def overlap_coeff_dups(
 
     Returns (left, right, overlap) with left < right, overlap >= t,
     verified EXACTLY from per-doc shingle blobs."""
-    mask = np.uint64(n_parts - 1)
     threshold = threshold_num / threshold_den
 
     def prefix_rows(batch: pa.Table) -> pa.Table:
@@ -2244,7 +2189,6 @@ def overlap_coeff_dups(
         pfx = pos < np.repeat(pi, ucounts)
         keys = batch[key_col].cast(pa.int64()).to_numpy(zero_copy_only=False)[ss]
         return pa.table({
-            "__part": pa.array((hs & mask).astype(np.int32)),
             "sh": pa.array(hs),
             "key": pa.array(keys),
             "pfx": pa.array(pfx),
@@ -2287,7 +2231,7 @@ def overlap_coeff_dups(
 
     rows = ds.select_columns([key_col, "text"]).map_batches(
         prefix_rows, batch_format="pyarrow", zero_copy_batch=True)
-    cand = rows.groupby("__part").map_groups(cand_pairs, batch_format="pandas")
+    cand = map_key_buckets(rows, ["sh"], cand_pairs, n_parts=n_parts)
     pairs = _dedup_pairs(cand)
     verified = verify_jaccard_pairs(ds, pairs, threshold=threshold,
                                     shingle_k=shingle_k, key_col=key_col,
@@ -2351,9 +2295,6 @@ def prefix_jaccard_join(
 
     Returns (left, right, jaccard) with left < right, jaccard >= t.
     """
-    from jesse_ray.hashutil import fmix64
-
-    mask = np.uint64(n_parts - 1)
     threshold = threshold_num / threshold_den
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -2373,7 +2314,6 @@ def prefix_jaccard_join(
         ucounts = np.bincount(ss, minlength=n)
         keys = batch[key_col].cast(pa.int64()).to_numpy(zero_copy_only=False)[ss]
         return pa.table({
-            "__part": pa.array((hs & mask).astype(np.int32)),
             "sh": pa.array(hs.view(np.int64)),
             "key": pa.array(keys),
             "sz": pa.array(np.repeat(ucounts, ucounts)),
@@ -2393,14 +2333,12 @@ def _prefix_filter_pairs(ex: Dataset, *, threshold_num: int, threshold_den: int,
                          n_parts: int, bucket_cap: int | None,
                          drop_counter=None) -> Dataset:
     """Shared AllPairs/PPJoin candidate machine over an exploded
-    (``__part``, ``sh``, ``key``, ``sz``) element stream (one row per
-    UNIQUE (doc, element), ``__part`` = element hash & mask): global-df
-    annotation per element part, (df asc, element asc) prefix selection
-    per doc with the exact integer prefix size, within-bucket pair
-    generation under the exact length + positional filters, distributed
-    pair dedup.  Used by both the text-shingle and token-set joins."""
-    from jesse_ray.hashutil import fmix64
-
+    (``sh``, ``key``, ``sz``) element stream (one row per UNIQUE (doc,
+    element)): global-df annotation per element bucket, (df asc, element
+    asc) prefix selection per doc bucket with the exact integer prefix
+    size, within-bucket pair generation under the exact length +
+    positional filters, distributed pair dedup.  Used by both the
+    text-shingle and token-set joins."""
     threshold = threshold_num / threshold_den
 
     def annotate_df(g: pd.DataFrame) -> pd.DataFrame:
@@ -2410,7 +2348,6 @@ def _prefix_filter_pairs(ex: Dataset, *, threshold_num: int, threshold_den: int,
         _, inv, cnt = np.unique(sh, return_inverse=True, return_counts=True)
         key = g["key"].to_numpy(dtype=np.int64)
         return pd.DataFrame({
-            "__part": (fmix64(key.astype(np.uint64)) & np.uint64(n_parts - 1)).astype(np.int32),
             "key": key,
             "sh": sh,
             "df": cnt[inv].astype(np.int64),
@@ -2442,10 +2379,7 @@ def _prefix_filter_pairs(ex: Dataset, *, threshold_num: int, threshold_den: int,
                 f"elements ({int(sz.max())}) — szpos int64 packing would "
                 "overflow; widen the payload before rerunning")
         szpos = (sz[keep] << np.int64(31)) | pos[keep]
-        return pd.DataFrame({
-            "__part": (sh.view(np.uint64) & np.uint64(n_parts - 1)).astype(np.int32),
-            "sh": sh, "key": key, "szpos": szpos,
-        })
+        return pd.DataFrame({"sh": sh, "key": key, "szpos": szpos})
 
     def cand_pairs(grp: pd.DataFrame) -> pd.DataFrame:
         sh = grp["sh"].to_numpy(dtype=np.int64)
@@ -2475,9 +2409,9 @@ def _prefix_filter_pairs(ex: Dataset, *, threshold_num: int, threshold_den: int,
                                  "right": pd.Series([], dtype="int64")})
         return pd.DataFrame({"left": l, "right": r}).drop_duplicates()
 
-    by_doc = ex.groupby("__part").map_groups(annotate_df, batch_format="pandas")
-    pfx = by_doc.groupby("__part").map_groups(prefix_rows, batch_format="pandas")
-    cand = pfx.groupby("__part").map_groups(cand_pairs, batch_format="pandas")
+    by_doc = map_key_buckets(ex, ["sh"], annotate_df, n_parts=n_parts)
+    pfx = map_key_buckets(by_doc, ["key"], prefix_rows, n_parts=n_parts)
+    cand = map_key_buckets(pfx, ["sh"], cand_pairs, n_parts=n_parts)
     return _dedup_pairs(cand)
 
 
@@ -2533,7 +2467,6 @@ def token_prefix_jaccard_join(
     ``verify_jaccard_pairs(blob_ds=...)``.
 
     Returns (left, right, jaccard) with left < right, jaccard >= t."""
-    mask = np.uint64(n_parts - 1)
     threshold = threshold_num / threshold_den
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -2552,7 +2485,6 @@ def token_prefix_jaccard_join(
         ucounts = np.bincount(ss, minlength=n)
         keys = batch[key_col].cast(pa.int64()).to_numpy(zero_copy_only=False)[ss]
         return pa.table({
-            "__part": pa.array((hs & mask).astype(np.int32)),
             "sh": pa.array(hs.view(np.int64)),
             "key": pa.array(keys),
             "sz": pa.array(np.repeat(ucounts, ucounts)),

@@ -20,7 +20,7 @@ Scale design (nothing on the driver, no high-cardinality groupby):
   be absurd at 100 TB);
 - per round: one cogroup-via-union coarse shuffle attaches L[src] to
   each directed edge (messages), one coarse groupby-min folds messages
-  into the new labels — both keyed on ``hash(node) & (n_parts-1)``
+  into the new labels — both bucketed on the node by ``map_key_buckets``
   (<= n_parts distinct shuffle keys, many nodes per part, vectorized
   numpy inside each part; Ray's sort shuffle never sees a
   high-cardinality key — see memory: groupby on raw ids is ~1.2k
@@ -39,13 +39,9 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
-from jesse_ray.hashutil import fmix64
+from jesse_ray.hashutil import map_key_buckets
 
 _LABEL_SCHEMA = pa.schema([pa.field("node", pa.int64()), pa.field("label", pa.int64())])
-
-
-def _part_of(vals: np.ndarray, n_parts: int) -> np.ndarray:
-    return (fmix64(vals.astype(np.uint64)) & np.uint64(n_parts - 1)).astype(np.int32)
 
 
 def _symmetrize(edges: Dataset, left_col: str, right_col: str) -> Dataset:
@@ -72,49 +68,41 @@ def _init_labels(sym: Dataset, n_parts: int) -> Dataset:
     coarse-partition pattern — one np.unique per part, never a
     groupby(node))."""
 
-    def part(batch: pa.Table) -> pa.Table:
-        src = batch["src"].to_numpy(zero_copy_only=False)
-        u = np.unique(src)  # per-batch pre-dedup shrinks the shuffle
-        return pa.table({"__part": pa.array(_part_of(u, n_parts)), "node": pa.array(u)})
+    def distinct_src(batch: pa.Table) -> pa.Table:
+        u = np.unique(batch["src"].to_numpy(zero_copy_only=False))  # per-batch pre-dedup shrinks the shuffle
+        return pa.table({"node": pa.array(u)})
 
     def uniq(batch: pa.Table) -> pa.Table:
         u = np.unique(batch["node"].to_numpy(zero_copy_only=False))
         return pa.table({"node": pa.array(u), "label": pa.array(u)}, schema=_LABEL_SCHEMA)
 
-    return (
-        sym.map_batches(part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__part")
-        .map_groups(uniq, batch_format="pyarrow")
-    )
+    return map_key_buckets(sym.map_batches(distinct_src, batch_format="pyarrow", zero_copy_batch=True),
+                           ["node"], uniq, batch_format="pyarrow", n_parts=n_parts)
 
 
 def _messages(sym: Dataset, labels: Dataset, n_parts: int) -> Dataset:
     """One propagation half-round: (dst, L[src]) for every directed edge.
 
-    Cogroup-via-union keyed on part(src): label rows kind=0 carry
+    Cogroup-via-union keyed on src: label rows kind=0 carry
     (node, label); edge rows kind=1 carry (src, dst).  Inside a part the
     lookup is a sort + searchsorted — numpy only."""
 
     def tag_labels(batch: pa.Table) -> pa.Table:
-        nodes = batch["node"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "__part": pa.array(_part_of(nodes, n_parts)),
-                "kind": pa.array(np.zeros(len(nodes), dtype=np.int8)),
+                "kind": pa.array(np.zeros(batch.num_rows, dtype=np.int8)),
                 "key": batch["node"],
                 "lab": batch["label"],
-                "dst": pa.nulls(len(nodes), type=pa.int64()),
+                "dst": pa.nulls(batch.num_rows, type=pa.int64()),
             }
         )
 
     def tag_edges(batch: pa.Table) -> pa.Table:
-        src = batch["src"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "__part": pa.array(_part_of(src, n_parts)),
-                "kind": pa.array(np.ones(len(src), dtype=np.int8)),
+                "kind": pa.array(np.ones(batch.num_rows, dtype=np.int8)),
                 "key": batch["src"],
-                "lab": pa.nulls(len(src), type=pa.int64()),
+                "lab": pa.nulls(batch.num_rows, type=pa.int64()),
                 "dst": batch["dst"],
             }
         )
@@ -143,7 +131,7 @@ def _messages(sym: Dataset, labels: Dataset, n_parts: int) -> Dataset:
             schema=_LABEL_SCHEMA,
         )
 
-    return both.groupby("__part").map_groups(cogroup, batch_format="pyarrow")
+    return map_key_buckets(both, ["key"], cogroup, batch_format="pyarrow", n_parts=n_parts)
 
 
 def _fold_min(labels: Dataset, msgs: Dataset, n_parts: int) -> Dataset:
@@ -152,13 +140,11 @@ def _fold_min(labels: Dataset, msgs: Dataset, n_parts: int) -> Dataset:
 
     def tag(self_flag: int):
         def t(batch: pa.Table) -> pa.Table:
-            nodes = batch["node"].to_numpy(zero_copy_only=False)
             return pa.table(
                 {
-                    "__part": pa.array(_part_of(nodes, n_parts)),
-                    "node": batch["node"],
+                        "node": batch["node"],
                     "lab": batch["label"],
-                    "self": pa.array(np.full(len(nodes), self_flag, dtype=np.int8)),
+                    "self": pa.array(np.full(batch.num_rows, self_flag, dtype=np.int8)),
                 }
             )
 
@@ -191,7 +177,7 @@ def _fold_min(labels: Dataset, msgs: Dataset, n_parts: int) -> Dataset:
             }
         )
 
-    return both.groupby("__part").map_groups(fold, batch_format="pyarrow")
+    return map_key_buckets(both, ["node"], fold, batch_format="pyarrow", n_parts=n_parts)
 
 
 def _compress(labels: Dataset, n_parts: int) -> Dataset:
@@ -203,25 +189,21 @@ def _compress(labels: Dataset, n_parts: int) -> Dataset:
     O(log diameter) rounds (Rastogi et al. 2013, HASH-TO-MIN)."""
 
     def tag_lut(batch: pa.Table) -> pa.Table:
-        nodes = batch["node"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "__part": pa.array(_part_of(nodes, n_parts)),
-                "kind": pa.array(np.zeros(len(nodes), dtype=np.int8)),
+                "kind": pa.array(np.zeros(batch.num_rows, dtype=np.int8)),
                 "key": batch["node"],
                 "lab": batch["label"],
-                "dst": pa.nulls(len(nodes), type=pa.int64()),
+                "dst": pa.nulls(batch.num_rows, type=pa.int64()),
             }
         )
 
     def tag_query(batch: pa.Table) -> pa.Table:
-        labs = batch["label"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "__part": pa.array(_part_of(labs, n_parts)),
-                "kind": pa.array(np.ones(len(labs), dtype=np.int8)),
+                "kind": pa.array(np.ones(batch.num_rows, dtype=np.int8)),
                 "key": batch["label"],
-                "lab": pa.nulls(len(labs), type=pa.int64()),
+                "lab": pa.nulls(batch.num_rows, type=pa.int64()),
                 "dst": batch["node"],
             }
         )
@@ -248,7 +230,7 @@ def _compress(labels: Dataset, n_parts: int) -> Dataset:
             schema=_LABEL_SCHEMA,
         )
 
-    return both.groupby("__part").map_groups(cogroup, batch_format="pyarrow")
+    return map_key_buckets(both, ["key"], cogroup, batch_format="pyarrow", n_parts=n_parts)
 
 
 def _local_components(sym: Dataset) -> Dataset:
@@ -511,8 +493,6 @@ def triangle_count(
     broadcast of the edge set."""
     import pandas as pd
 
-    from jesse_ray.pipelines.relational import _element_parts
-
     edges = edges.materialize()
 
     def deg_partial(b: pa.Table) -> pa.Table:
@@ -545,8 +525,7 @@ def triangle_count(
         rr = np.array([m[x] for x in r.tolist()], dtype=np.int64)
         src = np.where(rl < rr, rl, rr)
         dst = np.where(rl < rr, rr, rl)
-        t = pa.table({"src": pa.array(src), "dst": pa.array(dst)})
-        return t.append_column("__part", pa.array(_element_parts(t["src"], n_parts)))
+        return pa.table({"src": pa.array(src), "dst": pa.array(dst)})
 
     oriented = edges.map_batches(orient, batch_format="pyarrow", zero_copy_batch=True)
 
@@ -557,7 +536,7 @@ def triangle_count(
         return pd.DataFrame({"a": w["dst_x"].to_numpy(dtype=np.int64),
                              "b": w["dst_y"].to_numpy(dtype=np.int64)})
 
-    wset = oriented.groupby("__part").map_groups(wedges, batch_format="pandas")
+    wset = map_key_buckets(oriented, ["src"], wedges, n_parts=n_parts)
 
     def tag_wedge(b: pa.Table) -> pa.Table:
         a = b["a"].to_numpy(zero_copy_only=False)
@@ -573,18 +552,12 @@ def triangle_count(
                          "kind": pa.array(np.ones(len(key), dtype=np.int8))})
 
     tagged = wset.map_batches(tag_wedge, batch_format="pyarrow").union(
-        oriented.drop_columns(["__part"]).map_batches(tag_edge, batch_format="pyarrow"))
-
-    def close_part(b: pa.Table) -> pa.Table:
-        t = b.append_column("__p2", pa.array(_element_parts(b["key"], n_parts)))
-        return t
+        oriented.map_batches(tag_edge, batch_format="pyarrow"))
 
     def count_part(g: pd.DataFrame) -> pd.DataFrame:
         e = set(g.loc[g["kind"] == 1, "key"].drop_duplicates())
         w = g.loc[g["kind"] == 0, "key"]
         return pd.DataFrame({"n": [int(w.isin(e).sum())]})
 
-    parts = (tagged.map_batches(close_part, batch_format="pyarrow")
-                   .groupby("__p2").map_groups(count_part, batch_format="pandas")
-                   .to_pandas())
+    parts = map_key_buckets(tagged, ["key"], count_part, n_parts=n_parts).to_pandas()
     return int(parts["n"].sum())

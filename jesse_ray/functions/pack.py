@@ -138,14 +138,13 @@ def bestfit_pack(
     integers."""
     from bisect import bisect_left, insort
 
-    from jesse_ray.pipelines.relational import _element_parts
+    from jesse_ray.hashutil import key_parts, map_key_buckets
 
     def tag(b: pa.Table) -> pa.Table:
         m = pc.and_(pc.is_valid(b[key_col]),
                     pc.and_(pc.greater_equal(b[len_col], pa.scalar(1)),
                             pc.less_equal(b[len_col], pa.scalar(capacity))))
-        t = b.filter(m).select([key_col, len_col])
-        return t.append_column("__part", pa.array(_element_parts(t[key_col], n_parts)))
+        return b.filter(m).select([key_col, len_col])
 
     def pack_part(g):
         import pandas as pd
@@ -165,9 +164,11 @@ def bestfit_pack(
                 r, bid = resid.pop(j)
                 bins[i] = bid
                 insort(resid, (r - int(L), bid))
-        out = g[[key_col, "__part", len_col]].copy()
+        out = g[[key_col]].copy()
+        out["part"] = key_parts(pa.array(out[key_col]), n_parts)
+        out[len_col] = lens
         out["bin"] = bins
-        return out.rename(columns={"__part": "part"})
+        return out
 
-    return (ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-              .groupby("__part").map_groups(pack_part, batch_format="pandas"))
+    return map_key_buckets(ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True),
+                           [key_col], pack_part, n_parts=n_parts)

@@ -14,6 +14,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
+
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.rounding import round_half_away
 
 
@@ -281,7 +283,7 @@ def token_pair_counts(
     out-of-range sentinels, and packing them would alias).  Nulls: a
     null/empty token list contributes no pairs.
     """
-    from jesse_ray.pipelines.relational import _element_parts, topk_from_partials
+    from jesse_ray.pipelines.relational import topk_from_partials
 
     def partial(batch: pa.Table) -> pa.Table:
         # PERSISTENT per-worker scratch: the original per-batch temps
@@ -295,7 +297,6 @@ def token_pair_counts(
             {
                 "elem": pa.array([], type=pa.int64()),
                 "__pc": pa.array([], type=pa.int64()),
-                "__part": pa.array([], type=pa.int32()),
             }
         )
         toks = _combine(batch[tokens_col])
@@ -355,18 +356,16 @@ def token_pair_counts(
             uk, cnt = uk[1:], cnt[1:]
         if not len(uk):
             return empty
-        keys = pa.array(uk, type=pa.int64())
         return pa.table(
             {
-                "elem": keys,
+                "elem": pa.array(uk, type=pa.int64()),
                 "__pc": pa.array(cnt.astype(np.int64)),
-                "__part": pa.array(_element_parts(keys, n_parts)),
             }
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True,
                               batch_size=batch_size)
-    top = topk_from_partials(partials, k, elem_alias="packed", count_alias="cnt")
+    top = topk_from_partials(partials, k, elem_alias="packed", count_alias="cnt", n_parts=n_parts)
     packed = top["packed"].to_numpy(zero_copy_only=False).astype(np.int64)
     return pa.table(
         {
@@ -535,8 +534,6 @@ def token_pmi_topk(
     coarse token-hash merge; phase B reuses the packed-pair combiner
     of :func:`token_pair_counts`.  Negative ids are excluded like
     token_pair_counts."""
-    from jesse_ray.pipelines.relational import _element_parts
-
     def uni_partial(batch: pa.Table) -> pa.Table:
         toks = _combine(batch[tokens_col])
         values = toks.values.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
@@ -558,14 +555,7 @@ def token_pmi_topk(
             n_pairs = int(valid.sum())
         tok = np.concatenate([uk, [-1]])
         c = np.concatenate([cnt, [n_pairs]]).astype(np.int64)
-        arr = pa.array(tok, type=pa.int64())
-        return pa.table(
-            {
-                "token": arr,
-                "__pc": pa.array(c),
-                "__part": pa.array(_element_parts(arr, n_parts)),
-            }
-        )
+        return pa.table({"token": pa.array(tok, type=pa.int64()), "__pc": pa.array(c)})
 
     uni = ds.map_batches(uni_partial, batch_format="pyarrow", zero_copy_batch=True,
                          batch_size=batch_size)
@@ -573,7 +563,7 @@ def token_pmi_topk(
     def merge_uni(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("token", sort=False)["__pc"].sum().reset_index()
 
-    uni_m = uni.groupby("__part").map_groups(merge_uni, batch_format="pandas")
+    uni_m = map_key_buckets(uni, ["token"], merge_uni, n_parts=n_parts)
     ut = pa.concat_tables(uni_m.iter_batches(batch_format="pyarrow"))
     toks = ut["token"].to_numpy(zero_copy_only=False)
     cs = ut["__pc"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -589,7 +579,6 @@ def token_pmi_topk(
             {
                 "elem": pa.array([], type=pa.int64()),
                 "__pc": pa.array([], type=pa.int64()),
-                "__part": pa.array([], type=pa.int32()),
             }
         )
         t = _combine(batch[tokens_col])
@@ -608,12 +597,10 @@ def token_pmi_topk(
         if not len(packed):
             return empty
         uk, cnt = np.unique(packed, return_counts=True)
-        keys = pa.array(uk, type=pa.int64())
         return pa.table(
             {
-                "elem": keys,
+                "elem": pa.array(uk, type=pa.int64()),
                 "__pc": pa.array(cnt.astype(np.int64)),
-                "__part": pa.array(_element_parts(keys, n_parts)),
             }
         )
 
@@ -625,7 +612,7 @@ def token_pmi_topk(
         return m[m["__pc"] >= min_count]
 
     pm = pa.concat_tables(
-        pairs.groupby("__part").map_groups(merge_pairs, batch_format="pandas")
+        map_key_buckets(pairs, ["elem"], merge_pairs, n_parts=n_parts)
         .iter_batches(batch_format="pyarrow")
     )
     if pm.num_rows == 0:
@@ -666,8 +653,6 @@ def vocab_coverage_curve(
     vocabulary once and reads the cumsum at each k.  Negative ids are
     excluded (the corpus's out-of-range sentinels).  Returns exact
     integers (k, covered_cnt, total_cnt)."""
-    from jesse_ray.pipelines.relational import _element_parts
-
     def partial(batch: pa.Table) -> pa.Table:
         toks = _combine(batch[tokens_col])
         values = toks.values.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
@@ -676,12 +661,10 @@ def vocab_coverage_curve(
         sl = sl[sl >= 0]
         if not len(sl):
             return pa.table({"token": pa.array([], pa.int64()),
-                             "__pc": pa.array([], pa.int64()),
-                             "__part": pa.array([], pa.int32())})
+                             "__pc": pa.array([], pa.int64())})
         uk, cnt = np.unique(sl, return_counts=True)
-        arr = pa.array(uk, type=pa.int64())
-        return pa.table({"token": arr, "__pc": pa.array(cnt.astype(np.int64)),
-                         "__part": pa.array(_element_parts(arr, n_parts))})
+        return pa.table({"token": pa.array(uk, type=pa.int64()),
+                         "__pc": pa.array(cnt.astype(np.int64))})
 
     partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True,
                               batch_size=batch_size)
@@ -692,7 +675,7 @@ def vocab_coverage_curve(
         return g.groupby("token", sort=False)["__pc"].sum().reset_index()
 
     t = pa.concat_tables(
-        partials.groupby("__part").map_groups(merge, batch_format="pandas")
+        map_key_buckets(partials, ["token"], merge, n_parts=n_parts)
         .iter_batches(batch_format="pyarrow")
     )
     toks = t["token"].to_numpy(zero_copy_only=False)

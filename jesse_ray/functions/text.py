@@ -14,6 +14,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
+
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.rounding import round_half_away
 
 # ---------------------------------------------------------------------------
@@ -430,17 +432,16 @@ def document_frequency_topk(
     The shuffle then carries (word, partial df) rows on a coarse
     word-hash partition and the driver merges ≤ n_parts × k candidates
     (relational.topk_from_partials)."""
-    from jesse_ray.pipelines.relational import _element_parts, topk_from_partials
+    from jesse_ray.pipelines.relational import topk_from_partials
 
     def partial(batch: pa.Table) -> pa.Table:
         doc, flat, _parent = _doc_words(batch, text_col, doc_col)
         distinct = pa.table({"doc": doc, "elem": flat}).group_by(["doc", "elem"]).aggregate([])
         g = distinct.select(["elem"]).group_by("elem").aggregate([([], "count_all")])
-        g = g.rename_columns(["elem", "__pc"])
-        return g.append_column("__part", pa.array(_element_parts(g["elem"], n_parts)))
+        return g.rename_columns(["elem", "__pc"])
 
     partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
-    return topk_from_partials(partials, k, elem_alias="word", count_alias="df")
+    return topk_from_partials(partials, k, elem_alias="word", count_alias="df", n_parts=n_parts)
 
 
 def _combine_col(col):
@@ -476,14 +477,11 @@ def document_frequencies(
     batch), coarse word-hash partition merge; the word vocabulary is
     bounded, so returning it to the driver is the standard broadcastable
     -model assumption (cf. :func:`unigram_model`)."""
-    from jesse_ray.pipelines.relational import _element_parts
-
     def partial(batch: pa.Table) -> pa.Table:
         doc, flat, _parent = _doc_words(batch, text_col, doc_col)
         distinct = pa.table({"doc": doc, "word": flat}).group_by(["doc", "word"]).aggregate([])
         g = distinct.select(["word"]).group_by("word").aggregate([([], "count_all")])
-        g = g.rename_columns(["word", "__pc"])
-        return g.append_column("__part", pa.array(_element_parts(g["word"], n_parts)))
+        return g.rename_columns(["word", "__pc"])
 
     partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
 
@@ -491,7 +489,7 @@ def document_frequencies(
         m = g.groupby("word", sort=False)["__pc"].sum().reset_index()
         return m.rename(columns={"__pc": "df"})
 
-    merged = partials.groupby("__part").map_groups(merge, batch_format="pandas")
+    merged = map_key_buckets(partials, ["word"], merge, n_parts=n_parts)
     out = pa.concat_tables(merged.iter_batches(batch_format="pyarrow"))
     return pa.table({"word": out["word"], "df": out["df"].cast(pa.int64())})
 
@@ -589,15 +587,12 @@ def unigram_model(ds: Dataset, text_col: str = "text", *, n_parts: int = 64,
     word vocab is bounded (~1e6-1e8 even for a 100 TB corpus — the
     standard assumption that makes n-gram LM scoring broadcastable,
     cf. CCNet), unlike the corpus itself."""
-    from jesse_ray.pipelines.relational import _element_parts
-
     def partial(batch: pa.Table) -> pa.Table:
         text = _combine_col(batch[text_col])
         words = pc.split_pattern(pc.fill_null(text, ""), " ")
         flat = pc.list_flatten(words)
         g = pa.table({"word": flat}).group_by("word").aggregate([([], "count_all")])
-        g = g.rename_columns(["word", "__pc"])
-        return g.append_column("__part", pa.array(_element_parts(g["word"], n_parts)))
+        return g.rename_columns(["word", "__pc"])
 
     partials = ds.select_columns([text_col]).map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size
@@ -607,7 +602,7 @@ def unigram_model(ds: Dataset, text_col: str = "text", *, n_parts: int = 64,
         m = g.groupby("word", sort=False)["__pc"].sum().reset_index()
         return m.rename(columns={"__pc": "cnt"})
 
-    merged = partials.groupby("__part").map_groups(merge, batch_format="pandas")
+    merged = map_key_buckets(partials, ["word"], merge, n_parts=n_parts)
     out = pa.concat_tables(merged.iter_batches(batch_format="pyarrow"))
     return pa.table({"word": out["word"], "cnt": out["cnt"].cast(pa.int64())})
 
@@ -693,14 +688,10 @@ def bigram_model(ds: Dataset, text_col: str = "text", *, n_parts: int = 64,
     :func:`unigram_model`: per-batch Arrow ``group_by`` combiner, coarse
     key-hash partition merge; the bigram vocabulary is bounded (the
     standard n-gram-LM broadcastability assumption), unlike the corpus."""
-    from jesse_ray.pipelines.relational import _element_parts
-
     def partial(batch: pa.Table) -> pa.Table:
         w1, w2, _ = _batch_bigrams(batch, text_col)
         g = pa.table({"w1": w1, "w2": w2}).group_by(["w1", "w2"]).aggregate([([], "count_all")])
-        g = g.rename_columns(["w1", "w2", "__pc"])
-        key = pc.binary_join_element_wise(g["w1"], g["w2"], "\x1f")
-        return g.append_column("__part", pa.array(_element_parts(key, n_parts)))
+        return g.rename_columns(["w1", "w2", "__pc"])
 
     partials = ds.select_columns([text_col]).map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size
@@ -710,7 +701,7 @@ def bigram_model(ds: Dataset, text_col: str = "text", *, n_parts: int = 64,
         m = g.groupby(["w1", "w2"], sort=False)["__pc"].sum().reset_index()
         return m.rename(columns={"__pc": "cnt"})
 
-    merged = partials.groupby("__part").map_groups(merge, batch_format="pandas")
+    merged = map_key_buckets(partials, ["w1", "w2"], merge, n_parts=n_parts)
     out = pa.concat_tables(merged.iter_batches(batch_format="pyarrow"))
     return pa.table({"w1": out["w1"], "w2": out["w2"], "cnt": out["cnt"].cast(pa.int64())})
 
@@ -1033,8 +1024,6 @@ def ngram_novelty_stats(
     doc-hash partition.  Output: (doc, total_grams, shared_grams)
     integers.  Docs with < n words have no n-grams and are absent from
     the output (mirror any SQL twin accordingly)."""
-    from jesse_ray.pipelines.relational import _element_parts
-
     def partial(batch: pa.Table) -> pa.Table:
         txt = pc.fill_null(_combine_col(batch[text_col]), "")
         words = pc.split_pattern(txt, " ")
@@ -1048,7 +1037,6 @@ def ngram_novelty_stats(
                 doc_col: pa.array([], type=batch.schema.field(doc_col).type),
                 "g": pa.array([], type=pa.string()),
                 "c": pa.array([], type=pa.int64()),
-                "__part": pa.array([], type=pa.int32()),
             }
         )
         if L < n:
@@ -1070,7 +1058,6 @@ def ngram_novelty_stats(
                 doc_col: cnt[doc_col],
                 "g": cnt["g"],
                 "c": cnt["count_all"].cast(pa.int64()),
-                "__part": pa.array(_element_parts(cnt["g"], n_parts)),
             }
         )
 
@@ -1084,20 +1071,13 @@ def ngram_novelty_stats(
         agg = out.groupby(doc_col, sort=False).sum().reset_index()
         return agg
 
-    doc_partials = partials.groupby("__part").map_groups(per_gram_part, batch_format="pandas")
-
-    def tag_doc(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__part2", pa.array(_element_parts(batch[doc_col], n_parts))
-        )
-
-    tagged = doc_partials.map_batches(tag_doc, batch_format="pyarrow", zero_copy_batch=True)
+    doc_partials = map_key_buckets(partials, ["g"], per_gram_part, n_parts=n_parts)
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby(doc_col, sort=False)[["total", "shared"]].sum().reset_index()
         return agg.rename(columns={"total": "total_grams", "shared": "shared_grams"})
 
-    return tagged.groupby("__part2").map_groups(merge, batch_format="pandas")
+    return map_key_buckets(doc_partials, [doc_col], merge, n_parts=n_parts)
 
 
 class BackoffScorer:
@@ -1396,8 +1376,6 @@ def rake_word_scores(
     bincount, per-word partials via pandas groupby over the exploded
     (word, phrase_len) frame; ONE coarse word-hash shuffle merges the
     partials exactly."""
-    from jesse_ray.pipelines.relational import _element_parts
-
     stop_arr = pa.array(sorted(set(stopwords)))
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1414,8 +1392,7 @@ def rake_word_scores(
         if nf == 0:
             return pa.table({"word": pa.array([], type=pa.string()),
                              "freq": pa.array([], type=pa.int64()),
-                             "deg": pa.array([], type=pa.int64()),
-                             "__part": pa.array([], type=pa.int32())})
+                             "deg": pa.array([], type=pa.int64())})
         # phrase id: a non-stop word starts a phrase if it follows a
         # stopword or a doc start; stopwords belong to no phrase
         prev_stop = np.ones(nf, dtype=bool)
@@ -1429,8 +1406,7 @@ def rake_word_scores(
         if not keep.any():
             return pa.table({"word": pa.array([], type=pa.string()),
                              "freq": pa.array([], type=pa.int64()),
-                             "deg": pa.array([], type=pa.int64()),
-                             "__part": pa.array([], type=pa.int32())})
+                             "deg": pa.array([], type=pa.int64())})
         plen = np.bincount(pid[keep])
         import pandas as pd
 
@@ -1438,10 +1414,9 @@ def rake_word_scores(
                            "plen": plen[pid[keep]]})
         g = df.groupby("word", sort=False).agg(freq=("plen", "size"),
                                                deg=("plen", "sum")).reset_index()
-        t = pa.table({"word": pa.array(g["word"], type=pa.string()),
-                      "freq": pa.array(g["freq"].to_numpy(dtype=np.int64)),
-                      "deg": pa.array(g["deg"].to_numpy(dtype=np.int64))})
-        return t.append_column("__part", pa.array(_element_parts(t["word"], n_parts)))
+        return pa.table({"word": pa.array(g["word"], type=pa.string()),
+                         "freq": pa.array(g["freq"].to_numpy(dtype=np.int64)),
+                         "deg": pa.array(g["deg"].to_numpy(dtype=np.int64))})
 
     def merge(g) -> "pa.Table":
         import pandas as pd
@@ -1450,9 +1425,9 @@ def rake_word_scores(
         return pa.Table.from_pandas(m, preserve_index=False).cast(
             pa.schema([("word", pa.string()), ("freq", pa.int64()), ("deg", pa.int64())]))
 
-    return (ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True,
-                           batch_size=batch_size)
-              .groupby("__part").map_groups(merge, batch_format="pandas"))
+    return map_key_buckets(ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True,
+                                          batch_size=batch_size),
+                           ["word"], merge, n_parts=n_parts)
 
 
 def add_encoding_audit(

@@ -21,7 +21,7 @@ from ray.data import Dataset
 from jesse_ray.compiler import CompiledSpec, compile_spec
 from jesse_ray.engine import filter_valid, prepare_compiled
 from jesse_ray.functions.dedup import add_token_hash
-from jesse_ray.hashutil import fmix64
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.spec import TableSpec
 
 
@@ -49,21 +49,7 @@ def curate_sequences(
     # Arrow end-to-end through the shuffle: a pandas round-trip here
     # would convert every token list to a per-row Python/numpy object
     # (measured 2-3x the whole pipeline's wall time at sf0.1) just to
-    # compute a partition id and drop duplicates
-    mask = np.uint64(n_parts - 1)
-
-    def part(batch: pa.Table) -> pa.Table:
-        col = batch["content_hash"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        # first 8 bytes of the 128-bit content hash, fmix64-finalized so
-        # the masked low bits are uniform (the raw polynomial's low bits
-        # lean on the last token)
-        raw = np.frombuffer(col.buffers()[1], dtype=np.uint64)
-        h1 = raw[col.offset * 2 : (col.offset + len(col)) * 2 : 2]
-        p = (fmix64(h1) & mask).astype(np.int32)
-        return batch.append_column("__part", pa.array(p))
-
+    # drop duplicates
     def first(g: pa.Table) -> pa.Table:
         t = g.sort_by([("content_hash", "ascending"), (key_col, "ascending")])
         col = t["content_hash"]
@@ -73,10 +59,6 @@ def curate_sequences(
         if t.num_rows > 1:
             neq = pc.not_equal(col.slice(1), col.slice(0, len(col) - 1))
             keep[1:] = neq.to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(keep)).drop_columns(["__part", "content_hash"])
+        return t.filter(pa.array(keep)).drop_columns(["content_hash"])
 
-    return (
-        hashed.map_batches(part, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
-        .groupby("__part")
-        .map_groups(first, batch_format="pyarrow")
-    )
+    return map_key_buckets(hashed, ["content_hash"], first, batch_format="pyarrow", n_parts=n_parts)

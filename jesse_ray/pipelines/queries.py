@@ -3868,7 +3868,8 @@ def q_tpch_q3ish(sf_dir: str) -> pd.DataFrame:
     exact top-10 (each order lives wholly in one part) and a 640-row
     driver merge — no corpus-wide Ray groupby on the high-cardinality
     key."""
-    from jesse_ray.pipelines.relational import _element_parts, hash_join
+    from jesse_ray.hashutil import map_key_buckets
+    from jesse_ray.pipelines.relational import hash_join
 
     cutoff = pd.Timestamp(Q3_CUTOFF)
     cust = read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"])
@@ -3906,11 +3907,6 @@ def q_tpch_q3ish(sf_dir: str) -> pd.DataFrame:
     li = li.map_batches(l_filter, batch_format="pyarrow", zero_copy_batch=True)
     j = hash_join(li, co_k, on="l_orderkey", how="inner")
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column("__p2", pa.array(_element_parts(batch["l_orderkey"], 64)))
-
-    tagged = j.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-
     def topn(g: pd.DataFrame) -> pd.DataFrame:
         agg = (
             g.groupby(["l_orderkey", "o_orderdate", "o_orderpriority"], sort=False)["rev"]
@@ -3922,7 +3918,7 @@ def q_tpch_q3ish(sf_dir: str) -> pd.DataFrame:
             kind="mergesort",
         ).head(10)
 
-    cand = tagged.groupby("__p2").map_groups(topn, batch_format="pandas").to_pandas()
+    cand = map_key_buckets(j, ["l_orderkey"], topn).to_pandas()
     out = cand.sort_values(
         ["revenue", "o_orderdate", "l_orderkey"], ascending=[False, True, True],
         kind="mergesort",
@@ -3956,23 +3952,22 @@ def q_tpch_q18ish(sf_dir: str) -> pd.DataFrame:
     small qualifying set joins back through orders and customer as
     broadcast-once dimension joins; the HAVING threshold bounds the
     broadcast by construction."""
-    from jesse_ray.pipelines.relational import _element_parts, broadcast_join
+    from jesse_ray.hashutil import map_key_buckets
+    from jesse_ray.pipelines.relational import broadcast_join
 
     li = read_table(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_quantity"])
 
     def partial(batch: pa.Table) -> pa.Table:
         g = batch.group_by("l_orderkey").aggregate([("l_quantity", "sum")])
-        g = g.rename_columns(["l_orderkey", "__q"])
-        return g.append_column("__part", pa.array(_element_parts(g["l_orderkey"], 64)))
+        return g.rename_columns(["l_orderkey", "__q"])
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("l_orderkey", sort=False)["__q"].sum().reset_index()
         return m[m["__q"] > Q18_QTY]
 
     big = pa.concat_tables(list(
-        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__part")
-        .map_groups(merge, batch_format="pandas")
+        map_key_buckets(li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+                        ["l_orderkey"], merge)
         .iter_batches(batch_format="pyarrow")
     )).to_pandas()
 

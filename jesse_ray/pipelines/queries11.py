@@ -13,6 +13,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, entry
 from jesse_ray.pipelines.queries6 import _ts_day
 from jesse_ray.sources import read_sequences, read_table
@@ -151,8 +152,6 @@ def q_seq_token_dispersion(sf_dir: str) -> pd.DataFrame:
     double-count) — one coarse token-hash shuffle of the per-batch
     distinct (key, token) pairs, per-part dedup + count.  Exact
     integers; top-k on the driver grid."""
-    from jesse_ray.hashutil import fmix64
-
     ds = read_sequences(_seq_path(sf_dir), columns=["doc_id", "tokens"])
 
     def flat_parts(b: pa.Table):
@@ -181,9 +180,7 @@ def q_seq_token_dispersion(sf_dir: str) -> pd.DataFrame:
         keep = np.concatenate([[True], (s2[1:] != s2[:-1]) | (f2[1:] != f2[:-1])]) \
             if len(s2) else np.empty(0, bool)
         k2, t2 = s2[keep], f2[keep]
-        return pa.table({
-            "__part": pa.array((fmix64(t2.astype(np.uint64)) & np.uint64(63)).astype(np.int32)),
-            "k": pa.array(k2), "tok": pa.array(t2)})
+        return pa.table({"k": pa.array(k2), "tok": pa.array(t2)})
 
     def df_per_part(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["k", "tok"]).groupby("tok", as_index=False).size()
@@ -192,8 +189,8 @@ def q_seq_token_dispersion(sf_dir: str) -> pd.DataFrame:
     cf = _collect(ds.map_batches(cf_partial, batch_format="pyarrow", zero_copy_batch=True)) \
         .group_by("tok").aggregate([("cf", "sum")]).to_pandas() \
         .rename(columns={"cf_sum": "cf"})
-    dfp = _collect(ds.map_batches(kt_partial, batch_format="pyarrow", zero_copy_batch=True)
-                   .groupby("__part").map_groups(df_per_part, batch_format="pandas")) \
+    dfp = _collect(map_key_buckets(ds.map_batches(kt_partial, batch_format="pyarrow", zero_copy_batch=True),
+                                   ["tok"], df_per_part)) \
         .to_pandas().groupby("tok", as_index=False)["df"].sum()
     m = cf.merge(dfp, on="tok")
     m = m.sort_values(["cf", "tok"], ascending=[False, True]).head(_DISP_TOPK)

@@ -57,7 +57,7 @@ def q_seq_length_order_autocorr(sf_dir: str) -> pd.DataFrame:
         return pa.table({"k": k, "n_tok": b["n_tok"].cast(pa.int64())})
 
     def uniq_part(g: pd.DataFrame) -> pd.DataFrame:
-        return g[~g["k"].duplicated(keep=False)].drop(columns="__part")
+        return g[~g["k"].duplicated(keep=False)]
 
     keys = ds.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
     base = map_key_buckets(keys, ["k"], uniq_part)

@@ -12,6 +12,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from jesse_ray.hashutil import key_parts, map_key_buckets
 from jesse_ray.sources import read_sequences, read_table
 
 # the registry and shared helpers / constants (.queries never imports
@@ -53,7 +54,7 @@ def q_tpch_q10ish(sf_dir: str) -> pd.DataFrame:
     part merge, and only the FINAL top-20 keys fetch their dimension
     rows (customer/nation broadcast to a 20-row lookup — the dimension
     join cost is O(k), not O(customers))."""
-    from jesse_ray.pipelines.relational import _element_parts, hash_join
+    from jesse_ray.pipelines.relational import hash_join
 
     lo, hi = pd.Timestamp(Q10_START), pd.Timestamp(Q10_END)
     orders = read_table(f"{sf_dir}/orders.parquet",
@@ -79,8 +80,7 @@ def q_tpch_q10ish(sf_dir: str) -> pd.DataFrame:
 
     def partial(b: pa.Table) -> pa.Table:
         g = b.group_by("o_custkey").aggregate([("rev", "sum")])
-        g = g.rename_columns(["o_custkey", "rev"])
-        return g.append_column("__part", pa.array(_element_parts(g["o_custkey"], 64)))
+        return g.rename_columns(["o_custkey", "rev"])
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("o_custkey", sort=False)["rev"].sum().reset_index()
@@ -88,9 +88,8 @@ def q_tpch_q10ish(sf_dir: str) -> pd.DataFrame:
         return m.sort_values(["revenue", "c_custkey"], ascending=[False, True],
                              kind="mergesort").head(20)
 
-    cand = (j.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-             .groupby("__part").map_groups(merge, batch_format="pandas")
-             .to_pandas())
+    cand = map_key_buckets(j.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+                           ["o_custkey"], merge).to_pandas()
     top = cand.sort_values(["revenue", "c_custkey"], ascending=[False, True],
                            kind="mergesort").head(20)
     keys = pa.array(top["c_custkey"].astype("int64").to_numpy(), type=pa.int64())
@@ -140,21 +139,20 @@ def q_tpch_q16ish(sf_dir: str) -> pd.DataFrame:
     (a triple lives wholly in one part) whose per-part counts sum
     exactly; the excluded-supplier set is a broadcast filter, never a
     shuffle."""
-    from jesse_ray.pipelines.relational import _element_parts, hash_join
+    from jesse_ray.pipelines.relational import hash_join
 
     li = read_table(f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"])
 
     def pair_dedup(b: pa.Table) -> pa.Table:
-        g = b.group_by(["l_partkey", "l_suppkey"]).aggregate([])
-        return g.append_column("__part", pa.array(_element_parts(g["l_partkey"], 64)))
+        return b.group_by(["l_partkey", "l_suppkey"]).aggregate([])
 
     def part_dedup(g: pd.DataFrame) -> pa.Table:
         d = g[["l_partkey", "l_suppkey"]].drop_duplicates()
         return pa.Table.from_pandas(d, preserve_index=False).cast(
             pa.schema([("l_partkey", pa.int64()), ("l_suppkey", pa.int64())]))
 
-    pairs = (li.map_batches(pair_dedup, batch_format="pyarrow", zero_copy_batch=True)
-               .groupby("__part").map_groups(part_dedup, batch_format="pandas"))
+    pairs = map_key_buckets(li.map_batches(pair_dedup, batch_format="pyarrow", zero_copy_batch=True),
+                            ["l_partkey"], part_dedup)
 
     part = read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand", "p_size"])
 
@@ -177,17 +175,15 @@ def q_tpch_q16ish(sf_dir: str) -> pd.DataFrame:
     def triple(b: pa.Table) -> pa.Table:
         if bad_arr is not None:
             b = b.filter(pc.invert(pc.is_in(b["l_suppkey"], value_set=bad_arr)))
-        g = b.group_by(["p_brand", "p_size", "l_suppkey"]).aggregate([])
-        return g.append_column("__p2", pa.array(_element_parts(g["l_suppkey"], 64)))
+        return b.group_by(["p_brand", "p_size", "l_suppkey"]).aggregate([])
 
     def count_part(g: pd.DataFrame) -> pd.DataFrame:
         d = g[["p_brand", "p_size", "l_suppkey"]].drop_duplicates()
         c = d.groupby(["p_brand", "p_size"], sort=False).size().reset_index(name="supplier_cnt")
         return c
 
-    cand = (j.map_batches(triple, batch_format="pyarrow", zero_copy_batch=True)
-             .groupby("__p2").map_groups(count_part, batch_format="pandas")
-             .to_pandas())
+    cand = map_key_buckets(j.map_batches(triple, batch_format="pyarrow", zero_copy_batch=True),
+                           ["l_suppkey"], count_part).to_pandas()
     out = (cand.groupby(["p_brand", "p_size"], sort=False)["supplier_cnt"].sum()
                .reset_index()
                .sort_values(["supplier_cnt", "p_brand", "p_size"],
@@ -227,7 +223,7 @@ def q_orders_reconcile(sf_dir: str) -> pd.DataFrame:
     no driver materialization beyond 20×parts candidate rows).  Sort
     key is the ROUNDED diff (both engines round before ranking, so sum
     re-association below half a cent can never reorder the result)."""
-    from jesse_ray.pipelines.relational import _element_parts, hash_join
+    from jesse_ray.pipelines.relational import hash_join
 
     li = read_table(f"{sf_dir}/lineitem.parquet",
                     columns=["l_orderkey", "l_extendedprice", "l_discount"])
@@ -242,9 +238,6 @@ def q_orders_reconcile(sf_dir: str) -> pd.DataFrame:
     orders = read_table(f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"])
     j = hash_join(comp, orders, on="o_orderkey", how="inner")
 
-    def tag(b: pa.Table) -> pa.Table:
-        return b.append_column("__part", pa.array(_element_parts(b["o_orderkey"], 64)))
-
     def topdiff(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby(["o_orderkey", "o_totalprice"], sort=False)["comp"].sum().reset_index()
         m["computed"] = round_half_away(m["comp"], 2)
@@ -253,9 +246,7 @@ def q_orders_reconcile(sf_dir: str) -> pd.DataFrame:
         return m.sort_values(["absdiff", "o_orderkey"], ascending=[False, True],
                              kind="mergesort").head(20)
 
-    cand = (j.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-             .groupby("__part").map_groups(topdiff, batch_format="pandas")
-             .to_pandas())
+    cand = map_key_buckets(j, ["o_orderkey"], topdiff).to_pandas()
     out = cand.sort_values(["absdiff", "o_orderkey"], ascending=[False, True],
                            kind="mergesort").head(20).reset_index(drop=True)
     out["o_orderkey"] = out["o_orderkey"].astype("int64")
@@ -1151,7 +1142,6 @@ def q_events_abtest(sf_dir: str) -> pd.DataFrame:
     partial counts → 4-int driver reduction; the z formula runs once on
     scalars (identical op order to the SQL twin, so round(4) is
     stable)."""
-    from jesse_ray.pipelines.relational import _element_parts
 
     ds = read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
@@ -1159,8 +1149,7 @@ def q_events_abtest(sf_dir: str) -> pd.DataFrame:
         conv = pc.cast(pc.equal(b["event_type"], pa.scalar("purchase")), pa.int64())
         t = pa.table({"user_id": b["user_id"], "conv": conv})
         g = t.group_by("user_id").aggregate([("conv", "max")])
-        g = g.rename_columns(["user_id", "conv"])
-        return g.append_column("__part", pa.array(_element_parts(g["user_id"], 64)))
+        return g.rename_columns(["user_id", "conv"])
 
     def bucket_counts(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("user_id", sort=False)["conv"].max().reset_index()
@@ -1168,9 +1157,8 @@ def q_events_abtest(sf_dir: str) -> pd.DataFrame:
         c = m.groupby("bucket").agg(n=("user_id", "size"), conv=("conv", "sum")).reset_index()
         return c
 
-    parts = (ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-               .groupby("__part").map_groups(bucket_counts, batch_format="pandas")
-               .to_pandas())
+    parts = map_key_buckets(ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+                            ["user_id"], bucket_counts).to_pandas()
     tot = parts.groupby("bucket").sum().reindex([0, 1]).fillna(0)
     n_a, n_b = float(tot.loc[0, "n"]), float(tot.loc[1, "n"])
     c_a, c_b = float(tot.loc[0, "conv"]), float(tot.loc[1, "conv"])
@@ -1197,7 +1185,6 @@ def _token_edges(sf_dir: str):
     np.unique partial counts, then one coarse packed-key-hash part
     merge to exact global weights."""
     from jesse_ray import testgen
-    from jesse_ray.pipelines.relational import _element_parts
 
     vocab = testgen.VOCAB
     ds = read_sequences(_seq_path(sf_dir), columns=["tokens"])
@@ -1218,8 +1205,7 @@ def _token_edges(sf_dir: str):
         ok = (a >= 0) & (a < vocab) & (bb >= 0) & (bb < vocab)
         packed = (a[ok] << np.int64(20)) | bb[ok]
         uk, cnt = np.unique(packed, return_counts=True)
-        t = pa.table({"key": pa.array(uk), "w": pa.array(cnt.astype(np.int64))})
-        return t.append_column("__part", pa.array(_element_parts(t["key"], 64)))
+        return pa.table({"key": pa.array(uk), "w": pa.array(cnt.astype(np.int64))})
 
     def merge(g: pd.DataFrame) -> pa.Table:
         m = g.groupby("key", sort=False)["w"].sum().reset_index()
@@ -1230,8 +1216,8 @@ def _token_edges(sf_dir: str):
             "w": pa.array(m["w"].to_numpy(dtype=np.int64)),
         })
 
-    return (ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True)
-              .groupby("__part").map_groups(merge, batch_format="pandas"))
+    return map_key_buckets(ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True),
+                           ["key"], merge)
 
 
 def _pagerank_sql() -> str:
@@ -1441,7 +1427,7 @@ def q_doc_e2e_pipeline(sf_dir: str) -> pd.DataFrame:
     no sidecars."""
     from jesse_ray.functions.dedup import substring_dup_pairs
     from jesse_ray.functions.text import add_gopher_stats, normalize_text
-    from jesse_ray.pipelines.relational import _element_parts, hash_join
+    from jesse_ray.pipelines.relational import hash_join
 
     langs = pa.array(DOC_E2E_LANGS)
     ds = read_table(f"{sf_dir}/documents.parquet",
@@ -1466,15 +1452,13 @@ def q_doc_e2e_pipeline(sf_dir: str) -> pd.DataFrame:
         if t.num_rows > 1:
             neq = pc.not_equal(tn.slice(1), tn.slice(0, len(tn) - 1))
             keep[1:] = pc.fill_null(neq, True).to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array(keep))
-        return t.append_column("__part", pa.array(_element_parts(t["text_norm"], 64)))
+        return t.filter(pa.array(keep))
 
     def part_min(g: pd.DataFrame) -> pd.DataFrame:
         return (g.sort_values("doc_id", kind="mergesort")
                  .drop_duplicates("text_norm", keep="first")[["doc_id", "source", "text_norm"]])
 
-    ded = (ds.map_batches(local_min, batch_format="pyarrow")
-             .groupby("__part").map_groups(part_min, batch_format="pandas"))
+    ded = map_key_buckets(ds.map_batches(local_min, batch_format="pyarrow"), ["text_norm"], part_min)
 
     # near-dup members removed via a distributed anti-join against the
     # pair "right" ids — no driver-collected id set (unbounded at scale)
@@ -1591,17 +1575,16 @@ FROM p GROUP BY part ORDER BY part
 @entry("events_skew_report", sql=SQL_EVENTS_SKEW_REPORT)
 def q_events_skew_report(sf_dir: str) -> pd.DataFrame:
     """Partition-balance report for the engine's OWN coarse hash
-    partitioner (relational._element_parts multiply-shift): rows and
+    partitioner (``hashutil.key_parts``' integer multiply-shift): rows and
     distinct users per part over the events stream.  The twin
     re-derives the exact same hash in SQL with HUGEINT arithmetic
     (``(u * golden) mod 2^64 >> 33 & 63``) — the partitioning math
     every shuffle in this engine rests on is itself machine-checked."""
-    from jesse_ray.pipelines.relational import _element_parts
 
     ds = read_table(f"{sf_dir}/events.parquet", columns=["user_id"])
 
     def partial(b: pa.Table) -> pa.Table:
-        parts = _element_parts(b["user_id"], SKEW_PARTS)
+        parts = key_parts(b["user_id"], SKEW_PARTS)
         t = pa.table({"part": pa.array(parts.astype(np.int64)), "user_id": b["user_id"]})
         rows = t.group_by("part").aggregate([([], "count_all")]).rename_columns(["part", "rows"])
         users = t.group_by(["part", "user_id"]).aggregate([])
@@ -1994,23 +1977,22 @@ def q_customer_orders_outer(sf_dir: str) -> pd.DataFrame:
     one summary row — matched customers, customers with no orders,
     orders whose custkey is missing from the dimension (referential
     orphans — zero on this corpus, but the join path proves it)."""
-    from jesse_ray.pipelines.relational import _element_parts, hash_join
+    from jesse_ray.pipelines.relational import hash_join
 
     cust = read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey"])
     orders = read_table(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
 
     def ocnt(b: pa.Table) -> pa.Table:
         g = b.group_by("o_custkey").aggregate([([], "count_all")])
-        g = g.rename_columns(["c_custkey", "n_orders_p"])
-        return g.append_column("__part", pa.array(_element_parts(g["c_custkey"], 64)))
+        return g.rename_columns(["c_custkey", "n_orders_p"])
 
     def omerge(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("c_custkey", sort=False)["n_orders_p"].sum().reset_index()
         m.columns = ["c_custkey", "n_orders"]
         return m
 
-    per_cust = (orders.map_batches(ocnt, batch_format="pyarrow", zero_copy_batch=True)
-                      .groupby("__part").map_groups(omerge, batch_format="pandas"))
+    per_cust = map_key_buckets(orders.map_batches(ocnt, batch_format="pyarrow", zero_copy_batch=True),
+                               ["c_custkey"], omerge)
 
     # left-side presence marker: right-only orphan rows also carry a
     # non-null n_orders, so is_valid(n_orders) alone would overcount
@@ -2061,14 +2043,12 @@ def q_seq_fd_audit(sf_dir: str) -> pd.DataFrame:
     ``doc_id → source`` hold?  Two-phase distinct-pair counting — per
     batch dedup, coarse key-hash parts, exact distinct-source count per
     key — then the tiny violating-key set is the output."""
-    from jesse_ray.pipelines.relational import _element_parts
 
     ds = read_sequences(_seq_path(sf_dir), columns=["doc_id", "source"])
 
     def partial(b: pa.Table) -> pa.Table:
         t = b.filter(pc.is_valid(b["doc_id"]))
-        g = t.group_by(["doc_id", "source"]).aggregate([])
-        return g.append_column("__part", pa.array(_element_parts(g["doc_id"], 64)))
+        return t.group_by(["doc_id", "source"]).aggregate([])
 
     def count_part(g: pd.DataFrame) -> pd.DataFrame:
         d = g[["doc_id", "source"]].drop_duplicates()
@@ -2076,9 +2056,9 @@ def q_seq_fd_audit(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"n_keys": [int(len(c))],
                              "n_violating": [int((c > 1).sum())]})
 
-    parts = (_collect(ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-                        .groupby("__part").map_groups(count_part, batch_format="pandas"))
-             .to_pandas().sum())
+    parts = _collect(map_key_buckets(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["doc_id"], count_part)).to_pandas().sum()
     return pd.DataFrame({
         "n_keys": pd.array([int(parts["n_keys"])], dtype="int64"),
         "n_violating": pd.array([int(parts["n_violating"])], dtype="int64"),
@@ -2127,7 +2107,6 @@ def q_seq_entropy_rate(sf_dir: str) -> pd.DataFrame:
     c_a = Σ_b c_ab are exact locally; parts emit two partial scalars.
     Valid-token pairs only (the PageRank edge convention)."""
     from jesse_ray import testgen
-    from jesse_ray.pipelines.relational import _element_parts
 
     vocab = testgen.VOCAB
     ds = read_sequences(_seq_path(sf_dir), columns=["tokens"])
@@ -2148,10 +2127,9 @@ def q_seq_entropy_rate(sf_dir: str) -> pd.DataFrame:
         ok = (a >= 0) & (a < vocab) & (bb >= 0) & (bb < vocab)
         packed = (a[ok] << np.int64(20)) | bb[ok]
         uk, cnt = np.unique(packed, return_counts=True)
-        t = pa.table({"key": pa.array(uk), "c": pa.array(cnt.astype(np.int64))})
-        # partition by the FIRST token so c_a is locally exact
-        return t.append_column(
-            "__part", pa.array(_element_parts(pa.array(uk >> np.int64(20)), 64)))
+        # bucket by the FIRST token ``a`` so c_a is locally exact
+        return pa.table({"key": pa.array(uk), "c": pa.array(cnt.astype(np.int64)),
+                         "a": pa.array(uk >> np.int64(20))})
 
     def part_entropy(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("key", sort=True)["c"].sum()
@@ -2162,9 +2140,9 @@ def q_seq_entropy_rate(sf_dir: str) -> pd.DataFrame:
         s = float((c_ab * np.log2(c_ab / c_a)).sum())
         return pd.DataFrame({"s": [s], "n": [int(c_ab.sum())]})
 
-    parts = (_collect(ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True)
-                        .groupby("__part").map_groups(part_entropy, batch_format="pandas"))
-             .to_pandas())
+    parts = _collect(map_key_buckets(
+        ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True),
+        ["a"], part_entropy)).to_pandas()
     n = int(parts["n"].sum())
     h = -float(parts["s"].sum()) / n
     return pd.DataFrame({"n_pairs": pd.array([n], dtype="int64"),
@@ -2353,7 +2331,6 @@ def q_tpch_q2ish(sf_dir: str) -> pd.DataFrame:
     coarse partkey cogroup; supplier attrs ride a broadcast dense LUT;
     per-part argmin is a vectorized lexicographic sort+first per part;
     only the final 20 rows fetch part attributes."""
-    from jesse_ray.pipelines.relational import _element_parts
 
     supp = _collect(read_table(f"{sf_dir}/supplier.parquet",
                                columns=["s_suppkey", "s_acctbal", "s_name"])).to_pandas()
@@ -2369,8 +2346,7 @@ def q_tpch_q2ish(sf_dir: str) -> pd.DataFrame:
         m = _ray.get(ref) if _ray.is_initialized() else ref
         g = b.group_by(["l_partkey", "l_suppkey"]).aggregate([])
         sk = np.clip(g["l_suppkey"].to_numpy(zero_copy_only=False), 0, len(m) - 1)
-        g = g.append_column("s_acctbal", pa.array(m[sk], type=pa.float64()))
-        return g.append_column("__part", pa.array(_element_parts(g["l_partkey"], 64)))
+        return g.append_column("s_acctbal", pa.array(m[sk], type=pa.float64()))
 
     def argmin_part(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates(["l_partkey", "l_suppkey"])
@@ -2378,9 +2354,9 @@ def q_tpch_q2ish(sf_dir: str) -> pd.DataFrame:
         return d.drop_duplicates("l_partkey", keep="first")[
             ["l_partkey", "l_suppkey", "s_acctbal"]]
 
-    am = _collect(li.map_batches(pair_dedup, batch_format="pyarrow", zero_copy_batch=True)
-                    .groupby("__part").map_groups(argmin_part, batch_format="pandas")
-                  ).to_pandas()
+    am = _collect(map_key_buckets(
+        li.map_batches(pair_dedup, batch_format="pyarrow", zero_copy_batch=True),
+        ["l_partkey"], argmin_part)).to_pandas()
     part = _collect(read_table(f"{sf_dir}/part.parquet",
                                columns=["p_partkey", "p_size", "p_retailprice"])).to_pandas()
     part = part[part["p_size"] == Q2_SIZE]
@@ -2906,13 +2882,11 @@ def q_events_lift(sf_dir: str) -> pd.DataFrame:
     ``lift(A,B) = n_ab·n_users / (n_a·n_b)`` — all counts exact
     integers (one (user,type) dedup cogroup; per-part self-merge for
     pairs), the ratio one identical IEEE division on both engines."""
-    from jesse_ray.pipelines.relational import _element_parts
 
     ds = read_table(f"{sf_dir}/events.parquet", columns=["user_id", "event_type"])
 
     def dedup(b: pa.Table) -> pa.Table:
-        g = b.group_by(["user_id", "event_type"]).aggregate([])
-        return g.append_column("__part", pa.array(_element_parts(g["user_id"], 64)))
+        return b.group_by(["user_id", "event_type"]).aggregate([])
 
     def pairs_part(g: pd.DataFrame) -> pd.DataFrame:
         d = g[["user_id", "event_type"]].drop_duplicates()
@@ -2931,9 +2905,8 @@ def q_events_lift(sf_dir: str) -> pd.DataFrame:
         return pd.concat([singles[["kind", "a", "b", "n"]],
                           prs[["kind", "a", "b", "n"]], users], ignore_index=True)
 
-    t = (_collect(ds.map_batches(dedup, batch_format="pyarrow", zero_copy_batch=True)
-                    .groupby("__part").map_groups(pairs_part, batch_format="pandas"))
-         .to_pandas())
+    t = _collect(map_key_buckets(ds.map_batches(dedup, batch_format="pyarrow", zero_copy_batch=True),
+                                 ["user_id"], pairs_part)).to_pandas()
     agg = t.groupby(["kind", "a", "b"], sort=True)["n"].sum().reset_index()
     n_users = int(agg.loc[agg["kind"] == "u", "n"].sum())
     singles = dict(zip(agg.loc[agg["kind"] == "s", "a"],

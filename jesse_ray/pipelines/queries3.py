@@ -12,7 +12,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from jesse_ray.hashutil import fmix64
+from jesse_ray.hashutil import fmix64, map_key_buckets
 from jesse_ray.sources import read_sequences, read_table
 
 # the registry and shared helpers / constants (.queries never imports
@@ -650,14 +650,7 @@ def q_seq_cross_source_dup_matrix(sf_dir: str) -> pd.DataFrame:
     def keyed(b: pa.Table) -> pa.Table:
         g = b.select(["__rk", "source"]).group_by(["__rk", "source"]) \
             .aggregate([([], "count_all")])
-        col = g["__rk"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        raw = np.frombuffer(col.buffers()[1], dtype=np.uint64,
-                            count=2 * (len(col) + col.offset))[2 * col.offset:]
-        rk1 = raw[0::2].copy()
         return pa.table({
-            "__part": pa.array((rk1 & np.uint64(63)).astype(np.int32)),
             "rk": g["__rk"],
             "source": g["source"],
             "cnt": g["count_all"].cast(pa.int64()),
@@ -690,9 +683,8 @@ def q_seq_cross_source_dup_matrix(sf_dir: str) -> pd.DataFrame:
                              "source_b": [k[1] for k in ks],
                              "n_pairs": pd.array([out[k] for k in ks], dtype="int64")})
 
-    parts = (hashed.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True)
-             .groupby("__part").map_groups(pair_counts, batch_format="pandas")
-             .to_pandas())
+    parts = map_key_buckets(hashed.map_batches(keyed, batch_format="pyarrow", zero_copy_batch=True),
+                            ["rk"], pair_counts).to_pandas()
     if parts.empty or "source_a" not in parts.columns:
         return pd.DataFrame({"source_a": pd.Series([], dtype="object"),
                              "source_b": pd.Series([], dtype="object"),
@@ -877,8 +869,6 @@ def q_seq_boilerplate_prefixes(sf_dir: str) -> pd.DataFrame:
     a coarse prefix-hash part, each part resolves its own exact counts
     and local top-{BP_TOP}, and the driver merges ≤ 64x{BP_TOP} rows —
     exact because a prefix's whole count lives in one part."""
-    from jesse_ray.hashutil import fmix64, hash64_strings
-
     ds = read_sequences(_seq_path(sf_dir), columns=["tokens", "source"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -888,8 +878,7 @@ def q_seq_boilerplate_prefixes(sf_dir: str) -> pd.DataFrame:
         ln = pc.fill_null(pc.list_value_length(toks), 0)
         t = b.filter(pc.greater_equal(ln, BP_K))
         if t.num_rows == 0:
-            return pa.table({"__part": pa.array([], type=pa.int32()),
-                             "prefix": pa.array([], type=pa.string()),
+            return pa.table({"prefix": pa.array([], type=pa.string()),
                              "source": pa.array([], type=pa.string()),
                              "cnt": pa.array([], type=pa.int64())})
         col = t["tokens"]
@@ -900,12 +889,7 @@ def q_seq_boilerplate_prefixes(sf_dir: str) -> pd.DataFrame:
         prefix = pc.binary_join(strs, "-")
         g = pa.table({"prefix": prefix, "source": t["source"]}) \
             .group_by(["prefix", "source"]).aggregate([([], "count_all")])
-        pcol = g["prefix"]
-        if isinstance(pcol, pa.ChunkedArray):
-            pcol = pcol.combine_chunks()
-        h = fmix64(hash64_strings(pcol))
-        return pa.table({"__part": pa.array((h & np.uint64(63)).astype(np.int32)),
-                         "prefix": g["prefix"], "source": g["source"],
+        return pa.table({"prefix": g["prefix"], "source": g["source"],
                          "cnt": g["count_all"].cast(pa.int64())})
 
     def local_top(grp: pd.DataFrame) -> pd.DataFrame:
@@ -918,9 +902,8 @@ def q_seq_boilerplate_prefixes(sf_dir: str) -> pd.DataFrame:
         return agg.sort_values(["n_docs", "prefix"], ascending=[False, True],
                                kind="mergesort").head(BP_TOP)
 
-    parts = (ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-             .groupby("__part").map_groups(local_top, batch_format="pandas")
-             .to_pandas())
+    parts = map_key_buckets(ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+                            ["prefix"], local_top).to_pandas()
     out = parts.sort_values(["n_docs", "prefix"], ascending=[False, True],
                             kind="mergesort").head(BP_TOP).reset_index(drop=True)
     out["n_docs"] = out["n_docs"].astype("int64")

@@ -18,7 +18,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from jesse_ray.hashutil import fmix64, hash64_strings, map_key_buckets
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.pipelines.queries import SEQ_SQL, _collect, entry
 from jesse_ray.sources import read_table
 from jesse_ray.rounding import round_half_away
@@ -155,8 +155,7 @@ def q_doc_unit_dedup(sf_dir: str) -> pd.DataFrame:
         n_units = (nw + UNIT_W - 1) // UNIT_W
         total = int(n_units.sum())
         if total == 0:
-            return pa.table({"__part": pa.array([], type=pa.int64()),
-                             "unit": pa.array([], type=pa.string()),
+            return pa.table({"unit": pa.array([], type=pa.string()),
                              "source": pa.array([], type=pa.string())})
         # per-unit start offsets: doc start + UNIT_W * within-doc index
         doc_of = np.repeat(np.arange(len(nw)), n_units)
@@ -172,9 +171,7 @@ def q_doc_unit_dedup(sf_dir: str) -> pd.DataFrame:
                                              words.values)
         unit = pc.binary_join(unit_list, " ")
         src = np.repeat(np.asarray(b["source"].to_pandas(), dtype=object), n_units)
-        h = fmix64(hash64_strings(unit))
         return pa.table({
-            "__part": pa.array((h & np.uint64(63)).astype(np.int64), type=pa.int64()),
             "unit": unit,
             "source": pa.array(src, type=pa.string()),
         })
@@ -187,9 +184,8 @@ def q_doc_unit_dedup(sf_dir: str) -> pd.DataFrame:
                .reset_index())
         return out.astype({"n_units": "int64", "dup_units": "int64"})
 
-    partials = (ds.map_batches(units, batch_format="pyarrow", zero_copy_batch=True)
-                .groupby("__part")
-                .map_groups(per_part, batch_format="pandas"))
+    partials = map_key_buckets(ds.map_batches(units, batch_format="pyarrow", zero_copy_batch=True),
+                               ["unit"], per_part)
     pdf = _collect(partials).to_pandas()
     agg = pdf.groupby("source", as_index=False)[["n_units", "dup_units"]].sum()
     agg["dup_frac"] = round_half_away((agg["dup_units"] / agg["n_units"]), 4)
@@ -469,11 +465,7 @@ def q_doc_hapax_by_source(sf_dir: str) -> pd.DataFrame:
         t = pa.table({"source": pa.array(src, type=pa.string()),
                       "word": words.values})
         g = t.group_by(["source", "word"]).aggregate([([], "count_all")])
-        g = g.rename_columns(["source", "word", "c"])
-        h = fmix64(hash64_strings(g["word"].combine_chunks()
-                                  if isinstance(g["word"], pa.ChunkedArray) else g["word"]))
-        return g.append_column(
-            "__part", pa.array((h & np.uint64(63)).astype(np.int64), type=pa.int64()))
+        return g.rename_columns(["source", "word", "c"])
 
     def per_part(df: pd.DataFrame) -> pd.DataFrame:
         cnt = df.groupby(["source", "word"], sort=False)["c"].sum().reset_index()
@@ -483,10 +475,9 @@ def q_doc_hapax_by_source(sf_dir: str) -> pd.DataFrame:
                .reset_index())
         return out.astype({"vocab": "int64", "hapax": "int64"})
 
-    partials = (ds.map_batches(word_partials, batch_format="pyarrow",
-                               zero_copy_batch=True)
-                .groupby("__part")
-                .map_groups(per_part, batch_format="pandas"))
+    partials = map_key_buckets(ds.map_batches(word_partials, batch_format="pyarrow",
+                                              zero_copy_batch=True),
+                               ["word"], per_part)
     pdf = _collect(partials).to_pandas()
     agg = pdf.groupby("source", as_index=False)[["vocab", "hapax"]].sum()
     agg["hapax_frac"] = round_half_away((agg["hapax"] / agg["vocab"]), 4)

@@ -9,11 +9,11 @@ truth columns so no float-rounding tie can split the engines."""
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from jesse_ray.hashutil import map_key_buckets
 from jesse_ray.pipelines.queries import SEQ_SQL, _collect, _seq_path, entry
 from jesse_ray.sources import read_sequences, read_table
 from jesse_ray.rounding import round_half_away
@@ -84,24 +84,15 @@ def q_seq_prefix_jaccard(sf_dir: str) -> pd.DataFrame:
         t = pa.table({"doc_id": k, "tokens": b["tokens"]})
         return t.filter(pc.equal(pc.subtract(k, pc.multiply(pc.divide(k, mod), mod)), 0))
 
-    def tag_part(b: pa.Table) -> pa.Table:
-        from jesse_ray.hashutil import fmix64
-
-        k = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return b.append_column("__part", pa.array(
-            (fmix64(k) & np.uint64(63)).astype(np.int32)))
-
     def only_unique_ids(g: pa.Table) -> pa.Table:
         # all-Arrow (a pandas hop would mangle the list column into the
         # tensor extension type): keep ids appearing exactly once
         cnt = g.group_by("doc_id").aggregate([([], "count_all")])
         once = cnt.filter(pc.equal(cnt["count_all"], 1))["doc_id"]
-        return g.filter(pc.is_in(g["doc_id"], value_set=once.combine_chunks())) \
-                .drop_columns(["__part"])
+        return g.filter(pc.is_in(g["doc_id"], value_set=once.combine_chunks()))
 
-    sl = ds.map_batches(slice_and_key, batch_format="pyarrow", zero_copy_batch=True) \
-        .map_batches(tag_part, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby("__part").map_groups(only_unique_ids, batch_format="pyarrow")
+    sl = map_key_buckets(ds.map_batches(slice_and_key, batch_format="pyarrow", zero_copy_batch=True),
+                         ["doc_id"], only_unique_ids, batch_format="pyarrow")
     import ray as _ray
 
     counter = DropCounter.remote() if _ray.is_initialized() else None

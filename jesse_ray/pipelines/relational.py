@@ -255,7 +255,7 @@ def grouped_lag(
         prev[1:] = vals[:-1]
         new_key = g[key].ne(g[key].shift(1)).to_numpy()
         prev[new_key] = default
-        out = g.drop(columns=["__part"]).copy()
+        out = g.copy()
         out[alias] = prev
         return out
 
@@ -317,7 +317,7 @@ def grouped_rolling(
             adj = ts
         lo = np.searchsorted(adj, adj - w, side="left")
         hi = np.searchsorted(adj, adj, side="right")  # equal-ts peers included
-        out = g.drop(columns=["__part"]).copy()
+        out = g.copy()
         if exact_decimals is not None:
             p = 10.0 ** exact_decimals
             iv = np.rint(vals * p).astype(np.int64)
@@ -390,7 +390,7 @@ def grouped_cumsum(
             cs = np.cumsum(vals)
             seg_base = np.where(starts > 0, cs[starts - 1], 0.0)
             run = cs - np.repeat(seg_base, seg_len)
-        out = g.drop(columns=["__part"]).copy()
+        out = g.copy()
         out[alias] = run
         return out
 
@@ -591,9 +591,6 @@ def grouped_topn(
 # sessionization / heavy hitters / exact quantiles
 
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-
-
 def sessionize(
     ds: Dataset,
     key: str,
@@ -653,35 +650,16 @@ def sessionize(
     return map_key_buckets(ds, [key], sessions_many, n_parts=n_parts)
 
 
-def _element_parts(arr: pa.Array, n_parts: int) -> np.ndarray:
-    """Coarse hash partition of scalar elements (ints: multiply-shift,
-    strings: FNV over the utf8 buffers) — mask, never the div unit."""
-    mask = np.uint64(n_parts - 1)
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    if pa.types.is_integer(arr.type):
-        v = arr.cast(pa.int64()).to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            h = (v * _GOLDEN) >> np.uint64(33)
-        return (h & mask).astype(np.int32)
-    if not (pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type)):
-        # a float/other key would hash differently from the int/string it
-        # round-tripped from (pandas upcasts padded unions) — fail loudly
-        raise TypeError(f"unsupported partition key type {arr.type}; cast to int or string")
-    from jesse_ray.hashutil import hash64_strings
-
-    return (hash64_strings(arr) & mask).astype(np.int32)
-
-
 def topk_from_partials(
     partials: Dataset,
     k: int,
     *,
     elem_alias: str = "elem",
     count_alias: str = "cnt",
+    n_parts: int = 64,
 ) -> pa.Table:
     """Finish an exact top-k from a partial-counts Dataset with columns
-    ``(elem, __pc, __part)``: per-part merge + per-part top-k (every
+    ``(elem, __pc)``: per-part merge + per-part top-k (every
     element lives wholly in one part, so its merged count is its exact
     global count, and a global top-k element is necessarily in its
     part's top-k), then a driver merge of the ≤ n_parts × k candidate
@@ -692,7 +670,7 @@ def topk_from_partials(
         m = m.sort_values(["__pc", "elem"], ascending=[False, True], kind="mergesort").head(k)
         return m
 
-    per_part = partials.groupby("__part").map_groups(merge, batch_format="pandas")
+    per_part = map_key_buckets(partials, ["elem"], merge, n_parts=n_parts)
     batches = list(per_part.iter_batches(batch_format="pyarrow"))
     cand = pa.concat_tables(batches) if batches else pa.table({"elem": [], "__pc": []})
     top = cand.sort_by([("__pc", "descending"), ("elem", "ascending")]).slice(0, k)
@@ -716,8 +694,6 @@ def top_k_elements(
     rows, not raw elements; shuffle on a coarse element-hash partition
     (≤``n_parts`` groups); driver sees only n_parts × k candidates.
     """
-    if n_parts < 1 or n_parts & (n_parts - 1):
-        raise ValueError(f"n_parts must be a power of two, got {n_parts}")
 
     def partial(batch: pa.Table) -> pa.Table:
         col = batch[list_col]
@@ -725,11 +701,11 @@ def top_k_elements(
             col = col.combine_chunks()
         flat = pc.list_flatten(col).drop_null()
         g = pa.table({"elem": flat}).group_by("elem").aggregate([([], "count_all")])
-        g = g.rename_columns(["elem", "__pc"])
-        return g.append_column("__part", pa.array(_element_parts(g["elem"], n_parts)))
+        return g.rename_columns(["elem", "__pc"])
 
     partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
-    return topk_from_partials(partials, k, elem_alias=elem_alias, count_alias=count_alias)
+    return topk_from_partials(partials, k, elem_alias=elem_alias, count_alias=count_alias,
+                              n_parts=n_parts)
 
 
 def exact_discrete_quantiles(
@@ -862,16 +838,21 @@ def _arrow_types(ds: Dataset) -> dict[str, pa.DataType]:
     raise ValueError("cannot infer the schema of an empty dataset")
 
 
-def _tag_side(ds: Dataset, key_col: str, kind: int, types: dict[str, "pa.DataType"],
-              n_parts: int) -> Dataset:
+def _from_pandas(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
+    """``df`` as a ``schema`` table without the pandas schema metadata:
+    that metadata is a dict, so a schema carrying it cannot be hashed
+    and Ray Data's ``unify_schemas`` skips its schema dedup."""
+    return pa.Table.from_pandas(df, schema=schema, preserve_index=False).replace_schema_metadata()
+
+
+def _tag_side(ds: Dataset, kind: int, types: dict[str, "pa.DataType"]) -> Dataset:
     """Align one side to the union schema (missing columns -> TYPED
     nulls, so e.g. a timestamp column survives the pandas round-trip as
-    datetime64/NaT instead of degrading to object/None), add ``__kind``
-    and the coarse ``__part`` from the key hash."""
+    datetime64/NaT instead of degrading to object/None) and add
+    ``__kind``, so both sides union into one cogroup input."""
 
     def tag(batch: pa.Table) -> pa.Table:
-        parts = _element_parts(batch[key_col], n_parts)
-        cols: dict = {"__part": pa.array(parts), "__kind": pa.array(np.full(batch.num_rows, kind, dtype=np.int8))}
+        cols: dict = {"__kind": pa.array(np.full(batch.num_rows, kind, dtype=np.int8))}
         for c, typ in types.items():
             cols[c] = batch[c] if c in batch.column_names else pa.nulls(batch.num_rows, type=typ)
         return pa.table(cols)
@@ -889,9 +870,9 @@ def hash_join(
     n_parts: int = 64,
 ) -> Dataset:
     """Distributed join where NEITHER side fits a broadcast: cogroup via
-    union — both sides are tagged with a coarse hash partition of the
-    key (``_element_parts`` — mask, never the div unit), unioned, and
-    each of the ≤ ``n_parts`` parts performs one C-level ``pd.merge``
+    union — both sides are aligned to one schema, unioned, and bucketed
+    on the key (``hashutil.map_key_buckets``); each of the ≤ ``n_parts``
+    parts performs one C-level ``pd.merge``
     over its complete key slice.  Matching keys always share a part, so
     the result is exact; skew is bounded because a part holds MANY keys.
     ``how``: inner / left / outer / semi / anti (semi/anti return left
@@ -921,9 +902,7 @@ def hash_join(
         rnames = list(rtypes)
     types = dict(ltypes)
     types.update({c: t for c, t in rtypes.items() if c != on})
-    tagged = _tag_side(left, on, 0, types, n_parts).union(
-        _tag_side(right, on, 1, types, n_parts)
-    )
+    both = _tag_side(left, 0, types).union(_tag_side(right, 1, types))
     rval_cols = [c for c in rnames if c != on]
     # explicit output schema: the pandas union pads each side's missing
     # columns with NaN, upcasting e.g. int64 to float64; without a cast
@@ -950,9 +929,9 @@ def hash_join(
             return pa.table({c: pa.array(out[c], type=out_schema.field(c).type,
                                          from_pandas=True)
                              for c in out_schema.names})
-        return pa.Table.from_pandas(out, schema=out_schema, preserve_index=False)
+        return _from_pandas(out, out_schema)
 
-    return tagged.groupby("__part").map_groups(join_part, batch_format="pandas")
+    return map_key_buckets(both, [on], join_part, n_parts=n_parts)
 
 
 def drop_duplicate_keys(ds: Dataset, key: str, *, n_parts: int = 64,
@@ -1049,9 +1028,7 @@ def asof_join(
     rnames = [ren.get(c, c) for c in sel_right[1:]]
     types = dict(ltypes)
     types.update({ren.get(c, c): rtypes_src[c] for c in sel_right[1:]})
-    tagged = _tag_side(left, by, 0, types, n_parts).union(
-        _tag_side(right_p, by, 1, types, n_parts)
-    )
+    both = _tag_side(left, 0, types).union(_tag_side(right_p, 1, types))
     rts = ren.get(right_ts, right_ts)
     # explicit output schema: an all-unmatched part would otherwise
     # infer its right columns as Arrow `null` type and poison the
@@ -1069,9 +1046,9 @@ def asof_join(
             out = pd.merge_asof(
                 lt, rt, left_on=left_ts, right_on=rts, by=by, direction=direction
             )[lnames + rnames]
-        return pa.Table.from_pandas(out, schema=out_schema, preserve_index=False)
+        return _from_pandas(out, out_schema)
 
-    return tagged.groupby("__part").map_groups(join_part, batch_format="pandas")
+    return map_key_buckets(both, [by], join_part, n_parts=n_parts)
 
 
 def funnel_conversions(
@@ -1112,7 +1089,6 @@ def funnel_conversions(
                 entity_col: t[entity_col],
                 ts_col: t[ts_col],
                 "__b": pc.equal(t[type_col], step_b),
-                "__part": pa.array(_element_parts(t[entity_col], n_parts)),
             }
         )
 
@@ -1132,9 +1108,9 @@ def funnel_conversions(
             fa, bb, left_on="first_a", right_on="first_b", by=entity_col, direction="forward"
         )
         m = m[m["first_b"].notna() & (m["first_b"] <= m["first_a"] + within)]
-        return pa.Table.from_pandas(m, schema=out_schema, preserve_index=False)
+        return _from_pandas(m, out_schema)
 
-    return slim.groupby("__part").map_groups(part, batch_format="pandas")
+    return map_key_buckets(slim, [entity_col], part, n_parts=n_parts)
 
 
 def winsorize_by_group(
@@ -1227,7 +1203,6 @@ def dataset_diff(
                     key_col: batch[key_col],
                     "__h": pa.array(h, type=pa.int64()),
                     "__kind": pa.array(np.full(batch.num_rows, kind, dtype=np.int8)),
-                    "__part": pa.array(_element_parts(batch[key_col], n_parts)),
                 }
             )
 
@@ -1252,9 +1227,9 @@ def dataset_diff(
             ),
         )
         out = pd.DataFrame({key_col: m[key_col], "status": status})
-        return pa.Table.from_pandas(out, schema=out_schema, preserve_index=False)
+        return _from_pandas(out, out_schema)
 
-    return tagged.groupby("__part").map_groups(classify, batch_format="pandas")
+    return map_key_buckets(tagged, [key_col], classify, n_parts=n_parts)
 
 
 def decayed_grouped_sum(
@@ -1396,20 +1371,16 @@ def grouped_percent_rank(
     frames order them separately; callers wanting them should rank a
     filled column)."""
 
-    def tag(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.is_valid(batch[value_col]))
-        return t.append_column("__part", pa.array(_element_parts(t[group_col], n_parts)))
-
-    tagged = ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
+    valid = ds.map_batches(lambda b: b.filter(pc.is_valid(b[value_col])),
+                           batch_format="pyarrow", zero_copy_batch=True)
 
     def rank_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__part")
         r = g.groupby(group_col, sort=False)[value_col].rank(method="min")
         n = g.groupby(group_col, sort=False)[value_col].transform("size")
         g[out_col] = np.where(n > 1, (r - 1) / np.maximum(n - 1, 1), 0.0)
         return g
 
-    return tagged.groupby("__part").map_groups(rank_part, batch_format="pandas")
+    return map_key_buckets(valid, [group_col], rank_part, n_parts=n_parts)
 
 
 def window_dedup_counts(
@@ -1441,7 +1412,6 @@ def window_dedup_counts(
                 entity_col: batch[entity_col],
                 type_col: batch[type_col],
                 "__ts": batch[ts_col].cast(pa.timestamp("us")).cast(pa.int64()),
-                "__part": pa.array(_element_parts(batch[entity_col], n_parts)),
             }
         )
 
@@ -1464,7 +1434,7 @@ def window_dedup_counts(
         agg = out.groupby(type_col, sort=False)["__k"].agg(["sum", "size"]).reset_index()
         return agg.rename(columns={"sum": "n_kept", "size": "n_total"})
 
-    partials = slimmed.groupby("__part").map_groups(part, batch_format="pandas")
+    partials = map_key_buckets(slimmed, [entity_col], part, n_parts=n_parts)
     return partials.groupby(type_col).aggregate(
         Sum("n_kept", alias_name="n_kept"), Sum("n_total", alias_name="n_total")
     )
@@ -1603,7 +1573,6 @@ def transition_counts(
                 type_col: batch[type_col],
                 "__ts": batch[ts_col].cast(pa.timestamp("us")).cast(pa.int64()),
                 "__o": batch[order_col].cast(pa.int64()),
-                "__part": pa.array(_element_parts(batch[entity_col], n_parts)),
             }
         )
 
@@ -1621,7 +1590,7 @@ def transition_counts(
         agg = out.groupby(["from_type", "to_type"], sort=False).size().reset_index(name="cnt")
         return agg
 
-    partials = slimmed.groupby("__part").map_groups(part, batch_format="pandas")
+    partials = map_key_buckets(slimmed, [entity_col], part, n_parts=n_parts)
     t = pa.concat_tables(partials.iter_batches(batch_format="pyarrow"))
     if t.num_rows == 0:
         return pa.table({"from_type": pa.array([], pa.string()),
@@ -1851,15 +1820,7 @@ def interval_count_join(
     - output is one row per point (LEFT-join semantics: zero-cover
       points included), never the cross product.
     """
-    if n_parts < 1 or n_parts & (n_parts - 1):
-        raise ValueError(f"n_parts must be a power of two, got {n_parts}")
     g = np.int64(max_len_us)
-    mask = np.uint64(n_parts - 1)
-
-    def _bucket_part(b: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            h = (b.astype(np.uint64) * _GOLDEN) >> np.uint64(33)
-        return (h & mask).astype(np.int32)
 
     def _ts_i64(col) -> np.ndarray:
         arr = _combine(col)
@@ -1873,7 +1834,6 @@ def interval_count_join(
         v = _ts_i64(batch[point_col])
         b = v // g
         return pa.table({
-            "__part": pa.array(_bucket_part(b)),
             "b": pa.array(b, type=pa.int64()),
             "kind": pa.array(np.zeros(len(v), dtype=np.int8)),
             "s": pa.array(v, type=pa.int64()),
@@ -1895,7 +1855,6 @@ def interval_count_join(
         ee = np.concatenate([e, e[extra]])
         n = len(bb)
         return pa.table({
-            "__part": pa.array(_bucket_part(bb)),
             "b": pa.array(bb, type=pa.int64()),
             "kind": pa.array(np.ones(n, dtype=np.int8)),
             "s": pa.array(ss, type=pa.int64()),
@@ -1936,7 +1895,7 @@ def interval_count_join(
                - np.searchsorted(ke, q, side="right")).astype(np.int64)
         return pd.DataFrame({id_col: pid, count_alias: cnt})
 
-    return tagged.groupby("__part").map_groups(count_part, batch_format="pandas")
+    return map_key_buckets(tagged, ["b"], count_part, n_parts=n_parts)
 
 
 def latest_by_key(
@@ -2064,12 +2023,8 @@ def column_profile(
                 u = pa.array(u.cast(pa.float64()).to_numpy(zero_copy_only=False).view(np.int64))
             elif pa.types.is_boolean(u.type):
                 u = u.cast(pa.int64())
-            t = pa.table({"v": u, "__part": pa.array(_element_parts(u, n_parts))})
-            stats = pa.table({
-                "v": pa.array([None], type=t["v"].type),
-                "__part": pa.array([0], type=pa.int32()),
-            })
-            t = pa.concat_tables([t, stats])
+            # the stats row's null ``v`` buckets like any null key
+            t = pa.concat_tables([pa.table({"v": u}), pa.table({"v": pa.nulls(1, u.type)})])
             nrows = pa.array([0] * len(u) + [n], type=pa.int64())
             nnull = pa.array([0] * len(u) + [nn], type=pa.int64())
             return t.append_column("__nr", nrows).append_column("__nn", nnull)
@@ -2081,12 +2036,10 @@ def column_profile(
                 "n_null": [int(g["__nn"].sum())],
             })
 
-        parts = (
+        parts = map_key_buckets(
             ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True,
-                           batch_size=batch_size)
-            .groupby("__part")
-            .map_groups(per_part, batch_format="pandas")
-        )
+                           batch_size=batch_size),
+            ["v"], per_part, n_parts=n_parts)
         agg = pa.concat_tables(list(parts.iter_batches(batch_format="pyarrow")))
         out_rows.append({
             "column": c,
@@ -2198,8 +2151,7 @@ def grouped_top_k_elements(
         if min_elem is not None:
             t = t.filter(pc.greater_equal(t["elem"], min_elem))
         g = t.group_by(["g", "elem"]).aggregate([([], "count_all")])
-        g = g.rename_columns(["g", "elem", "__pc"])
-        return g.append_column("__part", pa.array(_element_parts(g["elem"], n_parts)))
+        return g.rename_columns(["g", "elem", "__pc"])
 
     def merge(gdf: pd.DataFrame) -> pd.DataFrame:
         m = gdf.groupby(["g", "elem"], sort=False)["__pc"].sum().reset_index()
@@ -2207,12 +2159,10 @@ def grouped_top_k_elements(
                           kind="mergesort")
         return m.groupby("g", sort=False).head(k)
 
-    per_part = (
+    per_part = map_key_buckets(
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True,
-                       batch_size=batch_size)
-        .groupby("__part")
-        .map_groups(merge, batch_format="pandas")
-    )
+                       batch_size=batch_size),
+        ["elem"], merge, n_parts=n_parts)
     cand = pa.concat_tables(list(per_part.iter_batches(batch_format="pyarrow")))
     df = cand.to_pandas()
     df = df.sort_values(["g", "__pc", "elem"], ascending=[True, False, True],
@@ -2306,8 +2256,7 @@ def activity_streaks(
         day = pc.divide(ts.cast(pa.timestamp("us")).cast(pa.int64()),
                         pa.scalar(86_400_000_000, type=pa.int64()))
         t = pa.table({entity_col: batch[entity_col], "day": day})
-        t = t.group_by([entity_col, "day"]).aggregate([])
-        return t.append_column("__part", pa.array(_element_parts(t[entity_col], n_parts)))
+        return t.group_by([entity_col, "day"]).aggregate([])
 
     def streaks(g: pd.DataFrame) -> pd.DataFrame:
         d = g[[entity_col, "day"]].drop_duplicates()
@@ -2334,7 +2283,7 @@ def activity_streaks(
         return agg.astype({"active_days": "int64", "best_streak": "int64"})
 
     proj = ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-    return proj.groupby("__part").map_groups(streaks, batch_format="pandas")
+    return map_key_buckets(proj, [entity_col], streaks, n_parts=n_parts)
 
 
 def merge_upsert(
@@ -2364,16 +2313,13 @@ def merge_upsert(
 
     def tag_base(b: pa.Table) -> pa.Table:
         b = b.select(cols)
-        b = b.append_column("__op", pa.array(["base"] * b.num_rows, type=pa.string()))
-        return b.append_column("__part", pa.array(_element_parts(b[key], n_parts)))
+        return b.append_column("__op", pa.array(["base"] * b.num_rows, type=pa.string()))
 
     def tag_upd(b: pa.Table) -> pa.Table:
         ops = b[op_col]
         if isinstance(ops, pa.ChunkedArray):
             ops = ops.combine_chunks()
-        t = b.select(cols)
-        t = t.append_column("__op", ops.cast(pa.string()))
-        return t.append_column("__part", pa.array(_element_parts(t[key], n_parts)))
+        return b.select(cols).append_column("__op", ops.cast(pa.string()))
 
     tagged = base.map_batches(tag_base, batch_format="pyarrow", zero_copy_batch=True).union(
         updates.map_batches(tag_upd, batch_format="pyarrow", zero_copy_batch=True)
@@ -2385,9 +2331,9 @@ def merge_upsert(
         touched = set(ups[key]) | dels
         keep = g[(g["__op"] == "base") & ~g[key].isin(touched)]
         out = pd.concat([keep[cols], ups[cols]], ignore_index=True)
-        return pa.Table.from_pandas(out, schema=out_schema, preserve_index=False)
+        return _from_pandas(out, out_schema)
 
-    return tagged.groupby("__part").map_groups(resolve, batch_format="pandas")
+    return map_key_buckets(tagged, [key], resolve, n_parts=n_parts)
 
 
 def rolling_distinct_entities(
@@ -2430,8 +2376,7 @@ def rolling_distinct_entities(
         day = pc.divide(ts.cast(pa.timestamp("us")).cast(pa.int64()),
                         pa.scalar(day_us, type=pa.int64()))
         t = pa.table({entity_col: b[entity_col], "day": day})
-        t = t.group_by([entity_col, "day"]).aggregate([])
-        return t.append_column("__part", pa.array(_element_parts(t[entity_col], n_parts)))
+        return t.group_by([entity_col, "day"]).aggregate([])
 
     def diffs(g: pd.DataFrame) -> pd.DataFrame:
         d = g[[entity_col, "day"]].drop_duplicates().sort_values(
@@ -2461,9 +2406,9 @@ def rolling_distinct_entities(
         return pd.DataFrame({"pos": np.arange(n_days + 1, dtype=np.int64),
                              "diff": diff})
 
-    per_part = (ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-                  .groupby("__part").map_groups(diffs, batch_format="pandas")
-                  .to_pandas())
+    per_part = map_key_buckets(
+        ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
+        [entity_col], diffs, n_parts=n_parts).to_pandas()
     total = np.zeros(n_days + 1, dtype=np.int64)
     np.add.at(total, per_part["pos"].to_numpy(dtype=np.int64),
               per_part["diff"].to_numpy(dtype=np.int64))
@@ -2875,7 +2820,6 @@ def funnel_steps(
             "e": t[entity_col],
             "ts": t[ts_col],
             "si": si.cast(pa.int8()),
-            "__part": pa.array(_element_parts(t[entity_col], n_parts)),
         })
 
     slim = events.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
@@ -2898,7 +2842,7 @@ def funnel_steps(
         return pd.DataFrame({"step": np.arange(1, len(steps) + 1, dtype=np.int64),
                              "n": reached})
 
-    partials = slim.groupby("__part").map_groups(part, batch_format="pandas")
+    partials = map_key_buckets(slim, ["e"], part, n_parts=n_parts)
     merged = pa.concat_tables(list(partials.iter_batches(batch_format="pyarrow")))
     out = merged.group_by("step").aggregate([("n", "sum")])
     out = out.rename_columns(["step", "n"]).sort_by("step")

@@ -11,7 +11,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
-from jesse_ray.hashutil import fmix64, hash64_strings
+from jesse_ray.hashutil import hash64_strings, map_key_buckets
 from jesse_ray.sketches import HyperLogLog
 
 _HLL_SCHEMA = pa.schema([pa.field("hll", pa.large_binary())])
@@ -220,19 +220,8 @@ def hll_distinct_by_group(
         return pa.table({group_col: out_groups,
                          "hll": pa.array(blobs, type=pa.large_binary())})
 
-    def with_part(batch: pa.Table) -> pa.Table:
-        # coarse 64-part group-hash shuffle (the repo's standard cogroup
-        # shape) instead of a per-group map_groups: at high group
-        # cardinality Ray's per-group pandas invocation dominates wall
-        # time; 64 parts keep the merge in 64 vectorizable tasks
-        gs = pc.fill_null(pc.cast(batch[group_col], pa.string()), "\x00null")
-        hp = fmix64(hash64_strings(gs.combine_chunks()
-                                   if isinstance(gs, pa.ChunkedArray) else gs))
-        return batch.append_column("__part", pa.array((hp % 64).astype(np.int64)))
-
     partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True,
-                              batch_size=batch_size).map_batches(
-        with_part, batch_format="pyarrow", zero_copy_batch=True)
+                              batch_size=batch_size)
 
     import pandas as pd
 
@@ -279,7 +268,10 @@ def hll_distinct_by_group(
             out_g.append(gv[s])
         return pd.DataFrame({group_col: out_g, "estimate": out_e})
 
-    out = partials.groupby("__part").map_groups(merge_part, batch_format="pandas")
+    # coarse 64-part group-hash shuffle instead of a per-group map_groups:
+    # at high group cardinality Ray's per-group pandas invocation
+    # dominates wall time; 64 parts keep the merge in 64 vectorizable tasks
+    out = map_key_buckets(partials, [group_col], merge_part)
     t = pa.concat_tables(out.iter_batches(batch_format="pyarrow"))
     base = getattr(ds.schema(), "base_schema", None)
     gout = t[group_col]

@@ -91,3 +91,26 @@ def test_no_assert_statements_in_library():
         if isinstance(node, ast.Assert)
     ]
     assert hits == []
+
+
+def test_only_hashutil_tags_key_buckets():
+    """One key-to-bucket decision: the ``__part`` tag column and the
+    ``groupby("__part")`` over it appear only in ``jesse_ray/hashutil.py``
+    (``map_key_buckets``); every other key-grouped stage calls it."""
+    import re
+    from pathlib import Path
+
+    import jesse_ray
+
+    pkg = Path(jesse_ray.__file__).resolve().parent
+    tag = re.compile(r"""["']__part""")
+    hits = [
+        f"{path.relative_to(pkg.parent)}:{lineno}"
+        for path in sorted(pkg.rglob("*.py"))
+        if path.name != "hashutil.py" or path.parent != pkg
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if tag.search(line)
+    ]
+    assert hits == []
+    src = (pkg / "hashutil.py").read_text()
+    assert src.count('groupby("__part")') == 1

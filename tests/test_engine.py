@@ -661,6 +661,42 @@ def test_tripped_merge_keeps_task_partials_in_the_object_store(ray_session, tmp_
     assert _ipc(res.unique_violations) == _ipc(want)
 
 
+def test_merge_tripped_by_its_last_partial_stays_on_the_driver(ray_session, tmp_path, monkeypatch):
+    """A one-task input past a forced 16 KiB cap trips its merge on the
+    last partial, which is already the exact sum: the engine ``ray.put``s
+    no key table, no Ray Data execution starts, the route reads
+    ``driver_merge`` and the uniqueness rows are the default cap's."""
+    import sys
+
+    from jesse_ray import engine
+    from jesse_ray.sources.parquet import planned_read_tasks
+
+    blocks, spec = _keyed_corpus()
+    path = str(tmp_path / "one_task.parquet")
+    pq.write_table(pa.concat_tables(blocks), path)
+
+    def read():
+        return read_sequences(path, columns=["doc_id", "alt", "n"])
+
+    assert len(planned_read_tasks(read())) == 1
+    want = validate_dataset(read(), spec).unique_violations
+    monkeypatch.setattr(engine, "UNIQ_DRIVER_CAP_BYTES", 16 << 10)
+    put, puts = engine.ray.put, []
+
+    def counted(value, **kw):
+        if sys._getframe(1).f_globals.get("__name__") == engine.__name__ and isinstance(value, pa.Table):
+            puts.append(value)
+        return put(value, **kw)
+
+    monkeypatch.setattr(engine.ray, "put", counted)
+    started = _count_executions(monkeypatch)
+    res = validate_dataset(read(), spec).materialize()
+    assert puts == [] and started == []
+    assert res.metrics["uniqueness.route"] == "driver_merge"
+    assert res.metrics["uniqueness.merged_bytes"] > 16 << 10
+    assert _ipc(res.unique_violations) == _ipc(want)
+
+
 def test_inband_key_rows_never_leak(ray_session, tmp_path):
     """``violations`` is exactly VIOLATION_SCHEMA rows on the lazy path,
     after ``materialize()``, in ``counts_by_error()`` and in the
@@ -710,12 +746,16 @@ def test_inband_uniqueness_two_keys(ray_session):
 
 
 def test_map_key_buckets_rejects_non_power_of_two(ray_session):
-    from jesse_ray.hashutil import map_key_buckets
+    from jesse_ray.hashutil import key_parts, map_key_buckets
 
     ds = ray.data.from_arrow(pa.table({"u": [1, 2, 3]}))
-    parts = map_key_buckets(ds, ["u"], lambda g: g[["__part"]], n_parts=4).to_pandas()["__part"]
-    assert len(parts) == 3 and parts.between(0, 3).all()
+    got = map_key_buckets(ds, ["u"], lambda g: g, n_parts=4).to_pandas()
+    assert sorted(got["u"]) == [1, 2, 3] and list(got.columns) == ["u"]  # no tag in fn's rows
+    parts = key_parts(pa.array([1, 2, 3]), 4)
+    assert parts.dtype == np.int32 and ((parts >= 0) & (parts <= 3)).all()
     for bad in (48, 0):
+        with pytest.raises(ValueError, match="power of two"):
+            key_parts(pa.array([1, 2, 3]), bad)
         with pytest.raises(ValueError, match="power of two"):
             map_key_buckets(ds, ["u"], lambda g: g, n_parts=bad)
 
@@ -727,20 +767,61 @@ _BUCKET_KEYS = {
     "float64": pa.array([float("nan") if i % 13 == 0 else (i % 31) / 4 for i in range(600)]),
     "date32": pa.array([i % 43 for i in range(600)], type=pa.int32()).cast(pa.date32()),
     "timestamp": pa.array([(i % 47) * 1_000_003 for i in range(600)], type=pa.int64()).cast(pa.timestamp("us")),
+    "bool": pa.array([None if i % 17 == 0 else i % 3 == 0 for i in range(600)]),
+    "fixed_size_binary": pa.array([(i % 23).to_bytes(4, "little") for i in range(600)], type=pa.binary(4)),
+    "large_string": pa.array([f"k{i % 29}é" for i in range(600)], type=pa.large_string()),
+    "signed_zero": pa.array([(-0.0 if i % 2 else 0.0) if i % 5 == 0 else (i % 7) / 2 for i in range(600)]),
 }
+
+_STRS = pa.array([None if i % 9 == 0 else f"doc-{i % 40}" for i in range(120)])
+
+# the same key values in two layouts: key_parts must bucket them alike
+_EQUAL_KEY_LAYOUTS = {
+    "int32_vs_int64": (pa.array(range(-60, 60), pa.int32()), pa.array(range(-60, 60), pa.int64())),
+    "string_vs_large_string": (_STRS, _STRS.cast(pa.large_string())),
+    "chunked_vs_contiguous": (pa.chunked_array([_STRS.slice(0, 50), _STRS.slice(50)]), _STRS),
+    "negative_vs_positive_zero": (pa.array([-0.0, 0.0, float("nan"), 1.5]),
+                                  pa.array([0.0, -0.0, -float("nan"), 1.5])),
+}
+
+
+@pytest.mark.parametrize("case", list(_EQUAL_KEY_LAYOUTS))
+def test_key_parts_buckets_equal_values_alike(ray_session, case):
+    """Equal key values land in one part whatever their width, string
+    layout, chunking or sign of zero, through ``map_key_buckets`` too
+    (one block of each layout in one Dataset)."""
+    import uuid
+
+    from jesse_ray.hashutil import key_parts, map_key_buckets
+
+    a, b = _EQUAL_KEY_LAYOUTS[case]
+    for n_parts in (1, 4, 64):
+        assert (key_parts(a, n_parts) == key_parts(b, n_parts)).all()
+    blocks = [pa.table({"k": a}), pa.table({"k": b})]
+    if case != "chunked_vs_contiguous":  # one Dataset holds one layout of a column
+        ds = ray.data.from_arrow(blocks)
+        got = map_key_buckets(ds, ["k"], lambda g: g.assign(call=uuid.uuid4().hex)).to_pandas()
+        assert len(got) == 2 * len(b)
+        assert (got.groupby("k", dropna=False)["call"].nunique() == 1).all()
+
+
+def test_key_parts_refuses_keys_without_a_canonical_hash():
+    from jesse_ray.hashutil import key_parts
+
+    with pytest.raises(TypeError, match="unsupported partition key type"):
+        key_parts(pa.array([1], pa.decimal128(5, 2)), 64)
+    with pytest.raises(TypeError, match="unsupported partition key type"):
+        key_parts(pa.array([[1]]), 64)
 
 
 @pytest.mark.parametrize("key", [*_BUCKET_KEYS, "two_columns"])
 def test_map_key_buckets_keeps_each_key_in_one_call(ray_session, key):
     """Every distinct key value, null and NaN included, reaches exactly
-    one ``fn`` call, and ``__part`` is the pandas hash of the key as the
-    Arrow column converts to pandas (a Series for one column) — the
-    buckets the catalog's per-key stages saw before the helper."""
+    one ``fn`` call, and the calls are exactly the ``hashutil.key_parts``
+    buckets of the key: rows share a call iff they share a part."""
     import uuid
 
-    import pandas as pd
-
-    from jesse_ray.hashutil import map_key_buckets
+    from jesse_ray.hashutil import key_parts, map_key_buckets
 
     if key == "two_columns":
         cols = {"k0": _BUCKET_KEYS["string"], "k1": _BUCKET_KEYS["int32"]}
@@ -749,15 +830,18 @@ def test_map_key_buckets_keeps_each_key_in_one_call(ray_session, key):
     tbl = pa.table({**cols, "row": pa.array(range(600), type=pa.int64())})
     ds = ray.data.from_arrow([tbl.slice(i, 150) for i in range(0, 600, 150)])
     keys = tbl.select(list(cols)).to_pandas()
-    want = pd.util.hash_pandas_object(keys if len(cols) > 1 else keys["k0"], index=False).to_numpy(np.uint64)
 
     def tag_call(g):
         return g.assign(call=uuid.uuid4().hex)
 
     for n_parts in (1, 4, 64):
+        want = key_parts(list(tbl.select(list(cols)).columns), n_parts)
         got = map_key_buckets(ds, list(cols), tag_call, n_parts=n_parts).to_pandas().sort_values("row")
         assert got["row"].tolist() == list(range(600))
-        assert (got["__part"].to_numpy() == (want & np.uint64(n_parts - 1)).astype(np.int64)).all()
+        assert "__part" not in got.columns
+        part_of_call = dict(zip(got["call"], want[got["row"].to_numpy()]))
+        assert len(part_of_call) == len(set(part_of_call.values())) == len(np.unique(want))
+        assert (np.array([part_of_call[c] for c in got["call"]]) == want[got["row"].to_numpy()]).all()
         calls = got.groupby(list(cols), dropna=False)["call"].nunique()
         assert len(calls) == len(keys.drop_duplicates()) and (calls == 1).all()
         assert got["call"].nunique() <= n_parts

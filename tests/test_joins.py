@@ -51,6 +51,38 @@ def test_hash_join_matches_pandas(ray_session, how):
         assert gk == wk
 
 
+@pytest.mark.parametrize("how", ["inner", "semi"])
+def test_hash_join_int32_left_key_meets_int64_right_key(ray_session, how):
+    """Equal keys of different integer widths land in one bucket, so the
+    join matches them."""
+    left = pa.table({"k": pa.array(range(40), pa.int32()), "lv": pa.array(range(40), pa.int64())})
+    right = pa.table({"k": pa.array(range(20, 60, 2), pa.int64()), "rv": pa.array(range(20), pa.int64())})
+    got = hash_join(ray.data.from_arrow(left), ray.data.from_arrow(right), on="k", how=how,
+                    n_parts=8).to_pandas()
+    want = left.to_pandas().merge(right.to_pandas(), on="k", how="inner")
+    if how == "semi":
+        want = want[["k", "lv"]]
+    assert sorted(map(tuple, got[list(want.columns)].values.tolist())) == sorted(
+        map(tuple, want.values.tolist()))
+    assert len(got) == 10
+
+
+@pytest.mark.parametrize("how", ["inner", "semi"])
+def test_hash_join_blocks_have_hashable_schemas(ray_session, how):
+    """Join outputs carry no pandas schema metadata (a dict), so Ray
+    Data can hash their schemas when it unifies them."""
+    rng = np.random.default_rng(3)
+    left = _mk(rng, 200, np.arange(40)).rename(columns={"v": "lv"})
+    right = _mk(rng, 100, np.arange(20, 60)).rename(columns={"v": "rv"})
+    out = hash_join(ray.data.from_pandas(left), ray.data.from_pandas(right), on="k",
+                    how=how, n_parts=8)
+    tables = ray.get(out.to_arrow_refs())
+    assert tables and sum(t.num_rows for t in tables) > 0
+    for t in tables:
+        assert t.schema.metadata is None
+        hash(t.schema)
+
+
 def test_hash_join_suffixes_colliding_columns(ray_session):
     left = pd.DataFrame({"k": [1, 2], "v": [10, 20]})
     right = pd.DataFrame({"k": [1, 2], "v": [100, 200]})

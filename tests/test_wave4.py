@@ -150,15 +150,14 @@ def test_skew_join_defuses_hot_partition(ray_session):
     ~salt distinct buckets instead of one."""
     import pyarrow.compute as pc
 
-    from jesse_ray.pipelines.relational import _element_parts
+    from jesse_ray.hashutil import key_parts
 
     hot = pa.array(["doc-7"] * 8000, type=pa.string())
-    plain_parts = np.unique(_element_parts(hot, 64))
+    plain_parts = np.unique(key_parts(hot, 64))
     assert len(plain_parts) == 1  # the problem: one reducer gets all 8000
     salts = (np.arange(8000) % 8).astype("U")
     jk = pc.binary_join_element_wise(hot, pa.array(salts, type=pa.string()), "#")
-    salted_parts = np.unique(_element_parts(jk.combine_chunks()
-                                            if isinstance(jk, pa.ChunkedArray) else jk, 64))
+    salted_parts = np.unique(key_parts(jk, 64))
     assert len(salted_parts) >= 5  # 8 composite keys spread over parts
 
 
