@@ -129,7 +129,7 @@ def run_bench() -> dict:
     # rep 1 measures steady-state, not first-use costs
     _ = validate_dataset(read_sequences(path).limit(20_000), _seq_spec()).all_violations_table().num_rows
     if os.environ.get("GRAFT_SCALING_WORKLOAD", "validate") == "sketch":
-        # prime the sketch-fused pass too (the in-band sketch path of the
+        # prime the sketch-fused pass too (the sketch path of the
         # fused validator ships and imports separately)
         _ = validate_dataset(
             read_sequences(path).limit(20_000), _seq_spec(), check_unique=False, sketch=True
@@ -146,7 +146,7 @@ def run_bench() -> dict:
     # with BENCH_REPS>1, the MIN over reps estimates steady-state wall
     # time on this shared, noisy box.
     # GRAFT_SCALING_WORKLOAD=sketch swaps in the FULL north-star pass —
-    # validation with the drift summary fused in-band (exact n_tok and
+    # validation with the drift summary fused into the pass (exact n_tok and
     # token counts per batch, folded by the drain, as every
     # checkpoint partition runs it) — for scaling runs: the plain
     # validate leg is so lean per byte that even 4 concurrent streams
@@ -161,7 +161,7 @@ def run_bench() -> dict:
         t0 = time.time()
         if workload == "sketch":
             # what checkpoint.run_validation runs per partition: one fused
-            # pass with the sketch in-band, drained by materialize()
+            # pass with the sketch fused in, drained by materialize()
             res = validate_dataset(
                 read_sequences(path), _seq_spec(), check_unique=False, sketch=True
             ).materialize()
@@ -450,7 +450,7 @@ def main() -> None:
         rounds = int(os.environ.get("GRAFT_SCALING_ROUNDS", "5"))
         os.environ["BENCH_REPS"] = os.environ.get("BENCH_REPS", "1")
         # official scaling workload: the FULL north-star pass (validation
-        # with the drift summary fused in-band — exact n_tok and token
+        # with the drift summary fused into the pass — exact n_tok and token
         # counts per batch, tree merge).  The plain validate leg is so
         # lean per byte that 4 concurrent streams saturate this single
         # box's memory bus and the ratio measures the bus, not the engine

@@ -117,15 +117,15 @@ def run_validation(
     ``materialize()`` → ``write_violations()`` → manifest record: the
     fused pass (on parquet one plain task per planned read task, no Ray
     Data execution; on jsonl one execution, the pass fused into the
-    read, split on the driver), plus one plain write
-    task per block with violation rows.  A partition redone on resume
-    replaces its ``part-*.parquet`` files.  Everything the record
+    read, its per-batch results unpickled on the driver), plus one plain
+    write task per block with violation rows.  A partition redone on
+    resume replaces its ``part-*.parquet`` files.  Everything the record
     needs comes back from the pass with the violation rows (the side of
-    each task, or the in-band rows of the jsonl map) and is folded by the
-    ``ValidationResult`` drain — the per-error counts, the input row
-    count and, with ``sketch``/``drift_reference``, the drift summary —
-    so each partition reads its files once, the wide ``tokens`` column
-    included, in any input format.  The drift summary is exact value
+    each task or batch) and is folded by the ``ValidationResult`` drain —
+    the per-error counts, the input row count and, with
+    ``sketch``/``drift_reference``, the drift summary — so each
+    partition reads its files once, the wide ``tokens`` column included,
+    in any input format.  The drift summary is exact value
     counts merged by addition, so ``sketch.bin``, ``stats_digest`` and
     the ``drift`` metrics do not depend on block arrival order.
     Partitions run sequentially on the driver but each is internally
@@ -142,11 +142,11 @@ def run_validation(
     tasks over the planned read of the key columns (no Ray Data
     execution), on jsonl one execution; the exact key counts (one
     partial per plain task and key on parquet, one per batch on jsonl)
-    are summed on the driver while the merged state stays under
-    ``UNIQ_DRIVER_CAP_BYTES``, and above it the same partials are summed
-    per key bucket in tasks, so each key row is read once at any size.
-    The route report (``uniqueness.route``, ``.partial_rows``,
-    ``.merged_bytes``, ``.dup_keys``) goes into the summary.  The pass
+    are summed on the driver when they total at most
+    ``UNIQ_DRIVER_CAP_BYTES`` (or are one partial), and otherwise per key
+    bucket in tasks, so each key row is read once at any size.  The
+    route report (``uniqueness.route``, ``.partial_rows``,
+    ``.partial_bytes``, ``.dup_keys``) goes into the summary.  The pass
     reruns on every invocation — including resumes — because it reads
     only the key columns.
 

@@ -13,14 +13,15 @@ partials the pass already made, never the keys again.  ``validate`` runs
 the fused pass as plain Ray tasks, one per read task the parquet source
 planned, so a planned read starts no Ray Data execution (above the
 uniqueness cap, one: the bucket sum); an input already in the object
-store (``from_arrow``) goes to the same tasks block by block.  Each task
-returns its violation rows, its ``(rows, tally, sketch)`` side and one
-``(key, partial_cnt)`` table per unique key for the whole task, as
-separate objects.  Any other input runs the pass as a Ray Data
-``map_batches`` fused into its read, one execution, its blocks in input
-order; that route carries the side in one in-band row per batch
-(``INBAND_SCHEMA``), which the driver decodes into the same shape.
-``fused_violations`` is that ``map_batches`` as a Dataset.
+store (``from_arrow``) goes to the same tasks block by block.  Any
+other input runs the pass as a Ray Data ``map_batches`` fused into its
+read, one execution, its blocks in input order.  Every route makes one
+result, ``_check_tables``: the violation rows, a ``(rows, tally, sketch,
+partial sizes)`` side and one ``(key, partial_cnt)`` table per unique
+key.  A plain task returns them as separate objects; the Ray Data map
+returns them pickled in one row per batch, and the driver puts the
+violation rows and the partials back, so the drain sees one shape.
+``fused_violations`` is the violation rows alone as a ``map_batches``.
 ``uniqueness_check`` is a key-only validation.
 
 This replaces the reference's per-document recursive walk
@@ -36,6 +37,7 @@ before every groupby.
 from __future__ import annotations
 
 import json
+import pickle
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
@@ -190,8 +192,9 @@ def migration_report(
 # sums the same exact ``(key, partial_cnt)`` partials (a map-side
 # combiner that collapses hot keys before anything moves, SURVEY §7.3) with
 # ``_sum_key_counts`` and keeps ``cnt > 1``; only where the sum runs
-# differs: on the driver under ``UNIQ_DRIVER_CAP_BYTES`` (``KeyCountMerge``),
-# per key bucket inside a task above it (``_bucket_dups``).
+# differs, chosen once per key by ``_uniqueness_report``: on the driver when
+# the partials total at most ``UNIQ_DRIVER_CAP_BYTES``, per key bucket inside
+# a task above it (``_bucket_dups``).
 
 
 def _batch_key_counts(batch: pa.Table, key: str) -> pa.Table:
@@ -242,93 +245,9 @@ def duplicate_keys(ds: Dataset, key: str) -> Dataset:
     return _bucket_dups(partials, key)
 
 
-#: byte cap on the driver's merged ``(key, count)`` state; past it the
+#: byte cap on the key partials summed on the driver; past it a key's
 #: partials are summed per key bucket in tasks (``_bucket_dups``)
 UNIQ_DRIVER_CAP_BYTES = 64 << 20
-
-
-class KeyCountMerge:
-    """The driver side of the one exact-uniqueness algorithm: a merge of
-    ``(key, partial_cnt)`` tables, each with distinct keys, under
-    ``UNIQ_DRIVER_CAP_BYTES``.
-
-    Fed by ``ValidationResult``'s drain with the key partials of the
-    fused pass, one per task and key (``uniqueness_check`` is such a
-    validation).  It merges with ``_sum_key_counts``, compacting whenever
-    the pending partials outgrow twice the merged state, so driver memory
-    follows the number of distinct keys, not of partial rows; a single
-    partial is already its own sum and is kept as it is.  No hash, no
-    shuffle — exact by construction, and the same answer in any arrival
-    order.
-
-    A partial comes as a table or as a ref to one (a plain fused task
-    returns each key's partial as its own object); a ref is fetched only
-    while the merge has not tripped.  When a compaction leaves the merged
-    state above the cap the merge trips and fetches no more partials.
-    The first partial after the trip ``ray.put``s the merged state, and
-    that partial and every later one are kept as refs (a table is put, a
-    ref is kept as it is), so the driver holds no more key rows;
-    ``duplicates()`` then sums them per key bucket in tasks
-    (``_bucket_dups``, the sum of ``duplicate_keys``, ``shuffled`` is
-    true).  A merge that trips on its last partial (every call with one
-    fused task) holds the exact answer already and reads it off the
-    driver.  Until the trip the driver holds at most the capped state
-    plus pending partials of twice its size; the final merge of the tail
-    is kept even above the cap, for the same reason.
-    """
-
-    def __init__(self, key: str):
-        self.key = key
-        self.tripped = False
-        self.partial_rows = self.merged_bytes = 0
-        self._merged: list[pa.Table] = []
-        self._pending: list[pa.Table] = []
-        self._pending_bytes = 0
-        #: once a partial follows the trip: refs to the merged state and every later partial
-        self._refs: list[ray.ObjectRef] = []
-
-    def add(self, part, rows: int) -> None:
-        """Merge ``part``, a ``(key, partial_cnt)`` table or a ref to one,
-        of ``rows`` rows."""
-        if not rows:
-            return
-        self.partial_rows += rows
-        if self.tripped:
-            if self._merged:  # a partial follows the trip: the state goes too
-                self._refs.append(ray.put(self._merged.pop()))
-            self._refs.append(part if isinstance(part, ray.ObjectRef) else ray.put(part))
-            return
-        if isinstance(part, ray.ObjectRef):
-            part = ray.get(part)
-        self._pending.append(part)
-        self._pending_bytes += part.nbytes
-        if self._pending_bytes > 2 * self.merged_bytes:
-            self._compact()
-            self.tripped = self.merged_bytes > UNIQ_DRIVER_CAP_BYTES
-
-    def _compact(self) -> None:
-        parts = self._merged + self._pending
-        self._merged = [parts[0] if len(parts) == 1 else _sum_key_counts(parts, self.key)]
-        self._pending, self._pending_bytes = [], 0
-        self.merged_bytes = self._merged[0].nbytes
-
-    @property
-    def shuffled(self) -> bool:
-        """Whether ``duplicates()`` sums per key bucket in tasks."""
-        return bool(self._refs)
-
-    def duplicates(self) -> pa.Table:
-        """``(key, cnt)`` rows with ``cnt > 1`` sorted by key."""
-        if self.shuffled:
-            dups = _bucket_dups(ray.data.from_arrow_refs(self._refs), self.key)
-            parts = list(dups.iter_batches(batch_format="pyarrow", batch_size=None))
-            if parts:
-                return pa.concat_tables(parts).sort_by(self.key)
-        elif self._pending:
-            self._compact()
-        if not self._merged:
-            return pa.table({self.key: pa.array([], type=pa.string()), "cnt": pa.array([], type=pa.int64())})
-        return _only_dups(self._merged[0], self.key).sort_by(self.key)
 
 
 def uniqueness_violations(ds: Dataset, key: str) -> pa.Table:
@@ -345,7 +264,7 @@ def uniqueness_violations(ds: Dataset, key: str) -> pa.Table:
 def uniqueness_check(ds: Dataset, keys: list[str]) -> tuple[pa.Table, dict[str, Any]]:
     """``not_unique`` violations for every key in ``keys``, each key's
     rows sorted by key, plus the route report
-    ``uniqueness.{route, partial_rows, merged_bytes, dup_keys}``.
+    ``uniqueness.{route, partial_rows, partial_bytes, dup_keys}``.
 
     A key-only validation: the fused pass reads ``ds`` once for all keys
     and its drain sums the partials (see ``ValidationResult``)."""
@@ -353,26 +272,39 @@ def uniqueness_check(ds: Dataset, keys: list[str]) -> tuple[pa.Table, dict[str, 
     return res.unique_violations, {k: v for k, v in res.metrics.items() if k.startswith("uniqueness.")}
 
 
-def _uniqueness_report(merges: list[KeyCountMerge]) -> tuple[pa.Table, dict[str, Any]]:
-    """Violations and route report from one finished merge per key.  The
-    counts are summed over keys; the route is ``shuffle`` if any key's
-    merge summed per key bucket, else ``driver_merge``."""
+def _uniqueness_report(partials: dict[str, list[tuple[int, int, ray.ObjectRef]]]) -> tuple[pa.Table, dict[str, Any]]:
+    """Violations and route report from each key's ``(rows, nbytes, ref)``
+    partials, the route chosen once per key.  One partial, or partials
+    totalling at most ``UNIQ_DRIVER_CAP_BYTES``, are fetched and summed
+    on the driver (a single partial, its keys distinct, is its own sum);
+    more are summed per key bucket in tasks (``_bucket_dups``, one Ray
+    Data execution) and only the duplicates reach the driver.  The counts
+    are summed over keys; the route is ``shuffle`` if any key took the
+    bucket sum, else ``driver_merge``."""
     parts = []
     metrics: dict[str, Any] = {
         "uniqueness.route": "driver_merge",
         "uniqueness.partial_rows": 0,
-        "uniqueness.merged_bytes": 0,
+        "uniqueness.partial_bytes": 0,
         "uniqueness.dup_keys": 0,
     }
-    for merge in merges:
-        tbl = merge.duplicates()
-        if merge.shuffled:
+    for key, got in partials.items():
+        if not got:
+            continue
+        rows, nbytes, refs = zip(*got)
+        metrics["uniqueness.partial_rows"] += sum(rows)
+        metrics["uniqueness.partial_bytes"] += sum(nbytes)
+        if len(refs) == 1 or sum(nbytes) <= UNIQ_DRIVER_CAP_BYTES:
+            tables = ray.get(list(refs))
+            dups = [_only_dups(tables[0] if len(tables) == 1 else _sum_key_counts(tables, key), key)]
+        else:
             metrics["uniqueness.route"] = "shuffle"
-        metrics["uniqueness.partial_rows"] += merge.partial_rows
-        metrics["uniqueness.merged_bytes"] += merge.merged_bytes
-        metrics["uniqueness.dup_keys"] += tbl.num_rows
-        if tbl.num_rows:
-            parts.append(_not_unique_rows(tbl, merge.key))
+            summed = _bucket_dups(ray.data.from_arrow_refs(list(refs)), key)
+            dups = list(summed.iter_batches(batch_format="pyarrow", batch_size=None))
+        tbl = pa.concat_tables(dups).sort_by(key) if dups else None
+        if tbl is not None and tbl.num_rows:
+            metrics["uniqueness.dup_keys"] += tbl.num_rows
+            parts.append(_not_unique_rows(tbl, key))
     if not parts:
         return empty_violations(), metrics
     return (parts[0] if len(parts) == 1 else pa.concat_tables(parts)), metrics
@@ -513,19 +445,6 @@ class ReferentialChecker:
         return _violations_table(*cols) if cols[0] else empty_violations()
 
 
-#: the Ray Data route's output (``fused_violations``, ``_fused_map``) when
-#: it carries in-band payloads: the VIOLATION_SCHEMA rows with every
-#: in-band column null, plus ONE in-band row per batch whose violation
-#: columns are null (see FusedValidator).  The plain-task route
-#: (``_validate_block``) returns the same payloads as separate objects.
-_INBAND_FIELDS = [
-    pa.field("__rows", pa.int64()),
-    pa.field("__keys", pa.list_(pa.large_binary())),
-    pa.field("__sketch", pa.large_binary()),
-]
-INBAND_SCHEMA = pa.schema(list(VIOLATION_SCHEMA) + _INBAND_FIELDS)
-
-
 class FusedValidator:
     """Task-mode stage fusing ALL row-level keyword checks with the
     referential (broadcast-dimension) checks in ONE pass over the data.
@@ -538,29 +457,21 @@ class FusedValidator:
     per task on its first batch — never re-shipped per batch (SURVEY
     §7.2).
 
-    ``violations`` checks one table.  As the Ray Data route's map
-    (``__call__``) with ``unique_keys`` (a tuple, possibly empty) the
-    output is INBAND_SCHEMA: each batch appends one in-band row carrying
-    what the driver would otherwise need further executions for —
-    ``__rows``, the batch's input row count; ``__keys``, one Arrow IPC
-    stream per key holding the batch's exact ``(key, partial_cnt)`` table
-    (the map side of the corpus uniqueness check, so the key columns are
-    not read a second time); and with ``sketch`` the batch's drift
-    ``SketchBundle`` in ``__sketch`` (null otherwise, and no bundle is
-    built).  The driver decodes these rows (``_split``) into the side
-    that a plain ``_validate_block`` task returns directly, one per task
-    rather than per batch.  With ``unique_keys=None`` the map's output is
-    plain VIOLATION_SCHEMA rows.
+    ``violations`` checks one table.  ``_check_tables`` runs it over a
+    task's tables and adds what the driver would otherwise need further
+    passes for: the row count, per ``unique_keys`` entry the exact
+    ``(key, partial_cnt)`` table (the map side of the corpus uniqueness
+    check, so the key columns are not read a second time), and with
+    ``sketch`` the drift ``SketchBundle`` (none is built otherwise).
     """
 
     def __init__(self, state_ref, key_column: Optional[str], allowed_errors=None,
-                 error_handler=None, unique_keys: Optional[tuple[str, ...]] = None,
-                 sketch: bool = False):
+                 error_handler=None, unique_keys: tuple[str, ...] = (), sketch: bool = False):
         self._state_ref = state_ref
         self._key_column = key_column
         self.allowed_errors = allowed_errors
         self.error_handler = error_handler
-        self.unique_keys = None if unique_keys is None else tuple(dict.fromkeys(unique_keys))
+        self.unique_keys = tuple(dict.fromkeys(unique_keys))
         self.sketch = sketch
         self._resolved = False
         self.compiled: Optional[CompiledSpec] = None
@@ -595,36 +506,6 @@ class FusedValidator:
             row = pa.concat_tables([row, ref]) if row.num_rows else ref
         return row
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        row = self.violations(batch)
-        if self.unique_keys is None:
-            return row
-        parts = [_batch_key_counts(batch, k) for k in self.unique_keys if k in batch.column_names]
-        sketch = None
-        if self.sketch:
-            from jesse_ray.stages.drift import batch_sketch
-
-            sketch = batch_sketch(batch).to_bytes()
-        return _append_inband(row, batch.num_rows, [_ipc_bytes(p) for p in parts if p.num_rows], sketch)
-
-
-def _append_inband(viol: pa.Table, rows: int, keys: list[bytes], sketch: Optional[bytes]) -> pa.Table:
-    """``viol`` (VIOLATION_SCHEMA rows) plus one in-band row, as
-    INBAND_SCHEMA."""
-    band = {f.name: pa.nulls(1, f.type) for f in VIOLATION_SCHEMA}
-    band.update(__rows=[rows], __keys=[keys], __sketch=[sketch])
-    viol = viol.cast(VIOLATION_SCHEMA)
-    for f in _INBAND_FIELDS:
-        viol = viol.append_column(f, pa.nulls(viol.num_rows, f.type))
-    return pa.concat_tables([viol, pa.table(band, schema=INBAND_SCHEMA)])
-
-
-def _ipc_bytes(t: pa.Table) -> bytes:
-    sink = pa.BufferOutputStream()
-    with pa.ipc.new_stream(sink, t.schema) as w:
-        w.write_table(t)
-    return sink.getvalue().to_pybytes()
-
 
 def _tally(viol: pa.Table) -> dict[str, int]:
     """``{error: count}`` of VIOLATION_SCHEMA rows."""
@@ -638,39 +519,17 @@ def _merge_sketch(acc: Optional[SketchBundle], b: SketchBundle) -> SketchBundle:
     return b if acc is None else acc.merge(b)
 
 
-def _split(t: pa.Table) -> tuple[pa.Table, tuple]:
-    """One INBAND_SCHEMA block of the Ray Data route → (violation rows,
-    side), the side in the shape ``_fused_blocks`` yields for a plain
-    task: ``(rows, tally, sketch, [(key, partial rows, partial), ...])``,
-    one partial per batch and key, each decoded from its IPC stream."""
-    viol = t.filter(pc.is_null(t["__rows"])).select(VIOLATION_SCHEMA.names)
-    band = t.filter(pc.is_valid(t["__rows"]))
-    parts = []
-    for blob in pc.list_flatten(band["__keys"]):
-        part = pa.ipc.open_stream(blob.as_buffer()).read_all()
-        parts.append((part.column_names[0], part.num_rows, part))
-    sketch = None
-    for raw in band["__sketch"].drop_null():
-        sketch = _merge_sketch(sketch, SketchBundle.from_bytes(raw.as_py()))
-    return viol, (pc.sum(band["__rows"]).as_py() or 0, _tally(viol), sketch, parts)
-
-
-@ray.remote
-def _validate_block(fv: FusedValidator, read_task: Optional[ReadTask], *blocks: pa.Table):
-    """One block of the fused pass as a plain task, started with
-    ``num_returns=2 + len(fv.unique_keys)``: ``fv.violations`` over each
-    row group of a planned ``read_task`` as it is read (the tables a Ray
-    Data read fused with ``map_batches`` hands the map, so an
-    ``error_handler`` sees the same calls), or over each input block.
-    Empty tables are skipped, and a task with no rows checks one empty
-    table.
+def _check_tables(fv: FusedValidator, tables) -> tuple:
+    """The fused pass over ``tables``, the one result of every route:
+    ``fv.violations`` over each table as it comes, empty tables skipped
+    (one empty table is checked if none has rows).
 
     Returns the concatenated violation rows, the side ``(rows, tally,
-    sketch, partial rows per key)`` — the input row count, the violation
-    rows' ``_tally``, the task's merged drift ``SketchBundle`` (with
-    ``fv.sketch``, else None) — and per key in ``fv.unique_keys`` one
-    ``_batch_key_counts`` table over all the task's rows (None when no
-    table has the column)."""
+    sketch, sizes)`` — the input row count, the violation rows'
+    ``_tally``, the merged drift ``SketchBundle`` (with ``fv.sketch``,
+    else None) and per key in ``fv.unique_keys`` its partial's ``(rows,
+    nbytes)`` — and per key one ``_batch_key_counts`` table over all the
+    rows (None when no table has the column)."""
     viols, cols, rows, sketch = [], {k: [] for k in fv.unique_keys}, 0, None
 
     def check(t: pa.Table) -> None:
@@ -685,24 +544,41 @@ def _validate_block(fv: FusedValidator, read_task: Optional[ReadTask], *blocks: 
 
             sketch = _merge_sketch(sketch, batch_sketch(t))
 
-    for t in read_task() if read_task is not None else blocks:
+    for t in tables:
         if t.num_rows:
             check(t)
     if not viols:
         check(pa.table({}))
     viol = viols[0] if len(viols) == 1 else pa.concat_tables(viols)
     parts = [_batch_key_counts(pa.concat_tables(got), k) if got else None for k, got in cols.items()]
-    side = (rows, _tally(viol), sketch, [0 if p is None else p.num_rows for p in parts])
+    side = (rows, _tally(viol), sketch, [(0, 0) if p is None else (p.num_rows, p.nbytes) for p in parts])
     return (viol, side, *parts)
+
+
+@ray.remote
+def _validate_block(fv: FusedValidator, read_task: Optional[ReadTask], *blocks: pa.Table):
+    """``_check_tables`` as a plain task, started with ``num_returns=2 +
+    len(fv.unique_keys)``, over each row group of a planned ``read_task``
+    as it is read (the tables a Ray Data read fused with ``map_batches``
+    hands the map, so an ``error_handler`` sees the same calls), or over
+    each input block."""
+    return _check_tables(fv, read_task() if read_task is not None else blocks)
+
+
+def _pickled_result(batch: pa.Table, fv: FusedValidator) -> pa.Table:
+    """The Ray Data route's map: ``_check_tables`` of one batch, pickled
+    into a one-row block (its tables have different schemas)."""
+    blob = pickle.dumps(_check_tables(fv, [batch]), protocol=pickle.HIGHEST_PROTOCOL)
+    return pa.table({"result": pa.array([blob], type=pa.large_binary())})
 
 
 def _fused_blocks(
     ds: Dataset, fv: FusedValidator
-) -> Iterator[tuple[ray.ObjectRef, tuple]]:
+) -> Iterator[tuple[ray.ObjectRef, tuple, list]]:
     """Run the fused pass over ``ds`` and yield, per block in order, the
-    ref to its violation rows and its side ``(rows, tally, sketch,
-    [(key, partial rows, partial), ...])``, each partial a
-    ``(key, partial_cnt)`` table or a ref to one.
+    ref to its violation rows, its side ``(rows, tally, sketch, sizes)``
+    and per key in ``fv.unique_keys`` the ref to its ``(key,
+    partial_cnt)`` table (see ``_check_tables``).
 
     Three routes, by input:
 
@@ -710,21 +586,19 @@ def _fused_blocks(
       one ``_validate_block`` task per planned read task, so no Ray Data
       execution starts and blocks follow the read plan;
     * a ``MaterializedDataset`` (``from_arrow``, ``.materialize()``): its
-      blocks are in the object store already, one task per bundle
-      (on both of these routes each key's partial stays in the object
-      store, as a ref);
+      blocks are in the object store already, one task per bundle;
     * any other Dataset (``read_json``, ``.limit``, ``.select_columns``):
-      ``fv`` runs inside its Ray Data execution, fused into the read
-      (``_fused_map``), so only the small output blocks reach the object
-      store; the driver splits each (``_split``) and puts its violation
-      rows back.  The execution preserves order, so blocks follow the
-      input.
+      ``_check_tables`` runs per batch inside its Ray Data execution,
+      fused into the read (``_pickled_result``), so only the small
+      results reach the object store; the driver unpickles each and puts
+      its violation rows and key partials back.  The execution preserves
+      order, so blocks follow the input.
 
     At most two tasks per cluster CPU are in flight; sides are fetched in
     task order whatever order the tasks finish in."""
     read_tasks = planned_read_tasks(ds)
     if read_tasks is None and not isinstance(ds, MaterializedDataset):
-        mapped = _fused_map(ds, fv)
+        mapped = ds.map_batches(_pickled_result, fn_args=(fv,), batch_format="pyarrow", zero_copy_batch=True)
         # the map shares its context with ``ds``: set the flag for this
         # one execution and put it back after
         opts = mapped.context.execution_options
@@ -733,9 +607,11 @@ def _fused_blocks(
             for b in mapped.iter_internal_ref_bundles():
                 for ref in b.block_refs:
                     t = ray.get(ref)
-                    # Ray Data passes empty blocks on without a schema
-                    viol, side = _split(t if t.num_rows else INBAND_SCHEMA.empty_table())
-                    yield ray.put(viol), side
+                    # one row per batch; Ray Data passes empty blocks on without a schema
+                    for blob in t["result"] if t.num_rows else ():
+                        viol, side, *parts = pickle.loads(blob.as_buffer())
+                        refs = [ray.put(p) if n else None for (n, _), p in zip(side[3], parts)]
+                        yield ray.put(viol), side, refs
         finally:
             opts.preserve_order = preserve
         return
@@ -743,13 +619,11 @@ def _fused_blocks(
         args = ((t,) for t in read_tasks)
     else:
         args = ((None, *b.block_refs) for b in ds.iter_internal_ref_bundles())
-    keys = fv.unique_keys
-    task = _validate_block.options(num_returns=2 + len(keys))
+    task = _validate_block.options(num_returns=2 + len(fv.unique_keys))
 
     def done(refs):
         viol, side, *parts = refs
-        rows, tally, sketch, part_rows = ray.get(side)
-        return viol, (rows, tally, sketch, list(zip(keys, part_rows, parts)))
+        return viol, ray.get(side), parts
 
     window = 2 * cluster_cpus()
     running: deque = deque()
@@ -789,11 +663,6 @@ def _fused_validator(compiled: CompiledSpec, *args) -> FusedValidator:
     return FusedValidator(_broadcast(compiled, _referential_rules(spec)), spec.key_column, *args)
 
 
-def _fused_map(ds: Dataset, fv: FusedValidator, batch_size: Optional[int] = None) -> Dataset:
-    """``fv`` as a Ray Data ``map_batches`` in task mode."""
-    return ds.map_batches(fv.__call__, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
-
-
 def fused_violations(
     ds: Dataset,
     compiled: CompiledSpec,
@@ -801,15 +670,12 @@ def fused_violations(
     batch_size: Optional[int] = None,
     allowed_errors: Optional[int] = None,
     error_handler=None,
-    check_unique: bool = True,
 ) -> Dataset:
     """Single-pass row + referential violations (see FusedValidator) as a
-    lazy Ray Data ``map_batches``, plus one in-band row per batch with the
-    key-count partials of the spec's ``unique_keys`` when it has any,
-    unless ``check_unique`` is false (INBAND_SCHEMA then; plain
-    VIOLATION_SCHEMA otherwise).  ``validate`` runs the same
-    ``map_batches`` only for inputs that are neither a planned read nor
-    materialized (``_fused_blocks``).
+    lazy Ray Data ``map_batches`` of ``FusedValidator.violations``: the
+    violation rows alone, no key partials, row count or sketch.
+    ``validate`` runs the same validator through ``_check_tables``
+    (``_fused_blocks``).
 
     The pass runs in TASK mode: the validator state (compiled spec +
     broadcast allowed-value sets) is ``ray.put`` once as one object, the
@@ -822,8 +688,8 @@ def fused_violations(
     run, and on a long-lived cluster tasks reuse warm workers just the
     same.
     """
-    keys = tuple(compiled.spec.unique_keys) if check_unique and compiled.spec.unique_keys else None
-    return _fused_map(ds, _fused_validator(compiled, allowed_errors, error_handler, keys), batch_size)
+    fv = _fused_validator(compiled, allowed_errors, error_handler)
+    return ds.map_batches(fv.violations, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -898,27 +764,29 @@ class ValidationResult:
     runs once, at the first entry point (``_fused_blocks``): one plain
     Ray task per read task ``read_sequences`` / ``read_table`` planned or
     per bundle of a materialized input, or a Ray Data ``map_batches``
-    for any other input.  Each block of the pass gives its violation
-    rows, which stay in the object store, and a side ``(rows, {error:
-    count}, sketch, key partials)``, which the driver drains in task
-    order whatever order the tasks finish in: the read plan's order for
-    a planned read, Ray Data's bundle order otherwise.  A plain task
-    returns the side directly, with one key partial per key for the
-    whole task; the Ray Data route's in-band rows are decoded into the
-    same shape (``_split``), one partial per batch.  A planned read so
+    for any other input.  Each block of the pass is one
+    ``_check_tables`` result: its violation rows and key partials, which
+    stay in the object store, and a side ``(rows, {error: count},
+    sketch, partial sizes)``, which the driver drains in task order
+    whatever order the tasks finish in: the read plan's order for a
+    planned read, Ray Data's bundle order otherwise.  A plain task
+    returns the result as separate objects, with one key partial per key
+    for the whole task; the Ray Data route's map returns it pickled, one
+    per batch, and the driver puts its violation rows and partials back.
+    A planned read so
     starts no Ray Data execution at all, a materialized input at most
     one that only lists its blocks, and any other input the one that
     runs the pass.
 
     The drain folds the tallies into ``counts_by_error`` (and each
     block's sum into its row count), the row counts into
-    ``metrics["rows"]``, each key's partials into one ``KeyCountMerge``
-    (a plain task's partial stays in the object store and is fetched
-    only while the merge is under ``UNIQ_DRIVER_CAP_BYTES``; past it the
-    merge sums the partials it was fed per key bucket in tasks, so no
-    key is read twice; the route report, ``uniqueness_check``'s keys,
-    goes into ``metrics``), and with ``validate(sketch=True)`` the
-    bundles into ``sketch``.  ``counts_by_error`` / ``passed`` need only
+    ``metrics["rows"]``, each key's partial refs with their sizes into
+    one list, and with ``validate(sketch=True)`` the bundles into
+    ``sketch``; it fetches no partial while tasks run.  At its end
+    ``_uniqueness_report`` sums each key's partials, on the driver up to
+    ``UNIQ_DRIVER_CAP_BYTES``, per key bucket in tasks past it, so no key
+    is read twice (the route report, ``uniqueness_check``'s keys, goes
+    into ``metrics``).  ``counts_by_error`` / ``passed`` need only
     that drain; ``all_violations_table`` fetches the pinned blocks;
     ``write_violations`` writes them with one plain task each;
     ``violations`` is a Dataset over them, exactly VIOLATION_SCHEMA rows.
@@ -942,24 +810,25 @@ class ValidationResult:
     _violations: Optional[Dataset] = None
 
     def _drain(self, sides) -> None:
-        """Fold the sides ``_fused_blocks`` yields, in block order, and
-        resolve the uniqueness result."""
-        merges = {k: KeyCountMerge(k) for k in self._unique_keys}
+        """Fold the sides and partial refs ``_fused_blocks`` yields, in
+        block order, and resolve the uniqueness result."""
+        partials: dict[str, list] = {k: [] for k in self._unique_keys}
         counts: dict[str, int] = {}
         rows = 0
         self._block_rows = []
-        for block_rows, tally, sketch, parts in sides:
+        for (block_rows, tally, sketch, sizes), refs in sides:
             self._block_rows.append(sum(tally.values()))
             rows += block_rows
-            for key, n, part in parts:
-                merges[key].add(part, n)
+            for key, (n, nbytes), ref in zip(self._unique_keys, sizes, refs):
+                if n:
+                    partials[key].append((n, nbytes, ref))
             if sketch is not None:
                 self.sketch = _merge_sketch(self.sketch, sketch)
             for e, c in tally.items():
                 counts[e] = counts.get(e, 0) + c
         self._counts = counts
         self.metrics["rows"] = rows
-        self._uniq, uniq_metrics = _uniqueness_report([merges[k] for k in self._unique_keys])
+        self._uniq, uniq_metrics = _uniqueness_report(partials)
         self.metrics.update(uniq_metrics)
 
     @property
@@ -988,9 +857,9 @@ class ValidationResult:
             blocks = []
 
             def sides():
-                for viol, side in _fused_blocks(self._ds, self._validator):
+                for viol, side, refs in _fused_blocks(self._ds, self._validator):
                     blocks.append(viol)
-                    yield side
+                    yield side, refs
 
             self._drain(sides())
             self._blocks, self._ds, self._validator = blocks, None, None

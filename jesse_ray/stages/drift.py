@@ -22,6 +22,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
+from jesse_ray.compiler import _combine
 from jesse_ray.sketches import SketchBundle, drift_report
 
 _SKETCH_SCHEMA = pa.schema([pa.field("sketch", pa.large_binary())])
@@ -39,7 +40,7 @@ def batch_sketch(batch: pa.Table, n_tok_col: str = "n_tok", tokens_col: str = "t
     if n_tok_col in batch.column_names:
         n_tok = batch[n_tok_col].cast(pa.float64()).to_numpy(zero_copy_only=False)
     if tokens_col in batch.column_names:
-        flat = pc.list_flatten(batch[tokens_col].combine_chunks()).to_numpy(zero_copy_only=False)
+        flat = pc.list_flatten(_combine(batch[tokens_col])).to_numpy(zero_copy_only=False)
     b.add_batch(n_tok, flat)
     return b
 

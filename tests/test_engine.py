@@ -165,7 +165,7 @@ def test_referential_only_fused_pass(corpus_path, spec, golden):
 
     ds = read_sequences(corpus_path)
     ref_spec = TableSpec(key_column="doc_id", referential=spec.referential)
-    rv = fused_violations(ds, compile_spec(ref_spec), check_unique=False)
+    rv = fused_violations(ds, compile_spec(ref_spec))
     v = pa.concat_tables(list(rv.iter_batches(batch_format="pyarrow")))
     bad_docs = {
         d
@@ -402,11 +402,11 @@ def _int_keys(keys):
 
 @pytest.mark.parametrize("key_type", [pa.string(), pa.int64()], ids=["string", "int64"])
 def test_uniqueness_cap_trips_to_shuffle(ray_session, monkeypatch, key_type):
-    """A majority-duplicate corpus with null keys: under a tiny driver cap
-    the merge trips, keeps every partial as a ref, and the per-bucket sum
-    gives the same violations table, byte for byte, as the uncapped driver
-    route — for string keys and for non-string keys, which
-    ``map_key_buckets`` hashes in their own dtype."""
+    """A majority-duplicate corpus with null keys: past a tiny driver cap
+    the partials are summed per key bucket, and that sum gives the same
+    violations table, byte for byte, as the uncapped driver route — for
+    string keys and for non-string keys, which ``map_key_buckets`` hashes
+    in their own dtype."""
     import collections
 
     from jesse_ray import engine
@@ -421,14 +421,14 @@ def test_uniqueness_cap_trips_to_shuffle(ray_session, monkeypatch, key_type):
     exact = {k: c for k, c in collections.Counter(k for k in keys if k is not None).items() if c > 1}
     driver_tbl, driver_m = engine.uniqueness_check(ds, ["doc_id"])
     assert driver_m["uniqueness.route"] == "driver_merge"
-    assert driver_m["uniqueness.merged_bytes"] <= engine.UNIQ_DRIVER_CAP_BYTES
+    assert driver_m["uniqueness.partial_bytes"] <= engine.UNIQ_DRIVER_CAP_BYTES
     assert driver_m["uniqueness.dup_keys"] == len(exact) == driver_tbl.num_rows
 
     monkeypatch.setattr(engine, "UNIQ_DRIVER_CAP_BYTES", 16 << 10)
     shuffle_tbl, shuffle_m = engine.uniqueness_check(ds, ["doc_id"])
     assert shuffle_m["uniqueness.route"] == "shuffle"
-    assert shuffle_m["uniqueness.merged_bytes"] > 16 << 10
-    # the trip keeps every partial row, as refs
+    assert shuffle_m["uniqueness.partial_bytes"] > 16 << 10
+    # the bucket sum takes every partial row
     assert shuffle_m["uniqueness.partial_rows"] == driver_m["uniqueness.partial_rows"]
     assert shuffle_m["uniqueness.dup_keys"] == len(exact)
 
@@ -447,7 +447,7 @@ def test_validation_metrics_report_uniqueness_route(tmp_path, corpus_path, spec)
     want = {
         "uniqueness.route": str,
         "uniqueness.partial_rows": int,
-        "uniqueness.merged_bytes": int,
+        "uniqueness.partial_bytes": int,
         "uniqueness.dup_keys": int,
     }
 
@@ -459,7 +459,7 @@ def test_validation_metrics_report_uniqueness_route(tmp_path, corpus_path, spec)
         assert {k: type(m[k]) for k in want} == want
         assert m["uniqueness.route"] == "driver_merge"
         assert m["uniqueness.dup_keys"] == n_dup
-        assert m["uniqueness.partial_rows"] > 0 and m["uniqueness.merged_bytes"] > 0
+        assert m["uniqueness.partial_rows"] > 0 and m["uniqueness.partial_bytes"] > 0
     assert summary["unique_violations"] == n_dup
 
 
@@ -547,26 +547,45 @@ def test_inband_uniqueness_matches_standalone(ray_session):
         assert res.metrics["uniqueness.partial_rows"] > 0
 
 
-def test_inband_uniqueness_cap_trips_to_shuffle(ray_session, monkeypatch):
+@pytest.mark.parametrize("route", ["planned", "from_arrow", "limit"])
+def test_inband_uniqueness_cap_trips_to_shuffle(ray_session, monkeypatch, tmp_path, route):
     """Past the driver cap the fused pass's partials are summed per key
-    bucket and give the same table; row violations are unchanged."""
+    bucket and give the same table on every input route: a planned read,
+    a materialized input and the Ray Data route (``.limit``).  Row
+    violations are unchanged, and every partial reaches
+    ``_uniqueness_report`` as an object ref."""
     from jesse_ray import engine
 
     blocks, spec = _keyed_corpus()
-    ds = ray.data.from_arrow(blocks)
-    base = validate_dataset(ds, spec)
+    path = _keyed_parquet(tmp_path)
+
+    def read():
+        if route == "from_arrow":
+            return ray.data.from_arrow(blocks)
+        ds = read_sequences(path, columns=["doc_id", "alt", "n"])
+        return ds.limit(10**9) if route == "limit" else ds
+
+    base = validate_dataset(read(), spec)
     base_all = base.all_violations_table()
     base_rows = base_all.filter(pc.not_equal(base_all["error"], E.NOT_UNIQUE))
     assert base.metrics["uniqueness.route"] == "driver_merge" and base_rows.num_rows
 
     monkeypatch.setattr(engine, "UNIQ_DRIVER_CAP_BYTES", 16 << 10)
-    lazy = validate_dataset(ds, spec)
-    mat = validate_dataset(ds, spec).materialize()
+    report, refs = engine._uniqueness_report, []
+
+    def spy(partials):
+        refs.extend(ref for got in partials.values() for *_, ref in got)
+        return report(partials)
+
+    monkeypatch.setattr(engine, "_uniqueness_report", spy)
+    lazy = validate_dataset(read(), spec)
+    mat = validate_dataset(read(), spec).materialize()
     for res, rows in ((lazy, lazy.all_violations_table()), (mat, mat.all_violations_table())):
         assert res.metrics["uniqueness.route"] == "shuffle"
-        assert res.metrics["uniqueness.merged_bytes"] > 16 << 10
+        assert res.metrics["uniqueness.partial_bytes"] > 16 << 10
         assert _ipc(res.unique_violations) == _ipc(base.unique_violations)
         assert _row_set(rows.filter(pc.not_equal(rows["error"], E.NOT_UNIQUE))) == _row_set(base_rows)
+    assert refs and all(isinstance(r, ray.ObjectRef) for r in refs)
 
 
 def test_uniqueness_fallback_reads_keys_once(ray_session, tmp_path, monkeypatch):
@@ -626,10 +645,10 @@ def test_key_partials_are_one_per_task(ray_session, tmp_path):
 
 
 def test_tripped_merge_keeps_task_partials_in_the_object_store(ray_session, tmp_path, monkeypatch):
-    """Past a forced 16 KiB cap the drain passes each later task's key
-    partial on as the ref the task returned: the engine's ``ray.put``
-    runs once per tripped key (its merged state), and the uniqueness rows
-    are the default cap's, byte for byte."""
+    """Past a forced 16 KiB cap the bucket sum takes each task's key
+    partial as the ref the task returned: the engine ``ray.put``s
+    nothing, and the uniqueness rows are the default cap's, byte for
+    byte."""
     import sys
 
     from jesse_ray import engine
@@ -657,15 +676,16 @@ def test_tripped_merge_keeps_task_partials_in_the_object_store(ray_session, tmp_
     res.materialize()
     monkeypatch.setattr(engine.ray, "put", put)
     assert res.metrics["uniqueness.route"] == "shuffle"
-    assert len(puts) == 1 and puts[0].column_names == ["doc_id", "partial_cnt"]
+    assert puts == []
     assert _ipc(res.unique_violations) == _ipc(want)
 
 
 def test_merge_tripped_by_its_last_partial_stays_on_the_driver(ray_session, tmp_path, monkeypatch):
-    """A one-task input past a forced 16 KiB cap trips its merge on the
-    last partial, which is already the exact sum: the engine ``ray.put``s
-    no key table, no Ray Data execution starts, the route reads
-    ``driver_merge`` and the uniqueness rows are the default cap's."""
+    """A one-task input past a forced 16 KiB cap has one partial per key,
+    which is already the exact sum, so it stays on the driver: the engine
+    ``ray.put``s no key table, no Ray Data execution starts, the route
+    reads ``driver_merge`` and the uniqueness rows are the default
+    cap's."""
     import sys
 
     from jesse_ray import engine
@@ -693,7 +713,7 @@ def test_merge_tripped_by_its_last_partial_stays_on_the_driver(ray_session, tmp_
     res = validate_dataset(read(), spec).materialize()
     assert puts == [] and started == []
     assert res.metrics["uniqueness.route"] == "driver_merge"
-    assert res.metrics["uniqueness.merged_bytes"] > 16 << 10
+    assert res.metrics["uniqueness.partial_bytes"] > 16 << 10
     assert _ipc(res.unique_violations) == _ipc(want)
 
 
@@ -1326,7 +1346,7 @@ def test_error_handler_runs_once_per_block(corpus_sf0001, tmp_path):
         return validate_dataset(ds, spec, check_unique=False, **kw).all_violations_table()
 
     def mapped(ds):
-        refs = fused_violations(ds, compile_spec(spec), check_unique=False, **kw).materialize().to_arrow_refs()
+        refs = fused_violations(ds, compile_spec(spec), **kw).materialize().to_arrow_refs()
         return pa.concat_tables(ray.get(refs))
 
     got = validated(read_sequences(path))
