@@ -524,12 +524,12 @@ def _check_tables(fv: FusedValidator, tables) -> tuple:
     ``fv.violations`` over each table as it comes, empty tables skipped
     (one empty table is checked if none has rows).
 
-    Returns the concatenated violation rows, the side ``(rows, tally,
-    sketch, sizes)`` — the input row count, the violation rows'
-    ``_tally``, the merged drift ``SketchBundle`` (with ``fv.sketch``,
-    else None) and per key in ``fv.unique_keys`` its partial's ``(rows,
-    nbytes)`` — and per key one ``_batch_key_counts`` table over all the
-    rows (None when no table has the column)."""
+    Returns the concatenated violation rows, one chunk per column, the
+    side ``(rows, tally, sketch, sizes)`` — the input row count, the
+    violation rows' ``_tally``, the merged drift ``SketchBundle`` (with
+    ``fv.sketch``, else None) and per key in ``fv.unique_keys`` its
+    partial's ``(rows, nbytes)`` — and per key one ``_batch_key_counts``
+    table over all the rows (None when no table has the column)."""
     viols, cols, rows, sketch = [], {k: [] for k in fv.unique_keys}, 0, None
 
     def check(t: pa.Table) -> None:
@@ -549,7 +549,8 @@ def _check_tables(fv: FusedValidator, tables) -> tuple:
             check(t)
     if not viols:
         check(pa.table({}))
-    viol = viols[0] if len(viols) == 1 else pa.concat_tables(viols)
+    # one chunk per column: each chunk costs the object store's reducer a call
+    viol = (viols[0] if len(viols) == 1 else pa.concat_tables(viols)).combine_chunks()
     parts = [_batch_key_counts(pa.concat_tables(got), k) if got else None for k, got in cols.items()]
     side = (rows, _tally(viol), sketch, [(0, 0) if p is None else (p.num_rows, p.nbytes) for p in parts])
     return (viol, side, *parts)
@@ -558,7 +559,7 @@ def _check_tables(fv: FusedValidator, tables) -> tuple:
 @ray.remote
 def _validate_block(fv: FusedValidator, read_task: Optional[ReadTask], *blocks: pa.Table):
     """``_check_tables`` as a plain task, started with ``num_returns=2 +
-    len(fv.unique_keys)``, over each row group of a planned ``read_task``
+    len(fv.unique_keys)``, over each file piece of a planned ``read_task``
     as it is read (the tables a Ray Data read fused with ``map_batches``
     hands the map, so an ``error_handler`` sees the same calls), or over
     each input block."""
@@ -1095,7 +1096,8 @@ class ValidationEngine:
         """Validate ``ds`` against a spec; nothing runs until the result's
         first entry point.  ``error_handler`` (see
         ``CompiledSpec.check_batch``) is called once per table the fused
-        pass checks: each row group of a planned read, each block of a
+        pass checks: each file piece of a planned read (a read task's
+        row groups of one file, decoded as one table), each block of a
         materialized input, each batch of the Ray Data map otherwise —
         the tables a Ray Data ``map_batches`` over the same input gets.
         ``key_ds`` is accepted and ignored (``perfbench`` still passes

@@ -18,6 +18,12 @@ store.  Here no task's estimate exceeds
 count, so Ray never adds a split: the first map stage always fuses into
 the read (``ReadParquet->MapBatches``).
 
+A read task yields one table per file piece, the contiguous row groups
+of one file it holds: the file is opened once and the piece decoded in
+one call, each column in one chunk, so a consumer pays its fixed
+per-call cost once per piece, not once per row group.  The planner's
+cap bounds a piece of more than one row group, as it bounds a task.
+
 :func:`planned_read_tasks` hands the same planned tasks to a caller that
 runs them itself (the validation engine runs one plain Ray task per read
 task).
@@ -33,6 +39,7 @@ from typing import Iterator, Optional, Sequence
 import pyarrow as pa
 import pyarrow.dataset as pds
 import pyarrow.fs as pafs
+import pyarrow.parquet as pq
 
 import ray.data
 from ray.data import Dataset
@@ -140,29 +147,58 @@ def _resolve(path: str | os.PathLike | Sequence[str | os.PathLike]) -> list[tupl
 
 
 def _read_row_groups(pieces: list[tuple[pafs.FileSystem, str, list[int]]],
-                     columns: Optional[list[str]], predicate, schema: pa.Schema) -> Iterator[pa.Table]:
-    """One read task: one table per row group, in order (an empty table
-    with the projected schema when nothing survives the predicate)."""
-    fmt = pds.ParquetFileFormat()
+                     scan_columns: Optional[list[str]], predicate, schema: pa.Schema) -> Iterator[pa.Table]:
+    """One read task: one table per file piece (the task's row groups of
+    one file), in order, each column in one chunk; an empty table with
+    the projected ``schema`` when nothing survives the predicate.  Each
+    file is opened once and its row groups decoded in one call; a
+    ``predicate`` filters the rows after it (``scan_columns`` are the
+    projection plus the columns it names outside it)."""
     empty = True
     for fs, path, ids in pieces:
-        for frag in fmt.make_fragment(path, filesystem=fs, row_groups=ids).split_by_row_group():
-            t = frag.to_table(columns=columns, filter=predicate, use_threads=False)
-            if t.num_rows:
-                empty = False
-                yield t
+        with fs.open_input_file(path) as f:
+            t = pq.ParquetFile(f, pre_buffer=True).read_row_groups(
+                ids, columns=scan_columns, use_threads=False)
+        if predicate is not None:
+            t = t.filter(predicate).select(schema.names)
+        if t.num_rows:
+            empty = False
+            yield t
     if empty:
         yield schema.empty_table()
+
+
+def _scan_columns(schema: pa.Schema, columns: Optional[list[str]], predicate) -> Optional[list[str]]:
+    """The columns a read task decodes: ``columns`` plus the file columns
+    ``predicate`` names outside them (each other column is dropped when
+    the predicate still binds without it)."""
+    if predicate is None or columns is None:
+        return columns
+
+    def binds(cols: list[str]) -> bool:
+        try:
+            pa.schema([schema.field(c) for c in cols]).empty_table().filter(predicate)
+        except pa.ArrowInvalid:
+            return False
+        return True
+
+    extra = [c for c in schema.names if c not in columns]
+    for c in list(extra):
+        if binds(columns + [x for x in extra if x != c]):
+            extra.remove(c)
+    return columns + extra
 
 
 class RowGroupParquetSource(Datasource):
     """Parquet files read as whole row groups, planned on the driver from
     the files' footers (see :func:`plan_read_tasks`).
 
-    Each read task carries its ``(path, row group ids)`` list, its decoded
-    bytes and its exact row count (unknown under a predicate).  A
-    ``predicate`` (``pyarrow.dataset`` expression) drops the row groups
-    whose statistics exclude it at plan time and filters rows in the task.
+    Each read task carries its ``(path, row group ids)`` pieces, one per
+    file, its decoded bytes and its exact row count (unknown under a
+    predicate), and yields one table per piece (see
+    :func:`_read_row_groups`).  A ``predicate`` (``pyarrow.dataset``
+    expression) drops the row groups whose statistics exclude it at plan
+    time and filters rows in the task.
     """
 
     def __init__(self, path, *, columns: Optional[list[str]] = None, predicate=None):
@@ -180,6 +216,7 @@ class RowGroupParquetSource(Datasource):
                 [file_schema.field(c) for c in columns], metadata=file_schema.metadata)
             if schema is None:
                 schema, first = proj, p
+                scan = _scan_columns(file_schema, columns, predicate)
             elif not proj.equals(schema):
                 raise ValueError(f"{p}: schema differs from {first}:\n{proj}\nvs\n{schema}")
             if predicate is not None:
@@ -188,8 +225,8 @@ class RowGroupParquetSource(Datasource):
         self._nbytes = sum(g[4] for g in groups)
         plan = plan_read_tasks([g[4] for g in groups], cluster_cpus(),
                                ray.data.DataContext.get_current().target_max_block_size)
-        self._tasks = [_read_task([groups[i] for i in r], columns, predicate, schema)
-                       for r in plan] or [_read_task([], columns, predicate, schema)]
+        self._tasks = [_read_task([groups[i] for i in r], scan, predicate, schema)
+                       for r in plan] or [_read_task([], scan, predicate, schema)]
 
     def get_name(self) -> str:
         return "Parquet"  # the operator reads ``ReadParquet``, as Ray's own
@@ -201,7 +238,7 @@ class RowGroupParquetSource(Datasource):
         return self._tasks  # planned from the footers, not from ``parallelism``
 
 
-def _read_task(groups: list, columns, predicate, schema: pa.Schema) -> ReadTask:
+def _read_task(groups: list, scan_columns, predicate, schema: pa.Schema) -> ReadTask:
     pieces: list[tuple[pafs.FileSystem, str, list[int]]] = []
     for fs, p, rg, _, _ in groups:
         if pieces and pieces[-1][1] == p:
@@ -214,7 +251,7 @@ def _read_task(groups: list, columns, predicate, schema: pa.Schema) -> ReadTask:
         input_files=[p for _, p, _ in pieces],
         exec_stats=None,
     )
-    return ReadTask(functools.partial(_read_row_groups, pieces, columns, predicate, schema),
+    return ReadTask(functools.partial(_read_row_groups, pieces, scan_columns, predicate, schema),
                     meta, schema=schema)
 
 

@@ -1273,6 +1273,33 @@ def test_counts_by_error_fetches_no_violation_block(corpus_sf0001, monkeypatch):
     assert all(t.column_names == ["doc_id", "partial_cnt"] for t in tables)
 
 
+def test_violation_blocks_are_one_chunk_per_column(corpus_sf0001, tmp_path, monkeypatch):
+    """Every violation block ``all_violations_table()`` fetches holds each
+    column in one chunk, however many tables its task checked and
+    whether or not they had referential rows: a planned read whose first
+    task spans two files, a materialized input and the Ray Data map."""
+    from jesse_ray.pipelines.queries import _seq_spec
+
+    t = pq.read_table(str(testgen.corpus_path("sf0.001")))
+    pq.write_table(t.slice(0, 250), tmp_path / "a.parquet", row_group_size=250)
+    pq.write_table(t.slice(250), tmp_path / "b.parquet", row_group_size=250)
+    inputs = {
+        "planned": read_sequences(str(tmp_path)),
+        "materialized": read_sequences(str(tmp_path)).materialize(),
+        "ray_data_map": read_sequences(str(tmp_path)).limit(10**9),
+    }
+    get = ray.get
+    for name, ds in inputs.items():
+        res = validate_dataset(ds, _seq_spec()).materialize()
+        fetched = []
+        monkeypatch.setattr(ray, "get", lambda refs, **kw: fetched.append(get(refs, **kw)) or fetched[-1])
+        got = res.all_violations_table()
+        monkeypatch.undo()
+        blocks = [b for x in fetched for b in x if b.num_rows]
+        assert blocks and sum(b.num_rows for b in blocks) == got.num_rows - res.unique_violations.num_rows
+        assert {c.num_chunks for b in blocks for c in b.columns} == {1}, name
+
+
 def test_planned_and_block_routes_agree(corpus_sf0001, tmp_path, monkeypatch):
     """``read_sequences`` / ``read_table`` Datasets returned unchanged run
     the planned read tasks and start no Ray Data execution; a
@@ -1325,10 +1352,11 @@ def test_planned_and_block_routes_agree(corpus_sf0001, tmp_path, monkeypatch):
 
 
 def test_error_handler_runs_once_per_block(corpus_sf0001, tmp_path):
-    """``validate(error_handler=...)`` is called once per row group of a
-    planned read, not once per read task, as the map of a Ray Data read
-    is: a per-call cap keeps the rows ``fused_violations``' Ray Data map
-    keeps over the same read.  On any other input the pass is that map."""
+    """``validate(error_handler=...)`` is called once per file piece of a
+    planned read (one call per read task of this one-file input), as the
+    map of a Ray Data read is: a per-call cap keeps one row per task, the
+    rows ``fused_violations``' Ray Data map keeps over the same read.  On
+    any other input the pass is that map."""
     import dataclasses
 
     from jesse_ray.pipelines.queries import _seq_spec
@@ -1350,7 +1378,7 @@ def test_error_handler_runs_once_per_block(corpus_sf0001, tmp_path):
         return pa.concat_tables(ray.get(refs))
 
     got = validated(read_sequences(path))
-    assert tasks < got.num_rows <= pq.read_metadata(path).num_row_groups
+    assert got.num_rows == tasks
     assert _row_set(got) == _row_set(mapped(read_sequences(path)))
     limited = read_sequences(path).limit(10**9)
     assert _row_set(validated(limited)) == _row_set(mapped(limited))

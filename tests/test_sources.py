@@ -66,13 +66,90 @@ def test_multi_row_group_file_plans_one_fused_read(multi_rg):
     assert got.all_violations_table().num_rows > 0
 
 
-def test_blocks_stay_row_group_sized(multi_rg):
-    """However many row groups a task holds, each batch is one row group."""
-    rows = [pq.ParquetFile(multi_rg).metadata.row_group(i).num_rows
-            for i in range(pq.ParquetFile(multi_rg).num_row_groups)]
-    sizes = read_sequences(multi_rg, columns=["doc_id"]).map_batches(
-        lambda b: pa.table({"n": [b.num_rows]}), batch_format="pyarrow", batch_size=None)
-    assert sorted(sizes.to_pandas()["n"]) == sorted(rows)
+@pytest.fixture(scope="module")
+def two_files(corpus_sf0001, tmp_path_factory) -> str:
+    """The sf0.001 corpus as two files of 250-row groups, one group then
+    seven, with file metadata: at 4 CPUs the planner's first task holds
+    the first file's group and the second file's first."""
+    d = tmp_path_factory.mktemp("two_files")
+    t = pq.read_table(testgen.corpus_path("sf0.001")).replace_schema_metadata({"origin": "two_files"})
+    pq.write_table(t.slice(0, 250), d / "a.parquet", row_group_size=250)
+    pq.write_table(t.slice(250, 1750), d / "b.parquet", row_group_size=250)
+    return str(d)
+
+
+def _piece_rows(task) -> list[int]:
+    """The rows of each file piece of a planned read task, from the footers."""
+    return [sum(pq.ParquetFile(path).metadata.row_group(i).num_rows for i in ids)
+            for _, path, ids in task.read_fn.args[0]]
+
+
+def test_blocks_are_one_per_file_piece(multi_rg, two_files):
+    """A read task yields one block per file piece (its row groups of one
+    file), each column in one chunk: one per task on a one-file input,
+    one per file a task spans otherwise."""
+    for path in (multi_rg, two_files):
+        tasks = RowGroupParquetSource(path, columns=["doc_id"]).get_read_tasks(-1)
+        assert any(len(t.read_fn.args[0][0][2]) > 1 for t in tasks), path
+        want = sorted(n for t in tasks for n in _piece_rows(t))
+        got = read_sequences(path, columns=["doc_id"]).map_batches(
+            lambda b: pa.table({"n": [b.num_rows], "chunks": [max(c.num_chunks for c in b.columns)]}),
+            batch_format="pyarrow", batch_size=None).to_pandas()
+        assert sorted(got["n"]) == want and set(got["chunks"]) == {1}, path
+    assert any(len(t.metadata.input_files) == 2
+               for t in RowGroupParquetSource(two_files).get_read_tasks(-1))
+
+
+def _row_group_scan(task, columns, predicate) -> list[pa.Table]:
+    """What a read task yielded when it read one table per row group
+    (a dataset fragment scan each), concatenated per file piece."""
+    fmt = pds.ParquetFileFormat()
+    out = []
+    for fs, path, ids in task.read_fn.args[0]:
+        got = [t for frag in fmt.make_fragment(path, filesystem=fs, row_groups=ids).split_by_row_group()
+               if (t := frag.to_table(columns=columns, filter=predicate, use_threads=False)).num_rows]
+        if got:
+            out.append(pa.concat_tables(got))
+    return out
+
+
+#: (columns, predicate) read from each layout
+READS = {
+    "all_columns": (None, None),
+    "subset_out_of_file_order": (["n_tok", "doc_id"], None),
+    "predicate_inside_groups": (["doc_id", "n_tok", "source"], pds.field("n_tok") > 1000),
+    "predicate_outside_projection": (["doc_id", "tokens"], pds.field("n_tok") > 1000),
+    "predicate_empties_pieces": (["source", "doc_id"], pds.field("source") == "cats"),
+}
+
+
+@pytest.mark.parametrize("read", READS)
+@pytest.mark.parametrize("layout", ["multi_rg", "two_files"])
+def test_read_matches_row_group_scan(read, layout, request):
+    """Each planned task's tables equal the per-row-group scan's tables
+    concatenated per file piece: values, schema and metadata, in order;
+    a task whose pieces the predicate empties yields the projected empty
+    table."""
+    path = request.getfixturevalue(layout)
+    columns, predicate = READS[read]
+    tasks = RowGroupParquetSource(path, columns=columns, predicate=predicate).get_read_tasks(-1)
+    assert tasks and all(t.read_fn.args[0] for t in tasks)  # no row group pruned at plan time
+    file_schema = pq.read_schema(tasks[0].read_fn.args[0][0][1])
+    empty = pa.schema([file_schema.field(c) for c in columns or file_schema.names],
+                      metadata=file_schema.metadata).empty_table()
+    rows = 0
+    for task in tasks:
+        got, want = list(task()), _row_group_scan(task, columns, predicate) or [empty]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.equals(w, check_metadata=True), (read, layout)
+            assert all(c.num_chunks <= 1 for c in g.columns)
+        rows += sum(g.num_rows for g in got)
+    planned = sum(t.metadata.num_rows or 0 for t in
+                  RowGroupParquetSource(path, columns=columns).get_read_tasks(-1))
+    assert (rows == 0) == (read == "predicate_empties_pieces")
+    assert (rows < planned) == (predicate is not None)
+    assert (file_schema.metadata or {}).get(b"origin") == (b"two_files" if layout == "two_files" else None)
 
 
 # ---------------------------------------------------------------- the planner
