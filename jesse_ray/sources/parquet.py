@@ -19,10 +19,11 @@ count, so Ray never adds a split: the first map stage always fuses into
 the read (``ReadParquet->MapBatches``).
 
 A read task yields one table per file piece, the contiguous row groups
-of one file it holds: the file is opened once and the piece decoded in
-one call, each column in one chunk, so a consumer pays its fixed
-per-call cost once per piece, not once per row group.  The planner's
-cap bounds a piece of more than one row group, as it bounds a task.
+of one file it holds: the piece is one fragment scan, its row groups'
+batches combined into one chunk per column, so a consumer pays its
+fixed per-call cost once per piece, not once per row group.  The
+planner's cap bounds a piece of more than one row group, as it bounds
+a task.
 
 :func:`planned_read_tasks` hands the same planned tasks to a caller that
 runs them itself (the validation engine runs one plain Ray task per read
@@ -39,7 +40,6 @@ from typing import Iterator, Optional, Sequence
 import pyarrow as pa
 import pyarrow.dataset as pds
 import pyarrow.fs as pafs
-import pyarrow.parquet as pq
 
 import ray.data
 from ray.data import Dataset
@@ -147,46 +147,21 @@ def _resolve(path: str | os.PathLike | Sequence[str | os.PathLike]) -> list[tupl
 
 
 def _read_row_groups(pieces: list[tuple[pafs.FileSystem, str, list[int]]],
-                     scan_columns: Optional[list[str]], predicate, schema: pa.Schema) -> Iterator[pa.Table]:
+                     columns: Optional[list[str]], predicate, schema: pa.Schema) -> Iterator[pa.Table]:
     """One read task: one table per file piece (the task's row groups of
-    one file), in order, each column in one chunk; an empty table with
-    the projected ``schema`` when nothing survives the predicate.  Each
-    file is opened once and its row groups decoded in one call; a
-    ``predicate`` filters the rows after it (``scan_columns`` are the
-    projection plus the columns it names outside it)."""
+    one file: one fragment scan, its batches combined into one chunk per
+    column), in order; an empty table with the projected ``schema`` when
+    nothing survives ``predicate``."""
+    fmt = pds.ParquetFileFormat()
     empty = True
     for fs, path, ids in pieces:
-        with fs.open_input_file(path) as f:
-            t = pq.ParquetFile(f, pre_buffer=True).read_row_groups(
-                ids, columns=scan_columns, use_threads=False)
-        if predicate is not None:
-            t = t.filter(predicate).select(schema.names)
+        t = fmt.make_fragment(path, filesystem=fs, row_groups=ids).to_table(
+            columns=columns, filter=predicate, use_threads=False)
         if t.num_rows:
             empty = False
-            yield t
+            yield t.combine_chunks()
     if empty:
         yield schema.empty_table()
-
-
-def _scan_columns(schema: pa.Schema, columns: Optional[list[str]], predicate) -> Optional[list[str]]:
-    """The columns a read task decodes: ``columns`` plus the file columns
-    ``predicate`` names outside them (each other column is dropped when
-    the predicate still binds without it)."""
-    if predicate is None or columns is None:
-        return columns
-
-    def binds(cols: list[str]) -> bool:
-        try:
-            pa.schema([schema.field(c) for c in cols]).empty_table().filter(predicate)
-        except pa.ArrowInvalid:
-            return False
-        return True
-
-    extra = [c for c in schema.names if c not in columns]
-    for c in list(extra):
-        if binds(columns + [x for x in extra if x != c]):
-            extra.remove(c)
-    return columns + extra
 
 
 class RowGroupParquetSource(Datasource):
@@ -216,7 +191,6 @@ class RowGroupParquetSource(Datasource):
                 [file_schema.field(c) for c in columns], metadata=file_schema.metadata)
             if schema is None:
                 schema, first = proj, p
-                scan = _scan_columns(file_schema, columns, predicate)
             elif not proj.equals(schema):
                 raise ValueError(f"{p}: schema differs from {first}:\n{proj}\nvs\n{schema}")
             if predicate is not None:
@@ -225,8 +199,8 @@ class RowGroupParquetSource(Datasource):
         self._nbytes = sum(g[4] for g in groups)
         plan = plan_read_tasks([g[4] for g in groups], cluster_cpus(),
                                ray.data.DataContext.get_current().target_max_block_size)
-        self._tasks = [_read_task([groups[i] for i in r], scan, predicate, schema)
-                       for r in plan] or [_read_task([], scan, predicate, schema)]
+        self._tasks = [_read_task([groups[i] for i in r], columns, predicate, schema)
+                       for r in plan] or [_read_task([], columns, predicate, schema)]
 
     def get_name(self) -> str:
         return "Parquet"  # the operator reads ``ReadParquet``, as Ray's own
@@ -238,7 +212,7 @@ class RowGroupParquetSource(Datasource):
         return self._tasks  # planned from the footers, not from ``parallelism``
 
 
-def _read_task(groups: list, scan_columns, predicate, schema: pa.Schema) -> ReadTask:
+def _read_task(groups: list, columns, predicate, schema: pa.Schema) -> ReadTask:
     pieces: list[tuple[pafs.FileSystem, str, list[int]]] = []
     for fs, p, rg, _, _ in groups:
         if pieces and pieces[-1][1] == p:
@@ -251,7 +225,7 @@ def _read_task(groups: list, scan_columns, predicate, schema: pa.Schema) -> Read
         input_files=[p for _, p, _ in pieces],
         exec_stats=None,
     )
-    return ReadTask(functools.partial(_read_row_groups, pieces, scan_columns, predicate, schema),
+    return ReadTask(functools.partial(_read_row_groups, pieces, columns, predicate, schema),
                     meta, schema=schema)
 
 
